@@ -45,10 +45,10 @@
 //! reads remote cells only from the shared previous-iteration array, so
 //! the per-iteration results are bit-for-bit identical at every thread
 //! and rank-execution ordering.  Each rank's solve events are buffered
-//! in an [`EventLog`] and replayed through the rank-tagged
-//! [`RunObserver`] hooks (`on_rank_sweep`, `on_rank_krylov_residual`,
-//! …) in rank order after every halo iteration — the observer stream is
-//! therefore also bit-for-bit identical at every thread count.
+//! in an [`EventLog`] and replayed on the rank's own
+//! [`Lane::Rank`] in rank order after every halo iteration — the
+//! [`RunObserver`] stream is therefore also bit-for-bit identical at
+//! every thread count.
 
 use std::time::{Duration, Instant};
 
@@ -61,13 +61,14 @@ use unsnap_core::data::ProblemData;
 use unsnap_core::error::{Error, Result};
 use unsnap_core::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
 use unsnap_core::layout::{FluxLayout, FluxStorage, Precision};
-use unsnap_core::metrics::{MetricsObserver, RunMetrics};
+use unsnap_core::metrics::RunMetrics;
 use unsnap_core::problem::Problem;
 use unsnap_core::report::IterationSummary;
-use unsnap_core::session::{EventLog, NoopObserver, Phase, RunObserver, TeeObserver};
-use unsnap_core::solver::{relative_change, RunStats};
+use unsnap_core::session::{
+    run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
+};
+use unsnap_core::solver::{relative_change, report_sweep, RunStats};
 use unsnap_core::strategy::{InnerSolveContext, StrategyKind};
-use unsnap_core::trace::TraceObserver;
 use unsnap_fem::element::ReferenceElement;
 use unsnap_fem::face::{face_node_indices, FACES};
 use unsnap_fem::geometry::HexVertices;
@@ -114,9 +115,10 @@ pub struct BlockJacobiOutcome {
     /// Low-order DSA CG iterations executed by each rank.
     pub rank_accel_cg_iterations: Vec<usize>,
     /// The run's telemetry snapshot, aggregated from the full observer
-    /// event stream (untagged and rank-tagged) by the solver's internal
-    /// [`MetricsObserver`] — attached to every outcome with no caller
-    /// wiring.  The deterministic half is bit-for-bit identical at
+    /// event stream (driver and rank lanes) by the solver's internal
+    /// [`MetricsObserver`](unsnap_core::metrics::MetricsObserver) —
+    /// attached to every outcome with no caller wiring.  The
+    /// deterministic half is bit-for-bit identical at
     /// every thread and rank-execution ordering; strip the wall-clock
     /// half with [`RunMetrics::zero_wallclock`] before comparisons.
     pub metrics: RunMetrics,
@@ -455,30 +457,16 @@ impl InnerSolveContext for RankContext<'_> {
 
     fn sweep_once(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) {
         self.state.phi.iter_mut().for_each(|x| *x = 0.0);
-        observer.on_phase_start(Phase::Sweep);
-        let t0 = self.shared.clock.now();
-        let (timing, count) = self.sweep_rank();
-        let seconds = self.shared.clock.now().saturating_sub(t0).as_secs_f64();
-        // Per-wavefront-bucket structure events, emitted inside the
-        // Sweep span with no extra clock reads.  Payloads are derived
-        // from the rank's masked schedules in (angle, bucket) order, so
-        // the buffered stream is identical at every thread count.
-        let ng = self.shared.problem.num_groups as u64;
-        let mut bucket_tasks = 0u64;
-        for (angle, schedule) in self.shared.schedules[self.rank].iter().enumerate() {
-            for (bucket_index, bucket) in schedule.buckets.iter().enumerate() {
-                let tasks = bucket.len() as u64 * ng;
-                bucket_tasks += tasks;
-                observer.on_sweep_bucket(angle, bucket_index, tasks);
-            }
-        }
-        debug_assert_eq!(bucket_tasks, count);
-        observer.on_phase_end(Phase::Sweep, seconds);
-        stats.sweep_seconds += seconds;
-        stats.kernel_timing.accumulate(timing);
-        stats.kernel_invocations += count;
-        stats.sweeps += 1;
-        observer.on_sweep(stats.sweeps, count, seconds);
+        let phase = Phase::Sweep;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+        let s = self.shared;
+        let t0 = s.clock.now();
+        let work = self.sweep_rank();
+        let seconds = s.clock.now().saturating_sub(t0).as_secs_f64();
+        // The rank's masked schedules: the bucket events cover exactly
+        // the cells this rank swept.
+        let (schedules, ng) = (&s.schedules[self.rank], s.problem.num_groups);
+        report_sweep(schedules, ng, work, seconds, stats, observer);
     }
 
     fn save_phi_inner(&mut self) {
@@ -543,7 +531,8 @@ impl InnerSolveContext for RankContext<'_> {
         }
         let state = &mut *self.state;
         let dsa = state.dsa.as_mut().expect("accelerator just built");
-        observer.on_phase_start(Phase::AccelCg);
+        let phase = Phase::AccelCg;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
         let t0 = s.clock.now();
         let result = dsa.correct(&mut state.phi, previous, stats, observer);
         if result.is_ok() && s.problem.precision == Precision::Mixed {
@@ -555,7 +544,7 @@ impl InnerSolveContext for RankContext<'_> {
             }
         }
         let seconds = s.clock.now().saturating_sub(t0).as_secs_f64();
-        observer.on_phase_end(Phase::AccelCg, seconds);
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         result
     }
 }
@@ -927,20 +916,19 @@ impl BlockJacobiSolver {
     /// (or until the tolerance is met), streaming per-rank progress to
     /// `observer`.
     ///
-    /// Every halo iteration fires, for each rank in rank order:
-    /// `on_rank_outer_start`, the rank's buffered solve events
-    /// (`on_rank_sweep`, `on_rank_inner_iteration`,
-    /// `on_rank_krylov_residual`) and `on_rank_outer_end`; the merged
-    /// global change then fires through the untagged
-    /// `on_inner_iteration`.  Because the buffered logs replay in rank
-    /// order, the stream is identical at every thread count.
+    /// Every halo iteration delivers, for each rank in rank order on
+    /// that rank's [`Lane::Rank`]: `OuterStart`, the rank's buffered
+    /// solve events (`Sweep`, `InnerIteration`, `KrylovResidual`, …)
+    /// and `OuterEnd`; the merged global change then arrives as a
+    /// driver-lane `InnerIteration`.  Because the buffered logs replay
+    /// in rank order, the stream is identical at every thread count.
     pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<BlockJacobiOutcome> {
         self.run_observed_checkpointed(observer, &mut JacobiNoopSink)
     }
 
     /// [`BlockJacobiSolver::run_observed`] with a durability hook:
     /// `sink` is offered a [`JacobiCheckpointView`] at every
-    /// outer-iteration boundary (after the outer's `on_outer_end`
+    /// outer-iteration boundary (after the outer's `OuterEnd`
     /// event).  A sink error aborts the run, which is how the
     /// write-ahead log layer injects deterministic crashes.
     pub fn run_observed_checkpointed(
@@ -948,29 +936,15 @@ impl BlockJacobiSolver {
         observer: &mut dyn RunObserver,
         sink: &mut dyn JacobiCheckpointSink,
     ) -> Result<BlockJacobiOutcome> {
-        // Tee the caller's observer with an internal metrics aggregator
-        // and a trace builder, so every outcome carries its telemetry
-        // and span tree without caller wiring.
-        let mut metrics = MetricsObserver::new();
-        let mut tracer = TraceObserver::new();
-        let mut outcome = {
-            let mut inner_tee = TeeObserver::new(observer, &mut metrics);
-            let mut tee = TeeObserver::new(&mut inner_tee, &mut tracer);
-            self.run_observed_inner(&mut tee, sink)?
+        let (mut outcome, metrics, trace) =
+            run_with_telemetry(observer, |tee| self.run_observed_inner(tee, sink))?;
+        let timings = || self.ranks.iter().map(|r| r.stats.kernel_timing);
+        outcome.metrics = RunMetrics {
+            kernel_assemble_seconds: timings().map(|t| t.assemble_ns as f64 * 1e-9).sum(),
+            kernel_solve_seconds: timings().map(|t| t.solve_ns as f64 * 1e-9).sum(),
+            ..metrics
         };
-        let mut snapshot = metrics.snapshot();
-        snapshot.kernel_assemble_seconds = self
-            .ranks
-            .iter()
-            .map(|r| r.stats.kernel_timing.assemble_ns as f64 * 1e-9)
-            .sum();
-        snapshot.kernel_solve_seconds = self
-            .ranks
-            .iter()
-            .map(|r| r.stats.kernel_timing.solve_ns as f64 * 1e-9)
-            .sum();
-        outcome.metrics = snapshot;
-        outcome.trace = tracer.into_tree();
+        outcome.trace = trace;
         Ok(outcome)
     }
 
@@ -1062,7 +1036,7 @@ impl BlockJacobiSolver {
         };
 
         for outer in start_outer..self.problem.outer_iterations {
-            observer.on_outer_start(outer);
+            observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
             self.phi_outer
                 .as_mut_slice()
                 .copy_from_slice(self.phi.as_slice());
@@ -1073,22 +1047,23 @@ impl BlockJacobiSolver {
                 let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
 
                 // Halo "exchange": expose the previous iteration's angular
-                // flux to cross-rank upwind reads.  A driver-level event:
-                // it fires through the untagged hooks (never inside a
-                // rank's log) with the cut-face count and the bytes the
-                // exchange publishes.
-                observer.on_phase_start(Phase::HaloExchange);
+                // flux to cross-rank upwind reads.  A driver-lane event
+                // (never inside a rank's log) carrying the cut-face
+                // count and the bytes the exchange publishes.
+                let phase = Phase::HaloExchange;
+                observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
                 let halo_t0 = self.clock.now();
                 self.psi_prev
                     .as_mut_slice()
                     .copy_from_slice(self.psi.as_slice());
-                let halo_seconds = self.clock.now().saturating_sub(halo_t0).as_secs_f64();
-                observer.on_phase_end(Phase::HaloExchange, halo_seconds);
-                observer.on_halo_exchange(
-                    halo_iteration,
-                    self.total_halo_faces(),
-                    std::mem::size_of_val(self.psi.as_slice()) as u64,
-                );
+                let seconds = self.clock.now().saturating_sub(halo_t0).as_secs_f64();
+                observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+                let exchange = SolveEvent::HaloExchange {
+                    iteration: halo_iteration,
+                    faces: self.total_halo_faces(),
+                    bytes: std::mem::size_of_val(self.psi.as_slice()) as u64,
+                };
+                observer.on_event(Lane::Driver, &exchange);
 
                 let t0 = Instant::now();
                 // Every rank runs its strategy-dispatched inner solve
@@ -1154,15 +1129,28 @@ impl BlockJacobiSolver {
                                 .copy_from_slice(&state.phi[base..base + nodes]);
                         }
                     }
-                    observer.on_rank_outer_start(rank, halo_iteration);
+                    let start = SolveEvent::OuterStart {
+                        outer: halo_iteration,
+                    };
+                    observer.on_event(Lane::Rank(rank), &start);
                     log.replay_as_rank(rank, observer);
-                    observer.on_rank_outer_end(rank, halo_iteration, *rank_converged);
+                    let end = SolveEvent::OuterEnd {
+                        outer: halo_iteration,
+                        converged: *rank_converged,
+                    };
+                    observer.on_event(Lane::Rank(rank), &end);
                 }
                 self.ranks = merged.into_iter().map(|(state, _, _)| state).collect();
 
                 let diff = relative_change(self.phi.as_slice(), &phi_old);
                 history.push(diff);
-                observer.on_inner_iteration(inners_run, diff);
+                observer.on_event(
+                    Lane::Driver,
+                    &SolveEvent::InnerIteration {
+                        inner: inners_run,
+                        relative_change: diff,
+                    },
+                );
                 if self.problem.convergence_tolerance > 0.0
                     && diff < self.problem.convergence_tolerance
                 {
@@ -1172,7 +1160,13 @@ impl BlockJacobiSolver {
                     break;
                 }
             }
-            observer.on_outer_end(outer, outer_converged);
+            observer.on_event(
+                Lane::Driver,
+                &SolveEvent::OuterEnd {
+                    outer,
+                    converged: outer_converged,
+                },
+            );
             sink.on_checkpoint(&JacobiCheckpointView {
                 outer_completed: outer,
                 converged: outer_converged,

@@ -29,9 +29,10 @@
 //!   [`InnerSolveContext`](unsnap_core::strategy::InnerSolveContext), so
 //!   plain source iteration *and* sweep-preconditioned GMRES (with a
 //!   reused per-rank [`GmresWorkspace`](unsnap_krylov::GmresWorkspace))
-//!   both scale out, and per-rank progress streams through the
-//!   rank-tagged [`RunObserver`](unsnap_core::session::RunObserver)
-//!   hooks in deterministic rank order.  [`BlockJacobiOutcome`] carries
+//!   both scale out, and per-rank progress streams to the
+//!   [`RunObserver`](unsnap_core::session::RunObserver) on
+//!   [`Lane::Rank`](unsnap_core::session::Lane) in deterministic rank
+//!   order.  [`BlockJacobiOutcome`] carries
 //!   per-rank sweep/Krylov counters and serialises via
 //!   [`BlockJacobiOutcome::to_json`].
 //! * [`halo`] — an explicit halo-exchange implementation over crossbeam

@@ -14,8 +14,8 @@
 //! * the **low-order solve** runs the SPD diffusion operator of
 //!   [`unsnap_accel`] through CG (with reused
 //!   [`CgWorkspace`](unsnap_krylov::CgWorkspace) buffers), streaming
-//!   every residual to
-//!   [`RunObserver::on_accel_residual`];
+//!   every residual as a
+//!   [`SolveEvent::AccelResidual`];
 //! * **prolongation** adds the cell-wise correction to every node of the
 //!   cell (constant prolongation — the exact adjoint of the integral
 //!   restriction for a partition-of-unity basis).
@@ -37,7 +37,7 @@ use unsnap_mesh::UnstructuredMesh;
 use crate::data::ProblemData;
 use crate::error::Result;
 use crate::layout::FluxLayout;
-use crate::session::RunObserver;
+use crate::session::{Lane, RunObserver, SolveEvent};
 use crate::solver::RunStats;
 
 /// Dimensionless coefficient of the `(σ_t h)²` thick-cell inflation of
@@ -157,8 +157,8 @@ impl DsaAccelerator {
     /// holds the post-sweep iterate (`φ^{l+1/2}`) on entry and the
     /// corrected iterate (`φ^{l+1}`) on return.  CG work is accounted in
     /// `stats` (`accel_cg_iterations`, `accel_residual_history`) and
-    /// every CG residual streams through
-    /// [`RunObserver::on_accel_residual`].
+    /// every CG residual streams as a
+    /// [`SolveEvent::AccelResidual`].
     pub fn correct(
         &mut self,
         phi: &mut [f64],
@@ -184,9 +184,15 @@ impl DsaAccelerator {
             }
         }
 
-        let (correction, outcome) = self.solver.solve(&self.rhs, |iteration, residual| {
-            observer.on_accel_residual(iteration, residual)
-        })?;
+        let (correction, outcome) =
+            self.solver
+                .solve(&self.rhs, |iteration, relative_residual| {
+                    let event = SolveEvent::AccelResidual {
+                        iteration,
+                        relative_residual,
+                    };
+                    observer.on_event(Lane::Driver, &event)
+                })?;
 
         for c in 0..ne {
             for g in 0..ng {

@@ -40,8 +40,8 @@
 //! * [`session`] — the observable solve API: [`Session`],
 //!   [`RunObserver`] and [`RecordingObserver`] stream per-iteration
 //!   progress instead of returning a black-box summary; the
-//!   [`session::Phase`] taxonomy and phase-tracing hooks live
-//!   here too.
+//!   [`session::SolveEvent`] vocabulary and the [`session::Phase`]
+//!   taxonomy live here too.
 //! * [`metrics`] — the aggregation layer over the observer stream:
 //!   [`metrics::MetricsObserver`] folds events into a
 //!   [`metrics::RunMetrics`] snapshot (attached to every

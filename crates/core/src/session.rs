@@ -7,9 +7,9 @@
 //! planned distributed drivers) had to parse the outcome's history vectors
 //! after the fact.  This module splits that monolith:
 //!
-//! * [`RunObserver`] is the streaming interface — a trait with no-op
-//!   defaults whose hooks fire at every outer iteration boundary, every
-//!   inner iteration, every transport sweep and every Krylov residual;
+//! * [`RunObserver`] is the streaming interface — one method receiving a
+//!   [`SolveEvent`] at every outer iteration boundary, every inner
+//!   iteration, every transport sweep and every Krylov residual;
 //! * [`Session`] owns the solver state across runs and drives it under an
 //!   observer, so callers hold one object instead of a `Problem` plus a
 //!   `TransportSolver` plus an outcome;
@@ -28,13 +28,17 @@
 //! assert_eq!(recorder.convergence_history, outcome.convergence_history);
 //! ```
 
+use unsnap_obs::trace::TraceTree;
+
 use crate::error::Result;
 use crate::layout::FluxStorage;
+use crate::metrics::{MetricsObserver, RunMetrics};
 use crate::problem::Problem;
 use crate::solver::{SolveOutcome, TransportSolver};
+use crate::trace::TraceObserver;
 
 /// The named phases of a transport solve, as reported through
-/// [`RunObserver::on_phase_start`]/[`RunObserver::on_phase_end`].
+/// [`SolveEvent::PhaseStart`]/[`SolveEvent::PhaseEnd`].
 ///
 /// Phases are the units of the wall-clock breakdown: every span the
 /// solvers time is attributed to exactly one of these.  Phase *counts*
@@ -96,6 +100,11 @@ impl Phase {
             Phase::AccelCg => "accel_cg",
         }
     }
+
+    /// The phase a [`Phase::label`] names, if any.
+    pub fn from_label(label: &str) -> Option<Phase> {
+        Phase::all().into_iter().find(|p| p.label() == label)
+    }
 }
 
 impl std::fmt::Display for Phase {
@@ -104,188 +113,81 @@ impl std::fmt::Display for Phase {
     }
 }
 
-/// Streaming hooks into a running transport solve.
+/// Which stream an event belongs to.
 ///
-/// Every method has a no-op default, so observers implement only the
-/// events they care about.  Hooks are called synchronously from the solver
-/// thread between numerical steps; heavy work in a hook slows the solve
-/// but cannot corrupt it.
-pub trait RunObserver {
-    /// An outer (group-coupling Jacobi) iteration is starting.
-    fn on_outer_start(&mut self, outer: usize) {
-        let _ = outer;
-    }
-
-    /// An outer iteration finished; `converged` reports whether the inner
-    /// solve met the problem's tolerance within this outer.
-    fn on_outer_end(&mut self, outer: usize, converged: bool) {
-        let _ = (outer, converged);
-    }
-
-    /// An inner iterate completed with the given maximum relative
-    /// scalar-flux change (one event per entry of
-    /// [`SolveOutcome::convergence_history`]).
-    fn on_inner_iteration(&mut self, inner: usize, relative_change: f64) {
-        let _ = (inner, relative_change);
-    }
-
-    /// A full transport sweep completed.  `sweep` is the running sweep
-    /// count (1-based), `cells` the kernel invocations it performed
-    /// (elements × groups × angles — deterministic), and `seconds` the
-    /// wall-clock time of this sweep.
-    fn on_sweep(&mut self, sweep: usize, cells: u64, seconds: f64) {
-        let _ = (sweep, cells, seconds);
-    }
-
-    /// One wavefront bucket of the current sweep completed: `angle` is
-    /// the sweep direction, `bucket` the bucket's position in that
-    /// angle's dependency order and `tasks` the local assemble/solve
-    /// tasks it contained (cells × groups).  The payload is entirely
-    /// deterministic — no seconds ride on this event, so emitting it
-    /// costs the solver no clock reads; tracing layers timestamp it on
-    /// arrival.  Fires between the enclosing sweep's
-    /// [`RunObserver::on_phase_start`]/[`RunObserver::on_phase_end`]
-    /// pair, in `(angle, bucket)` order at every thread count.
-    fn on_sweep_bucket(&mut self, angle: usize, bucket: usize, tasks: u64) {
-        let _ = (angle, bucket, tasks);
-    }
-
-    /// A Krylov iteration reported a relative residual (one event per
-    /// entry of [`SolveOutcome::krylov_residual_history`]; never fires
-    /// under plain source iteration).
-    fn on_krylov_residual(&mut self, iteration: usize, relative_residual: f64) {
-        let _ = (iteration, relative_residual);
-    }
-
-    /// The low-order DSA correction solve reported a CG residual (one
-    /// event per entry of
-    /// [`SolveOutcome::accel_residual_history`](crate::solver::SolveOutcome::accel_residual_history);
-    /// only fires when DSA is active — the `DSA-SI` strategy or the
-    /// DSA-preconditioned GMRES path).
-    fn on_accel_residual(&mut self, iteration: usize, relative_residual: f64) {
-        let _ = (iteration, relative_residual);
-    }
-
-    /// A timed phase span opened (see [`Phase`] for the taxonomy).
-    /// Spans never nest within one phase; the matching
-    /// [`RunObserver::on_phase_end`] carries the measured duration.
-    fn on_phase_start(&mut self, phase: Phase) {
-        let _ = phase;
-    }
-
-    /// A timed phase span closed after `seconds` of wall-clock time (as
-    /// measured by the solver's [`Clock`](unsnap_obs::clock::Clock) —
-    /// exact under a mock clock).
-    fn on_phase_end(&mut self, phase: Phase, seconds: f64) {
-        let _ = (phase, seconds);
-    }
-
-    /// The distributed driver published the previous iterate's angular
-    /// flux to its subdomains: `iteration` is the 0-based halo
-    /// iteration, `faces` the cut faces crossed and `bytes` the payload
-    /// moved.  Fired by the driver itself (outside any rank), so both
-    /// [`EventLog::replay`] and [`EventLog::replay_as_rank`] deliver it
-    /// through this untagged hook.  Single-domain solves never fire it.
-    fn on_halo_exchange(&mut self, iteration: usize, faces: usize, bytes: u64) {
-        let _ = (iteration, faces, bytes);
-    }
-
-    // ------------------------------------------------------------------
-    // Rank-tagged events, fired by distributed drivers (the block-Jacobi
-    // multi-rank path in `unsnap-comm`).  Ranks solve concurrently, so
-    // drivers buffer each rank's stream in an [`EventLog`] and replay the
-    // logs in rank order once the parallel region ends — the streams a
-    // single observer sees are therefore bit-for-bit identical at every
-    // thread count.  Single-domain solves never fire these.
-    // ------------------------------------------------------------------
-
-    /// Rank `rank` started its inner solve for one distributed (halo)
-    /// iteration; `outer` is the global halo-iteration index.
-    fn on_rank_outer_start(&mut self, rank: usize, outer: usize) {
-        let _ = (rank, outer);
-    }
-
-    /// Rank `rank` finished its inner solve; `converged` reports whether
-    /// the rank's *local* solve met the tolerance (global convergence is
-    /// still reported through [`RunObserver::on_inner_iteration`]).
-    fn on_rank_outer_end(&mut self, rank: usize, outer: usize, converged: bool) {
-        let _ = (rank, outer, converged);
-    }
-
-    /// Rank-local inner iterate: the rank's maximum relative scalar-flux
-    /// change over its own subdomain.
-    fn on_rank_inner_iteration(&mut self, rank: usize, inner: usize, relative_change: f64) {
-        let _ = (rank, inner, relative_change);
-    }
-
-    /// Rank `rank` completed a subdomain sweep (`sweep` is that rank's
-    /// running count, `cells` its kernel invocations).
-    fn on_rank_sweep(&mut self, rank: usize, sweep: usize, cells: u64, seconds: f64) {
-        let _ = (rank, sweep, cells, seconds);
-    }
-
-    /// Rank `rank` completed one wavefront bucket of its masked
-    /// subdomain sweep (see [`RunObserver::on_sweep_bucket`] for the
-    /// payload semantics; the stream is deterministic because rank logs
-    /// replay in rank order).
-    fn on_rank_sweep_bucket(&mut self, rank: usize, angle: usize, bucket: usize, tasks: u64) {
-        let _ = (rank, angle, bucket, tasks);
-    }
-
-    /// Rank `rank`'s subdomain Krylov solve reported a relative residual.
-    fn on_rank_krylov_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        let _ = (rank, iteration, relative_residual);
-    }
-
-    /// Rank `rank`'s low-order DSA correction solve reported a CG
-    /// residual.
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        let _ = (rank, iteration, relative_residual);
-    }
-
-    /// Rank `rank` opened a timed phase span.
-    fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-        let _ = (rank, phase);
-    }
-
-    /// Rank `rank` closed a timed phase span after `seconds`.
-    fn on_rank_phase_end(&mut self, rank: usize, phase: Phase, seconds: f64) {
-        let _ = (rank, phase, seconds);
-    }
+/// Single-domain solves emit everything on [`Lane::Driver`].
+/// Distributed drivers (the block-Jacobi multi-rank path in
+/// `unsnap-comm`) keep the outer loop, the halo exchange and the merged
+/// convergence measure on the driver lane and deliver each rank's solve
+/// on [`Lane::Rank`].  Ranks solve concurrently, so the driver buffers
+/// each rank's stream in an [`EventLog`] and replays the logs in rank
+/// order once the parallel region ends — the stream a single observer
+/// sees is therefore bit-for-bit identical at every thread count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Lane {
+    /// The solve driver itself.
+    Driver,
+    /// One rank's subdomain solve.
+    Rank(usize),
 }
 
-/// One buffered solve event (the payload of an [`EventLog`]).
-#[derive(Debug, Clone, PartialEq)]
+/// The streaming interface into a running transport solve.
+///
+/// Events are data: observers `match` on the [`SolveEvent`] variants
+/// they care about and ignore the rest.  `on_event` is called
+/// synchronously from the solver thread between numerical steps; heavy
+/// work in it slows the solve but cannot corrupt it.
+pub trait RunObserver {
+    /// `event` happened on `lane`.
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent);
+}
+
+/// One solve event.
+///
+/// On [`Lane::Rank`] every payload is the rank's own: `outer` is the
+/// global halo-iteration index, `sweep` the rank's running count,
+/// `converged` whether the rank's *local* solve met the tolerance
+/// (global convergence is still reported by the driver-lane
+/// [`SolveEvent::InnerIteration`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveEvent {
-    /// [`RunObserver::on_outer_start`].
+    /// An outer (group-coupling Jacobi) iteration is starting.
     OuterStart {
         /// Outer-iteration index.
         outer: usize,
     },
-    /// [`RunObserver::on_outer_end`].
+    /// An outer iteration finished.
     OuterEnd {
         /// Outer-iteration index.
         outer: usize,
-        /// Whether the inner solve met the tolerance.
+        /// Whether the inner solve met the problem's tolerance within
+        /// this outer.
         converged: bool,
     },
-    /// [`RunObserver::on_inner_iteration`].
+    /// An inner iterate completed (one event per entry of
+    /// [`SolveOutcome::convergence_history`]).
     InnerIteration {
         /// Inner-iteration count.
         inner: usize,
         /// Maximum relative scalar-flux change.
         relative_change: f64,
     },
-    /// [`RunObserver::on_sweep`].
+    /// A full transport sweep completed.
     Sweep {
-        /// Running sweep count.
+        /// Running sweep count (1-based).
         sweep: usize,
-        /// Kernel invocations performed (elements × groups × angles).
+        /// Kernel invocations performed (elements × groups × angles —
+        /// deterministic).
         cells: u64,
         /// Wall-clock seconds of this sweep.
         seconds: f64,
     },
-    /// [`RunObserver::on_sweep_bucket`].
+    /// One wavefront bucket of the current sweep completed.  The
+    /// payload is entirely deterministic — no seconds ride on this
+    /// event, so emitting it costs the solver no clock reads; tracing
+    /// layers timestamp it on arrival.  Fires between the enclosing
+    /// sweep's [`SolveEvent::PhaseStart`]/[`SolveEvent::PhaseEnd`] pair,
+    /// in `(angle, bucket)` order at every thread count.
     SweepBucket {
         /// Sweep direction (angle index).
         angle: usize,
@@ -294,34 +196,47 @@ pub enum SolveEvent {
         /// Assemble/solve tasks the bucket contained (cells × groups).
         tasks: u64,
     },
-    /// [`RunObserver::on_krylov_residual`].
+    /// A Krylov iteration reported a relative residual (one event per
+    /// entry of [`SolveOutcome::krylov_residual_history`]; never fires
+    /// under plain source iteration).
     KrylovResidual {
         /// Krylov iterations completed.
         iteration: usize,
         /// Relative residual estimate.
         relative_residual: f64,
     },
-    /// [`RunObserver::on_accel_residual`].
+    /// The low-order DSA correction solve reported a CG residual (one
+    /// event per entry of
+    /// [`SolveOutcome::accel_residual_history`](crate::solver::SolveOutcome::accel_residual_history);
+    /// only fires when DSA is active — the `DSA-SI` strategy or the
+    /// DSA-preconditioned GMRES path).
     AccelResidual {
         /// Low-order CG iterations completed within the current solve.
         iteration: usize,
         /// Relative CG residual.
         relative_residual: f64,
     },
-    /// [`RunObserver::on_phase_start`].
+    /// A timed phase span opened (see [`Phase`] for the taxonomy).
+    /// Spans never nest within one phase; the matching
+    /// [`SolveEvent::PhaseEnd`] carries the measured duration.
     PhaseStart {
         /// The phase being entered.
         phase: Phase,
     },
-    /// [`RunObserver::on_phase_end`].
+    /// A timed phase span closed.
     PhaseEnd {
         /// The phase being left.
         phase: Phase,
-        /// Wall-clock seconds the span measured.
+        /// Wall-clock seconds the span measured (by the solver's
+        /// [`Clock`](unsnap_obs::clock::Clock) — exact under a mock
+        /// clock).
         seconds: f64,
     },
-    /// [`RunObserver::on_halo_exchange`].  A driver-level event: both
-    /// replay directions deliver it untagged.
+    /// The distributed driver published the previous iterate's angular
+    /// flux to its subdomains.  Fired by the driver itself (outside any
+    /// rank), so it stays on [`Lane::Driver`] even under
+    /// [`EventLog::replay_as_rank`].  Single-domain solves never fire
+    /// it.
     HaloExchange {
         /// 0-based halo iteration.
         iteration: usize,
@@ -330,31 +245,15 @@ pub enum SolveEvent {
         /// Bytes of angular flux published.
         bytes: u64,
     },
-    /// A rank-tagged event captured through one of the `on_rank_*`
-    /// hooks.  Recording the tag in the log (rather than dropping it,
-    /// as the pre-durability `EventLog` did) lets a single log buffer a
-    /// distributed driver's *full* stream — untagged driver events plus
-    /// every rank's tagged sub-stream — so a checkpoint prefix can be
-    /// replayed verbatim into a fresh observer on resume.
-    Rank {
-        /// The rank that emitted the wrapped event.
-        rank: usize,
-        /// The wrapped event (never itself a `Rank` or `HaloExchange`).
-        event: Box<SolveEvent>,
-    },
 }
 
-/// An observer that buffers the event stream verbatim.
-///
-/// Distributed drivers hand one `EventLog` to each concurrently-solving
-/// rank, then call [`EventLog::replay_as_rank`] in rank order after the
-/// parallel region: the destination observer receives every rank's
-/// stream through the rank-tagged [`RunObserver`] hooks in a
-/// deterministic order regardless of how the ranks interleaved.
+/// An observer that buffers the event stream verbatim, lanes included —
+/// so one log holds a distributed driver's *full* stream and a
+/// checkpoint prefix replays verbatim into a fresh observer on resume.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     /// The buffered events, in emission order.
-    pub events: Vec<SolveEvent>,
+    pub events: Vec<(Lane, SolveEvent)>,
 }
 
 impl EventLog {
@@ -363,251 +262,33 @@ impl EventLog {
         self.events.clear();
     }
 
-    /// Deliver one event through the rank-tagged hooks as rank `rank`.
-    fn deliver_tagged(rank: usize, event: &SolveEvent, observer: &mut dyn RunObserver) {
-        match *event {
-            SolveEvent::OuterStart { outer } => observer.on_rank_outer_start(rank, outer),
-            SolveEvent::OuterEnd { outer, converged } => {
-                observer.on_rank_outer_end(rank, outer, converged)
-            }
-            SolveEvent::InnerIteration {
-                inner,
-                relative_change,
-            } => observer.on_rank_inner_iteration(rank, inner, relative_change),
-            SolveEvent::Sweep {
-                sweep,
-                cells,
-                seconds,
-            } => observer.on_rank_sweep(rank, sweep, cells, seconds),
-            SolveEvent::SweepBucket {
-                angle,
-                bucket,
-                tasks,
-            } => observer.on_rank_sweep_bucket(rank, angle, bucket, tasks),
-            SolveEvent::KrylovResidual {
-                iteration,
-                relative_residual,
-            } => observer.on_rank_krylov_residual(rank, iteration, relative_residual),
-            SolveEvent::AccelResidual {
-                iteration,
-                relative_residual,
-            } => observer.on_rank_accel_residual(rank, iteration, relative_residual),
-            SolveEvent::PhaseStart { phase } => observer.on_rank_phase_start(rank, phase),
-            SolveEvent::PhaseEnd { phase, seconds } => {
-                observer.on_rank_phase_end(rank, phase, seconds)
-            }
-            // Halo exchanges are driver-level events (never recorded
-            // inside a rank's log); if one is replayed here it still
-            // belongs to the run, not the rank.
-            SolveEvent::HaloExchange {
-                iteration,
-                faces,
-                bytes,
-            } => observer.on_halo_exchange(iteration, faces, bytes),
-            // An already-tagged event keeps its recorded rank — the
-            // outer tag never re-labels it.
-            SolveEvent::Rank {
-                rank: inner_rank,
-                ref event,
-            } => Self::deliver_tagged(inner_rank, event, observer),
-        }
-    }
-
-    /// Replay the buffered stream into `observer` through the untagged
-    /// hooks, in emission order.  [`SolveEvent::Rank`]-wrapped events go
-    /// through the rank-tagged hooks with their recorded rank, so a full
-    /// distributed stream round-trips through a single log.
+    /// Replay the buffered stream into `observer` on the recorded
+    /// lanes, in emission order.
     pub fn replay(&self, observer: &mut dyn RunObserver) {
-        for event in &self.events {
-            match *event {
-                SolveEvent::OuterStart { outer } => observer.on_outer_start(outer),
-                SolveEvent::OuterEnd { outer, converged } => {
-                    observer.on_outer_end(outer, converged)
-                }
-                SolveEvent::InnerIteration {
-                    inner,
-                    relative_change,
-                } => observer.on_inner_iteration(inner, relative_change),
-                SolveEvent::Sweep {
-                    sweep,
-                    cells,
-                    seconds,
-                } => observer.on_sweep(sweep, cells, seconds),
-                SolveEvent::SweepBucket {
-                    angle,
-                    bucket,
-                    tasks,
-                } => observer.on_sweep_bucket(angle, bucket, tasks),
-                SolveEvent::KrylovResidual {
-                    iteration,
-                    relative_residual,
-                } => observer.on_krylov_residual(iteration, relative_residual),
-                SolveEvent::AccelResidual {
-                    iteration,
-                    relative_residual,
-                } => observer.on_accel_residual(iteration, relative_residual),
-                SolveEvent::PhaseStart { phase } => observer.on_phase_start(phase),
-                SolveEvent::PhaseEnd { phase, seconds } => observer.on_phase_end(phase, seconds),
-                SolveEvent::HaloExchange {
-                    iteration,
-                    faces,
-                    bytes,
-                } => observer.on_halo_exchange(iteration, faces, bytes),
-                SolveEvent::Rank { rank, ref event } => Self::deliver_tagged(rank, event, observer),
-            }
+        for (lane, event) in &self.events {
+            observer.on_event(*lane, event);
         }
     }
 
-    /// Replay the buffered stream into `observer` through the
-    /// rank-tagged hooks, tagging every event with `rank`.  Events that
-    /// already carry a [`SolveEvent::Rank`] tag keep their recorded rank.
+    /// Replay the buffered stream into `observer` as rank `rank`: how a
+    /// distributed driver delivers the log a concurrently-solving rank
+    /// filled on its private driver lane.  Entries already on a rank
+    /// lane keep it, and a halo exchange belongs to the run, not the
+    /// rank.
     pub fn replay_as_rank(&self, rank: usize, observer: &mut dyn RunObserver) {
-        for event in &self.events {
-            Self::deliver_tagged(rank, event, observer);
+        for (lane, event) in &self.events {
+            let lane = match (lane, event) {
+                (Lane::Driver, SolveEvent::HaloExchange { .. }) | (Lane::Rank(_), _) => *lane,
+                (Lane::Driver, _) => Lane::Rank(rank),
+            };
+            observer.on_event(lane, event);
         }
     }
 }
 
 impl RunObserver for EventLog {
-    fn on_outer_start(&mut self, outer: usize) {
-        self.events.push(SolveEvent::OuterStart { outer });
-    }
-
-    fn on_outer_end(&mut self, outer: usize, converged: bool) {
-        self.events.push(SolveEvent::OuterEnd { outer, converged });
-    }
-
-    fn on_inner_iteration(&mut self, inner: usize, relative_change: f64) {
-        self.events.push(SolveEvent::InnerIteration {
-            inner,
-            relative_change,
-        });
-    }
-
-    fn on_sweep(&mut self, sweep: usize, cells: u64, seconds: f64) {
-        self.events.push(SolveEvent::Sweep {
-            sweep,
-            cells,
-            seconds,
-        });
-    }
-
-    fn on_sweep_bucket(&mut self, angle: usize, bucket: usize, tasks: u64) {
-        self.events.push(SolveEvent::SweepBucket {
-            angle,
-            bucket,
-            tasks,
-        });
-    }
-
-    fn on_krylov_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.events.push(SolveEvent::KrylovResidual {
-            iteration,
-            relative_residual,
-        });
-    }
-
-    fn on_accel_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.events.push(SolveEvent::AccelResidual {
-            iteration,
-            relative_residual,
-        });
-    }
-
-    fn on_phase_start(&mut self, phase: Phase) {
-        self.events.push(SolveEvent::PhaseStart { phase });
-    }
-
-    fn on_phase_end(&mut self, phase: Phase, seconds: f64) {
-        self.events.push(SolveEvent::PhaseEnd { phase, seconds });
-    }
-
-    fn on_halo_exchange(&mut self, iteration: usize, faces: usize, bytes: u64) {
-        self.events.push(SolveEvent::HaloExchange {
-            iteration,
-            faces,
-            bytes,
-        });
-    }
-
-    fn on_rank_outer_start(&mut self, rank: usize, outer: usize) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::OuterStart { outer }),
-        });
-    }
-
-    fn on_rank_outer_end(&mut self, rank: usize, outer: usize, converged: bool) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::OuterEnd { outer, converged }),
-        });
-    }
-
-    fn on_rank_inner_iteration(&mut self, rank: usize, inner: usize, relative_change: f64) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::InnerIteration {
-                inner,
-                relative_change,
-            }),
-        });
-    }
-
-    fn on_rank_sweep(&mut self, rank: usize, sweep: usize, cells: u64, seconds: f64) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::Sweep {
-                sweep,
-                cells,
-                seconds,
-            }),
-        });
-    }
-
-    fn on_rank_sweep_bucket(&mut self, rank: usize, angle: usize, bucket: usize, tasks: u64) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::SweepBucket {
-                angle,
-                bucket,
-                tasks,
-            }),
-        });
-    }
-
-    fn on_rank_krylov_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::KrylovResidual {
-                iteration,
-                relative_residual,
-            }),
-        });
-    }
-
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::AccelResidual {
-                iteration,
-                relative_residual,
-            }),
-        });
-    }
-
-    fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::PhaseStart { phase }),
-        });
-    }
-
-    fn on_rank_phase_end(&mut self, rank: usize, phase: Phase, seconds: f64) {
-        self.events.push(SolveEvent::Rank {
-            rank,
-            event: Box::new(SolveEvent::PhaseEnd { phase, seconds }),
-        });
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+        self.events.push((lane, *event));
     }
 }
 
@@ -615,7 +296,9 @@ impl RunObserver for EventLog {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
-impl RunObserver for NoopObserver {}
+impl RunObserver for NoopObserver {
+    fn on_event(&mut self, _lane: Lane, _event: &SolveEvent) {}
+}
 
 /// An observer that records the event stream and reconstructs the history
 /// vectors of a [`SolveOutcome`].
@@ -664,9 +347,9 @@ pub struct RecordingObserver {
     pub halo_bytes: u64,
     /// Whether any outer iteration reported inner convergence.
     pub converged: bool,
-    /// Per-rank recordings built from the rank-tagged hooks (empty for
-    /// single-domain solves).  Entry `r` records rank `r`'s stream with
-    /// the same field semantics as the top-level recorder.
+    /// Per-rank recordings built from the [`Lane::Rank`] events (empty
+    /// for single-domain solves).  Entry `r` records rank `r`'s stream
+    /// with the same field semantics as the top-level recorder.
     pub rank_records: Vec<RecordingObserver>,
 }
 
@@ -692,108 +375,63 @@ impl RecordingObserver {
 }
 
 impl RunObserver for RecordingObserver {
-    fn on_outer_start(&mut self, _outer: usize) {
-        self.outers_started += 1;
-    }
-
-    fn on_outer_end(&mut self, _outer: usize, converged: bool) {
-        self.outers_completed += 1;
-        self.converged |= converged;
-    }
-
-    fn on_inner_iteration(&mut self, _inner: usize, relative_change: f64) {
-        self.convergence_history.push(relative_change);
-    }
-
-    fn on_sweep(&mut self, sweep: usize, cells: u64, seconds: f64) {
-        self.sweep_count = sweep;
-        self.cells_swept += cells;
-        self.sweep_seconds += seconds;
-    }
-
-    fn on_sweep_bucket(&mut self, _angle: usize, _bucket: usize, tasks: u64) {
-        self.sweep_buckets += 1;
-        self.bucket_tasks += tasks;
-    }
-
-    fn on_krylov_residual(&mut self, _iteration: usize, relative_residual: f64) {
-        self.krylov_residual_history.push(relative_residual);
-    }
-
-    fn on_accel_residual(&mut self, _iteration: usize, relative_residual: f64) {
-        self.accel_residual_history.push(relative_residual);
-    }
-
-    fn on_phase_start(&mut self, phase: Phase) {
-        let slot = phase.index();
-        if self.phase_starts.len() <= slot {
-            self.phase_starts.resize(slot + 1, 0);
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+        if let Lane::Rank(rank) = lane {
+            return self.rank_mut(rank).on_event(Lane::Driver, event);
         }
-        self.phase_starts[slot] += 1;
-    }
-
-    fn on_phase_end(&mut self, phase: Phase, seconds: f64) {
-        let slot = phase.index();
-        if self.phase_seconds.len() <= slot {
-            self.phase_seconds.resize(slot + 1, 0.0);
+        match *event {
+            SolveEvent::OuterStart { .. } => self.outers_started += 1,
+            SolveEvent::OuterEnd { converged, .. } => {
+                self.outers_completed += 1;
+                self.converged |= converged;
+            }
+            SolveEvent::InnerIteration {
+                relative_change, ..
+            } => self.convergence_history.push(relative_change),
+            SolveEvent::Sweep {
+                sweep,
+                cells,
+                seconds,
+            } => {
+                self.sweep_count = sweep;
+                self.cells_swept += cells;
+                self.sweep_seconds += seconds;
+            }
+            SolveEvent::SweepBucket { tasks, .. } => {
+                self.sweep_buckets += 1;
+                self.bucket_tasks += tasks;
+            }
+            SolveEvent::KrylovResidual {
+                relative_residual, ..
+            } => self.krylov_residual_history.push(relative_residual),
+            SolveEvent::AccelResidual {
+                relative_residual, ..
+            } => self.accel_residual_history.push(relative_residual),
+            SolveEvent::PhaseStart { phase } => {
+                let slot = phase.index();
+                if self.phase_starts.len() <= slot {
+                    self.phase_starts.resize(slot + 1, 0);
+                }
+                self.phase_starts[slot] += 1;
+            }
+            SolveEvent::PhaseEnd { phase, seconds } => {
+                let slot = phase.index();
+                if self.phase_seconds.len() <= slot {
+                    self.phase_seconds.resize(slot + 1, 0.0);
+                }
+                self.phase_seconds[slot] += seconds;
+            }
+            SolveEvent::HaloExchange { faces, bytes, .. } => {
+                self.halo_exchanges += 1;
+                self.halo_faces += faces;
+                self.halo_bytes += bytes;
+            }
         }
-        self.phase_seconds[slot] += seconds;
-    }
-
-    fn on_halo_exchange(&mut self, _iteration: usize, faces: usize, bytes: u64) {
-        self.halo_exchanges += 1;
-        self.halo_faces += faces;
-        self.halo_bytes += bytes;
-    }
-
-    fn on_rank_outer_start(&mut self, rank: usize, outer: usize) {
-        self.rank_mut(rank).on_outer_start(outer);
-    }
-
-    fn on_rank_outer_end(&mut self, rank: usize, outer: usize, converged: bool) {
-        self.rank_mut(rank).on_outer_end(outer, converged);
-    }
-
-    fn on_rank_inner_iteration(&mut self, rank: usize, inner: usize, relative_change: f64) {
-        self.rank_mut(rank)
-            .on_inner_iteration(inner, relative_change);
-    }
-
-    fn on_rank_sweep(&mut self, rank: usize, sweep: usize, cells: u64, seconds: f64) {
-        self.rank_mut(rank).on_sweep(sweep, cells, seconds);
-    }
-
-    fn on_rank_sweep_bucket(&mut self, rank: usize, angle: usize, bucket: usize, tasks: u64) {
-        self.rank_mut(rank).on_sweep_bucket(angle, bucket, tasks);
-    }
-
-    fn on_rank_krylov_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.rank_mut(rank)
-            .on_krylov_residual(iteration, relative_residual);
-    }
-
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.rank_mut(rank)
-            .on_accel_residual(iteration, relative_residual);
-    }
-
-    fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-        self.rank_mut(rank).on_phase_start(phase);
-    }
-
-    fn on_rank_phase_end(&mut self, rank: usize, phase: Phase, seconds: f64) {
-        self.rank_mut(rank).on_phase_end(phase, seconds);
     }
 }
 
 /// An observer that forwards every event to two underlying observers,
 /// first `primary`, then `secondary`.
-///
-/// This is how the solvers attach metrics without disturbing the
-/// caller's observer: `run_observed` tees the caller's observer with an
-/// internal [`MetricsObserver`](crate::metrics::MetricsObserver), so
-/// every outcome carries a [`RunMetrics`](crate::metrics::RunMetrics)
-/// snapshot for free.
 pub struct TeeObserver<'a> {
     primary: &'a mut dyn RunObserver,
     secondary: &'a mut dyn RunObserver,
@@ -807,117 +445,34 @@ impl<'a> TeeObserver<'a> {
 }
 
 impl RunObserver for TeeObserver<'_> {
-    fn on_outer_start(&mut self, outer: usize) {
-        self.primary.on_outer_start(outer);
-        self.secondary.on_outer_start(outer);
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+        self.primary.on_event(lane, event);
+        self.secondary.on_event(lane, event);
     }
+}
 
-    fn on_outer_end(&mut self, outer: usize, converged: bool) {
-        self.primary.on_outer_end(outer, converged);
-        self.secondary.on_outer_end(outer, converged);
-    }
-
-    fn on_inner_iteration(&mut self, inner: usize, relative_change: f64) {
-        self.primary.on_inner_iteration(inner, relative_change);
-        self.secondary.on_inner_iteration(inner, relative_change);
-    }
-
-    fn on_sweep(&mut self, sweep: usize, cells: u64, seconds: f64) {
-        self.primary.on_sweep(sweep, cells, seconds);
-        self.secondary.on_sweep(sweep, cells, seconds);
-    }
-
-    fn on_sweep_bucket(&mut self, angle: usize, bucket: usize, tasks: u64) {
-        self.primary.on_sweep_bucket(angle, bucket, tasks);
-        self.secondary.on_sweep_bucket(angle, bucket, tasks);
-    }
-
-    fn on_krylov_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.primary
-            .on_krylov_residual(iteration, relative_residual);
-        self.secondary
-            .on_krylov_residual(iteration, relative_residual);
-    }
-
-    fn on_accel_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.primary.on_accel_residual(iteration, relative_residual);
-        self.secondary
-            .on_accel_residual(iteration, relative_residual);
-    }
-
-    fn on_phase_start(&mut self, phase: Phase) {
-        self.primary.on_phase_start(phase);
-        self.secondary.on_phase_start(phase);
-    }
-
-    fn on_phase_end(&mut self, phase: Phase, seconds: f64) {
-        self.primary.on_phase_end(phase, seconds);
-        self.secondary.on_phase_end(phase, seconds);
-    }
-
-    fn on_halo_exchange(&mut self, iteration: usize, faces: usize, bytes: u64) {
-        self.primary.on_halo_exchange(iteration, faces, bytes);
-        self.secondary.on_halo_exchange(iteration, faces, bytes);
-    }
-
-    fn on_rank_outer_start(&mut self, rank: usize, outer: usize) {
-        self.primary.on_rank_outer_start(rank, outer);
-        self.secondary.on_rank_outer_start(rank, outer);
-    }
-
-    fn on_rank_outer_end(&mut self, rank: usize, outer: usize, converged: bool) {
-        self.primary.on_rank_outer_end(rank, outer, converged);
-        self.secondary.on_rank_outer_end(rank, outer, converged);
-    }
-
-    fn on_rank_inner_iteration(&mut self, rank: usize, inner: usize, relative_change: f64) {
-        self.primary
-            .on_rank_inner_iteration(rank, inner, relative_change);
-        self.secondary
-            .on_rank_inner_iteration(rank, inner, relative_change);
-    }
-
-    fn on_rank_sweep(&mut self, rank: usize, sweep: usize, cells: u64, seconds: f64) {
-        self.primary.on_rank_sweep(rank, sweep, cells, seconds);
-        self.secondary.on_rank_sweep(rank, sweep, cells, seconds);
-    }
-
-    fn on_rank_sweep_bucket(&mut self, rank: usize, angle: usize, bucket: usize, tasks: u64) {
-        self.primary
-            .on_rank_sweep_bucket(rank, angle, bucket, tasks);
-        self.secondary
-            .on_rank_sweep_bucket(rank, angle, bucket, tasks);
-    }
-
-    fn on_rank_krylov_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.primary
-            .on_rank_krylov_residual(rank, iteration, relative_residual);
-        self.secondary
-            .on_rank_krylov_residual(rank, iteration, relative_residual);
-    }
-
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.primary
-            .on_rank_accel_residual(rank, iteration, relative_residual);
-        self.secondary
-            .on_rank_accel_residual(rank, iteration, relative_residual);
-    }
-
-    fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-        self.primary.on_rank_phase_start(rank, phase);
-        self.secondary.on_rank_phase_start(rank, phase);
-    }
-
-    fn on_rank_phase_end(&mut self, rank: usize, phase: Phase, seconds: f64) {
-        self.primary.on_rank_phase_end(rank, phase, seconds);
-        self.secondary.on_rank_phase_end(rank, phase, seconds);
-    }
+/// Run `solve` under `observer` teed with a fresh
+/// [`MetricsObserver`] and [`TraceObserver`], and return what they
+/// collected alongside the solve's own result — how every outcome of
+/// both solver paths carries its [`RunMetrics`] snapshot and span tree
+/// without any caller wiring.
+pub fn run_with_telemetry<T>(
+    observer: &mut dyn RunObserver,
+    solve: impl FnOnce(&mut dyn RunObserver) -> Result<T>,
+) -> Result<(T, RunMetrics, TraceTree)> {
+    let mut metrics = MetricsObserver::new();
+    let mut tracer = TraceObserver::new();
+    let value = {
+        let mut inner_tee = TeeObserver::new(observer, &mut metrics);
+        solve(&mut TeeObserver::new(&mut inner_tee, &mut tracer))?
+    };
+    Ok((value, metrics.metrics, tracer.into_tree()))
 }
 
 /// A rate-limited stderr progress reporter for long-running solves.
 ///
 /// Outer-iteration boundaries always print; the high-rate events (inner
-/// iterates, Krylov and DSA residuals, rank-tagged updates) print at
+/// iterates, Krylov and DSA residuals, rank-lane updates) print at
 /// most once per `min_interval`, so a bench binary can stream useful
 /// progress without drowning in per-sweep output.  The rate limiter
 /// never swallows convergence: a converged outer always flushes a final
@@ -1130,21 +685,9 @@ impl ProgressObserver {
             self.emit(line);
         }
     }
-}
 
-impl Drop for ProgressObserver {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-impl RunObserver for ProgressObserver {
-    fn on_outer_start(&mut self, outer: usize) {
-        self.outer_current = outer;
-        self.emit(format_args!("[unsnap] outer {outer} started"));
-    }
-
-    fn on_outer_end(&mut self, outer: usize, converged: bool) {
+    /// A driver-lane outer iteration finished: always printed.
+    fn outer_end(&mut self, outer: usize, converged: bool) {
         self.outer_current = outer + 1;
         if self.bar {
             self.render_bar();
@@ -1179,65 +722,74 @@ impl RunObserver for ProgressObserver {
             self.emit(format_args!("{summary}"));
         }
     }
+}
 
-    fn on_inner_iteration(&mut self, inner: usize, relative_change: f64) {
-        self.last_inner_change = Some(relative_change);
-        self.emit_limited(format_args!(
-            "[unsnap]   inner {inner}: max relative change {relative_change:.3e}"
-        ));
+impl Drop for ProgressObserver {
+    fn drop(&mut self) {
+        self.finish();
     }
+}
 
-    fn on_sweep(&mut self, sweep: usize, _cells: u64, _seconds: f64) {
-        self.sweeps = sweep;
-    }
-
-    fn on_rank_sweep(&mut self, _rank: usize, _sweep: usize, _cells: u64, _seconds: f64) {
-        // Distributed drivers report sweeps per rank (each with its own
-        // running count); count events so the outer-boundary summary
-        // reflects the total across ranks.
-        self.sweeps += 1;
-    }
-
-    fn on_krylov_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.last_krylov_residual = Some(relative_residual);
-        self.emit_limited(format_args!(
-            "[unsnap]   krylov {iteration}: residual {relative_residual:.3e}"
-        ));
-    }
-
-    fn on_accel_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.last_accel_residual = Some(relative_residual);
-        self.emit_limited(format_args!(
-            "[unsnap]   dsa cg {iteration}: residual {relative_residual:.3e}"
-        ));
-    }
-
-    fn on_rank_outer_end(&mut self, rank: usize, outer: usize, converged: bool) {
-        let state = if converged { "converged" } else { "running" };
-        self.emit_limited(format_args!(
-            "[unsnap]   rank {rank} halo iteration {outer}: {state}"
-        ));
-    }
-
-    fn on_rank_inner_iteration(&mut self, rank: usize, inner: usize, relative_change: f64) {
-        self.last_inner_change = Some(relative_change);
-        self.emit_limited(format_args!(
-            "[unsnap]   rank {rank} inner {inner}: max relative change {relative_change:.3e}"
-        ));
-    }
-
-    fn on_rank_krylov_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.last_krylov_residual = Some(relative_residual);
-        self.emit_limited(format_args!(
-            "[unsnap]   rank {rank} krylov {iteration}: residual {relative_residual:.3e}"
-        ));
-    }
-
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.last_accel_residual = Some(relative_residual);
-        self.emit_limited(format_args!(
-            "[unsnap]   rank {rank} dsa cg {iteration}: residual {relative_residual:.3e}"
-        ));
+impl RunObserver for ProgressObserver {
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+        // Rank-lane lines name their rank; driver-lane lines do not.
+        let who = || match lane {
+            Lane::Driver => String::new(),
+            Lane::Rank(rank) => format!("rank {rank} "),
+        };
+        match *event {
+            SolveEvent::OuterStart { outer } if lane == Lane::Driver => {
+                self.outer_current = outer;
+                self.emit(format_args!("[unsnap] outer {outer} started"));
+            }
+            SolveEvent::OuterEnd { outer, converged } => match lane {
+                Lane::Driver => self.outer_end(outer, converged),
+                Lane::Rank(rank) => {
+                    let state = if converged { "converged" } else { "running" };
+                    self.emit_limited(format_args!(
+                        "[unsnap]   rank {rank} halo iteration {outer}: {state}"
+                    ));
+                }
+            },
+            SolveEvent::InnerIteration {
+                inner,
+                relative_change,
+            } => {
+                self.last_inner_change = Some(relative_change);
+                self.emit_limited(format_args!(
+                    "[unsnap]   {}inner {inner}: max relative change {relative_change:.3e}",
+                    who()
+                ));
+            }
+            // Distributed drivers report sweeps per rank (each with its
+            // own running count); count events so the outer-boundary
+            // summary reflects the total across ranks.
+            SolveEvent::Sweep { sweep, .. } => match lane {
+                Lane::Driver => self.sweeps = sweep,
+                Lane::Rank(_) => self.sweeps += 1,
+            },
+            SolveEvent::KrylovResidual {
+                iteration,
+                relative_residual,
+            } => {
+                self.last_krylov_residual = Some(relative_residual);
+                self.emit_limited(format_args!(
+                    "[unsnap]   {}krylov {iteration}: residual {relative_residual:.3e}",
+                    who()
+                ));
+            }
+            SolveEvent::AccelResidual {
+                iteration,
+                relative_residual,
+            } => {
+                self.last_accel_residual = Some(relative_residual);
+                self.emit_limited(format_args!(
+                    "[unsnap]   {}dsa cg {iteration}: residual {relative_residual:.3e}",
+                    who()
+                ));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -1322,6 +874,8 @@ impl Session {
 
 #[cfg(test)]
 mod tests {
+    use super::Lane::*;
+    use super::SolveEvent::*;
     use super::*;
     use crate::strategy::StrategyKind;
 
@@ -1427,7 +981,7 @@ mod tests {
         assert_eq!(tagged.rank(2), Some(&replayed));
         assert_eq!(tagged.rank(0), Some(&RecordingObserver::default()));
         assert_eq!(tagged.rank(3), None);
-        // Untagged fields stay untouched by rank-tagged events.
+        // Driver-lane fields stay untouched by rank-lane events.
         assert_eq!(tagged.sweep_count, 0);
         assert!(tagged.convergence_history.is_empty());
 
@@ -1438,35 +992,63 @@ mod tests {
 
     #[test]
     fn progress_observer_rate_limits_high_rate_events() {
+        let inner = InnerIteration {
+            inner: 1,
+            relative_change: 0.5,
+        };
+        let krylov = KrylovResidual {
+            iteration: 1,
+            relative_residual: 0.1,
+        };
+        let accel = AccelResidual {
+            iteration: 0,
+            relative_residual: 1.0,
+        };
         // A huge interval: only the unconditional outer boundary prints.
         let mut p = ProgressObserver::with_interval(std::time::Duration::from_secs(3600));
-        p.on_outer_start(0);
-        p.on_inner_iteration(1, 0.5);
-        p.on_krylov_residual(1, 0.1);
-        p.on_accel_residual(0, 1.0);
-        p.on_sweep(3, 10, 0.01);
+        p.on_event(Driver, &OuterStart { outer: 0 });
+        for event in [inner, krylov, accel] {
+            p.on_event(Driver, &event);
+        }
+        p.on_event(
+            Driver,
+            &Sweep {
+                sweep: 3,
+                cells: 10,
+                seconds: 0.01,
+            },
+        );
         assert_eq!(p.lines_emitted(), 1);
         // A converged outer always flushes the boundary line plus the
         // final summary, no matter how recently the limiter fired.
-        p.on_outer_end(0, true);
+        p.on_event(
+            Driver,
+            &OuterEnd {
+                outer: 0,
+                converged: true,
+            },
+        );
         assert_eq!(p.lines_emitted(), 3);
 
         // An unconverged outer prints the boundary line only.
+        let unconverged = OuterEnd {
+            outer: 0,
+            converged: false,
+        };
         let mut p = ProgressObserver::with_interval(std::time::Duration::from_secs(3600));
-        p.on_outer_start(0);
-        p.on_outer_end(0, false);
+        p.on_event(Driver, &OuterStart { outer: 0 });
+        p.on_event(Driver, &unconverged);
         assert_eq!(p.lines_emitted(), 2);
 
         // Zero interval: every rate-limited event prints too, including
         // the per-rank residual and inner-iterate streams.
         let mut p = ProgressObserver::with_interval(std::time::Duration::ZERO);
-        p.on_inner_iteration(1, 0.5);
-        p.on_krylov_residual(1, 0.1);
-        p.on_accel_residual(0, 1.0);
-        p.on_rank_outer_end(2, 0, false);
-        p.on_rank_inner_iteration(2, 1, 0.25);
-        p.on_rank_krylov_residual(2, 1, 0.05);
-        p.on_rank_accel_residual(2, 0, 0.5);
+        for event in [inner, krylov, accel] {
+            p.on_event(Driver, &event);
+        }
+        for event in [unconverged, inner, krylov, accel] {
+            p.on_event(Rank(2), &event);
+        }
         assert_eq!(p.lines_emitted(), 7);
     }
 
@@ -1499,15 +1081,39 @@ mod tests {
             .bar()
             .with_outer_total(4);
         assert!(p.is_bar());
-        p.on_outer_start(0);
-        p.on_inner_iteration(1, 0.5);
-        p.on_krylov_residual(1, 0.1);
+        p.on_event(Driver, &OuterStart { outer: 0 });
+        p.on_event(
+            Driver,
+            &InnerIteration {
+                inner: 1,
+                relative_change: 0.5,
+            },
+        );
+        p.on_event(
+            Driver,
+            &KrylovResidual {
+                iteration: 1,
+                relative_residual: 0.1,
+            },
+        );
         assert_eq!(p.lines_emitted(), 1);
         // An unconverged outer re-renders the bar without a summary.
-        p.on_outer_end(0, false);
+        p.on_event(
+            Driver,
+            &OuterEnd {
+                outer: 0,
+                converged: false,
+            },
+        );
         assert_eq!(p.lines_emitted(), 2);
         // Convergence renders once more and terminates the bar line.
-        p.on_outer_end(1, true);
+        p.on_event(
+            Driver,
+            &OuterEnd {
+                outer: 1,
+                converged: true,
+            },
+        );
         assert_eq!(p.lines_emitted(), 3);
         assert!(!p.needs_newline);
         p.finish(); // idempotent after convergence
@@ -1531,48 +1137,96 @@ mod tests {
     }
 
     #[test]
-    fn phase_events_buffer_and_replay_both_ways() {
+    fn replay_as_rank_re_lanes_everything_but_the_halo_exchange() {
+        let stream = [
+            PhaseStart {
+                phase: Phase::Sweep,
+            },
+            SweepBucket {
+                angle: 0,
+                bucket: 0,
+                tasks: 100,
+            },
+            SweepBucket {
+                angle: 0,
+                bucket: 1,
+                tasks: 44,
+            },
+            PhaseEnd {
+                phase: Phase::Sweep,
+                seconds: 0.25,
+            },
+            AccelResidual {
+                iteration: 0,
+                relative_residual: 1.0,
+            },
+            AccelResidual {
+                iteration: 1,
+                relative_residual: 0.25,
+            },
+            HaloExchange {
+                iteration: 0,
+                faces: 16,
+                bytes: 1024,
+            },
+        ];
         let mut log = EventLog::default();
-        log.on_phase_start(Phase::Sweep);
-        log.on_phase_end(Phase::Sweep, 0.25);
-        log.on_phase_start(Phase::Krylov);
-        log.on_phase_end(Phase::Krylov, 0.5);
-        log.on_halo_exchange(0, 16, 1024);
-        assert_eq!(log.events.len(), 5);
+        for event in &stream {
+            log.on_event(Driver, event);
+        }
+        // An entry already on a rank lane keeps it under either replay.
+        log.on_event(Rank(0), &OuterStart { outer: 7 });
+        assert_eq!(log.events.len(), 8);
 
         let mut direct = RecordingObserver::default();
         log.replay(&mut direct);
         assert_eq!(direct.phase_starts[Phase::Sweep.index()], 1);
-        assert_eq!(direct.phase_seconds[Phase::Krylov.index()], 0.5);
+        assert_eq!(direct.phase_seconds[Phase::Sweep.index()], 0.25);
+        assert_eq!((direct.sweep_buckets, direct.bucket_tasks), (2, 144));
+        assert_eq!(direct.accel_residual_history, vec![1.0, 0.25]);
         assert_eq!(direct.halo_exchanges, 1);
-        assert_eq!(direct.halo_faces, 16);
-        assert_eq!(direct.halo_bytes, 1024);
+        assert_eq!((direct.halo_faces, direct.halo_bytes), (16, 1024));
+        assert_eq!(direct.rank(0).unwrap().outers_started, 1);
 
-        // Rank-tagged replay: phase events land in the rank record, the
-        // halo exchange stays a driver-level (untagged) event.
         let mut tagged = RecordingObserver::default();
         log.replay_as_rank(1, &mut tagged);
-        let rank = tagged.rank(1).unwrap();
-        assert_eq!(rank.phase_starts[Phase::Sweep.index()], 1);
-        assert_eq!(rank.phase_seconds[Phase::Sweep.index()], 0.25);
-        assert_eq!(rank.halo_exchanges, 0);
-        assert!(tagged.phase_starts.is_empty());
+        let mut expected = direct.clone();
+        expected.rank_records.clear();
+        expected.halo_exchanges = 0;
+        expected.halo_faces = 0;
+        expected.halo_bytes = 0;
+        assert_eq!(tagged.rank(1), Some(&expected));
+        assert_eq!(tagged.rank(0).unwrap().outers_started, 1);
+        // The halo exchange stays a driver-lane event; nothing else does.
         assert_eq!(tagged.halo_exchanges, 1);
         assert_eq!(tagged.halo_bytes, 1024);
+        assert!(tagged.phase_starts.is_empty());
+        assert_eq!(tagged.sweep_buckets, 0);
+        assert!(tagged.accel_residual_history.is_empty());
     }
 
     #[test]
     fn tee_observer_forwards_every_event_to_both() {
         let mut log = EventLog::default();
-        log.on_outer_start(0);
-        log.on_sweep(1, 32, 0.1);
-        log.on_phase_start(Phase::Sweep);
-        log.on_phase_end(Phase::Sweep, 0.1);
-        log.on_inner_iteration(1, 0.5);
-        log.on_krylov_residual(1, 0.1);
-        log.on_accel_residual(0, 1.0);
-        log.on_halo_exchange(0, 4, 64);
-        log.on_outer_end(0, true);
+        for event in [
+            OuterStart { outer: 0 },
+            Sweep {
+                sweep: 1,
+                cells: 32,
+                seconds: 0.1,
+            },
+            HaloExchange {
+                iteration: 0,
+                faces: 4,
+                bytes: 64,
+            },
+            OuterEnd {
+                outer: 0,
+                converged: true,
+            },
+        ] {
+            log.on_event(Driver, &event);
+        }
 
         let mut a = RecordingObserver::default();
         let mut b = RecordingObserver::default();
@@ -1584,48 +1238,17 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.sweep_count, 1);
         assert_eq!(a.cells_swept, 32);
+        assert_eq!(a.halo_exchanges, 2);
         assert_eq!(a.rank_records.len(), 1);
         assert_eq!(a.rank_records[0].cells_swept, 32);
     }
 
     #[test]
-    fn accel_residual_events_buffer_and_replay_both_ways() {
-        let mut log = EventLog::default();
-        log.on_accel_residual(0, 1.0);
-        log.on_accel_residual(1, 0.25);
-        assert_eq!(log.events.len(), 2);
-
-        let mut direct = RecordingObserver::default();
-        log.replay(&mut direct);
-        assert_eq!(direct.accel_residual_history, vec![1.0, 0.25]);
-
-        let mut tagged = RecordingObserver::default();
-        log.replay_as_rank(1, &mut tagged);
-        assert!(tagged.accel_residual_history.is_empty());
-        assert_eq!(
-            tagged.rank(1).unwrap().accel_residual_history,
-            vec![1.0, 0.25]
-        );
-    }
-
-    #[test]
-    fn sweep_bucket_events_buffer_and_replay_both_ways() {
-        let mut log = EventLog::default();
-        log.on_sweep_bucket(0, 0, 100);
-        log.on_sweep_bucket(0, 1, 44);
-        log.on_sweep_bucket(1, 0, 100);
-        assert_eq!(log.events.len(), 3);
-
-        let mut direct = RecordingObserver::default();
-        log.replay(&mut direct);
-        assert_eq!(direct.sweep_buckets, 3);
-        assert_eq!(direct.bucket_tasks, 244);
-
-        let mut tagged = RecordingObserver::default();
-        log.replay_as_rank(2, &mut tagged);
-        assert_eq!(tagged.sweep_buckets, 0);
-        assert_eq!(tagged.rank(2).unwrap().sweep_buckets, 3);
-        assert_eq!(tagged.rank(2).unwrap().bucket_tasks, 244);
+    fn phase_labels_parse_back() {
+        for phase in Phase::all() {
+            assert_eq!(Phase::from_label(phase.label()), Some(phase));
+        }
+        assert_eq!(Phase::from_label("warp"), None);
     }
 
     #[test]

@@ -50,9 +50,11 @@ use crate::data::ProblemData;
 use crate::error::{Error, Result};
 use crate::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
 use crate::layout::{FluxLayout, FluxStorage, Precision};
-use crate::metrics::{MetricsObserver, RunMetrics};
+use crate::metrics::RunMetrics;
 use crate::problem::Problem;
-use crate::session::{EventLog, NoopObserver, Phase, RunObserver, TeeObserver};
+use crate::session::{
+    run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
+};
 
 /// Result of one kernel task (one element × group for one angle).
 struct TaskResult {
@@ -225,8 +227,8 @@ pub struct CheckpointView<'a> {
 }
 
 /// A durability hook invoked at every outer-iteration boundary of an
-/// observed run (after `on_outer_end`, while the flux arrays are
-/// quiescent).  An error return aborts the solve — the write-ahead log
+/// observed run (after the outer's `OuterEnd` event, while the flux
+/// arrays are quiescent).  An error return aborts the solve — the write-ahead log
 /// layer uses this to simulate crashes deterministically.
 pub trait CheckpointSink {
     /// Persist (or skip) a checkpoint of the given state.
@@ -577,7 +579,7 @@ impl TransportSolver {
 
     /// [`TransportSolver::run_observed`] with a durability hook: `sink`
     /// is offered a [`CheckpointView`] at every outer-iteration boundary
-    /// (after the outer's `on_outer_end` event).  A sink error aborts
+    /// (after the outer's `OuterEnd` event).  A sink error aborts
     /// the run, which is how the write-ahead log layer injects
     /// deterministic crashes.
     pub fn run_observed_checkpointed(
@@ -585,21 +587,14 @@ impl TransportSolver {
         observer: &mut dyn RunObserver,
         sink: &mut dyn CheckpointSink,
     ) -> Result<SolveOutcome> {
-        // Tee the caller's observer with an internal metrics aggregator
-        // and a trace builder, so every outcome carries its telemetry
-        // and span tree without caller wiring.
-        let mut metrics = MetricsObserver::new();
-        let mut tracer = crate::trace::TraceObserver::new();
-        let mut outcome = {
-            let mut inner_tee = TeeObserver::new(observer, &mut metrics);
-            let mut tee = TeeObserver::new(&mut inner_tee, &mut tracer);
-            self.run_observed_inner(&mut tee, sink)?
+        let (mut outcome, metrics, trace) =
+            run_with_telemetry(observer, |tee| self.run_observed_inner(tee, sink))?;
+        outcome.metrics = RunMetrics {
+            kernel_assemble_seconds: outcome.kernel_assemble_seconds,
+            kernel_solve_seconds: outcome.kernel_solve_seconds,
+            ..metrics
         };
-        let mut snapshot = metrics.snapshot();
-        snapshot.kernel_assemble_seconds = outcome.kernel_assemble_seconds;
-        snapshot.kernel_solve_seconds = outcome.kernel_solve_seconds;
-        outcome.metrics = snapshot;
-        outcome.trace = tracer.into_tree();
+        outcome.trace = trace;
         Ok(outcome)
     }
 
@@ -626,8 +621,10 @@ impl TransportSolver {
         };
         if !self.preassembly_reported {
             self.preassembly_reported = true;
-            observer.on_phase_start(Phase::Preassembly);
-            observer.on_phase_end(Phase::Preassembly, self.preassembly_seconds);
+            let phase = Phase::Preassembly;
+            observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+            let seconds = self.preassembly_seconds;
+            observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         }
         let strategy = self.problem.strategy.build();
         let mut converged = false;
@@ -638,12 +635,16 @@ impl TransportSolver {
                     return Err(Error::Cancelled { outer });
                 }
             }
-            observer.on_outer_start(outer);
+            observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
             self.phi_outer
                 .as_mut_slice()
                 .copy_from_slice(self.phi.as_slice());
             let inner_converged = strategy.run_inners(self, &mut stats, observer)?;
-            observer.on_outer_end(outer, inner_converged);
+            let event = SolveEvent::OuterEnd {
+                outer,
+                converged: inner_converged,
+            };
+            observer.on_event(Lane::Driver, &event);
             sink.on_checkpoint(&CheckpointView {
                 outer_completed: outer,
                 converged: inner_converged,
@@ -760,32 +761,13 @@ impl TransportSolver {
     /// `observer` when the sweep completes.
     pub fn sweep_once(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) {
         self.phi.fill(0.0);
-        observer.on_phase_start(Phase::Sweep);
+        let phase = Phase::Sweep;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
         let t0 = self.clock.now();
-        let (timing, count) = self.sweep_all();
+        let work = self.sweep_all();
         let seconds = self.clock.now().saturating_sub(t0).as_secs_f64();
-        // Per-wavefront-bucket structure events, emitted inside the
-        // Sweep span with no extra clock reads (the MockClock pinning
-        // contract).  Every (element, group) pair of a bucket is exactly
-        // one kernel task in every concurrency scheme, so the payloads
-        // are derived from the schedules in (angle, bucket) order —
-        // identical at every thread count by construction.
-        let ng = self.problem.num_groups as u64;
-        let mut bucket_tasks = 0u64;
-        for angle in 0..self.quadrature.num_angles() {
-            for (bucket_index, bucket) in self.schedules[angle].buckets.iter().enumerate() {
-                let tasks = bucket.len() as u64 * ng;
-                bucket_tasks += tasks;
-                observer.on_sweep_bucket(angle, bucket_index, tasks);
-            }
-        }
-        debug_assert_eq!(bucket_tasks, count);
-        observer.on_phase_end(Phase::Sweep, seconds);
-        stats.sweep_seconds += seconds;
-        stats.kernel_timing.accumulate(timing);
-        stats.kernel_invocations += count;
-        stats.sweeps += 1;
-        observer.on_sweep(stats.sweeps, count, seconds);
+        let ng = self.problem.num_groups;
+        report_sweep(&self.schedules, ng, work, seconds, stats, observer);
     }
 
     /// Enable/disable homogeneous (zero-inflow) boundary treatment for
@@ -1290,7 +1272,8 @@ impl crate::strategy::InnerSolveContext for TransportSolver {
             ));
         }
         let dsa = self.dsa.as_mut().expect("accelerator just built");
-        observer.on_phase_start(Phase::AccelCg);
+        let phase = Phase::AccelCg;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
         let t0 = self.clock.now();
         let result = dsa.correct(self.phi.as_mut_slice(), previous, stats, observer);
         if result.is_ok() && self.problem.precision == Precision::Mixed {
@@ -1302,9 +1285,56 @@ impl crate::strategy::InnerSolveContext for TransportSolver {
             }
         }
         let seconds = self.clock.now().saturating_sub(t0).as_secs_f64();
-        observer.on_phase_end(Phase::AccelCg, seconds);
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         result
     }
+}
+
+/// Close the [`Phase::Sweep`] span of a sweep that just ran over
+/// `schedules` (one per angle) and account it: the per-bucket structure
+/// events, the span's end, the `stats` totals and the sweep event.
+/// Shared by the single-domain solver and the block-Jacobi rank
+/// contexts, whose streams must agree event for event.
+///
+/// The bucket events cost no clock reads (the `MockClock` pinning
+/// contract).  Every (element, group) pair of a bucket is exactly one
+/// kernel task in every concurrency scheme, so the payloads are derived
+/// from the schedules in (angle, bucket) order — identical at every
+/// thread count by construction.
+pub fn report_sweep(
+    schedules: &[SweepSchedule],
+    num_groups: usize,
+    (timing, count): (KernelTiming, u64),
+    seconds: f64,
+    stats: &mut RunStats,
+    observer: &mut dyn RunObserver,
+) {
+    let mut bucket_tasks = 0u64;
+    for (angle, schedule) in schedules.iter().enumerate() {
+        for (bucket, cells) in schedule.buckets.iter().enumerate() {
+            let tasks = (cells.len() * num_groups) as u64;
+            bucket_tasks += tasks;
+            let event = SolveEvent::SweepBucket {
+                angle,
+                bucket,
+                tasks,
+            };
+            observer.on_event(Lane::Driver, &event);
+        }
+    }
+    debug_assert_eq!(bucket_tasks, count);
+    let phase = Phase::Sweep;
+    observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+    stats.sweep_seconds += seconds;
+    stats.kernel_timing.accumulate(timing);
+    stats.kernel_invocations += count;
+    stats.sweeps += 1;
+    let event = SolveEvent::Sweep {
+        sweep: stats.sweeps,
+        cells: count,
+        seconds,
+    };
+    observer.on_event(Lane::Driver, &event);
 }
 
 /// Maximum relative pointwise change between two flux arrays — the

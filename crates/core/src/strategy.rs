@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use unsnap_krylov::{Gmres, GmresConfig, GmresWorkspace, LinearOperator, ObservedOperator};
 
 use crate::error::Result;
-use crate::session::{Phase, RunObserver};
+use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 use crate::solver::{relative_change, RunStats};
 
 /// Which inner-iteration strategy the solver runs.
@@ -268,8 +268,7 @@ pub trait InnerSolveContext {
     ///
     /// `previous` is the iterate the sweep started from — flux-shaped,
     /// in the context's own layout.  CG work is accounted in `stats` and
-    /// residuals stream through
-    /// [`RunObserver::on_accel_residual`].
+    /// residuals stream as [`SolveEvent::AccelResidual`].
     /// Contexts that own mesh and material data override this (both the
     /// single-domain solver and the block-Jacobi rank contexts do,
     /// building their accelerator lazily on first use); the default
@@ -315,7 +314,8 @@ fn assemble_source_timed(
     observer: &mut dyn RunObserver,
     external_only: bool,
 ) {
-    observer.on_phase_start(Phase::SourceAssembly);
+    let phase = Phase::SourceAssembly;
+    observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
     let t0 = context.now();
     if external_only {
         context.compute_external_source();
@@ -323,7 +323,18 @@ fn assemble_source_timed(
         context.compute_source();
     }
     let seconds = context.now().saturating_sub(t0).as_secs_f64();
-    observer.on_phase_end(Phase::SourceAssembly, seconds);
+    observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+}
+
+/// Record an inner iterate's convergence measure and announce it.
+fn report_iterate(stats: &mut RunStats, relative_change: f64, observer: &mut dyn RunObserver) {
+    stats.convergence_history.push(relative_change);
+    let inner = stats.inner_iterations;
+    let event = SolveEvent::InnerIteration {
+        inner,
+        relative_change,
+    };
+    observer.on_event(Lane::Driver, &event);
 }
 
 /// The seed's lagged source iteration, unchanged.
@@ -348,8 +359,7 @@ impl IterationStrategy for SourceIteration {
             context.save_phi_inner();
             context.sweep_once(stats, observer);
             let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
-            stats.convergence_history.push(diff);
-            observer.on_inner_iteration(stats.inner_iterations, diff);
+            report_iterate(stats, diff, observer);
             if tolerance > 0.0 && diff < tolerance {
                 return Ok(true);
             }
@@ -402,8 +412,7 @@ impl IterationStrategy for DsaSourceIteration {
             previous.extend_from_slice(context.phi_inner_slice());
             context.dsa_correct(&previous, stats, observer)?;
             let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
-            stats.convergence_history.push(diff);
-            observer.on_inner_iteration(stats.inner_iterations, diff);
+            report_iterate(stats, diff, observer);
             if tolerance > 0.0 && diff < tolerance {
                 return Ok(true);
             }
@@ -427,9 +436,9 @@ impl IterationStrategy for DsaSourceIteration {
 /// infallible).
 ///
 /// The operator also carries the run's observer: every sweep it performs
-/// fires `on_sweep`, and the GMRES driver's residual notifications are
-/// forwarded as `on_krylov_residual` through the
-/// [`ObservedOperator`] hook.
+/// emits [`SolveEvent::Sweep`], and the GMRES driver's residual
+/// notifications are forwarded as [`SolveEvent::KrylovResidual`] through
+/// the [`ObservedOperator`] hook.
 struct SweepOperator<'a, 'b, 'c> {
     context: &'a mut dyn InnerSolveContext,
     stats: &'b mut RunStats,
@@ -471,8 +480,11 @@ impl LinearOperator for SweepOperator<'_, '_, '_> {
 
 impl ObservedOperator for SweepOperator<'_, '_, '_> {
     fn on_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.observer
-            .on_krylov_residual(iteration, relative_residual);
+        let event = SolveEvent::KrylovResidual {
+            iteration,
+            relative_residual,
+        };
+        self.observer.on_event(Lane::Driver, &event);
     }
 }
 
@@ -522,7 +534,8 @@ impl IterationStrategy for SweepGmres {
         let b = context.phi_slice().to_vec();
 
         let mut workspace = context.take_krylov_workspace();
-        observer.on_phase_start(Phase::Krylov);
+        let phase = Phase::Krylov;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
         let krylov_t0 = context.now();
         let (outcome, dsa_error) = {
             let mut operator = SweepOperator {
@@ -536,8 +549,8 @@ impl IterationStrategy for SweepGmres {
                 Gmres::new(config).solve_observed_in(&mut workspace, &mut operator, &b, &mut x);
             (outcome, operator.dsa_error)
         };
-        let krylov_seconds = context.now().saturating_sub(krylov_t0).as_secs_f64();
-        observer.on_phase_end(Phase::Krylov, krylov_seconds);
+        let seconds = context.now().saturating_sub(krylov_t0).as_secs_f64();
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         context.put_krylov_workspace(workspace);
         if let Some(e) = dsa_error {
             return Err(e);
@@ -558,8 +571,7 @@ impl IterationStrategy for SweepGmres {
         assemble_source_timed(context, observer, false);
         context.sweep_once(stats, observer);
         let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
-        stats.convergence_history.push(diff);
-        observer.on_inner_iteration(stats.inner_iterations, diff);
+        report_iterate(stats, diff, observer);
 
         Ok(outcome.converged)
     }

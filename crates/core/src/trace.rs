@@ -8,14 +8,14 @@
 //!
 //! ## Span model
 //!
-//! Untagged events land on **lane 0** (the driver); rank-tagged events
+//! [`Lane::Driver`] events land on **lane 0**; [`Lane::Rank`] events
 //! land on **lane `rank + 1`**.  Within a lane the nesting is:
 //!
 //! ```text
 //! solve                              (lane 0 root, opened at tee time)
-//! └── outer / rank_solve             (on_outer_start .. on_outer_end)
+//! └── outer / rank_solve             (OuterStart .. OuterEnd)
 //!     └── inner                      (synthesised: first phase event of
-//!         │                           the iterate .. on_inner_iteration)
+//!         │                           the iterate .. InnerIteration)
 //!         ├── source_assembly        (phase span)
 //!         ├── sweep                  (phase span)
 //!         │   └── bucket             (one per wavefront bucket, in
@@ -44,7 +44,7 @@
 use unsnap_obs::clock::Clock;
 use unsnap_obs::trace::{TraceTree, Tracer};
 
-use crate::session::{Phase, RunObserver};
+use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 
 /// A [`RunObserver`] that builds a [`TraceTree`] from the event stream.
 ///
@@ -99,133 +99,77 @@ impl TraceObserver {
         &mut v[lane]
     }
 
-    fn outer_start(&mut self, lane: usize, outer: usize) {
-        let name = if lane == 0 { "outer" } else { "rank_solve" };
-        self.tracer.open(lane, name, &format!("outer={outer}"));
-        *Self::flag(&mut self.outer_open, lane) = true;
-    }
-
-    fn outer_end(&mut self, lane: usize) {
-        self.close_inner(lane);
-        if std::mem::take(Self::flag(&mut self.outer_open, lane)) {
-            self.tracer.close(lane);
-        }
-    }
-
     fn close_inner(&mut self, lane: usize) {
         if std::mem::take(Self::flag(&mut self.inner_open, lane)) {
             self.tracer.close(lane);
         }
     }
 
-    fn phase_start(&mut self, lane: usize, phase: Phase) {
-        // The iterate has no event of its own: the first phase span of
-        // an outer opens the synthesised `inner`, and
-        // `on_inner_iteration` (the iterate's summary event) closes it.
-        if *Self::flag(&mut self.outer_open, lane)
-            && !*Self::flag(&mut self.inner_open, lane)
-            && phase != Phase::Preassembly
-        {
-            self.tracer.open(lane, "inner", "");
-            *Self::flag(&mut self.inner_open, lane) = true;
-        }
-        self.tracer.open(lane, phase.label(), "");
-    }
-
-    fn phase_end(&mut self, lane: usize) {
-        self.tracer.close(lane);
-    }
-
-    fn inner_iteration(&mut self, lane: usize) {
-        self.close_inner(lane);
-    }
-
-    fn sweep_bucket(&mut self, lane: usize, angle: usize, bucket: usize, tasks: u64) {
-        self.tracer
-            .open(lane, "bucket", &format!("angle={angle} bucket={bucket}"));
-        self.tracer
-            .open(lane, "local_solve", &format!("tasks={tasks}"));
-        self.tracer.close(lane);
-        self.tracer.close(lane);
-    }
-
-    fn accel_iter(&mut self, lane: usize, iteration: usize) {
-        self.tracer
-            .open(lane, "cg_iter", &format!("iter={iteration}"));
-        self.tracer.close(lane);
-    }
-
-    fn halo_exchange(&mut self, lane: usize, iteration: usize, faces: usize, bytes: u64) {
-        self.tracer.open(
-            lane,
-            "halo_exchange",
-            &format!("iter={iteration} faces={faces} bytes={bytes}"),
-        );
+    /// Open and immediately close a leaf span.
+    fn leaf(&mut self, lane: usize, name: &str, detail: &str) {
+        self.tracer.open(lane, name, detail);
         self.tracer.close(lane);
     }
 }
 
 impl RunObserver for TraceObserver {
-    fn on_outer_start(&mut self, outer: usize) {
-        self.outer_start(0, outer);
-    }
-
-    fn on_outer_end(&mut self, _outer: usize, _converged: bool) {
-        self.outer_end(0);
-    }
-
-    fn on_inner_iteration(&mut self, _inner: usize, _relative_change: f64) {
-        self.inner_iteration(0);
-    }
-
-    fn on_sweep_bucket(&mut self, angle: usize, bucket: usize, tasks: u64) {
-        self.sweep_bucket(0, angle, bucket, tasks);
-    }
-
-    fn on_phase_start(&mut self, phase: Phase) {
-        self.phase_start(0, phase);
-    }
-
-    fn on_phase_end(&mut self, phase: Phase, _seconds: f64) {
-        let _ = phase;
-        self.phase_end(0);
-    }
-
-    fn on_accel_residual(&mut self, iteration: usize, _relative_residual: f64) {
-        self.accel_iter(0, iteration);
-    }
-
-    fn on_halo_exchange(&mut self, iteration: usize, faces: usize, bytes: u64) {
-        self.halo_exchange(0, iteration, faces, bytes);
-    }
-
-    fn on_rank_outer_start(&mut self, rank: usize, outer: usize) {
-        self.outer_start(rank + 1, outer);
-    }
-
-    fn on_rank_outer_end(&mut self, rank: usize, _outer: usize, _converged: bool) {
-        self.outer_end(rank + 1);
-    }
-
-    fn on_rank_inner_iteration(&mut self, rank: usize, _inner: usize, _relative_change: f64) {
-        self.inner_iteration(rank + 1);
-    }
-
-    fn on_rank_sweep_bucket(&mut self, rank: usize, angle: usize, bucket: usize, tasks: u64) {
-        self.sweep_bucket(rank + 1, angle, bucket, tasks);
-    }
-
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, _residual: f64) {
-        self.accel_iter(rank + 1, iteration);
-    }
-
-    fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-        self.phase_start(rank + 1, phase);
-    }
-
-    fn on_rank_phase_end(&mut self, rank: usize, phase: Phase, _seconds: f64) {
-        let _ = phase;
-        self.phase_end(rank + 1);
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+        let lane = match lane {
+            Lane::Driver => 0,
+            Lane::Rank(rank) => rank + 1,
+        };
+        match *event {
+            SolveEvent::OuterStart { outer } => {
+                let name = if lane == 0 { "outer" } else { "rank_solve" };
+                self.tracer.open(lane, name, &format!("outer={outer}"));
+                *Self::flag(&mut self.outer_open, lane) = true;
+            }
+            SolveEvent::OuterEnd { .. } => {
+                self.close_inner(lane);
+                if std::mem::take(Self::flag(&mut self.outer_open, lane)) {
+                    self.tracer.close(lane);
+                }
+            }
+            SolveEvent::PhaseStart { phase } => {
+                // The iterate has no event of its own: the first phase
+                // span of an outer opens the synthesised `inner`, and
+                // the iterate's summary event (`InnerIteration`) closes
+                // it.
+                if *Self::flag(&mut self.outer_open, lane)
+                    && !*Self::flag(&mut self.inner_open, lane)
+                    && phase != Phase::Preassembly
+                {
+                    self.tracer.open(lane, "inner", "");
+                    *Self::flag(&mut self.inner_open, lane) = true;
+                }
+                self.tracer.open(lane, phase.label(), "");
+            }
+            SolveEvent::PhaseEnd { .. } => self.tracer.close(lane),
+            SolveEvent::InnerIteration { .. } => self.close_inner(lane),
+            SolveEvent::SweepBucket {
+                angle,
+                bucket,
+                tasks,
+            } => {
+                self.tracer
+                    .open(lane, "bucket", &format!("angle={angle} bucket={bucket}"));
+                self.leaf(lane, "local_solve", &format!("tasks={tasks}"));
+                self.tracer.close(lane);
+            }
+            SolveEvent::AccelResidual { iteration, .. } => {
+                self.leaf(lane, "cg_iter", &format!("iter={iteration}"))
+            }
+            SolveEvent::HaloExchange {
+                iteration,
+                faces,
+                bytes,
+            } => self.leaf(
+                lane,
+                "halo_exchange",
+                &format!("iter={iteration} faces={faces} bytes={bytes}"),
+            ),
+            SolveEvent::Sweep { .. } | SolveEvent::KrylovResidual { .. } => {}
+        }
     }
 }
 
@@ -239,18 +183,28 @@ mod tests {
         TraceObserver::with_clock(Box::new(MockClock::with_step(Duration::from_micros(7))))
     }
 
+    const PINS: &[(Lane, SolveEvent, &str, &str)] = &include!("../tests/data/event_pins.rs");
+
+    /// The preassembly span, then one outer iteration on the driver
+    /// lane and one on rank 2's.
     fn feed(t: &mut TraceObserver) {
-        t.on_phase_start(Phase::Preassembly);
-        t.on_phase_end(Phase::Preassembly, 0.5);
-        t.on_outer_start(0);
-        t.on_phase_start(Phase::SourceAssembly);
-        t.on_phase_end(Phase::SourceAssembly, 0.1);
-        t.on_phase_start(Phase::Sweep);
-        t.on_sweep_bucket(0, 0, 8);
-        t.on_sweep_bucket(0, 1, 4);
-        t.on_phase_end(Phase::Sweep, 0.2);
-        t.on_inner_iteration(1, 0.5);
-        t.on_outer_end(0, true);
+        let phase = Phase::Preassembly;
+        t.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+        let seconds = 0.5;
+        t.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+        for (lane, event, ..) in PINS {
+            t.on_event(*lane, event);
+        }
+    }
+
+    fn span<'t>(tree: &'t TraceTree, lane: usize, name: &str) -> &'t unsnap_obs::trace::SpanRecord {
+        let mut found = tree
+            .spans
+            .iter()
+            .filter(|s| s.lane == lane && s.name == name);
+        let span = found.next().unwrap();
+        assert!(found.next().is_none(), "two {name} spans on lane {lane}");
+        span
     }
 
     #[test]
@@ -258,47 +212,49 @@ mod tests {
         let mut t = observer();
         feed(&mut t);
         let tree = t.into_tree();
-        // solve, preassembly, outer, inner, source_assembly, sweep,
-        // 2 × (bucket + local_solve), = 10 spans.
-        assert_eq!(tree.len(), 10);
+        // Lane 0: solve, preassembly, outer, inner, sweep, bucket,
+        // local_solve, cg_iter, halo_exchange; lane 3: rank_solve,
+        // inner, sweep, bucket, local_solve, cg_iter.
+        assert_eq!(tree.len(), 15);
         assert_eq!(tree.count_named("bucket"), 2);
         let solve = &tree.spans[0];
-        assert_eq!(solve.name, "solve");
-        assert_eq!(solve.parent, None);
-        let pre = tree.spans.iter().find(|s| s.name == "preassembly").unwrap();
-        assert_eq!(pre.parent, Some(solve.id));
-        let outer = tree.spans.iter().find(|s| s.name == "outer").unwrap();
+        assert_eq!(
+            (solve.name.as_str(), solve.lane, solve.parent),
+            ("solve", 0, None)
+        );
+        assert_eq!(span(&tree, 0, "preassembly").parent, Some(solve.id));
+        let outer = span(&tree, 0, "outer");
         assert_eq!(outer.parent, Some(solve.id));
-        let inner = tree.spans.iter().find(|s| s.name == "inner").unwrap();
+        assert_eq!(outer.detail, "outer=3");
+        let inner = span(&tree, 0, "inner");
         assert_eq!(inner.parent, Some(outer.id));
-        let sweep = tree.spans.iter().find(|s| s.name == "sweep").unwrap();
+        let sweep = span(&tree, 0, "sweep");
         assert_eq!(sweep.parent, Some(inner.id));
-        for bucket in tree.spans.iter().filter(|s| s.name == "bucket") {
-            assert_eq!(bucket.parent, Some(sweep.id));
-        }
-        let leaf = tree.spans.iter().find(|s| s.name == "local_solve").unwrap();
-        assert_eq!(leaf.detail, "tasks=8");
+        let bucket = span(&tree, 0, "bucket");
+        assert_eq!(bucket.parent, Some(sweep.id));
+        assert_eq!(bucket.detail, "angle=2 bucket=7");
+        let leaf = span(&tree, 0, "local_solve");
+        assert_eq!(
+            (leaf.parent, leaf.detail.as_str()),
+            (Some(bucket.id), "tasks=4096")
+        );
+        assert_eq!(span(&tree, 0, "cg_iter").parent, Some(inner.id));
+        let halo = span(&tree, 0, "halo_exchange");
+        assert_eq!(halo.parent, Some(inner.id));
+        assert_eq!(halo.detail, "iter=0 faces=12 bytes=9216");
     }
 
     #[test]
     fn rank_events_land_on_their_own_lane() {
         let mut t = observer();
-        t.on_rank_outer_start(2, 0);
-        t.on_rank_phase_start(2, Phase::Sweep);
-        t.on_rank_sweep_bucket(2, 1, 0, 16);
-        t.on_rank_phase_end(2, Phase::Sweep, 0.1);
-        t.on_rank_inner_iteration(2, 1, 0.5);
-        t.on_rank_outer_end(2, 0, true);
+        feed(&mut t);
         let tree = t.into_tree();
-        let rank_solve = tree.spans.iter().find(|s| s.name == "rank_solve").unwrap();
-        assert_eq!(rank_solve.lane, 3);
+        let rank_solve = span(&tree, 3, "rank_solve");
         assert_eq!(rank_solve.parent, None);
-        let inner = tree.spans.iter().find(|s| s.name == "inner").unwrap();
-        assert_eq!(inner.lane, 3);
+        let inner = span(&tree, 3, "inner");
         assert_eq!(inner.parent, Some(rank_solve.id));
-        // The driver-lane root is untouched by rank traffic.
-        assert_eq!(tree.spans[0].name, "solve");
-        assert_eq!(tree.spans[0].lane, 0);
+        assert_eq!(span(&tree, 3, "sweep").parent, Some(inner.id));
+        assert!(tree.spans.iter().all(|s| s.lane == 0 || s.lane == 3));
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub fn single_to_json(view: &CheckpointView<'_>, events: &EventLog) -> String {
         .finish()
 }
 
-/// Decode a single-domain checkpoint payload.
+/// Decode a single-domain checkpoint payload (whose events can name no
+/// rank).
 pub fn single_from_json(value: &JsonValue) -> Result<SingleCheckpoint, String> {
     let stats = value.get("stats").ok_or("checkpoint missing stats")?;
     Ok(SingleCheckpoint {
@@ -73,7 +74,10 @@ pub fn single_from_json(value: &JsonValue) -> Result<SingleCheckpoint, String> {
         stats: codec::stats_from_json(stats)?,
         phi: codec::f64_array_of(value, "phi")?,
         psi: codec::f64_array_of(value, "psi")?,
-        events: codec::events_from_json(value.get("events").ok_or("checkpoint missing events")?)?,
+        events: codec::events_from_json(
+            value.get("events").ok_or("checkpoint missing events")?,
+            0,
+        )?,
     })
 }
 
@@ -96,8 +100,9 @@ pub fn jacobi_to_json(view: &JacobiCheckpointView<'_>, events: &EventLog) -> Str
         .finish()
 }
 
-/// Decode a block-Jacobi checkpoint payload.
-pub fn jacobi_from_json(value: &JsonValue) -> Result<JacobiCheckpoint, String> {
+/// Decode a block-Jacobi checkpoint payload of a run over `num_ranks`
+/// subdomains (the manifest's `npx · npy`).
+pub fn jacobi_from_json(value: &JsonValue, num_ranks: usize) -> Result<JacobiCheckpoint, String> {
     let rank_stats = value
         .get("rank_stats")
         .and_then(JsonValue::as_array)
@@ -122,7 +127,10 @@ pub fn jacobi_from_json(value: &JsonValue) -> Result<JacobiCheckpoint, String> {
         phi: codec::f64_array_of(value, "phi")?,
         psi: codec::f64_array_of(value, "psi")?,
         rank_stats,
-        events: codec::events_from_json(value.get("events").ok_or("checkpoint missing events")?)?,
+        events: codec::events_from_json(
+            value.get("events").ok_or("checkpoint missing events")?,
+            num_ranks,
+        )?,
     })
 }
 
@@ -171,7 +179,7 @@ pub fn fold_jacobi(checkpoints: Vec<JacobiCheckpoint>) -> Option<JacobiResumePoi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unsnap_core::session::SolveEvent;
+    use unsnap_core::session::{Lane, SolveEvent};
     use unsnap_obs::reader;
 
     #[test]
@@ -191,7 +199,7 @@ mod tests {
             stats: &stats,
         };
         let events = EventLog {
-            events: vec![SolveEvent::OuterStart { outer: 4 }],
+            events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 4 })],
         };
         let text = single_to_json(&view, &events);
         let parsed = reader::parse(&text).expect("valid JSON");
@@ -210,7 +218,7 @@ mod tests {
             phi: vec![1.0],
             psi: vec![1.0],
             events: EventLog {
-                events: vec![SolveEvent::OuterStart { outer: 0 }],
+                events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 0 })],
             },
             ..SingleCheckpoint::default()
         };
@@ -219,7 +227,7 @@ mod tests {
             phi: vec![2.0],
             psi: vec![2.0],
             events: EventLog {
-                events: vec![SolveEvent::OuterStart { outer: 1 }],
+                events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 1 })],
             },
             ..SingleCheckpoint::default()
         };

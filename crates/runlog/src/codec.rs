@@ -1,5 +1,5 @@
-//! JSON codecs for the frame payload building blocks: solver events,
-//! run statistics and phase labels.
+//! JSON codecs for the frame payload building blocks: solver events
+//! and run statistics.
 //!
 //! Everything round-trips *bit-for-bit*: floats go through
 //! [`json::number`] (shortest representation that re-parses to the same
@@ -7,22 +7,16 @@
 //! replayed event prefix reproduces the original observer stream
 //! exactly — the foundation of the resume determinism contract.
 
-use unsnap_core::session::{EventLog, Phase, SolveEvent};
+use unsnap_core::session::{EventLog, Lane, Phase, SolveEvent};
 use unsnap_core::solver::RunStats;
 use unsnap_obs::json::{self, JsonObject};
 use unsnap_obs::reader::JsonValue;
 
-/// Parse a phase from its snake_case wire label.
-pub fn phase_from_label(label: &str) -> Result<Phase, String> {
-    Phase::all()
-        .into_iter()
-        .find(|p| p.label() == label)
-        .ok_or_else(|| format!("unknown phase label {label:?}"))
-}
-
-/// Encode one solver event as a compact JSON object.
-pub fn event_to_json(event: &SolveEvent) -> String {
-    match *event {
+/// Encode one solver event as a compact JSON object; a
+/// [`Lane::Rank`] event is its driver-lane form wrapped in a `"rank"`
+/// object.
+pub fn event_to_json(lane: Lane, event: &SolveEvent) -> String {
+    let payload = match *event {
         SolveEvent::OuterStart { outer } => JsonObject::new()
             .field_str("t", "outer_start")
             .field_usize("outer", outer)
@@ -95,17 +89,20 @@ pub fn event_to_json(event: &SolveEvent) -> String {
             .field_usize("faces", faces)
             .field_u64("bytes", bytes)
             .finish(),
-        SolveEvent::Rank { rank, ref event } => JsonObject::new()
+    };
+    match lane {
+        Lane::Driver => payload,
+        Lane::Rank(rank) => JsonObject::new()
             .field_str("t", "rank")
             .field_usize("rank", rank)
-            .field_raw("e", &event_to_json(event))
+            .field_raw("e", &payload)
             .finish(),
     }
 }
 
 /// Encode an event log as a JSON array.
 pub fn events_to_json(log: &EventLog) -> String {
-    let rendered: Vec<String> = log.events.iter().map(event_to_json).collect();
+    let rendered = log.events.iter().map(|(lane, e)| event_to_json(*lane, e));
     json::array_raw(rendered)
 }
 
@@ -147,10 +144,37 @@ fn f64_of(value: &JsonValue, key: &str) -> Result<f64, String> {
     }
 }
 
-/// Decode one solver event from its parsed JSON object.
-pub fn event_from_json(value: &JsonValue) -> Result<SolveEvent, String> {
-    let tag = str_of(value, "t")?;
-    match tag {
+fn phase_of(value: &JsonValue) -> Result<Phase, String> {
+    let label = str_of(value, "phase")?;
+    Phase::from_label(label).ok_or_else(|| format!("unknown phase label {label:?}"))
+}
+
+/// Decode one solver event from its parsed JSON object.  `num_ranks`
+/// bounds the rank lanes the run can have emitted (`0` for a
+/// single-domain run): a frame is an input boundary, and observers size
+/// per-rank tables by the lane they are handed.
+pub fn event_from_json(value: &JsonValue, num_ranks: usize) -> Result<(Lane, SolveEvent), String> {
+    if str_of(value, "t")? != "rank" {
+        return Ok((Lane::Driver, payload_from_json(value)?));
+    }
+    let rank = usize_of(value, "rank")?;
+    if rank >= num_ranks {
+        return Err(format!(
+            "event names rank {rank} but the run has {num_ranks} rank(s)"
+        ));
+    }
+    let inner = value
+        .get("e")
+        .ok_or_else(|| "rank event missing field \"e\"".to_string())?;
+    if matches!(str_of(inner, "t")?, "rank" | "halo") {
+        return Err("rank event wraps a non-rankable event".to_string());
+    }
+    Ok((Lane::Rank(rank), payload_from_json(inner)?))
+}
+
+/// Decode the lane-free part of an event object.
+fn payload_from_json(value: &JsonValue) -> Result<SolveEvent, String> {
+    match str_of(value, "t")? {
         "outer_start" => Ok(SolveEvent::OuterStart {
             outer: usize_of(value, "outer")?,
         }),
@@ -181,10 +205,10 @@ pub fn event_from_json(value: &JsonValue) -> Result<SolveEvent, String> {
             relative_residual: f64_of(value, "residual")?,
         }),
         "phase_start" => Ok(SolveEvent::PhaseStart {
-            phase: phase_from_label(str_of(value, "phase")?)?,
+            phase: phase_of(value)?,
         }),
         "phase_end" => Ok(SolveEvent::PhaseEnd {
-            phase: phase_from_label(str_of(value, "phase")?)?,
+            phase: phase_of(value)?,
             seconds: f64_of(value, "seconds")?,
         }),
         "halo" => Ok(SolveEvent::HaloExchange {
@@ -192,34 +216,19 @@ pub fn event_from_json(value: &JsonValue) -> Result<SolveEvent, String> {
             faces: usize_of(value, "faces")?,
             bytes: u64_of(value, "bytes")?,
         }),
-        "rank" => {
-            let inner = value
-                .get("e")
-                .ok_or_else(|| "rank event missing field \"e\"".to_string())?;
-            let event = event_from_json(inner)?;
-            if matches!(
-                event,
-                SolveEvent::Rank { .. } | SolveEvent::HaloExchange { .. }
-            ) {
-                return Err("rank event wraps a non-rankable event".to_string());
-            }
-            Ok(SolveEvent::Rank {
-                rank: usize_of(value, "rank")?,
-                event: Box::new(event),
-            })
-        }
         other => Err(format!("unknown event tag {other:?}")),
     }
 }
 
-/// Decode an event array into a fresh [`EventLog`].
-pub fn events_from_json(value: &JsonValue) -> Result<EventLog, String> {
+/// Decode an event array into a fresh [`EventLog`] (see
+/// [`event_from_json`] for `num_ranks`).
+pub fn events_from_json(value: &JsonValue, num_ranks: usize) -> Result<EventLog, String> {
     let items = value
         .as_array()
         .ok_or_else(|| "events must be an array".to_string())?;
     let mut log = EventLog::default();
     for item in items {
-        log.events.push(event_from_json(item)?);
+        log.events.push(event_from_json(item, num_ranks)?);
     }
     Ok(log)
 }
@@ -281,70 +290,25 @@ mod tests {
     use super::*;
     use unsnap_obs::reader;
 
-    fn sample_events() -> Vec<SolveEvent> {
-        vec![
-            SolveEvent::PhaseStart {
-                phase: Phase::Preassembly,
-            },
-            SolveEvent::PhaseEnd {
-                phase: Phase::Preassembly,
-                seconds: 0.25,
-            },
-            SolveEvent::OuterStart { outer: 0 },
-            SolveEvent::Sweep {
-                sweep: 1,
-                cells: 123_456,
-                seconds: 1.5e-3,
-            },
-            SolveEvent::SweepBucket {
-                angle: 2,
-                bucket: 7,
-                tasks: 4096,
-            },
-            SolveEvent::InnerIteration {
-                inner: 1,
-                relative_change: 0.1 + 0.2,
-            },
-            SolveEvent::KrylovResidual {
-                iteration: 3,
-                relative_residual: 1e-9,
-            },
-            SolveEvent::AccelResidual {
-                iteration: 2,
-                relative_residual: f64::NAN,
-            },
-            SolveEvent::HaloExchange {
-                iteration: 0,
-                faces: 12,
-                bytes: 9216,
-            },
-            SolveEvent::Rank {
-                rank: 3,
-                event: Box::new(SolveEvent::OuterEnd {
-                    outer: 0,
-                    converged: true,
-                }),
-            },
-            SolveEvent::OuterEnd {
-                outer: 0,
-                converged: false,
-            },
-        ]
-    }
+    /// Every event variant on the driver lane and on `Rank(2)`, with
+    /// the byte-exact encodings pinned at the pre-`on_event` commit.
+    const PINS: &[(Lane, SolveEvent, &str, &str)] =
+        &include!("../../core/tests/data/event_pins.rs");
 
     #[test]
-    fn events_round_trip_bit_for_bit() {
+    fn events_encode_byte_exact_and_round_trip() {
         let log = EventLog {
-            events: sample_events(),
+            events: PINS.iter().map(|(lane, e, ..)| (*lane, *e)).collect(),
         };
+        let pinned: Vec<&str> = PINS.iter().map(|(.., encoded)| *encoded).collect();
         let text = events_to_json(&log);
+        assert_eq!(text, format!("[{}]", pinned.join(",")));
         let parsed = reader::parse(&text).expect("valid JSON");
-        let back = events_from_json(&parsed).expect("decodes");
-        assert_eq!(back.events.len(), log.events.len());
-        for (a, b) in log.events.iter().zip(&back.events) {
-            // NaN != NaN, so compare through the encoder.
-            assert_eq!(event_to_json(a), event_to_json(b));
-        }
+        let back = events_from_json(&parsed, 3).expect("decodes");
+        // NaN != NaN, so compare through the encoder.
+        assert_eq!(events_to_json(&back), text);
+        let lanes = |log: &EventLog| log.events.iter().map(|(lane, _)| *lane).collect::<Vec<_>>();
+        assert_eq!(lanes(&back), lanes(&log));
     }
 
     #[test]
@@ -385,9 +349,20 @@ mod tests {
             "{\"t\":\"phase_start\",\"phase\":\"warp\"}",
             "{\"t\":\"rank\",\"rank\":0}",
             "{\"t\":\"rank\",\"rank\":0,\"e\":{\"t\":\"halo\",\"iteration\":0,\"faces\":0,\"bytes\":0}}",
+            "{\"t\":\"rank\",\"rank\":0,\"e\":{\"t\":\"rank\",\"rank\":0,\"e\":{\"t\":\"outer_start\",\"outer\":0}}}",
+            // A rank the 2×2 run cannot have: one past the grid, and one
+            // the reader saturates to `usize::MAX`.
+            "{\"t\":\"rank\",\"rank\":4,\"e\":{\"t\":\"outer_start\",\"outer\":0}}",
+            "{\"t\":\"rank\",\"rank\":18446744073709551615,\"e\":{\"t\":\"outer_start\",\"outer\":0}}",
         ] {
             let parsed = reader::parse(bad).expect("valid JSON");
-            assert!(event_from_json(&parsed).is_err(), "accepted {bad}");
+            assert!(event_from_json(&parsed, 4).is_err(), "accepted {bad}");
         }
+        // The same rank event is fine inside the grid, and no rank at
+        // all is under a single-domain manifest.
+        let ok = "{\"t\":\"rank\",\"rank\":3,\"e\":{\"t\":\"outer_start\",\"outer\":0}}";
+        let parsed = reader::parse(ok).expect("valid JSON");
+        assert!(event_from_json(&parsed, 4).is_ok());
+        assert!(event_from_json(&parsed, 0).is_err());
     }
 }

@@ -106,8 +106,8 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
                         checkpoint::single_from_json(&value)
                             .map_err(|e| decode_error(index + 1, e))?,
                     ),
-                    RunMode::Jacobi { .. } => jacobis.push(
-                        checkpoint::jacobi_from_json(&value)
+                    RunMode::Jacobi { npx, npy } => jacobis.push(
+                        checkpoint::jacobi_from_json(&value, npx.saturating_mul(npy))
                             .map_err(|e| decode_error(index + 1, e))?,
                     ),
                 }
@@ -149,7 +149,11 @@ mod tests {
     use unsnap_core::problem::Problem;
 
     fn manifest_only() -> Vec<u8> {
-        let manifest = Manifest::new(Problem::tiny(), RunMode::Single);
+        manifest_for(RunMode::Single)
+    }
+
+    fn manifest_for(mode: RunMode) -> Vec<u8> {
+        let manifest = Manifest::new(Problem::tiny(), mode);
         let mut bytes = frame::header_bytes();
         bytes.extend_from_slice(&frame::frame_bytes(
             TAG_MANIFEST,
@@ -188,6 +192,57 @@ mod tests {
         bytes.extend_from_slice(&frame::frame_bytes(TAG_CHECKPOINT, b"{\"outer_next\":1}"));
         let err = recover_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("undecodable"), "{err}");
+    }
+
+    #[test]
+    fn a_rank_the_run_cannot_have_is_a_typed_error() {
+        use unsnap_comm::jacobi::JacobiCheckpointView;
+        use unsnap_core::session::{EventLog, Lane, SolveEvent};
+        use unsnap_core::solver::{CheckpointView, RunStats};
+
+        let stats = RunStats::default();
+        let on_rank = |rank| EventLog {
+            events: vec![(Lane::Rank(rank), SolveEvent::OuterStart { outer: 0 })],
+        };
+        let with_checkpoint = |mode, payload: String| {
+            let mut bytes = manifest_for(mode);
+            bytes.extend_from_slice(&frame::frame_bytes(TAG_CHECKPOINT, payload.as_bytes()));
+            recover_bytes(&bytes)
+        };
+
+        // A single-domain run has no rank lanes at all.
+        let view = CheckpointView {
+            outer_completed: 0,
+            converged: false,
+            phi: &[],
+            psi: &[],
+            stats: &stats,
+        };
+        let payload = checkpoint::single_to_json(&view, &on_rank(0));
+        let err = with_checkpoint(RunMode::Single, payload).unwrap_err();
+        assert!(err.to_string().contains("names rank 0"), "{err}");
+
+        // A 2x2 run has ranks 0..4; `usize::MAX` would overflow the
+        // per-lane tables the prefix is replayed into.
+        let view = JacobiCheckpointView {
+            outer_completed: 0,
+            converged: false,
+            inners_run: 1,
+            sweep_seconds: 0.0,
+            convergence_history: &[],
+            phi: &[],
+            psi: &[],
+            rank_stats: vec![&stats; 4],
+        };
+        let grid = RunMode::Jacobi { npx: 2, npy: 2 };
+        let payload = |rank| checkpoint::jacobi_to_json(&view, &on_rank(rank));
+        let point = with_checkpoint(grid, payload(3)).unwrap().jacobi.unwrap();
+        assert_eq!(point.prefix, on_rank(3));
+        for rank in [4, usize::MAX] {
+            let err = with_checkpoint(grid, payload(rank)).unwrap_err();
+            assert!(err.to_string().contains("undecodable"), "{err}");
+            assert!(err.to_string().contains("the run has 4 rank(s)"), "{err}");
+        }
     }
 
     #[test]

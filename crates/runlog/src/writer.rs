@@ -8,9 +8,9 @@
 //! mutably through two parameters, so the two roles share state through
 //! an `Rc<RefCell<…>>`: the observer half is passed as the observer (or
 //! inside a [`TeeObserver`](unsnap_core::session::TeeObserver)), and
-//! [`CheckpointObserver::sink`] hands out the sink half.  Every hook
-//! fires synchronously on the driver thread, so the single-threaded
-//! `RefCell` is sound.
+//! [`CheckpointObserver::sink`] hands out the sink half.  Events and
+//! checkpoints both arrive synchronously on the driver thread, so the
+//! single-threaded `RefCell` is sound.
 //!
 //! Frames are flushed as written: after a crash at *any* byte, the log
 //! holds a valid prefix ending at the last flushed frame, which is
@@ -25,7 +25,7 @@ use std::rc::Rc;
 use unsnap_comm::jacobi::{JacobiCheckpointSink, JacobiCheckpointView};
 use unsnap_core::error::{Error, Result};
 use unsnap_core::problem::Problem;
-use unsnap_core::session::{EventLog, Phase, RunObserver};
+use unsnap_core::session::{EventLog, Lane, RunObserver, SolveEvent};
 use unsnap_core::solver::{CheckpointSink, CheckpointView};
 use unsnap_obs::json::JsonObject;
 
@@ -267,125 +267,8 @@ impl CheckpointObserver {
 }
 
 impl RunObserver for CheckpointObserver {
-    fn on_outer_start(&mut self, outer: usize) {
-        self.inner.borrow_mut().delta.on_outer_start(outer);
-    }
-
-    fn on_outer_end(&mut self, outer: usize, converged: bool) {
-        self.inner.borrow_mut().delta.on_outer_end(outer, converged);
-    }
-
-    fn on_inner_iteration(&mut self, inner: usize, relative_change: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_inner_iteration(inner, relative_change);
-    }
-
-    fn on_sweep(&mut self, sweep: usize, cells: u64, seconds: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_sweep(sweep, cells, seconds);
-    }
-
-    fn on_sweep_bucket(&mut self, angle: usize, bucket: usize, tasks: u64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_sweep_bucket(angle, bucket, tasks);
-    }
-
-    fn on_krylov_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_krylov_residual(iteration, relative_residual);
-    }
-
-    fn on_accel_residual(&mut self, iteration: usize, relative_residual: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_accel_residual(iteration, relative_residual);
-    }
-
-    fn on_phase_start(&mut self, phase: Phase) {
-        self.inner.borrow_mut().delta.on_phase_start(phase);
-    }
-
-    fn on_phase_end(&mut self, phase: Phase, seconds: f64) {
-        self.inner.borrow_mut().delta.on_phase_end(phase, seconds);
-    }
-
-    fn on_halo_exchange(&mut self, iteration: usize, faces: usize, bytes: u64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_halo_exchange(iteration, faces, bytes);
-    }
-
-    fn on_rank_outer_start(&mut self, rank: usize, outer: usize) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_outer_start(rank, outer);
-    }
-
-    fn on_rank_outer_end(&mut self, rank: usize, outer: usize, converged: bool) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_outer_end(rank, outer, converged);
-    }
-
-    fn on_rank_inner_iteration(&mut self, rank: usize, inner: usize, relative_change: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_inner_iteration(rank, inner, relative_change);
-    }
-
-    fn on_rank_sweep(&mut self, rank: usize, sweep: usize, cells: u64, seconds: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_sweep(rank, sweep, cells, seconds);
-    }
-
-    fn on_rank_sweep_bucket(&mut self, rank: usize, angle: usize, bucket: usize, tasks: u64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_sweep_bucket(rank, angle, bucket, tasks);
-    }
-
-    fn on_rank_krylov_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_krylov_residual(rank, iteration, relative_residual);
-    }
-
-    fn on_rank_accel_residual(&mut self, rank: usize, iteration: usize, relative_residual: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_accel_residual(rank, iteration, relative_residual);
-    }
-
-    fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_phase_start(rank, phase);
-    }
-
-    fn on_rank_phase_end(&mut self, rank: usize, phase: Phase, seconds: f64) {
-        self.inner
-            .borrow_mut()
-            .delta
-            .on_rank_phase_end(rank, phase, seconds);
+    fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+        self.inner.borrow_mut().delta.on_event(lane, event);
     }
 }
 

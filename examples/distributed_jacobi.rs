@@ -74,7 +74,7 @@ fn main() {
     // The same driver dispatches Krylov subdomain solves: with
     // `SweepGmres` every halo exchange buys a converged per-rank GMRES
     // solve instead of one lagged sweep, and per-rank progress streams
-    // through the rank-tagged observer hooks in deterministic rank order.
+    // to the observer on `Lane::Rank(r)` in deterministic rank order.
     let krylov_problem = ProblemBuilder::from_problem(&problem)
         .strategy(StrategyKind::SweepGmres)
         .build()

@@ -22,32 +22,30 @@
 
 use unsnap::prelude::*;
 
-/// A tiny observer that narrates the solve as it happens — the streaming
-/// the pre-Session API could not offer.
+/// A tiny observer that narrates the solve as it happens.
 #[derive(Default)]
 struct Narrator {
     sweeps: usize,
 }
 
 impl RunObserver for Narrator {
-    fn on_outer_start(&mut self, outer: usize) {
-        println!("  outer {outer} started");
-    }
-
-    fn on_inner_iteration(&mut self, inner: usize, relative_change: f64) {
-        println!("    inner {inner:>3}: max relative change {relative_change:.3e}");
-    }
-
-    fn on_krylov_residual(&mut self, iteration: usize, relative_residual: f64) {
-        println!("    krylov {iteration:>3}: relative residual {relative_residual:.3e}");
-    }
-
-    fn on_sweep(&mut self, sweep: usize, _cells: u64, _seconds: f64) {
-        self.sweeps = sweep;
-    }
-
-    fn on_outer_end(&mut self, outer: usize, converged: bool) {
-        println!("  outer {outer} finished (inner converged: {converged})");
+    fn on_event(&mut self, _lane: Lane, event: &SolveEvent) {
+        match *event {
+            SolveEvent::OuterStart { outer } => println!("  outer {outer} started"),
+            SolveEvent::InnerIteration {
+                inner,
+                relative_change,
+            } => println!("    inner {inner:>3}: max relative change {relative_change:.3e}"),
+            SolveEvent::KrylovResidual {
+                iteration,
+                relative_residual,
+            } => println!("    krylov {iteration:>3}: relative residual {relative_residual:.3e}"),
+            SolveEvent::Sweep { sweep, .. } => self.sweeps = sweep,
+            SolveEvent::OuterEnd { outer, converged } => {
+                println!("  outer {outer} finished (inner converged: {converged})")
+            }
+            _ => {}
+        }
     }
 }
 

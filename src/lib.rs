@@ -51,22 +51,6 @@
 //! `Mesh(..)`, `Singular { pivot, .. }`, `KrylovBreakdown { .. }`,
 //! `Schedule { .. }`, `Comm { .. }` — instead of parsing strings.
 //!
-//! ## Migrating from the pre-Session API
-//!
-//! The old entry points still exist (with the error type upgraded from
-//! `String` to [`Error`](unsnap_core::error::Error)); the new surface is
-//! a superset:
-//!
-//! | old call | new call |
-//! |----------|----------|
-//! | `Problem::tiny()` (then mutate fields) | `ProblemBuilder::tiny().mesh(..).order(..).build()?` |
-//! | `Problem { nx: 0, .. }` → error deep in `TransportSolver::new` | `ProblemBuilder::build()` → `Error::InvalidProblem { field: "nx", .. }` up front |
-//! | `TransportSolver::new(&p)?` + `solver.run()?` | `Session::new(&p)?` + `session.run()?` (or `ProblemBuilder::session()?`) |
-//! | parse `outcome.krylov_residual_history` after the run | implement `RunObserver::on_krylov_residual` and pass it to `session.run_observed(..)` |
-//! | re-derive sweep counts from the outcome | `RecordingObserver` reconstructs them from the event stream |
-//! | `Err(String)` everywhere | typed [`Error`](unsnap_core::error::Error) with `From` conversions from every crate's local error type |
-//! | hand-format outcome fields for tooling | `SolveOutcome::to_json()` (plus `--json` on the `table2`/`ablation_krylov` bins) |
-//!
 //! ## Execution model
 //!
 //! Sweeps fan out on a real shared worker pool (sized by
@@ -118,8 +102,8 @@ pub mod prelude {
     pub use unsnap_core::problem::Problem;
     pub use unsnap_core::report;
     pub use unsnap_core::session::{
-        EventLog, NoopObserver, Phase, ProgressObserver, RecordingObserver, RunObserver, Session,
-        SolveEvent, TeeObserver,
+        EventLog, Lane, NoopObserver, Phase, ProgressObserver, RecordingObserver, RunObserver,
+        Session, SolveEvent, TeeObserver,
     };
     pub use unsnap_core::solver::{
         CheckpointSink, CheckpointView, ResumePoint, RunStats, SolveOutcome, TransportSolver,

@@ -186,7 +186,7 @@ fn per_rank_dsa_streams_are_identical_across_thread_counts() {
 }
 
 /// Per-rank event counts must equal the per-rank outcome counters: one
-/// `on_rank_sweep` per rank sweep, one rank outer start/end per halo
+/// rank-lane `Sweep` per rank sweep, one rank outer start/end per halo
 /// iteration, and (under GMRES) one residual event per Krylov iteration
 /// plus one initial-residual event per subdomain solve.
 fn assert_rank_streams_match_counters(decomp: Decomposition2D, strategy: StrategyKind) {
@@ -284,12 +284,15 @@ fn phase_events_replay_grouped_in_rank_order() {
         ends: usize,
     }
     impl RunObserver for PhaseTap {
-        fn on_rank_phase_start(&mut self, rank: usize, phase: Phase) {
-            self.arrivals.push((rank, phase));
-            self.starts += 1;
-        }
-        fn on_rank_phase_end(&mut self, _rank: usize, _phase: Phase, _seconds: f64) {
-            self.ends += 1;
+        fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
+            match (lane, *event) {
+                (Lane::Rank(rank), SolveEvent::PhaseStart { phase }) => {
+                    self.arrivals.push((rank, phase));
+                    self.starts += 1;
+                }
+                (Lane::Rank(_), SolveEvent::PhaseEnd { .. }) => self.ends += 1,
+                _ => {}
+            }
         }
     }
 
