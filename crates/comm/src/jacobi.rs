@@ -10,12 +10,12 @@
 //!
 //! # Strategy-dispatched inner solves
 //!
-//! Each rank's within-group solve runs through the *same*
+//! Each rank is one [`SweepDomain`] solved through a [`DomainContext`] —
+//! the same sweep path, source assembly and
 //! [`IterationStrategy`](unsnap_core::strategy::IterationStrategy)
-//! dispatch as the single-domain `TransportSolver`: the per-rank
-//! context implements [`InnerSolveContext`], so [`Problem::strategy`]
-//! (including the `UNSNAP_STRATEGY` builder override) selects the
-//! subdomain solver:
+//! dispatch as the single-domain `TransportSolver`, which is the
+//! one-domain, no-halo case of it.  [`Problem::strategy`] (including the
+//! `UNSNAP_STRATEGY` builder override) selects the subdomain solver:
 //!
 //! * **Source iteration** — one masked sweep per rank per halo
 //!   iteration, reproducing the seed's lagged block-Jacobi schedule
@@ -24,7 +24,8 @@
 //!   solves its local within-group system `(I − D L_r⁻¹ S_w) φ_r =
 //!   D L_r⁻¹ q_ext,r` to tolerance with a matrix-free GMRES(m) whose
 //!   Krylov space is reused across halo iterations
-//!   ([`GmresWorkspace`]).  The lagged halo data is *affine*
+//!   ([`GmresWorkspace`](unsnap_krylov::GmresWorkspace)).  The lagged
+//!   halo data is *affine*
 //!   right-hand-side inflow, so operator applications sweep with
 //!   homogeneous boundary **and** halo inflow (the halo-aware residual
 //!   assembly), and a consistency sweep with real inflow regenerates the
@@ -41,8 +42,9 @@
 //!
 //! Ranks genuinely sweep **concurrently** on the worker pool (sized by
 //! [`Problem::num_threads`], overridable with `RAYON_NUM_THREADS`): each
-//! rank writes into a private, compactly-indexed angular-flux buffer and
-//! reads remote cells only from the shared previous-iteration array, so
+//! rank writes into its own domain's angular-flux buffer (indexed by
+//! local cell) and reads remote cells only from the shared
+//! previous-iteration array, so
 //! the per-iteration results are bit-for-bit identical at every thread
 //! and rank-execution ordering.  Each rank's solve events are buffered
 //! in an [`EventLog`] and replayed on the rank's own
@@ -50,34 +52,25 @@
 //! [`RunObserver`] stream is therefore also bit-for-bit identical at
 //! every thread count.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use unsnap_obs::clock::{Clock, SystemClock};
+use unsnap_obs::clock::Clock;
 
-use unsnap_core::angular::AngularQuadrature;
-use unsnap_core::data::ProblemData;
+use unsnap_core::domain::{worker_pool, DomainContext, SharedAssets, SweepDomain};
 use unsnap_core::error::{Error, Result};
-use unsnap_core::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
-use unsnap_core::layout::{FluxLayout, FluxStorage, Precision};
+use unsnap_core::layout::{FluxLayout, FluxStorage};
 use unsnap_core::metrics::RunMetrics;
 use unsnap_core::problem::Problem;
 use unsnap_core::report::IterationSummary;
 use unsnap_core::session::{
     run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
 };
-use unsnap_core::solver::{relative_change, report_sweep, RunStats};
-use unsnap_core::strategy::{InnerSolveContext, StrategyKind};
-use unsnap_fem::element::ReferenceElement;
-use unsnap_fem::face::{face_node_indices, FACES};
-use unsnap_fem::geometry::HexVertices;
-use unsnap_fem::integrals::ElementIntegrals;
-use unsnap_krylov::GmresWorkspace;
-use unsnap_linalg::LinearSolver;
-use unsnap_mesh::{Decomposition2D, NeighborRef, Subdomain, UnstructuredMesh};
+use unsnap_core::solver::{relative_change, RunStats};
+use unsnap_core::strategy::StrategyKind;
+use unsnap_mesh::{Decomposition2D, Subdomain};
 use unsnap_obs::trace::TraceTree;
-use unsnap_sweep::{LoopOrder, SweepSchedule};
 
 /// Summary of a block-Jacobi distributed solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -200,394 +193,26 @@ impl std::fmt::Display for BlockJacobiOutcome {
     }
 }
 
-/// The mutable per-rank solve state: compact flux/source buffers, the
-/// rank's accumulated work statistics and its reusable Krylov space.
-///
-/// Buffers use the rank-compact indexing
-/// `((local_cell · ng + g) · num_angles + angle) · nodes` (angular) and
-/// `(local_cell · ng + g) · nodes` (scalar), so per-rank memory is the
-/// rank's share of the mesh, not a full-mesh copy.
-struct RankState {
-    /// Angular flux of the current iteration (compact).
-    psi: Vec<f64>,
-    /// Scalar flux (compact).
-    phi: Vec<f64>,
-    /// Previous inner iterate of the scalar flux (compact).
-    phi_inner: Vec<f64>,
-    /// Total source (compact).
-    source: Vec<f64>,
-    /// When set, sweeps treat the domain boundary *and* the cross-rank
-    /// halo as vacuum — the affine inflow belongs to the right-hand
-    /// side during Krylov operator applications.
-    homogeneous: bool,
-    /// Accumulated work statistics (sweeps, Krylov counters, histories).
-    stats: RunStats,
-    /// Reusable per-rank Krylov space.
-    krylov: Option<GmresWorkspace>,
-    /// Lazily-built per-rank DSA accelerator: the low-order diffusion
-    /// operator over this rank's cells with Dirichlet-zero coupling at
-    /// cut faces, plus its CG scratch.
-    dsa: Option<unsnap_core::dsa::DsaAccelerator>,
-    /// Reusable kernel scratch.
-    scratch: KernelScratch,
-}
-
-impl RankState {
-    fn new(owned: usize, ng: usize, n_angles: usize, nodes: usize) -> Self {
-        Self {
-            psi: vec![0.0; owned * ng * n_angles * nodes],
-            phi: vec![0.0; owned * ng * nodes],
-            phi_inner: vec![0.0; owned * ng * nodes],
-            source: vec![0.0; owned * ng * nodes],
-            homogeneous: false,
-            stats: RunStats::default(),
-            krylov: None,
-            dsa: None,
-            scratch: KernelScratch::new(nodes),
-        }
-    }
-}
-
-/// One rank's view of the distributed solve: shared read-only problem
-/// state plus the rank's private buffers.  Implements
-/// [`InnerSolveContext`], so the single-domain iteration strategies run
-/// unchanged against a subdomain whose sweeps are masked to the rank's
-/// cells and whose cross-rank upwind reads come from the lagged halo.
-struct RankContext<'a> {
-    shared: &'a BlockJacobiSolver,
-    rank: usize,
-    /// Inner budget per strategy invocation: 1 for stationary (source)
-    /// iteration — one relaxation sweep per halo exchange, the seed
-    /// schedule — and the problem's full inner budget for the Krylov
-    /// strategies, which solve the local system per halo exchange.
-    inner_budget: usize,
-    state: &'a mut RankState,
-}
-
-impl RankContext<'_> {
-    /// Assemble the rank-local source: fixed + cross-group scattering
-    /// from the outer iterate (+ within-group scattering from the rank's
-    /// current flux unless `external` only).
-    fn assemble_rank_source(&mut self, include_within_group: bool) {
-        let s = self.shared;
-        let ng = s.problem.num_groups;
-        let nodes = s.element.nodes_per_element();
-        let sd = &s.subdomains[self.rank];
-        for (local, &global) in sd.global_cells.iter().enumerate() {
-            let mat = s.data.material(global);
-            let q_fixed = s.data.fixed_source(global);
-            for g in 0..ng {
-                let mut acc = vec![q_fixed; nodes];
-                for g_from in 0..ng {
-                    if g_from == g && !include_within_group {
-                        continue;
-                    }
-                    let sigma_s = s.data.xs.scatter(mat, g_from, g);
-                    if sigma_s == 0.0 {
-                        continue;
-                    }
-                    if g_from == g {
-                        let base = (local * ng + g_from) * nodes;
-                        let phi = &self.state.phi[base..base + nodes];
-                        for (a, &p) in acc.iter_mut().zip(phi.iter()) {
-                            *a += sigma_s * p;
-                        }
-                    } else {
-                        let phi = s.phi_outer.nodes(global, g_from, 0);
-                        for (a, &p) in acc.iter_mut().zip(phi.iter()) {
-                            *a += sigma_s * p;
-                        }
-                    }
-                }
-                let base = (local * ng + g) * nodes;
-                self.state.source[base..base + nodes].copy_from_slice(&acc);
-            }
-        }
-    }
-
-    /// Sweep every angle of the rank's subdomain following its masked
-    /// wavefront schedules, writing ψ into the rank's private buffer and
-    /// accumulating the rank's scalar flux.
-    ///
-    /// Own-rank upwind reads come from the private buffer (the masked
-    /// schedule guarantees they were written earlier in the same sweep);
-    /// cross-rank reads come from the shared previous-iteration halo —
-    /// or from zero when `homogeneous` is set, which is what keeps the
-    /// Krylov operator application linear.
-    fn sweep_rank(&mut self) -> (KernelTiming, u64) {
-        let s = self.shared;
-        let rank = self.rank;
-        let ng = s.problem.num_groups;
-        let nodes = s.element.nodes_per_element();
-        let n_angles = s.quadrature.num_angles();
-        let local_of_cell = &s.local_of_cell[rank];
-        let time_solve = s.problem.time_solve;
-        let psi_base =
-            |local: usize, g: usize, angle: usize| ((local * ng + g) * n_angles + angle) * nodes;
-        let zeros = vec![0.0f64; nodes];
-
-        let state = &mut *self.state;
-        let homogeneous = state.homogeneous;
-        let boundary_scale = if homogeneous { 0.0 } else { 1.0 };
-        let psi = &mut state.psi;
-        let phi = &mut state.phi;
-        let source = &state.source;
-        let scratch = &mut state.scratch;
-
-        let mut timing = KernelTiming::default();
-        let mut count = 0u64;
-
-        for angle in 0..n_angles {
-            let direction = s.quadrature.directions()[angle];
-            let omega = direction.omega;
-            let weight = direction.weight;
-            let schedule = &s.schedules[rank][angle];
-            for bucket in &schedule.buckets {
-                for &e in bucket {
-                    for g in 0..ng {
-                        let ints = &s.integrals[e];
-                        let sigma_t = s.data.xs.total(s.data.material(e), g);
-                        let source_base = (local_of_cell[e] * ng + g) * nodes;
-                        let source_nodes = &source[source_base..source_base + nodes];
-                        let inflow = &schedule.inflow_faces[e];
-                        let mut upwind: Vec<UpwindFace<'_>> = Vec::with_capacity(inflow.len());
-                        for &face in inflow {
-                            let src = match s.mesh.neighbor(e, face) {
-                                NeighborRef::Boundary { domain_face } => UpwindSource::Boundary(
-                                    boundary_scale
-                                        * s.problem.boundaries.face(domain_face).incoming_flux(),
-                                ),
-                                NeighborRef::Interior { cell, face: nf } => {
-                                    // Same rank: current iteration, from
-                                    // the private buffer.  Other rank:
-                                    // lagged halo data — or zero during
-                                    // homogeneous (operator) sweeps.
-                                    let psi_src = if s.owner_of_cell[cell] == rank {
-                                        let b = psi_base(local_of_cell[cell], g, angle);
-                                        &psi[b..b + nodes]
-                                    } else if homogeneous {
-                                        &zeros[..]
-                                    } else {
-                                        s.psi_prev.nodes(cell, g, angle)
-                                    };
-                                    UpwindSource::Interior {
-                                        neighbor_psi: psi_src,
-                                        neighbor_face_nodes: &s.face_nodes[nf],
-                                    }
-                                }
-                            };
-                            upwind.push(UpwindFace { face, source: src });
-                        }
-                        let t = s.engine.assemble_solve(
-                            e,
-                            ints,
-                            omega,
-                            sigma_t,
-                            source_nodes,
-                            &upwind,
-                            s.solver.as_ref(),
-                            time_solve,
-                            scratch,
-                        );
-                        timing.accumulate(t);
-                        count += 1;
-                        let b = psi_base(local_of_cell[e], g, angle);
-                        psi[b..b + nodes].copy_from_slice(&scratch.rhs);
-                        let base = (local_of_cell[e] * ng + g) * nodes;
-                        for (node, &v) in scratch.rhs.iter().enumerate() {
-                            phi[base + node] += weight * v;
-                        }
-                    }
-                }
-            }
-        }
-        (timing, count)
-    }
-}
-
-impl InnerSolveContext for RankContext<'_> {
-    fn inner_iteration_budget(&self) -> usize {
-        self.inner_budget
-    }
-
-    fn convergence_tolerance(&self) -> f64 {
-        self.shared.problem.convergence_tolerance
-    }
-
-    fn gmres_restart(&self) -> usize {
-        self.shared.problem.gmres_restart
-    }
-
-    fn now(&self) -> Duration {
-        self.shared.clock.now()
-    }
-
-    fn compute_source(&mut self) {
-        self.assemble_rank_source(true);
-    }
-
-    fn compute_external_source(&mut self) {
-        self.assemble_rank_source(false);
-    }
-
-    fn set_source_to_within_group_scatter(&mut self, v: &[f64]) {
-        let s = self.shared;
-        let ng = s.problem.num_groups;
-        let nodes = s.element.nodes_per_element();
-        let sd = &s.subdomains[self.rank];
-        debug_assert_eq!(v.len(), self.state.source.len());
-        for (local, &global) in sd.global_cells.iter().enumerate() {
-            let mat = s.data.material(global);
-            for g in 0..ng {
-                let sigma_s = s.data.xs.scatter(mat, g, g);
-                let base = (local * ng + g) * nodes;
-                for (src, &value) in self.state.source[base..base + nodes]
-                    .iter_mut()
-                    .zip(v[base..base + nodes].iter())
-                {
-                    *src = sigma_s * value;
-                }
-            }
-        }
-    }
-
-    fn set_homogeneous_boundaries(&mut self, on: bool) {
-        self.state.homogeneous = on;
-    }
-
-    fn sweep_once(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) {
-        self.state.phi.iter_mut().for_each(|x| *x = 0.0);
-        let phase = Phase::Sweep;
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-        let s = self.shared;
-        let t0 = s.clock.now();
-        let work = self.sweep_rank();
-        let seconds = s.clock.now().saturating_sub(t0).as_secs_f64();
-        // The rank's masked schedules: the bucket events cover exactly
-        // the cells this rank swept.
-        let (schedules, ng) = (&s.schedules[self.rank], s.problem.num_groups);
-        report_sweep(schedules, ng, work, seconds, stats, observer);
-    }
-
-    fn save_phi_inner(&mut self) {
-        let state = &mut *self.state;
-        state.phi_inner.copy_from_slice(&state.phi);
-    }
-
-    fn set_phi(&mut self, v: &[f64]) {
-        self.state.phi.copy_from_slice(v);
-    }
-
-    fn phi_slice(&self) -> &[f64] {
-        &self.state.phi
-    }
-
-    fn phi_inner_slice(&self) -> &[f64] {
-        &self.state.phi_inner
-    }
-
-    fn take_krylov_workspace(&mut self) -> GmresWorkspace {
-        self.state.krylov.take().unwrap_or_default()
-    }
-
-    fn put_krylov_workspace(&mut self, workspace: GmresWorkspace) {
-        self.state.krylov = Some(workspace);
-    }
-
-    fn accelerator(&self) -> unsnap_core::strategy::AcceleratorKind {
-        self.shared.problem.accelerator
-    }
-
-    fn dsa_correct(
-        &mut self,
-        previous: &[f64],
-        stats: &mut RunStats,
-        observer: &mut dyn RunObserver,
-    ) -> Result<()> {
-        let s = self.shared;
-        if self.state.dsa.is_none() {
-            let sd = &s.subdomains[self.rank];
-            // The rank's compact scalar layout: group fastest after the
-            // node block, matching the `(local·ng + g)·nodes` indexing of
-            // the private buffers.
-            let layout = FluxLayout::scalar(
-                s.element.nodes_per_element(),
-                sd.num_cells(),
-                s.problem.num_groups,
-                LoopOrder::ElementThenGroup,
-            );
-            self.state.dsa = Some(unsnap_core::dsa::DsaAccelerator::build(
-                &s.mesh,
-                &sd.global_cells,
-                &s.element,
-                Some(&s.integrals),
-                &s.data,
-                layout,
-                unsnap_accel::DsaConfig {
-                    tolerance: s.problem.accel_cg_tolerance,
-                    max_iterations: s.problem.accel_cg_iterations,
-                },
-            ));
-        }
-        let state = &mut *self.state;
-        let dsa = state.dsa.as_mut().expect("accelerator just built");
-        let phase = Phase::AccelCg;
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-        let t0 = s.clock.now();
-        let result = dsa.correct(&mut state.phi, previous, stats, observer);
-        if result.is_ok() && s.problem.precision == Precision::Mixed {
-            // Mixed mode resolves fluxes at single precision; round the
-            // f64 diffusion correction onto the same grid (mirrors the
-            // single-domain solver's post-correction rounding).
-            for p in &mut state.phi {
-                *p = *p as f32 as f64;
-            }
-        }
-        let seconds = s.clock.now().saturating_sub(t0).as_secs_f64();
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-        result
-    }
-}
-
-/// Block-Jacobi distributed transport solver (simulated ranks).
+/// Block-Jacobi distributed transport solver (simulated ranks): N
+/// [`SweepDomain`]s over one set of [`SharedAssets`], coupled through the
+/// lagged global angular flux.
 pub struct BlockJacobiSolver {
-    problem: Problem,
+    assets: SharedAssets,
     decomposition: Decomposition2D,
-    mesh: UnstructuredMesh,
-    element: ReferenceElement,
-    face_nodes: [Vec<usize>; 6],
-    integrals: Vec<ElementIntegrals>,
-    quadrature: AngularQuadrature,
-    data: ProblemData,
     subdomains: Vec<Subdomain>,
-    owner_of_cell: Vec<usize>,
-    /// `local_of_cell[rank][cell]`: dense per-rank slot of a global cell
-    /// in that rank's private sweep buffer (`usize::MAX` = not owned).
-    local_of_cell: Vec<Vec<usize>>,
-    /// `schedules[rank][angle]`: the masked wavefront schedule.
-    schedules: Vec<Vec<SweepSchedule>>,
-    /// Global angular flux, rebuilt from the rank buffers every halo
+    /// One sweep domain per rank, indexed by rank id.  Each is handed to
+    /// the worker pool by `&mut` every halo iteration.
+    domains: Vec<SweepDomain>,
+    /// Each rank's accumulated work statistics, indexed by rank id.
+    rank_stats: Vec<RunStats>,
+    /// Global angular flux, rebuilt from the rank domains every halo
     /// iteration (the "exchanged" array the next iteration reads).
     psi: FluxStorage,
     psi_prev: FluxStorage,
     phi: FluxStorage,
     phi_outer: FluxStorage,
-    /// Per-rank mutable solve state, moved through the worker pool every
-    /// halo iteration and restored in rank order.
-    ranks: Vec<RankState>,
-    solver: Box<dyn LinearSolver>,
-    /// Per-cell assemble+solve engine (kernel implementation ×
-    /// precision), shared read-only by every rank context; the cache key
-    /// is the *global* cell id so each rank's blocked-kernel geometry
-    /// cache stays coherent across halo iterations.
-    engine: KernelEngine,
     /// Worker pool the rank solves fan out on.
     pool: rayon::ThreadPool,
-    /// Time source for phase spans and per-sweep latency, shared by the
-    /// driver and (read-only) by every rank context on the pool.
-    /// Swappable via [`BlockJacobiSolver::set_clock`]; deterministic
-    /// metrics never read it.
-    clock: Box<dyn Clock>,
     /// Recovered state installed by [`BlockJacobiSolver::resume_from`],
     /// consumed by the next run.
     resume: Option<JacobiResumePoint>,
@@ -686,144 +311,42 @@ impl BlockJacobiSolver {
     /// be built.
     pub fn new(problem: &Problem, decomposition: Decomposition2D) -> Result<Self> {
         problem.validate()?;
-        let mesh = problem.build_mesh();
-        let element = ReferenceElement::new(problem.element_order);
-        let nodes = element.nodes_per_element();
-        let face_nodes: [Vec<usize>; 6] =
-            std::array::from_fn(|f| face_node_indices(FACES[f], problem.element_order));
-        let quadrature = AngularQuadrature::product(problem.angles_per_octant);
-        let grid = problem.grid();
-        let mut data = ProblemData::generate(
-            mesh.num_cells(),
-            |cell| mesh.cell_centroid(cell),
-            [grid.lx, grid.ly, grid.lz],
-            problem.num_groups,
-            problem.material,
-            problem.source,
-        );
-        // The scattering-ratio (and upscatter) overrides must reach the
-        // distributed path too, or the single-domain and block-Jacobi
-        // solvers would solve different physics for the same Problem.
-        if let Some(c) = problem.scattering_ratio {
-            data.xs = match problem.upscatter_ratio {
-                Some(u) => unsnap_core::data::CrossSections::with_upscatter(
-                    problem.num_groups,
-                    data.xs.num_materials(),
-                    c,
-                    u,
-                ),
-                None => unsnap_core::data::CrossSections::with_scattering_ratio(
-                    problem.num_groups,
-                    data.xs.num_materials(),
-                    c,
-                ),
-            };
-        }
-
-        let integrals: Vec<ElementIntegrals> = (0..mesh.num_cells())
-            .map(|cell| {
-                let hex = HexVertices {
-                    corners: *mesh.cell_corners(cell),
-                };
-                ElementIntegrals::compute(&element, &hex)
-            })
-            .collect();
-
-        let subdomains = decomposition.try_decompose(&mesh)?;
-        let mut owner_of_cell = vec![0usize; mesh.num_cells()];
-        for sd in &subdomains {
-            for &g in &sd.global_cells {
-                owner_of_cell[g] = sd.rank;
-            }
-        }
-        let local_of_cell: Vec<Vec<usize>> = subdomains
+        // The parallel axis here is the rank loop (each rank sweeps
+        // inline), so threads beyond the rank count could never receive
+        // work — cap the pool width.
+        let pool = worker_pool(problem, decomposition.num_ranks())?;
+        let assets = SharedAssets::build(problem, &pool);
+        let subdomains = decomposition.try_decompose(&assets.mesh)?;
+        let domains = subdomains
             .iter()
-            .map(|sd| {
-                let mut map = vec![usize::MAX; mesh.num_cells()];
-                for (local, &g) in sd.global_cells.iter().enumerate() {
-                    map[g] = local;
-                }
-                map
-            })
-            .collect();
+            .map(|sd| SweepDomain::new(&assets, &pool, sd.global_cells.clone()))
+            .collect::<Result<Vec<_>>>()?;
 
-        // The only parallel axis here is the rank loop, so threads beyond
-        // the rank count could never receive work — cap the pool width.
-        let num_threads = problem
-            .num_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .min(subdomains.len().max(1));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(num_threads)
-            .build()
-            .map_err(|e| Error::Execution {
-                reason: format!("failed to build thread pool: {e}"),
-            })?;
-
-        // Masked schedules: one per rank per angle.
-        let mut schedules = Vec::with_capacity(subdomains.len());
-        for sd in &subdomains {
-            let owned: Vec<bool> = (0..mesh.num_cells()).map(|c| sd.owns(c)).collect();
-            let mut per_angle = Vec::with_capacity(quadrature.num_angles());
-            for d in quadrature.directions() {
-                let s = SweepSchedule::build_masked(&mesh, d.omega, &owned)
-                    .map_err(|e| Error::schedule(format!("rank {}", sd.rank), e))?;
-                per_angle.push(s);
-            }
-            schedules.push(per_angle);
-        }
-
-        let ranks: Vec<RankState> = subdomains
-            .iter()
-            .map(|sd| {
-                RankState::new(
-                    sd.num_cells(),
-                    problem.num_groups,
-                    quadrature.num_angles(),
-                    nodes,
-                )
-            })
-            .collect();
-
+        let nodes = assets.element.nodes_per_element();
+        let cells = assets.mesh.num_cells();
         let order = problem.scheme.loop_order;
-        let psi_layout = FluxLayout::angular(
-            nodes,
-            mesh.num_cells(),
-            problem.num_groups,
-            quadrature.num_angles(),
-            order,
-        );
-        let scalar_layout = FluxLayout::scalar(nodes, mesh.num_cells(), problem.num_groups, order);
+        let angles = assets.quadrature.num_angles();
+        let psi_layout = FluxLayout::angular(nodes, cells, problem.num_groups, angles, order);
+        let scalar_layout = FluxLayout::scalar(nodes, cells, problem.num_groups, order);
 
         Ok(Self {
-            problem: problem.clone(),
+            rank_stats: vec![RunStats::default(); subdomains.len()],
+            assets,
             decomposition,
-            mesh,
-            element,
-            face_nodes,
-            integrals,
-            quadrature,
-            data,
             subdomains,
-            owner_of_cell,
-            local_of_cell,
-            schedules,
+            domains,
             psi: FluxStorage::zeros(psi_layout),
             psi_prev: FluxStorage::zeros(psi_layout),
             phi: FluxStorage::zeros(scalar_layout),
             phi_outer: FluxStorage::zeros(scalar_layout),
-            ranks,
-            solver: problem.solver.build(),
-            engine: KernelEngine::new(problem.kernel, problem.precision),
             pool,
-            clock: Box::new(SystemClock::new()),
             resume: None,
         })
     }
 
     /// The problem this solver was built for.
     pub fn problem(&self) -> &Problem {
-        &self.problem
+        &self.assets.problem
     }
 
     /// Install recovered state so the next run continues from a
@@ -862,11 +385,11 @@ impl BlockJacobiSolver {
                 ),
             });
         }
-        if point.outer_next > self.problem.outer_iterations {
+        if point.outer_next > self.assets.problem.outer_iterations {
             return Err(Error::Execution {
                 reason: format!(
                     "resume state starts at outer {} but the problem runs only {}",
-                    point.outer_next, self.problem.outer_iterations
+                    point.outer_next, self.assets.problem.outer_iterations
                 ),
             });
         }
@@ -881,7 +404,7 @@ impl BlockJacobiSolver {
     /// single-domain solver instead; here the mock only makes timing
     /// reproducible in the aggregate-count sense.
     pub fn set_clock(&mut self, clock: Box<dyn Clock>) {
-        self.clock = clock;
+        self.assets.clock = clock;
     }
 
     /// The decomposition in use.
@@ -938,7 +461,7 @@ impl BlockJacobiSolver {
     ) -> Result<BlockJacobiOutcome> {
         let (mut outcome, metrics, trace) =
             run_with_telemetry(observer, |tee| self.run_observed_inner(tee, sink))?;
-        let timings = || self.ranks.iter().map(|r| r.stats.kernel_timing);
+        let timings = || self.rank_stats.iter().map(|stats| stats.kernel_timing);
         outcome.metrics = RunMetrics {
             kernel_assemble_seconds: timings().map(|t| t.assemble_ns as f64 * 1e-9).sum(),
             kernel_solve_seconds: timings().map(|t| t.solve_ns as f64 * 1e-9).sum(),
@@ -953,22 +476,12 @@ impl BlockJacobiSolver {
         observer: &mut dyn RunObserver,
         sink: &mut dyn JacobiCheckpointSink,
     ) -> Result<BlockJacobiOutcome> {
-        // A failed iteration consumes the per-rank states (they travel
-        // through the worker pool by value); refuse to "run" the husk
-        // rather than converge instantly on an all-zero flux.
-        if self.ranks.len() != self.subdomains.len() {
-            return Err(Error::Execution {
-                reason: "block-Jacobi solver is not reusable after a failed run; build a new one"
-                    .to_string(),
-            });
-        }
         // Counters and histories are per run (matching TransportSolver,
         // which builds fresh RunStats every run); the flux state and the
         // Krylov workspaces warm-start the next run as before.
-        for rank in &mut self.ranks {
-            rank.stats = RunStats::default();
-        }
-        let kind = self.problem.strategy;
+        self.rank_stats.fill(RunStats::default());
+        let problem = &self.assets.problem;
+        let kind = problem.strategy;
         // Stationary relaxations — source iteration, and DSA-accelerated
         // source iteration (one sweep + one low-order correction) —
         // relax once per halo exchange, preserving the seed's lagged
@@ -984,20 +497,19 @@ impl BlockJacobiSolver {
         // rank's solve.  Both levels exit early at the tolerance.
         let inner_budget = match kind {
             StrategyKind::SourceIteration | StrategyKind::DsaSourceIteration => 1,
-            StrategyKind::SweepGmres => self
-                .problem
+            StrategyKind::SweepGmres => problem
                 .subdomain_krylov_budget
-                .unwrap_or(self.problem.inner_iterations),
+                .unwrap_or(problem.inner_iterations),
         };
+        let (outer_iterations, inner_iterations) =
+            (problem.outer_iterations, problem.inner_iterations);
+        let tolerance = problem.convergence_tolerance;
 
         let mut converged = false;
         let mut iterations_to_tolerance = None;
-        let ng = self.problem.num_groups;
-        let nodes = self.element.nodes_per_element();
-        let n_angles = self.quadrature.num_angles();
 
         // Consume any installed resume point: restore the global flux
-        // arrays, regather each rank's compact local arrays (the exact
+        // arrays, regather each rank domain's local arrays (the exact
         // inverse of the post-solve merge below), seed the per-rank
         // accounting, and replay the saved event prefix into the
         // observer tee so the caller's stream and the internal metrics
@@ -1007,22 +519,9 @@ impl BlockJacobiSolver {
             Some(point) => {
                 self.phi.as_mut_slice().copy_from_slice(&point.phi);
                 self.psi.as_mut_slice().copy_from_slice(&point.psi);
-                for (rank, stats) in point.rank_stats.into_iter().enumerate() {
-                    self.ranks[rank].stats = stats;
-                }
-                for (rank, sd) in self.subdomains.iter().enumerate() {
-                    for (local, &cell) in sd.global_cells.iter().enumerate() {
-                        for g in 0..ng {
-                            for angle in 0..n_angles {
-                                let base = ((local * ng + g) * n_angles + angle) * nodes;
-                                self.ranks[rank].psi[base..base + nodes]
-                                    .copy_from_slice(self.psi.nodes(cell, g, angle));
-                            }
-                            let base = (local * ng + g) * nodes;
-                            self.ranks[rank].phi[base..base + nodes]
-                                .copy_from_slice(self.phi.nodes(cell, g, 0));
-                        }
-                    }
+                self.rank_stats = point.rank_stats;
+                for domain in &mut self.domains {
+                    domain.gather_from(&self.psi, &self.phi);
                 }
                 point.prefix.replay(observer);
                 (
@@ -1035,13 +534,13 @@ impl BlockJacobiSolver {
             None => (Vec::new(), 0usize, 0.0, 0),
         };
 
-        for outer in start_outer..self.problem.outer_iterations {
+        for outer in start_outer..outer_iterations {
             observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
             self.phi_outer
                 .as_mut_slice()
                 .copy_from_slice(self.phi.as_slice());
             let mut outer_converged = false;
-            for _inner in 0..self.problem.inner_iterations {
+            for _inner in 0..inner_iterations {
                 inners_run += 1;
                 let halo_iteration = inners_run - 1;
                 let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
@@ -1052,11 +551,16 @@ impl BlockJacobiSolver {
                 // count and the bytes the exchange publishes.
                 let phase = Phase::HaloExchange;
                 observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-                let halo_t0 = self.clock.now();
+                let halo_t0 = self.assets.clock.now();
                 self.psi_prev
                     .as_mut_slice()
                     .copy_from_slice(self.psi.as_slice());
-                let seconds = self.clock.now().saturating_sub(halo_t0).as_secs_f64();
+                let seconds = self
+                    .assets
+                    .clock
+                    .now()
+                    .saturating_sub(halo_t0)
+                    .as_secs_f64();
                 observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
                 let exchange = SolveEvent::HaloExchange {
                     iteration: halo_iteration,
@@ -1069,66 +573,41 @@ impl BlockJacobiSolver {
                 // Every rank runs its strategy-dispatched inner solve
                 // concurrently on the worker pool.  Nothing a rank reads
                 // is written by another rank within the same iteration:
-                // own cells come from the rank's private buffers, remote
+                // own cells come from the rank's own domain, remote
                 // cells from the shared `psi_prev`.  Results and event
                 // logs come back in rank order (the pool reassembles in
                 // input order), so the outcome and the observer stream
                 // are bit-for-bit independent of the interleaving.
-                let states = std::mem::take(&mut self.ranks);
-                let solves: Vec<Result<(RankState, EventLog, bool)>> = {
-                    let this: &Self = self;
-                    self.pool.install(|| {
-                        states
-                            .into_iter()
-                            .enumerate()
-                            .into_par_iter()
-                            .map(|(rank, mut state)| {
-                                let strategy = kind.build();
-                                let mut log = EventLog::default();
-                                let mut stats = std::mem::take(&mut state.stats);
-                                let solved = strategy.run_inners(
-                                    &mut RankContext {
-                                        shared: this,
-                                        rank,
-                                        inner_budget,
-                                        state: &mut state,
-                                    },
-                                    &mut stats,
-                                    &mut log,
-                                );
-                                state.stats = stats;
-                                solved.map(|rank_converged| (state, log, rank_converged))
-                            })
-                            .collect()
-                    })
-                };
+                let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.psi_prev);
+                let ranks: Vec<_> = self.domains.iter_mut().zip(&mut self.rank_stats).collect();
+                let solves: Result<Vec<(EventLog, bool)>> = self.pool.install(|| {
+                    ranks
+                        .into_par_iter()
+                        .map(|(domain, stats)| {
+                            let mut log = EventLog::default();
+                            let mut context = DomainContext {
+                                assets,
+                                pool: None,
+                                phi_outer,
+                                halo: Some(halo),
+                                domain,
+                                inner_budget,
+                            };
+                            let solved = kind.build().run_inners(&mut context, stats, &mut log);
+                            solved.map(|rank_converged| (log, rank_converged))
+                        })
+                        .collect()
+                });
                 sweep_seconds += t0.elapsed().as_secs_f64();
-
-                // Surface the earliest rank's error; the solver state is
-                // not reusable after a failed iteration.
-                let mut merged = Vec::with_capacity(solves.len());
-                for solved in solves {
-                    merged.push(solved?);
-                }
+                // Surface the earliest rank's error before touching the
+                // global arrays or the observer.
+                let solves = solves?;
 
                 // Merge the rank fluxes into the global arrays and replay
                 // the buffered event streams, both in rank order.
                 self.phi.fill(0.0);
-                for (rank, (state, log, rank_converged)) in merged.iter().enumerate() {
-                    for (local, &cell) in self.subdomains[rank].global_cells.iter().enumerate() {
-                        for g in 0..ng {
-                            for angle in 0..n_angles {
-                                let base = ((local * ng + g) * n_angles + angle) * nodes;
-                                self.psi
-                                    .nodes_mut(cell, g, angle)
-                                    .copy_from_slice(&state.psi[base..base + nodes]);
-                            }
-                            let base = (local * ng + g) * nodes;
-                            self.phi
-                                .nodes_mut(cell, g, 0)
-                                .copy_from_slice(&state.phi[base..base + nodes]);
-                        }
-                    }
+                for (rank, (log, rank_converged)) in solves.into_iter().enumerate() {
+                    self.domains[rank].scatter_into(&mut self.psi, &mut self.phi);
                     let start = SolveEvent::OuterStart {
                         outer: halo_iteration,
                     };
@@ -1136,11 +615,10 @@ impl BlockJacobiSolver {
                     log.replay_as_rank(rank, observer);
                     let end = SolveEvent::OuterEnd {
                         outer: halo_iteration,
-                        converged: *rank_converged,
+                        converged: rank_converged,
                     };
                     observer.on_event(Lane::Rank(rank), &end);
                 }
-                self.ranks = merged.into_iter().map(|(state, _, _)| state).collect();
 
                 let diff = relative_change(self.phi.as_slice(), &phi_old);
                 history.push(diff);
@@ -1151,9 +629,7 @@ impl BlockJacobiSolver {
                         relative_change: diff,
                     },
                 );
-                if self.problem.convergence_tolerance > 0.0
-                    && diff < self.problem.convergence_tolerance
-                {
+                if tolerance > 0.0 && diff < tolerance {
                     converged = true;
                     outer_converged = true;
                     iterations_to_tolerance = Some(inners_run);
@@ -1175,13 +651,19 @@ impl BlockJacobiSolver {
                 convergence_history: &history,
                 phi: self.phi.as_slice(),
                 psi: self.psi.as_slice(),
-                rank_stats: self.ranks.iter().map(|r| &r.stats).collect(),
+                rank_stats: self.rank_stats.iter().collect(),
             })?;
             if converged {
                 break;
             }
         }
 
+        let per_rank = |counter: fn(&RunStats) -> usize| -> Vec<usize> {
+            self.rank_stats.iter().map(counter).collect()
+        };
+        let rank_sweep_counts = per_rank(|stats| stats.sweeps);
+        let rank_krylov_iterations = per_rank(|stats| stats.krylov_iterations);
+        let rank_accel_cg_iterations = per_rank(|stats| stats.accel_cg_iterations);
         Ok(BlockJacobiOutcome {
             num_ranks: self.decomposition.num_ranks(),
             strategy: kind,
@@ -1192,20 +674,12 @@ impl BlockJacobiSolver {
             assemble_solve_seconds: sweep_seconds,
             scalar_flux_total: self.phi.as_slice().iter().sum(),
             halo_faces: self.total_halo_faces(),
-            sweep_count: self.ranks.iter().map(|r| r.stats.sweeps).sum(),
-            krylov_iterations: self.ranks.iter().map(|r| r.stats.krylov_iterations).sum(),
-            accel_cg_iterations: self.ranks.iter().map(|r| r.stats.accel_cg_iterations).sum(),
-            rank_sweep_counts: self.ranks.iter().map(|r| r.stats.sweeps).collect(),
-            rank_krylov_iterations: self
-                .ranks
-                .iter()
-                .map(|r| r.stats.krylov_iterations)
-                .collect(),
-            rank_accel_cg_iterations: self
-                .ranks
-                .iter()
-                .map(|r| r.stats.accel_cg_iterations)
-                .collect(),
+            sweep_count: rank_sweep_counts.iter().sum(),
+            krylov_iterations: rank_krylov_iterations.iter().sum(),
+            accel_cg_iterations: rank_accel_cg_iterations.iter().sum(),
+            rank_sweep_counts,
+            rank_krylov_iterations,
+            rank_accel_cg_iterations,
             metrics: RunMetrics::default(),
             trace: TraceTree::default(),
         })
@@ -1217,6 +691,7 @@ mod tests {
     use super::*;
     use unsnap_core::session::RecordingObserver;
     use unsnap_core::solver::TransportSolver;
+    use unsnap_sweep::ConcurrencyScheme;
 
     fn base_problem() -> Problem {
         let mut p = Problem::tiny();
@@ -1231,24 +706,93 @@ mod tests {
         p
     }
 
+    /// The bit patterns of a scalar flux, visited per (cell, group) node
+    /// block so the storage layout does not matter.
+    fn phi_bits(phi: &FluxStorage) -> Vec<u64> {
+        let layout = *phi.layout();
+        (0..layout.num_elements)
+            .flat_map(|cell| (0..layout.num_groups).map(move |g| (cell, g)))
+            .flat_map(|(cell, g)| phi.nodes(cell, g, 0).iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
     #[test]
-    fn single_rank_matches_full_sweep_solver() {
-        let p = base_problem();
-        let mut jacobi = BlockJacobiSolver::new(&p, Decomposition2D::serial()).unwrap();
-        let jacobi_out = jacobi.run().unwrap();
+    fn single_rank_is_bitwise_the_full_sweep_solver() {
+        // One rank is literally the single-domain case: the same sweep
+        // path over one all-owning domain.  (GMRES is excluded by
+        // design: the block-Jacobi driver runs one subdomain GMRES per
+        // halo exchange, so its sweep count differs.)
+        for strategy in [
+            StrategyKind::SourceIteration,
+            StrategyKind::DsaSourceIteration,
+        ] {
+            for scheme in ConcurrencyScheme::figure_schemes() {
+                let p = base_problem()
+                    .with_strategy(strategy)
+                    .with_scheme(scheme)
+                    .with_threads(2);
+                let mut jacobi = BlockJacobiSolver::new(&p, Decomposition2D::serial()).unwrap();
+                let jacobi_out = jacobi.run().unwrap();
+                let mut full = TransportSolver::new(&p).unwrap();
+                let full_out = full.run().unwrap();
 
-        let mut full = TransportSolver::new(&p).unwrap();
-        let full_out = full.run().unwrap();
+                assert_eq!(
+                    phi_bits(jacobi.scalar_flux()),
+                    phi_bits(full.scalar_flux()),
+                    "{strategy} under {scheme}"
+                );
+                assert_eq!(jacobi_out.sweep_count, full_out.sweep_count);
+                assert_eq!(jacobi_out.metrics.cells_swept, full_out.kernel_invocations);
+                assert_eq!(jacobi_out.halo_faces, 0);
+                assert_eq!(jacobi_out.num_ranks, 1);
+                assert_eq!(jacobi_out.strategy, strategy);
+                assert_eq!(jacobi_out.sweep_count, 3);
+                assert_eq!(jacobi_out.rank_sweep_counts, vec![3]);
+                assert_eq!(jacobi_out.krylov_iterations, 0);
+            }
+        }
+    }
 
-        let rel = (jacobi_out.scalar_flux_total - full_out.scalar_flux_total).abs()
-            / full_out.scalar_flux_total;
-        assert!(rel < 1e-10, "single-rank Jacobi must equal the full sweep");
-        assert_eq!(jacobi_out.halo_faces, 0);
-        assert_eq!(jacobi_out.num_ranks, 1);
-        assert_eq!(jacobi_out.strategy, StrategyKind::SourceIteration);
-        assert_eq!(jacobi_out.sweep_count, 3);
-        assert_eq!(jacobi_out.rank_sweep_counts, vec![3]);
-        assert_eq!(jacobi_out.krylov_iterations, 0);
+    #[test]
+    fn multi_rank_outcome_is_bitwise_scheme_invariant() {
+        // Ranks iterate their buckets as `Problem::scheme` says; like the
+        // single-domain solver, that must only change execution order.
+        let mut p = base_problem();
+        p.num_groups = 2;
+        let mut reference = None;
+        for scheme in ConcurrencyScheme::figure_schemes() {
+            let p = p.clone().with_scheme(scheme).with_threads(2);
+            let mut s = BlockJacobiSolver::new(&p, Decomposition2D::new(2, 2)).unwrap();
+            let out = s.run().unwrap();
+            let history: Vec<u64> = out
+                .convergence_history
+                .iter()
+                .map(|d| d.to_bits())
+                .collect();
+            let facts = (
+                phi_bits(s.scalar_flux()),
+                history,
+                out.rank_sweep_counts,
+                out.metrics.cells_swept,
+            );
+            match &reference {
+                None => reference = Some(facts),
+                Some(r) => assert_eq!(&facts, r, "scheme {scheme}"),
+            }
+        }
+    }
+
+    #[test]
+    fn on_the_fly_integrals_match_precomputed() {
+        // The distributed path honours `Problem::precompute_integrals`
+        // too, and the two settings agree bit for bit.
+        let flux = |precompute: bool| {
+            let p = base_problem().with_precomputed_integrals(precompute);
+            let mut s = BlockJacobiSolver::new(&p, Decomposition2D::new(2, 1)).unwrap();
+            s.run().unwrap();
+            phi_bits(s.scalar_flux())
+        };
+        assert_eq!(flux(true), flux(false));
     }
 
     #[test]

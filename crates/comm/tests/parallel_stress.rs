@@ -1,9 +1,9 @@
 //! Stress tests for the communication layer under the real worker pool.
 //!
 //! Until this PR the `rayon` stand-in ran everything on the calling
-//! thread, so the `crossbeam` channel mailboxes and the `parking_lot`
-//! locks never saw true contention.  These tests hammer both from many
-//! worker threads and repeat randomized-partition block-Jacobi solves,
+//! thread, so the `crossbeam` channel mailboxes and the sweep's locks
+//! never saw true contention.  These tests hammer both from many worker
+//! threads and repeat randomized-partition block-Jacobi solves,
 //! asserting (a) nothing deadlocks — the tests finish — and (b) the
 //! converged physics is invariant across rank counts and thread counts.
 

@@ -1,0 +1,843 @@
+//! The one sweep path: a [`SweepDomain`] and the [`DomainContext`] that
+//! solves on it.
+//!
+//! A DG-Sn sweep is a wavefront-ordered stream of small assemble-and-solve
+//! tasks (§III-A of the paper); §IV-A varies only *how that one stream is
+//! iterated*.  This module spells the stream once:
+//!
+//! * [`SharedAssets`] — everything a solve reads and never writes (mesh,
+//!   element, integrals, quadrature, cross sections, dense back end,
+//!   kernel engine, clock), built by one routine for every driver;
+//! * [`SweepDomain`] — the cells one domain owns, its per-angle masked
+//!   wavefront schedules and its ψ/φ/source buffers over *local* cells;
+//! * [`DomainContext`] — a borrowed view (assets + pool + the global
+//!   previous-outer flux + an optional halo + one domain) carrying the
+//!   only real [`InnerSolveContext`] implementation: one source assembly,
+//!   one sweep, one DSA correction.
+//!
+//! The single-domain `TransportSolver` owns exactly one domain covering
+//! every cell, with no halo; the block-Jacobi driver in `unsnap-comm`
+//! owns one per rank and hands each the lagged global ψ as its halo.
+//! Inside a sweep there is one per-task function (`SweepView::solve`:
+//! gather the upwind ψ, assemble, solve) and one bucket loop driven by an
+//! `IterationSpace` — the Figure 3/4 scheme label as data — so a sweep
+//! optimisation has exactly one place to go.
+
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+use rayon::prelude::*;
+use unsnap_fem::element::ReferenceElement;
+use unsnap_fem::face::{face_node_indices, FACES};
+use unsnap_fem::geometry::HexVertices;
+use unsnap_fem::integrals::ElementIntegrals;
+use unsnap_krylov::GmresWorkspace;
+use unsnap_linalg::LinearSolver;
+use unsnap_mesh::{NeighborRef, UnstructuredMesh, NUM_FACES};
+use unsnap_obs::clock::{Clock, SystemClock};
+use unsnap_sweep::{ConcurrencyScheme, LoopOrder, SweepSchedule, ThreadedLoops};
+
+use crate::angular::AngularQuadrature;
+use crate::data::{CrossSections, ProblemData};
+use crate::dsa::DsaAccelerator;
+use crate::error::{Error, Result};
+use crate::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
+use crate::layout::{FluxLayout, FluxStorage, Precision};
+use crate::problem::Problem;
+use crate::session::{Lane, Phase, RunObserver, SolveEvent};
+use crate::solver::RunStats;
+use crate::strategy::{AcceleratorKind, InnerSolveContext};
+
+/// Build the worker pool a driver fans out on: `Problem::num_threads`
+/// wide (the machine's parallelism when unset), capped at `max_width`.
+pub fn worker_pool(problem: &Problem, max_width: usize) -> Result<rayon::ThreadPool> {
+    let num_threads = problem
+        .num_threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .min(max_width.max(1));
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(num_threads)
+        .build()
+        .map_err(|e| Error::Execution {
+            reason: format!("failed to build thread pool: {e}"),
+        })
+}
+
+/// The read-only half of a solve, shared by every domain of a driver.
+pub struct SharedAssets {
+    /// The problem being solved.
+    pub problem: Problem,
+    /// The (twisted) hexahedral mesh.
+    pub mesh: UnstructuredMesh,
+    /// The reference element of the problem's order.
+    pub element: ReferenceElement,
+    /// Face-local node index lists for the six faces (identical for every
+    /// element of a given order).
+    pub face_nodes: [Vec<usize>; 6],
+    /// Precomputed per-element integrals, indexed by global cell id
+    /// (`None` = compute on the fly, `Problem::precompute_integrals`).
+    pub integrals: Option<Vec<ElementIntegrals>>,
+    /// Wall-clock seconds spent precomputing `integrals`.
+    pub integrals_seconds: f64,
+    /// The angular quadrature.
+    pub quadrature: AngularQuadrature,
+    /// Materials, cross sections and the fixed source, with the
+    /// problem's scattering-ratio/upscatter override applied.
+    pub data: ProblemData,
+    /// Dense solver back end.
+    pub solver: Box<dyn LinearSolver>,
+    /// Per-cell assemble+solve engine (kernel implementation ×
+    /// precision); its cache key is the *global* cell id.
+    pub engine: KernelEngine,
+    /// Time source for phase spans and per-sweep latency.  Swappable, so
+    /// tests inject a mock; deterministic metrics never read it.
+    pub clock: Box<dyn Clock>,
+}
+
+impl SharedAssets {
+    /// Build the assets of a validated `problem`, precomputing the
+    /// per-element integrals on `pool` when the problem asks for them.
+    pub fn build(problem: &Problem, pool: &rayon::ThreadPool) -> Self {
+        let mesh = problem.build_mesh();
+        let element = ReferenceElement::new(problem.element_order);
+        let face_nodes: [Vec<usize>; 6] =
+            std::array::from_fn(|f| face_node_indices(FACES[f], problem.element_order));
+        let quadrature = AngularQuadrature::product(problem.angles_per_octant);
+        let grid = problem.grid();
+        let mut data = ProblemData::generate(
+            mesh.num_cells(),
+            |cell| mesh.cell_centroid(cell),
+            [grid.lx, grid.ly, grid.lz],
+            problem.num_groups,
+            problem.material,
+            problem.source,
+        );
+        if let Some(c) = problem.scattering_ratio {
+            let materials = data.xs.num_materials();
+            data.xs = match problem.upscatter_ratio {
+                Some(u) => CrossSections::with_upscatter(problem.num_groups, materials, c, u),
+                None => CrossSections::with_scattering_ratio(problem.num_groups, materials, c),
+            };
+        }
+
+        // The paper's precomputed basis-pair integrals: embarrassingly
+        // independent per element.
+        let t0 = Instant::now();
+        let integrals = problem.precompute_integrals.then(|| {
+            pool.install(|| {
+                (0..mesh.num_cells())
+                    .into_par_iter()
+                    .map(|cell| {
+                        let hex = HexVertices {
+                            corners: *mesh.cell_corners(cell),
+                        };
+                        ElementIntegrals::compute(&element, &hex)
+                    })
+                    .collect()
+            })
+        });
+        let integrals_seconds = t0.elapsed().as_secs_f64();
+
+        Self {
+            problem: problem.clone(),
+            mesh,
+            element,
+            face_nodes,
+            integrals,
+            integrals_seconds,
+            quadrature,
+            data,
+            solver: problem.solver.build(),
+            engine: KernelEngine::new(problem.kernel, problem.precision),
+            clock: Box::new(SystemClock::new()),
+        }
+    }
+}
+
+/// `local_of_cell` entry of a cell the domain does not own.
+const FOREIGN: usize = usize::MAX;
+
+/// The mutable half of a solve: the cells one domain owns and every
+/// buffer indexed by them.
+///
+/// Buffers are [`FluxStorage`] over *local* cell indices in the problem's
+/// loop order, so a domain's memory is its share of the mesh.  For the
+/// domain that owns every cell, local and global indices coincide and the
+/// buffers *are* the global arrays.
+pub struct SweepDomain {
+    /// Global ids of the owned cells, in local order.
+    cells: Vec<usize>,
+    /// Local slot of every global cell ([`FOREIGN`] when not owned).
+    local_of_cell: Vec<usize>,
+    /// One wavefront schedule per angle, masked to the owned cells.
+    pub(crate) schedules: Vec<SweepSchedule>,
+    /// Angular flux ψ(node, local cell, group, angle).
+    pub(crate) psi: FluxStorage,
+    /// Scalar flux φ(node, local cell, group).
+    pub(crate) phi: FluxStorage,
+    /// Scalar flux at the previous inner iteration.
+    pub(crate) phi_inner: FluxStorage,
+    /// Total source (fixed + scattering), same shape as φ.
+    source: FluxStorage,
+    /// When set, sweeps treat every *affine* inflow — the domain boundary
+    /// and the halo — as vacuum.  The Krylov strategies enable this
+    /// during operator applications: the inflow belongs to the right-hand
+    /// side, and re-injecting it would make the "linear" operator affine.
+    homogeneous: bool,
+    /// Reusable Krylov space, so repeated solves on this domain reuse the
+    /// Arnoldi basis allocation.
+    krylov: Option<GmresWorkspace>,
+    /// Lazily-built DSA accelerator over `cells` (Dirichlet-zero coupling
+    /// at cut faces), materialised by the first correction.
+    dsa: Option<DsaAccelerator>,
+    /// Working storage of the bucket loop, reused across sweeps.
+    buffers: BucketBuffers,
+}
+
+/// Per-bucket working storage that outlives the bucket, so a sweep
+/// allocates nothing per task.
+struct BucketBuffers {
+    /// Kernel scratch of inline (single-worker) regions.
+    scratch: KernelScratch,
+    /// The current bucket's (element, group) tasks, in loop-nest order.
+    tasks: Vec<(usize, usize)>,
+    /// The current bucket's solved ψ node blocks, in task order.
+    results: Vec<f64>,
+}
+
+impl SweepDomain {
+    /// Build the domain owning `cells` (global ids, in local order),
+    /// constructing its masked per-angle schedules on `pool`.
+    pub fn new(assets: &SharedAssets, pool: &rayon::ThreadPool, cells: Vec<usize>) -> Result<Self> {
+        let mesh = &assets.mesh;
+        let mut local_of_cell = vec![FOREIGN; mesh.num_cells()];
+        for (local, &cell) in cells.iter().enumerate() {
+            local_of_cell[cell] = local;
+        }
+        // One wavefront schedule per angle (§III-A.2: potentially unique
+        // per direction on an unstructured mesh).  A mask owning every
+        // cell yields the whole-mesh schedule.
+        let owned: Vec<bool> = local_of_cell.iter().map(|&l| l != FOREIGN).collect();
+        let schedules: Vec<SweepSchedule> = pool.install(|| {
+            assets
+                .quadrature
+                .directions()
+                .par_iter()
+                .map(|d| {
+                    SweepSchedule::build_masked(mesh, d.omega, &owned)
+                        .map_err(|e| Error::schedule(format!("angle {:?}", d.omega), e))
+                })
+                .collect::<Result<Vec<_>>>()
+        })?;
+
+        let problem = &assets.problem;
+        let nodes = assets.element.nodes_per_element();
+        let order = problem.scheme.loop_order;
+        let angular = FluxLayout::angular(
+            nodes,
+            cells.len(),
+            problem.num_groups,
+            assets.quadrature.num_angles(),
+            order,
+        );
+        let scalar = FluxLayout::scalar(nodes, cells.len(), problem.num_groups, order);
+        Ok(Self {
+            cells,
+            local_of_cell,
+            schedules,
+            psi: FluxStorage::zeros(angular),
+            phi: FluxStorage::zeros(scalar),
+            phi_inner: FluxStorage::zeros(scalar),
+            source: FluxStorage::zeros(scalar),
+            homogeneous: false,
+            krylov: None,
+            dsa: None,
+            buffers: BucketBuffers {
+                scratch: KernelScratch::new(nodes),
+                tasks: Vec::new(),
+                results: Vec::new(),
+            },
+        })
+    }
+
+    /// Overwrite this domain's ψ and φ with its cells' blocks of the
+    /// global arrays (the exact inverse of [`SweepDomain::scatter_into`]).
+    pub fn gather_from(&mut self, psi: &FluxStorage, phi: &FluxStorage) {
+        let layout = *self.psi.layout();
+        for (local, &cell) in self.cells.iter().enumerate() {
+            for g in 0..layout.num_groups {
+                self.phi
+                    .nodes_mut(local, g, 0)
+                    .copy_from_slice(phi.nodes(cell, g, 0));
+                for angle in 0..layout.num_angles {
+                    self.psi
+                        .nodes_mut(local, g, angle)
+                        .copy_from_slice(psi.nodes(cell, g, angle));
+                }
+            }
+        }
+    }
+
+    /// Publish this domain's ψ and φ into its cells' blocks of the global
+    /// arrays.
+    pub fn scatter_into(&self, psi: &mut FluxStorage, phi: &mut FluxStorage) {
+        let layout = *self.psi.layout();
+        for (local, &cell) in self.cells.iter().enumerate() {
+            for g in 0..layout.num_groups {
+                phi.nodes_mut(cell, g, 0)
+                    .copy_from_slice(self.phi.nodes(local, g, 0));
+                for angle in 0..layout.num_angles {
+                    psi.nodes_mut(cell, g, angle)
+                        .copy_from_slice(self.psi.nodes(local, g, angle));
+                }
+            }
+        }
+    }
+}
+
+/// How much of a bucket's task list one unit of an [`IterationSpace`]
+/// spans.
+#[derive(Debug, Clone, Copy)]
+enum Extent {
+    /// One (element, group) task.
+    Task,
+    /// All tasks of one outer-loop index (one run of the inner loop).
+    InnerLoop,
+    /// Every task of the bucket.
+    Bucket,
+}
+
+/// A Figure 3/4 scheme label as data: the order a bucket's
+/// element × group tasks are listed in, and how that list is cut into
+/// parallel regions (one fork/join each) and grains (the unit a region
+/// hands to a worker).
+#[derive(Debug, Clone, Copy)]
+struct IterationSpace {
+    order: LoopOrder,
+    region: Extent,
+    grain: Extent,
+    /// Whether small regions steal.  Results land in per-grain slots
+    /// either way, so this is purely a scheduling choice.
+    stealing: bool,
+}
+
+impl IterationSpace {
+    /// The descriptor of an element/group-threaded scheme; `None` for the
+    /// angle-threaded ablation, which does not iterate bucket by bucket.
+    fn new(scheme: ConcurrencyScheme) -> Option<Self> {
+        let (region, grain, stealing) = match scheme.threaded {
+            // collapse(2): one region over all pairs.  Small buckets (the
+            // narrow ends of a wavefront) are where a static split leaves
+            // workers idle behind one slow chunk — steal there.
+            ThreadedLoops::Collapsed => (Extent::Bucket, Extent::Task, true),
+            // One region whose grains keep an outer index on one worker.
+            ThreadedLoops::OuterOnly => (Extent::Bucket, Extent::InnerLoop, false),
+            // One region (one fork) per outer index.
+            ThreadedLoops::InnerOnly => (Extent::InnerLoop, Extent::Task, false),
+            ThreadedLoops::Angles => return None,
+        };
+        Some(Self {
+            order: scheme.loop_order,
+            region,
+            grain,
+            stealing,
+        })
+    }
+
+    /// List `bucket`'s tasks in loop-nest order into `tasks` and return
+    /// the region and grain lengths, in tasks.
+    fn lay_out(
+        &self,
+        bucket: &[usize],
+        num_groups: usize,
+        tasks: &mut Vec<(usize, usize)>,
+    ) -> (usize, usize) {
+        tasks.clear();
+        let inner_len = match self.order {
+            LoopOrder::ElementThenGroup => {
+                tasks.extend(
+                    bucket
+                        .iter()
+                        .flat_map(|&e| (0..num_groups).map(move |g| (e, g))),
+                );
+                num_groups
+            }
+            LoopOrder::GroupThenElement => {
+                tasks.extend((0..num_groups).flat_map(|g| bucket.iter().map(move |&e| (e, g))));
+                bucket.len()
+            }
+        };
+        let len = |extent| match extent {
+            Extent::Task => 1,
+            Extent::InnerLoop => inner_len,
+            Extent::Bucket => tasks.len(),
+        };
+        (len(self.region), len(self.grain))
+    }
+}
+
+/// Everything the tasks of one sweep read.
+struct SweepView<'a> {
+    assets: &'a SharedAssets,
+    pool: Option<&'a rayon::ThreadPool>,
+    local_of_cell: &'a [usize],
+    schedules: &'a [SweepSchedule],
+    source: &'a FluxStorage,
+    /// Lagged ψ of foreign cells, in global indexing.  `None` — no halo,
+    /// or a homogeneous sweep — reads zeros.
+    halo: Option<&'a FluxStorage>,
+    /// Multiplier of the prescribed boundary inflow (0 when homogeneous).
+    boundary_scale: f64,
+    zeros: &'a [f64],
+}
+
+impl SweepView<'_> {
+    /// The one local task of a sweep: gather the upwind ψ of `element`
+    /// for `angle` and `group`, assemble the local system and solve it,
+    /// leaving ψ(element, group, angle) in `scratch.rhs`.
+    ///
+    /// Own-cell upwind ψ is read from angle `psi.1` of `psi.0` (written
+    /// earlier in the same sweep — the masked schedule guarantees it),
+    /// foreign cells from the halo, boundary faces from the scaled inflow.
+    fn solve(
+        &self,
+        angle: usize,
+        psi: (&FluxStorage, usize),
+        (element, group): (usize, usize),
+        scratch: &mut KernelScratch,
+    ) -> KernelTiming {
+        let a = self.assets;
+        let schedule = &self.schedules[angle];
+        let computed;
+        let integrals: &ElementIntegrals = match a.integrals.as_deref() {
+            Some(list) => &list[element],
+            None => {
+                let hex = HexVertices {
+                    corners: *a.mesh.cell_corners(element),
+                };
+                computed = ElementIntegrals::compute(&a.element, &hex);
+                &computed
+            }
+        };
+        let inflow = &schedule.inflow_faces[element];
+        let mut upwind = [UpwindFace {
+            face: 0,
+            source: UpwindSource::Boundary(0.0),
+        }; NUM_FACES];
+        for (slot, &face) in upwind.iter_mut().zip(inflow) {
+            let source = match a.mesh.neighbor(element, face) {
+                NeighborRef::Boundary { domain_face } => UpwindSource::Boundary(
+                    self.boundary_scale * a.problem.boundaries.face(domain_face).incoming_flux(),
+                ),
+                NeighborRef::Interior { cell, face: nf } => UpwindSource::Interior {
+                    neighbor_psi: match (self.local_of_cell[cell], self.halo) {
+                        (FOREIGN, Some(halo)) => halo.nodes(cell, group, angle),
+                        (FOREIGN, None) => self.zeros,
+                        (local, _) => psi.0.nodes(local, group, psi.1),
+                    },
+                    neighbor_face_nodes: &a.face_nodes[nf],
+                },
+            };
+            *slot = UpwindFace { face, source };
+        }
+        a.engine.assemble_solve(
+            element,
+            integrals,
+            schedule.omega,
+            a.data.xs.total(a.data.material(element), group),
+            self.source.nodes(self.local_of_cell[element], group, 0),
+            &upwind[..inflow.len()],
+            a.solver.as_ref(),
+            a.problem.time_solve,
+            scratch,
+        )
+    }
+
+    /// Sweep angle by angle, bucket by bucket, iterating each bucket's
+    /// element × group tasks the way `space` says.
+    fn sweep_buckets(
+        &self,
+        space: IterationSpace,
+        psi: &mut FluxStorage,
+        phi: &mut FluxStorage,
+        buffers: &mut BucketBuffers,
+    ) -> KernelTiming {
+        let ng = self.assets.problem.num_groups;
+        let nodes = self.assets.element.nodes_per_element();
+        let BucketBuffers {
+            scratch,
+            tasks,
+            results,
+        } = buffers;
+        let mut timing = KernelTiming::default();
+        for (angle, schedule) in self.schedules.iter().enumerate() {
+            let weight = self.assets.quadrature.directions()[angle].weight;
+            for bucket in &schedule.buckets {
+                let (region_len, grain_len) = space.lay_out(bucket, ng, tasks);
+                results.resize(tasks.len() * nodes, 0.0);
+                // A bucket's tasks are mutually independent and read only
+                // the ψ of earlier buckets, so each grain solves into its
+                // own slice of `results` while ψ stays shared.
+                let psi_read = (&*psi, angle);
+                let run =
+                    |scratch: &mut KernelScratch, grain: &[(usize, usize)], out: &mut [f64]| {
+                        let mut timing = KernelTiming::default();
+                        for (&task, slot) in grain.iter().zip(out.chunks_mut(nodes)) {
+                            timing.accumulate(self.solve(angle, psi_read, task, scratch));
+                            slot.copy_from_slice(&scratch.rhs);
+                        }
+                        timing
+                    };
+                for (region, out) in tasks
+                    .chunks(region_len)
+                    .zip(results.chunks_mut(region_len * nodes))
+                {
+                    let grains = region
+                        .chunks(grain_len)
+                        .zip(out.chunks_mut(grain_len * nodes));
+                    match self.pool.filter(|_| grains.len() > 1) {
+                        Some(pool) => {
+                            let stealing =
+                                space.stealing && grains.len() < 8 * pool.current_num_threads();
+                            let timings: Vec<KernelTiming> = pool.install(|| {
+                                grains
+                                    .collect::<Vec<_>>()
+                                    .into_par_iter()
+                                    .with_stealing(stealing)
+                                    .map_init(
+                                        || KernelScratch::new(nodes),
+                                        |scratch, (grain, out)| run(scratch, grain, out),
+                                    )
+                                    .collect()
+                            });
+                            timings.into_iter().for_each(|t| timing.accumulate(t));
+                        }
+                        None => grains
+                            .for_each(|(grain, out)| timing.accumulate(run(scratch, grain, out))),
+                    }
+                }
+                // Write-back: store ψ and accumulate the scalar flux.
+                for (&(element, g), values) in tasks.iter().zip(results.chunks(nodes)) {
+                    let local = self.local_of_cell[element];
+                    psi.nodes_mut(local, g, angle).copy_from_slice(values);
+                    for (p, &v) in phi.nodes_mut(local, g, 0).iter_mut().zip(values) {
+                        *p += weight * v;
+                    }
+                }
+            }
+        }
+        timing
+    }
+
+    /// The angle-threaded ablation (§IV-A.3): thread over the angles of
+    /// an octant; every scalar-flux update contends on a single lock,
+    /// the safe-Rust analogue of the OpenMP `atomic`/`critical` update
+    /// the paper shows does not scale.  The reduction order depends on
+    /// the interleaving, so this is the one scheme whose φ is
+    /// reproducible only to floating-point reduction accuracy (ψ, which
+    /// needs no reduction, stays exact).
+    fn sweep_angle_threaded(&self, psi: &mut FluxStorage, phi: &mut FluxStorage) -> KernelTiming {
+        let a = self.assets;
+        let nodes = a.element.nodes_per_element();
+        let phi_layout = *phi.layout();
+        let angle_layout = FluxLayout {
+            num_angles: 1,
+            ..*psi.layout()
+        };
+        let mut timing = KernelTiming::default();
+        for octant in 0..8 {
+            // Deliberately coarse, to model the reduction contention.
+            let phi_acc = Mutex::new(vec![0.0f64; phi_layout.len()]);
+            let sweep_angle = |index_in_octant: usize| {
+                let angle = a.quadrature.angle_index(octant, index_in_octant);
+                let weight = a.quadrature.directions()[angle].weight;
+                let mut psi_angle = FluxStorage::zeros(angle_layout);
+                let mut scratch = KernelScratch::new(nodes);
+                let mut timing = KernelTiming::default();
+                for &element in self.schedules[angle].buckets.iter().flatten() {
+                    let local = self.local_of_cell[element];
+                    for g in 0..phi_layout.num_groups {
+                        let task = (element, g);
+                        timing.accumulate(self.solve(angle, (&psi_angle, 0), task, &mut scratch));
+                        psi_angle
+                            .nodes_mut(local, g, 0)
+                            .copy_from_slice(&scratch.rhs);
+                        let base = phi_layout.base(local, g, 0);
+                        let mut acc = phi_acc.lock().expect("a sweep task panicked");
+                        for (p, &v) in acc[base..base + nodes].iter_mut().zip(&scratch.rhs) {
+                            *p += weight * v;
+                        }
+                    }
+                }
+                (angle, psi_angle, timing)
+            };
+            let angles = 0..a.quadrature.angles_per_octant();
+            let swept: Vec<_> = match self.pool {
+                Some(pool) => pool.install(|| angles.into_par_iter().map(sweep_angle).collect()),
+                None => angles.map(sweep_angle).collect(),
+            };
+            for (angle, psi_angle, t) in swept {
+                for local in 0..phi_layout.num_elements {
+                    for g in 0..phi_layout.num_groups {
+                        psi.nodes_mut(local, g, angle)
+                            .copy_from_slice(psi_angle.nodes(local, g, 0));
+                    }
+                }
+                timing.accumulate(t);
+            }
+            let acc = phi_acc.into_inner().expect("a sweep task panicked");
+            for (p, a) in phi.as_mut_slice().iter_mut().zip(acc) {
+                *p += a;
+            }
+        }
+        timing
+    }
+}
+
+/// One domain mid-outer-iteration, as the iteration strategies see it.
+///
+/// The context is assembled afresh for every strategy invocation from
+/// borrows of its driver's fields, so it costs nothing to build.
+pub struct DomainContext<'a> {
+    /// The read-only half of the solve.
+    pub assets: &'a SharedAssets,
+    /// The pool bucket regions fork on.  `None` sweeps inline on the
+    /// calling thread — what a driver that already runs its domains
+    /// concurrently passes.
+    pub pool: Option<&'a rayon::ThreadPool>,
+    /// The *global* scalar flux at the previous outer iteration (the
+    /// Jacobi group coupling reads it by global cell id).
+    pub phi_outer: &'a FluxStorage,
+    /// The *global* lagged angular flux that cross-domain upwind reads
+    /// come from; `None` for a domain owning every cell.
+    pub halo: Option<&'a FluxStorage>,
+    /// The domain being solved.
+    pub domain: &'a mut SweepDomain,
+    /// Inner iterations per strategy invocation.
+    pub inner_budget: usize,
+}
+
+impl DomainContext<'_> {
+    /// Fixed source plus scattering: cross-group from the previous outer
+    /// iterate (Jacobi group coupling, as in SNAP), within-group from the
+    /// domain's latest φ (the source-iteration lag) unless excluded.
+    fn assemble_source(&mut self, include_within_group: bool) {
+        let data = &self.assets.data;
+        let ng = self.assets.problem.num_groups;
+        let SweepDomain {
+            cells, phi, source, ..
+        } = &mut *self.domain;
+        for (local, &cell) in cells.iter().enumerate() {
+            let mat = data.material(cell);
+            let q_fixed = data.fixed_source(cell);
+            for g in 0..ng {
+                let q = source.nodes_mut(local, g, 0);
+                q.fill(q_fixed);
+                for g_from in 0..ng {
+                    if g_from == g && !include_within_group {
+                        continue;
+                    }
+                    let sigma_s = data.xs.scatter(mat, g_from, g);
+                    if sigma_s == 0.0 {
+                        continue;
+                    }
+                    let phi_from = if g_from == g {
+                        phi.nodes(local, g_from, 0)
+                    } else {
+                        self.phi_outer.nodes(cell, g_from, 0)
+                    };
+                    for (q, &p) in q.iter_mut().zip(phi_from) {
+                        *q += sigma_s * p;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sweep every angle of the domain along its wavefront schedules,
+    /// storing ψ and accumulating φ.
+    fn sweep_all(&mut self) -> KernelTiming {
+        let SweepDomain {
+            local_of_cell,
+            schedules,
+            psi,
+            phi,
+            source,
+            homogeneous,
+            buffers,
+            ..
+        } = &mut *self.domain;
+        let zeros = vec![0.0f64; self.assets.element.nodes_per_element()];
+        let view = SweepView {
+            assets: self.assets,
+            pool: self.pool.filter(|pool| pool.current_num_threads() > 1),
+            local_of_cell,
+            schedules,
+            source,
+            halo: self.halo.filter(|_| !*homogeneous),
+            boundary_scale: if *homogeneous { 0.0 } else { 1.0 },
+            zeros: &zeros,
+        };
+        match IterationSpace::new(self.assets.problem.scheme) {
+            Some(space) => view.sweep_buckets(space, psi, phi, buffers),
+            None => view.sweep_angle_threaded(psi, phi),
+        }
+    }
+}
+
+impl InnerSolveContext for DomainContext<'_> {
+    fn inner_iteration_budget(&self) -> usize {
+        self.inner_budget
+    }
+
+    fn convergence_tolerance(&self) -> f64 {
+        self.assets.problem.convergence_tolerance
+    }
+
+    fn now(&self) -> Duration {
+        self.assets.clock.now()
+    }
+
+    fn gmres_restart(&self) -> usize {
+        self.assets.problem.gmres_restart
+    }
+
+    fn compute_source(&mut self) {
+        self.assemble_source(true);
+    }
+
+    fn compute_external_source(&mut self) {
+        self.assemble_source(false);
+    }
+
+    fn set_source_to_within_group_scatter(&mut self, v: &[f64]) {
+        let data = &self.assets.data;
+        let SweepDomain { cells, source, .. } = &mut *self.domain;
+        let layout = *source.layout();
+        debug_assert_eq!(v.len(), layout.len());
+        for (local, &cell) in cells.iter().enumerate() {
+            let mat = data.material(cell);
+            for g in 0..layout.num_groups {
+                let sigma_s = data.xs.scatter(mat, g, g);
+                let base = layout.base(local, g, 0);
+                let v = &v[base..base + layout.nodes_per_element];
+                for (q, &value) in source.nodes_mut(local, g, 0).iter_mut().zip(v) {
+                    *q = sigma_s * value;
+                }
+            }
+        }
+    }
+
+    fn set_homogeneous_boundaries(&mut self, on: bool) {
+        self.domain.homogeneous = on;
+    }
+
+    fn sweep_once(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) {
+        self.domain.phi.fill(0.0);
+        let phase = Phase::Sweep;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+        let t0 = self.now();
+        let timing = self.sweep_all();
+        let seconds = self.now().saturating_sub(t0).as_secs_f64();
+        // The per-bucket structure events cost no clock reads (the
+        // `MockClock` pinning contract).  Every (element, group) pair of
+        // a bucket is exactly one task in every concurrency scheme, so
+        // the payloads are derived from the schedules in (angle, bucket)
+        // order — identical at every thread count by construction.
+        let ng = self.assets.problem.num_groups;
+        let mut count = 0u64;
+        for (angle, schedule) in self.domain.schedules.iter().enumerate() {
+            for (bucket, cells) in schedule.buckets.iter().enumerate() {
+                let tasks = (cells.len() * ng) as u64;
+                count += tasks;
+                let event = SolveEvent::SweepBucket {
+                    angle,
+                    bucket,
+                    tasks,
+                };
+                observer.on_event(Lane::Driver, &event);
+            }
+        }
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+        stats.sweep_seconds += seconds;
+        stats.kernel_timing.accumulate(timing);
+        stats.kernel_invocations += count;
+        stats.sweeps += 1;
+        let event = SolveEvent::Sweep {
+            sweep: stats.sweeps,
+            cells: count,
+            seconds,
+        };
+        observer.on_event(Lane::Driver, &event);
+    }
+
+    fn save_phi_inner(&mut self) {
+        let SweepDomain { phi, phi_inner, .. } = &mut *self.domain;
+        phi_inner.as_mut_slice().copy_from_slice(phi.as_slice());
+    }
+
+    fn set_phi(&mut self, v: &[f64]) {
+        self.domain.phi.as_mut_slice().copy_from_slice(v);
+    }
+
+    fn phi_slice(&self) -> &[f64] {
+        self.domain.phi.as_slice()
+    }
+
+    fn phi_inner_slice(&self) -> &[f64] {
+        self.domain.phi_inner.as_slice()
+    }
+
+    fn take_krylov_workspace(&mut self) -> GmresWorkspace {
+        self.domain.krylov.take().unwrap_or_default()
+    }
+
+    fn put_krylov_workspace(&mut self, workspace: GmresWorkspace) {
+        self.domain.krylov = Some(workspace);
+    }
+
+    fn accelerator(&self) -> AcceleratorKind {
+        self.assets.problem.accelerator
+    }
+
+    fn dsa_correct(
+        &mut self,
+        previous: &[f64],
+        stats: &mut RunStats,
+        observer: &mut dyn RunObserver,
+    ) -> Result<()> {
+        let a = self.assets;
+        let SweepDomain {
+            cells, phi, dsa, ..
+        } = &mut *self.domain;
+        let dsa = dsa.get_or_insert_with(|| {
+            DsaAccelerator::build(
+                &a.mesh,
+                cells,
+                &a.element,
+                a.integrals.as_deref(),
+                &a.data,
+                *phi.layout(),
+                unsnap_accel::DsaConfig {
+                    tolerance: a.problem.accel_cg_tolerance,
+                    max_iterations: a.problem.accel_cg_iterations,
+                },
+            )
+        });
+        let phase = Phase::AccelCg;
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+        let t0 = a.clock.now();
+        let result = dsa.correct(phi.as_mut_slice(), previous, stats, observer);
+        if result.is_ok() && a.problem.precision == Precision::Mixed {
+            // Mixed mode resolves fluxes at single precision; round the
+            // f64 diffusion correction onto the same grid so the next
+            // sweep's convergence test sees a self-consistent state.
+            for p in phi.as_mut_slice() {
+                *p = *p as f32 as f64;
+            }
+        }
+        let seconds = a.clock.now().saturating_sub(t0).as_secs_f64();
+        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+        result
+    }
+}

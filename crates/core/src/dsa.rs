@@ -20,10 +20,10 @@
 //!   cell (constant prolongation — the exact adjoint of the integral
 //!   restriction for a partition-of-unity basis).
 //!
-//! One accelerator is built lazily per solve context: the single-domain
-//! [`TransportSolver`](crate::solver::TransportSolver) builds one over
-//! the whole mesh; each block-Jacobi rank builds one over its own cells
-//! with Dirichlet-zero coupling at cut faces (see
+//! One accelerator is built lazily per
+//! [`SweepDomain`](crate::domain::SweepDomain): the single-domain
+//! solver's covers the whole mesh; each block-Jacobi rank's covers its
+//! own cells with Dirichlet-zero coupling at cut faces (see
 //! [`DiffusionTopology::from_mesh_subset`](unsnap_accel::DiffusionTopology::from_mesh_subset)).
 //! Everything is sequential, so corrections are bit-for-bit identical at
 //! every thread count.

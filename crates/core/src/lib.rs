@@ -59,8 +59,12 @@
 //! * [`layout`] — flat storage with explicit extent ordering for the
 //!   angular flux, scalar flux and source arrays.
 //! * [`kernel`] — the per-element/angle/group assemble + solve kernel.
-//! * [`solver`] — the sweep driver: inner/outer iteration structure,
-//!   concurrency schemes, timers and convergence monitoring.
+//! * [`domain`] — the one sweep path: a `SweepDomain` (owned cells,
+//!   masked schedules, flux buffers) and the `DomainContext` that
+//!   assembles sources, sweeps and DSA-corrects on it, iterating each
+//!   wavefront bucket as the concurrency scheme's descriptor says.
+//! * [`solver`] — the single-domain driver: outer iteration structure,
+//!   checkpoint hooks, timers and convergence monitoring.
 //! * [`strategy`] — pluggable inner-iteration strategies: classic source
 //!   iteration, DSA-accelerated source iteration and
 //!   sweep-preconditioned GMRES (via `unsnap-krylov`), plus the
@@ -94,6 +98,7 @@ pub mod angular;
 pub mod builder;
 pub mod cancel;
 pub mod data;
+pub mod domain;
 pub mod dsa;
 pub mod error;
 pub mod fd;

@@ -1,5 +1,6 @@
-//! The transport solver: sweep driver, concurrency schemes, iteration
-//! structure and timing.
+//! The single-domain transport solver: outer iteration structure,
+//! checkpoint hooks and timing around the shared sweep path of
+//! [`crate::domain`].
 //!
 //! The solver follows SNAP's iteration structure (which UnSNAP inherits,
 //! §III of the paper):
@@ -7,13 +8,13 @@
 //! * **outer iterations** resolve the group-to-group coupling of the
 //!   scattering source with Jacobi iterations;
 //! * **inner (source) iterations** lag the within-group scattering source;
-//! * each inner iteration performs one full **sweep**: for every octant,
-//!   for every angle in the octant, the wavefront buckets of that angle's
-//!   schedule are processed in order, and inside a bucket the
-//!   element × group work is executed according to the selected
-//!   [`ConcurrencyScheme`](unsnap_sweep::ConcurrencyScheme) (the six
-//!   variants of Figures 3/4 plus the
-//!   angle-threaded ablation of §IV-A.3).
+//! * each inner iteration performs one full **sweep** of the solver's
+//!   one [`SweepDomain`]: for every angle, the wavefront buckets of that
+//!   angle's schedule are processed in order, and inside a bucket the
+//!   element × group work is iterated as the selected
+//!   [`ConcurrencyScheme`](unsnap_sweep::ConcurrencyScheme) says (the six
+//!   variants of Figures 3/4 plus the angle-threaded ablation of
+//!   §IV-A.3).
 //!
 //! The assemble/solve region is timed as a whole (the quantity plotted in
 //! Figures 3 and 4 and tabulated in Table II), and — when
@@ -30,39 +31,24 @@
 
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use unsnap_obs::clock::{Clock, SystemClock};
+use unsnap_mesh::UnstructuredMesh;
+use unsnap_obs::clock::Clock;
 use unsnap_obs::trace::TraceTree;
-
-use unsnap_fem::element::ReferenceElement;
-use unsnap_fem::face::{face_node_indices, FACES};
-use unsnap_fem::geometry::HexVertices;
-use unsnap_fem::integrals::ElementIntegrals;
-use unsnap_linalg::LinearSolver;
-use unsnap_mesh::{NeighborRef, UnstructuredMesh};
-use unsnap_sweep::{LoopOrder, SweepSchedule, ThreadedLoops};
+use unsnap_sweep::SweepSchedule;
 
 use crate::angular::AngularQuadrature;
 use crate::cancel::CancelToken;
-use crate::data::ProblemData;
+use crate::domain::{worker_pool, DomainContext, SharedAssets, SweepDomain};
 use crate::error::{Error, Result};
-use crate::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
-use crate::layout::{FluxLayout, FluxStorage, Precision};
+use crate::kernel::KernelTiming;
+use crate::layout::FluxStorage;
 use crate::metrics::RunMetrics;
 use crate::problem::Problem;
 use crate::session::{
     run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
 };
-
-/// Result of one kernel task (one element × group for one angle).
-struct TaskResult {
-    element: usize,
-    group: usize,
-    psi: Vec<f64>,
-    timing: KernelTiming,
-}
+use crate::strategy::{AcceleratorKind, InnerSolveContext};
 
 /// Summary of a completed transport solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -268,54 +254,19 @@ pub struct ResumePoint {
     pub prefix: EventLog,
 }
 
-/// The UnSNAP transport solver for a single (serial or threaded) domain.
+/// The UnSNAP transport solver for a single (serial or threaded) domain:
+/// the 1-domain case of the shared sweep path in [`crate::domain`].
 pub struct TransportSolver {
-    problem: Problem,
-    mesh: UnstructuredMesh,
-    element: ReferenceElement,
-    /// Face-local node index lists for the six faces (identical for every
-    /// element of a given order).
-    face_nodes: [Vec<usize>; 6],
-    /// Precomputed per-element integrals (`None` = compute on the fly).
-    integrals: Option<Vec<ElementIntegrals>>,
-    quadrature: AngularQuadrature,
-    data: ProblemData,
-    /// One sweep schedule per global angle index.
-    schedules: Vec<SweepSchedule>,
-    /// Angular flux ψ(node, element, group, angle).
-    psi: FluxStorage,
-    /// Scalar flux φ(node, element, group).
-    phi: FluxStorage,
-    /// Scalar flux at the previous inner iteration.
-    phi_inner: FluxStorage,
-    /// Scalar flux at the previous outer iteration.
-    phi_outer: FluxStorage,
-    /// Total source (fixed + scattering), same shape as φ.
-    source: FluxStorage,
-    /// Dense solver back end.
-    solver: Box<dyn LinearSolver>,
+    /// Mesh, element, integrals, quadrature, data, back end, clock.
+    assets: SharedAssets,
     /// Worker pool the sweep fans out on, sized according to
     /// `Problem::num_threads` (a width of 1 runs inline on this thread).
     pool: rayon::ThreadPool,
-    /// When set, sweeps treat every domain boundary as vacuum (zero
-    /// incoming flux) regardless of the problem's boundary conditions.
-    /// The Krylov strategies enable this during operator applications:
-    /// the boundary source is part of the affine right-hand side, and
-    /// including it in `apply` would make the "linear" operator affine.
-    homogeneous_boundaries: bool,
-    /// Reusable Krylov scratch handed to the iteration strategies, so
-    /// repeated outer iterations (and repeated session runs) reuse the
-    /// Arnoldi basis allocation instead of rebuilding it per solve.
-    krylov_workspace: Option<unsnap_krylov::GmresWorkspace>,
-    /// Lazily-built DSA accelerator (whole-mesh low-order diffusion
-    /// operator + CG scratch), shared across iterations and runs.  Only
-    /// materialises when a strategy actually asks for a correction.
-    dsa: Option<crate::dsa::DsaAccelerator>,
-    /// Time source for phase spans and per-sweep latency.  Swappable via
-    /// [`TransportSolver::set_clock`], so tests inject a mock and pin
-    /// the wall-clock metrics exactly; deterministic metrics never read
-    /// it.
-    clock: Box<dyn Clock>,
+    /// The one domain, owning every cell: its ψ/φ buffers *are* the
+    /// global arrays.
+    domain: SweepDomain,
+    /// Scalar flux at the previous outer iteration.
+    phi_outer: FluxStorage,
     /// Optional cooperative cancellation flag, polled at outer-iteration
     /// boundaries (see [`crate::cancel`]).  `None` = never cancellable.
     cancel: Option<CancelToken>,
@@ -329,134 +280,26 @@ pub struct TransportSolver {
     /// Recovered state installed by [`TransportSolver::resume_from`],
     /// consumed by the next run.
     resume: Option<ResumePoint>,
-    /// Per-cell assemble+solve engine: kernel implementation (reference
-    /// scalar vs SoA cache-blocked) × arithmetic precision, resolved
-    /// once from [`Problem::kernel`]/[`Problem::precision`] at build
-    /// time.  `Copy`, so sweep closures capture it by value.
-    engine: KernelEngine,
 }
 
 impl TransportSolver {
     /// Build a solver for the given problem.
     pub fn new(problem: &Problem) -> Result<Self> {
         problem.validate()?;
-        let mesh = problem.build_mesh();
-        let element = ReferenceElement::new(problem.element_order);
-        let nodes = element.nodes_per_element();
-
-        let face_nodes: [Vec<usize>; 6] =
-            std::array::from_fn(|f| face_node_indices(FACES[f], problem.element_order));
-
-        let quadrature = AngularQuadrature::product(problem.angles_per_octant);
-        let grid = problem.grid();
-        let mut data = ProblemData::generate(
-            mesh.num_cells(),
-            |cell| mesh.cell_centroid(cell),
-            [grid.lx, grid.ly, grid.lz],
-            problem.num_groups,
-            problem.material,
-            problem.source,
-        );
-        if let Some(c) = problem.scattering_ratio {
-            data.xs = match problem.upscatter_ratio {
-                Some(u) => crate::data::CrossSections::with_upscatter(
-                    problem.num_groups,
-                    data.xs.num_materials(),
-                    c,
-                    u,
-                ),
-                None => crate::data::CrossSections::with_scattering_ratio(
-                    problem.num_groups,
-                    data.xs.num_materials(),
-                    c,
-                ),
-            };
-        }
-
-        let num_threads = problem
-            .num_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(num_threads)
-            .build()
-            .map_err(|e| Error::Execution {
-                reason: format!("failed to build thread pool: {e}"),
-            })?;
-
-        // Per-element integrals (the paper's precomputed basis-pair
-        // integrals) — built in parallel, they are embarrassingly
-        // independent.
-        let preassembly_start = Instant::now();
-        let integrals = if problem.precompute_integrals {
-            let list: Vec<ElementIntegrals> = pool.install(|| {
-                (0..mesh.num_cells())
-                    .into_par_iter()
-                    .map(|cell| {
-                        let hex = HexVertices {
-                            corners: *mesh.cell_corners(cell),
-                        };
-                        ElementIntegrals::compute(&element, &hex)
-                    })
-                    .collect()
-            });
-            Some(list)
-        } else {
-            None
-        };
-
-        // One wavefront schedule per angle (§III-A.2: potentially unique
-        // per direction on an unstructured mesh).
-        let schedules: Vec<SweepSchedule> = pool.install(|| {
-            quadrature
-                .directions()
-                .par_iter()
-                .map(|d| {
-                    SweepSchedule::build(&mesh, d.omega)
-                        .map_err(|e| Error::schedule(format!("angle {:?}", d.omega), e))
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
-        let preassembly_seconds = preassembly_start.elapsed().as_secs_f64();
-
-        let order = problem.scheme.loop_order;
-        let psi = FluxStorage::zeros(FluxLayout::angular(
-            nodes,
-            mesh.num_cells(),
-            problem.num_groups,
-            quadrature.num_angles(),
-            order,
-        ));
-        let scalar_layout = FluxLayout::scalar(nodes, mesh.num_cells(), problem.num_groups, order);
-        let phi = FluxStorage::zeros(scalar_layout);
-        let phi_inner = FluxStorage::zeros(scalar_layout);
-        let phi_outer = FluxStorage::zeros(scalar_layout);
-        let source = FluxStorage::zeros(scalar_layout);
-
+        let pool = worker_pool(problem, usize::MAX)?;
+        let assets = SharedAssets::build(problem, &pool);
+        let t0 = Instant::now();
+        let domain = SweepDomain::new(&assets, &pool, (0..assets.mesh.num_cells()).collect())?;
+        let preassembly_seconds = assets.integrals_seconds + t0.elapsed().as_secs_f64();
         Ok(Self {
-            problem: problem.clone(),
-            mesh,
-            element,
-            face_nodes,
-            integrals,
-            quadrature,
-            data,
-            schedules,
-            psi,
-            phi,
-            phi_inner,
-            phi_outer,
-            source,
-            solver: problem.solver.build(),
+            phi_outer: FluxStorage::zeros(*domain.phi.layout()),
+            assets,
             pool,
-            homogeneous_boundaries: false,
-            krylov_workspace: None,
-            dsa: None,
-            clock: Box::new(SystemClock::new()),
+            domain,
             cancel: None,
             preassembly_seconds,
             preassembly_reported: false,
             resume: None,
-            engine: KernelEngine::new(problem.kernel, problem.precision),
         })
     }
 
@@ -469,29 +312,29 @@ impl TransportSolver {
     /// corrupt state).  The point is consumed by the next
     /// `run`/`run_observed` call; an untouched solver runs normally.
     pub fn resume_from(&mut self, point: ResumePoint) -> Result<()> {
-        if point.phi.len() != self.phi.as_slice().len() {
+        if point.phi.len() != self.domain.phi.as_slice().len() {
             return Err(Error::Execution {
                 reason: format!(
                     "resume state has {} scalar-flux entries, solver expects {}",
                     point.phi.len(),
-                    self.phi.as_slice().len()
+                    self.domain.phi.as_slice().len()
                 ),
             });
         }
-        if point.psi.len() != self.psi.as_slice().len() {
+        if point.psi.len() != self.domain.psi.as_slice().len() {
             return Err(Error::Execution {
                 reason: format!(
                     "resume state has {} angular-flux entries, solver expects {}",
                     point.psi.len(),
-                    self.psi.as_slice().len()
+                    self.domain.psi.as_slice().len()
                 ),
             });
         }
-        if point.outer_next > self.problem.outer_iterations {
+        if point.outer_next > self.assets.problem.outer_iterations {
             return Err(Error::Execution {
                 reason: format!(
                     "resume state starts at outer {} but the problem runs only {}",
-                    point.outer_next, self.problem.outer_iterations
+                    point.outer_next, self.assets.problem.outer_iterations
                 ),
             });
         }
@@ -506,12 +349,12 @@ impl TransportSolver {
     /// to exact values; deterministic metrics never read the clock and
     /// are unaffected.
     pub fn set_clock(&mut self, clock: Box<dyn Clock>) {
-        self.clock = clock;
+        self.assets.clock = clock;
     }
 
     /// The problem this solver was built for.
     pub fn problem(&self) -> &Problem {
-        &self.problem
+        &self.assets.problem
     }
 
     /// Arm cooperative cancellation: subsequent runs poll `token` at
@@ -533,27 +376,27 @@ impl TransportSolver {
 
     /// The mesh the solver operates on.
     pub fn mesh(&self) -> &UnstructuredMesh {
-        &self.mesh
+        &self.assets.mesh
     }
 
     /// The angular quadrature in use.
     pub fn quadrature(&self) -> &AngularQuadrature {
-        &self.quadrature
+        &self.assets.quadrature
     }
 
     /// The scalar flux after the most recent `run`.
     pub fn scalar_flux(&self) -> &FluxStorage {
-        &self.phi
+        &self.domain.phi
     }
 
     /// The angular flux after the most recent `run`.
     pub fn angular_flux(&self) -> &FluxStorage {
-        &self.psi
+        &self.domain.psi
     }
 
     /// The per-angle sweep schedules.
     pub fn schedules(&self) -> &[SweepSchedule] {
-        &self.schedules
+        &self.domain.schedules
     }
 
     /// Run the full outer/inner iteration structure and return a summary.
@@ -612,8 +455,8 @@ impl TransportSolver {
         let (mut stats, start_outer) = match self.resume.take() {
             Some(point) => {
                 self.preassembly_reported = true;
-                self.phi.as_mut_slice().copy_from_slice(&point.phi);
-                self.psi.as_mut_slice().copy_from_slice(&point.psi);
+                self.domain.phi.as_mut_slice().copy_from_slice(&point.phi);
+                self.domain.psi.as_mut_slice().copy_from_slice(&point.psi);
                 point.prefix.replay(observer);
                 (point.stats, point.outer_next)
             }
@@ -626,10 +469,11 @@ impl TransportSolver {
             let seconds = self.preassembly_seconds;
             observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         }
-        let strategy = self.problem.strategy.build();
+        let outer_iterations = self.assets.problem.outer_iterations;
+        let strategy = self.assets.problem.strategy.build();
         let mut converged = false;
 
-        for outer in start_outer..self.problem.outer_iterations {
+        for outer in start_outer..outer_iterations {
             if let Some(token) = &self.cancel {
                 if token.is_cancelled() {
                     return Err(Error::Cancelled { outer });
@@ -638,8 +482,8 @@ impl TransportSolver {
             observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
             self.phi_outer
                 .as_mut_slice()
-                .copy_from_slice(self.phi.as_slice());
-            let inner_converged = strategy.run_inners(self, &mut stats, observer)?;
+                .copy_from_slice(self.domain.phi.as_slice());
+            let inner_converged = strategy.run_inners(&mut self.context(), &mut stats, observer)?;
             let event = SolveEvent::OuterEnd {
                 outer,
                 converged: inner_converged,
@@ -648,8 +492,8 @@ impl TransportSolver {
             sink.on_checkpoint(&CheckpointView {
                 outer_completed: outer,
                 converged: inner_converged,
-                phi: self.phi.as_slice(),
-                psi: self.psi.as_slice(),
+                phi: self.domain.phi.as_slice(),
+                psi: self.domain.psi.as_slice(),
                 stats: &stats,
             })?;
             if inner_converged {
@@ -658,14 +502,14 @@ impl TransportSolver {
             }
         }
 
-        let phi = self.phi.as_slice();
+        let phi = self.domain.phi.as_slice();
         let scalar_flux_total: f64 = phi.iter().sum();
         let scalar_flux_max = phi.iter().fold(f64::MIN, |m, &x| m.max(x));
         let scalar_flux_min = phi.iter().fold(f64::MAX, |m, &x| m.min(x));
 
         Ok(SolveOutcome {
             inner_iterations: stats.inner_iterations,
-            outer_iterations: self.problem.outer_iterations,
+            outer_iterations,
             sweep_count: stats.sweeps,
             krylov_iterations: stats.krylov_iterations,
             krylov_residual_history: stats.krylov_residual_history,
@@ -685,569 +529,86 @@ impl TransportSolver {
         })
     }
 
-    /// Compute the total source: fixed source plus scattering.
-    ///
-    /// Within-group scattering is taken from the latest scalar flux (the
-    /// source-iteration lag); group-to-group transfer uses the previous
-    /// outer iterate (Jacobi group coupling, as in SNAP).
-    pub fn compute_source(&mut self) {
-        self.assemble_source(true);
-    }
-
-    /// Compute the *external* source only: fixed source plus cross-group
-    /// scattering from the previous outer iterate, with the within-group
-    /// term omitted.  This is the `q_ext` of the within-group linear
-    /// system `(I − D L⁻¹ S_w) φ = D L⁻¹ q_ext` the Krylov strategies
-    /// solve.
-    pub fn compute_external_source(&mut self) {
-        self.assemble_source(false);
-    }
-
-    fn assemble_source(&mut self, include_within_group: bool) {
-        let ng = self.problem.num_groups;
-        let nodes = self.element.nodes_per_element();
-        for element in 0..self.mesh.num_cells() {
-            let mat = self.data.material(element);
-            let q_fixed = self.data.fixed_source(element);
-            for g in 0..ng {
-                let mut acc = vec![q_fixed; nodes];
-                for g_from in 0..ng {
-                    if g_from == g && !include_within_group {
-                        continue;
-                    }
-                    let sigma_s = self.data.xs.scatter(mat, g_from, g);
-                    if sigma_s == 0.0 {
-                        continue;
-                    }
-                    let phi_ref = if g_from == g {
-                        self.phi.nodes(element, g_from, 0)
-                    } else {
-                        self.phi_outer.nodes(element, g_from, 0)
-                    };
-                    for (a, &p) in acc.iter_mut().zip(phi_ref.iter()) {
-                        *a += sigma_s * p;
-                    }
-                }
-                self.source.nodes_mut(element, g, 0).copy_from_slice(&acc);
-            }
+    /// This solver as the 1-domain inner-solve context: every cell owned,
+    /// no halo, sweeps forking on the solver's pool.
+    fn context(&mut self) -> DomainContext<'_> {
+        DomainContext {
+            assets: &self.assets,
+            pool: Some(&self.pool),
+            phi_outer: &self.phi_outer,
+            halo: None,
+            domain: &mut self.domain,
+            inner_budget: self.assets.problem.inner_iterations,
         }
-    }
-
-    /// Overwrite the source with the within-group scatter of an arbitrary
-    /// flux-shaped vector: `q(e, g) = σ_s(g → g) · v(e, g)`.
-    ///
-    /// This is the `S_w v` half of the matrix-free within-group operator;
-    /// the other half is one [`TransportSolver::sweep_once`].
-    pub fn set_source_to_within_group_scatter(&mut self, v: &[f64]) {
-        let ng = self.problem.num_groups;
-        let nodes = self.element.nodes_per_element();
-        let layout = *self.phi.layout();
-        debug_assert_eq!(v.len(), self.phi.as_slice().len());
-        for element in 0..self.mesh.num_cells() {
-            let mat = self.data.material(element);
-            for g in 0..ng {
-                let sigma_s = self.data.xs.scatter(mat, g, g);
-                let base = layout.base(element, g, 0);
-                let src = self.source.nodes_mut(element, g, 0);
-                for (s, &value) in src.iter_mut().zip(v[base..base + nodes].iter()) {
-                    *s = sigma_s * value;
-                }
-            }
-        }
-    }
-
-    /// Zero the scalar flux and run one full sweep of the current source
-    /// (`φ ← D L⁻¹ q`), accounting the work in `stats` and notifying
-    /// `observer` when the sweep completes.
-    pub fn sweep_once(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) {
-        self.phi.fill(0.0);
-        let phase = Phase::Sweep;
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-        let t0 = self.clock.now();
-        let work = self.sweep_all();
-        let seconds = self.clock.now().saturating_sub(t0).as_secs_f64();
-        let ng = self.problem.num_groups;
-        report_sweep(&self.schedules, ng, work, seconds, stats, observer);
-    }
-
-    /// Enable/disable homogeneous (zero-inflow) boundary treatment for
-    /// subsequent sweeps.
-    ///
-    /// Matrix-free iteration strategies must sweep with homogeneous
-    /// boundaries when applying the within-group operator — the
-    /// prescribed incoming flux belongs to the right-hand side, and a
-    /// sweep that re-injects it is affine rather than linear.  Plain
-    /// source iteration never needs this.
-    pub fn set_homogeneous_boundaries(&mut self, on: bool) {
-        self.homogeneous_boundaries = on;
-    }
-
-    /// Snapshot the scalar flux into the previous-inner-iterate buffer.
-    pub fn save_phi_inner(&mut self) {
-        self.phi_inner
-            .as_mut_slice()
-            .copy_from_slice(self.phi.as_slice());
-    }
-
-    /// Overwrite the scalar flux with `v` (flux-shaped, current layout).
-    pub fn set_phi(&mut self, v: &[f64]) {
-        self.phi.as_mut_slice().copy_from_slice(v);
-    }
-
-    /// The scalar flux as a flat slice in the current layout.
-    pub fn phi_slice(&self) -> &[f64] {
-        self.phi.as_slice()
-    }
-
-    /// The previous inner iterate as a flat slice in the current layout.
-    pub fn phi_inner_slice(&self) -> &[f64] {
-        self.phi_inner.as_slice()
-    }
-
-    /// Sweep every octant and every angle, accumulating the scalar flux.
-    fn sweep_all(&mut self) -> (KernelTiming, u64) {
-        let mut timing = KernelTiming::default();
-        let mut count = 0u64;
-        match self.problem.scheme.threaded {
-            ThreadedLoops::Angles => {
-                for octant in 0..8 {
-                    let (t, c) = self.sweep_octant_angle_threaded(octant);
-                    timing.accumulate(t);
-                    count += c;
-                }
-            }
-            _ => {
-                for angle in 0..self.quadrature.num_angles() {
-                    let (t, c) = self.sweep_one_angle(angle);
-                    timing.accumulate(t);
-                    count += c;
-                }
-            }
-        }
-        (timing, count)
-    }
-
-    /// Sweep a single angle following its wavefront schedule, using the
-    /// element/group threading dictated by the concurrency scheme.
-    fn sweep_one_angle(&mut self, angle: usize) -> (KernelTiming, u64) {
-        let direction = self.quadrature.directions()[angle];
-        let omega = direction.omega;
-        let weight = direction.weight;
-        let ng = self.problem.num_groups;
-        let nodes = self.element.nodes_per_element();
-        let scheme = self.problem.scheme;
-        let time_solve = self.problem.time_solve;
-
-        let mut timing = KernelTiming::default();
-        let mut count = 0u64;
-
-        let num_buckets = self.schedules[angle].num_buckets();
-        for bucket_index in 0..num_buckets {
-            // Collect the results of the bucket first (immutable borrows of
-            // psi/source/mesh), then write them back (mutable borrows).
-            let results: Vec<TaskResult> = {
-                let schedule = &self.schedules[angle];
-                let bucket = &schedule.buckets[bucket_index];
-                let mesh = &self.mesh;
-                let element = &self.element;
-                let integrals = self.integrals.as_deref();
-                let data = &self.data;
-                let psi = &self.psi;
-                let source = &self.source;
-                let face_nodes = &self.face_nodes;
-                let boundaries = &self.problem.boundaries;
-                let boundary_scale = if self.homogeneous_boundaries {
-                    0.0
-                } else {
-                    1.0
-                };
-                let solver = self.solver.as_ref();
-                let engine = self.engine;
-
-                let run_task = |scratch: &mut KernelScratch, e: usize, g: usize| -> TaskResult {
-                    let computed;
-                    let ints: &ElementIntegrals = match integrals {
-                        Some(list) => &list[e],
-                        None => {
-                            let hex = HexVertices {
-                                corners: *mesh.cell_corners(e),
-                            };
-                            computed = ElementIntegrals::compute(element, &hex);
-                            &computed
-                        }
-                    };
-                    let sigma_t = data.xs.total(data.material(e), g);
-                    let source_nodes = source.nodes(e, g, 0);
-                    // Upwind faces for this element and direction.
-                    let inflow = &schedule.inflow_faces[e];
-                    let mut upwind: Vec<UpwindFace<'_>> = Vec::with_capacity(inflow.len());
-                    for &face in inflow {
-                        let src = match mesh.neighbor(e, face) {
-                            NeighborRef::Boundary { domain_face } => UpwindSource::Boundary(
-                                boundary_scale * boundaries.face(domain_face).incoming_flux(),
-                            ),
-                            NeighborRef::Interior { cell, face: nf } => UpwindSource::Interior {
-                                neighbor_psi: psi.nodes(cell, g, angle),
-                                neighbor_face_nodes: &face_nodes[nf],
-                            },
-                        };
-                        upwind.push(UpwindFace { face, source: src });
-                    }
-                    let t = engine.assemble_solve(
-                        e,
-                        ints,
-                        omega,
-                        sigma_t,
-                        source_nodes,
-                        &upwind,
-                        solver,
-                        time_solve,
-                        scratch,
-                    );
-                    TaskResult {
-                        element: e,
-                        group: g,
-                        psi: scratch.rhs.clone(),
-                        timing: t,
-                    }
-                };
-
-                match scheme.threaded {
-                    ThreadedLoops::Collapsed => {
-                        // Flattened element × group iteration space, in the
-                        // lexicographic order of the selected loop nest.
-                        let pairs: Vec<(usize, usize)> = match scheme.loop_order {
-                            LoopOrder::ElementThenGroup => bucket
-                                .iter()
-                                .flat_map(|&e| (0..ng).map(move |g| (e, g)))
-                                .collect(),
-                            LoopOrder::GroupThenElement => (0..ng)
-                                .flat_map(|g| bucket.iter().map(move |&e| (e, g)))
-                                .collect(),
-                        };
-                        // Small buckets (the narrow ends of a wavefront)
-                        // are where a static split leaves workers idle
-                        // behind one slow chunk — steal there.  Results
-                        // land in per-index slots either way, so the
-                        // outputs (and thus the physics) are identical
-                        // bit for bit; the flag is purely a scheduling
-                        // choice.
-                        let stealing = pairs.len() < 8 * self.pool.current_num_threads();
-                        self.pool.install(|| {
-                            pairs
-                                .par_iter()
-                                .with_stealing(stealing)
-                                .map_init(
-                                    || KernelScratch::new(nodes),
-                                    |scratch, &(e, g)| run_task(scratch, e, g),
-                                )
-                                .collect()
-                        })
-                    }
-                    ThreadedLoops::OuterOnly => match scheme.loop_order {
-                        LoopOrder::ElementThenGroup => self.pool.install(|| {
-                            bucket
-                                .par_iter()
-                                .map_init(
-                                    || KernelScratch::new(nodes),
-                                    |scratch, &e| {
-                                        (0..ng).map(|g| run_task(scratch, e, g)).collect::<Vec<_>>()
-                                    },
-                                )
-                                .flatten()
-                                .collect()
-                        }),
-                        LoopOrder::GroupThenElement => self.pool.install(|| {
-                            (0..ng)
-                                .into_par_iter()
-                                .map_init(
-                                    || KernelScratch::new(nodes),
-                                    |scratch, g| {
-                                        bucket
-                                            .iter()
-                                            .map(|&e| run_task(scratch, e, g))
-                                            .collect::<Vec<_>>()
-                                    },
-                                )
-                                .flatten()
-                                .collect()
-                        }),
-                    },
-                    ThreadedLoops::InnerOnly => {
-                        let mut out = Vec::with_capacity(bucket.len() * ng);
-                        match scheme.loop_order {
-                            LoopOrder::ElementThenGroup => {
-                                for &e in bucket.iter() {
-                                    let inner: Vec<TaskResult> = self.pool.install(|| {
-                                        (0..ng)
-                                            .into_par_iter()
-                                            .map_init(
-                                                || KernelScratch::new(nodes),
-                                                |scratch, g| run_task(scratch, e, g),
-                                            )
-                                            .collect()
-                                    });
-                                    out.extend(inner);
-                                }
-                            }
-                            LoopOrder::GroupThenElement => {
-                                for g in 0..ng {
-                                    let inner: Vec<TaskResult> = self.pool.install(|| {
-                                        bucket
-                                            .par_iter()
-                                            .map_init(
-                                                || KernelScratch::new(nodes),
-                                                |scratch, &e| run_task(scratch, e, g),
-                                            )
-                                            .collect()
-                                    });
-                                    out.extend(inner);
-                                }
-                            }
-                        }
-                        out
-                    }
-                    ThreadedLoops::Angles => unreachable!("handled by sweep_octant_angle_threaded"),
-                }
-            };
-
-            // Write-back: store ψ and accumulate the scalar flux.
-            for r in &results {
-                self.psi
-                    .nodes_mut(r.element, r.group, angle)
-                    .copy_from_slice(&r.psi);
-                let phi = self.phi.nodes_mut(r.element, r.group, 0);
-                for (p, &v) in phi.iter_mut().zip(r.psi.iter()) {
-                    *p += weight * v;
-                }
-                timing.accumulate(r.timing);
-                count += 1;
-            }
-        }
-
-        (timing, count)
-    }
-
-    /// The angle-threaded ablation (§IV-A.3): thread over the angles of an
-    /// octant; every scalar-flux update contends on a single lock, which is
-    /// the safe-Rust analogue of the OpenMP `atomic`/`critical` update the
-    /// paper shows does not scale.  Now that the pool is real this lock is
-    /// *genuinely* contended, and the scalar-flux reduction order depends
-    /// on the interleaving — this is the one scheme whose flux is only
-    /// reproducible to floating-point reduction accuracy, not bitwise
-    /// (the angular flux, which needs no reduction, stays exact).
-    fn sweep_octant_angle_threaded(&mut self, octant: usize) -> (KernelTiming, u64) {
-        let ng = self.problem.num_groups;
-        let nodes = self.element.nodes_per_element();
-        let ne = self.mesh.num_cells();
-        let time_solve = self.problem.time_solve;
-        let n_angles = self.quadrature.angles_per_octant();
-
-        // Shared scalar-flux accumulator guarded by one lock (deliberately
-        // coarse to model the reduction contention).
-        let phi_acc = Mutex::new(vec![0.0f64; self.phi.as_slice().len()]);
-        let phi_layout = *self.phi.layout();
-
-        let per_angle: Vec<(usize, Vec<f64>, KernelTiming, u64)> = {
-            let mesh = &self.mesh;
-            let element = &self.element;
-            let integrals = self.integrals.as_deref();
-            let data = &self.data;
-            let source = &self.source;
-            let face_nodes = &self.face_nodes;
-            let boundaries = &self.problem.boundaries;
-            let boundary_scale = if self.homogeneous_boundaries {
-                0.0
-            } else {
-                1.0
-            };
-            let solver = self.solver.as_ref();
-            let engine = self.engine;
-            let quadrature = &self.quadrature;
-            let schedules = &self.schedules;
-            let phi_acc = &phi_acc;
-
-            self.pool.install(|| {
-                (0..n_angles)
-                    .into_par_iter()
-                    .map(|index_in_octant| {
-                        let angle = quadrature.angle_index(octant, index_in_octant);
-                        let direction = quadrature.directions()[angle];
-                        let omega = direction.omega;
-                        let weight = direction.weight;
-                        let schedule = &schedules[angle];
-                        // Local angular flux for this angle only
-                        // (element × group × node, element-then-group order).
-                        let mut psi_local = vec![0.0f64; ne * ng * nodes];
-                        let psi_base = |e: usize, g: usize| (e * ng + g) * nodes;
-                        let mut scratch = KernelScratch::new(nodes);
-                        let mut timing = KernelTiming::default();
-                        let mut count = 0u64;
-
-                        for bucket in &schedule.buckets {
-                            for &e in bucket {
-                                for g in 0..ng {
-                                    let computed;
-                                    let ints: &ElementIntegrals = match integrals {
-                                        Some(list) => &list[e],
-                                        None => {
-                                            let hex = HexVertices {
-                                                corners: *mesh.cell_corners(e),
-                                            };
-                                            computed = ElementIntegrals::compute(element, &hex);
-                                            &computed
-                                        }
-                                    };
-                                    let sigma_t = data.xs.total(data.material(e), g);
-                                    let source_nodes = source.nodes(e, g, 0);
-                                    let inflow = &schedule.inflow_faces[e];
-                                    let mut upwind: Vec<UpwindFace<'_>> =
-                                        Vec::with_capacity(inflow.len());
-                                    for &face in inflow {
-                                        let src = match mesh.neighbor(e, face) {
-                                            NeighborRef::Boundary { domain_face } => {
-                                                UpwindSource::Boundary(
-                                                    boundary_scale
-                                                        * boundaries
-                                                            .face(domain_face)
-                                                            .incoming_flux(),
-                                                )
-                                            }
-                                            NeighborRef::Interior { cell, face: nf } => {
-                                                let b = psi_base(cell, g);
-                                                UpwindSource::Interior {
-                                                    neighbor_psi: &psi_local[b..b + nodes],
-                                                    neighbor_face_nodes: &face_nodes[nf],
-                                                }
-                                            }
-                                        };
-                                        upwind.push(UpwindFace { face, source: src });
-                                    }
-                                    let t = engine.assemble_solve(
-                                        e,
-                                        ints,
-                                        omega,
-                                        sigma_t,
-                                        source_nodes,
-                                        &upwind,
-                                        solver,
-                                        time_solve,
-                                        &mut scratch,
-                                    );
-                                    timing.accumulate(t);
-                                    count += 1;
-                                    let b = psi_base(e, g);
-                                    psi_local[b..b + nodes].copy_from_slice(&scratch.rhs);
-                                    // Contended scalar-flux reduction.
-                                    {
-                                        let mut phi = phi_acc.lock();
-                                        let base = phi_layout.base(e, g, 0);
-                                        for (node, &v) in scratch.rhs.iter().enumerate() {
-                                            phi[base + node] += weight * v;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        (angle, psi_local, timing, count)
-                    })
-                    .collect()
-            })
-        };
-
-        // Write ψ back into the global storage and fold the accumulator
-        // into the scalar flux.
-        let mut timing = KernelTiming::default();
-        let mut count = 0u64;
-        for (angle, psi_local, t, c) in per_angle {
-            for e in 0..ne {
-                for g in 0..ng {
-                    let b = (e * ng + g) * nodes;
-                    self.psi
-                        .nodes_mut(e, g, angle)
-                        .copy_from_slice(&psi_local[b..b + nodes]);
-                }
-            }
-            timing.accumulate(t);
-            count += c;
-        }
-        let acc = phi_acc.into_inner();
-        for (p, a) in self.phi.as_mut_slice().iter_mut().zip(acc.iter()) {
-            *p += a;
-        }
-        (timing, count)
     }
 }
 
-/// The single-domain solver *is* an inner-solve context: the iteration
-/// strategies drive it directly, and the distributed block-Jacobi driver
-/// in `unsnap-comm` runs the very same strategy objects against its
-/// per-rank subdomain contexts.  Every method delegates to the inherent
-/// implementation above, so this impl changes nothing about the seed
-/// iteration path.
-impl crate::strategy::InnerSolveContext for TransportSolver {
+/// The solver as an inner-solve context, for callers that drive a solve
+/// by hand: every method forwards to the solver's [`DomainContext`], the
+/// one real implementation.
+impl InnerSolveContext for TransportSolver {
     fn inner_iteration_budget(&self) -> usize {
-        self.problem.inner_iterations
+        self.assets.problem.inner_iterations
     }
 
     fn convergence_tolerance(&self) -> f64 {
-        self.problem.convergence_tolerance
+        self.assets.problem.convergence_tolerance
     }
 
     fn now(&self) -> Duration {
-        self.clock.now()
+        self.assets.clock.now()
     }
 
     fn gmres_restart(&self) -> usize {
-        self.problem.gmres_restart
+        self.assets.problem.gmres_restart
     }
 
     fn compute_source(&mut self) {
-        TransportSolver::compute_source(self);
+        self.context().compute_source();
     }
 
     fn compute_external_source(&mut self) {
-        TransportSolver::compute_external_source(self);
+        self.context().compute_external_source();
     }
 
     fn set_source_to_within_group_scatter(&mut self, v: &[f64]) {
-        TransportSolver::set_source_to_within_group_scatter(self, v);
+        self.context().set_source_to_within_group_scatter(v);
     }
 
     fn set_homogeneous_boundaries(&mut self, on: bool) {
-        TransportSolver::set_homogeneous_boundaries(self, on);
+        self.context().set_homogeneous_boundaries(on);
     }
 
     fn sweep_once(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) {
-        TransportSolver::sweep_once(self, stats, observer);
+        self.context().sweep_once(stats, observer);
     }
 
     fn save_phi_inner(&mut self) {
-        TransportSolver::save_phi_inner(self);
+        self.context().save_phi_inner();
     }
 
     fn set_phi(&mut self, v: &[f64]) {
-        TransportSolver::set_phi(self, v);
+        self.context().set_phi(v);
     }
 
     fn phi_slice(&self) -> &[f64] {
-        TransportSolver::phi_slice(self)
+        self.domain.phi.as_slice()
     }
 
     fn phi_inner_slice(&self) -> &[f64] {
-        TransportSolver::phi_inner_slice(self)
+        self.domain.phi_inner.as_slice()
     }
 
     fn take_krylov_workspace(&mut self) -> unsnap_krylov::GmresWorkspace {
-        self.krylov_workspace.take().unwrap_or_default()
+        self.context().take_krylov_workspace()
     }
 
     fn put_krylov_workspace(&mut self, workspace: unsnap_krylov::GmresWorkspace) {
-        self.krylov_workspace = Some(workspace);
+        self.context().put_krylov_workspace(workspace);
     }
 
-    fn accelerator(&self) -> crate::strategy::AcceleratorKind {
-        self.problem.accelerator
+    fn accelerator(&self) -> AcceleratorKind {
+        self.assets.problem.accelerator
     }
 
     fn dsa_correct(
@@ -1256,85 +617,8 @@ impl crate::strategy::InnerSolveContext for TransportSolver {
         stats: &mut RunStats,
         observer: &mut dyn RunObserver,
     ) -> Result<()> {
-        if self.dsa.is_none() {
-            let cells: Vec<usize> = (0..self.mesh.num_cells()).collect();
-            self.dsa = Some(crate::dsa::DsaAccelerator::build(
-                &self.mesh,
-                &cells,
-                &self.element,
-                self.integrals.as_deref(),
-                &self.data,
-                *self.phi.layout(),
-                unsnap_accel::DsaConfig {
-                    tolerance: self.problem.accel_cg_tolerance,
-                    max_iterations: self.problem.accel_cg_iterations,
-                },
-            ));
-        }
-        let dsa = self.dsa.as_mut().expect("accelerator just built");
-        let phase = Phase::AccelCg;
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-        let t0 = self.clock.now();
-        let result = dsa.correct(self.phi.as_mut_slice(), previous, stats, observer);
-        if result.is_ok() && self.problem.precision == Precision::Mixed {
-            // Mixed mode resolves fluxes at single precision; round the
-            // f64 diffusion correction onto the same grid so the next
-            // sweep's convergence test sees a self-consistent state.
-            for p in self.phi.as_mut_slice() {
-                *p = *p as f32 as f64;
-            }
-        }
-        let seconds = self.clock.now().saturating_sub(t0).as_secs_f64();
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-        result
+        self.context().dsa_correct(previous, stats, observer)
     }
-}
-
-/// Close the [`Phase::Sweep`] span of a sweep that just ran over
-/// `schedules` (one per angle) and account it: the per-bucket structure
-/// events, the span's end, the `stats` totals and the sweep event.
-/// Shared by the single-domain solver and the block-Jacobi rank
-/// contexts, whose streams must agree event for event.
-///
-/// The bucket events cost no clock reads (the `MockClock` pinning
-/// contract).  Every (element, group) pair of a bucket is exactly one
-/// kernel task in every concurrency scheme, so the payloads are derived
-/// from the schedules in (angle, bucket) order — identical at every
-/// thread count by construction.
-pub fn report_sweep(
-    schedules: &[SweepSchedule],
-    num_groups: usize,
-    (timing, count): (KernelTiming, u64),
-    seconds: f64,
-    stats: &mut RunStats,
-    observer: &mut dyn RunObserver,
-) {
-    let mut bucket_tasks = 0u64;
-    for (angle, schedule) in schedules.iter().enumerate() {
-        for (bucket, cells) in schedule.buckets.iter().enumerate() {
-            let tasks = (cells.len() * num_groups) as u64;
-            bucket_tasks += tasks;
-            let event = SolveEvent::SweepBucket {
-                angle,
-                bucket,
-                tasks,
-            };
-            observer.on_event(Lane::Driver, &event);
-        }
-    }
-    debug_assert_eq!(bucket_tasks, count);
-    let phase = Phase::Sweep;
-    observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-    stats.sweep_seconds += seconds;
-    stats.kernel_timing.accumulate(timing);
-    stats.kernel_invocations += count;
-    stats.sweeps += 1;
-    let event = SolveEvent::Sweep {
-        sweep: stats.sweeps,
-        cells: count,
-        seconds,
-    };
-    observer.on_event(Lane::Driver, &event);
 }
 
 /// Maximum relative pointwise change between two flux arrays — the
@@ -1517,17 +801,13 @@ mod tests {
 
     #[test]
     fn on_the_fly_integrals_match_precomputed() {
-        let pre = {
-            let mut s =
-                TransportSolver::new(&Problem::tiny().with_precomputed_integrals(true)).unwrap();
-            s.run().unwrap().scalar_flux_total
+        let flux = |precompute: bool| {
+            let p = Problem::tiny().with_precomputed_integrals(precompute);
+            let mut s = TransportSolver::new(&p).unwrap();
+            s.run().unwrap();
+            s.scalar_flux().as_slice().to_vec()
         };
-        let fly = {
-            let mut s =
-                TransportSolver::new(&Problem::tiny().with_precomputed_integrals(false)).unwrap();
-            s.run().unwrap().scalar_flux_total
-        };
-        assert!((pre - fly).abs() < 1e-9 * pre.abs());
+        assert_eq!(flux(true), flux(false));
     }
 
     #[test]

@@ -33,12 +33,13 @@
 //! over groups, so a single Krylov space over the full scalar-flux vector
 //! solves every group's within-group equation simultaneously.
 //!
-//! Strategies do not touch the solver type directly: they drive the
-//! [`InnerSolveContext`] trait, which both the single-domain
-//! [`TransportSolver`](crate::solver::TransportSolver) and the per-rank
-//! subdomain contexts of the distributed block-Jacobi driver
-//! (`unsnap-comm`) implement — the same SI/GMRES objects therefore run
-//! whole-domain and rank-decomposed solves alike.
+//! Strategies do not touch a solver type directly: they drive the
+//! [`InnerSolveContext`] trait, whose one real implementation is the
+//! [`DomainContext`](crate::domain::DomainContext) both the single-domain
+//! [`TransportSolver`](crate::solver::TransportSolver) and the
+//! distributed block-Jacobi driver (`unsnap-comm`) build over their
+//! sweep domains — the same SI/GMRES objects therefore run whole-domain
+//! and rank-decomposed solves alike.
 
 use std::time::Duration;
 
@@ -172,14 +173,14 @@ impl std::str::FromStr for AcceleratorKind {
 /// assembly, one-sweep preconditioner applications, and the scalar-flux
 /// state vector.
 ///
-/// Two implementations exist: the single-domain
-/// [`TransportSolver`](crate::solver::TransportSolver) (the seed path,
-/// bit-for-bit unchanged), and the per-rank subdomain context of the
-/// distributed block-Jacobi driver in `unsnap-comm`, whose sweeps are
-/// masked to the rank's cells and read cross-rank upwind data from the
-/// lagged halo.  Both run the *same* strategy objects, so SI and
-/// sweep-preconditioned GMRES behave identically whether the domain is
-/// whole or decomposed.
+/// The one real implementation is
+/// [`DomainContext`](crate::domain::DomainContext): a sweep domain's
+/// cells (the whole mesh for the single-domain solver, a rank's share
+/// under the block-Jacobi driver in `unsnap-comm`, whose sweeps are
+/// masked to those cells and read cross-rank upwind data from the lagged
+/// halo).  [`TransportSolver`](crate::solver::TransportSolver) forwards
+/// to it method by method.  SI and sweep-preconditioned GMRES therefore
+/// behave identically whether the domain is whole or decomposed.
 pub trait InnerSolveContext {
     /// Maximum inner iterations (sweeps or Krylov steps) per invocation.
     fn inner_iteration_budget(&self) -> usize;
@@ -269,10 +270,9 @@ pub trait InnerSolveContext {
     /// `previous` is the iterate the sweep started from — flux-shaped,
     /// in the context's own layout.  CG work is accounted in `stats` and
     /// residuals stream as [`SolveEvent::AccelResidual`].
-    /// Contexts that own mesh and material data override this (both the
-    /// single-domain solver and the block-Jacobi rank contexts do,
-    /// building their accelerator lazily on first use); the default
-    /// reports an unsupported-context execution error.
+    /// Contexts that own mesh and material data override this (the
+    /// domain context does, building its accelerator lazily on first
+    /// use); the default reports an unsupported-context execution error.
     fn dsa_correct(
         &mut self,
         previous: &[f64],
