@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `--quick` shrinks the problem for CI smoke runs; `--json` emits one
-//! `BlockJacobiOutcome::to_json()` dump per (strategy, decomposition)
+//! `SolveOutcome::to_json()` dump per (strategy, decomposition)
 //! cell, ready for plotting tools.
 //!
 //! Environment knobs (parsed via `FromStr`): `UNSNAP_SOLVER`,
@@ -28,19 +28,16 @@
 use unsnap_bench::{
     effective_threads, emit_metrics_record, env_parse, time_it, HarnessOptions, MetricsRecord,
 };
-use unsnap_comm::{BlockJacobiOutcome, BlockJacobiSolver};
+use unsnap_comm::BlockJacobiSolver;
 use unsnap_core::json::{array_raw, JsonObject};
 use unsnap_core::problem::Problem;
 use unsnap_core::report::iteration_summary;
 use unsnap_core::session::ProgressObserver;
+use unsnap_core::solver::SolveOutcome;
 use unsnap_core::strategy::StrategyKind;
 use unsnap_mesh::Decomposition2D;
 
-fn run_cell(
-    problem: &Problem,
-    decomp: Decomposition2D,
-    progress: bool,
-) -> (BlockJacobiOutcome, f64) {
+fn run_cell(problem: &Problem, decomp: Decomposition2D, progress: bool) -> (SolveOutcome, f64) {
     let mut solver = BlockJacobiSolver::new(problem, decomp).expect("decomposition fits");
     let (outcome, seconds) = if progress {
         eprintln!(
@@ -141,7 +138,7 @@ fn main() {
                 println!(
                     "{},{},{},{},{},{},{:.6e},{:.4}",
                     strategy.label(),
-                    outcome.num_ranks,
+                    decomp.num_ranks(),
                     outcome.inner_iterations,
                     outcome.converged,
                     outcome.sweep_count,
@@ -154,7 +151,7 @@ fn main() {
                 println!(
                     "{:>8} {:>6} {:>9}{} {:>12} {:>10} {:>16.6e} {:>9.3}",
                     strategy.label(),
-                    outcome.num_ranks,
+                    decomp.num_ranks(),
                     outcome.inner_iterations,
                     mark,
                     outcome.sweep_count,

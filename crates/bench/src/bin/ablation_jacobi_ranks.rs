@@ -68,28 +68,29 @@ fn main() {
         let local_stages =
             (problem.nx / decomp.npx + problem.ny / decomp.npy + problem.nz).saturating_sub(2);
         let kba = KbaModel::evaluate(decomp.npx, decomp.npy, local_stages.max(1));
-        let iterations = outcome
+        let ranks = outcome.ranks.as_ref().expect("block-Jacobi outcome");
+        let iterations = ranks
             .iterations_to_tolerance
             .map(|i| i.to_string())
             .unwrap_or_else(|| format!(">{}", problem.inner_iterations));
         if opts.csv {
             println!(
                 "{},{},{},{:.6e},{:.4}",
-                outcome.num_ranks,
+                ranks.num_ranks,
                 iterations,
-                outcome.halo_faces,
+                ranks.halo_faces,
                 outcome.scalar_flux_total,
                 kba.efficiency
             );
         } else {
-            // The shared report path (`iteration_summary` via the
-            // outcome's `IterationSummary` impl) formats the iteration
-            // story; only the KBA contrast column is local to this bin.
+            // The shared report path (`iteration_summary`) formats the
+            // iteration story; only the KBA contrast column is local to
+            // this bin.
             println!(
                 "{:>6} {:>12} {:>12} {:>16.6e} {:>16.1}%   {}",
-                outcome.num_ranks,
+                ranks.num_ranks,
                 iterations,
-                outcome.halo_faces,
+                ranks.halo_faces,
                 outcome.scalar_flux_total,
                 kba.efficiency * 100.0,
                 iteration_summary(&outcome),

@@ -4,9 +4,9 @@
 //! every rank sends, for every halo face it owns, the node values of the
 //! outgoing angular flux on that face, and receives the matching values
 //! from the neighbouring rank.  In a real distributed run this is an MPI
-//! message; here the "network" is a set of crossbeam channels (one mailbox
-//! per rank) and the payloads are packed into [`bytes::Bytes`] buffers the
-//! same way a wire format would be.
+//! message; here the "network" is a set of `std::sync::mpsc` channels (one
+//! mailbox per rank) and the payloads are packed into little-endian byte
+//! buffers the same way a wire format would be.
 //!
 //! The [`BlockJacobiSolver`](crate::jacobi::BlockJacobiSolver) itself reads
 //! lagged flux values directly from the shared previous-iteration array —
@@ -15,8 +15,8 @@
 //! the communication layer is known to work when the mini-app is hooked up
 //! to a real transport.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 use crate::error::CommError;
 
@@ -39,44 +39,48 @@ pub struct HaloMessage {
 }
 
 impl HaloMessage {
-    /// Serialise to a wire buffer.
-    pub fn pack(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 * (5 + self.values.len()) + 8);
-        buf.put_u64_le(self.from_rank as u64);
-        buf.put_u64_le(self.cell as u64);
-        buf.put_u64_le(self.face as u64);
-        buf.put_u64_le(self.angle as u64);
-        buf.put_u64_le(self.group as u64);
-        buf.put_u64_le(self.values.len() as u64);
-        for &v in &self.values {
-            buf.put_f64_le(v);
+    /// Serialise to a wire buffer (little-endian `u64` header fields, then
+    /// the `f64` values).
+    pub fn pack(&self) -> Vec<u8> {
+        let header = [
+            self.from_rank,
+            self.cell,
+            self.face,
+            self.angle,
+            self.group,
+            self.values.len(),
+        ];
+        let mut buf = Vec::with_capacity(8 * (header.len() + self.values.len()));
+        for field in header {
+            buf.extend_from_slice(&(field as u64).to_le_bytes());
         }
-        buf.freeze()
+        for v in &self.values {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
     }
 
     /// Deserialise from a wire buffer.
-    pub fn unpack(mut buf: Bytes) -> Result<Self, CommError> {
+    pub fn unpack(buf: impl AsRef<[u8]>) -> Result<Self, CommError> {
+        let buf = buf.as_ref();
         if buf.len() < 48 {
             return Err(CommError::TruncatedMessage {
                 bytes: buf.len(),
                 minimum: 48,
             });
         }
-        let from_rank = buf.get_u64_le() as usize;
-        let cell = buf.get_u64_le() as usize;
-        let face = buf.get_u64_le() as usize;
-        let angle = buf.get_u64_le() as usize;
-        let group = buf.get_u64_le() as usize;
-        let len = buf.get_u64_le() as usize;
-        if buf.len() != len * 8 {
+        let mut words = buf
+            .chunks_exact(8)
+            .map(|w| w.try_into().expect("8-byte chunk"));
+        let mut field = || u64::from_le_bytes(words.next().expect("six header words")) as usize;
+        let (from_rank, cell, face, angle, group, len) =
+            (field(), field(), field(), field(), field(), field());
+        let payload_bytes = buf.len() - 48;
+        if len.checked_mul(8) != Some(payload_bytes) {
             return Err(CommError::PayloadLengthMismatch {
                 expected_values: len,
-                payload_bytes: buf.len(),
+                payload_bytes,
             });
-        }
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(buf.get_f64_le());
         }
         Ok(Self {
             from_rank,
@@ -84,15 +88,16 @@ impl HaloMessage {
             face,
             angle,
             group,
-            values,
+            values: words.map(f64::from_le_bytes).collect(),
         })
     }
 }
 
 /// A set of per-rank mailboxes connected all-to-all.
 pub struct HaloExchange {
-    senders: Vec<Sender<Bytes>>,
-    receivers: Vec<Receiver<Bytes>>,
+    senders: Vec<Sender<Vec<u8>>>,
+    /// A `Receiver` is not `Sync`; the exchange is shared across threads.
+    receivers: Vec<Mutex<Receiver<Vec<u8>>>>,
 }
 
 impl HaloExchange {
@@ -101,9 +106,9 @@ impl HaloExchange {
         let mut senders = Vec::with_capacity(num_ranks);
         let mut receivers = Vec::with_capacity(num_ranks);
         for _ in 0..num_ranks {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
-            receivers.push(rx);
+            receivers.push(Mutex::new(rx));
         }
         Self { senders, receivers }
     }
@@ -131,6 +136,9 @@ impl HaloExchange {
             rank,
             num_ranks: self.num_ranks(),
         })?;
+        let rx = rx
+            .lock()
+            .expect("no thread panics while holding a mailbox lock");
         let mut out = Vec::new();
         while let Ok(buf) = rx.try_recv() {
             out.push(HaloMessage::unpack(buf)?);
@@ -164,13 +172,13 @@ mod tests {
 
     #[test]
     fn unpack_rejects_garbage() {
-        assert!(HaloMessage::unpack(Bytes::from_static(&[1, 2, 3])).is_err());
+        assert!(HaloMessage::unpack([1, 2, 3]).is_err());
         // Correct header but truncated payload.
         let mut m = sample_message();
         m.values = vec![1.0; 4];
-        let mut packed = BytesMut::from(&m.pack()[..]);
+        let mut packed = m.pack();
         packed.truncate(packed.len() - 8);
-        assert!(HaloMessage::unpack(packed.freeze()).is_err());
+        assert!(HaloMessage::unpack(packed).is_err());
     }
 
     #[test]

@@ -55,143 +55,19 @@
 use std::time::Instant;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use unsnap_obs::clock::Clock;
 
 use unsnap_core::domain::{worker_pool, DomainContext, SharedAssets, SweepDomain};
-use unsnap_core::error::{Error, Result};
+use unsnap_core::error::Result;
 use unsnap_core::layout::{FluxLayout, FluxStorage};
-use unsnap_core::metrics::RunMetrics;
 use unsnap_core::problem::Problem;
-use unsnap_core::report::IterationSummary;
-use unsnap_core::session::{
-    run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
+use unsnap_core::session::{EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent};
+use unsnap_core::solver::{
+    install_resume, relative_change, run_outers, CheckpointSink, NoopSink, OuterDriver,
+    ResumePoint, RunControl, RunStats, SolveOutcome,
 };
-use unsnap_core::solver::{relative_change, RunStats};
 use unsnap_core::strategy::StrategyKind;
 use unsnap_mesh::{Decomposition2D, Subdomain};
-use unsnap_obs::trace::TraceTree;
-
-/// Summary of a block-Jacobi distributed solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BlockJacobiOutcome {
-    /// Number of ranks (Jacobi blocks).
-    pub num_ranks: usize,
-    /// Inner-iteration strategy the ranks dispatched to.
-    pub strategy: StrategyKind,
-    /// Halo (block-Jacobi) iterations executed.
-    pub inner_iterations: usize,
-    /// Whether the convergence tolerance was met.
-    pub converged: bool,
-    /// Iterations needed to reach the tolerance (if it was reached).
-    pub iterations_to_tolerance: Option<usize>,
-    /// Maximum relative scalar-flux change per inner iteration.
-    pub convergence_history: Vec<f64>,
-    /// Wall-clock seconds spent in the assemble/solve region.
-    pub assemble_solve_seconds: f64,
-    /// Sum of the scalar flux over all nodes/elements/groups.
-    pub scalar_flux_total: f64,
-    /// Total halo faces across all ranks (faces refreshed per iteration).
-    pub halo_faces: usize,
-    /// Subdomain sweeps executed, summed over ranks.
-    pub sweep_count: usize,
-    /// Krylov iterations executed, summed over ranks (zero under plain
-    /// source iteration).
-    pub krylov_iterations: usize,
-    /// Low-order DSA CG iterations executed, summed over ranks (zero
-    /// unless a DSA path ran).
-    pub accel_cg_iterations: usize,
-    /// Sweeps executed by each rank, indexed by rank id.
-    pub rank_sweep_counts: Vec<usize>,
-    /// Krylov iterations executed by each rank, indexed by rank id.
-    pub rank_krylov_iterations: Vec<usize>,
-    /// Low-order DSA CG iterations executed by each rank.
-    pub rank_accel_cg_iterations: Vec<usize>,
-    /// The run's telemetry snapshot, aggregated from the full observer
-    /// event stream (driver and rank lanes) by the solver's internal
-    /// [`MetricsObserver`](unsnap_core::metrics::MetricsObserver) —
-    /// attached to every outcome with no caller wiring.  The
-    /// deterministic half is bit-for-bit identical at
-    /// every thread and rank-execution ordering; strip the wall-clock
-    /// half with [`RunMetrics::zero_wallclock`] before comparisons.
-    pub metrics: RunMetrics,
-    /// The run's hierarchical span tree, built by the solver's internal
-    /// [`unsnap_core::trace::TraceObserver`] tee: driver events on lane
-    /// 0, each rank's replayed stream on lane `rank + 1`.  Structure is
-    /// deterministic (rank-ordered replay); timestamps are wall-clock
-    /// and ignored by `PartialEq`.  Excluded from
-    /// [`BlockJacobiOutcome::to_json`] — export with
-    /// [`TraceTree::to_chrome_json`] or [`TraceTree::to_collapsed`].
-    pub trace: TraceTree,
-}
-
-impl BlockJacobiOutcome {
-    /// Serialise the outcome as a JSON object (via the workspace's
-    /// hand-rolled [`json`](unsnap_core::json) writer — the vendored
-    /// `serde` is a no-op stand-in).
-    pub fn to_json(&self) -> String {
-        unsnap_core::json::JsonObject::new()
-            .field_usize("num_ranks", self.num_ranks)
-            .field_str("strategy", self.strategy.label())
-            .field_usize("inner_iterations", self.inner_iterations)
-            .field_bool("converged", self.converged)
-            .field_raw(
-                "iterations_to_tolerance",
-                &self
-                    .iterations_to_tolerance
-                    .map_or_else(|| "null".to_string(), |i| i.to_string()),
-            )
-            .field_f64_array("convergence_history", &self.convergence_history)
-            .field_f64("assemble_solve_seconds", self.assemble_solve_seconds)
-            .field_f64("scalar_flux_total", self.scalar_flux_total)
-            .field_usize("halo_faces", self.halo_faces)
-            .field_usize("sweep_count", self.sweep_count)
-            .field_usize("krylov_iterations", self.krylov_iterations)
-            .field_usize("accel_cg_iterations", self.accel_cg_iterations)
-            .field_usize_array("rank_sweep_counts", &self.rank_sweep_counts)
-            .field_usize_array("rank_krylov_iterations", &self.rank_krylov_iterations)
-            .field_usize_array("rank_accel_cg_iterations", &self.rank_accel_cg_iterations)
-            .field_raw("metrics", &self.metrics.to_json())
-            .finish()
-    }
-}
-
-impl IterationSummary for BlockJacobiOutcome {
-    fn summary_converged(&self) -> bool {
-        self.converged
-    }
-
-    fn summary_sweeps(&self) -> usize {
-        self.sweep_count
-    }
-
-    fn summary_inner_iterations(&self) -> usize {
-        self.inner_iterations
-    }
-
-    fn summary_krylov_iterations(&self) -> usize {
-        self.krylov_iterations
-    }
-
-    fn summary_final_krylov_residual(&self) -> Option<f64> {
-        // Per-rank residual trajectories stream through the observer;
-        // the outcome keeps counters only.
-        None
-    }
-}
-
-impl std::fmt::Display for BlockJacobiOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} ranks ({}): {}, {} halo faces",
-            self.num_ranks,
-            self.strategy,
-            unsnap_core::report::iteration_summary(self),
-            self.halo_faces,
-        )
-    }
-}
 
 /// Block-Jacobi distributed transport solver (simulated ranks): N
 /// [`SweepDomain`]s over one set of [`SharedAssets`], coupled through the
@@ -213,87 +89,8 @@ pub struct BlockJacobiSolver {
     phi_outer: FluxStorage,
     /// Worker pool the rank solves fan out on.
     pool: rayon::ThreadPool,
-    /// Recovered state installed by [`BlockJacobiSolver::resume_from`],
-    /// consumed by the next run.
-    resume: Option<JacobiResumePoint>,
-}
-
-/// A borrowed, consistent snapshot of the distributed solver's state at
-/// an outer-iteration boundary — the block-Jacobi analogue of
-/// [`unsnap_core::solver::CheckpointView`].
-///
-/// Only the global flux arrays and per-rank accounting are exposed:
-/// `psi_prev` is republished at the start of every halo iteration,
-/// `phi_outer` is recomputed at every outer start, and each rank's
-/// compact local arrays are an exact gather of the global ones, so all
-/// of them reconstruct from what is here.
-#[derive(Debug)]
-pub struct JacobiCheckpointView<'a> {
-    /// The outer iteration that just completed (0-based).
-    pub outer_completed: usize,
-    /// Whether the tolerance was met during that outer iteration.
-    pub converged: bool,
-    /// Halo (block-Jacobi) iterations executed so far.
-    pub inners_run: usize,
-    /// Wall-clock seconds accumulated in the assemble/solve region.
-    pub sweep_seconds: f64,
-    /// Maximum relative scalar-flux change per halo iteration so far.
-    pub convergence_history: &'a [f64],
-    /// Global scalar flux φ, in storage order.
-    pub phi: &'a [f64],
-    /// Global angular flux ψ, in storage order.
-    pub psi: &'a [f64],
-    /// Each rank's accumulated accounting, indexed by rank id.
-    pub rank_stats: Vec<&'a RunStats>,
-}
-
-/// A durability hook invoked at every outer-iteration boundary of an
-/// observed block-Jacobi run (after `on_outer_end`).  An error return
-/// aborts the solve, which is how the write-ahead log layer injects
-/// deterministic crashes.
-pub trait JacobiCheckpointSink {
-    /// Persist (or skip) a checkpoint of the given state.
-    fn on_checkpoint(&mut self, view: &JacobiCheckpointView<'_>) -> Result<()>;
-}
-
-/// The sink used when nobody is checkpointing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JacobiNoopSink;
-
-impl JacobiCheckpointSink for JacobiNoopSink {
-    fn on_checkpoint(&mut self, _view: &JacobiCheckpointView<'_>) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// Distributed solver state recovered from a run log, installed with
-/// [`BlockJacobiSolver::resume_from`] before re-running.
-///
-/// The resume contract matches the single-domain
-/// [`ResumePoint`](unsnap_core::solver::ResumePoint): the saved event
-/// `prefix` replays into the observer before live iteration continues,
-/// so the completed run's outcome, flux and deterministic metrics are
-/// bit-for-bit identical to an uninterrupted run's.
-#[derive(Debug, Clone, Default)]
-pub struct JacobiResumePoint {
-    /// The first outer iteration the resumed run will execute.
-    pub outer_next: usize,
-    /// Halo iterations executed before the checkpoint.
-    pub inners_run: usize,
-    /// Wall-clock assemble/solve seconds accumulated before the
-    /// checkpoint.
-    pub sweep_seconds: f64,
-    /// Per-halo-iteration convergence history up to the checkpoint.
-    pub convergence_history: Vec<f64>,
-    /// Global scalar flux φ at the checkpoint, in storage order.
-    pub phi: Vec<f64>,
-    /// Global angular flux ψ at the checkpoint, in storage order.
-    pub psi: Vec<f64>,
-    /// Each rank's accounting at the checkpoint, indexed by rank id.
-    pub rank_stats: Vec<RunStats>,
-    /// Every observer event emitted before the checkpoint, replayed
-    /// verbatim on resume.
-    pub prefix: EventLog,
+    /// The run protocol's state (an installed resume point).
+    control: RunControl,
 }
 
 impl BlockJacobiSolver {
@@ -305,10 +102,11 @@ impl BlockJacobiSolver {
     /// dense-solver back end, the scattering-ratio override and the
     /// thread count.
     ///
-    /// Fails with [`Error::InvalidProblem`] on a bad problem,
-    /// [`Error::Mesh`] when the decomposition does not fit the mesh, and
-    /// [`Error::Schedule`] when a rank's masked wavefront schedule cannot
-    /// be built.
+    /// Fails with [`InvalidProblem`](unsnap_core::error::Error::InvalidProblem)
+    /// on a bad problem, [`Mesh`](unsnap_core::error::Error::Mesh) when the
+    /// decomposition does not fit the mesh, and
+    /// [`Schedule`](unsnap_core::error::Error::Schedule) when a rank's masked
+    /// wavefront schedule cannot be built.
     pub fn new(problem: &Problem, decomposition: Decomposition2D) -> Result<Self> {
         problem.validate()?;
         // The parallel axis here is the rank loop (each rank sweeps
@@ -340,7 +138,7 @@ impl BlockJacobiSolver {
             phi: FluxStorage::zeros(scalar_layout),
             phi_outer: FluxStorage::zeros(scalar_layout),
             pool,
-            resume: None,
+            control: RunControl::default(),
         })
     }
 
@@ -353,48 +151,12 @@ impl BlockJacobiSolver {
     /// checkpoint instead of starting cold.
     ///
     /// Validates the flux shapes and the rank count against this
-    /// solver's layout; the point is consumed by the next
-    /// `run`/`run_observed` call.  Each rank's compact local flux
-    /// arrays are regathered from the global arrays when the run
+    /// solver's layout (see [`install_resume`]); the point is consumed
+    /// by the next `run`/`run_observed` call.  Each rank's compact local
+    /// flux arrays are regathered from the global arrays when the run
     /// starts, so the point only carries global state.
-    pub fn resume_from(&mut self, point: JacobiResumePoint) -> Result<()> {
-        if point.phi.len() != self.phi.as_slice().len() {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state has {} scalar-flux entries, solver expects {}",
-                    point.phi.len(),
-                    self.phi.as_slice().len()
-                ),
-            });
-        }
-        if point.psi.len() != self.psi.as_slice().len() {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state has {} angular-flux entries, solver expects {}",
-                    point.psi.len(),
-                    self.psi.as_slice().len()
-                ),
-            });
-        }
-        if point.rank_stats.len() != self.subdomains.len() {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state has {} rank-stat entries, solver has {} ranks",
-                    point.rank_stats.len(),
-                    self.subdomains.len()
-                ),
-            });
-        }
-        if point.outer_next > self.assets.problem.outer_iterations {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state starts at outer {} but the problem runs only {}",
-                    point.outer_next, self.assets.problem.outer_iterations
-                ),
-            });
-        }
-        self.resume = Some(point);
-        Ok(())
+    pub fn resume_from(&mut self, point: ResumePoint) -> Result<()> {
+        install_resume(self, point)
     }
 
     /// Replace the solver's time source (e.g. with a
@@ -431,7 +193,7 @@ impl BlockJacobiSolver {
     ///
     /// Equivalent to [`BlockJacobiSolver::run_observed`] with the silent
     /// observer.
-    pub fn run(&mut self) -> Result<BlockJacobiOutcome> {
+    pub fn run(&mut self) -> Result<SolveOutcome> {
         self.run_observed(&mut NoopObserver)
     }
 
@@ -445,41 +207,68 @@ impl BlockJacobiSolver {
     /// and `OuterEnd`; the merged global change then arrives as a
     /// driver-lane `InnerIteration`.  Because the buffered logs replay
     /// in rank order, the stream is identical at every thread count.
-    pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<BlockJacobiOutcome> {
-        self.run_observed_checkpointed(observer, &mut JacobiNoopSink)
+    pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
+        self.run_observed_checkpointed(observer, &mut NoopSink)
     }
 
     /// [`BlockJacobiSolver::run_observed`] with a durability hook:
-    /// `sink` is offered a [`JacobiCheckpointView`] at every
+    /// `sink` is offered a
+    /// [`CheckpointView`](unsnap_core::solver::CheckpointView) at every
     /// outer-iteration boundary (after the outer's `OuterEnd`
     /// event).  A sink error aborts the run, which is how the
     /// write-ahead log layer injects deterministic crashes.
     pub fn run_observed_checkpointed(
         &mut self,
         observer: &mut dyn RunObserver,
-        sink: &mut dyn JacobiCheckpointSink,
-    ) -> Result<BlockJacobiOutcome> {
-        let (mut outcome, metrics, trace) =
-            run_with_telemetry(observer, |tee| self.run_observed_inner(tee, sink))?;
-        let timings = || self.rank_stats.iter().map(|stats| stats.kernel_timing);
-        outcome.metrics = RunMetrics {
-            kernel_assemble_seconds: timings().map(|t| t.assemble_ns as f64 * 1e-9).sum(),
-            kernel_solve_seconds: timings().map(|t| t.solve_ns as f64 * 1e-9).sum(),
-            ..metrics
-        };
-        outcome.trace = trace;
-        Ok(outcome)
+        sink: &mut dyn CheckpointSink,
+    ) -> Result<SolveOutcome> {
+        // Counters and histories are per run (matching TransportSolver,
+        // whose accounting starts fresh every run); the flux state and
+        // the Krylov workspaces warm-start the next run as before.
+        self.rank_stats.fill(RunStats::default());
+        run_outers(self, observer, sink)
+    }
+}
+
+/// The N-domain driver: global φ/ψ beside the rank domains, checkpointed
+/// state regathered per rank, and one outer iteration is a loop of halo
+/// iterations around concurrent per-rank inner solves.  The driver-level
+/// `stats` count halo iterations (`inner_iterations`), the seconds of the
+/// parallel region (`sweep_seconds`) and the merged per-halo-iteration
+/// change (`convergence_history`).
+impl OuterDriver for BlockJacobiSolver {
+    fn problem(&self) -> &Problem {
+        &self.assets.problem
     }
 
-    fn run_observed_inner(
-        &mut self,
-        observer: &mut dyn RunObserver,
-        sink: &mut dyn JacobiCheckpointSink,
-    ) -> Result<BlockJacobiOutcome> {
-        // Counters and histories are per run (matching TransportSolver,
-        // which builds fresh RunStats every run); the flux state and the
-        // Krylov workspaces warm-start the next run as before.
-        self.rank_stats.fill(RunStats::default());
+    fn control(&mut self) -> &mut RunControl {
+        &mut self.control
+    }
+
+    fn flux(&self) -> (&[f64], &[f64]) {
+        (self.phi.as_slice(), self.psi.as_slice())
+    }
+
+    fn rank_stats(&self) -> &[RunStats] {
+        &self.rank_stats
+    }
+
+    fn halo_faces(&self) -> usize {
+        self.total_halo_faces()
+    }
+
+    /// Each rank domain's local arrays are regathered from the global
+    /// ones: the exact inverse of the post-solve merge in `run_outer`.
+    fn restore(&mut self, phi: &[f64], psi: &[f64], rank_stats: Vec<RunStats>) {
+        self.phi.as_mut_slice().copy_from_slice(phi);
+        self.psi.as_mut_slice().copy_from_slice(psi);
+        self.rank_stats = rank_stats;
+        for domain in &mut self.domains {
+            domain.gather_from(&self.psi, &self.phi);
+        }
+    }
+
+    fn run_outer(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) -> Result<bool> {
         let problem = &self.assets.problem;
         let kind = problem.strategy;
         // Stationary relaxations — source iteration, and DSA-accelerated
@@ -501,188 +290,106 @@ impl BlockJacobiSolver {
                 .subdomain_krylov_budget
                 .unwrap_or(problem.inner_iterations),
         };
-        let (outer_iterations, inner_iterations) =
-            (problem.outer_iterations, problem.inner_iterations);
-        let tolerance = problem.convergence_tolerance;
+        let (inner_iterations, tolerance) =
+            (problem.inner_iterations, problem.convergence_tolerance);
 
-        let mut converged = false;
-        let mut iterations_to_tolerance = None;
+        self.phi_outer
+            .as_mut_slice()
+            .copy_from_slice(self.phi.as_slice());
+        for _inner in 0..inner_iterations {
+            let halo_iteration = stats.inner_iterations;
+            stats.inner_iterations += 1;
+            let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
 
-        // Consume any installed resume point: restore the global flux
-        // arrays, regather each rank domain's local arrays (the exact
-        // inverse of the post-solve merge below), seed the per-rank
-        // accounting, and replay the saved event prefix into the
-        // observer tee so the caller's stream and the internal metrics
-        // aggregator both see the run's full history.
-        let (mut history, mut inners_run, mut sweep_seconds, start_outer) = match self.resume.take()
-        {
-            Some(point) => {
-                self.phi.as_mut_slice().copy_from_slice(&point.phi);
-                self.psi.as_mut_slice().copy_from_slice(&point.psi);
-                self.rank_stats = point.rank_stats;
-                for domain in &mut self.domains {
-                    domain.gather_from(&self.psi, &self.phi);
-                }
-                point.prefix.replay(observer);
-                (
-                    point.convergence_history,
-                    point.inners_run,
-                    point.sweep_seconds,
-                    point.outer_next,
-                )
-            }
-            None => (Vec::new(), 0usize, 0.0, 0),
-        };
-
-        for outer in start_outer..outer_iterations {
-            observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
-            self.phi_outer
+            // Halo "exchange": expose the previous iteration's angular
+            // flux to cross-rank upwind reads.  A driver-lane event
+            // (never inside a rank's log) carrying the cut-face
+            // count and the bytes the exchange publishes.
+            let phase = Phase::HaloExchange;
+            observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+            let halo_t0 = self.assets.clock.now();
+            self.psi_prev
                 .as_mut_slice()
-                .copy_from_slice(self.phi.as_slice());
-            let mut outer_converged = false;
-            for _inner in 0..inner_iterations {
-                inners_run += 1;
-                let halo_iteration = inners_run - 1;
-                let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
+                .copy_from_slice(self.psi.as_slice());
+            let seconds = self
+                .assets
+                .clock
+                .now()
+                .saturating_sub(halo_t0)
+                .as_secs_f64();
+            observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+            let exchange = SolveEvent::HaloExchange {
+                iteration: halo_iteration,
+                faces: self.total_halo_faces(),
+                bytes: std::mem::size_of_val(self.psi.as_slice()) as u64,
+            };
+            observer.on_event(Lane::Driver, &exchange);
 
-                // Halo "exchange": expose the previous iteration's angular
-                // flux to cross-rank upwind reads.  A driver-lane event
-                // (never inside a rank's log) carrying the cut-face
-                // count and the bytes the exchange publishes.
-                let phase = Phase::HaloExchange;
-                observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-                let halo_t0 = self.assets.clock.now();
-                self.psi_prev
-                    .as_mut_slice()
-                    .copy_from_slice(self.psi.as_slice());
-                let seconds = self
-                    .assets
-                    .clock
-                    .now()
-                    .saturating_sub(halo_t0)
-                    .as_secs_f64();
-                observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-                let exchange = SolveEvent::HaloExchange {
-                    iteration: halo_iteration,
-                    faces: self.total_halo_faces(),
-                    bytes: std::mem::size_of_val(self.psi.as_slice()) as u64,
+            let t0 = Instant::now();
+            // Every rank runs its strategy-dispatched inner solve
+            // concurrently on the worker pool.  Nothing a rank reads
+            // is written by another rank within the same iteration:
+            // own cells come from the rank's own domain, remote
+            // cells from the shared `psi_prev`.  Results and event
+            // logs come back in rank order (the pool reassembles in
+            // input order), so the outcome and the observer stream
+            // are bit-for-bit independent of the interleaving.
+            let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.psi_prev);
+            let ranks: Vec<_> = self.domains.iter_mut().zip(&mut self.rank_stats).collect();
+            let solves: Result<Vec<(EventLog, bool)>> = self.pool.install(|| {
+                ranks
+                    .into_par_iter()
+                    .map(|(domain, stats)| {
+                        let mut log = EventLog::default();
+                        let mut context = DomainContext {
+                            assets,
+                            pool: None,
+                            phi_outer,
+                            halo: Some(halo),
+                            domain,
+                            inner_budget,
+                        };
+                        let solved = kind.build().run_inners(&mut context, stats, &mut log);
+                        solved.map(|rank_converged| (log, rank_converged))
+                    })
+                    .collect()
+            });
+            stats.sweep_seconds += t0.elapsed().as_secs_f64();
+            // Surface the earliest rank's error before touching the
+            // global arrays or the observer.
+            let solves = solves?;
+
+            // Merge the rank fluxes into the global arrays and replay
+            // the buffered event streams, both in rank order.
+            self.phi.fill(0.0);
+            for (rank, (log, rank_converged)) in solves.into_iter().enumerate() {
+                self.domains[rank].scatter_into(&mut self.psi, &mut self.phi);
+                let start = SolveEvent::OuterStart {
+                    outer: halo_iteration,
                 };
-                observer.on_event(Lane::Driver, &exchange);
-
-                let t0 = Instant::now();
-                // Every rank runs its strategy-dispatched inner solve
-                // concurrently on the worker pool.  Nothing a rank reads
-                // is written by another rank within the same iteration:
-                // own cells come from the rank's own domain, remote
-                // cells from the shared `psi_prev`.  Results and event
-                // logs come back in rank order (the pool reassembles in
-                // input order), so the outcome and the observer stream
-                // are bit-for-bit independent of the interleaving.
-                let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.psi_prev);
-                let ranks: Vec<_> = self.domains.iter_mut().zip(&mut self.rank_stats).collect();
-                let solves: Result<Vec<(EventLog, bool)>> = self.pool.install(|| {
-                    ranks
-                        .into_par_iter()
-                        .map(|(domain, stats)| {
-                            let mut log = EventLog::default();
-                            let mut context = DomainContext {
-                                assets,
-                                pool: None,
-                                phi_outer,
-                                halo: Some(halo),
-                                domain,
-                                inner_budget,
-                            };
-                            let solved = kind.build().run_inners(&mut context, stats, &mut log);
-                            solved.map(|rank_converged| (log, rank_converged))
-                        })
-                        .collect()
-                });
-                sweep_seconds += t0.elapsed().as_secs_f64();
-                // Surface the earliest rank's error before touching the
-                // global arrays or the observer.
-                let solves = solves?;
-
-                // Merge the rank fluxes into the global arrays and replay
-                // the buffered event streams, both in rank order.
-                self.phi.fill(0.0);
-                for (rank, (log, rank_converged)) in solves.into_iter().enumerate() {
-                    self.domains[rank].scatter_into(&mut self.psi, &mut self.phi);
-                    let start = SolveEvent::OuterStart {
-                        outer: halo_iteration,
-                    };
-                    observer.on_event(Lane::Rank(rank), &start);
-                    log.replay_as_rank(rank, observer);
-                    let end = SolveEvent::OuterEnd {
-                        outer: halo_iteration,
-                        converged: rank_converged,
-                    };
-                    observer.on_event(Lane::Rank(rank), &end);
-                }
-
-                let diff = relative_change(self.phi.as_slice(), &phi_old);
-                history.push(diff);
-                observer.on_event(
-                    Lane::Driver,
-                    &SolveEvent::InnerIteration {
-                        inner: inners_run,
-                        relative_change: diff,
-                    },
-                );
-                if tolerance > 0.0 && diff < tolerance {
-                    converged = true;
-                    outer_converged = true;
-                    iterations_to_tolerance = Some(inners_run);
-                    break;
-                }
+                observer.on_event(Lane::Rank(rank), &start);
+                log.replay_as_rank(rank, observer);
+                let end = SolveEvent::OuterEnd {
+                    outer: halo_iteration,
+                    converged: rank_converged,
+                };
+                observer.on_event(Lane::Rank(rank), &end);
             }
+
+            let diff = relative_change(self.phi.as_slice(), &phi_old);
+            stats.convergence_history.push(diff);
             observer.on_event(
                 Lane::Driver,
-                &SolveEvent::OuterEnd {
-                    outer,
-                    converged: outer_converged,
+                &SolveEvent::InnerIteration {
+                    inner: stats.inner_iterations,
+                    relative_change: diff,
                 },
             );
-            sink.on_checkpoint(&JacobiCheckpointView {
-                outer_completed: outer,
-                converged: outer_converged,
-                inners_run,
-                sweep_seconds,
-                convergence_history: &history,
-                phi: self.phi.as_slice(),
-                psi: self.psi.as_slice(),
-                rank_stats: self.rank_stats.iter().collect(),
-            })?;
-            if converged {
-                break;
+            if tolerance > 0.0 && diff < tolerance {
+                return Ok(true);
             }
         }
-
-        let per_rank = |counter: fn(&RunStats) -> usize| -> Vec<usize> {
-            self.rank_stats.iter().map(counter).collect()
-        };
-        let rank_sweep_counts = per_rank(|stats| stats.sweeps);
-        let rank_krylov_iterations = per_rank(|stats| stats.krylov_iterations);
-        let rank_accel_cg_iterations = per_rank(|stats| stats.accel_cg_iterations);
-        Ok(BlockJacobiOutcome {
-            num_ranks: self.decomposition.num_ranks(),
-            strategy: kind,
-            inner_iterations: inners_run,
-            converged,
-            iterations_to_tolerance,
-            convergence_history: history,
-            assemble_solve_seconds: sweep_seconds,
-            scalar_flux_total: self.phi.as_slice().iter().sum(),
-            halo_faces: self.total_halo_faces(),
-            sweep_count: rank_sweep_counts.iter().sum(),
-            krylov_iterations: rank_krylov_iterations.iter().sum(),
-            accel_cg_iterations: rank_accel_cg_iterations.iter().sum(),
-            rank_sweep_counts,
-            rank_krylov_iterations,
-            rank_accel_cg_iterations,
-            metrics: RunMetrics::default(),
-            trace: TraceTree::default(),
-        })
+        Ok(false)
     }
 }
 
@@ -743,11 +450,12 @@ mod tests {
                 );
                 assert_eq!(jacobi_out.sweep_count, full_out.sweep_count);
                 assert_eq!(jacobi_out.metrics.cells_swept, full_out.kernel_invocations);
-                assert_eq!(jacobi_out.halo_faces, 0);
-                assert_eq!(jacobi_out.num_ranks, 1);
-                assert_eq!(jacobi_out.strategy, strategy);
+                let ranks = jacobi_out.ranks.as_ref().unwrap();
+                assert_eq!(ranks.halo_faces, 0);
+                assert_eq!(ranks.num_ranks, 1);
+                assert_eq!(ranks.strategy, strategy);
                 assert_eq!(jacobi_out.sweep_count, 3);
-                assert_eq!(jacobi_out.rank_sweep_counts, vec![3]);
+                assert_eq!(ranks.sweep_counts, vec![3]);
                 assert_eq!(jacobi_out.krylov_iterations, 0);
             }
         }
@@ -772,7 +480,7 @@ mod tests {
             let facts = (
                 phi_bits(s.scalar_flux()),
                 history,
-                out.rank_sweep_counts,
+                out.ranks.unwrap().sweep_counts,
                 out.metrics.cells_swept,
             );
             match &reference {
@@ -846,7 +554,7 @@ mod tests {
             let mut s = BlockJacobiSolver::new(&p, decomp).unwrap();
             let out = s.run().unwrap();
             assert!(out.converged);
-            iterations.push(out.iterations_to_tolerance.unwrap());
+            iterations.push(out.ranks.unwrap().iterations_to_tolerance.unwrap());
         }
         assert!(
             iterations[1] >= iterations[0],
@@ -882,9 +590,10 @@ mod tests {
         let gm_out = gm.run().unwrap();
 
         assert!(si_out.converged && gm_out.converged);
-        assert_eq!(gm_out.strategy, StrategyKind::SweepGmres);
+        let gm_ranks = gm_out.ranks.as_ref().unwrap();
+        assert_eq!(gm_ranks.strategy, StrategyKind::SweepGmres);
         assert!(gm_out.krylov_iterations > 0);
-        assert_eq!(gm_out.rank_krylov_iterations.len(), 2);
+        assert_eq!(gm_ranks.krylov_iterations.len(), 2);
         // Krylov subdomain solves converge the halo iteration in far
         // fewer halo exchanges than one-sweep relaxation.
         assert!(
@@ -913,11 +622,12 @@ mod tests {
         let dsa_out = dsa.run().unwrap();
 
         assert!(si_out.converged && dsa_out.converged);
-        assert_eq!(dsa_out.strategy, StrategyKind::DsaSourceIteration);
+        let dsa_ranks = dsa_out.ranks.as_ref().unwrap();
+        assert_eq!(dsa_ranks.strategy, StrategyKind::DsaSourceIteration);
         assert_eq!(si_out.accel_cg_iterations, 0);
         assert!(dsa_out.accel_cg_iterations > 0);
-        assert_eq!(dsa_out.rank_accel_cg_iterations.len(), 2);
-        assert!(dsa_out.rank_accel_cg_iterations.iter().all(|&its| its > 0));
+        assert_eq!(dsa_ranks.accel_cg_iterations.len(), 2);
+        assert!(dsa_ranks.accel_cg_iterations.iter().all(|&its| its > 0));
         // Like SI, DSA-SI relaxes once per halo exchange.
         assert_eq!(dsa_out.sweep_count, 2 * dsa_out.inner_iterations);
         assert!(
@@ -954,10 +664,12 @@ mod tests {
         let (explicit_out, explicit_flux) = run(&explicit);
         let mut a = default_out.clone();
         let mut b = explicit_out;
-        a.assemble_solve_seconds = 0.0;
-        b.assemble_solve_seconds = 0.0;
-        a.metrics.zero_wallclock();
-        b.metrics.zero_wallclock();
+        for out in [&mut a, &mut b] {
+            out.assemble_solve_seconds = 0.0;
+            out.kernel_assemble_seconds = 0.0;
+            out.kernel_solve_seconds = 0.0;
+            out.metrics.zero_wallclock();
+        }
         assert_eq!(a, b, "explicit budget == inner_iterations must be a no-op");
         assert_eq!(default_flux, explicit_flux);
     }
@@ -987,7 +699,8 @@ mod tests {
             capped_out.inner_iterations,
             unlimited_out.inner_iterations
         );
-        for (rank, &its) in capped_out.rank_krylov_iterations.iter().enumerate() {
+        let capped_ranks = capped_out.ranks.as_ref().unwrap();
+        for (rank, &its) in capped_ranks.krylov_iterations.iter().enumerate() {
             assert!(
                 its <= capped_out.inner_iterations,
                 "rank {rank}: {its} Krylov iterations over {} exchanges",
@@ -1028,7 +741,7 @@ mod tests {
         let second = s.run().unwrap();
         assert_eq!(first.sweep_count, 6);
         assert_eq!(second.sweep_count, 6, "counters leaked across runs");
-        assert_eq!(second.rank_sweep_counts, vec![3, 3]);
+        assert_eq!(second.ranks.unwrap().sweep_counts, vec![3, 3]);
         assert_eq!(second.inner_iterations, 3);
     }
 
@@ -1040,7 +753,8 @@ mod tests {
         let m = &out.metrics;
         assert_eq!(m.sweeps, out.sweep_count);
         assert_eq!(m.halo_exchanges, out.inner_iterations);
-        assert_eq!(m.halo_faces, out.halo_faces * out.inner_iterations);
+        let halo_faces = out.ranks.as_ref().unwrap().halo_faces;
+        assert_eq!(m.halo_faces, halo_faces * out.inner_iterations);
         assert!(m.halo_bytes > 0);
         assert_eq!(m.phase_count(Phase::Sweep), out.sweep_count);
         assert_eq!(m.phase_count(Phase::HaloExchange), out.inner_iterations);
@@ -1051,20 +765,37 @@ mod tests {
 
     #[test]
     fn observer_counts_match_rank_counters() {
-        let mut p = base_problem();
-        p.inner_iterations = 4;
-        let mut s = BlockJacobiSolver::new(&p, Decomposition2D::new(2, 2)).unwrap();
-        let mut recorder = RecordingObserver::default();
-        let out = s.run_observed(&mut recorder).unwrap();
+        // One run that exhausts its budgets, one that converges in the
+        // first of five outers: `outer_iterations` reports what ran.
+        let mut exhausts = base_problem();
+        exhausts.inner_iterations = 4;
+        let mut early = base_problem();
+        early.inner_iterations = 60;
+        early.outer_iterations = 5;
+        early.convergence_tolerance = 1e-9;
+        for (p, decomp) in [
+            (exhausts, Decomposition2D::new(2, 2)),
+            (early, Decomposition2D::new(2, 1)),
+        ] {
+            let mut s = BlockJacobiSolver::new(&p, decomp).unwrap();
+            let mut recorder = RecordingObserver::default();
+            let out = s.run_observed(&mut recorder).unwrap();
 
-        assert_eq!(recorder.rank_records.len(), 4);
-        for (rank, record) in recorder.rank_records.iter().enumerate() {
-            assert_eq!(record.sweep_count, out.rank_sweep_counts[rank]);
-            assert_eq!(record.outers_started, out.inner_iterations);
-            assert_eq!(record.outers_completed, out.inner_iterations);
+            assert_eq!(recorder.rank_records.len(), decomp.num_ranks());
+            for (rank, record) in recorder.rank_records.iter().enumerate() {
+                assert_eq!(
+                    record.sweep_count,
+                    out.ranks.as_ref().unwrap().sweep_counts[rank]
+                );
+                assert_eq!(record.outers_started, out.inner_iterations);
+                assert_eq!(record.outers_completed, out.inner_iterations);
+            }
+            // The global stream reports the merged convergence history.
+            assert_eq!(recorder.convergence_history, out.convergence_history);
+            assert_eq!(recorder.converged, out.converged);
+            assert_eq!(out.outer_iterations, 1);
+            assert_eq!(recorder.outers_started, out.outer_iterations);
+            assert_eq!(recorder.outers_completed, out.outer_iterations);
         }
-        // The global stream reports the merged convergence history.
-        assert_eq!(recorder.convergence_history, out.convergence_history);
-        assert_eq!(recorder.outers_started, 1);
     }
 }

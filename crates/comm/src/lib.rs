@@ -32,14 +32,17 @@
 //!   both scale out, and per-rank progress streams to the
 //!   [`RunObserver`](unsnap_core::session::RunObserver) on
 //!   [`Lane::Rank`](unsnap_core::session::Lane) in deterministic rank
-//!   order.  [`BlockJacobiOutcome`] carries
-//!   per-rank sweep/Krylov counters and serialises via
-//!   [`BlockJacobiOutcome::to_json`].
-//! * [`halo`] — an explicit halo-exchange implementation over crossbeam
-//!   channels with `bytes`-packed face payloads, demonstrating the
-//!   communication layer a real distributed run would use and used by the
-//!   tests to verify that packed/unpacked halos match the lagged-array
-//!   shortcut.
+//!   order.  The run returns the same
+//!   [`SolveOutcome`](unsnap_core::solver::SolveOutcome) as a
+//!   single-domain solve, with per-rank sweep/Krylov counters in its
+//!   [`RankDetail`](unsnap_core::solver::RankDetail); the outer loop,
+//!   checkpoint shape and resume contract are the shared
+//!   [`run_outers`](unsnap_core::solver::run_outers) protocol.
+//! * [`halo`] — an explicit halo-exchange implementation over
+//!   `std::sync::mpsc` channels with byte-packed face payloads,
+//!   demonstrating the communication layer a real distributed run would
+//!   use and used by the tests to verify that packed/unpacked halos match
+//!   the lagged-array shortcut.
 //! * [`kba`] — an analytic model of the KBA pipelined sweep (stage counts,
 //!   pipeline fill/drain efficiency) used to contrast the idle-time
 //!   behaviour of the two global schedules.
@@ -59,8 +62,11 @@ pub mod kba;
 
 pub use error::CommError;
 pub use halo::{HaloExchange, HaloMessage};
-pub use jacobi::{
-    BlockJacobiOutcome, BlockJacobiSolver, JacobiCheckpointSink, JacobiCheckpointView,
-    JacobiNoopSink, JacobiResumePoint,
-};
+pub use jacobi::BlockJacobiSolver;
 pub use kba::{kba_stage_count, pipeline_efficiency, KbaModel};
+
+/// The block-Jacobi outcome is the one
+/// [`SolveOutcome`](unsnap_core::solver::SolveOutcome).  This name survives
+/// only because `benchmark/src/{solve,layers}.rs` compile against it and
+/// `benchmark/` is frozen — delete it with the next `benchmark/` PR.
+pub type BlockJacobiOutcome = unsnap_core::solver::SolveOutcome;

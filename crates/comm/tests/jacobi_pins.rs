@@ -12,8 +12,9 @@
 //! matter.  To regenerate after an intended numerics change, run the
 //! test and paste the rows from the failure message.
 
-use unsnap_comm::jacobi::{BlockJacobiOutcome, BlockJacobiSolver};
+use unsnap_comm::jacobi::BlockJacobiSolver;
 use unsnap_core::problem::Problem;
+use unsnap_core::solver::SolveOutcome;
 use unsnap_core::strategy::StrategyKind::{self, DsaSourceIteration, SourceIteration, SweepGmres};
 use unsnap_mesh::Decomposition2D;
 use unsnap_sweep::{ConcurrencyScheme, LoopOrder, ThreadedLoops};
@@ -110,7 +111,7 @@ fn actual(expected: &Pin) -> Pin {
     let (npx, npy) = expected.ranks;
     let problem = problem(expected.strategy, expected.variant);
     let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(npx, npy)).unwrap();
-    let outcome: BlockJacobiOutcome = solver.run().unwrap();
+    let outcome: SolveOutcome = solver.run().unwrap();
     Pin {
         ranks: expected.ranks,
         strategy: expected.strategy,
@@ -118,8 +119,8 @@ fn actual(expected: &Pin) -> Pin {
         phi_fnv: phi_fnv(&solver),
         sweep_count: outcome.sweep_count,
         inner_iterations: outcome.inner_iterations,
-        rank_sweep_counts: outcome.rank_sweep_counts,
         cells_swept: outcome.metrics.cells_swept,
+        rank_sweep_counts: outcome.ranks.unwrap().sweep_counts,
     }
 }
 

@@ -6,9 +6,8 @@
 //! * [`MetricsObserver`] folds every event (driver and rank lanes alike)
 //!   into a [`RunMetrics`] snapshot.  The solvers tee one of these with
 //!   the caller's observer on every `run_observed`, so each
-//!   [`SolveOutcome`](crate::solver::SolveOutcome) /
-//!   `BlockJacobiOutcome` carries its metrics without any caller
-//!   wiring.
+//!   [`SolveOutcome`](crate::solver::SolveOutcome), of either driver,
+//!   carries its metrics without any caller wiring.
 //! * [`RunMetrics`] itself is split by the observability contract:
 //!   deterministic counters/histograms (sweeps, cells, iteration and
 //!   exchange counts — bit-for-bit identical at every thread and rank

@@ -42,65 +42,28 @@ pub fn table1_text(max_order: usize) -> String {
     out
 }
 
-/// The counters a one-line iteration summary needs, abstracted so both
-/// the single-domain [`SolveOutcome`] and distributed outcomes (the
-/// block-Jacobi `BlockJacobiOutcome` in `unsnap-comm`) share one report
-/// path instead of hand-formatting in every binary.
-pub trait IterationSummary {
-    /// Whether the solve met its convergence tolerance.
-    fn summary_converged(&self) -> bool;
-    /// Total transport sweeps executed (summed over ranks, if any).
-    fn summary_sweeps(&self) -> usize;
-    /// Inner (or halo) iterations executed.
-    fn summary_inner_iterations(&self) -> usize;
-    /// Krylov iterations executed (0 under plain source iteration).
-    fn summary_krylov_iterations(&self) -> usize;
-    /// Final relative Krylov residual, when one meaningful scalar exists.
-    fn summary_final_krylov_residual(&self) -> Option<f64>;
-}
-
-impl IterationSummary for SolveOutcome {
-    fn summary_converged(&self) -> bool {
-        self.converged
-    }
-
-    fn summary_sweeps(&self) -> usize {
-        self.sweep_count
-    }
-
-    fn summary_inner_iterations(&self) -> usize {
-        self.inner_iterations
-    }
-
-    fn summary_krylov_iterations(&self) -> usize {
-        self.krylov_iterations
-    }
-
-    fn summary_final_krylov_residual(&self) -> Option<f64> {
-        self.krylov_residual_history.last().copied()
-    }
-}
-
-/// One-line iteration summary of a solve, including the Krylov counters
-/// when the run used a Krylov strategy.  Accepts anything implementing
-/// [`IterationSummary`] — single-domain and distributed outcomes alike.
-pub fn iteration_summary<T: IterationSummary + ?Sized>(outcome: &T) -> String {
+/// One-line iteration summary of a solve — single-domain or block-Jacobi
+/// (whose counters are sums over ranks) — including the Krylov counters
+/// when the run used a Krylov strategy.
+pub fn iteration_summary(outcome: &SolveOutcome) -> String {
     let mut out = format!(
         "{} in {} sweeps ({} inner iterations)",
-        if outcome.summary_converged() {
+        if outcome.converged {
             "converged"
         } else {
             "NOT converged"
         },
-        outcome.summary_sweeps(),
-        outcome.summary_inner_iterations(),
+        outcome.sweep_count,
+        outcome.inner_iterations,
     );
-    if outcome.summary_krylov_iterations() > 0 {
+    if outcome.krylov_iterations > 0 {
         out.push_str(&format!(
             ", {} Krylov iterations",
-            outcome.summary_krylov_iterations()
+            outcome.krylov_iterations
         ));
-        if let Some(final_residual) = outcome.summary_final_krylov_residual() {
+        // A block-Jacobi outcome keeps counters only: per-rank residual
+        // trajectories stream through the observer.
+        if let Some(final_residual) = outcome.krylov_residual_history.last() {
             out.push_str(&format!(", final residual {final_residual:.2e}"));
         }
     }
@@ -330,6 +293,7 @@ mod tests {
             scalar_flux_min: 0.0,
             metrics: crate::metrics::RunMetrics::default(),
             trace: Default::default(),
+            ranks: None,
         };
         let text = iteration_summary(&outcome);
         assert!(text.contains("converged in 12 sweeps"));

@@ -892,18 +892,30 @@ mod tests {
 
     #[test]
     fn recording_observer_matches_outcome_for_source_iteration() {
-        let mut session = Session::new(&Problem::tiny()).unwrap();
-        let mut recorder = RecordingObserver::default();
-        let outcome = session.run_observed(&mut recorder).unwrap();
-        assert_eq!(recorder.sweep_count, outcome.sweep_count);
-        assert_eq!(recorder.convergence_history, outcome.convergence_history);
-        assert_eq!(
-            recorder.krylov_residual_history,
-            outcome.krylov_residual_history
-        );
-        assert_eq!(recorder.outers_started, outcome.outer_iterations);
-        assert_eq!(recorder.outers_completed, outcome.outer_iterations);
-        assert_eq!(recorder.converged, outcome.converged);
+        // One run that exhausts its outer budget, one that converges
+        // before it: `outer_iterations` reports what ran.
+        let mut early = Problem::tiny();
+        early.inner_iterations = 200;
+        early.outer_iterations = 5;
+        early.convergence_tolerance = 1e-6;
+        for (problem, outers) in [
+            (Problem::tiny(), Problem::tiny().outer_iterations),
+            (early, 1),
+        ] {
+            let mut session = Session::new(&problem).unwrap();
+            let mut recorder = RecordingObserver::default();
+            let outcome = session.run_observed(&mut recorder).unwrap();
+            assert_eq!(recorder.sweep_count, outcome.sweep_count);
+            assert_eq!(recorder.convergence_history, outcome.convergence_history);
+            assert_eq!(
+                recorder.krylov_residual_history,
+                outcome.krylov_residual_history
+            );
+            assert_eq!(outcome.outer_iterations, outers);
+            assert_eq!(recorder.outers_started, outcome.outer_iterations);
+            assert_eq!(recorder.outers_completed, outcome.outer_iterations);
+            assert_eq!(recorder.converged, outcome.converged);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The single-domain transport solver: outer iteration structure,
-//! checkpoint hooks and timing around the shared sweep path of
-//! [`crate::domain`].
+//! The run protocol — the one outer-iteration loop, checkpoint shape and
+//! [`SolveOutcome`] every driver shares ([`run_outers`]) — and its
+//! single-domain driver, [`TransportSolver`], around the shared sweep
+//! path of [`crate::domain`].
 //!
 //! The solver follows SNAP's iteration structure (which UnSNAP inherits,
 //! §III of the paper):
@@ -48,16 +49,44 @@ use crate::problem::Problem;
 use crate::session::{
     run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
 };
-use crate::strategy::{AcceleratorKind, InnerSolveContext};
+use crate::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
 
-/// Summary of a completed transport solve.
+/// The per-rank detail a block-Jacobi solve adds to its [`SolveOutcome`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RankDetail {
+    /// Number of ranks (Jacobi blocks).
+    pub num_ranks: usize,
+    /// Inner-iteration strategy the ranks dispatched to.
+    pub strategy: StrategyKind,
+    /// Total halo faces across all ranks (faces refreshed per iteration).
+    pub halo_faces: usize,
+    /// Halo iterations needed to reach the tolerance (if it was reached).
+    pub iterations_to_tolerance: Option<usize>,
+    /// Sweeps executed by each rank, indexed by rank id.
+    pub sweep_counts: Vec<usize>,
+    /// Krylov iterations executed by each rank, indexed by rank id.
+    pub krylov_iterations: Vec<usize>,
+    /// Low-order DSA CG iterations executed by each rank.
+    pub accel_cg_iterations: Vec<usize>,
+}
+
+/// Summary of a completed transport solve, on one domain or many.
+///
+/// On a block-Jacobi solve the work counters (sweeps, Krylov and CG
+/// iterations, kernel time and invocations) are sums over the ranks,
+/// `inner_iterations`/`convergence_history`/`assemble_solve_seconds`
+/// count halo iterations and the parallel region around them, and the
+/// residual histories are empty (per-rank trajectories stream through
+/// the observer).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolveOutcome {
     /// Inner iterations actually executed (across all outers).  For
     /// source iteration every inner iteration is one sweep; for the
     /// Krylov strategies it is one Krylov step (also one sweep).
     pub inner_iterations: usize,
-    /// Outer iterations executed.
+    /// Outer iterations executed — not the budget: a run that converges
+    /// early reports fewer, and a resumed run counts the outers before
+    /// its checkpoint too.
     pub outer_iterations: usize,
     /// Full transport sweeps executed, including the right-hand-side and
     /// consistency sweeps of the Krylov strategies.  This is the honest
@@ -112,6 +141,8 @@ pub struct SolveOutcome {
     /// — export it with [`TraceTree::to_chrome_json`] or
     /// [`TraceTree::to_collapsed`] instead.
     pub trace: TraceTree,
+    /// Per-rank detail; `None` on a single-domain solve.
+    pub ranks: Option<RankDetail>,
 }
 
 impl SolveOutcome {
@@ -138,9 +169,10 @@ impl SolveOutcome {
     ///
     /// Doubles are written in shortest-round-trip form, so tooling that
     /// parses the dump recovers the exact values; non-finite entries
-    /// become `null`.
+    /// become `null`.  The [`RankDetail`] keys are appended only when
+    /// present, so a single-domain dump never changes shape.
     pub fn to_json(&self) -> String {
-        crate::json::JsonObject::new()
+        let object = crate::json::JsonObject::new()
             .field_usize("inner_iterations", self.inner_iterations)
             .field_usize("outer_iterations", self.outer_iterations)
             .field_usize("sweep_count", self.sweep_count)
@@ -157,8 +189,37 @@ impl SolveOutcome {
             .field_f64("scalar_flux_total", self.scalar_flux_total)
             .field_f64("scalar_flux_max", self.scalar_flux_max)
             .field_f64("scalar_flux_min", self.scalar_flux_min)
-            .field_raw("metrics", &self.metrics.to_json())
+            .field_raw("metrics", &self.metrics.to_json());
+        let Some(ranks) = &self.ranks else {
+            return object.finish();
+        };
+        let to_tolerance = ranks.iterations_to_tolerance.map(|i| i.to_string());
+        object
+            .field_usize("num_ranks", ranks.num_ranks)
+            .field_str("strategy", ranks.strategy.label())
+            .field_raw(
+                "iterations_to_tolerance",
+                to_tolerance.as_deref().unwrap_or("null"),
+            )
+            .field_usize("halo_faces", ranks.halo_faces)
+            .field_usize_array("rank_sweep_counts", &ranks.sweep_counts)
+            .field_usize_array("rank_krylov_iterations", &ranks.krylov_iterations)
+            .field_usize_array("rank_accel_cg_iterations", &ranks.accel_cg_iterations)
             .finish()
+    }
+}
+
+impl std::fmt::Display for SolveOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let summary = crate::report::iteration_summary(self);
+        match &self.ranks {
+            Some(ranks) => write!(
+                f,
+                "{} ranks ({}): {summary}, {} halo faces",
+                ranks.num_ranks, ranks.strategy, ranks.halo_faces
+            ),
+            None => f.write_str(&summary),
+        }
     }
 }
 
@@ -193,10 +254,12 @@ pub struct RunStats {
 /// boundary — everything a durable run log needs to restart the solve
 /// from this point (see [`ResumePoint`]).
 ///
-/// Only φ, ψ and the accumulated [`RunStats`] are exposed: every other
-/// piece of solver state (`phi_outer`, `phi_inner`, the assembled
-/// source, Krylov and DSA scratch) is overwritten before it is read on
-/// the next outer iteration, so checkpointing it would be dead weight.
+/// Only the global φ and ψ and the accumulated accounting are exposed:
+/// every other piece of solver state (`phi_outer`, `phi_inner`, the
+/// assembled source, Krylov and DSA scratch, a rank's compact local
+/// arrays, the lagged `psi_prev`) is overwritten or regathered before it
+/// is read on the next outer iteration, so checkpointing it would be
+/// dead weight.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
     /// The outer iteration that just completed (0-based).
@@ -204,12 +267,17 @@ pub struct CheckpointView<'a> {
     /// Whether that outer iteration met the tolerance (a converged run
     /// has nothing left to resume).
     pub converged: bool,
-    /// Scalar flux φ, in storage order.
+    /// Global scalar flux φ, in storage order.
     pub phi: &'a [f64],
-    /// Angular flux ψ, in storage order.
+    /// Global angular flux ψ, in storage order.
     pub psi: &'a [f64],
-    /// Work and convergence accounting so far.
+    /// The driver's work and convergence accounting so far.  For a
+    /// block-Jacobi run: halo iterations, the seconds of the parallel
+    /// region around the rank solves and the per-halo-iteration history.
     pub stats: &'a RunStats,
+    /// Each rank's accumulated accounting, indexed by rank id; empty for
+    /// a single-domain run.
+    pub rank_stats: &'a [RunStats],
 }
 
 /// A durability hook invoked at every outer-iteration boundary of an
@@ -231,8 +299,8 @@ impl CheckpointSink for NoopSink {
     }
 }
 
-/// Solver state recovered from a run log, to be installed with
-/// [`TransportSolver::resume_from`] before re-running.
+/// Solver state recovered from a run log, to be installed with a
+/// driver's `resume_from` before re-running.
 ///
 /// The resume contract: a run restarted from a `ResumePoint` produces a
 /// [`SolveOutcome`] (flux, deterministic counters, histories, metrics)
@@ -243,15 +311,213 @@ impl CheckpointSink for NoopSink {
 pub struct ResumePoint {
     /// The first outer iteration the resumed run will execute.
     pub outer_next: usize,
-    /// Accounting accumulated up to the checkpoint.
+    /// The driver's accounting accumulated up to the checkpoint.
     pub stats: RunStats,
-    /// Scalar flux φ at the checkpoint, in storage order.
+    /// Global scalar flux φ at the checkpoint, in storage order.
     pub phi: Vec<f64>,
-    /// Angular flux ψ at the checkpoint, in storage order.
+    /// Global angular flux ψ at the checkpoint, in storage order.
     pub psi: Vec<f64>,
+    /// Each rank's accounting at the checkpoint, indexed by rank id;
+    /// empty for a single-domain run.
+    pub rank_stats: Vec<RunStats>,
     /// Every observer event emitted before the checkpoint, replayed
     /// verbatim on resume so streams and metrics match the original run.
     pub prefix: EventLog,
+}
+
+/// The run protocol's own state, embedded in every driver: what the next
+/// run consumes before its first outer iteration and polls between them.
+#[derive(Debug, Default)]
+pub struct RunControl {
+    /// Recovered state installed by [`install_resume`].
+    resume: Option<ResumePoint>,
+    /// Cooperative cancellation flag (see [`crate::cancel`]); `None` =
+    /// never cancellable.
+    cancel: Option<CancelToken>,
+    /// Seconds of construction-time set-up still to be reported as the
+    /// one-shot [`Phase::Preassembly`] span (the work happened once, so
+    /// only the first observed run reports it).
+    preassembly_seconds: Option<f64>,
+}
+
+/// What a solver supplies to [`run_outers`]: where its global flux
+/// lives, how checkpointed state is reinstalled, and the body of one
+/// outer iteration.  Everything around those — resume, cancellation,
+/// events, checkpoints, the outcome — is the protocol's.
+pub trait OuterDriver {
+    /// The problem being solved.
+    fn problem(&self) -> &Problem;
+
+    /// The protocol state embedded in this driver.
+    fn control(&mut self) -> &mut RunControl;
+
+    /// The global scalar flux φ and angular flux ψ, in storage order.
+    fn flux(&self) -> (&[f64], &[f64]);
+
+    /// Each rank's accounting for the current run, indexed by rank id;
+    /// empty when the driver's own [`RunStats`] count the work.
+    fn rank_stats(&self) -> &[RunStats] {
+        &[]
+    }
+
+    /// Total halo faces across all ranks.
+    fn halo_faces(&self) -> usize {
+        0
+    }
+
+    /// Reinstall checkpointed state (shapes already validated by
+    /// [`install_resume`]).
+    fn restore(&mut self, phi: &[f64], psi: &[f64], rank_stats: Vec<RunStats>);
+
+    /// Run one outer iteration, accumulating the driver-level accounting
+    /// into `stats`; returns whether the tolerance was met.
+    fn run_outer(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) -> Result<bool>;
+}
+
+/// Validate `point` against `driver`'s layout and arm it for the next
+/// run.  The run log's manifest hash should already have guaranteed the
+/// problem matches, but a torn or foreign log must fail loudly, not
+/// corrupt state.
+pub fn install_resume(driver: &mut dyn OuterDriver, point: ResumePoint) -> Result<()> {
+    let ((phi, psi), ranks) = (driver.flux(), driver.rank_stats());
+    let shapes = [
+        ("scalar-flux", point.phi.len(), phi.len()),
+        ("angular-flux", point.psi.len(), psi.len()),
+        ("rank-stat", point.rank_stats.len(), ranks.len()),
+    ];
+    for (what, found, expected) in shapes {
+        if found != expected {
+            return Err(Error::Execution {
+                reason: format!(
+                    "resume state has {found} {what} entries, solver expects {expected}"
+                ),
+            });
+        }
+    }
+    let outer_iterations = driver.problem().outer_iterations;
+    if point.outer_next > outer_iterations {
+        return Err(Error::Execution {
+            reason: format!(
+                "resume state starts at outer {} but the problem runs only {outer_iterations}",
+                point.outer_next
+            ),
+        });
+    }
+    driver.control().resume = Some(point);
+    Ok(())
+}
+
+/// The outer-iteration protocol, written once for every driver: consume
+/// an installed [`ResumePoint`], report the one-shot preassembly span,
+/// then per outer iteration poll cancellation, bracket
+/// [`OuterDriver::run_outer`] with `OuterStart`/`OuterEnd`, offer `sink`
+/// a [`CheckpointView`] and stop at convergence; finally build the
+/// [`SolveOutcome`], telemetry attached.
+pub fn run_outers(
+    driver: &mut dyn OuterDriver,
+    observer: &mut dyn RunObserver,
+    sink: &mut dyn CheckpointSink,
+) -> Result<SolveOutcome> {
+    let ((mut stats, converged, outers_run), metrics, trace) =
+        run_with_telemetry(observer, |observer| {
+            // Restore the flux state, replay the saved event prefix into the
+            // observer tee (so the caller's stream and the internal metrics
+            // aggregator both see the run's full history), and continue
+            // from the saved outer.  The preassembly span is part of the
+            // replayed prefix, so it must not be reported again.
+            let control = driver.control();
+            let resume = control.resume.take();
+            let preassembly = control.preassembly_seconds.take();
+            let (mut stats, start_outer) = match resume {
+                Some(point) => {
+                    driver.restore(&point.phi, &point.psi, point.rank_stats);
+                    point.prefix.replay(observer);
+                    (point.stats, point.outer_next)
+                }
+                None => {
+                    if let Some(seconds) = preassembly {
+                        let phase = Phase::Preassembly;
+                        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+                        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+                    }
+                    (RunStats::default(), 0)
+                }
+            };
+            let (mut converged, mut outers_run) = (false, start_outer);
+            for outer in start_outer..driver.problem().outer_iterations {
+                let cancel = driver.control().cancel.as_ref();
+                if cancel.is_some_and(CancelToken::is_cancelled) {
+                    return Err(Error::Cancelled { outer });
+                }
+                observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
+                converged = driver.run_outer(&mut stats, observer)?;
+                observer.on_event(Lane::Driver, &SolveEvent::OuterEnd { outer, converged });
+                outers_run = outer + 1;
+                let (phi, psi) = driver.flux();
+                sink.on_checkpoint(&CheckpointView {
+                    outer_completed: outer,
+                    converged,
+                    phi,
+                    psi,
+                    stats: &stats,
+                    rank_stats: driver.rank_stats(),
+                })?;
+                if converged {
+                    break;
+                }
+            }
+            Ok((stats, converged, outers_run))
+        })?;
+
+    // The work counters live with whoever swept: where there are ranks
+    // the driver's own are zero, and the totals are sums over the ranks.
+    let rank_stats = driver.rank_stats();
+    for rank in rank_stats {
+        stats.sweeps += rank.sweeps;
+        stats.krylov_iterations += rank.krylov_iterations;
+        stats.accel_cg_iterations += rank.accel_cg_iterations;
+        stats.kernel_invocations += rank.kernel_invocations;
+        stats.kernel_timing.accumulate(rank.kernel_timing);
+    }
+    let per_rank = |counter: fn(&RunStats) -> usize| rank_stats.iter().map(counter).collect();
+    let ranks = (!rank_stats.is_empty()).then(|| RankDetail {
+        num_ranks: rank_stats.len(),
+        strategy: driver.problem().strategy,
+        halo_faces: driver.halo_faces(),
+        iterations_to_tolerance: converged.then_some(stats.inner_iterations),
+        sweep_counts: per_rank(|s| s.sweeps),
+        krylov_iterations: per_rank(|s| s.krylov_iterations),
+        accel_cg_iterations: per_rank(|s| s.accel_cg_iterations),
+    });
+    let (phi, _) = driver.flux();
+    let kernel_assemble_seconds = stats.kernel_timing.assemble_ns as f64 * 1e-9;
+    let kernel_solve_seconds = stats.kernel_timing.solve_ns as f64 * 1e-9;
+
+    Ok(SolveOutcome {
+        inner_iterations: stats.inner_iterations,
+        outer_iterations: outers_run,
+        sweep_count: stats.sweeps,
+        krylov_iterations: stats.krylov_iterations,
+        krylov_residual_history: stats.krylov_residual_history,
+        accel_cg_iterations: stats.accel_cg_iterations,
+        accel_residual_history: stats.accel_residual_history,
+        converged,
+        convergence_history: stats.convergence_history,
+        assemble_solve_seconds: stats.sweep_seconds,
+        kernel_assemble_seconds,
+        kernel_solve_seconds,
+        kernel_invocations: stats.kernel_invocations,
+        scalar_flux_total: phi.iter().sum(),
+        scalar_flux_max: phi.iter().fold(f64::MIN, |m, &x| m.max(x)),
+        scalar_flux_min: phi.iter().fold(f64::MAX, |m, &x| m.min(x)),
+        metrics: RunMetrics {
+            kernel_assemble_seconds,
+            kernel_solve_seconds,
+            ..metrics
+        },
+        trace,
+        ranks,
+    })
 }
 
 /// The UnSNAP transport solver for a single (serial or threaded) domain:
@@ -267,19 +533,10 @@ pub struct TransportSolver {
     domain: SweepDomain,
     /// Scalar flux at the previous outer iteration.
     phi_outer: FluxStorage,
-    /// Optional cooperative cancellation flag, polled at outer-iteration
-    /// boundaries (see [`crate::cancel`]).  `None` = never cancellable.
-    cancel: Option<CancelToken>,
-    /// Wall-clock seconds spent precomputing integrals and sweep
-    /// schedules in [`TransportSolver::new`].
-    preassembly_seconds: f64,
-    /// Whether the one-shot [`Phase::Preassembly`] span has been
-    /// reported yet (it fires on the first observed run only — the work
-    /// happened once, at construction).
-    preassembly_reported: bool,
-    /// Recovered state installed by [`TransportSolver::resume_from`],
-    /// consumed by the next run.
-    resume: Option<ResumePoint>,
+    /// Resume point, cancellation token and the wall-clock seconds spent
+    /// precomputing integrals and sweep schedules in
+    /// [`TransportSolver::new`].
+    control: RunControl,
 }
 
 impl TransportSolver {
@@ -296,50 +553,21 @@ impl TransportSolver {
             assets,
             pool,
             domain,
-            cancel: None,
-            preassembly_seconds,
-            preassembly_reported: false,
-            resume: None,
+            control: RunControl {
+                preassembly_seconds: Some(preassembly_seconds),
+                ..RunControl::default()
+            },
         })
     }
 
     /// Install recovered state so the next run continues from a
     /// checkpoint instead of starting cold.
     ///
-    /// Validates the flux shapes against this solver's layout (the run
-    /// log's manifest hash should already have guaranteed the problem
-    /// matches, but a torn or foreign log must fail loudly, not
-    /// corrupt state).  The point is consumed by the next
+    /// Validates the flux shapes against this solver's layout (see
+    /// [`install_resume`]).  The point is consumed by the next
     /// `run`/`run_observed` call; an untouched solver runs normally.
     pub fn resume_from(&mut self, point: ResumePoint) -> Result<()> {
-        if point.phi.len() != self.domain.phi.as_slice().len() {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state has {} scalar-flux entries, solver expects {}",
-                    point.phi.len(),
-                    self.domain.phi.as_slice().len()
-                ),
-            });
-        }
-        if point.psi.len() != self.domain.psi.as_slice().len() {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state has {} angular-flux entries, solver expects {}",
-                    point.psi.len(),
-                    self.domain.psi.as_slice().len()
-                ),
-            });
-        }
-        if point.outer_next > self.assets.problem.outer_iterations {
-            return Err(Error::Execution {
-                reason: format!(
-                    "resume state starts at outer {} but the problem runs only {}",
-                    point.outer_next, self.assets.problem.outer_iterations
-                ),
-            });
-        }
-        self.resume = Some(point);
-        Ok(())
+        install_resume(self, point)
     }
 
     /// Replace the solver's time source.
@@ -361,17 +589,17 @@ impl TransportSolver {
     /// every outer-iteration boundary and bail out with
     /// [`Error::Cancelled`] once it fires (see [`crate::cancel`]).
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
+        self.control.cancel = Some(token);
     }
 
     /// Disarm cancellation; subsequent runs ignore any previous token.
     pub fn clear_cancel_token(&mut self) {
-        self.cancel = None;
+        self.control.cancel = None;
     }
 
     /// The armed cancellation token, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
+        self.control.cancel.as_ref()
     }
 
     /// The mesh the solver operates on.
@@ -412,8 +640,8 @@ impl TransportSolver {
     /// Run the full outer/inner iteration structure, streaming progress
     /// events to `observer`, and return a summary.
     ///
-    /// The outer (Jacobi group-coupling) loop lives here; each outer
-    /// iteration hands the within-group solve to the
+    /// The outer (Jacobi group-coupling) loop is [`run_outers`]; each
+    /// outer iteration hands the within-group solve to the
     /// [`IterationStrategy`](crate::strategy::IterationStrategy) selected
     /// by [`Problem::strategy`](crate::problem::Problem).
     pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
@@ -430,103 +658,7 @@ impl TransportSolver {
         observer: &mut dyn RunObserver,
         sink: &mut dyn CheckpointSink,
     ) -> Result<SolveOutcome> {
-        let (mut outcome, metrics, trace) =
-            run_with_telemetry(observer, |tee| self.run_observed_inner(tee, sink))?;
-        outcome.metrics = RunMetrics {
-            kernel_assemble_seconds: outcome.kernel_assemble_seconds,
-            kernel_solve_seconds: outcome.kernel_solve_seconds,
-            ..metrics
-        };
-        outcome.trace = trace;
-        Ok(outcome)
-    }
-
-    fn run_observed_inner(
-        &mut self,
-        observer: &mut dyn RunObserver,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<SolveOutcome> {
-        // Consume any installed resume point: restore the flux state,
-        // replay the saved event prefix into the observer tee (so the
-        // caller's stream and the internal metrics aggregator both see
-        // the run's full history), and continue from the saved outer.
-        // The preassembly span is part of the replayed prefix, so the
-        // one-shot report below must not fire again.
-        let (mut stats, start_outer) = match self.resume.take() {
-            Some(point) => {
-                self.preassembly_reported = true;
-                self.domain.phi.as_mut_slice().copy_from_slice(&point.phi);
-                self.domain.psi.as_mut_slice().copy_from_slice(&point.psi);
-                point.prefix.replay(observer);
-                (point.stats, point.outer_next)
-            }
-            None => (RunStats::default(), 0),
-        };
-        if !self.preassembly_reported {
-            self.preassembly_reported = true;
-            let phase = Phase::Preassembly;
-            observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-            let seconds = self.preassembly_seconds;
-            observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-        }
-        let outer_iterations = self.assets.problem.outer_iterations;
-        let strategy = self.assets.problem.strategy.build();
-        let mut converged = false;
-
-        for outer in start_outer..outer_iterations {
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    return Err(Error::Cancelled { outer });
-                }
-            }
-            observer.on_event(Lane::Driver, &SolveEvent::OuterStart { outer });
-            self.phi_outer
-                .as_mut_slice()
-                .copy_from_slice(self.domain.phi.as_slice());
-            let inner_converged = strategy.run_inners(&mut self.context(), &mut stats, observer)?;
-            let event = SolveEvent::OuterEnd {
-                outer,
-                converged: inner_converged,
-            };
-            observer.on_event(Lane::Driver, &event);
-            sink.on_checkpoint(&CheckpointView {
-                outer_completed: outer,
-                converged: inner_converged,
-                phi: self.domain.phi.as_slice(),
-                psi: self.domain.psi.as_slice(),
-                stats: &stats,
-            })?;
-            if inner_converged {
-                converged = true;
-                break;
-            }
-        }
-
-        let phi = self.domain.phi.as_slice();
-        let scalar_flux_total: f64 = phi.iter().sum();
-        let scalar_flux_max = phi.iter().fold(f64::MIN, |m, &x| m.max(x));
-        let scalar_flux_min = phi.iter().fold(f64::MAX, |m, &x| m.min(x));
-
-        Ok(SolveOutcome {
-            inner_iterations: stats.inner_iterations,
-            outer_iterations,
-            sweep_count: stats.sweeps,
-            krylov_iterations: stats.krylov_iterations,
-            krylov_residual_history: stats.krylov_residual_history,
-            accel_cg_iterations: stats.accel_cg_iterations,
-            accel_residual_history: stats.accel_residual_history,
-            converged,
-            convergence_history: stats.convergence_history,
-            assemble_solve_seconds: stats.sweep_seconds,
-            kernel_assemble_seconds: stats.kernel_timing.assemble_ns as f64 * 1e-9,
-            kernel_solve_seconds: stats.kernel_timing.solve_ns as f64 * 1e-9,
-            kernel_invocations: stats.kernel_invocations,
-            scalar_flux_total,
-            scalar_flux_max,
-            scalar_flux_min,
-            metrics: RunMetrics::default(),
-            trace: TraceTree::default(),
-        })
+        run_outers(self, observer, sink)
     }
 
     /// This solver as the 1-domain inner-solve context: every cell owned,
@@ -540,6 +672,35 @@ impl TransportSolver {
             domain: &mut self.domain,
             inner_budget: self.assets.problem.inner_iterations,
         }
+    }
+}
+
+/// The one-domain driver: the domain's own buffers are the global flux,
+/// and one outer iteration is one strategy-dispatched inner solve.
+impl OuterDriver for TransportSolver {
+    fn problem(&self) -> &Problem {
+        &self.assets.problem
+    }
+
+    fn control(&mut self) -> &mut RunControl {
+        &mut self.control
+    }
+
+    fn flux(&self) -> (&[f64], &[f64]) {
+        (self.domain.phi.as_slice(), self.domain.psi.as_slice())
+    }
+
+    fn restore(&mut self, phi: &[f64], psi: &[f64], _rank_stats: Vec<RunStats>) {
+        self.domain.phi.as_mut_slice().copy_from_slice(phi);
+        self.domain.psi.as_mut_slice().copy_from_slice(psi);
+    }
+
+    fn run_outer(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) -> Result<bool> {
+        self.phi_outer
+            .as_mut_slice()
+            .copy_from_slice(self.domain.phi.as_slice());
+        let strategy = self.assets.problem.strategy.build();
+        strategy.run_inners(&mut self.context(), stats, observer)
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! The observer is teed into every `run_observed` alongside the
 //! [`MetricsObserver`](crate::metrics::MetricsObserver), so each
-//! [`SolveOutcome`](crate::solver::SolveOutcome) (and the distributed
-//! `BlockJacobiOutcome`) carries a span tree with no caller wiring.
+//! [`SolveOutcome`](crate::solver::SolveOutcome), of either driver,
+//! carries a span tree with no caller wiring.
 //!
 //! ## Span model
 //!

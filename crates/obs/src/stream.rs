@@ -1,10 +1,10 @@
 //! An in-memory, multi-consumer line stream for live telemetry.
 //!
 //! `unsnap-serve` streams a running solve's JSONL events to HTTP clients
-//! while the solve is still producing them.  The vendored crossbeam
-//! stand-in only offers a non-blocking `try_recv`, so this module builds
-//! the one primitive the server actually needs directly on
-//! `std::sync::{Mutex, Condvar}`: a [`LineChannel`] that
+//! while the solve is still producing them.  A channel hands each line
+//! to one consumer once, so this module builds the one primitive the
+//! server actually needs directly on `std::sync::{Mutex, Condvar}`: a
+//! [`LineChannel`] that
 //!
 //! * accepts lines from one producer (via [`LineChannel::push`] or the
 //!   [`std::io::Write`] adapter [`ChannelWriter`], which a

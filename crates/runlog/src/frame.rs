@@ -31,7 +31,10 @@ pub const MAGIC: &[u8; 8] = b"UNSNAPRL";
 
 /// The current format version (bumped on any incompatible layout
 /// change; recovery refuses other versions rather than misparsing).
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 gave the checkpoint frame one payload for both execution
+/// modes (`rank_stats` always present, block-Jacobi halo accounting
+/// folded into `stats`).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Total header length: magic plus version.
 pub const HEADER_LEN: usize = MAGIC.len() + 4;
@@ -114,12 +117,14 @@ pub struct ScanOutcome<'a> {
     pub truncated: bool,
 }
 
-/// `true` when the buffer opens with an intact header of the current
-/// format version.
-pub fn header_ok(bytes: &[u8]) -> bool {
-    bytes.len() >= HEADER_LEN
-        && &bytes[..MAGIC.len()] == MAGIC
-        && bytes[MAGIC.len()..HEADER_LEN] == FORMAT_VERSION.to_le_bytes()
+/// The format version the buffer's header names — which may not be
+/// [`FORMAT_VERSION`] — or `None` when the buffer does not open with an
+/// intact magic and version field.
+pub fn header_version(bytes: &[u8]) -> Option<u32> {
+    let version = bytes.get(MAGIC.len()..HEADER_LEN)?;
+    bytes
+        .starts_with(MAGIC)
+        .then(|| u32::from_le_bytes(version.try_into().expect("4-byte slice")))
 }
 
 /// Walk `bytes` and return every intact frame before the first defect.
@@ -127,7 +132,7 @@ pub fn header_ok(bytes: &[u8]) -> bool {
 /// Never panics; arbitrary input (including an empty or truncated
 /// buffer) yields an empty frame list with `truncated` set.
 pub fn scan(bytes: &[u8]) -> ScanOutcome<'_> {
-    if !header_ok(bytes) {
+    if header_version(bytes) != Some(FORMAT_VERSION) {
         return ScanOutcome {
             frames: Vec::new(),
             valid_len: 0,

@@ -4,11 +4,14 @@
 //! job, a machine about to lose its allocation — streams its state into
 //! a compact append-only *run log*: a manifest frame pinning the exact
 //! problem (canonical wire JSON plus FNV-1a hash), followed by
-//! checkpoint frames at outer-iteration boundaries (scalar flux φ,
-//! angular flux ψ, accumulated statistics, and the observer-event delta
-//! since the previous frame).  Every frame is length-prefixed and
-//! checksummed; recovery scans to the last intact frame and discards
-//! the torn tail, so a crash at *any* byte leaves a resumable log.
+//! checkpoint frames at outer-iteration boundaries (global scalar flux
+//! φ and angular flux ψ, the driver's and each rank's accumulated
+//! statistics, and the observer-event delta since the previous frame —
+//! one payload, [`Checkpoint`], for both solver paths).  Every frame is
+//! length-prefixed and checksummed; recovery scans to the last intact
+//! frame and discards the torn tail, so a crash at *any* byte leaves a
+//! resumable log.  A log written by another format version is refused
+//! with an error naming both versions.
 //!
 //! The resume determinism contract: checkpoint → crash → resume yields
 //! an outcome **bit-for-bit identical** to the uninterrupted run —
@@ -20,9 +23,10 @@
 //! every-byte-offset truncation property.
 //!
 //! ```no_run
+//! use unsnap_comm::BlockJacobiSolver;
 //! use unsnap_core::problem::Problem;
 //! use unsnap_core::session::Session;
-//! use unsnap_runlog::{CheckpointObserver, RunMode, SessionResume};
+//! use unsnap_runlog::{resume_block_jacobi, CheckpointObserver, RunMode, SessionResume};
 //!
 //! # fn main() -> unsnap_core::error::Result<()> {
 //! // First attempt: checkpoint every outer iteration.
@@ -41,6 +45,11 @@
 //! let mut observer = observer;
 //! let outcome = session.run_checkpointed(&mut observer, &mut sink)?;
 //! # let _ = outcome;
+//!
+//! // A block-Jacobi run is the same protocol — same sink, same outcome —
+//! // under `RunMode::Jacobi { npx, npy }`, resumed into a solver:
+//! let mut solver: BlockJacobiSolver = resume_block_jacobi("ranks.log")?;
+//! # let _ = &mut solver;
 //! # Ok(())
 //! # }
 //! ```
@@ -57,7 +66,7 @@ pub mod recover;
 pub mod resume;
 pub mod writer;
 
-pub use checkpoint::{JacobiCheckpoint, SingleCheckpoint};
+pub use checkpoint::Checkpoint;
 pub use fault::{FaultyWriter, SharedBuffer};
 pub use manifest::{Manifest, RunMode};
 pub use recover::{recover, recover_bytes, Recovered};

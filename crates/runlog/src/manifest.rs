@@ -36,6 +36,15 @@ impl RunMode {
             RunMode::Jacobi { .. } => "jacobi",
         }
     }
+
+    /// Entries in every checkpoint's `rank_stats`: `npx · npy`, or `0`
+    /// for a single-domain run (which has no rank lanes at all).
+    pub fn num_ranks(self) -> usize {
+        match self {
+            RunMode::Single => 0,
+            RunMode::Jacobi { npx, npy } => npx.saturating_mul(npy),
+        }
+    }
 }
 
 /// The decoded manifest frame.

@@ -6,8 +6,8 @@
 //! ```text
 //!   header ──ok──▶ expect manifest ──'M'──▶ collect checkpoints
 //!     │                  │                    │        │
-//!    bad              not 'M'            'C' frame  'F' frame
-//!     │                  │                (decode,   (mark run
+//!  bad magic or       not 'M'            'C' frame  'F' frame
+//!  other version         │                (decode,   (mark run
 //!     ▼                  ▼                 append)    completed)
 //!    Err                Err                   │
 //!                                     first defect: stop, keep
@@ -24,14 +24,13 @@
 
 use std::path::Path;
 
-use unsnap_comm::jacobi::JacobiResumePoint;
 use unsnap_core::error::{Error, Result};
 use unsnap_core::solver::ResumePoint;
 use unsnap_obs::reader;
 
 use crate::checkpoint;
 use crate::frame::{self, TAG_CHECKPOINT, TAG_FINISHED, TAG_MANIFEST};
-use crate::manifest::{Manifest, RunMode};
+use crate::manifest::Manifest;
 
 /// Everything recovered from one run log.
 #[derive(Debug, Clone)]
@@ -48,10 +47,8 @@ pub struct Recovered {
     pub valid_len: u64,
     /// `true` when a torn tail was discarded.
     pub truncated: bool,
-    /// Resume state for a single-domain log with ≥ 1 checkpoint.
-    pub single: Option<ResumePoint>,
-    /// Resume state for a block-Jacobi log with ≥ 1 checkpoint.
-    pub jacobi: Option<JacobiResumePoint>,
+    /// Resume state, for a log with ≥ 1 checkpoint.
+    pub resume: Option<ResumePoint>,
 }
 
 fn decode_error(frame_index: usize, detail: String) -> Error {
@@ -62,12 +59,18 @@ fn decode_error(frame_index: usize, detail: String) -> Error {
 
 /// Recover from an in-memory log image (the pure core of [`recover`]).
 pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
-    let scan = frame::scan(bytes);
-    if !frame::header_ok(bytes) {
-        return Err(Error::Execution {
-            reason: "not an UnSNAP run log (missing or damaged header)".into(),
-        });
+    let refusal = match frame::header_version(bytes) {
+        Some(frame::FORMAT_VERSION) => None,
+        Some(found) => Some(format!(
+            "run log has format version {found}; this build reads only version {}",
+            frame::FORMAT_VERSION
+        )),
+        None => Some("not an UnSNAP run log (missing or damaged header)".into()),
+    };
+    if let Some(reason) = refusal {
+        return Err(Error::Execution { reason });
     }
+    let scan = frame::scan(bytes);
     let mut frames = scan.frames.iter();
     let Some(first) = frames.next() else {
         return Err(Error::Execution {
@@ -89,8 +92,7 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
     let manifest = Manifest::from_json(&manifest_value).map_err(|e| decode_error(0, e))?;
 
     let mut completed = false;
-    let mut singles = Vec::new();
-    let mut jacobis = Vec::new();
+    let mut checkpoints = Vec::new();
     for (index, f) in frames.enumerate() {
         match f.tag {
             TAG_FINISHED => {
@@ -101,16 +103,10 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
                     .map_err(|e| decode_error(index + 1, format!("not UTF-8: {e}")))?;
                 let value = reader::parse(text)
                     .map_err(|e| decode_error(index + 1, format!("bad JSON: {e}")))?;
-                match manifest.mode {
-                    RunMode::Single => singles.push(
-                        checkpoint::single_from_json(&value)
-                            .map_err(|e| decode_error(index + 1, e))?,
-                    ),
-                    RunMode::Jacobi { npx, npy } => jacobis.push(
-                        checkpoint::jacobi_from_json(&value, npx.saturating_mul(npy))
-                            .map_err(|e| decode_error(index + 1, e))?,
-                    ),
-                }
+                checkpoints.push(
+                    checkpoint::from_json(&value, manifest.mode.num_ranks())
+                        .map_err(|e| decode_error(index + 1, e))?,
+                );
             }
             // `scan` only yields known tags; the manifest tag mid-file
             // would mean two manifests — treat as undecodable.
@@ -122,15 +118,13 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
             }
         }
     }
-    let checkpoints = singles.len() + jacobis.len();
     Ok(Recovered {
         manifest,
-        checkpoints,
+        checkpoints: checkpoints.len(),
         completed,
         valid_len: scan.valid_len as u64,
         truncated: scan.truncated,
-        single: checkpoint::fold_single(singles),
-        jacobi: checkpoint::fold_jacobi(jacobis),
+        resume: checkpoint::fold(checkpoints),
     })
 }
 
@@ -146,6 +140,7 @@ pub fn recover(path: impl AsRef<Path>) -> Result<Recovered> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::RunMode;
     use unsnap_core::problem::Problem;
 
     fn manifest_only() -> Vec<u8> {
@@ -169,8 +164,7 @@ mod tests {
         assert_eq!(recovered.checkpoints, 0);
         assert!(!recovered.completed);
         assert!(!recovered.truncated);
-        assert!(recovered.single.is_none());
-        assert!(recovered.jacobi.is_none());
+        assert!(recovered.resume.is_none());
         assert_eq!(recovered.valid_len, bytes.len() as u64);
     }
 
@@ -184,65 +178,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_checkpoint_frame_in_the_wrong_mode_is_an_error() {
-        let mut bytes = manifest_only();
-        // A jacobi payload in a single-mode log: decodes as JSON but
-        // misses the single-checkpoint fields.
-        bytes.extend_from_slice(&frame::frame_bytes(TAG_CHECKPOINT, b"{\"outer_next\":1}"));
-        let err = recover_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("undecodable"), "{err}");
+    /// Recover a log of `mode` holding one checkpoint frame of `payload`.
+    fn with_checkpoint(mode: RunMode, payload: &str) -> Result<Recovered> {
+        let mut bytes = manifest_for(mode);
+        bytes.extend_from_slice(&frame::frame_bytes(TAG_CHECKPOINT, payload.as_bytes()));
+        recover_bytes(&bytes)
     }
 
-    #[test]
-    fn a_rank_the_run_cannot_have_is_a_typed_error() {
-        use unsnap_comm::jacobi::JacobiCheckpointView;
+    /// A checkpoint payload of `num_ranks` ranks whose event delta names
+    /// `rank`.
+    fn payload_naming(num_ranks: usize, rank: usize) -> String {
         use unsnap_core::session::{EventLog, Lane, SolveEvent};
         use unsnap_core::solver::{CheckpointView, RunStats};
 
-        let stats = RunStats::default();
-        let on_rank = |rank| EventLog {
-            events: vec![(Lane::Rank(rank), SolveEvent::OuterStart { outer: 0 })],
-        };
-        let with_checkpoint = |mode, payload: String| {
-            let mut bytes = manifest_for(mode);
-            bytes.extend_from_slice(&frame::frame_bytes(TAG_CHECKPOINT, payload.as_bytes()));
-            recover_bytes(&bytes)
-        };
-
-        // A single-domain run has no rank lanes at all.
         let view = CheckpointView {
             outer_completed: 0,
             converged: false,
             phi: &[],
             psi: &[],
-            stats: &stats,
+            stats: &RunStats::default(),
+            rank_stats: &vec![RunStats::default(); num_ranks],
         };
-        let payload = checkpoint::single_to_json(&view, &on_rank(0));
-        let err = with_checkpoint(RunMode::Single, payload).unwrap_err();
+        let events = EventLog {
+            events: vec![(Lane::Rank(rank), SolveEvent::OuterStart { outer: 0 })],
+        };
+        checkpoint::to_json(&view, &events)
+    }
+
+    #[test]
+    fn a_checkpoint_frame_in_the_wrong_mode_is_an_error() {
+        // Decodes as JSON but misses the checkpoint fields.
+        let err = with_checkpoint(RunMode::Single, "{\"outer_next\":1}").unwrap_err();
+        assert!(err.to_string().contains("undecodable"), "{err}");
+        // A well-formed payload of another rank count than the manifest's
+        // grid: a block-Jacobi frame in a single-domain log and back.
+        let grid = RunMode::Jacobi { npx: 2, npy: 2 };
+        for (mode, num_ranks) in [(RunMode::Single, 4), (grid, 0), (grid, 2)] {
+            let err = with_checkpoint(mode, &payload_naming(num_ranks, 0)).unwrap_err();
+            assert!(err.to_string().contains("undecodable"), "{err}");
+            assert!(err.to_string().contains("rank(s)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_rank_the_run_cannot_have_is_a_typed_error() {
+        // A single-domain run has no rank lanes at all.
+        let err = with_checkpoint(RunMode::Single, &payload_naming(0, 0)).unwrap_err();
         assert!(err.to_string().contains("names rank 0"), "{err}");
 
         // A 2x2 run has ranks 0..4; `usize::MAX` would overflow the
         // per-lane tables the prefix is replayed into.
-        let view = JacobiCheckpointView {
-            outer_completed: 0,
-            converged: false,
-            inners_run: 1,
-            sweep_seconds: 0.0,
-            convergence_history: &[],
-            phi: &[],
-            psi: &[],
-            rank_stats: vec![&stats; 4],
-        };
         let grid = RunMode::Jacobi { npx: 2, npy: 2 };
-        let payload = |rank| checkpoint::jacobi_to_json(&view, &on_rank(rank));
-        let point = with_checkpoint(grid, payload(3)).unwrap().jacobi.unwrap();
-        assert_eq!(point.prefix, on_rank(3));
+        let recovered = with_checkpoint(grid, &payload_naming(4, 3)).unwrap();
+        let events = recovered.resume.unwrap().prefix.events;
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].0, unsnap_core::session::Lane::Rank(3));
         for rank in [4, usize::MAX] {
-            let err = with_checkpoint(grid, payload(rank)).unwrap_err();
+            let err = with_checkpoint(grid, &payload_naming(4, rank)).unwrap_err();
             assert!(err.to_string().contains("undecodable"), "{err}");
             assert!(err.to_string().contains("the run has 4 rank(s)"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_log_of_another_format_version_says_so() {
+        // Intact magic, another version, then perfectly valid frames: the
+        // error names both versions instead of "not a run log".
+        for found in [1u32, 3] {
+            let mut bytes = frame::MAGIC.to_vec();
+            bytes.extend_from_slice(&found.to_le_bytes());
+            bytes.extend_from_slice(&manifest_only()[frame::HEADER_LEN..]);
+            bytes.extend_from_slice(&frame::frame_bytes(
+                TAG_CHECKPOINT,
+                payload_naming(0, 0).as_bytes(),
+            ));
+            let err = recover_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, Error::Execution { .. }), "{err:?}");
+            let text = err.to_string();
+            assert!(text.contains(&format!("format version {found}")), "{text}");
+            let current = format!("version {}", frame::FORMAT_VERSION);
+            assert!(text.contains(&current), "{text}");
+            // Every truncation of it is still an error, never a panic.
+            for cut in 0..bytes.len() {
+                assert!(recover_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+        // A damaged magic is still "not a run log".
+        let mut bytes = manifest_only();
+        bytes[0] ^= 0xff;
+        let err = recover_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("not an UnSNAP run log"), "{err}");
     }
 
     #[test]

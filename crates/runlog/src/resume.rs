@@ -22,16 +22,21 @@ use unsnap_mesh::Decomposition2D;
 use crate::manifest::RunMode;
 use crate::recover::{recover, Recovered};
 
-fn reject_completed(recovered: &Recovered, path: &Path) -> Result<()> {
-    if recovered.completed {
-        return Err(Error::Execution {
-            reason: format!(
-                "run log {} records a completed run; re-solve instead of resuming",
-                path.display()
-            ),
-        });
+fn refusal(path: &Path, why: &str) -> Error {
+    Error::Execution {
+        reason: format!("run log {} {why}", path.display()),
     }
-    Ok(())
+}
+
+/// Recover the log at `path` for a resume entry point: an unreadable log
+/// or a completed run is an error.
+fn recover_unfinished(path: &Path) -> Result<Recovered> {
+    let recovered = recover(path)?;
+    if recovered.completed {
+        let why = "records a completed run; re-solve instead of resuming";
+        return Err(refusal(path, why));
+    }
+    Ok(recovered)
 }
 
 /// Extension constructor: `Session::resume(path)`.
@@ -48,19 +53,13 @@ pub trait SessionResume: Sized {
 impl SessionResume for Session {
     fn resume(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        let recovered = recover(path)?;
-        reject_completed(&recovered, path)?;
+        let recovered = recover_unfinished(path)?;
         if let RunMode::Jacobi { npx, npy } = recovered.manifest.mode {
-            return Err(Error::Execution {
-                reason: format!(
-                    "run log {} records a {npx}x{npy} block-Jacobi run; \
-                     use resume_block_jacobi",
-                    path.display()
-                ),
-            });
+            let why = format!("records a {npx}x{npy} block-Jacobi run; use resume_block_jacobi");
+            return Err(refusal(path, &why));
         }
         let mut session = Session::new(&recovered.manifest.problem)?;
-        if let Some(point) = recovered.single {
+        if let Some(point) = recovered.resume {
             session.solver_mut().resume_from(point)?;
         }
         Ok(session)
@@ -71,24 +70,15 @@ impl SessionResume for Session {
 /// to continue from its last intact checkpoint.
 pub fn resume_block_jacobi(path: impl AsRef<Path>) -> Result<BlockJacobiSolver> {
     let path = path.as_ref();
-    let recovered = recover(path)?;
-    reject_completed(&recovered, path)?;
+    let recovered = recover_unfinished(path)?;
     let RunMode::Jacobi { npx, npy } = recovered.manifest.mode else {
-        return Err(Error::Execution {
-            reason: format!(
-                "run log {} records a single-domain run; use Session::resume",
-                path.display()
-            ),
-        });
+        let why = "records a single-domain run; use Session::resume";
+        return Err(refusal(path, why));
     };
-    let decomposition = Decomposition2D::try_new(npx, npy).map_err(|e| Error::Execution {
-        reason: format!(
-            "run log {} names an invalid process grid: {e}",
-            path.display()
-        ),
-    })?;
+    let decomposition = Decomposition2D::try_new(npx, npy)
+        .map_err(|e| refusal(path, &format!("names an invalid process grid: {e}")))?;
     let mut solver = BlockJacobiSolver::new(&recovered.manifest.problem, decomposition)?;
-    if let Some(point) = recovered.jacobi {
+    if let Some(point) = recovered.resume {
         solver.resume_from(point)?;
     }
     Ok(solver)

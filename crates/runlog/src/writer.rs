@@ -22,7 +22,6 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::rc::Rc;
 
-use unsnap_comm::jacobi::{JacobiCheckpointSink, JacobiCheckpointView};
 use unsnap_core::error::{Error, Result};
 use unsnap_core::problem::Problem;
 use unsnap_core::session::{EventLog, Lane, RunObserver, SolveEvent};
@@ -84,12 +83,15 @@ impl CkInner {
             .finish()
     }
 
-    fn checkpoint_single(&mut self, view: &CheckpointView<'_>) -> Result<()> {
-        if self.mode != RunMode::Single {
+    fn checkpoint(&mut self, view: &CheckpointView<'_>) -> Result<()> {
+        let (found, expected) = (view.rank_stats.len(), self.mode.num_ranks());
+        if found != expected {
             return Err(Error::Execution {
-                reason: "run log was opened for a block-Jacobi run but received a \
-                         single-domain checkpoint"
-                    .into(),
+                reason: format!(
+                    "run log was opened for a {} run ({expected} rank(s)) but received a \
+                     checkpoint of {found} rank(s)",
+                    self.mode.label()
+                ),
             });
         }
         if self.finished {
@@ -102,31 +104,7 @@ impl CkInner {
             self.finished = true;
         } else if (view.outer_completed + 1).is_multiple_of(self.every) {
             let events = self.drain_delta();
-            let payload = checkpoint::single_to_json(view, &events);
-            self.write_frame(TAG_CHECKPOINT, payload.as_bytes())?;
-        }
-        Ok(())
-    }
-
-    fn checkpoint_jacobi(&mut self, view: &JacobiCheckpointView<'_>) -> Result<()> {
-        if !matches!(self.mode, RunMode::Jacobi { .. }) {
-            return Err(Error::Execution {
-                reason: "run log was opened for a single-domain run but received a \
-                         block-Jacobi checkpoint"
-                    .into(),
-            });
-        }
-        if self.finished {
-            return Ok(());
-        }
-        if view.converged || view.outer_completed + 1 == self.outer_iterations {
-            self.drain_delta();
-            let payload = Self::finished_payload(view.outer_completed, view.converged);
-            self.write_frame(TAG_FINISHED, payload.as_bytes())?;
-            self.finished = true;
-        } else if (view.outer_completed + 1).is_multiple_of(self.every) {
-            let events = self.drain_delta();
-            let payload = checkpoint::jacobi_to_json(view, &events);
+            let payload = checkpoint::to_json(view, &events);
             self.write_frame(TAG_CHECKPOINT, payload.as_bytes())?;
         }
         Ok(())
@@ -143,8 +121,7 @@ pub struct CheckpointObserver {
     inner: Rc<RefCell<CkInner>>,
 }
 
-/// The sink half of a [`CheckpointObserver`]; implements both the
-/// single-domain and the block-Jacobi sink traits.
+/// The sink half of a [`CheckpointObserver`], for either driver.
 pub struct CheckpointSinkHandle {
     inner: Rc<RefCell<CkInner>>,
 }
@@ -227,11 +204,9 @@ impl CheckpointObserver {
             ));
         }
         let prefix_events = recovered
-            .single
+            .resume
             .as_ref()
-            .map(|p| p.prefix.events.len())
-            .or_else(|| recovered.jacobi.as_ref().map(|p| p.prefix.events.len()))
-            .unwrap_or(0);
+            .map_or(0, |point| point.prefix.events.len());
         let mut file = OpenOptions::new()
             .write(true)
             .open(path)
@@ -274,12 +249,6 @@ impl RunObserver for CheckpointObserver {
 
 impl CheckpointSink for CheckpointSinkHandle {
     fn on_checkpoint(&mut self, view: &CheckpointView<'_>) -> Result<()> {
-        self.inner.borrow_mut().checkpoint_single(view)
-    }
-}
-
-impl JacobiCheckpointSink for CheckpointSinkHandle {
-    fn on_checkpoint(&mut self, view: &JacobiCheckpointView<'_>) -> Result<()> {
-        self.inner.borrow_mut().checkpoint_jacobi(view)
+        self.inner.borrow_mut().checkpoint(view)
     }
 }

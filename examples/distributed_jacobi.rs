@@ -51,14 +51,15 @@ fn main() {
         let (px, py) = (decomp.npx, decomp.npy);
         let local_stages = problem.nx / px + problem.ny / py + problem.nz - 2;
         let kba = KbaModel::evaluate(px, py, local_stages.max(1));
+        let ranks = outcome.ranks.as_ref().expect("block-Jacobi outcome");
         println!(
             "{:>6} {:>12} {:>12} {:>14.5e} {:>17.1}%",
-            outcome.num_ranks,
-            outcome
+            ranks.num_ranks,
+            ranks
                 .iterations_to_tolerance
                 .map(|i| i.to_string())
                 .unwrap_or_else(|| "> max".into()),
-            outcome.halo_faces,
+            ranks.halo_faces,
             outcome.scalar_flux_total,
             kba.efficiency * 100.0
         );

@@ -83,10 +83,7 @@ pub use unsnap_sweep as sweep;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use unsnap_accel::{DiffusionOperator, DiffusionTopology, DsaConfig, DsaSolver};
-    pub use unsnap_comm::{
-        BlockJacobiOutcome, BlockJacobiSolver, CommError, HaloExchange, JacobiCheckpointSink,
-        JacobiCheckpointView, JacobiResumePoint, KbaModel,
-    };
+    pub use unsnap_comm::{BlockJacobiSolver, CommError, HaloExchange, KbaModel};
     pub use unsnap_core::angular::AngularQuadrature;
     pub use unsnap_core::builder::{
         ExecutionConfig, GridConfig, IterationConfig, PhysicsConfig, ProblemBuilder,
@@ -106,7 +103,8 @@ pub mod prelude {
         Session, SolveEvent, TeeObserver,
     };
     pub use unsnap_core::solver::{
-        CheckpointSink, CheckpointView, ResumePoint, RunStats, SolveOutcome, TransportSolver,
+        CheckpointSink, CheckpointView, RankDetail, ResumePoint, RunStats, SolveOutcome,
+        TransportSolver,
     };
     pub use unsnap_core::strategy::{
         AcceleratorKind, InnerSolveContext, IterationStrategy, StrategyKind,

@@ -12,7 +12,7 @@
 //!   the driver buffers each rank's events and replays them in rank
 //!   order;
 //! * `RecordingObserver`'s per-rank event counts equal the per-rank
-//!   counters of the `BlockJacobiOutcome`, at 1 and 4 ranks, for both
+//!   counters of the block-Jacobi `SolveOutcome`, at 1 and 4 ranks, for both
 //!   strategies (so streaming loses nothing relative to the summary).
 
 use unsnap::prelude::*;
@@ -68,7 +68,8 @@ fn rank_decomposed_sweep_gmres_matches_single_domain_flux() {
         "2-rank GMRES history: {:?}",
         jacobi_out.convergence_history
     );
-    assert_eq!(jacobi_out.strategy, StrategyKind::SweepGmres);
+    let strategy = jacobi_out.ranks.as_ref().unwrap().strategy;
+    assert_eq!(strategy, StrategyKind::SweepGmres);
     assert!(jacobi_out.krylov_iterations > 0);
 
     // Block Jacobi changes the iteration path, not the fixed point: at a
@@ -116,7 +117,7 @@ fn assert_per_rank_streams_thread_invariant(strategy: StrategyKind) {
     p.convergence_tolerance = 1e-8;
     p.strategy = strategy;
 
-    let mut reference: Option<(RecordingObserver, BlockJacobiOutcome, Vec<f64>)> = None;
+    let mut reference: Option<(RecordingObserver, SolveOutcome, Vec<f64>)> = None;
     // 8 exceeds the rank count; the driver caps the pool at 4 ranks, and
     // the stream must stay identical through that cap too.
     for threads in [1usize, 2, 4, 8] {
@@ -136,10 +137,12 @@ fn assert_per_rank_streams_thread_invariant(strategy: StrategyKind) {
                 );
                 let mut a = r_out.clone();
                 let mut b = outcome;
-                a.assemble_solve_seconds = 0.0;
-                b.assemble_solve_seconds = 0.0;
-                a.metrics.zero_wallclock();
-                b.metrics.zero_wallclock();
+                for out in [&mut a, &mut b] {
+                    out.assemble_solve_seconds = 0.0;
+                    out.kernel_assemble_seconds = 0.0;
+                    out.kernel_solve_seconds = 0.0;
+                    out.metrics.zero_wallclock();
+                }
                 assert_eq!(a, b, "{strategy:?} outcome diverged at {threads} threads");
                 assert_eq!(
                     r_flux, &flux,
@@ -205,21 +208,22 @@ fn assert_rank_streams_match_counters(decomp: Decomposition2D, strategy: Strateg
     let mut recorder = RecordingObserver::default();
     let outcome = solver.run_observed(&mut recorder).unwrap();
 
-    assert_eq!(outcome.num_ranks, decomp.num_ranks());
+    let ranks = outcome.ranks.as_ref().unwrap();
+    assert_eq!(ranks.num_ranks, decomp.num_ranks());
     assert_eq!(recorder.rank_records.len(), decomp.num_ranks());
-    assert_eq!(outcome.rank_sweep_counts.len(), decomp.num_ranks());
+    assert_eq!(ranks.sweep_counts.len(), decomp.num_ranks());
     assert_eq!(
         outcome.sweep_count,
-        outcome.rank_sweep_counts.iter().sum::<usize>()
+        ranks.sweep_counts.iter().sum::<usize>()
     );
     assert_eq!(
         outcome.krylov_iterations,
-        outcome.rank_krylov_iterations.iter().sum::<usize>()
+        ranks.krylov_iterations.iter().sum::<usize>()
     );
 
     for (rank, record) in recorder.rank_records.iter().enumerate() {
         assert_eq!(
-            record.sweep_count, outcome.rank_sweep_counts[rank],
+            record.sweep_count, ranks.sweep_counts[rank],
             "rank {rank} sweep events"
         );
         assert_eq!(
@@ -255,7 +259,7 @@ fn assert_rank_streams_match_counters(decomp: Decomposition2D, strategy: Strateg
                 // solve per halo iteration).
                 assert_eq!(
                     record.krylov_residual_history.len(),
-                    outcome.rank_krylov_iterations[rank] + outcome.inner_iterations,
+                    ranks.krylov_iterations[rank] + outcome.inner_iterations,
                     "rank {rank} Krylov residual events"
                 );
             }
@@ -419,7 +423,8 @@ fn unsnap_strategy_env_knob_reaches_the_distributed_solver() {
 
     let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
     let outcome = solver.run().unwrap();
-    assert_eq!(outcome.strategy, StrategyKind::SweepGmres);
+    let ranks = outcome.ranks.as_ref().unwrap();
+    assert_eq!(ranks.strategy, StrategyKind::SweepGmres);
     assert!(outcome.krylov_iterations > 0);
-    assert!(!outcome.rank_krylov_iterations.is_empty());
+    assert!(!ranks.krylov_iterations.is_empty());
 }

@@ -45,7 +45,8 @@ fn base_problem(strategy: StrategyKind) -> Problem {
     p
 }
 
-/// Everything a `SolveOutcome` reports except wall-clock timing.
+/// Everything a `SolveOutcome` — of either driver — reports except
+/// wall-clock timing.
 fn non_timing(o: &SolveOutcome) -> SolveOutcome {
     let mut metrics = o.metrics.clone();
     metrics.zero_wallclock();
@@ -56,14 +57,6 @@ fn non_timing(o: &SolveOutcome) -> SolveOutcome {
         metrics,
         ..o.clone()
     }
-}
-
-/// Everything a `BlockJacobiOutcome` reports except wall-clock timing.
-fn jacobi_non_timing(o: &BlockJacobiOutcome) -> BlockJacobiOutcome {
-    let mut out = o.clone();
-    out.assemble_solve_seconds = 0.0;
-    out.metrics.zero_wallclock();
-    out
 }
 
 /// Zero the wall-clock fields of a recording (recursively over rank
@@ -100,7 +93,8 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-struct SingleReference {
+/// An uninterrupted checkpointed run of either driver.
+struct Reference {
     outcome: SolveOutcome,
     flux: Vec<f64>,
     recorder: RecordingObserver,
@@ -108,9 +102,33 @@ struct SingleReference {
     log: Vec<u8>,
 }
 
+impl Reference {
+    /// Assert a resumed run's outcome, flux and observer stream match
+    /// this uninterrupted run's exactly.
+    fn assert_resumed(
+        &self,
+        outcome: &SolveOutcome,
+        flux: &[f64],
+        recorder: &RecordingObserver,
+        tag: &str,
+    ) {
+        assert_eq!(
+            non_timing(outcome),
+            non_timing(&self.outcome),
+            "{tag}: resumed outcome diverged"
+        );
+        assert_eq!(flux, &self.flux[..], "{tag}: resumed flux diverged");
+        assert_eq!(
+            without_timing(recorder),
+            without_timing(&self.recorder),
+            "{tag}: resumed observer stream diverged"
+        );
+    }
+}
+
 /// Run `problem` to completion under a checkpointing observer (cadence
 /// `every`), capturing the outcome, flux, event stream and log bytes.
-fn run_single_reference(problem: &Problem, every: usize) -> SingleReference {
+fn run_single_reference(problem: &Problem, every: usize) -> Reference {
     let buffer = SharedBuffer::new();
     let observer =
         CheckpointObserver::with_writer(Box::new(buffer.clone()), problem, RunMode::Single, every)
@@ -123,7 +141,7 @@ fn run_single_reference(problem: &Problem, every: usize) -> SingleReference {
         let mut tee = TeeObserver::new(&mut recorder, &mut observer);
         session.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
-    SingleReference {
+    Reference {
         outcome,
         flux: session.scalar_flux().as_slice().to_vec(),
         recorder,
@@ -152,7 +170,7 @@ fn manifest_boundary(log: &[u8]) -> usize {
 
 /// Resume the single-domain run whose log image is `partial`, finish
 /// it, and assert the outcome/flux/stream match the reference exactly.
-fn resume_single_and_compare(partial: &[u8], every: usize, reference: &SingleReference, tag: &str) {
+fn resume_single_and_compare(partial: &[u8], every: usize, reference: &Reference, tag: &str) {
     let path = temp_path(tag);
     std::fs::write(&path, partial).unwrap();
     let mut session = Session::resume(&path).unwrap();
@@ -164,21 +182,8 @@ fn resume_single_and_compare(partial: &[u8], every: usize, reference: &SingleRef
         let mut tee = TeeObserver::new(&mut recorder, &mut observer);
         session.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
-    assert_eq!(
-        non_timing(&outcome),
-        non_timing(&reference.outcome),
-        "{tag}: resumed outcome diverged"
-    );
-    assert_eq!(
-        session.scalar_flux().as_slice(),
-        &reference.flux[..],
-        "{tag}: resumed flux diverged"
-    );
-    assert_eq!(
-        without_timing(&recorder),
-        without_timing(&reference.recorder),
-        "{tag}: resumed observer stream diverged"
-    );
+    let flux = session.scalar_flux().as_slice();
+    reference.assert_resumed(&outcome, flux, &recorder, tag);
     // The completed resumed log must itself recover as a finished run.
     let final_log = std::fs::read(&path).unwrap();
     let recovered = recover_bytes(&final_log).unwrap();
@@ -196,34 +201,44 @@ fn resume_single_and_compare(partial: &[u8], every: usize, reference: &SingleRef
 #[test]
 fn truncation_at_every_byte_offset_recovers_a_valid_prefix() {
     let problem = small_problem();
-    let reference = run_single_reference(&problem, 1);
-    let log = &reference.log;
-    let full = recover_bytes(log).unwrap();
-    assert!(full.completed);
-    assert_eq!(full.checkpoints, 3, "4 outers at cadence 1: 3 C + 1 F");
+    let images = [
+        ("single", run_single_reference(&problem, 1).log),
+        ("jacobi 2x1", run_jacobi_reference(&problem, 2, 1).log),
+    ];
+    for (image, log) in &images {
+        let full = recover_bytes(log).unwrap();
+        assert!(full.completed, "{image}");
+        assert_eq!(
+            full.checkpoints, 3,
+            "{image}: 4 outers at cadence 1: 3 C + 1 F"
+        );
 
-    let boundaries = checkpoint_boundaries(log);
-    for cut in 0..=log.len() {
-        // Must never panic; short prefixes are typed errors.
-        let Ok(recovered) = recover_bytes(&log[..cut]) else {
-            continue;
-        };
-        // A torn frame is never accepted: the number of surviving
-        // checkpoints is exactly the number of *whole* checkpoint
-        // frames below the cut.
-        let expect = boundaries.iter().filter(|&&end| end <= cut).count();
-        assert_eq!(recovered.checkpoints, expect, "cut at {cut}");
-        match recovered.single {
-            Some(ref point) => {
-                // Cadence 1: checkpoint k resumes at outer k+1.
-                assert_eq!(point.outer_next, expect, "cut at {cut}");
-                assert!(!point.prefix.events.is_empty(), "cut at {cut}");
+        let boundaries = checkpoint_boundaries(log);
+        for cut in 0..=log.len() {
+            // Must never panic; short prefixes are typed errors.
+            let Ok(recovered) = recover_bytes(&log[..cut]) else {
+                continue;
+            };
+            // A torn frame is never accepted: the number of surviving
+            // checkpoints is exactly the number of *whole* checkpoint
+            // frames below the cut.
+            let expect = boundaries.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(recovered.checkpoints, expect, "{image}: cut at {cut}");
+            match recovered.resume {
+                Some(ref point) => {
+                    // Cadence 1: checkpoint k resumes at outer k+1.
+                    assert_eq!(point.outer_next, expect, "{image}: cut at {cut}");
+                    assert!(!point.prefix.events.is_empty(), "{image}: cut at {cut}");
+                    let ranks = recovered.manifest.mode.num_ranks();
+                    assert_eq!(point.rank_stats.len(), ranks, "{image}: cut at {cut}");
+                }
+                None => assert_eq!(expect, 0, "{image}: cut at {cut}"),
             }
-            None => assert_eq!(expect, 0, "cut at {cut}"),
+            // `completed` survives only if the finished frame survived
+            // whole, i.e. only the untruncated image.
+            let whole = cut == log.len();
+            assert_eq!(recovered.completed, whole, "{image}: cut at {cut}");
         }
-        // `completed` survives only if the finished frame survived
-        // whole, i.e. only the untruncated image.
-        assert_eq!(recovered.completed, cut == log.len(), "cut at {cut}");
     }
 }
 
@@ -392,14 +407,7 @@ fn a_converging_run_writes_a_finished_frame_and_rejects_resume() {
 // Contract 2, block-Jacobi path
 // ---------------------------------------------------------------------
 
-struct JacobiReference {
-    outcome: BlockJacobiOutcome,
-    flux: Vec<f64>,
-    recorder: RecordingObserver,
-    log: Vec<u8>,
-}
-
-fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> JacobiReference {
+fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> Reference {
     let buffer = SharedBuffer::new();
     let observer = CheckpointObserver::with_writer(
         Box::new(buffer.clone()),
@@ -418,7 +426,7 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> JacobiRefe
             .run_observed_checkpointed(&mut tee, &mut sink)
             .unwrap()
     };
-    JacobiReference {
+    Reference {
         outcome,
         flux: solver.scalar_flux().as_slice().to_vec(),
         recorder,
@@ -426,7 +434,7 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> JacobiRefe
     }
 }
 
-fn resume_jacobi_and_compare(partial: &[u8], reference: &JacobiReference, tag: &str) {
+fn resume_jacobi_and_compare(partial: &[u8], reference: &Reference, tag: &str) {
     let path = temp_path(tag);
     std::fs::write(&path, partial).unwrap();
     let mut solver = resume_block_jacobi(&path).unwrap();
@@ -440,21 +448,8 @@ fn resume_jacobi_and_compare(partial: &[u8], reference: &JacobiReference, tag: &
             .run_observed_checkpointed(&mut tee, &mut sink)
             .unwrap()
     };
-    assert_eq!(
-        jacobi_non_timing(&outcome),
-        jacobi_non_timing(&reference.outcome),
-        "{tag}: resumed jacobi outcome diverged"
-    );
-    assert_eq!(
-        solver.scalar_flux().as_slice(),
-        &reference.flux[..],
-        "{tag}: resumed jacobi flux diverged"
-    );
-    assert_eq!(
-        without_timing(&recorder),
-        without_timing(&reference.recorder),
-        "{tag}: resumed jacobi observer stream diverged"
-    );
+    let flux = solver.scalar_flux().as_slice();
+    reference.assert_resumed(&outcome, flux, &recorder, tag);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -468,10 +463,7 @@ fn assert_kill_resume_jacobi(strategy: StrategyKind) {
         // The sink must not perturb the distributed physics either.
         let mut plain = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
         let plain_outcome = plain.run().unwrap();
-        assert_eq!(
-            jacobi_non_timing(&plain_outcome),
-            jacobi_non_timing(&reference.outcome)
-        );
+        assert_eq!(non_timing(&plain_outcome), non_timing(&reference.outcome));
 
         resume_jacobi_and_compare(
             &reference.log[..manifest_boundary(&reference.log)],
@@ -531,6 +523,18 @@ fn resume_entry_points_reject_the_wrong_mode() {
     };
     assert!(err.to_string().contains("block-Jacobi"), "{err}");
     let _ = std::fs::remove_file(&path);
+
+    // The write side refuses the other driver too: a single-domain log
+    // handed a 2-rank checkpoint aborts the run with a typed error.
+    let writer = Box::new(SharedBuffer::new());
+    let observer = CheckpointObserver::with_writer(writer, &problem, RunMode::Single, 1).unwrap();
+    let mut sink = observer.sink();
+    let mut observer = observer;
+    let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
+    let err = solver
+        .run_observed_checkpointed(&mut observer, &mut sink)
+        .unwrap_err();
+    assert!(err.to_string().contains("2 rank(s)"), "{err}");
 }
 
 #[test]

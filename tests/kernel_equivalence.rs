@@ -35,7 +35,7 @@ fn mixed_sweep_budget(reference_sweeps: usize) -> usize {
     2 * reference_sweeps + 4
 }
 
-/// Everything a `SolveOutcome` reports except wall-clock timing (the
+/// Everything a `SolveOutcome` of either driver reports except wall-clock timing (the
 /// `tests/parallel_determinism.rs` normalisation).
 fn non_timing_fields(o: &SolveOutcome) -> SolveOutcome {
     let mut metrics = o.metrics.clone();
@@ -47,14 +47,6 @@ fn non_timing_fields(o: &SolveOutcome) -> SolveOutcome {
         metrics,
         ..o.clone()
     }
-}
-
-/// Everything a `BlockJacobiOutcome` reports except wall-clock timing.
-fn jacobi_non_timing_fields(o: &BlockJacobiOutcome) -> BlockJacobiOutcome {
-    let mut copy = o.clone();
-    copy.assemble_solve_seconds = 0.0;
-    copy.metrics.zero_wallclock();
-    copy
 }
 
 struct Run {
@@ -188,8 +180,8 @@ proptest! {
                 BlockJacobiSolver::new(&blocked_problem, decomposition).unwrap();
             let blocked_outcome = blocked.run().unwrap();
             prop_assert_eq!(
-                jacobi_non_timing_fields(&blocked_outcome),
-                jacobi_non_timing_fields(&reference_outcome),
+                non_timing_fields(&blocked_outcome),
+                non_timing_fields(&reference_outcome),
                 "jacobi outcome diverged at {}x{} ranks, {} threads",
                 px,
                 py,
