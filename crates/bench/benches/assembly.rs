@@ -1,11 +1,16 @@
 //! Criterion micro-benchmark behind Table I / §IV-B.1: per-element integral
 //! precomputation and the assemble-only and assemble+solve kernel costs as
-//! a function of element order.
+//! a function of element order — for the reference assembly and for the
+//! tiled one the sweeps run, with its tile warm (a later group of the same
+//! element and angle) and cold (the element's first group).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use unsnap_core::kernel::{assemble, assemble_solve, KernelScratch, UpwindFace, UpwindSource};
+use unsnap_core::kernel::{
+    assemble, assemble_blocked, assemble_solve, KernelEngine, KernelScratch, UpwindFace,
+    UpwindSource,
+};
 use unsnap_fem::element::ReferenceElement;
 use unsnap_fem::face::FACES;
 use unsnap_fem::geometry::HexVertices;
@@ -52,7 +57,48 @@ fn bench_assemble_and_solve(c: &mut Criterion) {
             })
         });
 
+        // The criterion-side witness of `core.kernel.assemble_blocked_ns`.
+        group.bench_with_input(
+            BenchmarkId::new("assemble_tiled_warm", order),
+            &order,
+            |b, _| {
+                b.iter(|| {
+                    assemble_blocked(&ints, omega, 1.5, &source, &upwind, 0, &mut scratch);
+                    black_box(scratch.rhs[0])
+                })
+            },
+        );
+        let mut key = 0;
+        group.bench_with_input(
+            BenchmarkId::new("assemble_tiled_cold", order),
+            &order,
+            |b, _| {
+                b.iter(|| {
+                    key += 1; // a new element every call: the tile is rebuilt
+                    assemble_blocked(&ints, omega, 1.5, &source, &upwind, key, &mut scratch);
+                    black_box(scratch.rhs[0])
+                })
+            },
+        );
+
         let solver = SolverKind::GaussianElimination.build();
+        let engine = KernelEngine::default();
+        group.bench_with_input(BenchmarkId::new("engine_task_ge", order), &order, |b, _| {
+            b.iter(|| {
+                engine.assemble_solve(
+                    0,
+                    &ints,
+                    omega,
+                    1.5,
+                    &source,
+                    &upwind,
+                    solver.as_ref(),
+                    false,
+                    &mut scratch,
+                );
+                black_box(scratch.rhs[0])
+            })
+        });
         group.bench_with_input(
             BenchmarkId::new("assemble_solve_ge", order),
             &order,

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmark behind Table II: the local dense solve
 //! (hand-written Gaussian elimination vs reference LU vs the blocked-LU
-//! MKL stand-in) at each Table-I matrix size.
+//! MKL stand-in) at each Table-I matrix size, and the elimination alone at
+//! the sizes it is monomorphised for beside the nearest sizes it is not.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -46,5 +47,31 @@ fn bench_local_solve(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_local_solve);
+/// The elimination as the sweep calls it — in place, nothing allocated —
+/// at n ∈ {8, 27, 64} (orders 1–3, fixed-size routine) and at n ∈ {7, 28,
+/// 65} (run-time-size routine).  One sample is a batch of restore + solve,
+/// so a sub-microsecond solve is not lost in the clock; the criterion-side
+/// witness of the benchmark's `linalg.solve_ns.ge`.
+fn bench_elimination_in_place(c: &mut Criterion) {
+    let mut group = c.benchmark_group("elimination_in_place_x256");
+    group.sample_size(20);
+    let solver = SolverKind::GaussianElimination.build();
+    for n in [7usize, 8, 27, 28, 64, 65] {
+        let (a, b) = system(n);
+        let (mut a2, mut x) = (a.clone(), b.clone());
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
+            bench.iter(|| {
+                for _ in 0..256 {
+                    a2.as_mut_slice().copy_from_slice(a.as_slice());
+                    x.copy_from_slice(&b);
+                    solver.solve_in_place(black_box(&mut a2), &mut x).unwrap();
+                }
+                black_box(x[0])
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_local_solve, bench_elimination_in_place);
 criterion_main!(benches);

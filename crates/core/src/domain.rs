@@ -21,7 +21,11 @@
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
 //! gather the upwind ψ, assemble, solve) and one bucket loop driven by an
 //! `IterationSpace` — the Figure 3/4 scheme label as data — so a sweep
-//! optimisation has exactly one place to go.
+//! optimisation has exactly one place to go.  Both keep to the work their
+//! loop level owns: a task does what depends on the group (what depends on
+//! the element and the angle alone sits in the worker's `TaskScratch`),
+//! and a warm bucket loop neither allocates nor, unless the problem asks
+//! for Table II's per-task split, reads the clock per task.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -192,17 +196,106 @@ pub struct SweepDomain {
     dsa: Option<DsaAccelerator>,
     /// Working storage of the bucket loop, reused across sweeps.
     buffers: BucketBuffers,
+    /// One node block of zeros: the upwind ψ of a foreign cell when the
+    /// sweep has no halo to read.  (Beside `buffers`, not in it: the
+    /// tasks read it while the bucket loop holds `buffers` exclusively.)
+    zeros: Vec<f64>,
 }
 
-/// Per-bucket working storage that outlives the bucket, so a sweep
-/// allocates nothing per task.
+/// Working storage of the bucket loop that outlives the sweep, so a warm
+/// sweep allocates nothing per task, per region or per worker chunk.
 struct BucketBuffers {
-    /// Kernel scratch of inline (single-worker) regions.
-    scratch: KernelScratch,
+    /// The scratch pool: every run of tasks — an inline region, a worker's
+    /// chunk of a forked one — checks one out and hands it back.
+    scratch: Mutex<ScratchPool>,
     /// The current bucket's (element, group) tasks, in loop-nest order.
     tasks: Vec<(usize, usize)>,
     /// The current bucket's solved ψ node blocks, in task order.
     results: Vec<f64>,
+}
+
+/// Where the upwind ψ of one inflow face comes from: everything about it
+/// that does not depend on the group.
+#[derive(Debug, Clone, Copy)]
+enum InflowSource {
+    /// The domain boundary, with its prescribed (unscaled) incoming flux.
+    Boundary(f64),
+    /// A cell of this domain, by local slot, solved earlier in the sweep.
+    Own { local: usize, face: usize },
+    /// A cell of another domain, by global id, read from the halo.
+    Foreign { cell: usize, face: usize },
+}
+
+/// Per-worker state of the bucket loop: the kernel's scratch, and the
+/// inflow description of the (element, angle) it last solved.  In
+/// `angle/element/group` order the groups of an element are consecutive,
+/// so both are built once per element and reused by every later group.
+struct TaskScratch {
+    kernel: KernelScratch,
+    /// The (element, angle) `inflow` describes.  Within one domain the
+    /// description never changes, so the key never needs invalidating.
+    key: Option<(usize, usize)>,
+    /// (face, source) of every inflow face, in ascending face order.
+    inflow: Vec<(usize, InflowSource)>,
+}
+
+impl TaskScratch {
+    fn new(nodes: usize) -> Self {
+        Self {
+            kernel: KernelScratch::new(nodes),
+            key: None,
+            inflow: Vec::with_capacity(NUM_FACES),
+        }
+    }
+}
+
+/// The idle [`TaskScratch`]es of a domain, and what the runs that handed
+/// them back had to report.
+#[derive(Default)]
+struct ScratchPool {
+    idle: Vec<TaskScratch>,
+    /// Time spent inside the tasks of the current sweep, summed over runs.
+    timing: KernelTiming,
+}
+
+/// One run of tasks on one thread: a [`TaskScratch`] checked out of the
+/// pool, handed back — with the time the run took — on drop.
+struct TaskRun<'a> {
+    /// `Some` until dropped.
+    scratch: Option<TaskScratch>,
+    pool: &'a Mutex<ScratchPool>,
+    /// Sum of the per-task timings; zero unless the problem times solves.
+    timing: KernelTiming,
+    /// Running when the tasks are not timed one by one: the whole run is
+    /// then one reading, booked as assembly like an untimed task's.
+    stopwatch: Option<Instant>,
+}
+
+impl<'a> TaskRun<'a> {
+    fn begin(pool: &'a Mutex<ScratchPool>, nodes: usize, time_solve: bool) -> Self {
+        let pooled = pool.lock().expect("a sweep task panicked").idle.pop();
+        Self {
+            scratch: Some(pooled.unwrap_or_else(|| TaskScratch::new(nodes))),
+            pool,
+            timing: KernelTiming::default(),
+            stopwatch: (!time_solve).then(Instant::now),
+        }
+    }
+}
+
+impl Drop for TaskRun<'_> {
+    fn drop(&mut self) {
+        if let Some(started) = self.stopwatch {
+            self.timing.assemble_ns += started.elapsed().as_nanos() as u64;
+        }
+        // A poisoned pool means a task panicked: the panic is already on
+        // its way to the caller, the scratch is only a cache and the
+        // sweep's timing will never be reported.
+        if let (Some(scratch), Ok(mut pool)) = (self.scratch.take(), self.pool.lock()) {
+            pool.timing.accumulate(self.timing);
+            pool.idle.push(scratch);
+        }
+    }
 }
 
 impl SweepDomain {
@@ -253,10 +346,11 @@ impl SweepDomain {
             krylov: None,
             dsa: None,
             buffers: BucketBuffers {
-                scratch: KernelScratch::new(nodes),
+                scratch: Mutex::default(),
                 tasks: Vec::new(),
                 results: Vec::new(),
             },
+            zeros: vec![0.0; nodes],
         })
     }
 
@@ -394,17 +488,20 @@ struct SweepView<'a> {
 impl SweepView<'_> {
     /// The one local task of a sweep: gather the upwind ψ of `element`
     /// for `angle` and `group`, assemble the local system and solve it,
-    /// leaving ψ(element, group, angle) in `scratch.rhs`.
+    /// leaving ψ(element, group, angle) in `scratch.kernel.rhs`.
     ///
     /// Own-cell upwind ψ is read from angle `psi.1` of `psi.0` (written
     /// earlier in the same sweep — the masked schedule guarantees it),
     /// foreign cells from the halo, boundary faces from the scaled inflow.
+    /// Which of the three a face reads is resolved when `scratch` last
+    /// solved another (element, angle); a task then only looks up its
+    /// group's slices.
     fn solve(
         &self,
         angle: usize,
         psi: (&FluxStorage, usize),
         (element, group): (usize, usize),
-        scratch: &mut KernelScratch,
+        scratch: &mut TaskScratch,
     ) -> KernelTiming {
         let a = self.assets;
         let schedule = &self.schedules[angle];
@@ -419,23 +516,39 @@ impl SweepView<'_> {
                 &computed
             }
         };
-        let inflow = &schedule.inflow_faces[element];
+        if scratch.key != Some((element, angle)) {
+            scratch.inflow.clear();
+            for face in schedule.inflow_faces(element) {
+                let source = match a.mesh.neighbor(element, face) {
+                    NeighborRef::Boundary { domain_face } => InflowSource::Boundary(
+                        a.problem.boundaries.face(domain_face).incoming_flux(),
+                    ),
+                    NeighborRef::Interior { cell, face } => match self.local_of_cell[cell] {
+                        FOREIGN => InflowSource::Foreign { cell, face },
+                        local => InflowSource::Own { local, face },
+                    },
+                };
+                scratch.inflow.push((face, source));
+            }
+            scratch.key = Some((element, angle));
+        }
         let mut upwind = [UpwindFace {
             face: 0,
             source: UpwindSource::Boundary(0.0),
         }; NUM_FACES];
-        for (slot, &face) in upwind.iter_mut().zip(inflow) {
-            let source = match a.mesh.neighbor(element, face) {
-                NeighborRef::Boundary { domain_face } => UpwindSource::Boundary(
-                    self.boundary_scale * a.problem.boundaries.face(domain_face).incoming_flux(),
-                ),
-                NeighborRef::Interior { cell, face: nf } => UpwindSource::Interior {
-                    neighbor_psi: match (self.local_of_cell[cell], self.halo) {
-                        (FOREIGN, Some(halo)) => halo.nodes(cell, group, angle),
-                        (FOREIGN, None) => self.zeros,
-                        (local, _) => psi.0.nodes(local, group, psi.1),
+        for (slot, &(face, source)) in upwind.iter_mut().zip(&scratch.inflow) {
+            let source = match source {
+                InflowSource::Boundary(flux) => UpwindSource::Boundary(self.boundary_scale * flux),
+                InflowSource::Own { local, face } => UpwindSource::Interior {
+                    neighbor_psi: psi.0.nodes(local, group, psi.1),
+                    neighbor_face_nodes: &a.face_nodes[face],
+                },
+                InflowSource::Foreign { cell, face } => UpwindSource::Interior {
+                    neighbor_psi: match self.halo {
+                        Some(halo) => halo.nodes(cell, group, angle),
+                        None => self.zeros,
                     },
-                    neighbor_face_nodes: &a.face_nodes[nf],
+                    neighbor_face_nodes: &a.face_nodes[face],
                 },
             };
             *slot = UpwindFace { face, source };
@@ -446,10 +559,10 @@ impl SweepView<'_> {
             schedule.omega,
             a.data.xs.total(a.data.material(element), group),
             self.source.nodes(self.local_of_cell[element], group, 0),
-            &upwind[..inflow.len()],
+            &upwind[..scratch.inflow.len()],
             a.solver.as_ref(),
             a.problem.time_solve,
-            scratch,
+            &mut scratch.kernel,
         )
     }
 
@@ -464,12 +577,13 @@ impl SweepView<'_> {
     ) -> KernelTiming {
         let ng = self.assets.problem.num_groups;
         let nodes = self.assets.element.nodes_per_element();
+        let time_solve = self.assets.problem.time_solve;
         let BucketBuffers {
             scratch,
             tasks,
             results,
+            ..
         } = buffers;
-        let mut timing = KernelTiming::default();
         for (angle, schedule) in self.schedules.iter().enumerate() {
             let weight = self.assets.quadrature.directions()[angle].weight;
             for bucket in &schedule.buckets {
@@ -479,15 +593,15 @@ impl SweepView<'_> {
                 // the ψ of earlier buckets, so each grain solves into its
                 // own slice of `results` while ψ stays shared.
                 let psi_read = (&*psi, angle);
-                let run =
-                    |scratch: &mut KernelScratch, grain: &[(usize, usize)], out: &mut [f64]| {
-                        let mut timing = KernelTiming::default();
-                        for (&task, slot) in grain.iter().zip(out.chunks_mut(nodes)) {
-                            timing.accumulate(self.solve(angle, psi_read, task, scratch));
-                            slot.copy_from_slice(&scratch.rhs);
-                        }
-                        timing
-                    };
+                let begin = || TaskRun::begin(scratch, nodes, time_solve);
+                let run = |run: &mut TaskRun, (grain, out): (&[(usize, usize)], &mut [f64])| {
+                    let scratch = run.scratch.as_mut().expect("held until the run drops");
+                    for (&task, slot) in grain.iter().zip(out.chunks_mut(nodes)) {
+                        run.timing
+                            .accumulate(self.solve(angle, psi_read, task, scratch));
+                        slot.copy_from_slice(&scratch.kernel.rhs);
+                    }
+                };
                 for (region, out) in tasks
                     .chunks(region_len)
                     .zip(results.chunks_mut(region_len * nodes))
@@ -499,21 +613,21 @@ impl SweepView<'_> {
                         Some(pool) => {
                             let stealing =
                                 space.stealing && grains.len() < 8 * pool.current_num_threads();
-                            let timings: Vec<KernelTiming> = pool.install(|| {
+                            // The grain list is the one allocation of a
+                            // forked region: the pool takes it by value.
+                            pool.install(|| {
                                 grains
                                     .collect::<Vec<_>>()
                                     .into_par_iter()
                                     .with_stealing(stealing)
-                                    .map_init(
-                                        || KernelScratch::new(nodes),
-                                        |scratch, (grain, out)| run(scratch, grain, out),
-                                    )
-                                    .collect()
+                                    .map_init(begin, run)
+                                    .collect::<()>()
                             });
-                            timings.into_iter().for_each(|t| timing.accumulate(t));
                         }
-                        None => grains
-                            .for_each(|(grain, out)| timing.accumulate(run(scratch, grain, out))),
+                        None => {
+                            let mut inline = begin();
+                            grains.for_each(|grain| run(&mut inline, grain));
+                        }
                     }
                 }
                 // Write-back: store ψ and accumulate the scalar flux.
@@ -526,7 +640,8 @@ impl SweepView<'_> {
                 }
             }
         }
-        timing
+        let pool = scratch.get_mut().expect("a sweep task panicked");
+        std::mem::take(&mut pool.timing)
     }
 
     /// The angle-threaded ablation (§IV-A.3): thread over the angles of
@@ -552,19 +667,18 @@ impl SweepView<'_> {
                 let angle = a.quadrature.angle_index(octant, index_in_octant);
                 let weight = a.quadrature.directions()[angle].weight;
                 let mut psi_angle = FluxStorage::zeros(angle_layout);
-                let mut scratch = KernelScratch::new(nodes);
+                let mut scratch = TaskScratch::new(nodes);
                 let mut timing = KernelTiming::default();
                 for &element in self.schedules[angle].buckets.iter().flatten() {
                     let local = self.local_of_cell[element];
                     for g in 0..phi_layout.num_groups {
                         let task = (element, g);
                         timing.accumulate(self.solve(angle, (&psi_angle, 0), task, &mut scratch));
-                        psi_angle
-                            .nodes_mut(local, g, 0)
-                            .copy_from_slice(&scratch.rhs);
+                        let solved = &scratch.kernel.rhs;
+                        psi_angle.nodes_mut(local, g, 0).copy_from_slice(solved);
                         let base = phi_layout.base(local, g, 0);
                         let mut acc = phi_acc.lock().expect("a sweep task panicked");
-                        for (p, &v) in acc[base..base + nodes].iter_mut().zip(&scratch.rhs) {
+                        for (p, &v) in acc[base..base + nodes].iter_mut().zip(solved) {
                             *p += weight * v;
                         }
                     }
@@ -665,9 +779,9 @@ impl DomainContext<'_> {
             source,
             homogeneous,
             buffers,
+            zeros,
             ..
         } = &mut *self.domain;
-        let zeros = vec![0.0f64; self.assets.element.nodes_per_element()];
         let view = SweepView {
             assets: self.assets,
             pool: self.pool.filter(|pool| pool.current_num_threads() > 1),
@@ -676,7 +790,7 @@ impl DomainContext<'_> {
             source,
             halo: self.halo.filter(|_| !*homogeneous),
             boundary_scale: if *homogeneous { 0.0 } else { 1.0 },
-            zeros: &zeros,
+            zeros,
         };
         match IterationSpace::new(self.assets.problem.scheme) {
             Some(space) => view.sweep_buckets(space, psi, phi, buffers),

@@ -23,6 +23,15 @@
 //! The kernel is written so that the hot loops run over contiguous slices
 //! (matrix rows, node vectors) and reuses caller-provided scratch storage —
 //! no allocation happens per invocation once the scratch is warm.
+//!
+//! There are two assemblers and they agree bit for bit.  [`assemble`] is
+//! the seed routine, kept as the oracle the tests compare against: it
+//! recomputes everything for every call.  [`assemble_blocked`] is the one
+//! the [`KernelEngine`] — and therefore every sweep — runs: whatever
+//! depends only on the element and the direction (`Ω·G`, the outflow face
+//! entries, the directed matrices of the inflow faces) is kept in a
+//! per-worker tile of the [`KernelScratch`], so a call whose element and
+//! direction match the previous one does only the group's work.
 
 use std::time::Instant;
 
@@ -32,22 +41,17 @@ use unsnap_linalg::{DenseMatrix, LinearSolver};
 
 use crate::layout::Precision;
 
-/// Which assemble kernel runs the per-cell hot loop.
+/// The kernel selector of [`Problem::kernel`](crate::problem::Problem).
 ///
-/// Both kernels produce bit-for-bit identical systems: the blocked
-/// kernel caches the direction-dependent geometry tiles (streaming
-/// matrix and outflow face entries) per `(element, Ω)` and replays the
-/// reference operation order from the cache, so reusing a cached `f64`
-/// is indistinguishable from recomputing it.  The payoff is that the
-/// per-group work drops to `σ_t·M` minus a preformed SoA tile — the
-/// groups of one element are consecutive in the collapsed loop order,
-/// so the cache hits on every group after the first.
+/// Parsed and carried, but inert: the [`KernelEngine`] runs the tiled
+/// assembly ([`assemble_blocked`]) for both values, and that assembly is
+/// bit for bit the reference one ([`assemble`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum KernelKind {
-    /// The scalar reference kernel, unchanged since the seed.
+    /// The default label.
     #[default]
     Reference,
-    /// SoA cache-blocked kernel reusing per-(element, Ω) geometry tiles.
+    /// The label of the former opt-in tiled kernel.
     Blocked,
 }
 
@@ -119,17 +123,12 @@ pub struct KernelScratch {
     pub matrix: DenseMatrix,
     /// Right-hand side, overwritten with the solution.
     pub rhs: Vec<f64>,
-    /// Tag of the `(cache key, Ω bit pattern)` whose geometry tiles are
-    /// currently loaded; `None` until the blocked kernel warms it.
-    geo_key: Option<(usize, [u64; 3])>,
-    /// Cached streaming tile `Σ_d Ω_d G[d]` for the tagged key.
-    geo_streaming: DenseMatrix,
-    /// Cached outflow surface entries `(i, j, f_ij)` for the tagged key,
-    /// in reference accumulation order.
-    geo_outflow: Vec<(usize, usize, f64)>,
-    /// Single-precision mirror of `matrix` for the mixed-precision solve.
+    /// The element × direction tile of the last tiled assembly.
+    tile: GeometryTile,
+    /// Single-precision mirror of `matrix`, sized by the first
+    /// mixed-precision solve.
     matrix32: Vec<f32>,
-    /// Single-precision mirror of `rhs` for the mixed-precision solve.
+    /// Single-precision mirror of `rhs`, likewise.
     rhs32: Vec<f32>,
 }
 
@@ -139,12 +138,85 @@ impl KernelScratch {
         Self {
             matrix: DenseMatrix::zeros(n, n),
             rhs: vec![0.0; n],
-            geo_key: None,
-            geo_streaming: DenseMatrix::zeros(n, n),
-            geo_outflow: Vec::new(),
-            matrix32: vec![0.0; n * n],
-            rhs32: vec![0.0; n],
+            tile: GeometryTile::default(),
+            matrix32: Vec::new(),
+            rhs32: Vec::new(),
         }
+    }
+}
+
+/// What the local system of one element and one direction shares across
+/// energy groups.
+///
+/// Every value is computed with the expression [`assemble`] uses for it,
+/// so replaying a stored `f64` is indistinguishable from recomputing it.
+#[derive(Debug, Clone, Default)]
+struct GeometryTile {
+    /// `(cache key, Ω bit pattern)` the tile was built for.
+    key: Option<(usize, [u64; 3])>,
+    /// Streaming tile `Σ_d Ω_d G[d]`, row-major `n × n`.
+    streaming: Vec<f64>,
+    /// Outflow surface entries `(flat matrix index, f_ij)`, in reference
+    /// accumulation order.
+    outflow: Vec<(usize, f64)>,
+    /// Directed matrices `Σ_d Ω_d F[d]` of the faces, one row-major
+    /// `nf × nf` block per face index.
+    directed: Vec<f64>,
+    /// Which faces' blocks of `directed` hold this key's values.  Blocks
+    /// are filled when an inflow face first asks, so a tile pays only for
+    /// the faces its callers name.
+    directed_ready: u8,
+}
+
+impl GeometryTile {
+    /// Rebuild the group-independent volume and outflow terms for `key`.
+    fn load(&mut self, key: (usize, [u64; 3]), integrals: &ElementIntegrals, omega: [f64; 3]) {
+        let n = integrals.nodes_per_element();
+        let [gx, gy, gz] = &integrals.stream;
+        self.streaming.resize(n * n, 0.0);
+        for (i, out) in self.streaming.chunks_exact_mut(n).enumerate() {
+            let rows = gx.row(i).iter().zip(gy.row(i)).zip(gz.row(i));
+            for (out, ((&x, &y), &z)) in out.iter_mut().zip(rows) {
+                // The parenthesised streaming term of `assemble`.
+                *out = omega[0] * x + omega[1] * y + omega[2] * z;
+            }
+        }
+        self.outflow.clear();
+        for face in &integrals.faces {
+            if face.direction_dot_normal(omega) <= 0.0 {
+                continue;
+            }
+            let nf = face.node_indices.len();
+            for a in 0..nf {
+                let ia = face.node_indices[a];
+                for b in 0..nf {
+                    let ib = face.node_indices[b];
+                    let f_ab = omega[0] * face.matrices[0][(a, b)]
+                        + omega[1] * face.matrices[1][(a, b)]
+                        + omega[2] * face.matrices[2][(a, b)];
+                    self.outflow.push((ia * n + ib, f_ab));
+                }
+            }
+        }
+        self.directed_ready = 0;
+        self.key = Some(key);
+    }
+
+    /// The directed matrix of face `index` for the loaded key.
+    fn directed(&mut self, integrals: &ElementIntegrals, omega: [f64; 3], index: usize) -> &[f64] {
+        let face = &integrals.faces[index];
+        let nf = face.node_indices.len();
+        let block = index * nf * nf..(index + 1) * nf * nf;
+        if self.directed_ready & (1 << index) == 0 {
+            self.directed.resize(integrals.faces.len() * nf * nf, 0.0);
+            let [fx, fy, fz] = &face.matrices;
+            let entries = fx.as_slice().iter().zip(fy.as_slice()).zip(fz.as_slice());
+            for (out, ((&x, &y), &z)) in self.directed[block.clone()].iter_mut().zip(entries) {
+                *out = omega[0] * x + omega[1] * y + omega[2] * z;
+            }
+            self.directed_ready |= 1 << index;
+        }
+        &self.directed[block]
     }
 }
 
@@ -181,7 +253,9 @@ impl KernelTiming {
     }
 }
 
-/// Assemble the local system for one element/angle/group into `scratch`.
+/// Assemble the local system for one element/angle/group into `scratch`,
+/// recomputing every term: the reference the tiled [`assemble_blocked`] is
+/// tested against, bit for bit.
 ///
 /// `source_nodes` is the total (fixed + scattering) isotropic source
 /// density evaluated at the element nodes.  `upwind` lists every inflow
@@ -242,12 +316,8 @@ pub fn assemble(
     apply_inflow(integrals, omega, upwind, &mut scratch.rhs);
 }
 
-/// Apply the inflow-face upwind contributions to the right-hand side.
-///
-/// Shared verbatim by the reference and blocked kernels: the upwind data
-/// is group-dependent, so it is never cached, and keeping a single copy
-/// of the loop guarantees both kernels execute the identical operation
-/// sequence here.
+/// Apply the inflow-face upwind contributions to the right-hand side,
+/// forming every `Ω·F` entry where it is used.
 fn apply_inflow(
     integrals: &ElementIntegrals,
     omega: [f64; 3],
@@ -295,16 +365,20 @@ fn apply_inflow(
     }
 }
 
-/// Assemble the local system with the SoA cache-blocked kernel.
+/// Assemble the local system from the element × direction tile of
+/// `scratch`: the assembly every sweep runs.
 ///
-/// `cache_key` identifies the element whose geometry tiles may be
-/// reused (the caller passes the element's deterministic index).  On a
-/// cache miss the kernel computes the streaming tile `Σ_d Ω_d G[d]` and
-/// the outflow surface entries with exactly the reference expressions
-/// and stores them; on a hit it replays the stored `f64` values in the
-/// reference accumulation order.  Either way every floating-point
-/// operation that touches the system matches [`assemble`] bit for bit —
-/// a reused `f64` has the same bits as a recomputed one.
+/// `cache_key` identifies the element whose integrals are passed (the
+/// sweep passes the global cell id); together with the bits of `omega` it
+/// names the tile.  When the tile in `scratch` is another one, the
+/// streaming term `Σ_d Ω_d G[d]` and the outflow surface entries are
+/// rebuilt with exactly the reference expressions; the directed matrix of
+/// an inflow face is built the first time a call names that face.  What is
+/// left for a call that finds its tile is the group's own work: `σ_t·M`
+/// minus the streaming tile, `M q`, and one matrix-vector product per
+/// inflow face.  Every floating-point operation that touches the system
+/// matches [`assemble`] in value and in order — a reused `f64` has the
+/// same bits as a recomputed one.
 pub fn assemble_blocked(
     integrals: &ElementIntegrals,
     omega: [f64; 3],
@@ -317,77 +391,78 @@ pub fn assemble_blocked(
     let n = integrals.nodes_per_element();
     debug_assert_eq!(source_nodes.len(), n);
     debug_assert_eq!(scratch.matrix.rows(), n);
+    let KernelScratch {
+        matrix, rhs, tile, ..
+    } = scratch;
 
-    let key = (
-        cache_key,
-        [omega[0].to_bits(), omega[1].to_bits(), omega[2].to_bits()],
-    );
-    if scratch.geo_key != Some(key) || scratch.geo_streaming.rows() != n {
-        if scratch.geo_streaming.rows() != n {
-            scratch.geo_streaming = DenseMatrix::zeros(n, n);
+    let key = (cache_key, omega.map(f64::to_bits));
+    if tile.key != Some(key) || tile.streaming.len() != n * n {
+        tile.load(key, integrals, omega);
+    }
+
+    // σ_t·M minus the streaming tile and b = M q, in the reference
+    // operation order (one multiply, one subtract per entry).
+    let matrix = matrix.as_mut_slice();
+    let rows = matrix
+        .chunks_exact_mut(n)
+        .zip(tile.streaming.chunks_exact(n));
+    for ((i, b_i), (out_row, row_s)) in rhs.iter_mut().enumerate().zip(rows) {
+        let mut acc = 0.0;
+        let entries = integrals.mass.row(i).iter().zip(row_s).zip(source_nodes);
+        for (out, ((&m_ij, &s_ij), &q_j)) in out_row.iter_mut().zip(entries) {
+            *out = sigma_t * m_ij - s_ij;
+            acc += m_ij * q_j;
         }
-        let gx = &integrals.stream[0];
-        let gy = &integrals.stream[1];
-        let gz = &integrals.stream[2];
-        for i in 0..n {
-            let row_x = gx.row(i);
-            let row_y = gy.row(i);
-            let row_z = gz.row(i);
-            let out = scratch.geo_streaming.row_mut(i);
-            for j in 0..n {
-                // Identical expression (and therefore identical bits) to
-                // the parenthesised streaming term in `assemble`.
-                out[j] = omega[0] * row_x[j] + omega[1] * row_y[j] + omega[2] * row_z[j];
-            }
+        *b_i = acc;
+    }
+    for &(entry, f_ab) in &tile.outflow {
+        matrix[entry] += f_ab;
+    }
+
+    // Inflow faces: the upwind flux is the group's, the face matrix the
+    // tile's.
+    for uw in upwind {
+        if matches!(uw.source, UpwindSource::Boundary(value) if value == 0.0) {
+            continue; // vacuum: nothing to add
         }
-        scratch.geo_outflow.clear();
-        for face in &integrals.faces {
-            if face.direction_dot_normal(omega) <= 0.0 {
-                continue;
+        let face_nodes = &integrals.faces[uw.face].node_indices;
+        let nf = face_nodes.len();
+        let rows = tile.directed(integrals, omega, uw.face).chunks_exact(nf);
+        match uw.source {
+            UpwindSource::Boundary(value) => {
+                for (&ia, row) in face_nodes.iter().zip(rows) {
+                    let mut acc = 0.0;
+                    for &f_ab in row {
+                        acc += f_ab;
+                    }
+                    rhs[ia] -= acc * value;
+                }
             }
-            let nf = face.node_indices.len();
-            for a in 0..nf {
-                let ia = face.node_indices[a];
-                for b in 0..nf {
-                    let ib = face.node_indices[b];
-                    let f_ab = omega[0] * face.matrices[0][(a, b)]
-                        + omega[1] * face.matrices[1][(a, b)]
-                        + omega[2] * face.matrices[2][(a, b)];
-                    scratch.geo_outflow.push((ia, ib, f_ab));
+            UpwindSource::Interior {
+                neighbor_psi,
+                neighbor_face_nodes,
+            } => {
+                debug_assert_eq!(neighbor_face_nodes.len(), nf);
+                for (&ia, row) in face_nodes.iter().zip(rows) {
+                    let mut acc = 0.0;
+                    for (&f_ab, &node) in row.iter().zip(neighbor_face_nodes) {
+                        acc += f_ab * neighbor_psi[node];
+                    }
+                    rhs[ia] -= acc;
                 }
             }
         }
-        scratch.geo_key = Some(key);
     }
-
-    // Per-group tile: σ_t·M minus the cached streaming tile, in the
-    // reference operation order (one multiply, one subtract per entry).
-    let mass = &integrals.mass;
-    for i in 0..n {
-        let row_m = mass.row(i);
-        let row_s = scratch.geo_streaming.row(i);
-        let out_row = scratch.matrix.row_mut(i);
-        let mut b_i = 0.0;
-        for j in 0..n {
-            let m_ij = row_m[j];
-            out_row[j] = sigma_t * m_ij - row_s[j];
-            b_i += m_ij * source_nodes[j];
-        }
-        scratch.rhs[i] = b_i;
-    }
-    for &(ia, ib, f_ab) in &scratch.geo_outflow {
-        scratch.matrix[(ia, ib)] += f_ab;
-    }
-
-    apply_inflow(integrals, omega, upwind, &mut scratch.rhs);
 }
 
-/// Assemble and solve one local system, returning the timing breakdown.
+/// Assemble with the reference [`assemble`] and solve one local system,
+/// returning the timing breakdown: the seed task, kept as the oracle for
+/// [`KernelEngine::assemble_solve`].
 ///
 /// On return `scratch.rhs` holds the nodal angular flux of the element for
 /// this angle and group.  When `time_solve` is false both phases are
-/// reported under `assemble_ns` with `solve_ns = 0` (matching the paper's
-/// untimed configuration, which avoids the per-solve timer overhead).
+/// reported under `assemble_ns` with `solve_ns = 0`.  Either way the clock
+/// is read around the task; only the engine's untimed path reads none.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_solve(
     integrals: &ElementIntegrals,
@@ -488,16 +563,15 @@ fn solve_f32_in_place(scratch: &mut KernelScratch) {
     }
 }
 
-/// The kernel-engine seam: which assemble kernel runs and at which
-/// solve precision, resolved once per solver from
+/// The kernel-engine seam: how one local task is assembled and solved,
+/// resolved once per solver from
 /// [`Problem::kernel`](crate::problem::Problem) and
 /// [`Problem::precision`](crate::problem::Problem).
 ///
-/// `Reference` + `F64` reproduces the free [`assemble_solve`] exactly,
-/// bit for bit.  `Blocked` swaps in [`assemble_blocked`] (still
-/// bit-for-bit, see its contract); `Mixed` precision swaps the dense
-/// solve for an in-place `f32` partial-pivot elimination while outer
-/// iterations stay `f64`.
+/// Every engine assembles with [`assemble_blocked`].  At `F64` precision
+/// the result is the free [`assemble_solve`]'s, bit for bit; `Mixed`
+/// swaps the dense solve for an in-place `f32` partial-pivot elimination
+/// while outer iterations stay `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelEngine {
     kind: KernelKind,
@@ -510,7 +584,7 @@ impl KernelEngine {
         Self { kind, precision }
     }
 
-    /// The selected assemble kernel.
+    /// The kernel label the engine was built with.
     pub fn kind(&self) -> KernelKind {
         self.kind
     }
@@ -523,10 +597,15 @@ impl KernelEngine {
     /// Assemble and solve one local system through the engine.
     ///
     /// `cache_key` must identify the element deterministically across
-    /// runs (the solvers pass the element's mesh index); the blocked
-    /// kernel keys its geometry cache on it.  In mixed precision the
-    /// `solver` argument is bypassed — the engine's built-in `f32`
-    /// partial-pivot elimination runs instead.
+    /// runs (the solvers pass the element's mesh index); the assembly
+    /// keys its tile on it.  In mixed precision the `solver` argument is
+    /// bypassed — the engine's built-in `f32` partial-pivot elimination
+    /// runs instead.
+    ///
+    /// With `time_solve` the clock is read around both phases (Table II's
+    /// per-task split).  Without it no clock is read and the timing is
+    /// zero: a caller that wants the time spent in tasks times a run of
+    /// them, as the sweep does per worker chunk.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_solve(
         &self,
@@ -540,89 +619,29 @@ impl KernelEngine {
         time_solve: bool,
         scratch: &mut KernelScratch,
     ) -> KernelTiming {
-        if self.kind == KernelKind::Reference && self.precision == Precision::F64 {
-            // The seed path, verbatim.
-            return assemble_solve(
-                integrals,
-                omega,
-                sigma_t,
-                source_nodes,
-                upwind,
-                solver,
-                time_solve,
-                scratch,
-            );
-        }
-        if time_solve {
-            let t0 = Instant::now();
-            self.assemble_only(
-                cache_key,
-                integrals,
-                omega,
-                sigma_t,
-                source_nodes,
-                upwind,
-                scratch,
-            );
-            let assemble_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            self.solve_only(solver, scratch);
-            KernelTiming {
-                assemble_ns,
-                solve_ns: t1.elapsed().as_nanos() as u64,
-            }
-        } else {
-            let t0 = Instant::now();
-            self.assemble_only(
-                cache_key,
-                integrals,
-                omega,
-                sigma_t,
-                source_nodes,
-                upwind,
-                scratch,
-            );
-            self.solve_only(solver, scratch);
-            KernelTiming {
-                assemble_ns: t0.elapsed().as_nanos() as u64,
-                solve_ns: 0,
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_only(
-        &self,
-        cache_key: usize,
-        integrals: &ElementIntegrals,
-        omega: [f64; 3],
-        sigma_t: f64,
-        source_nodes: &[f64],
-        upwind: &[UpwindFace<'_>],
-        scratch: &mut KernelScratch,
-    ) {
-        match self.kind {
-            KernelKind::Reference => {
-                assemble(integrals, omega, sigma_t, source_nodes, upwind, scratch)
-            }
-            KernelKind::Blocked => assemble_blocked(
-                integrals,
-                omega,
-                sigma_t,
-                source_nodes,
-                upwind,
-                cache_key,
-                scratch,
-            ),
-        }
-    }
-
-    fn solve_only(&self, solver: &dyn LinearSolver, scratch: &mut KernelScratch) {
+        let started = time_solve.then(Instant::now);
+        assemble_blocked(
+            integrals,
+            omega,
+            sigma_t,
+            source_nodes,
+            upwind,
+            cache_key,
+            scratch,
+        );
+        let assembled = time_solve.then(Instant::now);
         match self.precision {
             Precision::F64 => solver
                 .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
                 .expect("local DG system should be non-singular"),
             Precision::Mixed => solve_f32_in_place(scratch),
+        }
+        match (started, assembled) {
+            (Some(started), Some(assembled)) => KernelTiming {
+                assemble_ns: (assembled - started).as_nanos() as u64,
+                solve_ns: assembled.elapsed().as_nanos() as u64,
+            },
+            _ => KernelTiming::default(),
         }
     }
 }
@@ -888,52 +907,144 @@ mod tests {
         assert_eq!(KernelKind::default(), KernelKind::Reference);
     }
 
+    /// How the inflow faces of a test call get their upwind flux.
+    #[derive(Debug, Clone, Copy)]
+    enum Inflow {
+        /// A prescribed boundary value (0 = vacuum).
+        Boundary(f64),
+        /// A neighbour whose flux varies over the face.
+        Interior,
+        /// A neighbour read from an empty halo: all zeros.
+        ZeroHalo,
+    }
+
+    /// Require two assembled systems to agree in every bit.
+    fn assert_same_system(reference: &KernelScratch, tiled: &KernelScratch, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(reference.matrix.as_slice()),
+            bits(tiled.matrix.as_slice()),
+            "{what}: matrix"
+        );
+        assert_eq!(bits(&reference.rhs), bits(&tiled.rhs), "{what}: rhs");
+    }
+
     #[test]
-    fn blocked_assembly_is_bit_for_bit_identical_to_reference() {
-        // Same systems through both kernels, including repeated calls so
-        // the blocked kernel serves from a warm geometry cache, and key /
-        // direction changes so it also rebuilds mid-stream.
-        for order in [1usize, 2] {
-            let integrals = unit_integrals(order);
-            let n = integrals.nodes_per_element();
+    fn tiled_assembly_is_bit_for_bit_the_reference_under_key_churn() {
+        for order in [1usize, 2, 3] {
+            let element = ReferenceElement::new(order);
+            // Two elements: the unit cube and a sheared, stretched one.
+            let mut sheared = HexVertices::axis_aligned([0.0; 3], [1.0, 0.7, 1.3]);
+            sheared.corners[6][0] += 0.05;
+            sheared.corners[2][1] -= 0.04;
+            let elements = [
+                ElementIntegrals::compute(&element, &HexVertices::unit_cube()),
+                ElementIntegrals::compute(&element, &sheared),
+            ];
+            let n = elements[0].nodes_per_element();
+            let face_nodes: Vec<Vec<usize>> =
+                FACES.iter().map(|f| face_node_indices(*f, order)).collect();
+            let varying: Vec<f64> = (0..n).map(|i| 0.3 + 0.07 * i as f64).collect();
+            let zeros = vec![0.0; n];
+            let omegas = [[0.48, 0.62, 0.6208], [-0.51, 0.62, -0.59]];
+
+            // (element, Ω, group, inflow): each step changes one thing.
+            // The last four keep the key and swap the inflow description,
+            // as a scratch does when a second domain (another owner of
+            // the neighbours, another halo) solves on the same cell.
+            let steps = [
+                (0, 0, 0, Inflow::Interior),      // cold scratch
+                (0, 0, 1, Inflow::Interior),      // same key, new σ_t and source
+                (1, 0, 1, Inflow::Interior),      // element changes, Ω fixed
+                (1, 1, 1, Inflow::Interior),      // Ω changes, element fixed
+                (1, 1, 2, Inflow::Boundary(0.7)), // same key from here on
+                (1, 1, 2, Inflow::Boundary(0.0)),
+                (1, 1, 2, Inflow::ZeroHalo),
+                (1, 1, 0, Inflow::Interior),
+                (0, 1, 0, Inflow::Boundary(0.7)), // back to the first element
+            ];
             let mut reference = KernelScratch::new(n);
-            let mut blocked = KernelScratch::new(n);
-            let omegas = [[0.48, 0.62, 0.6208], [-0.51, 0.62, -0.59], [0.9, 0.3, 0.31]];
-            for (key, &omega) in omegas.iter().enumerate() {
-                let upwind = boundary_upwind(&integrals, omega, 0.7);
-                // Two "groups" per direction: the second call hits the cache.
-                for g in 0..2 {
-                    let sigma_t = 1.1 + 0.4 * g as f64;
-                    let source: Vec<f64> = (0..n)
-                        .map(|i| 0.25 + (i as f64) * 0.013 + g as f64)
-                        .collect();
-                    assemble(&integrals, omega, sigma_t, &source, &upwind, &mut reference);
-                    assemble_blocked(
-                        &integrals,
-                        omega,
-                        sigma_t,
-                        &source,
-                        &upwind,
-                        key,
-                        &mut blocked,
-                    );
-                    for i in 0..n {
-                        for j in 0..n {
-                            assert_eq!(
-                                reference.matrix[(i, j)].to_bits(),
-                                blocked.matrix[(i, j)].to_bits(),
-                                "order {order}, key {key}, group {g}, entry ({i},{j})"
-                            );
-                        }
-                        assert_eq!(
-                            reference.rhs[i].to_bits(),
-                            blocked.rhs[i].to_bits(),
-                            "order {order}, key {key}, group {g}, rhs {i}"
-                        );
-                    }
-                }
+            let mut tiled = KernelScratch::new(n);
+            for (step, &(cell, direction, g, inflow)) in steps.iter().enumerate() {
+                let integrals = &elements[cell];
+                let omega = omegas[direction];
+                let sigma_t = 1.1 + 0.4 * g as f64;
+                let source: Vec<f64> = (0..n)
+                    .map(|i| 0.25 + (i as f64) * 0.013 + g as f64)
+                    .collect();
+                let upwind: Vec<UpwindFace<'_>> = FACES
+                    .iter()
+                    .filter(|f| integrals.face(**f).direction_dot_normal(omega) < 0.0)
+                    .map(|f| UpwindFace {
+                        face: f.index(),
+                        source: match inflow {
+                            Inflow::Boundary(value) => UpwindSource::Boundary(value),
+                            Inflow::Interior => UpwindSource::Interior {
+                                neighbor_psi: &varying,
+                                neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                            },
+                            Inflow::ZeroHalo => UpwindSource::Interior {
+                                neighbor_psi: &zeros,
+                                neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                            },
+                        },
+                    })
+                    .collect();
+                assert_eq!(upwind.len(), 3);
+                assemble(integrals, omega, sigma_t, &source, &upwind, &mut reference);
+                assemble_blocked(
+                    integrals, omega, sigma_t, &source, &upwind, cell, &mut tiled,
+                );
+                assert_same_system(&reference, &tiled, &format!("order {order}, step {step}"));
             }
         }
+    }
+
+    #[test]
+    fn tiled_assembly_serves_a_face_first_named_after_the_tile_was_built() {
+        // The directed matrix of an inflow face is built when a call first
+        // names the face: a later call under the same key that names more
+        // faces must not read a block nobody filled.
+        let integrals = unit_integrals(2);
+        let n = integrals.nodes_per_element();
+        let omega = [0.48, 0.62, 0.6208];
+        let source = vec![1.0; n];
+        let all = boundary_upwind(&integrals, omega, 0.7);
+        let mut reference = KernelScratch::new(n);
+        let mut tiled = KernelScratch::new(n);
+        for upwind in [&all[..1], &all[..], &all[1..]] {
+            assemble(&integrals, omega, 1.3, &source, upwind, &mut reference);
+            assemble_blocked(&integrals, omega, 1.3, &source, upwind, 0, &mut tiled);
+            assert_same_system(&reference, &tiled, &format!("{} faces", upwind.len()));
+        }
+    }
+
+    #[test]
+    fn engine_reads_the_clock_only_when_asked() {
+        let integrals = unit_integrals(2);
+        let n = integrals.nodes_per_element();
+        let omega = [0.6, 0.58, 0.55];
+        let source = vec![1.0; n];
+        let upwind = boundary_upwind(&integrals, omega, 0.0);
+        let solver = GaussSolver::new();
+        let engine = KernelEngine::default();
+        let mut scratch = KernelScratch::new(n);
+        let mut task = |time_solve| {
+            engine.assemble_solve(
+                0,
+                &integrals,
+                omega,
+                1.0,
+                &source,
+                &upwind,
+                &solver,
+                time_solve,
+                &mut scratch,
+            )
+        };
+        assert_eq!(task(false), KernelTiming::default());
+        let timed = task(true);
+        assert!(timed.assemble_ns > 0 && timed.solve_ns > 0);
     }
 
     #[test]

@@ -117,9 +117,8 @@ pub struct Problem {
     /// Record the time spent inside the linear solve separately from the
     /// assembly (adds a small timing overhead, as the paper notes).
     pub time_solve: bool,
-    /// Which assemble kernel runs the per-cell hot loop: the scalar
-    /// reference kernel or the SoA cache-blocked kernel.  Both produce
-    /// bit-for-bit identical physics; the knob only changes speed.
+    /// The kernel label.  Inert: every [`KernelKind`] runs the one tiled
+    /// assembly, which is bit for bit the reference one.
     pub kernel: KernelKind,
     /// Storage/solve precision of the per-cell dense solves.  `Mixed`
     /// runs `f32` local solves inside `f64` outer iterations (changes

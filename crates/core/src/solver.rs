@@ -961,6 +961,19 @@ mod tests {
     }
 
     #[test]
+    fn untimed_run_books_its_task_time_as_assembly() {
+        // No per-task clock: the time inside tasks is read per run of
+        // tasks and reported undivided, at any width.
+        for threads in [1, 2] {
+            let p = Problem::tiny().with_threads(threads);
+            assert!(!p.time_solve);
+            let outcome = TransportSolver::new(&p).unwrap().run().unwrap();
+            assert!(outcome.kernel_assemble_seconds > 0.0);
+            assert_eq!(outcome.kernel_solve_seconds, 0.0);
+        }
+    }
+
+    #[test]
     fn on_the_fly_integrals_match_precomputed() {
         let flux = |precompute: bool| {
             let p = Problem::tiny().with_precomputed_integrals(precompute);

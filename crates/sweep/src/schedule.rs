@@ -15,7 +15,7 @@
 //! error instead of hanging.
 
 use serde::{Deserialize, Serialize};
-use unsnap_mesh::UnstructuredMesh;
+use unsnap_mesh::{UnstructuredMesh, NUM_FACES};
 
 use crate::graph::DependencyGraph;
 
@@ -70,11 +70,10 @@ pub struct SweepSchedule {
     /// tlevel of every scheduled cell (`usize::MAX` for cells outside the
     /// owned mask).
     pub tlevel: Vec<usize>,
-    /// Inflow faces of every cell (copied from the dependency graph so the
-    /// assembly kernel does not need to re-classify faces).
-    pub inflow_faces: Vec<Vec<usize>>,
-    /// Outflow faces of every cell.
-    pub outflow_faces: Vec<Vec<usize>>,
+    /// Inflow faces of every cell, one bit per face index (taken from the
+    /// dependency graph so the assembly kernel does not need to
+    /// re-classify faces); read through [`SweepSchedule::inflow_faces`].
+    inflow_mask: Vec<u8>,
 }
 
 impl SweepSchedule {
@@ -142,9 +141,19 @@ impl SweepSchedule {
             omega: graph.omega,
             buckets,
             tlevel,
-            inflow_faces: graph.inflow_faces.clone(),
-            outflow_faces: graph.outflow_faces.clone(),
+            inflow_mask: graph
+                .inflow_faces
+                .iter()
+                .map(|faces| faces.iter().fold(0, |mask, &face| mask | 1 << face))
+                .collect(),
         })
+    }
+
+    /// The inflow faces of `cell`, in ascending face order (empty for a
+    /// cell outside the owned mask).
+    pub fn inflow_faces(&self, cell: usize) -> impl Iterator<Item = usize> {
+        let mask = self.inflow_mask[cell];
+        (0..NUM_FACES).filter(move |&face| mask & (1 << face) != 0)
     }
 
     /// Number of wavefront buckets.
@@ -300,6 +309,24 @@ mod tests {
         // The masked sweep has fewer (or equal) wavefronts than the full one.
         let full = SweepSchedule::build(&m, [0.6, 0.6, 0.53]).unwrap();
         assert!(s.num_buckets() <= full.num_buckets());
+    }
+
+    #[test]
+    fn inflow_faces_are_the_graphs_in_ascending_order() {
+        let m = mesh(4);
+        let grid = *m.origin_grid();
+        let owned: Vec<bool> = (0..m.num_cells())
+            .map(|id| grid.cell_ijk(id).1 >= 2)
+            .collect();
+        let omega = [0.6, -0.6, 0.53];
+        let graph = DependencyGraph::build_masked(&m, omega, Some(&owned));
+        let s = SweepSchedule::from_graph(&graph, Some(&owned)).unwrap();
+        for cell in 0..m.num_cells() {
+            let faces: Vec<usize> = s.inflow_faces(cell).collect();
+            assert_eq!(faces, graph.inflow_faces[cell], "cell {cell}");
+            assert!(faces.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(faces.is_empty(), !owned[cell]);
+        }
     }
 
     #[test]
