@@ -12,7 +12,7 @@
 //! | Figure 3   | thread scaling of six concurrency schemes, linear elements | `figure3` |
 //! | Figure 4   | thread scaling of six concurrency schemes, cubic elements | `figure4` |
 //! | Table II   | GE vs MKL assemble/solve time and % in solve, orders 1–4 | `table2` |
-//! | §IV-A.3    | angle-threaded atomic scalar-flux reduction does not scale | `ablation_angle_atomic` |
+//! | §IV-A.3    | angle threading: the ordered reduction that replaces the paper's non-scaling atomic, vs per-bucket threading | `ablation_angle_atomic` |
 //! | §IV-B.1    | pre-assembled/pre-factorised matrices vs on-the-fly assembly | `ablation_preassembly` |
 //! | §III-A.1   | block-Jacobi convergence penalty vs rank count, KBA idle model | `ablation_jacobi_ranks` |
 //! | —          | SI vs GMRES subdomain solves in the block-Jacobi schedule | `ablation_jacobi_krylov` |

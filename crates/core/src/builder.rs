@@ -42,7 +42,7 @@
 
 use unsnap_linalg::SolverKind;
 use unsnap_mesh::boundary::DomainBoundaries;
-use unsnap_sweep::{ConcurrencyScheme, ThreadedLoops};
+use unsnap_sweep::ConcurrencyScheme;
 
 use crate::data::{MaterialOption, SourceOption};
 use crate::error::{Error, Result};
@@ -556,11 +556,11 @@ impl ProblemBuilder {
     /// the run up front, not silently fall back to the default cadence.
     ///
     /// `UNSNAP_THREADS` sizes the pool *request* like
-    /// [`ProblemBuilder::threads`] and is subject to builder validation
-    /// (e.g. the angle-threaded scheme's thread bound).  The lower-level
-    /// `RAYON_NUM_THREADS` variable instead force-overrides every pool at
-    /// construction time, bypassing problem validation — that is the CI
-    /// determinism-matrix knob, not a configuration surface.
+    /// [`ProblemBuilder::threads`] and is subject to builder validation.
+    /// The lower-level `RAYON_NUM_THREADS` variable instead
+    /// force-overrides every pool at construction time, bypassing problem
+    /// validation — that is the CI determinism-matrix knob, not a
+    /// configuration surface.
     pub fn env_overrides(mut self) -> Result<Self> {
         fn parse_env<T: std::str::FromStr<Err = String>>(
             var: &str,
@@ -688,10 +688,7 @@ impl ProblemBuilder {
     ///
     /// * the angular-flux size `(p+1)³ · cells · groups · angles` must
     ///   not overflow `usize` (element order versus mesh size);
-    /// * the convergence tolerance must be finite and non-negative;
-    /// * the angle-threaded scheme cannot use more threads than there are
-    ///   angles in an octant (the extra threads could never be assigned
-    ///   work).
+    /// * the convergence tolerance must be finite and non-negative.
     ///
     /// Cross-field rules involving only `Problem` fields (such as
     /// rejecting `accelerator = dsa` with plain source iteration, which
@@ -733,21 +730,6 @@ impl ProblemBuilder {
                     problem.num_angles(),
                 ),
             ));
-        }
-
-        if problem.scheme.threaded == ThreadedLoops::Angles {
-            if let Some(threads) = problem.num_threads {
-                if threads > problem.angles_per_octant {
-                    return Err(Error::invalid_problem(
-                        "num_threads",
-                        format!(
-                            "the angle-threaded scheme parallelises over the {} angles of one \
-                             octant; {} threads cannot all be assigned work",
-                            problem.angles_per_octant, threads
-                        ),
-                    ));
-                }
-            }
         }
 
         Ok(problem)
@@ -948,20 +930,24 @@ mod tests {
     }
 
     #[test]
-    fn cross_field_angle_threads_are_bounded() {
-        let scheme = crate::problem::angle_threaded_scheme();
-        let err = ProblemBuilder::tiny()
-            .scheme(scheme)
-            .threads(16)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.invalid_field(), Some("num_threads"));
-        // Within the angle budget the same scheme is fine.
-        assert!(ProblemBuilder::tiny()
-            .scheme(scheme)
-            .threads(2)
-            .build()
-            .is_ok());
+    fn any_thread_count_builds_and_solves_to_the_same_bits() {
+        // The default scheme's axis is the angles of the whole sweep, and
+        // a worker without an angle idles: no width is refused — not 8
+        // threads on 2 angles per octant, not more threads than angles —
+        // and none changes a bit.
+        let flux_at = |threads| {
+            let mut solver = ProblemBuilder::tiny()
+                .scheme(ConcurrencyScheme::best())
+                .threads(threads)
+                .solver_for()
+                .unwrap();
+            solver.run().unwrap();
+            solver.scalar_flux().as_slice().to_vec()
+        };
+        let reference = flux_at(1);
+        for threads in [2, 8, 16, 40] {
+            assert_eq!(reference, flux_at(threads), "{threads} threads");
+        }
     }
 
     #[test]

@@ -19,13 +19,19 @@
 //! every cell, with no halo; the block-Jacobi driver in `unsnap-comm`
 //! owns one per rank and hands each the lagged global ψ as its halo.
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
-//! gather the upwind ψ, assemble, solve) and one bucket loop driven by an
-//! `IterationSpace` — the Figure 3/4 scheme label as data — so a sweep
-//! optimisation has exactly one place to go.  Both keep to the work their
-//! loop level owns: a task does what depends on the group (what depends on
-//! the element and the angle alone sits in the worker's `TaskScratch`),
-//! and a warm bucket loop neither allocates nor, unless the problem asks
-//! for Table II's per-task split, reads the clock per task.
+//! gather the upwind ψ, assemble, solve) and one per-angle walker
+//! (`SweepView::sweep_angle`: the angle's buckets in wavefront order,
+//! each solved inline or forked the way an `IterationSpace` — a
+//! Figure 3/4 scheme label as data — says), so a sweep optimisation has
+//! exactly one place to go.  `SweepView::sweep` picks the parallel axis:
+//! the default scheme hands whole angles to the pool, one fork per sweep,
+//! each angle writing the slab of ψ it owns, and sums φ afterwards in
+//! ascending angle order; the paper's six schemes fork per bucket; one
+//! worker does neither.  Every level keeps to the work it owns: a task
+//! does what depends on the group (what depends on the element and the
+//! angle alone sits in the worker's `TaskScratch`), and a warm sweep on
+//! one worker neither allocates nor, unless the problem asks for
+//! Table II's per-task split, reads the clock per task.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -194,23 +200,24 @@ pub struct SweepDomain {
     /// Lazily-built DSA accelerator over `cells` (Dirichlet-zero coupling
     /// at cut faces), materialised by the first correction.
     dsa: Option<DsaAccelerator>,
-    /// Working storage of the bucket loop, reused across sweeps.
+    /// Working storage of the sweep, reused across sweeps.
     buffers: BucketBuffers,
     /// One node block of zeros: the upwind ψ of a foreign cell when the
     /// sweep has no halo to read.  (Beside `buffers`, not in it: the
-    /// tasks read it while the bucket loop holds `buffers` exclusively.)
+    /// tasks read it while the sweep holds `buffers` exclusively.)
     zeros: Vec<f64>,
 }
 
-/// Working storage of the bucket loop that outlives the sweep, so a warm
-/// sweep allocates nothing per task, per region or per worker chunk.
+/// Working storage of a sweep that outlives it, so a warm sweep
+/// allocates nothing per task, per region or per worker chunk.
 struct BucketBuffers {
-    /// The scratch pool: every run of tasks — an inline region, a worker's
-    /// chunk of a forked one — checks one out and hands it back.
+    /// The scratch pool: every run of tasks — a worker's angles, a
+    /// worker's chunk of a forked bucket region — checks one out and
+    /// hands it back.
     scratch: Mutex<ScratchPool>,
-    /// The current bucket's (element, group) tasks, in loop-nest order.
+    /// A forked bucket's (element, group) tasks, in loop-nest order.
     tasks: Vec<(usize, usize)>,
-    /// The current bucket's solved ψ node blocks, in task order.
+    /// A forked bucket's solved ψ node blocks, in task order.
     results: Vec<f64>,
 }
 
@@ -226,7 +233,7 @@ enum InflowSource {
     Foreign { cell: usize, face: usize },
 }
 
-/// Per-worker state of the bucket loop: the kernel's scratch, and the
+/// Per-worker state of a sweep: the kernel's scratch, and the
 /// inflow description of the (element, angle) it last solved.  In
 /// `angle/element/group` order the groups of an element are consecutive,
 /// so both are built once per element and reused by every later group.
@@ -401,6 +408,27 @@ enum Extent {
     Bucket,
 }
 
+/// Visit `bucket`'s (element, group) tasks in loop-nest order.
+fn for_each_task(
+    order: LoopOrder,
+    bucket: &[usize],
+    num_groups: usize,
+    mut visit: impl FnMut((usize, usize)),
+) {
+    match order {
+        LoopOrder::ElementThenGroup => {
+            for &element in bucket {
+                (0..num_groups).for_each(|g| visit((element, g)));
+            }
+        }
+        LoopOrder::GroupThenElement => {
+            for g in 0..num_groups {
+                bucket.iter().for_each(|&element| visit((element, g)));
+            }
+        }
+    }
+}
+
 /// A Figure 3/4 scheme label as data: the order a bucket's
 /// element × group tasks are listed in, and how that list is cut into
 /// parallel regions (one fork/join each) and grains (the unit a region
@@ -417,7 +445,7 @@ struct IterationSpace {
 
 impl IterationSpace {
     /// The descriptor of an element/group-threaded scheme; `None` for the
-    /// angle-threaded ablation, which does not iterate bucket by bucket.
+    /// angle-threaded scheme, which forks once per sweep, not per bucket.
     fn new(scheme: ConcurrencyScheme) -> Option<Self> {
         let (region, grain, stealing) = match scheme.threaded {
             // collapse(2): one region over all pairs.  Small buckets (the
@@ -447,28 +475,38 @@ impl IterationSpace {
         tasks: &mut Vec<(usize, usize)>,
     ) -> (usize, usize) {
         tasks.clear();
-        let inner_len = match self.order {
-            LoopOrder::ElementThenGroup => {
-                tasks.extend(
-                    bucket
-                        .iter()
-                        .flat_map(|&e| (0..num_groups).map(move |g| (e, g))),
-                );
-                num_groups
-            }
-            LoopOrder::GroupThenElement => {
-                tasks.extend((0..num_groups).flat_map(|g| bucket.iter().map(move |&e| (e, g))));
-                bucket.len()
-            }
-        };
+        for_each_task(self.order, bucket, num_groups, |task| tasks.push(task));
         let len = |extent| match extent {
             Extent::Task => 1,
-            Extent::InnerLoop => inner_len,
+            Extent::InnerLoop => match self.order {
+                LoopOrder::ElementThenGroup => num_groups,
+                LoopOrder::GroupThenElement => bucket.len(),
+            },
             Extent::Bucket => tasks.len(),
         };
         (len(self.region), len(self.grain))
     }
 }
+
+/// How the walker of one angle gets through a bucket.
+enum BucketWalk<'a, 'b> {
+    /// Solve every task on this thread, in loop-nest order, straight into
+    /// the angle's ψ slab.
+    Inline(&'b mut TaskRun<'a>),
+    /// The paper's schemes: fork the bucket the way `space` says, each
+    /// grain solving into its own slice of `results`, then store them.
+    Forked {
+        space: IterationSpace,
+        pool: &'a rayon::ThreadPool,
+        scratch: &'a Mutex<ScratchPool>,
+        tasks: &'b mut Vec<(usize, usize)>,
+        results: &'b mut Vec<f64>,
+    },
+}
+
+/// Scalar-flux entries one unit of the ordered reduction owns: small
+/// enough to stay in cache while every angle's slab streams past it.
+const REDUCTION_TILE: usize = 2048;
 
 /// Everything the tasks of one sweep read.
 struct SweepView<'a> {
@@ -477,6 +515,9 @@ struct SweepView<'a> {
     local_of_cell: &'a [usize],
     schedules: &'a [SweepSchedule],
     source: &'a FluxStorage,
+    /// Shape of the ψ of one angle — and of φ: the angle is the slowest
+    /// index of both storage orders, so ψ is one such slab per angle.
+    slab: FluxLayout,
     /// Lagged ψ of foreign cells, in global indexing.  `None` — no halo,
     /// or a homogeneous sweep — reads zeros.
     halo: Option<&'a FluxStorage>,
@@ -486,11 +527,17 @@ struct SweepView<'a> {
 }
 
 impl SweepView<'_> {
+    /// Where the node block of (`local`, `group`) sits in a slab.
+    fn block(&self, local: usize, group: usize) -> std::ops::Range<usize> {
+        let base = self.slab.base(local, group, 0);
+        base..base + self.slab.nodes_per_element
+    }
+
     /// The one local task of a sweep: gather the upwind ψ of `element`
     /// for `angle` and `group`, assemble the local system and solve it,
     /// leaving ψ(element, group, angle) in `scratch.kernel.rhs`.
     ///
-    /// Own-cell upwind ψ is read from angle `psi.1` of `psi.0` (written
+    /// Own-cell upwind ψ is read from `psi`, the slab of `angle` (written
     /// earlier in the same sweep — the masked schedule guarantees it),
     /// foreign cells from the halo, boundary faces from the scaled inflow.
     /// Which of the three a face reads is resolved when `scratch` last
@@ -499,7 +546,7 @@ impl SweepView<'_> {
     fn solve(
         &self,
         angle: usize,
-        psi: (&FluxStorage, usize),
+        psi: &[f64],
         (element, group): (usize, usize),
         scratch: &mut TaskScratch,
     ) -> KernelTiming {
@@ -540,7 +587,7 @@ impl SweepView<'_> {
             let source = match source {
                 InflowSource::Boundary(flux) => UpwindSource::Boundary(self.boundary_scale * flux),
                 InflowSource::Own { local, face } => UpwindSource::Interior {
-                    neighbor_psi: psi.0.nodes(local, group, psi.1),
+                    neighbor_psi: &psi[self.block(local, group)],
                     neighbor_face_nodes: &a.face_nodes[face],
                 },
                 InflowSource::Foreign { cell, face } => UpwindSource::Interior {
@@ -566,51 +613,84 @@ impl SweepView<'_> {
         )
     }
 
-    /// Sweep angle by angle, bucket by bucket, iterating each bucket's
-    /// element × group tasks the way `space` says.
-    fn sweep_buckets(
+    /// Store the solved node block of `task` in its angle's slab and,
+    /// when the caller sweeps the angles one after another, add its share
+    /// to the scalar flux.
+    fn store(
         &self,
-        space: IterationSpace,
-        psi: &mut FluxStorage,
-        phi: &mut FluxStorage,
-        buffers: &mut BucketBuffers,
-    ) -> KernelTiming {
-        let ng = self.assets.problem.num_groups;
-        let nodes = self.assets.element.nodes_per_element();
-        let time_solve = self.assets.problem.time_solve;
-        let BucketBuffers {
-            scratch,
-            tasks,
-            results,
-            ..
-        } = buffers;
-        for (angle, schedule) in self.schedules.iter().enumerate() {
-            let weight = self.assets.quadrature.directions()[angle].weight;
-            for bucket in &schedule.buckets {
-                let (region_len, grain_len) = space.lay_out(bucket, ng, tasks);
-                results.resize(tasks.len() * nodes, 0.0);
-                // A bucket's tasks are mutually independent and read only
-                // the ψ of earlier buckets, so each grain solves into its
-                // own slice of `results` while ψ stays shared.
-                let psi_read = (&*psi, angle);
-                let begin = || TaskRun::begin(scratch, nodes, time_solve);
-                let run = |run: &mut TaskRun, (grain, out): (&[(usize, usize)], &mut [f64])| {
-                    let scratch = run.scratch.as_mut().expect("held until the run drops");
-                    for (&task, slot) in grain.iter().zip(out.chunks_mut(nodes)) {
-                        run.timing
-                            .accumulate(self.solve(angle, psi_read, task, scratch));
-                        slot.copy_from_slice(&scratch.kernel.rhs);
-                    }
-                };
-                for (region, out) in tasks
-                    .chunks(region_len)
-                    .zip(results.chunks_mut(region_len * nodes))
-                {
-                    let grains = region
-                        .chunks(grain_len)
-                        .zip(out.chunks_mut(grain_len * nodes));
-                    match self.pool.filter(|_| grains.len() > 1) {
-                        Some(pool) => {
+        psi: &mut [f64],
+        phi: Option<&mut [f64]>,
+        weight: f64,
+        (element, group): (usize, usize),
+        solved: &[f64],
+    ) {
+        let block = self.block(self.local_of_cell[element], group);
+        psi[block.clone()].copy_from_slice(solved);
+        if let Some(phi) = phi {
+            for (p, &v) in phi[block].iter_mut().zip(solved) {
+                *p += weight * v;
+            }
+        }
+    }
+
+    /// Walk one angle's buckets in wavefront order: the per-angle walker
+    /// every scheme goes through.  `psi` is the slab of `angle`; `phi`,
+    /// when given, accumulates `weight · ψ` as blocks are stored.
+    fn sweep_angle(
+        &self,
+        angle: usize,
+        psi: &mut [f64],
+        mut phi: Option<&mut [f64]>,
+        walk: &mut BucketWalk,
+    ) {
+        let problem = &self.assets.problem;
+        let ng = problem.num_groups;
+        let nodes = self.slab.nodes_per_element;
+        let weight = self.assets.quadrature.directions()[angle].weight;
+        for bucket in &self.schedules[angle].buckets {
+            match walk {
+                // A bucket reads only the ψ of earlier buckets, so a
+                // solved block is stored before the next task starts.
+                BucketWalk::Inline(run) => {
+                    let TaskRun {
+                        scratch, timing, ..
+                    } = &mut **run;
+                    let scratch = scratch.as_mut().expect("held until the run drops");
+                    for_each_task(problem.scheme.loop_order, bucket, ng, |task| {
+                        timing.accumulate(self.solve(angle, psi, task, scratch));
+                        self.store(psi, phi.as_deref_mut(), weight, task, &scratch.kernel.rhs);
+                    });
+                }
+                // A bucket's tasks are mutually independent, so each
+                // grain solves into its own slice of `results` while the
+                // slab stays shared, and the blocks are stored afterwards.
+                BucketWalk::Forked {
+                    space,
+                    pool,
+                    scratch,
+                    tasks,
+                    results,
+                } => {
+                    let (region_len, grain_len) = space.lay_out(bucket, ng, tasks);
+                    results.resize(tasks.len() * nodes, 0.0);
+                    let psi_read = &*psi;
+                    let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
+                    let run = |run: &mut TaskRun, (grain, out): (&[(usize, usize)], &mut [f64])| {
+                        let scratch = run.scratch.as_mut().expect("held until the run drops");
+                        for (&task, slot) in grain.iter().zip(out.chunks_mut(nodes)) {
+                            run.timing
+                                .accumulate(self.solve(angle, psi_read, task, scratch));
+                            slot.copy_from_slice(&scratch.kernel.rhs);
+                        }
+                    };
+                    for (region, out) in tasks
+                        .chunks(region_len)
+                        .zip(results.chunks_mut(region_len * nodes))
+                    {
+                        let grains = region
+                            .chunks(grain_len)
+                            .zip(out.chunks_mut(grain_len * nodes));
+                        if grains.len() > 1 {
                             let stealing =
                                 space.stealing && grains.len() < 8 * pool.current_num_threads();
                             // The grain list is the one allocation of a
@@ -623,19 +703,84 @@ impl SweepView<'_> {
                                     .map_init(begin, run)
                                     .collect::<()>()
                             });
-                        }
-                        None => {
+                        } else {
                             let mut inline = begin();
                             grains.for_each(|grain| run(&mut inline, grain));
                         }
                     }
+                    for (&task, solved) in tasks.iter().zip(results.chunks(nodes)) {
+                        self.store(psi, phi.as_deref_mut(), weight, task, solved);
+                    }
                 }
-                // Write-back: store ψ and accumulate the scalar flux.
-                for (&(element, g), values) in tasks.iter().zip(results.chunks(nodes)) {
-                    let local = self.local_of_cell[element];
-                    psi.nodes_mut(local, g, angle).copy_from_slice(values);
-                    for (p, &v) in phi.nodes_mut(local, g, 0).iter_mut().zip(values) {
-                        *p += weight * v;
+            }
+        }
+    }
+
+    /// Sweep every angle, spreading the work over the pool along the
+    /// scheme's parallel axis, and leave φ = Σₐ wₐ ψₐ in `phi` (zeroed by
+    /// the caller).  Every φ entry is summed in ascending angle order
+    /// whatever the axis and the width, so no bit depends on either.
+    fn sweep(
+        &self,
+        psi: &mut FluxStorage,
+        phi: &mut FluxStorage,
+        buffers: &mut BucketBuffers,
+    ) -> KernelTiming {
+        let problem = &self.assets.problem;
+        let nodes = self.slab.nodes_per_element;
+        let BucketBuffers {
+            scratch,
+            tasks,
+            results,
+        } = buffers;
+        {
+            let scratch = &*scratch;
+            let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
+            // Disjoint `&mut` slabs, one per angle (a domain without
+            // cells has none: `chunks_mut` refuses a zero length).
+            let slabs = psi
+                .as_mut_slice()
+                .chunks_mut(self.slab.len().max(1))
+                .enumerate();
+            let phi = phi.as_mut_slice();
+            match (self.pool, IterationSpace::new(problem.scheme)) {
+                // The angle axis: one fork per sweep.  Each worker walks
+                // the angles it claims inline, writing the slabs it alone
+                // holds (stealing keeps a width that does not divide the
+                // angle count busy; the scratch is a pure cache).
+                (Some(pool), None) => {
+                    pool.install(|| {
+                        slabs
+                            .into_par_iter()
+                            .with_stealing(true)
+                            .map_init(begin, |run, (angle, slab)| {
+                                self.sweep_angle(angle, slab, None, &mut BucketWalk::Inline(run))
+                            })
+                            .collect::<()>()
+                    });
+                    self.reduce(pool, psi.as_slice(), phi);
+                }
+                // The bucket axis (Figures 3/4): angle after angle, one
+                // or more forks per bucket.
+                (Some(pool), Some(space)) => {
+                    let mut walk = BucketWalk::Forked {
+                        space,
+                        pool,
+                        scratch,
+                        tasks,
+                        results,
+                    };
+                    for (angle, slab) in slabs {
+                        self.sweep_angle(angle, slab, Some(&mut *phi), &mut walk);
+                    }
+                }
+                // One worker — a 1-wide pool, or a rank of a driver that
+                // runs its domains concurrently — walks every angle.
+                (None, _) => {
+                    let mut run = begin();
+                    let mut walk = BucketWalk::Inline(&mut run);
+                    for (angle, slab) in slabs {
+                        self.sweep_angle(angle, slab, Some(&mut *phi), &mut walk);
                     }
                 }
             }
@@ -644,67 +789,27 @@ impl SweepView<'_> {
         std::mem::take(&mut pool.timing)
     }
 
-    /// The angle-threaded ablation (§IV-A.3): thread over the angles of
-    /// an octant; every scalar-flux update contends on a single lock,
-    /// the safe-Rust analogue of the OpenMP `atomic`/`critical` update
-    /// the paper shows does not scale.  The reduction order depends on
-    /// the interleaving, so this is the one scheme whose φ is
-    /// reproducible only to floating-point reduction accuracy (ψ, which
-    /// needs no reduction, stays exact).
-    fn sweep_angle_threaded(&self, psi: &mut FluxStorage, phi: &mut FluxStorage) -> KernelTiming {
-        let a = self.assets;
-        let nodes = a.element.nodes_per_element();
-        let phi_layout = *phi.layout();
-        let angle_layout = FluxLayout {
-            num_angles: 1,
-            ..*psi.layout()
-        };
-        let mut timing = KernelTiming::default();
-        for octant in 0..8 {
-            // Deliberately coarse, to model the reduction contention.
-            let phi_acc = Mutex::new(vec![0.0f64; phi_layout.len()]);
-            let sweep_angle = |index_in_octant: usize| {
-                let angle = a.quadrature.angle_index(octant, index_in_octant);
-                let weight = a.quadrature.directions()[angle].weight;
-                let mut psi_angle = FluxStorage::zeros(angle_layout);
-                let mut scratch = TaskScratch::new(nodes);
-                let mut timing = KernelTiming::default();
-                for &element in self.schedules[angle].buckets.iter().flatten() {
-                    let local = self.local_of_cell[element];
-                    for g in 0..phi_layout.num_groups {
-                        let task = (element, g);
-                        timing.accumulate(self.solve(angle, (&psi_angle, 0), task, &mut scratch));
-                        let solved = &scratch.kernel.rhs;
-                        psi_angle.nodes_mut(local, g, 0).copy_from_slice(solved);
-                        let base = phi_layout.base(local, g, 0);
-                        let mut acc = phi_acc.lock().expect("a sweep task panicked");
-                        for (p, &v) in acc[base..base + nodes].iter_mut().zip(solved) {
-                            *p += weight * v;
+    /// φ += Σₐ wₐ ψₐ after an angle-parallel sweep, the angles ascending
+    /// per entry — the order a single worker adds in as it stores.  φ and
+    /// a slab share a layout, so a tile of φ is a flat axpy per angle; the
+    /// tiles are disjoint, so they fork.
+    fn reduce(&self, pool: &rayon::ThreadPool, psi: &[f64], phi: &mut [f64]) {
+        let directions = self.assets.quadrature.directions();
+        let slab_len = phi.len();
+        pool.install(|| {
+            phi.chunks_mut(REDUCTION_TILE)
+                .enumerate()
+                .into_par_iter()
+                .for_each(|(index, tile)| {
+                    let start = index * REDUCTION_TILE;
+                    for (angle, direction) in directions.iter().enumerate() {
+                        let slab = &psi[angle * slab_len + start..][..tile.len()];
+                        for (p, &v) in tile.iter_mut().zip(slab) {
+                            *p += direction.weight * v;
                         }
                     }
-                }
-                (angle, psi_angle, timing)
-            };
-            let angles = 0..a.quadrature.angles_per_octant();
-            let swept: Vec<_> = match self.pool {
-                Some(pool) => pool.install(|| angles.into_par_iter().map(sweep_angle).collect()),
-                None => angles.map(sweep_angle).collect(),
-            };
-            for (angle, psi_angle, t) in swept {
-                for local in 0..phi_layout.num_elements {
-                    for g in 0..phi_layout.num_groups {
-                        psi.nodes_mut(local, g, angle)
-                            .copy_from_slice(psi_angle.nodes(local, g, 0));
-                    }
-                }
-                timing.accumulate(t);
-            }
-            let acc = phi_acc.into_inner().expect("a sweep task panicked");
-            for (p, a) in phi.as_mut_slice().iter_mut().zip(acc) {
-                *p += a;
-            }
-        }
-        timing
+                })
+        });
     }
 }
 
@@ -715,9 +820,9 @@ impl SweepView<'_> {
 pub struct DomainContext<'a> {
     /// The read-only half of the solve.
     pub assets: &'a SharedAssets,
-    /// The pool bucket regions fork on.  `None` sweeps inline on the
-    /// calling thread — what a driver that already runs its domains
-    /// concurrently passes.
+    /// The pool a sweep forks on.  `None` sweeps inline on the calling
+    /// thread — what a driver that already runs its domains concurrently
+    /// passes.
     pub pool: Option<&'a rayon::ThreadPool>,
     /// The *global* scalar flux at the previous outer iteration (the
     /// Jacobi group coupling reads it by global cell id).
@@ -788,14 +893,12 @@ impl DomainContext<'_> {
             local_of_cell,
             schedules,
             source,
+            slab: *phi.layout(),
             halo: self.halo.filter(|_| !*homogeneous),
             boundary_scale: if *homogeneous { 0.0 } else { 1.0 },
             zeros,
         };
-        match IterationSpace::new(self.assets.problem.scheme) {
-            Some(space) => view.sweep_buckets(space, psi, phi, buffers),
-            None => view.sweep_angle_threaded(psi, phi),
-        }
+        view.sweep(psi, phi, buffers)
     }
 }
 

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use unsnap_linalg::SolverKind;
 use unsnap_mesh::boundary::DomainBoundaries;
 use unsnap_mesh::{StructuredGrid, UnstructuredMesh};
-use unsnap_sweep::{ConcurrencyScheme, LoopOrder, ThreadedLoops};
+use unsnap_sweep::ConcurrencyScheme;
 
 use crate::data::{MaterialOption, SourceOption};
 use crate::error::{Error, Result};
@@ -108,8 +108,8 @@ pub struct Problem {
     /// inline on the calling thread.  The `RAYON_NUM_THREADS` environment
     /// variable force-overrides whatever is requested here — the knob CI
     /// uses to replay the whole test suite at several widths — and every
-    /// scheme except the angle-threaded ablation produces bit-for-bit
-    /// identical physics regardless of the effective width.
+    /// scheme produces bit-for-bit identical physics regardless of the
+    /// effective width.
     pub num_threads: Option<usize>,
     /// Precompute and store the per-element integrals (the paper's
     /// approach) or recompute them on the fly inside the kernel.
@@ -665,12 +665,6 @@ impl Default for Problem {
     fn default() -> Self {
         Self::quickstart()
     }
-}
-
-/// Convenience constructor for the scheme that threads only over angles
-/// (the ablation of §IV-A.3).
-pub fn angle_threaded_scheme() -> ConcurrencyScheme {
-    ConcurrencyScheme::new(LoopOrder::ElementThenGroup, ThreadedLoops::Angles)
 }
 
 #[cfg(test)]

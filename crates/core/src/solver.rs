@@ -14,21 +14,21 @@
 //!   angle's schedule are processed in order, and inside a bucket the
 //!   element × group work is iterated as the selected
 //!   [`ConcurrencyScheme`](unsnap_sweep::ConcurrencyScheme) says (the six
-//!   variants of Figures 3/4 plus the angle-threaded ablation of
-//!   §IV-A.3).
+//!   variants of Figures 3/4, which fork per bucket, or the default
+//!   angle-threaded scheme, which forks once per sweep).
 //!
 //! The assemble/solve region is timed as a whole (the quantity plotted in
 //! Figures 3 and 4 and tabulated in Table II), and — when
 //! `Problem::time_solve` is set — the linear-solve share is accumulated
 //! separately so the "% in solve" column of Table II can be reproduced.
 //!
-//! The element × group (and angle-threaded) fan-out executes on a **real
-//! worker pool** sized by `Problem::num_threads` (force-overridable with
-//! `RAYON_NUM_THREADS`).  Bucket tasks are split into index-ordered
-//! chunks whose results are written back in input order, so every scheme
-//! except the deliberately-contended angle-threaded ablation produces
-//! bit-for-bit identical fluxes at any thread count — the invariant
-//! `tests/parallel_determinism.rs` enforces.
+//! The fan-out executes on a **real worker pool** sized by
+//! `Problem::num_threads` (force-overridable with `RAYON_NUM_THREADS`).
+//! Bucket tasks are split into index-ordered chunks whose results are
+//! written back in input order, angles write disjoint slabs of ψ, and
+//! the scalar flux is summed in ascending angle order, so every scheme
+//! produces bit-for-bit identical fluxes at any thread count — the
+//! invariant `tests/parallel_determinism.rs` enforces.
 
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use unsnap_mesh::UnstructuredMesh;
 use unsnap_obs::clock::Clock;
 use unsnap_obs::trace::TraceTree;
-use unsnap_sweep::SweepSchedule;
+use unsnap_sweep::{SweepSchedule, ThreadedLoops};
 
 use crate::angular::AngularQuadrature;
 use crate::cancel::CancelToken;
@@ -543,7 +543,13 @@ impl TransportSolver {
     /// Build a solver for the given problem.
     pub fn new(problem: &Problem) -> Result<Self> {
         problem.validate()?;
-        let pool = worker_pool(problem, usize::MAX)?;
+        // The angle-threaded scheme hands out whole angles: a worker
+        // beyond the angle count could never be given one.
+        let max_width = match problem.scheme.threaded {
+            ThreadedLoops::Angles => problem.num_angles(),
+            _ => usize::MAX,
+        };
+        let pool = worker_pool(problem, max_width)?;
         let assets = SharedAssets::build(problem, &pool);
         let t0 = Instant::now();
         let domain = SweepDomain::new(&assets, &pool, (0..assets.mesh.num_cells()).collect())?;
@@ -834,12 +840,12 @@ mod tests {
 
     #[test]
     fn all_schemes_give_identical_physics() {
-        // The six figure schemes and the angle-threaded ablation must all
+        // The six figure schemes and the angle-threaded one must all
         // produce the same scalar flux (they only change execution order).
         let base = Problem::tiny().with_threads(2);
         let mut reference: Option<Vec<f64>> = None;
         let mut schemes = ConcurrencyScheme::figure_schemes();
-        schemes.push(crate::problem::angle_threaded_scheme());
+        schemes.push(ConcurrencyScheme::best());
         for scheme in schemes {
             let p = base.clone().with_scheme(scheme);
             let mut solver = TransportSolver::new(&p).unwrap();

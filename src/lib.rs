@@ -59,11 +59,8 @@
 //! and reassembled in input order, so the physics is **bit-for-bit
 //! identical at every thread count** — the invariant
 //! `tests/parallel_determinism.rs` pins for both iteration strategies
-//! and the CI matrix enforces at widths 1, 2 and 8.  The only exception
-//! is the angle-threaded ablation scheme, whose deliberately contended
-//! scalar-flux reduction (the paper's non-scaling OpenMP atomic) is
-//! reproducible to floating-point reduction accuracy rather than
-//! bitwise.
+//! and the CI matrix enforces at widths 1, 2 and 8, for every
+//! concurrency scheme.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

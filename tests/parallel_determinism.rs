@@ -9,13 +9,13 @@
 //! [`RecordingObserver`] event stream (the equivalence harness of
 //! `tests/session_api.rs`) to be identical at 1, 2 and 4 threads.
 //!
-//! The guarantee rests on the stand-in's execution model: index-ordered
+//! The guarantee rests on the stand-in's execution model — index-ordered
 //! chunks, in-order reassembly, and in-order reductions (see the
-//! `rayon` crate docs).  The one scheme exempted is the angle-threaded
-//! ablation, whose *deliberately* contended scalar-flux reduction models
-//! the paper's non-scaling OpenMP atomic and therefore sums in
-//! interleaving order; it is pinned separately at a tolerance.
+//! `rayon` crate docs) — and, for the angle-threaded default scheme, on
+//! every angle owning its slab of ψ and φ being summed in ascending
+//! angle order afterwards.  No scheme is exempt.
 
+use unsnap::core::solver::OuterDriver;
 use unsnap::prelude::*;
 
 /// Everything a `SolveOutcome` reports except wall-clock timing, which
@@ -67,12 +67,16 @@ fn forced_width() -> Option<String> {
 }
 
 fn assert_thread_count_invariant(problem: &Problem) {
+    assert_invariant_at(problem, &[2, 4]);
+}
+
+fn assert_invariant_at(problem: &Problem, widths: &[usize]) {
     if let Some(width) = forced_width() {
         eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
         return;
     }
     let reference = run_at(problem, 1);
-    for threads in [2usize, 4] {
+    for &threads in widths {
         let run = run_at(problem, threads);
         let context = format!(
             "{:?}/{:?} at {threads} threads vs 1",
@@ -172,38 +176,45 @@ fn every_figure_scheme_is_thread_count_invariant() {
 }
 
 #[test]
-fn angle_threaded_ablation_is_reproducible_to_reduction_tolerance() {
-    // The angle-threaded scheme reduces the scalar flux through one
-    // contended lock (the paper's OpenMP-atomic ablation), so the
-    // *summation order* of per-angle contributions is interleaving-
-    // dependent; the physics must still agree to floating-point
-    // reduction accuracy, and the angular flux (no reduction) exactly.
-    if let Some(width) = forced_width() {
-        eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
-        return;
-    }
-    let problem = Problem::tiny().with_scheme(unsnap::core::problem::angle_threaded_scheme());
-    let reference = run_at(&problem, 1);
-    let run = run_at(&problem, 2);
-    assert_eq!(
-        reference.angular_flux, run.angular_flux,
-        "angular flux has no contended reduction and must match exactly"
-    );
-    let max_rel = reference
-        .scalar_flux
-        .iter()
-        .zip(run.scalar_flux.iter())
-        .fold(0.0f64, |m, (a, b)| {
-            m.max((a - b).abs() / a.abs().max(1e-12))
-        });
-    assert!(
-        max_rel < 1e-12,
-        "angle-threaded scalar flux drifted by {max_rel}"
-    );
-    assert_eq!(
-        reference.outcome.kernel_invocations,
-        run.outcome.kernel_invocations
-    );
+fn angle_threaded_scheme_is_thread_count_invariant() {
+    // Angles write disjoint ψ slabs and φ is reduced in ascending angle
+    // order, so the default scheme is exact too — also at a width that
+    // does not divide the 16 angles and at one wider than them.
+    let problem = Problem::tiny().with_scheme(ConcurrencyScheme::best());
+    assert_eq!(problem.num_angles(), 16);
+    assert_invariant_at(&problem, &[2, 3, 4, 17]);
+}
+
+/// φ and ψ of a finished run, as bit patterns.
+fn flux_bits(driver: &dyn OuterDriver) -> [Vec<u64>; 2] {
+    let (phi, psi) = driver.flux();
+    [phi, psi].map(|flux| flux.iter().map(|v| v.to_bits()).collect())
+}
+
+#[test]
+fn angle_threaded_scheme_matches_the_collapsed_scheme_to_the_bit() {
+    // Same storage order, same per-entry addition order: the parallel
+    // axis moves no bit — on one domain, and on 2 × 2 block-Jacobi ranks
+    // that read a halo and, under GMRES, sweep with `homogeneous` on.
+    let collapsed: ConcurrencyScheme = "angle/element*/group*".parse().unwrap();
+    let single = |scheme| {
+        let problem = Problem::tiny().with_scheme(scheme).with_threads(2);
+        let mut solver = TransportSolver::new(&problem).unwrap();
+        solver.run().unwrap();
+        flux_bits(&solver)
+    };
+    assert_eq!(single(ConcurrencyScheme::best()), single(collapsed));
+
+    let ranks = |scheme| {
+        let problem = Problem::tiny()
+            .with_scheme(scheme)
+            .with_strategy(StrategyKind::SweepGmres)
+            .with_threads(2);
+        let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 2)).unwrap();
+        solver.run().unwrap();
+        flux_bits(&solver)
+    };
+    assert_eq!(ranks(ConcurrencyScheme::best()), ranks(collapsed));
 }
 
 #[test]

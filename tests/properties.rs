@@ -365,24 +365,25 @@ proptest! {
     }
 
     #[test]
-    fn builder_rejects_oversubscribed_angle_threading(
-        angles in 1usize..6,
-        extra in 1usize..8,
+    fn angle_threading_accepts_any_width_and_keeps_the_bits(
+        angles in 1usize..4,
+        extra in 1usize..12,
     ) {
-        let scheme: ConcurrencyScheme = "angle*/element/group".parse().unwrap();
-        let err = ProblemBuilder::tiny()
-            .phase_space(angles, 1)
-            .scheme(scheme)
-            .threads(angles + extra)
-            .build()
-            .unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("num_threads"));
-        // The same thread count on a non-angle-threaded scheme is fine.
-        prop_assert!(ProblemBuilder::tiny()
-            .phase_space(angles, 1)
-            .threads(angles + extra)
-            .build()
-            .is_ok());
+        // More threads than angles per octant — or than angles at all —
+        // is a valid request for the default scheme, and solves to the
+        // bits of one thread.
+        let flux_at = |threads| {
+            let mut solver = ProblemBuilder::tiny()
+                .mesh(2)
+                .phase_space(angles, 1)
+                .scheme(ConcurrencyScheme::best())
+                .threads(threads)
+                .solver_for()
+                .unwrap();
+            solver.run().unwrap();
+            solver.scalar_flux().as_slice().to_vec()
+        };
+        prop_assert_eq!(flux_at(1), flux_at(angles + extra));
     }
 
     #[test]
