@@ -1,8 +1,7 @@
 //! # unsnap-comm
 //!
 //! Simulated distributed-memory substrate for UnSNAP: rank subdomains,
-//! halo exchange, the parallel block-Jacobi global schedule and an
-//! analytic KBA pipeline model for comparison.
+//! halo exchange and the parallel block-Jacobi global schedule.
 //!
 //! The original mini-app distributes the spatial mesh over MPI ranks with a
 //! KBA-style 2-D decomposition and couples the subdomains with a *parallel
@@ -43,9 +42,6 @@
 //!   demonstrating the communication layer a real distributed run would
 //!   use and used by the tests to verify that packed/unpacked halos match
 //!   the lagged-array shortcut.
-//! * [`kba`] — an analytic model of the KBA pipelined sweep (stage counts,
-//!   pipeline fill/drain efficiency) used to contrast the idle-time
-//!   behaviour of the two global schedules.
 //! * [`error`] — [`CommError`], the layer's typed failure modes,
 //!   convertible into the workspace-wide `unsnap_core::error::Error`.
 //!
@@ -58,12 +54,10 @@
 pub mod error;
 pub mod halo;
 pub mod jacobi;
-pub mod kba;
 
 pub use error::CommError;
 pub use halo::{HaloExchange, HaloMessage};
 pub use jacobi::BlockJacobiSolver;
-pub use kba::{kba_stage_count, pipeline_efficiency, KbaModel};
 
 /// The block-Jacobi outcome is the one
 /// [`SolveOutcome`](unsnap_core::solver::SolveOutcome).  This name survives

@@ -73,8 +73,6 @@
 //!   storage and the low-order diffusion solver of `unsnap-accel`.
 //! * [`fd`] — the structured diamond-difference baseline (the original
 //!   SNAP spatial discretisation) for the FD-versus-FEM comparison.
-//! * [`preassembly`] — the pre-assembled / pre-factorised matrix ablation
-//!   discussed in §IV-B.1 of the paper.
 //! * [`problem`] — problem definitions and the paper's experiment presets.
 //! * [`report`] — Table I data and small formatting helpers used by the
 //!   benchmark binaries.
@@ -105,7 +103,6 @@ pub mod fd;
 pub mod kernel;
 pub mod layout;
 pub mod metrics;
-pub mod preassembly;
 pub mod problem;
 pub mod report;
 pub mod session;

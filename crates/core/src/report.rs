@@ -1,5 +1,5 @@
 //! Table I data and small reporting helpers shared by the examples and the
-//! benchmark binaries.
+//! `reproduce` harness.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,124 +66,6 @@ pub fn iteration_summary(outcome: &SolveOutcome) -> String {
         if let Some(final_residual) = outcome.krylov_residual_history.last() {
             out.push_str(&format!(", final residual {final_residual:.2e}"));
         }
-    }
-    out
-}
-
-/// One row of the three-way acceleration ablation (`ablation_dsa`): the
-/// sweeps SI, DSA-SI and sweep-preconditioned GMRES each needed at one
-/// scattering ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AccelAblationRow {
-    /// Within-group scattering ratio `c` of the scenario.
-    pub scattering_ratio: f64,
-    /// Sweeps source iteration needed.
-    pub si_sweeps: usize,
-    /// Sweeps DSA-accelerated source iteration needed.
-    pub dsa_sweeps: usize,
-    /// Sweeps the GMRES strategy needed (incl. RHS/consistency sweeps).
-    pub gmres_sweeps: usize,
-    /// Low-order CG iterations the DSA runs spent (not sweeps).
-    pub dsa_cg_iterations: usize,
-    /// Whether each strategy met the tolerance within its budget, in
-    /// (SI, DSA-SI, GMRES) order.
-    pub converged: [bool; 3],
-    /// Relative difference of the DSA-SI flux total against SI.
-    pub dsa_flux_rel_diff: f64,
-    /// Relative difference of the GMRES flux total against SI.
-    pub gmres_flux_rel_diff: f64,
-}
-
-impl AccelAblationRow {
-    /// Sweep-count ratio SI / DSA-SI (the DSA acceleration factor).
-    pub fn dsa_speedup(&self) -> f64 {
-        if self.dsa_sweeps == 0 {
-            0.0
-        } else {
-            self.si_sweeps as f64 / self.dsa_sweeps as f64
-        }
-    }
-
-    /// Sweep-count ratio SI / GMRES.
-    pub fn gmres_speedup(&self) -> f64 {
-        if self.gmres_sweeps == 0 {
-            0.0
-        } else {
-            self.si_sweeps as f64 / self.gmres_sweeps as f64
-        }
-    }
-}
-
-/// Render the three-way acceleration ablation as fixed-width text.
-pub fn accel_table_text(rows: &[AccelAblationRow]) -> String {
-    let mut out = String::from(
-        "     c   SI sweeps  DSA sweeps  GMRES sweeps  DSA speedup  GMRES speedup  \
-         DSA CG its\n",
-    );
-    for row in rows {
-        let mark = |converged: bool| if converged { ' ' } else { '!' };
-        out.push_str(&format!(
-            "{:>6.3}  {:>9}{} {:>10}{} {:>12}{} {:>11.1}  {:>13.1}  {:>10}\n",
-            row.scattering_ratio,
-            row.si_sweeps,
-            mark(row.converged[0]),
-            row.dsa_sweeps,
-            mark(row.converged[1]),
-            row.gmres_sweeps,
-            mark(row.converged[2]),
-            row.dsa_speedup(),
-            row.gmres_speedup(),
-            row.dsa_cg_iterations,
-        ));
-    }
-    out
-}
-
-/// One row of the source-iteration-versus-GMRES ablation: how many
-/// sweeps each strategy needed at one scattering ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StrategyAblationRow {
-    /// Within-group scattering ratio `c` of the scenario.
-    pub scattering_ratio: f64,
-    /// Sweeps source iteration needed (its inner-iteration count).
-    pub si_sweeps: usize,
-    /// Sweeps the GMRES strategy needed (including RHS/consistency
-    /// sweeps).
-    pub gmres_sweeps: usize,
-    /// Whether source iteration met the tolerance within its budget.
-    pub si_converged: bool,
-    /// Whether GMRES met the tolerance within its budget.
-    pub gmres_converged: bool,
-    /// Relative difference of the two scalar-flux totals.
-    pub flux_rel_diff: f64,
-}
-
-impl StrategyAblationRow {
-    /// Sweep-count ratio SI / GMRES (the acceleration factor).
-    pub fn speedup(&self) -> f64 {
-        if self.gmres_sweeps == 0 {
-            0.0
-        } else {
-            self.si_sweeps as f64 / self.gmres_sweeps as f64
-        }
-    }
-}
-
-/// Render the SI-versus-GMRES ablation as fixed-width text.
-pub fn strategy_table_text(rows: &[StrategyAblationRow]) -> String {
-    let mut out = String::from("    c   SI sweeps  GMRES sweeps  speedup  flux rel diff\n");
-    for row in rows {
-        let mark = |converged: bool| if converged { ' ' } else { '!' };
-        out.push_str(&format!(
-            "{:>5.2}  {:>9}{} {:>12}{} {:>8.1}  {:>13.2e}\n",
-            row.scattering_ratio,
-            row.si_sweeps,
-            mark(row.si_converged),
-            row.gmres_sweeps,
-            mark(row.gmres_converged),
-            row.speedup(),
-            row.flux_rel_diff,
-        ));
     }
     out
 }
@@ -305,57 +187,6 @@ mod tests {
         let text = iteration_summary(&outcome);
         assert!(text.contains("9 Krylov iterations"));
         assert!(text.contains("1.00e-9"));
-    }
-
-    #[test]
-    fn strategy_table_lists_all_rows_and_flags_nonconvergence() {
-        let rows = [
-            StrategyAblationRow {
-                scattering_ratio: 0.5,
-                si_sweeps: 40,
-                gmres_sweeps: 10,
-                si_converged: true,
-                gmres_converged: true,
-                flux_rel_diff: 1e-10,
-            },
-            StrategyAblationRow {
-                scattering_ratio: 0.99,
-                si_sweeps: 1000,
-                gmres_sweeps: 25,
-                si_converged: false,
-                gmres_converged: true,
-                flux_rel_diff: 2e-6,
-            },
-        ];
-        assert!((rows[0].speedup() - 4.0).abs() < 1e-12);
-        let text = strategy_table_text(&rows);
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("0.99"));
-        assert!(
-            text.contains("1000!"),
-            "non-converged rows are flagged: {text}"
-        );
-    }
-
-    #[test]
-    fn accel_table_lists_all_rows_and_speedups() {
-        let rows = [AccelAblationRow {
-            scattering_ratio: 0.99,
-            si_sweeps: 1200,
-            dsa_sweeps: 40,
-            gmres_sweeps: 30,
-            dsa_cg_iterations: 500,
-            converged: [false, true, true],
-            dsa_flux_rel_diff: 1e-7,
-            gmres_flux_rel_diff: 2e-8,
-        }];
-        assert!((rows[0].dsa_speedup() - 30.0).abs() < 1e-12);
-        assert!((rows[0].gmres_speedup() - 40.0).abs() < 1e-12);
-        let text = accel_table_text(&rows);
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("0.990"));
-        assert!(text.contains("1200!"), "unconverged SI is flagged: {text}");
-        assert!(text.contains("DSA CG its"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! transport assembly, this simple routine beats a general library
 //! factorisation up to moderate matrix sizes because it has no blocking
 //! overhead and the whole matrix stays in L1 cache; see Table II of the
-//! paper and `unsnap-bench`'s `table2` binary.
+//! paper and `unsnap-bench`'s `reproduce table2`.
 
 use crate::error::LinalgError;
 use crate::matrix::DenseMatrix;

@@ -99,47 +99,6 @@ impl Histogram {
         Self::with_bounds(&bounds)
     }
 
-    /// Rebuild a histogram from its serialised parts (the fields
-    /// [`Histogram::to_json`] emits), for consumers that receive a
-    /// histogram across the wire — e.g. the load generator rebuilding a
-    /// solve's sweep-latency distribution from an outcome document —
-    /// and want its quantiles back rather than an empty stand-in.
-    ///
-    /// `bucket_counts` must have one more entry than `bounds` (the
-    /// implicit overflow bucket) and sum to `count`; `min`/`max` are
-    /// ignored while `count` is zero.  Returns `None` when the parts are
-    /// inconsistent, so a torn document degrades to "no histogram"
-    /// instead of fabricating quantiles.
-    pub fn from_parts(
-        bounds: &[f64],
-        bucket_counts: &[u64],
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Option<Self> {
-        if bucket_counts.len() != bounds.len() + 1 {
-            return None;
-        }
-        if !bounds.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        if bucket_counts.iter().sum::<u64>() != count {
-            return None;
-        }
-        if count > 0 && (min > max || min.is_nan() || max.is_nan()) {
-            return None;
-        }
-        Some(Self {
-            bounds: bounds.to_vec(),
-            counts: bucket_counts.to_vec(),
-            count,
-            sum,
-            min: if count > 0 { min } else { f64::INFINITY },
-            max: if count > 0 { max } else { f64::NEG_INFINITY },
-        })
-    }
-
     /// Record one sample.
     pub fn record(&mut self, value: f64) {
         let slot = self
@@ -492,37 +451,6 @@ mod tests {
         h.record(10.0);
         assert_eq!(h.bucket_counts(), &[0, 0, 1]);
         assert_eq!(h.quantile(0.5), Some(10.0));
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_recorded_histogram() {
-        let mut h = Histogram::latency_seconds();
-        for v in [0.002, 0.003, 0.003, 0.25] {
-            h.record(v);
-        }
-        let rebuilt = Histogram::from_parts(
-            h.bounds(),
-            h.bucket_counts(),
-            h.count(),
-            h.sum(),
-            h.min().unwrap(),
-            h.max().unwrap(),
-        )
-        .expect("self-consistent parts must rebuild");
-        assert_eq!(rebuilt, h);
-        assert_eq!(rebuilt.quantile(0.5), h.quantile(0.5));
-
-        // Empty histograms round-trip too (min/max sidecars ignored).
-        let empty = Histogram::latency_seconds();
-        let rebuilt =
-            Histogram::from_parts(empty.bounds(), empty.bucket_counts(), 0, 0.0, 0.0, 0.0).unwrap();
-        assert_eq!(rebuilt.quantile(0.5), None);
-
-        // Inconsistent parts are rejected, not patched up.
-        assert!(Histogram::from_parts(&[1.0, 2.0], &[1, 0], 1, 0.5, 0.5, 0.5).is_none());
-        assert!(Histogram::from_parts(&[2.0, 1.0], &[0, 0, 0], 0, 0.0, 0.0, 0.0).is_none());
-        assert!(Histogram::from_parts(&[1.0], &[1, 1], 3, 1.0, 0.5, 0.5).is_none());
-        assert!(Histogram::from_parts(&[1.0], &[1, 1], 2, 1.0, 2.0, 0.5).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   [`ChunkedWriter`], for the live JSONL event stream whose length is
 //!   unknown while the solve is still running;
 //! * a tiny blocking client ([`request`]) used by the tests and the
-//!   `loadgen` bench bin, which also decodes chunked bodies.
+//!   repository benchmark, which also decodes chunked bodies.
 //!
 //! Every exchange is one-request-per-connection (`Connection: close`):
 //! simpler to reason about, and the job API's conversational state lives
@@ -212,7 +212,7 @@ pub struct HttpResponse {
 
 /// Perform one blocking HTTP exchange: connect, send `method path` with
 /// an optional JSON body, read the full response (decoding chunked
-/// bodies), return it.  Used by tests and the `loadgen` bench bin.
+/// bodies), return it.  Used by tests and the repository benchmark.
 pub fn request(
     addr: impl ToSocketAddrs,
     method: &str,

@@ -11,7 +11,7 @@
 //! ## Module map
 //!
 //! * [`http`] — minimal HTTP/1.1: request parsing, fixed and chunked
-//!   responses, a tiny blocking client for tests and `loadgen`.
+//!   responses, a tiny blocking client for tests and the repository benchmark.
 //! * [`wire`] — request-body parsing (named or inline problems, via
 //!   [`unsnap_core::wire`]) and the typed-error → status mapping.
 //! * [`queue`] — the bounded FIFO, the worker pool, and the job state
@@ -216,8 +216,8 @@ impl Server {
         self.addr
     }
 
-    /// The shared job queue (tests and `loadgen` read counters through
-    /// it directly).
+    /// The shared job queue (tests and the repository benchmark read
+    /// counters through it directly).
     pub fn queue(&self) -> &JobQueue {
         &self.queue
     }

@@ -519,7 +519,7 @@ impl JobQueue {
         state.jobs.get(&id).map(|entry| entry.trace_json.clone())
     }
 
-    /// One counter's current value (test and loadgen convenience).
+    /// One counter's current value (test and benchmark convenience).
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.shared.metrics.lock().unwrap().counter(name)
     }

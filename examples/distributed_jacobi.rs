@@ -8,8 +8,8 @@
 //! The same problem is solved to a fixed tolerance with 1, 2 and 4
 //! simulated ranks under the block-Jacobi global schedule.  More Jacobi
 //! blocks mean slower convergence (more inner iterations), but every rank
-//! can begin sweeping immediately — unlike the KBA pipeline, whose
-//! fill/drain idle time is printed alongside from the analytic model.
+//! can begin sweeping immediately — unlike a KBA pipeline, which idles
+//! while it fills and drains.
 
 use unsnap::prelude::*;
 
@@ -34,8 +34,8 @@ fn main() {
     );
     println!();
     println!(
-        "{:>6} {:>12} {:>12} {:>14} {:>18}",
-        "ranks", "iterations", "halo faces", "scalar flux", "KBA efficiency"
+        "{:>6} {:>12} {:>12} {:>14}",
+        "ranks", "iterations", "halo faces", "scalar flux"
     );
 
     for decomp in [
@@ -46,30 +46,24 @@ fn main() {
         let mut solver =
             BlockJacobiSolver::new(&problem, decomp).expect("decomposition should fit the mesh");
         let outcome = solver.run().expect("solve");
-        // KBA model: local wavefront count for a diagonal sweep of the
-        // per-rank slab (≈ nx/px + ny/py + nz − 2 stages).
-        let (px, py) = (decomp.npx, decomp.npy);
-        let local_stages = problem.nx / px + problem.ny / py + problem.nz - 2;
-        let kba = KbaModel::evaluate(px, py, local_stages.max(1));
         let ranks = outcome.ranks.as_ref().expect("block-Jacobi outcome");
         println!(
-            "{:>6} {:>12} {:>12} {:>14.5e} {:>17.1}%",
+            "{:>6} {:>12} {:>12} {:>14.5e}",
             ranks.num_ranks,
             ranks
                 .iterations_to_tolerance
                 .map(|i| i.to_string())
                 .unwrap_or_else(|| "> max".into()),
             ranks.halo_faces,
-            outcome.scalar_flux_total,
-            kba.efficiency * 100.0
+            outcome.scalar_flux_total
         );
     }
 
     println!();
     println!(
         "(Block Jacobi: every rank starts immediately but needs more iterations as \
-         the number of blocks grows.  KBA: fewer iterations but the pipeline \
-         efficiency column shows the idle time each octant sweep would incur.)"
+         the number of blocks grows; a KBA pipeline needs fewer but idles while \
+         each octant sweep fills and drains.)"
     );
 
     // The same driver dispatches Krylov subdomain solves: with

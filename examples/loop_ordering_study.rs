@@ -9,7 +9,7 @@
 //! schemes (loop order × which loops are threaded, with the matching data
 //! layouts) for a sweep of thread counts, and prints the assemble/solve
 //! time of each combination.  The full-size experiment lives in
-//! `unsnap-bench` (`cargo run -p unsnap-bench --bin figure3`).
+//! `unsnap-bench` (`cargo run --release -p unsnap-bench --bin reproduce -- figure3`).
 
 use unsnap::prelude::*;
 
