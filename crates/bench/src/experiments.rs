@@ -4,7 +4,6 @@
 //! nothing here prints.
 
 use unsnap_comm::BlockJacobiSolver;
-use unsnap_core::builder::ProblemBuilder;
 use unsnap_core::layout::Precision;
 use unsnap_core::problem::Problem;
 use unsnap_core::report;
@@ -269,18 +268,21 @@ pub(crate) fn strategies(opts: &HarnessOptions) -> Report {
         for t in opts.widths(&[1]) {
             let mut si: Option<(usize, f64)> = None;
             for strategy in StrategyKind::all() {
-                let problem = ProblemBuilder::quickstart()
-                    .mesh(mesh)
-                    .extents(12.0, 12.0, 12.0)
-                    .phase_space(2, 1)
-                    .scattering_ratio(c)
-                    .tolerance(1e-6)
-                    .iterations(budget, 1)
-                    .scheme(ConcurrencyScheme::serial())
-                    .strategy(strategy)
-                    .threads(t)
-                    .build()
-                    .expect("experiment problem must validate");
+                let problem = Problem {
+                    lx: 12.0,
+                    ly: 12.0,
+                    lz: 12.0,
+                    convergence_tolerance: 1e-6,
+                    inner_iterations: budget,
+                    outer_iterations: 1,
+                    ..Problem::quickstart()
+                }
+                .with_mesh(mesh)
+                .with_phase_space(2, 1)
+                .with_scattering_ratio(c)
+                .with_scheme(ConcurrencyScheme::serial())
+                .with_strategy(strategy)
+                .with_threads(t);
                 let outcome = solve(opts, &problem, None);
                 // `StrategyKind::all()` leads with source iteration.
                 let (si_sweeps, si_flux) =
@@ -395,18 +397,21 @@ pub(crate) fn precision(opts: &HarnessOptions) -> Report {
         for t in opts.widths(&[1]) {
             let mut reference: Option<(usize, f64)> = None;
             for precision in [Precision::F64, Precision::Mixed] {
-                let problem = ProblemBuilder::quickstart()
-                    .mesh(mesh)
-                    .extents(12.0, 12.0, 12.0)
-                    .phase_space(2, 2)
-                    .scattering_ratio(0.9)
-                    .tolerance(1e-5)
-                    .iterations(budget, 1)
-                    .strategy(strategy)
-                    .precision(precision)
-                    .threads(t)
-                    .build()
-                    .expect("experiment problem must validate");
+                let problem = Problem {
+                    lx: 12.0,
+                    ly: 12.0,
+                    lz: 12.0,
+                    convergence_tolerance: 1e-5,
+                    inner_iterations: budget,
+                    outer_iterations: 1,
+                    ..Problem::quickstart()
+                }
+                .with_mesh(mesh)
+                .with_phase_space(2, 2)
+                .with_scattering_ratio(0.9)
+                .with_strategy(strategy)
+                .with_precision(precision)
+                .with_threads(t);
                 let outcome = solve(opts, &problem, None);
                 assert!(outcome.converged, "{strategy}/{precision}: must converge");
                 let (f64_sweeps, f64_flux) =

@@ -14,8 +14,8 @@
 //! the same sweep path, source assembly and
 //! [`IterationStrategy`](unsnap_core::strategy::IterationStrategy)
 //! dispatch as the single-domain `TransportSolver`, which is the
-//! one-domain, no-halo case of it.  [`Problem::strategy`] (including the
-//! `UNSNAP_STRATEGY` builder override) selects the subdomain solver:
+//! one-domain, no-halo case of it.  [`Problem::strategy`] selects the
+//! subdomain solver:
 //!
 //! * **Source iteration** — one masked sweep per rank per halo
 //!   iteration, reproducing the seed's lagged block-Jacobi schedule
@@ -96,9 +96,8 @@ pub struct BlockJacobiSolver {
 impl BlockJacobiSolver {
     /// Build the distributed solver for a problem and a 2-D decomposition.
     ///
-    /// Every [`Problem`]/`ProblemBuilder` knob flows through: the
-    /// iteration strategy ([`Problem::strategy`], selectable via the
-    /// `UNSNAP_STRATEGY` builder override), the GMRES restart length, the
+    /// Every [`Problem`] knob flows through: the iteration strategy
+    /// ([`Problem::strategy`]), the GMRES restart length, the
     /// dense-solver back end, the scattering-ratio override and the
     /// thread count.
     ///
@@ -279,11 +278,11 @@ impl OuterDriver for BlockJacobiSolver {
         // (additive-Schwarz-style subdomain solves).
         //
         // The per-exchange Krylov solve is capped by the dedicated
-        // `subdomain_krylov_budget` knob (builder:
-        // `subdomain_krylov_budget(..)`, env: `UNSNAP_SUBDOMAIN_ITERS`);
-        // when unset it falls back to `inner_iterations`, the historical
-        // behaviour where one knob capped both the halo loop and each
-        // rank's solve.  Both levels exit early at the tolerance.
+        // `subdomain_krylov_budget` knob
+        // (`Problem::with_subdomain_krylov_budget`); when unset it falls
+        // back to `inner_iterations`, the historical behaviour where one
+        // knob capped both the halo loop and each rank's solve.  Both
+        // levels exit early at the tolerance.
         let inner_budget = match kind {
             StrategyKind::SourceIteration | StrategyKind::DsaSourceIteration => 1,
             StrategyKind::SweepGmres => problem

@@ -16,12 +16,10 @@
 //! zero — every ordinate has a strictly positive or negative component
 //! along each axis, so the sweep classification is unambiguous.
 
-use serde::{Deserialize, Serialize};
-
 use unsnap_fem::quadrature::gauss_legendre;
 
 /// One discrete ordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Direction {
     /// Unit direction vector `(Ω_x, Ω_y, Ω_z)`.
     pub omega: [f64; 3],
@@ -36,7 +34,7 @@ pub struct Direction {
 }
 
 /// A complete Sn quadrature set over the unit sphere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AngularQuadrature {
     angles_per_octant: usize,
     directions: Vec<Direction>,

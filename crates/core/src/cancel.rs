@@ -19,11 +19,11 @@
 //! stopped at.
 //!
 //! ```
-//! use unsnap_core::builder::ProblemBuilder;
 //! use unsnap_core::cancel::CancelToken;
 //! use unsnap_core::error::Error;
+//! use unsnap_core::{Problem, Session};
 //!
-//! let mut session = ProblemBuilder::tiny().session().unwrap();
+//! let mut session = Session::new(&Problem::tiny()).unwrap();
 //! let token = CancelToken::new();
 //! session.solver_mut().set_cancel_token(token.clone());
 //! token.cancel(); // cancelled before the first outer even starts

@@ -17,10 +17,8 @@
 //! structures are present (a full group-to-group scattering matrix, a
 //! per-cell material index, per-group totals).
 
-use serde::{Deserialize, Serialize};
-
 /// Which artificial material layout fills the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaterialOption {
     /// "Option 1": one homogeneous material everywhere (the configuration
     /// used by every experiment in the paper).
@@ -63,7 +61,7 @@ impl std::str::FromStr for MaterialOption {
 }
 
 /// Which artificial fixed-source layout drives the problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceOption {
     /// "Option 1": a uniform unit source everywhere, all groups.
     #[default]
@@ -103,7 +101,7 @@ impl std::str::FromStr for SourceOption {
 }
 
 /// Multigroup cross sections for a set of materials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossSections {
     num_groups: usize,
     num_materials: usize,
@@ -282,7 +280,7 @@ impl CrossSections {
 }
 
 /// The per-cell material map and fixed source of an UnSNAP problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemData {
     /// Cross sections for every material present.
     pub xs: CrossSections,

@@ -14,15 +14,13 @@
 //! same problem both discretisations must converge towards the same
 //! infinite-medium limits and show the same qualitative flux shapes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::angular::AngularQuadrature;
 use crate::data::ProblemData;
 use crate::error::Result;
 use crate::problem::Problem;
 
 /// Outcome of a diamond-difference solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FdOutcome {
     /// Inner iterations executed.
     pub inner_iterations: usize,

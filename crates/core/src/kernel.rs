@@ -35,7 +35,6 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
 use unsnap_fem::integrals::ElementIntegrals;
 use unsnap_linalg::{DenseMatrix, LinearSolver};
 
@@ -46,7 +45,7 @@ use crate::layout::Precision;
 /// Parsed and carried, but inert: the [`KernelEngine`] runs the tiled
 /// assembly ([`assemble_blocked`]) for both values, and that assembly is
 /// bit for bit the reference one ([`assemble`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelKind {
     /// The default label.
     #[default]
@@ -61,7 +60,7 @@ impl KernelKind {
         [KernelKind::Reference, KernelKind::Blocked]
     }
 
-    /// Short name used in tables and for CLI/env selection.
+    /// Short name used in tables, on the wire and for CLI selection.
     pub fn label(&self) -> &'static str {
         match self {
             KernelKind::Reference => "reference",

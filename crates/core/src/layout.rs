@@ -25,8 +25,6 @@
 //! elements" the paper identifies as beneficial) versus `N × 8` bytes in
 //! the second (one cache line for linear elements).
 
-use serde::{Deserialize, Serialize};
-
 use unsnap_sweep::LoopOrder;
 
 /// Storage/solve precision of the sweep kernel's local systems.
@@ -37,7 +35,7 @@ use unsnap_sweep::LoopOrder;
 /// (single-precision elimination with partial pivoting), trading a few
 /// extra source iterations for roughly half the solve bandwidth — the
 /// paper's mixed-precision sweep variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Full double precision everywhere (the seed behaviour).
     #[default]
@@ -52,7 +50,7 @@ impl Precision {
         [Precision::F64, Precision::Mixed]
     }
 
-    /// Short name used in tables and for CLI/env selection.
+    /// Short name used in tables, on the wire and for CLI selection.
     pub fn label(&self) -> &'static str {
         match self {
             Precision::F64 => "f64",
@@ -81,7 +79,7 @@ impl std::str::FromStr for Precision {
 
 /// Shape and ordering of a flux-like array
 /// (node × element × group × angle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FluxLayout {
     /// Nodes per element (always the fastest index).
     pub nodes_per_element: usize,
@@ -185,7 +183,7 @@ impl FluxLayout {
 }
 
 /// A flat `f64` array addressed through a [`FluxLayout`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FluxStorage {
     layout: FluxLayout,
     data: Vec<f64>,

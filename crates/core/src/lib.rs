@@ -35,8 +35,6 @@
 //! * [`wire`] — the canonical JSON wire format for problem
 //!   configurations (serve requests, cross-process tooling) and the
 //!   byte stream behind [`Problem::canonical_hash`].
-//! * [`builder`] — [`ProblemBuilder`]: validating, grouped construction
-//!   of [`Problem`]s with cross-field invariants checked up front.
 //! * [`session`] — the observable solve API: [`Session`],
 //!   [`RunObserver`] and [`RecordingObserver`] stream per-iteration
 //!   progress instead of returning a black-box summary; the
@@ -48,10 +46,6 @@
 //!   [`SolveOutcome`]), and
 //!   [`metrics::JsonlObserver`] streams the raw events
 //!   to a JSONL run log.
-//! * [`json`] — a minimal hand-rolled JSON writer backing
-//!   [`SolveOutcome::to_json`]; hosted by `unsnap-obs` since PR 6 and
-//!   re-exported here so existing `unsnap_core::json` paths keep
-//!   working.
 //! * [`angular`] — Sn product quadrature over the unit sphere (angles per
 //!   octant, direction cosines, weights, octant bookkeeping).
 //! * [`data`] — artificial multigroup cross sections, materials and fixed
@@ -73,18 +67,20 @@
 //!   storage and the low-order diffusion solver of `unsnap-accel`.
 //! * [`fd`] — the structured diamond-difference baseline (the original
 //!   SNAP spatial discretisation) for the FD-versus-FEM comparison.
-//! * [`problem`] — problem definitions and the paper's experiment presets.
+//! * [`problem`] — [`Problem`], the one description of a run: the paper's
+//!   experiment presets, `with_*` setters and the [`Problem::validate`]
+//!   rules every solver constructor enforces.
 //! * [`report`] — Table I data and small formatting helpers used by the
 //!   benchmark binaries.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use unsnap_core::builder::ProblemBuilder;
+//! use unsnap_core::{Problem, Session};
 //!
-//! // A tiny problem that runs in well under a second: validate it up
-//! // front, open a session, run it.
-//! let mut session = ProblemBuilder::tiny().session().unwrap();
+//! // A tiny problem that runs in well under a second: pick a preset,
+//! // open a session (which validates it), run it.
+//! let mut session = Session::new(&Problem::tiny()).unwrap();
 //! let outcome = session.run().unwrap();
 //! assert!(outcome.scalar_flux_total() > 0.0);
 //! ```
@@ -93,7 +89,6 @@
 #![forbid(unsafe_code)]
 
 pub mod angular;
-pub mod builder;
 pub mod cancel;
 pub mod data;
 pub mod domain;
@@ -111,14 +106,7 @@ pub mod strategy;
 pub mod trace;
 pub mod wire;
 
-/// The hand-rolled JSON writer (moved to `unsnap-obs` in PR 6;
-/// re-exported so `unsnap_core::json::*` call sites keep compiling).
-pub use unsnap_obs::json;
-
 pub use angular::{AngularQuadrature, Direction};
-pub use builder::{
-    AccelConfig, ExecutionConfig, GridConfig, IterationConfig, PhysicsConfig, ProblemBuilder,
-};
 pub use cancel::CancelToken;
 pub use data::{CrossSections, MaterialOption, SourceOption};
 pub use error::{Error, Result};

@@ -19,9 +19,9 @@
 //!   (one JSON document per line) for offline analysis.
 //!
 //! ```
-//! use unsnap_core::builder::ProblemBuilder;
+//! use unsnap_core::{Problem, Session};
 //!
-//! let outcome = ProblemBuilder::tiny().session().unwrap().run().unwrap();
+//! let outcome = Session::new(&Problem::tiny()).unwrap().run().unwrap();
 //! assert_eq!(outcome.metrics.sweeps, outcome.sweep_count);
 //! assert!(outcome.metrics.to_json().contains("\"cells_swept\""));
 //! ```

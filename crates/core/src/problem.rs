@@ -8,8 +8,6 @@
 //! Figures 3/4 and the solver comparison of Table II), both at their full
 //! published size and at a scaled-down size suitable for laptops and CI.
 
-use serde::{Deserialize, Serialize};
-
 use unsnap_linalg::SolverKind;
 use unsnap_mesh::boundary::DomainBoundaries;
 use unsnap_mesh::{StructuredGrid, UnstructuredMesh};
@@ -22,7 +20,7 @@ use crate::layout::Precision;
 use crate::strategy::{AcceleratorKind, StrategyKind};
 
 /// Full description of an UnSNAP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Cells along x.
     pub nx: usize,
@@ -72,7 +70,7 @@ pub struct Problem {
     /// low-order diffusion correction).  The dedicated
     /// [`StrategyKind::DsaSourceIteration`] strategy always applies DSA
     /// regardless of this knob; plain `SourceIteration` ignores — and
-    /// the builder rejects — a dangling accelerator selection.
+    /// [`Problem::validate`] rejects — a dangling accelerator selection.
     pub accelerator: AcceleratorKind,
     /// Relative residual target of the low-order DSA CG solve (read
     /// whenever a DSA correction runs).
@@ -409,7 +407,7 @@ impl Problem {
         self
     }
 
-    /// Builder-style setter for the upscatter fraction (see
+    /// Override the upscatter fraction (see
     /// [`Problem::upscatter_ratio`]).  Requires a scattering-ratio
     /// override to layer on; `validate` rejects a dangling upscatter.
     pub fn with_upscatter_ratio(mut self, u: f64) -> Self {
@@ -519,14 +517,16 @@ impl Problem {
         self.angular_flux_unknowns() * std::mem::size_of::<f64>()
     }
 
-    /// Basic sanity checks on the parameters.
+    /// Every rule a runnable problem must satisfy, per field and across
+    /// fields.
     ///
     /// Each failed check reports the offending field through
     /// [`Error::InvalidProblem`], so callers (and tests) can match on the
-    /// rejection class instead of parsing a message.  Cross-field
-    /// invariants that only a construction-time check can enforce live in
-    /// [`ProblemBuilder::build`](crate::builder::ProblemBuilder::build),
-    /// which also runs these checks.
+    /// rejection class instead of parsing a message.  Every solver
+    /// constructor, the wire parser and the run-log manifest call this,
+    /// so the same rules hold however the `Problem` was put together —
+    /// a preset, `with_*` setters, struct-update syntax or a JSON
+    /// document.
     pub fn validate(&self) -> Result<()> {
         for (field, n) in [("nx", self.nx), ("ny", self.ny), ("nz", self.nz)] {
             if n == 0 {
@@ -540,11 +540,11 @@ impl Problem {
             }
         }
         for (field, l) in [("lx", self.lx), ("ly", self.ly), ("lz", self.lz)] {
-            if l <= 0.0 {
+            if !(l > 0.0 && l.is_finite()) {
                 return Err(Error::invalid_problem(
                     field,
                     format!(
-                        "domain extents must be positive, got {}x{}x{}",
+                        "domain extents must be finite and positive, got {}x{}x{}",
                         self.lx, self.ly, self.lz
                     ),
                 ));
@@ -586,10 +586,13 @@ impl Problem {
                 "thread count must be at least 1",
             ));
         }
-        if self.twist < 0.0 {
+        if !(self.twist >= 0.0 && self.twist.is_finite()) {
             return Err(Error::invalid_problem(
                 "twist",
-                "twist angle must be non-negative",
+                format!(
+                    "twist angle must be finite and non-negative, got {}",
+                    self.twist
+                ),
             ));
         }
         if self.gmres_restart == 0 {
@@ -655,6 +658,54 @@ impl Problem {
                 "plain source iteration never applies the DSA accelerator; select the \
                  dsa-si strategy (StrategyKind::DsaSourceIteration) or the gmres strategy \
                  to make the accelerator effective",
+            ));
+        }
+        if !(self.convergence_tolerance >= 0.0 && self.convergence_tolerance.is_finite()) {
+            return Err(Error::invalid_problem(
+                "convergence_tolerance",
+                format!(
+                    "tolerance must be finite and non-negative, got {}",
+                    self.convergence_tolerance
+                ),
+            ));
+        }
+        // The angular flux must be addressable: cells first (`num_cells`
+        // and the size helpers multiply unchecked), then nodes × cells ×
+        // groups × angles — both overflow usize long before they allocate.
+        let cells = self
+            .nx
+            .checked_mul(self.ny)
+            .and_then(|n| n.checked_mul(self.nz))
+            .ok_or_else(|| {
+                Error::invalid_problem(
+                    "nx",
+                    format!(
+                        "a {}x{}x{} mesh overflows the addressable cell count",
+                        self.nx, self.ny, self.nz
+                    ),
+                )
+            })?;
+        let unknowns = self
+            .element_order
+            .checked_add(1)
+            .and_then(|n| n.checked_pow(3))
+            .and_then(|nodes| nodes.checked_mul(cells))
+            .and_then(|n| n.checked_mul(self.num_groups))
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|n| n.checked_mul(self.angles_per_octant));
+        if unknowns.is_none() {
+            return Err(Error::invalid_problem(
+                "element_order",
+                format!(
+                    "order-{} elements on a {}x{}x{} mesh with {} groups and {} angles per \
+                     octant overflow the addressable angular-flux size",
+                    self.element_order,
+                    self.nx,
+                    self.ny,
+                    self.nz,
+                    self.num_groups,
+                    self.angles_per_octant,
+                ),
             ));
         }
         Ok(())
@@ -750,79 +801,128 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_parameters() {
-        assert!(Problem {
-            nx: 0,
-            ..Problem::tiny()
+    fn validate_names_the_offending_field() {
+        fn tiny_with(edit: impl FnOnce(&mut Problem)) -> Problem {
+            let mut problem = Problem::tiny();
+            edit(&mut problem);
+            problem
         }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            lx: -1.0,
-            ..Problem::tiny()
+        let split = || Problem::tiny().with_scattering_ratio(0.9);
+        let rejected = [
+            ("nx", tiny_with(|p| p.nx = 0)),
+            ("ny", tiny_with(|p| p.ny = 0)),
+            ("nz", tiny_with(|p| p.nz = 0)),
+            ("lx", tiny_with(|p| p.lx = -1.0)),
+            ("ly", tiny_with(|p| p.ly = 0.0)),
+            ("lz", tiny_with(|p| p.lz = f64::NAN)),
+            ("lx", tiny_with(|p| p.lx = f64::INFINITY)),
+            ("element_order", tiny_with(|p| p.element_order = 0)),
+            ("angles_per_octant", tiny_with(|p| p.angles_per_octant = 0)),
+            ("num_groups", tiny_with(|p| p.num_groups = 0)),
+            ("inner_iterations", tiny_with(|p| p.inner_iterations = 0)),
+            ("outer_iterations", tiny_with(|p| p.outer_iterations = 0)),
+            ("num_threads", tiny_with(|p| p.num_threads = Some(0))),
+            ("twist", tiny_with(|p| p.twist = -0.1)),
+            ("twist", tiny_with(|p| p.twist = f64::INFINITY)),
+            ("twist", tiny_with(|p| p.twist = f64::NAN)),
+            ("gmres_restart", tiny_with(|p| p.gmres_restart = 0)),
+            (
+                "accel_cg_tolerance",
+                tiny_with(|p| p.accel_cg_tolerance = 0.0),
+            ),
+            (
+                "accel_cg_tolerance",
+                tiny_with(|p| p.accel_cg_tolerance = f64::NAN),
+            ),
+            (
+                "accel_cg_iterations",
+                tiny_with(|p| p.accel_cg_iterations = 0),
+            ),
+            (
+                "subdomain_krylov_budget",
+                tiny_with(|p| p.subdomain_krylov_budget = Some(0)),
+            ),
+            (
+                "scattering_ratio",
+                tiny_with(|p| p.scattering_ratio = Some(0.0)),
+            ),
+            (
+                "scattering_ratio",
+                tiny_with(|p| p.scattering_ratio = Some(1.5)),
+            ),
+            (
+                "scattering_ratio",
+                tiny_with(|p| p.scattering_ratio = Some(f64::NAN)),
+            ),
+            // Dangling upscatter: no scattering ratio to split, or one
+            // group with nothing to scatter up into.
+            (
+                "upscatter_ratio",
+                tiny_with(|p| p.upscatter_ratio = Some(0.2)),
+            ),
+            (
+                "upscatter_ratio",
+                split().with_phase_space(2, 1).with_upscatter_ratio(0.2),
+            ),
+            ("upscatter_ratio", split().with_upscatter_ratio(0.0)),
+            ("upscatter_ratio", split().with_upscatter_ratio(1.0)),
+            ("upscatter_ratio", split().with_upscatter_ratio(-0.5)),
+            ("upscatter_ratio", split().with_upscatter_ratio(f64::NAN)),
+            // Plain source iteration never reads the accelerator: a
+            // dangling selection would be silently ignored.
+            (
+                "accelerator",
+                tiny_with(|p| p.accelerator = AcceleratorKind::Dsa),
+            ),
+            (
+                "convergence_tolerance",
+                tiny_with(|p| p.convergence_tolerance = f64::NAN),
+            ),
+            (
+                "convergence_tolerance",
+                tiny_with(|p| p.convergence_tolerance = -1e-6),
+            ),
+            (
+                "convergence_tolerance",
+                tiny_with(|p| p.convergence_tolerance = f64::INFINITY),
+            ),
+            // nx·ny·nz wraps to 0 in release arithmetic.
+            ("nx", Problem::tiny().with_mesh(1 << 22)),
+            // The cell count fits; nodes × cells × groups × angles does not.
+            (
+                "element_order",
+                Problem::tiny().with_mesh(1 << 21).with_order(7),
+            ),
+            (
+                "element_order",
+                tiny_with(|p| p.angles_per_octant = usize::MAX / 4),
+            ),
+        ];
+        for (field, problem) in rejected {
+            assert_eq!(
+                problem.validate().unwrap_err().invalid_field(),
+                Some(field),
+                "{problem:?}"
+            );
         }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            element_order: 0,
-            ..Problem::tiny()
+
+        let accepted = [
+            // The conservative-medium limit c = 1 is expressible.
+            Problem::tiny().with_scattering_ratio(1.0),
+            split().with_upscatter_ratio(0.2),
+            // DSA with a strategy that reads the knob, and DSA-SI without
+            // the knob (the strategy implies it).
+            Problem::tiny()
+                .with_strategy(StrategyKind::DsaSourceIteration)
+                .with_accelerator(AcceleratorKind::Dsa),
+            Problem::tiny()
+                .with_strategy(StrategyKind::SweepGmres)
+                .with_accelerator(AcceleratorKind::Dsa),
+            Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration),
+        ];
+        for problem in accepted {
+            assert!(problem.validate().is_ok(), "{problem:?}");
         }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            angles_per_octant: 0,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            num_groups: 0,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            inner_iterations: 0,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            num_threads: Some(0),
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            twist: -0.1,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            accel_cg_tolerance: 0.0,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            accel_cg_tolerance: f64::NAN,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            accel_cg_iterations: 0,
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
-        assert!(Problem {
-            subdomain_krylov_budget: Some(0),
-            ..Problem::tiny()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -850,21 +950,6 @@ mod tests {
         assert_eq!(p.accel_cg_iterations, 50);
         assert_eq!(p.subdomain_krylov_budget, Some(7));
         assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn dangling_dsa_accelerator_is_rejected_on_every_path() {
-        // Plain source iteration never reads the accelerator; validate()
-        // must reject the combination so direct `Problem` construction
-        // cannot silently ignore the knob (the builder inherits this).
-        let p = Problem::tiny().with_accelerator(AcceleratorKind::Dsa);
-        assert!(matches!(
-            p.validate(),
-            Err(Error::InvalidProblem {
-                field: "accelerator",
-                ..
-            })
-        ));
     }
 
     #[test]

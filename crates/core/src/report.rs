@@ -1,15 +1,13 @@
 //! Table I data and small reporting helpers shared by the examples and the
 //! `reproduce` harness.
 
-use serde::{Deserialize, Serialize};
-
 use unsnap_fem::element::{local_matrix_footprint_bytes, nodes_for_order};
 
 use crate::solver::SolveOutcome;
 
 /// One row of Table I of the paper: the size of the local matrix for a
 /// finite-element order and its FP64 footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Finite-element order.
     pub order: usize,
@@ -70,21 +68,10 @@ pub fn iteration_summary(outcome: &SolveOutcome) -> String {
     out
 }
 
-/// Format a duration in seconds with sensible precision for tables.
-pub fn format_seconds(seconds: f64) -> String {
-    if seconds >= 100.0 {
-        format!("{seconds:.1}")
-    } else if seconds >= 1.0 {
-        format!("{seconds:.2}")
-    } else {
-        format!("{seconds:.4}")
-    }
-}
-
 /// A short description of the machine the benchmark ran on, recorded in the
 /// harness output so results can be compared against the paper's dual-socket
 /// 56-core Skylake node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineInfo {
     /// Number of logical CPUs visible to the process.
     pub logical_cpus: usize,
@@ -187,13 +174,6 @@ mod tests {
         let text = iteration_summary(&outcome);
         assert!(text.contains("9 Krylov iterations"));
         assert!(text.contains("1.00e-9"));
-    }
-
-    #[test]
-    fn seconds_formatting() {
-        assert_eq!(format_seconds(1426.98), "1427.0");
-        assert_eq!(format_seconds(4.29), "4.29");
-        assert_eq!(format_seconds(0.01234), "0.0123");
     }
 
     #[test]

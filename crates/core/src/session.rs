@@ -18,10 +18,10 @@
 //!   integration tests pin down bit-for-bit.
 //!
 //! ```
-//! use unsnap_core::builder::ProblemBuilder;
+//! use unsnap_core::problem::Problem;
 //! use unsnap_core::session::{RecordingObserver, Session};
 //!
-//! let mut session = Session::new(&ProblemBuilder::tiny().build().unwrap()).unwrap();
+//! let mut session = Session::new(&Problem::tiny()).unwrap();
 //! let mut recorder = RecordingObserver::default();
 //! let outcome = session.run_observed(&mut recorder).unwrap();
 //! assert_eq!(recorder.sweep_count, outcome.sweep_count);
@@ -480,10 +480,10 @@ pub fn run_with_telemetry<T>(
 /// Wire it up behind the bench harness's `--progress` flag:
 ///
 /// ```
-/// use unsnap_core::builder::ProblemBuilder;
-/// use unsnap_core::session::ProgressObserver;
+/// use unsnap_core::problem::Problem;
+/// use unsnap_core::session::{ProgressObserver, Session};
 ///
-/// let mut session = ProblemBuilder::tiny().session().unwrap();
+/// let mut session = Session::new(&Problem::tiny()).unwrap();
 /// let mut progress = ProgressObserver::new();
 /// session.run_observed(&mut progress).unwrap();
 /// assert!(progress.lines_emitted() >= 2); // outer start + end
@@ -493,16 +493,6 @@ pub fn run_with_telemetry<T>(
 /// between runs; the observer only writes to stderr and never feeds
 /// back into the solve, which keeps the solver's determinism contract
 /// intact.
-///
-/// ## Bar mode
-///
-/// When stderr is an interactive terminal, [`ProgressObserver::from_env`]
-/// switches to a single in-place status bar (rewritten with `\r` at the
-/// same rate limit) instead of scrolling lines; piped stderr — CI logs,
-/// `2> file` — keeps the line mode so logs stay greppable.  The
-/// [`ProgressObserver::bar`] builder forces bar mode explicitly, and
-/// [`ProgressObserver::with_outer_total`] turns the bar into a real
-/// completion fraction over the outer iterations.
 #[derive(Debug)]
 pub struct ProgressObserver {
     min_interval: std::time::Duration,
@@ -512,11 +502,6 @@ pub struct ProgressObserver {
     last_inner_change: Option<f64>,
     last_krylov_residual: Option<f64>,
     last_accel_residual: Option<f64>,
-    bar: bool,
-    outer_current: usize,
-    outer_total: Option<usize>,
-    last_render_width: usize,
-    needs_newline: bool,
 }
 
 impl Default for ProgressObserver {
@@ -526,57 +511,14 @@ impl Default for ProgressObserver {
 }
 
 impl ProgressObserver {
-    /// The env knob selecting the rate-limit interval in milliseconds
-    /// (validated by `ProblemBuilder::env_overrides`, consumed by
-    /// [`ProgressObserver::from_env`]).
-    pub const INTERVAL_ENV: &'static str = "UNSNAP_PROGRESS_MS";
-
     /// A reporter with the default 100 ms rate limit.
     pub fn new() -> Self {
         Self::with_interval(std::time::Duration::from_millis(100))
     }
 
-    /// A reporter whose rate limit honours `UNSNAP_PROGRESS_MS`
-    /// (milliseconds; `0` = print every event).  An unset variable means
-    /// the default 100 ms; an unparsable value falls back to the default
-    /// with a note on stderr, so a driver never dies over a progress
-    /// knob (the builder's `env_overrides` is the strict validator).
-    ///
-    /// When stderr is an interactive terminal the reporter comes back in
-    /// bar mode (see the type docs); redirected stderr keeps the
-    /// greppable line mode.
-    pub fn from_env() -> Self {
-        use std::io::IsTerminal;
-        let progress = Self::from_env_value(std::env::var(Self::INTERVAL_ENV).ok().as_deref());
-        if std::io::stderr().is_terminal() {
-            progress.bar()
-        } else {
-            progress
-        }
-    }
-
-    /// [`ProgressObserver::from_env`] with the variable's value passed
-    /// explicitly (`None` = unset), so the policy is testable without
-    /// mutating the process environment.
-    fn from_env_value(raw: Option<&str>) -> Self {
-        match raw {
-            None => Self::new(),
-            Some(raw) => match raw.trim().parse::<u64>() {
-                Ok(ms) => Self::with_interval(std::time::Duration::from_millis(ms)),
-                Err(_) => {
-                    eprintln!(
-                        "[unsnap] ignoring unparsable {}={raw:?}; using the default interval",
-                        Self::INTERVAL_ENV
-                    );
-                    Self::new()
-                }
-            },
-        }
-    }
-
     /// A reporter emitting rate-limited lines at most once per
     /// `min_interval` (zero = every event).
-    pub fn with_interval(min_interval: std::time::Duration) -> Self {
+    fn with_interval(min_interval: std::time::Duration) -> Self {
         Self {
             min_interval,
             last_emit: None,
@@ -585,91 +527,16 @@ impl ProgressObserver {
             last_inner_change: None,
             last_krylov_residual: None,
             last_accel_residual: None,
-            bar: false,
-            outer_current: 0,
-            outer_total: None,
-            last_render_width: 0,
-            needs_newline: false,
         }
     }
 
-    /// Switch to the single in-place status bar (see the type docs).
-    pub fn bar(mut self) -> Self {
-        self.bar = true;
-        self
-    }
-
-    /// Tell the bar how many outer iterations the run will attempt, so
-    /// it can draw a real completion fraction instead of a counter.
-    pub fn with_outer_total(mut self, total: usize) -> Self {
-        self.outer_total = Some(total);
-        self
-    }
-
-    /// Whether the reporter is in bar mode.
-    pub fn is_bar(&self) -> bool {
-        self.bar
-    }
-
-    /// Lines written to stderr so far (bar mode: in-place re-renders).
+    /// Lines written to stderr so far.
     pub fn lines_emitted(&self) -> usize {
         self.lines_emitted
     }
 
-    /// Terminate an in-place bar with a newline so the next writer gets
-    /// a clean line.  Harmless (a no-op) in line mode or when nothing
-    /// was rendered; called automatically on convergence and on drop.
-    pub fn finish(&mut self) {
-        if self.needs_newline {
-            eprintln!();
-            self.needs_newline = false;
-        }
-    }
-
-    /// Render the single status bar in place (`\r`, padded to wipe the
-    /// previous render).
-    fn render_bar(&mut self) {
-        use std::io::Write;
-
-        let mut line = String::from("[unsnap] ");
-        if let Some(total) = self.outer_total.filter(|t| *t > 0) {
-            const WIDTH: usize = 20;
-            let done = self.outer_current.min(total);
-            let filled = WIDTH * done / total;
-            line.push('[');
-            for i in 0..WIDTH {
-                line.push(if i < filled { '#' } else { '-' });
-            }
-            line.push_str(&format!("] outer {done}/{total}"));
-        } else {
-            line.push_str(&format!("outer {}", self.outer_current));
-        }
-        line.push_str(&format!(" | {} sweeps", self.sweeps));
-        if let Some(change) = self.last_inner_change {
-            line.push_str(&format!(" | d-phi {change:.3e}"));
-        }
-        if let Some(residual) = self.last_krylov_residual {
-            line.push_str(&format!(" | krylov {residual:.3e}"));
-        }
-        if let Some(residual) = self.last_accel_residual {
-            line.push_str(&format!(" | dsa cg {residual:.3e}"));
-        }
-        let width = line.chars().count();
-        let pad = self.last_render_width.saturating_sub(width);
-        eprint!("\r{line}{:pad$}", "");
-        let _ = std::io::stderr().flush();
-        self.last_render_width = width;
-        self.needs_newline = true;
-        self.lines_emitted += 1;
-        self.last_emit = Some(std::time::Instant::now());
-    }
-
     /// Print unconditionally (outer boundaries).
     fn emit(&mut self, line: std::fmt::Arguments<'_>) {
-        if self.bar {
-            self.render_bar();
-            return;
-        }
         eprintln!("{line}");
         self.lines_emitted += 1;
         self.last_emit = Some(std::time::Instant::now());
@@ -688,14 +555,6 @@ impl ProgressObserver {
 
     /// A driver-lane outer iteration finished: always printed.
     fn outer_end(&mut self, outer: usize, converged: bool) {
-        self.outer_current = outer + 1;
-        if self.bar {
-            self.render_bar();
-            if converged {
-                self.finish();
-            }
-            return;
-        }
         let state = if converged {
             "converged"
         } else {
@@ -724,12 +583,6 @@ impl ProgressObserver {
     }
 }
 
-impl Drop for ProgressObserver {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
 impl RunObserver for ProgressObserver {
     fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
         // Rank-lane lines name their rank; driver-lane lines do not.
@@ -739,7 +592,6 @@ impl RunObserver for ProgressObserver {
         };
         match *event {
             SolveEvent::OuterStart { outer } if lane == Lane::Driver => {
-                self.outer_current = outer;
                 self.emit(format_args!("[unsnap] outer {outer} started"));
             }
             SolveEvent::OuterEnd { outer, converged } => match lane {
@@ -1062,90 +914,6 @@ mod tests {
             p.on_event(Rank(2), &event);
         }
         assert_eq!(p.lines_emitted(), 7);
-    }
-
-    #[test]
-    fn progress_observer_from_env_honours_and_survives_the_knob() {
-        // The policy is tested through the explicit-value constructor so
-        // no process-global environment is touched (the builder's env
-        // test owns the real variable).
-        let p = ProgressObserver::from_env_value(Some("0"));
-        assert_eq!(p.min_interval, std::time::Duration::ZERO);
-
-        let p = ProgressObserver::from_env_value(Some(" 250 "));
-        assert_eq!(p.min_interval, std::time::Duration::from_millis(250));
-
-        // Unset means the default; garbage falls back to the default
-        // with a note instead of panicking.
-        let default = ProgressObserver::new().min_interval;
-        assert_eq!(ProgressObserver::from_env_value(None).min_interval, default);
-        assert_eq!(
-            ProgressObserver::from_env_value(Some("soon")).min_interval,
-            default
-        );
-    }
-
-    #[test]
-    fn progress_observer_bar_mode_renders_in_place() {
-        // Bar mode counts in-place re-renders through the same counter;
-        // boundaries always render, high-rate events respect the limiter.
-        let mut p = ProgressObserver::with_interval(std::time::Duration::from_secs(3600))
-            .bar()
-            .with_outer_total(4);
-        assert!(p.is_bar());
-        p.on_event(Driver, &OuterStart { outer: 0 });
-        p.on_event(
-            Driver,
-            &InnerIteration {
-                inner: 1,
-                relative_change: 0.5,
-            },
-        );
-        p.on_event(
-            Driver,
-            &KrylovResidual {
-                iteration: 1,
-                relative_residual: 0.1,
-            },
-        );
-        assert_eq!(p.lines_emitted(), 1);
-        // An unconverged outer re-renders the bar without a summary.
-        p.on_event(
-            Driver,
-            &OuterEnd {
-                outer: 0,
-                converged: false,
-            },
-        );
-        assert_eq!(p.lines_emitted(), 2);
-        // Convergence renders once more and terminates the bar line.
-        p.on_event(
-            Driver,
-            &OuterEnd {
-                outer: 1,
-                converged: true,
-            },
-        );
-        assert_eq!(p.lines_emitted(), 3);
-        assert!(!p.needs_newline);
-        p.finish(); // idempotent after convergence
-        assert!(!p.needs_newline);
-
-        // Constructors default to line mode (CI logs stay greppable).
-        assert!(!ProgressObserver::new().is_bar());
-        assert!(!ProgressObserver::from_env_value(Some("0")).is_bar());
-    }
-
-    #[test]
-    fn progress_observer_bar_drives_a_real_solve() {
-        let mut session = crate::builder::ProblemBuilder::tiny().session().unwrap();
-        let mut progress = ProgressObserver::with_interval(std::time::Duration::ZERO)
-            .bar()
-            .with_outer_total(1);
-        session.run_observed(&mut progress).unwrap();
-        assert!(progress.lines_emitted() >= 2);
-        progress.finish();
-        assert!(!progress.needs_newline);
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
 use unsnap_mesh::UnstructuredMesh;
 use unsnap_obs::clock::Clock;
 use unsnap_obs::trace::TraceTree;
@@ -52,7 +51,7 @@ use crate::session::{
 use crate::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
 
 /// The per-rank detail a block-Jacobi solve adds to its [`SolveOutcome`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankDetail {
     /// Number of ranks (Jacobi blocks).
     pub num_ranks: usize,
@@ -78,7 +77,7 @@ pub struct RankDetail {
 /// count halo iterations and the parallel region around them, and the
 /// residual histories are empty (per-rank trajectories stream through
 /// the observer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveOutcome {
     /// Inner iterations actually executed (across all outers).  For
     /// source iteration every inner iteration is one sweep; for the
@@ -164,15 +163,14 @@ impl SolveOutcome {
     }
 
     /// Serialise the outcome as a JSON object (via the workspace's
-    /// hand-rolled [`json`](crate::json) writer — the vendored `serde` is
-    /// a no-op stand-in).
+    /// hand-rolled [`json`](unsnap_obs::json) writer).
     ///
     /// Doubles are written in shortest-round-trip form, so tooling that
     /// parses the dump recovers the exact values; non-finite entries
     /// become `null`.  The [`RankDetail`] keys are appended only when
     /// present, so a single-domain dump never changes shape.
     pub fn to_json(&self) -> String {
-        let object = crate::json::JsonObject::new()
+        let object = unsnap_obs::json::JsonObject::new()
             .field_usize("inner_iterations", self.inner_iterations)
             .field_usize("outer_iterations", self.outer_iterations)
             .field_usize("sweep_count", self.sweep_count)
@@ -1020,6 +1018,34 @@ mod tests {
         let mut p = Problem::tiny();
         p.num_groups = 0;
         assert!(TransportSolver::new(&p).is_err());
+    }
+
+    #[test]
+    fn conservative_medium_limit_builds_a_solver() {
+        // c = 1 is a valid (if slowly converging) configuration, and the
+        // whole path must agree: validation, cross-section generation
+        // and solver construction.
+        assert!(TransportSolver::new(&Problem::tiny().with_scattering_ratio(1.0)).is_ok());
+    }
+
+    #[test]
+    fn any_thread_count_solves_to_the_same_bits() {
+        // The default scheme's axis is the angles of the whole sweep, and
+        // a worker without an angle idles: no width is refused — not 8
+        // threads on 2 angles per octant, not more threads than angles —
+        // and none changes a bit.
+        let flux_at = |threads| {
+            let problem = Problem::tiny()
+                .with_scheme(ConcurrencyScheme::best())
+                .with_threads(threads);
+            let mut solver = TransportSolver::new(&problem).unwrap();
+            solver.run().unwrap();
+            solver.scalar_flux().as_slice().to_vec()
+        };
+        let reference = flux_at(1);
+        for threads in [2, 8, 16, 40] {
+            assert_eq!(reference, flux_at(threads), "{threads} threads");
+        }
     }
 
     #[test]

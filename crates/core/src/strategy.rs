@@ -43,8 +43,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use unsnap_krylov::{Gmres, GmresConfig, GmresWorkspace, LinearOperator, ObservedOperator};
 
 use crate::error::Result;
@@ -52,7 +50,7 @@ use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 use crate::solver::{relative_change, RunStats};
 
 /// Which inner-iteration strategy the solver runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StrategyKind {
     /// Classic lagged source iteration (the SNAP/UnSNAP scheme).
     #[default]
@@ -86,7 +84,7 @@ impl StrategyKind {
         }
     }
 
-    /// Short name used in tables and for CLI/env selection.
+    /// Short name used in tables, on the wire and for CLI selection.
     pub fn label(&self) -> &'static str {
         match self {
             StrategyKind::SourceIteration => "SI",
@@ -125,7 +123,7 @@ impl std::str::FromStr for StrategyKind {
 /// iteration map rather than the bare sweep map, so each GMRES iteration
 /// costs one sweep plus one low-order CG solve and the Krylov space
 /// needs far fewer dimensions in the high-`c` regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AcceleratorKind {
     /// No low-order acceleration.
     #[default]
@@ -140,7 +138,7 @@ impl AcceleratorKind {
         [AcceleratorKind::None, AcceleratorKind::Dsa]
     }
 
-    /// Short name used in tables and for CLI/env selection.
+    /// Short name used in tables, on the wire and for CLI selection.
     pub fn label(&self) -> &'static str {
         match self {
             AcceleratorKind::None => "none",

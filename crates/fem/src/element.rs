@@ -16,8 +16,6 @@
 //! paper, split into its reference-element part here and its per-element
 //! geometric part in `ElementIntegrals`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::face::{Face, FACES};
 use crate::lagrange::LagrangeBasis1d;
 use crate::quadrature::{face_rule, hex_rule, FacePoint, VolumePoint};
@@ -35,7 +33,7 @@ pub fn local_matrix_footprint_bytes(order: usize) -> usize {
 }
 
 /// A tensor-product Lagrange reference element with tabulated basis data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReferenceElement {
     order: usize,
     nodes_1d: usize,

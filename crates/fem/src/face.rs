@@ -9,14 +9,12 @@
 //! each face, (a) which element-local nodes lie on it and (b) which node of
 //! the neighbouring element matches each of them.
 
-use serde::{Deserialize, Serialize};
-
 /// One of the six axis-aligned faces of the reference hexahedron.
 ///
 /// The names refer to the *reference* axes; after the geometric map (and
 /// the UnSNAP mesh twist) the physical face need not be axis-aligned, but
 /// the topological meaning is unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Face {
     /// ξ = −1 face (towards the −x neighbour on an untwisted mesh).
     XMinus,

@@ -8,15 +8,13 @@
 //! the standard trilinear map; higher-order solution nodes are placed by
 //! the same map (sub-parametric elements).
 
-use serde::{Deserialize, Serialize};
-
 use crate::face::Face;
 
 /// The eight corner vertices of a hexahedral cell.
 ///
 /// Vertex ordering matches the linear reference-element node ordering:
 /// `c = i + 2 j + 4 k` with `i, j, k ∈ {0, 1}` along ξ, η, ζ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HexVertices {
     /// Corner coordinates, vertex-major.
     pub corners: [[f64; 3]; 8],

@@ -20,8 +20,6 @@
 //! pre-computed approach) or recomputes them on the fly for the
 //! memory-versus-time ablation.
 
-use serde::{Deserialize, Serialize};
-
 use unsnap_linalg::DenseMatrix;
 
 use crate::element::ReferenceElement;
@@ -29,7 +27,7 @@ use crate::face::{face_node_indices, nodes_per_face, Face, FACES};
 use crate::geometry::{dot3, HexVertices};
 
 /// Integrals of one face of an element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaceIntegrals {
     /// Which face of the element this belongs to.
     pub face: Face,
@@ -70,7 +68,7 @@ impl FaceIntegrals {
 }
 
 /// All precomputed integrals of one element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElementIntegrals {
     /// Polynomial order of the element.
     pub order: usize,

@@ -6,11 +6,9 @@
 //! edge, face and interior nodes of Figure 1 of the paper fall out of the
 //! tensor product).
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-D Lagrange basis of order `p` with `p + 1` equispaced nodes on
 /// `[-1, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LagrangeBasis1d {
     order: usize,
     nodes: Vec<f64>,

@@ -7,10 +7,8 @@
 //! streaming matrices of an *affine* element exactly and is the default
 //! choice used by [`crate::element::ReferenceElement`].
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-D quadrature rule on `[-1, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuadratureRule {
     /// Quadrature point abscissae in `[-1, 1]`.
     pub points: Vec<f64>,
@@ -102,7 +100,7 @@ pub fn gauss_legendre(n: usize) -> QuadratureRule {
 }
 
 /// A quadrature point in the reference cube with its weight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VolumePoint {
     /// Reference coordinates `(ξ, η, ζ)` in `[-1, 1]³`.
     pub xi: [f64; 3],
@@ -130,7 +128,7 @@ pub fn hex_rule(n: usize) -> Vec<VolumePoint> {
 }
 
 /// A quadrature point on a face of the reference hexahedron.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FacePoint {
     /// Full 3-D reference coordinates of the point (one coordinate pinned
     /// to ±1 by the face).

@@ -12,8 +12,6 @@
 //! library wins once the matrix is larger than L1 cache (order ≥ 4 in the
 //! paper) while losing to the hand-written Gaussian elimination below that.
 
-use serde::{Deserialize, Serialize};
-
 use crate::blas::{apply_row_pivots, gemm_sub_block, trsm_lower_unit_left};
 use crate::error::LinalgError;
 use crate::gauss::SINGULARITY_TOLERANCE;
@@ -26,7 +24,7 @@ use crate::Result;
 /// `L` (unit lower) and `U` (upper) share the storage of the factored
 /// matrix; `ipiv[k] = p` records that row `k` was swapped with row `p` at
 /// step `k`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LuFactors {
     /// Packed L\U factors (row-major, same shape as the input matrix).
     pub lu: DenseMatrix,
@@ -281,7 +279,7 @@ impl LinearSolver for LuSolver {
 /// The default panel width of 32 keeps a panel of a 216×216 (order-5)
 /// matrix within L1 cache on typical CPUs, mirroring the cache-blocking
 /// rationale the paper gives for MKL's advantage at high element orders.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BlockedLuSolver {
     /// Panel width (number of columns factored per block step).
     pub panel_width: usize,

@@ -7,13 +7,11 @@
 //! assembly and the Gaussian-elimination solve, so row-contiguity gives the
 //! stride-1 access the paper relies on for vectorisation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::LinalgError;
 use crate::Result;
 
 /// A dense, row-major, `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

@@ -6,8 +6,6 @@
 //! third (an unblocked reference LU) so the blocked "library" path can be
 //! validated against a simpler implementation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batched::BatchedSolver;
 use crate::gauss::GaussSolver;
 use crate::lu::{BlockedLuSolver, LuSolver};
@@ -45,7 +43,7 @@ pub trait LinearSolver: Send + Sync {
 /// the hand-written routine, `Mkl` is the blocked LU standing in for Intel
 /// MKL's `dgesv`, and `ReferenceLu` is an unblocked LAPACK-style LU kept as
 /// a correctness baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverKind {
     /// Hand-written Gaussian elimination with partial pivoting
     /// (the paper's "GE" column).

@@ -6,10 +6,8 @@
 //! constant solutions exactly (a standard consistency check), and a
 //! reflective tag is included for completeness of the SNAP input space.
 
-use serde::{Deserialize, Serialize};
-
 /// The boundary condition applied on a domain face.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BoundaryCondition {
     /// No incoming particles (the SNAP default).
     #[default]
@@ -44,7 +42,7 @@ impl BoundaryCondition {
 
 /// The set of boundary conditions for the six domain faces, indexed in the
 /// usual face order (x−, x+, y−, y+, z−, z+).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DomainBoundaries {
     /// Per-face boundary conditions.
     pub faces: [BoundaryCondition; 6],

@@ -14,13 +14,11 @@
 //! happens; under the KBA baseline they are where a sweep must wait for
 //! upstream data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MeshError;
 use crate::unstructured::{NeighborRef, UnstructuredMesh, NUM_FACES};
 
 /// A 2-D processor grid over the x–y plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decomposition2D {
     /// Number of ranks along x.
     pub npx: usize,
@@ -164,7 +162,7 @@ impl Decomposition2D {
 }
 
 /// A face of an owned cell whose neighbour lives on another rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaloFace {
     /// Local id of the owned cell.
     pub local_cell: usize,
@@ -181,7 +179,7 @@ pub struct HaloFace {
 }
 
 /// The cells owned by one rank, with local numbering and halo description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subdomain {
     /// Rank id.
     pub rank: usize,

@@ -8,10 +8,8 @@
 //! mesh is formed by first forming the original SNAP mesh but storing it in
 //! an unstructured format".
 
-use serde::{Deserialize, Serialize};
-
 /// Description of the structured Cartesian grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructuredGrid {
     /// Number of cells in x.
     pub nx: usize,

@@ -11,10 +11,8 @@
 //! 0.001 radians — small enough that cell volumes are essentially
 //! preserved but every cell Jacobian becomes non-diagonal.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the mesh twist.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshTwist {
     /// Maximum rotation angle (radians) reached at the top of the domain.
     pub max_angle: f64,

@@ -8,8 +8,6 @@
 //! from `(i, j, k)` arithmetic: all adjacency questions go through the
 //! [`NeighborRef`] table built here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::structured::StructuredGrid;
 use crate::twist::MeshTwist;
 
@@ -17,7 +15,7 @@ use crate::twist::MeshTwist;
 pub const NUM_FACES: usize = 6;
 
 /// What lies on the other side of a cell face.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborRef {
     /// Another cell of the mesh: `(cell id, that cell's face index)`.
     Interior {
@@ -51,7 +49,7 @@ impl NeighborRef {
 }
 
 /// Summary statistics of the mesh connectivity, used by tests and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectivityStats {
     /// Total number of cell faces (6 × cells).
     pub total_faces: usize,
@@ -62,7 +60,7 @@ pub struct ConnectivityStats {
 }
 
 /// An unstructured mesh of hexahedral cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnstructuredMesh {
     /// Eight corner vertices per cell, corner-major
     /// (`c = i + 2j + 4k` ordering, matching `unsnap_fem::HexVertices`).

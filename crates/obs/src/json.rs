@@ -1,12 +1,10 @@
 //! A minimal hand-rolled JSON writer.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (the build
-//! environment has no crates.io access), so outcome serialisation for
-//! external tooling is done with this small, dependency-free writer
-//! instead.  It covers exactly what the benchmark binaries need — objects,
-//! arrays, strings, booleans, integers and IEEE doubles — and nothing
-//! else.  (It lived in `unsnap-core` before the observability crate
-//! existed; `unsnap_core::json` still re-exports it.)
+//! The build environment has no crates.io access, so outcome
+//! serialisation for external tooling is done with this small,
+//! dependency-free writer.  It covers exactly what the benchmark binaries
+//! need — objects, arrays, strings, booleans, integers and IEEE doubles —
+//! and nothing else.
 //!
 //! Numbers use Rust's shortest-round-trip `Display` for `f64`, so parsing
 //! the emitted JSON recovers the exact bit pattern; non-finite values

@@ -17,8 +17,7 @@
 //!   tagged with its [`Determinism`] class: *deterministic* values must
 //!   be bit-for-bit identical at every thread/rank count, *wall-clock*
 //!   values are excluded from those comparisons.
-//! * [`json`] — the minimal hand-rolled JSON writer (the vendored
-//!   `serde` is a no-op stand-in) previously hosted by `unsnap-core`.
+//! * [`json`] — the minimal hand-rolled JSON writer.
 //! * [`reader`] — a small recursive-descent JSON parser producing
 //!   [`JsonValue`] trees, so tooling (the `trajectory` bin, CI schema
 //!   checks, round-trip tests) can consume what the writer emits.

@@ -4,10 +4,9 @@
 //! The workspace emits JSON for tooling (outcome dumps, metrics records,
 //! JSONL run logs) but until this module existed nothing in-tree could
 //! consume it — round-trip tests, the `trajectory` merger and CI schema
-//! checks all need a parser, and the vendored `serde` is a no-op
-//! stand-in.  This one handles exactly standard JSON: objects (key order
-//! preserved), arrays, strings with escapes, IEEE numbers, booleans and
-//! `null`.
+//! checks all need a parser.  This one handles exactly standard JSON:
+//! objects (key order preserved), arrays, strings with escapes, IEEE
+//! numbers, booleans and `null`.
 //!
 //! ```
 //! use unsnap_obs::reader::{parse, JsonValue};

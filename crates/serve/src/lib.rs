@@ -103,8 +103,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The defaults with the `UNSNAP_PORT`, `UNSNAP_SERVE_WORKERS` and
-    /// `UNSNAP_CACHE_CAPACITY` environment overrides applied — the same
-    /// strict validation idiom as `ProblemBuilder::env_overrides`: an
+    /// `UNSNAP_CACHE_CAPACITY` environment overrides applied, strictly: an
     /// unset variable keeps the default, a set but unparsable one is an
     /// [`Error::InvalidProblem`] naming the knob.  Worker counts must
     /// be at least 1; a cache capacity of 0 is legal (it disables
@@ -257,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_validate_like_the_unsnap_family() {
+    fn from_env_validates_every_setting() {
         // Process-global env: this test owns the three serve variables
         // and removes them before returning.
         std::env::set_var("UNSNAP_PORT", "0");

@@ -794,7 +794,6 @@ fn sweeps_of(shared: &QueueShared, id: u64) -> u64 {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use unsnap_core::builder::ProblemBuilder;
 
     fn tiny() -> Problem {
         Problem::tiny()
@@ -804,11 +803,10 @@ mod tests {
     /// finishes promptly once the token is observed (many outers of one
     /// cheap inner; tolerance 0 forces every iteration).
     fn slow() -> Problem {
-        ProblemBuilder::tiny()
-            .iterations(2, 50_000)
-            .tolerance(0.0)
-            .build()
-            .unwrap()
+        Problem {
+            outer_iterations: 50_000,
+            ..Problem::tiny()
+        }
     }
 
     fn wait_terminal(queue: &JobQueue, id: u64) -> JobStatus {
@@ -1010,11 +1008,10 @@ mod tests {
         let dir = temp_dir("resume");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let problem = ProblemBuilder::tiny()
-            .iterations(2, 4)
-            .tolerance(0.0)
-            .build()
-            .unwrap();
+        let problem = Problem {
+            outer_iterations: 4,
+            ..Problem::tiny()
+        };
         seed_interrupted_log(&dir, 7, &problem, 2);
 
         // The uninterrupted run, for the determinism cross-check below.

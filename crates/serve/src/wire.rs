@@ -10,7 +10,7 @@
 //! — either a name from [`Problem::registry_names`] or an inline
 //! document in the canonical wire format of [`unsnap_core::wire`].  Both
 //! paths funnel into the same validated [`Problem`], so a request can
-//! never enqueue a configuration the builder would reject.
+//! never enqueue a configuration [`Problem::validate`] rejects.
 //!
 //! The status mapping turns the workspace's typed
 //! [`Error`] into the HTTP vocabulary:
@@ -54,7 +54,7 @@ pub fn parse_solve_request(body: &str) -> Result<Problem, Error> {
     };
     match problem_value {
         JsonValue::String(name) => Problem::from_name(name),
-        JsonValue::Object(_) => core_wire::builder_from_json(problem_value)?.build(),
+        JsonValue::Object(_) => core_wire::problem_from_json(problem_value),
         other => Err(Error::invalid_problem(
             "problem",
             format!(
@@ -85,7 +85,6 @@ pub fn status_for(error: &Error) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unsnap_core::builder::ProblemBuilder;
 
     #[test]
     fn named_problems_resolve_through_the_registry() {
@@ -101,9 +100,13 @@ mod tests {
         let problem = parse_solve_request(r#"{"problem": {"grid": {"nx": 5}}}"#).unwrap();
         assert_eq!(
             problem,
-            ProblemBuilder::tiny().cells(5, 3, 3).build().unwrap()
+            Problem {
+                nx: 5,
+                ..Problem::tiny()
+            }
         );
-        // Builder validation runs: nx = 0 is a 400, not an enqueued job.
+        // `Problem::validate` runs: nx = 0 is a 400, not an enqueued job
+        // (`tests/wire_format.rs` has the table of rejected documents).
         let err = parse_solve_request(r#"{"problem": {"grid": {"nx": 0}}}"#).unwrap_err();
         assert_eq!(status_for(&err), 400);
     }

@@ -14,7 +14,6 @@
 //! keep the same assumption but *detect* cycles and report them as an
 //! error instead of hanging.
 
-use serde::{Deserialize, Serialize};
 use unsnap_mesh::{UnstructuredMesh, NUM_FACES};
 
 use crate::graph::DependencyGraph;
@@ -46,7 +45,7 @@ impl std::error::Error for ScheduleError {}
 
 /// Summary statistics of a schedule — the quantities that control how much
 /// on-node parallelism the sweep exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleStats {
     /// Number of wavefront buckets (sweep steps).
     pub num_buckets: usize,
@@ -61,7 +60,7 @@ pub struct ScheduleStats {
 }
 
 /// A wavefront sweep schedule for one angular direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSchedule {
     /// The direction this schedule was built for.
     pub omega: [f64; 3],

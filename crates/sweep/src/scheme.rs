@@ -14,12 +14,10 @@
 //! solver driver in `unsnap-core` dispatches on and the benchmark binaries
 //! iterate over.
 
-use serde::{Deserialize, Serialize};
-
 /// Order of the two interchangeable middle loops of the sweep
 /// (the angle loop is always outermost; element nodes are always
 /// innermost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopOrder {
     /// `angle / element / group`: for each element in the bucket, all
     /// energy groups are processed before moving to the next element.
@@ -48,7 +46,7 @@ impl LoopOrder {
 }
 
 /// Which loops of the nest are executed in parallel (threaded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreadedLoops {
     /// Only the outer of the two middle loops is threaded.
     OuterOnly,
@@ -81,7 +79,7 @@ impl ThreadedLoops {
 }
 
 /// A complete concurrency scheme: loop order plus threading choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConcurrencyScheme {
     /// Order of the element and group loops.
     pub loop_order: LoopOrder,

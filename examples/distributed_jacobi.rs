@@ -14,13 +14,14 @@
 use unsnap::prelude::*;
 
 fn main() {
-    let problem = ProblemBuilder::tiny()
-        .cells(6, 6, 4)
-        .phase_space(2, 2)
-        .iterations(100, 1)
-        .tolerance(1e-7)
-        .build()
-        .expect("valid problem");
+    let problem = Problem {
+        nx: 6,
+        ny: 6,
+        nz: 4,
+        inner_iterations: 100,
+        convergence_tolerance: 1e-7,
+        ..Problem::tiny()
+    };
 
     println!("Block-Jacobi rank study");
     println!(
@@ -70,10 +71,7 @@ fn main() {
     // `SweepGmres` every halo exchange buys a converged per-rank GMRES
     // solve instead of one lagged sweep, and per-rank progress streams
     // to the observer on `Lane::Rank(r)` in deterministic rank order.
-    let krylov_problem = ProblemBuilder::from_problem(&problem)
-        .strategy(StrategyKind::SweepGmres)
-        .build()
-        .expect("valid problem");
+    let krylov_problem = problem.clone().with_strategy(StrategyKind::SweepGmres);
     let mut solver = BlockJacobiSolver::new(&krylov_problem, Decomposition2D::new(2, 2))
         .expect("decomposition should fit the mesh");
     let mut recorder = RecordingObserver::default();

@@ -14,14 +14,14 @@
 use unsnap::prelude::*;
 
 fn main() {
-    let problem = ProblemBuilder::tiny()
-        .mesh(6)
-        .phase_space(4, 1)
-        .iterations(80, 1)
-        .tolerance(1e-8)
-        .twist(0.0)
-        .build()
-        .expect("valid problem");
+    let problem = Problem {
+        inner_iterations: 80,
+        convergence_tolerance: 1e-8,
+        twist: 0.0,
+        ..Problem::tiny()
+    }
+    .with_mesh(6)
+    .with_phase_space(4, 1);
 
     println!("Finite difference (SNAP) vs finite element (UnSNAP)");
     println!(

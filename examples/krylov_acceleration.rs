@@ -7,68 +7,35 @@
 //! cargo run --release --example krylov_acceleration
 //! ```
 //!
-//! Environment knobs (all optional, parsed via `FromStr`):
-//!
-//! * `UNSNAP_STRATEGY`  — `si` or `gmres`: run only that strategy.
-//! * `UNSNAP_SOLVER`    — `ge`, `lu` or `mkl`: local dense back end.
-//! * `UNSNAP_SCHEME`    — `best`, `serial` or a figure label like
-//!   `angle/element*/group*`.
-//! * `UNSNAP_RESTART`   — GMRES restart length (default 20).
+//! Dense back ends, concurrency schemes and the measured comparison of
+//! the strategies are `reproduce table2|figure3|strategies`.
 
 use unsnap::prelude::*;
 
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = std::env::var(name).ok()?;
-    match raw.parse() {
-        Ok(value) => Some(value),
-        Err(e) => {
-            eprintln!("ignoring {name}={raw}: {e}");
-            None
-        }
-    }
-}
-
 fn main() {
-    let only_strategy: Option<StrategyKind> = env_parse("UNSNAP_STRATEGY");
-    let solver: SolverKind = env_parse("UNSNAP_SOLVER").unwrap_or_default();
-    let scheme: ConcurrencyScheme =
-        env_parse("UNSNAP_SCHEME").unwrap_or_else(ConcurrencyScheme::serial);
-    let restart: usize = env_parse("UNSNAP_RESTART").unwrap_or(20);
-
     println!("UnSNAP Krylov acceleration demo");
-    println!("  dense back end: {solver}, scheme: {scheme}, GMRES restart: {restart}");
     println!();
     println!("  c = within-group scattering ratio; sweeps = full transport sweeps");
     println!("  to reach a 1e-8 relative tolerance (budget 600 per strategy)");
     println!();
 
     for c in [0.1, 0.5, 0.9, 0.99] {
-        let base = ProblemBuilder::tiny()
-            .mesh(4)
-            .extents(8.0, 8.0, 8.0)
-            .phase_space(2, 1)
-            .scattering_ratio(c)
-            .tolerance(1e-8)
-            .iterations(600, 1)
-            .solver(solver)
-            .scheme(scheme)
-            .gmres_restart(restart);
+        let base = Problem {
+            lx: 8.0,
+            ly: 8.0,
+            lz: 8.0,
+            convergence_tolerance: 1e-8,
+            inner_iterations: 600,
+            ..Problem::tiny()
+        }
+        .with_mesh(4)
+        .with_phase_space(2, 1)
+        .with_scattering_ratio(c);
 
         println!("c = {c}");
         for strategy in StrategyKind::all() {
-            if let Some(only) = only_strategy {
-                if only != strategy {
-                    continue;
-                }
-            }
-            let mut session = base
-                .clone()
-                .strategy(strategy)
-                .session()
-                .expect("problem must validate");
+            let mut session =
+                Session::new(&base.clone().with_strategy(strategy)).expect("problem must validate");
             // Stream the residual trajectory while it happens (the
             // RecordingObserver doubles as a live residual tap).
             let mut recorder = RecordingObserver::default();

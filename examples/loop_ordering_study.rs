@@ -44,10 +44,7 @@ fn main() {
     for scheme in ConcurrencyScheme::figure_schemes() {
         print!("{:<28}", scheme.label());
         for &t in &threads {
-            let mut session = ProblemBuilder::from_problem(&base)
-                .scheme(scheme)
-                .threads(t)
-                .session()
+            let mut session = Session::new(&base.clone().with_scheme(scheme).with_threads(t))
                 .expect("valid problem");
             let outcome = session.run().expect("solve");
             print!(" {:>9.3}", outcome.assemble_solve_seconds);

@@ -1,24 +1,17 @@
-//! Quickstart: build a small UnSNAP problem with the validating
-//! [`ProblemBuilder`], open an observable [`Session`], and stream the
-//! solve's progress while it runs.
+//! Quickstart: take the `quickstart` [`Problem`] preset, open an
+//! observable [`Session`] on it, and stream the solve's progress while
+//! it runs.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! The example exercises the whole public API surface: grouped problem
-//! construction with up-front validation, mesh construction, sweep
-//! scheduling, the observable session with a custom [`RunObserver`], and
-//! the reporting helpers (including Table I of the paper and the JSON
-//! outcome dump).
-//!
-//! The three backend knobs are environment-selectable (all round-trip
-//! through `FromStr`/`Display`):
-//!
-//! * `UNSNAP_STRATEGY` — `si` or `gmres`;
-//! * `UNSNAP_SOLVER`   — `ge`, `lu` or `mkl`;
-//! * `UNSNAP_SCHEME`   — `best`, `serial` or a figure label like
-//!   `angle/element*/group*`.
+//! The example exercises the whole public API surface: a problem
+//! preset, mesh construction, sweep scheduling, the observable session
+//! with a custom [`RunObserver`], and the reporting helpers (including
+//! Table I of the paper and the JSON outcome dump).  Strategies, dense
+//! back ends and concurrency schemes are compared by
+//! `reproduce strategies|table2|figure3`.
 
 use unsnap::prelude::*;
 
@@ -51,12 +44,11 @@ impl RunObserver for Narrator {
 
 fn main() -> Result<()> {
     // ------------------------------------------------------------------
-    // 1. Describe the problem.  The builder starts from the `quickstart`
-    //    preset (6^3 cells, 4 angles/octant, 4 groups, linear elements),
-    //    applies any UNSNAP_* environment overrides, and validates every
-    //    field — including cross-field invariants — up front.
+    // 1. Describe the problem: the `quickstart` preset (6^3 cells,
+    //    4 angles/octant, 4 groups, linear elements).  `Session::new`
+    //    below validates it, like every solver constructor.
     // ------------------------------------------------------------------
-    let problem = ProblemBuilder::quickstart().env_overrides()?.build()?;
+    let problem = Problem::quickstart();
     println!("UnSNAP quickstart");
     println!("=================");
     println!(

@@ -28,9 +28,8 @@ fn main() {
     for order in 1..=max_order {
         let mut row = format!("{order:>5}");
         for kind in [SolverKind::GaussianElimination, SolverKind::Mkl] {
-            let mut session = ProblemBuilder::table2_scaled(order, kind)
-                .session()
-                .expect("valid problem");
+            let mut session =
+                Session::new(&Problem::table2_scaled(order, kind)).expect("valid problem");
             let outcome = session.run().expect("solve");
             row.push_str(&format!(
                 "  {:>12.3} {:>10.0}%",

@@ -19,26 +19,27 @@
 //! | [`accel`] (`unsnap-accel`) | diffusion synthetic acceleration: mesh-consistent low-order diffusion operator + CG correction solver |
 //! | [`sweep`] (`unsnap-sweep`) | per-angle wavefront (tlevel-bucket) schedules and concurrency schemes |
 //! | [`obs`] (`unsnap-obs`) | dependency-free observability: `Clock`/`MockClock`, metrics registry with deterministic/wall-clock split, fixed-bucket histograms, JSON writer/reader, JSONL run logs |
-//! | [`core`] (`unsnap-core`) | typed errors, `ProblemBuilder`, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, iteration strategies, FD baseline |
+//! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, iteration strategies, FD baseline |
 //! | [`comm`] (`unsnap-comm`) | simulated ranks, halo exchange, block-Jacobi coupling, `CommError` |
 //! | [`runlog`] (`unsnap-runlog`) | durable runs: append-only write-ahead run log with checksummed checkpoint frames, torn-tail recovery, bit-for-bit resume for both solver paths, crash fault injection |
 //! | [`serve`] (`unsnap-serve`) | solver-as-a-service: hand-rolled HTTP/1.1 front-end, bounded job queue with cooperative cancellation, live JSONL event streaming, content-addressed LRU result cache, checkpointed jobs resumable across server restarts |
 //!
 //! ## Quickstart
 //!
-//! Describe a problem with the validating
-//! [`ProblemBuilder`](prelude::ProblemBuilder), open a
-//! [`Session`](prelude::Session) on it, and run — optionally under a
-//! [`RunObserver`](prelude::RunObserver) that streams per-iteration
+//! A run has one description, [`Problem`](prelude::Problem): start from
+//! a preset, adjust it with the `with_*` setters or struct-update syntax
+//! (`Problem { lx: 12.0, ..Problem::quickstart() }`), and open a
+//! [`Session`](prelude::Session) on it.  Every solver constructor runs
+//! [`Problem::validate`](prelude::Problem::validate), so the same rules
+//! hold however the problem was put together.  Run it — optionally under
+//! a [`RunObserver`](prelude::RunObserver) that streams per-iteration
 //! progress:
 //!
 //! ```
 //! use unsnap::prelude::*;
 //!
-//! let mut session = ProblemBuilder::tiny()
-//!     .strategy(StrategyKind::SweepGmres)
-//!     .session()
-//!     .unwrap();
+//! let problem = Problem::tiny().with_strategy(StrategyKind::SweepGmres);
+//! let mut session = Session::new(&problem).unwrap();
 //! let mut recorder = RecordingObserver::default();
 //! let outcome = session.run_observed(&mut recorder).unwrap();
 //! assert!(outcome.scalar_flux_total > 0.0);
@@ -54,7 +55,7 @@
 //! ## Execution model
 //!
 //! Sweeps fan out on a real shared worker pool (sized by
-//! `Problem::num_threads` / `ProblemBuilder::threads`, force-overridable
+//! `Problem::num_threads` / `Problem::with_threads`, force-overridable
 //! with `RAYON_NUM_THREADS`).  Work is split into index-ordered chunks
 //! and reassembled in input order, so the physics is **bit-for-bit
 //! identical at every thread count** — the invariant
@@ -82,9 +83,6 @@ pub mod prelude {
     pub use unsnap_accel::{DiffusionOperator, DiffusionTopology, DsaConfig, DsaSolver};
     pub use unsnap_comm::{BlockJacobiSolver, CommError, HaloExchange};
     pub use unsnap_core::angular::AngularQuadrature;
-    pub use unsnap_core::builder::{
-        ExecutionConfig, GridConfig, IterationConfig, PhysicsConfig, ProblemBuilder,
-    };
     pub use unsnap_core::cancel::CancelToken;
     pub use unsnap_core::data::{CrossSections, MaterialOption, SourceOption};
     pub use unsnap_core::dsa::DsaAccelerator;
@@ -142,11 +140,11 @@ mod tests {
 
     #[test]
     fn prelude_exposes_the_session_api() {
-        let mut session = ProblemBuilder::tiny().session().unwrap();
+        let mut session = Session::new(&Problem::tiny()).unwrap();
         let outcome = session.run().unwrap();
         assert!(outcome.converged || outcome.sweep_count > 0);
         // The typed error surfaces through the prelude too.
-        let err = ProblemBuilder::tiny().mesh(0).build().unwrap_err();
+        let err = Session::new(&Problem::tiny().with_mesh(0)).err().unwrap();
         assert!(matches!(err, Error::InvalidProblem { field: "nx", .. }));
     }
 }

@@ -404,27 +404,3 @@ fn deterministic_metrics_are_stable_at_one_and_four_ranks() {
         }
     }
 }
-
-#[test]
-fn unsnap_strategy_env_knob_reaches_the_distributed_solver() {
-    // The builder's env overrides select the subdomain strategy: the
-    // same `Problem` built under UNSNAP_STRATEGY=gmres must drive the
-    // block-Jacobi ranks through the Krylov path.  (This test owns the
-    // variable: it sets and removes it around the builder call.)
-    std::env::set_var("UNSNAP_STRATEGY", "gmres");
-    let built = ProblemBuilder::tiny().env_overrides().and_then(|b| {
-        let mut b = b;
-        b.iteration.inner_iterations = 4;
-        b.build()
-    });
-    std::env::remove_var("UNSNAP_STRATEGY");
-    let problem = built.unwrap();
-    assert_eq!(problem.strategy, StrategyKind::SweepGmres);
-
-    let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
-    let outcome = solver.run().unwrap();
-    let ranks = outcome.ranks.as_ref().unwrap();
-    assert_eq!(ranks.strategy, StrategyKind::SweepGmres);
-    assert!(outcome.krylov_iterations > 0);
-    assert!(!ranks.krylov_iterations.is_empty());
-}

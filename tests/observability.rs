@@ -2,8 +2,7 @@
 //! the umbrella crate: the JSONL run log round-trips through the
 //! `unsnap-obs` reader, the metrics snapshot attached to every outcome
 //! serialises to parseable JSON with the deterministic/wall-clock split
-//! intact, and the `UNSNAP_PROGRESS_MS` knob is validated by the
-//! builder.
+//! intact.
 
 use unsnap::obs::jsonl;
 use unsnap::obs::reader;
@@ -107,24 +106,4 @@ fn outcome_metrics_json_parses_with_the_split_intact() {
             .and_then(|v| v.as_usize()),
         Some(outcome.sweep_count)
     );
-}
-
-#[test]
-fn progress_interval_env_knob_is_validated_by_the_builder() {
-    // This test owns UNSNAP_PROGRESS_MS: set and removed around each
-    // builder call.  A numeric value (zero allowed) passes; garbage is
-    // an InvalidProblem naming the knob.
-    std::env::set_var("UNSNAP_PROGRESS_MS", "0");
-    let ok = ProblemBuilder::tiny().env_overrides();
-    std::env::set_var("UNSNAP_PROGRESS_MS", "250");
-    let ok2 = ProblemBuilder::tiny().env_overrides();
-    std::env::set_var("UNSNAP_PROGRESS_MS", "soon");
-    let err = ProblemBuilder::tiny().env_overrides().unwrap_err();
-    std::env::remove_var("UNSNAP_PROGRESS_MS");
-    ok.unwrap();
-    ok2.unwrap();
-    match err {
-        Error::InvalidProblem { field, .. } => assert_eq!(field, "progress_interval_ms"),
-        other => panic!("expected InvalidProblem, got {other:?}"),
-    }
 }

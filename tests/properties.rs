@@ -170,135 +170,113 @@ proptest! {
     }
 }
 
-/// A random paper preset, as (builder shorthand, direct constructor).
-fn preset_pair(index: usize, order: usize) -> (ProblemBuilder, Problem) {
+/// A random paper preset.
+fn preset(index: usize, order: usize) -> Problem {
     match index {
-        0 => (ProblemBuilder::tiny(), Problem::tiny()),
-        1 => (ProblemBuilder::quickstart(), Problem::quickstart()),
-        2 => (ProblemBuilder::figure3_full(), Problem::figure3_full()),
-        3 => (ProblemBuilder::figure3_scaled(), Problem::figure3_scaled()),
-        4 => (ProblemBuilder::figure4_full(), Problem::figure4_full()),
-        5 => (ProblemBuilder::figure4_scaled(), Problem::figure4_scaled()),
-        6 => (
-            ProblemBuilder::table2_full(order, SolverKind::Mkl),
-            Problem::table2_full(order, SolverKind::Mkl),
-        ),
-        _ => (
-            ProblemBuilder::table2_scaled(order, SolverKind::GaussianElimination),
-            Problem::table2_scaled(order, SolverKind::GaussianElimination),
-        ),
+        0 => Problem::tiny(),
+        1 => Problem::quickstart(),
+        2 => Problem::figure3_full(),
+        3 => Problem::figure3_scaled(),
+        4 => Problem::figure4_full(),
+        5 => Problem::figure4_scaled(),
+        6 => Problem::table2_full(order, SolverKind::Mkl),
+        _ => Problem::table2_scaled(order, SolverKind::GaussianElimination),
     }
+}
+
+/// The field `Problem::validate` blames, if it rejects the problem.
+fn rejected_field(problem: &Problem) -> Option<&'static str> {
+    problem.validate().err().and_then(|e| e.invalid_field())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn builder_presets_round_trip_every_preset(index in 0usize..8, order in 1usize..5) {
-        let (builder, problem) = preset_pair(index, order);
-        let built = builder.build();
-        prop_assert!(built.is_ok(), "{:?}", built.err());
-        prop_assert_eq!(built.unwrap(), problem);
-    }
-
-    #[test]
     fn builder_rejects_empty_mesh_axes(index in 0usize..8, axis in 0usize..3) {
-        let (builder, _) = preset_pair(index, 1);
-        let mut builder = builder;
+        let mut problem = preset(index, 1);
         let expected = match axis {
             0 => {
-                builder.grid.nx = 0;
+                problem.nx = 0;
                 "nx"
             }
             1 => {
-                builder.grid.ny = 0;
+                problem.ny = 0;
                 "ny"
             }
             _ => {
-                builder.grid.nz = 0;
+                problem.nz = 0;
                 "nz"
             }
         };
-        let err = builder.build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some(expected));
+        prop_assert_eq!(rejected_field(&problem), Some(expected));
     }
 
     #[test]
     fn builder_rejects_nonpositive_extents(extent in -8.0f64..0.0, axis in 0usize..3) {
-        let mut builder = ProblemBuilder::tiny();
+        let mut problem = Problem::tiny();
         let expected = match axis {
             0 => {
-                builder.grid.lx = extent;
+                problem.lx = extent;
                 "lx"
             }
             1 => {
-                builder.grid.ly = extent;
+                problem.ly = extent;
                 "ly"
             }
             _ => {
-                builder.grid.lz = extent;
+                problem.lz = extent;
                 "lz"
             }
         };
-        let err = builder.build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some(expected));
+        prop_assert_eq!(rejected_field(&problem), Some(expected));
         // The boundary itself (a zero extent) is rejected too.
-        let err = ProblemBuilder::tiny().extents(0.0, 1.0, 1.0).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("lx"));
+        let flat = Problem { lx: 0.0, ..Problem::tiny() };
+        prop_assert_eq!(rejected_field(&flat), Some("lx"));
     }
 
     #[test]
     fn builder_rejects_zero_discretisation_knobs(index in 0usize..8, knob in 0usize..5) {
-        let (builder, _) = preset_pair(index, 2);
-        let mut builder = builder;
+        let mut problem = preset(index, 2);
         let expected = match knob {
-            0 => { builder.physics.element_order = 0; "element_order" }
-            1 => { builder.physics.angles_per_octant = 0; "angles_per_octant" }
-            2 => { builder.physics.num_groups = 0; "num_groups" }
-            3 => { builder.iteration.inner_iterations = 0; "inner_iterations" }
-            _ => { builder.iteration.gmres_restart = 0; "gmres_restart" }
+            0 => { problem.element_order = 0; "element_order" }
+            1 => { problem.angles_per_octant = 0; "angles_per_octant" }
+            2 => { problem.num_groups = 0; "num_groups" }
+            3 => { problem.inner_iterations = 0; "inner_iterations" }
+            _ => { problem.gmres_restart = 0; "gmres_restart" }
         };
-        let err = builder.build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some(expected));
+        prop_assert_eq!(rejected_field(&problem), Some(expected));
     }
 
     #[test]
     fn builder_rejects_out_of_range_scattering_ratio(
         c in prop_oneof![-4.0f64..0.0, 1.0001f64..5.0],
     ) {
-        let err = ProblemBuilder::tiny().scattering_ratio(c).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("scattering_ratio"));
+        let problem = Problem::tiny().with_scattering_ratio(c);
+        prop_assert_eq!(rejected_field(&problem), Some("scattering_ratio"));
         // The open lower boundary: exactly zero scattering is rejected.
-        let err = ProblemBuilder::tiny().scattering_ratio(0.0).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("scattering_ratio"));
+        let problem = Problem::tiny().with_scattering_ratio(0.0);
+        prop_assert_eq!(rejected_field(&problem), Some("scattering_ratio"));
     }
 
     #[test]
     fn builder_accepts_in_range_scattering_ratio(c in 0.0001f64..1.0) {
-        let built = ProblemBuilder::tiny().scattering_ratio(c).build();
-        prop_assert!(built.is_ok());
-        prop_assert_eq!(built.unwrap().scattering_ratio, Some(c));
+        let problem = Problem::tiny().with_scattering_ratio(c);
+        prop_assert_eq!(rejected_field(&problem), None);
+        prop_assert_eq!(problem.scattering_ratio, Some(c));
     }
 
     #[test]
     fn builder_rejects_out_of_range_upscatter(
         u in prop_oneof![-4.0f64..0.0, 1.0001f64..5.0],
     ) {
-        let err = ProblemBuilder::tiny()
-            .scattering_ratio(0.9)
-            .upscatter(u)
-            .build()
-            .unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("upscatter_ratio"));
         // Both boundaries are open: u = 0 is "just omit it", u = 1
         // would zero the within-group diagonal entirely.
-        for boundary in [0.0, 1.0] {
-            let err = ProblemBuilder::tiny()
-                .scattering_ratio(0.9)
-                .upscatter(boundary)
-                .build()
-                .unwrap_err();
-            prop_assert_eq!(err.invalid_field(), Some("upscatter_ratio"));
+        for bad in [u, 0.0, 1.0] {
+            let problem = Problem::tiny()
+                .with_scattering_ratio(0.9)
+                .with_upscatter_ratio(bad);
+            prop_assert_eq!(rejected_field(&problem), Some("upscatter_ratio"));
         }
     }
 
@@ -308,20 +286,17 @@ proptest! {
         u in 0.001f64..0.999,
     ) {
         // Upscatter without a scattering ratio to split is dangling.
-        let err = ProblemBuilder::tiny().upscatter(u).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("upscatter_ratio"));
+        let dangling = Problem::tiny().with_upscatter_ratio(u);
+        prop_assert_eq!(rejected_field(&dangling), Some("upscatter_ratio"));
 
-        let problem = ProblemBuilder::tiny()
-            .scattering_ratio(c)
-            .upscatter(u)
-            .build()
-            .unwrap();
+        let problem = Problem::tiny()
+            .with_scattering_ratio(c)
+            .with_upscatter_ratio(u);
+        prop_assert_eq!(rejected_field(&problem), None);
         prop_assert_eq!(problem.upscatter_ratio, Some(u));
-        // Builder → Problem → builder is still the identity.
-        prop_assert_eq!(
-            ProblemBuilder::from_problem(&problem).build().unwrap(),
-            problem
-        );
+        // Problem → wire → Problem is the identity.
+        let json = unsnap_core::wire::problem_to_json(&problem);
+        prop_assert_eq!(unsnap_core::wire::problem_from_json_str(&json).unwrap(), problem);
     }
 
     #[test]
@@ -347,21 +322,20 @@ proptest! {
 
     #[test]
     fn builder_rejects_negative_twist(twist in -2.0f64..-1e-9) {
-        let err = ProblemBuilder::tiny().twist(twist).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("twist"));
+        let problem = Problem { twist, ..Problem::tiny() };
+        prop_assert_eq!(rejected_field(&problem), Some("twist"));
     }
 
     #[test]
     fn builder_rejects_bad_tolerance(tolerance in -10.0f64..-1e-12) {
-        let err = ProblemBuilder::tiny().tolerance(tolerance).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("convergence_tolerance"));
+        let problem = Problem { convergence_tolerance: tolerance, ..Problem::tiny() };
+        prop_assert_eq!(rejected_field(&problem), Some("convergence_tolerance"));
     }
 
     #[test]
     fn builder_rejects_zero_threads(index in 0usize..8) {
-        let (builder, _) = preset_pair(index, 3);
-        let err = builder.threads(0).build().unwrap_err();
-        prop_assert_eq!(err.invalid_field(), Some("num_threads"));
+        let problem = preset(index, 3).with_threads(0);
+        prop_assert_eq!(rejected_field(&problem), Some("num_threads"));
     }
 
     #[test]
@@ -373,13 +347,12 @@ proptest! {
         // is a valid request for the default scheme, and solves to the
         // bits of one thread.
         let flux_at = |threads| {
-            let mut solver = ProblemBuilder::tiny()
-                .mesh(2)
-                .phase_space(angles, 1)
-                .scheme(ConcurrencyScheme::best())
-                .threads(threads)
-                .solver_for()
-                .unwrap();
+            let problem = Problem::tiny()
+                .with_mesh(2)
+                .with_phase_space(angles, 1)
+                .with_scheme(ConcurrencyScheme::best())
+                .with_threads(threads);
+            let mut solver = TransportSolver::new(&problem).unwrap();
             solver.run().unwrap();
             solver.scalar_flux().as_slice().to_vec()
         };
@@ -395,21 +368,21 @@ proptest! {
         inners in 1usize..6,
         outers in 1usize..3,
     ) {
-        let problem = ProblemBuilder::tiny()
-            .mesh(n)
-            .order(order)
-            .phase_space(angles, groups)
-            .iterations(inners, outers)
-            .build()
-            .unwrap();
+        let problem = Problem {
+            inner_iterations: inners,
+            outer_iterations: outers,
+            ..Problem::tiny()
+        }
+        .with_mesh(n)
+        .with_order(order)
+        .with_phase_space(angles, groups);
+        prop_assert_eq!(rejected_field(&problem), None);
         prop_assert_eq!(problem.num_cells(), n * n * n);
         prop_assert_eq!(problem.nodes_per_element(), (order + 1).pow(3));
         prop_assert_eq!(problem.num_angles(), 8 * angles);
-        prop_assert!(problem.validate().is_ok());
-        // Builder → Problem → builder is the identity.
         prop_assert_eq!(
-            ProblemBuilder::from_problem(&problem).build().unwrap(),
-            problem
+            problem.angular_flux_unknowns(),
+            (order + 1).pow(3) * n * n * n * groups * 8 * angles
         );
     }
 }
@@ -424,17 +397,15 @@ proptest! {
 /// same tolerance — and must still get there within the budget.
 #[test]
 fn upscatter_couples_groups_and_the_outer_iteration_still_converges() {
-    let base = ProblemBuilder::tiny()
-        .phase_space(2, 3)
-        .iterations(8, 60)
-        .tolerance(1e-6)
-        .scattering_ratio(0.8)
-        .build()
-        .unwrap();
-    let upscatter = ProblemBuilder::from_problem(&base)
-        .upscatter(0.3)
-        .build()
-        .unwrap();
+    let base = Problem {
+        inner_iterations: 8,
+        outer_iterations: 60,
+        convergence_tolerance: 1e-6,
+        ..Problem::tiny()
+    }
+    .with_phase_space(2, 3)
+    .with_scattering_ratio(0.8);
+    let upscatter = base.clone().with_upscatter_ratio(0.3);
 
     let mut base_recorder = RecordingObserver::default();
     let baseline = TransportSolver::new(&base)

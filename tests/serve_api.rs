@@ -277,7 +277,7 @@ fn protocol_errors_map_to_typed_statuses() {
     let doc = reader::parse(&response.body).unwrap();
     assert_eq!(doc.get("field").and_then(|v| v.as_str()), Some("problem"));
 
-    // Invalid configuration: builder validation, still 400.
+    // Invalid configuration: `Problem::validate`, still 400.
     let response = http::request(
         addr,
         "POST",

@@ -83,9 +83,9 @@ fn session_reproduces_sweep_gmres_on_quickstart() {
 
 #[test]
 fn builder_presets_feed_sessions_without_behaviour_change() {
-    // Builder shorthand → session == hand-built Problem → solver.
-    let mut via_builder = ProblemBuilder::quickstart().session().unwrap();
-    let b = via_builder.run().unwrap();
+    // Preset → session == the same preset → solver.
+    let mut via_session = Session::new(&Problem::quickstart()).unwrap();
+    let b = via_session.run().unwrap();
     let mut via_preset = TransportSolver::new(&Problem::quickstart()).unwrap();
     let p = via_preset.run().unwrap();
     assert_eq!(b.scalar_flux_total, p.scalar_flux_total);
@@ -95,8 +95,7 @@ fn builder_presets_feed_sessions_without_behaviour_change() {
 #[test]
 fn observer_sees_krylov_residuals_only_under_gmres() {
     let mut recorder = RecordingObserver::default();
-    ProblemBuilder::tiny()
-        .session()
+    Session::new(&Problem::tiny())
         .unwrap()
         .run_observed(&mut recorder)
         .unwrap();
@@ -104,9 +103,7 @@ fn observer_sees_krylov_residuals_only_under_gmres() {
     assert!(recorder.sweep_count > 0);
 
     recorder.clear();
-    ProblemBuilder::tiny()
-        .strategy(StrategyKind::SweepGmres)
-        .session()
+    Session::new(&Problem::tiny().with_strategy(StrategyKind::SweepGmres))
         .unwrap()
         .run_observed(&mut recorder)
         .unwrap();
@@ -125,18 +122,44 @@ fn typed_errors_surface_from_every_layer() {
     };
     assert_eq!(err.invalid_field(), Some("num_groups"));
 
-    // Builder cross-field validation.
-    let err = ProblemBuilder::tiny()
-        .scattering_ratio(2.0)
-        .build()
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        unsnap::core::error::Error::InvalidProblem {
-            field: "scattering_ratio",
-            ..
+    // The same rules on every construction path: a hand-built problem
+    // no preset, setter or wire document produced is refused by each
+    // solver constructor, naming the field.
+    let tiny = Problem::tiny;
+    for (field, problem) in [
+        ("scattering_ratio", tiny().with_scattering_ratio(2.0)),
+        (
+            "convergence_tolerance",
+            Problem {
+                convergence_tolerance: f64::NAN,
+                ..tiny()
+            },
+        ),
+        ("element_order", tiny().with_mesh(1 << 21).with_order(7)),
+        ("nx", tiny().with_mesh(1 << 22)),
+        (
+            "lx",
+            Problem {
+                lx: f64::INFINITY,
+                ..tiny()
+            },
+        ),
+        (
+            "twist",
+            Problem {
+                twist: f64::NAN,
+                ..tiny()
+            },
+        ),
+    ] {
+        let from_session = Session::new(&problem).err();
+        let from_solver = TransportSolver::new(&problem).err();
+        let from_jacobi = BlockJacobiSolver::new(&problem, Decomposition2D::serial()).err();
+        for err in [from_session, from_solver, from_jacobi] {
+            let err = err.unwrap_or_else(|| panic!("{field}: {problem:?} must be rejected"));
+            assert_eq!(err.invalid_field(), Some(field), "{err}");
         }
-    ));
+    }
 
     // Mesh decomposition (through the distributed solver).
     let err = match BlockJacobiSolver::new(&Problem::tiny(), Decomposition2D::new(64, 1)) {

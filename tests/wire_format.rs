@@ -1,9 +1,9 @@
 //! Property and conformance tests of the canonical problem wire format
 //! (`unsnap_core::wire`) and the serving layer's request parsing.
 //!
-//! * randomised `ProblemBuilder` configurations survive a
-//!   serialise → parse round trip unchanged (so the HTTP wire format
-//!   can carry any problem the builder can describe);
+//! * randomised `Problem`s survive a serialise → parse round trip
+//!   unchanged (so the HTTP wire format can carry any problem
+//!   `Problem::validate` accepts);
 //! * the content address (`Problem::canonical_hash`) is invariant under
 //!   the round trip — cache keys computed on either side of the wire
 //!   agree;
@@ -61,7 +61,7 @@ fn flag() -> impl Strategy<Value = bool> {
     (0usize..2).prop_map(|b| b == 1)
 }
 
-fn builder() -> impl Strategy<Value = ProblemBuilder> {
+fn problem() -> impl Strategy<Value = Problem> {
     (
         (1usize..5, 1usize..5, 1usize..5, 0.0f64..0.002),
         (1usize..3, 1usize..4, 1usize..5),
@@ -73,31 +73,30 @@ fn builder() -> impl Strategy<Value = ProblemBuilder> {
         .prop_map(
             |(
                 (nx, ny, nz, twist),
-                (order, angles, groups),
-                (inner, outer, tol),
-                (strategy, solver, scattering),
-                (threads, precompute, time_solve),
-                bounds,
-            )| {
-                let mut b = ProblemBuilder::tiny()
-                    .cells(nx, ny, nz)
-                    .twist(twist)
-                    .order(order)
-                    .phase_space(angles, groups)
-                    .iterations(inner, outer)
-                    .tolerance(tol)
-                    .strategy(strategy)
-                    .solver(solver)
-                    .boundaries(bounds)
-                    .precompute_integrals(precompute)
-                    .time_solve(time_solve);
-                if let Some(c) = scattering {
-                    b = b.scattering_ratio(c);
-                }
-                if let Some(t) = threads {
-                    b = b.threads(t);
-                }
-                b
+                (element_order, angles_per_octant, num_groups),
+                (inner_iterations, outer_iterations, convergence_tolerance),
+                (strategy, solver, scattering_ratio),
+                (num_threads, precompute_integrals, time_solve),
+                boundaries,
+            )| Problem {
+                nx,
+                ny,
+                nz,
+                twist,
+                element_order,
+                angles_per_octant,
+                num_groups,
+                inner_iterations,
+                outer_iterations,
+                convergence_tolerance,
+                strategy,
+                solver,
+                scattering_ratio,
+                num_threads,
+                precompute_integrals,
+                time_solve,
+                boundaries,
+                ..Problem::tiny()
             },
         )
 }
@@ -117,22 +116,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn builders_round_trip_through_the_wire(b in builder()) {
-        let json = wire::builder_to_json(&b);
-        let parsed = wire::builder_from_json_str(&json).expect("canonical JSON parses");
-        prop_assert_eq!(&parsed, &b, "wire round trip must be lossless");
+    fn builders_round_trip_through_the_wire(problem in problem()) {
+        prop_assert!(problem.validate().is_ok(), "{:?}", problem.validate());
+        let json = wire::problem_to_json(&problem);
+        let parsed = wire::problem_from_json_str(&json).expect("canonical JSON parses");
+        prop_assert_eq!(&parsed, &problem, "wire round trip must be lossless");
         // Serialisation is canonical: a second trip is byte-stable.
-        prop_assert_eq!(wire::builder_to_json(&parsed), json);
+        prop_assert_eq!(wire::problem_to_json(&parsed), json);
     }
 
     #[test]
-    fn content_addresses_agree_across_the_wire(b in builder()) {
-        // Not every random configuration validates; the hash contract
-        // only covers buildable problems.
-        let Ok(problem) = b.clone().build() else { return Ok(()); };
+    fn content_addresses_agree_across_the_wire(problem in problem()) {
         let json = wire::problem_to_json(&problem);
         let replayed = wire::problem_from_json_str(&json).expect("valid problem replays");
-        prop_assert_eq!(&replayed, &problem);
         prop_assert_eq!(replayed.canonical_hash(), problem.canonical_hash());
     }
 
@@ -180,6 +176,14 @@ fn malformed_bodies_name_the_offending_field() {
     for (body, field) in [
         (r#"{"problem": {"grid": {"nx": "three"}}}"#, "nx"),
         (r#"{"problem": {"grid": {"nx": 0}}}"#, "nx"),
+        // nx·ny·nz wraps to 0 in release arithmetic.
+        (
+            r#"{"problem": {"grid": {"nx": 4194304, "ny": 4194304, "nz": 4194304}}}"#,
+            "nx",
+        ),
+        // The reader turns an out-of-range literal into +inf.
+        (r#"{"problem": {"grid": {"lx": 1e999}}}"#, "lx"),
+        (r#"{"problem": {"grid": {"twist": 1e999}}}"#, "twist"),
         (
             r#"{"problem": {"physics": {"num_groups": -1}}}"#,
             "num_groups",
@@ -227,8 +231,11 @@ fn boundary_conditions_round_trip_in_place() {
         BoundaryCondition::IsotropicInflow(0.25),
         BoundaryCondition::Reflective,
     ];
-    let b = ProblemBuilder::tiny().boundaries(DomainBoundaries { faces });
-    let json = wire::builder_to_json(&b);
+    let problem = Problem {
+        boundaries: DomainBoundaries { faces },
+        ..Problem::tiny()
+    };
+    let json = wire::problem_to_json(&problem);
     let doc = reader::parse(&json).unwrap();
     let listed = doc
         .get("physics")
@@ -236,5 +243,5 @@ fn boundary_conditions_round_trip_in_place() {
         .and_then(|v| v.as_array())
         .expect("boundaries serialise as a 6-array");
     assert_eq!(listed.len(), 6);
-    assert_eq!(wire::builder_from_json_str(&json).unwrap(), b);
+    assert_eq!(wire::problem_from_json_str(&json).unwrap(), problem);
 }
