@@ -257,6 +257,13 @@ impl CrossSections {
         self.total[material * self.num_groups + g]
     }
 
+    /// Total cross sections σ_t of `material` for a run of groups.
+    #[inline]
+    pub fn totals(&self, material: usize, groups: std::ops::Range<usize>) -> &[f64] {
+        debug_assert!(groups.end <= self.num_groups);
+        &self.total[material * self.num_groups..][groups]
+    }
+
     /// Isotropic scattering cross section σ_s from group `g_from` into
     /// group `g_to` for `material`.
     #[inline]

@@ -19,7 +19,8 @@
 //! every cell, with no halo; the block-Jacobi driver in `unsnap-comm`
 //! owns one per rank and hands each the lagged global ψ as its halo.
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
-//! gather the upwind ψ, assemble, solve) and one per-angle walker
+//! gather the upwind ψ, assemble, solve — for one group, or for a run of
+//! groups in lockstep where the kernel offers that) and one per-angle walker
 //! (`SweepView::sweep_angle`: the angle's buckets in wavefront order,
 //! each solved inline or forked the way an `IterationSpace` — a
 //! Figure 3/4 scheme label as data — says), so a sweep optimisation has
@@ -33,6 +34,7 @@
 //! one worker neither allocates nor, unless the problem asks for
 //! Table II's per-task split, reads the clock per task.
 
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -202,9 +204,9 @@ pub struct SweepDomain {
     dsa: Option<DsaAccelerator>,
     /// Working storage of the sweep, reused across sweeps.
     buffers: BucketBuffers,
-    /// One node block of zeros: the upwind ψ of a foreign cell when the
-    /// sweep has no halo to read.  (Beside `buffers`, not in it: the
-    /// tasks read it while the sweep holds `buffers` exclusively.)
+    /// One cell's node blocks of zeros: the upwind ψ of a foreign cell
+    /// when the sweep has no halo to read.  (Beside `buffers`, not in it:
+    /// the tasks read it while the sweep holds `buffers` exclusively.)
     zeros: Vec<f64>,
 }
 
@@ -233,10 +235,10 @@ enum InflowSource {
     Foreign { cell: usize, face: usize },
 }
 
-/// Per-worker state of a sweep: the kernel's scratch, and the
-/// inflow description of the (element, angle) it last solved.  In
+/// Per-worker state of a sweep: the kernel's scratch, and what the
+/// (element, angle) it last solved shares across groups.  In
 /// `angle/element/group` order the groups of an element are consecutive,
-/// so both are built once per element and reused by every later group.
+/// so all of it is built once per element and reused by every later group.
 struct TaskScratch {
     kernel: KernelScratch,
     /// The (element, angle) `inflow` describes.  Within one domain the
@@ -244,6 +246,9 @@ struct TaskScratch {
     key: Option<(usize, usize)>,
     /// (face, source) of every inflow face, in ascending face order.
     inflow: Vec<(usize, InflowSource)>,
+    /// The integrals of the element of `key`, when the problem does not
+    /// precompute them.
+    integrals: Option<ElementIntegrals>,
 }
 
 impl TaskScratch {
@@ -252,6 +257,7 @@ impl TaskScratch {
             kernel: KernelScratch::new(nodes),
             key: None,
             inflow: Vec::with_capacity(NUM_FACES),
+            integrals: None,
         }
     }
 }
@@ -357,7 +363,7 @@ impl SweepDomain {
                 tasks: Vec::new(),
                 results: Vec::new(),
             },
-            zeros: vec![0.0; nodes],
+            zeros: vec![0.0; nodes * problem.num_groups],
         })
     }
 
@@ -408,22 +414,33 @@ enum Extent {
     Bucket,
 }
 
-/// Visit `bucket`'s (element, group) tasks in loop-nest order.
+/// Visit `bucket`'s tasks in loop-nest order: an element and a run of
+/// its groups.  A run is one group — except in `angle/element/group`
+/// order, where an element's groups are cut greedily into runs of the
+/// `widths` (widest first) and only the remainder goes group by group.
 fn for_each_task(
     order: LoopOrder,
     bucket: &[usize],
     num_groups: usize,
-    mut visit: impl FnMut((usize, usize)),
+    widths: &[usize],
+    mut visit: impl FnMut(usize, Range<usize>),
 ) {
     match order {
         LoopOrder::ElementThenGroup => {
             for &element in bucket {
-                (0..num_groups).for_each(|g| visit((element, g)));
+                let mut group = 0;
+                for &width in widths {
+                    while num_groups - group >= width {
+                        visit(element, group..group + width);
+                        group += width;
+                    }
+                }
+                (group..num_groups).for_each(|g| visit(element, g..g + 1));
             }
         }
         LoopOrder::GroupThenElement => {
             for g in 0..num_groups {
-                bucket.iter().for_each(|&element| visit((element, g)));
+                bucket.iter().for_each(|&element| visit(element, g..g + 1));
             }
         }
     }
@@ -475,7 +492,9 @@ impl IterationSpace {
         tasks: &mut Vec<(usize, usize)>,
     ) -> (usize, usize) {
         tasks.clear();
-        for_each_task(self.order, bucket, num_groups, |task| tasks.push(task));
+        for_each_task(self.order, bucket, num_groups, &[], |element, groups| {
+            tasks.push((element, groups.start))
+        });
         let len = |extent| match extent {
             Extent::Task => 1,
             Extent::InnerLoop => match self.order {
@@ -524,45 +543,57 @@ struct SweepView<'a> {
     /// Multiplier of the prescribed boundary inflow (0 when homogeneous).
     boundary_scale: f64,
     zeros: &'a [f64],
+    /// Lengths of the group runs an inline walker solves in lockstep,
+    /// widest first (see [`lockstep_widths`]).
+    lanes: &'static [usize],
+}
+
+/// The group-run lengths the sweeps of `assets` solve in lockstep: what the
+/// kernel offers for this element size, dense solver and precision, where
+/// an element's groups are consecutive in the loop nest and in storage —
+/// and nobody asked for a timing of each group's task.
+fn lockstep_widths(assets: &SharedAssets) -> &'static [usize] {
+    let problem = &assets.problem;
+    if problem.scheme.loop_order == LoopOrder::ElementThenGroup && !problem.time_solve {
+        let nodes = assets.element.nodes_per_element();
+        assets.engine.lane_widths(nodes, assets.solver.as_ref())
+    } else {
+        &[]
+    }
 }
 
 impl SweepView<'_> {
-    /// Where the node block of (`local`, `group`) sits in a slab.
-    fn block(&self, local: usize, group: usize) -> std::ops::Range<usize> {
-        let base = self.slab.base(local, group, 0);
-        base..base + self.slab.nodes_per_element
+    /// Where the node blocks of `groups` of `local` sit in a slab: one
+    /// contiguous run when the groups are more than one (the
+    /// `angle/element/group` layout).
+    fn blocks(&self, local: usize, groups: &Range<usize>) -> Range<usize> {
+        let base = self.slab.base(local, groups.start, 0);
+        base..base + groups.len() * self.slab.nodes_per_element
     }
 
     /// The one local task of a sweep: gather the upwind ψ of `element`
-    /// for `angle` and `group`, assemble the local system and solve it,
-    /// leaving ψ(element, group, angle) in `scratch.kernel.rhs`.
+    /// for `angle` and `groups`, assemble the local systems and solve
+    /// them.  One group leaves ψ(element, group, angle) in
+    /// `scratch.kernel.rhs`; a run of groups is solved in lockstep and
+    /// leaves its fluxes side by side (`KernelScratch::lane_solution`).
     ///
     /// Own-cell upwind ψ is read from `psi`, the slab of `angle` (written
     /// earlier in the same sweep — the masked schedule guarantees it),
     /// foreign cells from the halo, boundary faces from the scaled inflow.
-    /// Which of the three a face reads is resolved when `scratch` last
-    /// solved another (element, angle); a task then only looks up its
-    /// group's slices.
+    /// Which of the three a face reads — and, when they are not
+    /// precomputed, the element's integrals — is resolved when `scratch`
+    /// last solved another (element, angle); a task then only looks up
+    /// its groups' slices.
     fn solve(
         &self,
         angle: usize,
         psi: &[f64],
-        (element, group): (usize, usize),
+        element: usize,
+        groups: Range<usize>,
         scratch: &mut TaskScratch,
     ) -> KernelTiming {
         let a = self.assets;
         let schedule = &self.schedules[angle];
-        let computed;
-        let integrals: &ElementIntegrals = match a.integrals.as_deref() {
-            Some(list) => &list[element],
-            None => {
-                let hex = HexVertices {
-                    corners: *a.mesh.cell_corners(element),
-                };
-                computed = ElementIntegrals::compute(&a.element, &hex);
-                &computed
-            }
-        };
         if scratch.key != Some((element, angle)) {
             scratch.inflow.clear();
             for face in schedule.inflow_faces(element) {
@@ -577,8 +608,19 @@ impl SweepView<'_> {
                 };
                 scratch.inflow.push((face, source));
             }
+            if a.integrals.is_none() {
+                let hex = HexVertices {
+                    corners: *a.mesh.cell_corners(element),
+                };
+                scratch.integrals = Some(ElementIntegrals::compute(&a.element, &hex));
+            }
             scratch.key = Some((element, angle));
         }
+        let integrals = match a.integrals.as_deref() {
+            Some(list) => &list[element],
+            None => scratch.integrals.as_ref().expect("computed with the key"),
+        };
+        let run_len = groups.len() * self.slab.nodes_per_element;
         let mut upwind = [UpwindFace {
             face: 0,
             source: UpwindSource::Boundary(0.0),
@@ -587,47 +629,76 @@ impl SweepView<'_> {
             let source = match source {
                 InflowSource::Boundary(flux) => UpwindSource::Boundary(self.boundary_scale * flux),
                 InflowSource::Own { local, face } => UpwindSource::Interior {
-                    neighbor_psi: &psi[self.block(local, group)],
+                    neighbor_psi: &psi[self.blocks(local, &groups)],
                     neighbor_face_nodes: &a.face_nodes[face],
                 },
                 InflowSource::Foreign { cell, face } => UpwindSource::Interior {
                     neighbor_psi: match self.halo {
-                        Some(halo) => halo.nodes(cell, group, angle),
-                        None => self.zeros,
+                        Some(halo) => {
+                            let base = halo.layout().base(cell, groups.start, angle);
+                            &halo.as_slice()[base..][..run_len]
+                        }
+                        None => &self.zeros[..run_len],
                     },
                     neighbor_face_nodes: &a.face_nodes[face],
                 },
             };
             *slot = UpwindFace { face, source };
         }
-        a.engine.assemble_solve(
-            element,
-            integrals,
-            schedule.omega,
-            a.data.xs.total(a.data.material(element), group),
-            self.source.nodes(self.local_of_cell[element], group, 0),
-            &upwind[..scratch.inflow.len()],
-            a.solver.as_ref(),
-            a.problem.time_solve,
-            &mut scratch.kernel,
-        )
+        let upwind = &upwind[..scratch.inflow.len()];
+        let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
+        let source = &self.source.as_slice()[self.blocks(self.local_of_cell[element], &groups)];
+        if let [sigma_t] = *sigma_t {
+            a.engine.assemble_solve(
+                element,
+                integrals,
+                schedule.omega,
+                sigma_t,
+                source,
+                upwind,
+                a.solver.as_ref(),
+                a.problem.time_solve,
+                &mut scratch.kernel,
+            )
+        } else {
+            a.engine.assemble_solve_lanes(
+                element,
+                integrals,
+                schedule.omega,
+                sigma_t,
+                source,
+                upwind,
+                a.solver.as_ref(),
+                &mut scratch.kernel,
+            );
+            KernelTiming::default()
+        }
     }
 
-    /// Store the solved node block of `task` in its angle's slab and,
-    /// when the caller sweeps the angles one after another, add its share
-    /// to the scalar flux.
+    /// Store the solved node blocks of `groups` of `element` in their
+    /// angle's slab and, when the caller sweeps the angles one after
+    /// another, add their share to the scalar flux.  `solved` holds node
+    /// `i` of the run's group `l` at `i · groups.len() + l` — for one
+    /// group, its node block.
     fn store(
         &self,
         psi: &mut [f64],
         phi: Option<&mut [f64]>,
         weight: f64,
-        (element, group): (usize, usize),
+        element: usize,
+        groups: Range<usize>,
         solved: &[f64],
     ) {
-        let block = self.block(self.local_of_cell[element], group);
-        psi[block.clone()].copy_from_slice(solved);
+        let lanes = groups.len();
+        let run = self.blocks(self.local_of_cell[element], &groups);
+        let blocks = psi[run.clone()].chunks_exact_mut(self.slab.nodes_per_element);
+        for (l, block) in blocks.enumerate() {
+            for (i, p) in block.iter_mut().enumerate() {
+                *p = solved[i * lanes + l];
+            }
+        }
         if let Some(phi) = phi {
-            for (p, &v) in phi[block].iter_mut().zip(solved) {
+            for (p, &v) in phi[run.clone()].iter_mut().zip(&psi[run]) {
                 *p += weight * v;
             }
         }
@@ -656,9 +727,11 @@ impl SweepView<'_> {
                         scratch, timing, ..
                     } = &mut **run;
                     let scratch = scratch.as_mut().expect("held until the run drops");
-                    for_each_task(problem.scheme.loop_order, bucket, ng, |task| {
-                        timing.accumulate(self.solve(angle, psi, task, scratch));
-                        self.store(psi, phi.as_deref_mut(), weight, task, &scratch.kernel.rhs);
+                    let order = problem.scheme.loop_order;
+                    for_each_task(order, bucket, ng, self.lanes, |element, groups| {
+                        timing.accumulate(self.solve(angle, psi, element, groups.clone(), scratch));
+                        let solved = scratch.kernel.lane_solution(groups.len());
+                        self.store(psi, phi.as_deref_mut(), weight, element, groups, solved);
                     });
                 }
                 // A bucket's tasks are mutually independent, so each
@@ -677,9 +750,14 @@ impl SweepView<'_> {
                     let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
                     let run = |run: &mut TaskRun, (grain, out): (&[(usize, usize)], &mut [f64])| {
                         let scratch = run.scratch.as_mut().expect("held until the run drops");
-                        for (&task, slot) in grain.iter().zip(out.chunks_mut(nodes)) {
-                            run.timing
-                                .accumulate(self.solve(angle, psi_read, task, scratch));
+                        for (&(element, g), slot) in grain.iter().zip(out.chunks_mut(nodes)) {
+                            run.timing.accumulate(self.solve(
+                                angle,
+                                psi_read,
+                                element,
+                                g..g + 1,
+                                scratch,
+                            ));
                             slot.copy_from_slice(&scratch.kernel.rhs);
                         }
                     };
@@ -708,8 +786,8 @@ impl SweepView<'_> {
                             grains.for_each(|grain| run(&mut inline, grain));
                         }
                     }
-                    for (&task, solved) in tasks.iter().zip(results.chunks(nodes)) {
-                        self.store(psi, phi.as_deref_mut(), weight, task, solved);
+                    for (&(element, g), solved) in tasks.iter().zip(results.chunks(nodes)) {
+                        self.store(psi, phi.as_deref_mut(), weight, element, g..g + 1, solved);
                     }
                 }
             }
@@ -897,6 +975,7 @@ impl DomainContext<'_> {
             halo: self.halo.filter(|_| !*homogeneous),
             boundary_scale: if *homogeneous { 0.0 } else { 1.0 },
             zeros,
+            lanes: lockstep_widths(self.assets),
         };
         view.sweep(psi, phi, buffers)
     }

@@ -31,12 +31,17 @@
 //! depends only on the element and the direction (`Ω·G`, the outflow face
 //! entries, the directed matrices of the inflow faces) is kept in a
 //! per-worker tile of the [`KernelScratch`], so a call whose element and
-//! direction match the previous one does only the group's work.
+//! direction match the previous one does only the group's work.  And where
+//! the element has eight nodes that work is done for a run of groups at
+//! once, one group per SIMD lane ([`KernelEngine::assemble_solve_lanes`]):
+//! each lane runs [`assemble_blocked`]'s and the elimination's operations
+//! in their order, so a lane's flux has the per-group task's bits.
 
 use std::time::Instant;
 
+use unsnap_fem::face::FACES;
 use unsnap_fem::integrals::ElementIntegrals;
-use unsnap_linalg::{DenseMatrix, LinearSolver};
+use unsnap_linalg::{DenseMatrix, LinalgError, LinearSolver};
 
 use crate::layout::Precision;
 
@@ -129,6 +134,12 @@ pub struct KernelScratch {
     matrix32: Vec<f32>,
     /// Single-precision mirror of `rhs`, likewise.
     rhs32: Vec<f32>,
+    /// The systems of a run of groups side by side — matrix entries, then
+    /// right-hand sides (solutions once solved), each entry one value per
+    /// lane —, sized by the first lane task.
+    lanes: Vec<f64>,
+    /// Node-major copies of what an assembly reads group-major.
+    gather: Vec<f64>,
 }
 
 impl KernelScratch {
@@ -140,7 +151,30 @@ impl KernelScratch {
             tile: GeometryTile::default(),
             matrix32: Vec::new(),
             rhs32: Vec::new(),
+            lanes: Vec::new(),
+            gather: Vec::new(),
         }
+    }
+
+    /// The fluxes the last task left for its run of `lanes` groups, node
+    /// `i` of the run's group `l` at `i * lanes + l`: `rhs` for the one
+    /// group of [`KernelEngine::assemble_solve`], the solved lanes of
+    /// [`KernelEngine::assemble_solve_lanes`] for more.
+    pub fn lane_solution(&self, lanes: usize) -> &[f64] {
+        let n = self.rhs.len();
+        match lanes {
+            1 => &self.rhs,
+            _ => &self.lanes[n * n * lanes..][..n * lanes],
+        }
+    }
+
+    /// The lane matrix and right-hand sides of `lanes` systems.
+    fn lane_systems(buffer: &mut Vec<f64>, n: usize, lanes: usize) -> (&mut [f64], &mut [f64]) {
+        let len = (n * n + n) * lanes;
+        if buffer.len() < len {
+            buffer.resize(len, 0.0);
+        }
+        buffer[..len].split_at_mut(n * n * lanes)
     }
 }
 
@@ -168,6 +202,16 @@ struct GeometryTile {
 }
 
 impl GeometryTile {
+    /// Make this the tile of `cache_key` and `omega`, rebuilding it when
+    /// it is another one.
+    fn ensure(&mut self, cache_key: usize, integrals: &ElementIntegrals, omega: [f64; 3]) {
+        let n = integrals.nodes_per_element();
+        let key = (cache_key, omega.map(f64::to_bits));
+        if self.key != Some(key) || self.streaming.len() != n * n {
+            self.load(key, integrals, omega);
+        }
+    }
+
     /// Rebuild the group-independent volume and outflow terms for `key`.
     fn load(&mut self, key: (usize, [u64; 3]), integrals: &ElementIntegrals, omega: [f64; 3]) {
         let n = integrals.nodes_per_element();
@@ -387,35 +431,84 @@ pub fn assemble_blocked(
     cache_key: usize,
     scratch: &mut KernelScratch,
 ) {
-    let n = integrals.nodes_per_element();
-    debug_assert_eq!(source_nodes.len(), n);
-    debug_assert_eq!(scratch.matrix.rows(), n);
-    let KernelScratch {
-        matrix, rhs, tile, ..
-    } = scratch;
+    debug_assert_eq!(scratch.matrix.rows(), integrals.nodes_per_element());
+    assemble_lanes::<1>(
+        cache_key,
+        integrals,
+        omega,
+        &[sigma_t],
+        source_nodes,
+        upwind,
+        &mut scratch.tile,
+        scratch.matrix.as_mut_slice(),
+        &mut scratch.rhs,
+        &mut scratch.gather,
+    );
+}
 
-    let key = (cache_key, omega.map(f64::to_bits));
-    if tile.key != Some(key) || tile.streaming.len() != n * n {
-        tile.load(key, integrals, omega);
+/// The tiled assembly for `L` groups of one element and direction side by
+/// side: entry `(i, j)` of the system of lane `l` lands in
+/// `matrix[(i * n + j) * L + l]`, its right-hand side in `rhs[i * L + l]`
+/// ([`assemble_blocked`] is the one-lane case).
+///
+/// `source_nodes` is the `L·n` run of the groups' sources and the
+/// `neighbor_psi` of an interior face the `L·n` run of the neighbour's
+/// fluxes, group after group as the `angle/element/group` layout stores
+/// them; `gather` is working storage.  Every lane is filled from the one
+/// tile with the reference expressions in the reference order — its `σ_t`
+/// is the only thing a lane's matrix does not share —, so lane `l` holds,
+/// bit for bit, the system [`assemble`] assembles for that group.
+#[allow(clippy::too_many_arguments)]
+fn assemble_lanes<const L: usize>(
+    cache_key: usize,
+    integrals: &ElementIntegrals,
+    omega: [f64; 3],
+    sigma_t: &[f64],
+    source_nodes: &[f64],
+    upwind: &[UpwindFace<'_>],
+    tile: &mut GeometryTile,
+    matrix: &mut [f64],
+    rhs: &mut [f64],
+    gather: &mut Vec<f64>,
+) {
+    let n = integrals.nodes_per_element();
+    debug_assert_eq!(source_nodes.len(), L * n);
+    tile.ensure(cache_key, integrals, omega);
+    let sigma_t: &[f64; L] = sigma_t.try_into().expect("one cross section per lane");
+    let (matrix, _) = matrix.as_chunks_mut::<L>();
+    let (rhs, _) = rhs.as_chunks_mut::<L>();
+    if gather.len() < n * L {
+        gather.resize(n * L, 0.0);
     }
+    let (gather, _) = gather[..n * L].as_chunks_mut::<L>();
 
     // σ_t·M minus the streaming tile and b = M q, in the reference
-    // operation order (one multiply, one subtract per entry).
-    let matrix = matrix.as_mut_slice();
+    // operation order (one multiply, one subtract per entry) — from
+    // node-major copies of the sources, so that every loop runs across
+    // the lanes with unit stride.
+    for (j, q_j) in gather.iter_mut().enumerate() {
+        for (l, q) in q_j.iter_mut().enumerate() {
+            *q = source_nodes[l * n + j];
+        }
+    }
     let rows = matrix
         .chunks_exact_mut(n)
         .zip(tile.streaming.chunks_exact(n));
     for ((i, b_i), (out_row, row_s)) in rhs.iter_mut().enumerate().zip(rows) {
-        let mut acc = 0.0;
-        let entries = integrals.mass.row(i).iter().zip(row_s).zip(source_nodes);
-        for (out, ((&m_ij, &s_ij), &q_j)) in out_row.iter_mut().zip(entries) {
-            *out = sigma_t * m_ij - s_ij;
-            acc += m_ij * q_j;
+        let mut acc = [0.0; L];
+        let entries = integrals.mass.row(i).iter().zip(row_s).zip(&*gather);
+        for (out, ((&m_ij, &s_ij), q_j)) in out_row.iter_mut().zip(entries) {
+            for l in 0..L {
+                out[l] = sigma_t[l] * m_ij - s_ij;
+                acc[l] += m_ij * q_j[l];
+            }
         }
         *b_i = acc;
     }
     for &(entry, f_ab) in &tile.outflow {
-        matrix[entry] += f_ab;
+        for out in &mut matrix[entry] {
+            *out += f_ab;
+        }
     }
 
     // Inflow faces: the upwind flux is the group's, the face matrix the
@@ -429,12 +522,16 @@ pub fn assemble_blocked(
         let rows = tile.directed(integrals, omega, uw.face).chunks_exact(nf);
         match uw.source {
             UpwindSource::Boundary(value) => {
+                // The prescribed inflow is the same for every group.
                 for (&ia, row) in face_nodes.iter().zip(rows) {
                     let mut acc = 0.0;
                     for &f_ab in row {
                         acc += f_ab;
                     }
-                    rhs[ia] -= acc * value;
+                    let inflow = acc * value;
+                    for b in &mut rhs[ia] {
+                        *b -= inflow;
+                    }
                 }
             }
             UpwindSource::Interior {
@@ -442,17 +539,40 @@ pub fn assemble_blocked(
                 neighbor_face_nodes,
             } => {
                 debug_assert_eq!(neighbor_face_nodes.len(), nf);
-                for (&ia, row) in face_nodes.iter().zip(rows) {
-                    let mut acc = 0.0;
-                    for (&f_ab, &node) in row.iter().zip(neighbor_face_nodes) {
-                        acc += f_ab * neighbor_psi[node];
+                for (up, &node) in gather.iter_mut().zip(neighbor_face_nodes) {
+                    for (l, psi) in up.iter_mut().enumerate() {
+                        *psi = neighbor_psi[l * n + node];
                     }
-                    rhs[ia] -= acc;
+                }
+                for (&ia, row) in face_nodes.iter().zip(rows) {
+                    let mut acc = [0.0; L];
+                    for (&f_ab, up) in row.iter().zip(&*gather) {
+                        for l in 0..L {
+                            acc[l] += f_ab * up[l];
+                        }
+                    }
+                    for l in 0..L {
+                        rhs[ia][l] -= acc[l];
+                    }
                 }
             }
         }
     }
 }
+
+/// [`assemble_lanes`] at one lane count.
+type AssembleLanes = fn(
+    usize,
+    &ElementIntegrals,
+    [f64; 3],
+    &[f64],
+    &[f64],
+    &[UpwindFace<'_>],
+    &mut GeometryTile,
+    &mut [f64],
+    &mut [f64],
+    &mut Vec<f64>,
+);
 
 /// Assemble with the reference [`assemble`] and solve one local system,
 /// returning the timing breakdown: the seed task, kept as the oracle for
@@ -643,13 +763,111 @@ impl KernelEngine {
             _ => KernelTiming::default(),
         }
     }
+
+    /// The group-run lengths [`KernelEngine::assemble_solve_lanes`] solves
+    /// in lockstep for elements of `n` nodes, widest first: `solver`'s, in
+    /// full precision; none — every group is then its own task — in mixed
+    /// precision, whose `f32` elimination is not the solver's.
+    pub fn lane_widths(&self, n: usize, solver: &dyn LinearSolver) -> &'static [usize] {
+        match self.precision {
+            Precision::F64 => solver.lane_widths(n),
+            Precision::Mixed => &[],
+        }
+    }
+
+    /// Assemble and solve the local systems of `sigma_t.len()` consecutive
+    /// groups of one element and direction, leaving their fluxes in
+    /// [`KernelScratch::lane_solution`] — each bit for bit what
+    /// [`KernelEngine::assemble_solve`] leaves in `scratch.rhs` for that
+    /// group.
+    ///
+    /// `sigma_t` has one total cross section per group, `source_nodes` is
+    /// the groups' `n`-node sources one after another, and so is the
+    /// `neighbor_psi` of every interior face — the runs the
+    /// `angle/element/group` layout stores.  A run whose length is one of
+    /// [`KernelEngine::lane_widths`] is assembled side by side from the
+    /// one tile and eliminated in lockstep.  The groups of any other run,
+    /// and of one whose systems pivot on different rows
+    /// ([`LinalgError::Diverged`]: the tile and the inputs are untouched,
+    /// so nothing needs restoring), go through
+    /// [`KernelEngine::assemble_solve`] one by one.  No clock is read.
+    #[allow(clippy::too_many_arguments)]
+    pub fn assemble_solve_lanes(
+        &self,
+        cache_key: usize,
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+        sigma_t: &[f64],
+        source_nodes: &[f64],
+        upwind: &[UpwindFace<'_>],
+        solver: &dyn LinearSolver,
+        scratch: &mut KernelScratch,
+    ) {
+        let n = integrals.nodes_per_element();
+        let lanes = sigma_t.len();
+        debug_assert_eq!(source_nodes.len(), lanes * n);
+        let assemble: Option<AssembleLanes> = match lanes {
+            _ if !self.lane_widths(n, solver).contains(&lanes) => None,
+            16 => Some(assemble_lanes::<16>),
+            4 => Some(assemble_lanes::<4>),
+            _ => None,
+        };
+        let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
+        if let Some(assemble) = assemble {
+            assemble(
+                cache_key,
+                integrals,
+                omega,
+                sigma_t,
+                source_nodes,
+                upwind,
+                &mut scratch.tile,
+                matrix,
+                rhs,
+                &mut scratch.gather,
+            );
+            match solver.solve_lanes_in_place(n, lanes, matrix, rhs) {
+                Ok(()) => return,
+                Err(LinalgError::Diverged { .. }) => {}
+                Err(error) => panic!("local DG system should be non-singular: {error}"),
+            }
+        }
+        let mut faces = [UpwindFace {
+            face: 0,
+            source: UpwindSource::Boundary(0.0),
+        }; FACES.len()];
+        for (l, &sigma_t) in sigma_t.iter().enumerate() {
+            let group = l * n..(l + 1) * n;
+            for (face, uw) in faces.iter_mut().zip(upwind) {
+                *face = *uw;
+                if let UpwindSource::Interior { neighbor_psi, .. } = &mut face.source {
+                    *neighbor_psi = &neighbor_psi[group.clone()];
+                }
+            }
+            self.assemble_solve(
+                cache_key,
+                integrals,
+                omega,
+                sigma_t,
+                &source_nodes[group],
+                &faces[..upwind.len()],
+                solver,
+                false,
+                scratch,
+            );
+            let (_, solution) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
+            for (i, &psi) in scratch.rhs.iter().enumerate() {
+                solution[i * lanes + l] = psi;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use unsnap_fem::element::ReferenceElement;
-    use unsnap_fem::face::{face_node_indices, Face, FACES};
+    use unsnap_fem::face::{face_node_indices, Face};
     use unsnap_fem::geometry::HexVertices;
     use unsnap_linalg::{GaussSolver, SolverKind};
 
@@ -995,6 +1213,156 @@ mod tests {
                     integrals, omega, sigma_t, &source, &upwind, cell, &mut tiled,
                 );
                 assert_same_system(&reference, &tiled, &format!("order {order}, step {step}"));
+            }
+        }
+    }
+
+    #[test]
+    fn lane_task_stores_the_per_group_bits_under_key_churn() {
+        let element = ReferenceElement::new(1);
+        let mut sheared = HexVertices::axis_aligned([0.0; 3], [1.0, 0.7, 1.3]);
+        sheared.corners[6][0] += 0.05;
+        sheared.corners[2][1] -= 0.04;
+        // Real order-1 matrices never swap rows.  A mass matrix whose
+        // entry (1, 0) is three times the diagonal makes row 1 the pivot
+        // of column 0 once σ_t is large, so a run that mixes small and
+        // large cross sections cannot share a row permutation.
+        let mut swapping = ElementIntegrals::compute(&element, &sheared);
+        swapping.mass[(1, 0)] = 3.0 * swapping.mass[(0, 0)];
+        let elements = [
+            ElementIntegrals::compute(&element, &HexVertices::unit_cube()),
+            swapping,
+        ];
+        let n = 8;
+        let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
+        let varying: Vec<f64> = (0..16 * n).map(|i| 0.3 + 0.07 * (i % 29) as f64).collect();
+        let zeros = vec![0.0; 16 * n];
+        let source: Vec<f64> = (0..16 * n)
+            .map(|i| 0.25 + 0.013 * (i % 37) as f64)
+            .collect();
+        let omegas = [[0.48, 0.62, 0.6208], [-0.51, 0.62, -0.59]];
+        let alike: Vec<f64> = (0..16).map(|g| 40.0 + 0.4 * g as f64).collect();
+        let apart: Vec<f64> = (0..16)
+            .map(|g| [0.01, 60.0][g % 2] * (1.0 + 0.01 * g as f64))
+            .collect();
+        let solver = GaussSolver::new();
+
+        // The synthetic element does what it was made for: its lanes part
+        // at column 0 when the cross sections do, and only then.
+        for (sigma_t, diverged) in [(&alike, false), (&apart, true)] {
+            let mut scratch = KernelScratch::new(n);
+            let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, 4);
+            assemble_lanes::<4>(
+                1,
+                &elements[1],
+                omegas[0],
+                &sigma_t[..4],
+                &source[..4 * n],
+                &[],
+                &mut scratch.tile,
+                matrix,
+                rhs,
+                &mut scratch.gather,
+            );
+            let solved = solver.solve_lanes_in_place(n, 4, matrix, rhs);
+            let expected = if diverged {
+                Err(LinalgError::Diverged { column: 0 })
+            } else {
+                Ok(())
+            };
+            assert_eq!(solved, expected);
+        }
+
+        // (element, Ω, cross sections, inflow), as in the tiled-assembly
+        // test: each step changes one thing, and the scratches live on.
+        let steps = [
+            (0, 0, &alike, Inflow::Interior),
+            (1, 0, &alike, Inflow::Interior),
+            (1, 0, &apart, Inflow::Interior),
+            (1, 1, &apart, Inflow::Boundary(0.7)),
+            (1, 1, &alike, Inflow::Boundary(0.0)),
+            (1, 1, &apart, Inflow::ZeroHalo),
+            (0, 1, &apart, Inflow::Interior),
+            (0, 0, &alike, Inflow::Boundary(0.7)),
+        ];
+        for precision in Precision::all() {
+            let engine = KernelEngine::new(KernelKind::Reference, precision);
+            let mut grouped = KernelScratch::new(n);
+            let mut lanes_scratch = KernelScratch::new(n);
+            for (step, &(cell, direction, sigma_t, inflow)) in steps.iter().enumerate() {
+                let integrals = &elements[cell];
+                let omega = omegas[direction];
+                // 16 and 4 run in lockstep (at full precision), 5 and 1 do not.
+                for (first, lanes) in [(0, 16), (3, 4), (9, 5), (15, 1)] {
+                    let run = first * n..(first + lanes) * n;
+                    let upwind: Vec<UpwindFace<'_>> = FACES
+                        .iter()
+                        .filter(|f| integrals.face(**f).direction_dot_normal(omega) < 0.0)
+                        .map(|f| UpwindFace {
+                            face: f.index(),
+                            source: match inflow {
+                                Inflow::Boundary(value) => UpwindSource::Boundary(value),
+                                Inflow::Interior => UpwindSource::Interior {
+                                    neighbor_psi: &varying[run.clone()],
+                                    neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                                },
+                                Inflow::ZeroHalo => UpwindSource::Interior {
+                                    neighbor_psi: &zeros[run.clone()],
+                                    neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                                },
+                            },
+                        })
+                        .collect();
+                    engine.assemble_solve_lanes(
+                        cell,
+                        integrals,
+                        omega,
+                        &sigma_t[first..first + lanes],
+                        &source[run.clone()],
+                        &upwind,
+                        &solver,
+                        &mut lanes_scratch,
+                    );
+                    for l in 0..lanes {
+                        let group = run.start + l * n..run.start + (l + 1) * n;
+                        let upwind: Vec<UpwindFace<'_>> = upwind
+                            .iter()
+                            .map(|uw| UpwindFace {
+                                face: uw.face,
+                                source: match uw.source {
+                                    UpwindSource::Interior {
+                                        neighbor_psi,
+                                        neighbor_face_nodes,
+                                    } => UpwindSource::Interior {
+                                        neighbor_psi: &neighbor_psi[l * n..(l + 1) * n],
+                                        neighbor_face_nodes,
+                                    },
+                                    boundary => boundary,
+                                },
+                            })
+                            .collect();
+                        engine.assemble_solve(
+                            cell,
+                            integrals,
+                            omega,
+                            sigma_t[first + l],
+                            &source[group],
+                            &upwind,
+                            &solver,
+                            false,
+                            &mut grouped,
+                        );
+                        let solved = lanes_scratch.lane_solution(lanes);
+                        for (i, psi) in grouped.rhs.iter().enumerate() {
+                            assert!(psi.is_finite());
+                            assert_eq!(
+                                psi.to_bits(),
+                                solved[i * lanes + l].to_bits(),
+                                "{precision}, step {step}, {lanes} lanes: group {l}, node {i}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -74,6 +74,15 @@ fn a_warm_sweep_allocates_nothing_per_task() {
             0,
             "a warm single-thread sweep must not allocate"
         );
+        // 21 groups of an order-1 element are a run of 16, a run of 4 and
+        // one group on its own: the lane buffers are part of the worker's
+        // kernel scratch, sized by the first sweep like the rest of it.
+        let lockstep = default_scheme.clone().with_threads(1);
+        assert_eq!(
+            warm_sweep_allocations(&lockstep.with_phase_space(2, 21), 1),
+            0,
+            "a warm sweep that solves groups in lockstep must not allocate"
+        );
     }
     let width = forced_width.unwrap_or(2) as u64;
 

@@ -29,12 +29,11 @@ pub enum LinalgError {
         /// Magnitude of the best available pivot.
         pivot: f64,
     },
-    /// An index used to address a batch entry was out of range.
-    BatchIndexOutOfRange {
-        /// The offending index.
-        index: usize,
-        /// Number of systems in the batch.
-        len: usize,
+    /// Systems eliminated in lockstep chose different pivot rows: they
+    /// cannot share one row permutation from `column` on.
+    Diverged {
+        /// Column whose pivot search disagreed across lanes (0-based).
+        column: usize,
     },
 }
 
@@ -56,8 +55,11 @@ impl fmt::Display for LinalgError {
                 f,
                 "matrix is numerically singular at column {column} (|pivot| = {pivot:.3e})"
             ),
-            LinalgError::BatchIndexOutOfRange { index, len } => {
-                write!(f, "batch index {index} out of range for batch of {len}")
+            LinalgError::Diverged { column } => {
+                write!(
+                    f,
+                    "lockstep lanes chose different pivot rows at column {column}"
+                )
             }
         }
     }
@@ -96,10 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn display_batch_range() {
-        let e = LinalgError::BatchIndexOutOfRange { index: 7, len: 3 };
-        assert!(e.to_string().contains("7"));
-        assert!(e.to_string().contains("3"));
+    fn display_diverged() {
+        let e = LinalgError::Diverged { column: 5 };
+        assert!(e.to_string().contains("column 5"));
     }
 
     #[test]

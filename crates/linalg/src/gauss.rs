@@ -15,7 +15,7 @@
 
 use crate::error::LinalgError;
 use crate::matrix::DenseMatrix;
-use crate::solver::LinearSolver;
+use crate::solver::{no_lockstep_routine, LinearSolver};
 use crate::Result;
 
 /// Pivot breakdown tolerance: a pivot smaller than this (in absolute value)
@@ -203,9 +203,163 @@ fn eliminate_fixed<const N: usize>(no_pivoting: bool, a: &mut [f64], b: &mut [f6
     Ok(())
 }
 
+/// [`eliminate_fixed`] on `L` systems at once, one per SIMD lane: entry
+/// `(i, j)` of system `l` is `a[(i * N + j) * L + l]`, its right-hand side
+/// `b[i * L + l]`.
+///
+/// This is the batch §IV-B of the paper describes — "the elements of a
+/// bucket × energy groups form a natural batch" — and could not use under
+/// flat MPI, where a rank builds and solves one matrix at a time.  An
+/// 8 × 8 system alone is too small for a vectorised row update to pay
+/// (trip counts 7…1, a pivot search, a remainder loop); the `L` groups of
+/// one element and angle are assembled side by side, differ only by
+/// `σ_t,g·M`, and here every loop of the elimination runs across them, so
+/// its trip count is `L` whatever the column.
+///
+/// Each lane executes the scalar routine's floating-point operations in
+/// the scalar routine's order, so its solution has the scalar routine's
+/// bits.  Two things keep that true where the lanes could part:
+///
+/// * a row in which some lane's factor is zero takes a per-lane masked
+///   update — the scalar routine skips that lane's row, and `x − 0·y` is
+///   not always `x` (it turns `−0` into `+0` when `0·y` is `−0`, and any
+///   `x` into NaN when `y` is not finite);
+/// * the lanes share one row permutation, so when their pivot searches
+///   name different rows the routine returns [`LinalgError::Diverged`]
+///   before the swap, leaving `a` and `b` partly eliminated: the caller
+///   re-assembles those systems and solves them one by one.
+///
+/// A pivot below the tolerance in any lane is that column's
+/// [`LinalgError::Singular`], as it is for that system alone.
+fn eliminate_lanes<const N: usize, const L: usize>(
+    no_pivoting: bool,
+    a: &mut [f64],
+    b: &mut [f64],
+) -> Result<()> {
+    let (entries, _) = a.as_chunks_mut::<L>();
+    let (rows, _) = entries.as_chunks_mut::<N>();
+    let rows: &mut [[[f64; L]; N]; N] = rows.try_into().expect("N × N entries of L lanes");
+    let (b, _) = b.as_chunks_mut::<L>();
+    let b: &mut [[f64; L]; N] = b.try_into().expect("N right-hand sides of L lanes");
+
+    for k in 0..N {
+        if !no_pivoting {
+            let mut piv_row = [k; L];
+            let mut piv_val = rows[k][k].map(f64::abs);
+            for (i, row_i) in rows.iter().enumerate().skip(k + 1) {
+                for l in 0..L {
+                    let v = row_i[k][l].abs();
+                    if v > piv_val[l] {
+                        piv_val[l] = v;
+                        piv_row[l] = i;
+                    }
+                }
+            }
+            let row = piv_row[0];
+            if piv_row.iter().any(|&other| other != row) {
+                return Err(LinalgError::Diverged { column: k });
+            }
+            if row != k {
+                rows.swap(k, row);
+                b.swap(k, row);
+            }
+        }
+
+        let pivot = rows[k][k];
+        if let Some(p) = pivot.iter().find(|p| p.abs() < SINGULARITY_TOLERANCE) {
+            return Err(LinalgError::Singular {
+                column: k,
+                pivot: p.abs(),
+            });
+        }
+        let inv_pivot = pivot.map(|p| 1.0 / p);
+
+        let (head, below) = rows.split_at_mut(k + 1);
+        let row_k = &head[k];
+        let b_k = b[k];
+        for (row_i, b_i) in below.iter_mut().zip(&mut b[(k + 1)..]) {
+            let mut factor = [0.0; L];
+            let mut every_lane_updates = true;
+            for l in 0..L {
+                factor[l] = row_i[k][l] * inv_pivot[l];
+                every_lane_updates &= factor[l] != 0.0;
+            }
+            if every_lane_updates {
+                for j in (k + 1)..N {
+                    for l in 0..L {
+                        row_i[j][l] -= factor[l] * row_k[j][l];
+                    }
+                }
+                for l in 0..L {
+                    b_i[l] -= factor[l] * b_k[l];
+                }
+            } else {
+                for l in (0..L).filter(|&l| factor[l] != 0.0) {
+                    for j in (k + 1)..N {
+                        row_i[j][l] -= factor[l] * row_k[j][l];
+                    }
+                    b_i[l] -= factor[l] * b_k[l];
+                }
+            }
+        }
+    }
+
+    for i in (0..N).rev() {
+        let mut acc = b[i];
+        for j in (i + 1)..N {
+            for l in 0..L {
+                acc[l] -= rows[i][j][l] * b[j][l];
+            }
+        }
+        for l in 0..L {
+            b[i][l] = acc[l] / rows[i][i][l];
+        }
+    }
+
+    Ok(())
+}
+
 impl LinearSolver for GaussSolver {
     fn solve_in_place(&self, a: &mut DenseMatrix, b: &mut [f64]) -> Result<()> {
         self.eliminate(a, b)
+    }
+
+    /// Order-1 elements (8 nodes) only: at n = 27 and 64 lockstep gains
+    /// under 1.3× per system, and one run of four groups in forty pivots
+    /// differently across its groups on real matrices (none does at
+    /// n = 8).  16 and 4 are the group counts the measured workloads run;
+    /// nothing measured runs 8, so there is no third instantiation.
+    fn lane_widths(&self, n: usize) -> &'static [usize] {
+        match n {
+            8 => &[16, 4],
+            _ => &[],
+        }
+    }
+
+    fn solve_lanes_in_place(
+        &self,
+        n: usize,
+        lanes: usize,
+        a: &mut [f64],
+        b: &mut [f64],
+    ) -> Result<()> {
+        for (len, expected, what) in [
+            (a.len(), n * n * lanes, "lane matrix"),
+            (b.len(), n * lanes, "lane right-hand side"),
+        ] {
+            if len != expected {
+                return Err(LinalgError::DimensionMismatch {
+                    expected,
+                    found: len,
+                    what,
+                });
+            }
+        }
+        match (n, lanes) {
+            (8, 16) => eliminate_lanes::<8, 16>(self.no_pivoting, a, b),
+            (8, 4) => eliminate_lanes::<8, 4>(self.no_pivoting, a, b),
+            _ => Err(no_lockstep_routine(lanes)),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -272,7 +426,7 @@ mod tests {
         let a = DenseMatrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
         let b = vec![2.0, 3.0];
         let err = GaussSolver::without_pivoting().solve(&a, &b).unwrap_err();
-        matches!(err, LinalgError::Singular { .. });
+        assert!(matches!(err, LinalgError::Singular { column: 0, .. }));
     }
 
     #[test]
@@ -422,6 +576,245 @@ mod tests {
             check::<27>(&entries, &rhs, column);
             check::<64>(&entries, &rhs, column);
         }
+    }
+
+    /// `L` systems of 8 unknowns in lane layout.
+    fn interleave<const L: usize>(systems: &[(Vec<f64>, Vec<f64>)]) -> (Vec<f64>, Vec<f64>) {
+        assert_eq!(systems.len(), L);
+        let mut a = vec![0.0; 64 * L];
+        let mut b = vec![0.0; 8 * L];
+        for (l, (matrix, rhs)) in systems.iter().enumerate() {
+            (0..64).for_each(|entry| a[entry * L + l] = matrix[entry]);
+            (0..8).for_each(|i| b[i * L + l] = rhs[i]);
+        }
+        (a, b)
+    }
+
+    /// Eliminate `systems` in lockstep and one by one: every lane's
+    /// solution must have the scalar routine's bits, and a singular lane
+    /// must stop the batch at the scalar routine's column and pivot.
+    fn lanes_match_fixed<const L: usize>(systems: &[(Vec<f64>, Vec<f64>)], no_pivoting: bool) {
+        let (mut a, mut b) = interleave::<L>(systems);
+        let lanes = eliminate_lanes::<8, L>(no_pivoting, &mut a, &mut b);
+        let alone: Vec<_> = systems
+            .iter()
+            .map(|(matrix, rhs)| {
+                let (mut matrix, mut rhs) = (matrix.clone(), rhs.clone());
+                eliminate_fixed::<8>(no_pivoting, &mut matrix, &mut rhs).map(|()| rhs)
+            })
+            .collect();
+        match lanes {
+            Ok(()) => {
+                for (l, alone) in alone.iter().enumerate() {
+                    let alone = alone.as_ref().expect("a lane the batch solved");
+                    for (i, x) in alone.iter().enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            b[i * L + l].to_bits(),
+                            "L = {L}: lane {l}, x[{i}]"
+                        );
+                    }
+                }
+            }
+            Err(LinalgError::Singular { column, pivot }) => {
+                let first = alone
+                    .iter()
+                    .filter_map(|alone| match alone {
+                        Err(LinalgError::Singular { column, pivot }) => {
+                            Some((*column, pivot.to_bits()))
+                        }
+                        _ => None,
+                    })
+                    .min()
+                    .expect("a singular lane");
+                assert_eq!(first.0, column, "L = {L}: singular column");
+                assert!(alone.contains(&Err(LinalgError::Singular { column, pivot })));
+            }
+            Err(other) => panic!("L = {L}: {other:?}"),
+        }
+    }
+
+    /// `lanes` systems that pivot alike whatever their entries: a strictly
+    /// column-dominant matrix (elimination keeps it so, and the dominant
+    /// entry of column k is the pivot search's choice) whose rows every
+    /// lane shuffles the same way (`shuffle` 56 leaves them in place).
+    /// Off-diagonal entries and right-hand sides come from `entries` and
+    /// `rhs` — three in ten exactly zero —, every other zero negative.
+    fn dominant_shuffled(
+        entries: &[f64],
+        rhs: &[f64],
+        lanes: usize,
+        shuffle: usize,
+    ) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut order: Vec<usize> = (0..8).collect();
+        order.rotate_left(shuffle % 8);
+        order.swap(shuffle / 8, 7);
+        (0..lanes)
+            .map(|l| {
+                let entries = &entries[64 * l..64 * (l + 1)];
+                let mut matrix = vec![0.0; 64];
+                for (row, &from) in order.iter().enumerate() {
+                    for j in 0..8 {
+                        let v = entries[from * 8 + j];
+                        matrix[row * 8 + j] = match (from == j, v == 0.0) {
+                            (true, _) => 9.0 + v,
+                            (false, true) if (from + j) % 2 == 0 => -0.0,
+                            (false, _) => v,
+                        };
+                    }
+                }
+                let rhs = rhs[8 * l..8 * (l + 1)].iter().enumerate();
+                let rhs = rhs.map(|(i, &v)| if v == 0.0 && i % 2 == 0 { -0.0 } else { v });
+                (matrix, rhs.collect())
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lanes_elimination_is_the_fixed_size_one_bit_for_bit(
+            entries in sparse_entries(64 * 16),
+            mass in proptest::collection::vec(0.01f64..0.02, 64),
+            sigma in proptest::collection::vec(1.0f64..20.0, 16),
+            rhs in proptest::collection::vec(-10.0f64..10.0, 8 * 16),
+            sparse_rhs in sparse_entries(8 * 16),
+            shuffle in 0usize..64,
+            no_pivoting in 0usize..2,
+        ) {
+            // The sweep's systems: σ_l·M − S with one M and S for every
+            // lane (no row ever swaps) ...
+            let transport: Vec<_> = (0..16)
+                .map(|l| {
+                    let matrix = (0..64)
+                        .map(|e| sigma[l] * (mass[e] + f64::from(e % 9 == 0)) - 0.1 * entries[e])
+                        .collect();
+                    (matrix, rhs[8 * l..8 * (l + 1)].to_vec())
+                })
+                .collect();
+            // ... and unrelated ones that share nothing but their swaps.
+            let unrelated = dominant_shuffled(&entries, &sparse_rhs, 16, shuffle);
+            for systems in [&transport, &unrelated] {
+                // Without pivoting the shuffled systems meet small or
+                // zero pivots: the lanes must then fail as one of them does.
+                let no_pivoting = no_pivoting == 1;
+                lanes_match_fixed::<4>(&systems[..4], no_pivoting);
+                lanes_match_fixed::<8>(&systems[..8], no_pivoting);
+                lanes_match_fixed::<16>(systems, no_pivoting);
+            }
+        }
+
+        #[test]
+        fn lanes_elimination_reports_a_singular_lane_at_its_column(
+            entries in sparse_entries(64 * 16),
+            rhs in proptest::collection::vec(-10.0f64..10.0, 8 * 16),
+            column in 0usize..8,
+            lane in 0usize..4,
+        ) {
+            // A zero column stays zero and never wins a pivot search, so
+            // the lanes agree on every row until that lane's pivot is 0.
+            let mut systems = dominant_shuffled(&entries, &rhs, 16, 7 * 8);
+            systems[lane].0.iter_mut().skip(column).step_by(8).for_each(|v| *v = 0.0);
+            let (mut a, mut b) = interleave::<4>(&systems[..4]);
+            let singular = LinalgError::Singular { column, pivot: 0.0 };
+            prop_assert_eq!(eliminate_lanes::<8, 4>(false, &mut a, &mut b), Err(singular));
+            lanes_match_fixed::<4>(&systems[..4], false);
+            lanes_match_fixed::<16>(&systems, false);
+        }
+    }
+
+    #[test]
+    fn lanes_that_pivot_on_different_rows_diverge_at_that_column() {
+        // Every lane is 10·I, so column k pivots on row k — but for one
+        // lane, whose row k + 1 holds a larger entry there.  (The last
+        // column has one candidate row: no two lanes can disagree on it.)
+        for k in 0..7 {
+            let identity: Vec<f64> = (0..64)
+                .map(|e| if e % 9 == 0 { 10.0 } else { 0.0 })
+                .collect();
+            let mut systems = vec![(identity, vec![1.0; 8]); 16];
+            systems[2].0[(k + 1) * 8 + k] = 20.0;
+            let (mut a, mut b) = interleave::<16>(&systems);
+            let diverged = Err(LinalgError::Diverged { column: k });
+            assert_eq!(eliminate_lanes::<8, 16>(false, &mut a, &mut b), diverged);
+            let (mut a, mut b) = interleave::<4>(&systems[..4]);
+            assert_eq!(
+                GaussSolver::new().solve_lanes_in_place(8, 4, &mut a, &mut b),
+                diverged
+            );
+            // Without a pivot search there is nothing to disagree on.
+            lanes_match_fixed::<16>(&systems, true);
+        }
+    }
+
+    #[test]
+    fn lanes_keep_the_sign_of_a_zero_where_one_lane_skips_a_row() {
+        // Row 1 of every lane but one has a zero factor at column 0, and a
+        // right-hand side of −0: `−0 − (+0)·(−1)` would be +0, and +0 / 2
+        // is not the −0 the scalar routine — which skips the row — returns.
+        let diagonal: Vec<f64> = (0..64).map(|e| f64::from(e % 9 == 0) * 2.0).collect();
+        let rhs = vec![-1.0, -0.0, 3.0, 1.0, 2.0, 1.0, 4.0, 5.0];
+        let mut systems = vec![(diagonal, rhs); 16];
+        systems[1].0[8] = 0.5;
+        systems[1].0[8 + 5] = -0.0;
+        let (mut a, mut b) = interleave::<16>(&systems);
+        eliminate_lanes::<8, 16>(false, &mut a, &mut b).unwrap();
+        assert_eq!(b[16].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(b[16 + 1], 0.125);
+        lanes_match_fixed::<16>(&systems, false);
+        lanes_match_fixed::<4>(&systems[..4], true);
+    }
+
+    #[test]
+    fn lanes_without_pivoting_fail_on_a_zero_leading_pivot_in_one_lane() {
+        let identity: Vec<f64> = (0..64)
+            .map(|e| if e % 9 == 0 { 1.0 } else { 0.0 })
+            .collect();
+        let mut systems = vec![(identity, vec![1.0; 8]); 4];
+        systems[3].0[0] = 0.0;
+        systems[3].0[8] = 1.0;
+        let (mut a, mut b) = interleave::<4>(&systems);
+        let solver = GaussSolver::without_pivoting();
+        let singular = LinalgError::Singular {
+            column: 0,
+            pivot: 0.0,
+        };
+        assert_eq!(
+            solver.solve_lanes_in_place(8, 4, &mut a, &mut b),
+            Err(singular)
+        );
+        lanes_match_fixed::<4>(&systems, true);
+    }
+
+    #[test]
+    fn lanes_entry_accepts_exactly_its_widths() {
+        let solver = GaussSolver::new();
+        assert!(solver.lane_widths(27).is_empty() && solver.lane_widths(64).is_empty());
+        let identity: Vec<f64> = (0..64)
+            .map(|e| if e % 9 == 0 { 2.0 } else { 0.0 })
+            .collect();
+        for &lanes in solver.lane_widths(8) {
+            let mut a: Vec<f64> = identity.iter().flat_map(|&v| vec![v; lanes]).collect();
+            let mut b = vec![1.0; 8 * lanes];
+            solver
+                .solve_lanes_in_place(8, lanes, &mut a, &mut b)
+                .unwrap();
+            assert!(b.iter().all(|&x| x == 0.5));
+            let short = solver.solve_lanes_in_place(8, lanes, &mut a[1..], &mut b);
+            assert!(matches!(short, Err(LinalgError::DimensionMismatch { .. })));
+        }
+        let (mut a, mut b) = (vec![0.0; 64 * 8], vec![0.0; 8 * 8]);
+        let unknown = solver.solve_lanes_in_place(8, 8, &mut a, &mut b);
+        assert!(matches!(
+            unknown,
+            Err(LinalgError::DimensionMismatch { found: 8, .. })
+        ));
+        let lu = crate::LuSolver::new();
+        assert!(lu.lane_widths(8).is_empty());
+        assert!(lu
+            .solve_lanes_in_place(8, 4, &mut a[..256], &mut b[..32])
+            .is_err());
     }
 
     #[test]

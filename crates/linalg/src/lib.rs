@@ -33,10 +33,10 @@
 //!   matrix no longer fits in L1 (order ≥ 4 in the paper).
 //!
 //! All solvers implement the [`LinearSolver`] trait so the transport kernel
-//! can switch between them at run time, and a [`batched`] module provides
-//! a batched interface over independent systems (the paper discusses, and
-//! dismisses for the flat-MPI configuration, batched LAPACK routines — we
-//! keep the capability for the threaded configurations).
+//! can switch between them at run time.  [`GaussSolver`] also solves the
+//! energy groups of one order-1 element in lockstep, one system per SIMD
+//! lane ([`LinearSolver::solve_lanes_in_place`]) — the batch §IV-B of the
+//! paper describes and could not use under flat MPI.
 //!
 //! ## Example
 //!
@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batched;
 pub mod blas;
 pub mod error;
 pub mod gauss;
@@ -66,7 +65,6 @@ pub mod matrix;
 pub mod solver;
 pub mod vector;
 
-pub use batched::{BatchSolveReport, BatchedSolver};
 pub use error::LinalgError;
 pub use gauss::GaussSolver;
 pub use lu::{BlockedLuSolver, LuFactors, LuSolver};

@@ -6,7 +6,7 @@
 //! third (an unblocked reference LU) so the blocked "library" path can be
 //! validated against a simpler implementation.
 
-use crate::batched::BatchedSolver;
+use crate::error::LinalgError;
 use crate::gauss::GaussSolver;
 use crate::lu::{BlockedLuSolver, LuSolver};
 use crate::matrix::DenseMatrix;
@@ -33,8 +33,46 @@ pub trait LinearSolver: Send + Sync {
     /// hold factorisation data.
     fn solve_in_place(&self, a: &mut DenseMatrix, b: &mut [f64]) -> Result<()>;
 
+    /// How many `n × n` systems this solver can eliminate in lockstep
+    /// ([`LinearSolver::solve_lanes_in_place`]), widest first; empty — the
+    /// default — when it has no lockstep routine for that size.
+    fn lane_widths(&self, _n: usize) -> &'static [usize] {
+        &[]
+    }
+
+    /// Solve `lanes` independent `n × n` systems in lockstep, in place:
+    /// entry `(i, j)` of system `l` is `a[(i * n + j) * lanes + l]`, its
+    /// right-hand side `b[i * lanes + l]`, and on `Ok` `b` holds the
+    /// solutions — each bit for bit what [`LinearSolver::solve_in_place`]
+    /// gives that system alone.
+    ///
+    /// The systems share one row permutation, so
+    /// [`LinalgError::Diverged`] is returned — with `a` and `b` partly
+    /// eliminated — when they would pivot on different rows; the caller
+    /// then solves them one by one.  Only `lanes` listed by
+    /// [`LinearSolver::lane_widths`] are accepted.
+    fn solve_lanes_in_place(
+        &self,
+        _n: usize,
+        lanes: usize,
+        _a: &mut [f64],
+        _b: &mut [f64],
+    ) -> Result<()> {
+        Err(no_lockstep_routine(lanes))
+    }
+
     /// Short human-readable name used in benchmark reports.
     fn name(&self) -> &'static str;
+}
+
+/// The error of [`LinearSolver::solve_lanes_in_place`] for a lane count
+/// the solver does not list in [`LinearSolver::lane_widths`].
+pub(crate) fn no_lockstep_routine(lanes: usize) -> LinalgError {
+    LinalgError::DimensionMismatch {
+        expected: 0,
+        found: lanes,
+        what: "lane count (no lockstep routine for it)",
+    }
 }
 
 /// Which local dense solver the transport kernel should use.
@@ -64,11 +102,6 @@ impl SolverKind {
             SolverKind::ReferenceLu => Box::new(LuSolver::new()),
             SolverKind::Mkl => Box::new(BlockedLuSolver::default()),
         }
-    }
-
-    /// Build a batched solver wrapping this kind.
-    pub fn build_batched(self) -> BatchedSolver {
-        BatchedSolver::new(self)
     }
 
     /// All selectable kinds, in report order.

@@ -1,7 +1,7 @@
 //! Kernel-equivalence suite: the acceptance tests for the PR-9 kernel
 //! engine (`unsnap_core::kernel::KernelEngine`).
 //!
-//! Property-based over random small problems, this suite pins the two
+//! Property-based over random small problems, this suite pins the three
 //! contracts the engine documents:
 //!
 //! * **Blocked `f64` is the reference physics, bit for bit.**  The
@@ -11,6 +11,12 @@
 //!   bitwise identical — across thread widths 1/2/8 and through *both*
 //!   solve paths (the single-domain [`TransportSolver`] and the
 //!   distributed [`BlockJacobiSolver`]).
+//! * **Groups solved in lockstep are the per-group task, bit for bit.**
+//!   Order-1 elements solve their groups in runs of 16 and 4, one group
+//!   per SIMD lane, and the remainder one by one; a problem that asks for
+//!   Table II's per-task timing solves every group on its own.  The two
+//!   must agree in every flux bit and every non-timing outcome field for
+//!   every way a group count splits into runs.
 //! * **Mixed precision is a bounded trade, not a different answer.**
 //!   `f32` local solves inside `f64` outers must still converge, land
 //!   within the documented relative flux tolerance of the full-`f64`
@@ -19,14 +25,14 @@
 //!   its character.
 //!
 //! Case counts are deliberately small (every case is a full transport
-//! solve); the `ablation_kernels` bench binary re-asserts the same
-//! contracts on a larger diffusive problem as a CI smoke run.
+//! solve); `reproduce precision` (`unsnap-bench`) re-asserts the
+//! mixed-precision contract on a larger diffusive problem.
 
 use proptest::prelude::*;
 use unsnap::prelude::*;
 
 /// Documented accuracy contract of the mixed-precision mode, mirrored
-/// from the `ablation_kernels` binary: relative drift of the converged
+/// from `reproduce precision`: relative drift of the converged
 /// scalar-flux total against the full-`f64` solve.
 const MIXED_FLUX_TOLERANCE: f64 = 1e-5;
 
@@ -199,6 +205,81 @@ proptest! {
     }
 }
 
+/// Contract 2: the default solve of an order-1 problem — groups in
+/// lockstep runs — is the solve that times every task, hence solves every
+/// group on its own.  Group counts cover every split: remainder only
+/// (1, 3), one run (4, 16), 4 + 1, 4 + 4 + 4, 16 + 4 + 1.
+#[test]
+fn lockstep_groups_match_the_per_group_task_bitwise() {
+    for (num_groups, strategy) in [
+        (1, StrategyKind::SourceIteration),
+        (3, StrategyKind::SweepGmres),
+        (4, StrategyKind::DsaSourceIteration),
+        (5, StrategyKind::SweepGmres),
+        (12, StrategyKind::SourceIteration),
+        (16, StrategyKind::SweepGmres),
+        (21, StrategyKind::SourceIteration),
+    ] {
+        for precompute in [true, false] {
+            let mut problem = Problem::tiny()
+                .with_scheme(ConcurrencyScheme::best())
+                .with_strategy(strategy)
+                .with_scattering_ratio(0.6)
+                .with_precomputed_integrals(precompute);
+            (problem.nx, problem.ny, problem.nz) = (3, 2, 2);
+            problem.angles_per_octant = 1;
+            problem.num_groups = num_groups;
+            // A prescribed inflow: boundary faces add to the right-hand
+            // side (and the Krylov strategies' homogeneous sweeps drop it).
+            problem.boundaries = unsnap::mesh::boundary::DomainBoundaries::uniform_inflow(0.3);
+            let what = format!("{num_groups} groups, {strategy:?}, precompute {precompute}");
+
+            let per_group = run_single_domain(&problem.clone().with_solve_timing(true));
+            for threads in widths() {
+                let lockstep = run_single_domain(&problem.clone().with_threads(threads));
+                assert_eq!(
+                    non_timing_fields(&lockstep.outcome),
+                    non_timing_fields(&per_group.outcome),
+                    "{what}: outcome at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&lockstep.scalar_flux),
+                    bits(&per_group.scalar_flux),
+                    "{what}: scalar flux at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&lockstep.angular_flux),
+                    bits(&per_group.angular_flux),
+                    "{what}: angular flux at {threads} threads"
+                );
+            }
+
+            // Ranks read their neighbours' ψ from the halo — a run of
+            // groups at a time on the lockstep route.
+            let decomposition = Decomposition2D::new(2, 1);
+            let timed = problem.clone().with_solve_timing(true);
+            let mut per_group = BlockJacobiSolver::new(&timed, decomposition).unwrap();
+            let per_group_outcome = per_group.run().unwrap();
+            for threads in widths() {
+                let mut lockstep =
+                    BlockJacobiSolver::new(&problem.clone().with_threads(threads), decomposition)
+                        .unwrap();
+                let lockstep_outcome = lockstep.run().unwrap();
+                assert_eq!(
+                    non_timing_fields(&lockstep_outcome),
+                    non_timing_fields(&per_group_outcome),
+                    "{what}: jacobi outcome at {threads} threads"
+                );
+                assert_eq!(
+                    bits(lockstep.scalar_flux().as_slice()),
+                    bits(per_group.scalar_flux().as_slice()),
+                    "{what}: jacobi scalar flux at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
 /// Converging variant of [`small_problem`]: a real tolerance and a
 /// generous budget, so the mixed-precision iteration contract has a
 /// converged reference to be measured against.
@@ -213,7 +294,7 @@ fn converging_problem() -> impl Strategy<Value = Problem> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Contract 2: mixed precision converges to the same physics within
+    /// Contract 3: mixed precision converges to the same physics within
     /// the documented tolerance and sweep budget, under both kernels.
     #[test]
     fn mixed_precision_stays_within_tolerance_with_bounded_extra_sweeps(
