@@ -84,7 +84,6 @@ pub struct BlockJacobiSolver {
     /// Global angular flux, rebuilt from the rank domains every halo
     /// iteration (the "exchanged" array the next iteration reads).
     psi: FluxStorage,
-    psi_prev: FluxStorage,
     phi: FluxStorage,
     phi_outer: FluxStorage,
     /// Worker pool the rank solves fan out on.
@@ -133,7 +132,6 @@ impl BlockJacobiSolver {
             subdomains,
             domains,
             psi: FluxStorage::zeros(psi_layout),
-            psi_prev: FluxStorage::zeros(psi_layout),
             phi: FluxStorage::zeros(scalar_layout),
             phi_outer: FluxStorage::zeros(scalar_layout),
             pool,
@@ -300,16 +298,14 @@ impl OuterDriver for BlockJacobiSolver {
             stats.inner_iterations += 1;
             let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
 
-            // Halo "exchange": expose the previous iteration's angular
-            // flux to cross-rank upwind reads.  A driver-lane event
-            // (never inside a rank's log) carrying the cut-face
-            // count and the bytes the exchange publishes.
+            // Halo "exchange": the last merge left the previous iterate
+            // in `self.psi` and nothing writes it until this iteration's
+            // ranks are done, so the span brackets only the announcement:
+            // a driver-lane event (never inside a rank's log) carrying
+            // the cut-face count and the bytes the exchange publishes.
             let phase = Phase::HaloExchange;
             observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
             let halo_t0 = self.assets.clock.now();
-            self.psi_prev
-                .as_mut_slice()
-                .copy_from_slice(self.psi.as_slice());
             let seconds = self
                 .assets
                 .clock
@@ -328,12 +324,12 @@ impl OuterDriver for BlockJacobiSolver {
             // Every rank runs its strategy-dispatched inner solve
             // concurrently on the worker pool.  Nothing a rank reads
             // is written by another rank within the same iteration:
-            // own cells come from the rank's own domain, remote
-            // cells from the shared `psi_prev`.  Results and event
-            // logs come back in rank order (the pool reassembles in
-            // input order), so the outcome and the observer stream
-            // are bit-for-bit independent of the interleaving.
-            let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.psi_prev);
+            // own cells come from the rank's own domain, remote cells
+            // from the global `psi`, rewritten only by the merge below.
+            // Results and event logs come back in rank order (the pool
+            // reassembles in input order), so the outcome and the
+            // observer stream are independent of the interleaving.
+            let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.psi);
             let ranks: Vec<_> = self.domains.iter_mut().zip(&mut self.rank_stats).collect();
             let solves: Result<Vec<(EventLog, bool)>> = self.pool.install(|| {
                 ranks

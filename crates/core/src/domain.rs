@@ -183,6 +183,11 @@ pub struct SweepDomain {
     local_of_cell: Vec<usize>,
     /// One wavefront schedule per angle, masked to the owned cells.
     pub(crate) schedules: Vec<SweepSchedule>,
+    /// What one sweep of `schedules` walks: buckets, summed over angles.
+    sweep_buckets: usize,
+    /// What one sweep of `schedules` solves: (element, group, angle)
+    /// tasks — one kernel invocation each in every concurrency scheme.
+    sweep_tasks: u64,
     /// Angular flux ψ(node, local cell, group, angle).
     pub(crate) psi: FluxStorage,
     /// Scalar flux φ(node, local cell, group).
@@ -347,9 +352,12 @@ impl SweepDomain {
             order,
         );
         let scalar = FluxLayout::scalar(nodes, cells.len(), problem.num_groups, order);
+        let scheduled: usize = schedules.iter().map(|s| s.num_cells_scheduled()).sum();
         Ok(Self {
             cells,
             local_of_cell,
+            sweep_buckets: schedules.iter().map(|s| s.num_buckets()).sum(),
+            sweep_tasks: (scheduled * problem.num_groups) as u64,
             schedules,
             psi: FluxStorage::zeros(angular),
             phi: FluxStorage::zeros(scalar),
@@ -1035,33 +1043,15 @@ impl InnerSolveContext for DomainContext<'_> {
         let t0 = self.now();
         let timing = self.sweep_all();
         let seconds = self.now().saturating_sub(t0).as_secs_f64();
-        // The per-bucket structure events cost no clock reads (the
-        // `MockClock` pinning contract).  Every (element, group) pair of
-        // a bucket is exactly one task in every concurrency scheme, so
-        // the payloads are derived from the schedules in (angle, bucket)
-        // order — identical at every thread count by construction.
-        let ng = self.assets.problem.num_groups;
-        let mut count = 0u64;
-        for (angle, schedule) in self.domain.schedules.iter().enumerate() {
-            for (bucket, cells) in schedule.buckets.iter().enumerate() {
-                let tasks = (cells.len() * ng) as u64;
-                count += tasks;
-                let event = SolveEvent::SweepBucket {
-                    angle,
-                    bucket,
-                    tasks,
-                };
-                observer.on_event(Lane::Driver, &event);
-            }
-        }
         observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         stats.sweep_seconds += seconds;
         stats.kernel_timing.accumulate(timing);
-        stats.kernel_invocations += count;
+        stats.kernel_invocations += self.domain.sweep_tasks;
         stats.sweeps += 1;
         let event = SolveEvent::Sweep {
             sweep: stats.sweeps,
-            cells: count,
+            cells: self.domain.sweep_tasks,
+            buckets: self.domain.sweep_buckets,
             seconds,
         };
         observer.on_event(Lane::Driver, &event);

@@ -54,12 +54,12 @@ fn cells_histogram() -> Histogram {
 pub struct RunMetrics {
     /// Transport sweeps performed (summed across ranks).
     pub sweeps: usize,
-    /// Wavefront buckets dispatched, summed over all sweeps on all
-    /// ranks (deterministic — the scheduling *structure*, not timing).
+    /// Wavefront buckets walked, summed over all sweeps on all ranks
+    /// (deterministic — the scheduling *structure*, not timing).
     pub sweep_buckets: usize,
-    /// Assemble/solve tasks summed over all observed buckets
-    /// (deterministic; matches `cells_swept` once per-bucket events
-    /// stream).
+    /// Equal to `cells_swept` by construction: both are fed by
+    /// [`SolveEvent::Sweep`]'s `cells`.  Kept so the rendered JSON — and
+    /// with it every golden — keeps its keys (ROADMAP item 9).
     pub bucket_tasks: u64,
     /// Kernel invocations (elements × groups × angles) summed over all
     /// sweeps on all ranks.
@@ -315,6 +315,7 @@ impl RunObserver for MetricsObserver {
             SolveEvent::Sweep {
                 sweep,
                 cells,
+                buckets,
                 seconds,
             } => {
                 // Single-domain solves report a running count; ranks
@@ -324,13 +325,11 @@ impl RunObserver for MetricsObserver {
                 } else {
                     m.sweeps + 1
                 };
+                m.sweep_buckets += buckets;
+                m.bucket_tasks += cells;
                 m.cells_swept += cells;
                 m.cells_per_sweep.record(cells as f64);
                 m.sweep_latency.record(seconds);
-            }
-            SolveEvent::SweepBucket { tasks, .. } => {
-                m.sweep_buckets += 1;
-                m.bucket_tasks += tasks;
             }
             SolveEvent::KrylovResidual { .. } => m.krylov_residual_events += 1,
             SolveEvent::AccelResidual { .. } => m.accel_residual_events += 1,
@@ -422,19 +421,13 @@ impl<W: Write> RunObserver for JsonlObserver<W> {
             SolveEvent::Sweep {
                 sweep,
                 cells,
+                buckets,
                 seconds,
             } => head("sweep")
                 .field_usize("sweep", sweep)
                 .field_u64("cells", cells)
+                .field_usize("buckets", buckets)
                 .field_f64("seconds", seconds),
-            SolveEvent::SweepBucket {
-                angle,
-                bucket,
-                tasks,
-            } => head("sweep_bucket")
-                .field_usize("angle", angle)
-                .field_usize("bucket", bucket)
-                .field_u64("tasks", tasks),
             SolveEvent::KrylovResidual {
                 iteration,
                 relative_residual,
@@ -485,8 +478,8 @@ mod tests {
         feed(&mut m);
         let metrics = m.snapshot();
         assert_eq!(metrics.sweeps, 2); // running count 1 + one rank sweep
-        assert_eq!(metrics.sweep_buckets, 2);
-        assert_eq!(metrics.bucket_tasks, 2 * 4096);
+        assert_eq!(metrics.sweep_buckets, 2 * 132);
+        assert_eq!(metrics.bucket_tasks, metrics.cells_swept);
         assert_eq!(metrics.cells_swept, 2 << 40);
         assert_eq!(metrics.outers, 1);
         assert_eq!(metrics.inner_iterations, 1);
@@ -534,7 +527,7 @@ mod tests {
         feed(&mut m);
         let registry = m.snapshot().registry();
         assert_eq!(registry.counter("sweeps"), Some(2));
-        assert_eq!(registry.counter("sweep_buckets"), Some(2));
+        assert_eq!(registry.counter("sweep_buckets"), Some(264));
         assert_eq!(registry.counter("halo_bytes"), Some(9216));
         assert_eq!(registry.gauge("phase_seconds.sweep"), Some(0.003));
         let det = registry.deterministic_only();

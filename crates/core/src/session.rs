@@ -9,7 +9,12 @@
 //!
 //! * [`RunObserver`] is the streaming interface — one method receiving a
 //!   [`SolveEvent`] at every outer iteration boundary, every inner
-//!   iteration, every transport sweep and every Krylov residual;
+//!   iteration, every transport sweep and every Krylov residual.  An
+//!   event carries something the receiver cannot compute from the
+//!   [`Problem`] — a residual, a duration, a decision; the wavefront
+//!   schedule is a function of the problem, so a sweep reports how many
+//!   buckets it walked once ([`SolveEvent::Sweep`]) and never replays
+//!   them one by one;
 //! * [`Session`] owns the solver state across runs and drives it under an
 //!   observer, so callers hold one object instead of a `Problem` plus a
 //!   `TransportSolver` plus an outcome;
@@ -172,29 +177,21 @@ pub enum SolveEvent {
         /// Maximum relative scalar-flux change.
         relative_change: f64,
     },
-    /// A full transport sweep completed.
+    /// A full transport sweep completed.  The one per-sweep event: which
+    /// buckets a sweep visits is fixed when the schedules are built, so
+    /// the structure rides here as two counts instead of being replayed
+    /// bucket by bucket.
     Sweep {
         /// Running sweep count (1-based).
         sweep: usize,
         /// Kernel invocations performed (elements × groups × angles —
         /// deterministic).
         cells: u64,
+        /// Wavefront buckets walked (Σ over angles of
+        /// `SweepSchedule::num_buckets` — deterministic).
+        buckets: usize,
         /// Wall-clock seconds of this sweep.
         seconds: f64,
-    },
-    /// One wavefront bucket of the current sweep completed.  The
-    /// payload is entirely deterministic — no seconds ride on this
-    /// event, so emitting it costs the solver no clock reads; tracing
-    /// layers timestamp it on arrival.  Fires between the enclosing
-    /// sweep's [`SolveEvent::PhaseStart`]/[`SolveEvent::PhaseEnd`] pair,
-    /// in `(angle, bucket)` order at every thread count.
-    SweepBucket {
-        /// Sweep direction (angle index).
-        angle: usize,
-        /// Bucket position in the angle's dependency order.
-        bucket: usize,
-        /// Assemble/solve tasks the bucket contained (cells × groups).
-        tasks: u64,
     },
     /// A Krylov iteration reported a relative residual (one event per
     /// entry of [`SolveOutcome::krylov_residual_history`]; never fires
@@ -323,11 +320,8 @@ pub struct RecordingObserver {
     pub accel_residual_history: Vec<f64>,
     /// Transport sweeps observed.
     pub sweep_count: usize,
-    /// Wavefront buckets observed across all sweeps (deterministic).
+    /// Wavefront buckets summed over the observed sweeps (deterministic).
     pub sweep_buckets: usize,
-    /// Assemble/solve tasks summed over the observed buckets
-    /// (deterministic; equals `cells_swept` when bucket events fire).
-    pub bucket_tasks: u64,
     /// Kernel invocations summed over the observed sweeps
     /// (deterministic, unlike the seconds).
     pub cells_swept: u64,
@@ -391,15 +385,13 @@ impl RunObserver for RecordingObserver {
             SolveEvent::Sweep {
                 sweep,
                 cells,
+                buckets,
                 seconds,
             } => {
                 self.sweep_count = sweep;
                 self.cells_swept += cells;
+                self.sweep_buckets += buckets;
                 self.sweep_seconds += seconds;
-            }
-            SolveEvent::SweepBucket { tasks, .. } => {
-                self.sweep_buckets += 1;
-                self.bucket_tasks += tasks;
             }
             SolveEvent::KrylovResidual {
                 relative_residual, ..
@@ -879,6 +871,7 @@ mod tests {
             &Sweep {
                 sweep: 3,
                 cells: 10,
+                buckets: 2,
                 seconds: 0.01,
             },
         );
@@ -922,18 +915,14 @@ mod tests {
             PhaseStart {
                 phase: Phase::Sweep,
             },
-            SweepBucket {
-                angle: 0,
-                bucket: 0,
-                tasks: 100,
-            },
-            SweepBucket {
-                angle: 0,
-                bucket: 1,
-                tasks: 44,
-            },
             PhaseEnd {
                 phase: Phase::Sweep,
+                seconds: 0.25,
+            },
+            Sweep {
+                sweep: 1,
+                cells: 144,
+                buckets: 2,
                 seconds: 0.25,
             },
             AccelResidual {
@@ -956,13 +945,13 @@ mod tests {
         }
         // An entry already on a rank lane keeps it under either replay.
         log.on_event(Rank(0), &OuterStart { outer: 7 });
-        assert_eq!(log.events.len(), 8);
+        assert_eq!(log.events.len(), 7);
 
         let mut direct = RecordingObserver::default();
         log.replay(&mut direct);
         assert_eq!(direct.phase_starts[Phase::Sweep.index()], 1);
         assert_eq!(direct.phase_seconds[Phase::Sweep.index()], 0.25);
-        assert_eq!((direct.sweep_buckets, direct.bucket_tasks), (2, 144));
+        assert_eq!((direct.sweep_buckets, direct.cells_swept), (2, 144));
         assert_eq!(direct.accel_residual_history, vec![1.0, 0.25]);
         assert_eq!(direct.halo_exchanges, 1);
         assert_eq!((direct.halo_faces, direct.halo_bytes), (16, 1024));
@@ -993,6 +982,7 @@ mod tests {
             Sweep {
                 sweep: 1,
                 cells: 32,
+                buckets: 4,
                 seconds: 0.1,
             },
             HaloExchange {

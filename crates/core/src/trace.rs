@@ -17,10 +17,7 @@
 //!     └── inner                      (synthesised: first phase event of
 //!         │                           the iterate .. InnerIteration)
 //!         ├── source_assembly        (phase span)
-//!         ├── sweep                  (phase span)
-//!         │   └── bucket             (one per wavefront bucket, in
-//!         │       └── local_solve    (angle, bucket) order; the leaf
-//!         │                           carries the task count)
+//!         ├── sweep                  (phase span; a leaf)
 //!         ├── krylov                 (phase span)
 //!         ├── accel_cg               (phase span)
 //!         │   └── cg_iter            (one per streamed DSA CG residual
@@ -28,6 +25,14 @@
 //!         │                           through its residual closure)
 //!         └── halo_exchange          (phase span + instant marker)
 //! ```
+//!
+//! Every span is opened and closed by an event that fired where the
+//! work happened; none is synthesised after the fact.  No event arrives
+//! inside a sweep, so a `sweep` span's width is the sweep's and nothing
+//! else's.  The wavefront buckets of a sweep get no spans: which buckets a sweep walks is a
+//! function of the schedule (`TransportSolver::schedules()`), and the
+//! solver reads no clock per bucket, so a per-bucket span could only
+//! carry the width of the loop that replayed it.
 //!
 //! ## The determinism split
 //!
@@ -146,16 +151,6 @@ impl RunObserver for TraceObserver {
             }
             SolveEvent::PhaseEnd { .. } => self.tracer.close(lane),
             SolveEvent::InnerIteration { .. } => self.close_inner(lane),
-            SolveEvent::SweepBucket {
-                angle,
-                bucket,
-                tasks,
-            } => {
-                self.tracer
-                    .open(lane, "bucket", &format!("angle={angle} bucket={bucket}"));
-                self.leaf(lane, "local_solve", &format!("tasks={tasks}"));
-                self.tracer.close(lane);
-            }
             SolveEvent::AccelResidual { iteration, .. } => {
                 self.leaf(lane, "cg_iter", &format!("iter={iteration}"))
             }
@@ -212,11 +207,9 @@ mod tests {
         let mut t = observer();
         feed(&mut t);
         let tree = t.into_tree();
-        // Lane 0: solve, preassembly, outer, inner, sweep, bucket,
-        // local_solve, cg_iter, halo_exchange; lane 3: rank_solve,
-        // inner, sweep, bucket, local_solve, cg_iter.
-        assert_eq!(tree.len(), 15);
-        assert_eq!(tree.count_named("bucket"), 2);
+        // Lane 0: solve, preassembly, outer, inner, sweep, cg_iter,
+        // halo_exchange; lane 3: rank_solve, inner, sweep, cg_iter.
+        assert_eq!(tree.len(), 11);
         let solve = &tree.spans[0];
         assert_eq!(
             (solve.name.as_str(), solve.lane, solve.parent),
@@ -230,14 +223,8 @@ mod tests {
         assert_eq!(inner.parent, Some(outer.id));
         let sweep = span(&tree, 0, "sweep");
         assert_eq!(sweep.parent, Some(inner.id));
-        let bucket = span(&tree, 0, "bucket");
-        assert_eq!(bucket.parent, Some(sweep.id));
-        assert_eq!(bucket.detail, "angle=2 bucket=7");
-        let leaf = span(&tree, 0, "local_solve");
-        assert_eq!(
-            (leaf.parent, leaf.detail.as_str()),
-            (Some(bucket.id), "tasks=4096")
-        );
+        // A sweep is a leaf.
+        assert!(tree.spans.iter().all(|s| s.parent != Some(sweep.id)));
         assert_eq!(span(&tree, 0, "cg_iter").parent, Some(inner.id));
         let halo = span(&tree, 0, "halo_exchange");
         assert_eq!(halo.parent, Some(inner.id));

@@ -4,7 +4,9 @@
 // `Lane::Driver` and on `Lane::Rank(2)`, in an order that is also one
 // well-nested outer iteration per lane.  Columns: lane, event, the
 // `JsonlObserver` line, the runlog codec's `event_to_json` string.  A
-// halo exchange never rides a rank lane, so that pair has no row.
+// halo exchange never rides a rank lane, so that pair has no row.  The
+// two `Sweep` rows were re-pinned when the event gained `buckets` (run
+// log format version 3).
 //
 // This file is one array expression, `include!`d by the tests that pin
 // the encodings (`core::metrics`, `runlog::codec`) and by the observer
@@ -24,21 +26,15 @@
     ),
     (
         Lane::Driver,
-        SolveEvent::SweepBucket { angle: 2, bucket: 7, tasks: 4096 },
-        r#"{"event":"sweep_bucket","angle":2,"bucket":7,"tasks":4096}"#,
-        r#"{"t":"sweep_bucket","angle":2,"bucket":7,"tasks":4096}"#,
-    ),
-    (
-        Lane::Driver,
         SolveEvent::PhaseEnd { phase: Phase::Sweep, seconds: 0.0015 },
         r#"{"event":"phase_end","phase":"sweep","seconds":0.0015}"#,
         r#"{"t":"phase_end","phase":"sweep","seconds":0.0015}"#,
     ),
     (
         Lane::Driver,
-        SolveEvent::Sweep { sweep: 1, cells: 1099511627776, seconds: 0.0015 },
-        r#"{"event":"sweep","sweep":1,"cells":1099511627776,"seconds":0.0015}"#,
-        r#"{"t":"sweep","sweep":1,"cells":1099511627776,"seconds":0.0015}"#,
+        SolveEvent::Sweep { sweep: 1, cells: 1099511627776, buckets: 132, seconds: 0.0015 },
+        r#"{"event":"sweep","sweep":1,"cells":1099511627776,"buckets":132,"seconds":0.0015}"#,
+        r#"{"t":"sweep","sweep":1,"cells":1099511627776,"buckets":132,"seconds":0.0015}"#,
     ),
     (
         Lane::Driver,
@@ -84,21 +80,15 @@
     ),
     (
         Lane::Rank(2),
-        SolveEvent::SweepBucket { angle: 2, bucket: 7, tasks: 4096 },
-        r#"{"event":"sweep_bucket","rank":2,"angle":2,"bucket":7,"tasks":4096}"#,
-        r#"{"t":"rank","rank":2,"e":{"t":"sweep_bucket","angle":2,"bucket":7,"tasks":4096}}"#,
-    ),
-    (
-        Lane::Rank(2),
         SolveEvent::PhaseEnd { phase: Phase::Sweep, seconds: 0.0015 },
         r#"{"event":"phase_end","rank":2,"phase":"sweep","seconds":0.0015}"#,
         r#"{"t":"rank","rank":2,"e":{"t":"phase_end","phase":"sweep","seconds":0.0015}}"#,
     ),
     (
         Lane::Rank(2),
-        SolveEvent::Sweep { sweep: 1, cells: 1099511627776, seconds: 0.0015 },
-        r#"{"event":"sweep","rank":2,"sweep":1,"cells":1099511627776,"seconds":0.0015}"#,
-        r#"{"t":"rank","rank":2,"e":{"t":"sweep","sweep":1,"cells":1099511627776,"seconds":0.0015}}"#,
+        SolveEvent::Sweep { sweep: 1, cells: 1099511627776, buckets: 132, seconds: 0.0015 },
+        r#"{"event":"sweep","rank":2,"sweep":1,"cells":1099511627776,"buckets":132,"seconds":0.0015}"#,
+        r#"{"t":"rank","rank":2,"e":{"t":"sweep","sweep":1,"cells":1099511627776,"buckets":132,"seconds":0.0015}}"#,
     ),
     (
         Lane::Rank(2),

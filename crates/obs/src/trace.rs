@@ -70,7 +70,7 @@ pub struct SpanRecord {
     pub depth: usize,
     /// Span name (e.g. a phase label).
     pub name: String,
-    /// Deterministic payload, e.g. `"angle=3 bucket=2 tasks=17"`; empty
+    /// Deterministic payload, e.g. `"iter=0 faces=12 bytes=9216"`; empty
     /// when there is none.
     pub detail: String,
     /// Open timestamp in microseconds (wall-clock).

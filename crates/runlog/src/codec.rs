@@ -37,22 +37,14 @@ pub fn event_to_json(lane: Lane, event: &SolveEvent) -> String {
         SolveEvent::Sweep {
             sweep,
             cells,
+            buckets,
             seconds,
         } => JsonObject::new()
             .field_str("t", "sweep")
             .field_usize("sweep", sweep)
             .field_u64("cells", cells)
+            .field_usize("buckets", buckets)
             .field_f64("seconds", seconds)
-            .finish(),
-        SolveEvent::SweepBucket {
-            angle,
-            bucket,
-            tasks,
-        } => JsonObject::new()
-            .field_str("t", "sweep_bucket")
-            .field_usize("angle", angle)
-            .field_usize("bucket", bucket)
-            .field_u64("tasks", tasks)
             .finish(),
         SolveEvent::KrylovResidual {
             iteration,
@@ -189,12 +181,8 @@ fn payload_from_json(value: &JsonValue) -> Result<SolveEvent, String> {
         "sweep" => Ok(SolveEvent::Sweep {
             sweep: usize_of(value, "sweep")?,
             cells: u64_of(value, "cells")?,
+            buckets: usize_of(value, "buckets")?,
             seconds: f64_of(value, "seconds")?,
-        }),
-        "sweep_bucket" => Ok(SolveEvent::SweepBucket {
-            angle: usize_of(value, "angle")?,
-            bucket: usize_of(value, "bucket")?,
-            tasks: u64_of(value, "tasks")?,
         }),
         "krylov" => Ok(SolveEvent::KrylovResidual {
             iteration: usize_of(value, "iteration")?,

@@ -33,8 +33,10 @@ pub const MAGIC: &[u8; 8] = b"UNSNAPRL";
 /// change; recovery refuses other versions rather than misparsing).
 /// Version 2 gave the checkpoint frame one payload for both execution
 /// modes (`rank_stats` always present, block-Jacobi halo accounting
-/// folded into `stats`).
-pub const FORMAT_VERSION: u32 = 2;
+/// folded into `stats`).  Version 3 dropped the per-bucket event from
+/// the checkpoint's event prefix and gave `sweep` its `buckets` count:
+/// a version-2 prefix replays events no observer knows.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Total header length: magic plus version.
 pub const HEADER_LEN: usize = MAGIC.len() + 4;

@@ -23,7 +23,12 @@
 //! The event stream replays a job's full history before tailing, so a
 //! client attaching after convergence still sees every residual; the
 //! response ends (chunked terminator, connection close) when the job's
-//! channel closes with its final `job_done` line.
+//! channel closes with its final `job_done` line.  A line is one
+//! `SolveEvent`: a sweep is its `phase_start`/`phase_end` pair and one
+//! `sweep` line carrying `cells`, `buckets` and `seconds` — never a line
+//! per wavefront bucket — and the `/trace` body holds one `sweep` span
+//! per sweep with nothing below it, so both scale with iterations, not
+//! with the mesh.
 
 use std::io::BufReader;
 use std::net::TcpStream;

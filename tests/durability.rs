@@ -13,9 +13,14 @@
 //!    stream — is identical to the same run left uninterrupted, at
 //!    thread widths 1, 2 and 8, for SI, DSA-SI and SweepGmres, on both
 //!    the single-domain and the block-Jacobi path.
+//! 3. **What a resume point must carry.**  A single-domain run resumed
+//!    with every ψ entry poisoned reproduces the uninterrupted run to the
+//!    bit — ψ is scratch there — while across ranks the poison reaches
+//!    the answer: halo-face ψ is state.
 
 use proptest::prelude::*;
 
+use unsnap::core::solver::OuterDriver;
 use unsnap::prelude::*;
 use unsnap::runlog::{
     checkpoint_iters_from_env, frame, recover_bytes, resume_block_jacobi, CheckpointObserver,
@@ -97,6 +102,8 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 struct Reference {
     outcome: SolveOutcome,
     flux: Vec<f64>,
+    /// The final angular flux.
+    psi: Vec<f64>,
     recorder: RecordingObserver,
     /// The complete run-log image of the uninterrupted run.
     log: Vec<u8>,
@@ -144,6 +151,7 @@ fn run_single_reference(problem: &Problem, every: usize) -> Reference {
     Reference {
         outcome,
         flux: session.scalar_flux().as_slice().to_vec(),
+        psi: session.solver().angular_flux().as_slice().to_vec(),
         recorder,
         log: buffer.bytes(),
     }
@@ -429,6 +437,7 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> Reference 
     Reference {
         outcome,
         flux: solver.scalar_flux().as_slice().to_vec(),
+        psi: OuterDriver::flux(&solver).1.to_vec(),
         recorder,
         log: buffer.bytes(),
     }
@@ -496,6 +505,94 @@ fn jacobi_kill_and_resume_is_bit_for_bit_sweep_gmres() {
 }
 
 // ---------------------------------------------------------------------
+// Contract 3: ψ is scratch on one domain, state across ranks
+// ---------------------------------------------------------------------
+
+/// `dsa_regime` cut to three short outers that never converge.
+fn three_outers(strategy: StrategyKind, threads: usize) -> Problem {
+    Problem {
+        inner_iterations: 2,
+        outer_iterations: 3,
+        convergence_tolerance: 0.0,
+        strategy,
+        num_threads: Some(threads),
+        ..Problem::dsa_regime()
+    }
+}
+
+/// What a finished run's log recovers to when cut at its first outer
+/// boundary, with every ψ entry NaN.
+fn poisoned_first_boundary(log: &[u8]) -> ResumePoint {
+    let end = checkpoint_boundaries(log)[0];
+    let mut point = recover_bytes(&log[..end]).unwrap().resume.unwrap();
+    assert_eq!(point.outer_next, 1);
+    point.psi.fill(f64::NAN);
+    point
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn a_single_domain_resume_never_reads_the_checkpointed_psi() {
+    for strategy in [
+        StrategyKind::SourceIteration,
+        StrategyKind::DsaSourceIteration,
+        StrategyKind::SweepGmres,
+    ] {
+        for threads in [1usize, 2] {
+            let problem = three_outers(strategy, threads);
+            let tag = format!("{strategy:?} at {threads} thread(s)");
+            let reference = run_single_reference(&problem, 1);
+            assert_eq!(reference.outcome.outer_iterations, 3, "{tag}");
+
+            let mut resumed = Session::new(&problem).unwrap();
+            resumed
+                .solver_mut()
+                .resume_from(poisoned_first_boundary(&reference.log))
+                .unwrap();
+            let outcome = resumed.run().unwrap();
+            assert_eq!(
+                bits(resumed.scalar_flux().as_slice()),
+                bits(&reference.flux),
+                "{tag}: φ"
+            );
+            assert_eq!(
+                bits(resumed.solver().angular_flux().as_slice()),
+                bits(&reference.psi),
+                "{tag}: ψ"
+            );
+            assert_eq!(
+                bits(&outcome.convergence_history),
+                bits(&reference.outcome.convergence_history),
+                "{tag}: convergence history"
+            );
+            assert_eq!(
+                outcome.scalar_flux_total.to_bits(),
+                reference.outcome.scalar_flux_total.to_bits(),
+                "{tag}: flux total"
+            );
+        }
+    }
+}
+
+#[test]
+fn across_ranks_the_checkpointed_psi_is_state() {
+    // The converse: a rank reads its neighbour's ψ on the halo faces
+    // before anything rewrites it, so the poison must reach the answer.
+    let problem = three_outers(StrategyKind::SourceIteration, 1);
+    let reference = run_jacobi_reference(&problem, 2, 1);
+    assert!(reference.outcome.scalar_flux_total.is_finite());
+
+    let mut resumed = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
+    resumed
+        .resume_from(poisoned_first_boundary(&reference.log))
+        .unwrap();
+    assert!(resumed.run().unwrap().scalar_flux_total.is_nan());
+}
+
+// ---------------------------------------------------------------------
 // Misc: mode mismatches and the cadence env knob
 // ---------------------------------------------------------------------
 
@@ -535,6 +632,34 @@ fn resume_entry_points_reject_the_wrong_mode() {
         .run_observed_checkpointed(&mut observer, &mut sink)
         .unwrap_err();
     assert!(err.to_string().contains("2 rank(s)"), "{err}");
+}
+
+#[test]
+fn a_version_2_log_is_refused_by_name_at_every_entry_point() {
+    // A log of the previous format: its event prefix would replay
+    // per-bucket events no observer knows.  Intact otherwise.
+    let problem = base_problem(StrategyKind::SourceIteration);
+    let mut log = run_single_reference(&problem, 1).log;
+    assert_eq!(frame::FORMAT_VERSION, 3);
+    log[frame::MAGIC.len()..frame::HEADER_LEN].copy_from_slice(&2u32.to_le_bytes());
+    let path = temp_path("version-2");
+    std::fs::write(&path, &log).unwrap();
+    let refusals = [
+        recover_bytes(&log).err(),
+        <Session as SessionResume>::resume(&path).err(),
+        resume_block_jacobi(&path).err(),
+        CheckpointObserver::resume(&path, 1).err(),
+    ];
+    let _ = std::fs::remove_file(&path);
+    for (entry, refusal) in refusals.into_iter().enumerate() {
+        let text = refusal
+            .unwrap_or_else(|| panic!("entry point {entry} accepted a version-2 log"))
+            .to_string();
+        assert!(
+            text.contains("format version 2") && text.contains("only version 3"),
+            "entry point {entry}: {text}"
+        );
+    }
 }
 
 #[test]

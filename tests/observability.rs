@@ -107,3 +107,48 @@ fn outcome_metrics_json_parses_with_the_split_intact() {
         Some(outcome.sweep_count)
     );
 }
+
+#[test]
+fn a_sweep_reports_its_buckets_once_not_one_event_each() {
+    // The shape of one `serve-mix` request of the repo benchmark,
+    // spelled out because `benchmark/` is not a dependency.
+    let problem = Problem {
+        nx: 5,
+        ny: 5,
+        nz: 5,
+        element_order: 1,
+        angles_per_octant: 2,
+        num_groups: 4,
+        inner_iterations: 6,
+        outer_iterations: 1,
+        convergence_tolerance: 0.0,
+        strategy: StrategyKind::SourceIteration,
+        scattering_ratio: Some(0.5),
+        num_threads: Some(1),
+        ..Problem::tiny()
+    };
+    let mut log = EventLog::default();
+    let outcome = Session::new(&problem)
+        .unwrap()
+        .run_observed(&mut log)
+        .unwrap();
+
+    // 16 angles × 13 wavefronts × 6 sweeps: the structure still reaches
+    // the metrics, through the six `Sweep` events that measured a sweep.
+    assert_eq!(outcome.sweep_count, 6);
+    assert_eq!(outcome.metrics.sweep_buckets, 1248);
+    assert_eq!(outcome.metrics.bucket_tasks, outcome.metrics.cells_swept);
+    let per_sweep: Vec<usize> = log
+        .events
+        .iter()
+        .filter_map(|(_, event)| match event {
+            SolveEvent::Sweep { buckets, .. } => Some(*buckets),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(per_sweep, vec![208; 6]);
+
+    // What a `/events` client and a `/trace` reader are sent per job.
+    assert!(log.events.len() <= 50, "{} events", log.events.len());
+    assert!(outcome.trace.len() <= 30, "{} spans", outcome.trace.len());
+}

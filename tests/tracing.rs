@@ -46,13 +46,21 @@ fn span_tree_is_bitwise_invariant_at_1_2_and_8_threads() {
     ] {
         let problem = Problem::tiny().with_strategy(strategy);
         let reference = trace_at(&problem, 1);
+        // A sweep span is a leaf: the schedule is not replayed into the
+        // trace, so nothing hangs below the one span the solver timed.
+        let sweeps: Vec<u64> = reference
+            .spans
+            .iter()
+            .filter(|s| s.name == "sweep")
+            .map(|s| s.id)
+            .collect();
+        assert!(!sweeps.is_empty(), "{strategy:?}: sweeps must be traced");
         assert!(
-            reference.count_named("bucket") > 0,
-            "{strategy:?}: the sweep must trace wavefront buckets"
-        );
-        assert!(
-            reference.count_named("local_solve") > 0,
-            "{strategy:?}: bucket spans must carry local-solve leaves"
+            reference
+                .spans
+                .iter()
+                .all(|s| s.parent.is_none_or(|p| !sweeps.contains(&p))),
+            "{strategy:?}: a sweep span must have no children"
         );
         for threads in [2usize, 8] {
             let run = trace_at(&problem, threads);
