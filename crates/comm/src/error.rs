@@ -10,16 +10,9 @@ use std::fmt;
 
 use unsnap_core::error::Error;
 
-/// Errors produced by the halo-exchange and distributed-solver layer.
+/// Errors produced by the halo wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A rank id outside the exchange's rank count.
-    RankOutOfRange {
-        /// The offending rank id.
-        rank: usize,
-        /// Number of ranks in the exchange.
-        num_ranks: usize,
-    },
     /// A wire buffer too short to hold a halo-message header.
     TruncatedMessage {
         /// Bytes present in the buffer.
@@ -34,19 +27,11 @@ pub enum CommError {
         /// Bytes actually present after the header.
         payload_bytes: usize,
     },
-    /// The receiving mailbox was disconnected.
-    ChannelClosed {
-        /// Rank whose mailbox went away.
-        rank: usize,
-    },
 }
 
 impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CommError::RankOutOfRange { rank, num_ranks } => {
-                write!(f, "rank {rank} out of range for {num_ranks} ranks")
-            }
             CommError::TruncatedMessage { bytes, minimum } => write!(
                 f,
                 "halo message too short: {bytes} bytes, header needs {minimum}"
@@ -59,9 +44,6 @@ impl fmt::Display for CommError {
                 "halo payload length mismatch: expected {expected_values} values, \
                  have {payload_bytes} bytes"
             ),
-            CommError::ChannelClosed { rank } => {
-                write!(f, "mailbox of rank {rank} is disconnected")
-            }
         }
     }
 }
@@ -82,12 +64,12 @@ mod tests {
 
     #[test]
     fn displays_are_specific() {
-        let e = CommError::RankOutOfRange {
-            rank: 7,
-            num_ranks: 4,
+        let e = CommError::TruncatedMessage {
+            bytes: 7,
+            minimum: 48,
         };
-        assert!(e.to_string().contains('7'));
-        assert!(e.to_string().contains('4'));
+        assert!(e.to_string().contains("7 bytes"));
+        assert!(e.to_string().contains("48"));
         let e = CommError::PayloadLengthMismatch {
             expected_values: 8,
             payload_bytes: 40,
@@ -97,8 +79,12 @@ mod tests {
 
     #[test]
     fn converts_into_the_workspace_error() {
-        let e: Error = CommError::ChannelClosed { rank: 2 }.into();
+        let e: Error = CommError::TruncatedMessage {
+            bytes: 2,
+            minimum: 48,
+        }
+        .into();
         assert!(matches!(e, Error::Comm { .. }));
-        assert!(e.to_string().contains("rank 2"));
+        assert!(e.to_string().contains("2 bytes"));
     }
 }

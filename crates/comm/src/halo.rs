@@ -1,22 +1,19 @@
-//! Explicit halo exchange between rank subdomains.
+//! The wire form of one halo face: [`HaloMessage`] and its byte packing.
 //!
-//! The block-Jacobi global schedule needs one halo exchange per iteration:
-//! every rank sends, for every halo face it owns, the node values of the
-//! outgoing angular flux on that face, and receives the matching values
-//! from the neighbouring rank.  In a real distributed run this is an MPI
-//! message; here the "network" is a set of `std::sync::mpsc` channels (one
-//! mailbox per rank) and the payloads are packed into little-endian byte
-//! buffers the same way a wire format would be.
+//! In a distributed run a halo exchange is a message per cut face — the
+//! node values of the outgoing angular flux on that face, for one angle
+//! and group — and [`HaloMessage::pack`] / [`HaloMessage::unpack`] are
+//! that message as little-endian bytes, with the length checks an input
+//! boundary needs.
 //!
-//! The [`BlockJacobiSolver`](crate::jacobi::BlockJacobiSolver) itself reads
-//! lagged flux values directly from the shared previous-iteration array —
-//! algorithmically identical and cheaper in a shared-memory simulation —
-//! but the tests in this module exercise the packed exchange end-to-end so
-//! the communication layer is known to work when the mini-app is hooked up
-//! to a real transport.
-
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+//! No solve path sends one.  The ranks of
+//! [`BlockJacobiSolver`](crate::jacobi::BlockJacobiSolver) share an
+//! address space, so its exchange is each rank copying the node blocks
+//! of the cells it exports into the shared
+//! [`HaloFlux`](unsnap_core::domain::HaloFlux) once every rank of the
+//! iteration is done — whole cells rather than faces, which is what the
+//! sweep kernel gathers from.  The packing stays as the measured cost of
+//! the wire form (the repository benchmark's `comm.halo.pack_ns`).
 
 use crate::error::CommError;
 
@@ -93,60 +90,6 @@ impl HaloMessage {
     }
 }
 
-/// A set of per-rank mailboxes connected all-to-all.
-pub struct HaloExchange {
-    senders: Vec<Sender<Vec<u8>>>,
-    /// A `Receiver` is not `Sync`; the exchange is shared across threads.
-    receivers: Vec<Mutex<Receiver<Vec<u8>>>>,
-}
-
-impl HaloExchange {
-    /// Create mailboxes for `num_ranks` ranks.
-    pub fn new(num_ranks: usize) -> Self {
-        let mut senders = Vec::with_capacity(num_ranks);
-        let mut receivers = Vec::with_capacity(num_ranks);
-        for _ in 0..num_ranks {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(Mutex::new(rx));
-        }
-        Self { senders, receivers }
-    }
-
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Send a packed halo message to `to_rank`.
-    pub fn send(&self, to_rank: usize, message: &HaloMessage) -> Result<(), CommError> {
-        self.senders
-            .get(to_rank)
-            .ok_or(CommError::RankOutOfRange {
-                rank: to_rank,
-                num_ranks: self.num_ranks(),
-            })?
-            .send(message.pack())
-            .map_err(|_| CommError::ChannelClosed { rank: to_rank })
-    }
-
-    /// Drain every message waiting in `rank`'s mailbox.
-    pub fn drain(&self, rank: usize) -> Result<Vec<HaloMessage>, CommError> {
-        let rx = self.receivers.get(rank).ok_or(CommError::RankOutOfRange {
-            rank,
-            num_ranks: self.num_ranks(),
-        })?;
-        let rx = rx
-            .lock()
-            .expect("no thread panics while holding a mailbox lock");
-        let mut out = Vec::new();
-        while let Ok(buf) = rx.try_recv() {
-            out.push(HaloMessage::unpack(buf)?);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,47 +122,5 @@ mod tests {
         let mut packed = m.pack();
         packed.truncate(packed.len() - 8);
         assert!(HaloMessage::unpack(packed).is_err());
-    }
-
-    #[test]
-    fn exchange_delivers_to_the_right_mailbox() {
-        let ex = HaloExchange::new(3);
-        assert_eq!(ex.num_ranks(), 3);
-        let m = sample_message();
-        ex.send(1, &m).unwrap();
-        ex.send(1, &m).unwrap();
-        ex.send(2, &m).unwrap();
-        assert_eq!(ex.drain(0).unwrap().len(), 0);
-        let at1 = ex.drain(1).unwrap();
-        assert_eq!(at1.len(), 2);
-        assert_eq!(at1[0], m);
-        assert_eq!(ex.drain(2).unwrap().len(), 1);
-        // Draining again finds nothing.
-        assert_eq!(ex.drain(1).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn sending_to_missing_rank_errors() {
-        let ex = HaloExchange::new(1);
-        assert!(ex.send(5, &sample_message()).is_err());
-        assert!(ex.drain(9).is_err());
-    }
-
-    #[test]
-    fn exchange_works_across_threads() {
-        let ex = std::sync::Arc::new(HaloExchange::new(2));
-        let ex2 = ex.clone();
-        let handle = std::thread::spawn(move || {
-            for i in 0..10 {
-                let mut m = sample_message();
-                m.cell = i;
-                ex2.send(1, &m).unwrap();
-            }
-        });
-        handle.join().unwrap();
-        let received = ex.drain(1).unwrap();
-        assert_eq!(received.len(), 10);
-        let cells: Vec<usize> = received.iter().map(|m| m.cell).collect();
-        assert_eq!(cells, (0..10).collect::<Vec<_>>());
     }
 }

@@ -43,8 +43,9 @@
 //! Ranks genuinely sweep **concurrently** on the worker pool (sized by
 //! [`Problem::num_threads`], overridable with `RAYON_NUM_THREADS`): each
 //! rank writes into its own domain's angular-flux buffer (indexed by
-//! local cell) and reads remote cells only from the shared
-//! previous-iteration array, so
+//! local cell) and reads remote cells only from the shared halo buffer
+//! ([`HaloFlux`]: the previous iteration's ψ of the cells on a cut, into
+//! which every rank publishes once all of them are done), so
 //! the per-iteration results are bit-for-bit identical at every thread
 //! and rank-execution ordering.  Each rank's solve events are buffered
 //! in an [`EventLog`] and replayed on the rank's own
@@ -57,7 +58,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 use unsnap_obs::clock::Clock;
 
-use unsnap_core::domain::{worker_pool, DomainContext, SharedAssets, SweepDomain};
+use unsnap_core::domain::{worker_pool, DomainContext, HaloFlux, SharedAssets, SweepDomain};
 use unsnap_core::error::Result;
 use unsnap_core::layout::{FluxLayout, FluxStorage};
 use unsnap_core::problem::Problem;
@@ -71,7 +72,7 @@ use unsnap_mesh::{Decomposition2D, Subdomain};
 
 /// Block-Jacobi distributed transport solver (simulated ranks): N
 /// [`SweepDomain`]s over one set of [`SharedAssets`], coupled through the
-/// lagged global angular flux.
+/// lagged angular flux of the cells on their cuts.
 pub struct BlockJacobiSolver {
     assets: SharedAssets,
     decomposition: Decomposition2D,
@@ -81,9 +82,10 @@ pub struct BlockJacobiSolver {
     domains: Vec<SweepDomain>,
     /// Each rank's accumulated work statistics, indexed by rank id.
     rank_stats: Vec<RunStats>,
-    /// Global angular flux, rebuilt from the rank domains every halo
-    /// iteration (the "exchanged" array the next iteration reads).
-    psi: FluxStorage,
+    /// ψ of the cells on a cut as the last halo iteration left it (the
+    /// "exchanged" data the next iteration reads): with φ, all that
+    /// survives an iteration boundary.  No global ψ exists.
+    halo: HaloFlux,
     phi: FluxStorage,
     phi_outer: FluxStorage,
     /// Worker pool the rank solves fan out on.
@@ -118,20 +120,20 @@ impl BlockJacobiSolver {
             .map(|sd| SweepDomain::new(&assets, &pool, sd.global_cells.clone()))
             .collect::<Result<Vec<_>>>()?;
 
-        let nodes = assets.element.nodes_per_element();
-        let cells = assets.mesh.num_cells();
-        let order = problem.scheme.loop_order;
-        let angles = assets.quadrature.num_angles();
-        let psi_layout = FluxLayout::angular(nodes, cells, problem.num_groups, angles, order);
-        let scalar_layout = FluxLayout::scalar(nodes, cells, problem.num_groups, order);
+        let scalar_layout = FluxLayout::scalar(
+            assets.element.nodes_per_element(),
+            assets.mesh.num_cells(),
+            problem.num_groups,
+            problem.scheme.loop_order,
+        );
 
         Ok(Self {
             rank_stats: vec![RunStats::default(); subdomains.len()],
+            halo: HaloFlux::new(&assets, &domains),
             assets,
             decomposition,
             subdomains,
             domains,
-            psi: FluxStorage::zeros(psi_layout),
             phi: FluxStorage::zeros(scalar_layout),
             phi_outer: FluxStorage::zeros(scalar_layout),
             pool,
@@ -150,8 +152,9 @@ impl BlockJacobiSolver {
     /// Validates the flux shapes and the rank count against this
     /// solver's layout (see [`install_resume`]); the point is consumed
     /// by the next `run`/`run_observed` call.  Each rank's compact local
-    /// flux arrays are regathered from the global arrays when the run
-    /// starts, so the point only carries global state.
+    /// φ is regathered from the global array when the run starts and its
+    /// own ψ is rewritten by its first sweep, so the point only carries
+    /// φ and the halo.
     pub fn resume_from(&mut self, point: ResumePoint) -> Result<()> {
         install_resume(self, point)
     }
@@ -227,12 +230,12 @@ impl BlockJacobiSolver {
     }
 }
 
-/// The N-domain driver: global φ/ψ beside the rank domains, checkpointed
-/// state regathered per rank, and one outer iteration is a loop of halo
-/// iterations around concurrent per-rank inner solves.  The driver-level
-/// `stats` count halo iterations (`inner_iterations`), the seconds of the
-/// parallel region (`sweep_seconds`) and the merged per-halo-iteration
-/// change (`convergence_history`).
+/// The N-domain driver: global φ and the halo beside the rank domains,
+/// checkpointed φ regathered per rank, and one outer iteration is a loop
+/// of halo iterations around concurrent per-rank inner solves.  The
+/// driver-level `stats` count halo iterations (`inner_iterations`), the
+/// seconds of the parallel region (`sweep_seconds`) and the merged
+/// per-halo-iteration change (`convergence_history`).
 impl OuterDriver for BlockJacobiSolver {
     fn problem(&self) -> &Problem {
         &self.assets.problem
@@ -243,7 +246,7 @@ impl OuterDriver for BlockJacobiSolver {
     }
 
     fn flux(&self) -> (&[f64], &[f64]) {
-        (self.phi.as_slice(), self.psi.as_slice())
+        (self.phi.as_slice(), self.halo.as_slice())
     }
 
     fn rank_stats(&self) -> &[RunStats] {
@@ -254,14 +257,14 @@ impl OuterDriver for BlockJacobiSolver {
         self.total_halo_faces()
     }
 
-    /// Each rank domain's local arrays are regathered from the global
-    /// ones: the exact inverse of the post-solve merge in `run_outer`.
-    fn restore(&mut self, phi: &[f64], psi: &[f64], rank_stats: Vec<RunStats>) {
+    /// Each rank domain's local φ is regathered from the global one: the
+    /// exact inverse of the post-solve merge in `run_outer`.
+    fn restore(&mut self, phi: &[f64], halo: &[f64], rank_stats: Vec<RunStats>) {
         self.phi.as_mut_slice().copy_from_slice(phi);
-        self.psi.as_mut_slice().copy_from_slice(psi);
+        self.halo.as_mut_slice().copy_from_slice(halo);
         self.rank_stats = rank_stats;
         for domain in &mut self.domains {
-            domain.gather_from(&self.psi, &self.phi);
+            domain.gather_from(&self.phi);
         }
     }
 
@@ -299,7 +302,7 @@ impl OuterDriver for BlockJacobiSolver {
             let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
 
             // Halo "exchange": the last merge left the previous iterate
-            // in `self.psi` and nothing writes it until this iteration's
+            // in `self.halo` and nothing writes it until this iteration's
             // ranks are done, so the span brackets only the announcement:
             // a driver-lane event (never inside a rank's log) carrying
             // the cut-face count and the bytes the exchange publishes.
@@ -316,7 +319,7 @@ impl OuterDriver for BlockJacobiSolver {
             let exchange = SolveEvent::HaloExchange {
                 iteration: halo_iteration,
                 faces: self.total_halo_faces(),
-                bytes: std::mem::size_of_val(self.psi.as_slice()) as u64,
+                bytes: std::mem::size_of_val(self.halo.as_slice()) as u64,
             };
             observer.on_event(Lane::Driver, &exchange);
 
@@ -325,11 +328,11 @@ impl OuterDriver for BlockJacobiSolver {
             // concurrently on the worker pool.  Nothing a rank reads
             // is written by another rank within the same iteration:
             // own cells come from the rank's own domain, remote cells
-            // from the global `psi`, rewritten only by the merge below.
+            // from `halo`, rewritten only by the merge below.
             // Results and event logs come back in rank order (the pool
             // reassembles in input order), so the outcome and the
             // observer stream are independent of the interleaving.
-            let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.psi);
+            let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.halo);
             let ranks: Vec<_> = self.domains.iter_mut().zip(&mut self.rank_stats).collect();
             let solves: Result<Vec<(EventLog, bool)>> = self.pool.install(|| {
                 ranks
@@ -354,11 +357,13 @@ impl OuterDriver for BlockJacobiSolver {
             // global arrays or the observer.
             let solves = solves?;
 
-            // Merge the rank fluxes into the global arrays and replay
-            // the buffered event streams, both in rank order.
+            // Merge the rank φ into the global array, publish the cells
+            // each rank exports and replay the buffered event streams,
+            // all in rank order.
             self.phi.fill(0.0);
             for (rank, (log, rank_converged)) in solves.into_iter().enumerate() {
-                self.domains[rank].scatter_into(&mut self.psi, &mut self.phi);
+                self.domains[rank].scatter_into(&mut self.phi);
+                self.domains[rank].publish(&mut self.halo);
                 let start = SolveEvent::OuterStart {
                     outer: halo_iteration,
                 };
@@ -750,7 +755,11 @@ mod tests {
         assert_eq!(m.halo_exchanges, out.inner_iterations);
         let halo_faces = out.ranks.as_ref().unwrap().halo_faces;
         assert_eq!(m.halo_faces, halo_faces * out.inner_iterations);
-        assert!(m.halo_bytes > 0);
+        // Both cell layers along the one cut, whole node blocks, every
+        // group and angle, once per exchange.
+        let halo_cells = 2 * p.ny * p.nz;
+        let entries = halo_cells * p.nodes_per_element() * p.num_groups * p.num_angles();
+        assert_eq!(m.halo_bytes, (entries * 8 * out.inner_iterations) as u64);
         assert_eq!(m.phase_count(Phase::Sweep), out.sweep_count);
         assert_eq!(m.phase_count(Phase::HaloExchange), out.inner_iterations);
         assert_eq!(m.cells_per_sweep.count() as usize, out.sweep_count);

@@ -1,7 +1,7 @@
 //! # unsnap-comm
 //!
-//! Simulated distributed-memory substrate for UnSNAP: rank subdomains,
-//! halo exchange and the parallel block-Jacobi global schedule.
+//! Simulated distributed-memory substrate for UnSNAP: rank subdomains
+//! and the parallel block-Jacobi global schedule.
 //!
 //! The original mini-app distributes the spatial mesh over MPI ranks with a
 //! KBA-style 2-D decomposition and couples the subdomains with a *parallel
@@ -20,8 +20,9 @@
 //!   2-D decomposition, sweeps each rank's subdomain with its own masked
 //!   wavefront schedules, and reads cross-rank upwind data from the
 //!   previous iteration (the algorithmic content of the halo exchange; the
-//!   physical message passing is replaced by reading the lagged array,
-//!   which is exactly what arrives in the halo of a real run).  Each
+//!   physical message passing is replaced by each rank publishing the
+//!   cells on its cuts into a shared halo buffer, which holds exactly
+//!   what arrives in the halo of a real run).  Each
 //!   rank's within-group solve dispatches through the single-domain
 //!   [`IterationStrategy`](unsnap_core::strategy::IterationStrategy)
 //!   machinery via a per-rank
@@ -37,11 +38,8 @@
 //!   [`RankDetail`](unsnap_core::solver::RankDetail); the outer loop,
 //!   checkpoint shape and resume contract are the shared
 //!   [`run_outers`](unsnap_core::solver::run_outers) protocol.
-//! * [`halo`] — an explicit halo-exchange implementation over
-//!   `std::sync::mpsc` channels with byte-packed face payloads,
-//!   demonstrating the communication layer a real distributed run would
-//!   use and used by the tests to verify that packed/unpacked halos match
-//!   the lagged-array shortcut.
+//! * [`halo`] — [`HaloMessage`], the byte-packed wire form of one halo
+//!   face; no solve path sends one (the ranks share an address space).
 //! * [`error`] — [`CommError`], the layer's typed failure modes,
 //!   convertible into the workspace-wide `unsnap_core::error::Error`.
 //!
@@ -56,7 +54,7 @@ pub mod halo;
 pub mod jacobi;
 
 pub use error::CommError;
-pub use halo::{HaloExchange, HaloMessage};
+pub use halo::HaloMessage;
 pub use jacobi::BlockJacobiSolver;
 
 /// The block-Jacobi outcome is the one

@@ -1,17 +1,11 @@
-//! Stress tests for the communication layer under the real worker pool.
-//!
-//! Until this PR the `rayon` stand-in ran everything on the calling
-//! thread, so the `crossbeam` channel mailboxes and the sweep's locks
-//! never saw true contention.  These tests hammer both from many worker
-//! threads and repeat randomized-partition block-Jacobi solves,
-//! asserting (a) nothing deadlocks — the tests finish — and (b) the
-//! converged physics is invariant across rank counts and thread counts.
+//! Stress tests for the block-Jacobi driver under the real worker pool:
+//! repeated and randomized-partition solves with the ranks on several
+//! worker threads, asserting (a) nothing deadlocks — the tests finish —
+//! and (b) the converged physics is invariant across rank counts and
+//! thread counts.
 
 use proptest::prelude::*;
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
-use unsnap_comm::halo::{HaloExchange, HaloMessage};
 use unsnap_comm::jacobi::BlockJacobiSolver;
 use unsnap_core::problem::Problem;
 use unsnap_mesh::Decomposition2D;
@@ -28,53 +22,9 @@ fn base_problem() -> Problem {
 }
 
 #[test]
-fn halo_exchange_survives_concurrent_senders() {
-    // Many workers blast packed messages at every mailbox concurrently;
-    // every message must arrive exactly once and unpack intact.
-    let num_ranks = 4;
-    let senders = 8;
-    let messages_per_sender = 200;
-    let exchange = HaloExchange::new(num_ranks);
-    let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-
-    pool.install(|| {
-        (0..senders * messages_per_sender)
-            .collect::<Vec<usize>>()
-            .into_par_iter()
-            .for_each(|k| {
-                let message = HaloMessage {
-                    from_rank: k % senders,
-                    cell: k,
-                    face: k % 6,
-                    angle: k % 16,
-                    group: k % 2,
-                    values: vec![k as f64, -(k as f64), 0.5],
-                };
-                exchange.send(k % num_ranks, &message).unwrap();
-            })
-    });
-
-    let mut received = Vec::new();
-    for rank in 0..num_ranks {
-        for message in exchange.drain(rank).unwrap() {
-            assert_eq!(message.cell % num_ranks, rank);
-            assert_eq!(message.values[0], message.cell as f64);
-            assert_eq!(message.values[1], -(message.cell as f64));
-            received.push(message.cell);
-        }
-    }
-    received.sort_unstable();
-    assert_eq!(
-        received,
-        (0..senders * messages_per_sender).collect::<Vec<_>>()
-    );
-}
-
-#[test]
 fn repeated_block_jacobi_runs_do_not_deadlock() {
     // Back-to-back multi-rank solves on a freshly built 4-thread pool
-    // each time: worker spawn/join and the contended mailbox locks must
-    // never wedge.
+    // each time: worker spawn/join must never wedge.
     let mut p = base_problem();
     p.inner_iterations = 3;
     p.num_threads = Some(4);

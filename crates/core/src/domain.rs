@@ -10,6 +10,9 @@
 //!   kernel engine, clock), built by one routine for every driver;
 //! * [`SweepDomain`] — the cells one domain owns, its per-angle masked
 //!   wavefront schedules and its ψ/φ/source buffers over *local* cells;
+//! * [`HaloFlux`] — the ψ node blocks of the cells that touch a cut
+//!   between domains: what one domain reads of another, and with φ all
+//!   that survives an iteration boundary;
 //! * [`DomainContext`] — a borrowed view (assets + pool + the global
 //!   previous-outer flux + an optional halo + one domain) carrying the
 //!   only real [`InnerSolveContext`] implementation: one source assembly,
@@ -17,7 +20,8 @@
 //!
 //! The single-domain `TransportSolver` owns exactly one domain covering
 //! every cell, with no halo; the block-Jacobi driver in `unsnap-comm`
-//! owns one per rank and hands each the lagged global ψ as its halo.
+//! owns one per rank and one [`HaloFlux`] they all read, into which each
+//! publishes the cells it exports once the ranks of an iteration are done.
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
 //! gather the upwind ψ, assemble, solve — for one group, or for a run of
 //! groups in lockstep where the kernel offers that) and one per-angle walker
@@ -166,7 +170,8 @@ impl SharedAssets {
     }
 }
 
-/// `local_of_cell` entry of a cell the domain does not own.
+/// `local_of_cell` entry of a cell the domain does not own, and
+/// `slot_of_cell` entry of a cell that touches no cut.
 const FOREIGN: usize = usize::MAX;
 
 /// The mutable half of a solve: the cells one domain owns and every
@@ -181,6 +186,9 @@ pub struct SweepDomain {
     cells: Vec<usize>,
     /// Local slot of every global cell ([`FOREIGN`] when not owned).
     local_of_cell: Vec<usize>,
+    /// Local slots of the owned cells another domain reads — those with
+    /// a face on a cut — in ascending order.
+    exports: Vec<usize>,
     /// One wavefront schedule per angle, masked to the owned cells.
     pub(crate) schedules: Vec<SweepSchedule>,
     /// What one sweep of `schedules` walks: buckets, summed over angles.
@@ -236,8 +244,8 @@ enum InflowSource {
     Boundary(f64),
     /// A cell of this domain, by local slot, solved earlier in the sweep.
     Own { local: usize, face: usize },
-    /// A cell of another domain, by global id, read from the halo.
-    Foreign { cell: usize, face: usize },
+    /// A cell of another domain, by halo slot.
+    Foreign { slot: usize, face: usize },
 }
 
 /// Per-worker state of a sweep: the kernel's scratch, and what the
@@ -329,6 +337,15 @@ impl SweepDomain {
         // per direction on an unstructured mesh).  A mask owning every
         // cell yields the whole-mesh schedule.
         let owned: Vec<bool> = local_of_cell.iter().map(|&l| l != FOREIGN).collect();
+        let on_a_cut = |cell: usize| {
+            (0..NUM_FACES).any(|face| match mesh.neighbor(cell, face) {
+                NeighborRef::Interior { cell, .. } => !owned[cell],
+                NeighborRef::Boundary { .. } => false,
+            })
+        };
+        let exports = (0..cells.len())
+            .filter(|&local| on_a_cut(cells[local]))
+            .collect();
         let schedules: Vec<SweepSchedule> = pool.install(|| {
             assets
                 .quadrature
@@ -356,6 +373,7 @@ impl SweepDomain {
         Ok(Self {
             cells,
             local_of_cell,
+            exports,
             sweep_buckets: schedules.iter().map(|s| s.num_buckets()).sum(),
             sweep_tasks: (scheduled * problem.num_groups) as u64,
             schedules,
@@ -375,38 +393,98 @@ impl SweepDomain {
         })
     }
 
-    /// Overwrite this domain's ψ and φ with its cells' blocks of the
-    /// global arrays (the exact inverse of [`SweepDomain::scatter_into`]).
-    pub fn gather_from(&mut self, psi: &FluxStorage, phi: &FluxStorage) {
-        let layout = *self.psi.layout();
+    /// Overwrite this domain's φ with its cells' blocks of the global
+    /// array (the exact inverse of [`SweepDomain::scatter_into`]).
+    pub fn gather_from(&mut self, phi: &FluxStorage) {
         for (local, &cell) in self.cells.iter().enumerate() {
-            for g in 0..layout.num_groups {
+            for g in 0..phi.layout().num_groups {
                 self.phi
                     .nodes_mut(local, g, 0)
                     .copy_from_slice(phi.nodes(cell, g, 0));
-                for angle in 0..layout.num_angles {
-                    self.psi
-                        .nodes_mut(local, g, angle)
-                        .copy_from_slice(psi.nodes(cell, g, angle));
-                }
             }
         }
     }
 
-    /// Publish this domain's ψ and φ into its cells' blocks of the global
-    /// arrays.
-    pub fn scatter_into(&self, psi: &mut FluxStorage, phi: &mut FluxStorage) {
-        let layout = *self.psi.layout();
+    /// Publish this domain's φ into its cells' blocks of the global
+    /// array.
+    pub fn scatter_into(&self, phi: &mut FluxStorage) {
         for (local, &cell) in self.cells.iter().enumerate() {
-            for g in 0..layout.num_groups {
+            for g in 0..phi.layout().num_groups {
                 phi.nodes_mut(cell, g, 0)
                     .copy_from_slice(self.phi.nodes(local, g, 0));
+            }
+        }
+    }
+
+    /// Publish the ψ of the cells this domain exports into their slots
+    /// of `halo`: the domain's half of a halo exchange.
+    pub fn publish(&self, halo: &mut HaloFlux) {
+        let layout = *self.psi.layout();
+        for &local in &self.exports {
+            let slot = halo.slot_of_cell[self.cells[local]];
+            for g in 0..layout.num_groups {
                 for angle in 0..layout.num_angles {
-                    psi.nodes_mut(cell, g, angle)
+                    halo.psi
+                        .nodes_mut(slot, g, angle)
                         .copy_from_slice(self.psi.nodes(local, g, angle));
                 }
             }
         }
+    }
+}
+
+/// The angular flux that crosses the cuts between the domains of one
+/// driver: ψ of the *halo cells* — every cell with a face on a cut —
+/// stored compactly, whole node blocks per (cell, group, angle) like the
+/// ψ of a domain.
+///
+/// A domain reads a foreign cell here and nowhere else, and overwrites
+/// every entry of its own ψ before reading it, so this buffer and φ are
+/// the whole of what one iteration hands the next.  A driver with a
+/// single domain has no cut and needs no halo.
+pub struct HaloFlux {
+    /// Slot of every global cell in `psi` ([`FOREIGN`] off the cuts).
+    slot_of_cell: Vec<usize>,
+    /// ψ(node, slot, group, angle).
+    psi: FluxStorage,
+}
+
+impl HaloFlux {
+    /// The zeroed halo of `domains`, which together own every cell of
+    /// the mesh of `assets`: one slot per exported cell, domain after
+    /// domain.
+    pub fn new(assets: &SharedAssets, domains: &[SweepDomain]) -> Self {
+        let mut slot_of_cell = vec![FOREIGN; assets.mesh.num_cells()];
+        let exported = domains
+            .iter()
+            .flat_map(|domain| domain.exports.iter().map(|&local| domain.cells[local]));
+        let mut slots = 0;
+        for cell in exported {
+            slot_of_cell[cell] = slots;
+            slots += 1;
+        }
+        let problem = &assets.problem;
+        let layout = FluxLayout::angular(
+            assets.element.nodes_per_element(),
+            slots,
+            problem.num_groups,
+            assets.quadrature.num_angles(),
+            problem.scheme.loop_order,
+        );
+        Self {
+            slot_of_cell,
+            psi: FluxStorage::zeros(layout),
+        }
+    }
+
+    /// The halo ψ in storage order: with φ, a driver's resumable state.
+    pub fn as_slice(&self) -> &[f64] {
+        self.psi.as_slice()
+    }
+
+    /// Mutable access, for reinstalling checkpointed state.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        self.psi.as_mut_slice()
     }
 }
 
@@ -545,11 +623,12 @@ struct SweepView<'a> {
     /// Shape of the ψ of one angle — and of φ: the angle is the slowest
     /// index of both storage orders, so ψ is one such slab per angle.
     slab: FluxLayout,
-    /// Lagged ψ of foreign cells, in global indexing.  `None` — no halo,
-    /// or a homogeneous sweep — reads zeros.
-    halo: Option<&'a FluxStorage>,
-    /// Multiplier of the prescribed boundary inflow (0 when homogeneous).
-    boundary_scale: f64,
+    /// Lagged ψ of foreign cells; without one they read zeros.
+    halo: Option<&'a HaloFlux>,
+    /// Whether this sweep treats every affine inflow as vacuum: the
+    /// prescribed boundary flux is scaled by zero and the halo reads
+    /// zeros.
+    homogeneous: bool,
     zeros: &'a [f64],
     /// Lengths of the group runs an inline walker solves in lockstep,
     /// widest first (see [`lockstep_widths`]).
@@ -610,7 +689,10 @@ impl SweepView<'_> {
                         a.problem.boundaries.face(domain_face).incoming_flux(),
                     ),
                     NeighborRef::Interior { cell, face } => match self.local_of_cell[cell] {
-                        FOREIGN => InflowSource::Foreign { cell, face },
+                        FOREIGN => InflowSource::Foreign {
+                            slot: self.halo.map_or(FOREIGN, |halo| halo.slot_of_cell[cell]),
+                            face,
+                        },
                         local => InflowSource::Own { local, face },
                     },
                 };
@@ -629,24 +711,25 @@ impl SweepView<'_> {
             None => scratch.integrals.as_ref().expect("computed with the key"),
         };
         let run_len = groups.len() * self.slab.nodes_per_element;
+        let boundary_scale = if self.homogeneous { 0.0 } else { 1.0 };
         let mut upwind = [UpwindFace {
             face: 0,
             source: UpwindSource::Boundary(0.0),
         }; NUM_FACES];
         for (slot, &(face, source)) in upwind.iter_mut().zip(&scratch.inflow) {
             let source = match source {
-                InflowSource::Boundary(flux) => UpwindSource::Boundary(self.boundary_scale * flux),
+                InflowSource::Boundary(flux) => UpwindSource::Boundary(boundary_scale * flux),
                 InflowSource::Own { local, face } => UpwindSource::Interior {
                     neighbor_psi: &psi[self.blocks(local, &groups)],
                     neighbor_face_nodes: &a.face_nodes[face],
                 },
-                InflowSource::Foreign { cell, face } => UpwindSource::Interior {
+                InflowSource::Foreign { slot, face } => UpwindSource::Interior {
                     neighbor_psi: match self.halo {
-                        Some(halo) => {
-                            let base = halo.layout().base(cell, groups.start, angle);
-                            &halo.as_slice()[base..][..run_len]
+                        Some(halo) if !self.homogeneous => {
+                            let base = halo.psi.layout().base(slot, groups.start, angle);
+                            &halo.psi.as_slice()[base..][..run_len]
                         }
-                        None => &self.zeros[..run_len],
+                        _ => &self.zeros[..run_len],
                     },
                     neighbor_face_nodes: &a.face_nodes[face],
                 },
@@ -913,9 +996,11 @@ pub struct DomainContext<'a> {
     /// The *global* scalar flux at the previous outer iteration (the
     /// Jacobi group coupling reads it by global cell id).
     pub phi_outer: &'a FluxStorage,
-    /// The *global* lagged angular flux that cross-domain upwind reads
-    /// come from; `None` for a domain owning every cell.
-    pub halo: Option<&'a FluxStorage>,
+    /// The lagged angular flux that cross-domain upwind reads come
+    /// from; `None` for a domain owning every cell.  The same one at
+    /// every solve of a domain, whose workers keep the slots they
+    /// resolved.
+    pub halo: Option<&'a HaloFlux>,
     /// The domain being solved.
     pub domain: &'a mut SweepDomain,
     /// Inner iterations per strategy invocation.
@@ -980,8 +1065,8 @@ impl DomainContext<'_> {
             schedules,
             source,
             slab: *phi.layout(),
-            halo: self.halo.filter(|_| !*homogeneous),
-            boundary_scale: if *homogeneous { 0.0 } else { 1.0 },
+            halo: self.halo,
+            homogeneous: *homogeneous,
             zeros,
             lanes: lockstep_widths(self.assets),
         };

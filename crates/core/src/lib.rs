@@ -54,9 +54,10 @@
 //!   angular flux, scalar flux and source arrays.
 //! * [`kernel`] — the per-element/angle/group assemble + solve kernel.
 //! * [`domain`] — the one sweep path: a `SweepDomain` (owned cells,
-//!   masked schedules, flux buffers) and the `DomainContext` that
-//!   assembles sources, sweeps and DSA-corrects on it, iterating each
-//!   wavefront bucket as the concurrency scheme's descriptor says.
+//!   masked schedules, flux buffers), the `HaloFlux` domains read each
+//!   other through, and the `DomainContext` that assembles sources,
+//!   sweeps and DSA-corrects on a domain, iterating each wavefront
+//!   bucket as the concurrency scheme's descriptor says.
 //! * [`solver`] — the single-domain driver: outer iteration structure,
 //!   checkpoint hooks, timers and convergence monitoring.
 //! * [`strategy`] — pluggable inner-iteration strategies: classic source

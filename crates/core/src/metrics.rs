@@ -387,11 +387,11 @@ impl<W: Write> JsonlObserver<W> {
         self.writer.flush()
     }
 
-    fn write(&mut self, object: JsonObject) {
+    fn write(&mut self, line: &str) {
         if self.error.is_some() {
             return;
         }
-        match self.writer.write_line(&object.finish()) {
+        match self.writer.write_line(line) {
             Ok(()) => self.events_written += 1,
             Err(e) => self.error = Some(e),
         }
@@ -400,61 +400,7 @@ impl<W: Write> JsonlObserver<W> {
 
 impl<W: Write> RunObserver for JsonlObserver<W> {
     fn on_event(&mut self, lane: Lane, event: &SolveEvent) {
-        let head = |kind: &str| {
-            let object = JsonObject::new().field_str("event", kind);
-            match lane {
-                Lane::Driver => object,
-                Lane::Rank(rank) => object.field_usize("rank", rank),
-            }
-        };
-        self.write(match *event {
-            SolveEvent::OuterStart { outer } => head("outer_start").field_usize("outer", outer),
-            SolveEvent::OuterEnd { outer, converged } => head("outer_end")
-                .field_usize("outer", outer)
-                .field_bool("converged", converged),
-            SolveEvent::InnerIteration {
-                inner,
-                relative_change,
-            } => head("inner_iteration")
-                .field_usize("inner", inner)
-                .field_f64("relative_change", relative_change),
-            SolveEvent::Sweep {
-                sweep,
-                cells,
-                buckets,
-                seconds,
-            } => head("sweep")
-                .field_usize("sweep", sweep)
-                .field_u64("cells", cells)
-                .field_usize("buckets", buckets)
-                .field_f64("seconds", seconds),
-            SolveEvent::KrylovResidual {
-                iteration,
-                relative_residual,
-            } => head("krylov_residual")
-                .field_usize("iteration", iteration)
-                .field_f64("relative_residual", relative_residual),
-            SolveEvent::AccelResidual {
-                iteration,
-                relative_residual,
-            } => head("accel_residual")
-                .field_usize("iteration", iteration)
-                .field_f64("relative_residual", relative_residual),
-            SolveEvent::PhaseStart { phase } => {
-                head("phase_start").field_str("phase", phase.label())
-            }
-            SolveEvent::PhaseEnd { phase, seconds } => head("phase_end")
-                .field_str("phase", phase.label())
-                .field_f64("seconds", seconds),
-            SolveEvent::HaloExchange {
-                iteration,
-                faces,
-                bytes,
-            } => head("halo_exchange")
-                .field_usize("iteration", iteration)
-                .field_usize("faces", faces)
-                .field_u64("bytes", bytes),
-        });
+        self.write(&event.to_json(lane));
     }
 }
 
@@ -464,7 +410,7 @@ mod tests {
 
     /// Every event variant on the driver lane and on `Rank(2)`, with
     /// the byte-exact encodings pinned at the pre-`on_event` commit.
-    const PINS: &[(Lane, SolveEvent, &str, &str)] = &include!("../tests/data/event_pins.rs");
+    const PINS: &[(Lane, SolveEvent, &str)] = &include!("../tests/data/event_pins.rs");
 
     fn feed(observer: &mut dyn RunObserver) {
         for (lane, event, ..) in PINS {
@@ -582,7 +528,7 @@ mod tests {
         assert_eq!(observer.events_written(), PINS.len());
         observer.finish().unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let pinned: Vec<&str> = PINS.iter().map(|(_, _, line, _)| *line).collect();
+        let pinned: Vec<&str> = PINS.iter().map(|(_, _, line)| *line).collect();
         assert_eq!(text.lines().collect::<Vec<_>>(), pinned);
     }
 }

@@ -33,6 +33,7 @@
 //! assert_eq!(recorder.convergence_history, outcome.convergence_history);
 //! ```
 
+use unsnap_obs::json::JsonObject;
 use unsnap_obs::trace::TraceTree;
 
 use crate::error::Result;
@@ -239,9 +240,77 @@ pub enum SolveEvent {
         iteration: usize,
         /// Cut faces crossed by the exchange.
         faces: usize,
-        /// Bytes of angular flux published.
+        /// Bytes of angular flux published: the size of the
+        /// [`HaloFlux`](crate::domain::HaloFlux), the node blocks of
+        /// every cell with a face on a cut.
         bytes: u64,
     },
+}
+
+impl SolveEvent {
+    /// The one JSON encoding of an event, as one line: what
+    /// [`JsonlObserver`](crate::metrics::JsonlObserver) streams and a
+    /// run-log frame stores.  A [`Lane::Rank`] event carries a `rank`
+    /// field; floats are written in shortest-round-trip form, non-finite
+    /// ones as `null`.
+    pub fn to_json(&self, lane: Lane) -> String {
+        let head = |kind: &str| {
+            let object = JsonObject::new().field_str("event", kind);
+            match lane {
+                Lane::Driver => object,
+                Lane::Rank(rank) => object.field_usize("rank", rank),
+            }
+        };
+        let object = match *self {
+            SolveEvent::OuterStart { outer } => head("outer_start").field_usize("outer", outer),
+            SolveEvent::OuterEnd { outer, converged } => head("outer_end")
+                .field_usize("outer", outer)
+                .field_bool("converged", converged),
+            SolveEvent::InnerIteration {
+                inner,
+                relative_change,
+            } => head("inner_iteration")
+                .field_usize("inner", inner)
+                .field_f64("relative_change", relative_change),
+            SolveEvent::Sweep {
+                sweep,
+                cells,
+                buckets,
+                seconds,
+            } => head("sweep")
+                .field_usize("sweep", sweep)
+                .field_u64("cells", cells)
+                .field_usize("buckets", buckets)
+                .field_f64("seconds", seconds),
+            SolveEvent::KrylovResidual {
+                iteration,
+                relative_residual,
+            } => head("krylov_residual")
+                .field_usize("iteration", iteration)
+                .field_f64("relative_residual", relative_residual),
+            SolveEvent::AccelResidual {
+                iteration,
+                relative_residual,
+            } => head("accel_residual")
+                .field_usize("iteration", iteration)
+                .field_f64("relative_residual", relative_residual),
+            SolveEvent::PhaseStart { phase } => {
+                head("phase_start").field_str("phase", phase.label())
+            }
+            SolveEvent::PhaseEnd { phase, seconds } => head("phase_end")
+                .field_str("phase", phase.label())
+                .field_f64("seconds", seconds),
+            SolveEvent::HaloExchange {
+                iteration,
+                faces,
+                bytes,
+            } => head("halo_exchange")
+                .field_usize("iteration", iteration)
+                .field_usize("faces", faces)
+                .field_u64("bytes", bytes),
+        };
+        object.finish()
+    }
 }
 
 /// An observer that buffers the event stream verbatim, lanes included —

@@ -252,11 +252,12 @@ pub struct RunStats {
 /// boundary — everything a durable run log needs to restart the solve
 /// from this point (see [`ResumePoint`]).
 ///
-/// Only the global φ and ψ and the accumulated accounting are exposed:
-/// every other piece of solver state (`phi_outer`, `phi_inner`, the
-/// assembled source, Krylov and DSA scratch, a rank's compact local
-/// arrays) is overwritten or regathered before it is read on the next
-/// outer iteration, so checkpointing it would be dead weight.
+/// Only the global φ, the halo ψ and the accumulated accounting are
+/// exposed: every other piece of solver state (`phi_outer`, `phi_inner`,
+/// the assembled source, Krylov and DSA scratch, a rank's compact local
+/// arrays — its own ψ included, which a sweep overwrites entry by entry
+/// before reading it) is overwritten or regathered before it is read on
+/// the next outer iteration, so checkpointing it would be dead weight.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
     /// The outer iteration that just completed (0-based).
@@ -266,8 +267,10 @@ pub struct CheckpointView<'a> {
     pub converged: bool,
     /// Global scalar flux φ, in storage order.
     pub phi: &'a [f64],
-    /// Global angular flux ψ, in storage order.
-    pub psi: &'a [f64],
+    /// Angular flux of the cells on a cut between ranks
+    /// ([`HaloFlux`](crate::domain::HaloFlux)), in storage order; empty
+    /// for a single-domain run.
+    pub halo: &'a [f64],
     /// The driver's work and convergence accounting so far.  For a
     /// block-Jacobi run: halo iterations, the seconds of the parallel
     /// region around the rank solves and the per-halo-iteration history.
@@ -312,8 +315,9 @@ pub struct ResumePoint {
     pub stats: RunStats,
     /// Global scalar flux φ at the checkpoint, in storage order.
     pub phi: Vec<f64>,
-    /// Global angular flux ψ at the checkpoint, in storage order.
-    pub psi: Vec<f64>,
+    /// Halo angular flux at the checkpoint, in storage order; empty for a
+    /// single-domain run, whose sweeps read no ψ they did not write.
+    pub halo: Vec<f64>,
     /// Each rank's accounting at the checkpoint, indexed by rank id;
     /// empty for a single-domain run.
     pub rank_stats: Vec<RunStats>,
@@ -337,10 +341,11 @@ pub struct RunControl {
     preassembly_seconds: Option<f64>,
 }
 
-/// What a solver supplies to [`run_outers`]: where its global flux
-/// lives, how checkpointed state is reinstalled, and the body of one
-/// outer iteration.  Everything around those — resume, cancellation,
-/// events, checkpoints, the outcome — is the protocol's.
+/// What a solver supplies to [`run_outers`]: where the flux that
+/// survives an iteration lives, how checkpointed state is reinstalled,
+/// and the body of one outer iteration.  Everything around those —
+/// resume, cancellation, events, checkpoints, the outcome — is the
+/// protocol's.
 pub trait OuterDriver {
     /// The problem being solved.
     fn problem(&self) -> &Problem;
@@ -348,7 +353,8 @@ pub trait OuterDriver {
     /// The protocol state embedded in this driver.
     fn control(&mut self) -> &mut RunControl;
 
-    /// The global scalar flux φ and angular flux ψ, in storage order.
+    /// The global scalar flux φ and the halo angular flux (empty without
+    /// ranks), in storage order.
     fn flux(&self) -> (&[f64], &[f64]);
 
     /// Each rank's accounting for the current run, indexed by rank id;
@@ -364,7 +370,7 @@ pub trait OuterDriver {
 
     /// Reinstall checkpointed state (shapes already validated by
     /// [`install_resume`]).
-    fn restore(&mut self, phi: &[f64], psi: &[f64], rank_stats: Vec<RunStats>);
+    fn restore(&mut self, phi: &[f64], halo: &[f64], rank_stats: Vec<RunStats>);
 
     /// Run one outer iteration, accumulating the driver-level accounting
     /// into `stats`; returns whether the tolerance was met.
@@ -376,10 +382,10 @@ pub trait OuterDriver {
 /// problem matches, but a torn or foreign log must fail loudly, not
 /// corrupt state.
 pub fn install_resume(driver: &mut dyn OuterDriver, point: ResumePoint) -> Result<()> {
-    let ((phi, psi), ranks) = (driver.flux(), driver.rank_stats());
+    let ((phi, halo), ranks) = (driver.flux(), driver.rank_stats());
     let shapes = [
         ("scalar-flux", point.phi.len(), phi.len()),
-        ("angular-flux", point.psi.len(), psi.len()),
+        ("halo-flux", point.halo.len(), halo.len()),
         ("rank-stat", point.rank_stats.len(), ranks.len()),
     ];
     for (what, found, expected) in shapes {
@@ -427,7 +433,7 @@ pub fn run_outers(
             let preassembly = control.preassembly_seconds.take();
             let (mut stats, start_outer) = match resume {
                 Some(point) => {
-                    driver.restore(&point.phi, &point.psi, point.rank_stats);
+                    driver.restore(&point.phi, &point.halo, point.rank_stats);
                     point.prefix.replay(observer);
                     (point.stats, point.outer_next)
                 }
@@ -450,12 +456,12 @@ pub fn run_outers(
                 converged = driver.run_outer(&mut stats, observer)?;
                 observer.on_event(Lane::Driver, &SolveEvent::OuterEnd { outer, converged });
                 outers_run = outer + 1;
-                let (phi, psi) = driver.flux();
+                let (phi, halo) = driver.flux();
                 sink.on_checkpoint(&CheckpointView {
                     outer_completed: outer,
                     converged,
                     phi,
-                    psi,
+                    halo,
                     stats: &stats,
                     rank_stats: driver.rank_stats(),
                 })?;
@@ -678,8 +684,9 @@ impl TransportSolver {
     }
 }
 
-/// The one-domain driver: the domain's own buffers are the global flux,
-/// and one outer iteration is one strategy-dispatched inner solve.
+/// The one-domain driver: the domain's own φ is the global flux, there
+/// is no cut and so no halo, and one outer iteration is one
+/// strategy-dispatched inner solve.
 impl OuterDriver for TransportSolver {
     fn problem(&self) -> &Problem {
         &self.assets.problem
@@ -690,12 +697,11 @@ impl OuterDriver for TransportSolver {
     }
 
     fn flux(&self) -> (&[f64], &[f64]) {
-        (self.domain.phi.as_slice(), self.domain.psi.as_slice())
+        (self.domain.phi.as_slice(), &[])
     }
 
-    fn restore(&mut self, phi: &[f64], psi: &[f64], _rank_stats: Vec<RunStats>) {
+    fn restore(&mut self, phi: &[f64], _halo: &[f64], _rank_stats: Vec<RunStats>) {
         self.domain.phi.as_mut_slice().copy_from_slice(phi);
-        self.domain.psi.as_mut_slice().copy_from_slice(psi);
     }
 
     fn run_outer(&mut self, stats: &mut RunStats, observer: &mut dyn RunObserver) -> Result<bool> {

@@ -178,7 +178,7 @@ mod tests {
         TraceObserver::with_clock(Box::new(MockClock::with_step(Duration::from_micros(7))))
     }
 
-    const PINS: &[(Lane, SolveEvent, &str, &str)] = &include!("../tests/data/event_pins.rs");
+    const PINS: &[(Lane, SolveEvent, &str)] = &include!("../tests/data/event_pins.rs");
 
     /// The preassembly span, then one outer iteration on the driver
     /// lane and one on rank 2's.

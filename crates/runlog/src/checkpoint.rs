@@ -6,13 +6,17 @@
 //! quadratic in run length).  Recovery concatenates the deltas of every
 //! intact frame to rebuild the exact event prefix for replay.
 //!
-//! The payload is `{outer_next, stats, rank_stats, phi, psi, events}`:
-//! `rank_stats` is empty for a single-domain run and holds one entry per
-//! rank of a block-Jacobi run, whose `stats` count halo iterations.
+//! The payload is `{outer_next, stats, rank_stats, phi, halo, events}`:
+//! `rank_stats` and `halo` are empty for a single-domain run; a
+//! block-Jacobi run has one `rank_stats` entry per rank, its `stats`
+//! count halo iterations and `halo` is the angular flux of the cells on
+//! a cut between ranks — the only angular flux the next iteration reads
+//! before writing.  `events` holds each event in its one encoding
+//! ([`SolveEvent::to_json`](unsnap_core::session::SolveEvent::to_json)).
 
 use unsnap_core::session::EventLog;
 use unsnap_core::solver::{CheckpointView, ResumePoint, RunStats};
-use unsnap_obs::json::JsonObject;
+use unsnap_obs::json::{self, JsonObject};
 use unsnap_obs::reader::JsonValue;
 
 use crate::codec;
@@ -29,8 +33,9 @@ pub struct Checkpoint {
     pub rank_stats: Vec<RunStats>,
     /// Global scalar flux φ at the checkpoint.
     pub phi: Vec<f64>,
-    /// Global angular flux ψ at the checkpoint.
-    pub psi: Vec<f64>,
+    /// Angular flux of the halo cells at the checkpoint (empty for a
+    /// single-domain run).
+    pub halo: Vec<f64>,
     /// Observer events since the previous frame (delta, not prefix).
     pub events: EventLog,
 }
@@ -39,13 +44,14 @@ pub struct Checkpoint {
 /// delta.
 pub fn to_json(view: &CheckpointView<'_>, events: &EventLog) -> String {
     let rank_stats = view.rank_stats.iter().map(codec::stats_to_json);
+    let events = events.events.iter().map(|(lane, e)| e.to_json(*lane));
     JsonObject::new()
         .field_usize("outer_next", view.outer_completed + 1)
         .field_raw("stats", &codec::stats_to_json(view.stats))
-        .field_raw("rank_stats", &unsnap_obs::json::array_raw(rank_stats))
+        .field_raw("rank_stats", &json::array_raw(rank_stats))
         .field_f64_array("phi", view.phi)
-        .field_f64_array("psi", view.psi)
-        .field_raw("events", &codec::events_to_json(events))
+        .field_f64_array("halo", view.halo)
+        .field_raw("events", &json::array_raw(events))
         .finish()
 }
 
@@ -77,7 +83,7 @@ pub fn from_json(value: &JsonValue, num_ranks: usize) -> Result<Checkpoint, Stri
         stats: codec::stats_from_json(field("stats")?)?,
         rank_stats,
         phi: codec::f64_array_of(value, "phi")?,
-        psi: codec::f64_array_of(value, "psi")?,
+        halo: codec::f64_array_of(value, "halo")?,
         events: codec::events_from_json(field("events")?, num_ranks)?,
     })
 }
@@ -97,7 +103,7 @@ pub fn fold(checkpoints: Vec<Checkpoint>) -> Option<ResumePoint> {
         outer_next: last.outer_next,
         stats: last.stats,
         phi: last.phi,
-        psi: last.psi,
+        halo: last.halo,
         rank_stats: last.rank_stats,
         prefix,
     })
@@ -127,12 +133,12 @@ mod tests {
                 })
                 .collect();
             let phi = vec![1.0, 2.5, -0.125];
-            let psi = vec![0.1 + 0.2; 6];
+            let halo = vec![0.1 + 0.2; 6 * num_ranks];
             let view = CheckpointView {
                 outer_completed: 4,
                 converged: false,
                 phi: &phi,
-                psi: &psi,
+                halo: &halo,
                 stats: &stats,
                 rank_stats: &rank_stats,
             };
@@ -144,7 +150,7 @@ mod tests {
             let back = from_json(&parsed, num_ranks).expect("decodes");
             assert_eq!(back.outer_next, 5);
             assert_eq!(back.phi, phi);
-            assert_eq!(back.psi, psi);
+            assert_eq!(back.halo, halo);
             assert_eq!(back.stats.inner_iterations, 3);
             assert_eq!(back.stats.sweep_seconds, 0.125);
             let history = &back.stats.convergence_history;
@@ -164,7 +170,7 @@ mod tests {
         let first = Checkpoint {
             outer_next: 1,
             phi: vec![1.0],
-            psi: vec![1.0],
+            halo: vec![1.0],
             events: EventLog {
                 events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 0 })],
             },
@@ -173,7 +179,7 @@ mod tests {
         let second = Checkpoint {
             outer_next: 2,
             phi: vec![2.0],
-            psi: vec![2.0],
+            halo: vec![2.0, 3.0],
             rank_stats: vec![RunStats::default(); 2],
             events: EventLog {
                 events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 1 })],
@@ -183,6 +189,7 @@ mod tests {
         let point = fold(vec![first, second]).expect("non-empty");
         assert_eq!(point.outer_next, 2);
         assert_eq!(point.phi, vec![2.0]);
+        assert_eq!(point.halo, vec![2.0, 3.0]);
         assert_eq!(point.rank_stats.len(), 2);
         assert_eq!(point.prefix.events.len(), 2);
         assert!(fold(Vec::new()).is_none());

@@ -1,102 +1,18 @@
-//! JSON codecs for the frame payload building blocks: solver events
-//! and run statistics.
+//! JSON codecs for the frame payload building blocks: the decoder of
+//! solver events and both directions of run statistics.
 //!
-//! Everything round-trips *bit-for-bit*: floats go through
-//! [`json::number`] (shortest representation that re-parses to the same
-//! bits; non-finite encoded as `null`, decoded back to `NaN`), so a
-//! replayed event prefix reproduces the original observer stream
+//! Events are stored in their one encoding,
+//! [`SolveEvent::to_json`] — the line `JsonlObserver` streams — so this
+//! module only reads them back.  Everything round-trips *bit-for-bit*:
+//! floats are written in the shortest representation that re-parses to
+//! the same bits (non-finite encoded as `null`, decoded back to `NaN`),
+//! so a replayed event prefix reproduces the original observer stream
 //! exactly — the foundation of the resume determinism contract.
 
 use unsnap_core::session::{EventLog, Lane, Phase, SolveEvent};
 use unsnap_core::solver::RunStats;
-use unsnap_obs::json::{self, JsonObject};
+use unsnap_obs::json::JsonObject;
 use unsnap_obs::reader::JsonValue;
-
-/// Encode one solver event as a compact JSON object; a
-/// [`Lane::Rank`] event is its driver-lane form wrapped in a `"rank"`
-/// object.
-pub fn event_to_json(lane: Lane, event: &SolveEvent) -> String {
-    let payload = match *event {
-        SolveEvent::OuterStart { outer } => JsonObject::new()
-            .field_str("t", "outer_start")
-            .field_usize("outer", outer)
-            .finish(),
-        SolveEvent::OuterEnd { outer, converged } => JsonObject::new()
-            .field_str("t", "outer_end")
-            .field_usize("outer", outer)
-            .field_bool("converged", converged)
-            .finish(),
-        SolveEvent::InnerIteration {
-            inner,
-            relative_change,
-        } => JsonObject::new()
-            .field_str("t", "inner")
-            .field_usize("inner", inner)
-            .field_f64("change", relative_change)
-            .finish(),
-        SolveEvent::Sweep {
-            sweep,
-            cells,
-            buckets,
-            seconds,
-        } => JsonObject::new()
-            .field_str("t", "sweep")
-            .field_usize("sweep", sweep)
-            .field_u64("cells", cells)
-            .field_usize("buckets", buckets)
-            .field_f64("seconds", seconds)
-            .finish(),
-        SolveEvent::KrylovResidual {
-            iteration,
-            relative_residual,
-        } => JsonObject::new()
-            .field_str("t", "krylov")
-            .field_usize("iteration", iteration)
-            .field_f64("residual", relative_residual)
-            .finish(),
-        SolveEvent::AccelResidual {
-            iteration,
-            relative_residual,
-        } => JsonObject::new()
-            .field_str("t", "accel")
-            .field_usize("iteration", iteration)
-            .field_f64("residual", relative_residual)
-            .finish(),
-        SolveEvent::PhaseStart { phase } => JsonObject::new()
-            .field_str("t", "phase_start")
-            .field_str("phase", phase.label())
-            .finish(),
-        SolveEvent::PhaseEnd { phase, seconds } => JsonObject::new()
-            .field_str("t", "phase_end")
-            .field_str("phase", phase.label())
-            .field_f64("seconds", seconds)
-            .finish(),
-        SolveEvent::HaloExchange {
-            iteration,
-            faces,
-            bytes,
-        } => JsonObject::new()
-            .field_str("t", "halo")
-            .field_usize("iteration", iteration)
-            .field_usize("faces", faces)
-            .field_u64("bytes", bytes)
-            .finish(),
-    };
-    match lane {
-        Lane::Driver => payload,
-        Lane::Rank(rank) => JsonObject::new()
-            .field_str("t", "rank")
-            .field_usize("rank", rank)
-            .field_raw("e", &payload)
-            .finish(),
-    }
-}
-
-/// Encode an event log as a JSON array.
-pub fn events_to_json(log: &EventLog) -> String {
-    let rendered = log.events.iter().map(|(lane, e)| event_to_json(*lane, e));
-    json::array_raw(rendered)
-}
 
 fn str_of<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, String> {
     value
@@ -141,13 +57,54 @@ fn phase_of(value: &JsonValue) -> Result<Phase, String> {
     Phase::from_label(label).ok_or_else(|| format!("unknown phase label {label:?}"))
 }
 
-/// Decode one solver event from its parsed JSON object.  `num_ranks`
-/// bounds the rank lanes the run can have emitted (`0` for a
-/// single-domain run): a frame is an input boundary, and observers size
-/// per-rank tables by the lane they are handed.
+/// Decode one solver event from its parsed JSON object
+/// ([`SolveEvent::to_json`]'s form).  `num_ranks` bounds the rank lanes
+/// the run can have emitted (`0` for a single-domain run): a frame is
+/// an input boundary, and observers size per-rank tables by the lane
+/// they are handed.
 pub fn event_from_json(value: &JsonValue, num_ranks: usize) -> Result<(Lane, SolveEvent), String> {
-    if str_of(value, "t")? != "rank" {
-        return Ok((Lane::Driver, payload_from_json(value)?));
+    let event = match str_of(value, "event")? {
+        "outer_start" => SolveEvent::OuterStart {
+            outer: usize_of(value, "outer")?,
+        },
+        "outer_end" => SolveEvent::OuterEnd {
+            outer: usize_of(value, "outer")?,
+            converged: bool_of(value, "converged")?,
+        },
+        "inner_iteration" => SolveEvent::InnerIteration {
+            inner: usize_of(value, "inner")?,
+            relative_change: f64_of(value, "relative_change")?,
+        },
+        "sweep" => SolveEvent::Sweep {
+            sweep: usize_of(value, "sweep")?,
+            cells: u64_of(value, "cells")?,
+            buckets: usize_of(value, "buckets")?,
+            seconds: f64_of(value, "seconds")?,
+        },
+        "krylov_residual" => SolveEvent::KrylovResidual {
+            iteration: usize_of(value, "iteration")?,
+            relative_residual: f64_of(value, "relative_residual")?,
+        },
+        "accel_residual" => SolveEvent::AccelResidual {
+            iteration: usize_of(value, "iteration")?,
+            relative_residual: f64_of(value, "relative_residual")?,
+        },
+        "phase_start" => SolveEvent::PhaseStart {
+            phase: phase_of(value)?,
+        },
+        "phase_end" => SolveEvent::PhaseEnd {
+            phase: phase_of(value)?,
+            seconds: f64_of(value, "seconds")?,
+        },
+        "halo_exchange" => SolveEvent::HaloExchange {
+            iteration: usize_of(value, "iteration")?,
+            faces: usize_of(value, "faces")?,
+            bytes: u64_of(value, "bytes")?,
+        },
+        other => return Err(format!("unknown event tag {other:?}")),
+    };
+    if value.get("rank").is_none() {
+        return Ok((Lane::Driver, event));
     }
     let rank = usize_of(value, "rank")?;
     if rank >= num_ranks {
@@ -155,57 +112,10 @@ pub fn event_from_json(value: &JsonValue, num_ranks: usize) -> Result<(Lane, Sol
             "event names rank {rank} but the run has {num_ranks} rank(s)"
         ));
     }
-    let inner = value
-        .get("e")
-        .ok_or_else(|| "rank event missing field \"e\"".to_string())?;
-    if matches!(str_of(inner, "t")?, "rank" | "halo") {
-        return Err("rank event wraps a non-rankable event".to_string());
+    if matches!(event, SolveEvent::HaloExchange { .. }) {
+        return Err("a halo exchange rides a rank lane".to_string());
     }
-    Ok((Lane::Rank(rank), payload_from_json(inner)?))
-}
-
-/// Decode the lane-free part of an event object.
-fn payload_from_json(value: &JsonValue) -> Result<SolveEvent, String> {
-    match str_of(value, "t")? {
-        "outer_start" => Ok(SolveEvent::OuterStart {
-            outer: usize_of(value, "outer")?,
-        }),
-        "outer_end" => Ok(SolveEvent::OuterEnd {
-            outer: usize_of(value, "outer")?,
-            converged: bool_of(value, "converged")?,
-        }),
-        "inner" => Ok(SolveEvent::InnerIteration {
-            inner: usize_of(value, "inner")?,
-            relative_change: f64_of(value, "change")?,
-        }),
-        "sweep" => Ok(SolveEvent::Sweep {
-            sweep: usize_of(value, "sweep")?,
-            cells: u64_of(value, "cells")?,
-            buckets: usize_of(value, "buckets")?,
-            seconds: f64_of(value, "seconds")?,
-        }),
-        "krylov" => Ok(SolveEvent::KrylovResidual {
-            iteration: usize_of(value, "iteration")?,
-            relative_residual: f64_of(value, "residual")?,
-        }),
-        "accel" => Ok(SolveEvent::AccelResidual {
-            iteration: usize_of(value, "iteration")?,
-            relative_residual: f64_of(value, "residual")?,
-        }),
-        "phase_start" => Ok(SolveEvent::PhaseStart {
-            phase: phase_of(value)?,
-        }),
-        "phase_end" => Ok(SolveEvent::PhaseEnd {
-            phase: phase_of(value)?,
-            seconds: f64_of(value, "seconds")?,
-        }),
-        "halo" => Ok(SolveEvent::HaloExchange {
-            iteration: usize_of(value, "iteration")?,
-            faces: usize_of(value, "faces")?,
-            bytes: u64_of(value, "bytes")?,
-        }),
-        other => Err(format!("unknown event tag {other:?}")),
-    }
+    Ok((Lane::Rank(rank), event))
 }
 
 /// Decode an event array into a fresh [`EventLog`] (see
@@ -279,24 +189,20 @@ mod tests {
     use unsnap_obs::reader;
 
     /// Every event variant on the driver lane and on `Rank(2)`, with
-    /// the byte-exact encodings pinned at the pre-`on_event` commit.
-    const PINS: &[(Lane, SolveEvent, &str, &str)] =
-        &include!("../../core/tests/data/event_pins.rs");
+    /// the byte-exact encoding pinned at the pre-`on_event` commit.
+    const PINS: &[(Lane, SolveEvent, &str)] = &include!("../../core/tests/data/event_pins.rs");
 
     #[test]
-    fn events_encode_byte_exact_and_round_trip() {
-        let log = EventLog {
-            events: PINS.iter().map(|(lane, e, ..)| (*lane, *e)).collect(),
-        };
-        let pinned: Vec<&str> = PINS.iter().map(|(.., encoded)| *encoded).collect();
-        let text = events_to_json(&log);
-        assert_eq!(text, format!("[{}]", pinned.join(",")));
-        let parsed = reader::parse(&text).expect("valid JSON");
+    fn pinned_event_lines_decode_and_round_trip() {
+        let pinned: Vec<&str> = PINS.iter().map(|(.., line)| *line).collect();
+        let parsed = reader::parse(&format!("[{}]", pinned.join(","))).expect("valid JSON");
         let back = events_from_json(&parsed, 3).expect("decodes");
-        // NaN != NaN, so compare through the encoder.
-        assert_eq!(events_to_json(&back), text);
-        let lanes = |log: &EventLog| log.events.iter().map(|(lane, _)| *lane).collect::<Vec<_>>();
-        assert_eq!(lanes(&back), lanes(&log));
+        assert_eq!(back.events.len(), PINS.len());
+        for ((lane, event), (pinned_lane, _, line)) in back.events.iter().zip(PINS) {
+            assert_eq!(lane, pinned_lane, "{line}");
+            // NaN != NaN, so compare through the encoder.
+            assert_eq!(event.to_json(*lane), *line);
+        }
     }
 
     #[test]
@@ -331,24 +237,23 @@ mod tests {
     fn rejects_malformed_events() {
         for bad in [
             "{}",
-            "{\"t\":\"nope\"}",
-            "{\"t\":\"outer_start\"}",
-            "{\"t\":\"outer_start\",\"outer\":-1}",
-            "{\"t\":\"phase_start\",\"phase\":\"warp\"}",
-            "{\"t\":\"rank\",\"rank\":0}",
-            "{\"t\":\"rank\",\"rank\":0,\"e\":{\"t\":\"halo\",\"iteration\":0,\"faces\":0,\"bytes\":0}}",
-            "{\"t\":\"rank\",\"rank\":0,\"e\":{\"t\":\"rank\",\"rank\":0,\"e\":{\"t\":\"outer_start\",\"outer\":0}}}",
+            "{\"event\":\"nope\"}",
+            "{\"event\":\"outer_start\"}",
+            "{\"event\":\"outer_start\",\"outer\":-1}",
+            "{\"event\":\"phase_start\",\"phase\":\"warp\"}",
+            "{\"event\":\"outer_start\",\"rank\":\"0\",\"outer\":0}",
+            "{\"event\":\"halo_exchange\",\"rank\":0,\"iteration\":0,\"faces\":0,\"bytes\":0}",
             // A rank the 2×2 run cannot have: one past the grid, and one
             // the reader saturates to `usize::MAX`.
-            "{\"t\":\"rank\",\"rank\":4,\"e\":{\"t\":\"outer_start\",\"outer\":0}}",
-            "{\"t\":\"rank\",\"rank\":18446744073709551615,\"e\":{\"t\":\"outer_start\",\"outer\":0}}",
+            "{\"event\":\"outer_start\",\"rank\":4,\"outer\":0}",
+            "{\"event\":\"outer_start\",\"rank\":18446744073709551615,\"outer\":0}",
         ] {
             let parsed = reader::parse(bad).expect("valid JSON");
             assert!(event_from_json(&parsed, 4).is_err(), "accepted {bad}");
         }
         // The same rank event is fine inside the grid, and no rank at
         // all is under a single-domain manifest.
-        let ok = "{\"t\":\"rank\",\"rank\":3,\"e\":{\"t\":\"outer_start\",\"outer\":0}}";
+        let ok = "{\"event\":\"outer_start\",\"rank\":3,\"outer\":0}";
         let parsed = reader::parse(ok).expect("valid JSON");
         assert!(event_from_json(&parsed, 4).is_ok());
         assert!(event_from_json(&parsed, 0).is_err());

@@ -35,8 +35,12 @@ pub const MAGIC: &[u8; 8] = b"UNSNAPRL";
 /// modes (`rank_stats` always present, block-Jacobi halo accounting
 /// folded into `stats`).  Version 3 dropped the per-bucket event from
 /// the checkpoint's event prefix and gave `sweep` its `buckets` count:
-/// a version-2 prefix replays events no observer knows.
-pub const FORMAT_VERSION: u32 = 3;
+/// a version-2 prefix replays events no observer knows.  Version 4 keeps
+/// only what an iteration boundary hands on — the checkpoint's angular
+/// flux is the `halo` of a block-Jacobi run and nothing on one domain —
+/// and stores events in the encoding `JsonlObserver` streams: a
+/// version-3 frame has neither key.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Total header length: magic plus version.
 pub const HEADER_LEN: usize = MAGIC.len() + 4;

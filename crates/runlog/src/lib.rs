@@ -5,9 +5,13 @@
 //! a compact append-only *run log*: a manifest frame pinning the exact
 //! problem (canonical wire JSON plus FNV-1a hash), followed by
 //! checkpoint frames at outer-iteration boundaries (global scalar flux
-//! φ and angular flux ψ, the driver's and each rank's accumulated
-//! statistics, and the observer-event delta since the previous frame —
-//! one payload, [`Checkpoint`], for both solver paths).  Every frame is
+//! φ, the angular flux of the cells on a cut between ranks, the
+//! driver's and each rank's accumulated statistics, and the
+//! observer-event delta since the previous frame — one payload,
+//! [`Checkpoint`], for both solver paths).  That is everything an
+//! iteration boundary hands on: a sweep overwrites every entry of a
+//! domain's own angular flux before reading it, so only what crosses a
+//! cut is state, and a single-domain frame holds no angular flux at all.  Every frame is
 //! length-prefixed and checksummed; recovery scans to the last intact
 //! frame and discards the torn tail, so a crash at *any* byte leaves a
 //! resumable log.  A log written by another format version is refused

@@ -195,7 +195,7 @@ mod tests {
             outer_completed: 0,
             converged: false,
             phi: &[],
-            psi: &[],
+            halo: &[],
             stats: &RunStats::default(),
             rank_stats: &vec![RunStats::default(); num_ranks],
         };
@@ -244,7 +244,7 @@ mod tests {
     fn a_log_of_another_format_version_says_so() {
         // Intact magic, another version, then perfectly valid frames: the
         // error names both versions instead of "not a run log".
-        for found in [1u32, 2, 4] {
+        for found in [1u32, 2, 3, 5] {
             let mut bytes = frame::MAGIC.to_vec();
             bytes.extend_from_slice(&found.to_le_bytes());
             bytes.extend_from_slice(&manifest_only()[frame::HEADER_LEN..]);
@@ -276,12 +276,12 @@ mod tests {
         // manifest inside it was written by a later format.
         let manifest = Manifest::new(Problem::tiny(), RunMode::Single).to_json();
         let current = format!("\"format_version\":{}", frame::FORMAT_VERSION);
-        let future = manifest.replace(&current, "\"format_version\":4");
+        let future = manifest.replace(&current, "\"format_version\":5");
         assert_ne!(future, manifest, "fixture must actually edit the version");
         let mut bytes = frame::header_bytes();
         bytes.extend_from_slice(&frame::frame_bytes(TAG_MANIFEST, future.as_bytes()));
         let text = recover_bytes(&bytes).unwrap_err().to_string();
-        assert!(text.contains("format version 4"), "{text}");
+        assert!(text.contains("format version 5"), "{text}");
         let reads = format!("this build reads {}", frame::FORMAT_VERSION);
         assert!(text.contains(&reads), "{text}");
     }

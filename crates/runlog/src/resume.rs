@@ -7,8 +7,11 @@
 //! stream — bit-for-bit identical to the same run left uninterrupted,
 //! at every thread width and on both solver paths.  It holds because a
 //! checkpoint captures *exactly* the state that survives an
-//! outer-iteration boundary (φ, ψ, accumulated statistics), everything
-//! else is deterministically rebuilt, and the persisted event prefix is
+//! outer-iteration boundary (φ, the angular flux of the halo cells of a
+//! block-Jacobi run, accumulated statistics), everything else —
+//! including each domain's own angular flux, which its next sweep
+//! writes before reading — is deterministically rebuilt, and the
+//! persisted event prefix is
 //! replayed into the fresh observers before the first resumed
 //! iteration.
 

@@ -20,7 +20,7 @@
 //! | [`sweep`] (`unsnap-sweep`) | per-angle wavefront (tlevel-bucket) schedules and concurrency schemes |
 //! | [`obs`] (`unsnap-obs`) | dependency-free observability: `Clock`/`MockClock`, metrics registry with deterministic/wall-clock split, fixed-bucket histograms, JSON writer/reader, JSONL run logs |
 //! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, iteration strategies, FD baseline |
-//! | [`comm`] (`unsnap-comm`) | simulated ranks, halo exchange, block-Jacobi coupling, `CommError` |
+//! | [`comm`] (`unsnap-comm`) | simulated ranks, block-Jacobi coupling over a shared halo buffer, the halo wire message, `CommError` |
 //! | [`runlog`] (`unsnap-runlog`) | durable runs: append-only write-ahead run log with checksummed checkpoint frames, torn-tail recovery, bit-for-bit resume for both solver paths, crash fault injection |
 //! | [`serve`] (`unsnap-serve`) | solver-as-a-service: hand-rolled HTTP/1.1 front-end, bounded job queue with cooperative cancellation, live JSONL event streaming, content-addressed LRU result cache, checkpointed jobs resumable across server restarts |
 //!
@@ -81,7 +81,7 @@ pub use unsnap_sweep as sweep;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use unsnap_accel::{DiffusionOperator, DiffusionTopology, DsaConfig, DsaSolver};
-    pub use unsnap_comm::{BlockJacobiSolver, CommError, HaloExchange};
+    pub use unsnap_comm::{BlockJacobiSolver, CommError};
     pub use unsnap_core::angular::AngularQuadrature;
     pub use unsnap_core::cancel::CancelToken;
     pub use unsnap_core::data::{CrossSections, MaterialOption, SourceOption};

@@ -13,18 +13,19 @@
 //!    stream — is identical to the same run left uninterrupted, at
 //!    thread widths 1, 2 and 8, for SI, DSA-SI and SweepGmres, on both
 //!    the single-domain and the block-Jacobi path.
-//! 3. **What a resume point must carry.**  A single-domain run resumed
-//!    with every ψ entry poisoned reproduces the uninterrupted run to the
-//!    bit — ψ is scratch there — while across ranks the poison reaches
-//!    the answer: halo-face ψ is state.
+//! 3. **What a resume point must carry.**  φ, and the ψ of the cells on
+//!    a cut between ranks.  A single-domain checkpoint holds no ψ at all
+//!    and resumes to the bit; a block-Jacobi run resumed with every
+//!    rank's own ψ poisoned does too — ψ is scratch there — while poison
+//!    in the halo reaches the answer: halo ψ is state.
 
 use proptest::prelude::*;
 
 use unsnap::core::solver::OuterDriver;
 use unsnap::prelude::*;
 use unsnap::runlog::{
-    checkpoint_iters_from_env, frame, recover_bytes, resume_block_jacobi, CheckpointObserver,
-    FaultyWriter, RunMode, SessionResume, SharedBuffer, CHECKPOINT_ITERS_ENV,
+    checkpoint, checkpoint_iters_from_env, frame, recover_bytes, resume_block_jacobi,
+    CheckpointObserver, FaultyWriter, RunMode, SessionResume, SharedBuffer, CHECKPOINT_ITERS_ENV,
 };
 
 // ---------------------------------------------------------------------
@@ -102,7 +103,8 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 struct Reference {
     outcome: SolveOutcome,
     flux: Vec<f64>,
-    /// The final angular flux.
+    /// The final angular flux: all of it on one domain, the halo's
+    /// across ranks.
     psi: Vec<f64>,
     recorder: RecordingObserver,
     /// The complete run-log image of the uninterrupted run.
@@ -505,7 +507,7 @@ fn jacobi_kill_and_resume_is_bit_for_bit_sweep_gmres() {
 }
 
 // ---------------------------------------------------------------------
-// Contract 3: ψ is scratch on one domain, state across ranks
+// Contract 3: state is φ and the halo cells; every other ψ is scratch
 // ---------------------------------------------------------------------
 
 /// `dsa_regime` cut to three short outers that never converge.
@@ -521,12 +523,11 @@ fn three_outers(strategy: StrategyKind, threads: usize) -> Problem {
 }
 
 /// What a finished run's log recovers to when cut at its first outer
-/// boundary, with every ψ entry NaN.
-fn poisoned_first_boundary(log: &[u8]) -> ResumePoint {
+/// boundary.
+fn first_boundary(log: &[u8]) -> ResumePoint {
     let end = checkpoint_boundaries(log)[0];
-    let mut point = recover_bytes(&log[..end]).unwrap().resume.unwrap();
+    let point = recover_bytes(&log[..end]).unwrap().resume.unwrap();
     assert_eq!(point.outer_next, 1);
-    point.psi.fill(f64::NAN);
     point
 }
 
@@ -534,62 +535,164 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Assert a run resumed without the uninterrupted run's ψ still matches
+/// it in φ, in `psi` (see [`Reference::psi`]), history and flux total.
+fn assert_same_bits(reference: &Reference, outcome: &SolveOutcome, flux: [&[f64]; 2], tag: &str) {
+    assert_eq!(bits(flux[0]), bits(&reference.flux), "{tag}: φ");
+    assert_eq!(bits(flux[1]), bits(&reference.psi), "{tag}: ψ");
+    assert_eq!(
+        bits(&outcome.convergence_history),
+        bits(&reference.outcome.convergence_history),
+        "{tag}: convergence history"
+    );
+    assert_eq!(
+        outcome.scalar_flux_total.to_bits(),
+        reference.outcome.scalar_flux_total.to_bits(),
+        "{tag}: flux total"
+    );
+}
+
+const STRATEGIES: [StrategyKind; 3] = [
+    StrategyKind::SourceIteration,
+    StrategyKind::DsaSourceIteration,
+    StrategyKind::SweepGmres,
+];
+
 #[test]
 fn a_single_domain_resume_never_reads_the_checkpointed_psi() {
-    for strategy in [
-        StrategyKind::SourceIteration,
-        StrategyKind::DsaSourceIteration,
-        StrategyKind::SweepGmres,
-    ] {
+    // There is none to read: the frame holds φ and an empty halo, and the
+    // resumed solver — its ψ all zeros — still ends on the uninterrupted
+    // run's ψ, bit for bit.
+    for strategy in STRATEGIES {
         for threads in [1usize, 2] {
             let problem = three_outers(strategy, threads);
             let tag = format!("{strategy:?} at {threads} thread(s)");
             let reference = run_single_reference(&problem, 1);
             assert_eq!(reference.outcome.outer_iterations, 3, "{tag}");
 
+            let scan = frame::scan(&reference.log);
+            let first = scan
+                .frames
+                .iter()
+                .find(|f| f.tag == frame::TAG_CHECKPOINT)
+                .unwrap();
+            let text = std::str::from_utf8(first.payload).unwrap();
+            let decoded =
+                checkpoint::from_json(&unsnap::obs::reader::parse(text).unwrap(), 0).unwrap();
+            assert!(decoded.halo.is_empty(), "{tag}");
+            assert_eq!(decoded.phi.len(), reference.flux.len(), "{tag}");
+            let events = decoded.events.events.iter();
+            let event_bytes: usize = events.map(|(lane, e)| e.to_json(*lane).len() + 1).sum();
+            assert!(
+                first.payload.len() < 32 * decoded.phi.len() + event_bytes,
+                "{tag}: a {}-byte frame for {} φ entries and {event_bytes} bytes of events",
+                first.payload.len(),
+                decoded.phi.len()
+            );
+
             let mut resumed = Session::new(&problem).unwrap();
             resumed
                 .solver_mut()
-                .resume_from(poisoned_first_boundary(&reference.log))
+                .resume_from(first_boundary(&reference.log))
                 .unwrap();
             let outcome = resumed.run().unwrap();
-            assert_eq!(
-                bits(resumed.scalar_flux().as_slice()),
-                bits(&reference.flux),
-                "{tag}: φ"
-            );
-            assert_eq!(
-                bits(resumed.solver().angular_flux().as_slice()),
-                bits(&reference.psi),
-                "{tag}: ψ"
-            );
-            assert_eq!(
-                bits(&outcome.convergence_history),
-                bits(&reference.outcome.convergence_history),
-                "{tag}: convergence history"
-            );
-            assert_eq!(
-                outcome.scalar_flux_total.to_bits(),
-                reference.outcome.scalar_flux_total.to_bits(),
-                "{tag}: flux total"
-            );
+            let flux = [
+                resumed.scalar_flux().as_slice(),
+                resumed.solver().angular_flux().as_slice(),
+            ];
+            assert_same_bits(&reference, &outcome, flux, &tag);
+        }
+    }
+}
+
+/// A block-Jacobi solver every rank of which holds NaN in every ψ entry:
+/// the leavings of one outer iteration run from an all-NaN φ and halo
+/// (every material scatters within its group, so every local system's
+/// right-hand side — hence every solved node — is NaN).
+fn poisoned_ranks(problem: &Problem, npx: usize, npy: usize) -> BlockJacobiSolver {
+    let mut solver = BlockJacobiSolver::new(problem, Decomposition2D::new(npx, npy)).unwrap();
+    let (phi, halo) = OuterDriver::flux(&solver);
+    let poison = ResumePoint {
+        outer_next: problem.outer_iterations - 1,
+        phi: vec![f64::NAN; phi.len()],
+        halo: vec![f64::NAN; halo.len()],
+        rank_stats: vec![RunStats::default(); npx * npy],
+        ..ResumePoint::default()
+    };
+    solver.resume_from(poison).unwrap();
+    assert!(solver.run().unwrap().scalar_flux_total.is_nan());
+    // What the ranks published of it — the cells on a cut — shows it.
+    assert!(OuterDriver::flux(&solver).1.iter().all(|v| v.is_nan()));
+    solver
+}
+
+#[test]
+fn a_rank_resume_never_reads_its_own_psi() {
+    for (npx, npy) in [(2, 1), (2, 2)] {
+        for strategy in STRATEGIES {
+            for threads in [1usize, 2] {
+                // Twelve cases of three runs each: a coarser grid.
+                let problem = Problem {
+                    nx: 4,
+                    ny: 4,
+                    nz: 4,
+                    angles_per_octant: 2,
+                    ..three_outers(strategy, threads)
+                };
+                let tag = format!("{npx}x{npy} {strategy:?} at {threads} thread(s)");
+                let reference = run_jacobi_reference(&problem, npx, npy);
+                assert!(reference.outcome.scalar_flux_total.is_finite(), "{tag}");
+                assert!(!reference.psi.is_empty(), "{tag}");
+
+                let mut resumed = poisoned_ranks(&problem, npx, npy);
+                resumed.resume_from(first_boundary(&reference.log)).unwrap();
+                let outcome = resumed.run().unwrap();
+                let (phi, halo) = OuterDriver::flux(&resumed);
+                assert_same_bits(&reference, &outcome, [phi, halo], &tag);
+            }
         }
     }
 }
 
 #[test]
 fn across_ranks_the_checkpointed_psi_is_state() {
-    // The converse: a rank reads its neighbour's ψ on the halo faces
-    // before anything rewrites it, so the poison must reach the answer.
+    // The converse: a rank reads its neighbour's ψ from the halo before
+    // anything rewrites it, so poison there must reach the answer.
     let problem = three_outers(StrategyKind::SourceIteration, 1);
     let reference = run_jacobi_reference(&problem, 2, 1);
     assert!(reference.outcome.scalar_flux_total.is_finite());
 
+    let mut point = first_boundary(&reference.log);
+    point.halo.fill(f64::NAN);
     let mut resumed = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
-    resumed
-        .resume_from(poisoned_first_boundary(&reference.log))
-        .unwrap();
+    resumed.resume_from(point).unwrap();
     assert!(resumed.run().unwrap().scalar_flux_total.is_nan());
+}
+
+#[test]
+fn a_resume_point_of_the_wrong_halo_shape_is_refused_by_name() {
+    let problem = three_outers(StrategyKind::SourceIteration, 1);
+    let jacobi = first_boundary(&run_jacobi_reference(&problem, 2, 1).log);
+    let single = first_boundary(&run_single_reference(&problem, 1).log);
+    assert!(single.halo.is_empty() && !jacobi.halo.is_empty());
+
+    // One domain has no cut: a halo has nowhere to go.
+    let with_halo = ResumePoint {
+        halo: jacobi.halo.clone(),
+        ..single
+    };
+    let mut session = Session::new(&problem).unwrap();
+    let err = session.solver_mut().resume_from(with_halo).unwrap_err();
+    assert!(err.to_string().contains("halo-flux"), "{err}");
+
+    // Two ranks need all of theirs.
+    let short = ResumePoint {
+        halo: jacobi.halo[1..].to_vec(),
+        ..jacobi
+    };
+    let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
+    let err = solver.resume_from(short).unwrap_err();
+    assert!(err.to_string().contains("halo-flux"), "{err}");
 }
 
 // ---------------------------------------------------------------------
@@ -636,29 +739,33 @@ fn resume_entry_points_reject_the_wrong_mode() {
 
 #[test]
 fn a_version_2_log_is_refused_by_name_at_every_entry_point() {
-    // A log of the previous format: its event prefix would replay
-    // per-bucket events no observer knows.  Intact otherwise.
+    // A log of an earlier format: a version-2 event prefix would replay
+    // per-bucket events no observer knows, a version-3 checkpoint holds
+    // all of ψ under a key nothing reads.  Intact otherwise.
     let problem = base_problem(StrategyKind::SourceIteration);
     let mut log = run_single_reference(&problem, 1).log;
-    assert_eq!(frame::FORMAT_VERSION, 3);
-    log[frame::MAGIC.len()..frame::HEADER_LEN].copy_from_slice(&2u32.to_le_bytes());
-    let path = temp_path("version-2");
-    std::fs::write(&path, &log).unwrap();
-    let refusals = [
-        recover_bytes(&log).err(),
-        <Session as SessionResume>::resume(&path).err(),
-        resume_block_jacobi(&path).err(),
-        CheckpointObserver::resume(&path, 1).err(),
-    ];
-    let _ = std::fs::remove_file(&path);
-    for (entry, refusal) in refusals.into_iter().enumerate() {
-        let text = refusal
-            .unwrap_or_else(|| panic!("entry point {entry} accepted a version-2 log"))
-            .to_string();
-        assert!(
-            text.contains("format version 2") && text.contains("only version 3"),
-            "entry point {entry}: {text}"
-        );
+    assert_eq!(frame::FORMAT_VERSION, 4);
+    for version in [2u32, 3] {
+        log[frame::MAGIC.len()..frame::HEADER_LEN].copy_from_slice(&version.to_le_bytes());
+        let path = temp_path(&format!("version-{version}"));
+        std::fs::write(&path, &log).unwrap();
+        let refusals = [
+            recover_bytes(&log).err(),
+            <Session as SessionResume>::resume(&path).err(),
+            resume_block_jacobi(&path).err(),
+            CheckpointObserver::resume(&path, 1).err(),
+        ];
+        let _ = std::fs::remove_file(&path);
+        for (entry, refusal) in refusals.into_iter().enumerate() {
+            let text = refusal
+                .unwrap_or_else(|| panic!("entry point {entry} accepted a version-{version} log"))
+                .to_string();
+            assert!(
+                text.contains(&format!("format version {version}"))
+                    && text.contains("only version 4"),
+                "entry point {entry}: {text}"
+            );
+        }
     }
 }
 

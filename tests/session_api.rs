@@ -168,8 +168,8 @@ fn typed_errors_surface_from_every_layer() {
     };
     assert!(matches!(err, unsnap::core::error::Error::Mesh(_)));
 
-    // Communication layer.
-    let exchange = HaloExchange::new(1);
-    let err = exchange.drain(5).unwrap_err();
-    assert!(err.to_string().contains("out of range"));
+    // Communication layer: a wire buffer shorter than a message header.
+    let err = unsnap::comm::HaloMessage::unpack([0u8; 40]).unwrap_err();
+    assert!(matches!(err, CommError::TruncatedMessage { bytes: 40, .. }));
+    assert!(err.to_string().contains("too short"));
 }
