@@ -42,10 +42,11 @@
 //!
 //! Ranks genuinely sweep **concurrently** on the worker pool (sized by
 //! [`Problem::num_threads`], overridable with `RAYON_NUM_THREADS`): each
-//! rank writes into its own domain's angular-flux buffer (indexed by
-//! local cell) and reads remote cells only from the shared halo buffer
-//! ([`HaloFlux`]: the previous iteration's ψ of the cells on a cut, into
-//! which every rank publishes once all of them are done), so
+//! rank writes into its own domain's buffers — its slab, its φ and the
+//! export buffer its folds copy the cells on a cut into — and reads
+//! remote cells only from the shared halo buffer ([`HaloFlux`]: the
+//! previous iteration's ψ of the cells on a cut, into which every rank
+//! publishes its export buffer once all of them are done), so
 //! the per-iteration results are bit-for-bit identical at every thread
 //! and rank-execution ordering.  Each rank's solve events are buffered
 //! in an [`EventLog`] and replayed on the rank's own

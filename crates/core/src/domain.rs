@@ -9,7 +9,9 @@
 //!   element, integrals, quadrature, cross sections, dense back end,
 //!   kernel engine, clock), built by one routine for every driver;
 //! * [`SweepDomain`] — the cells one domain owns, its per-angle masked
-//!   wavefront schedules and its ψ/φ/source buffers over *local* cells;
+//!   wavefront schedules, its φ/source buffers over *local* cells, the
+//!   pool of slabs its sweeps hold ψ in — one angle each, a few at a time —
+//!   and the ψ of the cells it exports;
 //! * [`HaloFlux`] — the ψ node blocks of the cells that touch a cut
 //!   between domains: what one domain reads of another, and with φ all
 //!   that survives an iteration boundary;
@@ -29,17 +31,23 @@
 //! each solved inline or forked the way an `IterationSpace` — a
 //! Figure 3/4 scheme label as data — says), so a sweep optimisation has
 //! exactly one place to go.  `SweepView::sweep` picks the parallel axis:
-//! the default scheme hands whole angles to the pool, one fork per sweep,
-//! each angle writing the slab of ψ it owns, and sums φ afterwards in
-//! ascending angle order; the paper's six schemes fork per bucket; one
-//! worker does neither.  Every level keeps to the work it owns: a task
-//! does what depends on the group (what depends on the element and the
-//! angle alone sits in the worker's `TaskScratch`), and a warm sweep on
-//! one worker neither allocates nor, unless the problem asks for
-//! Table II's per-task split, reads the clock per task.
+//! the default scheme forks once per sweep into a team whose workers claim
+//! the angles in ascending order, sweep each into a slab of their own and
+//! hand it in (`SlabInHand::exchange`); the paper's six schemes fork per
+//! bucket; one worker does neither.  ψ is scratch: whatever the axis, a
+//! swept angle is folded into φ in ascending angle order
+//! (`AngleFold::fold`, which also copies the exported cells and, for a
+//! caller that asked, all of it) and its slab is swept into again, so a
+//! sweep holds two slabs per worker, not one per angle.  Every level
+//! keeps to the work it owns: a task does what depends on the group (what
+//! depends on the element and the angle alone sits in the worker's
+//! `TaskScratch`), and a warm sweep on one worker neither allocates nor,
+//! unless the problem asks for Table II's per-task split, reads the clock
+//! per task.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -53,7 +61,7 @@ use unsnap_mesh::{NeighborRef, UnstructuredMesh, NUM_FACES};
 use unsnap_obs::clock::{Clock, SystemClock};
 use unsnap_sweep::{ConcurrencyScheme, LoopOrder, SweepSchedule, ThreadedLoops};
 
-use crate::angular::AngularQuadrature;
+use crate::angular::{AngularQuadrature, Direction};
 use crate::data::{CrossSections, ProblemData};
 use crate::dsa::DsaAccelerator;
 use crate::error::{Error, Result};
@@ -196,8 +204,14 @@ pub struct SweepDomain {
     /// What one sweep of `schedules` solves: (element, group, angle)
     /// tasks — one kernel invocation each in every concurrency scheme.
     sweep_tasks: u64,
-    /// Angular flux ψ(node, local cell, group, angle).
-    pub(crate) psi: FluxStorage,
+    /// ψ(node, export, group, angle) of the cells in `exports`, as the last
+    /// sweep folded it: what [`SweepDomain::publish`] hands the halo.  (The
+    /// domains of a driver sweep concurrently and read each other's
+    /// *previous* ψ from the halo, so a sweep cannot write there itself.)
+    exported: FluxStorage,
+    /// ψ(node, local cell, group, angle) of the last sweep, for a caller
+    /// that asked for it ([`SweepDomain::keep_angular_flux`]).
+    pub(crate) kept: Option<FluxStorage>,
     /// Scalar flux φ(node, local cell, group).
     pub(crate) phi: FluxStorage,
     /// Scalar flux at the previous inner iteration.
@@ -234,6 +248,11 @@ struct BucketBuffers {
     tasks: Vec<(usize, usize)>,
     /// A forked bucket's solved ψ node blocks, in task order.
     results: Vec<f64>,
+    /// The idle slabs: ψ of one angle each, in the layout of φ.  A sweep
+    /// holds ψ nowhere else, and only until the angle is folded into φ.
+    slabs: Vec<Vec<f64>>,
+    /// Swept angles waiting for their turn to be folded, with their slabs.
+    parked: Vec<(usize, Vec<f64>)>,
 }
 
 /// Where the upwind ψ of one inflow face comes from: everything about it
@@ -343,7 +362,7 @@ impl SweepDomain {
                 NeighborRef::Boundary { .. } => false,
             })
         };
-        let exports = (0..cells.len())
+        let exports: Vec<usize> = (0..cells.len())
             .filter(|&local| on_a_cut(cells[local]))
             .collect();
         let schedules: Vec<SweepSchedule> = pool.install(|| {
@@ -361,9 +380,9 @@ impl SweepDomain {
         let problem = &assets.problem;
         let nodes = assets.element.nodes_per_element();
         let order = problem.scheme.loop_order;
-        let angular = FluxLayout::angular(
+        let exported = FluxLayout::angular(
             nodes,
-            cells.len(),
+            exports.len(),
             problem.num_groups,
             assets.quadrature.num_angles(),
             order,
@@ -377,7 +396,8 @@ impl SweepDomain {
             sweep_buckets: schedules.iter().map(|s| s.num_buckets()).sum(),
             sweep_tasks: (scheduled * problem.num_groups) as u64,
             schedules,
-            psi: FluxStorage::zeros(angular),
+            exported: FluxStorage::zeros(exported),
+            kept: None,
             phi: FluxStorage::zeros(scalar),
             phi_inner: FluxStorage::zeros(scalar),
             source: FluxStorage::zeros(scalar),
@@ -388,6 +408,8 @@ impl SweepDomain {
                 scratch: Mutex::default(),
                 tasks: Vec::new(),
                 results: Vec::new(),
+                slabs: Vec::new(),
+                parked: Vec::new(),
             },
             zeros: vec![0.0; nodes * problem.num_groups],
         })
@@ -419,28 +441,38 @@ impl SweepDomain {
     /// Publish the ψ of the cells this domain exports into their slots
     /// of `halo`: the domain's half of a halo exchange.
     pub fn publish(&self, halo: &mut HaloFlux) {
-        let layout = *self.psi.layout();
-        for &local in &self.exports {
+        let layout = *self.exported.layout();
+        for (export, &local) in self.exports.iter().enumerate() {
             let slot = halo.slot_of_cell[self.cells[local]];
             for g in 0..layout.num_groups {
                 for angle in 0..layout.num_angles {
                     halo.psi
                         .nodes_mut(slot, g, angle)
-                        .copy_from_slice(self.psi.nodes(local, g, angle));
+                        .copy_from_slice(self.exported.nodes(export, g, angle));
                 }
             }
         }
+    }
+
+    /// From the next sweep on, keep ψ of every angle — cells × angles of
+    /// memory a sweep does not need: it is for callers that compare ψ,
+    /// and for a time-dependent run.
+    pub(crate) fn keep_angular_flux(&mut self) {
+        let layout = FluxLayout {
+            num_angles: self.schedules.len(),
+            ..*self.phi.layout()
+        };
+        self.kept.get_or_insert_with(|| FluxStorage::zeros(layout));
     }
 }
 
 /// The angular flux that crosses the cuts between the domains of one
 /// driver: ψ of the *halo cells* — every cell with a face on a cut —
-/// stored compactly, whole node blocks per (cell, group, angle) like the
-/// ψ of a domain.
+/// stored compactly, whole node blocks per (cell, group, angle).
 ///
-/// A domain reads a foreign cell here and nowhere else, and overwrites
-/// every entry of its own ψ before reading it, so this buffer and φ are
-/// the whole of what one iteration hands the next.  A driver with a
+/// A domain reads a foreign cell here and nowhere else, and keeps no ψ of
+/// its own beyond a sweep, so this buffer and φ are the whole of what one
+/// iteration hands the next.  A driver with a
 /// single domain has no cut and needs no halo.
 pub struct HaloFlux {
     /// Slot of every global cell in `psi` ([`FOREIGN`] off the cuts).
@@ -609,9 +641,134 @@ enum BucketWalk<'a, 'b> {
     },
 }
 
-/// Scalar-flux entries one unit of the ordered reduction owns: small
-/// enough to stay in cache while every angle's slab streams past it.
-const REDUCTION_TILE: usize = 2048;
+/// Slabs per worker of the angle axis.  Two workers drift apart by more
+/// than one angle, so with one slab each a worker that finishes out of turn
+/// must wait for its turn to fold: measured `op_fast_s` +9…+12 % on
+/// `sweep-linear` and `converge-dsa` (0 of 10 pairs, condvar and spin-wait
+/// alike).  With two it parks the finished slab and sweeps on; four
+/// measured no better than two.
+const SLABS_PER_WORKER: usize = 2;
+
+/// How a sweep of `scheme` on a pool `width` wide takes the angles: the
+/// workers of its team — 1 takes them one after another — and the slabs
+/// they hold ψ in.  A team has no use for more workers than angles.
+pub(crate) fn angle_team(
+    scheme: ConcurrencyScheme,
+    width: usize,
+    num_angles: usize,
+) -> (usize, usize) {
+    match scheme.threaded {
+        ThreadedLoops::Angles if width.min(num_angles) > 1 => {
+            let team = width.min(num_angles);
+            (team, SLABS_PER_WORKER * team)
+        }
+        _ => (1, 1),
+    }
+}
+
+/// What outlives the slab of a swept angle.  A sweep folds its angles in
+/// ascending order whatever its parallel axis and width, so every φ entry
+/// is summed in that order and no bit depends on either.
+struct AngleFold<'a> {
+    directions: &'a [Direction],
+    /// Shape of a slab — and of φ.
+    slab: FluxLayout,
+    phi: &'a mut [f64],
+    /// Local slots of the cells whose ψ `exported` takes, slot by slot.
+    exports: &'a [usize],
+    exported: &'a mut FluxStorage,
+    kept: Option<&'a mut FluxStorage>,
+}
+
+impl AngleFold<'_> {
+    /// φ += w·ψ for `psi`, the ψ of `angle`, and copy what was asked to
+    /// be kept of it while the slab is hot.
+    fn fold(&mut self, angle: usize, psi: &[f64]) {
+        let weight = self.directions[angle].weight;
+        for (p, &v) in self.phi.iter_mut().zip(psi) {
+            *p += weight * v;
+        }
+        let nodes = self.slab.nodes_per_element;
+        for (export, &local) in self.exports.iter().enumerate() {
+            for g in 0..self.slab.num_groups {
+                let base = self.slab.base(local, g, 0);
+                self.exported
+                    .nodes_mut(export, g, angle)
+                    .copy_from_slice(&psi[base..base + nodes]);
+            }
+        }
+        if let Some(kept) = &mut self.kept {
+            kept.as_mut_slice()[angle * psi.len()..][..psi.len()].copy_from_slice(psi);
+        }
+    }
+}
+
+/// The hand-off of the angle axis, behind one lock: the workers sweep
+/// angles in whatever order they finish them, φ takes them in turn.
+struct Turn<'a> {
+    fold: AngleFold<'a>,
+    /// The angle φ takes next.
+    cursor: usize,
+    idle: &'a mut Vec<Vec<f64>>,
+    /// Swept out of turn, by angle.
+    parked: &'a mut Vec<(usize, Vec<f64>)>,
+    /// A worker unwound: nobody will fold its angle, so nobody may wait.
+    failed: bool,
+}
+
+/// The slab a worker of the angle axis sweeps into.  Dropping it returns
+/// the slab and, when the worker is unwinding, releases the others.
+struct SlabInHand<'t, 'a> {
+    slab: Option<Vec<f64>>,
+    turn: &'t Mutex<Turn<'a>>,
+    freed: &'t Condvar,
+}
+
+impl SlabInHand<'_, '_> {
+    /// Hand in the slab, ψ of `swept`: park it, and fold every parked slab
+    /// the cursor is at — this one, if it is its turn, and those that
+    /// waited for it.  Then take an idle slab for the next angle, waiting
+    /// for a fold to free one only if there is none.  `false` once a
+    /// worker has failed.
+    fn exchange(&mut self, swept: Option<usize>) -> bool {
+        let mut guard = self.turn.lock().expect("a sweep worker panicked");
+        if let Some(angle) = swept {
+            let turn = &mut *guard;
+            turn.parked
+                .extend(self.slab.take().map(|slab| (angle, slab)));
+            while let Some(at) = turn.parked.iter().position(|&(a, _)| a == turn.cursor) {
+                let (angle, slab) = turn.parked.swap_remove(at);
+                turn.fold.fold(angle, &slab);
+                turn.cursor += 1;
+                turn.idle.push(slab);
+            }
+            if turn.idle.len() > 1 {
+                self.freed.notify_all();
+            }
+        }
+        let mut turn = self
+            .freed
+            .wait_while(guard, |turn| !turn.failed && turn.idle.is_empty())
+            .expect("a sweep worker panicked");
+        if !turn.failed {
+            self.slab = turn.idle.pop();
+        }
+        self.slab.is_some()
+    }
+}
+
+impl Drop for SlabInHand<'_, '_> {
+    fn drop(&mut self) {
+        // A lost slab is the worst a poisoned turn can hold, and a drop
+        // must not panic.
+        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        turn.idle.extend(self.slab.take());
+        if std::thread::panicking() {
+            turn.failed = true;
+            self.freed.notify_all();
+        }
+    }
+}
 
 /// Everything the tasks of one sweep read.
 struct SweepView<'a> {
@@ -767,48 +924,26 @@ impl SweepView<'_> {
     }
 
     /// Store the solved node blocks of `groups` of `element` in their
-    /// angle's slab and, when the caller sweeps the angles one after
-    /// another, add their share to the scalar flux.  `solved` holds node
-    /// `i` of the run's group `l` at `i · groups.len() + l` — for one
-    /// group, its node block.
-    fn store(
-        &self,
-        psi: &mut [f64],
-        phi: Option<&mut [f64]>,
-        weight: f64,
-        element: usize,
-        groups: Range<usize>,
-        solved: &[f64],
-    ) {
+    /// angle's slab.  `solved` holds node `i` of the run's group `l` at
+    /// `i · groups.len() + l` — for one group, its node block.
+    fn store(&self, psi: &mut [f64], element: usize, groups: Range<usize>, solved: &[f64]) {
         let lanes = groups.len();
         let run = self.blocks(self.local_of_cell[element], &groups);
-        let blocks = psi[run.clone()].chunks_exact_mut(self.slab.nodes_per_element);
+        let blocks = psi[run].chunks_exact_mut(self.slab.nodes_per_element);
         for (l, block) in blocks.enumerate() {
             for (i, p) in block.iter_mut().enumerate() {
                 *p = solved[i * lanes + l];
             }
         }
-        if let Some(phi) = phi {
-            for (p, &v) in phi[run.clone()].iter_mut().zip(&psi[run]) {
-                *p += weight * v;
-            }
-        }
     }
 
     /// Walk one angle's buckets in wavefront order: the per-angle walker
-    /// every scheme goes through.  `psi` is the slab of `angle`; `phi`,
-    /// when given, accumulates `weight · ψ` as blocks are stored.
-    fn sweep_angle(
-        &self,
-        angle: usize,
-        psi: &mut [f64],
-        mut phi: Option<&mut [f64]>,
-        walk: &mut BucketWalk,
-    ) {
+    /// every scheme goes through.  `psi` is a slab, every entry of which
+    /// the walk overwrites with ψ of `angle` before reading it.
+    fn sweep_angle(&self, angle: usize, psi: &mut [f64], walk: &mut BucketWalk) {
         let problem = &self.assets.problem;
         let ng = problem.num_groups;
         let nodes = self.slab.nodes_per_element;
-        let weight = self.assets.quadrature.directions()[angle].weight;
         for bucket in &self.schedules[angle].buckets {
             match walk {
                 // A bucket reads only the ψ of earlier buckets, so a
@@ -822,7 +957,7 @@ impl SweepView<'_> {
                     for_each_task(order, bucket, ng, self.lanes, |element, groups| {
                         timing.accumulate(self.solve(angle, psi, element, groups.clone(), scratch));
                         let solved = scratch.kernel.lane_solution(groups.len());
-                        self.store(psi, phi.as_deref_mut(), weight, element, groups, solved);
+                        self.store(psi, element, groups, solved);
                     });
                 }
                 // A bucket's tasks are mutually independent, so each
@@ -878,7 +1013,7 @@ impl SweepView<'_> {
                         }
                     }
                     for (&(element, g), solved) in tasks.iter().zip(results.chunks(nodes)) {
-                        self.store(psi, phi.as_deref_mut(), weight, element, g..g + 1, solved);
+                        self.store(psi, element, g..g + 1, solved);
                     }
                 }
             }
@@ -886,99 +1021,92 @@ impl SweepView<'_> {
     }
 
     /// Sweep every angle, spreading the work over the pool along the
-    /// scheme's parallel axis, and leave φ = Σₐ wₐ ψₐ in `phi` (zeroed by
-    /// the caller).  Every φ entry is summed in ascending angle order
-    /// whatever the axis and the width, so no bit depends on either.
-    fn sweep(
-        &self,
-        psi: &mut FluxStorage,
-        phi: &mut FluxStorage,
-        buffers: &mut BucketBuffers,
-    ) -> KernelTiming {
+    /// scheme's parallel axis, and fold each into φ (zeroed by the caller)
+    /// in ascending order.
+    fn sweep(&self, mut fold: AngleFold, buffers: &mut BucketBuffers) -> KernelTiming {
         let problem = &self.assets.problem;
         let nodes = self.slab.nodes_per_element;
+        let num_angles = self.schedules.len();
         let BucketBuffers {
             scratch,
             tasks,
             results,
+            slabs,
+            parked,
         } = buffers;
+        let width = self.pool.map_or(1, |pool| pool.current_num_threads());
+        let (team, window) = angle_team(problem.scheme, width, num_angles);
+        // (Parked slabs are what a sweep that unwound left behind.)
+        slabs.extend(parked.drain(..).map(|(_, slab)| slab));
+        slabs.resize_with(slabs.len().max(window), || vec![0.0; self.slab.len()]);
         {
             let scratch = &*scratch;
             let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
-            // Disjoint `&mut` slabs, one per angle (a domain without
-            // cells has none: `chunks_mut` refuses a zero length).
-            let slabs = psi
-                .as_mut_slice()
-                .chunks_mut(self.slab.len().max(1))
-                .enumerate();
-            let phi = phi.as_mut_slice();
-            match (self.pool, IterationSpace::new(problem.scheme)) {
-                // The angle axis: one fork per sweep.  Each worker walks
-                // the angles it claims inline, writing the slabs it alone
-                // holds (stealing keeps a width that does not divide the
-                // angle count busy; the scratch is a pure cache).
-                (Some(pool), None) => {
-                    pool.install(|| {
-                        slabs
-                            .into_par_iter()
-                            .with_stealing(true)
-                            .map_init(begin, |run, (angle, slab)| {
-                                self.sweep_angle(angle, slab, None, &mut BucketWalk::Inline(run))
-                            })
-                            .collect::<()>()
-                    });
-                    self.reduce(pool, psi.as_slice(), phi);
+            let mut one_by_one = |walk: &mut BucketWalk| {
+                for angle in 0..num_angles {
+                    self.sweep_angle(angle, &mut slabs[0], walk);
+                    fold.fold(angle, &slabs[0]);
                 }
+            };
+            match (self.pool, IterationSpace::new(problem.scheme)) {
                 // The bucket axis (Figures 3/4): angle after angle, one
                 // or more forks per bucket.
-                (Some(pool), Some(space)) => {
-                    let mut walk = BucketWalk::Forked {
-                        space,
-                        pool,
-                        scratch,
-                        tasks,
-                        results,
+                (Some(pool), Some(space)) => one_by_one(&mut BucketWalk::Forked {
+                    space,
+                    pool,
+                    scratch,
+                    tasks,
+                    results,
+                }),
+                // The angle axis: one fork per sweep.  Each worker claims
+                // the next angle — in ascending order: a contiguous share
+                // each would park the last worker's first angle behind
+                // every angle before it — walks it inline, and hands it in.
+                (Some(pool), None) => {
+                    let turn = Mutex::new(Turn {
+                        fold,
+                        cursor: 0,
+                        idle: slabs,
+                        parked,
+                        failed: false,
+                    });
+                    let freed = Condvar::new();
+                    // Publishes nothing: a claim is only a number nobody
+                    // else has.
+                    let next = AtomicUsize::new(0);
+                    let work = |_worker: usize| {
+                        let mut run = begin();
+                        let mut hand = SlabInHand {
+                            slab: None,
+                            turn: &turn,
+                            freed: &freed,
+                        };
+                        // A slab first, an angle second: whoever claimed
+                        // the angle at the cursor holds a slab, sweeps it
+                        // and folds it without waiting, so the cursor
+                        // always moves and no wait is for ever.
+                        let mut swept = None;
+                        while hand.exchange(swept) {
+                            let angle = next.fetch_add(1, Ordering::Relaxed);
+                            if angle >= num_angles {
+                                break;
+                            }
+                            let slab = hand.slab.as_mut().expect("exchanged for one");
+                            self.sweep_angle(angle, slab, &mut BucketWalk::Inline(&mut run));
+                            swept = Some(angle);
+                        }
                     };
-                    for (angle, slab) in slabs {
-                        self.sweep_angle(angle, slab, Some(&mut *phi), &mut walk);
-                    }
+                    pool.install(|| (0..team).into_par_iter().for_each(work));
+                    let turn = turn.into_inner().expect("a sweep worker panicked");
+                    debug_assert_eq!(turn.cursor, num_angles);
                 }
                 // One worker — a 1-wide pool, or a rank of a driver that
                 // runs its domains concurrently — walks every angle.
-                (None, _) => {
-                    let mut run = begin();
-                    let mut walk = BucketWalk::Inline(&mut run);
-                    for (angle, slab) in slabs {
-                        self.sweep_angle(angle, slab, Some(&mut *phi), &mut walk);
-                    }
-                }
+                _ => one_by_one(&mut BucketWalk::Inline(&mut begin())),
             }
         }
         let pool = scratch.get_mut().expect("a sweep task panicked");
         std::mem::take(&mut pool.timing)
-    }
-
-    /// φ += Σₐ wₐ ψₐ after an angle-parallel sweep, the angles ascending
-    /// per entry — the order a single worker adds in as it stores.  φ and
-    /// a slab share a layout, so a tile of φ is a flat axpy per angle; the
-    /// tiles are disjoint, so they fork.
-    fn reduce(&self, pool: &rayon::ThreadPool, psi: &[f64], phi: &mut [f64]) {
-        let directions = self.assets.quadrature.directions();
-        let slab_len = phi.len();
-        pool.install(|| {
-            phi.chunks_mut(REDUCTION_TILE)
-                .enumerate()
-                .into_par_iter()
-                .for_each(|(index, tile)| {
-                    let start = index * REDUCTION_TILE;
-                    for (angle, direction) in directions.iter().enumerate() {
-                        let slab = &psi[angle * slab_len + start..][..tile.len()];
-                        for (p, &v) in tile.iter_mut().zip(slab) {
-                            *p += direction.weight * v;
-                        }
-                    }
-                })
-        });
     }
 }
 
@@ -1045,12 +1173,14 @@ impl DomainContext<'_> {
     }
 
     /// Sweep every angle of the domain along its wavefront schedules,
-    /// storing ψ and accumulating φ.
+    /// accumulating φ.
     fn sweep_all(&mut self) -> KernelTiming {
         let SweepDomain {
             local_of_cell,
+            exports,
             schedules,
-            psi,
+            exported,
+            kept,
             phi,
             source,
             homogeneous,
@@ -1070,7 +1200,15 @@ impl DomainContext<'_> {
             zeros,
             lanes: lockstep_widths(self.assets),
         };
-        view.sweep(psi, phi, buffers)
+        let fold = AngleFold {
+            directions: self.assets.quadrature.directions(),
+            slab: view.slab,
+            phi: phi.as_mut_slice(),
+            exports,
+            exported,
+            kept: kept.as_mut(),
+        };
+        view.sweep(fold, buffers)
     }
 }
 
@@ -1210,5 +1348,137 @@ impl InnerSolveContext for DomainContext<'_> {
         let seconds = a.clock.now().saturating_sub(t0).as_secs_f64();
         observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+
+    use unsnap_linalg::{DenseMatrix, GaussSolver};
+
+    use super::*;
+    use crate::session::NoopObserver;
+
+    /// Gaussian elimination that panics on solve number `at` of its life.
+    struct PanicsAt {
+        inner: GaussSolver,
+        solves: AtomicUsize,
+        at: usize,
+    }
+
+    impl PanicsAt {
+        fn solver(at: usize) -> Box<dyn LinearSolver> {
+            Box::new(Self {
+                inner: GaussSolver::new(),
+                solves: AtomicUsize::new(0),
+                at,
+            })
+        }
+    }
+
+    impl LinearSolver for PanicsAt {
+        fn solve_in_place(&self, a: &mut DenseMatrix, b: &mut [f64]) -> unsnap_linalg::Result<()> {
+            let solve = self.solves.fetch_add(1, Ordering::Relaxed);
+            assert_ne!(solve, self.at, "the stub's solve to fail at");
+            self.inner.solve_in_place(a, b)
+        }
+
+        fn name(&self) -> &'static str {
+            "panics-at"
+        }
+    }
+
+    /// One sweep of every cell of `problem` on a pool `width` wide with a
+    /// solver failing `at` each solve listed, then one with a sound solver:
+    /// φ of that last sweep, and of the same sweep on a domain no task of
+    /// which ever panicked.
+    fn sweep_after_panics(problem: &Problem, width: usize, at: &[usize]) -> [Vec<u64>; 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap();
+        let mut assets = SharedAssets::build(problem, &pool);
+        let cells = || (0..assets.mesh.num_cells()).collect();
+        let mut domains = [(); 2].map(|()| SweepDomain::new(&assets, &pool, cells()).unwrap());
+        let phi_outer = FluxStorage::zeros(*domains[0].phi.layout());
+        let sweep = |assets: &SharedAssets, domain: &mut SweepDomain| {
+            let mut context = DomainContext {
+                assets,
+                pool: Some(&pool),
+                phi_outer: &phi_outer,
+                halo: None,
+                domain,
+                inner_budget: 1,
+            };
+            // A sweep that unwound left a part of φ behind.
+            context.domain.phi.fill(0.0);
+            context.compute_source();
+            context.sweep_once(&mut RunStats::default(), &mut NoopObserver);
+        };
+        for &at in at {
+            assets.solver = PanicsAt::solver(at);
+            let swept = catch_unwind(AssertUnwindSafe(|| sweep(&assets, &mut domains[0])));
+            assert!(swept.is_err(), "solve {at} at width {width} did not panic");
+        }
+        assets.solver = PanicsAt::solver(usize::MAX);
+        domains.each_mut().map(|domain| {
+            sweep(&assets, domain);
+            let BucketBuffers { slabs, parked, .. } = &domain.buffers;
+            let width = pool.current_num_threads();
+            let (_, window) = angle_team(problem.scheme, width, problem.num_angles());
+            assert_eq!((slabs.len(), parked.len()), (window, 0), "width {width}");
+            domain.phi.as_slice().iter().map(|v| v.to_bits()).collect()
+        })
+    }
+
+    #[test]
+    fn a_panicking_task_cannot_hang_the_team() {
+        // 16 angles × 27 cells × 2 groups: the first solve (whoever makes
+        // it holds the angle at the cursor or parks behind it), some in
+        // the middle, the last (every other worker has gone home).
+        let at = [0, 1, 7, 300, 431, 700, 863];
+        let problem = Problem::tiny().with_scheme(ConcurrencyScheme::best());
+        assert_eq!(
+            problem.num_angles() * problem.num_cells() * problem.num_groups,
+            864
+        );
+        for width in [2, 3, 8] {
+            let problem = problem.clone();
+            // On a thread of its own: a team left parked on the turn would
+            // otherwise hang the test instead of failing it.
+            let (done, result) = mpsc::channel();
+            let body =
+                std::thread::spawn(move || done.send(sweep_after_panics(&problem, width, &at)));
+            match result.recv_timeout(Duration::from_secs(120)) {
+                Ok([recovered, reference]) => {
+                    assert!(
+                        recovered == reference,
+                        "width {width}: φ after the panics differs"
+                    )
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("width {width}: a panicking task left the team parked")
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => {}
+            }
+            body.join().expect("see the panic above").unwrap();
+        }
+    }
+
+    #[test]
+    fn more_workers_than_angles_keep_the_bits() {
+        // Past `TransportSolver`'s cap on the pool width — what
+        // `RAYON_NUM_THREADS` does to every pool.
+        let problem = Problem::tiny()
+            .with_scheme(ConcurrencyScheme::best())
+            .with_phase_space(1, 2);
+        assert_eq!(problem.num_angles(), 8);
+        let [one_worker, _] = sweep_after_panics(&problem, 1, &[]);
+        for width in [8, 12] {
+            let [team, _] = sweep_after_panics(&problem, width, &[]);
+            assert!(team == one_worker, "φ differs at width {width}");
+        }
     }
 }

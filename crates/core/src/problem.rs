@@ -512,9 +512,21 @@ impl Problem {
         self.nodes_per_element() * self.num_cells() * self.num_groups * self.num_angles()
     }
 
-    /// Estimated angular-flux storage in bytes (FP64).
+    /// Size in bytes (FP64) of the angular-flux *unknown set* of §II-C.
+    /// Nothing this large is resident during a solve: a sweep holds ψ of a
+    /// few angles at a time ([`Problem::sweep_scratch_bytes`]), and only
+    /// `TransportSolver::keep_angular_flux` stores all of it.
     pub fn angular_flux_bytes(&self) -> usize {
         self.angular_flux_unknowns() * std::mem::size_of::<f64>()
+    }
+
+    /// Bytes of ψ a single-domain sweep on `workers` workers holds: two
+    /// slabs — ψ of one angle, the size of φ — per worker of the
+    /// angle-threaded scheme, one slab when a single worker or a per-bucket
+    /// scheme takes the angles one after another.
+    pub fn sweep_scratch_bytes(&self, workers: usize) -> usize {
+        let (_, slabs) = crate::domain::angle_team(self.scheme, workers, self.num_angles());
+        slabs * self.angular_flux_bytes() / self.num_angles()
     }
 
     /// Every rule a runnable problem must satisfy, per field and across
@@ -777,6 +789,14 @@ mod tests {
         let p3 = Problem::tiny().with_order(3);
         assert_eq!(p3.angular_flux_unknowns(), 64 * fd_unknowns);
         assert_eq!(p1.angular_flux_bytes(), p1.angular_flux_unknowns() * 8);
+        // A sweep holds slabs of it: one per angle-at-a-time walker, two
+        // per worker of an angle-threaded team.
+        let slab = p1.angular_flux_bytes() / p1.num_angles();
+        assert_eq!(p1.sweep_scratch_bytes(2), slab);
+        let angles = p1.with_scheme(ConcurrencyScheme::best());
+        assert_eq!(angles.sweep_scratch_bytes(1), slab);
+        assert_eq!(angles.sweep_scratch_bytes(2), 4 * slab);
+        assert_eq!(angles.sweep_scratch_bytes(99), 2 * 16 * slab);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! The fan-out executes on a **real worker pool** sized by
 //! `Problem::num_threads` (force-overridable with `RAYON_NUM_THREADS`).
 //! Bucket tasks are split into index-ordered chunks whose results are
-//! written back in input order, angles write disjoint slabs of ψ, and
-//! the scalar flux is summed in ascending angle order, so every scheme
+//! written back in input order, angles are swept into slabs of their own
+//! and the scalar flux takes them in ascending angle order, so every scheme
 //! produces bit-for-bit identical fluxes at any thread count — the
 //! invariant `tests/parallel_determinism.rs` enforces.
 
@@ -531,8 +531,8 @@ pub struct TransportSolver {
     /// Worker pool the sweep fans out on, sized according to
     /// `Problem::num_threads` (a width of 1 runs inline on this thread).
     pool: rayon::ThreadPool,
-    /// The one domain, owning every cell: its ψ/φ buffers *are* the
-    /// global arrays.
+    /// The one domain, owning every cell: its φ buffers *are* the global
+    /// arrays.
     domain: SweepDomain,
     /// Scalar flux at the previous outer iteration.
     phi_outer: FluxStorage,
@@ -626,9 +626,18 @@ impl TransportSolver {
         &self.domain.phi
     }
 
-    /// The angular flux after the most recent `run`.
-    pub fn angular_flux(&self) -> &FluxStorage {
-        &self.domain.psi
+    /// Keep ψ of every angle from the next sweep on.  A solve needs none
+    /// of it — a sweep holds ψ of a few angles at a time and folds each
+    /// into φ — so this is cells × angles of memory
+    /// ([`Problem::angular_flux_bytes`]) for callers that compare ψ.
+    pub fn keep_angular_flux(&mut self) {
+        self.domain.keep_angular_flux();
+    }
+
+    /// The angular flux of the most recent sweep, when
+    /// [`TransportSolver::keep_angular_flux`] asked for it to be kept.
+    pub fn angular_flux(&self) -> Option<&FluxStorage> {
+        self.domain.kept.as_ref()
     }
 
     /// The per-angle sweep schedules.

@@ -59,10 +59,18 @@ fn main() -> Result<()> {
         "phase space    : {} angles/octant x {} groups, order-{} elements",
         problem.angles_per_octant, problem.num_groups, problem.element_order
     );
+    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
+    let workers = problem
+        .num_threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     println!(
-        "angular flux   : {} unknowns ({:.1} MiB)",
+        "angular flux   : {} unknowns ({:.1} MiB, never stored)",
         problem.angular_flux_unknowns(),
-        problem.angular_flux_bytes() as f64 / (1024.0 * 1024.0)
+        mib(problem.angular_flux_bytes())
+    );
+    println!(
+        "sweep scratch  : {:.2} MiB of it at a time ({workers} workers)",
+        mib(problem.sweep_scratch_bytes(workers))
     );
     println!("scheme         : {}", problem.scheme);
     println!("local solver   : {}", problem.solver);

@@ -146,14 +146,16 @@ fn run_single_reference(problem: &Problem, every: usize) -> Reference {
     let mut observer = observer;
     let mut recorder = RecordingObserver::default();
     let mut session = Session::new(problem).unwrap();
+    session.solver_mut().keep_angular_flux();
     let outcome = {
         let mut tee = TeeObserver::new(&mut recorder, &mut observer);
         session.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
+    let psi = session.solver().angular_flux().expect("asked to be kept");
     Reference {
         outcome,
         flux: session.scalar_flux().as_slice().to_vec(),
-        psi: session.solver().angular_flux().as_slice().to_vec(),
+        psi: psi.as_slice().to_vec(),
         recorder,
         log: buffer.bytes(),
     }
@@ -561,10 +563,9 @@ const STRATEGIES: [StrategyKind; 3] = [
 #[test]
 fn a_single_domain_resume_never_reads_the_checkpointed_psi() {
     // There is none to read: the frame holds φ and an empty halo, and the
-    // resumed solver — its ψ all zeros — still ends on the uninterrupted
-    // run's ψ, bit for bit.
+    // resumed solver still ends on the uninterrupted run's ψ, bit for bit.
     for strategy in STRATEGIES {
-        for threads in [1usize, 2] {
+        for threads in [1usize, 2, 3, 8] {
             let problem = three_outers(strategy, threads);
             let tag = format!("{strategy:?} at {threads} thread(s)");
             let reference = run_single_reference(&problem, 1);
@@ -591,15 +592,14 @@ fn a_single_domain_resume_never_reads_the_checkpointed_psi() {
             );
 
             let mut resumed = Session::new(&problem).unwrap();
+            resumed.solver_mut().keep_angular_flux();
             resumed
                 .solver_mut()
                 .resume_from(first_boundary(&reference.log))
                 .unwrap();
             let outcome = resumed.run().unwrap();
-            let flux = [
-                resumed.scalar_flux().as_slice(),
-                resumed.solver().angular_flux().as_slice(),
-            ];
+            let psi = resumed.solver().angular_flux().expect("asked to be kept");
+            let flux = [resumed.scalar_flux().as_slice(), psi.as_slice()];
             assert_same_bits(&reference, &outcome, flux, &tag);
         }
     }

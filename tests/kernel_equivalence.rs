@@ -63,11 +63,13 @@ struct Run {
 
 fn run_single_domain(problem: &Problem) -> Run {
     let mut solver = TransportSolver::new(problem).unwrap();
+    solver.keep_angular_flux();
     let outcome = solver.run().unwrap();
+    let angular_flux = solver.angular_flux().expect("asked to be kept");
     Run {
         outcome,
         scalar_flux: solver.scalar_flux().as_slice().to_vec(),
-        angular_flux: solver.angular_flux().as_slice().to_vec(),
+        angular_flux: angular_flux.as_slice().to_vec(),
     }
 }
 
@@ -78,7 +80,7 @@ fn run_single_domain(problem: &Problem) -> Run {
 fn widths() -> Vec<usize> {
     match std::env::var("RAYON_NUM_THREADS") {
         Ok(v) if !v.trim().is_empty() => vec![1],
-        _ => vec![1, 2, 8],
+        _ => vec![1, 2, 3, 8],
     }
 }
 

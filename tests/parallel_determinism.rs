@@ -12,8 +12,9 @@
 //! The guarantee rests on the stand-in's execution model — index-ordered
 //! chunks, in-order reassembly, and in-order reductions (see the
 //! `rayon` crate docs) — and, for the angle-threaded default scheme, on
-//! every angle owning its slab of ψ and φ being summed in ascending
-//! angle order afterwards.  No scheme is exempt.
+//! every angle being swept into a slab of its own and φ taking the slabs
+//! in ascending angle order, however the workers finish them.  No scheme
+//! is exempt.
 
 use unsnap::core::solver::OuterDriver;
 use unsnap::prelude::*;
@@ -45,12 +46,14 @@ struct Run {
 fn run_at(problem: &Problem, threads: usize) -> Run {
     let p = problem.clone().with_threads(threads);
     let mut session = Session::new(&p).unwrap();
+    session.solver_mut().keep_angular_flux();
     let mut recorder = RecordingObserver::default();
     let outcome = session.run_observed(&mut recorder).unwrap();
+    let angular_flux = session.solver().angular_flux().expect("asked to be kept");
     Run {
         outcome,
         scalar_flux: session.scalar_flux().as_slice().to_vec(),
-        angular_flux: session.solver().angular_flux().as_slice().to_vec(),
+        angular_flux: angular_flux.as_slice().to_vec(),
         recorder,
     }
 }
@@ -65,6 +68,12 @@ fn forced_width() -> Option<String> {
         .ok()
         .filter(|v| !v.trim().is_empty())
 }
+
+const STRATEGIES: [StrategyKind; 3] = [
+    StrategyKind::SourceIteration,
+    StrategyKind::DsaSourceIteration,
+    StrategyKind::SweepGmres,
+];
 
 fn assert_thread_count_invariant(problem: &Problem) {
     assert_invariant_at(problem, &[2, 4]);
@@ -177,12 +186,70 @@ fn every_figure_scheme_is_thread_count_invariant() {
 
 #[test]
 fn angle_threaded_scheme_is_thread_count_invariant() {
-    // Angles write disjoint ψ slabs and φ is reduced in ascending angle
-    // order, so the default scheme is exact too — also at a width that
-    // does not divide the 16 angles and at one wider than them.
+    // Every angle is swept into a slab of its own and φ takes them in
+    // ascending angle order, so the default scheme is exact too — also at
+    // widths that do not divide the 16 angles and at one wider than them.
     let problem = Problem::tiny().with_scheme(ConcurrencyScheme::best());
     assert_eq!(problem.num_angles(), 16);
-    assert_invariant_at(&problem, &[2, 3, 4, 17]);
+    assert_invariant_at(&problem, &[2, 3, 4, 8, 17]);
+    // Under every strategy, and where every worker claims one angle and
+    // none a second: 8 angles on 8 workers, and on more.
+    let one_angle_each = problem.clone().with_phase_space(1, 2);
+    assert_eq!(one_angle_each.num_angles(), 8);
+    for strategy in STRATEGIES {
+        assert_invariant_at(&problem.clone().with_strategy(strategy), &[3, 8]);
+        assert_invariant_at(&one_angle_each.clone().with_strategy(strategy), &[3, 8, 9]);
+    }
+}
+
+#[test]
+fn rank_fluxes_and_halo_are_thread_count_invariant_and_pinned() {
+    // 2 × 2 block-Jacobi ranks: the halo is fed from what each rank's
+    // sweeps fold into its export buffer.  φ and the halo are the same
+    // bits at every width, and their totals are the ones the commit that
+    // still published from a stored ψ produced.
+    let pins = [
+        (
+            StrategyKind::SourceIteration,
+            0x40619673c9e383a5u64,
+            0x409f6a7e8f1ce3deu64,
+        ),
+        (
+            StrategyKind::DsaSourceIteration,
+            0x4062518d4c12a703,
+            0x409fab68998f2c02,
+        ),
+        (
+            StrategyKind::SweepGmres,
+            0x406302857b0aff33,
+            0x40a10717e332ee3c,
+        ),
+    ];
+    for (strategy, flux_total, halo_total) in pins {
+        let ranks = |threads| {
+            let problem = Problem::tiny()
+                .with_scheme(ConcurrencyScheme::best())
+                .with_strategy(strategy)
+                .with_threads(threads);
+            let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 2)).unwrap();
+            let outcome = solver.run().unwrap();
+            let halo_total: f64 = OuterDriver::flux(&solver).1.iter().sum();
+            let totals = [outcome.scalar_flux_total, halo_total].map(f64::to_bits);
+            (flux_bits(&solver), totals)
+        };
+        let (reference, totals) = ranks(1);
+        assert_eq!(
+            totals.map(|bits| format!("{bits:#x}")),
+            [flux_total, halo_total].map(|bits| format!("{bits:#x}")),
+            "{strategy:?}: flux and halo totals at width 1"
+        );
+        for threads in [2, 3, 8] {
+            assert!(
+                ranks(threads).0 == reference,
+                "{strategy:?}: φ or the halo diverged at {threads} threads vs 1"
+            );
+        }
+    }
 }
 
 /// φ and ψ of a finished run, as bit patterns.
@@ -229,11 +296,7 @@ fn deterministic_metrics_are_thread_count_invariant_at_1_2_and_8() {
         eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
         return;
     }
-    for strategy in [
-        StrategyKind::SourceIteration,
-        StrategyKind::SweepGmres,
-        StrategyKind::DsaSourceIteration,
-    ] {
+    for strategy in STRATEGIES {
         let problem = Problem::tiny().with_strategy(strategy);
         let reference = run_at(&problem, 1).outcome.metrics.deterministic();
         assert!(reference.sweeps > 0, "{strategy:?} recorded no sweeps");
