@@ -138,8 +138,8 @@ fn scaling(
     }
 }
 
-/// The six schemes of Figures 3/4 plus the repository default, which
-/// forks once per sweep instead of once per bucket.
+/// The six schemes of Figures 3/4 plus the repository default, whose
+/// workers share no bucket.
 fn seven_schemes() -> Vec<ConcurrencyScheme> {
     let mut schemes = ConcurrencyScheme::figure_schemes();
     schemes.push(ConcurrencyScheme::best());
@@ -160,10 +160,11 @@ pub(crate) fn figure3(opts: &HarnessOptions) -> Report {
         &seven_schemes(),
         "Paper shape: angle/element*/group* (collapsed element x group threading, group \
          index fastest in memory) is fastest at full thread counts; the group/element \
-         layouts trail because adjacent elements sit one cache line apart.  The six \
-         element/group rows fork per wavefront bucket (the paper's subject); the angle* \
-         row forks once per sweep and reduces the scalar flux afterwards in ascending \
-         angle order.  Every row is bit-for-bit deterministic across widths.",
+         layouts trail because adjacent elements sit one cache line apart.  Every row \
+         forks once per sweep: the six element/group rows share each region of each \
+         wavefront bucket among the team (the paper's subject), the angle* row gives \
+         every worker angles of its own; both fold the scalar flux in ascending angle \
+         order.  Every row is bit-for-bit deterministic across widths.",
     )
 }
 
@@ -190,8 +191,8 @@ pub(crate) fn figure4(opts: &HarnessOptions) -> Report {
 }
 
 pub(crate) fn threading(opts: &HarnessOptions) -> Report {
-    // Few groups and many angles: small buckets, where a fork per bucket
-    // costs the most against the work it spreads.
+    // Few groups and many angles: small buckets, where a team's hand-off
+    // per region costs the most against the work it spreads.
     let base = match opts.size {
         Size::Quick => Problem::figure3_scaled()
             .with_mesh(3)
@@ -209,8 +210,8 @@ pub(crate) fn threading(opts: &HarnessOptions) -> Report {
         "Paper finding: threading over angles around an atomic (or critical) scalar-flux \
          update did not scale - the runtime rose with the thread count - so Figures 3 and \
          4 thread the element/group loops inside each bucket (the element*/group* row).  \
-         Here every angle owns a slab of the stored angular flux and the reduction runs \
-         after the sweep in ascending angle order: the angle* row forks once per sweep, \
+         Here a worker sweeps an angle into a slab of its own and the scalar flux takes \
+         the slabs in ascending angle order: the angle* row waits for no region, \
          needs no atomic, and should fall with the thread count at least as fast as the \
          row below it.",
     )

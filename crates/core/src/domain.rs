@@ -26,16 +26,18 @@
 //! publishes the cells it exports once the ranks of an iteration are done.
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
 //! gather the upwind ψ, assemble, solve — for one group, or for a run of
-//! groups in lockstep where the kernel offers that) and one per-angle walker
-//! (`SweepView::sweep_angle`: the angle's buckets in wavefront order,
-//! each solved inline or forked the way an `IterationSpace` — a
-//! Figure 3/4 scheme label as data — says), so a sweep optimisation has
-//! exactly one place to go.  `SweepView::sweep` picks the parallel axis:
-//! the default scheme forks once per sweep into a team whose workers claim
-//! the angles in ascending order, sweep each into a slab of their own and
-//! hand it in (`SlabInHand::exchange`); the paper's six schemes fork per
-//! bucket; one worker does neither.  ψ is scratch: whatever the axis, a
-//! swept angle is folded into φ in ascending angle order
+//! groups in lockstep where the kernel offers that) and one task loop
+//! (`SweepView::walk`: tasks of a bucket in loop-nest order —
+//! `SweepView::sweep_angle` walks the buckets of an angle whole, in
+//! wavefront order), so a sweep optimisation has exactly one place to go.
+//! `SweepView::sweep` forks once, into a team, and picks the parallel axis:
+//! the workers of the default scheme claim the angles in ascending order,
+//! sweep each into a slab of their own and hand it in
+//! (`SlabInHand::exchange`); those of the paper's six schemes are all in
+//! the same angle and claim shares of one region of a bucket at a time, cut
+//! the way `region_cut` — a Figure 3/4 scheme label as data — says
+//! (`BucketTeam::work`); one worker does neither.  ψ is scratch:
+//! whatever the axis, a swept angle is folded into φ in ascending angle order
 //! (`AngleFold::fold`, which also copies the exported cells and, for a
 //! caller that asked, all of it) and its slab is swept into again, so a
 //! sweep holds two slabs per worker, not one per angle.  Every level
@@ -47,7 +49,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -59,9 +61,9 @@ use unsnap_krylov::GmresWorkspace;
 use unsnap_linalg::LinearSolver;
 use unsnap_mesh::{NeighborRef, UnstructuredMesh, NUM_FACES};
 use unsnap_obs::clock::{Clock, SystemClock};
-use unsnap_sweep::{ConcurrencyScheme, LoopOrder, SweepSchedule, ThreadedLoops};
+use unsnap_sweep::{LoopOrder, SweepSchedule, ThreadedLoops};
 
-use crate::angular::{AngularQuadrature, Direction};
+use crate::angular::AngularQuadrature;
 use crate::data::{CrossSections, ProblemData};
 use crate::dsa::DsaAccelerator;
 use crate::error::{Error, Result};
@@ -71,6 +73,7 @@ use crate::problem::Problem;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 use crate::solver::RunStats;
 use crate::strategy::{AcceleratorKind, InnerSolveContext};
+use crate::team::{sweep_team, AngleFold, BucketTeam, SlabInHand, Turn};
 
 /// Build the worker pool a driver fans out on: `Problem::num_threads`
 /// wide (the machine's parallelism when unset), capped at `max_width`.
@@ -238,16 +241,11 @@ pub struct SweepDomain {
 }
 
 /// Working storage of a sweep that outlives it, so a warm sweep
-/// allocates nothing per task, per region or per worker chunk.
+/// allocates nothing per task, per region or per share of one.
 struct BucketBuffers {
-    /// The scratch pool: every run of tasks — a worker's angles, a
-    /// worker's chunk of a forked bucket region — checks one out and
-    /// hands it back.
+    /// The scratch pool: every worker of a sweep checks one out for its
+    /// run of tasks and hands it back.
     scratch: Mutex<ScratchPool>,
-    /// A forked bucket's (element, group) tasks, in loop-nest order.
-    tasks: Vec<(usize, usize)>,
-    /// A forked bucket's solved ψ node blocks, in task order.
-    results: Vec<f64>,
     /// The idle slabs: ψ of one angle each, in the layout of φ.  A sweep
     /// holds ψ nowhere else, and only until the angle is folded into φ.
     slabs: Vec<Vec<f64>>,
@@ -281,6 +279,9 @@ struct TaskScratch {
     /// The integrals of the element of `key`, when the problem does not
     /// precompute them.
     integrals: Option<ElementIntegrals>,
+    /// The solved node blocks of a share of a region, in task order, until
+    /// the worker may write to the slab the team shares.
+    staged: Vec<f64>,
 }
 
 impl TaskScratch {
@@ -290,6 +291,7 @@ impl TaskScratch {
             key: None,
             inflow: Vec::with_capacity(NUM_FACES),
             integrals: None,
+            staged: Vec::new(),
         }
     }
 }
@@ -406,8 +408,6 @@ impl SweepDomain {
             dsa: None,
             buffers: BucketBuffers {
                 scratch: Mutex::default(),
-                tasks: Vec::new(),
-                results: Vec::new(),
                 slabs: Vec::new(),
                 parked: Vec::new(),
             },
@@ -520,252 +520,62 @@ impl HaloFlux {
     }
 }
 
-/// How much of a bucket's task list one unit of an [`IterationSpace`]
-/// spans.
-#[derive(Debug, Clone, Copy)]
-enum Extent {
-    /// One (element, group) task.
-    Task,
-    /// All tasks of one outer-loop index (one run of the inner loop).
-    InnerLoop,
-    /// Every task of the bucket.
-    Bucket,
-}
-
-/// Visit `bucket`'s tasks in loop-nest order: an element and a run of
-/// its groups.  A run is one group — except in `angle/element/group`
-/// order, where an element's groups are cut greedily into runs of the
-/// `widths` (widest first) and only the remainder goes group by group.
+/// Visit the tasks `tasks` of `bucket` — numbered in loop-nest order, one
+/// outer index after another — as an element and a run of its groups.  A
+/// run is one group — except in `angle/element/group` order, where those of
+/// an element's groups that are in `tasks` are cut greedily into runs of
+/// the `widths` (widest first) and only the remainder goes group by group.
 fn for_each_task(
     order: LoopOrder,
     bucket: &[usize],
     num_groups: usize,
     widths: &[usize],
+    tasks: Range<usize>,
     mut visit: impl FnMut(usize, Range<usize>),
 ) {
-    match order {
-        LoopOrder::ElementThenGroup => {
-            for &element in bucket {
-                let mut group = 0;
+    if tasks.is_empty() {
+        return;
+    }
+    let inner = match order {
+        LoopOrder::ElementThenGroup => num_groups,
+        LoopOrder::GroupThenElement => bucket.len(),
+    };
+    for outer in tasks.start / inner..tasks.end.div_ceil(inner) {
+        let first = outer * inner;
+        let lo = tasks.start.max(first) - first;
+        let hi = tasks.end.min(first + inner) - first;
+        match order {
+            LoopOrder::ElementThenGroup => {
+                let mut group = lo;
                 for &width in widths {
-                    while num_groups - group >= width {
-                        visit(element, group..group + width);
+                    while hi - group >= width {
+                        visit(bucket[outer], group..group + width);
                         group += width;
                     }
                 }
-                (group..num_groups).for_each(|g| visit(element, g..g + 1));
+                (group..hi).for_each(|g| visit(bucket[outer], g..g + 1));
+            }
+            LoopOrder::GroupThenElement => {
+                let group = outer..outer + 1;
+                (bucket[lo..hi].iter()).for_each(|&element| visit(element, group.clone()));
             }
         }
-        LoopOrder::GroupThenElement => {
-            for g in 0..num_groups {
-                bucket.iter().for_each(|&element| visit(element, g..g + 1));
-            }
-        }
     }
 }
 
-/// A Figure 3/4 scheme label as data: the order a bucket's
-/// element × group tasks are listed in, and how that list is cut into
-/// parallel regions (one fork/join each) and grains (the unit a region
-/// hands to a worker).
-#[derive(Debug, Clone, Copy)]
-struct IterationSpace {
-    order: LoopOrder,
-    region: Extent,
-    grain: Extent,
-    /// Whether small regions steal.  Results land in per-grain slots
-    /// either way, so this is purely a scheduling choice.
-    stealing: bool,
+/// The ψ of the angle a worker is in.
+enum Slab<'a> {
+    /// The worker's own: blocks are stored as they are solved.
+    Own(&'a mut [f64]),
+    /// A team's: read by every share of a region, written between regions.
+    Shared(&'a [f64]),
 }
 
-impl IterationSpace {
-    /// The descriptor of an element/group-threaded scheme; `None` for the
-    /// angle-threaded scheme, which forks once per sweep, not per bucket.
-    fn new(scheme: ConcurrencyScheme) -> Option<Self> {
-        let (region, grain, stealing) = match scheme.threaded {
-            // collapse(2): one region over all pairs.  Small buckets (the
-            // narrow ends of a wavefront) are where a static split leaves
-            // workers idle behind one slow chunk — steal there.
-            ThreadedLoops::Collapsed => (Extent::Bucket, Extent::Task, true),
-            // One region whose grains keep an outer index on one worker.
-            ThreadedLoops::OuterOnly => (Extent::Bucket, Extent::InnerLoop, false),
-            // One region (one fork) per outer index.
-            ThreadedLoops::InnerOnly => (Extent::InnerLoop, Extent::Task, false),
-            ThreadedLoops::Angles => return None,
-        };
-        Some(Self {
-            order: scheme.loop_order,
-            region,
-            grain,
-            stealing,
-        })
-    }
-
-    /// List `bucket`'s tasks in loop-nest order into `tasks` and return
-    /// the region and grain lengths, in tasks.
-    fn lay_out(
-        &self,
-        bucket: &[usize],
-        num_groups: usize,
-        tasks: &mut Vec<(usize, usize)>,
-    ) -> (usize, usize) {
-        tasks.clear();
-        for_each_task(self.order, bucket, num_groups, &[], |element, groups| {
-            tasks.push((element, groups.start))
-        });
-        let len = |extent| match extent {
-            Extent::Task => 1,
-            Extent::InnerLoop => match self.order {
-                LoopOrder::ElementThenGroup => num_groups,
-                LoopOrder::GroupThenElement => bucket.len(),
-            },
-            Extent::Bucket => tasks.len(),
-        };
-        (len(self.region), len(self.grain))
-    }
-}
-
-/// How the walker of one angle gets through a bucket.
-enum BucketWalk<'a, 'b> {
-    /// Solve every task on this thread, in loop-nest order, straight into
-    /// the angle's ψ slab.
-    Inline(&'b mut TaskRun<'a>),
-    /// The paper's schemes: fork the bucket the way `space` says, each
-    /// grain solving into its own slice of `results`, then store them.
-    Forked {
-        space: IterationSpace,
-        pool: &'a rayon::ThreadPool,
-        scratch: &'a Mutex<ScratchPool>,
-        tasks: &'b mut Vec<(usize, usize)>,
-        results: &'b mut Vec<f64>,
-    },
-}
-
-/// Slabs per worker of the angle axis.  Two workers drift apart by more
-/// than one angle, so with one slab each a worker that finishes out of turn
-/// must wait for its turn to fold: measured `op_fast_s` +9…+12 % on
-/// `sweep-linear` and `converge-dsa` (0 of 10 pairs, condvar and spin-wait
-/// alike).  With two it parks the finished slab and sweeps on; four
-/// measured no better than two.
-const SLABS_PER_WORKER: usize = 2;
-
-/// How a sweep of `scheme` on a pool `width` wide takes the angles: the
-/// workers of its team — 1 takes them one after another — and the slabs
-/// they hold ψ in.  A team has no use for more workers than angles.
-pub(crate) fn angle_team(
-    scheme: ConcurrencyScheme,
-    width: usize,
-    num_angles: usize,
-) -> (usize, usize) {
-    match scheme.threaded {
-        ThreadedLoops::Angles if width.min(num_angles) > 1 => {
-            let team = width.min(num_angles);
-            (team, SLABS_PER_WORKER * team)
-        }
-        _ => (1, 1),
-    }
-}
-
-/// What outlives the slab of a swept angle.  A sweep folds its angles in
-/// ascending order whatever its parallel axis and width, so every φ entry
-/// is summed in that order and no bit depends on either.
-struct AngleFold<'a> {
-    directions: &'a [Direction],
-    /// Shape of a slab — and of φ.
-    slab: FluxLayout,
-    phi: &'a mut [f64],
-    /// Local slots of the cells whose ψ `exported` takes, slot by slot.
-    exports: &'a [usize],
-    exported: &'a mut FluxStorage,
-    kept: Option<&'a mut FluxStorage>,
-}
-
-impl AngleFold<'_> {
-    /// φ += w·ψ for `psi`, the ψ of `angle`, and copy what was asked to
-    /// be kept of it while the slab is hot.
-    fn fold(&mut self, angle: usize, psi: &[f64]) {
-        let weight = self.directions[angle].weight;
-        for (p, &v) in self.phi.iter_mut().zip(psi) {
-            *p += weight * v;
-        }
-        let nodes = self.slab.nodes_per_element;
-        for (export, &local) in self.exports.iter().enumerate() {
-            for g in 0..self.slab.num_groups {
-                let base = self.slab.base(local, g, 0);
-                self.exported
-                    .nodes_mut(export, g, angle)
-                    .copy_from_slice(&psi[base..base + nodes]);
-            }
-        }
-        if let Some(kept) = &mut self.kept {
-            kept.as_mut_slice()[angle * psi.len()..][..psi.len()].copy_from_slice(psi);
-        }
-    }
-}
-
-/// The hand-off of the angle axis, behind one lock: the workers sweep
-/// angles in whatever order they finish them, φ takes them in turn.
-struct Turn<'a> {
-    fold: AngleFold<'a>,
-    /// The angle φ takes next.
-    cursor: usize,
-    idle: &'a mut Vec<Vec<f64>>,
-    /// Swept out of turn, by angle.
-    parked: &'a mut Vec<(usize, Vec<f64>)>,
-    /// A worker unwound: nobody will fold its angle, so nobody may wait.
-    failed: bool,
-}
-
-/// The slab a worker of the angle axis sweeps into.  Dropping it returns
-/// the slab and, when the worker is unwinding, releases the others.
-struct SlabInHand<'t, 'a> {
-    slab: Option<Vec<f64>>,
-    turn: &'t Mutex<Turn<'a>>,
-    freed: &'t Condvar,
-}
-
-impl SlabInHand<'_, '_> {
-    /// Hand in the slab, ψ of `swept`: park it, and fold every parked slab
-    /// the cursor is at — this one, if it is its turn, and those that
-    /// waited for it.  Then take an idle slab for the next angle, waiting
-    /// for a fold to free one only if there is none.  `false` once a
-    /// worker has failed.
-    fn exchange(&mut self, swept: Option<usize>) -> bool {
-        let mut guard = self.turn.lock().expect("a sweep worker panicked");
-        if let Some(angle) = swept {
-            let turn = &mut *guard;
-            turn.parked
-                .extend(self.slab.take().map(|slab| (angle, slab)));
-            while let Some(at) = turn.parked.iter().position(|&(a, _)| a == turn.cursor) {
-                let (angle, slab) = turn.parked.swap_remove(at);
-                turn.fold.fold(angle, &slab);
-                turn.cursor += 1;
-                turn.idle.push(slab);
-            }
-            if turn.idle.len() > 1 {
-                self.freed.notify_all();
-            }
-        }
-        let mut turn = self
-            .freed
-            .wait_while(guard, |turn| !turn.failed && turn.idle.is_empty())
-            .expect("a sweep worker panicked");
-        if !turn.failed {
-            self.slab = turn.idle.pop();
-        }
-        self.slab.is_some()
-    }
-}
-
-impl Drop for SlabInHand<'_, '_> {
-    fn drop(&mut self) {
-        // A lost slab is the worst a poisoned turn can hold, and a drop
-        // must not panic.
-        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
-        turn.idle.extend(self.slab.take());
-        if std::thread::panicking() {
-            turn.failed = true;
-            self.freed.notify_all();
+impl Slab<'_> {
+    fn read(&self) -> &[f64] {
+        match self {
+            Slab::Own(psi) => psi,
+            Slab::Shared(psi) => psi,
         }
     }
 }
@@ -923,100 +733,76 @@ impl SweepView<'_> {
         }
     }
 
-    /// Store the solved node blocks of `groups` of `element` in their
-    /// angle's slab.  `solved` holds node `i` of the run's group `l` at
-    /// `i · groups.len() + l` — for one group, its node block.
-    fn store(&self, psi: &mut [f64], element: usize, groups: Range<usize>, solved: &[f64]) {
-        let lanes = groups.len();
-        let run = self.blocks(self.local_of_cell[element], &groups);
-        let blocks = psi[run].chunks_exact_mut(self.slab.nodes_per_element);
-        for (l, block) in blocks.enumerate() {
-            for (i, p) in block.iter_mut().enumerate() {
-                *p = solved[i * lanes + l];
+    /// The one task loop: solve the tasks `tasks` of `bucket`, a bucket of
+    /// `angle`, in loop-nest order.  A bucket reads only the ψ of earlier
+    /// buckets, so a worker with the slab to itself stores a solved block
+    /// before the next task starts; a worker of a team stages the blocks of
+    /// its share, which no task of the same region reads.
+    fn walk(
+        &self,
+        angle: usize,
+        bucket: &[usize],
+        tasks: Range<usize>,
+        mut psi: Slab,
+        run: &mut TaskRun,
+    ) {
+        let problem = &self.assets.problem;
+        let TaskRun {
+            scratch, timing, ..
+        } = run;
+        let scratch = scratch.as_mut().expect("held until the run drops");
+        scratch.staged.clear();
+        let (order, ng) = (problem.scheme.loop_order, problem.num_groups);
+        let nodes = self.slab.nodes_per_element;
+        for_each_task(order, bucket, ng, self.lanes, tasks, |element, groups| {
+            timing.accumulate(self.solve(angle, psi.read(), element, groups.clone(), scratch));
+            let TaskScratch { kernel, staged, .. } = &mut *scratch;
+            let run = self.blocks(self.local_of_cell[element], &groups);
+            let blocks = match &mut psi {
+                Slab::Own(psi) => &mut psi[run],
+                Slab::Shared(_) => {
+                    let at = staged.len();
+                    staged.resize(at + run.len(), 0.0);
+                    &mut staged[at..]
+                }
+            };
+            // Node `i` of the run's group `l` is solved at `i · lanes + l`:
+            // for one group, its node block.
+            let lanes = groups.len();
+            let solved = kernel.lane_solution(lanes);
+            for (l, block) in blocks.chunks_exact_mut(nodes).enumerate() {
+                for (i, p) in block.iter_mut().enumerate() {
+                    *p = solved[i * lanes + l];
+                }
             }
-        }
+        });
     }
 
-    /// Walk one angle's buckets in wavefront order: the per-angle walker
-    /// every scheme goes through.  `psi` is a slab, every entry of which
-    /// the walk overwrites with ψ of `angle` before reading it.
-    fn sweep_angle(&self, angle: usize, psi: &mut [f64], walk: &mut BucketWalk) {
+    /// Move what [`SweepView::walk`] staged of the same tasks into `psi`.
+    fn store_staged(&self, bucket: &[usize], tasks: Range<usize>, psi: &mut [f64], run: &TaskRun) {
         let problem = &self.assets.problem;
-        let ng = problem.num_groups;
-        let nodes = self.slab.nodes_per_element;
+        let staged = &run
+            .scratch
+            .as_ref()
+            .expect("held until the run drops")
+            .staged;
+        let (order, ng) = (problem.scheme.loop_order, problem.num_groups);
+        let mut blocks = staged.as_slice();
+        for_each_task(order, bucket, ng, self.lanes, tasks, |element, groups| {
+            let run = self.blocks(self.local_of_cell[element], &groups);
+            let (solved, rest) = blocks.split_at(run.len());
+            psi[run].copy_from_slice(solved);
+            blocks = rest;
+        });
+    }
+
+    /// Walk one angle's buckets in wavefront order, on one worker.  `psi`
+    /// is a slab, every entry of which the walk overwrites with ψ of
+    /// `angle` before reading it.
+    fn sweep_angle(&self, angle: usize, psi: &mut [f64], run: &mut TaskRun) {
+        let ng = self.assets.problem.num_groups;
         for bucket in &self.schedules[angle].buckets {
-            match walk {
-                // A bucket reads only the ψ of earlier buckets, so a
-                // solved block is stored before the next task starts.
-                BucketWalk::Inline(run) => {
-                    let TaskRun {
-                        scratch, timing, ..
-                    } = &mut **run;
-                    let scratch = scratch.as_mut().expect("held until the run drops");
-                    let order = problem.scheme.loop_order;
-                    for_each_task(order, bucket, ng, self.lanes, |element, groups| {
-                        timing.accumulate(self.solve(angle, psi, element, groups.clone(), scratch));
-                        let solved = scratch.kernel.lane_solution(groups.len());
-                        self.store(psi, element, groups, solved);
-                    });
-                }
-                // A bucket's tasks are mutually independent, so each
-                // grain solves into its own slice of `results` while the
-                // slab stays shared, and the blocks are stored afterwards.
-                BucketWalk::Forked {
-                    space,
-                    pool,
-                    scratch,
-                    tasks,
-                    results,
-                } => {
-                    let (region_len, grain_len) = space.lay_out(bucket, ng, tasks);
-                    results.resize(tasks.len() * nodes, 0.0);
-                    let psi_read = &*psi;
-                    let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
-                    let run = |run: &mut TaskRun, (grain, out): (&[(usize, usize)], &mut [f64])| {
-                        let scratch = run.scratch.as_mut().expect("held until the run drops");
-                        for (&(element, g), slot) in grain.iter().zip(out.chunks_mut(nodes)) {
-                            run.timing.accumulate(self.solve(
-                                angle,
-                                psi_read,
-                                element,
-                                g..g + 1,
-                                scratch,
-                            ));
-                            slot.copy_from_slice(&scratch.kernel.rhs);
-                        }
-                    };
-                    for (region, out) in tasks
-                        .chunks(region_len)
-                        .zip(results.chunks_mut(region_len * nodes))
-                    {
-                        let grains = region
-                            .chunks(grain_len)
-                            .zip(out.chunks_mut(grain_len * nodes));
-                        if grains.len() > 1 {
-                            let stealing =
-                                space.stealing && grains.len() < 8 * pool.current_num_threads();
-                            // The grain list is the one allocation of a
-                            // forked region: the pool takes it by value.
-                            pool.install(|| {
-                                grains
-                                    .collect::<Vec<_>>()
-                                    .into_par_iter()
-                                    .with_stealing(stealing)
-                                    .map_init(begin, run)
-                                    .collect::<()>()
-                            });
-                        } else {
-                            let mut inline = begin();
-                            grains.for_each(|grain| run(&mut inline, grain));
-                        }
-                    }
-                    for (&(element, g), solved) in tasks.iter().zip(results.chunks(nodes)) {
-                        self.store(psi, element, g..g + 1, solved);
-                    }
-                }
-            }
+            self.walk(angle, bucket, 0..bucket.len() * ng, Slab::Own(psi), run);
         }
     }
 
@@ -1029,40 +815,38 @@ impl SweepView<'_> {
         let num_angles = self.schedules.len();
         let BucketBuffers {
             scratch,
-            tasks,
-            results,
             slabs,
             parked,
         } = buffers;
         let width = self.pool.map_or(1, |pool| pool.current_num_threads());
-        let (team, window) = angle_team(problem.scheme, width, num_angles);
+        let (team, window) = sweep_team(problem.scheme, width, num_angles);
         // (Parked slabs are what a sweep that unwound left behind.)
         slabs.extend(parked.drain(..).map(|(_, slab)| slab));
         slabs.resize_with(slabs.len().max(window), || vec![0.0; self.slab.len()]);
         {
             let scratch = &*scratch;
             let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
-            let mut one_by_one = |walk: &mut BucketWalk| {
-                for angle in 0..num_angles {
-                    self.sweep_angle(angle, &mut slabs[0], walk);
-                    fold.fold(angle, &slabs[0]);
-                }
+            // One fork per sweep: every worker of the team runs `work` once —
+            // or one of them, or the caller, runs it once for each.
+            let enter = |work: &(dyn Fn(usize) + Sync)| {
+                let pool = self.pool.expect("a team has a pool");
+                pool.install(|| (0..team).into_par_iter().for_each(work))
             };
-            match (self.pool, IterationSpace::new(problem.scheme)) {
-                // The bucket axis (Figures 3/4): angle after angle, one
-                // or more forks per bucket.
-                (Some(pool), Some(space)) => one_by_one(&mut BucketWalk::Forked {
-                    space,
-                    pool,
-                    scratch,
-                    tasks,
-                    results,
-                }),
-                // The angle axis: one fork per sweep.  Each worker claims
-                // the next angle — in ascending order: a contiguous share
-                // each would park the last worker's first angle behind
-                // every angle before it — walks it inline, and hands it in.
-                (Some(pool), None) => {
+            match problem.scheme.threaded {
+                // One worker — a 1-wide pool, or a rank of a driver that
+                // runs its domains concurrently — walks every angle.
+                _ if team == 1 => {
+                    let mut run = begin();
+                    for angle in 0..num_angles {
+                        self.sweep_angle(angle, &mut slabs[0], &mut run);
+                        fold.fold(angle, &slabs[0]);
+                    }
+                }
+                // The angle axis.  Each worker claims the next angle — in
+                // ascending order: a contiguous share each would park the
+                // last worker's first angle behind every angle before it —
+                // walks it on its own, and hands it in.
+                ThreadedLoops::Angles => {
                     let turn = Mutex::new(Turn {
                         fold,
                         cursor: 0,
@@ -1074,7 +858,7 @@ impl SweepView<'_> {
                     // Publishes nothing: a claim is only a number nobody
                     // else has.
                     let next = AtomicUsize::new(0);
-                    let work = |_worker: usize| {
+                    enter(&|_worker| {
                         let mut run = begin();
                         let mut hand = SlabInHand {
                             slab: None,
@@ -1092,17 +876,28 @@ impl SweepView<'_> {
                                 break;
                             }
                             let slab = hand.slab.as_mut().expect("exchanged for one");
-                            self.sweep_angle(angle, slab, &mut BucketWalk::Inline(&mut run));
+                            self.sweep_angle(angle, slab, &mut run);
                             swept = Some(angle);
                         }
-                    };
-                    pool.install(|| (0..team).into_par_iter().for_each(work));
+                    });
                     let turn = turn.into_inner().expect("a sweep worker panicked");
                     debug_assert_eq!(turn.cursor, num_angles);
                 }
-                // One worker — a 1-wide pool, or a rank of a driver that
-                // runs its domains concurrently — walks every angle.
-                _ => one_by_one(&mut BucketWalk::Inline(&mut begin())),
+                // The bucket axis (Figures 3/4): angle after angle, region
+                // after region, every worker a share of the open one.
+                _ => {
+                    let cut = (problem.scheme, problem.num_groups);
+                    let team = BucketTeam::new(self.schedules, cut, team, fold, &mut slabs[0]);
+                    enter(&|_worker| {
+                        team.work(
+                            &mut begin(),
+                            |run, angle, bucket, tasks, psi| {
+                                self.walk(angle, bucket, tasks, Slab::Shared(psi), run)
+                            },
+                            |run, bucket, tasks, psi| self.store_staged(bucket, tasks, psi, run),
+                        )
+                    });
+                }
             }
         }
         let pool = scratch.get_mut().expect("a sweep task panicked");
@@ -1354,9 +1149,11 @@ impl InnerSolveContext for DomainContext<'_> {
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
 
     use unsnap_linalg::{DenseMatrix, GaussSolver};
+    use unsnap_sweep::ConcurrencyScheme;
 
     use super::*;
     use crate::session::NoopObserver;
@@ -1390,11 +1187,39 @@ mod tests {
         }
     }
 
-    /// One sweep of every cell of `problem` on a pool `width` wide with a
-    /// solver failing `at` each solve listed, then one with a sound solver:
-    /// φ of that last sweep, and of the same sweep on a domain no task of
-    /// which ever panicked.
-    fn sweep_after_panics(problem: &Problem, width: usize, at: &[usize]) -> [Vec<u64>; 2] {
+    /// Run `job` on a worker thread of `workers` (on this one if it has none):
+    /// where a fork runs its members one after another.
+    fn on_a_worker(workers: &rayon::ThreadPool, job: impl FnOnce() + Send) {
+        if workers.current_num_threads() == 1 {
+            return job();
+        }
+        let caller = std::thread::current().id();
+        let (job, taken) = (Mutex::new(Some(job)), AtomicBool::new(false));
+        workers.install(|| {
+            (0..2).into_par_iter().for_each(|_| {
+                if std::thread::current().id() == caller {
+                    // The caller helps with its own fork: it is kept busy
+                    // until a worker has the job.
+                    while !taken.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else if let Some(job) = job.lock().unwrap().take() {
+                    taken.store(true, Ordering::Release);
+                    job();
+                }
+            })
+        });
+    }
+
+    /// One sweep of every cell of `problem` on a pool `width` wide — issued
+    /// from one of its workers if `nested` — with a solver failing `at` each
+    /// solve listed, then one with a sound solver: φ of that last sweep, and
+    /// of the same sweep on a domain no task of which ever panicked.
+    fn sweep_after_panics(
+        problem: &Problem,
+        (width, nested): (usize, bool),
+        at: &[usize],
+    ) -> [Vec<u64>; 2] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(width)
             .build()
@@ -1415,7 +1240,12 @@ mod tests {
             // A sweep that unwound left a part of φ behind.
             context.domain.phi.fill(0.0);
             context.compute_source();
-            context.sweep_once(&mut RunStats::default(), &mut NoopObserver);
+            let mut sweep = || context.sweep_once(&mut RunStats::default(), &mut NoopObserver);
+            if nested {
+                on_a_worker(&pool, sweep);
+            } else {
+                sweep();
+            }
         };
         for &at in at {
             assets.solver = PanicsAt::solver(at);
@@ -1427,58 +1257,84 @@ mod tests {
             sweep(&assets, domain);
             let BucketBuffers { slabs, parked, .. } = &domain.buffers;
             let width = pool.current_num_threads();
-            let (_, window) = angle_team(problem.scheme, width, problem.num_angles());
+            let (_, window) = sweep_team(problem.scheme, width, problem.num_angles());
             assert_eq!((slabs.len(), parked.len()), (window, 0), "width {width}");
             domain.phi.as_slice().iter().map(|v| v.to_bits()).collect()
         })
     }
 
+    /// The default scheme and the paper's six: both parallel axes.
+    fn every_scheme() -> Vec<ConcurrencyScheme> {
+        let mut schemes = ConcurrencyScheme::figure_schemes();
+        schemes.push(ConcurrencyScheme::best());
+        schemes
+    }
+
     #[test]
     fn a_panicking_task_cannot_hang_the_team() {
-        // 16 angles × 27 cells × 2 groups: the first solve (whoever makes
-        // it holds the angle at the cursor or parks behind it), some in
-        // the middle, the last (every other worker has gone home).
-        let at = [0, 1, 7, 300, 431, 700, 863];
-        let problem = Problem::tiny().with_scheme(ConcurrencyScheme::best());
-        assert_eq!(
-            problem.num_angles() * problem.num_cells() * problem.num_groups,
-            864
-        );
-        for width in [2, 3, 8] {
-            let problem = problem.clone();
-            // On a thread of its own: a team left parked on the turn would
-            // otherwise hang the test instead of failing it.
-            let (done, result) = mpsc::channel();
-            let body =
-                std::thread::spawn(move || done.send(sweep_after_panics(&problem, width, &at)));
-            match result.recv_timeout(Duration::from_secs(120)) {
-                Ok([recovered, reference]) => {
-                    assert!(
+        // 16 angles × 27 cells × 2 groups.  On the angle axis: the first
+        // solve (whoever makes it holds the angle at the cursor or parks
+        // behind it), some in the middle, the last (every other worker has
+        // gone home).  On the bucket axis, an angle of 54 solves after the
+        // other: the first (a region of one element), inside a region, the
+        // last share of the last region of an angle (53) and the first of
+        // the next, the last of the sweep.
+        let at = [0, 1, 7, 53, 54, 300, 431, 700, 863];
+        for scheme in every_scheme() {
+            let problem = Problem::tiny().with_scheme(scheme);
+            assert_eq!(
+                problem.num_angles() * problem.num_cells() * problem.num_groups,
+                864
+            );
+            for width in [2, 3, 8] {
+                let problem = problem.clone();
+                // On a thread of its own: a team left parked would otherwise
+                // hang the test instead of failing it.
+                let (done, result) = mpsc::channel();
+                let body = std::thread::spawn(move || {
+                    done.send(sweep_after_panics(&problem, (width, false), &at))
+                });
+                match result.recv_timeout(Duration::from_secs(120)) {
+                    Ok([recovered, reference]) => assert!(
                         recovered == reference,
-                        "width {width}: φ after the panics differs"
-                    )
+                        "{scheme} at width {width}: φ after the panics differs"
+                    ),
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        panic!("{scheme} at width {width}: a panicking task left the team parked")
+                    }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {}
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    panic!("width {width}: a panicking task left the team parked")
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {}
+                body.join().expect("see the panic above").unwrap();
             }
-            body.join().expect("see the panic above").unwrap();
         }
     }
 
     #[test]
-    fn more_workers_than_angles_keep_the_bits() {
-        // Past `TransportSolver`'s cap on the pool width — what
-        // `RAYON_NUM_THREADS` does to every pool.
+    fn a_team_not_all_of_which_runs_keeps_the_bits() {
+        let sweep = |problem: &Problem, team| sweep_after_panics(problem, team, &[])[0].clone();
+        // More workers than angles, past `TransportSolver`'s cap on the pool
+        // width — what `RAYON_NUM_THREADS` does to every pool.
         let problem = Problem::tiny()
             .with_scheme(ConcurrencyScheme::best())
             .with_phase_space(1, 2);
         assert_eq!(problem.num_angles(), 8);
-        let [one_worker, _] = sweep_after_panics(&problem, 1, &[]);
         for width in [8, 12] {
-            let [team, _] = sweep_after_panics(&problem, width, &[]);
-            assert!(team == one_worker, "φ differs at width {width}");
+            let team = sweep(&problem, (width, false));
+            assert!(
+                team == sweep(&problem, (1, false)),
+                "φ differs at width {width}"
+            );
+        }
+        // Issued from one of the pool's own workers, the members of a team
+        // run one after another: the first waits for nobody, and leaves the
+        // others nothing.
+        for scheme in every_scheme() {
+            let problem = Problem::tiny().with_scheme(scheme);
+            let team = sweep(&problem, (3, true));
+            assert!(
+                team == sweep(&problem, (1, false)),
+                "φ differs under {scheme}"
+            );
         }
     }
 }

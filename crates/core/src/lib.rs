@@ -104,6 +104,7 @@ pub mod report;
 pub mod session;
 pub mod solver;
 pub mod strategy;
+mod team;
 pub mod trace;
 pub mod wire;
 

@@ -525,7 +525,7 @@ impl Problem {
     /// angle-threaded scheme, one slab when a single worker or a per-bucket
     /// scheme takes the angles one after another.
     pub fn sweep_scratch_bytes(&self, workers: usize) -> usize {
-        let (_, slabs) = crate::domain::angle_team(self.scheme, workers, self.num_angles());
+        let (_, slabs) = crate::team::sweep_team(self.scheme, workers, self.num_angles());
         slabs * self.angular_flux_bytes() / self.num_angles()
     }
 

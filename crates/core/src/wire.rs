@@ -458,7 +458,7 @@ pub fn problem_from_json_str(text: &str) -> Result<Problem> {
 /// The name [`problem_from_json_str`] had while the wire carried a
 /// builder.  `benchmark/src/layers.rs` (the `serve.wire.parse_ns` loop)
 /// is frozen and still calls it; the rename rides the next
-/// `[benchmark]` PR (ROADMAP item 3).
+/// `[benchmark]` PR (ROADMAP item 1(c)).
 pub fn builder_from_json_str(text: &str) -> Result<Problem> {
     problem_from_json_str(text)
 }

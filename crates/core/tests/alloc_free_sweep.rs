@@ -1,5 +1,5 @@
-//! A warm sweep allocates nothing per task, and a solver's memory does not
-//! grow with the angles.
+//! A warm sweep allocates nothing per task or per region of a bucket, and a
+//! solver's memory does not grow with the angles.
 //!
 //! The whole file is one test: the counters are process-wide (worker
 //! threads allocate too), so a second test running beside it would be
@@ -179,16 +179,34 @@ fn a_warm_sweep_allocates_nothing_per_task() {
         );
     }
 
-    // The paper's schemes fork per bucket region: a number per region,
-    // whatever the number of tasks in it.  Four times the groups is four
-    // times the tasks in the same regions.
-    let forked = |groups| {
-        let problem = Problem::tiny().with_threads(2).with_phase_space(2, groups);
-        warm_sweep_allocations(&problem, width + 1)
-    };
-    assert_eq!(
-        forked(2),
-        forked(8),
-        "allocations per sweep must not grow with the tasks per bucket"
-    );
+    // The paper's schemes fork once per sweep too, into a team that shares
+    // every region of every bucket: the same number per sweep, whatever the
+    // regions (twice the cells), the tasks in them (four times the groups)
+    // and the way the scheme cuts them.
+    let labels = [
+        "angle/element*/group",
+        "angle/element/group*",
+        "angle/group*/element*",
+    ];
+    for label in labels {
+        let scheme = label.parse().expect("a figure label");
+        let small = Problem::tiny().with_threads(2).with_scheme(scheme);
+        let doubled = Problem {
+            nx: 2 * small.nx,
+            ..small.clone()
+        };
+        let more_groups = small.clone().with_phase_space(2, 4 * small.num_groups);
+        let per_sweep = warm_sweep_allocations(&small, width + 1);
+        for grown in [&doubled, &more_groups] {
+            assert_eq!(
+                per_sweep,
+                warm_sweep_allocations(grown, width + 1),
+                "{label}: allocations per sweep must not grow with the regions or their tasks"
+            );
+        }
+        assert!(
+            per_sweep <= 4 + 3 * width,
+            "{label}: {per_sweep} allocations per warm sweep at width {width}"
+        );
+    }
 }

@@ -11,10 +11,11 @@
 //!
 //! The guarantee rests on the stand-in's execution model — index-ordered
 //! chunks, in-order reassembly, and in-order reductions (see the
-//! `rayon` crate docs) — and, for the angle-threaded default scheme, on
-//! every angle being swept into a slab of its own and φ taking the slabs
-//! in ascending angle order, however the workers finish them.  No scheme
-//! is exempt.
+//! `rayon` crate docs) — and, inside a sweep, on a local task's bits not
+//! depending on the worker that solves it and on φ taking the angles in
+//! ascending order: on the angle axis every angle is swept into a slab of
+//! its own, however the workers finish them; on the bucket axis the team
+//! is in one angle at a time.  No scheme is exempt.
 
 use unsnap::core::solver::OuterDriver;
 use unsnap::prelude::*;
@@ -177,10 +178,17 @@ fn dsa_preconditioned_gmres_is_thread_count_invariant_on_quickstart() {
 
 #[test]
 fn every_figure_scheme_is_thread_count_invariant() {
-    // The six Figure 3/4 element/group schemes all reassemble their
-    // bucket tasks in index order, so each must be bitwise reproducible.
+    // The six Figure 3/4 element/group schemes share every region of every
+    // bucket among a team, and a task's bits do not depend on the share it
+    // is in: each is bitwise reproducible — also at widths that do not
+    // divide a region, and at one wider than most regions.  21 groups of an
+    // order-1 element are lockstep runs of 16, 4 and 1: a share that holds
+    // them, or a part of them, takes that route to the one-thread bits.
+    let lockstep = Problem::tiny().with_phase_space(1, 21);
+    assert_eq!(lockstep.element_order, 1);
     for scheme in ConcurrencyScheme::figure_schemes() {
-        assert_thread_count_invariant(&Problem::tiny().with_scheme(scheme));
+        assert_invariant_at(&Problem::tiny().with_scheme(scheme), &[2, 3, 4, 8]);
+        assert_invariant_at(&lockstep.clone().with_scheme(scheme), &[2, 3, 8]);
     }
 }
 
