@@ -6,7 +6,7 @@
 //! cargo run --release -p unsnap-bench --bin reproduce                  # the experiment table
 //! cargo run --release -p unsnap-bench --bin reproduce -- figure3 --threads 1,2,4
 //! cargo run --release -p unsnap-bench --bin reproduce -- \
-//!     figure3 figure4 table2 table1 --compare BENCH_24.json
+//!     figure3 figure4 table2 table1 --compare BENCH_25.json
 //! ```
 //!
 //! Exit status: 0 clean, 1 on counter drift against `--compare`, 2 on a

@@ -7,6 +7,14 @@
 //! compiler can auto-vectorise it (the original used OpenMP `simd`
 //! constructs for the same effect).
 //!
+//! At the sizes the sweep runs (n = 8, 27, 64) the elimination takes two
+//! pivot steps per pass over the trailing rows, and searches each pivot
+//! column in the pass that last writes it (`eliminate_fixed`): every
+//! entry of the matrix and the right-hand side still receives the
+//! subtractions of the one-step routine (`eliminate_dynamic`) in the same
+//! order, so the two agree bit for bit, but a trailing entry is loaded and
+//! stored once per two steps and no column is re-read just to search it.
+//!
 //! For the small, strongly diagonally dominant systems produced by the DG
 //! transport assembly, this simple routine beats a general library
 //! factorisation up to moderate matrix sizes because it has no blocking
@@ -51,7 +59,8 @@ impl GaussSolver {
     ///
     /// The element orders the sweep runs (1–3: n = 8, 27, 64) go to
     /// [`eliminate_fixed`], every other size to [`eliminate_dynamic`]; the
-    /// two execute the same floating-point operations in the same order.
+    /// two execute the same floating-point operations on every entry in the
+    /// same order.
     fn eliminate(&self, a: &mut DenseMatrix, b: &mut [f64]) -> Result<()> {
         let n = a.rows();
         if !a.is_square() {
@@ -137,59 +146,108 @@ fn eliminate_dynamic(no_pivoting: bool, a: &mut DenseMatrix, b: &mut [f64]) -> R
     Ok(())
 }
 
-/// [`eliminate_dynamic`] for a size known at compile time: `a` holds the
-/// `N × N` row-major matrix and `b` has `N` entries.
+/// [`eliminate_dynamic`] for a size known at compile time, two pivot
+/// steps per pass: `a` holds the `N × N` row-major matrix and `b` has `N`
+/// entries.
 ///
-/// The pivot search, the row swap, the `factor == 0` skip, the singularity
-/// test and the update order are those of the dynamic routine, statement
-/// for statement, so the two agree bit for bit; what changes is that every
-/// row is a `[f64; N]`, so no index is bounds-checked and every trip count
-/// is a constant the compiler can unroll and vectorise against.
+/// For each pair of columns `k, k + 1`:
+///
+/// 1. *step k* — row `k` takes the pivot found for column `k`; every row
+///    below computes its step-k factor but updates only column `k + 1`
+///    and `b`, and the pivot of column `k + 1` is searched in that pass;
+/// 2. row `k + 1` takes that pivot (its pending factor moves with it) and
+///    then its own step-k update;
+/// 3. every trailing row takes both updates in one pass over the row,
+///    `a_ij = (a_ij − f_k·a_kj) − f_{k+1}·a_{k+1,j}`, and offers its new
+///    entry of column `k + 2` to that column's pivot search.
+///
+/// An entry receives the subtractions of the dynamic routine in the same
+/// order — a row's update reads only itself and the pivot rows, so
+/// deferring it past the next swap changes no operand — and a zero factor
+/// skips its term as the dynamic routine skips the row, so the two agree
+/// bit for bit, in `b` and in every entry of `a`; so do the pivot rows
+/// (the same first-maximum search, fed each column's final entries top to
+/// bottom) and the `Singular` column and pivot.  An odd `N` ends with one
+/// plain step.  A trailing entry is loaded and stored once per two steps
+/// instead of twice, and no pass re-reads a column just to search it.
 fn eliminate_fixed<const N: usize>(no_pivoting: bool, a: &mut [f64], b: &mut [f64]) -> Result<()> {
     let (rows, _) = a.as_chunks_mut::<N>();
     let rows: &mut [[f64; N]; N] = rows.try_into().expect("the matrix is N × N");
     let b: &mut [f64; N] = b.try_into().expect("the right-hand side has N entries");
+    // Row i's step-k factor, pending until the trailing pass applies it.
+    let mut factor = [0.0; N];
+    let pivot_row = |k: usize, best: Option<(usize, f64)>| match best {
+        Some((row, _)) if !no_pivoting => row,
+        _ => k,
+    };
 
-    for k in 0..N {
-        if !no_pivoting {
-            let mut piv_row = k;
-            let mut piv_val = rows[k][k].abs();
-            for i in (k + 1)..N {
-                let v = rows[i][k].abs();
-                if v > piv_val {
-                    piv_val = v;
-                    piv_row = i;
+    // Column 0's pivot; every later column's is searched in the pass that
+    // last writes it.
+    let mut best = None;
+    for (i, row_i) in rows.iter().enumerate() {
+        offer_pivot(&mut best, i, row_i[0]);
+    }
+    let mut next = pivot_row(0, best);
+
+    for k in (0..N - 1).step_by(2) {
+        // Step k: the factors, column k + 1 and `b`; column k + 1's pivot.
+        let inv_k = take_pivot(rows, b, &mut factor, k, next)?;
+        let (a_k_k1, b_k) = (rows[k][k + 1], b[k]);
+        let mut best = None;
+        for (i, (row_i, b_i)) in rows.iter_mut().zip(b.iter_mut()).enumerate().skip(k + 1) {
+            let f = row_i[k] * inv_k;
+            factor[i] = f;
+            if f != 0.0 {
+                row_i[k] = 0.0;
+                row_i[k + 1] -= f * a_k_k1;
+                *b_i -= f * b_k;
+            }
+            offer_pivot(&mut best, i, row_i[k + 1]);
+        }
+
+        // Step k + 1: its pivot row takes the pending step-k update, then
+        // every trailing row both, and column k + 2's pivot is searched.
+        let inv_k1 = take_pivot(rows, b, &mut factor, k + 1, pivot_row(k + 1, best))?;
+        let (upper, lower) = rows.split_at_mut(k + 1);
+        if factor[k + 1] != 0.0 {
+            subtract(
+                &mut lower[0][(k + 2)..],
+                factor[k + 1],
+                &upper[k][(k + 2)..],
+            );
+        }
+        let (head, below) = rows.split_at_mut(k + 2);
+        let (row_k, row_k1) = (&head[k][(k + 2)..], &head[k + 1][(k + 2)..]);
+        let b_k1 = b[k + 1];
+        let mut best = None;
+        for (i, ((row_i, b_i), &f_k)) in below
+            .iter_mut()
+            .zip(&mut b[(k + 2)..])
+            .zip(&factor[(k + 2)..])
+            .enumerate()
+        {
+            let f_k1 = row_i[k + 1] * inv_k1;
+            if f_k1 != 0.0 {
+                row_i[k + 1] = 0.0;
+                *b_i -= f_k1 * b_k1;
+            }
+            let tail = &mut row_i[(k + 2)..];
+            match (f_k != 0.0, f_k1 != 0.0) {
+                (true, true) => {
+                    for ((aij, akj), ak1j) in tail.iter_mut().zip(row_k).zip(row_k1) {
+                        *aij = (*aij - f_k * akj) - f_k1 * ak1j;
+                    }
                 }
+                (true, false) => subtract(tail, f_k, row_k),
+                (false, true) => subtract(tail, f_k1, row_k1),
+                (false, false) => {}
             }
-            if piv_row != k {
-                rows.swap(k, piv_row);
-                b.swap(k, piv_row);
-            }
+            offer_pivot(&mut best, k + 2 + i, row_i[k + 2]);
         }
-
-        let pivot = rows[k][k];
-        if pivot.abs() < SINGULARITY_TOLERANCE {
-            return Err(LinalgError::Singular {
-                column: k,
-                pivot: pivot.abs(),
-            });
-        }
-        let inv_pivot = 1.0 / pivot;
-
-        let (head, below) = rows.split_at_mut(k + 1);
-        let row_k = &head[k];
-        let b_k = b[k];
-        for (row_i, b_i) in below.iter_mut().zip(&mut b[(k + 1)..]) {
-            let factor = row_i[k] * inv_pivot;
-            if factor == 0.0 {
-                continue;
-            }
-            row_i[k] = 0.0;
-            for j in (k + 1)..N {
-                row_i[j] -= factor * row_k[j];
-            }
-            *b_i -= factor * b_k;
-        }
+        next = pivot_row(k + 2, best);
+    }
+    if N % 2 == 1 {
+        take_pivot(rows, b, &mut factor, N - 1, next)?;
     }
 
     for i in (0..N).rev() {
@@ -201,6 +259,49 @@ fn eliminate_fixed<const N: usize>(no_pivoting: bool, a: &mut [f64], b: &mut [f6
     }
 
     Ok(())
+}
+
+/// Feed a column's pivot search one entry, top to bottom: `best` keeps
+/// the first row holding the largest `|a|` — strict `>`, as in
+/// [`eliminate_dynamic`], so a tie keeps the upper row and nothing
+/// displaces a NaN.
+fn offer_pivot(best: &mut Option<(usize, f64)>, row: usize, entry: f64) {
+    let v = entry.abs();
+    if best.is_none_or(|(_, max)| v > max) {
+        *best = Some((row, v));
+    }
+}
+
+/// Swap row `k` with pivot row `p` — its right-hand side and pending
+/// factor with it — and return `1 / pivot`, or column `k`'s
+/// [`LinalgError::Singular`].
+fn take_pivot<const N: usize>(
+    rows: &mut [[f64; N]; N],
+    b: &mut [f64; N],
+    factor: &mut [f64; N],
+    k: usize,
+    p: usize,
+) -> Result<f64> {
+    if p != k {
+        rows.swap(k, p);
+        b.swap(k, p);
+        factor.swap(k, p);
+    }
+    let pivot = rows[k][k];
+    if pivot.abs() < SINGULARITY_TOLERANCE {
+        return Err(LinalgError::Singular {
+            column: k,
+            pivot: pivot.abs(),
+        });
+    }
+    Ok(1.0 / pivot)
+}
+
+/// `row −= f · pivot_row`, entry by entry.
+fn subtract(row: &mut [f64], f: f64, pivot_row: &[f64]) {
+    for (aij, akj) in row.iter_mut().zip(pivot_row) {
+        *aij -= f * akj;
+    }
 }
 
 /// [`eliminate_fixed`] on `L` systems at once, one per SIMD lane: entry
@@ -460,12 +561,7 @@ mod tests {
 
     #[test]
     fn random_dominant_systems_have_small_residual() {
-        // Deterministic pseudo-random fill (no rand dependency needed here).
-        let mut state = 0x12345678u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let mut next = stream(0x12345678);
         for n in [4usize, 8, 16, 27, 64] {
             let mut a = DenseMatrix::from_fn(n, n, |_, _| 0.2 * next());
             for i in 0..n {
@@ -498,8 +594,13 @@ mod tests {
 
     /// Run the first `N × N` entries of `entries` through the fixed-size
     /// and the dynamic elimination and require the same result, bit for
-    /// bit — or the same error.
-    fn fixed_matches_dynamic<const N: usize>(entries: &[f64], rhs: &[f64], no_pivoting: bool) {
+    /// bit — solution and eliminated matrix — or the same error; returns
+    /// the singular column both stopped at, if they did.
+    fn fixed_matches_dynamic<const N: usize>(
+        entries: &[f64],
+        rhs: &[f64],
+        no_pivoting: bool,
+    ) -> Option<usize> {
         let a = DenseMatrix::from_vec(N, N, entries[..N * N].to_vec()).unwrap();
         let (mut a_dynamic, mut b_dynamic) = (a.clone(), rhs[..N].to_vec());
         let (mut a_fixed, mut b_fixed) = (a, rhs[..N].to_vec());
@@ -509,6 +610,12 @@ mod tests {
             (Ok(()), Ok(())) => {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&b_dynamic), bits(&b_fixed), "n = {N}: solution");
+                assert_eq!(
+                    bits(a_dynamic.as_slice()),
+                    bits(a_fixed.as_slice()),
+                    "n = {N}: eliminated matrix"
+                );
+                None
             }
             (
                 Err(LinalgError::Singular { column, pivot }),
@@ -519,6 +626,7 @@ mod tests {
             ) => {
                 assert_eq!(column, fixed_column, "n = {N}: singular column");
                 assert_eq!(pivot.to_bits(), fixed_pivot.to_bits(), "n = {N}: pivot");
+                Some(column)
             }
             (dynamic, fixed) => panic!("n = {N}: dynamic {dynamic:?}, fixed {fixed:?}"),
         }
@@ -575,6 +683,216 @@ mod tests {
             check::<8>(&entries, &rhs, column);
             check::<27>(&entries, &rhs, column);
             check::<64>(&entries, &rhs, column);
+        }
+    }
+
+    /// A deterministic stream of values in `[-1, 1)`.
+    fn stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        }
+    }
+
+    /// An `n × n` strictly column-dominant matrix (row-major): the pivot
+    /// search picks the diagonal at every column, so its rows come back
+    /// in order whatever order they are given in.
+    fn dominant(n: usize, seed: u64) -> Vec<f64> {
+        let mut next = stream(seed);
+        (0..n * n)
+            .map(|e| {
+                if e % (n + 1) == 0 {
+                    n as f64 + next()
+                } else {
+                    0.5 * next()
+                }
+            })
+            .collect()
+    }
+
+    /// [`fixed_matches_dynamic`] at n = 8, 27 and 64, with and without
+    /// pivoting, on what `case(n)` builds; the singular columns found.
+    fn fixed_matches_dynamic_everywhere(
+        case: impl Fn(usize) -> (Vec<f64>, Vec<f64>),
+    ) -> Vec<Option<usize>> {
+        let mut stops = Vec::new();
+        for no_pivoting in [false, true] {
+            let (a, b) = case(8);
+            stops.push(fixed_matches_dynamic::<8>(&a, &b, no_pivoting));
+            let (a, b) = case(27);
+            stops.push(fixed_matches_dynamic::<27>(&a, &b, no_pivoting));
+            let (a, b) = case(64);
+            stops.push(fixed_matches_dynamic::<64>(&a, &b, no_pivoting));
+        }
+        stops
+    }
+
+    /// The right-hand side of an `n × n` case.
+    fn rhs(n: usize) -> Vec<f64> {
+        let mut next = stream(n as u64 + 7);
+        (0..n).map(|_| 10.0 * next()).collect()
+    }
+
+    /// Columns of both parities — the first and the second step of a
+    /// pair — at the top and the bottom of an `n × n` matrix, each with
+    /// `below` rows under it.
+    fn columns(n: usize, below: usize) -> [usize; 6] {
+        [0, 1, 2, 3, n - 2 - below, n - 1 - below]
+    }
+
+    #[test]
+    fn fixed_size_pivot_ties_pick_the_first_row() {
+        // Entries of ±1 and ±2: equal magnitudes in every column's
+        // search, before the first update and (exactly) after it.
+        fixed_matches_dynamic_everywhere(|n| {
+            let mut next = stream(n as u64);
+            let a = (0..n * n)
+                .map(|_| next().signum() * if next() < 0.0 { 1.0 } else { 2.0 })
+                .collect();
+            (a, rhs(n))
+        });
+        // An exact tie under a small diagonal: rows c + 1 and c + 2 hold
+        // ∓3 at column c and nothing left of it, so no earlier step
+        // touches them; the search must take row c + 1.
+        for which in 0..6 {
+            fixed_matches_dynamic_everywhere(|n| {
+                let c = columns(n, 2)[which];
+                let mut a = dominant(n, 3);
+                for i in c..c + 3 {
+                    a[i * n..i * n + c].fill(0.0);
+                }
+                a[c * n + c] = 1.0;
+                a[(c + 1) * n + c] = -3.0;
+                a[(c + 2) * n + c] = 3.0;
+                (a, rhs(n))
+            });
+        }
+    }
+
+    #[test]
+    fn fixed_size_non_finite_entries_match_the_dynamic_elimination() {
+        // NaN never wins a search and, on the diagonal, is never displaced;
+        // ±∞ always wins and then zeroes every factor but its own NaN ones.
+        let below = [(1, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)];
+        for (offset, value) in below.into_iter().chain([(0, f64::NAN)]) {
+            for which in 0..6 {
+                fixed_matches_dynamic_everywhere(|n| {
+                    let c = columns(n, 3)[which];
+                    let mut a = dominant(n, 5);
+                    a[(c + offset) * n + c] = value;
+                    (a, rhs(n))
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_size_row_swap_at_an_odd_column() {
+        // A dominant matrix with rows c and c + 2 exchanged swaps them back
+        // at column c alone; with c − 1 and c + 1 exchanged too, both steps
+        // of the pair swap, and the second carries a pending factor.
+        for which in 0..3 {
+            for distance in [2, 1] {
+                for both in [false, true] {
+                    fixed_matches_dynamic_everywhere(|n| {
+                        let c = [1, 3, (n - 4) | 1][which];
+                        let mut rows: Vec<Vec<f64>> =
+                            dominant(n, 11).chunks(n).map(<[f64]>::to_vec).collect();
+                        rows.swap(c, c + distance);
+                        if both {
+                            rows.swap(c - 1, c + 1);
+                        }
+                        (rows.concat(), rhs(n))
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_size_zero_factor_in_one_step_of_a_pair() {
+        // Diagonal 4 and a one at (k, k + 1) make every factor exact.  Below
+        // the pair k, k + 1 the rows cycle through (f_k, f_k+1) =
+        // (≠ 0, ≠ 0), (≠ 0, 0) — step k cancels column k + 1 exactly —,
+        // (0, ≠ 0) and (0, 0); row k + 1 itself has f_k ≠ 0 or 0.  Their
+        // tails are −0 where one pivot row holds 0 and the other −1, so a
+        // skipped term taken anyway, −0 − (+0)·(−1) = +0, shows.
+        let patterns = [(1.0, 1.0), (1.0, 0.25), (0.0, 1.0), (0.0, 0.0)];
+        for pivot_row_factor in [0.0, 1.0] {
+            for pair in [0, 2, 4] {
+                fixed_matches_dynamic_everywhere(|n| {
+                    let k = if pair == 4 { (n - 6) & !1 } else { pair };
+                    let mut a: Vec<f64> = (0..n * n)
+                        .map(|e| if e % (n + 1) == 0 { 4.0 } else { 0.0 })
+                        .collect();
+                    a[k * n + k + 1] = 1.0;
+                    a[(k + 1) * n + k] = pivot_row_factor;
+                    for j in k + 2..n {
+                        let (at_k, at_k1) = [(-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)][j % 3];
+                        a[k * n + j] = at_k;
+                        a[(k + 1) * n + j] = at_k1;
+                    }
+                    for i in k + 2..n {
+                        let (at_k, at_k1) = patterns[(i - k) % 4];
+                        a[i * n + k] = at_k;
+                        a[i * n + k + 1] = at_k1;
+                        for j in (k + 2..n).filter(|&j| j != i) {
+                            a[i * n + j] = if (i + j) % 5 == 0 { 0.5 } else { -0.0 };
+                        }
+                    }
+                    (a, rhs(n))
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_size_signed_zero_right_hand_sides() {
+        // A skipped row keeps −0 and an updated one need not: −0 − (+0)
+        // is −0 but −0 − (−0) is +0.  Three in four entries are zeros of
+        // either sign, so most factors vanish and the sign of a zero in `b`
+        // reaches the solution; a right-hand side of zeros alone has a
+        // solution of zeros whose every sign is an operation's.
+        for seed in 0..4 {
+            fixed_matches_dynamic_everywhere(|n| {
+                let mut a = dominant(n, seed);
+                let mut next = stream(seed + 100);
+                a.iter_mut()
+                    .filter(|_| next() < 0.5)
+                    .for_each(|v| *v = v.signum() * 0.0);
+                for i in 0..n {
+                    a[i * n + i] = n as f64;
+                }
+                let b = (0..n)
+                    .map(|i| match (i + seed as usize) % 3 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ if seed < 2 => next(),
+                        _ => -0.0,
+                    })
+                    .collect();
+                (a, b)
+            });
+        }
+    }
+
+    #[test]
+    fn fixed_size_singular_pivot_at_an_even_and_an_odd_column() {
+        // A zero column of a dominant matrix stays zero, and a tiny
+        // diagonal over it stays tiny: the elimination stops there.
+        for which in 0..6 {
+            for diagonal in [0.0, -0.0, 1.0e-301] {
+                let stops = fixed_matches_dynamic_everywhere(|n| {
+                    let c = columns(n, 0)[which];
+                    let mut a = dominant(n, 13);
+                    a.iter_mut().skip(c).step_by(n).for_each(|v| *v = 0.0);
+                    a[c * n + c] = diagonal;
+                    (a, rhs(n))
+                });
+                let expected = [8, 27, 64, 8, 27, 64].map(|n| Some(columns(n, 0)[which]));
+                assert_eq!(stops, expected, "column {which} of 6, diagonal {diagonal}");
+            }
         }
     }
 
@@ -821,11 +1139,7 @@ mod tests {
     fn fixed_size_dispatch_falls_back_for_every_other_size() {
         // 7 and 28 sit beside two monomorphised sizes; they, like every
         // other size, must go through (and agree with) the dynamic routine.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let mut next = stream(0x9E3779B97F4A7C15);
         for n in [7usize, 28] {
             let a = DenseMatrix::from_fn(n, n, |_, _| next());
             let b: Vec<f64> = (0..n).map(|_| next()).collect();

@@ -282,6 +282,47 @@ fn lockstep_groups_match_the_per_group_task_bitwise() {
     }
 }
 
+/// The bits of an order-3 solve, recorded at PR 24 before the 64 × 64
+/// elimination was rescheduled (PR 25): `scalar_flux_total`, `_min`,
+/// `_max`, then the convergence history.  The goldens stop at order 2
+/// and `BENCH_*.json` records counters only, so this is the one
+/// committed artefact that pins what `eliminate_fixed::<64>` computes.
+const ORDER_THREE_BITS: [(StrategyKind, [u64; 3], &[u64]); 2] = [
+    (
+        StrategyKind::SourceIteration,
+        [0x409ec5a48bdd52b7, 0x3fbe08cdfecfdfa4, 0x3fe342c9997f386b],
+        &[0x425af1dcf5ab7248, 0x3fcfc91a40e29e83, 0x3fa77c2978a8fc4d],
+    ),
+    (
+        StrategyKind::DsaSourceIteration,
+        [0x409f0e24189a6e12, 0x3fbe4e5a0e06a5cc, 0x3fe377e120b1d7cb],
+        &[0x42603f6649baff9a, 0x3fd00b1fd54e37bb, 0x3f8645412e70b85b],
+    ),
+];
+
+/// `Problem::tiny()` (27 twisted cells, 2 angles per octant) at order 3
+/// with 3 groups: every local solve is a 64 × 64 elimination.
+#[test]
+fn order_three_solves_keep_their_bits() {
+    for (strategy, flux, history) in ORDER_THREE_BITS {
+        let mut problem = Problem::tiny()
+            .with_strategy(strategy)
+            .with_scattering_ratio(0.6);
+        problem.element_order = 3;
+        problem.num_groups = 3;
+        problem.inner_iterations = 3;
+        let o = TransportSolver::new(&problem).unwrap().run().unwrap();
+        let found = [o.scalar_flux_total, o.scalar_flux_min, o.scalar_flux_max].map(f64::to_bits);
+        assert_eq!(
+            (found, bits(&o.convergence_history)),
+            (flux, history.to_vec()),
+            "{strategy:?}: total/min/max {:?}, history {:?}",
+            [o.scalar_flux_total, o.scalar_flux_min, o.scalar_flux_max],
+            o.convergence_history
+        );
+    }
+}
+
 /// Converging variant of [`small_problem`]: a real tolerance and a
 /// generous budget, so the mixed-precision iteration contract has a
 /// converged reference to be measured against.
