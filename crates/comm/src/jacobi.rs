@@ -12,7 +12,7 @@
 //!
 //! Each rank is one [`SweepDomain`] solved through a [`DomainContext`] —
 //! the same sweep path, source assembly and
-//! [`IterationStrategy`](unsnap_core::strategy::IterationStrategy)
+//! [`StrategyKind::run_inners`](unsnap_core::strategy::StrategyKind::run_inners)
 //! dispatch as the single-domain `TransportSolver`, which is the
 //! one-domain, no-halo case of it.  [`Problem::strategy`] selects the
 //! subdomain solver:
@@ -350,7 +350,7 @@ impl OuterDriver for BlockJacobiSolver {
                             domain,
                             inner_budget,
                         };
-                        let solved = kind.build().run_inners(&mut context, stats, &mut log);
+                        let solved = kind.run_inners(&mut context, stats, &mut log);
                         solved.map(|rank_converged| (log, rank_converged))
                     })
                     .collect()

@@ -24,8 +24,8 @@
 //!   cells on its cuts into a shared halo buffer, which holds exactly
 //!   what arrives in the halo of a real run).  Each
 //!   rank's within-group solve dispatches through the single-domain
-//!   [`IterationStrategy`](unsnap_core::strategy::IterationStrategy)
-//!   machinery via a per-rank
+//!   [`StrategyKind::run_inners`](unsnap_core::strategy::StrategyKind::run_inners)
+//!   via a per-rank
 //!   [`InnerSolveContext`](unsnap_core::strategy::InnerSolveContext), so
 //!   plain source iteration *and* sweep-preconditioned GMRES (with a
 //!   reused per-rank [`GmresWorkspace`](unsnap_krylov::GmresWorkspace))

@@ -128,16 +128,6 @@ impl AngularQuadrature {
         let n = self.angles_per_octant;
         &self.directions[octant * n..(octant + 1) * n]
     }
-
-    /// Global angle index of `(octant, index_in_octant)`.
-    pub fn angle_index(&self, octant: usize, index_in_octant: usize) -> usize {
-        octant * self.angles_per_octant + index_in_octant
-    }
-
-    /// Sum of all weights (should be 1 by construction).
-    pub fn total_weight(&self) -> f64 {
-        self.directions.iter().map(|d| d.weight).sum()
-    }
 }
 
 #[cfg(test)]
@@ -155,11 +145,6 @@ mod tests {
                 for (i, d) in q.octant(oct).iter().enumerate() {
                     assert_eq!(d.octant, oct);
                     assert_eq!(d.index_in_octant, i);
-                    assert_eq!(
-                        q.angle_index(oct, i),
-                        oct * n + i,
-                        "octant-major global index"
-                    );
                 }
             }
         }
@@ -169,7 +154,8 @@ mod tests {
     fn weights_sum_to_one() {
         for n in [1usize, 4, 10, 36] {
             let q = AngularQuadrature::product(n);
-            assert!((q.total_weight() - 1.0).abs() < 1e-12, "n = {n}");
+            let total: f64 = q.directions().iter().map(|d| d.weight).sum();
+            assert!((total - 1.0).abs() < 1e-12, "n = {n}");
         }
     }
 
@@ -245,7 +231,8 @@ mod tests {
         for n in [36usize, 10] {
             let q = AngularQuadrature::product(n);
             assert_eq!(q.num_angles(), 8 * n);
-            assert!((q.total_weight() - 1.0).abs() < 1e-12);
+            let total: f64 = q.directions().iter().map(|d| d.weight).sum();
+            assert!((total - 1.0).abs() < 1e-12);
         }
     }
 

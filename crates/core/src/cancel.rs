@@ -61,13 +61,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
-
-    /// Clear the flag so the token can arm another run (tests and
-    /// pooled workers reuse tokens; fresh jobs should prefer fresh
-    /// tokens).
-    pub fn reset(&self) {
-        self.flag.store(false, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -82,8 +75,6 @@ mod tests {
         assert!(token.is_cancelled());
         token.cancel();
         assert!(token.is_cancelled());
-        token.reset();
-        assert!(!token.is_cancelled());
     }
 
     #[test]

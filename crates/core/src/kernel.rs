@@ -280,22 +280,6 @@ impl KernelTiming {
         self.assemble_ns += other.assemble_ns;
         self.solve_ns += other.solve_ns;
     }
-
-    /// Total kernel time in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.assemble_ns + self.solve_ns
-    }
-
-    /// Fraction of the kernel time spent in the solve (the "% in solve"
-    /// column of Table II).
-    pub fn solve_fraction(&self) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            0.0
-        } else {
-            self.solve_ns as f64 / total as f64
-        }
-    }
 }
 
 /// Assemble the local system for one element/angle/group into `scratch`,
@@ -1083,8 +1067,6 @@ mod tests {
         );
         assert!(t.assemble_ns > 0);
         assert!(t.solve_ns > 0);
-        assert_eq!(t.total_ns(), t.assemble_ns + t.solve_ns);
-        assert!(t.solve_fraction() > 0.0 && t.solve_fraction() < 1.0);
 
         let untimed = assemble_solve(
             &integrals,
@@ -1113,9 +1095,6 @@ mod tests {
         });
         assert_eq!(total.assemble_ns, 15);
         assert_eq!(total.solve_ns, 35);
-        assert_eq!(total.total_ns(), 50);
-        assert!((total.solve_fraction() - 0.7).abs() < 1e-12);
-        assert_eq!(KernelTiming::default().solve_fraction(), 0.0);
     }
 
     #[test]

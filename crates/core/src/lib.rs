@@ -2,9 +2,8 @@
 //!
 //! The core of the UnSNAP mini-app: discrete-ordinates angular quadrature,
 //! multigroup artificial problem data, the discontinuous Galerkin
-//! assemble/solve kernel, the threaded sweep driver with its selectable
-//! concurrency schemes, and the structured diamond-difference (SNAP)
-//! baseline.
+//! assemble/solve kernel, and the threaded sweep driver with its
+//! selectable concurrency schemes.
 //!
 //! The crate reproduces the computational structure of Figure 2 of the
 //! paper:
@@ -60,19 +59,19 @@
 //!   bucket as the concurrency scheme's descriptor says.
 //! * [`solver`] — the single-domain driver: outer iteration structure,
 //!   checkpoint hooks, timers and convergence monitoring.
-//! * [`strategy`] — pluggable inner-iteration strategies: classic source
-//!   iteration, DSA-accelerated source iteration and
-//!   sweep-preconditioned GMRES (via `unsnap-krylov`), plus the
-//!   [`AcceleratorKind`](strategy::AcceleratorKind) knob.
+//! * [`strategy`] — the inner iterations of one outer iteration:
+//!   [`StrategyKind::run_inners`] is classic source iteration,
+//!   DSA-accelerated source iteration or sweep-preconditioned GMRES (via
+//!   `unsnap-krylov`) over the [`strategy::InnerSolveContext`] a driver
+//!   hands it, plus the [`AcceleratorKind`](strategy::AcceleratorKind)
+//!   knob.
 //! * [`dsa`] — restriction/prolongation glue between the DG flux
 //!   storage and the low-order diffusion solver of `unsnap-accel`.
-//! * [`fd`] — the structured diamond-difference baseline (the original
-//!   SNAP spatial discretisation) for the FD-versus-FEM comparison.
 //! * [`problem`] — [`Problem`], the one description of a run: the paper's
 //!   experiment presets, `with_*` setters and the [`Problem::validate`]
 //!   rules every solver constructor enforces.
-//! * [`report`] — Table I data and small formatting helpers used by the
-//!   benchmark binaries.
+//! * [`report`] — Table I data and the one-line iteration summary used
+//!   by `quickstart` and the `reproduce` harness.
 //!
 //! ## Quickstart
 //!
@@ -95,7 +94,6 @@ pub mod data;
 pub mod domain;
 pub mod dsa;
 pub mod error;
-pub mod fd;
 pub mod kernel;
 pub mod layout;
 pub mod metrics;
@@ -119,4 +117,4 @@ pub use session::{
     NoopObserver, Phase, ProgressObserver, RecordingObserver, RunObserver, Session, TeeObserver,
 };
 pub use solver::{RunStats, SolveOutcome, TransportSolver};
-pub use strategy::{IterationStrategy, SourceIteration, StrategyKind, SweepGmres};
+pub use strategy::StrategyKind;

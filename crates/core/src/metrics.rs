@@ -32,7 +32,7 @@ use std::path::Path;
 
 use unsnap_obs::json::JsonObject;
 use unsnap_obs::jsonl::JsonlWriter;
-use unsnap_obs::metrics::{Determinism, Histogram, MetricsRegistry};
+use unsnap_obs::metrics::Histogram;
 
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 
@@ -57,10 +57,6 @@ pub struct RunMetrics {
     /// Wavefront buckets walked, summed over all sweeps on all ranks
     /// (deterministic — the scheduling *structure*, not timing).
     pub sweep_buckets: usize,
-    /// Equal to `cells_swept` by construction: both are fed by
-    /// [`SolveEvent::Sweep`]'s `cells`.  Kept so the rendered JSON — and
-    /// with it every golden — keeps its keys (ROADMAP item 9).
-    pub bucket_tasks: u64,
     /// Kernel invocations (elements × groups × angles) summed over all
     /// sweeps on all ranks.
     pub cells_swept: u64,
@@ -100,7 +96,6 @@ impl Default for RunMetrics {
         Self {
             sweeps: 0,
             sweep_buckets: 0,
-            bucket_tasks: 0,
             cells_swept: 0,
             outers: 0,
             inner_iterations: 0,
@@ -166,59 +161,6 @@ impl RunMetrics {
         copy
     }
 
-    /// Export into a tagged [`MetricsRegistry`] (the generic form
-    /// tooling can merge and filter by determinism class).
-    pub fn registry(&self) -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        let det = Determinism::Deterministic;
-        let wall = Determinism::WallClock;
-        r.counter_add("sweeps", det, self.sweeps as u64);
-        r.counter_add("sweep_buckets", det, self.sweep_buckets as u64);
-        r.counter_add("bucket_tasks", det, self.bucket_tasks);
-        r.counter_add("cells_swept", det, self.cells_swept);
-        r.counter_add("outers", det, self.outers as u64);
-        r.counter_add("inner_iterations", det, self.inner_iterations as u64);
-        r.counter_add(
-            "rank_inner_iterations",
-            det,
-            self.rank_inner_iterations as u64,
-        );
-        r.counter_add(
-            "krylov_residual_events",
-            det,
-            self.krylov_residual_events as u64,
-        );
-        r.counter_add(
-            "accel_residual_events",
-            det,
-            self.accel_residual_events as u64,
-        );
-        r.counter_add("halo_exchanges", det, self.halo_exchanges as u64);
-        r.counter_add("halo_faces", det, self.halo_faces as u64);
-        r.counter_add("halo_bytes", det, self.halo_bytes);
-        for phase in Phase::all() {
-            r.counter_add(
-                &format!("phase_starts.{phase}"),
-                det,
-                self.phase_starts[phase.index()] as u64,
-            );
-            r.gauge_set(
-                &format!("phase_seconds.{phase}"),
-                wall,
-                self.phase_seconds[phase.index()],
-            );
-        }
-        r.histogram_insert("cells_per_sweep", det, self.cells_per_sweep.clone());
-        r.histogram_insert("sweep_latency_seconds", wall, self.sweep_latency.clone());
-        r.gauge_set(
-            "kernel_assemble_seconds",
-            wall,
-            self.kernel_assemble_seconds,
-        );
-        r.gauge_set("kernel_solve_seconds", wall, self.kernel_solve_seconds);
-        r
-    }
-
     /// Serialise as a JSON object with `deterministic` and `wallclock`
     /// sections (phase maps keyed by [`Phase::label`]).
     pub fn to_json(&self) -> String {
@@ -233,7 +175,6 @@ impl RunMetrics {
         let deterministic = JsonObject::new()
             .field_usize("sweeps", self.sweeps)
             .field_usize("sweep_buckets", self.sweep_buckets)
-            .field_u64("bucket_tasks", self.bucket_tasks)
             .field_u64("cells_swept", self.cells_swept)
             .field_usize("outers", self.outers)
             .field_usize("inner_iterations", self.inner_iterations)
@@ -256,30 +197,6 @@ impl RunMetrics {
             .field_raw("deterministic", &deterministic)
             .field_raw("wallclock", &wallclock)
             .finish()
-    }
-
-    /// Render the per-phase wall-clock breakdown as an aligned table
-    /// (phase, spans, seconds, share of the phase total).
-    pub fn phase_table(&self) -> String {
-        let total: f64 = self.phase_seconds.iter().sum();
-        let mut out = String::from("phase            spans     seconds    share\n");
-        for phase in Phase::all() {
-            let seconds = self.phase_seconds[phase.index()];
-            let share = if total > 0.0 {
-                100.0 * seconds / total
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:<15} {:>6} {:>11.6} {:>7.1}%\n",
-                phase.label(),
-                self.phase_starts[phase.index()],
-                seconds,
-                share
-            ));
-        }
-        out.push_str(&format!("{:<15} {:>6} {:>11.6}\n", "total", "", total));
-        out
     }
 }
 
@@ -326,7 +243,6 @@ impl RunObserver for MetricsObserver {
                     m.sweeps + 1
                 };
                 m.sweep_buckets += buckets;
-                m.bucket_tasks += cells;
                 m.cells_swept += cells;
                 m.cells_per_sweep.record(cells as f64);
                 m.sweep_latency.record(seconds);
@@ -425,7 +341,6 @@ mod tests {
         let metrics = m.snapshot();
         assert_eq!(metrics.sweeps, 2); // running count 1 + one rank sweep
         assert_eq!(metrics.sweep_buckets, 2 * 132);
-        assert_eq!(metrics.bucket_tasks, metrics.cells_swept);
         assert_eq!(metrics.cells_swept, 2 << 40);
         assert_eq!(metrics.outers, 1);
         assert_eq!(metrics.inner_iterations, 1);
@@ -468,23 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_export_tags_the_classes() {
-        let mut m = MetricsObserver::new();
-        feed(&mut m);
-        let registry = m.snapshot().registry();
-        assert_eq!(registry.counter("sweeps"), Some(2));
-        assert_eq!(registry.counter("sweep_buckets"), Some(264));
-        assert_eq!(registry.counter("halo_bytes"), Some(9216));
-        assert_eq!(registry.gauge("phase_seconds.sweep"), Some(0.003));
-        let det = registry.deterministic_only();
-        assert_eq!(det.counter("cells_swept"), Some(2 << 40));
-        assert!(det.gauge("phase_seconds.sweep").is_none());
-        assert!(det.histogram("cells_per_sweep").is_some());
-        assert!(det.histogram("sweep_latency_seconds").is_none());
-    }
-
-    #[test]
-    fn metrics_json_and_table_render() {
+    fn metrics_json_renders() {
         let mut m = MetricsObserver::new();
         feed(&mut m);
         let metrics = m.snapshot();
@@ -514,10 +413,6 @@ mod tests {
             .unwrap()
             .get("p95")
             .is_some());
-
-        let table = metrics.phase_table();
-        assert!(table.contains("krylov"));
-        assert!(table.contains("total"));
     }
 
     #[test]

@@ -394,12 +394,6 @@ impl Problem {
         self
     }
 
-    /// Override the GMRES restart length.
-    pub fn with_gmres_restart(mut self, restart: usize) -> Self {
-        self.gmres_restart = restart;
-        self
-    }
-
     /// Override the within-group scattering ratio (see
     /// [`Problem::scattering_ratio`]).
     pub fn with_scattering_ratio(mut self, c: f64) -> Self {

@@ -1,5 +1,5 @@
-//! Table I data and small reporting helpers shared by the examples and the
-//! `reproduce` harness.
+//! Table I data and the one-line iteration summary shared by `quickstart`
+//! and the `reproduce` harness.
 
 use unsnap_fem::element::{local_matrix_footprint_bytes, nodes_for_order};
 
@@ -66,45 +66,6 @@ pub fn iteration_summary(outcome: &SolveOutcome) -> String {
         }
     }
     out
-}
-
-/// A short description of the machine the benchmark ran on, recorded in the
-/// harness output so results can be compared against the paper's dual-socket
-/// 56-core Skylake node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MachineInfo {
-    /// Number of logical CPUs visible to the process.
-    pub logical_cpus: usize,
-    /// Operating system family.
-    pub os: String,
-    /// CPU architecture.
-    pub arch: String,
-}
-
-impl MachineInfo {
-    /// Detect the current machine.
-    pub fn detect() -> Self {
-        Self {
-            logical_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-        }
-    }
-
-    /// Thread counts to sweep for the Figure 3/4 scaling study: powers of
-    /// two (plus the full count) capped at the available CPUs, mirroring
-    /// the paper's 1 · 2 · 4 · 8 · 14 · 28 · 56 series on its 56-core node.
-    pub fn thread_sweep(&self) -> Vec<usize> {
-        let mut counts = Vec::new();
-        let mut t = 1;
-        while t < self.logical_cpus {
-            counts.push(t);
-            t *= 2;
-        }
-        counts.push(self.logical_cpus);
-        counts.dedup();
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -174,19 +135,5 @@ mod tests {
         let text = iteration_summary(&outcome);
         assert!(text.contains("9 Krylov iterations"));
         assert!(text.contains("1.00e-9"));
-    }
-
-    #[test]
-    fn machine_info_detects_something() {
-        let m = MachineInfo::detect();
-        assert!(m.logical_cpus >= 1);
-        assert!(!m.os.is_empty());
-        assert!(!m.arch.is_empty());
-        let sweep = m.thread_sweep();
-        assert!(!sweep.is_empty());
-        assert_eq!(*sweep.first().unwrap(), 1);
-        assert_eq!(*sweep.last().unwrap(), m.logical_cpus);
-        // Strictly increasing.
-        assert!(sweep.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -708,14 +708,13 @@ impl RunObserver for ProgressObserver {
 
 /// An owned, observable transport solve.
 ///
-/// A `Session` wraps a [`TransportSolver`] and keeps the outcome of every
-/// run, so drivers hold a single object across repeated (warm-started)
-/// solves.  Running the same session twice continues from the flux state
-/// the previous run left behind — the behaviour a restart/continuation
-/// driver wants; build a fresh session for an independent solve.
+/// A `Session` wraps a [`TransportSolver`], so drivers hold a single
+/// object across repeated (warm-started) solves.  Running the same
+/// session twice continues from the flux state the previous run left
+/// behind — the behaviour a restart/continuation driver wants; build a
+/// fresh session for an independent solve.
 pub struct Session {
     solver: TransportSolver,
-    outcomes: Vec<SolveOutcome>,
 }
 
 impl Session {
@@ -723,7 +722,6 @@ impl Session {
     pub fn new(problem: &Problem) -> Result<Self> {
         Ok(Self {
             solver: TransportSolver::new(problem)?,
-            outcomes: Vec::new(),
         })
     }
 
@@ -750,9 +748,7 @@ impl Session {
     /// Run the full outer/inner iteration structure, streaming events to
     /// `observer` as they happen.
     pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
-        let outcome = self.solver.run_observed(observer)?;
-        self.outcomes.push(outcome.clone());
-        Ok(outcome)
+        self.solver.run_observed(observer)
     }
 
     /// [`Session::run_observed`] with a durability hook: `sink` is
@@ -764,19 +760,7 @@ impl Session {
         observer: &mut dyn RunObserver,
         sink: &mut dyn crate::solver::CheckpointSink,
     ) -> Result<SolveOutcome> {
-        let outcome = self.solver.run_observed_checkpointed(observer, sink)?;
-        self.outcomes.push(outcome.clone());
-        Ok(outcome)
-    }
-
-    /// The outcome of the most recent run, if any.
-    pub fn last_outcome(&self) -> Option<&SolveOutcome> {
-        self.outcomes.last()
-    }
-
-    /// The outcomes of every run of this session, in order.
-    pub fn outcomes(&self) -> &[SolveOutcome] {
-        &self.outcomes
+        self.solver.run_observed_checkpointed(observer, sink)
     }
 
     /// The scalar flux after the most recent run.
@@ -793,13 +777,10 @@ mod tests {
     use crate::strategy::StrategyKind;
 
     #[test]
-    fn session_runs_and_keeps_outcomes() {
+    fn session_runs() {
         let mut session = Session::new(&Problem::tiny()).unwrap();
-        assert!(session.last_outcome().is_none());
         let outcome = session.run().unwrap();
         assert!(outcome.scalar_flux_total > 0.0);
-        assert_eq!(session.outcomes().len(), 1);
-        assert_eq!(session.last_outcome(), Some(&outcome));
         assert_eq!(session.problem(), &Problem::tiny());
     }
 
@@ -857,7 +838,6 @@ mod tests {
         // The second run starts from the first run's flux, so its first
         // iterate moves far less.
         assert!(second.convergence_history[0] < first.convergence_history[0]);
-        assert_eq!(session.outcomes().len(), 2);
     }
 
     #[test]

@@ -222,8 +222,7 @@ impl std::fmt::Display for SolveOutcome {
 }
 
 /// Work and convergence accounting shared between the solver driver and
-/// the [`IterationStrategy`](crate::strategy::IterationStrategy)
-/// implementations.
+/// [`StrategyKind::run_inners`].
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Inner iterations executed (SI sweeps or Krylov steps).
@@ -601,16 +600,6 @@ impl TransportSolver {
         self.control.cancel = Some(token);
     }
 
-    /// Disarm cancellation; subsequent runs ignore any previous token.
-    pub fn clear_cancel_token(&mut self) {
-        self.control.cancel = None;
-    }
-
-    /// The armed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.control.cancel.as_ref()
-    }
-
     /// The mesh the solver operates on.
     pub fn mesh(&self) -> &UnstructuredMesh {
         &self.assets.mesh
@@ -659,9 +648,9 @@ impl TransportSolver {
     /// events to `observer`, and return a summary.
     ///
     /// The outer (Jacobi group-coupling) loop is [`run_outers`]; each
-    /// outer iteration hands the within-group solve to the
-    /// [`IterationStrategy`](crate::strategy::IterationStrategy) selected
-    /// by [`Problem::strategy`](crate::problem::Problem).
+    /// outer iteration hands the within-group solve to
+    /// [`StrategyKind::run_inners`] of the strategy selected by
+    /// [`Problem::strategy`](crate::problem::Problem).
     pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
         self.run_observed_checkpointed(observer, &mut NoopSink)
     }
@@ -717,7 +706,7 @@ impl OuterDriver for TransportSolver {
         self.phi_outer
             .as_mut_slice()
             .copy_from_slice(self.domain.phi.as_slice());
-        let strategy = self.assets.problem.strategy.build();
+        let strategy = self.assets.problem.strategy;
         strategy.run_inners(&mut self.context(), stats, observer)
     }
 }

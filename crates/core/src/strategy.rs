@@ -1,4 +1,4 @@
-//! Pluggable inner-iteration strategies for the transport solver.
+//! The inner-iteration strategies of the transport solver.
 //!
 //! The seed solver resolves the within-group scattering fixed point
 //!
@@ -8,12 +8,12 @@
 //!
 //! by **source iteration** (SI): apply the right-hand side repeatedly and
 //! let the contraction — whose rate is the within-group scattering ratio
-//! `c` — do the work.  That is [`SourceIteration`], reproduced here
-//! bit-for-bit from the original inner loop.  SI needs `O(log tol / log
+//! `c` — do the work.  That is [`StrategyKind::SourceIteration`],
+//! reproduced here bit-for-bit from the original inner loop.  SI needs `O(log tol / log
 //! c)` sweeps, which blows up as `c → 1` (scattering-dominated media).
 //!
-//! [`SweepGmres`] instead treats one full transport sweep `D L⁻¹` as the
-//! preconditioner application and hands the equivalent linear system
+//! [`StrategyKind::SweepGmres`] instead treats one full transport sweep
+//! `D L⁻¹` as the preconditioner application and hands the equivalent linear system
 //!
 //! ```text
 //! (I − D L⁻¹ S_w) φ = D L⁻¹ q_ext
@@ -25,8 +25,8 @@
 //! strategies — and on high-`c` problems GMRES needs dramatically fewer.
 //!
 //! Strategies are selected per [`Problem`](crate::problem::Problem) via
-//! [`StrategyKind`] and run by
-//! [`TransportSolver::run`](crate::solver::TransportSolver::run); both see
+//! [`StrategyKind`], and [`StrategyKind::run_inners`] runs the inner
+//! iterations of one outer iteration for either driver; all three see
 //! the same convergence tolerance and the same `inner_iterations` budget
 //! per outer iteration.  The group-to-group (outer Jacobi) coupling is
 //! untouched: within one outer iteration the operator is block-diagonal
@@ -38,7 +38,7 @@
 //! [`DomainContext`](crate::domain::DomainContext) both the single-domain
 //! [`TransportSolver`](crate::solver::TransportSolver) and the
 //! distributed block-Jacobi driver (`unsnap-comm`) build over their
-//! sweep domains — the same SI/GMRES objects therefore run whole-domain
+//! sweep domains — the same SI/GMRES loops therefore run whole-domain
 //! and rank-decomposed solves alike.
 
 use std::time::Duration;
@@ -75,21 +75,35 @@ impl StrategyKind {
         ]
     }
 
-    /// Instantiate the strategy object.
-    pub fn build(self) -> Box<dyn IterationStrategy> {
-        match self {
-            StrategyKind::SourceIteration => Box::new(SourceIteration),
-            StrategyKind::DsaSourceIteration => Box::new(DsaSourceIteration),
-            StrategyKind::SweepGmres => Box::new(SweepGmres),
-        }
-    }
-
     /// Short name used in tables, on the wire and for CLI selection.
     pub fn label(&self) -> &'static str {
         match self {
             StrategyKind::SourceIteration => "SI",
             StrategyKind::DsaSourceIteration => "DSA-SI",
             StrategyKind::SweepGmres => "GMRES",
+        }
+    }
+
+    /// Run the inner iterations of one outer iteration on `context`
+    /// (`phi_outer` freshly saved), streaming progress (inner iterates,
+    /// sweeps, Krylov residuals) to `observer` and reporting work through
+    /// `stats` (sweep counts, kernel timing, convergence history).
+    /// Returns whether the inner solve met the context's convergence
+    /// tolerance.
+    pub fn run_inners(
+        self,
+        context: &mut dyn InnerSolveContext,
+        stats: &mut RunStats,
+        observer: &mut dyn RunObserver,
+    ) -> Result<bool> {
+        match self {
+            StrategyKind::SourceIteration | StrategyKind::DsaSourceIteration => source_iteration(
+                context,
+                stats,
+                observer,
+                self == StrategyKind::DsaSourceIteration,
+            ),
+            StrategyKind::SweepGmres => sweep_gmres(context, stats, observer),
         }
     }
 }
@@ -165,7 +179,7 @@ impl std::str::FromStr for AcceleratorKind {
     }
 }
 
-/// The solve surface an [`IterationStrategy`] drives: a within-group
+/// The solve surface [`StrategyKind::run_inners`] drives: a within-group
 /// transport problem mid-outer-iteration (`phi_outer` freshly saved),
 /// exposing exactly the operations the strategies need — source
 /// assembly, one-sweep preconditioner applications, and the scalar-flux
@@ -186,15 +200,10 @@ pub trait InnerSolveContext {
     /// Pointwise convergence tolerance (0 = run every iteration).
     fn convergence_tolerance(&self) -> f64;
 
-    /// The context's current clock reading, used by the strategies to
-    /// time the phase spans they open ([`Phase::SourceAssembly`],
-    /// [`Phase::Krylov`]).  Both real contexts override this with their
-    /// swappable solver clock; the default reads nothing and reports
-    /// [`Duration::ZERO`], so span *counts* stay deterministic even for
-    /// a context without a clock.
-    fn now(&self) -> Duration {
-        Duration::ZERO
-    }
+    /// The context's current clock reading (the solver's swappable
+    /// clock), used by the strategies to time the phase spans they open
+    /// ([`Phase::SourceAssembly`], [`Phase::Krylov`]).
+    fn now(&self) -> Duration;
 
     /// GMRES restart length for the Krylov strategies.
     fn gmres_restart(&self) -> usize;
@@ -238,26 +247,19 @@ pub trait InnerSolveContext {
     /// The previous inner iterate as a flat slice.
     fn phi_inner_slice(&self) -> &[f64];
 
-    /// Hand out the context's reusable Krylov workspace (a fresh one by
-    /// default).  Contexts that are invoked repeatedly — one per rank per
-    /// halo iteration — override this together with
-    /// [`InnerSolveContext::put_krylov_workspace`] so the Krylov basis is
-    /// allocated once per rank.
-    fn take_krylov_workspace(&mut self) -> GmresWorkspace {
-        GmresWorkspace::new()
-    }
+    /// Hand out the context's reusable Krylov workspace; with
+    /// [`InnerSolveContext::put_krylov_workspace`] the Krylov basis is
+    /// allocated once per domain, not once per invocation (one per rank
+    /// per halo iteration under block Jacobi).
+    fn take_krylov_workspace(&mut self) -> GmresWorkspace;
 
-    /// Return the workspace after the solve (dropped by default).
-    fn put_krylov_workspace(&mut self, workspace: GmresWorkspace) {
-        let _ = workspace;
-    }
+    /// Return the workspace after the solve.
+    fn put_krylov_workspace(&mut self, workspace: GmresWorkspace);
 
     /// Which optional low-order accelerator the Krylov strategies should
     /// apply (the [`Problem::accelerator`](crate::problem::Problem)
-    /// knob).  Defaults to none.
-    fn accelerator(&self) -> AcceleratorKind {
-        AcceleratorKind::None
-    }
+    /// knob).
+    fn accelerator(&self) -> AcceleratorKind;
 
     /// Apply one DSA correction to the scalar flux in place: restrict
     /// the sweep residual `σ_s (φ − previous)` to cell averages, solve
@@ -267,41 +269,14 @@ pub trait InnerSolveContext {
     ///
     /// `previous` is the iterate the sweep started from — flux-shaped,
     /// in the context's own layout.  CG work is accounted in `stats` and
-    /// residuals stream as [`SolveEvent::AccelResidual`].
-    /// Contexts that own mesh and material data override this (the
-    /// domain context does, building its accelerator lazily on first
-    /// use); the default reports an unsupported-context execution error.
+    /// residuals stream as [`SolveEvent::AccelResidual`].  The domain
+    /// context builds its accelerator lazily on first use.
     fn dsa_correct(
         &mut self,
         previous: &[f64],
         stats: &mut RunStats,
         observer: &mut dyn RunObserver,
-    ) -> Result<()> {
-        let _ = (previous, stats, observer);
-        Err(crate::error::Error::Execution {
-            reason: "this inner-solve context does not support DSA correction".to_string(),
-        })
-    }
-}
-
-/// An inner-iteration scheme: given a solve context mid-outer-iteration
-/// (`phi_outer` freshly saved), drive the within-group solve.
-///
-/// Implementations report work through `stats` (sweep counts, kernel
-/// timing, convergence history) and return whether the inner solve met
-/// the context's convergence tolerance.
-pub trait IterationStrategy {
-    /// Short human-readable name.
-    fn name(&self) -> &'static str;
-
-    /// Run the inner iterations of one outer iteration, streaming
-    /// progress (inner iterates, sweeps, Krylov residuals) to `observer`.
-    fn run_inners(
-        &self,
-        context: &mut dyn InnerSolveContext,
-        stats: &mut RunStats,
-        observer: &mut dyn RunObserver,
-    ) -> Result<bool>;
+    ) -> Result<()>;
 }
 
 /// Assemble the total or external source inside a timed
@@ -335,43 +310,12 @@ fn report_iterate(stats: &mut RunStats, relative_change: f64, observer: &mut dyn
     observer.on_event(Lane::Driver, &event);
 }
 
-/// The seed's lagged source iteration, unchanged.
-pub struct SourceIteration;
-
-impl IterationStrategy for SourceIteration {
-    fn name(&self) -> &'static str {
-        "source iteration"
-    }
-
-    fn run_inners(
-        &self,
-        context: &mut dyn InnerSolveContext,
-        stats: &mut RunStats,
-        observer: &mut dyn RunObserver,
-    ) -> Result<bool> {
-        let inner_iterations = context.inner_iteration_budget();
-        let tolerance = context.convergence_tolerance();
-        for _inner in 0..inner_iterations {
-            stats.inner_iterations += 1;
-            assemble_source_timed(context, observer, false);
-            context.save_phi_inner();
-            context.sweep_once(stats, observer);
-            let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
-            report_iterate(stats, diff, observer);
-            if tolerance > 0.0 && diff < tolerance {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-}
-
-/// Source iteration with a DSA correction after every sweep.
+/// The seed's lagged source iteration, unchanged — and, with `dsa`,
+/// source iteration with a DSA correction after every sweep.
 ///
-/// Each inner iteration is one transport sweep (the same unit of work
-/// as plain SI) followed by one low-order diffusion solve for the
-/// iteration error, applied through
-/// [`InnerSolveContext::dsa_correct`]:
+/// Each inner iteration is one transport sweep; under `dsa` it is
+/// followed by one low-order diffusion solve for the iteration error,
+/// applied through [`InnerSolveContext::dsa_correct`]:
 ///
 /// ```text
 /// φ^{l+1/2} = D L⁻¹ (S_w φ^l + q_ext)          (the sweep)
@@ -379,44 +323,38 @@ impl IterationStrategy for SourceIteration {
 /// φ^{l+1} = φ^{l+1/2} + e
 /// ```
 ///
-/// Sweep counts therefore remain directly comparable with SI and
-/// sweep-preconditioned GMRES — the correction costs CG iterations on a
-/// system that is `nodes × angles` times smaller than a sweep.
-pub struct DsaSourceIteration;
-
-impl IterationStrategy for DsaSourceIteration {
-    fn name(&self) -> &'static str {
-        "DSA-accelerated source iteration"
-    }
-
-    fn run_inners(
-        &self,
-        context: &mut dyn InnerSolveContext,
-        stats: &mut RunStats,
-        observer: &mut dyn RunObserver,
-    ) -> Result<bool> {
-        let inner_iterations = context.inner_iteration_budget();
-        let tolerance = context.convergence_tolerance();
-        let mut previous = Vec::new();
-        for _inner in 0..inner_iterations {
-            stats.inner_iterations += 1;
-            assemble_source_timed(context, observer, false);
-            context.save_phi_inner();
-            context.sweep_once(stats, observer);
+/// Sweep counts therefore remain directly comparable between SI, DSA-SI
+/// and sweep-preconditioned GMRES — the correction costs CG iterations on
+/// a system that is `nodes × angles` times smaller than a sweep.
+fn source_iteration(
+    context: &mut dyn InnerSolveContext,
+    stats: &mut RunStats,
+    observer: &mut dyn RunObserver,
+    dsa: bool,
+) -> Result<bool> {
+    let inner_iterations = context.inner_iteration_budget();
+    let tolerance = context.convergence_tolerance();
+    let mut previous = Vec::new();
+    for _inner in 0..inner_iterations {
+        stats.inner_iterations += 1;
+        assemble_source_timed(context, observer, false);
+        context.save_phi_inner();
+        context.sweep_once(stats, observer);
+        if dsa {
             // The DSA correction needs the pre-sweep iterate; `phi_inner`
             // holds it, but `dsa_correct` mutates the flux, so snapshot
             // it into a reused scratch first.
             previous.clear();
             previous.extend_from_slice(context.phi_inner_slice());
             context.dsa_correct(&previous, stats, observer)?;
-            let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
-            report_iterate(stats, diff, observer);
-            if tolerance > 0.0 && diff < tolerance {
-                return Ok(true);
-            }
         }
-        Ok(false)
+        let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
+        report_iterate(stats, diff, observer);
+        if tolerance > 0.0 && diff < tolerance {
+            return Ok(true);
+        }
     }
+    Ok(false)
 }
 
 /// The within-group transport operator `v ↦ (I − D L⁻¹ S_w) v`, applied
@@ -493,86 +431,77 @@ impl ObservedOperator for SweepOperator<'_, '_, '_> {
 /// right-hand side and every operator application carry the low-order
 /// correction (see `SweepOperator`), so the GMRES space only has to
 /// capture what the diffusion solve missed.
-pub struct SweepGmres;
+fn sweep_gmres(
+    context: &mut dyn InnerSolveContext,
+    stats: &mut RunStats,
+    observer: &mut dyn RunObserver,
+) -> Result<bool> {
+    let config = GmresConfig {
+        restart: context.gmres_restart(),
+        // One Krylov iteration costs one sweep, so the inner budget
+        // carries over unchanged from source iteration.
+        max_iterations: context.inner_iteration_budget(),
+        tolerance: context.convergence_tolerance(),
+    };
+    let accelerated = context.accelerator() == AcceleratorKind::Dsa;
 
-impl IterationStrategy for SweepGmres {
-    fn name(&self) -> &'static str {
-        "sweep-preconditioned GMRES"
+    // Warm-start from the current flux (zero on the first outer,
+    // the previous outer's solution afterwards).
+    let mut x = context.phi_slice().to_vec();
+
+    // Right-hand side b = D L⁻¹ q_ext: one sweep of the external
+    // (fixed + cross-group) source — corrected to
+    // (I + C) D L⁻¹ q_ext under DSA preconditioning (the affine part
+    // of one DSA-SI step from a zero iterate).
+    assemble_source_timed(context, observer, true);
+    context.sweep_once(stats, observer);
+    if accelerated {
+        let zeros = vec![0.0f64; context.phi_slice().len()];
+        context.dsa_correct(&zeros, stats, observer)?;
     }
+    let b = context.phi_slice().to_vec();
 
-    fn run_inners(
-        &self,
-        context: &mut dyn InnerSolveContext,
-        stats: &mut RunStats,
-        observer: &mut dyn RunObserver,
-    ) -> Result<bool> {
-        let config = GmresConfig {
-            restart: context.gmres_restart(),
-            // One Krylov iteration costs one sweep, so the inner budget
-            // carries over unchanged from source iteration.
-            max_iterations: context.inner_iteration_budget(),
-            tolerance: context.convergence_tolerance(),
+    let mut workspace = context.take_krylov_workspace();
+    let phase = Phase::Krylov;
+    observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+    let krylov_t0 = context.now();
+    let (outcome, dsa_error) = {
+        let mut operator = SweepOperator {
+            context,
+            stats,
+            observer,
+            accelerated,
+            dsa_error: None,
         };
-        let accelerated = context.accelerator() == AcceleratorKind::Dsa;
-
-        // Warm-start from the current flux (zero on the first outer,
-        // the previous outer's solution afterwards).
-        let mut x = context.phi_slice().to_vec();
-
-        // Right-hand side b = D L⁻¹ q_ext: one sweep of the external
-        // (fixed + cross-group) source — corrected to
-        // (I + C) D L⁻¹ q_ext under DSA preconditioning (the affine part
-        // of one DSA-SI step from a zero iterate).
-        assemble_source_timed(context, observer, true);
-        context.sweep_once(stats, observer);
-        if accelerated {
-            let zeros = vec![0.0f64; context.phi_slice().len()];
-            context.dsa_correct(&zeros, stats, observer)?;
-        }
-        let b = context.phi_slice().to_vec();
-
-        let mut workspace = context.take_krylov_workspace();
-        let phase = Phase::Krylov;
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-        let krylov_t0 = context.now();
-        let (outcome, dsa_error) = {
-            let mut operator = SweepOperator {
-                context,
-                stats,
-                observer,
-                accelerated,
-                dsa_error: None,
-            };
-            let outcome =
-                Gmres::new(config).solve_observed_in(&mut workspace, &mut operator, &b, &mut x);
-            (outcome, operator.dsa_error)
-        };
-        let seconds = context.now().saturating_sub(krylov_t0).as_secs_f64();
-        observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-        context.put_krylov_workspace(workspace);
-        if let Some(e) = dsa_error {
-            return Err(e);
-        }
-        let outcome = outcome?;
-        stats.inner_iterations += outcome.iterations;
-        stats.krylov_iterations += outcome.iterations;
-        stats
-            .krylov_residual_history
-            .extend_from_slice(&outcome.residual_history);
-
-        // Consistency sweep: regenerate the angular flux (and the final
-        // scalar flux) from the converged iterate with the full source,
-        // so ψ/φ leave the solver physically consistent exactly as a
-        // source-iteration step would.
-        context.set_phi(&x);
-        context.save_phi_inner();
-        assemble_source_timed(context, observer, false);
-        context.sweep_once(stats, observer);
-        let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
-        report_iterate(stats, diff, observer);
-
-        Ok(outcome.converged)
+        let outcome =
+            Gmres::new(config).solve_observed_in(&mut workspace, &mut operator, &b, &mut x);
+        (outcome, operator.dsa_error)
+    };
+    let seconds = context.now().saturating_sub(krylov_t0).as_secs_f64();
+    observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+    context.put_krylov_workspace(workspace);
+    if let Some(e) = dsa_error {
+        return Err(e);
     }
+    let outcome = outcome?;
+    stats.inner_iterations += outcome.iterations;
+    stats.krylov_iterations += outcome.iterations;
+    stats
+        .krylov_residual_history
+        .extend_from_slice(&outcome.residual_history);
+
+    // Consistency sweep: regenerate the angular flux (and the final
+    // scalar flux) from the converged iterate with the full source,
+    // so ψ/φ leave the solver physically consistent exactly as a
+    // source-iteration step would.
+    context.set_phi(&x);
+    context.save_phi_inner();
+    assemble_source_timed(context, observer, false);
+    context.sweep_once(stats, observer);
+    let diff = relative_change(context.phi_slice(), context.phi_inner_slice());
+    report_iterate(stats, diff, observer);
+
+    Ok(outcome.converged)
 }
 
 #[cfg(test)]
@@ -623,21 +552,5 @@ mod tests {
     #[test]
     fn default_is_source_iteration() {
         assert_eq!(StrategyKind::default(), StrategyKind::SourceIteration);
-    }
-
-    #[test]
-    fn build_produces_named_strategies() {
-        assert_eq!(
-            StrategyKind::SourceIteration.build().name(),
-            "source iteration"
-        );
-        assert_eq!(
-            StrategyKind::DsaSourceIteration.build().name(),
-            "DSA-accelerated source iteration"
-        );
-        assert_eq!(
-            StrategyKind::SweepGmres.build().name(),
-            "sweep-preconditioned GMRES"
-        );
     }
 }

@@ -123,11 +123,6 @@ impl ReferenceElement {
         self.order
     }
 
-    /// Nodes per direction, `p + 1`.
-    pub fn nodes_per_direction(&self) -> usize {
-        self.nodes_1d
-    }
-
     /// Total nodes (and local matrix dimension), `(p + 1)³`.
     pub fn nodes_per_element(&self) -> usize {
         self.node_coords.len()
@@ -151,11 +146,6 @@ impl ReferenceElement {
     /// Reference coordinates of all nodes, node-major.
     pub fn node_coordinates(&self) -> &[[f64; 3]] {
         &self.node_coords
-    }
-
-    /// Flatten a tensor index `(i, j, k)` to the node index.
-    pub fn node_index(&self, i: usize, j: usize, k: usize) -> usize {
-        i + self.nodes_1d * (j + self.nodes_1d * k)
     }
 
     /// Volume quadrature points.
@@ -194,13 +184,6 @@ impl ReferenceElement {
     /// Evaluate every basis function at an arbitrary reference point.
     pub fn eval_basis(&self, xi: [f64; 3]) -> Vec<f64> {
         tabulate_at(&self.basis_1d, self.nodes_1d, xi).0
-    }
-
-    /// Evaluate every basis gradient (reference space) at an arbitrary
-    /// reference point; returns `n` rows of `[d/dξ, d/dη, d/dζ]`.
-    pub fn eval_basis_gradients(&self, xi: [f64; 3]) -> Vec<[f64; 3]> {
-        let flat = tabulate_at(&self.basis_1d, self.nodes_1d, xi).1;
-        flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect()
     }
 }
 
@@ -261,7 +244,6 @@ mod tests {
         for p in 1..=3 {
             let e = ReferenceElement::new(p);
             assert_eq!(e.nodes_per_element(), nodes_for_order(p));
-            assert_eq!(e.nodes_per_direction(), p + 1);
             // First node is the (-1,-1,-1) corner, last is (1,1,1).
             assert_eq!(e.node_coordinate(0), [-1.0, -1.0, -1.0]);
             assert_eq!(
@@ -269,16 +251,6 @@ mod tests {
                 [1.0, 1.0, 1.0]
             );
         }
-    }
-
-    #[test]
-    fn node_index_matches_layout() {
-        let e = ReferenceElement::new(2);
-        assert_eq!(e.node_index(0, 0, 0), 0);
-        assert_eq!(e.node_index(1, 0, 0), 1);
-        assert_eq!(e.node_index(0, 1, 0), 3);
-        assert_eq!(e.node_index(0, 0, 1), 9);
-        assert_eq!(e.node_index(2, 2, 2), 26);
     }
 
     #[test]
@@ -340,7 +312,8 @@ mod tests {
     fn gradients_match_finite_difference() {
         let e = ReferenceElement::new(2);
         let xi = [0.21, -0.4, 0.67];
-        let grads = e.eval_basis_gradients(xi);
+        // The gradients the volume tabulation stores, `n × 3` row-major.
+        let grads = tabulate_at(e.basis_1d(), 3, xi).1;
         let h = 1e-6;
         for i in 0..e.nodes_per_element() {
             for d in 0..3 {
@@ -349,7 +322,7 @@ mod tests {
                 xp[d] += h;
                 xm[d] -= h;
                 let fd = (e.eval_basis(xp)[i] - e.eval_basis(xm)[i]) / (2.0 * h);
-                assert!((fd - grads[i][d]).abs() < 1e-6);
+                assert!((fd - grads[3 * i + d]).abs() < 1e-6);
             }
         }
     }

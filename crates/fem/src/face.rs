@@ -54,15 +54,6 @@ impl Face {
         }
     }
 
-    /// Build a face from its dense index.
-    ///
-    /// # Panics
-    /// Panics if `index >= 6`.
-    #[inline]
-    pub fn from_index(index: usize) -> Self {
-        FACES[index]
-    }
-
     /// The reference axis normal to this face (0 = ξ, 1 = η, 2 = ζ).
     #[inline]
     pub fn axis(self) -> usize {
@@ -156,7 +147,6 @@ mod tests {
     fn index_round_trip() {
         for (i, &f) in FACES.iter().enumerate() {
             assert_eq!(f.index(), i);
-            assert_eq!(Face::from_index(i), f);
         }
     }
 

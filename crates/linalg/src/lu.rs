@@ -93,26 +93,6 @@ impl LuFactors {
         }
         det
     }
-
-    /// Cheap condition estimate: `max |u_ii| / min |u_ii|`.
-    ///
-    /// Not a true condition number, but a useful smoke test that the DG
-    /// matrices stay well conditioned across element orders.
-    pub fn diagonal_condition_estimate(&self) -> f64 {
-        let n = self.n();
-        let mut lo = f64::INFINITY;
-        let mut hi: f64 = 0.0;
-        for i in 0..n {
-            let d = self.lu[(i, i)].abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
-    }
 }
 
 /// Factorise in place with the unblocked (`dgetf2`-style) kernel over the
@@ -454,15 +434,6 @@ mod tests {
         assert!(max_abs_diff(&ax, &b) < 1e-12);
         let xb = BlockedLuSolver::with_panel_width(2).solve(&a, &b).unwrap();
         assert!(max_abs_diff(&x, &xb) < 1e-12);
-    }
-
-    #[test]
-    fn condition_estimate_is_finite_for_dominant_matrices() {
-        let a = test_matrix(27, 5);
-        let f = factor_unblocked(&a).unwrap();
-        let c = f.diagonal_condition_estimate();
-        assert!(c.is_finite());
-        assert!(c >= 1.0);
     }
 
     #[test]

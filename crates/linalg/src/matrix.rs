@@ -241,47 +241,11 @@ impl DenseMatrix {
         self.data.iter_mut().for_each(|x| *x *= alpha);
     }
 
-    /// Frobenius norm `sqrt(sum a_ij^2)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Infinity norm (maximum absolute row sum).
     pub fn inf_norm(&self) -> f64 {
         (0..self.rows)
             .map(|i| self.row(i).iter().map(|x| x.abs()).sum::<f64>())
             .fold(0.0, f64::max)
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
-    }
-
-    /// `true` if the matrix is strictly diagonally dominant by rows.
-    ///
-    /// The DG streaming-collision matrices assembled by UnSNAP are strongly
-    /// diagonally dominant for physically sensible cross sections, which is
-    /// why a solver without pivoting is viable in the original mini-app; we
-    /// expose the predicate so tests and callers can check the assumption.
-    pub fn is_diagonally_dominant(&self) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            let diag = self[(i, i)].abs();
-            let off: f64 = self
-                .row(i)
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, v)| v.abs())
-                .sum();
-            if diag <= off {
-                return false;
-            }
-        }
-        true
     }
 
     /// Memory footprint of the matrix entries in bytes (FP64).
@@ -434,18 +398,7 @@ mod tests {
     #[test]
     fn norms() {
         let a = DenseMatrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-14);
         assert_eq!(a.inf_norm(), 4.0);
-        assert_eq!(a.max_abs(), 4.0);
-    }
-
-    #[test]
-    fn diagonal_dominance() {
-        let dom = DenseMatrix::from_fn(3, 3, |i, j| if i == j { 5.0 } else { 1.0 });
-        assert!(dom.is_diagonally_dominant());
-        let not = DenseMatrix::from_fn(3, 3, |_, _| 1.0);
-        assert!(!not.is_diagonally_dominant());
-        assert!(!DenseMatrix::zeros(2, 3).is_diagonally_dominant());
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Maximum absolute difference between two slices.
 ///
 /// This is the convergence measure used by the SNAP/UnSNAP iteration
@@ -61,17 +55,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b.iter())
         .fold(0.0, |m, (x, y)| m.max((x - y).abs()))
-}
-
-/// Relative maximum difference: `max |a-b| / max(|b|, floor)`.
-///
-/// The floor guards against division by ~zero reference values.
-#[inline]
-pub fn max_rel_diff(a: &[f64], b: &[f64], floor: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .fold(0.0, |m, (x, y)| m.max((x - y).abs() / y.abs().max(floor)))
 }
 
 /// Copy `src` into `dst` (lengths must match).
@@ -110,7 +93,6 @@ mod tests {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
-        assert_eq!(norm1(&[1.0, -2.0, 3.0]), 6.0);
     }
 
     #[test]
@@ -118,16 +100,7 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [1.0, 2.5, 2.0];
         assert_eq!(max_abs_diff(&a, &b), 1.0);
-        assert!((max_rel_diff(&a, &b, 1e-12) - 0.5).abs() < 1e-14);
         assert_eq!(max_abs_diff(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn rel_diff_floor_guards_zero() {
-        let a = [1.0e-30];
-        let b = [0.0];
-        // Without the floor this would be inf.
-        assert!(max_rel_diff(&a, &b, 1.0).is_finite());
     }
 
     #[test]

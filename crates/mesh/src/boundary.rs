@@ -33,11 +33,6 @@ impl BoundaryCondition {
             BoundaryCondition::IsotropicInflow(v) => *v,
         }
     }
-
-    /// `true` if this boundary supplies no incoming particles.
-    pub fn is_vacuum(&self) -> bool {
-        matches!(self, BoundaryCondition::Vacuum)
-    }
 }
 
 /// The set of boundary conditions for the six domain faces, indexed in the
@@ -74,14 +69,13 @@ mod tests {
     #[test]
     fn default_is_vacuum() {
         let b = BoundaryCondition::default();
-        assert!(b.is_vacuum());
+        assert_eq!(b, BoundaryCondition::Vacuum);
         assert_eq!(b.incoming_flux(), 0.0);
     }
 
     #[test]
     fn inflow_carries_value() {
         let b = BoundaryCondition::IsotropicInflow(2.5);
-        assert!(!b.is_vacuum());
         assert_eq!(b.incoming_flux(), 2.5);
     }
 
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn domain_boundaries_constructors() {
         let v = DomainBoundaries::vacuum();
-        assert!(v.faces.iter().all(|b| b.is_vacuum()));
+        assert_eq!(v.faces, [BoundaryCondition::Vacuum; 6]);
         let inflow = DomainBoundaries::uniform_inflow(1.0);
         for f in 0..6 {
             assert_eq!(inflow.face(f).incoming_flux(), 1.0);

@@ -53,12 +53,6 @@ impl Decomposition2D {
         self.npx * self.npy
     }
 
-    /// Rank id of processor-grid coordinates `(px, py)`.
-    pub fn rank_of(&self, px: usize, py: usize) -> usize {
-        debug_assert!(px < self.npx && py < self.npy);
-        px + self.npx * py
-    }
-
     /// Processor-grid coordinates of a rank.
     pub fn coords_of(&self, rank: usize) -> (usize, usize) {
         debug_assert!(rank < self.num_ranks());
@@ -213,14 +207,6 @@ impl Subdomain {
     pub fn owns(&self, global: usize) -> bool {
         self.local_of(global).is_some()
     }
-
-    /// Ranks this subdomain exchanges halos with (sorted, deduplicated).
-    pub fn neighbor_ranks(&self) -> Vec<usize> {
-        let mut ranks: Vec<usize> = self.halo_faces.iter().map(|h| h.neighbor_rank).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +225,6 @@ mod tests {
         assert_eq!(sds.len(), 1);
         assert_eq!(sds[0].num_cells(), 64);
         assert!(sds[0].halo_faces.is_empty());
-        assert!(sds[0].neighbor_ranks().is_empty());
         for g in 0..64 {
             assert!(sds[0].owns(g));
         }
@@ -251,7 +236,7 @@ mod tests {
         assert_eq!(d.num_ranks(), 6);
         for rank in 0..6 {
             let (px, py) = d.coords_of(rank);
-            assert_eq!(d.rank_of(px, py), rank);
+            assert_eq!(px + 3 * py, rank);
         }
     }
 
@@ -303,7 +288,6 @@ mod tests {
         // interface => 16 halo faces per rank.
         for sd in &sds {
             assert_eq!(sd.halo_faces.len(), 16, "rank {}", sd.rank);
-            assert_eq!(sd.neighbor_ranks().len(), 2);
             for h in &sd.halo_faces {
                 assert_ne!(h.neighbor_rank, sd.rank);
                 assert!(sd.owns(h.global_cell));

@@ -99,11 +99,6 @@ impl StructuredGrid {
         }
         corners
     }
-
-    /// Centre of the domain (used as the twist axis).
-    pub fn domain_centre(&self) -> [f64; 3] {
-        [self.lx / 2.0, self.ly / 2.0, self.lz / 2.0]
-    }
 }
 
 #[cfg(test)]
@@ -154,11 +149,5 @@ mod tests {
         assert_eq!(corners[2], [1.0, 4.0, 3.0]);
         // c=4 moves +z only.
         assert_eq!(corners[4], [1.0, 2.0, 6.0]);
-    }
-
-    #[test]
-    fn domain_centre() {
-        let g = StructuredGrid::new(2, 2, 2, 2.0, 4.0, 6.0);
-        assert_eq!(g.domain_centre(), [1.0, 2.0, 3.0]);
     }
 }

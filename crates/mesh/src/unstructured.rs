@@ -148,11 +148,6 @@ impl UnstructuredMesh {
         self.neighbors[cell][face]
     }
 
-    /// All six neighbour references of a cell.
-    pub fn neighbors_of(&self, cell: usize) -> &[NeighborRef; NUM_FACES] {
-        &self.neighbors[cell]
-    }
-
     /// Centroid of a cell (average of its eight corners).
     pub fn cell_centroid(&self, cell: usize) -> [f64; 3] {
         let mut c = [0.0; 3];

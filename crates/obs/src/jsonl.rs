@@ -2,8 +2,7 @@
 //!
 //! A run log is one JSON document per line — append-friendly,
 //! stream-parseable, and trivially mergeable, which is exactly what the
-//! bench harness's `--metrics-out` sink and the solver's event log
-//! writer need.  The writer refuses nothing but newlines (a document
+//! solver's event log writer needs.  The writer refuses nothing but newlines (a document
 //! with an embedded newline would corrupt the framing, so it errors);
 //! the readers parse each non-empty line with [`crate::reader`]
 //! and report the 1-based line number on failure.
@@ -38,14 +37,6 @@ impl JsonlWriter<BufWriter<File>> {
     /// Create (truncating) a JSONL file at `path`.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
-
-    /// Open `path` for appending, creating it if missing — the mode the
-    /// shared `--metrics-out` flag uses so several bench invocations can
-    /// feed one trajectory file.
-    pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::options().create(true).append(true).open(path)?;
-        Ok(Self::new(BufWriter::new(file)))
     }
 }
 
@@ -137,16 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_including_append() {
+    fn file_round_trip() {
         let dir = std::env::temp_dir().join(format!("unsnap-obs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.jsonl");
         {
             let mut w = JsonlWriter::create(&path).unwrap();
             w.write_line(r#"{"run":1}"#).unwrap();
-        }
-        {
-            let mut w = JsonlWriter::append(&path).unwrap();
             w.write_line(r#"{"run":2}"#).unwrap();
         }
         let docs = read_file(&path).unwrap();

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, JsonObject};
+use crate::json::JsonObject;
 
 /// The determinism class of a metric — the heart of the observability
 /// contract (see the [crate docs](crate)).
@@ -89,13 +89,6 @@ impl Histogram {
     /// fine enough that p50/p95 are meaningful after clamping.
     pub fn latency_seconds() -> Self {
         let bounds: Vec<f64> = (0..28).map(|k| 1e-6 * f64::from(1u32 << k)).collect();
-        Self::with_bounds(&bounds)
-    }
-
-    /// A small linear scale for bounded integer-ish streams (counts per
-    /// event): upper bounds `scale, 2·scale, …, buckets·scale`.
-    pub fn linear(scale: f64, buckets: usize) -> Self {
-        let bounds: Vec<f64> = (1..=buckets).map(|k| scale * k as f64).collect();
         Self::with_bounds(&bounds)
     }
 
@@ -186,9 +179,7 @@ impl Histogram {
 /// with its [`Determinism`] class.
 ///
 /// Iteration order is the `BTreeMap` key order, so serialisation is
-/// deterministic; [`MetricsRegistry::deterministic_only`] projects out
-/// exactly the subset the cross-thread/rank determinism suites may
-/// compare.
+/// deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, (Determinism, u64)>,
@@ -212,11 +203,6 @@ impl MetricsRegistry {
     /// Set a gauge to `value`, creating it on first touch.
     pub fn gauge_set(&mut self, name: &str, class: Determinism, value: f64) {
         self.gauges.insert(name.to_string(), (class, value));
-    }
-
-    /// Insert (or replace) a histogram wholesale.
-    pub fn histogram_insert(&mut self, name: &str, class: Determinism, histogram: Histogram) {
-        self.histograms.insert(name.to_string(), (class, histogram));
     }
 
     /// Record a sample into a histogram created on first touch by
@@ -249,31 +235,6 @@ impl MetricsRegistry {
     /// A histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name).map(|(_, h)| h)
-    }
-
-    /// The registry restricted to its deterministic entries — the
-    /// projection determinism suites compare across thread/rank counts.
-    pub fn deterministic_only(&self) -> Self {
-        Self {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(_, (c, _))| *c == Determinism::Deterministic)
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|(_, (c, _))| *c == Determinism::Deterministic)
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(_, (c, _))| *c == Determinism::Deterministic)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
     }
 
     /// Serialise in the Prometheus text exposition format (version
@@ -394,16 +355,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Convenience: serialise a `[(label, value)]` breakdown as a JSON
-/// object in the given order.
-pub fn breakdown_json(entries: &[(&str, f64)]) -> String {
-    let mut obj = JsonObject::new();
-    for (label, value) in entries {
-        obj = obj.field_raw(label, &json::number(*value));
-    }
-    obj.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,14 +398,14 @@ mod tests {
 
     #[test]
     fn overflow_samples_land_in_the_implicit_bucket() {
-        let mut h = Histogram::linear(1.0, 2);
+        let mut h = Histogram::with_bounds(&[1.0, 2.0]);
         h.record(10.0);
         assert_eq!(h.bucket_counts(), &[0, 0, 1]);
         assert_eq!(h.quantile(0.5), Some(10.0));
     }
 
     #[test]
-    fn registry_tags_and_projects_classes() {
+    fn registry_tags_the_classes() {
         let mut r = MetricsRegistry::new();
         r.counter_add("sweeps", Determinism::Deterministic, 3);
         r.counter_add("sweeps", Determinism::Deterministic, 2);
@@ -468,11 +419,6 @@ mod tests {
         assert_eq!(r.counter("sweeps"), Some(5));
         assert_eq!(r.gauge("seconds"), Some(1.25));
         assert_eq!(r.histogram("latency").unwrap().count(), 1);
-
-        let det = r.deterministic_only();
-        assert_eq!(det.counter("sweeps"), Some(5));
-        assert_eq!(det.gauge("seconds"), None);
-        assert!(det.histogram("latency").is_none());
     }
 
     #[test]
@@ -492,11 +438,10 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.counter_add("phase_starts.sweep", Determinism::Deterministic, 7);
         r.gauge_set("serve_jobs_queued", Determinism::Deterministic, 2.0);
-        let mut h = Histogram::with_bounds(&[1.0, 2.0]);
         for v in [0.5, 1.5, 1.5, 5.0] {
-            h.record(v);
+            let bounds = || Histogram::with_bounds(&[1.0, 2.0]);
+            r.histogram_record("queue_wait_seconds", Determinism::WallClock, bounds, v);
         }
-        r.histogram_insert("queue_wait_seconds", Determinism::WallClock, h);
 
         let text = r.to_prometheus();
         // Dotted names are sanitised, classes ride as labels.
@@ -518,13 +463,5 @@ mod tests {
                 "malformed exposition line: {line}"
             );
         }
-    }
-
-    #[test]
-    fn breakdown_serialises_in_order() {
-        assert_eq!(
-            breakdown_json(&[("sweep", 1.5), ("krylov", 0.25)]),
-            r#"{"sweep":1.5,"krylov":0.25}"#
-        );
     }
 }

@@ -159,11 +159,6 @@ impl TraceTree {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
-    /// The deepest nesting level in the tree (0 for an empty tree).
-    pub fn max_depth(&self) -> usize {
-        self.spans.iter().map(|s| s.depth).max().unwrap_or(0)
-    }
-
     /// Zero every wall-clock timestamp, leaving only the deterministic
     /// structure — the trace analogue of
     /// [`zero_wallclock`](crate::metrics) on metric snapshots.
@@ -444,7 +439,6 @@ mod tests {
         assert_eq!(tree.spans[2].parent, Some(0));
         assert_eq!(tree.spans[0].depth, 0);
         assert_eq!(tree.spans[1].depth, 1);
-        assert_eq!(tree.max_depth(), 1);
         assert_eq!(tree.count_named("sweep"), 1);
         assert_eq!(tree.span(2).unwrap().name, "krylov");
         assert!(tree.span(7).is_none());

@@ -53,6 +53,7 @@ use unsnap_core::error::{Error, Result};
 use unsnap_core::metrics::JsonlObserver;
 use unsnap_core::problem::Problem;
 use unsnap_core::session::{Session, TeeObserver};
+use unsnap_core::solver::SolveOutcome;
 use unsnap_obs::json::JsonObject;
 use unsnap_obs::jsonl::JsonlWriter;
 use unsnap_obs::metrics::{Determinism, Histogram, MetricsRegistry};
@@ -152,6 +153,50 @@ struct JobEntry {
     /// When the job entered the queue — the anchor of the queue-wait
     /// and time-to-first-event latency histograms.
     submitted_at: Instant,
+}
+
+impl JobEntry {
+    /// A job with nothing attached yet: no outcome, trace or error, a
+    /// fresh cancel token and event stream, no run log to resume.
+    fn new(problem: Problem, hash: u64, state: JobState) -> Self {
+        Self {
+            problem,
+            state,
+            cached: false,
+            hash,
+            outcome_json: None,
+            trace_json: None,
+            error: None,
+            cancel: CancelToken::new(),
+            events: LineChannel::new(),
+            resume_log: None,
+            submitted_at: Instant::now(),
+        }
+    }
+
+    /// Cancel a job that never left the FIFO, closing its stream.
+    fn cancel_queued(&mut self, reason: &str) {
+        self.state = JobState::Cancelled;
+        self.error = Some(reason.to_string());
+        close_with_job_done(&self.events, JobState::Cancelled, false, None);
+    }
+}
+
+/// Close a job's event stream with its final `job_done` line: the
+/// terminal status, then `"cached":true` for a cache hit or the error of
+/// a solve that failed or was cancelled.
+fn close_with_job_done(events: &LineChannel, status: JobState, cached: bool, error: Option<&str>) {
+    let mut line = JsonObject::new()
+        .field_str("event", "job_done")
+        .field_str("status", status.label());
+    if cached {
+        line = line.field_bool("cached", true);
+    }
+    if let Some(error) = error {
+        line = line.field_str("error", error);
+    }
+    events.push(line.finish());
+    events.close();
 }
 
 /// Durability settings shared by the workers.
@@ -266,17 +311,8 @@ impl JobQueue {
                 state.jobs.insert(
                     id,
                     JobEntry {
-                        problem,
-                        state: JobState::Resumable,
-                        cached: false,
-                        hash,
-                        outcome_json: None,
-                        trace_json: None,
-                        error: None,
-                        cancel: CancelToken::new(),
-                        events: LineChannel::new(),
                         resume_log: Some(path),
-                        submitted_at: Instant::now(),
+                        ..JobEntry::new(problem, hash, JobState::Resumable)
                     },
                 );
             }
@@ -320,31 +356,13 @@ impl JobQueue {
         if let Some(outcome_json) = cached_json {
             let id = state.next_id;
             state.next_id += 1;
-            let events = LineChannel::new();
-            events.push(
-                JsonObject::new()
-                    .field_str("event", "job_done")
-                    .field_str("status", JobState::Done.label())
-                    .field_bool("cached", true)
-                    .finish(),
-            );
-            events.close();
-            state.jobs.insert(
-                id,
-                JobEntry {
-                    problem,
-                    state: JobState::Done,
-                    cached: true,
-                    hash,
-                    outcome_json: Some(outcome_json),
-                    trace_json: None,
-                    error: None,
-                    cancel: CancelToken::new(),
-                    events,
-                    resume_log: None,
-                    submitted_at: Instant::now(),
-                },
-            );
+            let entry = JobEntry {
+                cached: true,
+                outcome_json: Some(outcome_json),
+                ..JobEntry::new(problem, hash, JobState::Done)
+            };
+            close_with_job_done(&entry.events, JobState::Done, true, None);
+            state.jobs.insert(id, entry);
             drop(state);
             self.shared.count("serve_cache_hits");
             self.shared.count("serve_jobs_submitted");
@@ -369,22 +387,9 @@ impl JobQueue {
 
         let id = state.next_id;
         state.next_id += 1;
-        state.jobs.insert(
-            id,
-            JobEntry {
-                problem,
-                state: JobState::Queued,
-                cached: false,
-                hash,
-                outcome_json: None,
-                trace_json: None,
-                error: None,
-                cancel: CancelToken::new(),
-                events: LineChannel::new(),
-                resume_log: None,
-                submitted_at: Instant::now(),
-            },
-        );
+        state
+            .jobs
+            .insert(id, JobEntry::new(problem, hash, JobState::Queued));
         state.pending.push_back(id);
         drop(state);
         self.shared.count("serve_cache_misses");
@@ -471,15 +476,7 @@ impl JobQueue {
         let entry = state.jobs.get_mut(&id)?;
         match entry.state {
             JobState::Queued => {
-                entry.state = JobState::Cancelled;
-                entry.error = Some("cancelled while queued".to_string());
-                entry.events.push(
-                    JsonObject::new()
-                        .field_str("event", "job_done")
-                        .field_str("status", JobState::Cancelled.label())
-                        .finish(),
-                );
-                entry.events.close();
+                entry.cancel_queued("cancelled while queued");
                 state.pending.retain(|queued| *queued != id);
                 drop(state);
                 self.shared.count("serve_jobs_cancelled");
@@ -538,17 +535,7 @@ impl JobQueue {
             for entry in state.jobs.values_mut() {
                 match entry.state {
                     JobState::Running => entry.cancel.cancel(),
-                    JobState::Queued => {
-                        entry.state = JobState::Cancelled;
-                        entry.error = Some("cancelled by queue shutdown".to_string());
-                        entry.events.push(
-                            JsonObject::new()
-                                .field_str("event", "job_done")
-                                .field_str("status", JobState::Cancelled.label())
-                                .finish(),
-                        );
-                        entry.events.close();
-                    }
+                    JobState::Queued => entry.cancel_queued("cancelled by queue shutdown"),
                     _ => {}
                 }
             }
@@ -638,8 +625,9 @@ impl<W: Write> Write for FirstEventProbe<'_, W> {
 /// run deletes its log (nothing left to resume), any other exit keeps
 /// it for the next restart.
 ///
-/// Returns the outcome JSON alongside the solve's span tree rendered
-/// as Chrome `trace_event` JSON (`GET /v1/jobs/{id}/trace`).
+/// Returns the outcome JSON, the solve's span tree rendered as Chrome
+/// `trace_event` JSON (`GET /v1/jobs/{id}/trace`) and the outcome's
+/// sweep count.
 fn run_job(
     shared: &QueueShared,
     problem: &Problem,
@@ -648,7 +636,7 @@ fn run_job(
     id: u64,
     resume_log: Option<&Path>,
     submitted_at: Instant,
-) -> Result<(String, String)> {
+) -> Result<(String, String, u64)> {
     let mut jsonl = JsonlObserver::new(JsonlWriter::new(FirstEventProbe {
         inner: events.writer(),
         shared,
@@ -661,7 +649,7 @@ fn run_job(
         let outcome = session.run_observed(&mut jsonl)?;
         // Dropping the observer flushes its writer into the channel.
         drop(jsonl);
-        return Ok((outcome.to_json(), outcome.trace.to_chrome_json()));
+        return Ok(finished(&outcome));
     };
 
     let path = settings.job_path(id);
@@ -690,7 +678,16 @@ fn run_job(
     // The run finished: its log records a completed run and can never
     // be resumed, so reclaim the disk space.
     let _ = std::fs::remove_file(resume_log.unwrap_or(&path));
-    Ok((outcome.to_json(), outcome.trace.to_chrome_json()))
+    Ok(finished(&outcome))
+}
+
+/// What [`run_job`] hands back for a finished solve.
+fn finished(outcome: &SolveOutcome) -> (String, String, u64) {
+    (
+        outcome.to_json(),
+        outcome.trace.to_chrome_json(),
+        outcome.sweep_count as u64,
+    )
 }
 
 fn worker_loop(shared: &QueueShared) {
@@ -739,11 +736,8 @@ fn worker_loop(shared: &QueueShared) {
             Err(_) => (JobState::Failed, "serve_jobs_failed"),
         };
         entry.state = final_state;
-        let mut done_line = JsonObject::new()
-            .field_str("event", "job_done")
-            .field_str("status", final_state.label());
-        match result {
-            Ok((outcome_json, trace_json)) => {
+        let sweeps = match result {
+            Ok((outcome_json, trace_json, sweeps)) => {
                 entry.outcome_json = Some(outcome_json.clone());
                 entry.trace_json = Some(trace_json);
                 shared
@@ -751,21 +745,21 @@ fn worker_loop(shared: &QueueShared) {
                     .lock()
                     .unwrap()
                     .insert(entry.hash, outcome_json);
+                close_with_job_done(&events, final_state, false, None);
+                Some(sweeps)
             }
             Err(error) => {
                 let message = error.to_string();
-                done_line = done_line.field_str("error", &message);
+                close_with_job_done(&events, final_state, false, Some(&message));
                 entry.error = Some(message);
+                None
             }
-        }
-        events.push(done_line.finish());
-        events.close();
+        };
         drop(state);
         shared.count(counter);
-        if final_state == JobState::Done {
+        if let Some(sweeps) = sweeps {
             // Deterministic work volume: lets a caller assert a cached
             // replay did *no* additional transport work.
-            let sweeps = sweeps_of(shared, id);
             shared.metrics.lock().unwrap().counter_add(
                 "serve_sweeps_total",
                 Determinism::Deterministic,
@@ -773,21 +767,6 @@ fn worker_loop(shared: &QueueShared) {
             );
         }
     }
-}
-
-/// The sweep count recorded in a finished job's outcome JSON.
-fn sweeps_of(shared: &QueueShared, id: u64) -> u64 {
-    let state = shared.state.lock().unwrap();
-    let Some(entry) = state.jobs.get(&id) else {
-        return 0;
-    };
-    let Some(json) = &entry.outcome_json else {
-        return 0;
-    };
-    unsnap_obs::reader::parse(json)
-        .ok()
-        .and_then(|value| value.get("sweep_count")?.as_u64())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -90,11 +90,6 @@ impl DependencyGraph {
         self.upwind_count.len()
     }
 
-    /// Total number of local dependency edges.
-    pub fn num_edges(&self) -> usize {
-        self.downwind.iter().map(|d| d.len()).sum()
-    }
-
     /// Cells with no local upwind dependency (the seeds of the sweep).
     pub fn seed_cells(&self) -> Vec<usize> {
         self.upwind_count
@@ -144,10 +139,11 @@ mod tests {
         // Every interior face is an inflow face of exactly one of its two
         // cells, so edges = interior faces / 2.
         let stats = m.connectivity_stats();
-        assert_eq!(g.num_edges(), stats.interior_faces / 2);
+        let edges: usize = g.downwind.iter().map(|d| d.len()).sum();
+        assert_eq!(edges, stats.interior_faces / 2);
         // upwind_count totals must equal the edge count.
         let total: usize = g.upwind_count.iter().sum();
-        assert_eq!(total, g.num_edges());
+        assert_eq!(total, edges);
     }
 
     #[test]
@@ -193,7 +189,7 @@ mod tests {
     fn single_cell_graph_has_no_edges() {
         let m = UnstructuredMesh::from_structured(&StructuredGrid::cube(1, 1.0), 0.0);
         let g = DependencyGraph::build(&m, [0.57, 0.57, 0.59]);
-        assert_eq!(g.num_edges(), 0);
+        assert!(g.downwind.iter().all(|d| d.is_empty()));
         assert_eq!(g.seed_cells(), vec![0]);
         assert_eq!(g.inflow_faces[0].len(), 3);
     }

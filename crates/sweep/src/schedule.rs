@@ -165,11 +165,6 @@ impl SweepSchedule {
         self.buckets.iter().map(|b| b.len()).sum()
     }
 
-    /// Iterate over the cells in sweep order (bucket by bucket).
-    pub fn cells_in_order(&self) -> impl Iterator<Item = usize> + '_ {
-        self.buckets.iter().flat_map(|b| b.iter().copied())
-    }
-
     /// Schedule statistics.
     pub fn stats(&self) -> ScheduleStats {
         let num_cells = self.num_cells_scheduled();

@@ -5,8 +5,9 @@
 //! hexahedral meshes (Deakin et al., *WRAp @ IEEE CLUSTER 2018*).
 //!
 //! This umbrella crate re-exports the public API of every workspace crate
-//! and hosts the runnable examples (`examples/`) and the workspace-wide
-//! integration tests (`tests/`).
+//! and hosts the `quickstart` example (`examples/`) and the workspace-wide
+//! integration tests (`tests/`); the paper's experiments run from the
+//! `reproduce` binary of `unsnap-bench`.
 //!
 //! ## Crate map
 //!
@@ -19,7 +20,7 @@
 //! | [`accel`] (`unsnap-accel`) | diffusion synthetic acceleration: mesh-consistent low-order diffusion operator + CG correction solver |
 //! | [`sweep`] (`unsnap-sweep`) | per-angle wavefront (tlevel-bucket) schedules and concurrency schemes |
 //! | [`obs`] (`unsnap-obs`) | dependency-free observability: `Clock`/`MockClock`, metrics registry with deterministic/wall-clock split, fixed-bucket histograms, JSON writer/reader, JSONL run logs |
-//! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, iteration strategies, FD baseline |
+//! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, the three inner-iteration strategies (`StrategyKind::run_inners`) |
 //! | [`comm`] (`unsnap-comm`) | simulated ranks, block-Jacobi coupling over a shared halo buffer, the halo wire message, `CommError` |
 //! | [`runlog`] (`unsnap-runlog`) | durable runs: append-only write-ahead run log with checksummed checkpoint frames, torn-tail recovery, bit-for-bit resume for both solver paths, crash fault injection |
 //! | [`serve`] (`unsnap-serve`) | solver-as-a-service: hand-rolled HTTP/1.1 front-end, bounded job queue with cooperative cancellation, live JSONL event streaming, content-addressed LRU result cache, checkpointed jobs resumable across server restarts |
@@ -87,7 +88,6 @@ pub mod prelude {
     pub use unsnap_core::data::{CrossSections, MaterialOption, SourceOption};
     pub use unsnap_core::dsa::DsaAccelerator;
     pub use unsnap_core::error::{Error, Result};
-    pub use unsnap_core::fd::DiamondDifferenceSolver;
     pub use unsnap_core::kernel::{KernelEngine, KernelKind};
     pub use unsnap_core::layout::{FluxLayout, FluxStorage, Precision};
     pub use unsnap_core::metrics::{JsonlObserver, MetricsObserver, RunMetrics};
@@ -101,9 +101,7 @@ pub mod prelude {
         CheckpointSink, CheckpointView, RankDetail, ResumePoint, RunStats, SolveOutcome,
         TransportSolver,
     };
-    pub use unsnap_core::strategy::{
-        AcceleratorKind, InnerSolveContext, IterationStrategy, StrategyKind,
-    };
+    pub use unsnap_core::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
     pub use unsnap_fem::{ElementIntegrals, HexVertices, ReferenceElement};
     pub use unsnap_krylov::{
         CgConfig, CgWorkspace, ConjugateGradient, Gmres, GmresConfig, LinearOperator,

@@ -128,3 +128,65 @@ fn reproduction_matrix_names_every_experiment() {
         "README reproduction matrix rows vs the experiment table"
     );
 }
+
+/// What follows each `marker` on `line`, up to the closing backtick of
+/// its code span.
+fn command_arguments<'a>(line: &'a str, marker: &str) -> Vec<&'a str> {
+    line.split(marker)
+        .skip(1)
+        .map(|rest| rest.split('`').next().unwrap_or(""))
+        .collect()
+}
+
+#[test]
+fn every_example_command_names_an_example() {
+    // A command a reader copies from the docs must run: every
+    // `--example NAME` names a file under `examples/`, and every
+    // `--bin reproduce -- NAME...` names only experiments of the table
+    // `reproduce` prints.  A command continued over `\`-ended lines is
+    // read as one line.
+    let root = repo_root();
+    let mut files = vec![
+        root.join("README.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    files.extend(
+        documented_files()
+            .into_iter()
+            .filter(|f| f.starts_with(root.join("docs"))),
+    );
+    let experiments: Vec<&str> = unsnap_bench::EXPERIMENTS.iter().map(|e| e.name).collect();
+    let mut broken = Vec::new();
+    let mut checked = 0;
+    for file in files {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()))
+            .replace("\\\n", " ");
+        let shown = file.strip_prefix(&root).unwrap_or(&file).display();
+        for line in text.lines() {
+            for rest in command_arguments(line, "--example ") {
+                let name = rest.split_whitespace().next().unwrap_or("");
+                checked += 1;
+                if !root.join("examples").join(format!("{name}.rs")).is_file() {
+                    broken.push(format!("{shown}: --example {name}"));
+                }
+            }
+            for rest in command_arguments(line, "--bin reproduce -- ") {
+                let names: Vec<&str> = rest
+                    .split_whitespace()
+                    .take_while(|word| !word.starts_with('-') && !word.starts_with('#'))
+                    .collect();
+                checked += 1;
+                if names.is_empty() || names.iter().any(|name| !experiments.contains(name)) {
+                    broken.push(format!("{shown}: --bin reproduce -- {rest}"));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no example or reproduce command found");
+    assert!(
+        broken.is_empty(),
+        "commands naming no example or experiment:\n{}",
+        broken.join("\n")
+    );
+}

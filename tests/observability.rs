@@ -137,7 +137,8 @@ fn a_sweep_reports_its_buckets_once_not_one_event_each() {
     // the metrics, through the six `Sweep` events that measured a sweep.
     assert_eq!(outcome.sweep_count, 6);
     assert_eq!(outcome.metrics.sweep_buckets, 1248);
-    assert_eq!(outcome.metrics.bucket_tasks, outcome.metrics.cells_swept);
+    let per_sweep_tasks = problem.num_cells() as u64 * 4 * 16;
+    assert_eq!(outcome.metrics.cells_swept, 6 * per_sweep_tasks);
     let per_sweep: Vec<usize> = log
         .events
         .iter()
