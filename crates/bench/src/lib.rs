@@ -444,6 +444,34 @@ fn record_json(experiment: &Experiment, columns: &[&'static str], row: &Row) -> 
         .finish()
 }
 
+/// The vector ISA this build targets: the x86-64 micro-architecture level
+/// its enabled features reach (`.cargo/config.toml` sets v3), or the
+/// architecture's name elsewhere.  Written into every document so a record
+/// says which vector width timed it; [`compare`] never reads it.
+fn target_cpu() -> &'static str {
+    if !cfg!(target_arch = "x86_64") {
+        std::env::consts::ARCH
+    } else if cfg!(all(
+        target_feature = "avx512f",
+        target_feature = "avx512bw",
+        target_feature = "avx512cd",
+        target_feature = "avx512dq",
+        target_feature = "avx512vl"
+    )) {
+        "x86-64-v4"
+    } else if cfg!(all(
+        target_feature = "avx2",
+        target_feature = "fma",
+        target_feature = "bmi2"
+    )) {
+        "x86-64-v3"
+    } else if cfg!(all(target_feature = "sse4.2", target_feature = "popcnt")) {
+        "x86-64-v2"
+    } else {
+        "x86-64"
+    }
+}
+
 /// The schema-versioned document of a run: what `--json` prints, `--out`
 /// writes and `--compare` reads.  One record per report row, one per
 /// line so a committed document diffs readably.
@@ -459,6 +487,7 @@ pub fn document(reports: &[(&Experiment, Report)]) -> String {
         .collect();
     let doc = JsonObject::new()
         .field_str("schema", SCHEMA)
+        .field_str("target_cpu", target_cpu())
         .field_raw(
             "experiments",
             &array_raw(reports.iter().map(|(e, _)| format!("\"{}\"", e.name))),

@@ -250,6 +250,27 @@ fn compare_refuses_documents_it_cannot_key() {
 }
 
 #[test]
+fn a_document_without_target_cpu_still_compares() {
+    // `target_cpu` is informational: a record written before the field
+    // existed, or at another vector width, compares the same.
+    let text = document(&smoke(&["table1"]));
+    let with = reader::parse(&text).unwrap();
+    let cpu = with.get("target_cpu").unwrap().as_str().unwrap();
+    assert_eq!(cpu, target_cpu());
+    let field = format!("\"target_cpu\":\"{cpu}\",");
+    assert!(text.contains(&field), "{text}");
+    let without = reader::parse(&text.replacen(&field, "", 1)).unwrap();
+    assert!(without.get("target_cpu").is_none());
+    let other = reader::parse(&text.replacen(&field, "\"target_cpu\":\"x86-64\",", 1)).unwrap();
+    for (base, current) in [(&without, &with), (&with, &without), (&other, &with)] {
+        let outcome = compare(base, current).unwrap();
+        assert_eq!(outcome.failures, Vec::<String>::new());
+        assert!(outcome.warnings.is_empty(), "{:?}", outcome.warnings);
+        assert!(outcome.compared > 0);
+    }
+}
+
+#[test]
 fn a_perturbed_counter_in_a_real_document_exits_1() {
     let text = document(&smoke(&["threading"]));
     let base = reader::parse(&text).unwrap();

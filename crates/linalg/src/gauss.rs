@@ -5,7 +5,8 @@
 //! pivoting followed by back substitution, with the elimination update
 //! written as a tight loop over the contiguous tail of each row so the
 //! compiler can auto-vectorise it (the original used OpenMP `simd`
-//! constructs for the same effect).
+//! constructs for the same effect; on x86_64 the workspace builds for
+//! x86-64-v3, so those loops run four f64 per AVX2 register).
 //!
 //! At the sizes the sweep runs (n = 8, 27, 64) the elimination takes two
 //! pivot steps per pass over the trailing rows, and searches each pivot
@@ -425,10 +426,17 @@ impl LinearSolver for GaussSolver {
         self.eliminate(a, b)
     }
 
-    /// Order-1 elements (8 nodes) only: at n = 27 and 64 lockstep gains
-    /// under 1.3× per system, and one run of four groups in forty pivots
-    /// differently across its groups on real matrices (none does at
-    /// n = 8).  16 and 4 are the group counts the measured workloads run;
+    /// Order-1 elements (8 nodes) only: at n = 27 and 64 lockstep does
+    /// not pay, and one run of four groups in forty pivots differently
+    /// across its groups on real matrices (none does at n = 8).  On an
+    /// SSE2 build, against the one-step elimination this module had
+    /// before `eliminate_fixed` took two pivot steps per pass, lanes
+    /// gained under 1.3× per system there.  Against the two-step routine
+    /// on the x86-64-v3 build they lose: 0.73–0.90× at n = 27 and
+    /// 0.45–0.48× at n = 64, whose 4-lane matrix (128 KiB) spills the
+    /// L1d a single 32 KiB system fits in; at n = 8 they gain 1.8–2.3×
+    /// (cache-hot, 4 and 16 lanes, a 2-vCPU Xeon guest with a 48 KiB
+    /// L1d).  16 and 4 are the group counts the measured workloads run;
     /// nothing measured runs 8, so there is no third instantiation.
     fn lane_widths(&self, n: usize) -> &'static [usize] {
         match n {
