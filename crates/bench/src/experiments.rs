@@ -1,10 +1,9 @@
-//! The eight experiments behind the table in `lib.rs`.  Each builds its
+//! The seven experiments behind the table in `lib.rs`.  Each builds its
 //! problems at the size `--quick`/`--full` selects, runs them through the
 //! one [`solve`] at every width `--threads` names, and hands back rows;
 //! nothing here prints.
 
 use unsnap_comm::BlockJacobiSolver;
-use unsnap_core::layout::Precision;
 use unsnap_core::problem::Problem;
 use unsnap_core::report;
 use unsnap_core::session::{NoopObserver, ProgressObserver, RunObserver};
@@ -367,90 +366,5 @@ pub(crate) fn jacobi(opts: &HarnessOptions) -> Report {
                sweep per rank; with GMRES each rank converges its subdomain per exchange - \
                fewer halo iterations for more sweeps each, a trade that improves as \
                scattering dominates.",
-    }
-}
-
-/// Documented accuracy contract of the mixed-precision mode: the relative
-/// difference of the converged scalar-flux total against the `f64` solve
-/// stays below this bound (single precision resolves ~7 digits).
-const MIXED_FLUX_TOLERANCE: f64 = 1e-5;
-
-/// Documented iteration contract of the mixed-precision mode: rounding
-/// iterates to the `f32` grid may slow the tail of convergence but must
-/// not change its character.
-fn mixed_sweep_budget(f64_sweeps: usize) -> usize {
-    2 * f64_sweeps + 4
-}
-
-pub(crate) fn precision(opts: &HarnessOptions) -> Report {
-    // At c = 0.9 source iteration needs ~110 sweeps for 1e-5, a tolerance
-    // well above f32 resolution so the mixed mode converges rather than
-    // oscillating on the rounding grid; it may take double the budget.
-    let (mesh, budget) = match opts.size {
-        Size::Quick => (3, 600),
-        Size::Scaled | Size::Full => (6, 1200),
-    };
-    let mut rows = Vec::new();
-    for strategy in [
-        StrategyKind::SourceIteration,
-        StrategyKind::DsaSourceIteration,
-    ] {
-        for t in opts.widths(&[1]) {
-            let mut reference: Option<(usize, f64)> = None;
-            for precision in [Precision::F64, Precision::Mixed] {
-                let problem = Problem {
-                    lx: 12.0,
-                    ly: 12.0,
-                    lz: 12.0,
-                    convergence_tolerance: 1e-5,
-                    inner_iterations: budget,
-                    outer_iterations: 1,
-                    ..Problem::quickstart()
-                }
-                .with_mesh(mesh)
-                .with_phase_space(2, 2)
-                .with_scattering_ratio(0.9)
-                .with_strategy(strategy)
-                .with_precision(precision)
-                .with_threads(t);
-                let outcome = solve(opts, &problem, None);
-                assert!(outcome.converged, "{strategy}/{precision}: must converge");
-                let (f64_sweeps, f64_flux) =
-                    *reference.get_or_insert((outcome.sweep_count, outcome.scalar_flux_total));
-                let drift = rel_diff(f64_flux, outcome.scalar_flux_total);
-                assert!(
-                    drift <= MIXED_FLUX_TOLERANCE,
-                    "{strategy}/{precision}: flux drift {drift:.3e} exceeds {MIXED_FLUX_TOLERANCE:.0e}"
-                );
-                assert!(
-                    outcome.sweep_count <= mixed_sweep_budget(f64_sweeps),
-                    "{strategy}/{precision}: {} sweeps exceeds the budget of {}",
-                    outcome.sweep_count,
-                    mixed_sweep_budget(f64_sweeps)
-                );
-                let cells = vec![
-                    Cell::Int(outcome.sweep_count as u64),
-                    Cell::Real(outcome.assemble_solve_seconds),
-                    Cell::Real(drift),
-                ];
-                rows.push(row(
-                    precision.label().to_string(),
-                    &problem,
-                    &outcome,
-                    cells,
-                ));
-            }
-        }
-    }
-    Report {
-        setup: format!(
-            "problem: {mesh}x{mesh}x{mesh} cells 12 mfp thick, 2 angles/octant, 2 groups, \
-             c = 0.9, tolerance 1e-5"
-        ),
-        columns: vec!["sweeps", "seconds", "flux_rel_diff_vs_f64"],
-        rows,
-        note: "Contracts held (a violation panics): every solve converged, the mixed flux \
-               total is within 1e-5 of the f64 one, and mixed needed at most 2x + 4 of the \
-               f64 sweeps.",
     }
 }

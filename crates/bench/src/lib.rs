@@ -56,7 +56,7 @@ pub struct Experiment {
 }
 
 /// Every experiment `reproduce` can run, in the order the table prints.
-pub const EXPERIMENTS: [Experiment; 8] = [
+pub const EXPERIMENTS: [Experiment; 7] = [
     Experiment {
         name: "table1",
         paper: "Table I",
@@ -100,12 +100,6 @@ pub const EXPERIMENTS: [Experiment; 8] = [
         paper: "§III-A.1",
         about: "block-Jacobi schedule: iteration strategy × rank count",
         run: experiments::jacobi,
-    },
-    Experiment {
-        name: "precision",
-        paper: "extension",
-        about: "f64 vs mixed-precision local solves per strategy, with the accuracy contract",
-        run: experiments::precision,
     },
 ];
 

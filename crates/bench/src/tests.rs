@@ -116,7 +116,7 @@ fn every_experiment_renders_through_the_shared_renderer() {
     // `--json` prints and `--out` writes this one document.
     let doc = reader::parse(&document(&reports)).unwrap();
     assert_eq!(doc.get("schema").unwrap().as_str(), Some(SCHEMA));
-    assert_eq!(doc.get("experiments").unwrap().as_array().unwrap().len(), 8);
+    assert_eq!(doc.get("experiments").unwrap().as_array().unwrap().len(), 7);
     let records = doc.get("records").unwrap().as_array().unwrap();
     assert_eq!(records.len(), rows_total);
     let mut rows = reports

@@ -35,8 +35,7 @@
 //! With a single rank the schedule degenerates to the full sweep and the
 //! solver reproduces `unsnap_core::TransportSolver`; with more ranks the
 //! converged answer is the same but the convergence *rate* degrades —
-//! the trade-off the `ablation_jacobi_ranks` and `ablation_jacobi_krylov`
-//! benchmarks measure.
+//! the trade-off `reproduce jacobi` (`unsnap-bench`) measures.
 //!
 //! # Observer streaming
 //!
@@ -304,34 +303,12 @@ impl OuterDriver for BlockJacobiSolver {
             stats.inner_iterations += 1;
             let phi_old: Vec<f64> = self.phi.as_slice().to_vec();
 
-            // Halo "exchange": the last merge left the previous iterate
-            // in `self.halo` and nothing writes it until this iteration's
-            // ranks are done, so the span brackets only the announcement:
-            // a driver-lane event (never inside a rank's log) carrying
-            // the cut-face count and the bytes the exchange publishes.
-            let phase = Phase::HaloExchange;
-            observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
-            let halo_t0 = self.assets.clock.now();
-            let seconds = self
-                .assets
-                .clock
-                .now()
-                .saturating_sub(halo_t0)
-                .as_secs_f64();
-            observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
-            let exchange = SolveEvent::HaloExchange {
-                iteration: halo_iteration,
-                faces: self.total_halo_faces(),
-                bytes: std::mem::size_of_val(self.halo.as_slice()) as u64,
-            };
-            observer.on_event(Lane::Driver, &exchange);
-
             let t0 = Instant::now();
             // Every rank runs its strategy-dispatched inner solve
             // concurrently on the worker pool.  Nothing a rank reads
             // is written by another rank within the same iteration:
             // own cells come from the rank's own domain, remote cells
-            // from `halo`, rewritten only by the merge below.
+            // from `halo`, rewritten only by the exchange below.
             // Results and event logs come back in rank order (the pool
             // reassembles in input order), so the outcome and the
             // observer stream are independent of the interleaving.
@@ -360,13 +337,37 @@ impl OuterDriver for BlockJacobiSolver {
             // global arrays or the observer.
             let solves = solves?;
 
-            // Merge the rank φ into the global array, publish the traces
-            // each rank exports and replay the buffered event streams,
-            // all in rank order.
+            // The halo exchange: every rank publishes the traces it
+            // exports, in rank order, for the next iteration to read.  The
+            // observer has heard nothing since the ranks started, so its
+            // driver-lane span — the publish time — and the event carrying
+            // the cut-face count and the bytes published still come before
+            // any rank's events.
+            let phase = Phase::HaloExchange;
+            observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
+            let halo_t0 = self.assets.clock.now();
+            for domain in &self.domains {
+                domain.publish(&mut self.halo);
+            }
+            let seconds = self
+                .assets
+                .clock
+                .now()
+                .saturating_sub(halo_t0)
+                .as_secs_f64();
+            observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
+            let exchange = SolveEvent::HaloExchange {
+                iteration: halo_iteration,
+                faces: self.total_halo_faces(),
+                bytes: std::mem::size_of_val(self.halo.as_slice()) as u64,
+            };
+            observer.on_event(Lane::Driver, &exchange);
+
+            // Merge the rank φ into the global array and replay the
+            // buffered event streams, both in rank order.
             self.phi.fill(0.0);
             for (rank, (log, rank_converged)) in solves.into_iter().enumerate() {
                 self.domains[rank].scatter_into(&mut self.phi);
-                self.domains[rank].publish(&mut self.halo);
                 let start = SolveEvent::OuterStart {
                     outer: halo_iteration,
                 };

@@ -21,8 +21,8 @@
 //!   wavefront schedules, and reads cross-rank upwind data from the
 //!   previous iteration (the algorithmic content of the halo exchange; the
 //!   physical message passing is replaced by each rank publishing the
-//!   cells on its cuts into a shared halo buffer, which holds exactly
-//!   what arrives in the halo of a real run).  Each
+//!   face traces its neighbours read into a shared halo buffer, which
+//!   holds exactly what arrives in the halo of a real run).  Each
 //!   rank's within-group solve dispatches through the single-domain
 //!   [`StrategyKind::run_inners`](unsnap_core::strategy::StrategyKind::run_inners)
 //!   via a per-rank

@@ -7,7 +7,7 @@
 //!
 //! * [`SharedAssets`] — everything a solve reads and never writes (mesh,
 //!   element, integrals, quadrature, cross sections, dense back end,
-//!   kernel engine, clock), built by one routine for every driver;
+//!   clock), built by one routine for every driver;
 //! * [`SweepDomain`] — the cells one domain owns, its per-angle masked
 //!   wavefront schedules, its φ/source buffers over *local* cells, the
 //!   pool of slabs its sweeps hold ψ in — one angle each, a few at a time —
@@ -68,7 +68,7 @@ use crate::data::{CrossSections, ProblemData};
 use crate::dsa::DsaAccelerator;
 use crate::error::{Error, Result};
 use crate::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
-use crate::layout::{FluxLayout, FluxStorage, Precision};
+use crate::layout::{FluxLayout, FluxStorage};
 use crate::problem::Problem;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 use crate::solver::RunStats;
@@ -113,9 +113,6 @@ pub struct SharedAssets {
     pub data: ProblemData,
     /// Dense solver back end.
     pub solver: Box<dyn LinearSolver>,
-    /// Per-cell assemble+solve engine (kernel implementation ×
-    /// precision); its cache key is the *global* cell id.
-    pub engine: KernelEngine,
     /// Time source for phase spans and per-sweep latency.  Swappable, so
     /// tests inject a mock; deterministic metrics never read it.
     pub clock: Box<dyn Clock>,
@@ -175,7 +172,6 @@ impl SharedAssets {
             quadrature,
             data,
             solver: problem.solver.build(),
-            engine: KernelEngine::new(problem.kernel, problem.precision),
             clock: Box::new(SystemClock::new()),
         }
     }
@@ -682,14 +678,14 @@ struct SweepView<'a> {
 }
 
 /// The group-run lengths the sweeps of `assets` solve in lockstep: what the
-/// kernel offers for this element size, dense solver and precision, where
-/// an element's groups are consecutive in the loop nest and in storage —
-/// and nobody asked for a timing of each group's task.
+/// dense solver offers for this element size, where an element's groups are
+/// consecutive in the loop nest and in storage — and nobody asked for a
+/// timing of each group's task.
 fn lockstep_widths(assets: &SharedAssets) -> &'static [usize] {
     let problem = &assets.problem;
     if problem.scheme.loop_order == LoopOrder::ElementThenGroup && !problem.time_solve {
         let nodes = assets.element.nodes_per_element();
-        assets.engine.lane_widths(nodes, assets.solver.as_ref())
+        assets.solver.lane_widths(nodes)
     } else {
         &[]
     }
@@ -789,7 +785,7 @@ impl SweepView<'_> {
         let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
         let source = &self.source.as_slice()[self.blocks(self.local_of_cell[element], &groups)];
         if let [sigma_t] = *sigma_t {
-            a.engine.assemble_solve(
+            KernelEngine.assemble_solve(
                 element,
                 integrals,
                 schedule.omega,
@@ -801,7 +797,7 @@ impl SweepView<'_> {
                 &mut scratch.kernel,
             )
         } else {
-            a.engine.assemble_solve_lanes(
+            KernelEngine.assemble_solve_lanes(
                 element,
                 integrals,
                 schedule.omega,
@@ -1216,14 +1212,6 @@ impl InnerSolveContext for DomainContext<'_> {
         observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
         let t0 = a.clock.now();
         let result = dsa.correct(phi.as_mut_slice(), previous, stats, observer);
-        if result.is_ok() && a.problem.precision == Precision::Mixed {
-            // Mixed mode resolves fluxes at single precision; round the
-            // f64 diffusion correction onto the same grid so the next
-            // sweep's convergence test sees a self-consistent state.
-            for p in phi.as_mut_slice() {
-                *p = *p as f32 as f64;
-            }
-        }
         let seconds = a.clock.now().saturating_sub(t0).as_secs_f64();
         observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
         result

@@ -131,11 +131,6 @@ pub struct KernelScratch {
     pub rhs: Vec<f64>,
     /// The element × direction tile of the last tiled assembly.
     tile: GeometryTile,
-    /// Single-precision mirror of `matrix`, sized by the first
-    /// mixed-precision solve.
-    matrix32: Vec<f32>,
-    /// Single-precision mirror of `rhs`, likewise.
-    rhs32: Vec<f32>,
     /// The systems of a run of groups side by side — matrix entries, then
     /// right-hand sides (solutions once solved), each entry one value per
     /// lane —, sized by the first lane task.
@@ -151,8 +146,6 @@ impl KernelScratch {
             matrix: DenseMatrix::zeros(n, n),
             rhs: vec![0.0; n],
             tile: GeometryTile::default(),
-            matrix32: Vec::new(),
-            rhs32: Vec::new(),
             lanes: Vec::new(),
             gather: Vec::new(),
         }
@@ -608,107 +601,28 @@ pub fn assemble_solve(
     }
 }
 
-/// Solve the assembled system in single precision.
+/// The kernel-engine seam: how one local task is assembled and solved.
 ///
-/// Casts `scratch.matrix`/`scratch.rhs` down to `f32`, runs an in-place
-/// Gaussian elimination with partial pivoting, and writes the widened
-/// solution back into `scratch.rhs`.  The assembly stays in `f64` (same
-/// operation order as the selected kernel); only the storage and the
-/// elimination arithmetic are single precision, mirroring the paper's
-/// mixed-precision sweep variant.
-fn solve_f32_in_place(scratch: &mut KernelScratch) {
-    let n = scratch.rhs.len();
-    scratch.matrix32.resize(n * n, 0.0);
-    scratch.rhs32.resize(n, 0.0);
-    for i in 0..n {
-        let row = scratch.matrix.row(i);
-        for j in 0..n {
-            scratch.matrix32[i * n + j] = row[j] as f32;
-        }
-        scratch.rhs32[i] = scratch.rhs[i] as f32;
-    }
-    let a = &mut scratch.matrix32;
-    let b = &mut scratch.rhs32;
-    for col in 0..n {
-        // Partial pivoting: largest |a[row][col]| among the remaining rows.
-        let mut pivot = col;
-        let mut best = a[col * n + col].abs();
-        for row in (col + 1)..n {
-            let mag = a[row * n + col].abs();
-            if mag > best {
-                best = mag;
-                pivot = row;
-            }
-        }
-        assert!(best > 0.0, "local DG system should be non-singular");
-        if pivot != col {
-            for j in col..n {
-                a.swap(col * n + j, pivot * n + j);
-            }
-            b.swap(col, pivot);
-        }
-        let inv = 1.0 / a[col * n + col];
-        for row in (col + 1)..n {
-            let factor = a[row * n + col] * inv;
-            if factor == 0.0 {
-                continue;
-            }
-            for j in (col + 1)..n {
-                a[row * n + j] -= factor * a[col * n + j];
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    for col in (0..n).rev() {
-        let mut acc = b[col];
-        for j in (col + 1)..n {
-            acc -= a[col * n + j] * b[j];
-        }
-        b[col] = acc / a[col * n + col];
-    }
-    for i in 0..n {
-        scratch.rhs[i] = scratch.rhs32[i] as f64;
-    }
-}
-
-/// The kernel-engine seam: how one local task is assembled and solved,
-/// resolved once per solver from
-/// [`Problem::kernel`](crate::problem::Problem) and
-/// [`Problem::precision`](crate::problem::Problem).
-///
-/// Every engine assembles with [`assemble_blocked`].  At `F64` precision
-/// the result is the free [`assemble_solve`]'s, bit for bit; `Mixed`
-/// swaps the dense solve for an in-place `f32` partial-pivot elimination
-/// while outer iterations stay `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelEngine {
-    kind: KernelKind,
-    precision: Precision,
-}
+/// A task assembles with [`assemble_blocked`] and solves with the dense
+/// solver it is handed, which alone picks the elimination, by matrix size;
+/// the result is the free [`assemble_solve`]'s, bit for bit.  The engine
+/// holds nothing: [`KernelEngine::new`] takes the problem's kernel and
+/// precision labels only because the benchmark package builds its engine
+/// from them (`benchmark/src/layers.rs`), and ignores both.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelEngine;
 
 impl KernelEngine {
-    /// Build an engine from the two knobs.
-    pub fn new(kind: KernelKind, precision: Precision) -> Self {
-        Self { kind, precision }
-    }
-
-    /// The kernel label the engine was built with.
-    pub fn kind(&self) -> KernelKind {
-        self.kind
-    }
-
-    /// The selected solve precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
+    /// The engine; both labels are ignored.
+    pub fn new(_kind: KernelKind, _precision: Precision) -> Self {
+        Self
     }
 
     /// Assemble and solve one local system through the engine.
     ///
     /// `cache_key` must identify the element deterministically across
     /// runs (the solvers pass the element's mesh index); the assembly
-    /// keys its tile on it.  In mixed precision the `solver` argument is
-    /// bypassed — the engine's built-in `f32` partial-pivot elimination
-    /// runs instead.
+    /// keys its tile on it.
     ///
     /// With `time_solve` the clock is read around both phases (Table II's
     /// per-task split).  Without it no clock is read and the timing is
@@ -738,29 +652,15 @@ impl KernelEngine {
             scratch,
         );
         let assembled = time_solve.then(Instant::now);
-        match self.precision {
-            Precision::F64 => solver
-                .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
-                .expect("local DG system should be non-singular"),
-            Precision::Mixed => solve_f32_in_place(scratch),
-        }
+        solver
+            .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
+            .expect("local DG system should be non-singular");
         match (started, assembled) {
             (Some(started), Some(assembled)) => KernelTiming {
                 assemble_ns: (assembled - started).as_nanos() as u64,
                 solve_ns: assembled.elapsed().as_nanos() as u64,
             },
             _ => KernelTiming::default(),
-        }
-    }
-
-    /// The group-run lengths [`KernelEngine::assemble_solve_lanes`] solves
-    /// in lockstep for elements of `n` nodes, widest first: `solver`'s, in
-    /// full precision; none — every group is then its own task — in mixed
-    /// precision, whose `f32` elimination is not the solver's.
-    pub fn lane_widths(&self, n: usize, solver: &dyn LinearSolver) -> &'static [usize] {
-        match self.precision {
-            Precision::F64 => solver.lane_widths(n),
-            Precision::Mixed => &[],
         }
     }
 
@@ -774,9 +674,9 @@ impl KernelEngine {
     /// the groups' `n`-node sources one after another, and the
     /// `neighbor_psi` of every interior face the groups' blocks one after
     /// another — the runs the `angle/element/group` layout stores.  A run
-    /// whose length is one of
-    /// [`KernelEngine::lane_widths`] is assembled side by side from the
-    /// one tile and eliminated in lockstep.  The groups of any other run,
+    /// whose length is one of `solver`'s [`LinearSolver::lane_widths`] for
+    /// `n` is assembled side by side from the one tile and eliminated in
+    /// lockstep.  The groups of any other run,
     /// and of one whose systems pivot on different rows
     /// ([`LinalgError::Diverged`]: the tile and the inputs are untouched,
     /// so nothing needs restoring), go through
@@ -797,7 +697,7 @@ impl KernelEngine {
         let lanes = sigma_t.len();
         debug_assert_eq!(source_nodes.len(), lanes * n);
         let assemble: Option<AssembleLanes> = match lanes {
-            _ if !self.lane_widths(n, solver).contains(&lanes) => None,
+            _ if !solver.lane_widths(n).contains(&lanes) => None,
             16 => Some(assemble_lanes::<16>),
             4 => Some(assemble_lanes::<4>),
             _ => None,
@@ -1271,82 +1171,80 @@ mod tests {
             (0, 1, &apart, Inflow::Interior),
             (0, 0, &alike, Inflow::Boundary(0.7)),
         ];
-        for precision in Precision::all() {
-            let engine = KernelEngine::new(KernelKind::Reference, precision);
-            let mut grouped = KernelScratch::new(n);
-            let mut lanes_scratch = KernelScratch::new(n);
-            for (step, &(cell, direction, sigma_t, inflow)) in steps.iter().enumerate() {
-                let integrals = &elements[cell];
-                let omega = omegas[direction];
-                // 16 and 4 run in lockstep (at full precision), 5 and 1 do not.
-                for (first, lanes) in [(0, 16), (3, 4), (9, 5), (15, 1)] {
-                    let run = first * n..(first + lanes) * n;
-                    let upwind: Vec<UpwindFace<'_>> = FACES
+        let engine = KernelEngine;
+        let mut grouped = KernelScratch::new(n);
+        let mut lanes_scratch = KernelScratch::new(n);
+        for (step, &(cell, direction, sigma_t, inflow)) in steps.iter().enumerate() {
+            let integrals = &elements[cell];
+            let omega = omegas[direction];
+            // 16 and 4 run in lockstep, 5 and 1 do not.
+            for (first, lanes) in [(0, 16), (3, 4), (9, 5), (15, 1)] {
+                let run = first * n..(first + lanes) * n;
+                let upwind: Vec<UpwindFace<'_>> = FACES
+                    .iter()
+                    .filter(|f| integrals.face(**f).direction_dot_normal(omega) < 0.0)
+                    .map(|f| UpwindFace {
+                        face: f.index(),
+                        source: match inflow {
+                            Inflow::Boundary(value) => UpwindSource::Boundary(value),
+                            Inflow::Interior => UpwindSource::Interior {
+                                neighbor_psi: &varying[run.clone()],
+                                neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                            },
+                            Inflow::ZeroHalo => UpwindSource::Interior {
+                                neighbor_psi: &zeros[run.clone()],
+                                neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                            },
+                        },
+                    })
+                    .collect();
+                engine.assemble_solve_lanes(
+                    cell,
+                    integrals,
+                    omega,
+                    &sigma_t[first..first + lanes],
+                    &source[run.clone()],
+                    &upwind,
+                    &solver,
+                    &mut lanes_scratch,
+                );
+                for l in 0..lanes {
+                    let group = run.start + l * n..run.start + (l + 1) * n;
+                    let upwind: Vec<UpwindFace<'_>> = upwind
                         .iter()
-                        .filter(|f| integrals.face(**f).direction_dot_normal(omega) < 0.0)
-                        .map(|f| UpwindFace {
-                            face: f.index(),
-                            source: match inflow {
-                                Inflow::Boundary(value) => UpwindSource::Boundary(value),
-                                Inflow::Interior => UpwindSource::Interior {
-                                    neighbor_psi: &varying[run.clone()],
-                                    neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                        .map(|uw| UpwindFace {
+                            face: uw.face,
+                            source: match uw.source {
+                                UpwindSource::Interior {
+                                    neighbor_psi,
+                                    neighbor_face_nodes,
+                                } => UpwindSource::Interior {
+                                    neighbor_psi: &neighbor_psi[l * n..(l + 1) * n],
+                                    neighbor_face_nodes,
                                 },
-                                Inflow::ZeroHalo => UpwindSource::Interior {
-                                    neighbor_psi: &zeros[run.clone()],
-                                    neighbor_face_nodes: &face_nodes[f.opposite().index()],
-                                },
+                                boundary => boundary,
                             },
                         })
                         .collect();
-                    engine.assemble_solve_lanes(
+                    engine.assemble_solve(
                         cell,
                         integrals,
                         omega,
-                        &sigma_t[first..first + lanes],
-                        &source[run.clone()],
+                        sigma_t[first + l],
+                        &source[group],
                         &upwind,
                         &solver,
-                        &mut lanes_scratch,
+                        false,
+                        &mut grouped,
                     );
-                    for l in 0..lanes {
-                        let group = run.start + l * n..run.start + (l + 1) * n;
-                        let upwind: Vec<UpwindFace<'_>> = upwind
-                            .iter()
-                            .map(|uw| UpwindFace {
-                                face: uw.face,
-                                source: match uw.source {
-                                    UpwindSource::Interior {
-                                        neighbor_psi,
-                                        neighbor_face_nodes,
-                                    } => UpwindSource::Interior {
-                                        neighbor_psi: &neighbor_psi[l * n..(l + 1) * n],
-                                        neighbor_face_nodes,
-                                    },
-                                    boundary => boundary,
-                                },
-                            })
-                            .collect();
-                        engine.assemble_solve(
-                            cell,
-                            integrals,
-                            omega,
-                            sigma_t[first + l],
-                            &source[group],
-                            &upwind,
-                            &solver,
-                            false,
-                            &mut grouped,
+                    let solved = lanes_scratch.lane_solution(lanes);
+                    for (i, psi) in grouped.rhs.iter().enumerate() {
+                        assert!(psi.is_finite());
+                        assert_eq!(
+                            psi.to_bits(),
+                            solved[i * lanes + l].to_bits(),
+                            "step {step}, {lanes} lanes: group {l}, node {i}"
                         );
-                        let solved = lanes_scratch.lane_solution(lanes);
-                        for (i, psi) in grouped.rhs.iter().enumerate() {
-                            assert!(psi.is_finite());
-                            assert_eq!(
-                                psi.to_bits(),
-                                solved[i * lanes + l].to_bits(),
-                                "{precision}, step {step}, {lanes} lanes: group {l}, node {i}"
-                            );
-                        }
                     }
                 }
             }
@@ -1384,7 +1282,7 @@ mod tests {
             })
             .collect();
         let solver = GaussSolver::new();
-        let engine = KernelEngine::new(KernelKind::Reference, Precision::F64);
+        let engine = KernelEngine;
         for (first, lanes) in [(0, 16), (3, 4), (9, 5), (15, 1)] {
             let solve = |traced: bool| {
                 let upwind: Vec<UpwindFace<'_>> = inflow
@@ -1450,7 +1348,7 @@ mod tests {
         let source = vec![1.0; n];
         let upwind = boundary_upwind(&integrals, omega, 0.0);
         let solver = GaussSolver::new();
-        let engine = KernelEngine::default();
+        let engine = KernelEngine;
         let mut scratch = KernelScratch::new(n);
         let mut task = |time_solve| {
             engine.assemble_solve(
@@ -1502,49 +1400,6 @@ mod tests {
                     scratch.rhs[i].to_bits(),
                     "{kind}: node {i}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_precision_solution_stays_within_single_precision_tolerance() {
-        // The f32 solve must land within a few f32 ulps of the f64 flux
-        // on a well-conditioned local system, for both kernels.
-        let integrals = unit_integrals(2);
-        let n = integrals.nodes_per_element();
-        let omega = [0.48, 0.62, 0.6208];
-        let sigma_t = 1.7;
-        let c = 2.5;
-        let source = vec![sigma_t * c; n];
-        let upwind = boundary_upwind(&integrals, omega, c);
-        let solver = GaussSolver::new();
-        let mut exact = KernelScratch::new(n);
-        assemble_solve(
-            &integrals, omega, sigma_t, &source, &upwind, &solver, false, &mut exact,
-        );
-        for kind in KernelKind::all() {
-            let engine = KernelEngine::new(kind, Precision::Mixed);
-            assert_eq!(engine.precision(), Precision::Mixed);
-            let mut scratch = KernelScratch::new(n);
-            engine.assemble_solve(
-                0,
-                &integrals,
-                omega,
-                sigma_t,
-                &source,
-                &upwind,
-                &solver,
-                false,
-                &mut scratch,
-            );
-            for i in 0..n {
-                let rel = (scratch.rhs[i] - exact.rhs[i]).abs() / exact.rhs[i].abs();
-                assert!(
-                    rel < 1e-5,
-                    "{kind}: node {i} relative error {rel} exceeds f32 tolerance"
-                );
-                // And the result really is f32-representable storage.
-                assert_eq!(scratch.rhs[i], scratch.rhs[i] as f32 as f64);
             }
         }
     }

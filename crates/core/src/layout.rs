@@ -27,34 +27,24 @@
 
 use unsnap_sweep::LoopOrder;
 
-/// Storage/solve precision of the sweep kernel's local systems.
+/// Precision of the sweep's local systems: `F64`, the one value.
 ///
-/// `F64` is the seed behaviour: assembly, dense solve, and flux storage
-/// all in double precision.  `Mixed` keeps the assembly and the outer
-/// iterations in `f64` but runs the per-cell dense solve in `f32`
-/// (single-precision elimination with partial pivoting), trading a few
-/// extra source iterations for roughly half the solve bandwidth — the
-/// paper's mixed-precision sweep variant.
+/// Assembly, dense solve and flux storage are all double precision, as
+/// the paper's Tables I and II size and time them.  The label stays on the
+/// problem and its wire document (`"precision": "f64"`), so no canonical
+/// problem hash moves; any other value is refused when parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// Full double precision everywhere (the seed behaviour).
+    /// Double precision everywhere.
     #[default]
     F64,
-    /// `f32` per-cell solves inside `f64` outer iterations.
-    Mixed,
 }
 
 impl Precision {
-    /// Every precision mode, in fixed ablation order.
-    pub fn all() -> [Precision; 2] {
-        [Precision::F64, Precision::Mixed]
-    }
-
-    /// Short name used in tables, on the wire and for CLI selection.
+    /// Short name used on the wire.
     pub fn label(&self) -> &'static str {
         match self {
             Precision::F64 => "f64",
-            Precision::Mixed => "mixed",
         }
     }
 }
@@ -71,8 +61,9 @@ impl std::str::FromStr for Precision {
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "f64" | "double" | "fp64" => Ok(Precision::F64),
-            "mixed" | "f32" | "single" | "fp32" => Ok(Precision::Mixed),
-            other => Err(format!("unknown precision '{other}'")),
+            other => Err(format!(
+                "unknown precision '{other}': local solves are f64 only"
+            )),
         }
     }
 }
@@ -367,12 +358,9 @@ mod tests {
 
     #[test]
     fn precision_round_trips_through_strings() {
-        for p in Precision::all() {
-            let parsed: Precision = p.label().parse().unwrap();
-            assert_eq!(parsed, p);
-            assert_eq!(format!("{p}"), p.label());
-        }
-        assert_eq!("fp32".parse::<Precision>(), Ok(Precision::Mixed));
+        let p = Precision::F64;
+        assert_eq!(p.label().parse::<Precision>(), Ok(p));
+        assert_eq!(format!("{p}"), p.label());
         assert_eq!("DOUBLE".parse::<Precision>(), Ok(Precision::F64));
         assert!("f16".parse::<Precision>().is_err());
         assert_eq!(Precision::default(), Precision::F64);

@@ -118,10 +118,8 @@ pub struct Problem {
     /// The kernel label.  Inert: every [`KernelKind`] runs the one tiled
     /// assembly, which is bit for bit the reference one.
     pub kernel: KernelKind,
-    /// Storage/solve precision of the per-cell dense solves.  `Mixed`
-    /// runs `f32` local solves inside `f64` outer iterations (changes
-    /// the flux at single-precision level — see
-    /// [`Precision`]).
+    /// The precision label.  Inert: every local system is solved in `f64`
+    /// (see [`Precision`]).
     pub precision: Precision,
 }
 
@@ -465,12 +463,6 @@ impl Problem {
     /// Override the assemble kernel (see [`Problem::kernel`]).
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Override the solve precision (see [`Problem::precision`]).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -941,11 +933,8 @@ mod tests {
 
     #[test]
     fn kernel_and_precision_builders_apply() {
-        let p = Problem::tiny()
-            .with_kernel(KernelKind::Blocked)
-            .with_precision(Precision::Mixed);
+        let p = Problem::tiny().with_kernel(KernelKind::Blocked);
         assert_eq!(p.kernel, KernelKind::Blocked);
-        assert_eq!(p.precision, Precision::Mixed);
         assert!(p.validate().is_ok());
         // Defaults preserve the seed behaviour.
         assert_eq!(Problem::tiny().kernel, KernelKind::Reference);

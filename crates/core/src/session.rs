@@ -61,8 +61,9 @@ pub enum Phase {
     SourceAssembly,
     /// A full transport sweep over all angles and cells.
     Sweep,
-    /// The block-Jacobi halo exchange (publishing the previous iterate's
-    /// angular flux to neighbouring subdomains).
+    /// The block-Jacobi halo exchange: publishing, once a halo
+    /// iteration's ranks are done, the face traces of angular flux each
+    /// exports to its neighbours for the next iteration.
     HaloExchange,
     /// The GMRES region of a `SweepGmres` inner solve.
     Krylov,
@@ -230,8 +231,11 @@ pub enum SolveEvent {
         /// clock).
         seconds: f64,
     },
-    /// The distributed driver published the previous iterate's angular
-    /// flux to its subdomains.  Fired by the driver itself (outside any
+    /// The distributed driver published, once halo iteration `iteration`'s
+    /// ranks were done, the face traces of angular flux each rank exports,
+    /// for the next iteration's neighbours to read.  Delivered before that
+    /// iteration's rank events, after the [`Phase::HaloExchange`] span that
+    /// timed the publishing.  Fired by the driver itself (outside any
     /// rank), so it stays on [`Lane::Driver`] even under
     /// [`EventLog::replay_as_rank`].  Single-domain solves never fire
     /// it.

@@ -14,8 +14,8 @@
 //!   angle's schedule are processed in order, and inside a bucket the
 //!   element × group work is iterated as the selected
 //!   [`ConcurrencyScheme`](unsnap_sweep::ConcurrencyScheme) says (the six
-//!   variants of Figures 3/4, which fork per bucket, or the default
-//!   angle-threaded scheme, which forks once per sweep).
+//!   variants of Figures 3/4 or the default angle-threaded scheme; every
+//!   one forks once per sweep, into one team).
 //!
 //! The assemble/solve region is timed as a whole (the quantity plotted in
 //! Figures 3 and 4 and tabulated in Table II), and — when
@@ -24,11 +24,12 @@
 //!
 //! The fan-out executes on a **real worker pool** sized by
 //! `Problem::num_threads` (force-overridable with `RAYON_NUM_THREADS`).
-//! Bucket tasks are split into index-ordered chunks whose results are
-//! written back in input order, angles are swept into slabs of their own
-//! and the scalar flux takes them in ascending angle order, so every scheme
-//! produces bit-for-bit identical fluxes at any thread count — the
-//! invariant `tests/parallel_determinism.rs` enforces.
+//! A sweep's team (`crate::team`) claims whole angles or shares of a
+//! bucket region; either way each task's arithmetic is the same whoever
+//! runs it, angles are swept into slabs and the scalar flux takes them in
+//! ascending angle order, so every scheme produces bit-for-bit identical
+//! fluxes at any thread count — the invariant
+//! `tests/parallel_determinism.rs` enforces.
 
 use std::time::{Duration, Instant};
 

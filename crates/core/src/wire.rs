@@ -547,7 +547,7 @@ mod tests {
                 "iteration": {"strategy": "gmres"},
                 "accel": {"accelerator": "diffusion"},
                 "execution": {"solver": "dgesv", "scheme": "best",
-                              "kernel": "soa", "precision": "fp32"},
+                              "kernel": "soa"},
                 "physics": {"material": "2", "source": "central"}
             }"#,
         )
@@ -557,7 +557,6 @@ mod tests {
         assert_eq!(problem.solver, SolverKind::Mkl);
         assert_eq!(problem.scheme, ConcurrencyScheme::best());
         assert_eq!(problem.kernel, KernelKind::Blocked);
-        assert_eq!(problem.precision, Precision::Mixed);
         assert_eq!(problem.material, MaterialOption::Option2);
         assert_eq!(problem.source, SourceOption::Option2);
     }
@@ -661,7 +660,6 @@ mod tests {
                 .with_upscatter_ratio(0.2),
             Problem::quickstart().with_solve_timing(true),
             Problem::quickstart().with_kernel(KernelKind::Blocked),
-            Problem::quickstart().with_precision(Precision::Mixed),
         ];
         for tweaked in tweaks {
             assert_ne!(

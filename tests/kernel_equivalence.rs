@@ -1,7 +1,7 @@
 //! Kernel-equivalence suite: the acceptance tests for the PR-9 kernel
 //! engine (`unsnap_core::kernel::KernelEngine`).
 //!
-//! Property-based over random small problems, this suite pins the three
+//! Property-based over random small problems, this suite pins the two
 //! contracts the engine documents:
 //!
 //! * **Blocked `f64` is the reference physics, bit for bit.**  The
@@ -17,29 +17,12 @@
 //!   Table II's per-task timing solves every group on its own.  The two
 //!   must agree in every flux bit and every non-timing outcome field for
 //!   every way a group count splits into runs.
-//! * **Mixed precision is a bounded trade, not a different answer.**
-//!   `f32` local solves inside `f64` outers must still converge, land
-//!   within the documented relative flux tolerance of the full-`f64`
-//!   solve, and spend at most `2 × reference + 4` sweeps — single
-//!   precision may slow the tail of convergence but must not change
-//!   its character.
 //!
 //! Case counts are deliberately small (every case is a full transport
-//! solve); `reproduce precision` (`unsnap-bench`) re-asserts the
-//! mixed-precision contract on a larger diffusive problem.
+//! solve).
 
 use proptest::prelude::*;
 use unsnap::prelude::*;
-
-/// Documented accuracy contract of the mixed-precision mode, mirrored
-/// from `reproduce precision`: relative drift of the converged
-/// scalar-flux total against the full-`f64` solve.
-const MIXED_FLUX_TOLERANCE: f64 = 1e-5;
-
-/// Documented iteration contract of the mixed-precision mode.
-fn mixed_sweep_budget(reference_sweeps: usize) -> usize {
-    2 * reference_sweeps + 4
-}
 
 /// Everything a `SolveOutcome` of either driver reports except wall-clock timing (the
 /// `tests/parallel_determinism.rs` normalisation).
@@ -320,112 +303,5 @@ fn order_three_solves_keep_their_bits() {
             [o.scalar_flux_total, o.scalar_flux_min, o.scalar_flux_max],
             o.convergence_history
         );
-    }
-}
-
-/// Converging variant of [`small_problem`]: a real tolerance and a
-/// generous budget, so the mixed-precision iteration contract has a
-/// converged reference to be measured against.
-fn converging_problem() -> impl Strategy<Value = Problem> {
-    small_problem().prop_map(|mut p| {
-        p.convergence_tolerance = 1e-5;
-        p.inner_iterations = 400;
-        p
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Contract 3: mixed precision converges to the same physics within
-    /// the documented tolerance and sweep budget, under both kernels.
-    #[test]
-    fn mixed_precision_stays_within_tolerance_with_bounded_extra_sweeps(
-        problem in converging_problem(),
-        kernel in prop_oneof![Just(KernelKind::Reference), Just(KernelKind::Blocked)],
-    ) {
-        let reference = run_single_domain(&problem);
-        prop_assert!(
-            reference.outcome.converged,
-            "the f64 reference must converge for the comparison to mean anything"
-        );
-        let mixed = run_single_domain(
-            &problem
-                .clone()
-                .with_kernel(kernel)
-                .with_precision(Precision::Mixed),
-        );
-        prop_assert!(
-            mixed.outcome.converged,
-            "mixed-precision solve failed to converge ({:?})",
-            kernel
-        );
-        let drift = (mixed.outcome.scalar_flux_total - reference.outcome.scalar_flux_total).abs()
-            / reference.outcome.scalar_flux_total.abs().max(1e-300);
-        prop_assert!(
-            drift <= MIXED_FLUX_TOLERANCE,
-            "flux drift {:.3e} exceeds {:.0e} ({:?})",
-            drift,
-            MIXED_FLUX_TOLERANCE,
-            kernel
-        );
-        prop_assert!(
-            mixed.outcome.sweep_count <= mixed_sweep_budget(reference.outcome.sweep_count),
-            "{} sweeps exceeds the budget of {} ({:?})",
-            mixed.outcome.sweep_count,
-            mixed_sweep_budget(reference.outcome.sweep_count),
-            kernel
-        );
-        // Pointwise the solutions track each other too: every node's
-        // flux agrees to within the tolerance of the problem's flux
-        // scale (single precision cannot resolve more).
-        let scale = reference.outcome.scalar_flux_max.abs().max(1e-300);
-        let max_node_diff = reference
-            .scalar_flux
-            .iter()
-            .zip(mixed.scalar_flux.iter())
-            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-        prop_assert!(
-            max_node_diff / scale <= 1e-4,
-            "pointwise flux drift {:.3e} (relative to max flux) exceeds 1e-4",
-            max_node_diff / scale
-        );
-    }
-}
-
-#[test]
-fn mixed_precision_runs_the_same_sweep_structure_at_a_fixed_budget() {
-    // With tolerance 0 and a fixed iteration budget the sweep *count*
-    // is precision-independent (precision changes values, never the
-    // control flow of a budget-driven run), and the fluxes stay within
-    // single-precision resolution of the f64 physics after two sweeps.
-    for strategy in [
-        StrategyKind::SourceIteration,
-        StrategyKind::DsaSourceIteration,
-    ] {
-        let problem = Problem::tiny().with_strategy(strategy);
-        let reference = run_single_domain(&problem);
-        let mixed = run_single_domain(&problem.clone().with_precision(Precision::Mixed));
-        assert_eq!(
-            mixed.outcome.sweep_count, reference.outcome.sweep_count,
-            "{strategy:?}: a budget-driven run must sweep identically in either precision"
-        );
-        assert_eq!(
-            mixed.outcome.kernel_invocations, reference.outcome.kernel_invocations,
-            "{strategy:?}: kernel invocation counts diverged"
-        );
-        let scale = reference.outcome.scalar_flux_max.abs().max(1e-300);
-        for (i, (a, b)) in reference
-            .scalar_flux
-            .iter()
-            .zip(mixed.scalar_flux.iter())
-            .enumerate()
-        {
-            assert!(
-                (a - b).abs() / scale <= 1e-5,
-                "{strategy:?}: node {i} drifted by {:.3e} of the flux scale",
-                (a - b).abs() / scale
-            );
-        }
     }
 }

@@ -289,6 +289,18 @@ fn protocol_errors_map_to_typed_statuses() {
     let doc = reader::parse(&response.body).unwrap();
     assert_eq!(doc.get("field").and_then(|v| v.as_str()), Some("nx"));
 
+    // A precision other than f64: 400 naming the field.
+    let response = http::request(
+        addr,
+        "POST",
+        "/v1/solve",
+        Some(r#"{"problem": {"execution": {"precision": "mixed"}}}"#),
+    )
+    .expect("POST");
+    assert_eq!(response.status, 400);
+    let doc = reader::parse(&response.body).unwrap();
+    assert_eq!(doc.get("field").and_then(|v| v.as_str()), Some("precision"));
+
     // Unknown wire field: rejected, not silently ignored.
     let response = http::request(
         addr,

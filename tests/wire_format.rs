@@ -222,6 +222,25 @@ fn malformed_bodies_name_the_offending_field() {
 }
 
 #[test]
+fn a_precision_other_than_f64_is_refused_by_field() {
+    // Every local system is solved in f64: the labels of the single-precision
+    // solve that once existed are invalid values of the `precision` field.
+    for label in ["mixed", "f32", "single", "fp32"] {
+        let text = format!(r#"{{"execution": {{"precision": "{label}"}}}}"#);
+        let error = wire::problem_from_json_str(&text).expect_err(&text);
+        assert!(
+            matches!(error, Error::InvalidProblem { .. }),
+            "{text}: {error}"
+        );
+        assert_eq!(error.invalid_field(), Some("precision"), "{text}: {error}");
+    }
+    // The one value parses, and the canonical document keeps writing it.
+    let text = r#"{"execution": {"precision": "f64"}}"#;
+    assert_eq!(wire::problem_from_json_str(text).unwrap(), Problem::tiny());
+    assert!(wire::problem_to_json(&Problem::tiny()).contains(r#""precision":"f64""#));
+}
+
+#[test]
 fn boundary_conditions_round_trip_in_place() {
     let faces = [
         BoundaryCondition::Vacuum,
