@@ -4,9 +4,9 @@
 //!
 //! The residual closure is this crate's tracing surface: `unsnap-core`
 //! forwards each `(iteration, relative_residual)` pair to its
-//! `RunObserver` as an accel-residual event, which the PR 10
-//! `TraceObserver` renders as one `cg_iter` span per CG iteration
-//! nested inside the `accel_cg` phase span — so the low-order solve
+//! `RunObserver` as an accel-residual event, which the span fold of
+//! every run renders as one `cg_iter` span per CG iteration nested
+//! inside the `accel_cg` phase span — so the low-order solve
 //! shows up in exported profiles with per-iteration resolution without
 //! this crate depending on the observability stack.
 

@@ -3,14 +3,17 @@
 //! one [`solve`] at every width `--threads` names, and hands back rows;
 //! nothing here prints.
 
+use std::io::LineWriter;
+
 use unsnap_comm::BlockJacobiSolver;
 use unsnap_core::problem::Problem;
 use unsnap_core::report;
-use unsnap_core::session::{NoopObserver, ProgressObserver, RunObserver};
+use unsnap_core::session::{JsonlObserver, NoopObserver, RunObserver};
 use unsnap_core::solver::{SolveOutcome, TransportSolver};
 use unsnap_core::strategy::StrategyKind;
 use unsnap_linalg::SolverKind;
 use unsnap_mesh::Decomposition2D;
+use unsnap_obs::jsonl::JsonlWriter;
 use unsnap_sweep::{ConcurrencyScheme, LoopOrder, ThreadedLoops};
 
 use crate::{Cell, HarnessOptions, Report, Row, Size};
@@ -20,17 +23,14 @@ use crate::{Cell, HarnessOptions, Report, Row, Size};
 /// Panics on an invalid problem or a failed solve: experiments construct
 /// their own problems, so either is a harness bug.
 fn solve(opts: &HarnessOptions, problem: &Problem, ranks: Option<Decomposition2D>) -> SolveOutcome {
-    let mut progress = ProgressObserver::new();
+    // One write per line: stderr itself is unbuffered.
+    let mut progress = opts
+        .progress
+        .then(|| JsonlObserver::new(JsonlWriter::new(LineWriter::new(std::io::stderr()))));
     let mut noop = NoopObserver;
-    let observer: &mut dyn RunObserver = if opts.progress {
-        eprintln!(
-            "[unsnap] running {} at {} thread(s)",
-            problem.strategy,
-            width(problem)
-        );
-        &mut progress
-    } else {
-        &mut noop
+    let observer: &mut dyn RunObserver = match &mut progress {
+        Some(progress) => progress,
+        None => &mut noop,
     };
     let outcome = match ranks {
         None => TransportSolver::new(problem)
@@ -41,6 +41,9 @@ fn solve(opts: &HarnessOptions, problem: &Problem, ranks: Option<Decomposition2D
             .run_observed(observer),
     }
     .expect("experiment solve must run");
+    if let Some(Err(e)) = progress.map(JsonlObserver::finish) {
+        eprintln!("--progress: writing to stderr failed: {e}");
+    }
     if let Some(path) = &opts.trace_out {
         std::fs::write(path, outcome.trace.to_chrome_json())
             .unwrap_or_else(|e| panic!("--trace-out {path}: write failed: {e}"));

@@ -33,8 +33,7 @@ mod experiments;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use unsnap_core::metrics::RunMetrics;
-use unsnap_core::session::Phase;
+use unsnap_core::session::{Phase, RunMetrics};
 use unsnap_core::strategy::StrategyKind;
 use unsnap_obs::json::{array_raw, number, JsonObject};
 use unsnap_obs::reader::{self, JsonValue};
@@ -126,7 +125,7 @@ usage: reproduce <experiment>... [flags]     (no experiment: print the table)
   --csv | --json       machine-readable stdout instead of text tables
   --out FILE           also write the schema-versioned record document
   --compare FILE       diff deterministic counters against a recorded document (exit 1 on drift)
-  --progress           stream solve progress to stderr
+  --progress           stream JSONL solve events to stderr
   --trace-out FILE     write the last solve's Chrome trace_event profile";
 
 /// Problem size an experiment runs at.
@@ -164,7 +163,7 @@ pub struct HarnessOptions {
     pub threads: Option<Vec<usize>>,
     /// Highest element order of `table2` (`--max-order 4`).
     pub max_order: Option<usize>,
-    /// Stream rate-limited solve progress to stderr (`--progress`).
+    /// Stream every solve's events to stderr as JSONL (`--progress`).
     pub progress: bool,
     /// Write the last solve's Chrome `trace_event` profile here
     /// (`--trace-out <path>`); each solve overwrites the file.

@@ -400,9 +400,9 @@ impl OuterDriver for BlockJacobiSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unsnap_core::session::RecordingObserver;
     use unsnap_core::solver::TransportSolver;
     use unsnap_sweep::ConcurrencyScheme;
+    use SolveEvent::*;
 
     fn base_problem() -> Problem {
         let mut p = Problem::tiny();
@@ -789,24 +789,44 @@ mod tests {
             (early, Decomposition2D::new(2, 1)),
         ] {
             let mut s = BlockJacobiSolver::new(&p, decomp).unwrap();
-            let mut recorder = RecordingObserver::default();
-            let out = s.run_observed(&mut recorder).unwrap();
+            let mut log = EventLog::default();
+            let out = s.run_observed(&mut log).unwrap();
+            let starts = |lane| log.on_lane(lane, |e| matches!(e, OuterStart { .. }).then_some(()));
+            let ends = |lane| {
+                log.on_lane(lane, |e| match *e {
+                    OuterEnd { converged, .. } => Some(converged),
+                    _ => None,
+                })
+            };
 
-            assert_eq!(recorder.rank_records.len(), decomp.num_ranks());
-            for (rank, record) in recorder.rank_records.iter().enumerate() {
-                assert_eq!(
-                    record.sweep_count,
-                    out.ranks.as_ref().unwrap().sweep_counts[rank]
-                );
-                assert_eq!(record.outers_started, out.inner_iterations);
-                assert_eq!(record.outers_completed, out.inner_iterations);
+            let rank_lanes = log.events.iter().filter_map(|(lane, _)| match lane {
+                Lane::Rank(rank) => Some(*rank),
+                Lane::Driver => None,
+            });
+            assert_eq!(rank_lanes.max(), Some(decomp.num_ranks() - 1));
+            for rank in 0..decomp.num_ranks() {
+                let lane = Lane::Rank(rank);
+                let sweeps = log.on_lane(lane, |e| match *e {
+                    Sweep { sweep, .. } => Some(sweep),
+                    _ => None,
+                });
+                let counted = out.ranks.as_ref().unwrap().sweep_counts[rank];
+                assert_eq!(sweeps, (1..=counted).collect::<Vec<_>>());
+                assert_eq!(starts(lane).len(), out.inner_iterations);
+                assert_eq!(ends(lane).len(), out.inner_iterations);
             }
             // The global stream reports the merged convergence history.
-            assert_eq!(recorder.convergence_history, out.convergence_history);
-            assert_eq!(recorder.converged, out.converged);
+            let history = log.on_lane(Lane::Driver, |e| match *e {
+                InnerIteration {
+                    relative_change, ..
+                } => Some(relative_change),
+                _ => None,
+            });
+            assert_eq!(history, out.convergence_history);
+            assert_eq!(ends(Lane::Driver).contains(&true), out.converged);
             assert_eq!(out.outer_iterations, 1);
-            assert_eq!(recorder.outers_started, out.outer_iterations);
-            assert_eq!(recorder.outers_completed, out.outer_iterations);
+            assert_eq!(starts(Lane::Driver).len(), out.outer_iterations);
+            assert_eq!(ends(Lane::Driver).len(), out.outer_iterations);
         }
     }
 }

@@ -3,9 +3,10 @@
 //! A [`CancelToken`] is a cheap, clonable flag shared between the party
 //! driving a solve (a server worker, a bench harness, a test) and the
 //! party that may want to stop it (a request handler, a signal handler).
-//! The solver polls the token at **outer-iteration boundaries** — the
-//! same seam the observer's `on_outer_start` hook fires on — so
-//! cancellation never tears a sweep in half: the flux state is always a
+//! The solver polls the token at **outer-iteration boundaries** —
+//! `run_outers` checks it just before it emits
+//! [`SolveEvent::OuterStart`](crate::session::SolveEvent::OuterStart) —
+//! so cancellation never tears a sweep in half: the flux state is always a
 //! consistent "as of outer iteration `k`" snapshot when the solve bails
 //! out with [`Error::Cancelled`](crate::error::Error::Cancelled).
 //!

@@ -34,17 +34,12 @@
 //! * [`wire`] — the canonical JSON wire format for problem
 //!   configurations (serve requests, cross-process tooling) and the
 //!   byte stream behind [`Problem::canonical_hash`].
-//! * [`session`] — the observable solve API: [`Session`],
-//!   [`RunObserver`] and [`RecordingObserver`] stream per-iteration
-//!   progress instead of returning a black-box summary; the
-//!   [`session::SolveEvent`] vocabulary and the [`session::Phase`]
-//!   taxonomy live here too.
-//! * [`metrics`] — the aggregation layer over the observer stream:
-//!   [`metrics::MetricsObserver`] folds events into a
-//!   [`metrics::RunMetrics`] snapshot (attached to every
-//!   [`SolveOutcome`]), and
-//!   [`metrics::JsonlObserver`] streams the raw events
-//!   to a JSONL run log.
+//! * [`session`] — the observable solve API and the event stream's one
+//!   home: [`Session`], [`RunObserver`], the [`session::SolveEvent`]
+//!   vocabulary and [`session::Phase`] taxonomy, the [`session::EventLog`]
+//!   buffer, and the three folds — [`RunMetrics`] (the snapshot attached
+//!   to every [`SolveOutcome`]), the one JSONL encoding that
+//!   [`JsonlObserver`] writes, and the span tree.
 //! * [`angular`] — Sn product quadrature over the unit sphere (angles per
 //!   octant, direction cosines, weights, octant bookkeeping).
 //! * [`data`] — artificial multigroup cross sections, materials and fixed
@@ -96,14 +91,12 @@ pub mod dsa;
 pub mod error;
 pub mod kernel;
 pub mod layout;
-pub mod metrics;
 pub mod problem;
 pub mod report;
 pub mod session;
 pub mod solver;
 pub mod strategy;
 mod team;
-pub mod trace;
 pub mod wire;
 
 pub use angular::{AngularQuadrature, Direction};
@@ -111,10 +104,9 @@ pub use cancel::CancelToken;
 pub use data::{CrossSections, MaterialOption, SourceOption};
 pub use error::{Error, Result};
 pub use layout::{FluxLayout, FluxStorage};
-pub use metrics::{JsonlObserver, MetricsObserver, RunMetrics};
 pub use problem::Problem;
 pub use session::{
-    NoopObserver, Phase, ProgressObserver, RecordingObserver, RunObserver, Session, TeeObserver,
+    JsonlObserver, NoopObserver, Phase, RunMetrics, RunObserver, Session, TeeObserver,
 };
 pub use solver::{RunStats, SolveOutcome, TransportSolver};
 pub use strategy::StrategyKind;

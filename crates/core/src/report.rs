@@ -121,7 +121,7 @@ mod tests {
             scalar_flux_total: 1.0,
             scalar_flux_max: 1.0,
             scalar_flux_min: 0.0,
-            metrics: crate::metrics::RunMetrics::default(),
+            metrics: crate::session::RunMetrics::default(),
             trace: Default::default(),
             ranks: None,
         };

@@ -44,10 +44,9 @@ use crate::domain::{worker_pool, DomainContext, SharedAssets, SweepDomain};
 use crate::error::{Error, Result};
 use crate::kernel::KernelTiming;
 use crate::layout::FluxStorage;
-use crate::metrics::RunMetrics;
 use crate::problem::Problem;
 use crate::session::{
-    run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunObserver, SolveEvent,
+    run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunMetrics, RunObserver, SolveEvent,
 };
 use crate::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
 
@@ -126,16 +125,16 @@ pub struct SolveOutcome {
     pub scalar_flux_max: f64,
     /// Minimum scalar-flux value.
     pub scalar_flux_min: f64,
-    /// The run's telemetry snapshot, aggregated from the full observer
-    /// event stream by the solver's internal
-    /// [`crate::metrics::MetricsObserver`] — attached
-    /// to every outcome with no caller wiring.  Deterministic half is
+    /// The run's telemetry snapshot, folded from the full observer event
+    /// stream by the solver's internal tee
+    /// ([`run_with_telemetry`]) — attached to every outcome with no
+    /// caller wiring.  Deterministic half is
     /// bit-for-bit thread/rank-count invariant; the wall-clock half is
     /// stripped by [`RunMetrics::zero_wallclock`] before such
     /// comparisons.
     pub metrics: RunMetrics,
-    /// The run's hierarchical span tree, built by the solver's internal
-    /// [`crate::trace::TraceObserver`] tee.  Structure (ids, nesting,
+    /// The run's hierarchical span tree, built by the span fold of the
+    /// same tee.  Structure (ids, nesting,
     /// lanes, counts) is deterministic; timestamps are wall-clock and
     /// ignored by `PartialEq`.  Excluded from [`SolveOutcome::to_json`]
     /// — export it with [`TraceTree::to_chrome_json`] or

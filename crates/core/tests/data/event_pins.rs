@@ -9,7 +9,7 @@
 // re-pinned when the event gained `buckets` (run log format version 3).
 //
 // This file is one array expression, `include!`d by the tests that pin
-// the encoding (`core::metrics`) and its decoder (`runlog::codec`) and by
+// the encoding (`core::session`) and its decoder (`runlog::codec`) and by
 // the observer tests that need a representative stream.
 [
     (

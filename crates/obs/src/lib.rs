@@ -13,7 +13,7 @@
 //!   [`SystemClock`] for production and a [`MockClock`] tests drive by
 //!   hand (or step automatically) to pin timer outputs exactly.
 //! * [`metrics`] — fixed-bucket [`Histogram`]s with percentile queries
-//!   and a [`MetricsRegistry`] of counters, gauges and histograms, each
+//!   and a [`MetricsRegistry`] of counters and histograms, each
 //!   tagged with its [`Determinism`] class: *deterministic* values must
 //!   be bit-for-bit identical at every thread/rank count, *wall-clock*
 //!   values are excluded from those comparisons.

@@ -175,7 +175,7 @@ impl Histogram {
     }
 }
 
-/// A named collection of counters, gauges and histograms, each tagged
+/// A named collection of counters and histograms, each tagged
 /// with its [`Determinism`] class.
 ///
 /// Iteration order is the `BTreeMap` key order, so serialisation is
@@ -183,7 +183,6 @@ impl Histogram {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, (Determinism, u64)>,
-    gauges: BTreeMap<String, (Determinism, f64)>,
     histograms: BTreeMap<String, (Determinism, Histogram)>,
 }
 
@@ -198,11 +197,6 @@ impl MetricsRegistry {
         let entry = self.counters.entry(name.to_string()).or_insert((class, 0));
         debug_assert_eq!(entry.0, class, "counter {name} re-tagged");
         entry.1 += delta;
-    }
-
-    /// Set a gauge to `value`, creating it on first touch.
-    pub fn gauge_set(&mut self, name: &str, class: Determinism, value: f64) {
-        self.gauges.insert(name.to_string(), (class, value));
     }
 
     /// Record a sample into a histogram created on first touch by
@@ -227,18 +221,13 @@ impl MetricsRegistry {
         self.counters.get(name).map(|&(_, v)| v)
     }
 
-    /// A gauge's value.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).map(|&(_, v)| v)
-    }
-
     /// A histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name).map(|(_, h)| h)
     }
 
     /// Serialise in the Prometheus text exposition format (version
-    /// 0.0.4): every counter, gauge and histogram in the registry, in
+    /// 0.0.4): every counter and histogram in the registry, in
     /// deterministic (sorted) order.
     ///
     /// Registry names are sanitised to the Prometheus grammar (dots and
@@ -280,15 +269,6 @@ impl MetricsRegistry {
             out.push_str(&format!("# TYPE {name} counter\n"));
             out.push_str(&format!("{name}{{class=\"{}\"}} {value}\n", class.label()));
         }
-        for (name, (class, value)) in &self.gauges {
-            let name = sanitise(name);
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!(
-                "{name}{{class=\"{}\"}} {}\n",
-                class.label(),
-                render(*value)
-            ));
-        }
         for (name, (class, histogram)) in &self.histograms {
             let name = sanitise(name);
             let class = class.label();
@@ -322,7 +302,7 @@ impl MetricsRegistry {
     }
 
     /// Serialise as `{"deterministic": {...}, "wallclock": {...}}`, each
-    /// class holding its `counters`/`gauges`/`histograms` objects.
+    /// class holding its `counters` and `histograms` objects.
     pub fn to_json(&self) -> String {
         let mut root = JsonObject::new();
         for class in [Determinism::Deterministic, Determinism::WallClock] {
@@ -330,12 +310,6 @@ impl MetricsRegistry {
             for (name, (c, v)) in &self.counters {
                 if *c == class {
                     counters = counters.field_u64(name, *v);
-                }
-            }
-            let mut gauges = JsonObject::new();
-            for (name, (c, v)) in &self.gauges {
-                if *c == class {
-                    gauges = gauges.field_f64(name, *v);
                 }
             }
             let mut histograms = JsonObject::new();
@@ -346,7 +320,6 @@ impl MetricsRegistry {
             }
             let section = JsonObject::new()
                 .field_raw("counters", &counters.finish())
-                .field_raw("gauges", &gauges.finish())
                 .field_raw("histograms", &histograms.finish())
                 .finish();
             root = root.field_raw(class.label(), &section);
@@ -409,7 +382,6 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.counter_add("sweeps", Determinism::Deterministic, 3);
         r.counter_add("sweeps", Determinism::Deterministic, 2);
-        r.gauge_set("seconds", Determinism::WallClock, 1.25);
         r.histogram_record(
             "latency",
             Determinism::WallClock,
@@ -417,7 +389,6 @@ mod tests {
             0.01,
         );
         assert_eq!(r.counter("sweeps"), Some(5));
-        assert_eq!(r.gauge("seconds"), Some(1.25));
         assert_eq!(r.histogram("latency").unwrap().count(), 1);
     }
 
@@ -425,19 +396,16 @@ mod tests {
     fn registry_json_splits_classes() {
         let mut r = MetricsRegistry::new();
         r.counter_add("sweeps", Determinism::Deterministic, 5);
-        r.gauge_set("seconds", Determinism::WallClock, 0.5);
         let json = r.to_json();
         assert!(json.starts_with(r#"{"deterministic":"#));
         assert!(json.contains(r#""sweeps":5"#));
         assert!(json.contains(r#""wallclock":"#));
-        assert!(json.contains(r#""seconds":0.5"#));
     }
 
     #[test]
     fn prometheus_exposition_covers_every_instrument() {
         let mut r = MetricsRegistry::new();
         r.counter_add("phase_starts.sweep", Determinism::Deterministic, 7);
-        r.gauge_set("serve_jobs_queued", Determinism::Deterministic, 2.0);
         for v in [0.5, 1.5, 1.5, 5.0] {
             let bounds = || Histogram::with_bounds(&[1.0, 2.0]);
             r.histogram_record("queue_wait_seconds", Determinism::WallClock, bounds, v);
@@ -447,8 +415,6 @@ mod tests {
         // Dotted names are sanitised, classes ride as labels.
         assert!(text.contains("# TYPE phase_starts_sweep counter\n"));
         assert!(text.contains("phase_starts_sweep{class=\"deterministic\"} 7\n"));
-        assert!(text.contains("# TYPE serve_jobs_queued gauge\n"));
-        assert!(text.contains("serve_jobs_queued{class=\"deterministic\"} 2\n"));
         // Histogram buckets are cumulative and end at +Inf == count.
         assert!(text.contains("# TYPE queue_wait_seconds histogram\n"));
         assert!(text.contains("queue_wait_seconds_bucket{class=\"wallclock\",le=\"1\"} 1\n"));

@@ -50,9 +50,8 @@ use std::time::Instant;
 
 use unsnap_core::cancel::CancelToken;
 use unsnap_core::error::{Error, Result};
-use unsnap_core::metrics::JsonlObserver;
 use unsnap_core::problem::Problem;
-use unsnap_core::session::{Session, TeeObserver};
+use unsnap_core::session::{JsonlObserver, Session, TeeObserver};
 use unsnap_core::solver::SolveOutcome;
 use unsnap_obs::json::JsonObject;
 use unsnap_obs::jsonl::JsonlWriter;

@@ -41,10 +41,14 @@
 //!
 //! let problem = Problem::tiny().with_strategy(StrategyKind::SweepGmres);
 //! let mut session = Session::new(&problem).unwrap();
-//! let mut recorder = RecordingObserver::default();
-//! let outcome = session.run_observed(&mut recorder).unwrap();
+//! let mut log = EventLog::default();
+//! let outcome = session.run_observed(&mut log).unwrap();
 //! assert!(outcome.scalar_flux_total > 0.0);
-//! assert_eq!(recorder.sweep_count, outcome.sweep_count);
+//! let residuals = log.events.iter().filter_map(|(_, event)| match *event {
+//!     SolveEvent::KrylovResidual { relative_residual, .. } => Some(relative_residual),
+//!     _ => None,
+//! });
+//! assert_eq!(residuals.collect::<Vec<_>>(), outcome.krylov_residual_history);
 //! ```
 //!
 //! Every fallible call returns the workspace-wide typed
@@ -90,12 +94,11 @@ pub mod prelude {
     pub use unsnap_core::error::{Error, Result};
     pub use unsnap_core::kernel::{KernelEngine, KernelKind};
     pub use unsnap_core::layout::{FluxLayout, FluxStorage, Precision};
-    pub use unsnap_core::metrics::{JsonlObserver, MetricsObserver, RunMetrics};
     pub use unsnap_core::problem::Problem;
     pub use unsnap_core::report;
     pub use unsnap_core::session::{
-        EventLog, Lane, NoopObserver, Phase, ProgressObserver, RecordingObserver, RunObserver,
-        Session, SolveEvent, TeeObserver,
+        EventLog, JsonlObserver, Lane, NoopObserver, Phase, RunMetrics, RunObserver, Session,
+        SolveEvent, TeeObserver,
     };
     pub use unsnap_core::solver::{
         CheckpointSink, CheckpointView, RankDetail, ResumePoint, RunStats, SolveOutcome,

@@ -11,10 +11,13 @@
 //!   iterates) are bit-for-bit identical at every thread count, because
 //!   the driver buffers each rank's events and replays them in rank
 //!   order;
-//! * `RecordingObserver`'s per-rank event counts equal the per-rank
+//! * the per-rank event counts of the recorded stream equal the per-rank
 //!   counters of the block-Jacobi `SolveOutcome`, at 1 and 4 ranks, for both
 //!   strategies (so streaming loses nothing relative to the summary).
 
+mod support;
+
+use support::{accel_residuals, krylov_residuals, rank_lanes};
 use unsnap::prelude::*;
 
 /// The quickstart problem, with the inner budget raised so the halo
@@ -37,20 +40,6 @@ fn forced_width() -> Option<String> {
     std::env::var("RAYON_NUM_THREADS")
         .ok()
         .filter(|v| !v.trim().is_empty())
-}
-
-/// Zero the wall-clock fields of a recording (recursively, so per-rank
-/// records are covered) — timing legitimately differs between runs.
-/// Phase-span *counts* stay: they are part of the deterministic stream.
-fn without_timing(recorder: &RecordingObserver) -> RecordingObserver {
-    let mut r = recorder.clone();
-    r.sweep_seconds = 0.0;
-    r.phase_seconds = vec![0.0; r.phase_seconds.len()];
-    for rank in &mut r.rank_records {
-        rank.sweep_seconds = 0.0;
-        rank.phase_seconds = vec![0.0; rank.phase_seconds.len()];
-    }
-    r
 }
 
 #[test]
@@ -117,22 +106,24 @@ fn assert_per_rank_streams_thread_invariant(strategy: StrategyKind) {
     p.convergence_tolerance = 1e-8;
     p.strategy = strategy;
 
-    let mut reference: Option<(RecordingObserver, SolveOutcome, Vec<f64>)> = None;
+    let mut reference: Option<(EventLog, SolveOutcome, Vec<f64>)> = None;
     // 8 exceeds the rank count; the driver caps the pool at 4 ranks, and
     // the stream must stay identical through that cap too.
     for threads in [1usize, 2, 4, 8] {
         let mut problem = p.clone();
         problem.num_threads = Some(threads);
         let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 2)).unwrap();
-        let mut recorder = RecordingObserver::default();
-        let outcome = solver.run_observed(&mut recorder).unwrap();
+        let mut log = EventLog::default();
+        let outcome = solver.run_observed(&mut log).unwrap();
         let flux = solver.scalar_flux().as_slice().to_vec();
-        let recorder = without_timing(&recorder);
+        // Timing legitimately differs between runs; every count, residual
+        // and lane of every event must not.
+        log.zero_wallclock();
         match &reference {
-            None => reference = Some((recorder, outcome, flux)),
-            Some((r_rec, r_out, r_flux)) => {
+            None => reference = Some((log, outcome, flux)),
+            Some((r_log, r_out, r_flux)) => {
                 assert_eq!(
-                    r_rec, &recorder,
+                    r_log, &log,
                     "{strategy:?} observer stream diverged at {threads} threads"
                 );
                 let mut a = r_out.clone();
@@ -151,26 +142,21 @@ fn assert_per_rank_streams_thread_invariant(strategy: StrategyKind) {
             }
         }
     }
-    let (recorder, outcome, _) = reference.unwrap();
-    assert_eq!(recorder.rank_records.len(), 4);
+    let (log, outcome, _) = reference.unwrap();
+    assert_eq!(rank_lanes(&log), 4);
+    let ranks = || (0..4).map(Lane::Rank);
     match strategy {
         StrategyKind::SweepGmres => {
             assert!(outcome.krylov_iterations > 0);
             assert!(
-                recorder
-                    .rank_records
-                    .iter()
-                    .all(|r| !r.krylov_residual_history.is_empty()),
+                ranks().all(|lane| !krylov_residuals(&log, lane).is_empty()),
                 "every rank must stream Krylov residuals"
             );
         }
         StrategyKind::DsaSourceIteration => {
             assert!(outcome.accel_cg_iterations > 0);
             assert!(
-                recorder
-                    .rank_records
-                    .iter()
-                    .all(|r| !r.accel_residual_history.is_empty()),
+                ranks().all(|lane| !accel_residuals(&log, lane).is_empty()),
                 "every rank must stream DSA CG residuals"
             );
         }
@@ -205,12 +191,12 @@ fn assert_rank_streams_match_counters(decomp: Decomposition2D, strategy: Strateg
     p.strategy = strategy;
 
     let mut solver = BlockJacobiSolver::new(&p, decomp).unwrap();
-    let mut recorder = RecordingObserver::default();
-    let outcome = solver.run_observed(&mut recorder).unwrap();
+    let mut log = EventLog::default();
+    let outcome = solver.run_observed(&mut log).unwrap();
 
     let ranks = outcome.ranks.as_ref().unwrap();
     assert_eq!(ranks.num_ranks, decomp.num_ranks());
-    assert_eq!(recorder.rank_records.len(), decomp.num_ranks());
+    assert_eq!(rank_lanes(&log), decomp.num_ranks());
     assert_eq!(ranks.sweep_counts.len(), decomp.num_ranks());
     assert_eq!(
         outcome.sweep_count,
@@ -221,36 +207,40 @@ fn assert_rank_streams_match_counters(decomp: Decomposition2D, strategy: Strateg
         ranks.krylov_iterations.iter().sum::<usize>()
     );
 
-    for (rank, record) in recorder.rank_records.iter().enumerate() {
+    for rank in 0..decomp.num_ranks() {
+        let lane = Lane::Rank(rank);
+        let sweeps = support::sweeps(&log, lane);
+        let counted: Vec<usize> = (1..=ranks.sweep_counts[rank]).collect();
+        assert_eq!(sweeps, counted, "rank {rank} sweep events");
         assert_eq!(
-            record.sweep_count, ranks.sweep_counts[rank],
-            "rank {rank} sweep events"
-        );
-        assert_eq!(
-            record.outers_started, outcome.inner_iterations,
+            support::outer_starts(&log, lane),
+            outcome.inner_iterations,
             "rank {rank} outer-start events (one per halo iteration)"
         );
-        assert_eq!(record.outers_completed, outcome.inner_iterations);
+        assert_eq!(
+            support::outer_ends(&log, lane).len(),
+            outcome.inner_iterations
+        );
         match strategy {
             StrategyKind::SourceIteration | StrategyKind::DsaSourceIteration => {
-                assert!(record.krylov_residual_history.is_empty());
+                assert!(krylov_residuals(&log, lane).is_empty());
                 // One relaxation sweep and one inner iterate per halo
                 // iteration.
-                assert_eq!(record.sweep_count, outcome.inner_iterations);
+                assert_eq!(sweeps.len(), outcome.inner_iterations);
                 assert_eq!(
-                    record.convergence_history.len(),
+                    support::inner_changes(&log, lane).len(),
                     outcome.inner_iterations,
                     "rank {rank} inner iterates"
                 );
                 if strategy == StrategyKind::DsaSourceIteration {
                     // Every halo iteration ran a low-order correction,
-                    // and its CG stream reached the recorder.
+                    // and its CG stream reached the log.
                     assert!(
-                        !record.accel_residual_history.is_empty(),
+                        !accel_residuals(&log, lane).is_empty(),
                         "rank {rank} streamed no DSA residuals"
                     );
                 } else {
-                    assert!(record.accel_residual_history.is_empty());
+                    assert!(accel_residuals(&log, lane).is_empty());
                 }
             }
             StrategyKind::SweepGmres => {
@@ -258,7 +248,7 @@ fn assert_rank_streams_match_counters(decomp: Decomposition2D, strategy: Strateg
                 // plus the initial residual of each subdomain solve (one
                 // solve per halo iteration).
                 assert_eq!(
-                    record.krylov_residual_history.len(),
+                    krylov_residuals(&log, lane).len(),
                     ranks.krylov_iterations[rank] + outcome.inner_iterations,
                     "rank {rank} Krylov residual events"
                 );
@@ -369,8 +359,8 @@ fn deterministic_metrics_are_stable_at_one_and_four_ranks() {
             let mut problem = p.clone();
             problem.num_threads = Some(threads);
             let mut solver = BlockJacobiSolver::new(&problem, decomp).unwrap();
-            let mut recorder = RecordingObserver::default();
-            let outcome = solver.run_observed(&mut recorder).unwrap();
+            let mut log = EventLog::default();
+            let outcome = solver.run_observed(&mut log).unwrap();
             let deterministic = outcome.metrics.deterministic();
 
             assert_eq!(deterministic.sweeps, outcome.sweep_count);
@@ -381,10 +371,8 @@ fn deterministic_metrics_are_stable_at_one_and_four_ranks() {
                 "one sweep span per rank sweep at {} ranks",
                 decomp.num_ranks()
             );
-            let rank_sweep_spans: usize = recorder
-                .rank_records
-                .iter()
-                .map(|r| r.phase_starts[Phase::Sweep.index()])
+            let rank_sweep_spans: usize = (0..decomp.num_ranks())
+                .map(|rank| support::phase_starts(&log, Lane::Rank(rank), Phase::Sweep))
                 .sum();
             assert_eq!(rank_sweep_spans, outcome.sweep_count);
 

@@ -15,6 +15,8 @@
 //! * observer/outcome consistency: the streamed DSA CG residuals equal
 //!   the outcome's `accel_residual_history` entry for entry.
 
+mod support;
+
 use proptest::prelude::*;
 
 use unsnap::prelude::*;
@@ -108,16 +110,22 @@ fn dsa_si_never_needs_more_sweeps_than_si_for_c_at_least_half() {
 fn streamed_dsa_residuals_match_the_outcome_history() {
     let p = diffusive_quickstart(0.9).with_strategy(StrategyKind::DsaSourceIteration);
     let mut session = Session::new(&p).unwrap();
-    let mut recorder = RecordingObserver::default();
-    let outcome = session.run_observed(&mut recorder).unwrap();
+    let mut log = EventLog::default();
+    let outcome = session.run_observed(&mut log).unwrap();
     assert!(outcome.converged);
     assert!(!outcome.accel_residual_history.is_empty());
+    let driver = Lane::Driver;
     assert_eq!(
-        recorder.accel_residual_history, outcome.accel_residual_history,
+        support::accel_residuals(&log, driver),
+        outcome.accel_residual_history,
         "streamed DSA residuals must reconstruct the outcome history"
     );
-    assert_eq!(recorder.convergence_history, outcome.convergence_history);
-    assert_eq!(recorder.sweep_count, outcome.sweep_count);
+    assert_eq!(
+        support::inner_changes(&log, driver),
+        outcome.convergence_history
+    );
+    let counted: Vec<usize> = (1..=outcome.sweep_count).collect();
+    assert_eq!(support::sweeps(&log, driver), counted);
 }
 
 #[test]

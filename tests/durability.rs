@@ -65,17 +65,11 @@ fn non_timing(o: &SolveOutcome) -> SolveOutcome {
     }
 }
 
-/// Zero the wall-clock fields of a recording (recursively over rank
-/// records); the deterministic counts stay and must match exactly.
-fn without_timing(recorder: &RecordingObserver) -> RecordingObserver {
-    let mut r = recorder.clone();
-    r.sweep_seconds = 0.0;
-    r.phase_seconds = vec![0.0; r.phase_seconds.len()];
-    for rank in &mut r.rank_records {
-        rank.sweep_seconds = 0.0;
-        rank.phase_seconds = vec![0.0; rank.phase_seconds.len()];
-    }
-    r
+/// `events` with its wall-clock seconds zeroed; every count, residual
+/// and lane stays and must match exactly.
+fn zeroed(mut events: EventLog) -> EventLog {
+    events.zero_wallclock();
+    events
 }
 
 /// An even smaller fixture for the exhaustive byte-level recovery
@@ -106,21 +100,16 @@ struct Reference {
     /// The final angular flux: all of it on one domain, the halo's
     /// across ranks.
     psi: Vec<f64>,
-    recorder: RecordingObserver,
+    /// The run's event stream, every lane, with its seconds zeroed.
+    events: EventLog,
     /// The complete run-log image of the uninterrupted run.
     log: Vec<u8>,
 }
 
 impl Reference {
     /// Assert a resumed run's outcome, flux and observer stream match
-    /// this uninterrupted run's exactly.
-    fn assert_resumed(
-        &self,
-        outcome: &SolveOutcome,
-        flux: &[f64],
-        recorder: &RecordingObserver,
-        tag: &str,
-    ) {
+    /// this uninterrupted run's exactly, event by event.
+    fn assert_resumed(&self, outcome: &SolveOutcome, flux: &[f64], events: EventLog, tag: &str) {
         assert_eq!(
             non_timing(outcome),
             non_timing(&self.outcome),
@@ -128,8 +117,8 @@ impl Reference {
         );
         assert_eq!(flux, &self.flux[..], "{tag}: resumed flux diverged");
         assert_eq!(
-            without_timing(recorder),
-            without_timing(&self.recorder),
+            zeroed(events),
+            self.events,
             "{tag}: resumed observer stream diverged"
         );
     }
@@ -144,11 +133,11 @@ fn run_single_reference(problem: &Problem, every: usize) -> Reference {
             .unwrap();
     let mut sink = observer.sink();
     let mut observer = observer;
-    let mut recorder = RecordingObserver::default();
+    let mut events = EventLog::default();
     let mut session = Session::new(problem).unwrap();
     session.solver_mut().keep_angular_flux();
     let outcome = {
-        let mut tee = TeeObserver::new(&mut recorder, &mut observer);
+        let mut tee = TeeObserver::new(&mut events, &mut observer);
         session.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
     let psi = session.solver().angular_flux().expect("asked to be kept");
@@ -156,7 +145,7 @@ fn run_single_reference(problem: &Problem, every: usize) -> Reference {
         outcome,
         flux: session.scalar_flux().as_slice().to_vec(),
         psi: psi.as_slice().to_vec(),
-        recorder,
+        events: zeroed(events),
         log: buffer.bytes(),
     }
 }
@@ -189,13 +178,13 @@ fn resume_single_and_compare(partial: &[u8], every: usize, reference: &Reference
     let observer = CheckpointObserver::resume(&path, every).unwrap();
     let mut sink = observer.sink();
     let mut observer = observer;
-    let mut recorder = RecordingObserver::default();
+    let mut events = EventLog::default();
     let outcome = {
-        let mut tee = TeeObserver::new(&mut recorder, &mut observer);
+        let mut tee = TeeObserver::new(&mut events, &mut observer);
         session.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
     let flux = session.scalar_flux().as_slice();
-    reference.assert_resumed(&outcome, flux, &recorder, tag);
+    reference.assert_resumed(&outcome, flux, events, tag);
     // The completed resumed log must itself recover as a finished run.
     let final_log = std::fs::read(&path).unwrap();
     let recovered = recover_bytes(&final_log).unwrap();
@@ -397,7 +386,7 @@ fn a_converging_run_writes_a_finished_frame_and_rejects_resume() {
     assert!(
         recovered.checkpoints >= 1,
         "fixture must checkpoint before converging (took {} outers)",
-        reference.recorder.outers_completed
+        reference.outcome.outer_iterations
     );
 
     // A completed log refuses both resume entry points.
@@ -430,10 +419,10 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> Reference 
     .unwrap();
     let mut sink = observer.sink();
     let mut observer = observer;
-    let mut recorder = RecordingObserver::default();
+    let mut events = EventLog::default();
     let mut solver = BlockJacobiSolver::new(problem, Decomposition2D::new(npx, npy)).unwrap();
     let outcome = {
-        let mut tee = TeeObserver::new(&mut recorder, &mut observer);
+        let mut tee = TeeObserver::new(&mut events, &mut observer);
         solver
             .run_observed_checkpointed(&mut tee, &mut sink)
             .unwrap()
@@ -442,7 +431,7 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> Reference 
         outcome,
         flux: solver.scalar_flux().as_slice().to_vec(),
         psi: OuterDriver::flux(&solver).1.to_vec(),
-        recorder,
+        events: zeroed(events),
         log: buffer.bytes(),
     }
 }
@@ -454,15 +443,15 @@ fn resume_jacobi_and_compare(partial: &[u8], reference: &Reference, tag: &str) {
     let observer = CheckpointObserver::resume(&path, 1).unwrap();
     let mut sink = observer.sink();
     let mut observer = observer;
-    let mut recorder = RecordingObserver::default();
+    let mut events = EventLog::default();
     let outcome = {
-        let mut tee = TeeObserver::new(&mut recorder, &mut observer);
+        let mut tee = TeeObserver::new(&mut events, &mut observer);
         solver
             .run_observed_checkpointed(&mut tee, &mut sink)
             .unwrap()
     };
     let flux = solver.scalar_flux().as_slice();
-    reference.assert_resumed(&outcome, flux, &recorder, tag);
+    reference.assert_resumed(&outcome, flux, events, tag);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -4,6 +4,8 @@
 //! serialises to parseable JSON with the deterministic/wall-clock split
 //! intact.
 
+mod support;
+
 use unsnap::obs::jsonl;
 use unsnap::obs::reader;
 use unsnap::prelude::*;
@@ -23,21 +25,21 @@ fn jsonl_run_log_round_trips_through_the_reader() {
     let problem = Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration);
     let mut session = Session::new(&problem).unwrap();
 
-    let mut log = JsonlObserver::create(&path).unwrap();
-    let mut recorder = RecordingObserver::default();
+    let mut file = JsonlObserver::create(&path).unwrap();
+    let mut log = EventLog::default();
     let outcome = {
-        let mut tee = TeeObserver::new(&mut log, &mut recorder);
+        let mut tee = TeeObserver::new(&mut file, &mut log);
         session.run_observed(&mut tee).unwrap()
     };
-    let written = log.events_written();
-    log.finish().unwrap();
+    let written = file.events_written();
+    file.finish().unwrap();
 
     let docs = jsonl::read_file(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(docs.len(), written, "one parsed document per event");
 
     // Every line is an object with an `event` discriminator, and the
-    // stream carries exactly the counts the recorder aggregated.
+    // file carries exactly the events the log recorded.
     let mut sweeps = 0usize;
     let mut outers = 0usize;
     let mut accel_residuals = 0usize;
@@ -56,9 +58,14 @@ fn jsonl_run_log_round_trips_through_the_reader() {
             _ => {}
         }
     }
-    assert_eq!(sweeps, recorder.sweep_count);
-    assert_eq!(outers, recorder.outers_started);
-    assert_eq!(accel_residuals, recorder.accel_residual_history.len());
+    assert_eq!(docs.len(), log.events.len());
+    assert_eq!(sweeps, support::sweeps(&log, Lane::Driver).len());
+    assert_eq!(outers, support::outer_starts(&log, Lane::Driver));
+    assert_eq!(
+        accel_residuals,
+        support::accel_residuals(&log, Lane::Driver).len()
+    );
+    assert_eq!(sweeps, outcome.sweep_count);
     assert!(outcome.converged || outcome.sweep_count > 0);
 }
 

@@ -5,9 +5,9 @@
 //! is *bit-for-bit* unchanged at any width, so for both iteration
 //! strategies on both small presets this suite pins every non-timing
 //! field of the [`SolveOutcome`] — fluxes, iteration counts, residual
-//! histories — plus the full scalar and angular flux state and the
-//! [`RecordingObserver`] event stream (the equivalence harness of
-//! `tests/session_api.rs`) to be identical at 1, 2 and 4 threads.
+//! histories — plus the full scalar and angular flux state and the whole
+//! event stream, event by event with its seconds zeroed, to be identical
+//! at 1, 2 and 4 threads.
 //!
 //! The guarantee rests on the stand-in's execution model — index-ordered
 //! chunks, in-order reassembly, and in-order reductions (see the
@@ -41,21 +41,23 @@ struct Run {
     outcome: SolveOutcome,
     scalar_flux: Vec<f64>,
     angular_flux: Vec<f64>,
-    recorder: RecordingObserver,
+    /// The run's event stream with its wall-clock seconds zeroed.
+    events: EventLog,
 }
 
 fn run_at(problem: &Problem, threads: usize) -> Run {
     let p = problem.clone().with_threads(threads);
     let mut session = Session::new(&p).unwrap();
     session.solver_mut().keep_angular_flux();
-    let mut recorder = RecordingObserver::default();
-    let outcome = session.run_observed(&mut recorder).unwrap();
+    let mut events = EventLog::default();
+    let outcome = session.run_observed(&mut events).unwrap();
+    events.zero_wallclock();
     let angular_flux = session.solver().angular_flux().expect("asked to be kept");
     Run {
         outcome,
         scalar_flux: session.scalar_flux().as_slice().to_vec(),
         angular_flux: angular_flux.as_slice().to_vec(),
-        recorder,
+        events,
     }
 }
 
@@ -106,29 +108,12 @@ fn assert_invariant_at(problem: &Problem, widths: &[usize]) {
             reference.angular_flux, run.angular_flux,
             "angular flux diverged for {context}"
         );
-        // The streamed event view must agree too, not just the summary.
-        assert_eq!(reference.recorder.sweep_count, run.recorder.sweep_count);
+        // The streamed events must agree too, one by one, not just the
+        // summary: sweeps and their cells, phase spans, every residual.
         assert_eq!(
-            reference.recorder.cells_swept, run.recorder.cells_swept,
-            "streamed cell counts diverged for {context}"
+            reference.events, run.events,
+            "event stream diverged for {context}"
         );
-        assert_eq!(
-            reference.recorder.phase_starts, run.recorder.phase_starts,
-            "phase-span counts diverged for {context}"
-        );
-        assert_eq!(
-            reference.recorder.convergence_history, run.recorder.convergence_history,
-            "streamed convergence history diverged for {context}"
-        );
-        assert_eq!(
-            reference.recorder.krylov_residual_history, run.recorder.krylov_residual_history,
-            "streamed Krylov residuals diverged for {context}"
-        );
-        assert_eq!(
-            reference.recorder.accel_residual_history, run.recorder.accel_residual_history,
-            "streamed DSA residuals diverged for {context}"
-        );
-        assert_eq!(reference.recorder.converged, run.recorder.converged);
     }
 }
 
@@ -326,15 +311,14 @@ fn deterministic_metrics_are_thread_count_invariant_at_1_2_and_8() {
 
 #[test]
 fn metrics_observer_stream_matches_the_attached_snapshot() {
-    // A caller-side MetricsObserver fed through `run_observed` sees the
+    // A caller-side `RunMetrics` fed through `run_observed` sees the
     // identical event stream that builds the outcome's attached
     // snapshot, so the two must agree exactly — including wall-clock
     // fields, because both views time the same single run.
     let problem = Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration);
     let mut session = Session::new(&problem).unwrap();
-    let mut observer = MetricsObserver::new();
-    let outcome = session.run_observed(&mut observer).unwrap();
-    let mut streamed = observer.snapshot();
+    let mut streamed = RunMetrics::default();
+    let outcome = session.run_observed(&mut streamed).unwrap();
     // Kernel-section timing arrives via the outcome, not the event
     // stream, so it is the one pair the observer cannot see.
     streamed.kernel_assemble_seconds = outcome.metrics.kernel_assemble_seconds;

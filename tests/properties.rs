@@ -407,16 +407,8 @@ fn upscatter_couples_groups_and_the_outer_iteration_still_converges() {
     .with_scattering_ratio(0.8);
     let upscatter = base.clone().with_upscatter_ratio(0.3);
 
-    let mut base_recorder = RecordingObserver::default();
-    let baseline = TransportSolver::new(&base)
-        .unwrap()
-        .run_observed(&mut base_recorder)
-        .unwrap();
-    let mut coupled_recorder = RecordingObserver::default();
-    let coupled = TransportSolver::new(&upscatter)
-        .unwrap()
-        .run_observed(&mut coupled_recorder)
-        .unwrap();
+    let baseline = TransportSolver::new(&base).unwrap().run().unwrap();
+    let coupled = TransportSolver::new(&upscatter).unwrap().run().unwrap();
 
     assert!(baseline.converged, "within-group-only run must converge");
     assert!(
@@ -424,10 +416,10 @@ fn upscatter_couples_groups_and_the_outer_iteration_still_converges() {
         "upscatter run must converge within budget"
     );
     assert!(
-        coupled_recorder.outers_completed > base_recorder.outers_completed,
+        coupled.outer_iterations > baseline.outer_iterations,
         "upscatter must slow the outer iteration: {} vs {} outers",
-        coupled_recorder.outers_completed,
-        base_recorder.outers_completed
+        coupled.outer_iterations,
+        baseline.outer_iterations
     );
     assert!(coupled.scalar_flux_total > 0.0);
     // Same scattering-matrix row sums, different coupling: with vacuum

@@ -3,10 +3,13 @@
 //! The redesign must be a pure re-plumbing: an observed [`Session`] run
 //! reproduces the monolithic `TransportSolver::run` outcome **bit for
 //! bit** (flux totals, sweep counts, residual histories) for both
-//! iteration strategies on both small presets, and the
-//! [`RecordingObserver`]'s event stream reconstructs the outcome's
-//! history vectors exactly.
+//! iteration strategies on both small presets, and the event stream an
+//! [`EventLog`] records reconstructs the outcome's history vectors
+//! exactly.
 
+mod support;
+
+use support::{krylov_residuals, sweeps};
 use unsnap::prelude::*;
 
 /// Everything a `SolveOutcome` reports except wall-clock timing, which
@@ -31,10 +34,10 @@ fn assert_session_reproduces_run(problem: &Problem) {
     let mut solver = TransportSolver::new(problem).unwrap();
     let direct = solver.run().unwrap();
 
-    // The redesigned path: a session streaming into a recorder.
+    // The redesigned path: a session streaming into an event log.
     let mut session = Session::new(problem).unwrap();
-    let mut recorder = RecordingObserver::default();
-    let observed = session.run_observed(&mut recorder).unwrap();
+    let mut log = EventLog::default();
+    let observed = session.run_observed(&mut log).unwrap();
 
     // Bit-for-bit equivalence of every non-timing field.
     assert_eq!(
@@ -46,14 +49,20 @@ fn assert_session_reproduces_run(problem: &Problem) {
     );
 
     // The event stream must reconstruct the outcome's histories exactly.
-    assert_eq!(recorder.sweep_count, observed.sweep_count);
-    assert_eq!(recorder.convergence_history, observed.convergence_history);
+    let driver = Lane::Driver;
+    let counted: Vec<usize> = (1..=observed.sweep_count).collect();
+    assert_eq!(sweeps(&log, driver), counted);
     assert_eq!(
-        recorder.krylov_residual_history,
+        support::inner_changes(&log, driver),
+        observed.convergence_history
+    );
+    assert_eq!(
+        krylov_residuals(&log, driver),
         observed.krylov_residual_history
     );
-    assert_eq!(recorder.outers_started, recorder.outers_completed);
-    assert_eq!(recorder.converged, observed.converged);
+    let ends = support::outer_ends(&log, driver);
+    assert_eq!(support::outer_starts(&log, driver), ends.len());
+    assert_eq!(ends.contains(&true), observed.converged);
 
     // And the flux state the two paths leave behind is identical.
     let a = solver.scalar_flux().as_slice();
@@ -94,20 +103,20 @@ fn builder_presets_feed_sessions_without_behaviour_change() {
 
 #[test]
 fn observer_sees_krylov_residuals_only_under_gmres() {
-    let mut recorder = RecordingObserver::default();
+    let mut log = EventLog::default();
     Session::new(&Problem::tiny())
         .unwrap()
-        .run_observed(&mut recorder)
+        .run_observed(&mut log)
         .unwrap();
-    assert!(recorder.krylov_residual_history.is_empty());
-    assert!(recorder.sweep_count > 0);
+    assert!(krylov_residuals(&log, Lane::Driver).is_empty());
+    assert!(!sweeps(&log, Lane::Driver).is_empty());
 
-    recorder.clear();
+    log.clear();
     Session::new(&Problem::tiny().with_strategy(StrategyKind::SweepGmres))
         .unwrap()
-        .run_observed(&mut recorder)
+        .run_observed(&mut log)
         .unwrap();
-    assert!(!recorder.krylov_residual_history.is_empty());
+    assert!(!krylov_residuals(&log, Lane::Driver).is_empty());
 }
 
 #[test]
