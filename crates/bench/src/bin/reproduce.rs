@@ -12,6 +12,8 @@
 //! Exit status: 0 clean, 1 on counter drift against `--compare`, 2 on a
 //! command-line, I/O or refused-run error.
 
+#![forbid(unsafe_code)]
+
 use unsnap_bench::{HarnessOptions, USAGE};
 
 fn main() {

@@ -23,8 +23,8 @@
 //! (default `1,2` for the scaling family, `1` for the rest), so a
 //! document recorded on one machine compares on another.  The harness
 //! reads no `UNSNAP_*` variable, and refuses to record or compare while
-//! `RAYON_NUM_THREADS` is set — that override resizes every pool and
-//! would make every tag false.
+//! `RAYON_NUM_THREADS` forces a width — that override resizes every team
+//! and would make every tag false.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -623,11 +623,10 @@ pub fn run(opts: &HarnessOptions) -> i32 {
         print!("{}", experiment_table());
         return 0;
     }
-    if (opts.out.is_some() || opts.compare.is_some())
-        && std::env::var_os("RAYON_NUM_THREADS").is_some()
+    if (opts.out.is_some() || opts.compare.is_some()) && unsnap_core::team::forced_width().is_some()
     {
         eprintln!(
-            "reproduce: RAYON_NUM_THREADS is set: it resizes every pool, so no record's \
+            "reproduce: RAYON_NUM_THREADS forces every team's width, so no record's \
              `threads` tag would be true; unset it to use --out/--compare"
         );
         return 2;

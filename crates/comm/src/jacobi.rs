@@ -39,7 +39,8 @@
 //!
 //! # Observer streaming
 //!
-//! Ranks genuinely sweep **concurrently** on the worker pool (sized by
+//! Ranks genuinely sweep **concurrently**, on a team of threads forked
+//! every halo iteration ([`team::map`], as wide as
 //! [`Problem::num_threads`], overridable with `RAYON_NUM_THREADS`): each
 //! rank writes into its own domain's buffers — its slab, its φ and the
 //! export buffer its folds copy the face traces its neighbours read into
@@ -56,10 +57,9 @@
 
 use std::time::Instant;
 
-use rayon::prelude::*;
 use unsnap_obs::clock::Clock;
 
-use unsnap_core::domain::{worker_pool, DomainContext, HaloFlux, SharedAssets, SweepDomain};
+use unsnap_core::domain::{DomainContext, HaloFlux, SharedAssets, SweepDomain};
 use unsnap_core::error::Result;
 use unsnap_core::layout::{FluxLayout, FluxStorage};
 use unsnap_core::problem::Problem;
@@ -69,6 +69,7 @@ use unsnap_core::solver::{
     ResumePoint, RunControl, RunStats, SolveOutcome,
 };
 use unsnap_core::strategy::StrategyKind;
+use unsnap_core::team;
 use unsnap_mesh::{Decomposition2D, Subdomain};
 
 /// Block-Jacobi distributed transport solver (simulated ranks): N
@@ -79,7 +80,7 @@ pub struct BlockJacobiSolver {
     decomposition: Decomposition2D,
     subdomains: Vec<Subdomain>,
     /// One sweep domain per rank, indexed by rank id.  Each is handed to
-    /// the worker pool by `&mut` every halo iteration.
+    /// a member of the rank team by `&mut` every halo iteration.
     domains: Vec<SweepDomain>,
     /// Each rank's accumulated work statistics, indexed by rank id.
     rank_stats: Vec<RunStats>,
@@ -89,8 +90,8 @@ pub struct BlockJacobiSolver {
     halo: HaloFlux,
     phi: FluxStorage,
     phi_outer: FluxStorage,
-    /// Worker pool the rank solves fan out on.
-    pool: rayon::ThreadPool,
+    /// How wide the team the rank solves fork into is.
+    width: usize,
     /// The run protocol's state (an installed resume point).
     control: RunControl,
 }
@@ -112,13 +113,13 @@ impl BlockJacobiSolver {
         problem.validate()?;
         // The parallel axis here is the rank loop (each rank sweeps
         // inline), so threads beyond the rank count could never receive
-        // work — cap the pool width.
-        let pool = worker_pool(problem, decomposition.num_ranks())?;
-        let assets = SharedAssets::build(problem, &pool);
+        // work — cap the width.
+        let width = team::width(problem, decomposition.num_ranks());
+        let assets = SharedAssets::build(problem, width);
         let subdomains = decomposition.try_decompose(&assets.mesh)?;
         let mut domains = subdomains
             .iter()
-            .map(|sd| SweepDomain::new(&assets, &pool, sd.global_cells.clone()))
+            .map(|sd| SweepDomain::new(&assets, width, sd.global_cells.clone()))
             .collect::<Result<Vec<_>>>()?;
         let halo = HaloFlux::new(&assets, &mut domains);
 
@@ -138,7 +139,7 @@ impl BlockJacobiSolver {
             domains,
             phi: FluxStorage::zeros(scalar_layout),
             phi_outer: FluxStorage::zeros(scalar_layout),
-            pool,
+            width,
             control: RunControl::default(),
         })
     }
@@ -187,7 +188,7 @@ impl BlockJacobiSolver {
     }
 
     /// Total halo faces across all ranks.
-    pub fn total_halo_faces(&self) -> usize {
+    fn total_halo_faces(&self) -> usize {
         self.subdomains.iter().map(|s| s.halo_faces.len()).sum()
     }
 
@@ -305,37 +306,32 @@ impl OuterDriver for BlockJacobiSolver {
 
             let t0 = Instant::now();
             // Every rank runs its strategy-dispatched inner solve
-            // concurrently on the worker pool.  Nothing a rank reads
+            // concurrently, on a team of threads.  Nothing a rank reads
             // is written by another rank within the same iteration:
             // own cells come from the rank's own domain, remote cells
             // from `halo`, rewritten only by the exchange below.
-            // Results and event logs come back in rank order (the pool
+            // Results and event logs come back in rank order (`team::map`
             // reassembles in input order), so the outcome and the
             // observer stream are independent of the interleaving.
             let (assets, phi_outer, halo) = (&self.assets, &self.phi_outer, &self.halo);
             let ranks: Vec<_> = self.domains.iter_mut().zip(&mut self.rank_stats).collect();
-            let solves: Result<Vec<(EventLog, bool)>> = self.pool.install(|| {
-                ranks
-                    .into_par_iter()
-                    .map(|(domain, stats)| {
-                        let mut log = EventLog::default();
-                        let mut context = DomainContext {
-                            assets,
-                            pool: None,
-                            phi_outer,
-                            halo: Some(halo),
-                            domain,
-                            inner_budget,
-                        };
-                        let solved = kind.run_inners(&mut context, stats, &mut log);
-                        solved.map(|rank_converged| (log, rank_converged))
-                    })
-                    .collect()
+            let solves = team::map(self.width, ranks, |(domain, stats)| {
+                let mut log = EventLog::default();
+                let mut context = DomainContext {
+                    assets,
+                    width: 1,
+                    phi_outer,
+                    halo: Some(halo),
+                    domain,
+                    inner_budget,
+                };
+                let solved = kind.run_inners(&mut context, stats, &mut log);
+                solved.map(|rank_converged| (log, rank_converged))
             });
             stats.sweep_seconds += t0.elapsed().as_secs_f64();
             // Surface the earliest rank's error before touching the
             // global arrays or the observer.
-            let solves = solves?;
+            let solves = solves.into_iter().collect::<Result<Vec<_>>>()?;
 
             // The halo exchange: every rank publishes the traces it
             // exports, in rank order, for the next iteration to read.  The

@@ -15,7 +15,7 @@
 //! * [`HaloFlux`] — the face traces of ψ that cross a cut between domains,
 //!   one per (cut face, angle) its downwind domain reads: what one domain
 //!   reads of another, and with φ all that survives an iteration boundary;
-//! * [`DomainContext`] — a borrowed view (assets + pool + the global
+//! * [`DomainContext`] — a borrowed view (assets + team width + the global
 //!   previous-outer flux + an optional halo + one domain) carrying the
 //!   only real [`InnerSolveContext`] implementation: one source assembly,
 //!   one sweep, one DSA correction.
@@ -52,7 +52,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
 use unsnap_fem::element::ReferenceElement;
 use unsnap_fem::face::{face_node_indices, FACES};
 use unsnap_fem::geometry::HexVertices;
@@ -73,22 +72,7 @@ use crate::problem::Problem;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 use crate::solver::RunStats;
 use crate::strategy::{AcceleratorKind, InnerSolveContext};
-use crate::team::{sweep_team, AngleFold, BucketTeam, SlabInHand, Turn};
-
-/// Build the worker pool a driver fans out on: `Problem::num_threads`
-/// wide (the machine's parallelism when unset), capped at `max_width`.
-pub fn worker_pool(problem: &Problem, max_width: usize) -> Result<rayon::ThreadPool> {
-    let num_threads = problem
-        .num_threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .min(max_width.max(1));
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(num_threads)
-        .build()
-        .map_err(|e| Error::Execution {
-            reason: format!("failed to build thread pool: {e}"),
-        })
-}
+use crate::team::{self, sweep_team, AngleFold, BucketTeam, SlabInHand, Turn};
 
 /// The read-only half of a solve, shared by every domain of a driver.
 pub struct SharedAssets {
@@ -120,8 +104,9 @@ pub struct SharedAssets {
 
 impl SharedAssets {
     /// Build the assets of a validated `problem`, precomputing the
-    /// per-element integrals on `pool` when the problem asks for them.
-    pub fn build(problem: &Problem, pool: &rayon::ThreadPool) -> Self {
+    /// per-element integrals on a team `width` wide when the problem asks
+    /// for them.
+    pub fn build(problem: &Problem, width: usize) -> Self {
         let mesh = problem.build_mesh();
         let element = ReferenceElement::new(problem.element_order);
         let face_nodes: [Vec<usize>; 6] =
@@ -148,16 +133,11 @@ impl SharedAssets {
         // independent per element.
         let t0 = Instant::now();
         let integrals = problem.precompute_integrals.then(|| {
-            pool.install(|| {
-                (0..mesh.num_cells())
-                    .into_par_iter()
-                    .map(|cell| {
-                        let hex = HexVertices {
-                            corners: *mesh.cell_corners(cell),
-                        };
-                        ElementIntegrals::compute(&element, &hex)
-                    })
-                    .collect()
+            team::map(width, (0..mesh.num_cells()).collect(), |cell| {
+                let hex = HexVertices {
+                    corners: *mesh.cell_corners(cell),
+                };
+                ElementIntegrals::compute(&element, &hex)
             })
         });
         let integrals_seconds = t0.elapsed().as_secs_f64();
@@ -383,8 +363,8 @@ impl Drop for TaskRun<'_> {
 
 impl SweepDomain {
     /// Build the domain owning `cells` (global ids, in local order),
-    /// constructing its masked per-angle schedules on `pool`.
-    pub fn new(assets: &SharedAssets, pool: &rayon::ThreadPool, cells: Vec<usize>) -> Result<Self> {
+    /// constructing its masked per-angle schedules on a team `width` wide.
+    pub fn new(assets: &SharedAssets, width: usize, cells: Vec<usize>) -> Result<Self> {
         let mesh = &assets.mesh;
         let mut local_of_cell = vec![FOREIGN; mesh.num_cells()];
         for (local, &cell) in cells.iter().enumerate() {
@@ -394,17 +374,12 @@ impl SweepDomain {
         // per direction on an unstructured mesh).  A mask owning every
         // cell yields the whole-mesh schedule.
         let owned: Vec<bool> = local_of_cell.iter().map(|&l| l != FOREIGN).collect();
-        let schedules: Vec<SweepSchedule> = pool.install(|| {
-            assets
-                .quadrature
-                .directions()
-                .par_iter()
-                .map(|d| {
-                    SweepSchedule::build_masked(mesh, d.omega, &owned)
-                        .map_err(|e| Error::schedule(format!("angle {:?}", d.omega), e))
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
+        let directions = assets.quadrature.directions().iter().collect();
+        let schedules = team::map(width, directions, |d| {
+            SweepSchedule::build_masked(mesh, d.omega, &owned)
+                .map_err(|e| Error::schedule(format!("angle {:?}", d.omega), e))
+        });
+        let schedules = schedules.into_iter().collect::<Result<Vec<_>>>()?;
 
         let problem = &assets.problem;
         let nodes = assets.element.nodes_per_element();
@@ -656,7 +631,8 @@ impl Slab<'_> {
 /// Everything the tasks of one sweep read.
 struct SweepView<'a> {
     assets: &'a SharedAssets,
-    pool: Option<&'a rayon::ThreadPool>,
+    /// How wide a sweep forks; 1 sweeps on the calling thread.
+    width: usize,
     local_of_cell: &'a [usize],
     /// The halo slots of the foreign faces this domain reads.
     traces: &'a TraceTable,
@@ -884,7 +860,7 @@ impl SweepView<'_> {
         }
     }
 
-    /// Sweep every angle, spreading the work over the pool along the
+    /// Sweep every angle, spreading the work over a team along the
     /// scheme's parallel axis, and fold each into φ (zeroed by the caller)
     /// in ascending order.
     fn sweep(&self, mut fold: AngleFold, buffers: &mut BucketBuffers) -> KernelTiming {
@@ -896,22 +872,20 @@ impl SweepView<'_> {
             slabs,
             parked,
         } = buffers;
-        let width = self.pool.map_or(1, |pool| pool.current_num_threads());
-        let (team, window) = sweep_team(problem.scheme, width, num_angles);
+        let (team, window) = sweep_team(problem.scheme, self.width, num_angles);
         // (Parked slabs are what a sweep that unwound left behind.)
         slabs.extend(parked.drain(..).map(|(_, slab)| slab));
         slabs.resize_with(slabs.len().max(window), || vec![0.0; self.slab.len()]);
         {
             let scratch = &*scratch;
             let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
-            // One fork per sweep: every worker of the team runs `work` once —
-            // or one of them, or the caller, runs it once for each.
+            // One fork per sweep: every member of the team runs `work` once —
+            // or the caller runs it for each member it has no thread for.
             let enter = |work: &(dyn Fn(usize) + Sync)| {
-                let pool = self.pool.expect("a team has a pool");
-                pool.install(|| (0..team).into_par_iter().for_each(work))
+                team::fork(team, work);
             };
             match problem.scheme.threaded {
-                // One worker — a 1-wide pool, or a rank of a driver that
+                // One worker — a width of 1, or a rank of a driver that
                 // runs its domains concurrently — walks every angle.
                 _ if team == 1 => {
                     let mut run = begin();
@@ -990,10 +964,9 @@ impl SweepView<'_> {
 pub struct DomainContext<'a> {
     /// The read-only half of the solve.
     pub assets: &'a SharedAssets,
-    /// The pool a sweep forks on.  `None` sweeps inline on the calling
-    /// thread — what a driver that already runs its domains concurrently
-    /// passes.
-    pub pool: Option<&'a rayon::ThreadPool>,
+    /// How wide a sweep forks.  1 (or 0) sweeps on the calling thread —
+    /// what a driver that already runs its domains concurrently passes.
+    pub width: usize,
     /// The *global* scalar flux at the previous outer iteration (the
     /// Jacobi group coupling reads it by global cell id).
     pub phi_outer: &'a FluxStorage,
@@ -1063,7 +1036,7 @@ impl DomainContext<'_> {
         } = &mut *self.domain;
         let view = SweepView {
             assets: self.assets,
-            pool: self.pool.filter(|pool| pool.current_num_threads() > 1),
+            width: self.width.max(1),
             local_of_cell,
             traces,
             schedules,
@@ -1221,7 +1194,6 @@ impl InnerSolveContext for DomainContext<'_> {
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
 
     use unsnap_linalg::{DenseMatrix, GaussSolver};
@@ -1230,6 +1202,7 @@ mod tests {
 
     use super::*;
     use crate::session::NoopObserver;
+    use crate::team::tests::with_spawns_refused;
 
     /// Gaussian elimination that panics on solve number `at` of its life.
     struct PanicsAt {
@@ -1260,51 +1233,24 @@ mod tests {
         }
     }
 
-    /// Run `job` on a worker thread of `workers` (on this one if it has none):
-    /// where a fork runs its members one after another.
-    fn on_a_worker(workers: &rayon::ThreadPool, job: impl FnOnce() + Send) {
-        if workers.current_num_threads() == 1 {
-            return job();
-        }
-        let caller = std::thread::current().id();
-        let (job, taken) = (Mutex::new(Some(job)), AtomicBool::new(false));
-        workers.install(|| {
-            (0..2).into_par_iter().for_each(|_| {
-                if std::thread::current().id() == caller {
-                    // The caller helps with its own fork: it is kept busy
-                    // until a worker has the job.
-                    while !taken.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                } else if let Some(job) = job.lock().unwrap().take() {
-                    taken.store(true, Ordering::Release);
-                    job();
-                }
-            })
-        });
-    }
-
-    /// One sweep of every cell of `problem` on a pool `width` wide — issued
-    /// from one of its workers if `nested` — with a solver failing `at` each
-    /// solve listed, then one with a sound solver: φ of that last sweep, and
-    /// of the same sweep on a domain no task of which ever panicked.
+    /// One sweep of every cell of `problem` by a team `width` wide — with
+    /// every member run by the caller, one after another, if its spawns are
+    /// `refused` — with a solver failing `at` each solve listed, then one
+    /// with a sound solver: φ of that last sweep, and of the same sweep on a
+    /// domain no task of which ever panicked.
     fn sweep_after_panics(
         problem: &Problem,
-        (width, nested): (usize, bool),
+        (width, refused): (usize, bool),
         at: &[usize],
     ) -> [Vec<u64>; 2] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(width)
-            .build()
-            .unwrap();
-        let mut assets = SharedAssets::build(problem, &pool);
+        let mut assets = SharedAssets::build(problem, width);
         let cells = || (0..assets.mesh.num_cells()).collect();
-        let mut domains = [(); 2].map(|()| SweepDomain::new(&assets, &pool, cells()).unwrap());
+        let mut domains = [(); 2].map(|()| SweepDomain::new(&assets, width, cells()).unwrap());
         let phi_outer = FluxStorage::zeros(*domains[0].phi.layout());
         let sweep = |assets: &SharedAssets, domain: &mut SweepDomain| {
             let mut context = DomainContext {
                 assets,
-                pool: Some(&pool),
+                width,
                 phi_outer: &phi_outer,
                 halo: None,
                 domain,
@@ -1314,8 +1260,8 @@ mod tests {
             context.domain.phi.fill(0.0);
             context.compute_source();
             let mut sweep = || context.sweep_once(&mut RunStats::default(), &mut NoopObserver);
-            if nested {
-                on_a_worker(&pool, sweep);
+            if refused {
+                with_spawns_refused(sweep);
             } else {
                 sweep();
             }
@@ -1329,7 +1275,6 @@ mod tests {
         domains.each_mut().map(|domain| {
             sweep(&assets, domain);
             let BucketBuffers { slabs, parked, .. } = &domain.buffers;
-            let width = pool.current_num_threads();
             let (_, window) = sweep_team(problem.scheme, width, problem.num_angles());
             assert_eq!((slabs.len(), parked.len()), (window, 0), "width {width}");
             domain.phi.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -1387,17 +1332,13 @@ mod tests {
         problem: &Problem,
         (npx, npy): (usize, usize),
     ) -> (SharedAssets, Vec<SweepDomain>, HaloFlux) {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let assets = SharedAssets::build(problem, &pool);
+        let assets = SharedAssets::build(problem, 1);
         let subdomains = Decomposition2D::new(npx, npy)
             .try_decompose(&assets.mesh)
             .unwrap();
         let mut domains: Vec<SweepDomain> = subdomains
             .into_iter()
-            .map(|sd| SweepDomain::new(&assets, &pool, sd.global_cells).unwrap())
+            .map(|sd| SweepDomain::new(&assets, 1, sd.global_cells).unwrap())
             .collect();
         let halo = HaloFlux::new(&assets, &mut domains);
         (assets, domains, halo)
@@ -1414,7 +1355,7 @@ mod tests {
         domain.phi.fill(0.0);
         let mut context = DomainContext {
             assets,
-            pool: None,
+            width: 1,
             phi_outer: &phi_outer,
             halo: Some(halo),
             domain,
@@ -1551,8 +1492,8 @@ mod tests {
     #[test]
     fn a_team_not_all_of_which_runs_keeps_the_bits() {
         let sweep = |problem: &Problem, team| sweep_after_panics(problem, team, &[])[0].clone();
-        // More workers than angles, past `TransportSolver`'s cap on the pool
-        // width — what `RAYON_NUM_THREADS` does to every pool.
+        // More workers than angles, past `TransportSolver`'s cap on the
+        // width — what `RAYON_NUM_THREADS` does to every team.
         let problem = Problem::tiny()
             .with_scheme(ConcurrencyScheme::best())
             .with_phase_space(1, 2);
@@ -1564,9 +1505,9 @@ mod tests {
                 "φ differs at width {width}"
             );
         }
-        // Issued from one of the pool's own workers, the members of a team
-        // run one after another: the first waits for nobody, and leaves the
-        // others nothing.
+        // With no thread for any other member, the caller runs the members
+        // of a team one after another: the first waits for nobody, and
+        // leaves the others nothing.
         for scheme in every_scheme() {
             let problem = Problem::tiny().with_scheme(scheme);
             let team = sweep(&problem, (3, true));

@@ -74,8 +74,8 @@ pub enum Error {
         /// Human-readable description of the communication failure.
         reason: String,
     },
-    /// The execution environment could not be set up (e.g. the worker
-    /// thread pool failed to build).
+    /// The execution environment could not be set up (e.g. a directory
+    /// or a socket the process needs could not be opened).
     Execution {
         /// Human-readable description of the environment failure.
         reason: String,

@@ -52,6 +52,9 @@
 //!   other through, and the `DomainContext` that assembles sources,
 //!   sweeps and DSA-corrects on a domain, iterating each wavefront
 //!   bucket as the concurrency scheme's descriptor says.
+//! * [`team`] — how a team forks (scoped threads, the caller as member
+//!   0; [`team::map`], [`team::width`], [`team::forced_width`]) and how
+//!   the members of a sweep share it out and hand it in.
 //! * [`solver`] — the single-domain driver: outer iteration structure,
 //!   checkpoint hooks, timers and convergence monitoring.
 //! * [`strategy`] — the inner iterations of one outer iteration:
@@ -96,7 +99,7 @@ pub mod report;
 pub mod session;
 pub mod solver;
 pub mod strategy;
-mod team;
+pub mod team;
 pub mod wire;
 
 pub use angular::{AngularQuadrature, Direction};

@@ -101,13 +101,13 @@ pub struct Problem {
     pub upscatter_ratio: Option<f64>,
     /// Concurrency scheme for the sweep.
     pub scheme: ConcurrencyScheme,
-    /// Number of worker threads for the solver's pool (`None` = the
-    /// machine's available parallelism).  A width of 1 runs the sweep
-    /// inline on the calling thread.  The `RAYON_NUM_THREADS` environment
-    /// variable force-overrides whatever is requested here — the knob CI
-    /// uses to replay the whole test suite at several widths — and every
-    /// scheme produces bit-for-bit identical physics regardless of the
-    /// effective width.
+    /// How many threads a sweep forks into (`None` = the machine's
+    /// available parallelism).  A width of 1 runs the sweep on the calling
+    /// thread.  The `RAYON_NUM_THREADS` environment variable
+    /// ([`crate::team::forced_width`]) force-overrides whatever is
+    /// requested here — the knob CI uses to replay the whole test suite
+    /// at several widths — and every scheme produces bit-for-bit
+    /// identical physics regardless of the effective width.
     pub num_threads: Option<usize>,
     /// Precompute and store the per-element integrals (the paper's
     /// approach) or recompute them on the fly inside the kernel.
@@ -205,9 +205,11 @@ impl Problem {
         }
     }
 
-    /// Scaled-down Figure 3 problem for machines without 192 GB of memory:
-    /// same shape (linear elements, many groups relative to angles), small
-    /// enough to run in seconds.
+    /// Scaled-down Figure 3 problem: same shape (linear elements, many
+    /// groups relative to angles), small enough to run in seconds.  It
+    /// exists for CI time, not for memory: a sweep of [`Problem::figure3_full`]
+    /// holds ψ in `sweep_scratch_bytes(2)` = 4 slabs × 16 MiB = 64 MiB at
+    /// two threads, not the whole angular flux.
     pub fn figure3_scaled() -> Self {
         Self {
             nx: 8,
@@ -783,6 +785,12 @@ mod tests {
         assert_eq!(angles.sweep_scratch_bytes(1), slab);
         assert_eq!(angles.sweep_scratch_bytes(2), 4 * slab);
         assert_eq!(angles.sweep_scratch_bytes(99), 2 * 16 * slab);
+        // What `figure3_scaled` does not need to save: the paper-size
+        // problem's two-thread sweep holds 4 slabs of 16 MiB.
+        assert_eq!(
+            Problem::figure3_full().sweep_scratch_bytes(2),
+            4 * (16 << 20)
+        );
     }
 
     #[test]

@@ -22,14 +22,13 @@
 //! `Problem::time_solve` is set — the linear-solve share is accumulated
 //! separately so the "% in solve" column of Table II can be reproduced.
 //!
-//! The fan-out executes on a **real worker pool** sized by
+//! A sweep forks a team of scoped threads (`crate::team`) as wide as
 //! `Problem::num_threads` (force-overridable with `RAYON_NUM_THREADS`).
-//! A sweep's team (`crate::team`) claims whole angles or shares of a
-//! bucket region; either way each task's arithmetic is the same whoever
-//! runs it, angles are swept into slabs and the scalar flux takes them in
-//! ascending angle order, so every scheme produces bit-for-bit identical
-//! fluxes at any thread count — the invariant
-//! `tests/parallel_determinism.rs` enforces.
+//! The team claims whole angles or shares of a bucket region; either way
+//! each task's arithmetic is the same whoever runs it, angles are swept
+//! into slabs and the scalar flux takes them in ascending angle order, so
+//! every scheme produces bit-for-bit identical fluxes at any thread count
+//! — the invariant `tests/parallel_determinism.rs` enforces.
 
 use std::time::{Duration, Instant};
 
@@ -40,7 +39,7 @@ use unsnap_sweep::{SweepSchedule, ThreadedLoops};
 
 use crate::angular::AngularQuadrature;
 use crate::cancel::CancelToken;
-use crate::domain::{worker_pool, DomainContext, SharedAssets, SweepDomain};
+use crate::domain::{DomainContext, SharedAssets, SweepDomain};
 use crate::error::{Error, Result};
 use crate::kernel::KernelTiming;
 use crate::layout::FluxStorage;
@@ -527,9 +526,9 @@ pub fn run_outers(
 pub struct TransportSolver {
     /// Mesh, element, integrals, quadrature, data, back end, clock.
     assets: SharedAssets,
-    /// Worker pool the sweep fans out on, sized according to
-    /// `Problem::num_threads` (a width of 1 runs inline on this thread).
-    pool: rayon::ThreadPool,
+    /// How wide a sweep forks ([`crate::team::width`]; 1 sweeps on the
+    /// calling thread).
+    width: usize,
     /// The one domain, owning every cell: its φ buffers *are* the global
     /// arrays.
     domain: SweepDomain,
@@ -551,15 +550,15 @@ impl TransportSolver {
             ThreadedLoops::Angles => problem.num_angles(),
             _ => usize::MAX,
         };
-        let pool = worker_pool(problem, max_width)?;
-        let assets = SharedAssets::build(problem, &pool);
+        let width = crate::team::width(problem, max_width);
+        let assets = SharedAssets::build(problem, width);
         let t0 = Instant::now();
-        let domain = SweepDomain::new(&assets, &pool, (0..assets.mesh.num_cells()).collect())?;
+        let domain = SweepDomain::new(&assets, width, (0..assets.mesh.num_cells()).collect())?;
         let preassembly_seconds = assets.integrals_seconds + t0.elapsed().as_secs_f64();
         Ok(Self {
             phi_outer: FluxStorage::zeros(*domain.phi.layout()),
             assets,
-            pool,
+            width,
             domain,
             control: RunControl {
                 preassembly_seconds: Some(preassembly_seconds),
@@ -669,11 +668,11 @@ impl TransportSolver {
     }
 
     /// This solver as the 1-domain inner-solve context: every cell owned,
-    /// no halo, sweeps forking on the solver's pool.
+    /// no halo, sweeps forking the solver's width.
     fn context(&mut self) -> DomainContext<'_> {
         DomainContext {
             assets: &self.assets,
-            pool: Some(&self.pool),
+            width: self.width,
             phi_outer: &self.phi_outer,
             halo: None,
             domain: &mut self.domain,

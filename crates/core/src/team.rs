@@ -1,28 +1,153 @@
-//! How the workers of one sweep share it out and hand it in.
+//! How a team forks, and how the workers of one sweep share it out and
+//! hand it in.
 //!
-//! A sweep forks once, into a team ([`sweep_team`]), along one of two
+//! A team is forked with `fork`: the caller runs as member 0 and every
+//! other member on a scoped thread of its own, joined before `fork`
+//! returns — OpenMP's fork/join, as in SNAP.  [`map`] is the in-order map
+//! over contiguous chunks the set-up maps and the rank solves of block
+//! Jacobi run on, and [`width`] how wide a driver forks; 1 forks nothing.
+//!
+//! A sweep forks once, into a team (`sweep_team`), along one of two
 //! axes.  On the *angle axis* (the default scheme) the workers claim whole
 //! angles, sweep each into a slab of their own and hand it in under one
-//! lock ([`SlabInHand::exchange`]): φ takes the slabs in turn.  On the
+//! lock (`SlabInHand::exchange`): φ takes the slabs in turn.  On the
 //! *bucket axis* (the paper's six schemes) the workers are all in the same
 //! angle and claim shares of one region of a bucket at a time
-//! ([`BucketTeam::work`]), cut the way [`region_cut`] says; whoever
+//! (`BucketTeam::work`), cut the way `region_cut` says; whoever
 //! hands in the last share of a region opens the next, and the last region
 //! of an angle folds it.  Either way ψ leaves a sweep in one place,
-//! [`AngleFold::fold`], angle after angle in ascending order, and the two
+//! `AngleFold::fold`, angle after angle in ascending order, and the two
 //! teams keep the same two promises: no wait depends on a worker that has
-//! not arrived (a pool narrower than the team, down to one thread running
-//! the members one after another, finishes the sweep), and a worker that
-//! unwinds releases the others.
+//! not arrived (fewer members running than the team has, down to the
+//! caller running them one after another, finish the sweep), and a worker
+//! that unwinds releases the others.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::thread::{Scope, ScopedJoinHandle};
 
 use unsnap_sweep::{ConcurrencyScheme, LoopOrder, SweepSchedule, ThreadedLoops};
 
 use crate::angular::Direction;
 use crate::domain::TraceTable;
 use crate::layout::{FluxLayout, FluxStorage};
+use crate::problem::Problem;
+
+/// The width `RAYON_NUM_THREADS` forces on every team, whatever a problem
+/// asks for: the knob the CI determinism matrix replays the whole suite
+/// at widths 1, 2 and 8 with.  A value that is not a positive integer
+/// (surrounding whitespace aside) forces nothing.
+pub fn forced_width() -> Option<usize> {
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|raw| parse_width(&raw))
+}
+
+fn parse_width(raw: &str) -> Option<usize> {
+    raw.trim().parse().ok().filter(|&n| n > 0)
+}
+
+/// How wide a driver of `problem` forks: `Problem::num_threads` (the
+/// machine's parallelism when unset), capped at `max_width` — unless
+/// [`forced_width`] says otherwise, cap or not.
+pub fn width(problem: &Problem, max_width: usize) -> usize {
+    forced_width().unwrap_or_else(|| {
+        let requested = problem
+            .num_threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        requested.min(max_width.max(1))
+    })
+}
+
+/// A member of a forked team, as the caller holds it until the join.
+enum Member<'scope, R> {
+    Spawned(ScopedJoinHandle<'scope, R>),
+    /// The caller runs it: member 0, and one the operating system would
+    /// not start a thread for, after that.
+    OnCaller,
+    Ran(std::thread::Result<R>),
+}
+
+/// Start member `m` of a team on a thread of its own; `None` if the
+/// operating system refuses one.  Unnamed: a name allocates once a spawn.
+fn spawn<'scope, R: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    member: impl FnOnce() -> R + Send + 'scope,
+) -> Option<ScopedJoinHandle<'scope, R>> {
+    #[cfg(test)]
+    if tests::REFUSE_SPAWNS.get() {
+        return None;
+    }
+    std::thread::Builder::new().spawn_scoped(scope, member).ok()
+}
+
+/// Run `member` once for each of `members` members of a team — the caller
+/// as member 0, the others on scoped threads — and return what each
+/// returned, in member order.  The members are joined in that order, and
+/// if any panicked the lowest-numbered one's panic resumes on the caller,
+/// message and all.  A member whose thread the operating system refuses
+/// runs on the caller after its own, so a team must not make a member
+/// wait for one that has not started.
+pub(crate) fn fork<R: Send>(members: usize, member: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let member = &member;
+    let run = |m: usize| catch_unwind(AssertUnwindSafe(|| member(m)));
+    std::thread::scope(|scope| {
+        let mut team: Vec<Member<R>> = Vec::with_capacity(members);
+        team.push(Member::OnCaller);
+        for m in 1..members {
+            let spawned = spawn(scope, move || member(m));
+            team.push(spawned.map_or(Member::OnCaller, Member::Spawned));
+        }
+        for (m, slot) in team.iter_mut().enumerate() {
+            if let Member::OnCaller = slot {
+                *slot = Member::Ran(run(m));
+            }
+        }
+        let mut panicked = None;
+        let mut results = Vec::with_capacity(members);
+        for slot in team {
+            let outcome = match slot {
+                Member::Spawned(handle) => handle.join(),
+                Member::Ran(outcome) => outcome,
+                Member::OnCaller => unreachable!("the caller ran it"),
+            };
+            match outcome {
+                Ok(result) => results.push(result),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+        results
+    })
+}
+
+/// `f` of every item, in input order, on a team of up to `width` members,
+/// each of which maps one contiguous chunk of the items.  The chunks'
+/// lengths differ by at most one, the longer first — a pure function of
+/// the item count and the width.  Collect the result into a `Result` for
+/// the earliest error.  If `f` panics, the panic of the earliest chunk
+/// resumes on the caller once every member is joined.
+pub fn map<T: Send, U: Send>(width: usize, items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+    let members = width.min(items.len());
+    if members <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let (base, extra) = (items.len() / members, items.len() % members);
+    let mut items = items.into_iter();
+    let chunks: Vec<Mutex<Vec<T>>> = (0..members)
+        .map(|m| Mutex::new(items.by_ref().take(base + usize::from(m < extra)).collect()))
+        .collect();
+    let mapped = fork(members, |m| {
+        let chunk = std::mem::take(&mut *chunks[m].lock().expect("each chunk is taken once"));
+        chunk.into_iter().map(&f).collect::<Vec<U>>()
+    });
+    mapped.into_iter().flatten().collect()
+}
 
 /// Slabs per worker of the angle axis.  Two workers drift apart by more
 /// than one angle, so with one slab each a worker that finishes out of turn
@@ -32,7 +157,7 @@ use crate::layout::{FluxLayout, FluxStorage};
 /// measured no better than two.
 const SLABS_PER_WORKER: usize = 2;
 
-/// How a sweep of `scheme` on a pool `width` wide is shared out: the
+/// How a sweep of `scheme` forking `width` wide is shared out: the
 /// workers of its team — 1 takes the angles one after another, whole — and
 /// the slabs they hold ψ in.  On the angle axis a team has no use for more
 /// workers than angles; on the bucket axis it is in one angle at a time.
@@ -382,6 +507,109 @@ impl Drop for TeamMember<'_, '_> {
             let mut at = (self.0.open.lock()).unwrap_or_else(PoisonError::into_inner);
             at.failed = true;
             self.0.parked.notify_all();
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    thread_local! {
+        /// Whether [`spawn`] refuses every thread this one asks for.
+        pub(super) static REFUSE_SPAWNS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `job`, with every spawn a fork on this thread asks for refused: the
+    /// caller runs each member of a team, one after another.
+    pub(crate) fn with_spawns_refused<R>(job: impl FnOnce() -> R) -> R {
+        REFUSE_SPAWNS.set(true);
+        let result = catch_unwind(AssertUnwindSafe(job));
+        REFUSE_SPAWNS.set(false);
+        result.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast::<String>()
+            .map_or_else(|_| String::new(), |m| *m)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn map_keeps_input_order(len in 0usize..400, width in 1usize..=8) {
+            let expected: Vec<usize> = (0..len).map(|i| i.wrapping_mul(7)).collect();
+            let mapped = map(width, (0..len).collect(), |i: usize| i.wrapping_mul(7));
+            prop_assert_eq!(&mapped, &expected);
+            let refused = with_spawns_refused(|| map(width, (0..len).collect(), |i: usize| i.wrapping_mul(7)));
+            prop_assert_eq!(refused, expected);
+        }
+    }
+
+    #[test]
+    fn the_earliest_error_wins() {
+        let odd = |x: i32| if x % 2 == 1 { Err(x) } else { Ok(x) };
+        for width in [1, 2, 8] {
+            let ok: Result<Vec<i32>, i32> = map(width, vec![0, 2, 4], odd).into_iter().collect();
+            assert_eq!(ok, Ok(vec![0, 2, 4]));
+            // The odd items fall in the chunks of every member.
+            let err: Result<Vec<i32>, i32> = map(width, (0..64).rev().collect(), odd)
+                .into_iter()
+                .collect();
+            assert_eq!(err, Err(63), "width {width}: the earliest failing item");
+        }
+    }
+
+    #[test]
+    fn the_lowest_members_panic_reaches_the_caller_with_its_message() {
+        // Every member but the caller panics, each with its own number.
+        for refused in [false, true] {
+            let team = || fork(8, |m| assert!(m == 0, "member {m} exploded"));
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                if refused {
+                    with_spawns_refused(team)
+                } else {
+                    team()
+                }
+            }));
+            let payload = panicked.expect_err("a member's panic crosses the join");
+            assert_eq!(
+                message(payload),
+                "member 1 exploded",
+                "spawns refused: {refused}"
+            );
+        }
+        // One item deep in the third of four chunks.
+        let panicked = catch_unwind(|| {
+            map(4, (0..128usize).collect(), |i| {
+                assert!(i != 77, "item {i} exploded")
+            })
+        });
+        assert_eq!(message(panicked.unwrap_err()), "item 77 exploded");
+    }
+
+    #[test]
+    fn the_caller_is_member_zero_and_the_others_have_threads_of_their_own() {
+        let caller = std::thread::current().id();
+        let threads = fork(4, |_| std::thread::current().id());
+        assert_eq!(threads[0], caller);
+        assert!(threads[1..].iter().all(|&t| t != caller));
+        let refused = with_spawns_refused(|| fork(4, |_| std::thread::current().id()));
+        assert_eq!(refused, vec![caller; 4]);
+    }
+
+    #[test]
+    fn the_width_override_is_a_positive_integer_or_nothing() {
+        assert_eq!(parse_width("3"), Some(3));
+        assert_eq!(parse_width(" 8 "), Some(8));
+        for ignored in ["0", "-2", "zero", "", " "] {
+            assert_eq!(parse_width(ignored), None, "{ignored:?}");
         }
     }
 }

@@ -1,9 +1,12 @@
 //! A warm sweep allocates nothing per task or per region of a bucket, and a
 //! solver's memory does not grow with the angles.
 //!
-//! The whole file is one test: the counters are process-wide (worker
-//! threads allocate too), so a second test running beside it would be
-//! counted.
+//! The whole file is one test, and it runs without libtest's harness
+//! (`harness = false`): the counters are process-wide (worker threads
+//! allocate too), so a second test running beside it would be counted —
+//! and so would libtest's output capture, which hooks every thread a sweep
+//! starts with two allocations of its own that no build outside a test
+//! harness makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -88,14 +91,14 @@ fn footprint_of_two_sweeps(problem: &Problem) -> (usize, usize, usize) {
     (built, peak, schedules)
 }
 
-#[test]
+fn main() {
+    a_warm_sweep_allocates_nothing_per_task();
+}
+
 fn a_warm_sweep_allocates_nothing_per_task() {
     // `RAYON_NUM_THREADS` (the CI determinism matrix) overrides every
-    // pool width, so "one thread" exists only when it is unset or 1.
-    let forced_width = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0);
+    // team's width, so "one thread" exists only when it is unset or 1.
+    let forced_width = unsnap_core::team::forced_width();
     let default_scheme = Problem::tiny().with_scheme(ConcurrencyScheme::best());
 
     if forced_width.unwrap_or(1) == 1 {

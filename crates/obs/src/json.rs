@@ -167,7 +167,7 @@ pub fn array_f64(values: &[f64]) -> String {
 }
 
 /// Serialise a slice of usize as a JSON array.
-pub fn array_usize(values: &[usize]) -> String {
+fn array_usize(values: &[usize]) -> String {
     let mut buf = String::from("[");
     for (i, &v) in values.iter().enumerate() {
         if i > 0 {

@@ -128,7 +128,7 @@ impl PartialEq for TraceTree {
 
 /// The lane label used in both exporters: `driver` for lane 0, `rankN`
 /// for lane `N + 1`.
-pub fn lane_label(lane: usize) -> String {
+fn lane_label(lane: usize) -> String {
     if lane == 0 {
         "driver".to_string()
     } else {

@@ -22,6 +22,8 @@
 //! tolerance 0, so every outer runs); `UNSNAP_SMOKE_OUTERS` scales the
 //! outer count (default 24) to give the kill a wide window.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use unsnap_core::problem::Problem;

@@ -57,7 +57,7 @@ pub const TAG_CHECKPOINT: u8 = b'C';
 pub const TAG_FINISHED: u8 = b'F';
 
 /// FNV-1a 64-bit over `bytes` — the workspace's canonical content hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = FNV_OFFSET;

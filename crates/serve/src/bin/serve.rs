@@ -10,6 +10,8 @@
 //! `UNSNAP_CHECKPOINT_ITERS` (checkpoint cadence in outer iterations,
 //! default 1).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use unsnap_core::problem::Problem;

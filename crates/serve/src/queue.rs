@@ -4,11 +4,12 @@
 //! bounded FIFO and a fixed pool of worker threads drains it, so a burst
 //! of requests degrades into queueing latency instead of unbounded
 //! concurrency.  Each worker runs one solve at a time through the
-//! ordinary [`Session`] API; the solve itself parallelises internally
-//! through the problem's own rayon pool exactly as a CLI run would
-//! (`RAYON_NUM_THREADS` force-overrides every pool, as in the CI
-//! determinism matrix), so the worker count bounds *how many solves* run
-//! concurrently, not how many threads a solve uses.
+//! ordinary [`Session`] API; the solve itself forks a team of threads
+//! once per sweep, as wide as the problem asks, exactly as a CLI run
+//! would (`RAYON_NUM_THREADS` force-overrides every team's width, as in
+//! the CI determinism matrix), so the worker count bounds *how many
+//! solves* run concurrently, not how many threads a solve uses.  Between
+//! sweeps a solve holds no thread but the worker's.
 //!
 //! A job moves through the state machine
 //!

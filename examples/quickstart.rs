@@ -13,6 +13,8 @@
 //! back ends and concurrency schemes are compared by
 //! `reproduce strategies|table2|figure3`.
 
+#![forbid(unsafe_code)]
+
 use unsnap::prelude::*;
 
 /// A tiny observer that narrates the solve as it happens.

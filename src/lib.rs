@@ -59,11 +59,13 @@
 //!
 //! ## Execution model
 //!
-//! Sweeps fan out on a real shared worker pool (sized by
-//! `Problem::num_threads` / `Problem::with_threads`, force-overridable
-//! with `RAYON_NUM_THREADS`).  Work is split into index-ordered chunks
-//! and reassembled in input order, so the physics is **bit-for-bit
-//! identical at every thread count** — the invariant
+//! A sweep forks once, into a team of scoped threads as wide as
+//! `Problem::num_threads` / `Problem::with_threads` (force-overridable
+//! with `RAYON_NUM_THREADS`; [`core::team`]), with the caller as member 0.
+//! The team claims angles, or shares of a bucket region, and φ takes the
+//! swept angles in ascending order; the set-up maps and block Jacobi's
+//! rank solves reassemble their chunks in input order.  So the physics is
+//! **bit-for-bit identical at every thread count** — the invariant
 //! `tests/parallel_determinism.rs` pins for both iteration strategies
 //! and the CI matrix enforces at widths 1, 2 and 8, for every
 //! concurrency scheme.

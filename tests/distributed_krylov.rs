@@ -18,6 +18,11 @@
 mod support;
 
 use support::{accel_residuals, krylov_residuals, rank_lanes};
+// Under the CI matrix `RAYON_NUM_THREADS` forces every team to one
+// width, so cross-width comparisons would compare a width against
+// itself; skip with a note in that case (the matrix replays the rest
+// of the suite at each width instead).
+use unsnap::core::team::forced_width;
 use unsnap::prelude::*;
 
 /// The quickstart problem, with the inner budget raised so the halo
@@ -30,16 +35,6 @@ fn quickstart_for_jacobi(strategy: StrategyKind) -> Problem {
     p.inner_iterations = 30;
     p.strategy = strategy;
     p
-}
-
-/// Under the CI matrix `RAYON_NUM_THREADS` forces every pool to one
-/// width, so cross-width comparisons would compare a width against
-/// itself; skip with a note in that case (the matrix replays the rest
-/// of the suite at each width instead).
-fn forced_width() -> Option<String> {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
 }
 
 #[test]
@@ -88,7 +83,7 @@ fn rank_decomposed_sweep_gmres_matches_single_domain_flux() {
 
 fn assert_per_rank_streams_thread_invariant(strategy: StrategyKind) {
     if let Some(width) = forced_width() {
-        eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
+        eprintln!("RAYON_NUM_THREADS={width} forces every team width; cross-width check skipped");
         return;
     }
     // A 4-rank decomposition on a small scattering-dominated problem:

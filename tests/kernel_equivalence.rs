@@ -56,14 +56,14 @@ fn run_single_domain(problem: &Problem) -> Run {
     }
 }
 
-/// Under the CI matrix `RAYON_NUM_THREADS` forces *every* pool to one
+/// Under the CI matrix `RAYON_NUM_THREADS` forces *every* team to one
 /// width; kernel-vs-kernel comparisons stay valid (both runs get the
 /// forced width), but sweeping widths would compare a width against
 /// itself, so collapse the width list to the nominal one.
 fn widths() -> Vec<usize> {
-    match std::env::var("RAYON_NUM_THREADS") {
-        Ok(v) if !v.trim().is_empty() => vec![1],
-        _ => vec![1, 2, 3, 8],
+    match unsnap::core::team::forced_width() {
+        Some(_) => vec![1],
+        None => vec![1, 2, 3, 8],
     }
 }
 

@@ -18,6 +18,12 @@
 //! is in one angle at a time.  No scheme is exempt.
 
 use unsnap::core::solver::OuterDriver;
+// Under the CI matrix `RAYON_NUM_THREADS` forces *every* team to one
+// width, so the cross-width comparisons below would compare a width
+// against itself.  Skip with a note in that case — the matrix's value
+// is replaying the *rest* of the suite at each width; this suite does
+// its real work in the unforced main job.
+use unsnap::core::team::forced_width;
 use unsnap::prelude::*;
 
 /// Everything a `SolveOutcome` reports except wall-clock timing, which
@@ -61,17 +67,6 @@ fn run_at(problem: &Problem, threads: usize) -> Run {
     }
 }
 
-/// Under the CI matrix `RAYON_NUM_THREADS` forces *every* pool to one
-/// width, so the cross-width comparisons below would compare a width
-/// against itself.  Skip with a note in that case — the matrix's value
-/// is replaying the *rest* of the suite at each width; this suite does
-/// its real work in the unforced main job.
-fn forced_width() -> Option<String> {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-}
-
 const STRATEGIES: [StrategyKind; 3] = [
     StrategyKind::SourceIteration,
     StrategyKind::DsaSourceIteration,
@@ -84,7 +79,7 @@ fn assert_thread_count_invariant(problem: &Problem) {
 
 fn assert_invariant_at(problem: &Problem, widths: &[usize]) {
     if let Some(width) = forced_width() {
-        eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
+        eprintln!("RAYON_NUM_THREADS={width} forces every team width; cross-width check skipped");
         return;
     }
     let reference = run_at(problem, 1);
@@ -288,7 +283,7 @@ fn deterministic_metrics_are_thread_count_invariant_at_1_2_and_8() {
     // the wall-clock half is free to differ and is stripped before the
     // comparison.
     if let Some(width) = forced_width() {
-        eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
+        eprintln!("RAYON_NUM_THREADS={width} forces every team width; cross-width check skipped");
         return;
     }
     for strategy in STRATEGIES {

@@ -5,19 +5,14 @@
 //! `trace_event` export re-parses with the `unsnap-obs` reader as a
 //! valid, strictly nested, monotonically timestamped profile.
 
+// Under the CI matrix `RAYON_NUM_THREADS` forces every team to one
+// width, so cross-width comparisons would compare a width against
+// itself; skip with a note in that case (the matrix replays the rest
+// of the suite at each width instead).
+use unsnap::core::team::forced_width;
 use unsnap::obs::reader::{self, JsonValue};
 use unsnap::obs::trace::TraceTree;
 use unsnap::prelude::*;
-
-/// Under the CI matrix `RAYON_NUM_THREADS` forces every pool to one
-/// width, so cross-width comparisons would compare a width against
-/// itself; skip with a note in that case (the matrix replays the rest
-/// of the suite at each width instead).
-fn forced_width() -> Option<String> {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-}
 
 /// The trace with its wall-clock half zeroed: after this, `spans`
 /// compares bitwise (every `SpanRecord` field), not just structurally.
@@ -36,7 +31,7 @@ fn trace_at(problem: &Problem, threads: usize) -> TraceTree {
 #[test]
 fn span_tree_is_bitwise_invariant_at_1_2_and_8_threads() {
     if let Some(width) = forced_width() {
-        eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
+        eprintln!("RAYON_NUM_THREADS={width} forces every team width; cross-width check skipped");
         return;
     }
     for strategy in [
@@ -94,7 +89,7 @@ fn jacobi_trace(ranks: &Decomposition2D, threads: usize) -> TraceTree {
 #[test]
 fn rank_decomposed_span_trees_are_bitwise_invariant_across_widths() {
     if let Some(width) = forced_width() {
-        eprintln!("RAYON_NUM_THREADS={width} forces every pool width; cross-width check skipped");
+        eprintln!("RAYON_NUM_THREADS={width} forces every team width; cross-width check skipped");
         return;
     }
     // At 1 and at 4 block-Jacobi ranks the replayed, rank-ordered event
