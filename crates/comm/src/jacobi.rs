@@ -1,7 +1,8 @@
 //! The parallel block-Jacobi global schedule over rank subdomains.
 //!
-//! Every rank sweeps its own subdomain with per-angle wavefront schedules
-//! that are *masked* to the cells it owns; an upwind face whose neighbour
+//! Every rank sweeps its own subdomain with wavefront schedules — one per
+//! upwind pattern, shared by the angles that have it — *masked* to the
+//! cells it owns; an upwind face whose neighbour
 //! belongs to another rank takes its angular flux from the **previous**
 //! iteration (that is the content of the per-iteration halo exchange).
 //! "Note that each process can begin computation on its own subdomain
@@ -119,7 +120,7 @@ impl BlockJacobiSolver {
         let subdomains = decomposition.try_decompose(&assets.mesh)?;
         let mut domains = subdomains
             .iter()
-            .map(|sd| SweepDomain::new(&assets, width, sd.global_cells.clone()))
+            .map(|sd| SweepDomain::new(&assets, sd.global_cells.clone()))
             .collect::<Result<Vec<_>>>()?;
         let halo = HaloFlux::new(&assets, &mut domains);
 

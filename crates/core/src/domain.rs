@@ -8,8 +8,9 @@
 //! * [`SharedAssets`] — everything a solve reads and never writes (mesh,
 //!   element, integrals, quadrature, cross sections, dense back end,
 //!   clock), built by one routine for every driver;
-//! * [`SweepDomain`] — the cells one domain owns, its per-angle masked
-//!   wavefront schedules, its φ/source buffers over *local* cells, the
+//! * [`SweepDomain`] — the cells one domain owns, its masked wavefront
+//!   schedules (one per upwind pattern, which its angles share), its
+//!   φ/source buffers over *local* cells, the
 //!   pool of slabs its sweeps hold ψ in — one angle each, a few at a time —
 //!   and the face traces it exports;
 //! * [`HaloFlux`] — the face traces of ψ that cross a cut between domains,
@@ -60,7 +61,7 @@ use unsnap_krylov::GmresWorkspace;
 use unsnap_linalg::LinearSolver;
 use unsnap_mesh::{NeighborRef, UnstructuredMesh, NUM_FACES};
 use unsnap_obs::clock::{Clock, SystemClock};
-use unsnap_sweep::{LoopOrder, SweepSchedule, ThreadedLoops};
+use unsnap_sweep::{LoopOrder, SweepSchedules, ThreadedLoops};
 
 use crate::angular::AngularQuadrature;
 use crate::data::{CrossSections, ProblemData};
@@ -176,8 +177,9 @@ pub struct SweepDomain {
     /// The traces of the halo this domain writes and reads; empty until a
     /// [`HaloFlux`] is built over it.
     traces: TraceTable,
-    /// One wavefront schedule per angle, masked to the owned cells.
-    pub(crate) schedules: Vec<SweepSchedule>,
+    /// The wavefront schedule of every angle, masked to the owned cells:
+    /// one per upwind pattern.
+    pub(crate) schedules: SweepSchedules,
     /// What one sweep of `schedules` walks: buckets, summed over angles.
     sweep_buckets: usize,
     /// What one sweep of `schedules` solves: (element, group, angle)
@@ -362,35 +364,34 @@ impl Drop for TaskRun<'_> {
 }
 
 impl SweepDomain {
-    /// Build the domain owning `cells` (global ids, in local order),
-    /// constructing its masked per-angle schedules on a team `width` wide.
-    pub fn new(assets: &SharedAssets, width: usize, cells: Vec<usize>) -> Result<Self> {
+    /// Build the domain owning `cells` (global ids, in local order), with
+    /// the masked schedules of its angles.
+    pub fn new(assets: &SharedAssets, cells: Vec<usize>) -> Result<Self> {
         let mesh = &assets.mesh;
         let mut local_of_cell = vec![FOREIGN; mesh.num_cells()];
         for (local, &cell) in cells.iter().enumerate() {
             local_of_cell[cell] = local;
         }
-        // One wavefront schedule per angle (§III-A.2: potentially unique
-        // per direction on an unstructured mesh).  A mask owning every
-        // cell yields the whole-mesh schedule.
+        // A wavefront schedule is only "potentially unique" per angle
+        // (§III-A.2): angles whose upwind patterns agree share one — on the
+        // paper's meshes, every angle of an octant.  A mask owning every
+        // cell yields whole-mesh schedules.
         let owned: Vec<bool> = local_of_cell.iter().map(|&l| l != FOREIGN).collect();
-        let directions = assets.quadrature.directions().iter().collect();
-        let schedules = team::map(width, directions, |d| {
-            SweepSchedule::build_masked(mesh, d.omega, &owned)
-                .map_err(|e| Error::schedule(format!("angle {:?}", d.omega), e))
-        });
-        let schedules = schedules.into_iter().collect::<Result<Vec<_>>>()?;
+        let omegas = assets.quadrature.directions().iter().map(|d| d.omega);
+        let schedules = SweepSchedules::build(mesh, omegas, &owned)
+            .map_err(|e| Error::schedule("an upwind pattern of the quadrature", e))?;
 
         let problem = &assets.problem;
         let nodes = assets.element.nodes_per_element();
         let order = problem.scheme.loop_order;
         let scalar = FluxLayout::scalar(nodes, cells.len(), problem.num_groups, order);
-        let scheduled: usize = schedules.iter().map(|s| s.num_cells_scheduled()).sum();
+        let angles = (0..schedules.num_angles()).map(|angle| schedules.schedule(angle));
+        let scheduled: usize = angles.clone().map(|s| s.num_cells_scheduled()).sum();
         Ok(Self {
             cells,
             local_of_cell,
             traces: TraceTable::default(),
-            sweep_buckets: schedules.iter().map(|s| s.num_buckets()).sum(),
+            sweep_buckets: angles.map(|s| s.num_buckets()).sum(),
             sweep_tasks: (scheduled * problem.num_groups) as u64,
             schedules,
             exported: Vec::new(),
@@ -446,7 +447,7 @@ impl SweepDomain {
     /// and for a time-dependent run.
     pub(crate) fn keep_angular_flux(&mut self) {
         let layout = FluxLayout {
-            num_angles: self.schedules.len(),
+            num_angles: self.schedules.num_angles(),
             ..*self.phi.layout()
         };
         self.kept.get_or_insert_with(|| FluxStorage::zeros(layout));
@@ -493,9 +494,9 @@ impl HaloFlux {
         // writer's local cell, face) — and who reads it.
         let mut reads = Vec::new();
         for (reader, domain) in domains.iter().enumerate() {
-            for (angle, schedule) in domain.schedules.iter().enumerate() {
+            for angle in 0..domain.schedules.num_angles() {
                 for (local, &cell) in domain.cells.iter().enumerate() {
-                    for face in schedule.inflow_faces(cell) {
+                    for face in domain.schedules.schedule(angle).inflow_faces(cell) {
                         let NeighborRef::Interior {
                             cell: up,
                             face: up_face,
@@ -636,7 +637,7 @@ struct SweepView<'a> {
     local_of_cell: &'a [usize],
     /// The halo slots of the foreign faces this domain reads.
     traces: &'a TraceTable,
-    schedules: &'a [SweepSchedule],
+    schedules: &'a SweepSchedules,
     source: &'a FluxStorage,
     /// Shape of the ψ of one angle — and of φ: the angle is the slowest
     /// index of both storage orders, so ψ is one such slab per angle.
@@ -699,10 +700,9 @@ impl SweepView<'_> {
         scratch: &mut TaskScratch,
     ) -> KernelTiming {
         let a = self.assets;
-        let schedule = &self.schedules[angle];
         if scratch.key != Some((element, angle)) {
             scratch.inflow.clear();
-            for face in schedule.inflow_faces(element) {
+            for face in self.schedules.schedule(angle).inflow_faces(element) {
                 let source = match a.mesh.neighbor(element, face) {
                     NeighborRef::Boundary { domain_face } => InflowSource::Boundary(
                         a.problem.boundaries.face(domain_face).incoming_flux(),
@@ -758,13 +758,14 @@ impl SweepView<'_> {
             *slot = UpwindFace { face, source };
         }
         let upwind = &upwind[..scratch.inflow.len()];
+        let omega = a.quadrature.directions()[angle].omega;
         let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
         let source = &self.source.as_slice()[self.blocks(self.local_of_cell[element], &groups)];
         if let [sigma_t] = *sigma_t {
             KernelEngine.assemble_solve(
                 element,
                 integrals,
-                schedule.omega,
+                omega,
                 sigma_t,
                 source,
                 upwind,
@@ -776,7 +777,7 @@ impl SweepView<'_> {
             KernelEngine.assemble_solve_lanes(
                 element,
                 integrals,
-                schedule.omega,
+                omega,
                 sigma_t,
                 source,
                 upwind,
@@ -855,7 +856,7 @@ impl SweepView<'_> {
     /// `angle` before reading it.
     fn sweep_angle(&self, angle: usize, psi: &mut [f64], run: &mut TaskRun) {
         let ng = self.assets.problem.num_groups;
-        for bucket in &self.schedules[angle].buckets {
+        for bucket in &self.schedules.schedule(angle).buckets {
             self.walk(angle, bucket, 0..bucket.len() * ng, Slab::Own(psi), run);
         }
     }
@@ -866,7 +867,7 @@ impl SweepView<'_> {
     fn sweep(&self, mut fold: AngleFold, buffers: &mut BucketBuffers) -> KernelTiming {
         let problem = &self.assets.problem;
         let nodes = self.slab.nodes_per_element;
-        let num_angles = self.schedules.len();
+        let num_angles = self.schedules.num_angles();
         let BucketBuffers {
             scratch,
             slabs,
@@ -1245,7 +1246,7 @@ mod tests {
     ) -> [Vec<u64>; 2] {
         let mut assets = SharedAssets::build(problem, width);
         let cells = || (0..assets.mesh.num_cells()).collect();
-        let mut domains = [(); 2].map(|()| SweepDomain::new(&assets, width, cells()).unwrap());
+        let mut domains = [(); 2].map(|()| SweepDomain::new(&assets, cells()).unwrap());
         let phi_outer = FluxStorage::zeros(*domains[0].phi.layout());
         let sweep = |assets: &SharedAssets, domain: &mut SweepDomain| {
             let mut context = DomainContext {
@@ -1327,6 +1328,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_schedule_and_the_kernel_classify_every_face_alike() {
+        // The schedule reads a face as inflow when Ω·n < -1e-12 with the
+        // corner normal; the kernel assembles a face as outflow when Ω·n > 0
+        // with the quadrature-averaged normal of the element's integrals.
+        // A face both or neither would lose or double-count its flux.
+        // Every preset mesh, at its own twist and at the workloads' largest.
+        for name in Problem::registry_names() {
+            let preset = Problem::from_name(name).unwrap();
+            // The published Figure 4 and Table II sizes (order 3 on 16³,
+            // order 2 on 32³) take minutes to integrate in a debug build, so
+            // their meshes are checked with the linear element.  What the
+            // kernel reads is a Gauss average of a bilinear face's area
+            // vector, exact at every order's rule: orders differ by
+            // rounding only, and the scaled presets check 2 and 3 in full.
+            let element_order = match preset.num_cells() {
+                4096.. => 1,
+                _ => preset.element_order,
+            };
+            for twist in [preset.twist, 0.0015] {
+                let problem = Problem {
+                    twist,
+                    element_order,
+                    ..preset.clone()
+                };
+                let assets = SharedAssets::build(&problem, 2);
+                let mesh = &assets.mesh;
+                let domain = SweepDomain::new(&assets, (0..mesh.num_cells()).collect()).unwrap();
+                let integrals = assets
+                    .integrals
+                    .as_deref()
+                    .expect("presets precompute them");
+                for (angle, direction) in assets.quadrature.directions().iter().enumerate() {
+                    let omega = direction.omega;
+                    let schedule = domain.schedules.schedule(angle);
+                    for (cell, integrals) in integrals.iter().enumerate() {
+                        let mut inflow = schedule.inflow_faces(cell).peekable();
+                        for face in 0..NUM_FACES {
+                            let is_inflow = inflow.next_if_eq(&face).is_some();
+                            let kernel = integrals.faces[face].direction_dot_normal(omega);
+                            if is_inflow == (kernel < 0.0) {
+                                continue;
+                            }
+                            let n = unsnap_sweep::face_outward_normal(mesh, cell, face);
+                            let corner = n[0] * omega[0] + n[1] * omega[1] + n[2] * omega[2];
+                            panic!(
+                                "{name} at twist {twist}: cell {cell}, face {face}, angle \
+                                 {angle}: the schedule's Ω·n is {corner:e}, the kernel's {kernel:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The domains of `problem` on `npx × npy` ranks, with their halo.
     fn ranks(
         problem: &Problem,
@@ -1338,7 +1395,7 @@ mod tests {
             .unwrap();
         let mut domains: Vec<SweepDomain> = subdomains
             .into_iter()
-            .map(|sd| SweepDomain::new(&assets, 1, sd.global_cells).unwrap())
+            .map(|sd| SweepDomain::new(&assets, sd.global_cells).unwrap())
             .collect();
         let halo = HaloFlux::new(&assets, &mut domains);
         (assets, domains, halo)
@@ -1383,7 +1440,10 @@ mod tests {
         // schedules whose upwind cell another domain owns.
         let reads: usize = domains
             .iter()
-            .flat_map(|domain| domain.schedules.iter().map(move |s| (domain, s)))
+            .flat_map(|domain| {
+                let schedules = &domain.schedules;
+                (0..schedules.num_angles()).map(move |a| (domain, schedules.schedule(a)))
+            })
             .map(|(domain, schedule)| {
                 let foreign = |(cell, face): (usize, usize)| match mesh.neighbor(cell, face) {
                     NeighborRef::Interior { cell, .. } => domain.local_of_cell[cell] == FOREIGN,

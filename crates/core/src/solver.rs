@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use unsnap_mesh::UnstructuredMesh;
 use unsnap_obs::clock::Clock;
 use unsnap_obs::trace::TraceTree;
-use unsnap_sweep::{SweepSchedule, ThreadedLoops};
+use unsnap_sweep::{SweepSchedules, ThreadedLoops};
 
 use crate::angular::AngularQuadrature;
 use crate::cancel::CancelToken;
@@ -553,7 +553,7 @@ impl TransportSolver {
         let width = crate::team::width(problem, max_width);
         let assets = SharedAssets::build(problem, width);
         let t0 = Instant::now();
-        let domain = SweepDomain::new(&assets, width, (0..assets.mesh.num_cells()).collect())?;
+        let domain = SweepDomain::new(&assets, (0..assets.mesh.num_cells()).collect())?;
         let preassembly_seconds = assets.integrals_seconds + t0.elapsed().as_secs_f64();
         Ok(Self {
             phi_outer: FluxStorage::zeros(*domain.phi.layout()),
@@ -628,8 +628,8 @@ impl TransportSolver {
         self.domain.kept.as_ref()
     }
 
-    /// The per-angle sweep schedules.
-    pub fn schedules(&self) -> &[SweepSchedule] {
+    /// The sweep schedules of the angles: one per upwind pattern.
+    pub fn schedules(&self) -> &SweepSchedules {
         &self.domain.schedules
     }
 

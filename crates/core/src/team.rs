@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::thread::{Scope, ScopedJoinHandle};
 
-use unsnap_sweep::{ConcurrencyScheme, LoopOrder, SweepSchedule, ThreadedLoops};
+use unsnap_sweep::{ConcurrencyScheme, LoopOrder, SweepSchedules, ThreadedLoops};
 
 use crate::angular::Direction;
 use crate::domain::TraceTable;
@@ -359,7 +359,7 @@ fn ask_before_parking<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
 /// `angle/element*/group` row of `reproduce figure3` take 0.40 s for 0.26 s).
 #[repr(align(128))]
 pub(crate) struct BucketTeam<'a> {
-    schedules: &'a [SweepSchedule],
+    schedules: &'a SweepSchedules,
     scheme: ConcurrencyScheme,
     num_groups: usize,
     workers: usize,
@@ -374,7 +374,7 @@ impl<'a> BucketTeam<'a> {
     /// A team of `workers` before the first region of a sweep of `schedules`
     /// under `scheme`, each angle of which is swept into `slab` and folded.
     pub(crate) fn new(
-        schedules: &'a [SweepSchedule],
+        schedules: &'a SweepSchedules,
         (scheme, num_groups): (ConcurrencyScheme, usize),
         workers: usize,
         fold: AngleFold<'a>,
@@ -407,7 +407,8 @@ impl<'a> BucketTeam<'a> {
     /// is empty), folding every angle this steps out of.
     fn open_region(&self, at: &mut OpenRegion) {
         (at.shares, at.claimed, at.done) = (0, 0, 0);
-        while let Some(schedule) = self.schedules.get(at.angle) {
+        while at.angle < self.schedules.num_angles() {
+            let schedule = self.schedules.schedule(at.angle);
             let Some(bucket) = schedule.buckets.get(at.bucket) else {
                 let psi = self.slab.read().expect("a sweep worker panicked");
                 at.fold.fold(at.angle, &psi);
@@ -433,8 +434,9 @@ impl<'a> BucketTeam<'a> {
     /// a worker has failed.
     fn exchange(&self, holds: bool) -> Option<(usize, &'a [usize], Range<usize>)> {
         let schedules = self.schedules;
-        let waits =
-            |at: &OpenRegion| !at.failed && at.claimed == at.shares && at.angle < schedules.len();
+        let waits = |at: &OpenRegion| {
+            !at.failed && at.claimed == at.shares && at.angle < schedules.num_angles()
+        };
         let mut at = self.open.lock().expect("a sweep worker panicked");
         if holds {
             at.done += 1;
@@ -457,7 +459,7 @@ impl<'a> BucketTeam<'a> {
         }
         // Contiguous shares whose lengths differ by at most one grain, the
         // longer ones first.
-        let bucket = &schedules[at.angle].buckets[at.bucket];
+        let bucket = &schedules.schedule(at.angle).buckets[at.bucket];
         let [_, grains, grain_len] = region_cut(self.scheme, bucket.len(), self.num_groups);
         let (base, extra) = (grains / at.shares, grains % at.shares);
         let first_task =

@@ -72,7 +72,7 @@ fn warm_sweep_allocations(problem: &Problem, sweeps: u64) -> u64 {
 
 /// A solver of `problem` built and swept twice: the bytes live once it is
 /// built, the most live at once up to the end of the second sweep (both
-/// above what was live before), and the bytes of its schedules.
+/// above what was live before), and the bytes of its distinct schedules.
 fn footprint_of_two_sweeps(problem: &Problem) -> (usize, usize, usize) {
     let live = || LIVE_BYTES.load(Ordering::Relaxed);
     let before = live();
@@ -85,7 +85,7 @@ fn footprint_of_two_sweeps(problem: &Problem) -> (usize, usize, usize) {
     solver.sweep_once(&mut stats, &mut NoopObserver);
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
     let held = live();
-    let copy = solver.schedules().to_vec();
+    let copy = solver.schedules().distinct().to_vec();
     let schedules = live() - held;
     drop(copy);
     (built, peak, schedules)
@@ -150,7 +150,8 @@ fn a_warm_sweep_allocates_nothing_per_task() {
     // Memory is O(workers), not O(angles): ψ is a few slabs of scratch.
     // What two sweeps add to a built solver is the slab window
     // `Problem::sweep_scratch_bytes` states and a kernel scratch per worker;
-    // twice the angles are twice the schedules and not one slab more; and
+    // twice the angles are the same schedules — one per upwind pattern,
+    // which the angles of an octant share — and not one slab more; and
     // the whole solver — its integrals alone are six slabs of this
     // problem's — stays below half of what storing ψ would take.
     let slabs = default_scheme.with_mesh(6).with_phase_space(6, 16);
@@ -175,8 +176,12 @@ fn a_warm_sweep_allocates_nothing_per_task() {
         }
         let (_, peak_twice, schedules_twice) =
             footprint_of_two_sweeps(&twice_the_angles.clone().with_threads(width));
+        assert_eq!(
+            schedules_twice, schedules,
+            "twice the angles at width {width} hold other schedules"
+        );
         assert!(
-            peak_twice - peak < 2 * slab + (schedules_twice - schedules),
+            peak_twice - peak < 2 * slab,
             "twice the angles at width {width}: {} more bytes, a slab is {slab}",
             peak_twice - peak
         );

@@ -1,14 +1,17 @@
 //! # unsnap-sweep
 //!
-//! Per-angle wavefront sweep scheduling over the unstructured hexahedral
-//! mesh.
+//! Wavefront sweep scheduling over the unstructured hexahedral mesh: one
+//! schedule per upwind pattern.
 //!
 //! Solving the discrete-ordinates transport equation requires, for every
 //! angular direction, a *sweep* of the spatial mesh: a cell can only be
 //! solved once all of its upwind neighbours (faces through which particles
 //! enter, `Ω · n < 0`) have been solved.  On an unstructured mesh the
-//! resulting dependency graph can be different for every direction, so the
-//! schedule is computed per angle (§III-A of the paper).
+//! resulting dependency graph is *potentially* unique per direction
+//! (§III-A.2 of the paper), so the schedules are computed from the
+//! directions rather than assumed — but the graph reads only which faces
+//! each cell is entered through, and directions that agree on that share
+//! one schedule.  On the paper's meshes that is one schedule per octant.
 //!
 //! The schedule used by UnSNAP computes the *tlevel* of every element — the
 //! length of the longest upwind dependency chain, following Pautz — and
@@ -19,24 +22,23 @@
 //!
 //! Provided modules:
 //!
-//! * [`upwind`] — geometric upwind/downwind classification of cell faces
-//!   for a given direction ([`FaceClass`], [`face_outward_normal`]);
-//! * [`graph`] — the per-angle dependency graph ([`DependencyGraph`]:
-//!   incoming/outgoing faces per cell);
-//! * [`schedule`] — bucketed wavefront schedule construction (Kahn's
-//!   algorithm over the dependency counters), cycle detection
-//!   ([`ScheduleError`]), and schedule statistics ([`ScheduleStats`]);
+//! * [`upwind`] — the outward face normals the upwind classification
+//!   reads ([`face_outward_normal`]);
+//! * [`schedule`] — one bucketed wavefront schedule per upwind pattern
+//!   ([`SweepSchedules`]; Kahn's algorithm over each pattern's dependency
+//!   counters), cycle detection ([`ScheduleError`]), and schedule
+//!   statistics ([`ScheduleStats`]);
 //! * [`scheme`] — the concurrency-scheme descriptors
 //!   ([`ConcurrencyScheme`]: [`LoopOrder`] × [`ThreadedLoops`]) that name
 //!   the six parallel variants benchmarked in Figures 3 and 4 of the
 //!   paper.
 //!
-//! Consumers: the single-domain sweep driver in `unsnap-core` builds one
-//! [`SweepSchedule`] per angle with [`SweepSchedule::build`], while the
-//! distributed block-Jacobi driver in `unsnap-comm` builds per-rank
-//! schedules *masked* to each rank's subdomain with
-//! [`SweepSchedule::build_masked`] — see the repository's
-//! `docs/ARCHITECTURE.md` for the full data flow.
+//! Consumers: every sweep domain in `unsnap-core` — the single-domain
+//! driver's one, and the per-rank subdomains of the block-Jacobi driver in
+//! `unsnap-comm` — builds the schedules of all its angles, *masked* to the
+//! cells it owns, with [`SweepSchedules::build`];
+//! [`SweepSchedule::build`] is the one-direction, whole-mesh case.  See
+//! the repository's `docs/ARCHITECTURE.md` for the full data flow.
 //!
 //! ## Example
 //!
@@ -56,12 +58,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod graph;
 pub mod schedule;
 pub mod scheme;
 pub mod upwind;
 
-pub use graph::DependencyGraph;
-pub use schedule::{ScheduleError, ScheduleStats, SweepSchedule};
+pub use schedule::{ScheduleError, ScheduleStats, SweepSchedule, SweepSchedules};
 pub use scheme::{ConcurrencyScheme, LoopOrder, ThreadedLoops};
-pub use upwind::{face_outward_normal, FaceClass};
+pub use upwind::face_outward_normal;

@@ -1,26 +1,14 @@
-//! Geometric upwind/downwind classification of cell faces.
+//! The face normals the sweep's upwind classification reads.
 //!
 //! The sweep dependency between two cells is set by the sign of `Ω · n` on
 //! their shared face, where `n` is the outward normal of the face as seen
 //! from the cell being classified.  For the mildly twisted UnSNAP meshes
 //! every face is planar to within the twist angle, so the classification
-//! uses the average face normal computed from the four face corners.
+//! uses the average face normal computed from the four face corners
+//! ([`face_outward_normal`]; the classification itself is
+//! [`SweepSchedules::build`](crate::schedule::SweepSchedules::build)'s).
 
 use unsnap_mesh::UnstructuredMesh;
-
-/// Classification of a face with respect to a sweep direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaceClass {
-    /// Particles enter the cell through this face (`Ω · n < 0`): the
-    /// neighbour on the other side is an upwind dependency.
-    Inflow,
-    /// Particles leave the cell through this face (`Ω · n > 0`): the
-    /// neighbour is downwind and depends on this cell.
-    Outflow,
-    /// The direction is (numerically) tangential to the face; neither side
-    /// depends on the other through it.
-    Tangential,
-}
 
 /// Local corner indices (in the `c = i + 2j + 4k` ordering) of each face of
 /// a hexahedron, listed as the quadrilateral `(a, b, c, d)` where `a→b` and
@@ -50,7 +38,7 @@ fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
     ]
 }
 
-fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
+pub(crate) fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
@@ -84,30 +72,6 @@ pub fn face_outward_normal(mesh: &UnstructuredMesh, cell: usize, face: usize) ->
         n = scale(n, -1.0);
     }
     n
-}
-
-/// Classify a face of a cell for sweep direction `omega`.
-///
-/// `tangent_tolerance` guards against treating a numerically grazing
-/// direction as a dependency; the UnSNAP quadrature never produces
-/// direction cosines smaller than ~1e-2 so the default of `1e-12` only
-/// matters for axis-aligned synthetic directions in tests.
-pub fn classify_face(
-    mesh: &UnstructuredMesh,
-    cell: usize,
-    face: usize,
-    omega: [f64; 3],
-    tangent_tolerance: f64,
-) -> FaceClass {
-    let n = face_outward_normal(mesh, cell, face);
-    let dn = dot(n, omega);
-    if dn > tangent_tolerance {
-        FaceClass::Outflow
-    } else if dn < -tangent_tolerance {
-        FaceClass::Inflow
-    } else {
-        FaceClass::Tangential
-    }
 }
 
 #[cfg(test)]
@@ -176,27 +140,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn classification_matches_direction_signs() {
-        let m = mesh(2, 0.0);
-        let omega = [0.7, 0.5, 0.5];
-        assert_eq!(classify_face(&m, 0, 0, omega, 1e-12), FaceClass::Inflow);
-        assert_eq!(classify_face(&m, 0, 1, omega, 1e-12), FaceClass::Outflow);
-        assert_eq!(classify_face(&m, 0, 2, omega, 1e-12), FaceClass::Inflow);
-        assert_eq!(classify_face(&m, 0, 3, omega, 1e-12), FaceClass::Outflow);
-        let down = [-0.7, -0.5, -0.5];
-        assert_eq!(classify_face(&m, 0, 0, down, 1e-12), FaceClass::Outflow);
-    }
-
-    #[test]
-    fn tangential_directions_are_detected() {
-        let m = mesh(2, 0.0);
-        // Direction exactly in the y–z plane is tangential to x faces.
-        let omega = [0.0, 0.6, 0.8];
-        assert_eq!(classify_face(&m, 0, 0, omega, 1e-12), FaceClass::Tangential);
-        assert_eq!(classify_face(&m, 0, 1, omega, 1e-12), FaceClass::Tangential);
-        assert_eq!(classify_face(&m, 0, 3, omega, 1e-12), FaceClass::Outflow);
     }
 }

@@ -1,10 +1,10 @@
-//! Property-based tests of the sweep scheduler.
+//! Property-based tests of the sweep scheduler, against an oracle that
+//! classifies every face with [`face_outward_normal`] directly.
 
 use proptest::prelude::*;
 
-use unsnap_mesh::{StructuredGrid, UnstructuredMesh};
-use unsnap_sweep::graph::DependencyGraph;
-use unsnap_sweep::schedule::SweepSchedule;
+use unsnap_mesh::{NeighborRef, StructuredGrid, UnstructuredMesh, NUM_FACES};
+use unsnap_sweep::{face_outward_normal, SweepSchedule, SweepSchedules};
 
 fn direction() -> impl Strategy<Value = [f64; 3]> {
     (
@@ -16,6 +16,42 @@ fn direction() -> impl Strategy<Value = [f64; 3]> {
             let n = (x * x + y * y + z * z).sqrt();
             [x / n, y / n, z / n]
         })
+}
+
+/// The oracle: whether particles moving along `omega` enter `cell`
+/// through `face` (`Ω · n < 0` beyond the tangent tolerance).
+fn is_inflow(mesh: &UnstructuredMesh, cell: usize, face: usize, omega: [f64; 3]) -> bool {
+    let n = face_outward_normal(mesh, cell, face);
+    n[0] * omega[0] + n[1] * omega[1] + n[2] * omega[2] < -1e-12
+}
+
+/// Every local dependency of `omega` over the `owned` cells, by the
+/// oracle: (upwind cell, downwind cell, the downwind cell's inflow face).
+fn oracle_edges(
+    mesh: &UnstructuredMesh,
+    omega: [f64; 3],
+    owned: &[bool],
+) -> Vec<(usize, usize, usize)> {
+    let mut edges = Vec::new();
+    for cell in (0..mesh.num_cells()).filter(|&c| owned[c]) {
+        for face in (0..NUM_FACES).filter(|&f| is_inflow(mesh, cell, f, omega)) {
+            if let NeighborRef::Interior { cell: up, .. } = mesh.neighbor(cell, face) {
+                if owned[up] {
+                    edges.push((up, cell, face));
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// The `part`-th of `parts` x slabs of `mesh`.
+fn x_slab(mesh: &UnstructuredMesh, part: usize, parts: usize) -> Vec<bool> {
+    let grid = *mesh.origin_grid();
+    let (lo, hi) = (part * grid.nx / parts, (part + 1) * grid.nx / parts);
+    (0..mesh.num_cells())
+        .map(|id| (lo..hi).contains(&grid.cell_ijk(id).0))
+        .collect()
 }
 
 proptest! {
@@ -33,16 +69,24 @@ proptest! {
             &StructuredGrid::new(nx, ny, nz, 1.0, 1.0, 1.0),
             twist,
         );
-        let graph = DependencyGraph::build(&mesh, omega);
-        let schedule = SweepSchedule::from_graph(&graph, None).unwrap();
+        let schedule = SweepSchedule::build(&mesh, omega).unwrap();
         prop_assert_eq!(schedule.num_cells_scheduled(), mesh.num_cells());
-        prop_assert_eq!(schedule.validate_against(&graph), 0);
-        // tlevel of a cell is one more than the max tlevel of its upwind
-        // neighbours.
-        for (up, downs) in graph.downwind.iter().enumerate() {
-            for &(down, _) in downs {
-                prop_assert!(schedule.tlevel[down] > schedule.tlevel[up]);
-            }
+        // Every cell exactly once.
+        let mut seen = vec![0usize; mesh.num_cells()];
+        for &cell in schedule.buckets.iter().flatten() {
+            seen[cell] += 1;
+        }
+        prop_assert!(seen.iter().all(|&s| s == 1));
+        // The tlevel strictly increases along every edge, and the schedule
+        // enters each cell through exactly the oracle's faces.
+        let all = vec![true; mesh.num_cells()];
+        for (up, down, _) in oracle_edges(&mesh, omega, &all) {
+            prop_assert!(schedule.tlevel[down] > schedule.tlevel[up]);
+        }
+        for cell in 0..mesh.num_cells() {
+            let expected: Vec<usize> =
+                (0..NUM_FACES).filter(|&f| is_inflow(&mesh, cell, f, omega)).collect();
+            prop_assert_eq!(schedule.inflow_faces(cell).collect::<Vec<_>>(), expected);
         }
         // Stats consistency.
         let stats = schedule.stats();
@@ -77,24 +121,20 @@ proptest! {
         split in 1usize..4,
     ) {
         let mesh = UnstructuredMesh::from_structured(&StructuredGrid::cube(n, 1.0), 0.001);
-        let grid = *mesh.origin_grid();
         let split = split.min(n);
         // Partition by x slab into `split` pieces; the union of the masked
         // schedules covers every cell exactly once.
         let mut covered = vec![0usize; mesh.num_cells()];
         for part in 0..split {
-            let lo = part * n / split;
-            let hi = (part + 1) * n / split;
-            let owned: Vec<bool> = (0..mesh.num_cells())
-                .map(|id| {
-                    let (i, _, _) = grid.cell_ijk(id);
-                    i >= lo && i < hi
-                })
-                .collect();
-            let schedule = SweepSchedule::build_masked(&mesh, omega, &owned).unwrap();
+            let owned = x_slab(&mesh, part, split);
+            let schedules = SweepSchedules::build(&mesh, [omega], &owned).unwrap();
+            let schedule = schedules.schedule(0);
             for &cell in schedule.buckets.iter().flatten() {
                 covered[cell] += 1;
                 prop_assert!(owned[cell]);
+            }
+            for (up, down, _) in oracle_edges(&mesh, omega, &owned) {
+                prop_assert!(schedule.tlevel[down] > schedule.tlevel[up]);
             }
             // Every non-empty subdomain can start immediately (block
             // Jacobi property).
@@ -104,5 +144,36 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c == 1));
+    }
+
+    #[test]
+    fn a_shared_schedule_is_the_one_its_direction_builds_alone(
+        omegas in collection::vec(direction(), 1..16),
+        nx in 1usize..6,
+        ny in 1usize..5,
+        nz in 1usize..5,
+        twist in 0.0f64..0.005,
+        split in 1usize..4,
+    ) {
+        let mesh = UnstructuredMesh::from_structured(
+            &StructuredGrid::new(nx, ny, nz, 1.0, 1.0, 1.0),
+            twist,
+        );
+        let split = split.min(nx);
+        for part in 0..split {
+            let owned = x_slab(&mesh, part, split);
+            let shared = SweepSchedules::build(&mesh, omegas.iter().copied(), &owned).unwrap();
+            prop_assert_eq!(shared.num_angles(), omegas.len());
+            prop_assert!(shared.distinct().len() <= omegas.len().min(8));
+            for (angle, &omega) in omegas.iter().enumerate() {
+                // Equal buckets, tlevels and inflow faces.
+                let alone = if split == 1 {
+                    SweepSchedule::build(&mesh, omega).unwrap()
+                } else {
+                    SweepSchedules::build(&mesh, [omega], &owned).unwrap().distinct()[0].clone()
+                };
+                prop_assert_eq!(shared.schedule(angle), &alone);
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! | [`linalg`] (`unsnap-linalg`) | small dense solvers: Gaussian elimination, reference LU, blocked LU (MKL stand-in) |
 //! | [`krylov`] (`unsnap-krylov`) | matrix-free Krylov solvers (restarted GMRES, CG) over an abstract `LinearOperator`, with observed solves and reusable workspaces |
 //! | [`accel`] (`unsnap-accel`) | diffusion synthetic acceleration: mesh-consistent low-order diffusion operator + CG correction solver |
-//! | [`sweep`] (`unsnap-sweep`) | per-angle wavefront (tlevel-bucket) schedules and concurrency schemes |
+//! | [`sweep`] (`unsnap-sweep`) | wavefront (tlevel-bucket) schedules, one per upwind pattern, and concurrency schemes |
 //! | [`obs`] (`unsnap-obs`) | dependency-free observability: `Clock`/`MockClock`, metrics registry with deterministic/wall-clock split, fixed-bucket histograms, JSON writer/reader, JSONL run logs |
 //! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, the three inner-iteration strategies (`StrategyKind::run_inners`) |
 //! | [`comm`] (`unsnap-comm`) | simulated ranks, block-Jacobi coupling over a shared halo buffer, the halo wire message, `CommError` |

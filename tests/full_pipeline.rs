@@ -3,6 +3,7 @@
 //! and global schedules.
 
 use unsnap::prelude::*;
+use unsnap::sweep::SweepSchedules;
 
 /// A small base problem reused across the integration tests.
 fn small_problem() -> Problem {
@@ -132,6 +133,33 @@ fn schedules_cover_every_cell_for_every_angle_of_the_real_quadrature() {
         // first bucket is never empty.
         assert!(schedule.num_buckets() <= mesh.num_cells());
         assert!(!schedule.buckets[0].is_empty());
+    }
+}
+
+#[test]
+fn every_preset_shares_one_schedule_per_octant() {
+    // The builder compares upwind patterns, never direction signs: on every
+    // preset mesh the patterns it finds are the eight octants.
+    for name in Problem::registry_names() {
+        let p = Problem::from_name(name).unwrap();
+        let mesh = p.build_mesh();
+        let quadrature = AngularQuadrature::product(p.angles_per_octant);
+        let omegas: Vec<[f64; 3]> = quadrature.directions().iter().map(|d| d.omega).collect();
+        let all = vec![true; mesh.num_cells()];
+        let schedules = SweepSchedules::build(&mesh, omegas.iter().copied(), &all).unwrap();
+        assert_eq!(schedules.distinct().len(), 8, "{name}");
+        let octant = |angle: usize| omegas[angle].map(|c| c > 0.0);
+        for a in 0..omegas.len() {
+            for b in 0..omegas.len() {
+                let shared = std::ptr::eq(schedules.schedule(a), schedules.schedule(b));
+                assert_eq!(shared, octant(a) == octant(b), "{name}: angles {a} and {b}");
+            }
+        }
+    }
+    // And a solver's domain holds just those.
+    for name in ["tiny", "quickstart", "figure3", "figure4", "dsa-regime"] {
+        let solver = TransportSolver::new(&Problem::from_name(name).unwrap()).unwrap();
+        assert_eq!(solver.schedules().distinct().len(), 8, "{name}");
     }
 }
 
