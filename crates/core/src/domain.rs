@@ -10,7 +10,8 @@
 //!   clock), built by one routine for every driver;
 //! * [`SweepDomain`] — the cells one domain owns, its masked wavefront
 //!   schedules (one per upwind pattern, which its angles share), its
-//!   φ/source buffers over *local* cells, the
+//!   φ/source buffers over *local* cells (the source as each block's
+//!   `M q`, formed once per source update for the tasks of every angle), the
 //!   pool of slabs its sweeps hold ψ in — one angle each, a few at a time —
 //!   and the face traces it exports;
 //! * [`HaloFlux`] — the face traces of ψ that cross a cut between domains,
@@ -67,7 +68,7 @@ use crate::angular::AngularQuadrature;
 use crate::data::{CrossSections, ProblemData};
 use crate::dsa::DsaAccelerator;
 use crate::error::{Error, Result};
-use crate::kernel::{KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
+use crate::kernel::{self, KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
 use crate::layout::{FluxLayout, FluxStorage};
 use crate::problem::Problem;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
@@ -198,7 +199,9 @@ pub struct SweepDomain {
     pub(crate) phi: FluxStorage,
     /// Scalar flux at the previous inner iteration.
     pub(crate) phi_inner: FluxStorage,
-    /// Total source (fixed + scattering), same shape as φ.
+    /// Total source (fixed + scattering), same shape as φ, as the source
+    /// term `M q` of each (cell, group) block: the part of a local system's
+    /// right-hand side that no angle changes ([`kernel::source_term`]).
     source: FluxStorage,
     /// When set, sweeps treat every *affine* inflow — the domain boundary
     /// and the halo — as vacuum.  The Krylov strategies enable this
@@ -638,6 +641,7 @@ struct SweepView<'a> {
     /// The halo slots of the foreign faces this domain reads.
     traces: &'a TraceTable,
     schedules: &'a SweepSchedules,
+    /// The source terms `M q` of the tasks.
     source: &'a FluxStorage,
     /// Shape of the ψ of one angle — and of φ: the angle is the slowest
     /// index of both storage orders, so ψ is one such slab per angle.
@@ -760,14 +764,14 @@ impl SweepView<'_> {
         let upwind = &upwind[..scratch.inflow.len()];
         let omega = a.quadrature.directions()[angle].omega;
         let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
-        let source = &self.source.as_slice()[self.blocks(self.local_of_cell[element], &groups)];
+        let terms = &self.source.as_slice()[self.blocks(self.local_of_cell[element], &groups)];
         if let [sigma_t] = *sigma_t {
-            KernelEngine.assemble_solve(
+            KernelEngine.assemble_solve_group(
                 element,
                 integrals,
                 omega,
                 sigma_t,
-                source,
+                terms,
                 upwind,
                 a.solver.as_ref(),
                 a.problem.time_solve,
@@ -779,7 +783,7 @@ impl SweepView<'_> {
                 integrals,
                 omega,
                 sigma_t,
-                source,
+                terms,
                 upwind,
                 a.solver.as_ref(),
                 &mut scratch.kernel,
@@ -985,7 +989,8 @@ pub struct DomainContext<'a> {
 impl DomainContext<'_> {
     /// Fixed source plus scattering: cross-group from the previous outer
     /// iterate (Jacobi group coupling, as in SNAP), within-group from the
-    /// domain's latest φ (the source-iteration lag) unless excluded.
+    /// domain's latest φ (the source-iteration lag) unless excluded; then
+    /// each block's `M q`.
     fn assemble_source(&mut self, include_within_group: bool) {
         let data = &self.assets.data;
         let ng = self.assets.problem.num_groups;
@@ -1017,6 +1022,46 @@ impl DomainContext<'_> {
                 }
             }
         }
+        self.form_source_terms();
+    }
+
+    /// Replace `q` in each (cell, group) block of the domain's source by
+    /// its source term `M q`, once per source update rather than once per
+    /// angle.  Without precomputed integrals each cell's are computed here,
+    /// as the sweep's tasks compute them.
+    fn form_source_terms(&mut self) {
+        let a = self.assets;
+        let SweepDomain {
+            cells,
+            source,
+            buffers,
+            ..
+        } = &mut *self.domain;
+        let layout = *source.layout();
+        // An idle worker's kernel scratch holds each block's `M q` until it
+        // replaces `q`, so a pass allocates nothing the sweep does not keep.
+        let pool = buffers.scratch.get_mut().expect("a sweep task panicked");
+        let nodes = layout.nodes_per_element;
+        let mut worker = pool.idle.pop().unwrap_or_else(|| TaskScratch::new(nodes));
+        let b = &mut worker.kernel.rhs;
+        let mut computed = None;
+        for (local, &cell) in cells.iter().enumerate() {
+            let integrals = match a.integrals.as_deref() {
+                Some(list) => &list[cell],
+                None => &*computed.insert(ElementIntegrals::compute(
+                    &a.element,
+                    &HexVertices {
+                        corners: *a.mesh.cell_corners(cell),
+                    },
+                )),
+            };
+            for g in 0..layout.num_groups {
+                let q = source.nodes_mut(local, g, 0);
+                kernel::source_term(&integrals.mass, q, b);
+                q.copy_from_slice(b);
+            }
+        }
+        pool.idle.push(worker);
     }
 
     /// Sweep every angle of the domain along its wavefront schedules,
@@ -1102,6 +1147,7 @@ impl InnerSolveContext for DomainContext<'_> {
                 }
             }
         }
+        self.form_source_terms();
     }
 
     fn set_homogeneous_boundaries(&mut self, on: bool) {
@@ -1376,6 +1422,99 @@ mod tests {
                             panic!(
                                 "{name} at twist {twist}: cell {cell}, face {face}, angle \
                                  {angle}: the schedule's Ω·n is {corner:e}, the kernel's {kernel:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_source_holds_the_source_term_of_every_block() {
+        // After each of the three source updates, every (cell, group) block
+        // of the source is the right-hand side the reference assembly forms
+        // from that block's `q` with no inflow: `M q`, bit for bit.
+        for name in ["tiny", "dsa-regime"] {
+            for precompute_integrals in [true, false] {
+                let problem = Problem {
+                    precompute_integrals,
+                    ..Problem::from_name(name).unwrap()
+                };
+                let assets = SharedAssets::build(&problem, 1);
+                let data = &assets.data;
+                let cells = assets.mesh.num_cells();
+                let mut domain = SweepDomain::new(&assets, (0..cells).collect()).unwrap();
+                let layout = *domain.phi.layout();
+                let n = layout.nodes_per_element;
+                let values = |seed: f64| -> Vec<f64> {
+                    (0..layout.len())
+                        .map(|i| seed + 0.01 * (i % 97) as f64)
+                        .collect()
+                };
+                domain.phi.as_mut_slice().copy_from_slice(&values(0.5));
+                let mut phi_outer = FluxStorage::zeros(layout);
+                phi_outer.as_mut_slice().copy_from_slice(&values(1.5));
+                let v = values(2.5);
+                for update in ["compute_source", "compute_external_source", "within-group"] {
+                    let mut context = DomainContext {
+                        assets: &assets,
+                        width: 1,
+                        phi_outer: &phi_outer,
+                        halo: None,
+                        domain: &mut domain,
+                        inner_budget: 1,
+                    };
+                    match update {
+                        "compute_source" => context.compute_source(),
+                        "compute_external_source" => context.compute_external_source(),
+                        _ => context.set_source_to_within_group_scatter(&v),
+                    }
+                    let mut reference = KernelScratch::new(n);
+                    for cell in 0..cells {
+                        let mat = data.material(cell);
+                        let computed;
+                        let integrals = match assets.integrals.as_deref() {
+                            Some(list) => &list[cell],
+                            None => {
+                                let hex = HexVertices {
+                                    corners: *assets.mesh.cell_corners(cell),
+                                };
+                                computed = ElementIntegrals::compute(&assets.element, &hex);
+                                &computed
+                            }
+                        };
+                        for g in 0..layout.num_groups {
+                            // `q` as the update forms it.
+                            let base = layout.base(cell, g, 0);
+                            let q: Vec<f64> = if update == "within-group" {
+                                let sigma_s = data.xs.scatter(mat, g, g);
+                                v[base..base + n].iter().map(|&x| sigma_s * x).collect()
+                            } else {
+                                let mut q = vec![data.fixed_source(cell); n];
+                                for g_from in 0..layout.num_groups {
+                                    let sigma_s = data.xs.scatter(mat, g_from, g);
+                                    if sigma_s == 0.0
+                                        || (g_from == g && update == "compute_external_source")
+                                    {
+                                        continue;
+                                    }
+                                    let phi = if g_from == g { &domain.phi } else { &phi_outer };
+                                    for (q, &p) in q.iter_mut().zip(phi.nodes(cell, g_from, 0)) {
+                                        *q += sigma_s * p;
+                                    }
+                                }
+                                q
+                            };
+                            let omega = assets.quadrature.directions()[0].omega;
+                            kernel::assemble(integrals, omega, 1.0, &q, &[], &mut reference);
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(domain.source.nodes(cell, g, 0)),
+                                bits(&reference.rhs),
+                                "{name}, precomputed {precompute_integrals}, {update}: \
+                                 cell {cell}, group {g}"
                             );
                         }
                     }

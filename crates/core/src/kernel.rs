@@ -27,15 +27,15 @@
 //! There are two assemblers and they agree bit for bit.  [`assemble`] is
 //! the seed routine, kept as the oracle the tests compare against: it
 //! recomputes everything for every call.  [`assemble_blocked`] is the one
-//! the [`KernelEngine`] — and therefore every sweep — runs: whatever
-//! depends only on the element and the direction (`Ω·G`, the outflow face
-//! entries, the directed matrices of the inflow faces) is kept in a
-//! per-worker tile of the [`KernelScratch`], so a call whose element and
-//! direction match the previous one does only the group's work.  And where
-//! the element has eight nodes that work is done for a run of groups at
-//! once, one group per SIMD lane ([`KernelEngine::assemble_solve_lanes`]):
-//! each lane runs [`assemble_blocked`]'s and the elimination's operations
-//! in their order, so a lane's flux has the per-group task's bits.
+//! every sweep runs: what depends only on the element and the direction
+//! (`Ω·G`, `Ω·F` of all six faces, which faces are outflow) is built in one
+//! pass into a per-worker tile, so a call whose element and direction match
+//! the previous one does only the group's work — and `b = M q`, which no
+//! angle changes, is the sweep's [`source_term`], formed once per source
+//! update.  Where the element has eight nodes that work is done for a run
+//! of groups at once, one group per SIMD lane
+//! ([`KernelEngine::assemble_solve_lanes`]), in the per-group task's
+//! operation order, so a lane's flux has the per-group task's bits.
 
 use std::time::Instant;
 
@@ -153,7 +153,7 @@ impl KernelScratch {
 
     /// The fluxes the last task left for its run of `lanes` groups, node
     /// `i` of the run's group `l` at `i * lanes + l`: `rhs` for the one
-    /// group of [`KernelEngine::assemble_solve`], the solved lanes of
+    /// group of a per-group task, the solved lanes of
     /// [`KernelEngine::assemble_solve_lanes`] for more.
     pub fn lane_solution(&self, lanes: usize) -> &[f64] {
         let n = self.rhs.len();
@@ -161,6 +161,31 @@ impl KernelScratch {
             1 => &self.rhs,
             _ => &self.lanes[n * n * lanes..][..n * lanes],
         }
+    }
+
+    /// [`assemble_lanes`] for the one group of `matrix` and `rhs`, whose
+    /// source term `rhs` holds on entry.
+    fn assemble_tiled(
+        &mut self,
+        key: usize,
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+        sigma_t: f64,
+        upwind: &[UpwindFace<'_>],
+    ) {
+        let matrix = self.matrix.as_mut_slice();
+        let (tile, rhs, gather) = (&mut self.tile, &mut self.rhs, &mut self.gather);
+        assemble_lanes::<1>(
+            key,
+            integrals,
+            omega,
+            &[sigma_t],
+            upwind,
+            tile,
+            matrix,
+            rhs,
+            gather,
+        );
     }
 
     /// The lane matrix and right-hand sides of `lanes` systems.
@@ -174,7 +199,8 @@ impl KernelScratch {
 }
 
 /// What the local system of one element and one direction shares across
-/// energy groups.
+/// energy groups, built whole in one pass when the key changes: `n² + 6·nf²`
+/// values and a face mask.
 ///
 /// Every value is computed with the expression [`assemble`] uses for it,
 /// so replaying a stored `f64` is indistinguishable from recomputing it.
@@ -182,79 +208,47 @@ impl KernelScratch {
 struct GeometryTile {
     /// `(cache key, Ω bit pattern)` the tile was built for.
     key: Option<(usize, [u64; 3])>,
-    /// Streaming tile `Σ_d Ω_d G[d]`, row-major `n × n`.
-    streaming: Vec<f64>,
-    /// Outflow surface entries `(flat matrix index, f_ij)`, in reference
-    /// accumulation order.
-    outflow: Vec<(usize, f64)>,
-    /// Directed matrices `Σ_d Ω_d F[d]` of the faces, one row-major
-    /// `nf × nf` block per face index.
-    directed: Vec<f64>,
-    /// Which faces' blocks of `directed` hold this key's values.  Blocks
-    /// are filled when an inflow face first asks, so a tile pays only for
-    /// the faces its callers name.
-    directed_ready: u8,
+    /// The streaming tile `Σ_d Ω_d G[d]` (row-major `n × n`), then the
+    /// directed matrix `Σ_d Ω_d F[d]` of each face (row-major `nf × nf`).
+    values: Vec<f64>,
+    /// Bit `f` set when [`assemble`] adds face `f` as an outflow face.
+    outflow: u8,
 }
 
 impl GeometryTile {
     /// Make this the tile of `cache_key` and `omega`, rebuilding it when
     /// it is another one.
-    fn ensure(&mut self, cache_key: usize, integrals: &ElementIntegrals, omega: [f64; 3]) {
-        let n = integrals.nodes_per_element();
+    fn load(&mut self, cache_key: usize, integrals: &ElementIntegrals, omega: [f64; 3]) {
         let key = (cache_key, omega.map(f64::to_bits));
-        if self.key != Some(key) || self.streaming.len() != n * n {
-            self.load(key, integrals, omega);
+        let (n, nf) = (integrals.nodes_per_element(), integrals.nodes_per_face());
+        let len = n * n + integrals.faces.len() * nf * nf;
+        if self.key == Some(key) && self.values.len() == len {
+            return;
         }
-    }
-
-    /// Rebuild the group-independent volume and outflow terms for `key`.
-    fn load(&mut self, key: (usize, [u64; 3]), integrals: &ElementIntegrals, omega: [f64; 3]) {
-        let n = integrals.nodes_per_element();
-        let [gx, gy, gz] = &integrals.stream;
-        self.streaming.resize(n * n, 0.0);
-        for (i, out) in self.streaming.chunks_exact_mut(n).enumerate() {
-            let rows = gx.row(i).iter().zip(gy.row(i)).zip(gz.row(i));
-            for (out, ((&x, &y), &z)) in out.iter_mut().zip(rows) {
-                // The parenthesised streaming term of `assemble`.
+        self.values.resize(len, 0.0);
+        let (streaming, faces) = self.values.split_at_mut(n * n);
+        let blocks = std::iter::once(streaming).chain(faces.chunks_exact_mut(nf * nf));
+        let terms =
+            std::iter::once(&integrals.stream).chain(integrals.faces.iter().map(|f| &f.matrices));
+        for (out, [x, y, z]) in blocks.zip(terms) {
+            // The parenthesised streaming term of `assemble`, and its `f_ab`.
+            let entries = x.as_slice().iter().zip(y.as_slice()).zip(z.as_slice());
+            for (out, ((&x, &y), &z)) in out.iter_mut().zip(entries) {
                 *out = omega[0] * x + omega[1] * y + omega[2] * z;
             }
         }
-        self.outflow.clear();
-        for face in &integrals.faces {
-            if face.direction_dot_normal(omega) <= 0.0 {
-                continue;
-            }
-            let nf = face.node_indices.len();
-            for a in 0..nf {
-                let ia = face.node_indices[a];
-                for b in 0..nf {
-                    let ib = face.node_indices[b];
-                    let f_ab = omega[0] * face.matrices[0][(a, b)]
-                        + omega[1] * face.matrices[1][(a, b)]
-                        + omega[2] * face.matrices[2][(a, b)];
-                    self.outflow.push((ia * n + ib, f_ab));
-                }
-            }
+        self.outflow = 0;
+        for (index, face) in integrals.faces.iter().enumerate() {
+            // Every face `assemble` does not skip — a NaN Ω·n included.
+            let skipped = face.direction_dot_normal(omega) <= 0.0;
+            self.outflow |= u8::from(!skipped) << index;
         }
-        self.directed_ready = 0;
         self.key = Some(key);
     }
 
-    /// The directed matrix of face `index` for the loaded key.
-    fn directed(&mut self, integrals: &ElementIntegrals, omega: [f64; 3], index: usize) -> &[f64] {
-        let face = &integrals.faces[index];
-        let nf = face.node_indices.len();
-        let block = index * nf * nf..(index + 1) * nf * nf;
-        if self.directed_ready & (1 << index) == 0 {
-            self.directed.resize(integrals.faces.len() * nf * nf, 0.0);
-            let [fx, fy, fz] = &face.matrices;
-            let entries = fx.as_slice().iter().zip(fy.as_slice()).zip(fz.as_slice());
-            for (out, ((&x, &y), &z)) in self.directed[block.clone()].iter_mut().zip(entries) {
-                *out = omega[0] * x + omega[1] * y + omega[2] * z;
-            }
-            self.directed_ready |= 1 << index;
-        }
-        &self.directed[block]
+    /// The directed matrix of face `index`, `nf` values a row.
+    fn face(&self, n: usize, nf: usize, index: usize) -> &[f64] {
+        &self.values[n * n + index * nf * nf..][..nf * nf]
     }
 }
 
@@ -387,20 +381,29 @@ fn apply_inflow(
     }
 }
 
-/// Assemble the local system from the element × direction tile of
-/// `scratch`: the assembly every sweep runs.
+/// Form one group's source term `b = M q` into `b`: row `i` summed in `j`
+/// order from `0.0`, exactly as [`assemble`] forms it.  The sweep's tasks
+/// read it in place of `q`, so no task of any angle forms it again.
+pub fn source_term(mass: &DenseMatrix, q: &[f64], b: &mut [f64]) {
+    // Column after column: each row still adds its terms in `j` order, and
+    // the rows' sums advance side by side instead of one after another.
+    b.fill(0.0);
+    for (j, &q_j) in q.iter().enumerate() {
+        for (b_i, row) in b.iter_mut().zip(mass.as_slice().chunks_exact(q.len())) {
+            *b_i += row[j] * q_j;
+        }
+    }
+}
+
+/// Assemble the local system from `b = M q` ([`source_term`]) and the
+/// element × direction tile of `scratch`: the assembly every sweep runs.
 ///
 /// `cache_key` identifies the element whose integrals are passed (the
 /// sweep passes the global cell id); together with the bits of `omega` it
-/// names the tile.  When the tile in `scratch` is another one, the
-/// streaming term `Σ_d Ω_d G[d]` and the outflow surface entries are
-/// rebuilt with exactly the reference expressions; the directed matrix of
-/// an inflow face is built the first time a call names that face.  What is
-/// left for a call that finds its tile is the group's own work: `σ_t·M`
-/// minus the streaming tile, `M q`, and one matrix-vector product per
-/// inflow face.  Every floating-point operation that touches the system
-/// matches [`assemble`] in value and in order — a reused `f64` has the
-/// same bits as a recomputed one.
+/// names the tile.  A call that finds its tile does only the group's own
+/// work: `σ_t·M` minus the streaming tile, the outflow blocks, and one
+/// matrix-vector product per inflow face.  Every floating-point operation
+/// that touches the system matches [`assemble`] in value and in order.
 pub fn assemble_blocked(
     integrals: &ElementIntegrals,
     omega: [f64; 3],
@@ -410,19 +413,8 @@ pub fn assemble_blocked(
     cache_key: usize,
     scratch: &mut KernelScratch,
 ) {
-    debug_assert_eq!(scratch.matrix.rows(), integrals.nodes_per_element());
-    assemble_lanes::<1>(
-        cache_key,
-        integrals,
-        omega,
-        &[sigma_t],
-        source_nodes,
-        upwind,
-        &mut scratch.tile,
-        scratch.matrix.as_mut_slice(),
-        &mut scratch.rhs,
-        &mut scratch.gather,
-    );
+    source_term(&integrals.mass, source_nodes, &mut scratch.rhs);
+    scratch.assemble_tiled(cache_key, integrals, omega, sigma_t, upwind);
 }
 
 /// The tiled assembly for `L` groups of one element and direction side by
@@ -430,76 +422,64 @@ pub fn assemble_blocked(
 /// `matrix[(i * n + j) * L + l]`, its right-hand side in `rhs[i * L + l]`
 /// ([`assemble_blocked`] is the one-lane case).
 ///
-/// `source_nodes` is the `L·n` run of the groups' sources and the
-/// `neighbor_psi` of an interior face the run of the neighbour's `L`
-/// blocks, group after group as the `angle/element/group` layout stores
-/// them (`L·n` node values, or `L·nf` of a face trace); `gather` is working
-/// storage.  Every lane is filled from the one tile with the reference
-/// expressions in the reference order — its `σ_t`
-/// is the only thing a lane's matrix does not share —, so lane `l` holds,
-/// bit for bit, the system [`assemble`] assembles for that group.
+/// `rhs` holds the lanes' source terms `M q` on entry, and the
+/// `neighbor_psi` of an interior face is the run of the neighbour's `L`
+/// blocks, group after group (`L·n` node values, or `L·nf` of a face
+/// trace); `gather` is working storage.  Every lane is filled from the one
+/// tile with the reference expressions in the reference order, so lane `l`
+/// holds, bit for bit, the system [`assemble`] assembles for that group.
 #[allow(clippy::too_many_arguments)]
 fn assemble_lanes<const L: usize>(
     cache_key: usize,
     integrals: &ElementIntegrals,
     omega: [f64; 3],
     sigma_t: &[f64],
-    source_nodes: &[f64],
     upwind: &[UpwindFace<'_>],
     tile: &mut GeometryTile,
     matrix: &mut [f64],
     rhs: &mut [f64],
     gather: &mut Vec<f64>,
 ) {
-    let n = integrals.nodes_per_element();
-    debug_assert_eq!(source_nodes.len(), L * n);
-    tile.ensure(cache_key, integrals, omega);
+    let (n, nf) = (integrals.nodes_per_element(), integrals.nodes_per_face());
+    tile.load(cache_key, integrals, omega);
     let sigma_t: &[f64; L] = sigma_t.try_into().expect("one cross section per lane");
     let (matrix, _) = matrix.as_chunks_mut::<L>();
     let (rhs, _) = rhs.as_chunks_mut::<L>();
-    if gather.len() < n * L {
-        gather.resize(n * L, 0.0);
+    if gather.len() < nf * L {
+        gather.resize(nf * L, 0.0);
     }
-    let (gather, _) = gather[..n * L].as_chunks_mut::<L>();
+    let (gather, _) = gather[..nf * L].as_chunks_mut::<L>();
 
-    // σ_t·M minus the streaming tile and b = M q, in the reference
-    // operation order (one multiply, one subtract per entry) — from
-    // node-major copies of the sources, so that every loop runs across
-    // the lanes with unit stride.
-    for (j, q_j) in gather.iter_mut().enumerate() {
-        for (l, q) in q_j.iter_mut().enumerate() {
-            *q = source_nodes[l * n + j];
+    // σ_t·M minus the streaming tile, in the reference operation order (one
+    // multiply, one subtract per entry), across the lanes with unit stride;
+    // then the outflow faces' blocks, face by face, row by row.
+    let entries = integrals.mass.as_slice().iter().zip(&tile.values[..n * n]);
+    for (out, (&m_ij, &s_ij)) in matrix.iter_mut().zip(entries) {
+        for l in 0..L {
+            out[l] = sigma_t[l] * m_ij - s_ij;
         }
     }
-    let rows = matrix
-        .chunks_exact_mut(n)
-        .zip(tile.streaming.chunks_exact(n));
-    for ((i, b_i), (out_row, row_s)) in rhs.iter_mut().enumerate().zip(rows) {
-        let mut acc = [0.0; L];
-        let entries = integrals.mass.row(i).iter().zip(row_s).zip(&*gather);
-        for (out, ((&m_ij, &s_ij), q_j)) in out_row.iter_mut().zip(entries) {
-            for l in 0..L {
-                out[l] = sigma_t[l] * m_ij - s_ij;
-                acc[l] += m_ij * q_j[l];
+    for (index, face) in integrals.faces.iter().enumerate() {
+        if tile.outflow & (1 << index) == 0 {
+            continue;
+        }
+        let rows = tile.face(n, nf, index).chunks_exact(nf);
+        for (&ia, row) in face.node_indices.iter().zip(rows) {
+            for (&ib, &f_ab) in face.node_indices.iter().zip(row) {
+                for out in &mut matrix[ia * n + ib] {
+                    *out += f_ab;
+                }
             }
         }
-        *b_i = acc;
-    }
-    for &(entry, f_ab) in &tile.outflow {
-        for out in &mut matrix[entry] {
-            *out += f_ab;
-        }
     }
 
-    // Inflow faces: the upwind flux is the group's, the face matrix the
-    // tile's.
+    // Inflow faces: the upwind flux is the group's, `Ω·F` the tile's.
     for uw in upwind {
         if matches!(uw.source, UpwindSource::Boundary(value) if value == 0.0) {
             continue; // vacuum: nothing to add
         }
         let face_nodes = &integrals.faces[uw.face].node_indices;
-        let nf = face_nodes.len();
-        let rows = tile.directed(integrals, omega, uw.face).chunks_exact(nf);
+        let rows = tile.face(n, nf, uw.face).chunks_exact(nf);
         match uw.source {
             UpwindSource::Boundary(value) => {
                 // The prescribed inflow is the same for every group.
@@ -541,20 +521,6 @@ fn assemble_lanes<const L: usize>(
         }
     }
 }
-
-/// [`assemble_lanes`] at one lane count.
-type AssembleLanes = fn(
-    usize,
-    &ElementIntegrals,
-    [f64; 3],
-    &[f64],
-    &[f64],
-    &[UpwindFace<'_>],
-    &mut GeometryTile,
-    &mut [f64],
-    &mut [f64],
-    &mut Vec<f64>,
-);
 
 /// Assemble with the reference [`assemble`] and solve one local system,
 /// returning the timing breakdown: the seed task, kept as the oracle for
@@ -603,12 +569,11 @@ pub fn assemble_solve(
 
 /// The kernel-engine seam: how one local task is assembled and solved.
 ///
-/// A task assembles with [`assemble_blocked`] and solves with the dense
-/// solver it is handed, which alone picks the elimination, by matrix size;
-/// the result is the free [`assemble_solve`]'s, bit for bit.  The engine
-/// holds nothing: [`KernelEngine::new`] takes the problem's kernel and
-/// precision labels only because the benchmark package builds its engine
-/// from them (`benchmark/src/layers.rs`), and ignores both.
+/// A task assembles from the tile and solves with the dense solver it is
+/// handed, which picks the elimination by matrix size; the result is the
+/// free [`assemble_solve`]'s, bit for bit.  [`KernelEngine::new`] takes the
+/// kernel and precision labels only because the benchmark package builds
+/// its engine from them (`benchmark/src/layers.rs`), and ignores both.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelEngine;
 
@@ -618,16 +583,14 @@ impl KernelEngine {
         Self
     }
 
-    /// Assemble and solve one local system through the engine.
-    ///
-    /// `cache_key` must identify the element deterministically across
-    /// runs (the solvers pass the element's mesh index); the assembly
-    /// keys its tile on it.
+    /// Assemble ([`assemble_blocked`]: `M q` from `source_nodes`, then the
+    /// tile) and solve one local system.  `cache_key` must identify the
+    /// element deterministically across runs; the assembly keys its tile
+    /// on it.
     ///
     /// With `time_solve` the clock is read around both phases (Table II's
     /// per-task split).  Without it no clock is read and the timing is
-    /// zero: a caller that wants the time spent in tasks times a run of
-    /// them, as the sweep does per worker chunk.
+    /// zero: the sweep times a run of tasks per worker instead.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_solve(
         &self,
@@ -641,16 +604,50 @@ impl KernelEngine {
         time_solve: bool,
         scratch: &mut KernelScratch,
     ) -> KernelTiming {
+        Self::timed(solver, time_solve, scratch, |s| {
+            assemble_blocked(
+                integrals,
+                omega,
+                sigma_t,
+                source_nodes,
+                upwind,
+                cache_key,
+                s,
+            )
+        })
+    }
+
+    /// The sweep's per-group task: [`KernelEngine::assemble_solve`] with
+    /// the group's source term `M q` ([`source_term`]) in place of `q`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn assemble_solve_group(
+        &self,
+        cache_key: usize,
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+        sigma_t: f64,
+        source_term: &[f64],
+        upwind: &[UpwindFace<'_>],
+        solver: &dyn LinearSolver,
+        time_solve: bool,
+        scratch: &mut KernelScratch,
+    ) -> KernelTiming {
+        Self::timed(solver, time_solve, scratch, |scratch| {
+            scratch.rhs.copy_from_slice(source_term);
+            scratch.assemble_tiled(cache_key, integrals, omega, sigma_t, upwind);
+        })
+    }
+
+    /// Run `assemble` and solve the system it leaves in `scratch`, reading
+    /// the clock around both phases when `time_solve`.
+    fn timed(
+        solver: &dyn LinearSolver,
+        time_solve: bool,
+        scratch: &mut KernelScratch,
+        assemble: impl FnOnce(&mut KernelScratch),
+    ) -> KernelTiming {
         let started = time_solve.then(Instant::now);
-        assemble_blocked(
-            integrals,
-            omega,
-            sigma_t,
-            source_nodes,
-            upwind,
-            cache_key,
-            scratch,
-        );
+        assemble(scratch);
         let assembled = time_solve.then(Instant::now);
         solver
             .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
@@ -667,20 +664,19 @@ impl KernelEngine {
     /// Assemble and solve the local systems of `sigma_t.len()` consecutive
     /// groups of one element and direction, leaving their fluxes in
     /// [`KernelScratch::lane_solution`] — each bit for bit what
-    /// [`KernelEngine::assemble_solve`] leaves in `scratch.rhs` for that
-    /// group.
+    /// [`KernelEngine::assemble_solve_group`] leaves in `scratch.rhs` for
+    /// that group.
     ///
-    /// `sigma_t` has one total cross section per group, `source_nodes` is
-    /// the groups' `n`-node sources one after another, and the
+    /// `sigma_t` has one total cross section per group, `source_terms` is
+    /// the groups' `n`-node source terms `M q` one after another, and the
     /// `neighbor_psi` of every interior face the groups' blocks one after
     /// another — the runs the `angle/element/group` layout stores.  A run
     /// whose length is one of `solver`'s [`LinearSolver::lane_widths`] for
     /// `n` is assembled side by side from the one tile and eliminated in
-    /// lockstep.  The groups of any other run,
-    /// and of one whose systems pivot on different rows
-    /// ([`LinalgError::Diverged`]: the tile and the inputs are untouched,
-    /// so nothing needs restoring), go through
-    /// [`KernelEngine::assemble_solve`] one by one.  No clock is read.
+    /// lockstep.  The groups of any other run, and of one whose systems
+    /// pivot on different rows ([`LinalgError::Diverged`]: the tile and the
+    /// inputs are untouched), go through
+    /// [`KernelEngine::assemble_solve_group`] one by one.  No clock is read.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_solve_lanes(
         &self,
@@ -688,32 +684,36 @@ impl KernelEngine {
         integrals: &ElementIntegrals,
         omega: [f64; 3],
         sigma_t: &[f64],
-        source_nodes: &[f64],
+        source_terms: &[f64],
         upwind: &[UpwindFace<'_>],
         solver: &dyn LinearSolver,
         scratch: &mut KernelScratch,
     ) {
         let n = integrals.nodes_per_element();
         let lanes = sigma_t.len();
-        debug_assert_eq!(source_nodes.len(), lanes * n);
-        let assemble: Option<AssembleLanes> = match lanes {
+        debug_assert_eq!(source_terms.len(), lanes * n);
+        let assemble = match lanes {
             _ if !solver.lane_widths(n).contains(&lanes) => None,
-            16 => Some(assemble_lanes::<16>),
-            4 => Some(assemble_lanes::<4>),
+            16 => Some(assemble_lanes::<16> as fn(_, _, _, _, _, _, _, _, _)),
+            4 => Some(assemble_lanes::<4> as fn(_, _, _, _, _, _, _, _, _)),
             _ => None,
         };
         let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
         if let Some(assemble) = assemble {
+            for (i, b_i) in rhs.chunks_exact_mut(lanes).enumerate() {
+                for (l, b) in b_i.iter_mut().enumerate() {
+                    *b = source_terms[l * n + i];
+                }
+            }
             assemble(
                 cache_key,
                 integrals,
                 omega,
                 sigma_t,
-                source_nodes,
                 upwind,
                 &mut scratch.tile,
-                matrix,
-                rhs,
+                &mut *matrix,
+                &mut *rhs,
                 &mut scratch.gather,
             );
             match solver.solve_lanes_in_place(n, lanes, matrix, rhs) {
@@ -735,12 +735,12 @@ impl KernelEngine {
                     *neighbor_psi = &neighbor_psi[l * stride..][..stride];
                 }
             }
-            self.assemble_solve(
+            self.assemble_solve_group(
                 cache_key,
                 integrals,
                 omega,
                 sigma_t,
-                &source_nodes[group],
+                &source_terms[group],
                 &faces[..upwind.len()],
                 solver,
                 false,
@@ -1143,7 +1143,6 @@ mod tests {
                 &elements[1],
                 omegas[0],
                 &sigma_t[..4],
-                &source[..4 * n],
                 &[],
                 &mut scratch.tile,
                 matrix,
@@ -1177,6 +1176,11 @@ mod tests {
         for (step, &(cell, direction, sigma_t, inflow)) in steps.iter().enumerate() {
             let integrals = &elements[cell];
             let omega = omegas[direction];
+            // The lanes read each group's `M q`, the per-group task its `q`.
+            let mut terms = vec![0.0; source.len()];
+            for (q, b) in source.chunks_exact(n).zip(terms.chunks_exact_mut(n)) {
+                source_term(&integrals.mass, q, b);
+            }
             // 16 and 4 run in lockstep, 5 and 1 do not.
             for (first, lanes) in [(0, 16), (3, 4), (9, 5), (15, 1)] {
                 let run = first * n..(first + lanes) * n;
@@ -1203,7 +1207,7 @@ mod tests {
                     integrals,
                     omega,
                     &sigma_t[first..first + lanes],
-                    &source[run.clone()],
+                    &terms[run.clone()],
                     &upwind,
                     &solver,
                     &mut lanes_scratch,
@@ -1323,9 +1327,9 @@ mod tests {
 
     #[test]
     fn tiled_assembly_serves_a_face_first_named_after_the_tile_was_built() {
-        // The directed matrix of an inflow face is built when a call first
-        // names the face: a later call under the same key that names more
-        // faces must not read a block nobody filled.
+        // A tile holds the directed matrix of every face, whichever faces
+        // the call that built it named: a later call under the same key
+        // that names more faces reads blocks as filled as the first.
         let integrals = unit_integrals(2);
         let n = integrals.nodes_per_element();
         let omega = [0.48, 0.62, 0.6208];
@@ -1337,6 +1341,129 @@ mod tests {
             assemble(&integrals, omega, 1.3, &source, upwind, &mut reference);
             assemble_blocked(&integrals, omega, 1.3, &source, upwind, 0, &mut tiled);
             assert_same_system(&reference, &tiled, &format!("{} faces", upwind.len()));
+        }
+    }
+
+    /// Every inflow face of `integrals` for `omega`, reading the run `psi`
+    /// of the upwind neighbour's node blocks.
+    fn interior_upwind<'a>(
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+        psi: &'a [f64],
+        face_nodes: &'a [Vec<usize>],
+    ) -> Vec<UpwindFace<'a>> {
+        FACES
+            .iter()
+            .filter(|f| integrals.face(**f).direction_dot_normal(omega) < 0.0)
+            .map(|f| UpwindFace {
+                face: f.index(),
+                source: UpwindSource::Interior {
+                    neighbor_psi: psi,
+                    neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                },
+            })
+            .collect()
+    }
+
+    /// Assemble `L` groups side by side on the tile of `scratch` — the
+    /// right-hand sides from the groups' [`source_term`]s, as the sweep
+    /// hands them over — and require each lane to hold, bit for bit, the
+    /// system [`assemble`] assembles from that group's `q`.
+    fn assert_lanes_are_the_reference<const L: usize>(
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+        (sigma_t, source, psi): (&[f64], &[f64], &[f64]),
+        scratch: &mut KernelScratch,
+        what: &str,
+    ) {
+        let n = integrals.nodes_per_element();
+        let face_nodes: Vec<Vec<usize>> = (FACES.iter())
+            .map(|f| face_node_indices(*f, integrals.order))
+            .collect();
+        let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, L);
+        let mut term = vec![0.0; n];
+        for l in 0..L {
+            source_term(&integrals.mass, &source[l * n..][..n], &mut term);
+            for (i, &b_i) in term.iter().enumerate() {
+                rhs[i * L + l] = b_i;
+            }
+        }
+        let upwind = interior_upwind(integrals, omega, psi, &face_nodes);
+        let (tile, gather) = (&mut scratch.tile, &mut scratch.gather);
+        assemble_lanes::<L>(
+            0, integrals, omega, sigma_t, &upwind, tile, matrix, rhs, gather,
+        );
+        let mut reference = KernelScratch::new(n);
+        let bits = |v: &mut dyn Iterator<Item = &f64>| v.map(|x| x.to_bits()).collect::<Vec<_>>();
+        for l in 0..L {
+            let upwind = interior_upwind(integrals, omega, &psi[l * n..][..n], &face_nodes);
+            let q = &source[l * n..][..n];
+            assemble(integrals, omega, sigma_t[l], q, &upwind, &mut reference);
+            assert_eq!(
+                bits(&mut reference.matrix.as_slice().iter()),
+                bits(&mut matrix.iter().skip(l).step_by(L)),
+                "{what}, {L} lanes, lane {l}: matrix"
+            );
+            assert_eq!(
+                bits(&mut reference.rhs.iter()),
+                bits(&mut rhs.iter().skip(l).step_by(L)),
+                "{what}, {L} lanes, lane {l}: rhs"
+            );
+        }
+    }
+
+    #[test]
+    fn tiled_assembly_classifies_outflow_faces_as_the_reference() {
+        // Ω has no x component, so on an axis-aligned element the faces x±
+        // have Ω·n exactly 0: neither inflow nor outflow.  And `assemble`
+        // skips a face only when Ω·n ≤ 0, so a face whose normal is NaN is
+        // an outflow face.  Both, on cold and warm tiles, at every lane
+        // count.
+        let omega = [0.0, 0.6, 0.8];
+        for order in [1usize, 2, 3] {
+            let mut integrals = unit_integrals(order);
+            // (The Gauss average leaves 1e-17 of z on the normal of x+ at
+            // order 3; the face is put back on the axis.)
+            integrals.faces[Face::XPlus.index()].average_normal = [1.0, 0.0, 0.0];
+            let n = integrals.nodes_per_element();
+            let along: Vec<Face> = (FACES.into_iter())
+                .filter(|f| integrals.face(*f).direction_dot_normal(omega) == 0.0)
+                .collect();
+            assert_eq!(along, [Face::XMinus, Face::XPlus], "order {order}");
+            let values = |seed: f64, len: usize| -> Vec<f64> {
+                (0..len).map(|i| seed + 0.013 * (i % 37) as f64).collect()
+            };
+            let (sigma_t, source, psi) =
+                (values(1.1, 17), values(0.25, 17 * n), values(0.3, 17 * n));
+            for nan in [false, true] {
+                if nan {
+                    integrals.faces[Face::XPlus.index()].average_normal = [f64::NAN; 3];
+                }
+                // One tile per lane count, built by the first run and found
+                // by the second, which starts a group later.
+                let mut scratch = [(); 3].map(|()| KernelScratch::new(n));
+                for (warm, tile) in ["cold", "warm"].into_iter().enumerate() {
+                    let run = |lanes: usize| {
+                        let nodes = warm * n..(warm + lanes) * n;
+                        (
+                            &sigma_t[warm..warm + lanes],
+                            &source[nodes.clone()],
+                            &psi[nodes],
+                        )
+                    };
+                    let what = format!("order {order}, NaN normal {nan}, {tile} tile");
+                    let [one, four, sixteen] = &mut scratch;
+                    assert_lanes_are_the_reference::<1>(&integrals, omega, run(1), one, &what);
+                    assert_lanes_are_the_reference::<4>(&integrals, omega, run(4), four, &what);
+                    assert_lanes_are_the_reference::<16>(
+                        &integrals,
+                        omega,
+                        run(16),
+                        sixteen,
+                        &what,
+                    );
+                }
+            }
         }
     }
 
