@@ -27,9 +27,10 @@
 //! owns one per rank and one [`HaloFlux`] they all read, into which each
 //! publishes the traces it exports once the ranks of an iteration are done.
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
-//! gather the upwind ψ, assemble, solve — for one group, or for a run of
-//! groups in lockstep where the kernel offers that) and one task loop
-//! (`SweepView::walk`: tasks of a bucket in loop-nest order —
+//! gather the upwind ψ, assemble, solve — for one task, or for a run of up
+//! to 16 consecutive tasks of a bucket in lockstep where the kernel offers
+//! that) and one task loop (`SweepView::walk`: the runs `for_each_task`
+//! cuts a bucket's tasks into, in loop-nest order —
 //! `SweepView::sweep_angle` walks the buckets of an angle whole, in
 //! wavefront order), so a sweep optimisation has exactly one place to go.
 //! `SweepView::sweep` forks once, into a team, and picks the parallel axis:
@@ -45,7 +46,8 @@
 //! sweep holds two slabs per worker, not one per angle.  Every level
 //! keeps to the work it owns: a task does what depends on the group (what
 //! depends on the element and the angle alone sits in the worker's
-//! `TaskScratch`), and a warm sweep on one worker neither allocates nor,
+//! `TaskScratch`, one slot per element of a run), and a warm sweep on one
+//! worker neither allocates nor,
 //! unless the problem asks for Table II's per-task split, reads the clock
 //! per task.
 
@@ -60,7 +62,7 @@ use unsnap_fem::geometry::HexVertices;
 use unsnap_fem::integrals::ElementIntegrals;
 use unsnap_krylov::GmresWorkspace;
 use unsnap_linalg::LinearSolver;
-use unsnap_mesh::{NeighborRef, UnstructuredMesh, NUM_FACES};
+use unsnap_mesh::{NeighborRef, UnstructuredMesh};
 use unsnap_obs::clock::{Clock, SystemClock};
 use unsnap_sweep::{LoopOrder, SweepSchedules, ThreadedLoops};
 
@@ -68,7 +70,10 @@ use crate::angular::AngularQuadrature;
 use crate::data::{CrossSections, ProblemData};
 use crate::dsa::DsaAccelerator;
 use crate::error::{Error, Result};
-use crate::kernel::{self, KernelEngine, KernelScratch, KernelTiming, UpwindFace, UpwindSource};
+use crate::kernel::{
+    self, FaceNodes, KernelEngine, KernelScratch, KernelTiming, LaneSegment, UpwindFace,
+    UpwindSource,
+};
 use crate::layout::{FluxLayout, FluxStorage};
 use crate::problem::Problem;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
@@ -286,20 +291,16 @@ enum InflowSource {
     Foreign { slot: usize, face: usize },
 }
 
-/// Per-worker state of a sweep: the kernel's scratch, and what the
-/// (element, angle) it last solved shares across groups.  In
-/// `angle/element/group` order the groups of an element are consecutive,
-/// so all of it is built once per element and reused by every later group.
+/// Per-worker state of a sweep: the kernel's scratch, and what each
+/// (element, angle) of the last run shares across groups.
 struct TaskScratch {
     kernel: KernelScratch,
-    /// The (element, angle) `inflow` describes.  Within one domain the
-    /// description never changes, so the key never needs invalidating.
-    key: Option<(usize, usize)>,
-    /// (face, source) of every inflow face, in ascending face order.
-    inflow: Vec<(usize, InflowSource)>,
-    /// The integrals of the element of `key`, when the problem does not
-    /// precompute them.
-    integrals: Option<ElementIntegrals>,
+    /// One per segment of the last run, in segment order (a task alone
+    /// uses the first).  A slot whose next segment is its last element's
+    /// reuses all of it: in `angle/element/group` order an element's groups
+    /// are consecutive, in `angle/group/element` order a run of 16 elements
+    /// meets them again in the next group's run.
+    elements: Vec<ElementSlot>,
     /// The solved node blocks of a share of a region, in task order, until
     /// the worker may write to the slab the team shares.
     staged: Vec<f64>,
@@ -309,12 +310,24 @@ impl TaskScratch {
     fn new(nodes: usize) -> Self {
         Self {
             kernel: KernelScratch::new(nodes),
-            key: None,
-            inflow: Vec::with_capacity(NUM_FACES),
-            integrals: None,
+            elements: Vec::new(),
             staged: Vec::new(),
         }
     }
+}
+
+/// What one (element, angle) shares across groups: where its inflow comes
+/// from, and its integrals when they are not precomputed.
+#[derive(Default)]
+struct ElementSlot {
+    /// The (element, angle) `inflow` describes.  Within one domain the
+    /// description never changes, so the key never needs invalidating.
+    key: Option<(usize, usize)>,
+    /// (face, source) of every inflow face, in ascending face order.
+    inflow: Vec<(usize, InflowSource)>,
+    /// The integrals of the element of `key`, when the problem does not
+    /// precompute them.
+    integrals: Option<ElementIntegrals>,
 }
 
 /// The idle [`TaskScratch`]es of a domain, and what the runs that handed
@@ -572,46 +585,91 @@ impl HaloFlux {
     }
 }
 
-/// Visit the tasks `tasks` of `bucket` — numbered in loop-nest order, one
-/// outer index after another — as an element and a run of its groups.  A
-/// run is one group — except in `angle/element/group` order, where those of
-/// an element's groups that are in `tasks` are cut greedily into runs of
-/// the `widths` (widest first) and only the remainder goes group by group.
-fn for_each_task(
-    order: LoopOrder,
-    bucket: &[usize],
-    num_groups: usize,
-    widths: &[usize],
-    tasks: Range<usize>,
-    mut visit: impl FnMut(usize, Range<usize>),
-) {
-    if tasks.is_empty() {
-        return;
-    }
-    let inner = match order {
-        LoopOrder::ElementThenGroup => num_groups,
-        LoopOrder::GroupThenElement => bucket.len(),
-    };
-    for outer in tasks.start / inner..tasks.end.div_ceil(inner) {
-        let first = outer * inner;
-        let lo = tasks.start.max(first) - first;
-        let hi = tasks.end.min(first + inner) - first;
-        match order {
-            LoopOrder::ElementThenGroup => {
-                let mut group = lo;
-                for &width in widths {
-                    while hi - group >= width {
-                        visit(bucket[outer], group..group + width);
-                        group += width;
-                    }
-                }
-                (group..hi).for_each(|g| visit(bucket[outer], g..g + 1));
-            }
-            LoopOrder::GroupThenElement => {
-                let group = outer..outer + 1;
-                (bucket[lo..hi].iter()).for_each(|&element| visit(element, group.clone()));
-            }
+/// Cut the tasks `tasks` of a bucket — numbered in loop-nest order, one
+/// outer index after another — into runs of consecutive tasks: greedily
+/// into runs of the `widths` (widest first), then the remainder task by
+/// task.  A run may span the elements of the bucket; [`Segments`] splits
+/// it into its elements' shares.
+fn for_each_task(tasks: Range<usize>, widths: &[usize], mut visit: impl FnMut(Range<usize>)) {
+    let mut first = tasks.start;
+    for &width in widths {
+        while tasks.end - first >= width {
+            visit(first..first + width);
+            first += width;
         }
+    }
+    (first..tasks.end).for_each(|task| visit(task..task + 1));
+}
+
+/// A run's share of one element: its groups `groups`, solved in the run's
+/// lanes from `lane` on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Segment {
+    element: usize,
+    groups: Range<usize>,
+    lane: usize,
+}
+
+/// The segments of a run of tasks of one bucket, in loop-nest order: in
+/// `angle/element/group` order an element's consecutive groups in the run
+/// are one segment, in `angle/group/element` order every task is one.
+#[derive(Clone)]
+struct Segments<'b> {
+    order: LoopOrder,
+    bucket: &'b [usize],
+    /// Length of the inner loop: the groups, or the bucket's elements.
+    inner_len: usize,
+    /// Loop-nest position of the next task.
+    outer: usize,
+    inner: usize,
+    /// Tasks not yet visited.
+    left: usize,
+    /// The lane of the next segment.
+    lane: usize,
+}
+
+impl<'b> Segments<'b> {
+    fn new(order: LoopOrder, bucket: &'b [usize], num_groups: usize, tasks: Range<usize>) -> Self {
+        let inner_len = match order {
+            LoopOrder::ElementThenGroup => num_groups,
+            LoopOrder::GroupThenElement => bucket.len(),
+        };
+        Self {
+            order,
+            bucket,
+            inner_len,
+            outer: tasks.start / inner_len,
+            inner: tasks.start % inner_len,
+            left: tasks.len(),
+            lane: 0,
+        }
+    }
+}
+
+impl Iterator for Segments<'_> {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        if self.left == 0 {
+            return None;
+        }
+        let (element, groups) = match self.order {
+            LoopOrder::ElementThenGroup => {
+                let end = self.inner_len.min(self.inner + self.left);
+                (self.bucket[self.outer], self.inner..end)
+            }
+            LoopOrder::GroupThenElement => (self.bucket[self.inner], self.outer..self.outer + 1),
+        };
+        let (width, lane) = (groups.len(), self.lane);
+        (self.left, self.lane, self.inner) = (self.left - width, lane + width, self.inner + width);
+        if self.inner == self.inner_len {
+            (self.outer, self.inner) = (self.outer + 1, 0);
+        }
+        Some(Segment {
+            element,
+            groups,
+            lane,
+        })
     }
 }
 
@@ -653,22 +711,20 @@ struct SweepView<'a> {
     /// zeros.
     homogeneous: bool,
     zeros: &'a [f64],
-    /// Lengths of the group runs an inline walker solves in lockstep,
-    /// widest first (see [`lockstep_widths`]).
+    /// Lengths of the runs of tasks a walker solves in lockstep, widest
+    /// first (see [`lockstep_widths`]).
     lanes: &'static [usize],
 }
 
-/// The group-run lengths the sweeps of `assets` solve in lockstep: what the
-/// dense solver offers for this element size, where an element's groups are
-/// consecutive in the loop nest and in storage — and nobody asked for a
-/// timing of each group's task.
+/// The run lengths the sweeps of `assets` solve in lockstep: what the dense
+/// solver offers for this element size — unless somebody asked for a
+/// timing of each task.
 fn lockstep_widths(assets: &SharedAssets) -> &'static [usize] {
-    let problem = &assets.problem;
-    if problem.scheme.loop_order == LoopOrder::ElementThenGroup && !problem.time_solve {
+    if assets.problem.time_solve {
+        &[]
+    } else {
         let nodes = assets.element.nodes_per_element();
         assets.solver.lane_widths(nodes)
-    } else {
-        &[]
     }
 }
 
@@ -681,76 +737,126 @@ impl SweepView<'_> {
         base..base + groups.len() * self.slab.nodes_per_element
     }
 
-    /// The one local task of a sweep: gather the upwind ψ of `element`
-    /// for `angle` and `groups`, assemble the local systems and solve
-    /// them.  One group leaves ψ(element, group, angle) in
-    /// `scratch.kernel.rhs`; a run of groups is solved in lockstep and
-    /// leaves its fluxes side by side (`KernelScratch::lane_solution`).
-    ///
-    /// Own-cell upwind ψ is read from `psi`, the slab of `angle` (written
-    /// earlier in the same sweep — the masked schedule guarantees it) as
-    /// node blocks, foreign cells from the halo as face traces, boundary
-    /// faces from the scaled inflow.
-    /// Which of the three a face reads — and, when they are not
-    /// precomputed, the element's integrals — is resolved when `scratch`
-    /// last solved another (element, angle); a task then only looks up
-    /// its groups' slices.
+    /// The segments of the run `tasks` of `bucket`.
+    fn segments<'b>(&self, bucket: &'b [usize], tasks: Range<usize>) -> Segments<'b> {
+        let problem = &self.assets.problem;
+        Segments::new(problem.scheme.loop_order, bucket, problem.num_groups, tasks)
+    }
+
+    /// The one local task of a sweep: gather the upwind ψ of the run
+    /// `tasks` of `bucket`, a bucket of `angle`, assemble the local systems
+    /// and solve them.  One task leaves ψ(element, group, angle) in
+    /// `scratch.kernel.rhs`; a longer run is solved in lockstep and leaves
+    /// its fluxes side by side (`KernelScratch::lane_solution`).
     fn solve(
         &self,
         angle: usize,
         psi: &[f64],
-        element: usize,
-        groups: Range<usize>,
+        bucket: &[usize],
+        tasks: Range<usize>,
         scratch: &mut TaskScratch,
     ) -> KernelTiming {
         let a = self.assets;
-        if scratch.key != Some((element, angle)) {
-            scratch.inflow.clear();
-            for face in self.schedules.schedule(angle).inflow_faces(element) {
-                let source = match a.mesh.neighbor(element, face) {
-                    NeighborRef::Boundary { domain_face } => InflowSource::Boundary(
-                        a.problem.boundaries.face(domain_face).incoming_flux(),
-                    ),
-                    NeighborRef::Interior { cell, face: up } => match self.local_of_cell[cell] {
-                        FOREIGN => InflowSource::Foreign {
-                            slot: self
-                                .traces
-                                .read_slot(angle, self.local_of_cell[element], face),
-                            face: up,
-                        },
-                        local => InflowSource::Own { local, face: up },
-                    },
-                };
-                scratch.inflow.push((face, source));
+        let TaskScratch {
+            kernel, elements, ..
+        } = scratch;
+        for (slot, segment) in self.segments(bucket, tasks.clone()).enumerate() {
+            if elements.len() == slot {
+                elements.push(ElementSlot::default());
             }
-            if a.integrals.is_none() {
-                let hex = HexVertices {
-                    corners: *a.mesh.cell_corners(element),
-                };
-                scratch.integrals = Some(ElementIntegrals::compute(&a.element, &hex));
-            }
-            scratch.key = Some((element, angle));
+            self.resolve(&mut elements[slot], angle, segment.element);
         }
+        let omega = a.quadrature.directions()[angle].omega;
+        let face_nodes: FaceNodes = std::array::from_fn(|f| a.face_nodes[f].as_slice());
+        let mut segments = (self.segments(bucket, tasks.clone()).zip(elements.iter()))
+            .map(|(segment, slot)| self.lane_segment(psi, &segment, slot));
+        if tasks.len() == 1 {
+            let task = segments.next().expect("a run of one task");
+            KernelEngine.assemble_solve_group(
+                task.cache_key,
+                task.integrals,
+                &face_nodes,
+                omega,
+                task.sigma_t[0],
+                task.source_terms,
+                task.upwind(),
+                a.solver.as_ref(),
+                a.problem.time_solve,
+                kernel,
+            )
+        } else {
+            let solver = a.solver.as_ref();
+            let lanes = tasks.len();
+            KernelEngine.assemble_solve_lanes(omega, &face_nodes, lanes, segments, solver, kernel);
+            KernelTiming::default()
+        }
+    }
+
+    /// Make `slot` describe `element` for `angle`: which of the three
+    /// sources each inflow face reads and, when they are not precomputed,
+    /// the element's integrals — resolved when the slot last described
+    /// another (element, angle), so a task then only looks up its groups'
+    /// slices.
+    fn resolve(&self, slot: &mut ElementSlot, angle: usize, element: usize) {
+        let a = self.assets;
+        if slot.key == Some((element, angle)) {
+            return;
+        }
+        slot.inflow.clear();
+        for face in self.schedules.schedule(angle).inflow_faces(element) {
+            let source = match a.mesh.neighbor(element, face) {
+                NeighborRef::Boundary { domain_face } => {
+                    InflowSource::Boundary(a.problem.boundaries.face(domain_face).incoming_flux())
+                }
+                NeighborRef::Interior { cell, face: up } => match self.local_of_cell[cell] {
+                    FOREIGN => InflowSource::Foreign {
+                        slot: (self.traces).read_slot(angle, self.local_of_cell[element], face),
+                        face: up,
+                    },
+                    local => InflowSource::Own { local, face: up },
+                },
+            };
+            slot.inflow.push((face, source));
+        }
+        if a.integrals.is_none() {
+            let hex = HexVertices {
+                corners: *a.mesh.cell_corners(element),
+            };
+            slot.integrals = Some(ElementIntegrals::compute(&a.element, &hex));
+        }
+        slot.key = Some((element, angle));
+    }
+
+    /// What the kernel reads of `segment`, whose element `slot` describes.
+    ///
+    /// Own-cell upwind ψ is read from `psi`, the slab of the angle (written
+    /// earlier in the same sweep — the masked schedule guarantees it) as
+    /// node blocks, foreign cells from the halo as face traces, boundary
+    /// faces from the scaled inflow.
+    fn lane_segment<'s>(
+        &'s self,
+        psi: &'s [f64],
+        segment: &Segment,
+        slot: &'s ElementSlot,
+    ) -> LaneSegment<'s> {
+        let a = self.assets;
+        let (element, groups) = (segment.element, &segment.groups);
         let integrals = match a.integrals.as_deref() {
             Some(list) => &list[element],
-            None => scratch.integrals.as_ref().expect("computed with the key"),
+            None => slot.integrals.as_ref().expect("computed with the key"),
         };
         let run_len = groups.len() * self.slab.nodes_per_element;
         let boundary_scale = if self.homogeneous { 0.0 } else { 1.0 };
-        let mut upwind = [UpwindFace {
-            face: 0,
-            source: UpwindSource::Boundary(0.0),
-        }; NUM_FACES];
-        for (slot, &(face, source)) in upwind.iter_mut().zip(&scratch.inflow) {
+        let upwind = slot.inflow.iter().map(|&(face, source)| {
             let source = match source {
                 InflowSource::Boundary(flux) => UpwindSource::Boundary(boundary_scale * flux),
                 InflowSource::Own { local, face } => UpwindSource::Interior {
-                    neighbor_psi: &psi[self.blocks(local, &groups)],
+                    neighbor_psi: &psi[self.blocks(local, groups)],
                     neighbor_face_nodes: &a.face_nodes[face],
                 },
                 InflowSource::Foreign { slot, face } => match self.halo {
                     Some(halo) if !self.homogeneous => UpwindSource::Interior {
-                        neighbor_psi: halo.trace(slot, &groups),
+                        neighbor_psi: halo.trace(slot, groups),
                         neighbor_face_nodes: &halo.trace_nodes,
                     },
                     _ => UpwindSource::Interior {
@@ -759,44 +865,18 @@ impl SweepView<'_> {
                     },
                 },
             };
-            *slot = UpwindFace { face, source };
-        }
-        let upwind = &upwind[..scratch.inflow.len()];
-        let omega = a.quadrature.directions()[angle].omega;
+            UpwindFace { face, source }
+        });
         let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
-        let terms = &self.source.as_slice()[self.blocks(self.local_of_cell[element], &groups)];
-        if let [sigma_t] = *sigma_t {
-            KernelEngine.assemble_solve_group(
-                element,
-                integrals,
-                omega,
-                sigma_t,
-                terms,
-                upwind,
-                a.solver.as_ref(),
-                a.problem.time_solve,
-                &mut scratch.kernel,
-            )
-        } else {
-            KernelEngine.assemble_solve_lanes(
-                element,
-                integrals,
-                omega,
-                sigma_t,
-                terms,
-                upwind,
-                a.solver.as_ref(),
-                &mut scratch.kernel,
-            );
-            KernelTiming::default()
-        }
+        let terms = &self.source.as_slice()[self.blocks(self.local_of_cell[element], groups)];
+        LaneSegment::new(element, integrals, sigma_t, terms, upwind)
     }
 
     /// The one task loop: solve the tasks `tasks` of `bucket`, a bucket of
-    /// `angle`, in loop-nest order.  A bucket reads only the ψ of earlier
-    /// buckets, so a worker with the slab to itself stores a solved block
-    /// before the next task starts; a worker of a team stages the blocks of
-    /// its share, which no task of the same region reads.
+    /// `angle`, in loop-nest order, run by run.  A bucket reads only the ψ
+    /// of earlier buckets, so a worker with the slab to itself stores a
+    /// solved run before the next starts; a worker of a team stages the
+    /// blocks of its share, which no task of the same region reads.
     fn walk(
         &self,
         angle: usize,
@@ -805,53 +885,54 @@ impl SweepView<'_> {
         mut psi: Slab,
         run: &mut TaskRun,
     ) {
-        let problem = &self.assets.problem;
         let TaskRun {
             scratch, timing, ..
         } = run;
         let scratch = scratch.as_mut().expect("held until the run drops");
         scratch.staged.clear();
-        let (order, ng) = (problem.scheme.loop_order, problem.num_groups);
         let nodes = self.slab.nodes_per_element;
-        for_each_task(order, bucket, ng, self.lanes, tasks, |element, groups| {
-            timing.accumulate(self.solve(angle, psi.read(), element, groups.clone(), scratch));
+        for_each_task(tasks, self.lanes, |tasks| {
+            timing.accumulate(self.solve(angle, psi.read(), bucket, tasks.clone(), scratch));
             let TaskScratch { kernel, staged, .. } = &mut *scratch;
-            let run = self.blocks(self.local_of_cell[element], &groups);
-            let blocks = match &mut psi {
-                Slab::Own(psi) => &mut psi[run],
-                Slab::Shared(_) => {
-                    let at = staged.len();
-                    staged.resize(at + run.len(), 0.0);
-                    &mut staged[at..]
-                }
-            };
-            // Node `i` of the run's group `l` is solved at `i · lanes + l`:
-            // for one group, its node block.
-            let lanes = groups.len();
+            // Node `i` of the run's task `l` is solved at `i · lanes + l`:
+            // for one task, its node block.
+            let lanes = tasks.len();
             let solved = kernel.lane_solution(lanes);
-            for (l, block) in blocks.chunks_exact_mut(nodes).enumerate() {
-                for (i, p) in block.iter_mut().enumerate() {
-                    *p = solved[i * lanes + l];
+            for segment in self.segments(bucket, tasks) {
+                let at = self.blocks(self.local_of_cell[segment.element], &segment.groups);
+                let blocks = match &mut psi {
+                    Slab::Own(psi) => &mut psi[at],
+                    Slab::Shared(_) => {
+                        let end = staged.len() + at.len();
+                        staged.resize(end, 0.0);
+                        &mut staged[end - at.len()..]
+                    }
+                };
+                for (l, block) in (segment.lane..).zip(blocks.chunks_exact_mut(nodes)) {
+                    for (i, p) in block.iter_mut().enumerate() {
+                        *p = solved[i * lanes + l];
+                    }
                 }
             }
         });
     }
 
-    /// Move what [`SweepView::walk`] staged of the same tasks into `psi`.
+    /// Move what [`SweepView::walk`] staged of the same tasks into `psi`,
+    /// cut into the same runs.
     fn store_staged(&self, bucket: &[usize], tasks: Range<usize>, psi: &mut [f64], run: &TaskRun) {
-        let problem = &self.assets.problem;
         let staged = &run
             .scratch
             .as_ref()
             .expect("held until the run drops")
             .staged;
-        let (order, ng) = (problem.scheme.loop_order, problem.num_groups);
         let mut blocks = staged.as_slice();
-        for_each_task(order, bucket, ng, self.lanes, tasks, |element, groups| {
-            let run = self.blocks(self.local_of_cell[element], &groups);
-            let (solved, rest) = blocks.split_at(run.len());
-            psi[run].copy_from_slice(solved);
-            blocks = rest;
+        for_each_task(tasks, self.lanes, |tasks| {
+            for segment in self.segments(bucket, tasks) {
+                let at = self.blocks(self.local_of_cell[segment.element], &segment.groups);
+                let (solved, rest) = blocks.split_at(at.len());
+                psi[at].copy_from_slice(solved);
+                blocks = rest;
+            }
         });
     }
 
@@ -1244,7 +1325,7 @@ mod tests {
     use std::sync::mpsc;
 
     use unsnap_linalg::{DenseMatrix, GaussSolver};
-    use unsnap_mesh::Decomposition2D;
+    use unsnap_mesh::{Decomposition2D, NUM_FACES};
     use unsnap_sweep::ConcurrencyScheme;
 
     use super::*;
@@ -1685,6 +1766,122 @@ mod tests {
                 halo.as_slice().iter().all(|v| v.is_finite()),
                 "{loop_order:?}"
             );
+        }
+    }
+
+    /// The (element, group) of task `task` of `bucket`, numbered in
+    /// loop-nest order.
+    fn task_at(order: LoopOrder, bucket: &[usize], groups: usize, task: usize) -> (usize, usize) {
+        match order {
+            LoopOrder::ElementThenGroup => (bucket[task / groups], task % groups),
+            LoopOrder::GroupThenElement => (bucket[task % bucket.len()], task / bucket.len()),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn run_cuts_visit_every_task_once_in_loop_nest_order(
+            group_outer in 0usize..2,
+            groups in 1usize..=17,
+            elements in 1usize..=21,
+            (from, to) in (0usize..1000, 0usize..1000),
+        ) {
+            let order = [LoopOrder::ElementThenGroup, LoopOrder::GroupThenElement][group_outer];
+            let bucket: Vec<usize> = (0..elements).map(|e| 100 + 7 * e).collect();
+            // An arbitrary share of the bucket's tasks: the whole bucket, or
+            // a team member's part of it.
+            let total = elements * groups;
+            let (lo, hi) = (from % (total + 1), to % (total + 1));
+            let tasks = lo.min(hi)..lo.max(hi);
+            let mut next = tasks.start;
+            let mut widths = Vec::new();
+            for_each_task(tasks.clone(), &[16, 4], |run| {
+                assert_eq!(run.start, next, "runs follow each other");
+                assert!(run.end <= tasks.end && !run.is_empty());
+                widths.push(run.len());
+                let mut lane = 0;
+                for segment in Segments::new(order, &bucket, groups, run.clone()) {
+                    assert_eq!(segment.lane, lane, "segments fill the lanes in order");
+                    for g in segment.groups.clone() {
+                        let expected = task_at(order, &bucket, groups, next);
+                        assert_eq!((segment.element, g), expected, "task {next}");
+                        next += 1;
+                    }
+                    lane += segment.groups.len();
+                }
+                assert_eq!(lane, run.len(), "a run's segments hold its tasks");
+            });
+            assert_eq!(next, tasks.end, "every task once");
+            // Widest first, and never wider than the widest lane count.
+            assert!(widths.windows(2).all(|w| w[0] >= w[1]), "{widths:?}");
+            assert!(widths.iter().all(|w| [16, 4, 1].contains(w)), "{widths:?}");
+            assert!(widths.iter().filter(|&&w| w < 16).sum::<usize>() < 16);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn staged_blocks_go_back_where_the_walk_solved_them(
+            group_outer in 0usize..2,
+            groups in 1usize..=17,
+            cuts in proptest::collection::vec(0usize..1000, 0..5),
+        ) {
+            // Both loop orders on a 5³ order-1 mesh (buckets of up to 19
+            // elements): every bucket of an angle walked whole on the slab
+            // of a worker alone, and again cut into arbitrary shares, each
+            // walked on a shared slab, staged and stored.  Both slabs must
+            // agree in every bit after every bucket.
+            let order = [LoopOrder::ElementThenGroup, LoopOrder::GroupThenElement][group_outer];
+            let scheme = ConcurrencyScheme::new(order, ThreadedLoops::Collapsed);
+            let problem = Problem::tiny()
+                .with_scheme(scheme)
+                .with_mesh(5)
+                .with_phase_space(1, groups);
+            let assets = SharedAssets::build(&problem, 1);
+            let cells = (0..assets.mesh.num_cells()).collect();
+            let mut domain = SweepDomain::new(&assets, cells).expect("a domain of every cell");
+            let len = domain.source.as_slice().len();
+            let values = (0..len).map(|i| 0.5 + 0.01 * (i % 53) as f64);
+            domain.source.as_mut_slice().iter_mut().zip(values).for_each(|(q, v)| *q = v);
+            let view = SweepView {
+                assets: &assets,
+                width: 1,
+                local_of_cell: &domain.local_of_cell,
+                traces: &domain.traces,
+                schedules: &domain.schedules,
+                source: &domain.source,
+                slab: *domain.phi.layout(),
+                halo: None,
+                homogeneous: false,
+                zeros: &domain.zeros,
+                lanes: lockstep_widths(&assets),
+            };
+            assert_eq!(view.lanes, [16, 4]);
+            let pool = Mutex::default();
+            let mut run = TaskRun::begin(&pool, assets.element.nodes_per_element(), false);
+            let (mut alone, mut shared) = (vec![0.0; view.slab.len()], vec![0.0; view.slab.len()]);
+            for angle in [0, 5] {
+                for bucket in &domain.schedules.schedule(angle).buckets {
+                    let total = bucket.len() * groups;
+                    view.walk(angle, bucket, 0..total, Slab::Own(&mut alone), &mut run);
+                    let mut ends: Vec<usize> = cuts.iter().map(|c| c % (total + 1)).collect();
+                    ends.push(total);
+                    ends.sort_unstable();
+                    let mut start = 0;
+                    for end in ends {
+                        let share = start..end;
+                        view.walk(angle, bucket, share.clone(), Slab::Shared(&shared), &mut run);
+                        view.store_staged(bucket, share, &mut shared, &run);
+                        start = end;
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert!(bits(&alone) == bits(&shared), "{order:?}, {groups} groups, angle {angle}");
+                }
+            }
         }
     }
 

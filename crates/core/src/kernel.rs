@@ -29,13 +29,18 @@
 //! recomputes everything for every call.  [`assemble_blocked`] is the one
 //! every sweep runs: what depends only on the element and the direction
 //! (`Ω·G`, `Ω·F` of all six faces, which faces are outflow) is built in one
-//! pass into a per-worker tile, so a call whose element and direction match
-//! the previous one does only the group's work — and `b = M q`, which no
-//! angle changes, is the sweep's [`source_term`], formed once per source
-//! update.  Where the element has eight nodes that work is done for a run
-//! of groups at once, one group per SIMD lane
-//! ([`KernelEngine::assemble_solve_lanes`]), in the per-group task's
-//! operation order, so a lane's flux has the per-group task's bits.
+//! pass into a tile, so a call whose element and direction match the
+//! previous one does only the group's work — and `b = M q`, which no angle
+//! changes, is the sweep's [`source_term`], formed once per source update.
+//! The tile and the lane assembly are one body, compiled for the element
+//! sizes of orders 1–3 (n = 8, 27, 64: the sizes the dense solver has
+//! fixed-size eliminations for) and for a size read at run time otherwise,
+//! and they read face nodes from the order's table ([`FaceNodes`]).  Where
+//! the element has eight nodes up to 16 consecutive tasks of a bucket — the
+//! groups of one element, or of several, or one group of several elements —
+//! are assembled side by side, one task per SIMD lane, and eliminated in
+//! lockstep ([`KernelEngine::assemble_solve_lanes`]), in the per-group
+//! task's operation order, so a lane's flux has the per-group task's bits.
 
 use std::time::Instant;
 
@@ -122,6 +127,92 @@ pub struct UpwindFace<'a> {
     pub source: UpwindSource<'a>,
 }
 
+/// The filler of an unused inflow slot.
+const NO_INFLOW: UpwindFace<'static> = UpwindFace {
+    face: 0,
+    source: UpwindSource::Boundary(0.0),
+};
+
+/// The element-local node indices of each face, in the canonical face
+/// order: the table of an element order, the same for every element of
+/// it (a sweep passes `SharedAssets::face_nodes`).
+pub type FaceNodes<'a> = [&'a [usize]; FACES.len()];
+
+/// The face nodes `integrals` carries for its own faces (the q-taking
+/// entries, which have no order table at hand).
+fn own_face_nodes(integrals: &ElementIntegrals) -> FaceNodes<'_> {
+    std::array::from_fn(|f| integrals.faces[f].node_indices.as_slice())
+}
+
+/// One element's share of a lockstep run: consecutive groups of one
+/// element, solved in consecutive lanes.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneSegment<'a> {
+    /// Identifies the element deterministically across runs: with the
+    /// bits of Ω it names the segment's tile.
+    pub cache_key: usize,
+    /// The element's integrals.
+    pub integrals: &'a ElementIntegrals,
+    /// One total cross section per group.
+    pub sigma_t: &'a [f64],
+    /// The groups' source terms `M q` ([`source_term`]), one `n`-node block
+    /// after another.
+    pub source_terms: &'a [f64],
+    /// Every inflow face, the `neighbor_psi` of an interior one the groups'
+    /// blocks one after another; `faces` of them are used.
+    inflow: [UpwindFace<'a>; FACES.len()],
+    faces: usize,
+}
+
+impl<'a> LaneSegment<'a> {
+    /// The segment of `sigma_t.len()` groups of the element `cache_key`
+    /// names, with its inflow faces `upwind` (at most six).
+    #[inline]
+    pub fn new(
+        cache_key: usize,
+        integrals: &'a ElementIntegrals,
+        sigma_t: &'a [f64],
+        source_terms: &'a [f64],
+        upwind: impl IntoIterator<Item = UpwindFace<'a>>,
+    ) -> Self {
+        let mut inflow = [NO_INFLOW; FACES.len()];
+        let mut faces = 0;
+        for (slot, face) in inflow.iter_mut().zip(upwind) {
+            (*slot, faces) = (face, faces + 1);
+        }
+        Self {
+            cache_key,
+            integrals,
+            sigma_t,
+            source_terms,
+            inflow,
+            faces,
+        }
+    }
+
+    /// The inflow faces.
+    pub fn upwind(&self) -> &[UpwindFace<'a>] {
+        &self.inflow[..self.faces]
+    }
+
+    /// Group `k` of the segment alone, its source term `n` nodes long.
+    fn group(&self, k: usize, n: usize) -> Self {
+        let groups = self.sigma_t.len();
+        let mut one = Self {
+            sigma_t: &self.sigma_t[k..k + 1],
+            source_terms: &self.source_terms[k * n..(k + 1) * n],
+            ..*self
+        };
+        for face in &mut one.inflow[..self.faces] {
+            if let UpwindSource::Interior { neighbor_psi, .. } = &mut face.source {
+                let stride = neighbor_psi.len() / groups;
+                *neighbor_psi = &neighbor_psi[k * stride..][..stride];
+            }
+        }
+        one
+    }
+}
+
 /// Reusable scratch space for the kernel (one per worker thread).
 #[derive(Debug, Clone)]
 pub struct KernelScratch {
@@ -129,11 +220,13 @@ pub struct KernelScratch {
     pub matrix: DenseMatrix,
     /// Right-hand side, overwritten with the solution.
     pub rhs: Vec<f64>,
-    /// The element × direction tile of the last tiled assembly.
-    tile: GeometryTile,
-    /// The systems of a run of groups side by side — matrix entries, then
-    /// right-hand sides (solutions once solved), each entry one value per
-    /// lane —, sized by the first lane task.
+    /// The element × direction tile of each segment of the last run; the
+    /// per-group task uses the first.
+    tiles: Vec<GeometryTile>,
+    /// The systems of a run side by side — matrix entries, then right-hand
+    /// sides (solutions once solved), each entry one value per lane, each
+    /// part followed by one entry of padding ([`KernelScratch::lane_systems`])
+    /// —, sized by the first lane task.
     lanes: Vec<f64>,
     /// Node-major copies of what an assembly reads group-major.
     gather: Vec<f64>,
@@ -145,62 +238,170 @@ impl KernelScratch {
         Self {
             matrix: DenseMatrix::zeros(n, n),
             rhs: vec![0.0; n],
-            tile: GeometryTile::default(),
+            tiles: vec![GeometryTile::default()],
             lanes: Vec::new(),
             gather: Vec::new(),
         }
     }
 
-    /// The fluxes the last task left for its run of `lanes` groups, node
-    /// `i` of the run's group `l` at `i * lanes + l`: `rhs` for the one
+    /// The fluxes the last task left for its run of `lanes` tasks, node
+    /// `i` of the run's task `l` at `i * lanes + l`: `rhs` for the one
     /// group of a per-group task, the solved lanes of
     /// [`KernelEngine::assemble_solve_lanes`] for more.
     pub fn lane_solution(&self, lanes: usize) -> &[f64] {
         let n = self.rhs.len();
         match lanes {
             1 => &self.rhs,
-            _ => &self.lanes[n * n * lanes..][..n * lanes],
+            _ => &self.lanes[(n * n + 1) * lanes..][..n * lanes],
         }
     }
 
-    /// [`assemble_lanes`] for the one group of `matrix` and `rhs`, whose
-    /// source term `rhs` holds on entry.
-    fn assemble_tiled(
-        &mut self,
-        key: usize,
-        integrals: &ElementIntegrals,
-        omega: [f64; 3],
-        sigma_t: f64,
-        upwind: &[UpwindFace<'_>],
-    ) {
-        let matrix = self.matrix.as_mut_slice();
-        let (tile, rhs, gather) = (&mut self.tile, &mut self.rhs, &mut self.gather);
-        assemble_lanes::<1>(
-            key,
-            integrals,
+    /// [`assemble_lanes`] for the one group of `segment` into `matrix` and
+    /// `rhs`, whose source term `rhs` holds on entry, at the compiled size
+    /// of its element.
+    fn assemble_tiled(&mut self, omega: [f64; 3], face_nodes: &FaceNodes, segment: &LaneSegment) {
+        let integrals = segment.integrals;
+        let (n, nf) = (integrals.nodes_per_element(), integrals.nodes_per_face());
+        let (matrix, _) = self.matrix.as_mut_slice().as_chunks_mut::<1>();
+        let (rhs, _) = self.rhs.as_chunks_mut::<1>();
+        let (tile, gather) = (&mut self.tiles[0], &mut self.gather);
+        let part = Part {
             omega,
-            &[sigma_t],
-            upwind,
-            tile,
-            matrix,
-            rhs,
-            gather,
-        );
+            face_nodes,
+            segment,
+            first: 0,
+        };
+        match (n, nf) {
+            (8, 4) => assemble_lanes::<_, 1, 1>(Fixed::<8, 4>, &part, tile, matrix, rhs, gather),
+            (27, 9) => assemble_lanes::<_, 1, 1>(Fixed::<27, 9>, &part, tile, matrix, rhs, gather),
+            (64, 16) => {
+                assemble_lanes::<_, 1, 1>(Fixed::<64, 16>, &part, tile, matrix, rhs, gather)
+            }
+            (n, nf) => {
+                assemble_lanes::<_, 1, 1>(Dynamic { n, nf }, &part, tile, matrix, rhs, gather)
+            }
+        };
     }
 
-    /// The lane matrix and right-hand sides of `lanes` systems.
+    /// Assemble the `L` systems of `segments` side by side — segment after
+    /// segment, each from a tile of its own, in runs of 16, 4 and 1 of its
+    /// groups — and eliminate them in lockstep.  `false` when the systems
+    /// pivot on different rows ([`LinalgError::Diverged`]).
+    fn lockstep<'a, S: ElementSize, const L: usize>(
+        &mut self,
+        size: S,
+        omega: [f64; 3],
+        face_nodes: &FaceNodes,
+        segments: impl Iterator<Item = LaneSegment<'a>>,
+        solver: &dyn LinearSolver,
+    ) -> bool {
+        let n = size.n();
+        let Self {
+            tiles,
+            lanes,
+            gather,
+            ..
+        } = self;
+        let (matrix, rhs) = Self::lane_systems(lanes, n, L);
+        let mut lane = 0;
+        for (slot, segment) in segments.enumerate() {
+            if tiles.len() <= slot {
+                tiles.resize_with(slot + 1, GeometryTile::default);
+            }
+            let groups = segment.sigma_t.len();
+            let (terms, _) = rhs[lane..][..n * L].as_chunks_mut::<L>();
+            for (k, q) in segment.source_terms.chunks_exact(n).enumerate() {
+                for (b_i, &q_i) in terms.iter_mut().zip(q) {
+                    b_i[k] = q_i;
+                }
+            }
+            let mut first = 0;
+            while first < groups {
+                let part = Part {
+                    omega,
+                    face_nodes,
+                    segment: &segment,
+                    first,
+                };
+                // The systems seen from the part's first lane on: an entry
+                // of this view starts at that lane of the run's entry.
+                let at = lane + first;
+                let (matrix, _) = matrix[at..][..n * n * L].as_chunks_mut::<L>();
+                let (rhs, _) = rhs[at..][..n * L].as_chunks_mut::<L>();
+                let tile = &mut tiles[slot];
+                first += match groups - first {
+                    16.. if L >= 16 => {
+                        assemble_lanes::<S, L, 16>(size, &part, tile, matrix, rhs, gather)
+                    }
+                    4.. => assemble_lanes::<S, L, 4>(size, &part, tile, matrix, rhs, gather),
+                    _ => assemble_lanes::<S, L, 1>(size, &part, tile, matrix, rhs, gather),
+                };
+            }
+            lane += groups;
+        }
+        debug_assert_eq!(lane, L, "the segments fill the run");
+        let (matrix, rhs) = (&mut matrix[..n * n * L], &mut rhs[..n * L]);
+        match solver.solve_lanes_in_place(n, L, matrix, rhs) {
+            Ok(()) => true,
+            Err(LinalgError::Diverged { .. }) => false,
+            Err(error) => panic!("local DG system should be non-singular: {error}"),
+        }
+    }
+
+    /// The lane matrix and right-hand sides of `lanes` systems, each
+    /// followed by `lanes` values of padding: a view of either that starts
+    /// at lane `l < lanes` is `lanes` values an entry for as many entries.
     fn lane_systems(buffer: &mut Vec<f64>, n: usize, lanes: usize) -> (&mut [f64], &mut [f64]) {
-        let len = (n * n + n) * lanes;
+        let len = (n * n + 1 + n + 1) * lanes;
         if buffer.len() < len {
             buffer.resize(len, 0.0);
         }
-        buffer[..len].split_at_mut(n * n * lanes)
+        buffer[..len].split_at_mut((n * n + 1) * lanes)
     }
 }
 
-/// What the local system of one element and one direction shares across
-/// energy groups, built whole in one pass when the key changes: `n² + 6·nf²`
-/// values and a face mask.
+/// The size of an element as the tile assembly is compiled for it: `n`
+/// nodes, `nf` of them on each face.
+trait ElementSize: Copy {
+    fn n(self) -> usize;
+    fn nf(self) -> usize;
+}
+
+/// A size known at compile time: orders 1–3, the three sizes the dense
+/// solver eliminates with a fixed-size routine.
+#[derive(Clone, Copy)]
+struct Fixed<const N: usize, const NF: usize>;
+
+impl<const N: usize, const NF: usize> ElementSize for Fixed<N, NF> {
+    fn n(self) -> usize {
+        N
+    }
+
+    fn nf(self) -> usize {
+        NF
+    }
+}
+
+/// Any other size, read at run time.
+#[derive(Clone, Copy)]
+struct Dynamic {
+    n: usize,
+    nf: usize,
+}
+
+impl ElementSize for Dynamic {
+    fn n(self) -> usize {
+        self.n
+    }
+
+    fn nf(self) -> usize {
+        self.nf
+    }
+}
+
+/// What the element and the direction alone decide of a local system,
+/// built whole in one pass when the key changes: `n² + 6·nf²` values and a
+/// face mask.
 ///
 /// Every value is computed with the expression [`assemble`] uses for it,
 /// so replaying a stored `f64` is indistinguishable from recomputing it.
@@ -218,24 +419,24 @@ struct GeometryTile {
 impl GeometryTile {
     /// Make this the tile of `cache_key` and `omega`, rebuilding it when
     /// it is another one.
-    fn load(&mut self, cache_key: usize, integrals: &ElementIntegrals, omega: [f64; 3]) {
+    fn load<S: ElementSize>(
+        &mut self,
+        size: S,
+        cache_key: usize,
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+    ) {
         let key = (cache_key, omega.map(f64::to_bits));
-        let (n, nf) = (integrals.nodes_per_element(), integrals.nodes_per_face());
-        let len = n * n + integrals.faces.len() * nf * nf;
+        let (n, nf) = (size.n(), size.nf());
+        let len = n * n + FACES.len() * nf * nf;
         if self.key == Some(key) && self.values.len() == len {
             return;
         }
         self.values.resize(len, 0.0);
-        let (streaming, faces) = self.values.split_at_mut(n * n);
-        let blocks = std::iter::once(streaming).chain(faces.chunks_exact_mut(nf * nf));
-        let terms =
-            std::iter::once(&integrals.stream).chain(integrals.faces.iter().map(|f| &f.matrices));
-        for (out, [x, y, z]) in blocks.zip(terms) {
-            // The parenthesised streaming term of `assemble`, and its `f_ab`.
-            let entries = x.as_slice().iter().zip(y.as_slice()).zip(z.as_slice());
-            for (out, ((&x, &y), &z)) in out.iter_mut().zip(entries) {
-                *out = omega[0] * x + omega[1] * y + omega[2] * z;
-            }
+        let (streaming, faces) = self.values[..len].split_at_mut(n * n);
+        omega_dot(omega, &integrals.stream, streaming);
+        for (out, face) in faces.chunks_exact_mut(nf * nf).zip(&integrals.faces) {
+            omega_dot(omega, &face.matrices, out);
         }
         self.outflow = 0;
         for (index, face) in integrals.faces.iter().enumerate() {
@@ -247,8 +448,26 @@ impl GeometryTile {
     }
 
     /// The directed matrix of face `index`, `nf` values a row.
-    fn face(&self, n: usize, nf: usize, index: usize) -> &[f64] {
+    fn face<S: ElementSize>(&self, size: S, index: usize) -> &[f64] {
+        let (n, nf) = (size.n(), size.nf());
         &self.values[n * n + index * nf * nf..][..nf * nf]
+    }
+}
+
+/// `out = Ω_x·x + Ω_y·y + Ω_z·z`, entry by entry: the parenthesised
+/// streaming term of [`assemble`], and its `f_ab`.  Out of line: inlined
+/// into a fixed-size [`GeometryTile::load`] it unrolled into slower code
+/// than this one loop, on the order-1 sweep.
+#[inline(never)]
+fn omega_dot(omega: [f64; 3], [x, y, z]: &[DenseMatrix; 3], out: &mut [f64]) {
+    let len = out.len();
+    let (x, y, z) = (
+        &x.as_slice()[..len],
+        &y.as_slice()[..len],
+        &z.as_slice()[..len],
+    );
+    for (out, ((&x, &y), &z)) in out.iter_mut().zip(x.iter().zip(y).zip(z)) {
+        *out = omega[0] * x + omega[1] * y + omega[2] * z;
     }
 }
 
@@ -414,59 +633,84 @@ pub fn assemble_blocked(
     scratch: &mut KernelScratch,
 ) {
     source_term(&integrals.mass, source_nodes, &mut scratch.rhs);
-    scratch.assemble_tiled(cache_key, integrals, omega, sigma_t, upwind);
+    let sigma_t = [sigma_t];
+    let segment = LaneSegment::new(cache_key, integrals, &sigma_t, &[], upwind.iter().copied());
+    scratch.assemble_tiled(omega, &own_face_nodes(integrals), &segment);
 }
 
-/// The tiled assembly for `L` groups of one element and direction side by
-/// side: entry `(i, j)` of the system of lane `l` lands in
-/// `matrix[(i * n + j) * L + l]`, its right-hand side in `rhs[i * L + l]`
-/// ([`assemble_blocked`] is the one-lane case).
+/// What one call of [`assemble_lanes`] assembles: the groups of `segment`
+/// from its group `first` on, for the direction `omega`.
+struct Part<'p, 'a> {
+    omega: [f64; 3],
+    face_nodes: &'p FaceNodes<'p>,
+    segment: &'p LaneSegment<'a>,
+    first: usize,
+}
+
+/// The tiled assembly of `G` groups of one element and direction, side by
+/// side in the first `G` lanes of a run `L` lanes wide (the per-group task
+/// is `L = G = 1`), at the element size `size`; returns `G`.  Entry `(i, j)`
+/// of lane `l` lands in `matrix[i * n + j][l]`, its right-hand side in
+/// `rhs[i][l]`: a caller that fills later lanes passes a view of the run
+/// that starts at its first one, so no lane index is checked per entry.
+/// Both are passed on their own, not in a struct, so the compiler knows no
+/// store to them changes what the assembly reads.
 ///
 /// `rhs` holds the lanes' source terms `M q` on entry, and the
-/// `neighbor_psi` of an interior face is the run of the neighbour's `L`
-/// blocks, group after group (`L·n` node values, or `L·nf` of a face
-/// trace); `gather` is working storage.  Every lane is filled from the one
-/// tile with the reference expressions in the reference order, so lane `l`
+/// `neighbor_psi` of an interior face is the run of the segment's blocks,
+/// group after group (`n` node values, or `nf` of a face trace, a group);
+/// `gather` is working storage.  Every lane is filled from the one tile
+/// with the reference expressions in the reference order, so lane `l`
 /// holds, bit for bit, the system [`assemble`] assembles for that group.
-#[allow(clippy::too_many_arguments)]
-fn assemble_lanes<const L: usize>(
-    cache_key: usize,
-    integrals: &ElementIntegrals,
-    omega: [f64; 3],
-    sigma_t: &[f64],
-    upwind: &[UpwindFace<'_>],
+///
+/// Out of line, so the run loop that calls it once per part stays small (a
+/// run of one 16-group segment measured slower with the parts inlined).
+#[inline(never)]
+fn assemble_lanes<S: ElementSize, const L: usize, const G: usize>(
+    size: S,
+    part: &Part<'_, '_>,
     tile: &mut GeometryTile,
-    matrix: &mut [f64],
-    rhs: &mut [f64],
+    matrix: &mut [[f64; L]],
+    rhs: &mut [[f64; L]],
     gather: &mut Vec<f64>,
-) {
-    let (n, nf) = (integrals.nodes_per_element(), integrals.nodes_per_face());
-    tile.load(cache_key, integrals, omega);
-    let sigma_t: &[f64; L] = sigma_t.try_into().expect("one cross section per lane");
-    let (matrix, _) = matrix.as_chunks_mut::<L>();
-    let (rhs, _) = rhs.as_chunks_mut::<L>();
-    if gather.len() < nf * L {
-        gather.resize(nf * L, 0.0);
+) -> usize {
+    let (n, nf) = (size.n(), size.nf());
+    let Part {
+        omega,
+        face_nodes,
+        segment,
+        first,
+    } = *part;
+    let integrals = segment.integrals;
+    tile.load(size, segment.cache_key, integrals, omega);
+    let sigma_t: &[f64; G] = (segment.sigma_t[first..first + G].try_into()).expect("G groups");
+    let (matrix, rhs) = (&mut matrix[..n * n], &mut rhs[..n]);
+    if gather.len() < nf * G {
+        gather.resize(nf * G, 0.0);
     }
-    let (gather, _) = gather[..nf * L].as_chunks_mut::<L>();
+    let (gather, _) = gather[..nf * G].as_chunks_mut::<G>();
 
     // σ_t·M minus the streaming tile, in the reference operation order (one
     // multiply, one subtract per entry), across the lanes with unit stride;
     // then the outflow faces' blocks, face by face, row by row.
-    let entries = integrals.mass.as_slice().iter().zip(&tile.values[..n * n]);
+    let entries = integrals.mass.as_slice()[..n * n]
+        .iter()
+        .zip(&tile.values[..n * n]);
     for (out, (&m_ij, &s_ij)) in matrix.iter_mut().zip(entries) {
-        for l in 0..L {
+        let out = lanes_at::<L, G>(out);
+        for l in 0..G {
             out[l] = sigma_t[l] * m_ij - s_ij;
         }
     }
-    for (index, face) in integrals.faces.iter().enumerate() {
+    for (index, nodes) in face_nodes.iter().enumerate() {
         if tile.outflow & (1 << index) == 0 {
             continue;
         }
-        let rows = tile.face(n, nf, index).chunks_exact(nf);
-        for (&ia, row) in face.node_indices.iter().zip(rows) {
-            for (&ib, &f_ab) in face.node_indices.iter().zip(row) {
-                for out in &mut matrix[ia * n + ib] {
+        let nodes = &nodes[..nf];
+        let rows = tile.face(size, index).chunks_exact(nf);
+        for (&ia, row) in nodes.iter().zip(rows) {
+            for (&ib, &f_ab) in nodes.iter().zip(row) {
+                for out in lanes_at::<L, G>(&mut matrix[ia * n + ib]) {
                     *out += f_ab;
                 }
             }
@@ -474,22 +718,22 @@ fn assemble_lanes<const L: usize>(
     }
 
     // Inflow faces: the upwind flux is the group's, `Ω·F` the tile's.
-    for uw in upwind {
+    for uw in segment.upwind() {
         if matches!(uw.source, UpwindSource::Boundary(value) if value == 0.0) {
             continue; // vacuum: nothing to add
         }
-        let face_nodes = &integrals.faces[uw.face].node_indices;
-        let rows = tile.face(n, nf, uw.face).chunks_exact(nf);
+        let nodes = &face_nodes[uw.face][..nf];
+        let rows = tile.face(size, uw.face).chunks_exact(nf);
         match uw.source {
             UpwindSource::Boundary(value) => {
                 // The prescribed inflow is the same for every group.
-                for (&ia, row) in face_nodes.iter().zip(rows) {
+                for (&ia, row) in nodes.iter().zip(rows) {
                     let mut acc = 0.0;
                     for &f_ab in row {
                         acc += f_ab;
                     }
                     let inflow = acc * value;
-                    for b in &mut rhs[ia] {
+                    for b in lanes_at::<L, G>(&mut rhs[ia]) {
                         *b -= inflow;
                     }
                 }
@@ -498,28 +742,45 @@ fn assemble_lanes<const L: usize>(
                 neighbor_psi,
                 neighbor_face_nodes,
             } => {
+                // A group's block is a node block or a face trace.
+                let groups = segment.sigma_t.len();
+                let stride = if neighbor_psi.len() == groups * n {
+                    n
+                } else {
+                    nf
+                };
                 debug_assert_eq!(neighbor_face_nodes.len(), nf);
-                debug_assert_eq!(neighbor_psi.len() % L, 0);
-                let stride = neighbor_psi.len() / L;
-                for (up, &node) in gather.iter_mut().zip(neighbor_face_nodes) {
-                    for (l, psi) in up.iter_mut().enumerate() {
-                        *psi = neighbor_psi[l * stride + node];
+                debug_assert_eq!(neighbor_psi.len(), groups * stride);
+                let psi = &neighbor_psi[first * stride..][..G * stride];
+                for (up, &node) in gather.iter_mut().zip(&neighbor_face_nodes[..nf]) {
+                    for (l, psi_up) in up.iter_mut().enumerate() {
+                        *psi_up = psi[l * stride + node];
                     }
                 }
-                for (&ia, row) in face_nodes.iter().zip(rows) {
-                    let mut acc = [0.0; L];
+                for (&ia, row) in nodes.iter().zip(rows) {
+                    let mut acc = [0.0; G];
                     for (&f_ab, up) in row.iter().zip(&*gather) {
-                        for l in 0..L {
+                        for l in 0..G {
                             acc[l] += f_ab * up[l];
                         }
                     }
-                    for l in 0..L {
-                        rhs[ia][l] -= acc[l];
+                    let b = lanes_at::<L, G>(&mut rhs[ia]);
+                    for l in 0..G {
+                        b[l] -= acc[l];
                     }
                 }
             }
         }
     }
+    G
+}
+
+/// The first `G` lanes of one entry of a run `L` lanes wide.
+#[inline(always)]
+fn lanes_at<const L: usize, const G: usize>(entry: &mut [f64; L]) -> &mut [f64; G] {
+    entry
+        .first_chunk_mut::<G>()
+        .expect("a part is at most as wide as its run")
 }
 
 /// Assemble with the reference [`assemble`] and solve one local system,
@@ -618,12 +879,14 @@ impl KernelEngine {
     }
 
     /// The sweep's per-group task: [`KernelEngine::assemble_solve`] with
-    /// the group's source term `M q` ([`source_term`]) in place of `q`.
+    /// the group's source term `M q` ([`source_term`]) in place of `q`, and
+    /// the face nodes from the order's table `face_nodes`.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_solve_group(
         &self,
         cache_key: usize,
         integrals: &ElementIntegrals,
+        face_nodes: &FaceNodes,
         omega: [f64; 3],
         sigma_t: f64,
         source_term: &[f64],
@@ -632,9 +895,12 @@ impl KernelEngine {
         time_solve: bool,
         scratch: &mut KernelScratch,
     ) -> KernelTiming {
+        let sigma_t = [sigma_t];
+        let upwind = upwind.iter().copied();
+        let segment = LaneSegment::new(cache_key, integrals, &sigma_t, source_term, upwind);
         Self::timed(solver, time_solve, scratch, |scratch| {
             scratch.rhs.copy_from_slice(source_term);
-            scratch.assemble_tiled(cache_key, integrals, omega, sigma_t, upwind);
+            scratch.assemble_tiled(omega, face_nodes, &segment);
         })
     }
 
@@ -661,94 +927,63 @@ impl KernelEngine {
         }
     }
 
-    /// Assemble and solve the local systems of `sigma_t.len()` consecutive
-    /// groups of one element and direction, leaving their fluxes in
-    /// [`KernelScratch::lane_solution`] — each bit for bit what
-    /// [`KernelEngine::assemble_solve_group`] leaves in `scratch.rhs` for
-    /// that group.
+    /// Assemble and solve the local systems of a run of `lanes` tasks for
+    /// one direction — the groups of `segments`, segment after segment —,
+    /// leaving their fluxes in [`KernelScratch::lane_solution`]: each bit
+    /// for bit what [`KernelEngine::assemble_solve_group`] leaves in
+    /// `scratch.rhs` for that group.
     ///
-    /// `sigma_t` has one total cross section per group, `source_terms` is
-    /// the groups' `n`-node source terms `M q` one after another, and the
-    /// `neighbor_psi` of every interior face the groups' blocks one after
-    /// another — the runs the `angle/element/group` layout stores.  A run
-    /// whose length is one of `solver`'s [`LinearSolver::lane_widths`] for
-    /// `n` is assembled side by side from the one tile and eliminated in
-    /// lockstep.  The groups of any other run, and of one whose systems
-    /// pivot on different rows ([`LinalgError::Diverged`]: the tile and the
-    /// inputs are untouched), go through
-    /// [`KernelEngine::assemble_solve_group`] one by one.  No clock is read.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_solve_lanes(
+    /// A segment is one element's consecutive groups, with their source
+    /// terms and the `neighbor_psi` of each interior face the groups'
+    /// blocks one after another — the runs both storage orders keep of one
+    /// element.  A run whose length is one of `solver`'s
+    /// [`LinearSolver::lane_widths`] for `n` is assembled side by side,
+    /// each segment from a tile of its own, and eliminated in lockstep.
+    /// The tasks of any other run, and of one whose systems pivot on
+    /// different rows ([`LinalgError::Diverged`]: the tiles and the inputs
+    /// are untouched), go through [`KernelEngine::assemble_solve_group`]
+    /// one by one.  No clock is read.
+    pub fn assemble_solve_lanes<'a>(
         &self,
-        cache_key: usize,
-        integrals: &ElementIntegrals,
         omega: [f64; 3],
-        sigma_t: &[f64],
-        source_terms: &[f64],
-        upwind: &[UpwindFace<'_>],
+        face_nodes: &FaceNodes,
+        lanes: usize,
+        segments: impl Iterator<Item = LaneSegment<'a>> + Clone,
         solver: &dyn LinearSolver,
         scratch: &mut KernelScratch,
     ) {
-        let n = integrals.nodes_per_element();
-        let lanes = sigma_t.len();
-        debug_assert_eq!(source_terms.len(), lanes * n);
-        let assemble = match lanes {
-            _ if !solver.lane_widths(n).contains(&lanes) => None,
-            16 => Some(assemble_lanes::<16> as fn(_, _, _, _, _, _, _, _, _)),
-            4 => Some(assemble_lanes::<4> as fn(_, _, _, _, _, _, _, _, _)),
-            _ => None,
+        let n = scratch.rhs.len();
+        let size = Fixed::<8, 4>;
+        let solved = match (n, lanes) {
+            _ if !solver.lane_widths(n).contains(&lanes) => false,
+            (8, 16) => scratch.lockstep::<_, 16>(size, omega, face_nodes, segments.clone(), solver),
+            (8, 4) => scratch.lockstep::<_, 4>(size, omega, face_nodes, segments.clone(), solver),
+            _ => false,
         };
-        let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
-        if let Some(assemble) = assemble {
-            for (i, b_i) in rhs.chunks_exact_mut(lanes).enumerate() {
-                for (l, b) in b_i.iter_mut().enumerate() {
-                    *b = source_terms[l * n + i];
-                }
-            }
-            assemble(
-                cache_key,
-                integrals,
-                omega,
-                sigma_t,
-                upwind,
-                &mut scratch.tile,
-                &mut *matrix,
-                &mut *rhs,
-                &mut scratch.gather,
-            );
-            match solver.solve_lanes_in_place(n, lanes, matrix, rhs) {
-                Ok(()) => return,
-                Err(LinalgError::Diverged { .. }) => {}
-                Err(error) => panic!("local DG system should be non-singular: {error}"),
-            }
+        if solved {
+            return;
         }
-        let mut faces = [UpwindFace {
-            face: 0,
-            source: UpwindSource::Boundary(0.0),
-        }; FACES.len()];
-        for (l, &sigma_t) in sigma_t.iter().enumerate() {
-            let group = l * n..(l + 1) * n;
-            for (face, uw) in faces.iter_mut().zip(upwind) {
-                *face = *uw;
-                if let UpwindSource::Interior { neighbor_psi, .. } = &mut face.source {
-                    let stride = neighbor_psi.len() / lanes;
-                    *neighbor_psi = &neighbor_psi[l * stride..][..stride];
+        let mut lane = 0;
+        for segment in segments {
+            for k in 0..segment.sigma_t.len() {
+                let group = segment.group(k, n);
+                self.assemble_solve_group(
+                    group.cache_key,
+                    group.integrals,
+                    face_nodes,
+                    omega,
+                    group.sigma_t[0],
+                    group.source_terms,
+                    group.upwind(),
+                    solver,
+                    false,
+                    scratch,
+                );
+                let (_, solution) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
+                for (i, &psi) in scratch.rhs.iter().enumerate() {
+                    solution[i * lanes + lane] = psi;
                 }
-            }
-            self.assemble_solve_group(
-                cache_key,
-                integrals,
-                omega,
-                sigma_t,
-                &source_terms[group],
-                &faces[..upwind.len()],
-                solver,
-                false,
-                scratch,
-            );
-            let (_, solution) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
-            for (i, &psi) in scratch.rhs.iter().enumerate() {
-                solution[i * lanes + l] = psi;
+                lane += 1;
             }
         }
     }
@@ -757,10 +992,16 @@ impl KernelEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use unsnap_fem::element::ReferenceElement;
     use unsnap_fem::face::{face_node_indices, Face};
     use unsnap_fem::geometry::HexVertices;
     use unsnap_linalg::{GaussSolver, SolverKind};
+
+    /// The face-node table of `face_nodes`, one list per face.
+    fn face_table(face_nodes: &[Vec<usize>]) -> FaceNodes<'_> {
+        std::array::from_fn(|f| face_nodes[f].as_slice())
+    }
 
     fn unit_integrals(order: usize) -> ElementIntegrals {
         ElementIntegrals::compute(&ReferenceElement::new(order), &HexVertices::unit_cube())
@@ -1034,7 +1275,8 @@ mod tests {
 
     #[test]
     fn tiled_assembly_is_bit_for_bit_the_reference_under_key_churn() {
-        for order in [1usize, 2, 3] {
+        // Orders 1–3 run the fixed-size instances, order 4 the run-time one.
+        for order in [1usize, 2, 3, 4] {
             let element = ReferenceElement::new(order);
             // Two elements: the unit cube and a sheared, stretched one.
             let mut sheared = HexVertices::axis_aligned([0.0; 3], [1.0, 0.7, 1.3]);
@@ -1135,27 +1377,14 @@ mod tests {
 
         // The synthetic element does what it was made for: its lanes part
         // at column 0 when the cross sections do, and only then.
+        let table = face_table(&face_nodes);
         for (sigma_t, diverged) in [(&alike, false), (&apart, true)] {
             let mut scratch = KernelScratch::new(n);
-            let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, 4);
-            assemble_lanes::<4>(
-                1,
-                &elements[1],
-                omegas[0],
-                &sigma_t[..4],
-                &[],
-                &mut scratch.tile,
-                matrix,
-                rhs,
-                &mut scratch.gather,
-            );
-            let solved = solver.solve_lanes_in_place(n, 4, matrix, rhs);
-            let expected = if diverged {
-                Err(LinalgError::Diverged { column: 0 })
-            } else {
-                Ok(())
-            };
-            assert_eq!(solved, expected);
+            let segment = LaneSegment::new(1, &elements[1], &sigma_t[..4], &zeros[..32], []);
+            let segments = std::iter::once(segment);
+            let solved =
+                scratch.lockstep::<_, 4>(Fixed::<8, 4>, omegas[0], &table, segments, &solver);
+            assert_eq!(solved, !diverged);
         }
 
         // (element, Ω, cross sections, inflow), as in the tiled-assembly
@@ -1202,16 +1431,16 @@ mod tests {
                         },
                     })
                     .collect();
-                engine.assemble_solve_lanes(
+                let segment = LaneSegment::new(
                     cell,
                     integrals,
-                    omega,
                     &sigma_t[first..first + lanes],
                     &terms[run.clone()],
-                    &upwind,
-                    &solver,
-                    &mut lanes_scratch,
+                    upwind.iter().copied(),
                 );
+                let segments = std::iter::once(segment);
+                let scratch = &mut lanes_scratch;
+                engine.assemble_solve_lanes(omega, &table, lanes, segments, &solver, scratch);
                 for l in 0..lanes {
                     let group = run.start + l * n..run.start + (l + 1) * n;
                     let upwind: Vec<UpwindFace<'_>> = upwind
@@ -1249,6 +1478,185 @@ mod tests {
                             solved[i * lanes + l].to_bits(),
                             "step {step}, {lanes} lanes: group {l}, node {i}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_runs_store_the_per_group_bits() {
+        // A run of 16 or 4 lanes is cut into segments — an element's
+        // consecutive groups each — of widths 1, 4, 6 and 16, over two
+        // elements: the unit cube and the synthetic element of the test
+        // above, whose lanes part when their cross sections do, so a run
+        // that holds it with those diverges part-way and falls back task
+        // by task.  Each inflow kind — a boundary value, the upwind node
+        // blocks, a zero halo and face traces — on cold tiles and on the
+        // same tiles warm; every lane must be the per-group task's bits.
+        let element = ReferenceElement::new(1);
+        let mut sheared = HexVertices::axis_aligned([0.0; 3], [1.0, 0.7, 1.3]);
+        sheared.corners[6][0] += 0.05;
+        sheared.corners[2][1] -= 0.04;
+        let mut swapping = ElementIntegrals::compute(&element, &sheared);
+        swapping.mass[(1, 0)] = 3.0 * swapping.mass[(0, 0)];
+        let elements = [
+            ElementIntegrals::compute(&element, &HexVertices::unit_cube()),
+            swapping,
+        ];
+        let n = 8;
+        let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
+        let table = face_table(&face_nodes);
+        let nf = face_nodes[0].len();
+        let identity: Vec<usize> = (0..nf).collect();
+        let blocks: Vec<f64> = (0..16 * n).map(|i| 0.3 + 0.07 * (i % 29) as f64).collect();
+        let zeros = vec![0.0; 16 * n];
+        let source: Vec<f64> = (0..16 * n)
+            .map(|i| 0.25 + 0.013 * (i % 37) as f64)
+            .collect();
+        let alike: Vec<f64> = (0..16).map(|g| 40.0 + 0.4 * g as f64).collect();
+        let apart: Vec<f64> = (0..16)
+            .map(|g| [0.01, 60.0][g % 2] * (1.0 + 0.01 * g as f64))
+            .collect();
+        let omegas = [[0.48, 0.62, 0.6208], [-0.51, 0.62, -0.59]];
+        // Each element's groups' `M q`, and the trace of each group's block
+        // on each face, as a halo keeps it.
+        let terms: Vec<Vec<f64>> = (elements.iter())
+            .map(|integrals| {
+                let mut terms = vec![0.0; source.len()];
+                for (q, b) in source.chunks_exact(n).zip(terms.chunks_exact_mut(n)) {
+                    source_term(&integrals.mass, q, b);
+                }
+                terms
+            })
+            .collect();
+        let traces: Vec<Vec<f64>> = (FACES.iter())
+            .map(|f| {
+                let nodes = &face_nodes[f.opposite().index()];
+                let trace = |block: &[f64]| nodes.iter().map(|&i| block[i]).collect::<Vec<_>>();
+                blocks.chunks_exact(n).flat_map(trace).collect()
+            })
+            .collect();
+        /// The inflow kinds of a sweep: `Inflow`'s, and a halo's traces.
+        #[derive(Debug, Clone, Copy)]
+        enum Kind {
+            Inflow(Inflow),
+            Traces,
+        }
+        let upwind = |cell: usize, omega: [f64; 3], kind: Kind, groups: Range<usize>| {
+            (FACES.iter())
+                .filter(|f| elements[cell].face(**f).direction_dot_normal(omega) < 0.0)
+                .map(|f| UpwindFace {
+                    face: f.index(),
+                    source: match kind {
+                        Kind::Inflow(Inflow::Boundary(value)) => UpwindSource::Boundary(value),
+                        Kind::Inflow(Inflow::Interior) => UpwindSource::Interior {
+                            neighbor_psi: &blocks[groups.start * n..groups.end * n],
+                            neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                        },
+                        Kind::Inflow(Inflow::ZeroHalo) => UpwindSource::Interior {
+                            neighbor_psi: &zeros[groups.start * n..groups.end * n],
+                            neighbor_face_nodes: &face_nodes[f.opposite().index()],
+                        },
+                        Kind::Traces => UpwindSource::Interior {
+                            neighbor_psi: &traces[f.index()][groups.start * nf..groups.end * nf],
+                            neighbor_face_nodes: &identity,
+                        },
+                    },
+                })
+                .collect::<Vec<_>>()
+        };
+        // Runs as (element, first group, width) segments, lane after lane.
+        let runs: [&[(usize, usize, usize)]; 7] = [
+            &[(0, 0, 16)],
+            &[(1, 0, 16)],
+            &[(0, 10, 6), (1, 0, 4), (0, 0, 6)],
+            &[(0, 10, 6), (0, 0, 4), (0, 4, 6)],
+            &[(1, 3, 4), (0, 0, 4), (1, 12, 4), (0, 8, 4)],
+            &[(0, 0, 1), (1, 5, 1), (0, 2, 1), (1, 7, 1)],
+            &[(1, 0, 1), (0, 1, 1), (1, 2, 1), (0, 3, 1)],
+        ];
+        let engine = KernelEngine;
+        let solver = GaussSolver::new();
+        let (mut lanes_scratch, mut grouped) = (KernelScratch::new(n), KernelScratch::new(n));
+        let kinds = [
+            Kind::Inflow(Inflow::Boundary(0.7)),
+            Kind::Inflow(Inflow::Interior),
+            Kind::Inflow(Inflow::ZeroHalo),
+            Kind::Traces,
+        ];
+        // The synthetic element parts from the cube's lanes, and its own
+        // do when the cross sections do: both routes are taken below.
+        let omega = omegas[0];
+        let kind = Kind::Inflow(Inflow::Interior);
+        for (run, sigma_t, lockstep) in [
+            (runs[0], &alike, true),
+            (runs[1], &alike, true),
+            (runs[1], &apart, false),
+            (runs[2], &alike, false),
+            (runs[3], &apart, true),
+        ] {
+            let segments = run.iter().map(|&(cell, first, w)| {
+                let groups = first..first + w;
+                let upwind = upwind(cell, omega, kind, groups.clone());
+                let terms = &terms[cell][groups.start * n..groups.end * n];
+                LaneSegment::new(cell, &elements[cell], &sigma_t[groups], terms, upwind)
+            });
+            let mut scratch = KernelScratch::new(n);
+            let size = Fixed::<8, 4>;
+            let solved = scratch.lockstep::<_, 16>(size, omega, &table, segments, &solver);
+            assert_eq!(solved, lockstep, "{run:?}");
+        }
+        for (k, (&kind, sigma_t)) in kinds
+            .iter()
+            .zip([&alike, &apart].iter().cycle())
+            .enumerate()
+        {
+            for (r, &run) in runs.iter().enumerate() {
+                let omega = omegas[(k + r) % 2];
+                let width: usize = run.iter().map(|&(_, _, w)| w).sum();
+                let segments = run.iter().map(|&(cell, first, w)| {
+                    let groups = first..first + w;
+                    let upwind = upwind(cell, omega, kind, groups.clone());
+                    LaneSegment::new(
+                        cell,
+                        &elements[cell],
+                        &sigma_t[groups.clone()],
+                        &terms[cell][groups.start * n..groups.end * n],
+                        upwind,
+                    )
+                });
+                for tile in ["cold", "warm"] {
+                    let scratch = &mut lanes_scratch;
+                    let segments = segments.clone();
+                    engine.assemble_solve_lanes(omega, &table, width, segments, &solver, scratch);
+                    let mut lane = 0;
+                    for &(cell, first, w) in run {
+                        for g in first..first + w {
+                            let upwind = upwind(cell, omega, kind, g..g + 1);
+                            engine.assemble_solve_group(
+                                cell,
+                                &elements[cell],
+                                &table,
+                                omega,
+                                sigma_t[g],
+                                &terms[cell][g * n..(g + 1) * n],
+                                &upwind,
+                                &solver,
+                                false,
+                                &mut grouped,
+                            );
+                            let solved = lanes_scratch.lane_solution(width);
+                            for (i, psi) in grouped.rhs.iter().enumerate() {
+                                assert!(psi.is_finite());
+                                assert_eq!(
+                                    psi.to_bits(),
+                                    solved[i * width + lane].to_bits(),
+                                    "{kind:?}, run {r}, {tile} tiles: lane {lane}, node {i}"
+                                );
+                            }
+                            lane += 1;
+                        }
                     }
                 }
             }
@@ -1308,16 +1716,16 @@ mod tests {
                     })
                     .collect();
                 let mut scratch = KernelScratch::new(n);
-                engine.assemble_solve_lanes(
+                let segment = LaneSegment::new(
                     0,
                     &integrals,
-                    omega,
                     &sigma_t[first..first + lanes],
                     &source[first * n..(first + lanes) * n],
-                    &upwind,
-                    &solver,
-                    &mut scratch,
+                    upwind,
                 );
+                let segments = std::iter::once(segment);
+                let table = face_table(&face_nodes);
+                engine.assemble_solve_lanes(omega, &table, lanes, segments, &solver, &mut scratch);
                 let solved = scratch.lane_solution(lanes);
                 solved.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
@@ -1389,10 +1797,21 @@ mod tests {
             }
         }
         let upwind = interior_upwind(integrals, omega, psi, &face_nodes);
-        let (tile, gather) = (&mut scratch.tile, &mut scratch.gather);
-        assemble_lanes::<L>(
-            0, integrals, omega, sigma_t, &upwind, tile, matrix, rhs, gather,
-        );
+        let segment = LaneSegment::new(0, integrals, sigma_t, &[], upwind);
+        let part = Part {
+            omega,
+            face_nodes: &face_table(&face_nodes),
+            segment: &segment,
+            first: 0,
+        };
+        let (tile, gather) = (&mut scratch.tiles[0], &mut scratch.gather);
+        let (m, r) = (matrix.as_chunks_mut::<L>().0, rhs.as_chunks_mut::<L>().0);
+        match integrals.order {
+            1 => assemble_lanes::<_, L, L>(Fixed::<8, 4>, &part, tile, m, r, gather),
+            2 => assemble_lanes::<_, L, L>(Fixed::<27, 9>, &part, tile, m, r, gather),
+            3 => assemble_lanes::<_, L, L>(Fixed::<64, 16>, &part, tile, m, r, gather),
+            _ => unreachable!("orders 1–3"),
+        };
         let mut reference = KernelScratch::new(n);
         let bits = |v: &mut dyn Iterator<Item = &f64>| v.map(|x| x.to_bits()).collect::<Vec<_>>();
         for l in 0..L {
@@ -1401,12 +1820,12 @@ mod tests {
             assemble(integrals, omega, sigma_t[l], q, &upwind, &mut reference);
             assert_eq!(
                 bits(&mut reference.matrix.as_slice().iter()),
-                bits(&mut matrix.iter().skip(l).step_by(L)),
+                bits(&mut matrix[..n * n * L].iter().skip(l).step_by(L)),
                 "{what}, {L} lanes, lane {l}: matrix"
             );
             assert_eq!(
                 bits(&mut reference.rhs.iter()),
-                bits(&mut rhs.iter().skip(l).step_by(L)),
+                bits(&mut rhs[..n * L].iter().skip(l).step_by(L)),
                 "{what}, {L} lanes, lane {l}: rhs"
             );
         }

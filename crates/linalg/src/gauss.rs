@@ -298,10 +298,11 @@ fn subtract(row: &mut [f64], f: f64, pivot_row: &[f64]) {
 /// bucket × energy groups form a natural batch" — and could not use under
 /// flat MPI, where a rank builds and solves one matrix at a time.  An
 /// 8 × 8 system alone is too small for a vectorised row update to pay
-/// (trip counts 7…1, a pivot search, a remainder loop); the `L` groups of
-/// one element and angle are assembled side by side, differ only by
-/// `σ_t,g·M`, and here every loop of the elimination runs across them, so
-/// its trip count is `L` whatever the column.
+/// (trip counts 7…1, a pivot search, a remainder loop); `L` consecutive
+/// tasks of a bucket — the groups of one element, or of several, or one
+/// group of several elements — are assembled side by side, and here every
+/// loop of the elimination runs across them, so its trip count is `L`
+/// whatever the column.
 ///
 /// Each lane executes the scalar routine's floating-point operations in
 /// the scalar routine's order, so its solution has the scalar routine's
@@ -367,8 +368,12 @@ fn eliminate_lanes<const N: usize, const L: usize>(a: &mut [f64], b: &mut [f64])
             }
             if every_lane_updates {
                 for j in (k + 1)..N {
+                    // The pivot row's entry by value: the compiler then
+                    // knows no store to `row_i` changes it, and runs the
+                    // lanes as vectors.
+                    let (pivot_row, row) = (row_k[j], &mut row_i[j]);
                     for l in 0..L {
-                        row_i[j][l] -= factor[l] * row_k[j][l];
+                        row[l] -= factor[l] * pivot_row[l];
                     }
                 }
                 for l in 0..L {
@@ -415,8 +420,12 @@ impl LinearSolver for GaussSolver {
     /// 0.45–0.48× at n = 64, whose 4-lane matrix (128 KiB) spills the
     /// L1d a single 32 KiB system fits in; at n = 8 they gain 1.8–2.3×
     /// (cache-hot, 4 and 16 lanes, a 2-vCPU Xeon guest with a 48 KiB
-    /// L1d).  16 and 4 are the group counts the measured workloads run;
-    /// nothing measured runs 8, so there is no third instantiation.
+    /// L1d).  16 and 4 are run lengths, not group counts: the sweep cuts a
+    /// bucket's tasks into runs of 16, then of 4, then single tasks, and a
+    /// run spans elements when an element has fewer groups (4 elements × 4
+    /// groups on `converge-dsa`, 16 elements of one group in the
+    /// group-outer orders).  A third width would only shorten the tail of
+    /// single tasks a bucket leaves, so there is none.
     fn lane_widths(&self, n: usize) -> &'static [usize] {
         match n {
             8 => &[16, 4],

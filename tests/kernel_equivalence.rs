@@ -11,12 +11,13 @@
 //!   bitwise identical — across thread widths 1/2/8 and through *both*
 //!   solve paths (the single-domain [`TransportSolver`] and the
 //!   distributed [`BlockJacobiSolver`]).
-//! * **Groups solved in lockstep are the per-group task, bit for bit.**
-//!   Order-1 elements solve their groups in runs of 16 and 4, one group
-//!   per SIMD lane, and the remainder one by one; a problem that asks for
-//!   Table II's per-task timing solves every group on its own.  The two
-//!   must agree in every flux bit and every non-timing outcome field for
-//!   every way a group count splits into runs.
+//! * **Tasks solved in lockstep are the per-group task, bit for bit.**
+//!   Order-1 sweeps cut a bucket's tasks into runs of 16 and 4 consecutive
+//!   tasks, one task per SIMD lane, and the remainder one by one; a run
+//!   may span several elements.  A problem that asks for Table II's
+//!   per-task timing solves every task on its own.  The two must agree in
+//!   every flux bit and every non-timing outcome field for every way a
+//!   bucket's tasks split into runs, in both loop orders.
 //!
 //! Case counts are deliberately small (every case is a full transport
 //! solve).
@@ -190,12 +191,33 @@ proptest! {
     }
 }
 
-/// Contract 2: the default solve of an order-1 problem — groups in
-/// lockstep runs — is the solve that times every task, hence solves every
-/// group on its own.  Group counts cover every split: remainder only
-/// (1, 3), one run (4, 16), 4 + 1, 4 + 4 + 4, 16 + 4 + 1.
+/// Contract 2: the default solve of an order-1 problem — a bucket's tasks
+/// in lockstep runs — is the solve that times every task, hence solves
+/// every group on its own.  On the 3 × 3 × 2 mesh the buckets hold 1 to 5
+/// elements, so the group counts cut them every way: runs of 16 and of 4
+/// that span elements — several elements' groups in `angle/element/group`
+/// order (`best()`), one group of several elements and then the next in
+/// `angle/group/element` order —, runs that start inside an element and
+/// end inside another, and single tasks; and on a team that shares each
+/// bucket's tasks (`angle/element*/group*`), whose shares start mid-run.
+/// The two other schemes run with precomputed integrals at one and two
+/// threads: the default covers the rest.
 #[test]
 fn lockstep_groups_match_the_per_group_task_bitwise() {
+    let best = ConcurrencyScheme::best();
+    let schemes = [
+        (best, [true, false].as_slice(), widths()),
+        (
+            ConcurrencyScheme::angle_threaded(LoopOrder::GroupThenElement),
+            &[true],
+            widths().into_iter().take(2).collect(),
+        ),
+        (
+            "angle/element*/group*".parse().expect("a figure label"),
+            &[true],
+            widths().into_iter().take(2).collect(),
+        ),
+    ];
     for (num_groups, strategy) in [
         (1, StrategyKind::SourceIteration),
         (3, StrategyKind::SweepGmres),
@@ -205,61 +227,65 @@ fn lockstep_groups_match_the_per_group_task_bitwise() {
         (16, StrategyKind::SweepGmres),
         (21, StrategyKind::SourceIteration),
     ] {
-        for precompute in [true, false] {
-            let mut problem = Problem::tiny()
-                .with_scheme(ConcurrencyScheme::best())
-                .with_strategy(strategy)
-                .with_scattering_ratio(0.6)
-                .with_precomputed_integrals(precompute);
-            (problem.nx, problem.ny, problem.nz) = (3, 2, 2);
-            problem.angles_per_octant = 1;
-            problem.num_groups = num_groups;
-            // A prescribed inflow: boundary faces add to the right-hand
-            // side (and the Krylov strategies' homogeneous sweeps drop it).
-            problem.boundaries = unsnap::mesh::boundary::DomainBoundaries::uniform_inflow(0.3);
-            let what = format!("{num_groups} groups, {strategy:?}, precompute {precompute}");
+        for (scheme, precomputes, widths) in &schemes {
+            for &precompute in *precomputes {
+                let mut problem = Problem::tiny()
+                    .with_scheme(*scheme)
+                    .with_strategy(strategy)
+                    .with_scattering_ratio(0.6)
+                    .with_precomputed_integrals(precompute);
+                (problem.nx, problem.ny, problem.nz) = (3, 3, 2);
+                problem.angles_per_octant = 1;
+                problem.num_groups = num_groups;
+                // A prescribed inflow: boundary faces add to the right-hand
+                // side (and the Krylov strategies' homogeneous sweeps drop it).
+                problem.boundaries = unsnap::mesh::boundary::DomainBoundaries::uniform_inflow(0.3);
+                let what = format!("{num_groups} groups, {scheme}, precompute {precompute}");
 
-            let per_group = run_single_domain(&problem.clone().with_solve_timing(true));
-            for threads in widths() {
-                let lockstep = run_single_domain(&problem.clone().with_threads(threads));
-                assert_eq!(
-                    non_timing_fields(&lockstep.outcome),
-                    non_timing_fields(&per_group.outcome),
-                    "{what}: outcome at {threads} threads"
-                );
-                assert_eq!(
-                    bits(&lockstep.scalar_flux),
-                    bits(&per_group.scalar_flux),
-                    "{what}: scalar flux at {threads} threads"
-                );
-                assert_eq!(
-                    bits(&lockstep.angular_flux),
-                    bits(&per_group.angular_flux),
-                    "{what}: angular flux at {threads} threads"
-                );
-            }
+                let per_group = run_single_domain(&problem.clone().with_solve_timing(true));
+                for &threads in widths {
+                    let lockstep = run_single_domain(&problem.clone().with_threads(threads));
+                    assert_eq!(
+                        non_timing_fields(&lockstep.outcome),
+                        non_timing_fields(&per_group.outcome),
+                        "{what}: outcome at {threads} threads"
+                    );
+                    assert_eq!(
+                        bits(&lockstep.scalar_flux),
+                        bits(&per_group.scalar_flux),
+                        "{what}: scalar flux at {threads} threads"
+                    );
+                    assert_eq!(
+                        bits(&lockstep.angular_flux),
+                        bits(&per_group.angular_flux),
+                        "{what}: angular flux at {threads} threads"
+                    );
+                }
 
-            // Ranks read their neighbours' ψ from the halo — a run of
-            // groups at a time on the lockstep route.
-            let decomposition = Decomposition2D::new(2, 1);
-            let timed = problem.clone().with_solve_timing(true);
-            let mut per_group = BlockJacobiSolver::new(&timed, decomposition).unwrap();
-            let per_group_outcome = per_group.run().unwrap();
-            for threads in widths() {
-                let mut lockstep =
-                    BlockJacobiSolver::new(&problem.clone().with_threads(threads), decomposition)
-                        .unwrap();
-                let lockstep_outcome = lockstep.run().unwrap();
-                assert_eq!(
-                    non_timing_fields(&lockstep_outcome),
-                    non_timing_fields(&per_group_outcome),
-                    "{what}: jacobi outcome at {threads} threads"
-                );
-                assert_eq!(
-                    bits(lockstep.scalar_flux().as_slice()),
-                    bits(per_group.scalar_flux().as_slice()),
-                    "{what}: jacobi scalar flux at {threads} threads"
-                );
+                // Ranks read their neighbours' ψ from the halo — a run of
+                // groups at a time on the lockstep route.
+                let decomposition = Decomposition2D::new(2, 1);
+                let timed = problem.clone().with_solve_timing(true);
+                let mut per_group = BlockJacobiSolver::new(&timed, decomposition).unwrap();
+                let per_group_outcome = per_group.run().unwrap();
+                for &threads in widths {
+                    let mut lockstep = BlockJacobiSolver::new(
+                        &problem.clone().with_threads(threads),
+                        decomposition,
+                    )
+                    .unwrap();
+                    let lockstep_outcome = lockstep.run().unwrap();
+                    assert_eq!(
+                        non_timing_fields(&lockstep_outcome),
+                        non_timing_fields(&per_group_outcome),
+                        "{what}: jacobi outcome at {threads} threads"
+                    );
+                    assert_eq!(
+                        bits(lockstep.scalar_flux().as_slice()),
+                        bits(per_group.scalar_flux().as_slice()),
+                        "{what}: jacobi scalar flux at {threads} threads"
+                    );
+                }
             }
         }
     }
