@@ -16,14 +16,27 @@
 //! Every exchange is one-request-per-connection (`Connection: close`):
 //! simpler to reason about, and the job API's conversational state lives
 //! in job IDs, not connections.
+//!
+//! One write per response: a `write!` on an unbuffered `TcpStream` is a
+//! system call per formatted piece, so [`write_response_typed`] formats
+//! head and body into one buffer and hands it to `write_all` once, and a
+//! [`ChunkedWriter`] buffers up to [`STREAM_BUFFER_BYTES`] until its
+//! caller [flushes](ChunkedWriter::flush) or [finishes](ChunkedWriter::finish)
+//! it.  A finished job's whole event stream therefore leaves in one
+//! write, and a live one leaves whenever the server has nothing more to
+//! send.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Maximum accepted request body (1 MiB — problem documents are a few
 /// hundred bytes; anything larger is a client error, not a workload).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// What a [`ChunkedWriter`] holds before it writes on its own (8 KiB: a
+/// finished `serve-mix`-sized solve's whole event history is ≈ 2.4 KB).
+pub const STREAM_BUFFER_BYTES: usize = 8 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -147,54 +160,63 @@ pub fn write_response<W: Write>(writer: &mut W, status: u16, body: &str) -> io::
 }
 
 /// Write a complete fixed-length response with an explicit content type
-/// (the Prometheus exposition endpoint serves `text/plain`).
+/// (the Prometheus exposition endpoint serves `text/plain`): head and
+/// body in one buffer, one `write_all`.
 pub fn write_response_typed<W: Write>(
     writer: &mut W,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        writer,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let mut response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status_reason(status),
         body.len(),
-    )?;
+    );
+    response.push_str(body);
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
 /// A `Transfer-Encoding: chunked` response in progress: one chunk per
 /// [`ChunkedWriter::write_chunk`], terminated by
-/// [`ChunkedWriter::finish`].
+/// [`ChunkedWriter::finish`].  Nothing reaches the underlying writer
+/// until [`ChunkedWriter::flush`], [`ChunkedWriter::finish`] or more
+/// than [`STREAM_BUFFER_BYTES`] are pending.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
-    writer: W,
+    writer: BufWriter<W>,
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Write the status line and chunked headers, returning the
+    /// Buffer the status line and chunked headers, returning the
     /// in-progress response.
-    pub fn begin(mut writer: W, status: u16, content_type: &str) -> io::Result<Self> {
+    pub fn begin(writer: W, status: u16, content_type: &str) -> io::Result<Self> {
+        let mut writer = BufWriter::with_capacity(STREAM_BUFFER_BYTES, writer);
         write!(
             writer,
             "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status_reason(status),
         )?;
-        writer.flush()?;
         Ok(Self { writer })
     }
 
-    /// Write one chunk (empty chunks are skipped — an empty chunk would
+    /// Buffer one chunk (empty chunks are skipped — an empty chunk would
     /// terminate the stream early in the chunked framing).
     pub fn write_chunk(&mut self, data: &str) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.writer, "{:x}\r\n{data}\r\n", data.len())?;
+        write!(self.writer, "{:x}\r\n{data}\r\n", data.len())
+    }
+
+    /// Send everything buffered so far: the caller has nothing more to
+    /// write for now and the client should not wait for it.
+    pub fn flush(&mut self) -> io::Result<()> {
         self.writer.flush()
     }
 
-    /// Terminate the chunked stream.
+    /// Terminate the chunked stream and send what is left.
     pub fn finish(mut self) -> io::Result<()> {
         self.writer.write_all(b"0\r\n\r\n")?;
         self.writer.flush()
@@ -366,6 +388,66 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"));
         assert!(text.contains("6\r\nhello\n\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    /// Counts the `write` calls that reach it: each is a system call on
+    /// a socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_fixed_response_is_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 503, "{\"error\":\"busy\",\"field\":null}").unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(text.ends_with("\r\n\r\n{\"error\":\"busy\",\"field\":null}"));
+    }
+
+    #[test]
+    fn a_chunked_stream_under_the_buffer_size_is_one_write() {
+        let mut out = CountingWriter::default();
+        let mut chunked = ChunkedWriter::begin(&mut out, 200, "application/jsonl").unwrap();
+        for index in 0..30 {
+            chunked
+                .write_chunk(&format!("{{\"event\":\"sweep\",\"sweep\":{index}}}\n"))
+                .unwrap();
+        }
+        chunked.finish().unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(text.matches("\"event\":\"sweep\"").count(), 30);
+        assert!(text.ends_with("\n\r\n0\r\n\r\n"));
+    }
+
+    #[test]
+    fn a_flush_sends_what_is_buffered_and_the_stream_goes_on() {
+        let mut out = CountingWriter::default();
+        let mut chunked = ChunkedWriter::begin(&mut out, 200, "application/jsonl").unwrap();
+        chunked.write_chunk("a\n").unwrap();
+        chunked.flush().unwrap();
+        chunked.flush().unwrap(); // nothing buffered: no write
+        chunked.write_chunk("b\n").unwrap();
+        chunked.finish().unwrap();
+        assert_eq!(out.writes, 2);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.ends_with("2\r\na\n\r\n2\r\nb\n\r\n0\r\n\r\n"));
     }
 
     #[test]

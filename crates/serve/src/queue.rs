@@ -62,6 +62,9 @@ use unsnap_runlog::{recover, CheckpointObserver, RunMode, SessionResume};
 
 use crate::store::ResultStore;
 
+/// The counter of connections refused at the connection-handler cap.
+const CONNECTIONS_REFUSED: &str = "serve_connections_refused";
+
 /// The lifecycle state of a job (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
@@ -317,11 +320,14 @@ impl JobQueue {
                 );
             }
         }
+        // Listed from the start, so a scrape reads 0 rather than nothing.
+        let mut registry = MetricsRegistry::new();
+        registry.counter_add(CONNECTIONS_REFUSED, Determinism::Deterministic, 0);
         let shared = Arc::new(QueueShared {
             state: Mutex::new(state),
             cv: Condvar::new(),
             capacity,
-            metrics: Mutex::new(MetricsRegistry::new()),
+            metrics: Mutex::new(registry),
             store: Mutex::new(ResultStore::new(cache_capacity)),
             runlog,
         });
@@ -496,6 +502,13 @@ impl JobQueue {
         self.shared.count("serve_requests_total");
     }
 
+    /// Count one connection the server refused because every connection
+    /// handler was busy (`serve_connections_refused`; a full job queue is
+    /// `serve_queue_rejections`).
+    pub fn record_connection_refused(&self) {
+        self.shared.count(CONNECTIONS_REFUSED);
+    }
+
     /// The metrics registry snapshot as JSON (`/v1/metrics`).
     pub fn metrics_json(&self) -> String {
         self.shared.metrics.lock().unwrap().to_json()
@@ -522,8 +535,8 @@ impl JobQueue {
     }
 
     /// Stop accepting work, raise every running job's cancel token,
-    /// cancel (and close the streams of) still-queued jobs, and join
-    /// the workers.  Idempotent.
+    /// cancel (and close the streams of) still-queued jobs, close the
+    /// streams of resumable ones, and join the workers.  Idempotent.
     pub fn shutdown(&self) {
         {
             let mut state = self.shared.state.lock().unwrap();
@@ -536,6 +549,8 @@ impl JobQueue {
                 match entry.state {
                     JobState::Running => entry.cancel.cancel(),
                     JobState::Queued => entry.cancel_queued("cancelled by queue shutdown"),
+                    // Nothing will run it in this process: end its tails.
+                    JobState::Resumable => entry.events.close(),
                     _ => {}
                 }
             }
@@ -728,16 +743,28 @@ fn worker_loop(shared: &QueueShared) {
             submitted_at,
         );
 
-        let mut state = shared.state.lock().unwrap();
-        let entry = state.jobs.get_mut(&id).expect("running job exists");
         let (final_state, counter) = match &result {
             Ok(_) => (JobState::Done, "serve_jobs_completed"),
             Err(Error::Cancelled { .. }) => (JobState::Cancelled, "serve_jobs_cancelled"),
             Err(_) => (JobState::Failed, "serve_jobs_failed"),
         };
+        // Counted before the job turns terminal, so that a client that
+        // sees it finished reads counters that include it.
+        shared.count(counter);
+        if let Ok((_, _, sweeps)) = &result {
+            // Deterministic work volume: lets a caller assert a cached
+            // replay did *no* additional transport work.
+            shared.metrics.lock().unwrap().counter_add(
+                "serve_sweeps_total",
+                Determinism::Deterministic,
+                *sweeps,
+            );
+        }
+        let mut state = shared.state.lock().unwrap();
+        let entry = state.jobs.get_mut(&id).expect("running job exists");
         entry.state = final_state;
-        let sweeps = match result {
-            Ok((outcome_json, trace_json, sweeps)) => {
+        match result {
+            Ok((outcome_json, trace_json, _)) => {
                 entry.outcome_json = Some(outcome_json.clone());
                 entry.trace_json = Some(trace_json);
                 shared
@@ -746,25 +773,12 @@ fn worker_loop(shared: &QueueShared) {
                     .unwrap()
                     .insert(entry.hash, outcome_json);
                 close_with_job_done(&events, final_state, false, None);
-                Some(sweeps)
             }
             Err(error) => {
                 let message = error.to_string();
                 close_with_job_done(&events, final_state, false, Some(&message));
                 entry.error = Some(message);
-                None
             }
-        };
-        drop(state);
-        shared.count(counter);
-        if let Some(sweeps) = sweeps {
-            // Deterministic work volume: lets a caller assert a cached
-            // replay did *no* additional transport work.
-            shared.metrics.lock().unwrap().counter_add(
-                "serve_sweeps_total",
-                Determinism::Deterministic,
-                sweeps,
-            );
         }
     }
 }

@@ -28,14 +28,21 @@
 //! `sweep` line carrying `cells`, `buckets` and `seconds` — never a line
 //! per wavefront bucket — and the `/trace` body holds one `sweep` span
 //! per sweep with nothing below it, so both scale with iterations, not
-//! with the mesh.
+//! with the mesh.  Lines are buffered and sent whenever the stream
+//! would otherwise wait for the next one: a finished job's history
+//! leaves in one write, a running job's lines as they come.  A stream
+//! with nothing to send checks on every poll whether its client has
+//! hung up, and ends if so, so that a tail nobody reads does not hold
+//! its connection handler until the job ends (or, for a `resumable`
+//! job, until the server stops).
 
-use std::io::BufReader;
-use std::net::TcpStream;
+use std::io::{BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use unsnap_core::error::Error;
 use unsnap_obs::json::JsonObject;
+use unsnap_obs::stream::LineChannel;
 
 use crate::cancel::CancelDisposition;
 use crate::http::{self, ChunkedWriter, Request};
@@ -45,6 +52,10 @@ use crate::wire;
 /// How long one `wait_at` poll of a job's event channel blocks before
 /// re-checking (bounds how late the chunked stream notices a close).
 const EVENT_POLL: Duration = Duration::from_millis(250);
+
+/// How long a request may take to arrive, and a response to be taken
+/// in, before the connection is given up.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn error_body(error: &Error) -> String {
     let obj = JsonObject::new().field_str("error", &error.to_string());
@@ -210,16 +221,37 @@ fn delete_job(queue: &JobQueue, id: u64) -> (u16, String) {
     }
 }
 
-/// Stream a job's events as chunked JSONL until its channel closes.
+/// Stream a job's events as chunked JSONL until its channel closes, or
+/// until the client hangs up.
 fn stream_events(queue: &JobQueue, id: u64, stream: &TcpStream) -> std::io::Result<()> {
     let Some(events) = queue.events(id) else {
         let (status, body) = not_found(&format!("job {id}"));
         return http::write_response(&mut &*stream, status, &body);
     };
-    let mut chunked = ChunkedWriter::begin(stream, 200, "application/jsonl")?;
+    stream_lines(&events, stream, || client_gone(stream))
+}
+
+/// Write `events` as a chunked JSONL response until the channel closes,
+/// flushing whenever the next wait would block.  An idle stream writes
+/// nothing, so it cannot see a hang-up by a failed write: after each
+/// [`EVENT_POLL`] that brings no line it asks `gone` instead, and ends
+/// (without the terminator) when the client has left.
+fn stream_lines<W: Write>(
+    events: &LineChannel,
+    writer: W,
+    mut gone: impl FnMut() -> bool,
+) -> std::io::Result<()> {
+    let mut chunked = ChunkedWriter::begin(writer, 200, "application/jsonl")?;
     let mut from = 0;
     loop {
-        let (lines, closed) = events.wait_at(from, EVENT_POLL);
+        let (mut lines, mut closed) = events.wait_at(from, Duration::ZERO);
+        if lines.is_empty() && !closed {
+            chunked.flush()?;
+            (lines, closed) = events.wait_at(from, EVENT_POLL);
+            if lines.is_empty() && !closed && gone() {
+                return Ok(());
+            }
+        }
         for line in &lines {
             chunked.write_chunk(&format!("{line}\n"))?;
         }
@@ -231,16 +263,48 @@ fn stream_events(queue: &JobQueue, id: u64, stream: &TcpStream) -> std::io::Resu
     chunked.finish()
 }
 
+/// Whether the client of an idle event stream has hung up: one
+/// non-blocking read finds the end of what it sends, or an error.  A
+/// client that only half-closes (shuts down its sending side and keeps
+/// reading) counts as gone too.  Bytes sent after the request are
+/// discarded; a one-request connection has no use for them.
+fn client_gone(mut stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let gone = match stream.read(&mut [0_u8; 512]) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+    };
+    stream.set_nonblocking(false).is_err() || gone
+}
+
+/// Answer a connection the server has no handler for: `503` with the
+/// typed JSON error body, and the end of the response.  The request is
+/// never read; the caller keeps the connection open a while so that
+/// closing it over the unread request is not a reset.
+pub(crate) fn refuse_connection(mut stream: &TcpStream, cap: usize) {
+    let error = Error::Execution {
+        reason: format!("all {cap} connection handlers are busy; retry later"),
+    };
+    if http::write_response(&mut stream, wire::status_for(&error), &error_body(&error)).is_ok() {
+        let _ = stream.shutdown(Shutdown::Write);
+    }
+}
+
 /// Serve one connection: read a request, dispatch it, write the
 /// response.  I/O errors (including a client hanging up mid-stream) are
 /// swallowed — the connection is this function's whole world.
-pub fn handle_connection(stream: TcpStream, queue: &JobQueue) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+pub fn handle_connection(stream: &TcpStream, queue: &JobQueue) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    // A client that stops reading holds its handler no longer than this.
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    // A live event stream flushes small writes; do not let Nagle's
+    // algorithm hold one back until the previous is acknowledged.
+    let _ = stream.set_nodelay(true);
     let request = {
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => return,
-        });
+        let mut reader = BufReader::new(stream);
         match http::read_request(&mut reader) {
             Ok(request) => request,
             Err(_) => {
@@ -248,7 +312,7 @@ pub fn handle_connection(stream: TcpStream, queue: &JobQueue) {
                     .field_str("error", "malformed HTTP request")
                     .field_raw("field", "null")
                     .finish();
-                let _ = http::write_response(&mut &stream, 400, &body);
+                let _ = http::write_response(&mut &*stream, 400, &body);
                 return;
             }
         }
@@ -258,7 +322,7 @@ pub fn handle_connection(stream: TcpStream, queue: &JobQueue) {
     // The event stream writes its own (chunked) response.
     if let Some((id, JobRoute::Events)) = job_path(&request.path) {
         if request.method == "GET" {
-            let _ = stream_events(queue, id, &stream);
+            let _ = stream_events(queue, id, stream);
             return;
         }
     }
@@ -270,7 +334,7 @@ pub fn handle_connection(stream: TcpStream, queue: &JobQueue) {
             Some("format=prometheus") => ("text/plain; version=0.0.4", queue.metrics_prometheus()),
             _ => ("application/json", queue.metrics_json()),
         };
-        let _ = http::write_response_typed(&mut &stream, 200, content_type, &body);
+        let _ = http::write_response_typed(&mut &*stream, 200, content_type, &body);
         return;
     }
 
@@ -299,7 +363,7 @@ pub fn handle_connection(stream: TcpStream, queue: &JobQueue) {
             None => not_found(&format!("path '{path}'")),
         },
     };
-    let _ = http::write_response(&mut &stream, status, &body);
+    let _ = http::write_response(&mut &*stream, status, &body);
 }
 
 #[cfg(test)]
@@ -317,6 +381,88 @@ mod tests {
         assert_eq!(job_path("/v1/jobs/x/resume"), None);
         assert_eq!(job_path("/v1/solve"), None);
         assert_eq!(job_path("/v1/jobs/7/extra"), None);
+    }
+
+    /// Hands every `write` call to the test thread as it happens.
+    struct SentWrites(std::sync::mpsc::Sender<Vec<u8>>);
+
+    impl Write for SentWrites {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_live_line_reaches_the_reader_before_the_channel_closes() {
+        let events = LineChannel::new();
+        let (sender, received) = std::sync::mpsc::channel();
+        let streamer = {
+            let events = events.clone();
+            std::thread::spawn(move || stream_lines(&events, SentWrites(sender), || false))
+        };
+        let mut seen = Vec::new();
+        let mut read_until = |needle: &str| {
+            while !String::from_utf8_lossy(&seen).contains(needle) {
+                let bytes = received
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("'{needle}' never reached the reader"));
+                seen.extend(bytes);
+            }
+        };
+        events.push(r#"{"event":"outer_start","outer":0}"#);
+        read_until("\"outer_start\"");
+        assert!(!events.is_closed(), "the line arrived while the job ran");
+        events.push(r#"{"event":"job_done","status":"done"}"#);
+        events.close();
+        read_until("0\r\n\r\n");
+        streamer.join().unwrap().unwrap();
+        let text = String::from_utf8(seen).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.contains("\"job_done\""));
+    }
+
+    #[test]
+    fn a_finished_stream_is_one_write() {
+        let events = LineChannel::new();
+        for outer in 0..20 {
+            events.push(format!("{{\"event\":\"outer_start\",\"outer\":{outer}}}"));
+        }
+        events.close();
+        let (sender, received) = std::sync::mpsc::channel();
+        stream_lines(&events, SentWrites(sender), || false).unwrap();
+        let writes: Vec<Vec<u8>> = received.try_iter().collect();
+        assert_eq!(writes.len(), 1);
+        assert!(String::from_utf8_lossy(&writes[0]).ends_with("0\r\n\r\n"));
+    }
+
+    #[test]
+    fn an_idle_stream_ends_when_its_client_is_gone() {
+        let events = LineChannel::new();
+        events.push(r#"{"event":"outer_start","outer":0}"#);
+        let (sender, received) = std::sync::mpsc::channel();
+        let mut asked = 0;
+        let ended = stream_lines(&events, SentWrites(sender), || {
+            asked += 1;
+            asked == 2
+        });
+        ended.unwrap();
+        assert_eq!(asked, 2, "asked once per idle poll, and only when idle");
+        assert!(
+            !events.is_closed(),
+            "the job's channel is not the stream's to close"
+        );
+        let sent: Vec<u8> = received.try_iter().flatten().collect();
+        let text = String::from_utf8(sent).unwrap();
+        assert!(text.contains("\"outer_start\""));
+        assert!(
+            !text.ends_with("0\r\n\r\n"),
+            "no terminator for a departed client"
+        );
     }
 
     #[test]

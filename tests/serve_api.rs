@@ -18,9 +18,15 @@
 //!   even while jobs are in flight;
 //! * a finished job's Chrome trace downloads from
 //!   `GET /v1/jobs/{id}/trace`; cache-served jobs answer 409 and
-//!   unknown jobs 404.
+//!   unknown jobs 404;
+//! * connections: a client hanging up mid-stream costs neither the job
+//!   nor the server, nor its handler while the job runs on; a stalled
+//!   client delays no one else; and past the handler cap a connection
+//!   is answered 503 with the typed body, not reset, without slowing
+//!   the accepts behind it.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use unsnap_obs::reader::{self, JsonValue};
@@ -400,6 +406,7 @@ fn prometheus_exposition_round_trips_under_concurrent_jobs() {
         "serve_jobs_submitted",
         "serve_jobs_completed",
         "serve_sweeps_total",
+        "serve_connections_refused",
     ] {
         let json_value = counter(addr, name) as f64;
         let text_value = samples
@@ -476,5 +483,225 @@ fn finished_jobs_serve_their_chrome_trace_and_cache_hits_answer_409() {
     // Unknown job: 404, same as the other job routes.
     let missing = http::request(addr, "GET", "/v1/jobs/999/trace", None).expect("GET trace");
     assert_eq!(missing.status, 404);
+    server.shutdown();
+}
+
+/// 1 worker and a queue of 1: the connection-handler cap is
+/// 2 × (1 + 1) = 4, so the tests below open only a handful of sockets.
+fn start_small() -> Server {
+    Server::start(&ServeConfig {
+        port: 0,
+        workers: 1,
+        queue_capacity: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts")
+}
+
+/// Open a connection and send half a request head, then nothing.
+fn stalled_client(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"POST /v1/solve HTTP/1.1\r\nContent-Le")
+        .expect("half a head");
+    stream
+}
+
+#[test]
+fn a_client_that_hangs_up_mid_stream_costs_neither_the_job_nor_the_server() {
+    let server = start_small();
+    let addr = server.addr();
+    // Long enough to be running while the client reads its first lines.
+    let receipt = post_solve(
+        addr,
+        r#"{"problem": {"iteration": {"inner_iterations": 4, "outer_iterations": 40, "convergence_tolerance": 0}}}"#,
+    );
+    let id = job_id(&receipt);
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    write!(
+        stream,
+        "GET /v1/jobs/{id}/events HTTP/1.1\r\nHost: t\r\n\r\n"
+    )
+    .unwrap();
+    let mut reader = BufReader::new(&stream);
+    let mut events = 0;
+    while events < 3 {
+        let mut line = String::new();
+        assert_ne!(
+            reader.read_line(&mut line).unwrap(),
+            0,
+            "stream ended early"
+        );
+        events += usize::from(line.starts_with("{\"event\""));
+    }
+    drop(reader);
+    drop(stream);
+
+    let status = wait_terminal(addr, id);
+    assert_eq!(status.get("status").and_then(|v| v.as_str()), Some("done"));
+    let next = post_solve(addr, r#"{"problem": "tiny"}"#);
+    let status = wait_terminal(addr, job_id(&next));
+    assert_eq!(status.get("status").and_then(|v| v.as_str()), Some("done"));
+    server.shutdown();
+}
+
+/// Wait until job `id` is running.
+fn wait_running(addr: SocketAddr, id: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let response =
+            http::request(addr, "GET", &format!("/v1/jobs/{id}"), None).expect("GET job");
+        let doc = reader::parse(&response.body).unwrap();
+        if doc.get("status").and_then(|v| v.as_str()) == Some("running") {
+            return;
+        }
+        assert!(Instant::now() < deadline, "job never started running");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Open `GET /v1/jobs/{id}/events` and read its status line.
+fn tail(addr: SocketAddr, id: u64) -> (TcpStream, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    write!(
+        stream,
+        "GET /v1/jobs/{id}/events HTTP/1.1\r\nHost: t\r\n\r\n"
+    )
+    .unwrap();
+    let mut status = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut status)
+        .expect("a status line");
+    (stream, status)
+}
+
+#[test]
+fn dropped_tails_of_a_waiting_job_free_their_handlers() {
+    let server = start_small();
+    let addr = server.addr();
+    let running = job_id(&post_solve(addr, SLOW_BODY));
+    wait_running(addr, running);
+    // Queued behind the slow job, this one sends no event for a long
+    // while: a tail of it learns of a hang-up from no failed write.
+    let id = job_id(&post_solve(addr, r#"{"problem": "tiny"}"#));
+    // One more tail than there are handlers, each dropped after its
+    // head: a tail nobody reads any more must not keep its handler
+    // while the job waits.
+    for _ in 0..5 {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let (stream, status) = tail(addr, id);
+            drop(stream);
+            if status.starts_with("HTTP/1.1 200") {
+                break;
+            }
+            assert!(status.starts_with("HTTP/1.1 503"), "{status}");
+            assert!(
+                Instant::now() < deadline,
+                "dropped tails kept their handlers"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let response = http::request(addr, "GET", "/v1/jobs", None).expect("GET jobs");
+        if response.status == 200 {
+            break;
+        }
+        assert_eq!(response.status, 503);
+        assert!(
+            Instant::now() < deadline,
+            "dropped tails kept their handlers"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let status = http::request(addr, "GET", &format!("/v1/jobs/{id}"), None).expect("GET job");
+    assert!(
+        status.body.contains("\"queued\""),
+        "the handlers came back while the job still waited: {}",
+        status.body
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_stalled_client_does_not_delay_another_request() {
+    let server = start_small();
+    let addr = server.addr();
+    let stalled = stalled_client(addr);
+
+    // The stalled head holds its handler until the 30 s read timeout; a
+    // request served behind it would take that long.
+    let started = Instant::now();
+    let response = http::request(addr, "GET", "/v1/jobs", None).expect("GET jobs");
+    assert_eq!(response.status, 200);
+    assert!(started.elapsed() < Duration::from_secs(10));
+
+    // And the stalled client is still waiting, unanswered.
+    stalled.set_nonblocking(true).unwrap();
+    let unanswered = (&stalled).read(&mut [0_u8; 16]);
+    assert!(
+        unanswered.is_err_and(|e| e.kind() == std::io::ErrorKind::WouldBlock),
+        "the stalled request was answered"
+    );
+    drop(stalled);
+    server.shutdown();
+}
+
+#[test]
+fn past_the_handler_cap_a_connection_gets_503_not_a_reset() {
+    let server = start_small();
+    let addr = server.addr();
+    // Connections are accepted in order, and each of these takes a
+    // handler of its own until it goes away.
+    let stalled: Vec<TcpStream> = (0..4).map(|_| stalled_client(addr)).collect();
+
+    let refused = http::request(addr, "GET", "/v1/jobs", None).expect("an answer, not a reset");
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    let doc = reader::parse(&refused.body).expect("typed JSON error body");
+    assert!(doc
+        .get("error")
+        .and_then(|v| v.as_str())
+        .is_some_and(|e| e.contains("connection handlers are busy")));
+    assert!(doc.get("field").is_some_and(JsonValue::is_null));
+    assert_eq!(server.queue().counter("serve_connections_refused"), Some(1));
+    assert_eq!(server.queue().counter("serve_queue_rejections"), None);
+
+    // A refusal does not wait on its client: eight that connect and
+    // send nothing do not hold up the answer to the connection behind
+    // them.
+    let silent: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let started = Instant::now();
+    let refused = http::request(addr, "GET", "/v1/jobs", None).expect("an answer, not a reset");
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "refusals queued behind silent clients: {:?}",
+        started.elapsed()
+    );
+    drop(silent);
+
+    // Once the stalled clients leave, their handlers serve again.
+    drop(stalled);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let response = http::request(addr, "GET", "/v1/jobs", None).expect("GET jobs");
+        if response.status == 200 {
+            break;
+        }
+        assert_eq!(response.status, 503);
+        assert!(Instant::now() < deadline, "handlers never came back");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }
