@@ -492,19 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn on_the_fly_integrals_match_precomputed() {
-        // The distributed path honours `Problem::precompute_integrals`
-        // too, and the two settings agree bit for bit.
-        let flux = |precompute: bool| {
-            let p = base_problem().with_precomputed_integrals(precompute);
-            let mut s = BlockJacobiSolver::new(&p, Decomposition2D::new(2, 1)).unwrap();
-            s.run().unwrap();
-            phi_bits(s.scalar_flux())
-        };
-        assert_eq!(flux(true), flux(false));
-    }
-
-    #[test]
     fn multi_rank_partition_is_complete() {
         let p = base_problem();
         let solver = BlockJacobiSolver::new(&p, Decomposition2D::new(2, 2)).unwrap();

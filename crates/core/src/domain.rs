@@ -92,9 +92,8 @@ pub struct SharedAssets {
     /// Face-local node index lists for the six faces (identical for every
     /// element of a given order).
     pub face_nodes: [Vec<usize>; 6],
-    /// Precomputed per-element integrals, indexed by global cell id
-    /// (`None` = compute on the fly, `Problem::precompute_integrals`).
-    pub integrals: Option<Vec<ElementIntegrals>>,
+    /// Precomputed per-element integrals, indexed by global cell id.
+    pub integrals: Vec<ElementIntegrals>,
     /// Wall-clock seconds spent precomputing `integrals`.
     pub integrals_seconds: f64,
     /// The angular quadrature.
@@ -111,8 +110,7 @@ pub struct SharedAssets {
 
 impl SharedAssets {
     /// Build the assets of a validated `problem`, precomputing the
-    /// per-element integrals on a team `width` wide when the problem asks
-    /// for them.
+    /// per-element integrals on a team `width` wide.
     pub fn build(problem: &Problem, width: usize) -> Self {
         let mesh = problem.build_mesh();
         let element = ReferenceElement::new(problem.element_order);
@@ -139,13 +137,11 @@ impl SharedAssets {
         // The paper's precomputed basis-pair integrals: embarrassingly
         // independent per element.
         let t0 = Instant::now();
-        let integrals = problem.precompute_integrals.then(|| {
-            team::map(width, (0..mesh.num_cells()).collect(), |cell| {
-                let hex = HexVertices {
-                    corners: *mesh.cell_corners(cell),
-                };
-                ElementIntegrals::compute(&element, &hex)
-            })
+        let integrals = team::map(width, (0..mesh.num_cells()).collect(), |cell| {
+            let hex = HexVertices {
+                corners: *mesh.cell_corners(cell),
+            };
+            ElementIntegrals::compute(&element, &hex)
         });
         let integrals_seconds = t0.elapsed().as_secs_f64();
 
@@ -317,7 +313,7 @@ impl TaskScratch {
 }
 
 /// What one (element, angle) shares across groups: where its inflow comes
-/// from, and its integrals when they are not precomputed.
+/// from.
 #[derive(Default)]
 struct ElementSlot {
     /// The (element, angle) `inflow` describes.  Within one domain the
@@ -325,9 +321,6 @@ struct ElementSlot {
     key: Option<(usize, usize)>,
     /// (face, source) of every inflow face, in ascending face order.
     inflow: Vec<(usize, InflowSource)>,
-    /// The integrals of the element of `key`, when the problem does not
-    /// precompute them.
-    integrals: Option<ElementIntegrals>,
 }
 
 /// The idle [`TaskScratch`]es of a domain, and what the runs that handed
@@ -793,10 +786,9 @@ impl SweepView<'_> {
     }
 
     /// Make `slot` describe `element` for `angle`: which of the three
-    /// sources each inflow face reads and, when they are not precomputed,
-    /// the element's integrals — resolved when the slot last described
-    /// another (element, angle), so a task then only looks up its groups'
-    /// slices.
+    /// sources each inflow face reads — resolved when the slot last
+    /// described another (element, angle), so a task then only looks up
+    /// its groups' slices.
     fn resolve(&self, slot: &mut ElementSlot, angle: usize, element: usize) {
         let a = self.assets;
         if slot.key == Some((element, angle)) {
@@ -818,12 +810,6 @@ impl SweepView<'_> {
             };
             slot.inflow.push((face, source));
         }
-        if a.integrals.is_none() {
-            let hex = HexVertices {
-                corners: *a.mesh.cell_corners(element),
-            };
-            slot.integrals = Some(ElementIntegrals::compute(&a.element, &hex));
-        }
         slot.key = Some((element, angle));
     }
 
@@ -841,10 +827,6 @@ impl SweepView<'_> {
     ) -> LaneSegment<'s> {
         let a = self.assets;
         let (element, groups) = (segment.element, &segment.groups);
-        let integrals = match a.integrals.as_deref() {
-            Some(list) => &list[element],
-            None => slot.integrals.as_ref().expect("computed with the key"),
-        };
         let run_len = groups.len() * self.slab.nodes_per_element;
         let boundary_scale = if self.homogeneous { 0.0 } else { 1.0 };
         let upwind = slot.inflow.iter().map(|&(face, source)| {
@@ -869,7 +851,7 @@ impl SweepView<'_> {
         });
         let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
         let terms = &self.source.as_slice()[self.blocks(self.local_of_cell[element], groups)];
-        LaneSegment::new(element, integrals, sigma_t, terms, upwind)
+        LaneSegment::new(element, &a.integrals[element], sigma_t, terms, upwind)
     }
 
     /// The one task loop: solve the tasks `tasks` of `bucket`, a bucket of
@@ -1108,8 +1090,7 @@ impl DomainContext<'_> {
 
     /// Replace `q` in each (cell, group) block of the domain's source by
     /// its source term `M q`, once per source update rather than once per
-    /// angle.  Without precomputed integrals each cell's are computed here,
-    /// as the sweep's tasks compute them.
+    /// angle.
     fn form_source_terms(&mut self) {
         let a = self.assets;
         let SweepDomain {
@@ -1125,20 +1106,11 @@ impl DomainContext<'_> {
         let nodes = layout.nodes_per_element;
         let mut worker = pool.idle.pop().unwrap_or_else(|| TaskScratch::new(nodes));
         let b = &mut worker.kernel.rhs;
-        let mut computed = None;
         for (local, &cell) in cells.iter().enumerate() {
-            let integrals = match a.integrals.as_deref() {
-                Some(list) => &list[cell],
-                None => &*computed.insert(ElementIntegrals::compute(
-                    &a.element,
-                    &HexVertices {
-                        corners: *a.mesh.cell_corners(cell),
-                    },
-                )),
-            };
+            let mass = &a.integrals[cell].mass;
             for g in 0..layout.num_groups {
                 let q = source.nodes_mut(local, g, 0);
-                kernel::source_term(&integrals.mass, q, b);
+                kernel::source_term(mass, q, b);
                 q.copy_from_slice(b);
             }
         }
@@ -1300,7 +1272,7 @@ impl InnerSolveContext for DomainContext<'_> {
                 &a.mesh,
                 cells,
                 &a.element,
-                a.integrals.as_deref(),
+                Some(&a.integrals),
                 &a.data,
                 *phi.layout(),
                 unsnap_accel::DsaConfig {
@@ -1483,14 +1455,10 @@ mod tests {
                 let assets = SharedAssets::build(&problem, 2);
                 let mesh = &assets.mesh;
                 let domain = SweepDomain::new(&assets, (0..mesh.num_cells()).collect()).unwrap();
-                let integrals = assets
-                    .integrals
-                    .as_deref()
-                    .expect("presets precompute them");
                 for (angle, direction) in assets.quadrature.directions().iter().enumerate() {
                     let omega = direction.omega;
                     let schedule = domain.schedules.schedule(angle);
-                    for (cell, integrals) in integrals.iter().enumerate() {
+                    for (cell, integrals) in assets.integrals.iter().enumerate() {
                         let mut inflow = schedule.inflow_faces(cell).peekable();
                         for face in 0..NUM_FACES {
                             let is_inflow = inflow.next_if_eq(&face).is_some();
@@ -1517,87 +1485,70 @@ mod tests {
         // of the source is the right-hand side the reference assembly forms
         // from that block's `q` with no inflow: `M q`, bit for bit.
         for name in ["tiny", "dsa-regime"] {
-            for precompute_integrals in [true, false] {
-                let problem = Problem {
-                    precompute_integrals,
-                    ..Problem::from_name(name).unwrap()
+            let problem = Problem::from_name(name).unwrap();
+            let assets = SharedAssets::build(&problem, 1);
+            let data = &assets.data;
+            let cells = assets.mesh.num_cells();
+            let mut domain = SweepDomain::new(&assets, (0..cells).collect()).unwrap();
+            let layout = *domain.phi.layout();
+            let n = layout.nodes_per_element;
+            let values = |seed: f64| -> Vec<f64> {
+                (0..layout.len())
+                    .map(|i| seed + 0.01 * (i % 97) as f64)
+                    .collect()
+            };
+            domain.phi.as_mut_slice().copy_from_slice(&values(0.5));
+            let mut phi_outer = FluxStorage::zeros(layout);
+            phi_outer.as_mut_slice().copy_from_slice(&values(1.5));
+            let v = values(2.5);
+            for update in ["compute_source", "compute_external_source", "within-group"] {
+                let mut context = DomainContext {
+                    assets: &assets,
+                    width: 1,
+                    phi_outer: &phi_outer,
+                    halo: None,
+                    domain: &mut domain,
+                    inner_budget: 1,
                 };
-                let assets = SharedAssets::build(&problem, 1);
-                let data = &assets.data;
-                let cells = assets.mesh.num_cells();
-                let mut domain = SweepDomain::new(&assets, (0..cells).collect()).unwrap();
-                let layout = *domain.phi.layout();
-                let n = layout.nodes_per_element;
-                let values = |seed: f64| -> Vec<f64> {
-                    (0..layout.len())
-                        .map(|i| seed + 0.01 * (i % 97) as f64)
-                        .collect()
-                };
-                domain.phi.as_mut_slice().copy_from_slice(&values(0.5));
-                let mut phi_outer = FluxStorage::zeros(layout);
-                phi_outer.as_mut_slice().copy_from_slice(&values(1.5));
-                let v = values(2.5);
-                for update in ["compute_source", "compute_external_source", "within-group"] {
-                    let mut context = DomainContext {
-                        assets: &assets,
-                        width: 1,
-                        phi_outer: &phi_outer,
-                        halo: None,
-                        domain: &mut domain,
-                        inner_budget: 1,
-                    };
-                    match update {
-                        "compute_source" => context.compute_source(),
-                        "compute_external_source" => context.compute_external_source(),
-                        _ => context.set_source_to_within_group_scatter(&v),
-                    }
-                    let mut reference = KernelScratch::new(n);
-                    for cell in 0..cells {
-                        let mat = data.material(cell);
-                        let computed;
-                        let integrals = match assets.integrals.as_deref() {
-                            Some(list) => &list[cell],
-                            None => {
-                                let hex = HexVertices {
-                                    corners: *assets.mesh.cell_corners(cell),
-                                };
-                                computed = ElementIntegrals::compute(&assets.element, &hex);
-                                &computed
-                            }
-                        };
-                        for g in 0..layout.num_groups {
-                            // `q` as the update forms it.
-                            let base = layout.base(cell, g, 0);
-                            let q: Vec<f64> = if update == "within-group" {
-                                let sigma_s = data.xs.scatter(mat, g, g);
-                                v[base..base + n].iter().map(|&x| sigma_s * x).collect()
-                            } else {
-                                let mut q = vec![data.fixed_source(cell); n];
-                                for g_from in 0..layout.num_groups {
-                                    let sigma_s = data.xs.scatter(mat, g_from, g);
-                                    if sigma_s == 0.0
-                                        || (g_from == g && update == "compute_external_source")
-                                    {
-                                        continue;
-                                    }
-                                    let phi = if g_from == g { &domain.phi } else { &phi_outer };
-                                    for (q, &p) in q.iter_mut().zip(phi.nodes(cell, g_from, 0)) {
-                                        *q += sigma_s * p;
-                                    }
+                match update {
+                    "compute_source" => context.compute_source(),
+                    "compute_external_source" => context.compute_external_source(),
+                    _ => context.set_source_to_within_group_scatter(&v),
+                }
+                let mut reference = KernelScratch::new(n);
+                for cell in 0..cells {
+                    let mat = data.material(cell);
+                    let integrals = &assets.integrals[cell];
+                    for g in 0..layout.num_groups {
+                        // `q` as the update forms it.
+                        let base = layout.base(cell, g, 0);
+                        let q: Vec<f64> = if update == "within-group" {
+                            let sigma_s = data.xs.scatter(mat, g, g);
+                            v[base..base + n].iter().map(|&x| sigma_s * x).collect()
+                        } else {
+                            let mut q = vec![data.fixed_source(cell); n];
+                            for g_from in 0..layout.num_groups {
+                                let sigma_s = data.xs.scatter(mat, g_from, g);
+                                if sigma_s == 0.0
+                                    || (g_from == g && update == "compute_external_source")
+                                {
+                                    continue;
                                 }
-                                q
-                            };
-                            let omega = assets.quadrature.directions()[0].omega;
-                            kernel::assemble(integrals, omega, 1.0, &q, &[], &mut reference);
-                            let bits =
-                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(
-                                bits(domain.source.nodes(cell, g, 0)),
-                                bits(&reference.rhs),
-                                "{name}, precomputed {precompute_integrals}, {update}: \
-                                 cell {cell}, group {g}"
-                            );
-                        }
+                                let phi = if g_from == g { &domain.phi } else { &phi_outer };
+                                for (q, &p) in q.iter_mut().zip(phi.nodes(cell, g_from, 0)) {
+                                    *q += sigma_s * p;
+                                }
+                            }
+                            q
+                        };
+                        let omega = assets.quadrature.directions()[0].omega;
+                        kernel::assemble(integrals, omega, 1.0, &q, &[], &mut reference);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(domain.source.nodes(cell, g, 0)),
+                            bits(&reference.rhs),
+                            "{name}, {update}: cell {cell}, group {g}"
+                        );
                     }
                 }
             }

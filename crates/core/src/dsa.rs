@@ -74,7 +74,9 @@ impl DsaAccelerator {
     /// (its `num_elements` must equal `cells.len()`); `integrals`, when
     /// given, are the solver's precomputed per-element integrals indexed
     /// by *global* cell id — otherwise the needed mass-row sums are
-    /// integrated here.
+    /// integrated here.  The solver always passes its integrals; the
+    /// parameter stays an `Option` because the repository benchmark's
+    /// layer probe (`benchmark/src/layers.rs`) calls it with `Some(..)`.
     pub fn build(
         mesh: &UnstructuredMesh,
         cells: &[usize],

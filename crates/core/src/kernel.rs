@@ -783,58 +783,14 @@ fn lanes_at<const L: usize, const G: usize>(entry: &mut [f64; L]) -> &mut [f64; 
         .expect("a part is at most as wide as its run")
 }
 
-/// Assemble with the reference [`assemble`] and solve one local system,
-/// returning the timing breakdown: the seed task, kept as the oracle for
-/// [`KernelEngine::assemble_solve`].
-///
-/// On return `scratch.rhs` holds the nodal angular flux of the element for
-/// this angle and group.  When `time_solve` is false both phases are
-/// reported under `assemble_ns` with `solve_ns = 0`.  Either way the clock
-/// is read around the task; only the engine's untimed path reads none.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_solve(
-    integrals: &ElementIntegrals,
-    omega: [f64; 3],
-    sigma_t: f64,
-    source_nodes: &[f64],
-    upwind: &[UpwindFace<'_>],
-    solver: &dyn LinearSolver,
-    time_solve: bool,
-    scratch: &mut KernelScratch,
-) -> KernelTiming {
-    if time_solve {
-        let t0 = Instant::now();
-        assemble(integrals, omega, sigma_t, source_nodes, upwind, scratch);
-        let assemble_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        solver
-            .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
-            .expect("local DG system should be non-singular");
-        let solve_ns = t1.elapsed().as_nanos() as u64;
-        KernelTiming {
-            assemble_ns,
-            solve_ns,
-        }
-    } else {
-        let t0 = Instant::now();
-        assemble(integrals, omega, sigma_t, source_nodes, upwind, scratch);
-        solver
-            .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
-            .expect("local DG system should be non-singular");
-        KernelTiming {
-            assemble_ns: t0.elapsed().as_nanos() as u64,
-            solve_ns: 0,
-        }
-    }
-}
-
 /// The kernel-engine seam: how one local task is assembled and solved.
 ///
 /// A task assembles from the tile and solves with the dense solver it is
-/// handed, which picks the elimination by matrix size; the result is the
-/// free [`assemble_solve`]'s, bit for bit.  [`KernelEngine::new`] takes the
-/// kernel and precision labels only because the benchmark package builds
-/// its engine from them (`benchmark/src/layers.rs`), and ignores both.
+/// handed, which picks the elimination by matrix size; the result is bit
+/// for bit that of the reference [`assemble`] followed by the same solve.
+/// [`KernelEngine::new`] takes the kernel and precision labels only
+/// because the benchmark package builds its engine from them
+/// (`benchmark/src/layers.rs`), and ignores both.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelEngine;
 
@@ -1007,6 +963,22 @@ mod tests {
         ElementIntegrals::compute(&ReferenceElement::new(order), &HexVertices::unit_cube())
     }
 
+    /// The oracle task: the reference [`assemble`], then the dense solve.
+    fn reference_solve(
+        integrals: &ElementIntegrals,
+        omega: [f64; 3],
+        sigma_t: f64,
+        source: &[f64],
+        upwind: &[UpwindFace<'_>],
+        solver: &dyn LinearSolver,
+        scratch: &mut KernelScratch,
+    ) {
+        assemble(integrals, omega, sigma_t, source, upwind, scratch);
+        solver
+            .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
+            .expect("local DG system should be non-singular");
+    }
+
     /// Inflow faces for a constant incoming flux on every inflow boundary.
     fn boundary_upwind(
         integrals: &ElementIntegrals,
@@ -1039,14 +1011,13 @@ mod tests {
             let upwind = boundary_upwind(&integrals, omega, c);
             let mut scratch = KernelScratch::new(n);
             let solver = GaussSolver::new();
-            assemble_solve(
+            reference_solve(
                 &integrals,
                 omega,
                 sigma_t,
                 &source,
                 &upwind,
                 &solver,
-                false,
                 &mut scratch,
             );
             for (i, &psi) in scratch.rhs.iter().enumerate() {
@@ -1110,14 +1081,13 @@ mod tests {
 
         let mut scratch = KernelScratch::new(n);
         let solver = GaussSolver::new();
-        assemble_solve(
+        reference_solve(
             &integrals,
             omega,
             sigma_t,
             &source,
             &upwind,
             &solver,
-            false,
             &mut scratch,
         );
         for (i, &psi) in scratch.rhs.iter().enumerate() {
@@ -1141,14 +1111,13 @@ mod tests {
         for kind in SolverKind::all() {
             let solver = kind.build();
             let mut scratch = KernelScratch::new(n);
-            assemble_solve(
+            reference_solve(
                 &integrals,
                 omega,
                 sigma_t,
                 &source,
                 &upwind,
                 solver.as_ref(),
-                false,
                 &mut scratch,
             );
             match &reference {
@@ -1171,56 +1140,19 @@ mod tests {
         let upwind = boundary_upwind(&integrals, omega, 0.0);
         let mut scratch = KernelScratch::new(n);
         let solver = GaussSolver::new();
-        assemble_solve(
+        reference_solve(
             &integrals,
             omega,
             1.0,
             &source,
             &upwind,
             &solver,
-            true,
             &mut scratch,
         );
         // Mean flux is positive and below the infinite-medium limit q/σ_t.
         let mean: f64 = scratch.rhs.iter().sum::<f64>() / n as f64;
         assert!(mean > 0.0);
         assert!(mean < 1.0 + 1e-12);
-    }
-
-    #[test]
-    fn timing_split_reports_both_phases() {
-        let integrals = unit_integrals(2);
-        let n = integrals.nodes_per_element();
-        let omega = [0.6, 0.58, 0.55];
-        let source = vec![1.0; n];
-        let upwind = boundary_upwind(&integrals, omega, 0.0);
-        let solver = GaussSolver::new();
-        let mut scratch = KernelScratch::new(n);
-        let t = assemble_solve(
-            &integrals,
-            omega,
-            1.0,
-            &source,
-            &upwind,
-            &solver,
-            true,
-            &mut scratch,
-        );
-        assert!(t.assemble_ns > 0);
-        assert!(t.solve_ns > 0);
-
-        let untimed = assemble_solve(
-            &integrals,
-            omega,
-            1.0,
-            &source,
-            &upwind,
-            &solver,
-            false,
-            &mut scratch,
-        );
-        assert_eq!(untimed.solve_ns, 0);
-        assert!(untimed.assemble_ns > 0);
     }
 
     #[test]
@@ -1915,16 +1847,22 @@ mod tests {
     }
 
     #[test]
-    fn engine_reference_f64_matches_the_free_function_bit_for_bit() {
+    fn engine_matches_the_reference_task_bit_for_bit() {
         let integrals = unit_integrals(2);
         let n = integrals.nodes_per_element();
         let omega = [0.6, 0.58, 0.55];
         let source = vec![1.0; n];
         let upwind = boundary_upwind(&integrals, omega, 0.4);
         let solver = GaussSolver::new();
-        let mut free = KernelScratch::new(n);
-        assemble_solve(
-            &integrals, omega, 1.3, &source, &upwind, &solver, false, &mut free,
+        let mut oracle = KernelScratch::new(n);
+        reference_solve(
+            &integrals,
+            omega,
+            1.3,
+            &source,
+            &upwind,
+            &solver,
+            &mut oracle,
         );
         for kind in KernelKind::all() {
             let engine = KernelEngine::new(kind, Precision::F64);
@@ -1942,7 +1880,7 @@ mod tests {
             );
             for i in 0..n {
                 assert_eq!(
-                    free.rhs[i].to_bits(),
+                    oracle.rhs[i].to_bits(),
                     scratch.rhs[i].to_bits(),
                     "{kind}: node {i}"
                 );
@@ -1978,14 +1916,13 @@ mod tests {
         }];
         let mut scratch = KernelScratch::new(n);
         let solver = GaussSolver::new();
-        assemble_solve(
+        reference_solve(
             &integrals,
             omega,
             sigma_t,
             &source,
             &upwind,
             &solver,
-            false,
             &mut scratch,
         );
         // The incoming flux increases with the face-node index, i.e. with

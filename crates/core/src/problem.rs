@@ -109,9 +109,6 @@ pub struct Problem {
     /// at several widths — and every scheme produces bit-for-bit
     /// identical physics regardless of the effective width.
     pub num_threads: Option<usize>,
-    /// Precompute and store the per-element integrals (the paper's
-    /// approach) or recompute them on the fly inside the kernel.
-    pub precompute_integrals: bool,
     /// Record the time spent inside the linear solve separately from the
     /// assembly (adds a small timing overhead, as the paper notes).
     pub time_solve: bool,
@@ -154,7 +151,6 @@ impl Problem {
             upscatter_ratio: None,
             scheme: ConcurrencyScheme::serial(),
             num_threads: Some(1),
-            precompute_integrals: true,
             time_solve: false,
             kernel: KernelKind::Reference,
             precision: Precision::F64,
@@ -453,12 +449,6 @@ impl Problem {
     /// Enable/disable the separate solve timer.
     pub fn with_solve_timing(mut self, on: bool) -> Self {
         self.time_solve = on;
-        self
-    }
-
-    /// Enable/disable precomputed per-element integrals.
-    pub fn with_precomputed_integrals(mut self, on: bool) -> Self {
-        self.precompute_integrals = on;
         self
     }
 
@@ -802,8 +792,7 @@ mod tests {
             .with_threads(2)
             .with_solver(SolverKind::Mkl)
             .with_scheme(ConcurrencyScheme::best())
-            .with_solve_timing(true)
-            .with_precomputed_integrals(false);
+            .with_solve_timing(true);
         assert_eq!(p.num_cells(), 125);
         assert_eq!(p.nodes_per_element(), 27);
         assert_eq!(p.num_angles(), 24);
@@ -811,7 +800,6 @@ mod tests {
         assert_eq!(p.num_threads, Some(2));
         assert_eq!(p.solver, SolverKind::Mkl);
         assert!(p.time_solve);
-        assert!(!p.precompute_integrals);
     }
 
     #[test]

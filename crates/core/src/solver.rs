@@ -945,17 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn on_the_fly_integrals_match_precomputed() {
-        let flux = |precompute: bool| {
-            let p = Problem::tiny().with_precomputed_integrals(precompute);
-            let mut s = TransportSolver::new(&p).unwrap();
-            s.run().unwrap();
-            s.scalar_flux().as_slice().to_vec()
-        };
-        assert_eq!(flux(true), flux(false));
-    }
-
-    #[test]
     fn source_option2_concentrates_flux_in_the_centre() {
         let mut p = Problem::tiny();
         p.source = SourceOption::Option2;

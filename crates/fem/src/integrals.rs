@@ -17,8 +17,7 @@
 //! are quadrature cosines, cross sections and flux/source arrays owned by
 //! `unsnap-core`).  [`ElementIntegrals::compute`] produces them for one
 //! element; `unsnap-core` stores one instance per mesh cell (the paper's
-//! pre-computed approach) or recomputes them on the fly for the
-//! memory-versus-time ablation.
+//! pre-computed approach).
 
 use unsnap_linalg::DenseMatrix;
 

@@ -31,8 +31,7 @@
 //!   cube to a possibly twisted physical hexahedron, its Jacobians and face
 //!   area vectors;
 //! * [`integrals`] — assembly of the per-element integral families above,
-//!   either precomputed and stored per element (the paper's approach) or
-//!   computed on the fly;
+//!   precomputed and stored per element (the paper's approach);
 //! * [`face`] — face-local node enumeration and the node correspondence
 //!   between the two sides of a conforming interior face.
 //!

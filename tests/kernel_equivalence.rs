@@ -200,21 +200,19 @@ proptest! {
 /// `angle/group/element` order —, runs that start inside an element and
 /// end inside another, and single tasks; and on a team that shares each
 /// bucket's tasks (`angle/element*/group*`), whose shares start mid-run.
-/// The two other schemes run with precomputed integrals at one and two
-/// threads: the default covers the rest.
+/// The two other schemes run at one and two threads: the default covers
+/// the rest.
 #[test]
 fn lockstep_groups_match_the_per_group_task_bitwise() {
     let best = ConcurrencyScheme::best();
     let schemes = [
-        (best, [true, false].as_slice(), widths()),
+        (best, widths()),
         (
             ConcurrencyScheme::angle_threaded(LoopOrder::GroupThenElement),
-            &[true],
             widths().into_iter().take(2).collect(),
         ),
         (
             "angle/element*/group*".parse().expect("a figure label"),
-            &[true],
             widths().into_iter().take(2).collect(),
         ),
     ];
@@ -227,65 +225,60 @@ fn lockstep_groups_match_the_per_group_task_bitwise() {
         (16, StrategyKind::SweepGmres),
         (21, StrategyKind::SourceIteration),
     ] {
-        for (scheme, precomputes, widths) in &schemes {
-            for &precompute in *precomputes {
-                let mut problem = Problem::tiny()
-                    .with_scheme(*scheme)
-                    .with_strategy(strategy)
-                    .with_scattering_ratio(0.6)
-                    .with_precomputed_integrals(precompute);
-                (problem.nx, problem.ny, problem.nz) = (3, 3, 2);
-                problem.angles_per_octant = 1;
-                problem.num_groups = num_groups;
-                // A prescribed inflow: boundary faces add to the right-hand
-                // side (and the Krylov strategies' homogeneous sweeps drop it).
-                problem.boundaries = unsnap::mesh::boundary::DomainBoundaries::uniform_inflow(0.3);
-                let what = format!("{num_groups} groups, {scheme}, precompute {precompute}");
+        for (scheme, widths) in &schemes {
+            let mut problem = Problem::tiny()
+                .with_scheme(*scheme)
+                .with_strategy(strategy)
+                .with_scattering_ratio(0.6);
+            (problem.nx, problem.ny, problem.nz) = (3, 3, 2);
+            problem.angles_per_octant = 1;
+            problem.num_groups = num_groups;
+            // A prescribed inflow: boundary faces add to the right-hand
+            // side (and the Krylov strategies' homogeneous sweeps drop it).
+            problem.boundaries = unsnap::mesh::boundary::DomainBoundaries::uniform_inflow(0.3);
+            let what = format!("{num_groups} groups, {scheme}");
 
-                let per_group = run_single_domain(&problem.clone().with_solve_timing(true));
-                for &threads in widths {
-                    let lockstep = run_single_domain(&problem.clone().with_threads(threads));
-                    assert_eq!(
-                        non_timing_fields(&lockstep.outcome),
-                        non_timing_fields(&per_group.outcome),
-                        "{what}: outcome at {threads} threads"
-                    );
-                    assert_eq!(
-                        bits(&lockstep.scalar_flux),
-                        bits(&per_group.scalar_flux),
-                        "{what}: scalar flux at {threads} threads"
-                    );
-                    assert_eq!(
-                        bits(&lockstep.angular_flux),
-                        bits(&per_group.angular_flux),
-                        "{what}: angular flux at {threads} threads"
-                    );
-                }
+            let per_group = run_single_domain(&problem.clone().with_solve_timing(true));
+            for &threads in widths {
+                let lockstep = run_single_domain(&problem.clone().with_threads(threads));
+                assert_eq!(
+                    non_timing_fields(&lockstep.outcome),
+                    non_timing_fields(&per_group.outcome),
+                    "{what}: outcome at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&lockstep.scalar_flux),
+                    bits(&per_group.scalar_flux),
+                    "{what}: scalar flux at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&lockstep.angular_flux),
+                    bits(&per_group.angular_flux),
+                    "{what}: angular flux at {threads} threads"
+                );
+            }
 
-                // Ranks read their neighbours' ψ from the halo — a run of
-                // groups at a time on the lockstep route.
-                let decomposition = Decomposition2D::new(2, 1);
-                let timed = problem.clone().with_solve_timing(true);
-                let mut per_group = BlockJacobiSolver::new(&timed, decomposition).unwrap();
-                let per_group_outcome = per_group.run().unwrap();
-                for &threads in widths {
-                    let mut lockstep = BlockJacobiSolver::new(
-                        &problem.clone().with_threads(threads),
-                        decomposition,
-                    )
-                    .unwrap();
-                    let lockstep_outcome = lockstep.run().unwrap();
-                    assert_eq!(
-                        non_timing_fields(&lockstep_outcome),
-                        non_timing_fields(&per_group_outcome),
-                        "{what}: jacobi outcome at {threads} threads"
-                    );
-                    assert_eq!(
-                        bits(lockstep.scalar_flux().as_slice()),
-                        bits(per_group.scalar_flux().as_slice()),
-                        "{what}: jacobi scalar flux at {threads} threads"
-                    );
-                }
+            // Ranks read their neighbours' ψ from the halo — a run of
+            // groups at a time on the lockstep route.
+            let decomposition = Decomposition2D::new(2, 1);
+            let timed = problem.clone().with_solve_timing(true);
+            let mut per_group = BlockJacobiSolver::new(&timed, decomposition).unwrap();
+            let per_group_outcome = per_group.run().unwrap();
+            for &threads in widths {
+                let mut lockstep =
+                    BlockJacobiSolver::new(&problem.clone().with_threads(threads), decomposition)
+                        .unwrap();
+                let lockstep_outcome = lockstep.run().unwrap();
+                assert_eq!(
+                    non_timing_fields(&lockstep_outcome),
+                    non_timing_fields(&per_group_outcome),
+                    "{what}: jacobi outcome at {threads} threads"
+                );
+                assert_eq!(
+                    bits(lockstep.scalar_flux().as_slice()),
+                    bits(per_group.scalar_flux().as_slice()),
+                    "{what}: jacobi scalar flux at {threads} threads"
+                );
             }
         }
     }

@@ -67,7 +67,7 @@ fn problem() -> impl Strategy<Value = Problem> {
         (1usize..3, 1usize..4, 1usize..5),
         (1usize..6, 1usize..3, 1e-8f64..1e-2),
         (strategy_kind(), solver_kind(), scattering_ratio()),
-        (thread_count(), flag(), flag()),
+        (thread_count(), flag()),
         boundaries(),
     )
         .prop_map(
@@ -76,7 +76,7 @@ fn problem() -> impl Strategy<Value = Problem> {
                 (element_order, angles_per_octant, num_groups),
                 (inner_iterations, outer_iterations, convergence_tolerance),
                 (strategy, solver, scattering_ratio),
-                (num_threads, precompute_integrals, time_solve),
+                (num_threads, time_solve),
                 boundaries,
             )| Problem {
                 nx,
@@ -93,7 +93,6 @@ fn problem() -> impl Strategy<Value = Problem> {
                 solver,
                 scattering_ratio,
                 num_threads,
-                precompute_integrals,
                 time_solve,
                 boundaries,
                 ..Problem::tiny()
