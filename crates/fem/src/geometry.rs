@@ -97,12 +97,14 @@ impl HexVertices {
         det3(&self.jacobian(xi))
     }
 
-    /// Inverse of the Jacobian at a reference point.
+    /// Determinant and inverse of the Jacobian at a reference point, from
+    /// one evaluation of it: the determinant has the bits of
+    /// [`jacobian_det`](Self::jacobian_det).
     ///
     /// Returns `None` if the Jacobian is (numerically) singular, which
     /// indicates a degenerate or inverted cell.
-    pub fn jacobian_inverse(&self, xi: [f64; 3]) -> Option<[[f64; 3]; 3]> {
-        inverse3(&self.jacobian(xi))
+    pub fn jacobian_det_inverse(&self, xi: [f64; 3]) -> Option<(f64, [[f64; 3]; 3])> {
+        det_inverse3(&self.jacobian(xi))
     }
 
     /// The (signed) area vector `n dS` of `face` at in-face quadrature
@@ -159,8 +161,9 @@ pub fn det3(m: &[[f64; 3]; 3]) -> f64 {
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
 }
 
-/// 3×3 inverse; `None` if the determinant is ~0.
-pub fn inverse3(m: &[[f64; 3]; 3]) -> Option<[[f64; 3]; 3]> {
+/// 3×3 determinant (the bits of [`det3`]) and inverse; `None` if the
+/// determinant is ~0.
+pub fn det_inverse3(m: &[[f64; 3]; 3]) -> Option<(f64, [[f64; 3]; 3])> {
     let d = det3(m);
     if d.abs() < 1e-300 {
         return None;
@@ -176,7 +179,7 @@ pub fn inverse3(m: &[[f64; 3]; 3]) -> Option<[[f64; 3]; 3]> {
     inv[2][0] = (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_d;
     inv[2][1] = (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_d;
     inv[2][2] = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_d;
-    Some(inv)
+    Some((d, inv))
 }
 
 /// Cross product of two 3-vectors.
@@ -286,7 +289,8 @@ mod tests {
         let hex = twisted_cell(0.3);
         let xi = [0.25, -0.4, 0.6];
         let j = hex.jacobian(xi);
-        let ji = hex.jacobian_inverse(xi).unwrap();
+        let (det, ji) = hex.jacobian_det_inverse(xi).unwrap();
+        assert_eq!(det.to_bits(), hex.jacobian_det(xi).to_bits());
         for d in 0..3 {
             for e in 0..3 {
                 let prod: f64 = (0..3).map(|k| j[d][k] * ji[k][e]).sum();
@@ -303,7 +307,7 @@ mod tests {
         for corner in hex.corners.iter_mut() {
             corner[2] = 0.0;
         }
-        assert!(hex.jacobian_inverse([0.0; 3]).is_none());
+        assert!(hex.jacobian_det_inverse([0.0; 3]).is_none());
     }
 
     #[test]
@@ -359,11 +363,12 @@ mod tests {
     fn det_and_inverse_helpers() {
         let m = [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]];
         assert_eq!(det3(&m), 24.0);
-        let inv = inverse3(&m).unwrap();
+        let (det, inv) = det_inverse3(&m).unwrap();
+        assert_eq!(det, 24.0);
         assert!((inv[0][0] - 0.5).abs() < 1e-15);
         assert!((inv[2][2] - 0.25).abs() < 1e-15);
         let singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]];
-        assert!(inverse3(&singular).is_none());
+        assert!(det_inverse3(&singular).is_none());
     }
 
     #[test]

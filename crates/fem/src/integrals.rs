@@ -18,12 +18,33 @@
 //! `unsnap-core`).  [`ElementIntegrals::compute`] produces them for one
 //! element; `unsnap-core` stores one instance per mesh cell (the paper's
 //! pre-computed approach).
+//!
+//! ## Order of work, and the summation-order contract
+//!
+//! One Jacobian per volume point gives `w = weight · det J` and `J⁻¹`.  Then,
+//! row by row, a table of row `i`'s four coefficients over the points
+//! (`w φ_i` and `w g_{i,d}`, with `g_{i,d} = Σ_e J⁻¹[e][d] ∂φ_i/∂ξ_e`) feeds
+//! tiles of columns `j` of `mass` and `stream[0..3]`, accumulated in
+//! registers with the point loop innermost.  The per-element scratch is
+//! `nq` inverse Jacobians and `4 nq` coefficients (7 KiB at order 3), never
+//! a table over all `(point, row)` pairs.
+//!
+//! Every output bit is fixed by these rules, which the unit tests pin:
+//!
+//! * `mass_ij` is the sum over the volume points, in rule order, starting
+//!   from `+0.0`, of `(w φ_i) · φ_j`; `stream[d]_ij` the same sum of
+//!   `(w g_{i,d}) · φ_j`; `volume` the same sum of `w`;
+//! * a face entry `(a, b)` with `a ≤ b` is the sum over the face points, in
+//!   rule order from `+0.0`, of `(weight · (φ_a · φ_b)) · (n dS)_d`, and
+//!   entry `(b, a)` is a copy of it — exact, since IEEE multiplication
+//!   commutes;
+//! * no multiply and add are fused (`mul_add` moves bits).
 
 use unsnap_linalg::DenseMatrix;
 
 use crate::element::ReferenceElement;
 use crate::face::{face_node_indices, nodes_per_face, Face, FACES};
-use crate::geometry::{dot3, HexVertices};
+use crate::geometry::{dot3, norm3, HexVertices};
 
 /// Integrals of one face of an element.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,21 +65,6 @@ pub struct FaceIntegrals {
 }
 
 impl FaceIntegrals {
-    /// Contract the vector-valued face matrices with a direction:
-    /// returns the `(p+1)² × (p+1)²` matrix of `∫ φ_a φ_b (Ω·n) dS`.
-    pub fn directed(&self, omega: [f64; 3]) -> DenseMatrix {
-        let nf = self.node_indices.len();
-        let mut out = DenseMatrix::zeros(nf, nf);
-        for a in 0..nf {
-            for b in 0..nf {
-                out[(a, b)] = omega[0] * self.matrices[0][(a, b)]
-                    + omega[1] * self.matrices[1][(a, b)]
-                    + omega[2] * self.matrices[2][(a, b)];
-            }
-        }
-        out
-    }
-
     /// `Ω · n̄` with the average outward normal — used to classify the face
     /// as inflow (`< 0`) or outflow (`> 0`) for a given sweep direction.
     pub fn direction_dot_normal(&self, omega: [f64; 3]) -> f64 {
@@ -81,50 +87,60 @@ pub struct ElementIntegrals {
     pub volume: f64,
 }
 
+/// Columns of `mass` and `stream` one tile accumulates in registers.
+const TILE: usize = 8;
+
+/// Columns of a face matrix row one tile accumulates in registers.
+const FACE_TILE: usize = 4;
+
 impl ElementIntegrals {
     /// Compute all integral families for one element.
     pub fn compute(element: &ReferenceElement, hex: &HexVertices) -> Self {
         let n = element.nodes_per_element();
+        let points = element.volume_points();
+
+        // One Jacobian per quadrature point: w = weight · det J, and J⁻¹.
+        let mut volume = 0.0;
+        let mut geometry = Vec::with_capacity(points.len());
+        for vp in points {
+            let (det, jinv) = hex
+                .jacobian_det_inverse(vp.xi)
+                .expect("degenerate element encountered during integration");
+            let w = vp.weight * det;
+            volume += w;
+            geometry.push((w, jinv));
+        }
+
         let mut mass = DenseMatrix::zeros(n, n);
         let mut stream = [
             DenseMatrix::zeros(n, n),
             DenseMatrix::zeros(n, n),
             DenseMatrix::zeros(n, n),
         ];
-        let mut volume = 0.0;
-
-        // Scratch: physical-space gradients of every basis function at the
-        // current quadrature point.
-        let mut grad_phys = vec![[0.0f64; 3]; n];
-
-        for (q, vp) in element.volume_points().iter().enumerate() {
-            let det = hex.jacobian_det(vp.xi);
-            let jinv = hex
-                .jacobian_inverse(vp.xi)
-                .expect("degenerate element encountered during integration");
-            let w = vp.weight * det;
-            volume += w;
-            let phi = element.phi_at_volume_point(q);
-            for (i, g) in grad_phys.iter_mut().enumerate() {
+        // Row `i`'s coefficients over the points: `w φ_i` and `w ∂φ_i/∂x_d`.
+        let mut coef = vec![[0.0f64; 4]; points.len()];
+        for i in 0..n {
+            for (q, (c, &(w, jinv))) in coef.iter_mut().zip(&geometry).enumerate() {
                 let gref = element.grad_phi_at_volume_point(q, i);
                 // ∂φ/∂x_d = Σ_e ∂φ/∂ξ_e · ∂ξ_e/∂x_d = Σ_e J⁻¹[e][d] gref[e]
-                for d in 0..3 {
-                    g[d] = jinv[0][d] * gref[0] + jinv[1][d] * gref[1] + jinv[2][d] * gref[2];
-                }
+                let g =
+                    |d: usize| jinv[0][d] * gref[0] + jinv[1][d] * gref[1] + jinv[2][d] * gref[2];
+                *c = [
+                    w * element.phi_at_volume_point(q)[i],
+                    w * g(0),
+                    w * g(1),
+                    w * g(2),
+                ];
             }
-            for i in 0..n {
-                let phi_i = phi[i];
-                let gi = grad_phys[i];
-                let mass_row = mass.row_mut(i);
-                for (j, &phi_j) in phi.iter().enumerate() {
-                    mass_row[j] += w * phi_i * phi_j;
-                }
-                for d in 0..3 {
-                    let row = stream[d].row_mut(i);
-                    for (j, &phi_j) in phi.iter().enumerate() {
-                        row[j] += w * gi[d] * phi_j;
-                    }
-                }
+            let [s0, s1, s2] = &mut stream;
+            let mut rows = [mass.row_mut(i), s0.row_mut(i), s1.row_mut(i), s2.row_mut(i)];
+            let mut j0 = 0;
+            while j0 + TILE <= n {
+                accumulate_tile::<TILE>(element, &coef, j0, &mut rows);
+                j0 += TILE;
+            }
+            for j in j0..n {
+                accumulate_tile::<1>(element, &coef, j, &mut rows);
             }
         }
 
@@ -145,37 +161,50 @@ impl ElementIntegrals {
     fn compute_face(element: &ReferenceElement, hex: &HexVertices, face: Face) -> FaceIntegrals {
         let node_indices = face_node_indices(face, element.order());
         let nf = node_indices.len();
+        let points = element.face_points(face);
+
+        // Per point: its weight, the area vector `n dS`, and the face nodes'
+        // basis values (point-major).
+        let mut avg_normal = [0.0; 3];
+        let mut area = 0.0;
+        let mut geometry = Vec::with_capacity(points.len());
+        let mut phi = Vec::with_capacity(points.len() * nf);
+        for (q, fp) in points.iter().enumerate() {
+            let av = hex.face_area_vector(face, fp.xi);
+            area += fp.weight * norm3(av);
+            for d in 0..3 {
+                avg_normal[d] += fp.weight * av[d];
+            }
+            let all = element.phi_at_face_point(face, q);
+            phi.extend(node_indices.iter().map(|&i| all[i]));
+            geometry.push((fp.weight, av));
+        }
+
+        // The upper triangle, row by row, mirrored below the diagonal.
         let mut matrices = [
             DenseMatrix::zeros(nf, nf),
             DenseMatrix::zeros(nf, nf),
             DenseMatrix::zeros(nf, nf),
         ];
-        let mut avg_normal = [0.0; 3];
-        let mut area = 0.0;
-
-        for (q, fp) in element.face_points(face).iter().enumerate() {
-            let av = hex.face_area_vector(face, fp.xi);
-            let ds = crate::geometry::norm3(av);
-            area += fp.weight * ds;
-            for d in 0..3 {
-                avg_normal[d] += fp.weight * av[d];
+        for a in 0..nf {
+            let mut b0 = a;
+            while b0 + FACE_TILE <= nf {
+                face_tile::<FACE_TILE>(&geometry, &phi, a, b0, &mut matrices);
+                b0 += FACE_TILE;
             }
-            let phi = element.phi_at_face_point(face, q);
-            for (a, &ia) in node_indices.iter().enumerate() {
-                let pa = phi[ia];
-                if pa == 0.0 {
-                    continue;
-                }
-                for (b, &ib) in node_indices.iter().enumerate() {
-                    let pab = pa * phi[ib];
-                    for d in 0..3 {
-                        matrices[d][(a, b)] += fp.weight * pab * av[d];
-                    }
+            for b in b0..nf {
+                face_tile::<1>(&geometry, &phi, a, b, &mut matrices);
+            }
+        }
+        for m in &mut matrices {
+            for a in 1..nf {
+                for b in 0..a {
+                    m[(a, b)] = m[(b, a)];
                 }
             }
         }
 
-        let norm = crate::geometry::norm3(avg_normal);
+        let norm = norm3(avg_normal);
         if norm > 0.0 {
             for v in avg_normal.iter_mut() {
                 *v /= norm;
@@ -211,6 +240,63 @@ impl ElementIntegrals {
         let n = self.nodes_per_element();
         let nf = self.nodes_per_face();
         (4 * n * n + 6 * 3 * nf * nf) * std::mem::size_of::<f64>()
+    }
+}
+
+/// Columns `j0 .. j0 + T` of row `i` of `mass` and `stream[0..3]` (`rows`),
+/// from row `i`'s coefficients `coef`: `T × 4` sums held in registers, the
+/// point loop innermost, each summed over the points in rule order from
+/// `+0.0`.
+#[inline(always)]
+fn accumulate_tile<const T: usize>(
+    element: &ReferenceElement,
+    coef: &[[f64; 4]],
+    j0: usize,
+    rows: &mut [&mut [f64]; 4],
+) {
+    let mut acc = [[0.0f64; T]; 4];
+    for (q, c) in coef.iter().enumerate() {
+        let phi: &[f64; T] = element.phi_at_volume_point(q)[j0..j0 + T]
+            .try_into()
+            .expect("a tile lies inside the row");
+        for k in 0..4 {
+            for t in 0..T {
+                acc[k][t] += c[k] * phi[t];
+            }
+        }
+    }
+    for (row, sums) in rows.iter_mut().zip(&acc) {
+        row[j0..j0 + T].copy_from_slice(sums);
+    }
+}
+
+/// Columns `b0 .. b0 + T` of row `a` of the three face matrices, from the
+/// face points' `(weight, n dS)` and basis values: each entry the sum over
+/// the points, in rule order from `+0.0`, of `(weight · (φ_a · φ_b)) · n_d dS`.
+#[inline(always)]
+fn face_tile<const T: usize>(
+    geometry: &[(f64, [f64; 3])],
+    phi: &[f64],
+    a: usize,
+    b0: usize,
+    matrices: &mut [DenseMatrix; 3],
+) {
+    let nf = matrices[0].rows();
+    let mut acc = [[0.0f64; T]; 3];
+    for (&(weight, av), row) in geometry.iter().zip(phi.chunks_exact(nf)) {
+        let pa = row[a];
+        let pb: &[f64; T] = row[b0..b0 + T]
+            .try_into()
+            .expect("a tile lies inside the row");
+        for t in 0..T {
+            let wab = weight * (pa * pb[t]);
+            for d in 0..3 {
+                acc[d][t] += wab * av[d];
+            }
+        }
+    }
+    for (m, sums) in matrices.iter_mut().zip(&acc) {
+        m.row_mut(a)[b0..b0 + T].copy_from_slice(sums);
     }
 }
 
@@ -326,8 +412,9 @@ mod tests {
             }
             // Face mass matrix entries (dotted with the normal) sum to the
             // face area.
-            let m = fi.directed(expected);
-            let sum: f64 = m.as_slice().iter().sum();
+            let sum: f64 = (0..3)
+                .map(|d| expected[d] * fi.matrices[d].as_slice().iter().sum::<f64>())
+                .sum();
             assert!((sum - 1.0).abs() < 1e-12);
         }
     }
@@ -366,6 +453,112 @@ mod tests {
         let straight = ElementIntegrals::compute(&e, &HexVertices::unit_cube());
         let twisted = ElementIntegrals::compute(&e, &twisted_cell(0.001));
         assert!((straight.volume - twisted.volume).abs() < 1e-5);
+    }
+
+    /// FNV-1a over the `to_bits()` of every field, in declaration order.
+    fn bits_hash(ints: &ElementIntegrals) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: f64| {
+            for byte in x.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        ints.mass.as_slice().iter().for_each(|&x| eat(x));
+        for m in &ints.stream {
+            m.as_slice().iter().for_each(|&x| eat(x));
+        }
+        for f in &ints.faces {
+            for m in &f.matrices {
+                m.as_slice().iter().for_each(|&x| eat(x));
+            }
+            f.average_normal.iter().for_each(|&x| eat(x));
+            eat(f.area);
+        }
+        eat(ints.volume);
+        h
+    }
+
+    fn pinned_cells() -> [(&'static str, HexVertices); 4] {
+        [
+            ("unit cube", HexVertices::unit_cube()),
+            ("box", HexVertices::axis_aligned([0.0; 3], [2.0, 1.0, 0.5])),
+            ("twist 0.05", twisted_cell(0.05)),
+            ("twist 0.001", twisted_cell(0.001)),
+        ]
+    }
+
+    #[test]
+    fn integrals_keep_their_bits() {
+        // Recorded from the point-outer loop this module had before the
+        // register-tiled pass; rows are orders 1–4, columns the cells of
+        // `pinned_cells`.
+        const PINS: [[u64; 4]; 4] = [
+            [
+                0xcae0_9eef_88bc_60a8,
+                0xc28c_86a7_3b8a_6544,
+                0x5158_ada0_7aae_50bd,
+                0x2a63_7910_5632_9cc5,
+            ],
+            [
+                0x86c3_f7dc_3450_9a53,
+                0x6dd9_0965_0ab5_8a26,
+                0xd3c0_8497_8253_1322,
+                0xa29d_bc51_c62b_c10b,
+            ],
+            [
+                0x4813_638d_d3ce_5a31,
+                0x328f_a829_dd93_23ac,
+                0x1a18_78c7_a04d_2fb8,
+                0xf11a_ccf7_3680_6474,
+            ],
+            [
+                0xa453_a958_c8ea_e1e7,
+                0x3945_8373_6745_da57,
+                0x70d5_da21_2c5d_de1e,
+                0xabe5_9292_13c1_48f1,
+            ],
+        ];
+        let mut seen = [[0u64; 4]; 4];
+        for order in 1..=4 {
+            let e = ReferenceElement::new(order);
+            for (c, (_, hex)) in pinned_cells().iter().enumerate() {
+                seen[order - 1][c] = bits_hash(&ElementIntegrals::compute(&e, hex));
+            }
+        }
+        for order in 1..=4 {
+            for (c, (name, _)) in pinned_cells().iter().enumerate() {
+                assert_eq!(
+                    seen[order - 1][c],
+                    PINS[order - 1][c],
+                    "order {order}, {name}: the integrals moved a bit; all hashes: {seen:#018x?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn face_matrices_are_bitwise_symmetric() {
+        for order in 1..=4 {
+            let e = ReferenceElement::new(order);
+            for (name, hex) in pinned_cells() {
+                let ints = ElementIntegrals::compute(&e, &hex);
+                for f in &ints.faces {
+                    for m in &f.matrices {
+                        for a in 0..m.rows() {
+                            for b in 0..a {
+                                assert_eq!(
+                                    m[(a, b)].to_bits(),
+                                    m[(b, a)].to_bits(),
+                                    "order {order}, {name}, face {}: ({a},{b})",
+                                    f.face
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

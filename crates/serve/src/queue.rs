@@ -117,8 +117,9 @@ pub struct JobStatus {
     pub cached: bool,
     /// The canonical hash of the job's problem (the cache key).
     pub hash: u64,
-    /// The rendered outcome JSON (`Done` jobs only).
-    pub outcome_json: Option<String>,
+    /// The rendered outcome JSON (`Done` jobs only), shared with the
+    /// result cache and every hit on it.
+    pub outcome_json: Option<Arc<str>>,
     /// The error display string (`Failed`/`Cancelled` jobs).
     pub error: Option<String>,
 }
@@ -143,7 +144,7 @@ struct JobEntry {
     state: JobState,
     cached: bool,
     hash: u64,
-    outcome_json: Option<String>,
+    outcome_json: Option<Arc<str>>,
     /// The run's span tree as Chrome `trace_event` JSON (`Done` jobs
     /// that actually solved; cache hits replay no work, so no trace).
     trace_json: Option<String>,
@@ -765,7 +766,8 @@ fn worker_loop(shared: &QueueShared) {
         entry.state = final_state;
         match result {
             Ok((outcome_json, trace_json, _)) => {
-                entry.outcome_json = Some(outcome_json.clone());
+                let outcome_json: Arc<str> = outcome_json.into();
+                entry.outcome_json = Some(Arc::clone(&outcome_json));
                 entry.trace_json = Some(trace_json);
                 shared
                     .store
@@ -832,12 +834,31 @@ mod tests {
         assert_eq!(second.state, JobState::Done);
         assert_eq!(second.hash, first.hash);
         let replay = queue.status(second.id).unwrap();
-        assert_eq!(replay.outcome_json.as_deref(), Some(outcome.as_str()));
+        assert_eq!(replay.outcome_json.as_deref(), Some(&*outcome));
         assert_eq!(queue.counter("serve_cache_hits"), Some(1));
         assert_eq!(
             queue.counter("serve_sweeps_total").unwrap(),
             sweeps_after_first
         );
+    }
+
+    #[test]
+    fn cache_hits_share_one_rendered_outcome() {
+        let queue = JobQueue::start(1, 8, 8);
+        let miss = queue.submit(tiny()).unwrap();
+        let solved = wait_terminal(&queue, miss.id).outcome_json.unwrap();
+        let hits: Vec<Arc<str>> = (0..2)
+            .map(|_| {
+                let receipt = queue.submit(tiny()).unwrap();
+                assert!(receipt.cached);
+                queue.status(receipt.id).unwrap().outcome_json.unwrap()
+            })
+            .collect();
+        assert!(
+            Arc::ptr_eq(&hits[0], &hits[1]),
+            "each hit copied the outcome"
+        );
+        assert!(Arc::ptr_eq(&hits[0], &solved));
     }
 
     #[test]

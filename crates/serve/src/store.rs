@@ -10,7 +10,8 @@
 //! struct: replaying a hit must be bit-for-bit identical to the first
 //! response, and freezing the bytes at completion time makes that true
 //! by construction (wall-clock fields included — a cached response is a
-//! replay of the original run, not a re-measurement).
+//! replay of the original run, not a re-measurement).  The bytes are one
+//! shared `Arc<str>`: a hit hands out a reference to them, not a copy.
 //!
 //! Eviction is least-recently-used over a fixed capacity; a capacity of
 //! zero disables caching entirely (every lookup misses, nothing is
@@ -21,13 +22,15 @@
 //! [`Problem`]: unsnap_core::problem::Problem
 //! [`Problem::canonical_hash`]: unsnap_core::problem::Problem::canonical_hash
 
+use std::sync::Arc;
+
 /// An in-memory LRU of rendered outcome JSON keyed by canonical problem
 /// hash (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ResultStore {
     capacity: usize,
     /// Pairs in LRU order: front = coldest, back = hottest.
-    entries: Vec<(u64, String)>,
+    entries: Vec<(u64, Arc<str>)>,
 }
 
 impl ResultStore {
@@ -56,17 +59,17 @@ impl ResultStore {
     }
 
     /// Look up a hash, promoting a hit to most-recently-used.
-    pub fn get(&mut self, hash: u64) -> Option<String> {
+    pub fn get(&mut self, hash: u64) -> Option<Arc<str>> {
         let index = self.entries.iter().position(|(h, _)| *h == hash)?;
         let entry = self.entries.remove(index);
-        let json = entry.1.clone();
+        let json = Arc::clone(&entry.1);
         self.entries.push(entry);
         Some(json)
     }
 
     /// Insert (or refresh) an outcome, evicting the least-recently-used
     /// entry when over capacity.  A no-op when caching is disabled.
-    pub fn insert(&mut self, hash: u64, outcome_json: String) {
+    pub fn insert(&mut self, hash: u64, outcome_json: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -88,7 +91,7 @@ mod tests {
     fn hits_replay_the_exact_bytes() {
         let mut store = ResultStore::new(4);
         assert!(store.is_empty());
-        store.insert(7, "{\"a\":1}".to_string());
+        store.insert(7, "{\"a\":1}".into());
         assert_eq!(store.get(7).as_deref(), Some("{\"a\":1}"));
         assert_eq!(store.get(8), None);
         assert_eq!(store.len(), 1);
