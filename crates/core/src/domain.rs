@@ -27,10 +27,10 @@
 //! owns one per rank and one [`HaloFlux`] they all read, into which each
 //! publishes the traces it exports once the ranks of an iteration are done.
 //! Inside a sweep there is one per-task function (`SweepView::solve`:
-//! gather the upwind ψ, assemble, solve — for one task, or for a run of up
-//! to 16 consecutive tasks of a bucket in lockstep where the kernel offers
-//! that) and one task loop (`SweepView::walk`: the runs `for_each_task`
-//! cuts a bucket's tasks into, in loop-nest order —
+//! gather the upwind ψ, assemble, solve — one kernel call for a run of
+//! tasks, one task or up to 16 consecutive tasks of a bucket in lockstep
+//! where the kernel offers that) and one task loop (`SweepView::walk`:
+//! the runs `for_each_task` cuts a bucket's tasks into, in loop-nest order —
 //! `SweepView::sweep_angle` walks the buckets of an angle whole, in
 //! wavefront order), so a sweep optimisation has exactly one place to go.
 //! `SweepView::sweep` forks once, into a team, and picks the parallel axis:
@@ -47,9 +47,9 @@
 //! keeps to the work it owns: a task does what depends on the group (what
 //! depends on the element and the angle alone sits in the worker's
 //! `TaskScratch`, one slot per element of a run), and a warm sweep on one
-//! worker neither allocates nor,
-//! unless the problem asks for Table II's per-task split, reads the clock
-//! per task.
+//! worker neither allocates nor reads the clock per task.  A problem that
+//! asks for Table II's split (`Problem::time_solve`) has the kernel read it
+//! around each elimination as well, and runs the same route.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -333,40 +333,44 @@ struct ScratchPool {
 }
 
 /// One run of tasks on one thread: a [`TaskScratch`] checked out of the
-/// pool, handed back — with the time the run took — on drop.
+/// pool, handed back — with the time the run took — on drop.  The run's
+/// wall time is one reading; what its eliminations took of it, read by
+/// the kernel only when the problem times solves, is booked as solve and
+/// the rest as assembly.
 struct TaskRun<'a> {
     /// `Some` until dropped.
     scratch: Option<TaskScratch>,
     pool: &'a Mutex<ScratchPool>,
-    /// Sum of the per-task timings; zero unless the problem times solves.
-    timing: KernelTiming,
-    /// Running when the tasks are not timed one by one: the whole run is
-    /// then one reading, booked as assembly like an untimed task's.
-    stopwatch: Option<Instant>,
+    started: Instant,
+    /// Nanoseconds spent in eliminations; zero unless the problem times
+    /// solves.
+    solve_ns: u64,
 }
 
 impl<'a> TaskRun<'a> {
-    fn begin(pool: &'a Mutex<ScratchPool>, nodes: usize, time_solve: bool) -> Self {
+    fn begin(pool: &'a Mutex<ScratchPool>, nodes: usize) -> Self {
         let pooled = pool.lock().expect("a sweep task panicked").idle.pop();
         Self {
             scratch: Some(pooled.unwrap_or_else(|| TaskScratch::new(nodes))),
             pool,
-            timing: KernelTiming::default(),
-            stopwatch: (!time_solve).then(Instant::now),
+            started: Instant::now(),
+            solve_ns: 0,
         }
     }
 }
 
 impl Drop for TaskRun<'_> {
     fn drop(&mut self) {
-        if let Some(started) = self.stopwatch {
-            self.timing.assemble_ns += started.elapsed().as_nanos() as u64;
-        }
+        let run_ns = self.started.elapsed().as_nanos() as u64;
+        let timing = KernelTiming {
+            assemble_ns: run_ns.saturating_sub(self.solve_ns),
+            solve_ns: self.solve_ns,
+        };
         // A poisoned pool means a task panicked: the panic is already on
         // its way to the caller, the scratch is only a cache and the
         // sweep's timing will never be reported.
         if let (Some(scratch), Ok(mut pool)) = (self.scratch.take(), self.pool.lock()) {
-            pool.timing.accumulate(self.timing);
+            pool.timing.accumulate(timing);
             pool.idle.push(scratch);
         }
     }
@@ -705,20 +709,8 @@ struct SweepView<'a> {
     homogeneous: bool,
     zeros: &'a [f64],
     /// Lengths of the runs of tasks a walker solves in lockstep, widest
-    /// first (see [`lockstep_widths`]).
+    /// first: what the dense solver offers for the element size.
     lanes: &'static [usize],
-}
-
-/// The run lengths the sweeps of `assets` solve in lockstep: what the dense
-/// solver offers for this element size — unless somebody asked for a
-/// timing of each task.
-fn lockstep_widths(assets: &SharedAssets) -> &'static [usize] {
-    if assets.problem.time_solve {
-        &[]
-    } else {
-        let nodes = assets.element.nodes_per_element();
-        assets.solver.lane_widths(nodes)
-    }
 }
 
 impl SweepView<'_> {
@@ -738,9 +730,11 @@ impl SweepView<'_> {
 
     /// The one local task of a sweep: gather the upwind ψ of the run
     /// `tasks` of `bucket`, a bucket of `angle`, assemble the local systems
-    /// and solve them.  One task leaves ψ(element, group, angle) in
-    /// `scratch.kernel.rhs`; a longer run is solved in lockstep and leaves
-    /// its fluxes side by side (`KernelScratch::lane_solution`).
+    /// and solve them, in one kernel call.  One task leaves
+    /// ψ(element, group, angle) in `scratch.kernel.rhs`; a longer run leaves
+    /// its fluxes side by side (`KernelScratch::lane_solution`).  Returns
+    /// the nanoseconds spent in eliminations, read only when the problem
+    /// times solves.
     fn solve(
         &self,
         angle: usize,
@@ -748,7 +742,7 @@ impl SweepView<'_> {
         bucket: &[usize],
         tasks: Range<usize>,
         scratch: &mut TaskScratch,
-    ) -> KernelTiming {
+    ) -> u64 {
         let a = self.assets;
         let TaskScratch {
             kernel, elements, ..
@@ -761,28 +755,17 @@ impl SweepView<'_> {
         }
         let omega = a.quadrature.directions()[angle].omega;
         let face_nodes: FaceNodes = std::array::from_fn(|f| a.face_nodes[f].as_slice());
-        let mut segments = (self.segments(bucket, tasks.clone()).zip(elements.iter()))
+        let segments = (self.segments(bucket, tasks.clone()).zip(elements.iter()))
             .map(|(segment, slot)| self.lane_segment(psi, &segment, slot));
-        if tasks.len() == 1 {
-            let task = segments.next().expect("a run of one task");
-            KernelEngine.assemble_solve_group(
-                task.cache_key,
-                task.integrals,
-                &face_nodes,
-                omega,
-                task.sigma_t[0],
-                task.source_terms,
-                task.upwind(),
-                a.solver.as_ref(),
-                a.problem.time_solve,
-                kernel,
-            )
-        } else {
-            let solver = a.solver.as_ref();
-            let lanes = tasks.len();
-            KernelEngine.assemble_solve_lanes(omega, &face_nodes, lanes, segments, solver, kernel);
-            KernelTiming::default()
-        }
+        KernelEngine.assemble_solve_lanes(
+            omega,
+            &face_nodes,
+            tasks.len(),
+            segments,
+            a.solver.as_ref(),
+            a.problem.time_solve,
+            kernel,
+        )
     }
 
     /// Make `slot` describe `element` for `angle`: which of the three
@@ -868,13 +851,13 @@ impl SweepView<'_> {
         run: &mut TaskRun,
     ) {
         let TaskRun {
-            scratch, timing, ..
+            scratch, solve_ns, ..
         } = run;
         let scratch = scratch.as_mut().expect("held until the run drops");
         scratch.staged.clear();
         let nodes = self.slab.nodes_per_element;
         for_each_task(tasks, self.lanes, |tasks| {
-            timing.accumulate(self.solve(angle, psi.read(), bucket, tasks.clone(), scratch));
+            *solve_ns += self.solve(angle, psi.read(), bucket, tasks.clone(), scratch);
             let TaskScratch { kernel, staged, .. } = &mut *scratch;
             // Node `i` of the run's task `l` is solved at `i · lanes + l`:
             // for one task, its node block.
@@ -946,7 +929,7 @@ impl SweepView<'_> {
         slabs.resize_with(slabs.len().max(window), || vec![0.0; self.slab.len()]);
         {
             let scratch = &*scratch;
-            let begin = || TaskRun::begin(scratch, nodes, problem.time_solve);
+            let begin = || TaskRun::begin(scratch, nodes);
             // One fork per sweep: every member of the team runs `work` once —
             // or the caller runs it for each member it has no thread for.
             let enter = |work: &(dyn Fn(usize) + Sync)| {
@@ -1133,6 +1116,7 @@ impl DomainContext<'_> {
             zeros,
             ..
         } = &mut *self.domain;
+        let nodes = self.assets.element.nodes_per_element();
         let view = SweepView {
             assets: self.assets,
             width: self.width.max(1),
@@ -1144,7 +1128,7 @@ impl DomainContext<'_> {
             halo: self.halo,
             homogeneous: *homogeneous,
             zeros,
-            lanes: lockstep_widths(self.assets),
+            lanes: self.assets.solver.lane_widths(nodes),
         };
         let fold = AngleFold {
             directions: self.assets.quadrature.directions(),
@@ -1809,11 +1793,11 @@ mod tests {
                 halo: None,
                 homogeneous: false,
                 zeros: &domain.zeros,
-                lanes: lockstep_widths(&assets),
+                lanes: assets.solver.lane_widths(assets.element.nodes_per_element()),
             };
             assert_eq!(view.lanes, [16, 4]);
             let pool = Mutex::default();
-            let mut run = TaskRun::begin(&pool, assets.element.nodes_per_element(), false);
+            let mut run = TaskRun::begin(&pool, assets.element.nodes_per_element());
             let (mut alone, mut shared) = (vec![0.0; view.slab.len()], vec![0.0; view.slab.len()]);
             for angle in [0, 5] {
                 for bucket in &domain.schedules.schedule(angle).buckets {

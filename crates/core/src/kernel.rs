@@ -35,12 +35,18 @@
 //! The tile and the lane assembly are one body, compiled for the element
 //! sizes of orders 1–3 (n = 8, 27, 64: the sizes the dense solver has
 //! fixed-size eliminations for) and for a size read at run time otherwise,
-//! and they read face nodes from the order's table ([`FaceNodes`]).  Where
-//! the element has eight nodes up to 16 consecutive tasks of a bucket — the
-//! groups of one element, or of several, or one group of several elements —
-//! are assembled side by side, one task per SIMD lane, and eliminated in
-//! lockstep ([`KernelEngine::assemble_solve_lanes`]), in the per-group
-//! task's operation order, so a lane's flux has the per-group task's bits.
+//! and they read face nodes from the order's table ([`FaceNodes`]).
+//!
+//! A sweep enters the kernel in one place, for a run of tasks of any length
+//! ([`KernelEngine::assemble_solve_lanes`]).  Where the element has eight
+//! nodes and the dense solver offers lanes, a run of 16 or 4 consecutive
+//! tasks of a bucket — the groups of one element, or of several, or one
+//! group of several elements — is assembled side by side, one task per SIMD
+//! lane, and eliminated in lockstep, in the per-group task's operation
+//! order, so a lane's flux has the per-group task's bits; every other run
+//! is solved task by task.  Timing a run reads the clock around its
+//! eliminations and changes nothing else: the route depends on the solver
+//! and the element size alone.
 
 use std::time::Instant;
 
@@ -244,10 +250,9 @@ impl KernelScratch {
         }
     }
 
-    /// The fluxes the last task left for its run of `lanes` tasks, node
-    /// `i` of the run's task `l` at `i * lanes + l`: `rhs` for the one
-    /// group of a per-group task, the solved lanes of
-    /// [`KernelEngine::assemble_solve_lanes`] for more.
+    /// The fluxes [`KernelEngine::assemble_solve_lanes`] left for its run
+    /// of `lanes` tasks, node `i` of the run's task `l` at
+    /// `i * lanes + l`: `rhs` for a run of one, the solved lanes for more.
     pub fn lane_solution(&self, lanes: usize) -> &[f64] {
         let n = self.rhs.len();
         match lanes {
@@ -285,7 +290,8 @@ impl KernelScratch {
 
     /// Assemble the `L` systems of `segments` side by side — segment after
     /// segment, each from a tile of its own, in runs of 16, 4 and 1 of its
-    /// groups — and eliminate them in lockstep.  `false` when the systems
+    /// groups — and eliminate them in lockstep, adding the elimination's
+    /// nanoseconds to `clock` when there is one.  `false` when the systems
     /// pivot on different rows ([`LinalgError::Diverged`]).
     fn lockstep<'a, S: ElementSize, const L: usize>(
         &mut self,
@@ -294,6 +300,7 @@ impl KernelScratch {
         face_nodes: &FaceNodes,
         segments: impl Iterator<Item = LaneSegment<'a>>,
         solver: &dyn LinearSolver,
+        clock: Option<&mut u64>,
     ) -> bool {
         let n = size.n();
         let Self {
@@ -341,7 +348,7 @@ impl KernelScratch {
         }
         debug_assert_eq!(lane, L, "the segments fill the run");
         let (matrix, rhs) = (&mut matrix[..n * n * L], &mut rhs[..n * L]);
-        match solver.solve_lanes_in_place(n, L, matrix, rhs) {
+        match timed(clock, || solver.solve_lanes_in_place(n, L, matrix, rhs)) {
             Ok(()) => true,
             Err(LinalgError::Diverged { .. }) => false,
             Err(error) => panic!("local DG system should be non-singular: {error}"),
@@ -783,14 +790,15 @@ fn lanes_at<const L: usize, const G: usize>(entry: &mut [f64; L]) -> &mut [f64; 
         .expect("a part is at most as wide as its run")
 }
 
-/// The kernel-engine seam: how one local task is assembled and solved.
+/// The kernel-engine seam: how local tasks are assembled and solved.
 ///
 /// A task assembles from the tile and solves with the dense solver it is
 /// handed, which picks the elimination by matrix size; the result is bit
 /// for bit that of the reference [`assemble`] followed by the same solve.
-/// [`KernelEngine::new`] takes the kernel and precision labels only
-/// because the benchmark package builds its engine from them
-/// (`benchmark/src/layers.rs`), and ignores both.
+/// The sweep's one entry is [`KernelEngine::assemble_solve_lanes`];
+/// [`KernelEngine::new`] and the q-taking [`KernelEngine::assemble_solve`]
+/// are the benchmark package's (`benchmark/src/layers.rs`), and `new`
+/// ignores the kernel and precision labels it takes.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelEngine;
 
@@ -805,9 +813,8 @@ impl KernelEngine {
     /// element deterministically across runs; the assembly keys its tile
     /// on it.
     ///
-    /// With `time_solve` the clock is read around both phases (Table II's
-    /// per-task split).  Without it no clock is read and the timing is
-    /// zero: the sweep times a run of tasks per worker instead.
+    /// With `time_solve` the clock is read around both phases.  Without it
+    /// no clock is read and the timing is zero.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_solve(
         &self,
@@ -821,7 +828,8 @@ impl KernelEngine {
         time_solve: bool,
         scratch: &mut KernelScratch,
     ) -> KernelTiming {
-        Self::timed(solver, time_solve, scratch, |s| {
+        let mut timing = KernelTiming::default();
+        timed(time_solve.then_some(&mut timing.assemble_ns), || {
             assemble_blocked(
                 integrals,
                 omega,
@@ -829,76 +837,36 @@ impl KernelEngine {
                 source_nodes,
                 upwind,
                 cache_key,
-                s,
+                scratch,
             )
-        })
+        });
+        timed(time_solve.then_some(&mut timing.solve_ns), || {
+            solve_group(solver, scratch)
+        });
+        timing
     }
 
-    /// The sweep's per-group task: [`KernelEngine::assemble_solve`] with
-    /// the group's source term `M q` ([`source_term`]) in place of `q`, and
-    /// the face nodes from the order's table `face_nodes`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_solve_group(
-        &self,
-        cache_key: usize,
-        integrals: &ElementIntegrals,
-        face_nodes: &FaceNodes,
-        omega: [f64; 3],
-        sigma_t: f64,
-        source_term: &[f64],
-        upwind: &[UpwindFace<'_>],
-        solver: &dyn LinearSolver,
-        time_solve: bool,
-        scratch: &mut KernelScratch,
-    ) -> KernelTiming {
-        let sigma_t = [sigma_t];
-        let upwind = upwind.iter().copied();
-        let segment = LaneSegment::new(cache_key, integrals, &sigma_t, source_term, upwind);
-        Self::timed(solver, time_solve, scratch, |scratch| {
-            scratch.rhs.copy_from_slice(source_term);
-            scratch.assemble_tiled(omega, face_nodes, &segment);
-        })
-    }
-
-    /// Run `assemble` and solve the system it leaves in `scratch`, reading
-    /// the clock around both phases when `time_solve`.
-    fn timed(
-        solver: &dyn LinearSolver,
-        time_solve: bool,
-        scratch: &mut KernelScratch,
-        assemble: impl FnOnce(&mut KernelScratch),
-    ) -> KernelTiming {
-        let started = time_solve.then(Instant::now);
-        assemble(scratch);
-        let assembled = time_solve.then(Instant::now);
-        solver
-            .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
-            .expect("local DG system should be non-singular");
-        match (started, assembled) {
-            (Some(started), Some(assembled)) => KernelTiming {
-                assemble_ns: (assembled - started).as_nanos() as u64,
-                solve_ns: assembled.elapsed().as_nanos() as u64,
-            },
-            _ => KernelTiming::default(),
-        }
-    }
-
-    /// Assemble and solve the local systems of a run of `lanes` tasks for
-    /// one direction — the groups of `segments`, segment after segment —,
-    /// leaving their fluxes in [`KernelScratch::lane_solution`]: each bit
-    /// for bit what [`KernelEngine::assemble_solve_group`] leaves in
-    /// `scratch.rhs` for that group.
+    /// The sweep's one entry: assemble and solve the local systems of a run
+    /// of `lanes` tasks for one direction — the groups of `segments`,
+    /// segment after segment —, leaving their fluxes in
+    /// [`KernelScratch::lane_solution`].  Returns the nanoseconds spent in
+    /// eliminations when `time_solve`, and reads no clock (returns 0)
+    /// without it: the flag times the run and picks no route.
     ///
     /// A segment is one element's consecutive groups, with their source
-    /// terms and the `neighbor_psi` of each interior face the groups'
-    /// blocks one after another — the runs both storage orders keep of one
-    /// element.  A run whose length is one of `solver`'s
+    /// terms `M q` ([`source_term`]) and the `neighbor_psi` of each interior
+    /// face the groups' blocks one after another — the runs both storage
+    /// orders keep of one element.  A run whose length is one of `solver`'s
     /// [`LinearSolver::lane_widths`] for `n` is assembled side by side,
     /// each segment from a tile of its own, and eliminated in lockstep.
-    /// The tasks of any other run, and of one whose systems pivot on
-    /// different rows ([`LinalgError::Diverged`]: the tiles and the inputs
-    /// are untouched), go through [`KernelEngine::assemble_solve_group`]
-    /// one by one.  No clock is read.
+    /// The tasks of any other run — a run of one, any run at orders ≥ 2 or
+    /// with a solver that offers no lanes — and of one whose systems pivot
+    /// on different rows ([`LinalgError::Diverged`]: the tiles and the
+    /// inputs are untouched) are assembled from the tile and solved one by
+    /// one, each leaving its flux in `scratch.rhs`; a run of one leaves it
+    /// there, and a longer run copies each into its lane.  Either way every
+    /// flux is, bit for bit, what [`assemble`] and the same solve give.
+    #[allow(clippy::too_many_arguments)]
     pub fn assemble_solve_lanes<'a>(
         &self,
         omega: [f64; 3],
@@ -906,43 +874,59 @@ impl KernelEngine {
         lanes: usize,
         segments: impl Iterator<Item = LaneSegment<'a>> + Clone,
         solver: &dyn LinearSolver,
+        time_solve: bool,
         scratch: &mut KernelScratch,
-    ) {
+    ) -> u64 {
         let n = scratch.rhs.len();
-        let size = Fixed::<8, 4>;
+        let mut solve_ns = 0;
+        let mut clock = time_solve.then_some(&mut solve_ns);
+        let (size, run, run_clock) = (Fixed::<8, 4>, segments.clone(), clock.as_deref_mut());
         let solved = match (n, lanes) {
             _ if !solver.lane_widths(n).contains(&lanes) => false,
-            (8, 16) => scratch.lockstep::<_, 16>(size, omega, face_nodes, segments.clone(), solver),
-            (8, 4) => scratch.lockstep::<_, 4>(size, omega, face_nodes, segments.clone(), solver),
+            (8, 16) => scratch.lockstep::<_, 16>(size, omega, face_nodes, run, solver, run_clock),
+            (8, 4) => scratch.lockstep::<_, 4>(size, omega, face_nodes, run, solver, run_clock),
             _ => false,
         };
         if solved {
-            return;
+            return solve_ns;
         }
         let mut lane = 0;
         for segment in segments {
             for k in 0..segment.sigma_t.len() {
                 let group = segment.group(k, n);
-                self.assemble_solve_group(
-                    group.cache_key,
-                    group.integrals,
-                    face_nodes,
-                    omega,
-                    group.sigma_t[0],
-                    group.source_terms,
-                    group.upwind(),
-                    solver,
-                    false,
-                    scratch,
-                );
-                let (_, solution) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
-                for (i, &psi) in scratch.rhs.iter().enumerate() {
-                    solution[i * lanes + lane] = psi;
+                scratch.rhs.copy_from_slice(group.source_terms);
+                scratch.assemble_tiled(omega, face_nodes, &group);
+                timed(clock.as_deref_mut(), || solve_group(solver, scratch));
+                if lanes > 1 {
+                    let (_, solution) = KernelScratch::lane_systems(&mut scratch.lanes, n, lanes);
+                    for (i, &psi) in scratch.rhs.iter().enumerate() {
+                        solution[i * lanes + lane] = psi;
+                    }
                 }
                 lane += 1;
             }
         }
+        solve_ns
     }
+}
+
+/// Solve the one system `scratch` holds in place.
+fn solve_group(solver: &dyn LinearSolver, scratch: &mut KernelScratch) {
+    solver
+        .solve_in_place(&mut scratch.matrix, &mut scratch.rhs)
+        .expect("local DG system should be non-singular");
+}
+
+/// Run `phase`, adding the nanoseconds it took to `clock`; without a
+/// clock none is read.
+fn timed<T>(clock: Option<&mut u64>, phase: impl FnOnce() -> T) -> T {
+    let Some(ns) = clock else {
+        return phase();
+    };
+    let started = Instant::now();
+    let out = phase();
+    *ns += started.elapsed().as_nanos() as u64;
+    out
 }
 
 #[cfg(test)]
@@ -1315,7 +1299,7 @@ mod tests {
             let segment = LaneSegment::new(1, &elements[1], &sigma_t[..4], &zeros[..32], []);
             let segments = std::iter::once(segment);
             let solved =
-                scratch.lockstep::<_, 4>(Fixed::<8, 4>, omegas[0], &table, segments, &solver);
+                scratch.lockstep::<_, 4>(Fixed::<8, 4>, omegas[0], &table, segments, &solver, None);
             assert_eq!(solved, !diverged);
         }
 
@@ -1372,7 +1356,8 @@ mod tests {
                 );
                 let segments = std::iter::once(segment);
                 let scratch = &mut lanes_scratch;
-                engine.assemble_solve_lanes(omega, &table, lanes, segments, &solver, scratch);
+                engine
+                    .assemble_solve_lanes(omega, &table, lanes, segments, &solver, false, scratch);
                 for l in 0..lanes {
                     let group = run.start + l * n..run.start + (l + 1) * n;
                     let upwind: Vec<UpwindFace<'_>> = upwind
@@ -1536,7 +1521,7 @@ mod tests {
             });
             let mut scratch = KernelScratch::new(n);
             let size = Fixed::<8, 4>;
-            let solved = scratch.lockstep::<_, 16>(size, omega, &table, segments, &solver);
+            let solved = scratch.lockstep::<_, 16>(size, omega, &table, segments, &solver, None);
             assert_eq!(solved, lockstep, "{run:?}");
         }
         for (k, (&kind, sigma_t)) in kinds
@@ -1561,19 +1546,27 @@ mod tests {
                 for tile in ["cold", "warm"] {
                     let scratch = &mut lanes_scratch;
                     let segments = segments.clone();
-                    engine.assemble_solve_lanes(omega, &table, width, segments, &solver, scratch);
+                    engine.assemble_solve_lanes(
+                        omega, &table, width, segments, &solver, false, scratch,
+                    );
                     let mut lane = 0;
                     for &(cell, first, w) in run {
                         for g in first..first + w {
-                            let upwind = upwind(cell, omega, kind, g..g + 1);
-                            engine.assemble_solve_group(
+                            // The group alone: a run of one, which solves
+                            // in `grouped.rhs`.
+                            let group = LaneSegment::new(
                                 cell,
                                 &elements[cell],
-                                &table,
-                                omega,
-                                sigma_t[g],
+                                &sigma_t[g..g + 1],
                                 &terms[cell][g * n..(g + 1) * n],
-                                &upwind,
+                                upwind(cell, omega, kind, g..g + 1),
+                            );
+                            let alone = std::iter::once(group);
+                            engine.assemble_solve_lanes(
+                                omega,
+                                &table,
+                                1,
+                                alone,
                                 &solver,
                                 false,
                                 &mut grouped,
@@ -1657,7 +1650,15 @@ mod tests {
                 );
                 let segments = std::iter::once(segment);
                 let table = face_table(&face_nodes);
-                engine.assemble_solve_lanes(omega, &table, lanes, segments, &solver, &mut scratch);
+                engine.assemble_solve_lanes(
+                    omega,
+                    &table,
+                    lanes,
+                    segments,
+                    &solver,
+                    false,
+                    &mut scratch,
+                );
                 let solved = scratch.lane_solution(lanes);
                 solved.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
@@ -1844,6 +1845,52 @@ mod tests {
         assert_eq!(task(false), KernelTiming::default());
         let timed = task(true);
         assert!(timed.assemble_ns > 0 && timed.solve_ns > 0);
+    }
+
+    #[test]
+    fn timed_runs_keep_the_untimed_bits() {
+        // The clock reads time and picks no route: a timed run — in
+        // lockstep at 16 and 4 lanes, task by task at 5 and 1 — leaves the
+        // untimed run's bits and reports what its eliminations took; an
+        // untimed run reads no clock and reports none.
+        let integrals = unit_integrals(1);
+        let n = integrals.nodes_per_element();
+        let omega = [0.48, 0.62, 0.6208];
+        let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
+        let table = face_table(&face_nodes);
+        let psi: Vec<f64> = (0..16 * n).map(|i| 0.3 + 0.07 * (i % 29) as f64).collect();
+        let terms: Vec<f64> = (0..16 * n)
+            .map(|i| 0.25 + 0.013 * (i % 37) as f64)
+            .collect();
+        let sigma_t: Vec<f64> = (0..16).map(|g| 1.1 + 0.4 * g as f64).collect();
+        let solver = GaussSolver::new();
+        for lanes in [16, 4, 5, 1] {
+            let run = |time_solve| {
+                let upwind = interior_upwind(&integrals, omega, &psi[..lanes * n], &face_nodes);
+                let (sigma_t, terms) = (&sigma_t[..lanes], &terms[..lanes * n]);
+                let segment = LaneSegment::new(0, &integrals, sigma_t, terms, upwind);
+                let mut scratch = KernelScratch::new(n);
+                let solve_ns = KernelEngine.assemble_solve_lanes(
+                    omega,
+                    &table,
+                    lanes,
+                    std::iter::once(segment),
+                    &solver,
+                    time_solve,
+                    &mut scratch,
+                );
+                let solution = scratch.lane_solution(lanes);
+                (
+                    solve_ns,
+                    solution.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                )
+            };
+            let (untimed_ns, untimed) = run(false);
+            let (timed_ns, timed) = run(true);
+            assert_eq!(untimed_ns, 0, "{lanes} lanes");
+            assert!(timed_ns > 0, "{lanes} lanes");
+            assert_eq!(timed, untimed, "{lanes} lanes");
+        }
     }
 
     #[test]

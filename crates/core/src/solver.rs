@@ -21,6 +21,8 @@
 //! Figures 3 and 4 and tabulated in Table II), and — when
 //! `Problem::time_solve` is set — the linear-solve share is accumulated
 //! separately so the "% in solve" column of Table II can be reproduced.
+//! The flag reads the clock around each elimination and picks no route: a
+//! timed sweep runs, and leaves, what an untimed one does.
 //!
 //! A sweep forks a team of scoped threads (`crate::team`) as wide as
 //! `Problem::num_threads` (force-overridable with `RAYON_NUM_THREADS`).
@@ -110,11 +112,12 @@ pub struct SolveOutcome {
     /// Wall-clock seconds spent in the assemble/solve (sweep) region —
     /// the quantity reported by Figures 3/4 and Table II.
     pub assemble_solve_seconds: f64,
-    /// Accumulated per-kernel assembly time in seconds (summed over all
-    /// worker threads, so it can exceed the wall-clock time).
+    /// Seconds the sweeps' runs of tasks took outside the eliminations
+    /// (summed over all worker threads, so it can exceed the wall-clock
+    /// time); all of the runs' time unless `Problem::time_solve` is set.
     pub kernel_assemble_seconds: f64,
-    /// Accumulated per-kernel solve time in seconds (only populated when
-    /// `Problem::time_solve` is enabled).
+    /// Seconds spent in the eliminations, summed the same way (only
+    /// populated when `Problem::time_solve` is enabled).
     pub kernel_solve_seconds: f64,
     /// Number of local systems assembled and solved.
     pub kernel_invocations: u64,

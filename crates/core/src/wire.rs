@@ -666,7 +666,10 @@ mod tests {
                 .with_scattering_ratio(0.5)
                 .with_upscatter_ratio(0.2),
             Problem::quickstart().with_solve_timing(true),
-            Problem::quickstart().with_kernel(KernelKind::Blocked),
+            Problem {
+                kernel: KernelKind::Blocked,
+                ..Problem::quickstart()
+            },
         ];
         for tweaked in tweaks {
             assert_ne!(

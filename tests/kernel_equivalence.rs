@@ -1,23 +1,26 @@
-//! Kernel-equivalence suite: the acceptance tests for the PR-9 kernel
-//! engine (`unsnap_core::kernel::KernelEngine`).
+//! Kernel-equivalence suite: the acceptance tests for the kernel engine
+//! (`unsnap_core::kernel::KernelEngine`) as the sweeps run it.
 //!
 //! Property-based over random small problems, this suite pins the two
 //! contracts the engine documents:
 //!
-//! * **Blocked `f64` is the reference physics, bit for bit.**  The
-//!   SoA cache-blocked kernel caches direction-dependent geometry tiles
-//!   and replays the reference operation sequence, so every non-timing
-//!   outcome field and the full scalar/angular flux state must be
-//!   bitwise identical — across thread widths 1/2/8 and through *both*
-//!   solve paths (the single-domain [`TransportSolver`] and the
-//!   distributed [`BlockJacobiSolver`]).
+//! * **The thread width moves no bit.**  The tiled kernel caches
+//!   direction-dependent geometry tiles per worker and replays the
+//!   reference operation sequence, so every non-timing outcome field and
+//!   the full scalar/angular flux state must be bitwise identical across
+//!   thread widths 1/2/3/8 and through *both* solve paths (the
+//!   single-domain [`TransportSolver`] and the distributed
+//!   [`BlockJacobiSolver`]).
 //! * **Tasks solved in lockstep are the per-group task, bit for bit.**
 //!   Order-1 sweeps cut a bucket's tasks into runs of 16 and 4 consecutive
 //!   tasks, one task per SIMD lane, and the remainder one by one; a run
-//!   may span several elements.  A problem that asks for Table II's
-//!   per-task timing solves every task on its own.  The two must agree in
-//!   every flux bit and every non-timing outcome field for every way a
-//!   bucket's tasks split into runs, in both loop orders.
+//!   may span several elements.  The MKL stand-in (`SolverKind::Mkl`)
+//!   offers no lanes, so a problem that names it solves every task on its
+//!   own, through the per-group assembly and an elimination of its own.
+//!   The two must agree in every flux bit and every non-timing outcome
+//!   field for every way a bucket's tasks split into runs, in both loop
+//!   orders — and a problem that times its solves (Table II's split) must
+//!   leave the bits of the untimed one: the clock picks no route.
 //!
 //! Case counts are deliberately small (every case is a full transport
 //! solve).
@@ -108,22 +111,17 @@ fn small_problem() -> impl Strategy<Value = Problem> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Contract 1, single-domain path: the blocked f64 kernel is
-    /// bit-for-bit the reference kernel at every thread width.
+    /// Contract 1, single-domain path: every thread width leaves the bits
+    /// of one thread.
     #[test]
-    fn blocked_f64_matches_reference_bitwise_in_single_domain_solves(
+    fn single_domain_solves_match_one_thread_bitwise(
         problem in small_problem(),
     ) {
         let reference = run_single_domain(&problem.clone().with_threads(1));
         for threads in widths() {
-            let blocked = run_single_domain(
-                &problem
-                    .clone()
-                    .with_kernel(KernelKind::Blocked)
-                    .with_threads(threads),
-            );
+            let threaded = run_single_domain(&problem.clone().with_threads(threads));
             prop_assert_eq!(
-                non_timing_fields(&blocked.outcome),
+                non_timing_fields(&threaded.outcome),
                 non_timing_fields(&reference.outcome),
                 "outcome diverged at {} threads for {:?}/{:?}",
                 threads,
@@ -131,13 +129,13 @@ proptest! {
                 (problem.nx, problem.ny, problem.nz)
             );
             prop_assert_eq!(
-                bits(&blocked.scalar_flux),
+                bits(&threaded.scalar_flux),
                 bits(&reference.scalar_flux),
                 "scalar flux drifted at {} threads",
                 threads
             );
             prop_assert_eq!(
-                bits(&blocked.angular_flux),
+                bits(&threaded.angular_flux),
                 bits(&reference.angular_flux),
                 "angular flux drifted at {} threads",
                 threads
@@ -149,11 +147,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Contract 1, distributed path: the blocked f64 kernel is
-    /// bit-for-bit the reference kernel through the block-Jacobi
-    /// driver, at every rank grid and thread width.
+    /// Contract 1, distributed path: through the block-Jacobi driver, at
+    /// every rank grid, every thread width leaves the bits of one thread.
     #[test]
-    fn blocked_f64_matches_reference_bitwise_in_block_jacobi_solves(
+    fn block_jacobi_solves_match_one_thread_bitwise(
         problem in small_problem(),
         px in 1usize..=2,
         py in 1usize..=2,
@@ -164,15 +161,12 @@ proptest! {
             BlockJacobiSolver::new(&problem.clone().with_threads(1), decomposition).unwrap();
         let reference_outcome = reference.run().unwrap();
         for threads in widths() {
-            let blocked_problem = problem
-                .clone()
-                .with_kernel(KernelKind::Blocked)
-                .with_threads(threads);
-            let mut blocked =
-                BlockJacobiSolver::new(&blocked_problem, decomposition).unwrap();
-            let blocked_outcome = blocked.run().unwrap();
+            let threaded_problem = problem.clone().with_threads(threads);
+            let mut threaded =
+                BlockJacobiSolver::new(&threaded_problem, decomposition).unwrap();
+            let threaded_outcome = threaded.run().unwrap();
             prop_assert_eq!(
-                non_timing_fields(&blocked_outcome),
+                non_timing_fields(&threaded_outcome),
                 non_timing_fields(&reference_outcome),
                 "jacobi outcome diverged at {}x{} ranks, {} threads",
                 px,
@@ -180,7 +174,7 @@ proptest! {
                 threads
             );
             prop_assert_eq!(
-                bits(blocked.scalar_flux().as_slice()),
+                bits(threaded.scalar_flux().as_slice()),
                 bits(reference.scalar_flux().as_slice()),
                 "jacobi scalar flux drifted at {}x{} ranks, {} threads",
                 px,
@@ -192,8 +186,10 @@ proptest! {
 }
 
 /// Contract 2: the default solve of an order-1 problem — a bucket's tasks
-/// in lockstep runs — is the solve that times every task, hence solves
-/// every group on its own.  On the 3 × 3 × 2 mesh the buckets hold 1 to 5
+/// in lockstep runs — is the solve of the same problem with the MKL
+/// stand-in, which offers no lanes, hence solves every group on its own;
+/// and the same problem timed (`with_solve_timing(true)`) leaves the
+/// untimed bits.  On the 3 × 3 × 2 mesh the buckets hold 1 to 5
 /// elements, so the group counts cut them every way: runs of 16 and of 4
 /// that span elements — several elements' groups in `angle/element/group`
 /// order (`best()`), one group of several elements and then the next in
@@ -237,47 +233,59 @@ fn lockstep_groups_match_the_per_group_task_bitwise() {
             // side (and the Krylov strategies' homogeneous sweeps drop it).
             problem.boundaries = unsnap::mesh::boundary::DomainBoundaries::uniform_inflow(0.3);
             let what = format!("{num_groups} groups, {scheme}");
+            let alone = Problem {
+                solver: SolverKind::Mkl,
+                ..problem.clone()
+            };
+            // The lockstep solve at every width, and the timed one: each
+            // must be the per-group reference, hence the others.
+            let runs = widths
+                .iter()
+                .map(|&threads| {
+                    (
+                        format!("{threads} threads"),
+                        problem.clone().with_threads(threads),
+                    )
+                })
+                .chain([("timed".to_string(), problem.clone().with_solve_timing(true))]);
 
-            let per_group = run_single_domain(&problem.clone().with_solve_timing(true));
-            for &threads in widths {
-                let lockstep = run_single_domain(&problem.clone().with_threads(threads));
+            let per_group = run_single_domain(&alone);
+            for (how, lockstep) in runs.clone() {
+                let lockstep = run_single_domain(&lockstep);
                 assert_eq!(
                     non_timing_fields(&lockstep.outcome),
                     non_timing_fields(&per_group.outcome),
-                    "{what}: outcome at {threads} threads"
+                    "{what}: outcome, {how}"
                 );
                 assert_eq!(
                     bits(&lockstep.scalar_flux),
                     bits(&per_group.scalar_flux),
-                    "{what}: scalar flux at {threads} threads"
+                    "{what}: scalar flux, {how}"
                 );
                 assert_eq!(
                     bits(&lockstep.angular_flux),
                     bits(&per_group.angular_flux),
-                    "{what}: angular flux at {threads} threads"
+                    "{what}: angular flux, {how}"
                 );
             }
 
             // Ranks read their neighbours' ψ from the halo — a run of
             // groups at a time on the lockstep route.
             let decomposition = Decomposition2D::new(2, 1);
-            let timed = problem.clone().with_solve_timing(true);
-            let mut per_group = BlockJacobiSolver::new(&timed, decomposition).unwrap();
+            let mut per_group = BlockJacobiSolver::new(&alone, decomposition).unwrap();
             let per_group_outcome = per_group.run().unwrap();
-            for &threads in widths {
-                let mut lockstep =
-                    BlockJacobiSolver::new(&problem.clone().with_threads(threads), decomposition)
-                        .unwrap();
+            for (how, lockstep) in runs {
+                let mut lockstep = BlockJacobiSolver::new(&lockstep, decomposition).unwrap();
                 let lockstep_outcome = lockstep.run().unwrap();
                 assert_eq!(
                     non_timing_fields(&lockstep_outcome),
                     non_timing_fields(&per_group_outcome),
-                    "{what}: jacobi outcome at {threads} threads"
+                    "{what}: jacobi outcome, {how}"
                 );
                 assert_eq!(
                     bits(lockstep.scalar_flux().as_slice()),
                     bits(per_group.scalar_flux().as_slice()),
-                    "{what}: jacobi scalar flux at {threads} threads"
+                    "{what}: jacobi scalar flux, {how}"
                 );
             }
         }
