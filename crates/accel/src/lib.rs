@@ -39,12 +39,12 @@
 //! * [`DiffusionOperator`] — the assembled cell-centred finite-volume
 //!   diffusion operator (diffusion coefficient `1/(3σ_t)`, removal
 //!   `σ_t − σ_s`, harmonic face averaging), exposed as a matrix-free
-//!   [`LinearOperator`](unsnap_krylov::LinearOperator).  It is symmetric
+//!   [`LinearOperator`](unsnap_linalg::krylov::LinearOperator).  It is symmetric
 //!   positive definite by construction, so CG applies.
 //! * [`DsaSolver`] — owns the operator, a reusable
-//!   [`CgWorkspace`](unsnap_krylov::CgWorkspace) and the correction
+//!   [`CgWorkspace`](unsnap_linalg::krylov::CgWorkspace) and the correction
 //!   vector, and solves one error equation per call through
-//!   [`ConjugateGradient::solve_observed_in`](unsnap_krylov::ConjugateGradient::solve_observed_in),
+//!   [`ConjugateGradient::solve`](unsnap_linalg::krylov::ConjugateGradient::solve),
 //!   streaming every CG residual to the caller.
 //!
 //! The restriction of the high-order (DG nodal) residual to cell

@@ -21,7 +21,7 @@
 //! `cells × groups` so one CG solve handles all groups at once, matching
 //! how the high-order Krylov strategies span all groups with one space.
 
-use unsnap_krylov::LinearOperator;
+use unsnap_linalg::krylov::LinearOperator;
 
 use crate::topology::DiffusionTopology;
 

@@ -10,10 +10,10 @@
 //! shows up in exported profiles with per-iteration resolution without
 //! this crate depending on the observability stack.
 
-use unsnap_krylov::{
-    CgConfig, CgWorkspace, ConjugateGradient, KrylovError, KrylovOutcome, LinearOperator,
-    ObservedOperator,
+use unsnap_linalg::krylov::{
+    CgConfig, CgWorkspace, ConjugateGradient, KrylovOutcome, LinearOperator,
 };
+use unsnap_linalg::LinalgError;
 
 use crate::operator::DiffusionOperator;
 
@@ -52,9 +52,7 @@ impl<F: FnMut(usize, f64)> LinearOperator for Streamed<'_, F> {
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         self.op.apply(x, y)
     }
-}
 
-impl<F: FnMut(usize, f64)> ObservedOperator for Streamed<'_, F> {
     fn on_residual(&mut self, iteration: usize, relative_residual: f64) {
         (self.on_residual)(iteration, relative_residual);
     }
@@ -104,9 +102,9 @@ impl DsaSolver {
         &mut self,
         rhs: &[f64],
         on_residual: impl FnMut(usize, f64),
-    ) -> Result<(&[f64], KrylovOutcome), KrylovError> {
+    ) -> Result<(&[f64], KrylovOutcome), LinalgError> {
         self.correction.fill(0.0);
-        let outcome = self.cg.solve_observed_in(
+        let outcome = self.cg.solve(
             &mut self.workspace,
             &mut Streamed {
                 op: &mut self.operator,

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use unsnap_accel::{DiffusionOperator, DiffusionTopology, DsaConfig, DsaSolver};
-use unsnap_krylov::LinearOperator;
+use unsnap_linalg::krylov::LinearOperator;
 use unsnap_linalg::{DenseMatrix, LinearSolver, LuSolver};
 use unsnap_mesh::{StructuredGrid, UnstructuredMesh};
 

@@ -25,7 +25,7 @@
 //!   solves its local within-group system `(I − D L_r⁻¹ S_w) φ_r =
 //!   D L_r⁻¹ q_ext,r` to tolerance with a matrix-free GMRES(m) whose
 //!   Krylov space is reused across halo iterations
-//!   ([`GmresWorkspace`](unsnap_krylov::GmresWorkspace)).  The lagged
+//!   ([`GmresWorkspace`](unsnap_linalg::krylov::GmresWorkspace)).  The lagged
 //!   halo data is *affine*
 //!   right-hand-side inflow, so operator applications sweep with
 //!   homogeneous boundary **and** halo inflow (the halo-aware residual

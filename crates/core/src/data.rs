@@ -273,7 +273,7 @@ impl CrossSections {
 
     /// Total out-scattering from group `g` (row sum of the scattering
     /// matrix).
-    pub fn scatter_out(&self, material: usize, g: usize) -> f64 {
+    fn scatter_out(&self, material: usize, g: usize) -> f64 {
         (0..self.num_groups)
             .map(|g_to| self.scatter(material, g, g_to))
             .sum()

@@ -60,7 +60,7 @@ use unsnap_fem::element::ReferenceElement;
 use unsnap_fem::face::{face_node_indices, FACES};
 use unsnap_fem::geometry::HexVertices;
 use unsnap_fem::integrals::ElementIntegrals;
-use unsnap_krylov::GmresWorkspace;
+use unsnap_linalg::krylov::GmresWorkspace;
 use unsnap_linalg::LinearSolver;
 use unsnap_mesh::{NeighborRef, UnstructuredMesh};
 use unsnap_obs::clock::{Clock, SystemClock};

@@ -13,7 +13,7 @@
 //!   the finite-volume right-hand side;
 //! * the **low-order solve** runs the SPD diffusion operator of
 //!   [`unsnap_accel`] through CG (with reused
-//!   [`CgWorkspace`](unsnap_krylov::CgWorkspace) buffers), streaming
+//!   [`CgWorkspace`](unsnap_linalg::krylov::CgWorkspace) buffers), streaming
 //!   every residual as a
 //!   [`SolveEvent::AccelResidual`];
 //! * **prolongation** adds the cell-wise correction to every node of the

@@ -1,24 +1,27 @@
 //! The workspace-wide error type.
 //!
 //! Every fallible path in the UnSNAP workspace — problem validation, mesh
-//! decomposition, dense factorisation, sweep scheduling, Krylov solves,
-//! the simulated communication layer — funnels into one structured
-//! [`enum@Error`], with a variant per failure domain and `From`
-//! conversions from each crate's local error type.  Callers match on
+//! decomposition, dense factorisation and Krylov solves, sweep
+//! scheduling, the simulated communication layer — funnels into one
+//! structured [`enum@Error`], with a variant per failure domain and
+//! `From` conversions from each crate's local error type.  Callers match on
 //! variants (and their payloads: offending field, pivot magnitude,
 //! iteration number) instead of parsing strings; `?` works across crate
 //! boundaries because the conversions are lossless wrappers.
 //!
 //! The convention mirrors production Rust services: leaf crates own small
-//! domain-specific error enums (`LinalgError`, `ScheduleError`,
-//! `KrylovError`, `MeshError`, `CommError`), and the crate that owns the
-//! public API surface (`unsnap-core`) owns the aggregate.  The `comm`
+//! domain-specific error enums (`LinalgError` for the dense and the Krylov
+//! solvers alike, `ScheduleError`, `MeshError`, `CommError`), and the
+//! crate that owns the public API surface (`unsnap-core`) owns the
+//! aggregate.  Two `LinalgError`s are lifted to variants of their own,
+//! because callers match on them: a singular local system
+//! ([`Error::Singular`]) and a Krylov breakdown
+//! ([`Error::KrylovBreakdown`]).  The `comm`
 //! crate sits *above* core in the dependency graph, so its conversion into
 //! [`Error::Comm`] lives in `unsnap-comm` rather than here.
 
 use std::fmt;
 
-use unsnap_krylov::KrylovError;
 use unsnap_linalg::LinalgError;
 use unsnap_mesh::MeshError;
 use unsnap_sweep::ScheduleError;
@@ -48,8 +51,9 @@ pub enum Error {
         /// Magnitude of the best available pivot.
         pivot: f64,
     },
-    /// Any other dense linear-algebra failure (dimension mismatches,
-    /// batch indexing).
+    /// Any other linear-algebra failure (dimension mismatches, lockstep
+    /// pivot divergence, Krylov configuration problems, loss of positive
+    /// definiteness in CG).
     Linalg(LinalgError),
     /// A Krylov solve broke down before reaching its tolerance.
     KrylovBreakdown {
@@ -58,9 +62,6 @@ pub enum Error {
         /// Relative residual estimate at the point of breakdown.
         residual: f64,
     },
-    /// Any other Krylov failure (dimension or configuration problems,
-    /// loss of positive definiteness in CG).
-    Krylov(KrylovError),
     /// Sweep-schedule construction failed (cyclic dependency graph).
     Schedule {
         /// What was being scheduled (e.g. `"angle [0.5, 0.6, 0.6]"` or
@@ -138,7 +139,6 @@ impl fmt::Display for Error {
                 "Krylov solve broke down at iteration {iteration} \
                  (relative residual {residual:.3e})"
             ),
-            Error::Krylov(e) => write!(f, "Krylov error: {e}"),
             Error::Schedule { context, source } => {
                 if context.is_empty() {
                     write!(f, "schedule error: {source}")
@@ -160,7 +160,6 @@ impl std::error::Error for Error {
         match self {
             Error::Mesh(e) => Some(e),
             Error::Linalg(e) => Some(e),
-            Error::Krylov(e) => Some(e),
             Error::Schedule { source, .. } => Some(source),
             _ => None,
         }
@@ -177,22 +176,14 @@ impl From<LinalgError> for Error {
     fn from(e: LinalgError) -> Self {
         match e {
             LinalgError::Singular { column, pivot } => Error::Singular { column, pivot },
-            other => Error::Linalg(other),
-        }
-    }
-}
-
-impl From<KrylovError> for Error {
-    fn from(e: KrylovError) -> Self {
-        match e {
-            KrylovError::Breakdown {
+            LinalgError::Breakdown {
                 at_iteration,
                 residual,
             } => Error::KrylovBreakdown {
                 iteration: at_iteration,
                 residual,
             },
-            other => Error::Krylov(other),
+            other => Error::Linalg(other),
         }
     }
 }
@@ -230,7 +221,7 @@ mod tests {
 
     #[test]
     fn krylov_breakdown_flattens() {
-        let e: Error = KrylovError::Breakdown {
+        let e: Error = LinalgError::Breakdown {
             at_iteration: 7,
             residual: 0.25,
         }

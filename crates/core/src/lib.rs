@@ -60,7 +60,7 @@
 //! * [`strategy`] — the inner iterations of one outer iteration:
 //!   [`StrategyKind::run_inners`] is classic source iteration,
 //!   DSA-accelerated source iteration or sweep-preconditioned GMRES (via
-//!   `unsnap-krylov`) over the [`strategy::InnerSolveContext`] a driver
+//!   `unsnap_linalg::krylov`) over the [`strategy::InnerSolveContext`] a driver
 //!   hands it, plus the [`AcceleratorKind`](strategy::AcceleratorKind)
 //!   knob.
 //! * [`dsa`] — restriction/prolongation glue between the DG flux

@@ -769,11 +769,11 @@ impl InnerSolveContext for TransportSolver {
         self.domain.phi_inner.as_slice()
     }
 
-    fn take_krylov_workspace(&mut self) -> unsnap_krylov::GmresWorkspace {
+    fn take_krylov_workspace(&mut self) -> unsnap_linalg::krylov::GmresWorkspace {
         self.context().take_krylov_workspace()
     }
 
-    fn put_krylov_workspace(&mut self, workspace: unsnap_krylov::GmresWorkspace) {
+    fn put_krylov_workspace(&mut self, workspace: unsnap_linalg::krylov::GmresWorkspace) {
         self.context().put_krylov_workspace(workspace);
     }
 

@@ -19,7 +19,7 @@
 //! (I − D L⁻¹ S_w) φ = D L⁻¹ q_ext
 //! ```
 //!
-//! to the matrix-free GMRES(m) solver from `unsnap-krylov`.  Every Krylov
+//! to the matrix-free GMRES(m) solver of `unsnap_linalg::krylov`.  Every Krylov
 //! iteration costs exactly one sweep (the same unit of work as one SI
 //! iteration), so sweep counts are directly comparable between the two
 //! strategies — and on high-`c` problems GMRES needs dramatically fewer.
@@ -43,7 +43,7 @@
 
 use std::time::Duration;
 
-use unsnap_krylov::{Gmres, GmresConfig, GmresWorkspace, LinearOperator, ObservedOperator};
+use unsnap_linalg::krylov::{Gmres, GmresConfig, GmresWorkspace, LinearOperator};
 
 use crate::error::Result;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
@@ -374,7 +374,7 @@ fn source_iteration(
 /// The operator also carries the run's observer: every sweep it performs
 /// emits [`SolveEvent::Sweep`], and the GMRES driver's residual
 /// notifications are forwarded as [`SolveEvent::KrylovResidual`] through
-/// the [`ObservedOperator`] hook.
+/// the [`LinearOperator::on_residual`] hook.
 struct SweepOperator<'a, 'b, 'c> {
     context: &'a mut dyn InnerSolveContext,
     stats: &'b mut RunStats,
@@ -412,9 +412,7 @@ impl LinearOperator for SweepOperator<'_, '_, '_> {
             *yi = xi - phi;
         }
     }
-}
 
-impl ObservedOperator for SweepOperator<'_, '_, '_> {
     fn on_residual(&mut self, iteration: usize, relative_residual: f64) {
         let event = SolveEvent::KrylovResidual {
             iteration,
@@ -473,8 +471,7 @@ fn sweep_gmres(
             accelerated,
             dsa_error: None,
         };
-        let outcome =
-            Gmres::new(config).solve_observed_in(&mut workspace, &mut operator, &b, &mut x);
+        let outcome = Gmres::new(config).solve(&mut workspace, &mut operator, &b, &mut x);
         (outcome, operator.dsa_error)
     };
     let seconds = context.now().saturating_sub(krylov_t0).as_secs_f64();

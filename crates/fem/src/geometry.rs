@@ -55,7 +55,7 @@ impl HexVertices {
     /// Gradient (w.r.t. reference coordinates) of the trilinear shape
     /// function of corner `c` at `xi`.
     #[inline]
-    pub fn shape_gradient(c: usize, xi: [f64; 3]) -> [f64; 3] {
+    fn shape_gradient(c: usize, xi: [f64; 3]) -> [f64; 3] {
         let si = 2.0 * ((c & 1) as f64) - 1.0;
         let sj = 2.0 * (((c >> 1) & 1) as f64) - 1.0;
         let sk = 2.0 * (((c >> 2) & 1) as f64) - 1.0;
@@ -79,7 +79,7 @@ impl HexVertices {
     }
 
     /// Jacobian matrix `J[d][e] = ∂x_d / ∂ξ_e` at a reference point.
-    pub fn jacobian(&self, xi: [f64; 3]) -> [[f64; 3]; 3] {
+    fn jacobian(&self, xi: [f64; 3]) -> [[f64; 3]; 3] {
         let mut j = [[0.0; 3]; 3];
         for c in 0..8 {
             let g = Self::shape_gradient(c, xi);
@@ -93,13 +93,13 @@ impl HexVertices {
     }
 
     /// Determinant of the Jacobian at a reference point.
-    pub fn jacobian_det(&self, xi: [f64; 3]) -> f64 {
+    fn jacobian_det(&self, xi: [f64; 3]) -> f64 {
         det3(&self.jacobian(xi))
     }
 
     /// Determinant and inverse of the Jacobian at a reference point, from
-    /// one evaluation of it: the determinant has the bits of
-    /// [`jacobian_det`](Self::jacobian_det).
+    /// one evaluation of it: the determinant has the bits of the one
+    /// [`volume`](Self::volume) integrates.
     ///
     /// Returns `None` if the Jacobian is (numerically) singular, which
     /// indicates a degenerate or inverted cell.
@@ -155,13 +155,13 @@ impl HexVertices {
 }
 
 /// 3×3 determinant.
-pub fn det3(m: &[[f64; 3]; 3]) -> f64 {
+fn det3(m: &[[f64; 3]; 3]) -> f64 {
     m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
 }
 
-/// 3×3 determinant (the bits of [`det3`]) and inverse; `None` if the
+/// 3×3 determinant (the bits of `det3`) and inverse; `None` if the
 /// determinant is ~0.
 pub fn det_inverse3(m: &[[f64; 3]; 3]) -> Option<(f64, [[f64; 3]; 3])> {
     let d = det3(m);

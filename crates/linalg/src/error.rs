@@ -1,8 +1,9 @@
-//! Error type shared by all solvers in the crate.
+//! Error type shared by all solvers in the crate, dense and Krylov.
 
 use std::fmt;
 
-/// Errors produced by the dense linear-algebra kernels.
+/// Errors produced by the dense linear-algebra kernels and the Krylov
+/// solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
     /// The matrix is not square but the operation requires a square matrix.
@@ -35,6 +36,22 @@ pub enum LinalgError {
         /// Column whose pivot search disagreed across lanes (0-based).
         column: usize,
     },
+    /// A Krylov configuration value is unusable (e.g. zero restart
+    /// length).
+    InvalidConfig(&'static str),
+    /// The GMRES Hessenberg solve hit an exactly singular pivot.
+    Breakdown {
+        /// Iteration at which the breakdown occurred.
+        at_iteration: usize,
+        /// Relative residual estimate at the point of breakdown.
+        residual: f64,
+    },
+    /// CG observed a direction of non-positive curvature: the operator is
+    /// not symmetric positive definite.
+    NotPositiveDefinite {
+        /// Iteration at which the curvature test failed.
+        at_iteration: usize,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -61,6 +78,19 @@ impl fmt::Display for LinalgError {
                     "lockstep lanes chose different pivot rows at column {column}"
                 )
             }
+            LinalgError::InvalidConfig(message) => f.write_str(message),
+            LinalgError::Breakdown {
+                at_iteration,
+                residual,
+            } => write!(
+                f,
+                "Krylov breakdown at iteration {at_iteration} \
+                 (relative residual {residual:.3e})"
+            ),
+            LinalgError::NotPositiveDefinite { at_iteration } => write!(
+                f,
+                "operator is not positive definite (detected at CG iteration {at_iteration})"
+            ),
         }
     }
 }
@@ -101,6 +131,20 @@ mod tests {
     fn display_diverged() {
         let e = LinalgError::Diverged { column: 5 };
         assert!(e.to_string().contains("column 5"));
+    }
+
+    #[test]
+    fn display_krylov_failures() {
+        assert!(LinalgError::Breakdown {
+            at_iteration: 3,
+            residual: 0.5
+        }
+        .to_string()
+        .contains('3'));
+        assert!(LinalgError::NotPositiveDefinite { at_iteration: 2 }
+            .to_string()
+            .contains("positive definite"));
+        assert_eq!(LinalgError::InvalidConfig("bad").to_string(), "bad");
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! acceleration, mass-matrix solves) and as an independent cross-check in
 //! the property tests.
 
-use unsnap_linalg::vector::{axpy, dot, norm2};
-
-use crate::operator::{LinearOperator, ObservedOperator, SilentOperator};
-use crate::{KrylovError, KrylovOutcome};
+use super::{check_dimensions, KrylovOutcome, LinearOperator};
+use crate::vector::{axpy, dot, norm2};
+use crate::{LinalgError, Result};
 
 /// Tuning knobs for [`ConjugateGradient`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,9 +37,9 @@ impl Default for CgConfig {
 ///
 /// CG needs three working vectors of the operator dimension; drivers
 /// that solve many same-shaped systems — one low-order DSA correction
-/// per transport sweep in `unsnap-accel` — can hold one workspace and
-/// pass it to [`ConjugateGradient::solve_observed_in`] so the buffers
-/// are allocated once and reused.  Every entry is overwritten before it
+/// per transport sweep in `unsnap-accel` — hold one workspace and pass
+/// it to every [`ConjugateGradient::solve`] so the buffers are
+/// allocated once and reused.  Every entry is overwritten before it
 /// is read, so a reused workspace produces bit-for-bit the same
 /// iterates, residual stream and outcome as a fresh one (including
 /// across dimension changes) — only the allocator traffic differs.
@@ -84,58 +83,23 @@ impl ConjugateGradient {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &CgConfig {
-        &self.config
-    }
-
     /// Solve `A x = b` for SPD `A`, using `x` as the initial guess and
-    /// leaving the solution in it.
+    /// leaving the solution in it, while streaming every residual-history
+    /// entry to [`LinearOperator::on_residual`] (the initial-guess
+    /// residual fires with iteration 0).
+    ///
+    /// The three working vectors live in `ws` and are reused across
+    /// calls; the numerical behaviour is identical to a fresh workspace,
+    /// including across dimension changes.
     pub fn solve(
         &self,
+        ws: &mut CgWorkspace,
         op: &mut dyn LinearOperator,
         b: &[f64],
         x: &mut [f64],
-    ) -> Result<KrylovOutcome, KrylovError> {
-        self.solve_observed(&mut SilentOperator(op), b, x)
-    }
-
-    /// Solve `A x = b` while streaming every residual-history entry to
-    /// the operator's [`ObservedOperator::on_residual`] hook.
-    ///
-    /// The notifications mirror [`KrylovOutcome::residual_history`]
-    /// entry-for-entry (the initial-guess residual fires with iteration
-    /// 0), so an observer that records them reconstructs the history
-    /// exactly — the same contract as
-    /// [`Gmres::solve_observed`](crate::Gmres::solve_observed).
-    pub fn solve_observed(
-        &self,
-        op: &mut dyn ObservedOperator,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<KrylovOutcome, KrylovError> {
-        self.solve_observed_in(&mut CgWorkspace::new(), op, b, x)
-    }
-
-    /// [`ConjugateGradient::solve_observed`] with caller-owned scratch:
-    /// the three working vectors live in `ws` and are reused across
-    /// calls instead of reallocated.  The numerical behaviour is
-    /// identical to a fresh workspace, including across dimension
-    /// changes.
-    pub fn solve_observed_in(
-        &self,
-        ws: &mut CgWorkspace,
-        op: &mut dyn ObservedOperator,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<KrylovOutcome, KrylovError> {
+    ) -> Result<KrylovOutcome> {
         let n = op.dim();
-        if b.len() != n || x.len() != n {
-            return Err(KrylovError::DimensionMismatch {
-                operator: n,
-                vector: if b.len() != n { b.len() } else { x.len() },
-            });
-        }
+        check_dimensions(n, b, x)?;
         let b_norm = norm2(b);
         if b_norm == 0.0 {
             x.fill(0.0);
@@ -164,7 +128,7 @@ impl ConjugateGradient {
             if p_ap <= 0.0 {
                 // A direction of non-positive curvature: the operator is
                 // not SPD (or rounding has destroyed it).
-                return Err(KrylovError::NotPositiveDefinite {
+                return Err(LinalgError::NotPositiveDefinite {
                     at_iteration: outcome.iterations,
                 });
             }
@@ -191,9 +155,9 @@ impl ConjugateGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::MatrixOperator;
-    use unsnap_linalg::vector::max_abs_diff;
-    use unsnap_linalg::{DenseMatrix, LinearSolver, LuSolver};
+    use crate::krylov::MatrixOperator;
+    use crate::vector::max_abs_diff;
+    use crate::{DenseMatrix, LinearSolver, LuSolver};
 
     /// A symmetric positive definite matrix: Bᵀ B + n·I.
     fn spd(n: usize) -> DenseMatrix {
@@ -217,7 +181,7 @@ mod tests {
             max_iterations: 200,
             tolerance: 1e-12,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut CgWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(outcome.converged);
         assert!(max_abs_diff(&x, &reference) < 1e-8);
@@ -229,7 +193,7 @@ mod tests {
         let b = vec![3.0; 8];
         let mut x = vec![0.0; 8];
         let outcome = ConjugateGradient::default()
-            .solve(&mut op, &b, &mut x)
+            .solve(&mut CgWorkspace::new(), &mut op, &b, &mut x)
             .unwrap();
         assert!(outcome.converged);
         assert!(outcome.iterations <= 1);
@@ -242,10 +206,15 @@ mod tests {
         let a = DenseMatrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, -1.0]).unwrap();
         let mut op = MatrixOperator::new(a);
         let mut x = vec![0.0; 2];
-        let result = ConjugateGradient::default().solve(&mut op, &[0.0, 1.0], &mut x);
+        let result = ConjugateGradient::default().solve(
+            &mut CgWorkspace::new(),
+            &mut op,
+            &[0.0, 1.0],
+            &mut x,
+        );
         assert!(matches!(
             result,
-            Err(KrylovError::NotPositiveDefinite { .. })
+            Err(LinalgError::NotPositiveDefinite { .. })
         ));
     }
 
@@ -265,13 +234,13 @@ mod tests {
 
             let mut fresh_op = MatrixOperator::new(a.clone());
             let mut fresh_x = vec![0.0; n];
-            let fresh = solver.solve(&mut fresh_op, &b, &mut fresh_x).unwrap();
+            let fresh = solver
+                .solve(&mut CgWorkspace::new(), &mut fresh_op, &b, &mut fresh_x)
+                .unwrap();
 
             let mut op = MatrixOperator::new(a);
             let mut x = vec![0.0; n];
-            let reused = solver
-                .solve_observed_in(&mut ws, &mut crate::SilentOperator(&mut op), &b, &mut x)
-                .unwrap();
+            let reused = solver.solve(&mut ws, &mut op, &b, &mut x).unwrap();
 
             assert_eq!(fresh, reused, "outcome diverged at n = {n}");
             assert_eq!(fresh_x, x, "iterate diverged at n = {n}");
@@ -291,8 +260,6 @@ mod tests {
             fn apply(&mut self, x: &[f64], y: &mut [f64]) {
                 self.op.apply(x, y)
             }
-        }
-        impl crate::ObservedOperator for Watched {
             fn on_residual(&mut self, iteration: usize, relative_residual: f64) {
                 self.seen.push((iteration, relative_residual));
             }
@@ -306,7 +273,7 @@ mod tests {
             seen: Vec::new(),
         };
         let outcome = ConjugateGradient::default()
-            .solve_observed(&mut watched, &b, &mut x)
+            .solve(&mut CgWorkspace::new(), &mut watched, &b, &mut x)
             .unwrap();
         assert!(outcome.converged);
         // One notification per residual-history entry, starting with the
@@ -322,7 +289,7 @@ mod tests {
         let mut op = MatrixOperator::new(spd(4));
         let mut x = vec![1.0; 4];
         let outcome = ConjugateGradient::default()
-            .solve(&mut op, &[0.0; 4], &mut x)
+            .solve(&mut CgWorkspace::new(), &mut op, &[0.0; 4], &mut x)
             .unwrap();
         assert!(outcome.converged);
         assert!(x.iter().all(|&v| v == 0.0));
@@ -333,7 +300,7 @@ mod tests {
         let mut op = MatrixOperator::new(spd(4));
         let mut x = vec![0.0; 4];
         assert!(ConjugateGradient::default()
-            .solve(&mut op, &[1.0; 5], &mut x)
+            .solve(&mut CgWorkspace::new(), &mut op, &[1.0; 5], &mut x)
             .is_err());
     }
 
@@ -347,7 +314,7 @@ mod tests {
             max_iterations: 2,
             tolerance: 1e-15,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut CgWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(!outcome.converged);
         assert_eq!(outcome.iterations, 2);

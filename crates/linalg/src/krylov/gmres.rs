@@ -10,16 +10,15 @@
 //! one small back-substitution and the outer loop restarts from the true
 //! residual.
 //!
-//! The Hessenberg matrix lives in a [`DenseMatrix`] from `unsnap-linalg`
-//! and all vector arithmetic uses that crate's `vector` kernels, keeping
-//! the hot inner products on the same stride-1 primitives as the rest of
-//! the workspace.
+//! The Hessenberg matrix lives in a [`DenseMatrix`] and all vector
+//! arithmetic uses the crate's `vector` kernels, keeping the hot inner
+//! products on the same stride-1 primitives as the rest of the
+//! workspace.
 
-use unsnap_linalg::matrix::DenseMatrix;
-use unsnap_linalg::vector::{axpy, dot, norm2, scale};
-
-use crate::operator::{LinearOperator, ObservedOperator, SilentOperator};
-use crate::{KrylovError, KrylovOutcome};
+use super::{check_dimensions, KrylovOutcome, LinearOperator};
+use crate::matrix::DenseMatrix;
+use crate::vector::{axpy, dot, norm2, scale};
+use crate::{LinalgError, Result};
 
 /// Tuning knobs for [`Gmres`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,17 +44,17 @@ impl Default for GmresConfig {
 }
 
 /// Reusable scratch for [`Gmres`] solves: the Arnoldi basis, the
-/// Hessenberg projection and the small rotation/residual vectors.
+/// Hessenberg projection and the small rotation, residual and
+/// back-substitution vectors.
 ///
 /// A GMRES(m) solve allocates `m + 1` basis vectors of the operator
 /// dimension; drivers that solve many same-shaped systems (one per
 /// subdomain per outer iteration in the distributed block-Jacobi path)
-/// can hold one workspace per system and pass it to
-/// [`Gmres::solve_observed_in`] so the Krylov space is allocated once
-/// and reused.  Every entry is overwritten before it is read, so a
-/// reused workspace produces bit-for-bit the same iterates, residual
-/// stream and outcome as a fresh one — only the allocator traffic
-/// changes.
+/// hold one workspace per system and pass it to every [`Gmres::solve`]
+/// so the Krylov space is allocated once and reused.  Every entry is
+/// overwritten before it is read, so a reused workspace produces
+/// bit-for-bit the same iterates, residual stream and outcome as a fresh
+/// one — only the allocator traffic changes.
 #[derive(Debug, Clone)]
 pub struct GmresWorkspace {
     /// Arnoldi basis vectors, grown on demand up to `m + 1` slots.
@@ -72,6 +71,8 @@ pub struct GmresWorkspace {
     residual: Vec<f64>,
     /// Arnoldi candidate vector.
     w: Vec<f64>,
+    /// Back-substitution solution `R y = g` of a restart cycle.
+    y: Vec<f64>,
 }
 
 impl Default for GmresWorkspace {
@@ -91,6 +92,7 @@ impl GmresWorkspace {
             g: Vec::new(),
             residual: Vec::new(),
             w: Vec::new(),
+            y: Vec::new(),
         }
     }
 
@@ -112,6 +114,8 @@ impl GmresWorkspace {
         self.residual.resize(n, 0.0);
         self.w.clear();
         self.w.resize(n, 0.0);
+        self.y.clear();
+        self.y.resize(m, 0.0);
         self.basis.retain(|v| v.len() == n);
         self.basis.truncate(m + 1);
     }
@@ -137,58 +141,24 @@ impl Gmres {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &GmresConfig {
-        &self.config
-    }
-
     /// Solve `A x = b`, using `x` as the initial guess and leaving the
-    /// solution in it.
+    /// solution in it, while streaming every residual-history entry to
+    /// [`LinearOperator::on_residual`].
+    ///
+    /// The Krylov basis and projection buffers live in `ws` and are
+    /// reused across calls; the numerical behaviour is identical to a
+    /// fresh workspace.
     pub fn solve(
         &self,
+        ws: &mut GmresWorkspace,
         op: &mut dyn LinearOperator,
         b: &[f64],
         x: &mut [f64],
-    ) -> Result<KrylovOutcome, KrylovError> {
-        self.solve_observed(&mut SilentOperator(op), b, x)
-    }
-
-    /// Solve `A x = b` while streaming every residual-history entry to the
-    /// operator's [`ObservedOperator::on_residual`] hook.
-    ///
-    /// The notifications mirror [`KrylovOutcome::residual_history`]
-    /// entry-for-entry, so an observer that records them reconstructs the
-    /// history exactly.
-    pub fn solve_observed(
-        &self,
-        op: &mut dyn ObservedOperator,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<KrylovOutcome, KrylovError> {
-        self.solve_observed_in(&mut GmresWorkspace::new(), op, b, x)
-    }
-
-    /// [`Gmres::solve_observed`] with caller-owned scratch: the Krylov
-    /// basis and projection buffers live in `workspace` and are reused
-    /// across calls instead of reallocated, which matters for drivers
-    /// that solve one same-shaped system per subdomain per iteration.
-    /// The numerical behaviour is identical to a fresh workspace.
-    pub fn solve_observed_in(
-        &self,
-        ws: &mut GmresWorkspace,
-        op: &mut dyn ObservedOperator,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<KrylovOutcome, KrylovError> {
+    ) -> Result<KrylovOutcome> {
         let n = op.dim();
-        if b.len() != n || x.len() != n {
-            return Err(KrylovError::DimensionMismatch {
-                operator: n,
-                vector: if b.len() != n { b.len() } else { x.len() },
-            });
-        }
+        check_dimensions(n, b, x)?;
         if self.config.restart == 0 {
-            return Err(KrylovError::InvalidConfig(
+            return Err(LinalgError::InvalidConfig(
                 "GMRES restart length must be at least 1",
             ));
         }
@@ -208,7 +178,7 @@ impl Gmres {
         // True residual r = b − A x for the current iterate.
         let true_residual = |x: &mut [f64],
                              residual: &mut [f64],
-                             op: &mut dyn ObservedOperator,
+                             op: &mut dyn LinearOperator,
                              outcome: &mut KrylovOutcome| {
             op.apply(x, residual);
             outcome.matvecs += 1;
@@ -288,7 +258,7 @@ impl Gmres {
             }
 
             // Back-substitute R y = g and expand x += V y.
-            let mut y = vec![0.0f64; k];
+            let y = &mut ws.y[..k];
             for i in (0..k).rev() {
                 let mut acc = ws.g[i];
                 for j in (i + 1)..k {
@@ -296,7 +266,7 @@ impl Gmres {
                 }
                 let diag = ws.hess[(i, i)];
                 if diag.abs() <= f64::MIN_POSITIVE {
-                    return Err(KrylovError::Breakdown {
+                    return Err(LinalgError::Breakdown {
                         at_iteration: outcome.iterations,
                         residual: outcome.residual_history.last().copied().unwrap_or(1.0),
                     });
@@ -343,9 +313,9 @@ fn givens(a: f64, b: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::MatrixOperator;
-    use unsnap_linalg::vector::max_abs_diff;
-    use unsnap_linalg::{LinearSolver, LuSolver};
+    use crate::krylov::MatrixOperator;
+    use crate::vector::max_abs_diff;
+    use crate::{LinearSolver, LuSolver};
 
     fn dominant(n: usize) -> DenseMatrix {
         DenseMatrix::from_fn(n, n, |i, j| {
@@ -386,7 +356,7 @@ mod tests {
             max_iterations: 100,
             tolerance: 1e-12,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(outcome.converged, "history {:?}", outcome.residual_history);
         assert!(max_abs_diff(&x, &reference) < 1e-9);
@@ -407,7 +377,7 @@ mod tests {
             max_iterations: 4 * n,
             tolerance: 1e-11,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(outcome.converged);
         assert!(outcome.iterations <= n + 1);
@@ -426,7 +396,7 @@ mod tests {
             max_iterations: 400,
             tolerance: 1e-11,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(outcome.converged);
         assert!(max_abs_diff(&x, &reference) < 1e-8);
@@ -441,11 +411,15 @@ mod tests {
 
         let mut op = MatrixOperator::new(a);
         let mut cold = vec![0.0; n];
-        let cold_out = solver.solve(&mut op, &b, &mut cold).unwrap();
+        let cold_out = solver
+            .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut cold)
+            .unwrap();
 
         // Start from the converged answer: zero additional iterations.
         let mut warm = cold.clone();
-        let warm_out = solver.solve(&mut op, &b, &mut warm).unwrap();
+        let warm_out = solver
+            .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut warm)
+            .unwrap();
         assert!(warm_out.converged);
         assert_eq!(warm_out.iterations, 0);
         assert!(cold_out.iterations > 0);
@@ -468,7 +442,7 @@ mod tests {
             max_iterations: 200,
             tolerance: 1e-11,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(outcome.converged, "history {:?}", outcome.residual_history);
         let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
@@ -492,13 +466,13 @@ mod tests {
 
             let mut fresh_op = MatrixOperator::new(a.clone());
             let mut fresh_x = vec![0.0; n];
-            let fresh = solver.solve(&mut fresh_op, &b, &mut fresh_x).unwrap();
+            let fresh = solver
+                .solve(&mut GmresWorkspace::new(), &mut fresh_op, &b, &mut fresh_x)
+                .unwrap();
 
             let mut op = MatrixOperator::new(a);
             let mut x = vec![0.0; n];
-            let reused = solver
-                .solve_observed_in(&mut ws, &mut SilentOperator(&mut op), &b, &mut x)
-                .unwrap();
+            let reused = solver.solve(&mut ws, &mut op, &b, &mut x).unwrap();
 
             assert_eq!(fresh, reused, "outcome diverged at n = {n}");
             assert_eq!(fresh_x, x, "iterate diverged at n = {n}");
@@ -509,7 +483,9 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let mut op = MatrixOperator::new(dominant(5));
         let mut x = vec![3.0; 5];
-        let outcome = Gmres::default().solve(&mut op, &[0.0; 5], &mut x).unwrap();
+        let outcome = Gmres::default()
+            .solve(&mut GmresWorkspace::new(), &mut op, &[0.0; 5], &mut x)
+            .unwrap();
         assert!(outcome.converged);
         assert_eq!(outcome.iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0));
@@ -526,7 +502,7 @@ mod tests {
             max_iterations: 50,
             tolerance: 1e-12,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         // GMRES minimises the residual over a growing space: within the
         // (single) cycle the estimates never increase.
@@ -543,11 +519,11 @@ mod tests {
     fn dimension_mismatch_is_reported() {
         let mut op = MatrixOperator::new(dominant(4));
         let mut x = vec![0.0; 4];
-        let err = Gmres::default().solve(&mut op, &[1.0; 3], &mut x);
-        assert!(matches!(err, Err(KrylovError::DimensionMismatch { .. })));
+        let err = Gmres::default().solve(&mut GmresWorkspace::new(), &mut op, &[1.0; 3], &mut x);
+        assert!(matches!(err, Err(LinalgError::DimensionMismatch { .. })));
         let mut x_bad = vec![0.0; 2];
         assert!(Gmres::default()
-            .solve(&mut op, &[1.0; 4], &mut x_bad)
+            .solve(&mut GmresWorkspace::new(), &mut op, &[1.0; 4], &mut x_bad)
             .is_err());
     }
 
@@ -560,8 +536,8 @@ mod tests {
             ..GmresConfig::default()
         };
         assert!(matches!(
-            Gmres::new(cfg).solve(&mut op, &[1.0; 4], &mut x),
-            Err(KrylovError::InvalidConfig(_))
+            Gmres::new(cfg).solve(&mut GmresWorkspace::new(), &mut op, &[1.0; 4], &mut x),
+            Err(LinalgError::InvalidConfig(_))
         ));
     }
 
@@ -576,7 +552,7 @@ mod tests {
             max_iterations: 2,
             tolerance: 1e-14,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         assert!(!outcome.converged);
         assert_eq!(outcome.iterations, 2);

@@ -1,6 +1,8 @@
 //! # unsnap-linalg
 //!
-//! Small dense linear-algebra kernels for the UnSNAP mini-app.
+//! The linear algebra of the UnSNAP mini-app: the small dense solves of
+//! the sweep, and the matrix-free Krylov solvers ([`krylov`]) that call
+//! that sweep fewer times.
 //!
 //! The discontinuous Galerkin discrete-ordinates transport solve assembles
 //! one small dense linear system `A ψ = b` per *element × angle × energy
@@ -38,6 +40,29 @@
 //! lane ([`LinearSolver::solve_lanes_in_place`]) — the batch §IV-B of the
 //! paper describes and could not use under flat MPI.
 //!
+//! ## Choosing a solver
+//!
+//! The dense solvers above pick themselves: the problem's solver kind
+//! and the element size decide the routine of every local system.  The
+//! iterative solvers of [`krylov`] are for the systems whose matrix is
+//! never formed — the within-group transport operator, one sweep per
+//! application, and the low-order diffusion correction:
+//!
+//! | situation | reach for |
+//! |-----------|-----------|
+//! | operator nonsymmetric (transport `I − L⁻¹S`, upwinded anything) | [`krylov::Gmres`] |
+//! | operator SPD (diffusion, mass matrices, normal equations) | [`krylov::ConjugateGradient`] |
+//! | `c ≲ 0.5`, a handful of sweeps converge anyway | plain source iteration — a Krylov basis buys nothing |
+//! | `c ≥ 0.9` or tight tolerances | GMRES(m): sweep count grows like `√` of the SI count |
+//! | memory-bound at huge `n` | shrink the GMRES `restart`; CG if symmetry allows |
+//!
+//! Rules of thumb: GMRES(m) stores `m + 1` vectors of the operator
+//! dimension — on a transport problem that dimension is
+//! `nodes × cells × groups`, so restart lengths of 10–30 are plenty and
+//! memory stays far below the angular flux.  CG on a nonsymmetric
+//! operator silently diverges or errors with
+//! [`LinalgError::NotPositiveDefinite`]; when in doubt, use GMRES.
+//!
 //! ## Example
 //!
 //! ```
@@ -60,6 +85,7 @@
 pub mod blas;
 pub mod error;
 pub mod gauss;
+pub mod krylov;
 pub mod lu;
 pub mod matrix;
 pub mod solver;

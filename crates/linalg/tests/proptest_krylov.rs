@@ -2,14 +2,15 @@
 //!
 //! Strategy: generate random well-conditioned systems (strictly
 //! diagonally dominant for GMRES; `BᵀB + shift·I` for CG) and check the
-//! Krylov solutions against the dense LU factorisation from
-//! `unsnap-linalg`, plus the invariants every iterative solver must
+//! Krylov solutions against the dense LU factorisation, plus the invariants every iterative solver must
 //! satisfy (small residuals, linearity in the right-hand side, honest
 //! convergence reporting).
 
 use proptest::prelude::*;
 
-use unsnap_krylov::{CgConfig, ConjugateGradient, Gmres, GmresConfig, MatrixOperator};
+use unsnap_linalg::krylov::{
+    CgConfig, CgWorkspace, ConjugateGradient, Gmres, GmresConfig, GmresWorkspace, MatrixOperator,
+};
 use unsnap_linalg::vector::{max_abs_diff, norm2, norm_inf};
 use unsnap_linalg::{DenseMatrix, LinearSolver, LuSolver};
 
@@ -71,7 +72,7 @@ proptest! {
         let reference = LuSolver::new().solve(&a, &b).unwrap();
         let mut op = MatrixOperator::new(a);
         let mut x = vec![0.0; b.len()];
-        let outcome = tight_gmres(b.len()).solve(&mut op, &b, &mut x).unwrap();
+        let outcome = tight_gmres(b.len()).solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x).unwrap();
         prop_assert!(outcome.converged, "history {:?}", outcome.residual_history);
         let scale = norm_inf(&reference).max(1.0);
         prop_assert!(max_abs_diff(&x, &reference) < 1e-8 * scale);
@@ -82,7 +83,7 @@ proptest! {
         let reference = LuSolver::new().solve(&a, &b).unwrap();
         let mut op = MatrixOperator::new(a);
         let mut x = vec![0.0; b.len()];
-        let outcome = tight_gmres(restart).solve(&mut op, &b, &mut x).unwrap();
+        let outcome = tight_gmres(restart).solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x).unwrap();
         prop_assert!(outcome.converged);
         let scale = norm_inf(&reference).max(1.0);
         prop_assert!(max_abs_diff(&x, &reference) < 1e-7 * scale);
@@ -97,7 +98,7 @@ proptest! {
             max_iterations: 400,
             tolerance: 1e-12,
         })
-        .solve(&mut op, &b, &mut x)
+        .solve(&mut CgWorkspace::new(), &mut op, &b, &mut x)
         .unwrap();
         prop_assert!(outcome.converged, "history {:?}", outcome.residual_history);
         let scale = norm_inf(&reference).max(1.0);
@@ -110,7 +111,7 @@ proptest! {
         // ‖b − A x‖ / ‖b‖.
         let mut op = MatrixOperator::new(a);
         let mut x = vec![0.0; b.len()];
-        let outcome = tight_gmres(8).solve(&mut op, &b, &mut x).unwrap();
+        let outcome = tight_gmres(8).solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x).unwrap();
         let ax = op.matrix().matvec(&x).unwrap();
         let r: Vec<f64> = ax.iter().zip(b.iter()).map(|(axi, bi)| bi - axi).collect();
         let b_norm = norm2(&b);
@@ -124,10 +125,10 @@ proptest! {
     fn gmres_is_linear_in_the_rhs((a, b) in dominant_system(12), alpha in 0.5f64..4.0) {
         let mut op = MatrixOperator::new(a);
         let mut x1 = vec![0.0; b.len()];
-        tight_gmres(b.len()).solve(&mut op, &b, &mut x1).unwrap();
+        tight_gmres(b.len()).solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x1).unwrap();
         let scaled: Vec<f64> = b.iter().map(|v| alpha * v).collect();
         let mut x2 = vec![0.0; b.len()];
-        tight_gmres(b.len()).solve(&mut op, &scaled, &mut x2).unwrap();
+        tight_gmres(b.len()).solve(&mut GmresWorkspace::new(), &mut op, &scaled, &mut x2).unwrap();
         let x1_scaled: Vec<f64> = x1.iter().map(|v| alpha * v).collect();
         let scale = norm_inf(&x1_scaled).max(1.0);
         prop_assert!(max_abs_diff(&x1_scaled, &x2) < 1e-7 * scale);
@@ -138,7 +139,7 @@ proptest! {
         let n = b.len();
         let mut op = MatrixOperator::new(DenseMatrix::identity(n));
         let mut x = vec![0.0; n];
-        let outcome = tight_gmres(n).solve(&mut op, &b, &mut x).unwrap();
+        let outcome = tight_gmres(n).solve(&mut GmresWorkspace::new(), &mut op, &b, &mut x).unwrap();
         prop_assert!(outcome.converged);
         prop_assert!(outcome.iterations <= 1);
         prop_assert!(max_abs_diff(&x, &b) < 1e-9 * norm_inf(&b).max(1.0));

@@ -54,7 +54,7 @@ impl Decomposition2D {
     }
 
     /// Processor-grid coordinates of a rank.
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
+    fn coords_of(&self, rank: usize) -> (usize, usize) {
         debug_assert!(rank < self.num_ranks());
         (rank % self.npx, rank / self.npx)
     }

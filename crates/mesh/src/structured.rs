@@ -56,7 +56,7 @@ impl StructuredGrid {
     }
 
     /// Cell widths `(dx, dy, dz)`.
-    pub fn cell_widths(&self) -> (f64, f64, f64) {
+    fn cell_widths(&self) -> (f64, f64, f64) {
         (
             self.lx / self.nx as f64,
             self.ly / self.ny as f64,

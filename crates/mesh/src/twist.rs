@@ -42,7 +42,7 @@ impl MeshTwist {
     }
 
     /// Rotation angle at height `z`.
-    pub fn angle_at(&self, z: f64) -> f64 {
+    fn angle_at(&self, z: f64) -> f64 {
         self.max_angle * (z / self.height).clamp(0.0, 1.0)
     }
 

@@ -35,7 +35,7 @@ pub enum NeighborRef {
 
 impl NeighborRef {
     /// `true` if the face is on the domain boundary.
-    pub fn is_boundary(&self) -> bool {
+    fn is_boundary(&self) -> bool {
         matches!(self, NeighborRef::Boundary { .. })
     }
 
@@ -86,7 +86,7 @@ impl UnstructuredMesh {
     }
 
     /// Build the unstructured mesh with an explicit twist description.
-    pub fn from_structured_with_twist(grid: &StructuredGrid, twist: MeshTwist) -> Self {
+    fn from_structured_with_twist(grid: &StructuredGrid, twist: MeshTwist) -> Self {
         let n = grid.num_cells();
         let mut cell_corners = Vec::with_capacity(n);
         let mut neighbors = Vec::with_capacity(n);

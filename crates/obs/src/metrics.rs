@@ -132,7 +132,7 @@ impl Histogram {
     }
 
     /// Per-bucket sample counts (last entry is the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
+    fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 

@@ -49,7 +49,7 @@ use crate::json::{array_raw, JsonObject};
 
 /// Default ring-buffer bound: plenty for any bench-sized solve while
 /// keeping a runaway trace at tens of megabytes, not unbounded.
-pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
+const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
 /// One recorded span.
 ///
@@ -82,7 +82,7 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// Whether two records agree on every deterministic field
     /// (timestamps excluded).
-    pub fn same_structure(&self, other: &SpanRecord) -> bool {
+    fn same_structure(&self, other: &SpanRecord) -> bool {
         self.id == other.id
             && self.parent == other.parent
             && self.lane == other.lane
@@ -385,7 +385,7 @@ impl Tracer {
     }
 
     /// The current nesting depth of `lane` (0 = nothing open).
-    pub fn open_depth(&self, lane: usize) -> usize {
+    fn open_depth(&self, lane: usize) -> usize {
         self.stacks.get(lane).map_or(0, Vec::len)
     }
 

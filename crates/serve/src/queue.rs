@@ -95,14 +95,6 @@ impl JobState {
             JobState::Cancelled => "cancelled",
         }
     }
-
-    /// `true` once the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Failed | JobState::Cancelled
-        )
-    }
 }
 
 /// A point-in-time snapshot of one job, as the status endpoint reports
@@ -807,7 +799,10 @@ mod tests {
     fn wait_terminal(queue: &JobQueue, id: u64) -> JobStatus {
         for _ in 0..600 {
             let status = queue.status(id).expect("job exists");
-            if status.state.is_terminal() {
+            if matches!(
+                status.state,
+                JobState::Done | JobState::Failed | JobState::Cancelled
+            ) {
                 return status;
             }
             std::thread::sleep(Duration::from_millis(50));
@@ -1116,11 +1111,8 @@ mod tests {
     }
 
     #[test]
-    fn job_state_labels_and_terminality() {
+    fn job_state_labels() {
         assert_eq!(JobState::Queued.label(), "queued");
-        assert!(!JobState::Running.is_terminal());
-        for state in [JobState::Done, JobState::Failed, JobState::Cancelled] {
-            assert!(state.is_terminal());
-        }
+        assert_eq!(JobState::Cancelled.label(), "cancelled");
     }
 }

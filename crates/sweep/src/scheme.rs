@@ -69,7 +69,7 @@ pub enum ThreadedLoops {
 impl ThreadedLoops {
     /// The three variants that appear in Figures 3 and 4 (angle threading
     /// is not one of the paper's six).
-    pub fn figure_variants() -> [ThreadedLoops; 3] {
+    fn figure_variants() -> [ThreadedLoops; 3] {
         [
             ThreadedLoops::OuterOnly,
             ThreadedLoops::InnerOnly,

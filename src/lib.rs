@@ -15,8 +15,7 @@
 //! |-------|----------|
 //! | [`mesh`] (`unsnap-mesh`) | structured-derived unstructured hex meshes, twisting, KBA decomposition, `MeshError` |
 //! | [`fem`] (`unsnap-fem`) | arbitrary-order Lagrange elements, quadrature, per-element integrals |
-//! | [`linalg`] (`unsnap-linalg`) | small dense solvers: Gaussian elimination, reference LU, blocked LU (MKL stand-in) |
-//! | [`krylov`] (`unsnap-krylov`) | matrix-free Krylov solvers (restarted GMRES, CG) over an abstract `LinearOperator`, with observed solves and reusable workspaces |
+//! | [`linalg`] (`unsnap-linalg`) | small dense solvers: Gaussian elimination, reference LU, blocked LU (MKL stand-in); and in [`linalg::krylov`] the matrix-free Krylov solvers (restarted GMRES, CG) over an abstract `LinearOperator`, with residual streaming and reusable workspaces |
 //! | [`accel`] (`unsnap-accel`) | diffusion synthetic acceleration: mesh-consistent low-order diffusion operator + CG correction solver |
 //! | [`sweep`] (`unsnap-sweep`) | wavefront (tlevel-bucket) schedules, one per upwind pattern, and concurrency schemes |
 //! | [`obs`] (`unsnap-obs`) | dependency-free observability: `Clock`/`MockClock`, metrics registry with deterministic/wall-clock split, fixed-bucket histograms, JSON writer/reader, JSONL run logs |
@@ -77,7 +76,6 @@ pub use unsnap_accel as accel;
 pub use unsnap_comm as comm;
 pub use unsnap_core as core;
 pub use unsnap_fem as fem;
-pub use unsnap_krylov as krylov;
 pub use unsnap_linalg as linalg;
 pub use unsnap_mesh as mesh;
 pub use unsnap_obs as obs;
@@ -108,9 +106,9 @@ pub mod prelude {
     };
     pub use unsnap_core::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
     pub use unsnap_fem::{ElementIntegrals, HexVertices, ReferenceElement};
-    pub use unsnap_krylov::{
-        CgConfig, CgWorkspace, ConjugateGradient, Gmres, GmresConfig, LinearOperator,
-        MatrixOperator, ObservedOperator,
+    pub use unsnap_linalg::krylov::{
+        CgConfig, CgWorkspace, ConjugateGradient, Gmres, GmresConfig, GmresWorkspace,
+        LinearOperator, MatrixOperator,
     };
     pub use unsnap_linalg::{DenseMatrix, LinearSolver, SolverKind};
     pub use unsnap_mesh::{Decomposition2D, MeshError, StructuredGrid, UnstructuredMesh};
