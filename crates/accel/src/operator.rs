@@ -125,16 +125,6 @@ impl DiffusionOperator {
             faces,
         }
     }
-
-    /// Number of (local) cells.
-    pub fn num_cells(&self) -> usize {
-        self.num_cells
-    }
-
-    /// Number of energy groups.
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
-    }
 }
 
 impl LinearOperator for DiffusionOperator {
@@ -235,9 +225,9 @@ mod tests {
         // on group 0.
         let mut op = operator(2, 3, 0.5);
         let n = op.dim();
-        let ng = op.num_groups();
+        let ng = op.num_groups;
         let mut x = vec![0.0; n];
-        for cell in 0..op.num_cells() {
+        for cell in 0..op.num_cells {
             x[cell * ng] = 1.0 + cell as f64;
         }
         let mut y = vec![0.0; n];

@@ -87,11 +87,6 @@ impl DsaSolver {
         }
     }
 
-    /// The assembled low-order operator.
-    pub fn operator(&self) -> &DiffusionOperator {
-        &self.operator
-    }
-
     /// Solve `A e = rhs` from a zero guess, streaming every CG residual
     /// (iteration index, relative residual) through `on_residual`, and
     /// return the correction alongside the CG outcome.
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn solves_and_streams_every_residual() {
         let mut s = solver(0.9);
-        let rhs = vec![1.0; s.operator().dim()];
+        let rhs = vec![1.0; s.operator.dim()];
         let mut streamed = Vec::new();
         let (correction, outcome) = s.solve(&rhs, |_, r| streamed.push(r)).unwrap();
         assert!(outcome.converged);
@@ -149,7 +144,7 @@ mod tests {
     #[test]
     fn repeated_solves_are_bitwise_stable() {
         let mut s = solver(0.99);
-        let rhs: Vec<f64> = (0..s.operator().dim())
+        let rhs: Vec<f64> = (0..s.operator.dim())
             .map(|i| ((i * 7) % 5) as f64 - 1.0)
             .collect();
         let (first, first_out) = {
@@ -164,7 +159,7 @@ mod tests {
     #[test]
     fn zero_rhs_is_a_zero_correction() {
         let mut s = solver(0.5);
-        let rhs = vec![0.0; s.operator().dim()];
+        let rhs = vec![0.0; s.operator.dim()];
         let (correction, outcome) = s.solve(&rhs, |_, _| {}).unwrap();
         assert!(outcome.converged);
         assert!(correction.iter().all(|&e| e == 0.0));

@@ -25,7 +25,7 @@
 //!   solves its local within-group system `(I − D L_r⁻¹ S_w) φ_r =
 //!   D L_r⁻¹ q_ext,r` to tolerance with a matrix-free GMRES(m) whose
 //!   Krylov space is reused across halo iterations
-//!   ([`GmresWorkspace`](unsnap_linalg::krylov::GmresWorkspace)).  The lagged
+//!   (`unsnap_linalg::krylov::GmresWorkspace`).  The lagged
 //!   halo data is *affine*
 //!   right-hand-side inflow, so operator applications sweep with
 //!   homogeneous boundary **and** halo inflow (the halo-aware residual
@@ -58,8 +58,6 @@
 
 use std::time::Instant;
 
-use unsnap_obs::clock::Clock;
-
 use unsnap_core::domain::{DomainContext, HaloFlux, SharedAssets, SweepDomain};
 use unsnap_core::error::Result;
 use unsnap_core::layout::{FluxLayout, FluxStorage};
@@ -78,7 +76,6 @@ use unsnap_mesh::{Decomposition2D, Subdomain};
 /// lagged angular flux on the faces of their cuts.
 pub struct BlockJacobiSolver {
     assets: SharedAssets,
-    decomposition: Decomposition2D,
     subdomains: Vec<Subdomain>,
     /// One sweep domain per rank, indexed by rank id.  Each is handed to
     /// a member of the rank team by `&mut` every halo iteration.
@@ -135,7 +132,6 @@ impl BlockJacobiSolver {
             rank_stats: vec![RunStats::default(); subdomains.len()],
             halo,
             assets,
-            decomposition,
             subdomains,
             domains,
             phi: FluxStorage::zeros(scalar_layout),
@@ -143,11 +139,6 @@ impl BlockJacobiSolver {
             width,
             control: RunControl::default(),
         })
-    }
-
-    /// The problem this solver was built for.
-    pub fn problem(&self) -> &Problem {
-        &self.assets.problem
     }
 
     /// Install recovered state so the next run continues from a
@@ -161,26 +152,6 @@ impl BlockJacobiSolver {
     /// φ and the halo.
     pub fn resume_from(&mut self, point: ResumePoint) -> Result<()> {
         install_resume(self, point)
-    }
-
-    /// Replace the solver's time source (e.g. with a
-    /// [`MockClock`](unsnap_obs::clock::MockClock)).  Rank solves run
-    /// concurrently, so under a shared mock the per-rank span lengths
-    /// depend on the interleaving — pin wall-clock exactness on the
-    /// single-domain solver instead; here the mock only makes timing
-    /// reproducible in the aggregate-count sense.
-    pub fn set_clock(&mut self, clock: Box<dyn Clock>) {
-        self.assets.clock = clock;
-    }
-
-    /// The decomposition in use.
-    pub fn decomposition(&self) -> Decomposition2D {
-        self.decomposition
-    }
-
-    /// The rank subdomains.
-    pub fn subdomains(&self) -> &[Subdomain] {
-        &self.subdomains
     }
 
     /// The scalar flux after `run`.
@@ -495,10 +466,10 @@ mod tests {
     fn multi_rank_partition_is_complete() {
         let p = base_problem();
         let solver = BlockJacobiSolver::new(&p, Decomposition2D::new(2, 2)).unwrap();
-        let total: usize = solver.subdomains().iter().map(|s| s.num_cells()).sum();
+        let total: usize = solver.subdomains.iter().map(|s| s.num_cells()).sum();
         assert_eq!(total, p.num_cells());
         assert!(solver.total_halo_faces() > 0);
-        assert_eq!(solver.decomposition().num_ranks(), 4);
+        assert_eq!(solver.domains.len(), 4);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   via a per-rank
 //!   [`InnerSolveContext`](unsnap_core::strategy::InnerSolveContext), so
 //!   plain source iteration *and* sweep-preconditioned GMRES (with a
-//!   reused per-rank [`GmresWorkspace`](unsnap_linalg::krylov::GmresWorkspace))
+//!   reused per-rank `unsnap_linalg::krylov::GmresWorkspace`)
 //!   both scale out, and per-rank progress streams to the
 //!   [`RunObserver`](unsnap_core::session::RunObserver) on
 //!   [`Lane::Rank`](unsnap_core::session::Lane) in deterministic rank

@@ -107,11 +107,6 @@ impl AngularQuadrature {
         }
     }
 
-    /// Number of angles per octant.
-    pub fn angles_per_octant(&self) -> usize {
-        self.angles_per_octant
-    }
-
     /// Total number of ordinates (`8 ×` angles per octant).
     pub fn num_angles(&self) -> usize {
         self.directions.len()
@@ -121,12 +116,6 @@ impl AngularQuadrature {
     /// …).
     pub fn directions(&self) -> &[Direction] {
         &self.directions
-    }
-
-    /// The ordinates of one octant.
-    pub fn octant(&self, octant: usize) -> &[Direction] {
-        let n = self.angles_per_octant;
-        &self.directions[octant * n..(octant + 1) * n]
     }
 }
 
@@ -138,11 +127,11 @@ mod tests {
     fn counts_and_octants() {
         for n in [1usize, 3, 6, 10, 36] {
             let q = AngularQuadrature::product(n);
-            assert_eq!(q.angles_per_octant(), n);
+            assert_eq!(q.angles_per_octant, n);
             assert_eq!(q.num_angles(), 8 * n);
             for oct in 0..8 {
-                assert_eq!(q.octant(oct).len(), n);
-                for (i, d) in q.octant(oct).iter().enumerate() {
+                assert_eq!(q.directions[oct * n..(oct + 1) * n].len(), n);
+                for (i, d) in q.directions[oct * n..(oct + 1) * n].iter().enumerate() {
                     assert_eq!(d.octant, oct);
                     assert_eq!(d.index_in_octant, i);
                 }

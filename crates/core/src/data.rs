@@ -34,7 +34,7 @@ impl MaterialOption {
     /// Stable wire label (`option1`/`option2`), round-tripped by
     /// [`FromStr`](std::str::FromStr) like the workspace's other enum
     /// knobs.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             MaterialOption::Option1 => "option1",
             MaterialOption::Option2 => "option2",
@@ -74,7 +74,7 @@ impl SourceOption {
     /// Stable wire label (`option1`/`option2`), round-tripped by
     /// [`FromStr`](std::str::FromStr) like the workspace's other enum
     /// knobs.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             SourceOption::Option1 => "option1",
             SourceOption::Option2 => "option2",
@@ -241,13 +241,8 @@ impl CrossSections {
         }
     }
 
-    /// Number of energy groups.
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
-    }
-
     /// Number of materials.
-    pub fn num_materials(&self) -> usize {
+    pub(crate) fn num_materials(&self) -> usize {
         self.num_materials
     }
 
@@ -259,7 +254,7 @@ impl CrossSections {
 
     /// Total cross sections σ_t of `material` for a run of groups.
     #[inline]
-    pub fn totals(&self, material: usize, groups: std::ops::Range<usize>) -> &[f64] {
+    pub(crate) fn totals(&self, material: usize, groups: std::ops::Range<usize>) -> &[f64] {
         debug_assert!(groups.end <= self.num_groups);
         &self.total[material * self.num_groups..][groups]
     }
@@ -361,7 +356,7 @@ impl ProblemData {
 
     /// Fixed source density of a cell.
     #[inline]
-    pub fn fixed_source(&self, cell: usize) -> f64 {
+    pub(crate) fn fixed_source(&self, cell: usize) -> f64 {
         self.fixed_source_of_cell[cell]
     }
 }
@@ -373,7 +368,7 @@ mod tests {
     #[test]
     fn generated_sizes() {
         let xs = CrossSections::generate(16, 2);
-        assert_eq!(xs.num_groups(), 16);
+        assert_eq!(xs.num_groups, 16);
         assert_eq!(xs.num_materials(), 2);
     }
 

@@ -78,7 +78,7 @@ use crate::layout::{FluxLayout, FluxStorage};
 use crate::problem::Problem;
 use crate::session::{Lane, Phase, RunObserver, SolveEvent};
 use crate::solver::RunStats;
-use crate::strategy::{AcceleratorKind, InnerSolveContext};
+use crate::strategy::InnerSolveContext;
 use crate::team::{self, sweep_team, AngleFold, BucketTeam, SlabInHand, Turn};
 
 /// The read-only half of a solve, shared by every domain of a driver.
@@ -1156,10 +1156,6 @@ impl InnerSolveContext for DomainContext<'_> {
         self.assets.clock.now()
     }
 
-    fn gmres_restart(&self) -> usize {
-        self.assets.problem.gmres_restart
-    }
-
     fn compute_source(&mut self) {
         self.assemble_source(true);
     }
@@ -1235,10 +1231,6 @@ impl InnerSolveContext for DomainContext<'_> {
 
     fn put_krylov_workspace(&mut self, workspace: GmresWorkspace) {
         self.domain.krylov = Some(workspace);
-    }
-
-    fn accelerator(&self) -> AcceleratorKind {
-        self.assets.problem.accelerator
     }
 
     fn dsa_correct(

@@ -46,7 +46,7 @@ use crate::solver::RunStats;
 /// DSA-SI never diverges on optically thick cells (the bare
 /// inconsistent scheme diverges for `σ_t h ≳ 3`), small enough that the
 /// `σ_t h ≈ 1` regime keeps its full acceleration.
-pub const THICK_CELL_STABILISATION: f64 = 0.0625;
+pub(crate) const THICK_CELL_STABILISATION: f64 = 0.0625;
 
 /// Restriction/prolongation glue plus the owned low-order solver; see
 /// the [module docs](self).
@@ -148,11 +148,6 @@ impl DsaAccelerator {
         }
     }
 
-    /// The flux layout this accelerator was built for.
-    pub fn layout(&self) -> &FluxLayout {
-        &self.layout
-    }
-
     /// Apply one DSA correction to `phi` in place.
     ///
     /// `previous` is the iterate the sweep started from (`φ^l`); `phi`
@@ -161,7 +156,7 @@ impl DsaAccelerator {
     /// `stats` (`accel_cg_iterations`, `accel_residual_history`) and
     /// every CG residual streams as a
     /// [`SolveEvent::AccelResidual`].
-    pub fn correct(
+    pub(crate) fn correct(
         &mut self,
         phi: &mut [f64],
         previous: &[f64],
@@ -250,7 +245,7 @@ mod tests {
     #[test]
     fn zero_residual_leaves_the_flux_untouched() {
         let mut acc = accelerator(2, 2, 0.9);
-        let n = acc.layout().len();
+        let n = acc.layout.len();
         let phi_ref: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut phi = phi_ref.clone();
         let mut stats = RunStats::default();
@@ -265,7 +260,7 @@ mod tests {
         // A uniformly positive sweep update means the error estimate is
         // positive everywhere: the correction must add, not subtract.
         let mut acc = accelerator(3, 1, 0.95);
-        let n = acc.layout().len();
+        let n = acc.layout.len();
         let previous = vec![0.0; n];
         let half = vec![1.0; n];
         let mut phi = half.clone();
@@ -283,7 +278,7 @@ mod tests {
     #[test]
     fn correction_is_nodewise_constant_per_cell() {
         let mut acc = accelerator(2, 1, 0.9);
-        let layout = *acc.layout();
+        let layout = acc.layout;
         let n = layout.len();
         let previous = vec![0.0; n];
         // A non-uniform update: cell averages differ.

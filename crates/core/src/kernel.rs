@@ -71,13 +71,8 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Every kernel, in fixed ablation order.
-    pub fn all() -> [KernelKind; 2] {
-        [KernelKind::Reference, KernelKind::Blocked]
-    }
-
     /// Short name used in tables, on the wire and for CLI selection.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             KernelKind::Reference => "reference",
             KernelKind::Blocked => "blocked",
@@ -174,7 +169,7 @@ impl<'a> LaneSegment<'a> {
     /// The segment of `sigma_t.len()` groups of the element `cache_key`
     /// names, with its inflow faces `upwind` (at most six).
     #[inline]
-    pub fn new(
+    pub(crate) fn new(
         cache_key: usize,
         integrals: &'a ElementIntegrals,
         sigma_t: &'a [f64],
@@ -197,7 +192,7 @@ impl<'a> LaneSegment<'a> {
     }
 
     /// The inflow faces.
-    pub fn upwind(&self) -> &[UpwindFace<'a>] {
+    pub(crate) fn upwind(&self) -> &[UpwindFace<'a>] {
         &self.inflow[..self.faces]
     }
 
@@ -489,7 +484,7 @@ pub struct KernelTiming {
 
 impl KernelTiming {
     /// Accumulate another timing into this one.
-    pub fn accumulate(&mut self, other: KernelTiming) {
+    pub(crate) fn accumulate(&mut self, other: KernelTiming) {
         self.assemble_ns += other.assemble_ns;
         self.solve_ns += other.solve_ns;
     }
@@ -1156,7 +1151,7 @@ mod tests {
 
     #[test]
     fn kernel_kind_round_trips_through_strings() {
-        for kind in KernelKind::all() {
+        for kind in [KernelKind::Reference, KernelKind::Blocked] {
             let parsed: KernelKind = kind.label().parse().unwrap();
             assert_eq!(parsed, kind);
             assert_eq!(format!("{kind}"), kind.label());
@@ -1911,7 +1906,7 @@ mod tests {
             &solver,
             &mut oracle,
         );
-        for kind in KernelKind::all() {
+        for kind in [KernelKind::Reference, KernelKind::Blocked] {
             let engine = KernelEngine::new(kind, Precision::F64);
             let mut scratch = KernelScratch::new(n);
             engine.assemble_solve(

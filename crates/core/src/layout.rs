@@ -42,7 +42,7 @@ pub enum Precision {
 
 impl Precision {
     /// Short name used on the wire.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Precision::F64 => "f64",
         }
@@ -130,7 +130,7 @@ impl FluxLayout {
 
     /// Flat index of the first node of `(element, group, angle)`.
     #[inline]
-    pub fn base(&self, element: usize, group: usize, angle: usize) -> usize {
+    pub(crate) fn base(&self, element: usize, group: usize, angle: usize) -> usize {
         debug_assert!(element < self.num_elements);
         debug_assert!(group < self.num_groups);
         debug_assert!(angle < self.num_angles);
@@ -205,42 +205,14 @@ impl FluxStorage {
 
     /// Mutable node slice for `(element, group, angle)`.
     #[inline]
-    pub fn nodes_mut(&mut self, element: usize, group: usize, angle: usize) -> &mut [f64] {
+    pub(crate) fn nodes_mut(&mut self, element: usize, group: usize, angle: usize) -> &mut [f64] {
         let base = self.layout.base(element, group, angle);
         &mut self.data[base..base + self.layout.nodes_per_element]
-    }
-
-    /// Read a single value.
-    #[inline]
-    pub fn get(&self, node: usize, element: usize, group: usize, angle: usize) -> f64 {
-        self.data[self.layout.index(node, element, group, angle)]
-    }
-
-    /// Write a single value.
-    #[inline]
-    pub fn set(&mut self, node: usize, element: usize, group: usize, angle: usize, value: f64) {
-        let idx = self.layout.index(node, element, group, angle);
-        self.data[idx] = value;
     }
 
     /// Fill the whole array with a value.
     pub fn fill(&mut self, value: f64) {
         self.data.iter_mut().for_each(|x| *x = value);
-    }
-
-    /// Sum of all entries (used by tests and the conservation checks).
-    pub fn total(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Maximum absolute pointwise difference against another storage of
-    /// identical layout.
-    pub fn max_abs_diff(&self, other: &FluxStorage) -> f64 {
-        assert_eq!(self.layout, other.layout, "layout mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0, |m, (a, b)| m.max((a - b).abs()))
     }
 }
 
@@ -317,18 +289,8 @@ mod tests {
             // Other slices untouched.
             assert_eq!(s.nodes(2, 2, 0), &[0.0; 8]);
             assert_eq!(s.nodes(3, 1, 0), &[0.0; 8]);
-            assert!((s.total() - 56.0).abs() < 1e-12);
+            assert_eq!(s.as_slice().iter().sum::<f64>(), 56.0);
         }
-    }
-
-    #[test]
-    fn get_set_round_trip() {
-        let l = FluxLayout::scalar(4, 5, 3, LoopOrder::ElementThenGroup);
-        let mut s = FluxStorage::zeros(l);
-        s.set(2, 4, 1, 0, 3.25);
-        assert_eq!(s.get(2, 4, 1, 0), 3.25);
-        s.fill(1.0);
-        assert_eq!(s.total(), l.len() as f64);
     }
 
     #[test]
@@ -340,7 +302,8 @@ mod tests {
                     for g in 0..2 {
                         for node in 0..3 {
                             let value = (1000 * angle + 100 * e + 10 * g + node) as f64;
-                            s.set(node, e, g, angle, value);
+                            let i = s.layout.index(node, e, g, angle);
+                            s.data[i] = value;
                         }
                     }
                 }
@@ -353,7 +316,6 @@ mod tests {
         let mut sorted = [a.as_slice().to_vec(), b.as_slice().to_vec()];
         sorted.iter_mut().for_each(|v| v.sort_by(f64::total_cmp));
         assert_eq!(sorted[0], sorted[1]);
-        assert_eq!(a.max_abs_diff(&a), 0.0);
     }
 
     #[test]
@@ -364,13 +326,5 @@ mod tests {
         assert_eq!("DOUBLE".parse::<Precision>(), Ok(Precision::F64));
         assert!("f16".parse::<Precision>().is_err());
         assert_eq!(Precision::default(), Precision::F64);
-    }
-
-    #[test]
-    #[should_panic]
-    fn max_abs_diff_requires_same_layout() {
-        let a = FluxStorage::zeros(FluxLayout::scalar(2, 2, 2, LoopOrder::ElementThenGroup));
-        let b = FluxStorage::zeros(FluxLayout::scalar(2, 2, 2, LoopOrder::GroupThenElement));
-        let _ = a.max_abs_diff(&b);
     }
 }

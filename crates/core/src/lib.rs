@@ -60,9 +60,8 @@
 //! * [`strategy`] — the inner iterations of one outer iteration:
 //!   [`StrategyKind::run_inners`] is classic source iteration,
 //!   DSA-accelerated source iteration or sweep-preconditioned GMRES (via
-//!   `unsnap_linalg::krylov`) over the [`strategy::InnerSolveContext`] a driver
-//!   hands it, plus the [`AcceleratorKind`](strategy::AcceleratorKind)
-//!   knob.
+//!   `unsnap_linalg::krylov`, restart length 20) over the
+//!   [`strategy::InnerSolveContext`] a driver hands it.
 //! * [`dsa`] — restriction/prolongation glue between the DG flux
 //!   storage and the low-order diffusion solver of `unsnap-accel`.
 //! * [`problem`] — [`Problem`], the one description of a run: the paper's
@@ -80,7 +79,7 @@
 //! // open a session (which validates it), run it.
 //! let mut session = Session::new(&Problem::tiny()).unwrap();
 //! let outcome = session.run().unwrap();
-//! assert!(outcome.scalar_flux_total() > 0.0);
+//! assert!(outcome.scalar_flux_total > 0.0);
 //! ```
 
 #![warn(missing_docs)]

@@ -17,7 +17,7 @@ use crate::data::{MaterialOption, SourceOption};
 use crate::error::{Error, Result};
 use crate::kernel::KernelKind;
 use crate::layout::Precision;
-use crate::strategy::{AcceleratorKind, StrategyKind};
+use crate::strategy::StrategyKind;
 
 /// Full description of an UnSNAP run.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,21 +59,11 @@ pub struct Problem {
     pub convergence_tolerance: f64,
     /// Local dense solver back end (GE, reference LU or the MKL stand-in).
     pub solver: SolverKind,
-    /// Inner-iteration strategy: classic source iteration or the
-    /// sweep-preconditioned Krylov solve.
+    /// Inner-iteration strategy: source iteration, DSA-accelerated
+    /// source iteration or the sweep-preconditioned Krylov solve.
     pub strategy: StrategyKind,
-    /// GMRES restart length `m` (only read by the Krylov strategies).
-    pub gmres_restart: usize,
-    /// Optional low-order accelerator for the Krylov strategies: with
-    /// [`AcceleratorKind::Dsa`], `SweepGmres` solves the
-    /// DSA-preconditioned fixed point (each operator application adds a
-    /// low-order diffusion correction).  The dedicated
-    /// [`StrategyKind::DsaSourceIteration`] strategy always applies DSA
-    /// regardless of this knob; plain `SourceIteration` ignores — and
-    /// [`Problem::validate`] rejects — a dangling accelerator selection.
-    pub accelerator: AcceleratorKind,
-    /// Relative residual target of the low-order DSA CG solve (read
-    /// whenever a DSA correction runs).
+    /// Relative residual target of the low-order DSA CG solve (read by
+    /// [`StrategyKind::DsaSourceIteration`]).
     pub accel_cg_tolerance: f64,
     /// Iteration cap of the low-order DSA CG solve.
     pub accel_cg_iterations: usize,
@@ -145,8 +135,6 @@ impl Problem {
             convergence_tolerance: 0.0,
             solver: SolverKind::GaussianElimination,
             strategy: StrategyKind::SourceIteration,
-            gmres_restart: 20,
-            accelerator: AcceleratorKind::None,
             accel_cg_tolerance: 1e-8,
             accel_cg_iterations: 200,
             subdomain_krylov_budget: None,
@@ -408,19 +396,6 @@ impl Problem {
         self
     }
 
-    /// Override the low-order accelerator selection.
-    pub fn with_accelerator(mut self, accelerator: AcceleratorKind) -> Self {
-        self.accelerator = accelerator;
-        self
-    }
-
-    /// Override the low-order DSA CG tolerance and iteration cap.
-    pub fn with_accel_cg(mut self, tolerance: f64, max_iterations: usize) -> Self {
-        self.accel_cg_tolerance = tolerance;
-        self.accel_cg_iterations = max_iterations;
-        self
-    }
-
     /// Override the dedicated per-rank subdomain Krylov budget (see
     /// [`Problem::subdomain_krylov_budget`]).
     pub fn with_subdomain_krylov_budget(mut self, budget: usize) -> Self {
@@ -583,12 +558,6 @@ impl Problem {
                 ),
             ));
         }
-        if self.gmres_restart == 0 {
-            return Err(Error::invalid_problem(
-                "gmres_restart",
-                "GMRES restart length must be at least 1",
-            ));
-        }
         if !(self.accel_cg_tolerance > 0.0 && self.accel_cg_tolerance.is_finite()) {
             return Err(Error::invalid_problem(
                 "accel_cg_tolerance",
@@ -637,16 +606,6 @@ impl Problem {
                     format!("upscatter fraction must lie in (0, 1), got {u}"),
                 ));
             }
-        }
-        if self.accelerator == AcceleratorKind::Dsa
-            && self.strategy == StrategyKind::SourceIteration
-        {
-            return Err(Error::invalid_problem(
-                "accelerator",
-                "plain source iteration never applies the DSA accelerator; select the \
-                 dsa-si strategy (StrategyKind::DsaSourceIteration) or the gmres strategy \
-                 to make the accelerator effective",
-            ));
         }
         if !(self.convergence_tolerance >= 0.0 && self.convergence_tolerance.is_finite()) {
             return Err(Error::invalid_problem(
@@ -825,7 +784,6 @@ mod tests {
             ("twist", tiny_with(|p| p.twist = -0.1)),
             ("twist", tiny_with(|p| p.twist = f64::INFINITY)),
             ("twist", tiny_with(|p| p.twist = f64::NAN)),
-            ("gmres_restart", tiny_with(|p| p.gmres_restart = 0)),
             (
                 "accel_cg_tolerance",
                 tiny_with(|p| p.accel_cg_tolerance = 0.0),
@@ -868,12 +826,6 @@ mod tests {
             ("upscatter_ratio", split().with_upscatter_ratio(1.0)),
             ("upscatter_ratio", split().with_upscatter_ratio(-0.5)),
             ("upscatter_ratio", split().with_upscatter_ratio(f64::NAN)),
-            // Plain source iteration never reads the accelerator: a
-            // dangling selection would be silently ignored.
-            (
-                "accelerator",
-                tiny_with(|p| p.accelerator = AcceleratorKind::Dsa),
-            ),
             (
                 "convergence_tolerance",
                 tiny_with(|p| p.convergence_tolerance = f64::NAN),
@@ -910,14 +862,6 @@ mod tests {
             // The conservative-medium limit c = 1 is expressible.
             Problem::tiny().with_scattering_ratio(1.0),
             split().with_upscatter_ratio(0.2),
-            // DSA with a strategy that reads the knob, and DSA-SI without
-            // the knob (the strategy implies it).
-            Problem::tiny()
-                .with_strategy(StrategyKind::DsaSourceIteration)
-                .with_accelerator(AcceleratorKind::Dsa),
-            Problem::tiny()
-                .with_strategy(StrategyKind::SweepGmres)
-                .with_accelerator(AcceleratorKind::Dsa),
             Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration),
         ];
         for problem in accepted {
@@ -939,15 +883,10 @@ mod tests {
     }
 
     #[test]
-    fn accel_and_subdomain_builders_apply() {
+    fn subdomain_builder_applies() {
         let p = Problem::tiny()
             .with_strategy(StrategyKind::SweepGmres)
-            .with_accelerator(AcceleratorKind::Dsa)
-            .with_accel_cg(1e-10, 50)
             .with_subdomain_krylov_budget(7);
-        assert_eq!(p.accelerator, AcceleratorKind::Dsa);
-        assert_eq!(p.accel_cg_tolerance, 1e-10);
-        assert_eq!(p.accel_cg_iterations, 50);
         assert_eq!(p.subdomain_krylov_budget, Some(7));
         assert!(p.validate().is_ok());
     }

@@ -43,7 +43,7 @@ pub fn table1_text(max_order: usize) -> String {
 /// One-line iteration summary of a solve — single-domain or block-Jacobi
 /// (whose counters are sums over ranks) — including the Krylov counters
 /// when the run used a Krylov strategy.
-pub fn iteration_summary(outcome: &SolveOutcome) -> String {
+pub(crate) fn iteration_summary(outcome: &SolveOutcome) -> String {
     let mut out = format!(
         "{} in {} sweeps ({} inner iterations)",
         if outcome.converged {

@@ -220,8 +220,7 @@ pub enum SolveEvent {
     /// The low-order DSA correction solve reported a CG residual (one
     /// event per entry of
     /// [`SolveOutcome::accel_residual_history`](crate::solver::SolveOutcome::accel_residual_history);
-    /// only fires when DSA is active — the `DSA-SI` strategy or the
-    /// DSA-preconditioned GMRES path).
+    /// only fires under the `DSA-SI` strategy).
     AccelResidual {
         /// Low-order CG iterations completed within the current solve.
         iteration: usize,
@@ -366,7 +365,7 @@ impl EventLog {
 
     /// Replay the buffered stream into `observer` on the recorded
     /// lanes, in emission order.
-    pub fn replay(&self, observer: &mut dyn RunObserver) {
+    pub(crate) fn replay(&self, observer: &mut dyn RunObserver) {
         for (lane, event) in &self.events {
             observer.on_event(*lane, event);
         }
@@ -850,11 +849,6 @@ impl Session {
         })
     }
 
-    /// The problem this session solves.
-    pub fn problem(&self) -> &Problem {
-        self.solver.problem()
-    }
-
     /// The underlying solver (schedules, quadrature, flux state).
     pub fn solver(&self) -> &TransportSolver {
         &self.solver
@@ -965,7 +959,6 @@ mod tests {
         let mut session = Session::new(&Problem::tiny()).unwrap();
         let outcome = session.run().unwrap();
         assert!(outcome.scalar_flux_total > 0.0);
-        assert_eq!(session.problem(), &Problem::tiny());
     }
 
     #[test]

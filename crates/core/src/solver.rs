@@ -34,12 +34,9 @@
 
 use std::time::{Duration, Instant};
 
-use unsnap_mesh::UnstructuredMesh;
-use unsnap_obs::clock::Clock;
 use unsnap_obs::trace::TraceTree;
 use unsnap_sweep::{SweepSchedules, ThreadedLoops};
 
-use crate::angular::AngularQuadrature;
 use crate::cancel::CancelToken;
 use crate::domain::{DomainContext, SharedAssets, SweepDomain};
 use crate::error::{Error, Result};
@@ -49,7 +46,7 @@ use crate::problem::Problem;
 use crate::session::{
     run_with_telemetry, EventLog, Lane, NoopObserver, Phase, RunMetrics, RunObserver, SolveEvent,
 };
-use crate::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
+use crate::strategy::{InnerSolveContext, StrategyKind};
 
 /// The per-rank detail a block-Jacobi solve adds to its [`SolveOutcome`].
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +95,7 @@ pub struct SolveOutcome {
     /// iterations (empty under plain source iteration).
     pub krylov_residual_history: Vec<f64>,
     /// Low-order DSA CG iterations executed (zero unless the `DSA-SI`
-    /// strategy or DSA-preconditioned GMRES ran).  These are *not*
+    /// strategy ran).  These are *not*
     /// sweeps: the low-order system is `nodes × angles` times smaller
     /// than the transport system.
     pub accel_cg_iterations: usize,
@@ -157,11 +154,6 @@ impl SolveOutcome {
         } else {
             self.kernel_solve_seconds / total
         }
-    }
-
-    /// Sum of the scalar flux (alias kept for API clarity in examples).
-    pub fn scalar_flux_total(&self) -> f64 {
-        self.scalar_flux_total
     }
 
     /// Serialise the outcome as a JSON object (via the workspace's
@@ -580,36 +572,11 @@ impl TransportSolver {
         install_resume(self, point)
     }
 
-    /// Replace the solver's time source.
-    ///
-    /// Tests inject a [`MockClock`](unsnap_obs::clock::MockClock) here
-    /// to pin the wall-clock metrics (phase seconds, per-sweep latency)
-    /// to exact values; deterministic metrics never read the clock and
-    /// are unaffected.
-    pub fn set_clock(&mut self, clock: Box<dyn Clock>) {
-        self.assets.clock = clock;
-    }
-
-    /// The problem this solver was built for.
-    pub fn problem(&self) -> &Problem {
-        &self.assets.problem
-    }
-
     /// Arm cooperative cancellation: subsequent runs poll `token` at
     /// every outer-iteration boundary and bail out with
     /// [`Error::Cancelled`] once it fires (see [`crate::cancel`]).
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.control.cancel = Some(token);
-    }
-
-    /// The mesh the solver operates on.
-    pub fn mesh(&self) -> &UnstructuredMesh {
-        &self.assets.mesh
-    }
-
-    /// The angular quadrature in use.
-    pub fn quadrature(&self) -> &AngularQuadrature {
-        &self.assets.quadrature
     }
 
     /// The scalar flux after the most recent `run`.
@@ -729,10 +696,6 @@ impl InnerSolveContext for TransportSolver {
         self.assets.clock.now()
     }
 
-    fn gmres_restart(&self) -> usize {
-        self.assets.problem.gmres_restart
-    }
-
     fn compute_source(&mut self) {
         self.context().compute_source();
     }
@@ -775,10 +738,6 @@ impl InnerSolveContext for TransportSolver {
 
     fn put_krylov_workspace(&mut self, workspace: unsnap_linalg::krylov::GmresWorkspace) {
         self.context().put_krylov_workspace(workspace);
-    }
-
-    fn accelerator(&self) -> AcceleratorKind {
-        self.assets.problem.accelerator
     }
 
     fn dsa_correct(
@@ -1128,64 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn dsa_preconditioned_gmres_agrees_with_plain_gmres() {
-        let p = high_c_problem(0.95).with_strategy(crate::strategy::StrategyKind::SweepGmres);
-        let mut plain_solver = TransportSolver::new(&p).unwrap();
-        let plain = plain_solver.run().unwrap();
-        assert_eq!(plain.accel_cg_iterations, 0);
-
-        let accelerated_problem = p.with_accelerator(crate::strategy::AcceleratorKind::Dsa);
-        let mut accel_solver = TransportSolver::new(&accelerated_problem).unwrap();
-        let accel = accel_solver.run().unwrap();
-
-        assert!(plain.converged && accel.converged);
-        assert!(accel.accel_cg_iterations > 0);
-        // On a small problem the bare sweep operator is already easy for
-        // GMRES, so the iteration counts are comparable — the spectrum
-        // claim is pinned at c → 1 below.  Here: same physics.
-        let rel = (plain.scalar_flux_total - accel.scalar_flux_total).abs()
-            / plain.scalar_flux_total.abs();
-        assert!(
-            rel < 1e-6,
-            "plain {} vs DSA-preconditioned {}",
-            plain.scalar_flux_total,
-            accel.scalar_flux_total
-        );
-    }
-
-    #[test]
-    fn dsa_preconditioning_tightens_the_gmres_spectrum_in_the_diffusive_regime() {
-        // A genuinely diffusive problem (24 mfp thick, c = 0.99): the
-        // bare fixed-point operator has near-unit eigenvalues GMRES must
-        // resolve one by one, while the DSA-preconditioned map is
-        // contracted to ~0.2 — strictly fewer Krylov iterations.
-        let mut p = Problem::quickstart();
-        p.num_groups = 1;
-        p.lx = 24.0;
-        p.ly = 24.0;
-        p.lz = 24.0;
-        p.scattering_ratio = Some(0.99);
-        p.inner_iterations = 2000;
-        p.outer_iterations = 1;
-        p.convergence_tolerance = 1e-6;
-        p.num_threads = Some(1);
-        p.strategy = crate::strategy::StrategyKind::SweepGmres;
-
-        let mut plain_solver = TransportSolver::new(&p).unwrap();
-        let plain = plain_solver.run().unwrap();
-        let accelerated = p.with_accelerator(crate::strategy::AcceleratorKind::Dsa);
-        let mut accel_solver = TransportSolver::new(&accelerated).unwrap();
-        let accel = accel_solver.run().unwrap();
-        assert!(plain.converged && accel.converged);
-        assert!(
-            accel.krylov_iterations < plain.krylov_iterations,
-            "DSA-GMRES took {} Krylov iterations, plain took {}",
-            accel.krylov_iterations,
-            plain.krylov_iterations
-        );
-    }
-
-    #[test]
     fn sweep_gmres_handles_inflow_boundaries() {
         // Regression: boundary inflow is affine data — it must live in
         // the Krylov right-hand side only.  A sweep that re-injects it
@@ -1275,7 +1176,7 @@ mod tests {
         // each span exactly one step long.
         let step = Duration::from_millis(5);
         let mut solver = TransportSolver::new(&Problem::tiny()).unwrap();
-        solver.set_clock(Box::new(MockClock::with_step(step)));
+        solver.assets.clock = Box::new(MockClock::with_step(step));
         let outcome = solver.run().unwrap();
         let m = &outcome.metrics;
         let s = step.as_secs_f64();

@@ -127,58 +127,6 @@ impl std::str::FromStr for StrategyKind {
     }
 }
 
-/// Which low-order accelerator (if any) augments the Krylov strategies.
-///
-/// [`StrategyKind::DsaSourceIteration`] always applies its DSA
-/// correction — that is the strategy's definition.  This knob instead
-/// controls the *optional* DSA preconditioning of
-/// [`StrategyKind::SweepGmres`]: with [`AcceleratorKind::Dsa`] the
-/// Krylov operator (and right-hand side) is the DSA-accelerated
-/// iteration map rather than the bare sweep map, so each GMRES iteration
-/// costs one sweep plus one low-order CG solve and the Krylov space
-/// needs far fewer dimensions in the high-`c` regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AcceleratorKind {
-    /// No low-order acceleration.
-    #[default]
-    None,
-    /// Diffusion synthetic acceleration (the `unsnap-accel` operator).
-    Dsa,
-}
-
-impl AcceleratorKind {
-    /// All selectable accelerators, in report order.
-    pub fn all() -> [AcceleratorKind; 2] {
-        [AcceleratorKind::None, AcceleratorKind::Dsa]
-    }
-
-    /// Short name used in tables, on the wire and for CLI selection.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AcceleratorKind::None => "none",
-            AcceleratorKind::Dsa => "dsa",
-        }
-    }
-}
-
-impl std::fmt::Display for AcceleratorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for AcceleratorKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" | "off" => Ok(AcceleratorKind::None),
-            "dsa" | "diffusion" => Ok(AcceleratorKind::Dsa),
-            other => Err(format!("unknown accelerator '{other}'")),
-        }
-    }
-}
-
 /// The solve surface [`StrategyKind::run_inners`] drives: a within-group
 /// transport problem mid-outer-iteration (`phi_outer` freshly saved),
 /// exposing exactly the operations the strategies need — source
@@ -204,9 +152,6 @@ pub trait InnerSolveContext {
     /// clock), used by the strategies to time the phase spans they open
     /// ([`Phase::SourceAssembly`], [`Phase::Krylov`]).
     fn now(&self) -> Duration;
-
-    /// GMRES restart length for the Krylov strategies.
-    fn gmres_restart(&self) -> usize;
 
     /// Assemble the full source: fixed + cross-group scattering from the
     /// previous outer iterate + within-group scattering from the current
@@ -255,11 +200,6 @@ pub trait InnerSolveContext {
 
     /// Return the workspace after the solve.
     fn put_krylov_workspace(&mut self, workspace: GmresWorkspace);
-
-    /// Which optional low-order accelerator the Krylov strategies should
-    /// apply (the [`Problem::accelerator`](crate::problem::Problem)
-    /// knob).
-    fn accelerator(&self) -> AcceleratorKind;
 
     /// Apply one DSA correction to the scalar flux in place: restrict
     /// the sweep residual `σ_s (φ − previous)` to cell averages, solve
@@ -357,19 +297,11 @@ fn source_iteration(
     Ok(false)
 }
 
+/// The restart length `m` of sweep-preconditioned GMRES(m).
+const GMRES_RESTART: usize = 20;
+
 /// The within-group transport operator `v ↦ (I − D L⁻¹ S_w) v`, applied
 /// matrix-free: one scatter-scale plus one full sweep per application.
-///
-/// With `accelerated` set the operator is the *DSA-preconditioned*
-/// iteration map instead: after the homogeneous sweep produces
-/// `φ_half = D L⁻¹ S_w x`, the low-order correction
-/// `C (φ_half − x)` is added before the difference is formed, i.e.
-/// `y = x − [(I + C)(D L⁻¹ S_w x) − C x]` — the linear part of one
-/// DSA-SI step.  The correction solve is exact to the (tight) low-order
-/// CG tolerance, so the operator is linear to that tolerance and plain
-/// GMRES applies; any correction failure is latched in `dsa_error` and
-/// surfaced after the Krylov solve ([`LinearOperator::apply`] is
-/// infallible).
 ///
 /// The operator also carries the run's observer: every sweep it performs
 /// emits [`SolveEvent::Sweep`], and the GMRES driver's residual
@@ -379,10 +311,6 @@ struct SweepOperator<'a, 'b, 'c> {
     context: &'a mut dyn InnerSolveContext,
     stats: &'b mut RunStats,
     observer: &'c mut dyn RunObserver,
-    /// Apply the DSA correction inside every operator application.
-    accelerated: bool,
-    /// First DSA failure, surfaced by the strategy after the solve.
-    dsa_error: Option<crate::error::Error>,
 }
 
 impl LinearOperator for SweepOperator<'_, '_, '_> {
@@ -399,11 +327,6 @@ impl LinearOperator for SweepOperator<'_, '_, '_> {
         self.context.set_homogeneous_boundaries(true);
         self.context.sweep_once(self.stats, self.observer);
         self.context.set_homogeneous_boundaries(false);
-        if self.accelerated && self.dsa_error.is_none() {
-            if let Err(e) = self.context.dsa_correct(x, self.stats, self.observer) {
-                self.dsa_error = Some(e);
-            }
-        }
         for ((yi, xi), phi) in y
             .iter_mut()
             .zip(x.iter())
@@ -423,63 +346,44 @@ impl LinearOperator for SweepOperator<'_, '_, '_> {
 }
 
 /// Sweep-preconditioned GMRES(m) on the within-group fixed point.
-///
-/// When the solve context selects [`AcceleratorKind::Dsa`], the Krylov
-/// system is the *DSA-preconditioned* fixed point instead: both the
-/// right-hand side and every operator application carry the low-order
-/// correction (see `SweepOperator`), so the GMRES space only has to
-/// capture what the diffusion solve missed.
 fn sweep_gmres(
     context: &mut dyn InnerSolveContext,
     stats: &mut RunStats,
     observer: &mut dyn RunObserver,
 ) -> Result<bool> {
     let config = GmresConfig {
-        restart: context.gmres_restart(),
+        restart: GMRES_RESTART,
         // One Krylov iteration costs one sweep, so the inner budget
         // carries over unchanged from source iteration.
         max_iterations: context.inner_iteration_budget(),
         tolerance: context.convergence_tolerance(),
     };
-    let accelerated = context.accelerator() == AcceleratorKind::Dsa;
 
     // Warm-start from the current flux (zero on the first outer,
     // the previous outer's solution afterwards).
     let mut x = context.phi_slice().to_vec();
 
     // Right-hand side b = D L⁻¹ q_ext: one sweep of the external
-    // (fixed + cross-group) source — corrected to
-    // (I + C) D L⁻¹ q_ext under DSA preconditioning (the affine part
-    // of one DSA-SI step from a zero iterate).
+    // (fixed + cross-group) source.
     assemble_source_timed(context, observer, true);
     context.sweep_once(stats, observer);
-    if accelerated {
-        let zeros = vec![0.0f64; context.phi_slice().len()];
-        context.dsa_correct(&zeros, stats, observer)?;
-    }
     let b = context.phi_slice().to_vec();
 
     let mut workspace = context.take_krylov_workspace();
     let phase = Phase::Krylov;
     observer.on_event(Lane::Driver, &SolveEvent::PhaseStart { phase });
     let krylov_t0 = context.now();
-    let (outcome, dsa_error) = {
+    let outcome = {
         let mut operator = SweepOperator {
             context,
             stats,
             observer,
-            accelerated,
-            dsa_error: None,
         };
-        let outcome = Gmres::new(config).solve(&mut workspace, &mut operator, &b, &mut x);
-        (outcome, operator.dsa_error)
+        Gmres::new(config).solve(&mut workspace, &mut operator, &b, &mut x)
     };
     let seconds = context.now().saturating_sub(krylov_t0).as_secs_f64();
     observer.on_event(Lane::Driver, &SolveEvent::PhaseEnd { phase, seconds });
     context.put_krylov_workspace(workspace);
-    if let Some(e) = dsa_error {
-        return Err(e);
-    }
     let outcome = outcome?;
     stats.inner_iterations += outcome.iterations;
     stats.krylov_iterations += outcome.iterations;
@@ -525,25 +429,6 @@ mod tests {
             StrategyKind::DsaSourceIteration
         );
         assert!("nonsense".parse::<StrategyKind>().is_err());
-    }
-
-    #[test]
-    fn accelerator_kinds_round_trip_through_strings() {
-        for kind in AcceleratorKind::all() {
-            let parsed: AcceleratorKind = kind.label().parse().unwrap();
-            assert_eq!(parsed, kind);
-            assert_eq!(format!("{kind}"), kind.label());
-        }
-        assert_eq!(
-            "diffusion".parse::<AcceleratorKind>().unwrap(),
-            AcceleratorKind::Dsa
-        );
-        assert_eq!(
-            "off".parse::<AcceleratorKind>().unwrap(),
-            AcceleratorKind::None
-        );
-        assert!("nonsense".parse::<AcceleratorKind>().is_err());
-        assert_eq!(AcceleratorKind::default(), AcceleratorKind::None);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl ReferenceElement {
 
     /// Build the reference element with an explicit number of quadrature
     /// points per direction (useful for over-integration tests).
-    pub fn with_quadrature(order: usize, qpoints_per_dir: usize) -> Self {
+    pub(crate) fn with_quadrature(order: usize, qpoints_per_dir: usize) -> Self {
         assert!(order >= 1, "UnSNAP elements are at least linear (order 1)");
         assert!(qpoints_per_dir >= 1);
         let basis_1d = LagrangeBasis1d::new(order);
@@ -128,16 +128,6 @@ impl ReferenceElement {
         self.node_coords.len()
     }
 
-    /// FP64 footprint in bytes of the local matrix (Table I).
-    pub fn local_matrix_footprint_bytes(&self) -> usize {
-        local_matrix_footprint_bytes(self.order)
-    }
-
-    /// The 1-D basis underlying the tensor product.
-    pub fn basis_1d(&self) -> &LagrangeBasis1d {
-        &self.basis_1d
-    }
-
     /// Reference coordinates of node `i`.
     pub fn node_coordinate(&self, i: usize) -> [f64; 3] {
         self.node_coords[i]
@@ -149,18 +139,18 @@ impl ReferenceElement {
     }
 
     /// Volume quadrature points.
-    pub fn volume_points(&self) -> &[VolumePoint] {
+    pub(crate) fn volume_points(&self) -> &[VolumePoint] {
         &self.volume_points
     }
 
     /// Basis values at volume quadrature point `q` (length `n` slice).
-    pub fn phi_at_volume_point(&self, q: usize) -> &[f64] {
+    pub(crate) fn phi_at_volume_point(&self, q: usize) -> &[f64] {
         let n = self.nodes_per_element();
         &self.phi_volume[q * n..(q + 1) * n]
     }
 
     /// Reference-space gradient of basis `i` at volume point `q`.
-    pub fn grad_phi_at_volume_point(&self, q: usize, i: usize) -> [f64; 3] {
+    pub(crate) fn grad_phi_at_volume_point(&self, q: usize, i: usize) -> [f64; 3] {
         let n = self.nodes_per_element();
         let base = (q * n + i) * 3;
         [
@@ -171,12 +161,12 @@ impl ReferenceElement {
     }
 
     /// Quadrature points of `face`.
-    pub fn face_points(&self, face: Face) -> &[FacePoint] {
+    pub(crate) fn face_points(&self, face: Face) -> &[FacePoint] {
         &self.face_points[face.index()]
     }
 
     /// Basis values at point `q` of `face` (length `n` slice).
-    pub fn phi_at_face_point(&self, face: Face, q: usize) -> &[f64] {
+    pub(crate) fn phi_at_face_point(&self, face: Face, q: usize) -> &[f64] {
         let n = self.nodes_per_element();
         &self.phi_face[face.index()][q * n..(q + 1) * n]
     }
@@ -313,7 +303,7 @@ mod tests {
         let e = ReferenceElement::new(2);
         let xi = [0.21, -0.4, 0.67];
         // The gradients the volume tabulation stores, `n × 3` row-major.
-        let grads = tabulate_at(e.basis_1d(), 3, xi).1;
+        let grads = tabulate_at(&e.basis_1d, 3, xi).1;
         let h = 1e-6;
         for i in 0..e.nodes_per_element() {
             for d in 0..3 {

@@ -56,13 +56,13 @@ impl Face {
 
     /// The reference axis normal to this face (0 = ξ, 1 = η, 2 = ζ).
     #[inline]
-    pub fn axis(self) -> usize {
+    pub(crate) fn axis(self) -> usize {
         self.index() / 2
     }
 
     /// `true` for the `+1` face of its axis, `false` for the `−1` face.
     #[inline]
-    pub fn is_positive(self) -> bool {
+    pub(crate) fn is_positive(self) -> bool {
         self.index() % 2 == 1
     }
 
@@ -79,14 +79,6 @@ impl Face {
             Face::ZMinus => Face::ZPlus,
             Face::ZPlus => Face::ZMinus,
         }
-    }
-
-    /// Outward unit normal of this face on the *reference* element.
-    #[inline]
-    pub fn reference_normal(self) -> [f64; 3] {
-        let mut n = [0.0; 3];
-        n[self.axis()] = if self.is_positive() { 1.0 } else { -1.0 };
-        n
     }
 }
 
@@ -165,16 +157,6 @@ mod tests {
             assert_eq!(f.opposite().opposite(), f);
             assert_eq!(f.opposite().axis(), f.axis());
             assert_ne!(f.opposite().is_positive(), f.is_positive());
-        }
-    }
-
-    #[test]
-    fn reference_normals_are_unit_axis_vectors() {
-        for &f in &FACES {
-            let n = f.reference_normal();
-            let norm: f64 = n.iter().map(|x| x * x).sum::<f64>();
-            assert_eq!(norm, 1.0);
-            assert_eq!(n[f.axis()].signum() > 0.0, f.is_positive());
         }
     }
 

@@ -42,7 +42,7 @@ impl HexVertices {
 
     /// Trilinear shape function of corner `c` at reference point `xi`.
     #[inline]
-    pub fn shape(c: usize, xi: [f64; 3]) -> f64 {
+    pub(crate) fn shape(c: usize, xi: [f64; 3]) -> f64 {
         let i = (c & 1) as f64;
         let j = ((c >> 1) & 1) as f64;
         let k = ((c >> 2) & 1) as f64;
@@ -92,18 +92,12 @@ impl HexVertices {
         j
     }
 
-    /// Determinant of the Jacobian at a reference point.
-    fn jacobian_det(&self, xi: [f64; 3]) -> f64 {
-        det3(&self.jacobian(xi))
-    }
-
     /// Determinant and inverse of the Jacobian at a reference point, from
-    /// one evaluation of it: the determinant has the bits of the one
-    /// [`volume`](Self::volume) integrates.
+    /// one evaluation of it.
     ///
     /// Returns `None` if the Jacobian is (numerically) singular, which
     /// indicates a degenerate or inverted cell.
-    pub fn jacobian_det_inverse(&self, xi: [f64; 3]) -> Option<(f64, [[f64; 3]; 3])> {
+    pub(crate) fn jacobian_det_inverse(&self, xi: [f64; 3]) -> Option<(f64, [[f64; 3]; 3])> {
         det_inverse3(&self.jacobian(xi))
     }
 
@@ -111,7 +105,7 @@ impl HexVertices {
     /// point `xi`: a vector whose direction is the outward normal and
     /// whose magnitude is the surface Jacobian (so that summing
     /// `weight · |area_vector|` over the face rule gives the face area).
-    pub fn face_area_vector(&self, face: Face, xi: [f64; 3]) -> [f64; 3] {
+    pub(crate) fn face_area_vector(&self, face: Face, xi: [f64; 3]) -> [f64; 3] {
         let j = self.jacobian(xi);
         let axis = face.axis();
         let (a, b) = match axis {
@@ -133,25 +127,6 @@ impl HexVertices {
         }
         n
     }
-
-    /// Cell volume by quadrature of the Jacobian determinant.
-    pub fn volume(&self, qpoints_per_dir: usize) -> f64 {
-        crate::quadrature::hex_rule(qpoints_per_dir)
-            .iter()
-            .map(|p| p.weight * self.jacobian_det(p.xi))
-            .sum()
-    }
-
-    /// Centroid of the eight corners.
-    pub fn centroid(&self) -> [f64; 3] {
-        let mut c = [0.0; 3];
-        for corner in &self.corners {
-            for d in 0..3 {
-                c[d] += corner[d] / 8.0;
-            }
-        }
-        c
-    }
 }
 
 /// 3×3 determinant.
@@ -163,7 +138,7 @@ fn det3(m: &[[f64; 3]; 3]) -> f64 {
 
 /// 3×3 determinant (the bits of `det3`) and inverse; `None` if the
 /// determinant is ~0.
-pub fn det_inverse3(m: &[[f64; 3]; 3]) -> Option<(f64, [[f64; 3]; 3])> {
+pub(crate) fn det_inverse3(m: &[[f64; 3]; 3]) -> Option<(f64, [[f64; 3]; 3])> {
     let d = det3(m);
     if d.abs() < 1e-300 {
         return None;
@@ -184,7 +159,7 @@ pub fn det_inverse3(m: &[[f64; 3]; 3]) -> Option<(f64, [[f64; 3]; 3])> {
 
 /// Cross product of two 3-vectors.
 #[inline]
-pub fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
+pub(crate) fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
     [
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -194,13 +169,13 @@ pub fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
 
 /// Dot product of two 3-vectors.
 #[inline]
-pub fn dot3(a: [f64; 3], b: [f64; 3]) -> f64 {
+pub(crate) fn dot3(a: [f64; 3], b: [f64; 3]) -> f64 {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
 /// Euclidean norm of a 3-vector.
 #[inline]
-pub fn norm3(a: [f64; 3]) -> f64 {
+pub(crate) fn norm3(a: [f64; 3]) -> f64 {
     dot3(a, a).sqrt()
 }
 
@@ -255,7 +230,7 @@ mod tests {
                 }
             }
         }
-        assert!((hex.jacobian_det([0.0; 3]) - 8.0).abs() < 1e-13);
+        assert!((det3(&hex.jacobian([0.0; 3])) - 8.0).abs() < 1e-13);
     }
 
     #[test]
@@ -278,10 +253,16 @@ mod tests {
     #[test]
     fn volume_of_boxes_and_twisted_cells() {
         let hex = HexVertices::axis_aligned([0.0; 3], [2.0, 3.0, 4.0]);
-        assert!((hex.volume(2) - 24.0).abs() < 1e-11);
+        let volume = |hex: &HexVertices, points_per_dir: usize| -> f64 {
+            crate::quadrature::hex_rule(points_per_dir)
+                .iter()
+                .map(|p| p.weight * hex.jacobian_det_inverse(p.xi).unwrap().0)
+                .sum()
+        };
+        assert!((volume(&hex, 2) - 24.0).abs() < 1e-11);
         // A small twist preserves the volume to first order (shear).
         let twisted = twisted_cell(0.001);
-        assert!((twisted.volume(3) - 1.0).abs() < 1e-5);
+        assert!((volume(&twisted, 3) - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -290,7 +271,7 @@ mod tests {
         let xi = [0.25, -0.4, 0.6];
         let j = hex.jacobian(xi);
         let (det, ji) = hex.jacobian_det_inverse(xi).unwrap();
-        assert_eq!(det.to_bits(), hex.jacobian_det(xi).to_bits());
+        assert_eq!(det.to_bits(), det3(&j).to_bits());
         for d in 0..3 {
             for e in 0..3 {
                 let prod: f64 = (0..3).map(|k| j[d][k] * ji[k][e]).sum();
@@ -317,7 +298,9 @@ mod tests {
             HexVertices::axis_aligned([0.0; 3], [2.0, 1.0, 3.0]),
             twisted_cell(0.2),
         ] {
-            let centroid = hex.centroid();
+            // The trilinear map takes the reference centre to the mean
+            // of the eight corners.
+            let centroid = hex.map([0.0; 3]);
             let mut total = [0.0; 3];
             for &face in &FACES {
                 let pts = crate::quadrature::face_rule(2, face.axis(), face.is_positive());
@@ -378,10 +361,5 @@ mod tests {
         assert_eq!(cross(x, y), [0.0, 0.0, 1.0]);
         assert_eq!(dot3(x, y), 0.0);
         assert_eq!(norm3([3.0, 4.0, 0.0]), 5.0);
-    }
-
-    #[test]
-    fn centroid_of_unit_cube() {
-        assert_eq!(HexVertices::unit_cube().centroid(), [0.5, 0.5, 0.5]);
     }
 }

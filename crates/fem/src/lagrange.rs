@@ -42,25 +42,20 @@ impl LagrangeBasis1d {
         }
     }
 
-    /// Polynomial order.
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
     /// Number of nodes (`order + 1`).
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
     /// Node positions on `[-1, 1]`.
-    pub fn nodes(&self) -> &[f64] {
+    pub(crate) fn nodes(&self) -> &[f64] {
         &self.nodes
     }
 
     /// Evaluate basis function `i` at `x`.
     ///
     /// `ℓ_i(x) = Π_{j≠i} (x − x_j) / (x_i − x_j)`.
-    pub fn value(&self, i: usize, x: f64) -> f64 {
+    pub(crate) fn value(&self, i: usize, x: f64) -> f64 {
         let n = self.nodes.len();
         debug_assert!(i < n);
         let mut v = 1.0;
@@ -75,7 +70,7 @@ impl LagrangeBasis1d {
     /// Evaluate the derivative of basis function `i` at `x`.
     ///
     /// `ℓ_i'(x) = Σ_{k≠i} [ 1/(x_i − x_k) · Π_{j≠i,k} (x − x_j)/(x_i − x_j) ]`.
-    pub fn derivative(&self, i: usize, x: f64) -> f64 {
+    pub(crate) fn derivative(&self, i: usize, x: f64) -> f64 {
         let n = self.nodes.len();
         debug_assert!(i < n);
         let mut acc = 0.0;
@@ -117,7 +112,7 @@ mod tests {
         for p in 1..=5 {
             let b = LagrangeBasis1d::new(p);
             assert_eq!(b.num_nodes(), p + 1);
-            assert_eq!(b.order(), p);
+            assert_eq!(b.order, p);
             assert!((b.nodes()[0] + 1.0).abs() < 1e-15);
             assert!((b.nodes()[p] - 1.0).abs() < 1e-15);
         }

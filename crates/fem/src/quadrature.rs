@@ -17,16 +17,6 @@ pub struct QuadratureRule {
 }
 
 impl QuadratureRule {
-    /// Number of points in the rule.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the rule has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Integrate a 1-D function over `[-1, 1]`.
     pub fn integrate<F: Fn(f64) -> f64>(&self, f: F) -> f64 {
         self.points
@@ -101,7 +91,7 @@ pub fn gauss_legendre(n: usize) -> QuadratureRule {
 
 /// A quadrature point in the reference cube with its weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VolumePoint {
+pub(crate) struct VolumePoint {
     /// Reference coordinates `(ξ, η, ζ)` in `[-1, 1]³`.
     pub xi: [f64; 3],
     /// Tensor-product weight.
@@ -110,7 +100,7 @@ pub struct VolumePoint {
 
 /// Tensor-product Gauss rule over the reference hexahedron `[-1, 1]³`
 /// with `n` points per direction (so `n³` points total).
-pub fn hex_rule(n: usize) -> Vec<VolumePoint> {
+pub(crate) fn hex_rule(n: usize) -> Vec<VolumePoint> {
     let rule = gauss_legendre(n);
     let mut out = Vec::with_capacity(n * n * n);
     for (k, (&zk, &wk)) in rule.points.iter().zip(rule.weights.iter()).enumerate() {
@@ -129,7 +119,7 @@ pub fn hex_rule(n: usize) -> Vec<VolumePoint> {
 
 /// A quadrature point on a face of the reference hexahedron.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FacePoint {
+pub(crate) struct FacePoint {
     /// Full 3-D reference coordinates of the point (one coordinate pinned
     /// to ±1 by the face).
     pub xi: [f64; 3],
@@ -144,7 +134,7 @@ pub struct FacePoint {
 /// `axis` is the reference axis normal to the face (0 = ξ, 1 = η, 2 = ζ)
 /// and `positive` selects the `+1` or `-1` face.  The in-face coordinates
 /// `(u, v)` run over the other two axes in ascending axis order.
-pub fn face_rule(n: usize, axis: usize, positive: bool) -> Vec<FacePoint> {
+pub(crate) fn face_rule(n: usize, axis: usize, positive: bool) -> Vec<FacePoint> {
     assert!(axis < 3, "face axis must be 0, 1 or 2");
     let rule = gauss_legendre(n);
     let pinned = if positive { 1.0 } else { -1.0 };

@@ -24,7 +24,7 @@ use crate::matrix::DenseMatrix;
 /// into scratch buffers first (the panels are small — `nb` columns — so the
 /// copy is cheap and keeps the code safe without `unsafe`).
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_sub_block(
+pub(crate) fn gemm_sub_block(
     m: usize,
     n: usize,
     kk: usize,
@@ -78,7 +78,7 @@ pub fn gemm_sub_block(
 ///
 /// This is the `dtrsm('L', 'L', 'N', 'U', ...)` call of the blocked LU.
 #[allow(clippy::too_many_arguments)]
-pub fn trsm_lower_unit_left(
+pub(crate) fn trsm_lower_unit_left(
     kk: usize,
     n: usize,
     a: &DenseMatrix,
@@ -114,7 +114,7 @@ pub fn trsm_lower_unit_left(
 ///
 /// `ipiv[k] = p` means "at step k, row k was swapped with row p", i.e. the
 /// LAPACK `IPIV` convention (0-based here).
-pub fn apply_row_pivots(ipiv: &[usize], b: &mut [f64]) {
+pub(crate) fn apply_row_pivots(ipiv: &[usize], b: &mut [f64]) {
     for (k, &p) in ipiv.iter().enumerate() {
         if p != k {
             b.swap(k, p);

@@ -29,7 +29,7 @@ use crate::Result;
 
 /// Pivot breakdown tolerance: a pivot smaller than this (in absolute value)
 /// is treated as numerically singular.
-pub const SINGULARITY_TOLERANCE: f64 = 1.0e-300;
+pub(crate) const SINGULARITY_TOLERANCE: f64 = 1.0e-300;
 
 /// Hand-written Gaussian elimination with partial pivoting.
 ///

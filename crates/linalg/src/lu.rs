@@ -36,13 +36,13 @@ pub struct LuFactors {
 
 impl LuFactors {
     /// Matrix dimension.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.lu.rows()
     }
 
     /// Solve `A x = b` using the stored factors; `b` is overwritten with
     /// the solution.
-    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
+    pub(crate) fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
         let n = self.n();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -236,11 +236,6 @@ impl LuSolver {
     pub fn new() -> Self {
         Self
     }
-
-    /// Factorise `a`, retaining the factors for repeated solves.
-    pub fn factor(&self, a: &DenseMatrix) -> Result<LuFactors> {
-        factor_unblocked(a)
-    }
 }
 
 impl LinearSolver for LuSolver {
@@ -268,20 +263,6 @@ pub struct BlockedLuSolver {
 impl Default for BlockedLuSolver {
     fn default() -> Self {
         Self { panel_width: 32 }
-    }
-}
-
-impl BlockedLuSolver {
-    /// Create a solver with an explicit panel width.
-    pub fn with_panel_width(panel_width: usize) -> Self {
-        Self {
-            panel_width: panel_width.max(1),
-        }
-    }
-
-    /// Factorise `a`, retaining the factors for repeated solves.
-    pub fn factor(&self, a: &DenseMatrix) -> Result<LuFactors> {
-        factor_blocked(a, self.panel_width)
     }
 }
 
@@ -337,7 +318,11 @@ mod tests {
             let b = rhs(n);
             let reference = LuSolver::new().solve(&a, &b).unwrap();
             for nb in [1usize, 4, 8, 16, 32, 100] {
-                let x = BlockedLuSolver::with_panel_width(nb).solve(&a, &b).unwrap();
+                let mut x = b.clone();
+                factor_blocked(&a, nb)
+                    .unwrap()
+                    .solve_in_place(&mut x)
+                    .unwrap();
                 assert!(
                     max_abs_diff(&x, &reference) < 1e-8,
                     "mismatch n = {n}, nb = {nb}"
@@ -362,7 +347,7 @@ mod tests {
     fn factors_reusable_for_multiple_rhs() {
         let n = 16;
         let a = test_matrix(n, 99);
-        let factors = BlockedLuSolver::default().factor(&a).unwrap();
+        let factors = factor_blocked(&a, BlockedLuSolver::default().panel_width).unwrap();
         for trial in 0..4 {
             let b: Vec<f64> = (0..n).map(|i| (i + trial) as f64).collect();
             let x = factors.solve(&b).unwrap();
@@ -432,7 +417,11 @@ mod tests {
         let x = LuSolver::new().solve(&a, &b).unwrap();
         let ax = a.matvec(&x).unwrap();
         assert!(max_abs_diff(&ax, &b) < 1e-12);
-        let xb = BlockedLuSolver::with_panel_width(2).solve(&a, &b).unwrap();
+        let mut xb = b.clone();
+        factor_blocked(&a, 2)
+            .unwrap()
+            .solve_in_place(&mut xb)
+            .unwrap();
         assert!(max_abs_diff(&x, &xb) < 1e-12);
     }
 

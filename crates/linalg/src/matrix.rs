@@ -70,13 +70,13 @@ impl DenseMatrix {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// `true` if the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -110,7 +110,7 @@ impl DenseMatrix {
     ///
     /// Used by pivoting factorisations to swap / update rows without
     /// cloning.  Panics if `a == b`.
-    pub fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
+    pub(crate) fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
         assert!(a != b, "two_rows_mut requires distinct rows");
         let c = self.cols;
         if a < b {
@@ -124,7 +124,7 @@ impl DenseMatrix {
     }
 
     /// Swap rows `a` and `b` in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
@@ -136,12 +136,12 @@ impl DenseMatrix {
     }
 
     /// Fill the whole matrix with `value`.
-    pub fn fill(&mut self, value: f64) {
+    pub(crate) fn fill(&mut self, value: f64) {
         self.data.iter_mut().for_each(|x| *x = value);
     }
 
     /// Reset to all zeros, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.fill(0.0);
     }
 
@@ -162,7 +162,7 @@ impl DenseMatrix {
     }
 
     /// Matrix–vector product into a caller-provided buffer (no allocation).
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+    pub(crate) fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
         if x.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.cols,
@@ -221,38 +221,11 @@ impl DenseMatrix {
         DenseMatrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// `A += alpha * B` (element-wise).
-    pub fn axpy(&mut self, alpha: f64, other: &DenseMatrix) -> Result<()> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.rows * self.cols,
-                found: other.rows * other.cols,
-                what: "axpy operand",
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
-    /// Scale every entry by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        self.data.iter_mut().for_each(|x| *x *= alpha);
-    }
-
     /// Infinity norm (maximum absolute row sum).
     pub fn inf_norm(&self) -> f64 {
         (0..self.rows)
             .map(|i| self.row(i).iter().map(|x| x.abs()).sum::<f64>())
             .fold(0.0, f64::max)
-    }
-
-    /// Memory footprint of the matrix entries in bytes (FP64).
-    ///
-    /// This is the quantity reported in Table I of the paper.
-    pub fn footprint_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -399,25 +372,6 @@ mod tests {
     fn norms() {
         let a = DenseMatrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]).unwrap();
         assert_eq!(a.inf_norm(), 4.0);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = DenseMatrix::identity(2);
-        let b = DenseMatrix::from_fn(2, 2, |_, _| 1.0);
-        a.axpy(2.0, &b).unwrap();
-        assert_eq!(a.as_slice(), &[3.0, 2.0, 2.0, 3.0]);
-        a.scale(0.5);
-        assert_eq!(a.as_slice(), &[1.5, 1.0, 1.0, 1.5]);
-        let c = DenseMatrix::zeros(3, 3);
-        assert!(a.axpy(1.0, &c).is_err());
-    }
-
-    #[test]
-    fn footprint_matches_table1() {
-        // Table I of the paper: order 1 => 8x8 => 0.5 kB; order 3 => 64x64 => 32 kB.
-        assert_eq!(DenseMatrix::zeros(8, 8).footprint_bytes(), 512);
-        assert_eq!(DenseMatrix::zeros(64, 64).footprint_bytes(), 32 * 1024);
     }
 
     #[test]

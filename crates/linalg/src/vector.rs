@@ -11,14 +11,14 @@
 /// Panics (debug) if the lengths differ; in release the shorter length
 /// wins, matching `zip` semantics.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
 /// `y += alpha * x` (BLAS `axpy`).
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
@@ -27,7 +27,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// Scale a slice in place: `x *= alpha`.
 #[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
+pub(crate) fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
@@ -55,13 +55,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b.iter())
         .fold(0.0, |m, (x, y)| m.max((x - y).abs()))
-}
-
-/// Copy `src` into `dst` (lengths must match).
-#[inline]
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    dst.copy_from_slice(src);
 }
 
 #[cfg(test)]
@@ -101,13 +94,5 @@ mod tests {
         let b = [1.0, 2.5, 2.0];
         assert_eq!(max_abs_diff(&a, &b), 1.0);
         assert_eq!(max_abs_diff(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn copy_slice() {
-        let src = [1.0, 2.0];
-        let mut dst = [0.0, 0.0];
-        copy(&src, &mut dst);
-        assert_eq!(dst, src);
     }
 }

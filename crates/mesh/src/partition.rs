@@ -69,21 +69,13 @@ impl Decomposition2D {
         (start, start + len)
     }
 
-    /// Decompose a mesh into per-rank subdomains.
+    /// Decompose a mesh into per-rank subdomains, rejecting decompositions
+    /// that would leave a rank with an empty subdomain.
     ///
     /// The decomposition uses the structured origin of the mesh (as the
     /// paper does: the partition is created while the mesh is being derived
     /// from the structured grid), but the resulting [`Subdomain`]s only
     /// reference unstructured cell ids.
-    pub fn decompose(&self, mesh: &UnstructuredMesh) -> Vec<Subdomain> {
-        self.try_decompose(mesh)
-            .expect("more ranks than cells along a decomposed axis")
-    }
-
-    /// Decompose a mesh into per-rank subdomains, rejecting decompositions
-    /// that would leave a rank with an empty subdomain.
-    ///
-    /// This is the recoverable form of [`Decomposition2D::decompose`].
     pub fn try_decompose(&self, mesh: &UnstructuredMesh) -> Result<Vec<Subdomain>, MeshError> {
         let grid = mesh.origin_grid();
         if self.npx > grid.nx || self.npy > grid.ny {
@@ -202,11 +194,6 @@ impl Subdomain {
     pub fn local_of(&self, global: usize) -> Option<usize> {
         self.local_of_global[global]
     }
-
-    /// `true` if this rank owns the given global cell.
-    pub fn owns(&self, global: usize) -> bool {
-        self.local_of(global).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -221,12 +208,12 @@ mod tests {
     #[test]
     fn serial_decomposition_owns_everything() {
         let m = mesh(4);
-        let sds = Decomposition2D::serial().decompose(&m);
+        let sds = Decomposition2D::serial().try_decompose(&m).unwrap();
         assert_eq!(sds.len(), 1);
         assert_eq!(sds[0].num_cells(), 64);
         assert!(sds[0].halo_faces.is_empty());
         for g in 0..64 {
-            assert!(sds[0].owns(g));
+            assert!(sds[0].local_of(g).is_some());
         }
     }
 
@@ -244,7 +231,7 @@ mod tests {
     fn cells_partition_disjointly_and_completely() {
         let m = mesh(4);
         let d = Decomposition2D::new(2, 2);
-        let sds = d.decompose(&m);
+        let sds = d.try_decompose(&m).unwrap();
         let mut seen = vec![false; m.num_cells()];
         for sd in &sds {
             for &g in &sd.global_cells {
@@ -268,7 +255,7 @@ mod tests {
         let grid = StructuredGrid::new(5, 3, 2, 1.0, 1.0, 1.0);
         let m = UnstructuredMesh::from_structured(&grid, 0.0);
         let d = Decomposition2D::new(2, 3);
-        let sds = d.decompose(&m);
+        let sds = d.try_decompose(&m).unwrap();
         let total: usize = sds.iter().map(|s| s.num_cells()).sum();
         assert_eq!(total, 30);
         // x split of 5 into 2: {3, 2}; y split of 3 into 3: {1, 1, 1};
@@ -282,7 +269,7 @@ mod tests {
     fn halo_faces_connect_adjacent_ranks_symmetrically() {
         let m = mesh(4);
         let d = Decomposition2D::new(2, 2);
-        let sds = d.decompose(&m);
+        let sds = d.try_decompose(&m).unwrap();
         // Each rank's halo count: interface area between 2x2x4 columns.
         // Interfaces: each rank touches 2 neighbours through a 2x4 = 8-face
         // interface => 16 halo faces per rank.
@@ -290,8 +277,8 @@ mod tests {
             assert_eq!(sd.halo_faces.len(), 16, "rank {}", sd.rank);
             for h in &sd.halo_faces {
                 assert_ne!(h.neighbor_rank, sd.rank);
-                assert!(sd.owns(h.global_cell));
-                assert!(!sd.owns(h.neighbor_global_cell));
+                assert!(sd.local_of(h.global_cell).is_some());
+                assert!(sd.local_of(h.neighbor_global_cell).is_none());
                 // Symmetry: the neighbour rank has the mirrored halo face.
                 let other = &sds[h.neighbor_rank];
                 let mirrored = other.halo_faces.iter().any(|g| {
@@ -312,8 +299,8 @@ mod tests {
         let grid = StructuredGrid::new(4, 4, 7, 1.0, 1.0, 1.0);
         let m = UnstructuredMesh::from_structured(&grid, 0.0);
         let d = Decomposition2D::new(2, 2);
-        let sds = d.decompose(&m);
-        let owner_of = |g: usize| sds.iter().position(|sd| sd.owns(g)).unwrap();
+        let sds = d.try_decompose(&m).unwrap();
+        let owner_of = |g: usize| sds.iter().position(|sd| sd.local_of(g).is_some()).unwrap();
         for j in 0..4 {
             for i in 0..4 {
                 let base = owner_of(grid.cell_id(i, j, 0));
@@ -325,10 +312,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn too_many_ranks_panics() {
+    fn too_many_ranks_are_refused() {
         let m = mesh(2);
-        let _ = Decomposition2D::new(3, 1).decompose(&m);
+        let err = Decomposition2D::new(3, 1).try_decompose(&m).unwrap_err();
+        assert!(matches!(
+            err,
+            MeshError::DecompositionTooCoarse { npx: 3, nx: 2, .. }
+        ));
     }
 
     #[test]

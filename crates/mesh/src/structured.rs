@@ -51,7 +51,7 @@ impl StructuredGrid {
     }
 
     /// Total number of cells.
-    pub fn num_cells(&self) -> usize {
+    pub(crate) fn num_cells(&self) -> usize {
         self.nx * self.ny * self.nz
     }
 
@@ -82,14 +82,14 @@ impl StructuredGrid {
 
     /// Coordinates of the vertex at vertex-index `(i, j, k)`
     /// (`0 ≤ i ≤ nx` etc.) on the *untwisted* grid.
-    pub fn vertex(&self, i: usize, j: usize, k: usize) -> [f64; 3] {
+    pub(crate) fn vertex(&self, i: usize, j: usize, k: usize) -> [f64; 3] {
         let (dx, dy, dz) = self.cell_widths();
         [i as f64 * dx, j as f64 * dy, k as f64 * dz]
     }
 
     /// The eight corner vertices of cell `(i, j, k)` on the untwisted grid,
     /// in the `c = i + 2j + 4k` corner ordering used throughout UnSNAP.
-    pub fn cell_corners(&self, i: usize, j: usize, k: usize) -> [[f64; 3]; 8] {
+    pub(crate) fn cell_corners(&self, i: usize, j: usize, k: usize) -> [[f64; 3]; 8] {
         let mut corners = [[0.0; 3]; 8];
         for (c, corner) in corners.iter_mut().enumerate() {
             let ci = i + (c & 1);

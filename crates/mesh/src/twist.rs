@@ -24,7 +24,7 @@ pub struct MeshTwist {
 
 impl MeshTwist {
     /// No twist at all (identity transform).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             max_angle: 0.0,
             centre: [0.0, 0.0],
@@ -63,7 +63,7 @@ impl MeshTwist {
     }
 
     /// `true` if this twist is the identity.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.max_angle == 0.0
     }
 }

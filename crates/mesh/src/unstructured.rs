@@ -38,14 +38,6 @@ impl NeighborRef {
     fn is_boundary(&self) -> bool {
         matches!(self, NeighborRef::Boundary { .. })
     }
-
-    /// The neighbouring cell id, if interior.
-    pub fn cell(&self) -> Option<usize> {
-        match self {
-            NeighborRef::Interior { cell, .. } => Some(*cell),
-            NeighborRef::Boundary { .. } => None,
-        }
-    }
 }
 
 /// Summary statistics of the mesh connectivity, used by tests and reports.
@@ -302,7 +294,6 @@ mod tests {
         for face in 0..NUM_FACES {
             let nb = mesh.neighbor(0, face);
             assert!(nb.is_boundary());
-            assert_eq!(nb.cell(), None);
             match nb {
                 NeighborRef::Boundary { domain_face } => assert_eq!(domain_face, face),
                 _ => unreachable!(),

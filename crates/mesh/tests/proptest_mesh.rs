@@ -81,7 +81,7 @@ proptest! {
             &StructuredGrid::new(nx, ny, nz, 1.0, 1.0, 1.0),
             0.0,
         );
-        let subdomains = Decomposition2D::new(px, py).decompose(&mesh);
+        let subdomains = Decomposition2D::new(px, py).try_decompose(&mesh).unwrap();
         let total: usize = subdomains.iter().map(|s| s.num_cells()).sum();
         prop_assert_eq!(total, mesh.num_cells());
         // Balance: the largest and smallest rank differ by at most one

@@ -23,7 +23,7 @@
 
 /// Escape a string for inclusion in a JSON document (without the
 /// surrounding quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

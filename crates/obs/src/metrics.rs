@@ -41,7 +41,7 @@ pub enum Determinism {
 
 impl Determinism {
     /// The JSON/section label for this class.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Determinism::Deterministic => "deterministic",
             Determinism::WallClock => "wallclock",
@@ -112,22 +112,22 @@ impl Histogram {
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
     /// The bucket upper bounds (without the implicit overflow bucket).
-    pub fn bounds(&self) -> &[f64] {
+    pub(crate) fn bounds(&self) -> &[f64] {
         &self.bounds
     }
 
@@ -219,11 +219,6 @@ impl MetricsRegistry {
     /// A counter's value (`None` if never touched).
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).map(|&(_, v)| v)
-    }
-
-    /// A histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name).map(|(_, h)| h)
     }
 
     /// Serialise in the Prometheus text exposition format (version
@@ -389,7 +384,7 @@ mod tests {
             0.01,
         );
         assert_eq!(r.counter("sweeps"), Some(5));
-        assert_eq!(r.histogram("latency").unwrap().count(), 1);
+        assert_eq!(r.histograms["latency"].1.count(), 1);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl LineChannel {
         self.len() == 0
     }
 
-    /// A copy of every line accepted so far.
-    pub fn snapshot(&self) -> Vec<String> {
-        self.shared.state.lock().unwrap().lines.clone()
-    }
-
     /// Block (up to `timeout`) until a line past index `from` exists or
     /// the stream closes; returns the lines from `from` onward (possibly
     /// empty on timeout) and whether the stream is closed.  The consumer
@@ -145,12 +140,7 @@ pub struct ChannelWriter {
     buf: Vec<u8>,
 }
 
-impl ChannelWriter {
-    /// The channel this writer feeds.
-    pub fn channel(&self) -> &LineChannel {
-        &self.channel
-    }
-}
+impl ChannelWriter {}
 
 impl io::Write for ChannelWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
@@ -186,6 +176,10 @@ mod tests {
     use super::*;
     use std::io::Write;
 
+    fn snapshot(channel: &LineChannel) -> Vec<String> {
+        channel.shared.state.lock().unwrap().lines.clone()
+    }
+
     #[test]
     fn push_snapshot_and_len() {
         let channel = LineChannel::new();
@@ -193,7 +187,7 @@ mod tests {
         channel.push("a");
         channel.push("b".to_string());
         assert_eq!(channel.len(), 2);
-        assert_eq!(channel.snapshot(), vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(snapshot(&channel), vec!["a".to_string(), "b".to_string()]);
         assert!(!channel.is_closed());
     }
 
@@ -264,11 +258,11 @@ mod tests {
             writer.write_all(b"one\ntw").unwrap();
             writer.write_all(b"o\ntail").unwrap();
             writer.flush().unwrap();
-            assert_eq!(writer.channel().len(), 2);
+            assert_eq!(writer.channel.len(), 2);
         }
         // Drop flushed the unterminated tail but left the channel open.
         assert_eq!(
-            channel.snapshot(),
+            snapshot(&channel),
             vec!["one".to_string(), "two".to_string(), "tail".to_string()]
         );
         assert!(!channel.is_closed());

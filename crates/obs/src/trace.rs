@@ -147,13 +147,6 @@ impl TraceTree {
         self.spans.is_empty()
     }
 
-    /// The span with the given id, if retained.
-    pub fn span(&self, id: u64) -> Option<&SpanRecord> {
-        let first = self.spans.first()?.id;
-        self.spans
-            .get(usize::try_from(id.checked_sub(first)?).ok()?)
-    }
-
     /// Retained spans with the given name.
     pub fn count_named(&self, name: &str) -> usize {
         self.spans.iter().filter(|s| s.name == name).count()
@@ -389,11 +382,6 @@ impl Tracer {
         self.stacks.get(lane).map_or(0, Vec::len)
     }
 
-    /// Spans evicted by the ring buffer so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Close anything still open (innermost first, per lane) and return
     /// the finished tree.
     pub fn finish(mut self) -> TraceTree {
@@ -440,8 +428,6 @@ mod tests {
         assert_eq!(tree.spans[0].depth, 0);
         assert_eq!(tree.spans[1].depth, 1);
         assert_eq!(tree.count_named("sweep"), 1);
-        assert_eq!(tree.span(2).unwrap().name, "krylov");
-        assert!(tree.span(7).is_none());
         // Strictly increasing stamps, spans contain their children.
         assert!(tree.spans[1].start_us > tree.spans[0].start_us);
         assert!(tree.spans[1].end_us < tree.spans[0].end_us);
@@ -475,8 +461,7 @@ mod tests {
         assert_eq!(tree.len(), 2);
         assert_eq!(tree.dropped, 2);
         assert_eq!(tree.spans[0].id, 2);
-        assert_eq!(tree.span(2).unwrap().name, "s2");
-        assert!(tree.span(0).is_none());
+        assert_eq!(tree.spans[0].name, "s2");
     }
 
     #[test]

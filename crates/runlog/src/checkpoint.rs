@@ -42,7 +42,7 @@ pub struct Checkpoint {
 
 /// Encode a checkpoint payload from the solver's view plus the event
 /// delta.
-pub fn to_json(view: &CheckpointView<'_>, events: &EventLog) -> String {
+pub(crate) fn to_json(view: &CheckpointView<'_>, events: &EventLog) -> String {
     let rank_stats = view.rank_stats.iter().map(codec::stats_to_json);
     let events = events.events.iter().map(|(lane, e)| e.to_json(*lane));
     JsonObject::new()
@@ -91,7 +91,7 @@ pub fn from_json(value: &JsonValue, num_ranks: usize) -> Result<Checkpoint, Stri
 /// Fold a list of decoded checkpoints into the resume point for the
 /// *last* one: its state, plus the concatenated event deltas of every
 /// checkpoint as the replay prefix.
-pub fn fold(checkpoints: Vec<Checkpoint>) -> Option<ResumePoint> {
+pub(crate) fn fold(checkpoints: Vec<Checkpoint>) -> Option<ResumePoint> {
     let mut prefix = EventLog::default();
     let mut last = None;
     for mut ck in checkpoints {

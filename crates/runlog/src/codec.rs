@@ -62,7 +62,10 @@ fn phase_of(value: &JsonValue) -> Result<Phase, String> {
 /// the run can have emitted (`0` for a single-domain run): a frame is
 /// an input boundary, and observers size per-rank tables by the lane
 /// they are handed.
-pub fn event_from_json(value: &JsonValue, num_ranks: usize) -> Result<(Lane, SolveEvent), String> {
+pub(crate) fn event_from_json(
+    value: &JsonValue,
+    num_ranks: usize,
+) -> Result<(Lane, SolveEvent), String> {
     let event = match str_of(value, "event")? {
         "outer_start" => SolveEvent::OuterStart {
             outer: usize_of(value, "outer")?,
@@ -120,7 +123,7 @@ pub fn event_from_json(value: &JsonValue, num_ranks: usize) -> Result<(Lane, Sol
 
 /// Decode an event array into a fresh [`EventLog`] (see
 /// [`event_from_json`] for `num_ranks`).
-pub fn events_from_json(value: &JsonValue, num_ranks: usize) -> Result<EventLog, String> {
+pub(crate) fn events_from_json(value: &JsonValue, num_ranks: usize) -> Result<EventLog, String> {
     let items = value
         .as_array()
         .ok_or_else(|| "events must be an array".to_string())?;
@@ -132,7 +135,7 @@ pub fn events_from_json(value: &JsonValue, num_ranks: usize) -> Result<EventLog,
 }
 
 /// Encode accumulated run statistics.
-pub fn stats_to_json(stats: &RunStats) -> String {
+pub(crate) fn stats_to_json(stats: &RunStats) -> String {
     JsonObject::new()
         .field_usize("inner_iterations", stats.inner_iterations)
         .field_usize("sweeps", stats.sweeps)
@@ -149,7 +152,7 @@ pub fn stats_to_json(stats: &RunStats) -> String {
 }
 
 /// A float-array field; `null` entries decode to `NaN`.
-pub fn f64_array_of(value: &JsonValue, key: &str) -> Result<Vec<f64>, String> {
+pub(crate) fn f64_array_of(value: &JsonValue, key: &str) -> Result<Vec<f64>, String> {
     let items = value
         .get(key)
         .and_then(JsonValue::as_array)
@@ -165,7 +168,7 @@ pub fn f64_array_of(value: &JsonValue, key: &str) -> Result<Vec<f64>, String> {
 }
 
 /// Decode accumulated run statistics.
-pub fn stats_from_json(value: &JsonValue) -> Result<RunStats, String> {
+pub(crate) fn stats_from_json(value: &JsonValue) -> Result<RunStats, String> {
     let mut stats = RunStats {
         inner_iterations: usize_of(value, "inner_iterations")?,
         sweeps: usize_of(value, "sweeps")?,

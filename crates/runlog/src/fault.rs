@@ -18,55 +18,39 @@ use std::sync::{Arc, Mutex};
 /// Bytes up to the budget pass through to the inner writer; the write
 /// that crosses the budget is *partially* applied (everything up to the
 /// budget) and then reported as failed, and every later write fails
-/// immediately.  With no budget the writer is transparent.
+/// immediately.
 #[derive(Debug)]
 pub struct FaultyWriter<W: Write> {
     inner: W,
-    budget: Option<u64>,
+    budget: u64,
 }
 
 impl<W: Write> FaultyWriter<W> {
-    /// A transparent pass-through writer (no injected fault).
-    pub fn new(inner: W) -> Self {
-        Self {
-            inner,
-            budget: None,
-        }
-    }
-
     /// A writer that tears after exactly `n_bytes` bytes have been
     /// written through it.
     pub fn crash_after(inner: W, n_bytes: u64) -> Self {
         Self {
             inner,
-            budget: Some(n_bytes),
+            budget: n_bytes,
         }
-    }
-
-    /// Consume the wrapper and return the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
     }
 }
 
 impl<W: Write> Write for FaultyWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.budget {
-            None => self.inner.write(buf),
-            Some(0) => Err(io::Error::other("injected crash: write budget exhausted")),
-            Some(remaining) => {
-                let allowed = (remaining as usize).min(buf.len());
-                let written = self.inner.write(&buf[..allowed])?;
-                self.budget = Some(remaining - written as u64);
-                if written < buf.len() {
-                    // The torn write: part of the buffer landed, the
-                    // rest never will.  Report the failure now so the
-                    // caller aborts instead of retrying the remainder.
-                    Err(io::Error::other("injected crash: torn write"))
-                } else {
-                    Ok(written)
-                }
-            }
+        if self.budget == 0 {
+            return Err(io::Error::other("injected crash: write budget exhausted"));
+        }
+        let allowed = (self.budget as usize).min(buf.len());
+        let written = self.inner.write(&buf[..allowed])?;
+        self.budget -= written as u64;
+        if written < buf.len() {
+            // The torn write: part of the buffer landed, the rest never
+            // will.  Report the failure now so the caller aborts instead
+            // of retrying the remainder.
+            Err(io::Error::other("injected crash: torn write"))
+        } else {
+            Ok(written)
         }
     }
 
@@ -89,16 +73,6 @@ impl SharedBuffer {
     pub fn bytes(&self) -> Vec<u8> {
         self.0.lock().expect("shared buffer lock").clone()
     }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.0.lock().expect("shared buffer lock").len()
-    }
-
-    /// `true` when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Write for SharedBuffer {
@@ -118,13 +92,6 @@ impl Write for SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn passes_through_without_a_budget() {
-        let mut w = FaultyWriter::new(Vec::new());
-        w.write_all(b"hello").unwrap();
-        assert_eq!(w.into_inner(), b"hello");
-    }
 
     #[test]
     fn tears_mid_write_and_stays_dead() {

@@ -54,7 +54,7 @@ pub const TAG_MANIFEST: u8 = b'M';
 pub const TAG_CHECKPOINT: u8 = b'C';
 /// Frame tag: the finished marker (the run completed; nothing to
 /// resume).
-pub const TAG_FINISHED: u8 = b'F';
+pub(crate) const TAG_FINISHED: u8 = b'F';
 
 /// FNV-1a 64-bit over `bytes` — the workspace's canonical content hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -129,7 +129,7 @@ pub struct ScanOutcome<'a> {
 /// The format version the buffer's header names — which may not be
 /// [`FORMAT_VERSION`] — or `None` when the buffer does not open with an
 /// intact magic and version field.
-pub fn header_version(bytes: &[u8]) -> Option<u32> {
+pub(crate) fn header_version(bytes: &[u8]) -> Option<u32> {
     let version = bytes.get(MAGIC.len()..HEADER_LEN)?;
     bytes
         .starts_with(MAGIC)

@@ -30,7 +30,7 @@ pub enum RunMode {
 
 impl RunMode {
     /// The wire label (`"single"` / `"jacobi"`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RunMode::Single => "single",
             RunMode::Jacobi { .. } => "jacobi",
@@ -60,7 +60,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// A manifest pinning `problem` under `mode`.
-    pub fn new(problem: Problem, mode: RunMode) -> Self {
+    pub(crate) fn new(problem: Problem, mode: RunMode) -> Self {
         let problem_hash = problem.canonical_hash();
         Self {
             problem,
@@ -73,7 +73,7 @@ impl Manifest {
     ///
     /// Hashes are serialised as 16-digit hex *strings*: the JSON reader
     /// parses numbers as `f64`, which cannot hold a full `u64`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut obj = JsonObject::new()
             .field_usize("format_version", FORMAT_VERSION as usize)
             .field_str("mode", self.mode.label());
@@ -88,7 +88,7 @@ impl Manifest {
 
     /// Decode a manifest frame payload, verifying the stored problem
     /// hash against a recomputed `canonical_hash()`.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
+    pub(crate) fn from_json(value: &JsonValue) -> Result<Self, String> {
         let version = value
             .get("format_version")
             .and_then(JsonValue::as_usize)

@@ -234,11 +234,6 @@ impl CheckpointObserver {
             inner: Rc::clone(&self.inner),
         }
     }
-
-    /// `true` once a finished frame has been written.
-    pub fn finished(&self) -> bool {
-        self.inner.borrow().finished
-    }
 }
 
 impl RunObserver for CheckpointObserver {

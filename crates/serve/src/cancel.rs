@@ -42,7 +42,7 @@ pub enum CancelDisposition {
 impl CancelDisposition {
     /// Derive the disposition from the state a job was in when the
     /// cancel request arrived.
-    pub fn from_prior_state(before: JobState) -> Self {
+    pub(crate) fn from_prior_state(before: JobState) -> Self {
         match before {
             JobState::Queued => CancelDisposition::Immediate,
             JobState::Running => CancelDisposition::Requested,
@@ -54,7 +54,7 @@ impl CancelDisposition {
     }
 
     /// The wire label of the disposition.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CancelDisposition::Immediate => "cancelled",
             CancelDisposition::Requested => "cancel-requested",

@@ -32,7 +32,14 @@ use std::time::Duration;
 
 /// Maximum accepted request body (1 MiB — problem documents are a few
 /// hundred bytes; anything larger is a client error, not a workload).
-pub const MAX_BODY_BYTES: usize = 1 << 20;
+pub(crate) const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Maximum accepted request head: request line plus headers (16 KiB).
+/// One byte budget covers the whole head, so a client that streams bytes
+/// with no newline, or header after header, is refused once it crosses
+/// the cap instead of growing the request for as long as it keeps
+/// sending (the read timeout only fires when the bytes stop).
+const MAX_HEAD_BYTES: usize = 16 << 10;
 
 /// What a [`ChunkedWriter`] holds before it writes on its own (8 KiB: a
 /// finished `serve-mix`-sized solve's whole event history is ≈ 2.4 KB).
@@ -40,7 +47,7 @@ pub const STREAM_BUFFER_BYTES: usize = 8 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Upper-cased method (`GET`, `POST`, `DELETE`, …).
     pub method: String,
     /// The path component of the request target, with any query string
@@ -57,7 +64,7 @@ pub struct Request {
 
 impl Request {
     /// The first value of a (lower-cased) header name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(k, _)| k == name)
@@ -69,10 +76,30 @@ fn bad_request(reason: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason.into())
 }
 
+/// Read one line of the request head into `line`, charging its bytes to
+/// what is left of the head's `budget`.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    budget: &mut usize,
+    line: &mut String,
+) -> io::Result<usize> {
+    let too_long = || bad_request(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
+    if *budget == 0 {
+        return Err(too_long());
+    }
+    let read = reader.take(*budget as u64).read_line(line)?;
+    *budget -= read;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(too_long());
+    }
+    Ok(read)
+}
+
 /// Read one HTTP/1.1 request from a buffered stream.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
+pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
+    let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_head_line(reader, &mut budget, &mut line)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before a request line",
@@ -100,7 +127,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
     let mut headers = Vec::new();
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(reader, &mut budget, &mut header)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-headers",
@@ -140,7 +167,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
 }
 
 /// The canonical reason phrase for the status codes the API emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -155,7 +182,7 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// Write a complete fixed-length JSON response and flush it.
-pub fn write_response<W: Write>(writer: &mut W, status: u16, body: &str) -> io::Result<()> {
+pub(crate) fn write_response<W: Write>(writer: &mut W, status: u16, body: &str) -> io::Result<()> {
     write_response_typed(writer, status, "application/json", body)
 }
 
@@ -191,7 +218,7 @@ pub struct ChunkedWriter<W: Write> {
 impl<W: Write> ChunkedWriter<W> {
     /// Buffer the status line and chunked headers, returning the
     /// in-progress response.
-    pub fn begin(writer: W, status: u16, content_type: &str) -> io::Result<Self> {
+    pub(crate) fn begin(writer: W, status: u16, content_type: &str) -> io::Result<Self> {
         let mut writer = BufWriter::with_capacity(STREAM_BUFFER_BYTES, writer);
         write!(
             writer,
@@ -364,6 +391,23 @@ mod tests {
         assert!(read_request(&mut Cursor::new(&b"NOT-HTTP\r\n\r\n"[..])).is_err());
         let oversize = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20);
         assert!(read_request(&mut Cursor::new(oversize.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn an_endless_head_is_refused_at_the_cap() {
+        let refused_at_the_cap = |head: &[u8]| {
+            let err = read_request(&mut Cursor::new(head)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("request head exceeds"), "{err}");
+        };
+        refused_at_the_cap(&vec![b'A'; MAX_HEAD_BYTES + 1]);
+        // Headers count against the same cap as the request line.
+        let mut many = b"GET / HTTP/1.1\r\n".to_vec();
+        while many.len() <= MAX_HEAD_BYTES {
+            many.extend_from_slice(b"X: y\r\n");
+        }
+        many.extend_from_slice(b"\r\n");
+        refused_at_the_cap(&many);
     }
 
     #[test]

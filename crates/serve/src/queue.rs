@@ -85,7 +85,7 @@ pub enum JobState {
 
 impl JobState {
     /// The wire label (`"queued"`, `"running"`, …).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             JobState::Resumable => "resumable",
             JobState::Queued => "queued",
@@ -257,13 +257,7 @@ pub struct JobQueue {
 impl JobQueue {
     /// Start `workers` worker threads over a FIFO holding at most
     /// `capacity` queued jobs, with a result cache of `cache_capacity`
-    /// outcomes and no durability (jobs do not checkpoint).
-    pub fn start(workers: usize, capacity: usize, cache_capacity: usize) -> Self {
-        Self::start_with_runlog(workers, capacity, cache_capacity, None, 1)
-            .expect("queue start without a run-log directory cannot fail")
-    }
-
-    /// [`JobQueue::start`] with durability: with `runlog_dir` set, every
+    /// outcomes.  With `runlog_dir` set, every
     /// job checkpoints into `{dir}/job-{id}.runlog` every
     /// `checkpoint_iters` outer iterations, and startup scans the
     /// directory for interrupted logs, re-listing each as a
@@ -444,7 +438,7 @@ impl JobQueue {
     }
 
     /// A snapshot of one job, or `None` for an unknown ID.
-    pub fn status(&self, id: u64) -> Option<JobStatus> {
+    pub(crate) fn status(&self, id: u64) -> Option<JobStatus> {
         let state = self.shared.state.lock().unwrap();
         state.jobs.get(&id).map(|entry| JobStatus {
             id,
@@ -458,7 +452,7 @@ impl JobQueue {
 
     /// The live event stream of one job (a clone sharing the buffer), or
     /// `None` for an unknown ID.
-    pub fn events(&self, id: u64) -> Option<LineChannel> {
+    pub(crate) fn events(&self, id: u64) -> Option<LineChannel> {
         let state = self.shared.state.lock().unwrap();
         state.jobs.get(&id).map(|entry| entry.events.clone())
     }
@@ -491,14 +485,14 @@ impl JobQueue {
 
     /// Count one handled HTTP request (called by the router for every
     /// request, whatever its outcome).
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.shared.count("serve_requests_total");
     }
 
     /// Count one connection the server refused because every connection
     /// handler was busy (`serve_connections_refused`; a full job queue is
     /// `serve_queue_rejections`).
-    pub fn record_connection_refused(&self) {
+    pub(crate) fn record_connection_refused(&self) {
         self.shared.count(CONNECTIONS_REFUSED);
     }
 
@@ -509,7 +503,7 @@ impl JobQueue {
 
     /// The metrics registry snapshot in Prometheus text exposition
     /// format (`/v1/metrics?format=prometheus`).
-    pub fn metrics_prometheus(&self) -> String {
+    pub(crate) fn metrics_prometheus(&self) -> String {
         self.shared.metrics.lock().unwrap().to_prometheus()
     }
 
@@ -517,7 +511,7 @@ impl JobQueue {
     /// (`GET /v1/jobs/{id}/trace`).  Outer `None` = unknown ID; inner
     /// `None` = no trace available (the job has not finished solving,
     /// or it was served from the result cache and replayed no work).
-    pub fn trace_json(&self, id: u64) -> Option<Option<String>> {
+    pub(crate) fn trace_json(&self, id: u64) -> Option<Option<String>> {
         let state = self.shared.state.lock().unwrap();
         state.jobs.get(&id).map(|entry| entry.trace_json.clone())
     }
@@ -530,7 +524,7 @@ impl JobQueue {
     /// Stop accepting work, raise every running job's cancel token,
     /// cancel (and close the streams of) still-queued jobs, close the
     /// streams of resumable ones, and join the workers.  Idempotent.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         {
             let mut state = self.shared.state.lock().unwrap();
             if state.shutdown {
@@ -812,7 +806,7 @@ mod tests {
 
     #[test]
     fn submit_solves_and_caches() {
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         let first = queue.submit(tiny()).unwrap();
         assert!(!first.cached);
         let status = wait_terminal(&queue, first.id);
@@ -839,7 +833,7 @@ mod tests {
 
     #[test]
     fn cache_hits_share_one_rendered_outcome() {
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         let miss = queue.submit(tiny()).unwrap();
         let solved = wait_terminal(&queue, miss.id).outcome_json.unwrap();
         let hits: Vec<Arc<str>> = (0..2)
@@ -858,7 +852,7 @@ mod tests {
 
     #[test]
     fn solved_jobs_expose_traces_and_latency_histograms() {
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         let receipt = queue.submit(tiny()).unwrap();
         wait_terminal(&queue, receipt.id);
 
@@ -887,7 +881,7 @@ mod tests {
 
     #[test]
     fn events_stream_and_close() {
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         let receipt = queue.submit(tiny()).unwrap();
         let events = queue.events(receipt.id).expect("stream exists");
         let mut seen = Vec::new();
@@ -904,7 +898,7 @@ mod tests {
 
     #[test]
     fn cancel_running_job_and_stay_serviceable() {
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         let receipt = queue.submit(slow()).unwrap();
         // Wait until the worker picks it up.
         for _ in 0..600 {
@@ -929,7 +923,7 @@ mod tests {
     fn cancel_queued_job_skips_the_solver() {
         // One worker pinned on a slow job; a queued job behind it
         // cancels immediately without ever running.
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         let blocker = queue.submit(slow()).unwrap();
         let queued = queue.submit(tiny()).unwrap();
         assert_eq!(
@@ -950,7 +944,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_execution_error() {
-        let queue = JobQueue::start(1, 1, 8);
+        let queue = JobQueue::start_with_runlog(1, 1, 8, None, 1).unwrap();
         let blocker = queue.submit(slow()).unwrap();
         // Give the single worker time to take the blocker off the FIFO,
         // then fill the FIFO's single slot.
@@ -971,7 +965,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_are_none() {
-        let queue = JobQueue::start(1, 8, 8);
+        let queue = JobQueue::start_with_runlog(1, 8, 8, None, 1).unwrap();
         assert!(queue.status(99).is_none());
         assert!(queue.events(99).is_none());
         assert!(queue.cancel(99).is_none());

@@ -296,7 +296,7 @@ pub(crate) fn refuse_connection(mut stream: &TcpStream, cap: usize) {
 /// Serve one connection: read a request, dispatch it, write the
 /// response.  I/O errors (including a client hanging up mid-stream) are
 /// swallowed — the connection is this function's whole world.
-pub fn handle_connection(stream: &TcpStream, queue: &JobQueue) {
+pub(crate) fn handle_connection(stream: &TcpStream, queue: &JobQueue) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     // A client that stops reading holds its handler no longer than this.
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));

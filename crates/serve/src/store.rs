@@ -36,30 +36,15 @@ pub struct ResultStore {
 impl ResultStore {
     /// An empty store retaining at most `capacity` outcomes (0 disables
     /// caching).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
             entries: Vec::new(),
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Outcomes currently retained.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Look up a hash, promoting a hit to most-recently-used.
-    pub fn get(&mut self, hash: u64) -> Option<Arc<str>> {
+    pub(crate) fn get(&mut self, hash: u64) -> Option<Arc<str>> {
         let index = self.entries.iter().position(|(h, _)| *h == hash)?;
         let entry = self.entries.remove(index);
         let json = Arc::clone(&entry.1);
@@ -69,7 +54,7 @@ impl ResultStore {
 
     /// Insert (or refresh) an outcome, evicting the least-recently-used
     /// entry when over capacity.  A no-op when caching is disabled.
-    pub fn insert(&mut self, hash: u64, outcome_json: Arc<str>) {
+    pub(crate) fn insert(&mut self, hash: u64, outcome_json: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -90,11 +75,11 @@ mod tests {
     #[test]
     fn hits_replay_the_exact_bytes() {
         let mut store = ResultStore::new(4);
-        assert!(store.is_empty());
+        assert!(store.entries.is_empty());
         store.insert(7, "{\"a\":1}".into());
         assert_eq!(store.get(7).as_deref(), Some("{\"a\":1}"));
         assert_eq!(store.get(8), None);
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.entries.len(), 1);
     }
 
     #[test]
@@ -105,7 +90,7 @@ mod tests {
         // Touch 1 so 2 becomes the coldest entry.
         assert!(store.get(1).is_some());
         store.insert(3, "three".into());
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.entries.len(), 2);
         assert!(store.get(2).is_none(), "coldest entry must be evicted");
         assert!(store.get(1).is_some());
         assert!(store.get(3).is_some());
@@ -116,7 +101,7 @@ mod tests {
         let mut store = ResultStore::new(2);
         store.insert(1, "old".into());
         store.insert(1, "new".into());
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.entries.len(), 1);
         assert_eq!(store.get(1).as_deref(), Some("new"));
     }
 
@@ -124,7 +109,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let mut store = ResultStore::new(0);
         store.insert(1, "x".into());
-        assert!(store.is_empty());
+        assert!(store.entries.is_empty());
         assert_eq!(store.get(1), None);
     }
 }

@@ -32,16 +32,8 @@ pub enum LoopOrder {
 
 impl LoopOrder {
     /// Both loop orders, in the order the paper's legends list them.
-    pub fn all() -> [LoopOrder; 2] {
+    pub(crate) fn all() -> [LoopOrder; 2] {
         [LoopOrder::ElementThenGroup, LoopOrder::GroupThenElement]
-    }
-
-    /// The `outer/inner` name fragment used in figure legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LoopOrder::ElementThenGroup => "element/group",
-            LoopOrder::GroupThenElement => "group/element",
-        }
     }
 }
 
@@ -243,13 +235,6 @@ mod tests {
         assert!(!ConcurrencyScheme::figure_schemes().contains(&best));
         let papers: ConcurrencyScheme = "angle/element*/group*".parse().unwrap();
         assert_eq!(papers.threaded, ThreadedLoops::Collapsed);
-    }
-
-    #[test]
-    fn loop_order_labels() {
-        assert_eq!(LoopOrder::ElementThenGroup.label(), "element/group");
-        assert_eq!(LoopOrder::GroupThenElement.label(), "group/element");
-        assert_eq!(LoopOrder::all().len(), 2);
     }
 
     #[test]

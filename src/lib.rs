@@ -104,7 +104,7 @@ pub mod prelude {
         CheckpointSink, CheckpointView, RankDetail, ResumePoint, RunStats, SolveOutcome,
         TransportSolver,
     };
-    pub use unsnap_core::strategy::{AcceleratorKind, InnerSolveContext, StrategyKind};
+    pub use unsnap_core::strategy::{InnerSolveContext, StrategyKind};
     pub use unsnap_fem::{ElementIntegrals, HexVertices, ReferenceElement};
     pub use unsnap_linalg::krylov::{
         CgConfig, CgWorkspace, ConjugateGradient, Gmres, GmresConfig, GmresWorkspace,

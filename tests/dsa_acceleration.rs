@@ -1,5 +1,5 @@
 //! Acceptance tests for the DSA subsystem (`unsnap-accel` + the
-//! `DSA-SI` strategy and the DSA-preconditioned GMRES path).
+//! `DSA-SI` strategy).
 //!
 //! Pinned here:
 //!
@@ -126,25 +126,6 @@ fn streamed_dsa_residuals_match_the_outcome_history() {
     );
     let counted: Vec<usize> = (1..=outcome.sweep_count).collect();
     assert_eq!(support::sweeps(&log, driver), counted);
-}
-
-#[test]
-fn dsa_preconditioned_gmres_reaches_the_gmres_fixed_point() {
-    let p = diffusive_quickstart(0.99).with_strategy(StrategyKind::SweepGmres);
-    let plain = run(&p);
-    let accel = run(&p.clone().with_accelerator(AcceleratorKind::Dsa));
-    assert!(plain.converged && accel.converged);
-    assert!(accel.accel_cg_iterations > 0);
-    assert!(
-        accel.krylov_iterations < plain.krylov_iterations,
-        "DSA preconditioning must shrink the Krylov space in the diffusive regime \
-         ({} vs {})",
-        accel.krylov_iterations,
-        plain.krylov_iterations
-    );
-    let rel =
-        (plain.scalar_flux_total - accel.scalar_flux_total).abs() / plain.scalar_flux_total.abs();
-    assert!(rel < 1e-5, "fixed points differ by {rel:.3e}");
 }
 
 /// Random small scenario: mesh shape, domain extent, groups and a

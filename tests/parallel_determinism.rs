@@ -148,15 +148,6 @@ fn dsa_source_iteration_is_thread_count_invariant_on_quickstart() {
 }
 
 #[test]
-fn dsa_preconditioned_gmres_is_thread_count_invariant_on_quickstart() {
-    assert_thread_count_invariant(
-        &Problem::quickstart()
-            .with_strategy(StrategyKind::SweepGmres)
-            .with_accelerator(AcceleratorKind::Dsa),
-    );
-}
-
-#[test]
 fn every_figure_scheme_is_thread_count_invariant() {
     // The six Figure 3/4 element/group schemes share every region of every
     // bucket among a team, and a task's bits do not depend on the share it

@@ -85,7 +85,7 @@ proptest! {
             &StructuredGrid::new(nx, ny, nz, 1.0, 1.0, 1.0),
             0.001,
         );
-        let subdomains = Decomposition2D::new(px, py).decompose(&mesh);
+        let subdomains = Decomposition2D::new(px, py).try_decompose(&mesh).unwrap();
         let mut owner = vec![None; mesh.num_cells()];
         for sd in &subdomains {
             for &cell in &sd.global_cells {
@@ -255,7 +255,7 @@ proptest! {
             1 => { problem.angles_per_octant = 0; "angles_per_octant" }
             2 => { problem.num_groups = 0; "num_groups" }
             3 => { problem.inner_iterations = 0; "inner_iterations" }
-            _ => { problem.gmres_restart = 0; "gmres_restart" }
+            _ => { problem.outer_iterations = 0; "outer_iterations" }
         };
         prop_assert_eq!(rejected_field(&problem), Some(expected));
     }
