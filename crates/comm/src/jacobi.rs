@@ -98,9 +98,8 @@ impl BlockJacobiSolver {
     /// Build the distributed solver for a problem and a 2-D decomposition.
     ///
     /// Every [`Problem`] knob flows through: the iteration strategy
-    /// ([`Problem::strategy`]), the GMRES restart length, the
-    /// dense-solver back end, the scattering-ratio override and the
-    /// thread count.
+    /// ([`Problem::strategy`]), the dense-solver back end, the
+    /// scattering-ratio override and the thread count.
     ///
     /// Fails with [`InvalidProblem`](unsnap_core::error::Error::InvalidProblem)
     /// on a bad problem, [`Mesh`](unsnap_core::error::Error::Mesh) when the
@@ -183,7 +182,7 @@ impl BlockJacobiSolver {
     /// driver-lane `InnerIteration`.  Because the buffered logs replay
     /// in rank order, the stream is identical at every thread count.
     pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
-        self.run_observed_checkpointed(observer, &mut NoopSink)
+        self.run_checkpointed(observer, &mut NoopSink)
     }
 
     /// [`BlockJacobiSolver::run_observed`] with a durability hook:
@@ -192,7 +191,7 @@ impl BlockJacobiSolver {
     /// outer-iteration boundary (after the outer's `OuterEnd`
     /// event).  A sink error aborts the run, which is how the
     /// write-ahead log layer injects deterministic crashes.
-    pub fn run_observed_checkpointed(
+    pub fn run_checkpointed(
         &mut self,
         observer: &mut dyn RunObserver,
         sink: &mut dyn CheckpointSink,

@@ -22,14 +22,14 @@
 //! ```
 //! use unsnap_core::cancel::CancelToken;
 //! use unsnap_core::error::Error;
-//! use unsnap_core::{Problem, Session};
+//! use unsnap_core::{Problem, TransportSolver};
 //!
-//! let mut session = Session::new(&Problem::tiny()).unwrap();
+//! let mut solver = TransportSolver::new(&Problem::tiny()).unwrap();
 //! let token = CancelToken::new();
-//! session.solver_mut().set_cancel_token(token.clone());
+//! solver.set_cancel_token(token.clone());
 //! token.cancel(); // cancelled before the first outer even starts
 //! assert!(matches!(
-//!     session.run(),
+//!     solver.run(),
 //!     Err(Error::Cancelled { outer: 0 })
 //! ));
 //! ```

@@ -33,11 +33,11 @@
 //!   solves, polled at outer-iteration boundaries.
 //! * [`wire`] — the canonical JSON wire format for problem
 //!   configurations (serve requests, cross-process tooling) and the
-//!   byte stream behind [`Problem::canonical_hash`].
-//! * [`session`] — the observable solve API and the event stream's one
-//!   home: [`Session`], [`RunObserver`], the [`session::SolveEvent`]
-//!   vocabulary and [`session::Phase`] taxonomy, the [`session::EventLog`]
-//!   buffer, and the three folds — [`RunMetrics`] (the snapshot attached
+//!   byte stream behind [`Problem::canonical_hash`], its schema
+//!   fingerprint and the workspace's one FNV-1a ([`wire::fnv1a`]).
+//! * [`session`] — the event stream's one home: [`RunObserver`], the
+//!   [`session::SolveEvent`] vocabulary and [`session::Phase`] taxonomy,
+//!   the [`session::EventLog`] buffer, and the three folds — [`RunMetrics`] (the snapshot attached
 //!   to every [`SolveOutcome`]), the one JSONL encoding that
 //!   [`JsonlObserver`] writes, and the span tree.
 //! * [`angular`] — Sn product quadrature over the unit sphere (angles per
@@ -55,7 +55,8 @@
 //! * [`team`] — how a team forks (scoped threads, the caller as member
 //!   0; [`team::map`], [`team::width`], [`team::forced_width`]) and how
 //!   the members of a sweep share it out and hand it in.
-//! * [`solver`] — the single-domain driver: outer iteration structure,
+//! * [`solver`] — [`TransportSolver`], the single-domain driver (`run`,
+//!   `run_observed`, `run_checkpointed`): outer iteration structure,
 //!   checkpoint hooks, timers and convergence monitoring.
 //! * [`strategy`] — the inner iterations of one outer iteration:
 //!   [`StrategyKind::run_inners`] is classic source iteration,
@@ -73,12 +74,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use unsnap_core::{Problem, Session};
+//! use unsnap_core::{Problem, TransportSolver};
 //!
 //! // A tiny problem that runs in well under a second: pick a preset,
-//! // open a session (which validates it), run it.
-//! let mut session = Session::new(&Problem::tiny()).unwrap();
-//! let outcome = session.run().unwrap();
+//! // build a solver (which validates it), run it.
+//! let mut solver = TransportSolver::new(&Problem::tiny()).unwrap();
+//! let outcome = solver.run().unwrap();
 //! assert!(outcome.scalar_flux_total > 0.0);
 //! ```
 
@@ -107,8 +108,6 @@ pub use data::{CrossSections, MaterialOption, SourceOption};
 pub use error::{Error, Result};
 pub use layout::{FluxLayout, FluxStorage};
 pub use problem::Problem;
-pub use session::{
-    JsonlObserver, NoopObserver, Phase, RunMetrics, RunObserver, Session, TeeObserver,
-};
+pub use session::{JsonlObserver, NoopObserver, Phase, RunMetrics, RunObserver, TeeObserver};
 pub use solver::{RunStats, SolveOutcome, TransportSolver};
 pub use strategy::StrategyKind;

@@ -336,8 +336,8 @@ impl Problem {
         }
     }
 
-    /// A deterministic content hash of the full configuration: FNV-1a
-    /// (64-bit) over the canonical wire serialisation
+    /// A deterministic content hash of the full configuration:
+    /// [`wire::fnv1a`](crate::wire::fnv1a) over the canonical wire serialisation
     /// ([`wire::problem_to_json`](crate::wire::problem_to_json)), which
     /// writes every field in declared order with shortest-round-trip
     /// floats.  Two problems hash equal **iff** they are field-for-field
@@ -346,15 +346,7 @@ impl Problem {
     /// and platforms because nothing machine-dependent enters the
     /// serialisation.
     pub fn canonical_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let canonical = crate::wire::problem_to_json(self);
-        let mut hash = FNV_OFFSET;
-        for byte in canonical.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        crate::wire::fnv1a(&[crate::wire::problem_to_json(self).as_bytes()])
     }
 
     /// Override the concurrency scheme.

@@ -4,13 +4,14 @@
 //!   [`SolveEvent`] at every outer iteration boundary, every inner
 //!   iteration, every transport sweep and every Krylov residual.  An
 //!   event carries something the receiver cannot compute from the
-//!   [`Problem`] — a residual, a duration, a decision; the wavefront
-//!   schedule is a function of the problem, so a sweep reports how many
-//!   buckets it walked once ([`SolveEvent::Sweep`]) and never replays
-//!   them one by one.
+//!   [`Problem`](crate::problem::Problem) — a residual, a duration, a
+//!   decision; the wavefront schedule is a function of the problem, so a
+//!   sweep reports how many buckets it walked once
+//!   ([`SolveEvent::Sweep`]) and never replays them one by one.
 //! * Three folds turn the stream into what a run reports:
-//!   [`RunMetrics`] counts it (the snapshot every [`SolveOutcome`]
-//!   carries), [`SolveEvent::to_json`] encodes it one line per event —
+//!   [`RunMetrics`] counts it (the snapshot every
+//!   [`SolveOutcome`](crate::solver::SolveOutcome) carries),
+//!   [`SolveEvent::to_json`] encodes it one line per event —
 //!   what [`JsonlObserver`] writes, a run-log frame stores, a serve job's
 //!   event stream serves and `reproduce --progress` prints — and the span
 //!   fold builds the outcome's [`TraceTree`].  [`run_with_telemetry`]
@@ -20,8 +21,8 @@
 //!   resume replays the checkpointed prefix from one, and two runs
 //!   compare event by event once [`EventLog::zero_wallclock`] has zeroed
 //!   their seconds.
-//! * [`Session`] owns the solver state across runs and drives it under an
-//!   observer.
+//! * [`TransportSolver::run_observed`] and its block-Jacobi twin drive a
+//!   solve under an observer.
 //!
 //! Counts, payload sizes, residuals and lanes are deterministic:
 //! bit-for-bit identical at every thread and rank count.  Seconds are
@@ -31,11 +32,12 @@
 //!
 //! ```
 //! use unsnap_core::problem::Problem;
-//! use unsnap_core::session::{EventLog, Session, SolveEvent};
+//! use unsnap_core::session::{EventLog, SolveEvent};
+//! use unsnap_core::solver::TransportSolver;
 //!
-//! let mut session = Session::new(&Problem::tiny()).unwrap();
+//! let mut solver = TransportSolver::new(&Problem::tiny()).unwrap();
 //! let mut log = EventLog::default();
-//! let outcome = session.run_observed(&mut log).unwrap();
+//! let outcome = solver.run_observed(&mut log).unwrap();
 //! let sweeps = log.events.iter().filter(|(_, e)| matches!(e, SolveEvent::Sweep { .. }));
 //! assert_eq!(sweeps.count(), outcome.sweep_count);
 //! assert_eq!(outcome.metrics.sweeps, outcome.sweep_count);
@@ -52,9 +54,7 @@ use unsnap_obs::metrics::Histogram;
 use unsnap_obs::trace::{TraceTree, Tracer};
 
 use crate::error::Result;
-use crate::layout::FluxStorage;
-use crate::problem::Problem;
-use crate::solver::{SolveOutcome, TransportSolver};
+use crate::solver::TransportSolver;
 
 /// The named phases of a transport solve, as reported through
 /// [`SolveEvent::PhaseStart`]/[`SolveEvent::PhaseEnd`].
@@ -185,7 +185,7 @@ pub enum SolveEvent {
         converged: bool,
     },
     /// An inner iterate completed (one event per entry of
-    /// [`SolveOutcome::convergence_history`]).
+    /// [`SolveOutcome::convergence_history`](crate::solver::SolveOutcome::convergence_history)).
     InnerIteration {
         /// Inner-iteration count.
         inner: usize,
@@ -209,8 +209,9 @@ pub enum SolveEvent {
         seconds: f64,
     },
     /// A Krylov iteration reported a relative residual (one event per
-    /// entry of [`SolveOutcome::krylov_residual_history`]; never fires
-    /// under plain source iteration).
+    /// entry of
+    /// [`SolveOutcome::krylov_residual_history`](crate::solver::SolveOutcome::krylov_residual_history);
+    /// never fires under plain source iteration).
     KrylovResidual {
         /// Krylov iterations completed.
         iteration: usize,
@@ -830,63 +831,11 @@ impl RunObserver for SpanFold {
     }
 }
 
-/// An owned, observable transport solve.
-///
-/// A `Session` wraps a [`TransportSolver`], so drivers hold a single
-/// object across repeated (warm-started) solves.  Running the same
-/// session twice continues from the flux state the previous run left
-/// behind — the behaviour a restart/continuation driver wants; build a
-/// fresh session for an independent solve.
-pub struct Session {
-    solver: TransportSolver,
-}
-
-impl Session {
-    /// Build a session for a validated problem.
-    pub fn new(problem: &Problem) -> Result<Self> {
-        Ok(Self {
-            solver: TransportSolver::new(problem)?,
-        })
-    }
-
-    /// The underlying solver (schedules, quadrature, flux state).
-    pub fn solver(&self) -> &TransportSolver {
-        &self.solver
-    }
-
-    /// Mutable access to the underlying solver for advanced drivers.
-    pub fn solver_mut(&mut self) -> &mut TransportSolver {
-        &mut self.solver
-    }
-
-    /// Run the full outer/inner iteration structure silently.
-    pub fn run(&mut self) -> Result<SolveOutcome> {
-        self.run_observed(&mut NoopObserver)
-    }
-
-    /// Run the full outer/inner iteration structure, streaming events to
-    /// `observer` as they happen.
-    pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
-        self.solver.run_observed(observer)
-    }
-
-    /// [`Session::run_observed`] with a durability hook: `sink` is
-    /// offered a checkpoint of the solver state at every outer-iteration
-    /// boundary (see
-    /// [`TransportSolver::run_observed_checkpointed`](crate::solver::TransportSolver::run_observed_checkpointed)).
-    pub fn run_checkpointed(
-        &mut self,
-        observer: &mut dyn RunObserver,
-        sink: &mut dyn crate::solver::CheckpointSink,
-    ) -> Result<SolveOutcome> {
-        self.solver.run_observed_checkpointed(observer, sink)
-    }
-
-    /// The scalar flux after the most recent run.
-    pub fn scalar_flux(&self) -> &FluxStorage {
-        self.solver.scalar_flux()
-    }
-}
+/// The name [`TransportSolver`] had while a wrapper forwarded every
+/// method to it.  `benchmark/src/{solve,layers}.rs` compile against it
+/// and `benchmark/` is frozen — delete it with the next `benchmark/` PR
+/// (ROADMAP item 1), as `unsnap_comm::BlockJacobiOutcome`.
+pub type Session = TransportSolver;
 
 #[cfg(test)]
 mod tests {
@@ -898,6 +847,8 @@ mod tests {
     use super::Lane::*;
     use super::SolveEvent::*;
     use super::*;
+    use crate::problem::Problem;
+    use crate::solver::SolveOutcome;
     use crate::strategy::StrategyKind;
 
     /// Every event variant on the driver lane and on `Rank(2)`, with
@@ -956,8 +907,8 @@ mod tests {
 
     #[test]
     fn session_runs() {
-        let mut session = Session::new(&Problem::tiny()).unwrap();
-        let outcome = session.run().unwrap();
+        let mut solver = TransportSolver::new(&Problem::tiny()).unwrap();
+        let outcome = solver.run().unwrap();
         assert!(outcome.scalar_flux_total > 0.0);
     }
 
@@ -973,9 +924,9 @@ mod tests {
             (Problem::tiny(), Problem::tiny().outer_iterations),
             (early, 1),
         ] {
-            let mut session = Session::new(&problem).unwrap();
+            let mut solver = TransportSolver::new(&problem).unwrap();
             let mut log = EventLog::default();
-            let outcome = session.run_observed(&mut log).unwrap();
+            let outcome = solver.run_observed(&mut log).unwrap();
             assert_eq!(outcome.outer_iterations, outers);
             assert_stream_matches(&log, &outcome);
         }
@@ -984,9 +935,9 @@ mod tests {
     #[test]
     fn event_log_matches_outcome_for_sweep_gmres() {
         let problem = Problem::tiny().with_strategy(StrategyKind::SweepGmres);
-        let mut session = Session::new(&problem).unwrap();
+        let mut solver = TransportSolver::new(&problem).unwrap();
         let mut log = EventLog::default();
-        let outcome = session.run_observed(&mut log).unwrap();
+        let outcome = solver.run_observed(&mut log).unwrap();
         assert!(!outcome.krylov_residual_history.is_empty());
         assert_stream_matches(&log, &outcome);
     }
@@ -996,9 +947,9 @@ mod tests {
         let mut p = Problem::tiny();
         p.convergence_tolerance = 1e-12;
         p.inner_iterations = 4;
-        let mut session = Session::new(&p).unwrap();
-        let first = session.run().unwrap();
-        let second = session.run().unwrap();
+        let mut solver = TransportSolver::new(&p).unwrap();
+        let first = solver.run().unwrap();
+        let second = solver.run().unwrap();
         // The second run starts from the first run's flux, so its first
         // iterate moves far less.
         assert!(second.convergence_history[0] < first.convergence_history[0]);
@@ -1009,7 +960,7 @@ mod tests {
         let problem = Problem::tiny().with_strategy(StrategyKind::SweepGmres);
         let run = || {
             let mut log = EventLog::default();
-            Session::new(&problem)
+            TransportSolver::new(&problem)
                 .unwrap()
                 .run_observed(&mut log)
                 .unwrap();

@@ -606,9 +606,9 @@ impl TransportSolver {
     /// Run the full outer/inner iteration structure and return a summary.
     ///
     /// Equivalent to [`TransportSolver::run_observed`] with a silent
-    /// observer.  Most callers should prefer a
-    /// [`Session`](crate::session::Session), which owns the solver state
-    /// and exposes both entry points.
+    /// observer.  Running the same solver again continues from the flux
+    /// state the previous run left behind (a warm start); build a fresh
+    /// solver for an independent solve.
     pub fn run(&mut self) -> Result<SolveOutcome> {
         self.run_observed(&mut NoopObserver)
     }
@@ -621,7 +621,7 @@ impl TransportSolver {
     /// [`StrategyKind::run_inners`] of the strategy selected by
     /// [`Problem::strategy`](crate::problem::Problem).
     pub fn run_observed(&mut self, observer: &mut dyn RunObserver) -> Result<SolveOutcome> {
-        self.run_observed_checkpointed(observer, &mut NoopSink)
+        self.run_checkpointed(observer, &mut NoopSink)
     }
 
     /// [`TransportSolver::run_observed`] with a durability hook: `sink`
@@ -629,7 +629,7 @@ impl TransportSolver {
     /// (after the outer's `OuterEnd` event).  A sink error aborts
     /// the run, which is how the write-ahead log layer injects
     /// deterministic crashes.
-    pub fn run_observed_checkpointed(
+    pub fn run_checkpointed(
         &mut self,
         observer: &mut dyn RunObserver,
         sink: &mut dyn CheckpointSink,

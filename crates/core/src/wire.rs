@@ -147,6 +147,52 @@ pub fn problem_to_json(problem: &Problem) -> String {
         .finish()
 }
 
+/// FNV-1a (64-bit) over the concatenation of `chunks` — the workspace's
+/// one content hash: [`Problem::canonical_hash`], [`schema_fingerprint`]
+/// and the run log's frame checksums all call it.
+pub fn fnv1a(chunks: &[&[u8]]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    for chunk in chunks {
+        for byte in *chunk {
+            hash ^= u64::from(*byte);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+    }
+    hash
+}
+
+/// A fingerprint of the wire *schema*: FNV-1a over the sorted leaf-key
+/// paths (`"grid.nx"`, `"execution.kernel"`, …) of
+/// [`problem_to_json`]'s output, parsed back.  It moves exactly when a
+/// field is added, removed, renamed or moved between sections, so a
+/// stored problem can be refused as "written under another schema"
+/// before it is parsed.
+pub fn schema_fingerprint() -> u64 {
+    fn leaves(value: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+        match value.as_object() {
+            Some(fields) => {
+                for (key, field) in fields {
+                    let path = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    leaves(field, &path, out);
+                }
+            }
+            None => out.push(prefix.to_string()),
+        }
+    }
+    let document = reader::parse(&problem_to_json(&Problem::tiny()))
+        .expect("the canonical serialisation is valid JSON");
+    let mut paths = Vec::new();
+    leaves(&document, "", &mut paths);
+    paths.sort();
+    fnv1a(&[paths.join("\n").as_bytes()])
+}
+
 // ---------------------------------------------------------------------
 // Parsing.
 // ---------------------------------------------------------------------
@@ -186,9 +232,9 @@ fn expect_bool(value: &JsonValue, field: &'static str) -> Result<bool> {
     })
 }
 
-/// Parse a labelled enum knob (strategy, accelerator, solver, scheme,
-/// material, source) through its workspace `FromStr`, accepting every
-/// alias `reproduce`'s flags accept.
+/// Parse a labelled enum knob (material, source, strategy, solver,
+/// scheme, kernel, precision) through its workspace `FromStr`, accepting
+/// every alias `reproduce`'s flags accept.
 fn expect_label<T: FromStr<Err = String>>(value: &JsonValue, field: &'static str) -> Result<T> {
     let text = value.as_str().ok_or_else(|| {
         Error::invalid_problem(field, format!("expected a string, got {}", describe(value)))
@@ -713,5 +759,14 @@ mod tests {
             let hash = Problem::from_name(name).unwrap().canonical_hash();
             assert_eq!(hash, pinned, "{name}: {hash:#018x}");
         }
+    }
+
+    #[test]
+    fn schema_fingerprint_is_pinned() {
+        // The run-log manifest stores this; it moves only when a wire
+        // field is added, removed, renamed or moved between sections,
+        // never with a value (the preset hashes above move with those).
+        let fingerprint = schema_fingerprint();
+        assert_eq!(fingerprint, 0x9e7d_feda_3ec2_d5ec, "{fingerprint:#018x}");
     }
 }

@@ -27,9 +27,8 @@
 use std::process::ExitCode;
 
 use unsnap_core::problem::Problem;
-use unsnap_core::session::Session;
-use unsnap_core::solver::SolveOutcome;
-use unsnap_runlog::{CheckpointObserver, RunMode, SessionResume};
+use unsnap_core::solver::{SolveOutcome, TransportSolver};
+use unsnap_runlog::{reopen, CheckpointObserver, Reopened, RunMode};
 
 /// The fixed smoke problem: multi-outer, never converges (tolerance 0),
 /// so the outer count — and with it the checkpoint schedule — is exact.
@@ -62,19 +61,31 @@ fn run(path: &str) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
     let mut sink = observer.sink();
     let mut observer = observer;
-    let mut session = Session::new(&problem).map_err(|e| e.to_string())?;
-    let outcome = session
+    let mut solver = TransportSolver::new(&problem).map_err(|e| e.to_string())?;
+    let outcome = solver
         .run_checkpointed(&mut observer, &mut sink)
         .map_err(|e| e.to_string())?;
     Ok(normalized_json(outcome))
 }
 
 fn resume(path: &str) -> Result<String, String> {
-    let mut session = Session::resume(path).map_err(|e| e.to_string())?;
-    let observer = CheckpointObserver::resume(path, 1).map_err(|e| e.to_string())?;
+    let Reopened {
+        manifest,
+        resume,
+        observer,
+    } = reopen(path, 1).map_err(|e| e.to_string())?;
+    if manifest.mode != RunMode::Single {
+        return Err(format!(
+            "run log {path} records a block-Jacobi run, not this smoke's"
+        ));
+    }
+    let mut solver = TransportSolver::new(&manifest.problem).map_err(|e| e.to_string())?;
+    if let Some(point) = resume {
+        solver.resume_from(point).map_err(|e| e.to_string())?;
+    }
     let mut sink = observer.sink();
     let mut observer = observer;
-    let outcome = session
+    let outcome = solver
         .run_checkpointed(&mut observer, &mut sink)
         .map_err(|e| e.to_string())?;
     Ok(normalized_json(outcome))

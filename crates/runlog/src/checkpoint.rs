@@ -3,8 +3,10 @@
 //! Each checkpoint frame stores the solver state at an outer-iteration
 //! boundary plus the *delta* of observer events emitted since the
 //! previous frame was written (the full prefix would make the log
-//! quadratic in run length).  Recovery concatenates the deltas of every
-//! intact frame to rebuild the exact event prefix for replay.
+//! quadratic in run length).  A frame decodes straight into a
+//! [`ResumePoint`] whose `prefix` is that delta; recovery appends the
+//! prefixes of every intact frame in order to rebuild the exact event
+//! prefix for replay.
 //!
 //! The payload is `{outer_next, stats, rank_stats, phi, halo, events}`:
 //! `rank_stats` and `halo` are empty for a single-domain run; a
@@ -15,30 +17,11 @@
 //! ([`SolveEvent::to_json`](unsnap_core::session::SolveEvent::to_json)).
 
 use unsnap_core::session::EventLog;
-use unsnap_core::solver::{CheckpointView, ResumePoint, RunStats};
+use unsnap_core::solver::{CheckpointView, ResumePoint};
 use unsnap_obs::json::{self, JsonObject};
 use unsnap_obs::reader::JsonValue;
 
 use crate::codec;
-
-/// A decoded checkpoint frame.
-#[derive(Debug, Clone, Default)]
-pub struct Checkpoint {
-    /// First outer iteration still to run.
-    pub outer_next: usize,
-    /// The driver's statistics accumulated up to the checkpoint.
-    pub stats: RunStats,
-    /// Per-rank accumulated statistics, rank order (empty for a
-    /// single-domain run).
-    pub rank_stats: Vec<RunStats>,
-    /// Global scalar flux φ at the checkpoint.
-    pub phi: Vec<f64>,
-    /// The halo's face traces of the angular flux at the checkpoint
-    /// (empty for a single-domain run).
-    pub halo: Vec<f64>,
-    /// Observer events since the previous frame (delta, not prefix).
-    pub events: EventLog,
-}
 
 /// Encode a checkpoint payload from the solver's view plus the event
 /// delta.
@@ -57,8 +40,8 @@ pub(crate) fn to_json(view: &CheckpointView<'_>, events: &EventLog) -> String {
 
 /// Decode a checkpoint payload of a run over `num_ranks` subdomains (the
 /// manifest's `npx · npy`; `0` for a single-domain run, whose events can
-/// name no rank).
-pub fn from_json(value: &JsonValue, num_ranks: usize) -> Result<Checkpoint, String> {
+/// name no rank).  The point's `prefix` is this frame's event delta.
+pub fn from_json(value: &JsonValue, num_ranks: usize) -> Result<ResumePoint, String> {
     let field = |key: &str| {
         value
             .get(key)
@@ -76,7 +59,7 @@ pub fn from_json(value: &JsonValue, num_ranks: usize) -> Result<Checkpoint, Stri
             rank_stats.len()
         ));
     }
-    Ok(Checkpoint {
+    Ok(ResumePoint {
         outer_next: field("outer_next")?
             .as_usize()
             .ok_or("checkpoint outer_next is not a non-negative integer")?,
@@ -84,28 +67,7 @@ pub fn from_json(value: &JsonValue, num_ranks: usize) -> Result<Checkpoint, Stri
         rank_stats,
         phi: codec::f64_array_of(value, "phi")?,
         halo: codec::f64_array_of(value, "halo")?,
-        events: codec::events_from_json(field("events")?, num_ranks)?,
-    })
-}
-
-/// Fold a list of decoded checkpoints into the resume point for the
-/// *last* one: its state, plus the concatenated event deltas of every
-/// checkpoint as the replay prefix.
-pub(crate) fn fold(checkpoints: Vec<Checkpoint>) -> Option<ResumePoint> {
-    let mut prefix = EventLog::default();
-    let mut last = None;
-    for mut ck in checkpoints {
-        prefix.events.append(&mut ck.events.events);
-        last = Some(ck);
-    }
-    let last = last?;
-    Some(ResumePoint {
-        outer_next: last.outer_next,
-        stats: last.stats,
-        phi: last.phi,
-        halo: last.halo,
-        rank_stats: last.rank_stats,
-        prefix,
+        prefix: codec::events_from_json(field("events")?, num_ranks)?,
     })
 }
 
@@ -113,6 +75,7 @@ pub(crate) fn fold(checkpoints: Vec<Checkpoint>) -> Option<ResumePoint> {
 mod tests {
     use super::*;
     use unsnap_core::session::{Lane, SolveEvent};
+    use unsnap_core::solver::RunStats;
     use unsnap_obs::reader;
 
     #[test]
@@ -158,40 +121,10 @@ mod tests {
             assert!(history[1].is_nan());
             let sweeps: Vec<usize> = back.rank_stats.iter().map(|s| s.sweeps).collect();
             assert_eq!(sweeps, (10..10 + num_ranks).collect::<Vec<_>>());
-            assert_eq!(back.events, events);
+            assert_eq!(back.prefix, events);
             // The payload belongs to a run of exactly this many ranks.
             let err = from_json(&parsed, num_ranks + 1).unwrap_err();
             assert!(err.contains("rank(s)"), "{err}");
         }
-    }
-
-    #[test]
-    fn folding_concatenates_deltas_and_keeps_the_last_state() {
-        let first = Checkpoint {
-            outer_next: 1,
-            phi: vec![1.0],
-            halo: vec![1.0],
-            events: EventLog {
-                events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 0 })],
-            },
-            ..Checkpoint::default()
-        };
-        let second = Checkpoint {
-            outer_next: 2,
-            phi: vec![2.0],
-            halo: vec![2.0, 3.0],
-            rank_stats: vec![RunStats::default(); 2],
-            events: EventLog {
-                events: vec![(Lane::Driver, SolveEvent::OuterStart { outer: 1 })],
-            },
-            ..Checkpoint::default()
-        };
-        let point = fold(vec![first, second]).expect("non-empty");
-        assert_eq!(point.outer_next, 2);
-        assert_eq!(point.phi, vec![2.0]);
-        assert_eq!(point.halo, vec![2.0, 3.0]);
-        assert_eq!(point.rank_stats.len(), 2);
-        assert_eq!(point.prefix.events.len(), 2);
-        assert!(fold(Vec::new()).is_none());
     }
 }

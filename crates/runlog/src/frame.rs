@@ -15,16 +15,18 @@
 //! └──────────────────────────────┘
 //! ```
 //!
-//! The checksum is the same FNV-1a (64-bit) that
-//! [`Problem::canonical_hash`](unsnap_core::problem::Problem::canonical_hash)
-//! uses, computed over the tag byte, the four length bytes and the
-//! payload — so a torn length prefix is caught, not just a torn payload.
+//! The checksum is the workspace's one FNV-1a (64-bit),
+//! [`wire::fnv1a`], computed over the tag byte, the four length bytes
+//! and the payload — so a torn length prefix is caught, not just a torn
+//! payload.
 //!
 //! [`scan`] walks a byte buffer frame by frame and stops at the first
 //! defect (short header, truncated frame, checksum mismatch, unknown
 //! tag).  Everything before the defect is intact; everything from it on
 //! is a torn tail the recovery layer logically discards.  A scan never
 //! panics on any input.
+
+use unsnap_core::wire;
 
 /// Magic bytes opening every run log.
 pub const MAGIC: &[u8; 8] = b"UNSNAPRL";
@@ -42,8 +44,11 @@ pub const MAGIC: &[u8; 8] = b"UNSNAPRL";
 /// version-3 frame has neither key.  Version 5 keeps the same keys, but a
 /// block-Jacobi `halo` holds the face traces a downwind rank reads rather
 /// than the whole node blocks of every cell on a cut: a version-4 halo
-/// has another length and another order.
-pub const FORMAT_VERSION: u32 = 5;
+/// has another length and another order.  Version 6 stores the wire
+/// schema fingerprint in the manifest where it stored the strategy (the
+/// problem carries that), so a log written under another problem schema
+/// is refused by name rather than as undecodable.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Total header length: magic plus version.
 pub const HEADER_LEN: usize = MAGIC.len() + 4;
@@ -56,30 +61,12 @@ pub const TAG_CHECKPOINT: u8 = b'C';
 /// resume).
 pub(crate) const TAG_FINISHED: u8 = b'F';
 
-/// FNV-1a 64-bit over `bytes` — the workspace's canonical content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The checksum of a frame: FNV-1a over tag, length prefix and payload.
 fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
     let mut prefix = [0u8; 5];
     prefix[0] = tag;
     prefix[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut hash = fnv1a(&prefix);
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for byte in payload {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    wire::fnv1a(&[&prefix, payload])
 }
 
 /// Serialise the file header.
@@ -250,6 +237,16 @@ mod tests {
             assert!(scanned.frames.len() <= 3, "flip at {i}");
             assert!(scanned.valid_len <= bytes.len());
         }
+    }
+
+    #[test]
+    fn the_frame_checksum_keeps_its_bits() {
+        // FNV-1a over b"M", the length 7 (LE) and the payload, computed
+        // outside this crate: a log written before the hash moved into
+        // `wire::fnv1a` still checks.
+        let bytes = frame_bytes(TAG_MANIFEST, b"{\"m\":1}");
+        let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        assert_eq!(checksum, 0x934a_db4c_fce8_677b);
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! A solve that may be interrupted — a long paper-scale run, a serve
 //! job, a machine about to lose its allocation — streams its state into
 //! a compact append-only *run log*: a manifest frame pinning the exact
-//! problem (canonical wire JSON plus FNV-1a hash), followed by
-//! checkpoint frames at outer-iteration boundaries (global scalar flux
-//! φ, the face traces of the angular flux across the cuts between
-//! ranks, the driver's and each rank's accumulated statistics, and the
-//! observer-event delta since the previous frame — one payload,
-//! [`Checkpoint`], for both solver paths).  That is everything an
-//! iteration boundary hands on: a sweep overwrites every entry of a
-//! domain's own angular flux before reading it, so only what crosses a
-//! cut is state, and a single-domain frame holds no angular flux at all.  Every frame is
-//! length-prefixed and checksummed; recovery scans to the last intact
-//! frame and discards the torn tail, so a crash at *any* byte leaves a
-//! resumable log.  A log written by another format version is refused
-//! with an error naming both versions.
+//! problem (canonical wire JSON plus FNV-1a hash, and the fingerprint of
+//! the wire schema it was written under), followed by checkpoint frames
+//! at outer-iteration boundaries (global scalar flux φ, the face traces
+//! of the angular flux across the cuts between ranks, the driver's and
+//! each rank's accumulated statistics, and the observer-event delta
+//! since the previous frame — one payload, decoded straight into a
+//! [`ResumePoint`](unsnap_core::solver::ResumePoint), for both solver
+//! paths).  That is everything an iteration boundary hands on: a sweep
+//! overwrites every entry of a domain's own angular flux before reading
+//! it, so only what crosses a cut is state, and a single-domain frame
+//! holds no angular flux at all.  Every frame is length-prefixed and
+//! checksummed; recovery scans to the last intact frame and discards the
+//! torn tail, so a crash at *any* byte leaves a resumable log.  A log
+//! written by another format version, or under another problem schema,
+//! is refused with an error naming both.
 //!
 //! The resume determinism contract: checkpoint → crash → resume yields
 //! an outcome **bit-for-bit identical** to the uninterrupted run —
@@ -27,10 +29,9 @@
 //! every-byte-offset truncation property.
 //!
 //! ```no_run
-//! use unsnap_comm::BlockJacobiSolver;
 //! use unsnap_core::problem::Problem;
-//! use unsnap_core::session::Session;
-//! use unsnap_runlog::{resume_block_jacobi, CheckpointObserver, RunMode, SessionResume};
+//! use unsnap_core::solver::TransportSolver;
+//! use unsnap_runlog::{reopen, CheckpointObserver, Reopened, RunMode};
 //!
 //! # fn main() -> unsnap_core::error::Result<()> {
 //! // First attempt: checkpoint every outer iteration.
@@ -38,22 +39,24 @@
 //! let observer = CheckpointObserver::create("run.log", &problem, RunMode::Single, 1)?;
 //! let mut sink = observer.sink();
 //! let mut observer = observer;
-//! let mut session = Session::new(&problem)?;
+//! let mut solver = TransportSolver::new(&problem)?;
 //! // …crashes mid-run…
-//! let _ = session.run_checkpointed(&mut observer, &mut sink);
+//! let _ = solver.run_checkpointed(&mut observer, &mut sink);
 //!
-//! // After the crash: recover and continue to the identical outcome.
-//! let mut session = Session::resume("run.log")?;
-//! let observer = CheckpointObserver::resume("run.log", 1)?;
+//! // After the crash: reopen the log, build the driver its manifest
+//! // names, install the resume point and continue to the identical
+//! // outcome.  A block-Jacobi log (`RunMode::Jacobi { npx, npy }`)
+//! // continues the same way in a `BlockJacobiSolver`.
+//! let Reopened { manifest, resume, observer } = reopen("run.log", 1)?;
+//! assert_eq!(manifest.mode, RunMode::Single);
+//! let mut solver = TransportSolver::new(&manifest.problem)?;
+//! if let Some(point) = resume {
+//!     solver.resume_from(point)?;
+//! }
 //! let mut sink = observer.sink();
 //! let mut observer = observer;
-//! let outcome = session.run_checkpointed(&mut observer, &mut sink)?;
+//! let outcome = solver.run_checkpointed(&mut observer, &mut sink)?;
 //! # let _ = outcome;
-//!
-//! // A block-Jacobi run is the same protocol — same sink, same outcome —
-//! // under `RunMode::Jacobi { npx, npy }`, resumed into a solver:
-//! let mut solver: BlockJacobiSolver = resume_block_jacobi("ranks.log")?;
-//! # let _ = &mut solver;
 //! # Ok(())
 //! # }
 //! ```
@@ -67,15 +70,12 @@ pub mod fault;
 pub mod frame;
 pub mod manifest;
 pub mod recover;
-pub mod resume;
 pub mod writer;
 
-pub use checkpoint::Checkpoint;
 pub use fault::{FaultyWriter, SharedBuffer};
 pub use manifest::{Manifest, RunMode};
 pub use recover::{recover, recover_bytes, Recovered};
-pub use resume::{resume_block_jacobi, SessionResume};
-pub use writer::{CheckpointObserver, CheckpointSinkHandle};
+pub use writer::{reopen, CheckpointObserver, CheckpointSinkHandle, Reopened};
 
 use unsnap_core::error::{Error, Result};
 

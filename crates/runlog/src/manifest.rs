@@ -1,16 +1,19 @@
 //! The manifest frame: frame 0 of every run log.
 //!
 //! It pins the exact problem (canonical wire JSON plus its FNV-1a
-//! hash), the iteration strategy and the execution mode (single-domain
+//! hash), the wire schema that JSON was written under
+//! ([`wire::schema_fingerprint`]) and the execution mode (single-domain
 //! or block-Jacobi with its process grid), so a resume can verify it is
 //! continuing *the same run* before restoring any state.
 
+use unsnap_core::error::{Error, Result};
 use unsnap_core::problem::Problem;
 use unsnap_core::wire;
 use unsnap_obs::json::JsonObject;
 use unsnap_obs::reader::JsonValue;
 
 use crate::frame::FORMAT_VERSION;
+use crate::recover::decode_error;
 
 /// How the logged run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,8 +21,7 @@ pub enum RunMode {
     /// One [`TransportSolver`](unsnap_core::solver::TransportSolver)
     /// over the whole mesh.
     Single,
-    /// A [`BlockJacobiSolver`](unsnap_comm::jacobi::BlockJacobiSolver)
-    /// over an `npx × npy` process grid.
+    /// A `BlockJacobiSolver` over an `npx × npy` process grid.
     Jacobi {
         /// Subdomain count along x.
         npx: usize,
@@ -50,25 +52,14 @@ impl RunMode {
 /// The decoded manifest frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// The problem being solved, rebuilt from its canonical wire form.
+    /// The problem being solved, rebuilt from its canonical wire form
+    /// and checked against the `canonical_hash()` stored beside it.
     pub problem: Problem,
-    /// `problem.canonical_hash()`, as stored in the frame.
-    pub problem_hash: u64,
     /// Execution mode of the logged run.
     pub mode: RunMode,
 }
 
 impl Manifest {
-    /// A manifest pinning `problem` under `mode`.
-    pub(crate) fn new(problem: Problem, mode: RunMode) -> Self {
-        let problem_hash = problem.canonical_hash();
-        Self {
-            problem,
-            problem_hash,
-            mode,
-        }
-    }
-
     /// Encode as the manifest frame payload.
     ///
     /// Hashes are serialised as 16-digit hex *strings*: the JSON reader
@@ -80,24 +71,50 @@ impl Manifest {
         if let RunMode::Jacobi { npx, npy } = self.mode {
             obj = obj.field_usize("npx", npx).field_usize("npy", npy);
         }
-        obj.field_str("strategy", self.problem.strategy.label())
+        obj.field_str("schema", &format!("{:016x}", wire::schema_fingerprint()))
             .field_raw("problem", &wire::problem_to_json(&self.problem))
-            .field_str("problem_hash", &format!("{:016x}", self.problem_hash))
+            .field_str(
+                "problem_hash",
+                &format!("{:016x}", self.problem.canonical_hash()),
+            )
             .finish()
     }
 
     /// Decode a manifest frame payload, verifying the stored problem
-    /// hash against a recomputed `canonical_hash()`.
-    pub(crate) fn from_json(value: &JsonValue) -> Result<Self, String> {
+    /// hash against a recomputed `canonical_hash()`.  A manifest of
+    /// another format version or problem schema is refused by name
+    /// before its problem is parsed; any other defect is undecodable.
+    pub(crate) fn from_json(value: &JsonValue) -> Result<Self> {
+        let refused = |reason: String| Error::Execution { reason };
+        let stored_hex = |key: &str| -> Result<u64> {
+            let text = value
+                .get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| decode_error(0, format!("manifest missing {key}")))?;
+            u64::from_str_radix(text, 16).map_err(|e| decode_error(0, format!("bad {key}: {e}")))
+        };
         let version = value
             .get("format_version")
             .and_then(JsonValue::as_usize)
-            .ok_or("manifest missing format_version")?;
+            .ok_or_else(|| decode_error(0, "manifest missing format_version".into()))?;
         if version != FORMAT_VERSION as usize {
-            return Err(format!(
-                "unsupported run-log format version {version} (this build reads {FORMAT_VERSION})"
-            ));
+            return Err(refused(format!(
+                "run-log manifest has format version {version} (this build reads {FORMAT_VERSION})"
+            )));
         }
+        let (schema, current) = (stored_hex("schema")?, wire::schema_fingerprint());
+        if schema != current {
+            return Err(refused(format!(
+                "run log was written under problem schema {schema:016x}, but this build's \
+                 problem schema is {current:016x}: the problem schema changed, so the logged \
+                 problem cannot be rebuilt; re-solve instead of resuming"
+            )));
+        }
+        Self::decode(value, stored_hex("problem_hash")?).map_err(|e| decode_error(0, e))
+    }
+
+    /// The manifest fields under a known format and schema.
+    fn decode(value: &JsonValue, stored: u64) -> std::result::Result<Self, String> {
         let mode = match value.get("mode").and_then(JsonValue::as_str) {
             Some("single") => RunMode::Single,
             Some("jacobi") => RunMode::Jacobi {
@@ -115,23 +132,13 @@ impl Manifest {
         let problem_value = value.get("problem").ok_or("manifest missing problem")?;
         let problem = wire::problem_from_json_str(&problem_value.to_string())
             .map_err(|e| format!("manifest problem does not build: {e}"))?;
-        let stored = value
-            .get("problem_hash")
-            .and_then(JsonValue::as_str)
-            .ok_or("manifest missing problem_hash")?;
-        let stored =
-            u64::from_str_radix(stored, 16).map_err(|e| format!("bad problem_hash: {e}"))?;
         let recomputed = problem.canonical_hash();
         if stored != recomputed {
             return Err(format!(
                 "manifest hash mismatch: stored {stored:016x}, recomputed {recomputed:016x}"
             ));
         }
-        Ok(Self {
-            problem,
-            problem_hash: stored,
-            mode,
-        })
+        Ok(Self { problem, mode })
     }
 }
 
@@ -143,7 +150,10 @@ mod tests {
     #[test]
     fn single_manifest_round_trips() {
         let problem = Problem::tiny();
-        let manifest = Manifest::new(problem.clone(), RunMode::Single);
+        let manifest = Manifest {
+            problem: problem.clone(),
+            mode: RunMode::Single,
+        };
         let parsed = reader::parse(&manifest.to_json()).expect("valid JSON");
         let back = Manifest::from_json(&parsed).expect("decodes");
         assert_eq!(back, manifest);
@@ -152,7 +162,10 @@ mod tests {
 
     #[test]
     fn jacobi_manifest_keeps_the_grid() {
-        let manifest = Manifest::new(Problem::tiny(), RunMode::Jacobi { npx: 2, npy: 3 });
+        let manifest = Manifest {
+            problem: Problem::tiny(),
+            mode: RunMode::Jacobi { npx: 2, npy: 3 },
+        };
         let parsed = reader::parse(&manifest.to_json()).expect("valid JSON");
         let back = Manifest::from_json(&parsed).expect("decodes");
         assert_eq!(back.mode, RunMode::Jacobi { npx: 2, npy: 3 });
@@ -160,7 +173,10 @@ mod tests {
 
     #[test]
     fn tampered_problems_fail_the_hash_check() {
-        let manifest = Manifest::new(Problem::tiny(), RunMode::Single);
+        let manifest = Manifest {
+            problem: Problem::tiny(),
+            mode: RunMode::Single,
+        };
         let tampered = manifest.to_json().replace("\"nx\":3", "\"nx\":4");
         assert_ne!(
             tampered,
@@ -168,7 +184,7 @@ mod tests {
             "fixture must actually edit nx"
         );
         let parsed = reader::parse(&tampered).expect("valid JSON");
-        let err = Manifest::from_json(&parsed).unwrap_err();
+        let err = Manifest::from_json(&parsed).unwrap_err().to_string();
         assert!(err.contains("hash mismatch"), "{err}");
     }
 }

@@ -6,8 +6,8 @@
 //! ```text
 //!   header ──ok──▶ expect manifest ──'M'──▶ collect checkpoints
 //!     │                  │                    │        │
-//!  bad magic or       not 'M'            'C' frame  'F' frame
-//!  other version         │                (decode,   (mark run
+//!  bad magic or       not 'M', or         'C' frame  'F' frame
+//!  other version      another schema      (decode,   (mark run
 //!     ▼                  ▼                 append)    completed)
 //!    Err                Err                   │
 //!                                     first defect: stop, keep
@@ -17,6 +17,10 @@
 //!
 //! The resume point is the *last* intact checkpoint; the replay prefix
 //! is the concatenation of every intact checkpoint's event delta.  A
+//! manifest whose schema fingerprint is not this build's
+//! ([`wire::schema_fingerprint`](unsnap_core::wire::schema_fingerprint))
+//! is refused as written under another problem schema, before its
+//! problem is parsed.  A
 //! log whose tail is torn mid-frame simply resumes one checkpoint
 //! earlier — a torn frame is never accepted, and arbitrary input is
 //! never a panic (the durability suite proves both at every byte
@@ -45,13 +49,11 @@ pub struct Recovered {
     /// Length in bytes of the valid prefix (header + intact frames);
     /// re-opening for append truncates the file to this.
     pub valid_len: u64,
-    /// `true` when a torn tail was discarded.
-    pub truncated: bool,
     /// Resume state, for a log with ≥ 1 checkpoint.
     pub resume: Option<ResumePoint>,
 }
 
-fn decode_error(frame_index: usize, detail: String) -> Error {
+pub(crate) fn decode_error(frame_index: usize, detail: String) -> Error {
     Error::Execution {
         reason: format!("run log frame {frame_index} is checksummed but undecodable: {detail}"),
     }
@@ -89,10 +91,11 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
         .map_err(|e| decode_error(0, format!("manifest is not UTF-8: {e}")))?;
     let manifest_value =
         reader::parse(manifest_text).map_err(|e| decode_error(0, format!("bad JSON: {e}")))?;
-    let manifest = Manifest::from_json(&manifest_value).map_err(|e| decode_error(0, e))?;
+    let manifest = Manifest::from_json(&manifest_value)?;
 
     let mut completed = false;
-    let mut checkpoints = Vec::new();
+    let mut checkpoints = 0;
+    let mut resume: Option<ResumePoint> = None;
     for (index, f) in frames.enumerate() {
         match f.tag {
             TAG_FINISHED => {
@@ -103,10 +106,14 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
                     .map_err(|e| decode_error(index + 1, format!("not UTF-8: {e}")))?;
                 let value = reader::parse(text)
                     .map_err(|e| decode_error(index + 1, format!("bad JSON: {e}")))?;
-                checkpoints.push(
-                    checkpoint::from_json(&value, manifest.mode.num_ranks())
-                        .map_err(|e| decode_error(index + 1, e))?,
-                );
+                let mut point = checkpoint::from_json(&value, manifest.mode.num_ranks())
+                    .map_err(|e| decode_error(index + 1, e))?;
+                if let Some(mut previous) = resume.take() {
+                    previous.prefix.events.append(&mut point.prefix.events);
+                    point.prefix = previous.prefix;
+                }
+                resume = Some(point);
+                checkpoints += 1;
             }
             // `scan` only yields known tags; the manifest tag mid-file
             // would mean two manifests — treat as undecodable.
@@ -120,11 +127,10 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered> {
     }
     Ok(Recovered {
         manifest,
-        checkpoints: checkpoints.len(),
+        checkpoints,
         completed,
         valid_len: scan.valid_len as u64,
-        truncated: scan.truncated,
-        resume: checkpoint::fold(checkpoints),
+        resume,
     })
 }
 
@@ -148,7 +154,10 @@ mod tests {
     }
 
     fn manifest_for(mode: RunMode) -> Vec<u8> {
-        let manifest = Manifest::new(Problem::tiny(), mode);
+        let manifest = Manifest {
+            problem: Problem::tiny(),
+            mode,
+        };
         let mut bytes = frame::header_bytes();
         bytes.extend_from_slice(&frame::frame_bytes(
             TAG_MANIFEST,
@@ -163,7 +172,6 @@ mod tests {
         let recovered = recover_bytes(&bytes).expect("recovers");
         assert_eq!(recovered.checkpoints, 0);
         assert!(!recovered.completed);
-        assert!(!recovered.truncated);
         assert!(recovered.resume.is_none());
         assert_eq!(recovered.valid_len, bytes.len() as u64);
     }
@@ -244,7 +252,7 @@ mod tests {
     fn a_log_of_another_format_version_says_so() {
         // Intact magic, another version, then perfectly valid frames: the
         // error names both versions instead of "not a run log".
-        for found in [1u32, 2, 3, 4, 6] {
+        for found in [1u32, 2, 3, 4, 5, 7] {
             let mut bytes = frame::MAGIC.to_vec();
             bytes.extend_from_slice(&found.to_le_bytes());
             bytes.extend_from_slice(&manifest_only()[frame::HEADER_LEN..]);
@@ -274,16 +282,53 @@ mod tests {
     fn a_future_manifest_under_a_current_header_says_so() {
         // The header is this build's and the frame is intact, but the
         // manifest inside it was written by a later format.
-        let manifest = Manifest::new(Problem::tiny(), RunMode::Single).to_json();
+        let manifest = Manifest {
+            problem: Problem::tiny(),
+            mode: RunMode::Single,
+        }
+        .to_json();
         let current = format!("\"format_version\":{}", frame::FORMAT_VERSION);
-        let future = manifest.replace(&current, "\"format_version\":6");
+        let future = manifest.replace(&current, "\"format_version\":7");
         assert_ne!(future, manifest, "fixture must actually edit the version");
         let mut bytes = frame::header_bytes();
         bytes.extend_from_slice(&frame::frame_bytes(TAG_MANIFEST, future.as_bytes()));
         let text = recover_bytes(&bytes).unwrap_err().to_string();
-        assert!(text.contains("format version 6"), "{text}");
+        assert!(text.contains("format version 7"), "{text}");
         let reads = format!("this build reads {}", frame::FORMAT_VERSION);
         assert!(text.contains(&reads), "{text}");
+    }
+
+    #[test]
+    fn checkpoints_append_their_prefixes_and_resume_from_the_last() {
+        use unsnap_core::session::{EventLog, Lane, SolveEvent};
+        use unsnap_core::solver::{CheckpointView, RunStats};
+
+        let mut bytes = manifest_only();
+        for outer in 0..2 {
+            let phi = [outer as f64];
+            let view = CheckpointView {
+                outer_completed: outer,
+                converged: false,
+                phi: &phi,
+                halo: &[],
+                stats: &RunStats::default(),
+                rank_stats: &[],
+            };
+            let delta = EventLog {
+                events: vec![(Lane::Driver, SolveEvent::OuterStart { outer })],
+            };
+            let payload = checkpoint::to_json(&view, &delta);
+            bytes.extend_from_slice(&frame::frame_bytes(TAG_CHECKPOINT, payload.as_bytes()));
+        }
+        let recovered = recover_bytes(&bytes).expect("recovers");
+        assert_eq!(recovered.checkpoints, 2);
+        let point = recovered.resume.expect("a resume point");
+        assert_eq!((point.outer_next, point.phi), (2, vec![1.0]));
+        let outers = point.prefix.on_lane(Lane::Driver, |e| match *e {
+            SolveEvent::OuterStart { outer } => Some(outer),
+            _ => None,
+        });
+        assert_eq!(outers, vec![0, 1]);
     }
 
     #[test]

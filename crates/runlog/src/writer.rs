@@ -25,13 +25,13 @@ use std::rc::Rc;
 use unsnap_core::error::{Error, Result};
 use unsnap_core::problem::Problem;
 use unsnap_core::session::{EventLog, Lane, RunObserver, SolveEvent};
-use unsnap_core::solver::{CheckpointSink, CheckpointView};
+use unsnap_core::solver::{CheckpointSink, CheckpointView, ResumePoint};
 use unsnap_obs::json::JsonObject;
 
 use crate::checkpoint;
 use crate::frame::{self, TAG_CHECKPOINT, TAG_FINISHED, TAG_MANIFEST};
 use crate::manifest::{Manifest, RunMode};
-use crate::recover;
+use crate::recover::{self, Recovered};
 
 fn io_error(context: &str, err: std::io::Error) -> Error {
     Error::Execution {
@@ -114,9 +114,9 @@ impl CkInner {
 /// A [`RunObserver`] that persists the solve into a run log.
 ///
 /// Pass the observer itself (usually teed with the caller's own
-/// observer) to `run_observed_checkpointed` / `run_checkpointed`, and
-/// pass [`CheckpointObserver::sink`] as the checkpoint sink of the same
-/// call.
+/// observer) to either driver's `run_checkpointed`, and pass
+/// [`CheckpointObserver::sink`] as the checkpoint sink of the same call.
+/// [`CheckpointObserver::create`] starts a log; [`reopen`] continues one.
 pub struct CheckpointObserver {
     inner: Rc<RefCell<CkInner>>,
 }
@@ -135,10 +135,35 @@ impl CheckpointObserver {
     /// run that crashes before its first checkpoint leaves a
     /// recoverable (empty) log.
     pub fn with_writer(
-        mut writer: Box<dyn Write>,
+        writer: Box<dyn Write>,
         problem: &Problem,
         mode: RunMode,
         every: usize,
+    ) -> Result<Self> {
+        let observer = Self::armed(writer, every, problem.outer_iterations, mode, 0)?;
+        {
+            let mut inner = observer.inner.borrow_mut();
+            inner
+                .writer
+                .write_all(&frame::header_bytes())
+                .map_err(|e| io_error("header write failed", e))?;
+            let manifest = Manifest {
+                problem: problem.clone(),
+                mode,
+            };
+            inner.write_frame(TAG_MANIFEST, manifest.to_json().as_bytes())?;
+        }
+        Ok(observer)
+    }
+
+    /// An observer appending to `writer` that skips the first `skip`
+    /// events it is handed (a replayed prefix already in the log).
+    fn armed(
+        writer: Box<dyn Write>,
+        every: usize,
+        outer_iterations: usize,
+        mode: RunMode,
+        skip: usize,
     ) -> Result<Self> {
         if every == 0 {
             return Err(Error::invalid_problem(
@@ -146,23 +171,17 @@ impl CheckpointObserver {
                 "checkpoint cadence must be at least 1",
             ));
         }
-        let manifest = Manifest::new(problem.clone(), mode);
-        writer
-            .write_all(&frame::header_bytes())
-            .map_err(|e| io_error("header write failed", e))?;
-        let inner = Rc::new(RefCell::new(CkInner {
-            writer,
-            delta: EventLog::default(),
-            skip: 0,
-            every,
-            outer_iterations: problem.outer_iterations,
-            mode,
-            finished: false,
-        }));
-        inner
-            .borrow_mut()
-            .write_frame(TAG_MANIFEST, manifest.to_json().as_bytes())?;
-        Ok(Self { inner })
+        Ok(Self {
+            inner: Rc::new(RefCell::new(CkInner {
+                writer,
+                delta: EventLog::default(),
+                skip,
+                every,
+                outer_iterations,
+                mode,
+                finished: false,
+            })),
+        })
     }
 
     /// Start a fresh run log at `path` (truncating any existing file).
@@ -176,64 +195,67 @@ impl CheckpointObserver {
         Self::with_writer(Box::new(file), problem, mode, every)
     }
 
-    /// Re-open an interrupted run log for append.
-    ///
-    /// The torn tail (if any) is physically truncated away, and the
-    /// observer arms itself to *skip* the recovered event prefix: the
-    /// resume path replays that prefix into every observer (so caller
-    /// streams are bit-for-bit complete), but those events are already
-    /// persisted in earlier frames and must not be written twice.
-    ///
-    /// Fails on a completed log — there is nothing left to append, and
-    /// re-running the tail would duplicate frames.
-    pub fn resume(path: impl AsRef<Path>, every: usize) -> Result<Self> {
-        let path = path.as_ref();
-        let recovered = recover::recover(path)?;
-        if recovered.completed {
-            return Err(Error::Execution {
-                reason: format!(
-                    "run log {} records a completed run; nothing to resume",
-                    path.display()
-                ),
-            });
-        }
-        if every == 0 {
-            return Err(Error::invalid_problem(
-                "checkpoint_iters",
-                "checkpoint cadence must be at least 1",
-            ));
-        }
-        let prefix_events = recovered
-            .resume
-            .as_ref()
-            .map_or(0, |point| point.prefix.events.len());
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| io_error("open for append failed", e))?;
-        file.set_len(recovered.valid_len)
-            .map_err(|e| io_error("truncate failed", e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_error("seek failed", e))?;
-        Ok(Self {
-            inner: Rc::new(RefCell::new(CkInner {
-                writer: Box::new(file),
-                delta: EventLog::default(),
-                skip: prefix_events,
-                every,
-                outer_iterations: recovered.manifest.problem.outer_iterations,
-                mode: recovered.manifest.mode,
-                finished: false,
-            })),
-        })
-    }
-
     /// The checkpoint-sink half, sharing this observer's state.
     pub fn sink(&self) -> CheckpointSinkHandle {
         CheckpointSinkHandle {
             inner: Rc::clone(&self.inner),
         }
     }
+}
+
+/// An interrupted run log, reopened for append by [`reopen`].
+pub struct Reopened {
+    /// The logged run: its problem and the driver mode that continues it.
+    pub manifest: Manifest,
+    /// The last intact checkpoint, its `prefix` every persisted event;
+    /// `None` when the run died before its first checkpoint (a resume is
+    /// then a fresh run, with the identical outcome).
+    pub resume: Option<ResumePoint>,
+    /// The observer that appends to the log, armed to skip the replayed
+    /// prefix.
+    pub observer: CheckpointObserver,
+}
+
+/// Reopen the interrupted run log at `path` for a resume, checkpointing
+/// every `every` outer iterations from here on.
+///
+/// Reads and decodes the log once, refuses a completed run (there is
+/// nothing left to append, and re-running the tail would duplicate
+/// frames), physically truncates the torn tail, and arms the observer to
+/// *skip* the recovered event prefix: the driver replays that prefix into
+/// every observer (so caller streams are bit-for-bit complete), but those
+/// events are already persisted in earlier frames and must not be written
+/// twice.  The caller builds the driver `manifest.mode` names and
+/// installs `resume` with its `resume_from`.
+pub fn reopen(path: impl AsRef<Path>, every: usize) -> Result<Reopened> {
+    let path = path.as_ref();
+    let recovered = recover::recover(path)?;
+    if recovered.completed {
+        return Err(Error::Execution {
+            reason: format!(
+                "run log {} records a completed run; re-solve instead of resuming",
+                path.display()
+            ),
+        });
+    }
+    let mut file = OpenOptions::new()
+        .write(true)
+        .open(path)
+        .map_err(|e| io_error("open for append failed", e))?;
+    file.set_len(recovered.valid_len)
+        .map_err(|e| io_error("truncate failed", e))?;
+    file.seek(SeekFrom::End(0))
+        .map_err(|e| io_error("seek failed", e))?;
+    let Recovered {
+        manifest, resume, ..
+    } = recovered;
+    let skip = resume.as_ref().map_or(0, |point| point.prefix.events.len());
+    let outers = manifest.problem.outer_iterations;
+    Ok(Reopened {
+        observer: CheckpointObserver::armed(Box::new(file), every, outers, manifest.mode, skip)?,
+        manifest,
+        resume,
+    })
 }
 
 impl RunObserver for CheckpointObserver {

@@ -4,7 +4,7 @@
 //! bounded FIFO and a fixed pool of worker threads drains it, so a burst
 //! of requests degrades into queueing latency instead of unbounded
 //! concurrency.  Each worker runs one solve at a time through the
-//! ordinary [`Session`] API; the solve itself forks a team of threads
+//! ordinary [`TransportSolver`] API; the solve itself forks a team of threads
 //! once per sweep, as wide as the problem asks, exactly as a CLI run
 //! would (`RAYON_NUM_THREADS` force-overrides every team's width, as in
 //! the CI determinism matrix), so the worker count bounds *how many
@@ -52,13 +52,13 @@ use std::time::Instant;
 use unsnap_core::cancel::CancelToken;
 use unsnap_core::error::{Error, Result};
 use unsnap_core::problem::Problem;
-use unsnap_core::session::{JsonlObserver, Session, TeeObserver};
-use unsnap_core::solver::SolveOutcome;
+use unsnap_core::session::{JsonlObserver, TeeObserver};
+use unsnap_core::solver::{SolveOutcome, TransportSolver};
 use unsnap_obs::json::JsonObject;
 use unsnap_obs::jsonl::JsonlWriter;
 use unsnap_obs::metrics::{Determinism, Histogram, MetricsRegistry};
 use unsnap_obs::stream::LineChannel;
-use unsnap_runlog::{recover, CheckpointObserver, RunMode, SessionResume};
+use unsnap_runlog::{recover, reopen, CheckpointObserver, Reopened, RunMode};
 
 use crate::store::ResultStore;
 
@@ -620,7 +620,7 @@ impl<W: Write> Write for FirstEventProbe<'_, W> {
     }
 }
 
-/// Run one job to completion: session construction (fresh, or restored
+/// Run one job to completion: solver construction (fresh, or restored
 /// from an interrupted run log), the observed solve streaming JSONL
 /// into the job's channel, and the error path.  With a run-log
 /// directory configured the solve checkpoints as it goes; a successful
@@ -646,34 +646,43 @@ fn run_job(
         fired: false,
     }));
     let Some(settings) = shared.runlog.as_ref() else {
-        let mut session = Session::new(problem)?;
-        session.solver_mut().set_cancel_token(cancel);
-        let outcome = session.run_observed(&mut jsonl)?;
+        let mut solver = TransportSolver::new(problem)?;
+        solver.set_cancel_token(cancel);
+        let outcome = solver.run_observed(&mut jsonl)?;
         // Dropping the observer flushes its writer into the channel.
         drop(jsonl);
         return Ok(finished(&outcome));
     };
 
     let path = settings.job_path(id);
-    let (mut session, ckpt) = match resume_log {
+    let (mut solver, ckpt) = match resume_log {
         // On resume the solver replays the recovered event prefix into
         // the observer tee, so the JSONL stream a client tails is the
-        // complete history, not just the tail after the crash.
-        Some(log) => (
-            Session::resume(log)?,
-            CheckpointObserver::resume(log, settings.every)?,
-        ),
+        // complete history, not just the tail after the crash.  Only
+        // single-domain logs are listed resumable (`scan_resumable`).
+        Some(log) => {
+            let Reopened {
+                manifest,
+                resume,
+                observer,
+            } = reopen(log, settings.every)?;
+            let mut solver = TransportSolver::new(&manifest.problem)?;
+            if let Some(point) = resume {
+                solver.resume_from(point)?;
+            }
+            (solver, observer)
+        }
         None => (
-            Session::new(problem)?,
+            TransportSolver::new(problem)?,
             CheckpointObserver::create(&path, problem, RunMode::Single, settings.every)?,
         ),
     };
-    session.solver_mut().set_cancel_token(cancel);
+    solver.set_cancel_token(cancel);
     let mut sink = ckpt.sink();
     let mut ckpt = ckpt;
     let outcome = {
         let mut tee = TeeObserver::new(&mut jsonl, &mut ckpt);
-        session.run_checkpointed(&mut tee, &mut sink)?
+        solver.run_checkpointed(&mut tee, &mut sink)?
     };
     drop(jsonl);
     drop(ckpt);
@@ -993,8 +1002,8 @@ mod tests {
                 .unwrap();
         let mut sink = observer.sink();
         let mut observer = observer;
-        let mut session = Session::new(problem).unwrap();
-        session.run_checkpointed(&mut observer, &mut sink).unwrap();
+        let mut solver = TransportSolver::new(problem).unwrap();
+        solver.run_checkpointed(&mut observer, &mut sink).unwrap();
         let log = buffer.bytes();
         let cut = frame::scan(&log)
             .frames
@@ -1018,7 +1027,7 @@ mod tests {
         seed_interrupted_log(&dir, 7, &problem, 2);
 
         // The uninterrupted run, for the determinism cross-check below.
-        let reference = Session::new(&problem).unwrap().run().unwrap();
+        let reference = TransportSolver::new(&problem).unwrap().run().unwrap();
 
         let queue = JobQueue::start_with_runlog(1, 8, 8, Some(dir.clone()), 1).unwrap();
         let listed = queue.list();

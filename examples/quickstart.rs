@@ -1,13 +1,13 @@
-//! Quickstart: take the `quickstart` [`Problem`] preset, open an
-//! observable [`Session`] on it, and stream the solve's progress while
-//! it runs.
+//! Quickstart: take the `quickstart` [`Problem`] preset, build a
+//! [`TransportSolver`] on it, and stream the solve's progress while it
+//! runs.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 //!
 //! The example exercises the whole public API surface: a problem
-//! preset, mesh construction, sweep scheduling, the observable session
+//! preset, mesh construction, sweep scheduling, an observed solve
 //! with a custom [`RunObserver`], and the reporting helpers (including
 //! Table I of the paper and the JSON outcome dump).  Strategies, dense
 //! back ends and concurrency schemes are compared by
@@ -47,7 +47,7 @@ impl RunObserver for Narrator {
 fn main() -> Result<()> {
     // ------------------------------------------------------------------
     // 1. Describe the problem: the `quickstart` preset (6^3 cells,
-    //    4 angles/octant, 4 groups, linear elements).  `Session::new`
+    //    4 angles/octant, 4 groups, linear elements).  `TransportSolver::new`
     //    below validates it, like every solver constructor.
     // ------------------------------------------------------------------
     let problem = Problem::quickstart();
@@ -100,13 +100,13 @@ fn main() -> Result<()> {
     );
 
     // ------------------------------------------------------------------
-    // 4. Solve inside a Session, streaming progress through an observer.
+    // 4. Solve, streaming progress through an observer.
     // ------------------------------------------------------------------
     println!();
     println!("solving (streamed)");
-    let mut session = Session::new(&problem)?;
+    let mut solver = TransportSolver::new(&problem)?;
     let mut narrator = Narrator::default();
-    let outcome = session.run_observed(&mut narrator)?;
+    let outcome = solver.run_observed(&mut narrator)?;
 
     println!();
     println!("solve summary");

@@ -19,7 +19,7 @@
 //! | [`accel`] (`unsnap-accel`) | diffusion synthetic acceleration: mesh-consistent low-order diffusion operator + CG correction solver |
 //! | [`sweep`] (`unsnap-sweep`) | wavefront (tlevel-bucket) schedules, one per upwind pattern, and concurrency schemes |
 //! | [`obs`] (`unsnap-obs`) | dependency-free observability: `Clock`/`MockClock`, metrics registry with deterministic/wall-clock split, fixed-bucket histograms, JSON writer/reader, JSONL run logs |
-//! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the observable `Session` API, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, the three inner-iteration strategies (`StrategyKind::run_inners`) |
+//! | [`core`] (`unsnap-core`) | typed errors, `Problem` (presets, `with_*` setters, `validate`), the wire format, the solve-event stream, Sn quadrature, multigroup data, assemble/solve kernel, sweep driver, the three inner-iteration strategies (`StrategyKind::run_inners`) |
 //! | [`comm`] (`unsnap-comm`) | simulated ranks, block-Jacobi coupling over a shared halo buffer, the halo wire message, `CommError` |
 //! | [`runlog`] (`unsnap-runlog`) | durable runs: append-only write-ahead run log with checksummed checkpoint frames, torn-tail recovery, bit-for-bit resume for both solver paths, crash fault injection |
 //! | [`serve`] (`unsnap-serve`) | solver-as-a-service: hand-rolled HTTP/1.1 front-end, bounded job queue with cooperative cancellation, live JSONL event streaming, content-addressed LRU result cache, checkpointed jobs resumable across server restarts |
@@ -28,8 +28,8 @@
 //!
 //! A run has one description, [`Problem`](prelude::Problem): start from
 //! a preset, adjust it with the `with_*` setters or struct-update syntax
-//! (`Problem { lx: 12.0, ..Problem::quickstart() }`), and open a
-//! [`Session`](prelude::Session) on it.  Every solver constructor runs
+//! (`Problem { lx: 12.0, ..Problem::quickstart() }`), and build a
+//! [`TransportSolver`](prelude::TransportSolver) on it.  Every solver constructor runs
 //! [`Problem::validate`](prelude::Problem::validate), so the same rules
 //! hold however the problem was put together.  Run it — optionally under
 //! a [`RunObserver`](prelude::RunObserver) that streams per-iteration
@@ -39,9 +39,9 @@
 //! use unsnap::prelude::*;
 //!
 //! let problem = Problem::tiny().with_strategy(StrategyKind::SweepGmres);
-//! let mut session = Session::new(&problem).unwrap();
+//! let mut solver = TransportSolver::new(&problem).unwrap();
 //! let mut log = EventLog::default();
-//! let outcome = session.run_observed(&mut log).unwrap();
+//! let outcome = solver.run_observed(&mut log).unwrap();
 //! assert!(outcome.scalar_flux_total > 0.0);
 //! let residuals = log.events.iter().filter_map(|(_, event)| match *event {
 //!     SolveEvent::KrylovResidual { relative_residual, .. } => Some(relative_residual),
@@ -97,8 +97,8 @@ pub mod prelude {
     pub use unsnap_core::problem::Problem;
     pub use unsnap_core::report;
     pub use unsnap_core::session::{
-        EventLog, JsonlObserver, Lane, NoopObserver, Phase, RunMetrics, RunObserver, Session,
-        SolveEvent, TeeObserver,
+        EventLog, JsonlObserver, Lane, NoopObserver, Phase, RunMetrics, RunObserver, SolveEvent,
+        TeeObserver,
     };
     pub use unsnap_core::solver::{
         CheckpointSink, CheckpointView, RankDetail, ResumePoint, RunStats, SolveOutcome,
@@ -116,8 +116,8 @@ pub mod prelude {
     pub use unsnap_obs::metrics::{Determinism, Histogram, MetricsRegistry};
     pub use unsnap_obs::stream::{ChannelWriter, LineChannel};
     pub use unsnap_runlog::{
-        resume_block_jacobi, CheckpointObserver, CheckpointSinkHandle, FaultyWriter, Manifest,
-        Recovered, RunMode, SessionResume, SharedBuffer,
+        reopen, CheckpointObserver, CheckpointSinkHandle, FaultyWriter, Manifest, Recovered,
+        Reopened, RunMode, SharedBuffer,
     };
     pub use unsnap_serve::{
         CancelDisposition, JobQueue, JobState, JobStatus, ResultStore, ServeConfig, Server,
@@ -141,11 +141,13 @@ mod tests {
 
     #[test]
     fn prelude_exposes_the_session_api() {
-        let mut session = Session::new(&Problem::tiny()).unwrap();
-        let outcome = session.run().unwrap();
+        let mut solver = TransportSolver::new(&Problem::tiny()).unwrap();
+        let outcome = solver.run().unwrap();
         assert!(outcome.converged || outcome.sweep_count > 0);
         // The typed error surfaces through the prelude too.
-        let err = Session::new(&Problem::tiny().with_mesh(0)).err().unwrap();
+        let err = TransportSolver::new(&Problem::tiny().with_mesh(0))
+            .err()
+            .unwrap();
         assert!(matches!(err, Error::InvalidProblem { field: "nx", .. }));
     }
 }

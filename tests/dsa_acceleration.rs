@@ -109,9 +109,9 @@ fn dsa_si_never_needs_more_sweeps_than_si_for_c_at_least_half() {
 #[test]
 fn streamed_dsa_residuals_match_the_outcome_history() {
     let p = diffusive_quickstart(0.9).with_strategy(StrategyKind::DsaSourceIteration);
-    let mut session = Session::new(&p).unwrap();
+    let mut solver = TransportSolver::new(&p).unwrap();
     let mut log = EventLog::default();
-    let outcome = session.run_observed(&mut log).unwrap();
+    let outcome = solver.run_observed(&mut log).unwrap();
     assert!(outcome.converged);
     assert!(!outcome.accel_residual_history.is_empty());
     let driver = Lane::Driver;

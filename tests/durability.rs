@@ -24,8 +24,8 @@ use proptest::prelude::*;
 use unsnap::core::solver::OuterDriver;
 use unsnap::prelude::*;
 use unsnap::runlog::{
-    checkpoint, checkpoint_iters_from_env, frame, recover_bytes, resume_block_jacobi,
-    CheckpointObserver, FaultyWriter, RunMode, SessionResume, SharedBuffer, CHECKPOINT_ITERS_ENV,
+    checkpoint, checkpoint_iters_from_env, frame, recover_bytes, reopen, CheckpointObserver,
+    FaultyWriter, Reopened, RunMode, SharedBuffer, CHECKPOINT_ITERS_ENV,
 };
 
 // ---------------------------------------------------------------------
@@ -134,16 +134,16 @@ fn run_single_reference(problem: &Problem, every: usize) -> Reference {
     let mut sink = observer.sink();
     let mut observer = observer;
     let mut events = EventLog::default();
-    let mut session = Session::new(problem).unwrap();
-    session.solver_mut().keep_angular_flux();
+    let mut solver = TransportSolver::new(problem).unwrap();
+    solver.keep_angular_flux();
     let outcome = {
         let mut tee = TeeObserver::new(&mut events, &mut observer);
-        session.run_checkpointed(&mut tee, &mut sink).unwrap()
+        solver.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
-    let psi = session.solver().angular_flux().expect("asked to be kept");
+    let psi = solver.angular_flux().expect("asked to be kept");
     Reference {
         outcome,
-        flux: session.scalar_flux().as_slice().to_vec(),
+        flux: solver.scalar_flux().as_slice().to_vec(),
         psi: psi.as_slice().to_vec(),
         events: zeroed(events),
         log: buffer.bytes(),
@@ -174,16 +174,24 @@ fn manifest_boundary(log: &[u8]) -> usize {
 fn resume_single_and_compare(partial: &[u8], every: usize, reference: &Reference, tag: &str) {
     let path = temp_path(tag);
     std::fs::write(&path, partial).unwrap();
-    let mut session = Session::resume(&path).unwrap();
-    let observer = CheckpointObserver::resume(&path, every).unwrap();
+    let Reopened {
+        manifest,
+        resume,
+        observer,
+    } = reopen(&path, every).unwrap();
+    assert_eq!(manifest.mode, RunMode::Single, "{tag}");
+    let mut solver = TransportSolver::new(&manifest.problem).unwrap();
+    if let Some(point) = resume {
+        solver.resume_from(point).unwrap();
+    }
     let mut sink = observer.sink();
     let mut observer = observer;
     let mut events = EventLog::default();
     let outcome = {
         let mut tee = TeeObserver::new(&mut events, &mut observer);
-        session.run_checkpointed(&mut tee, &mut sink).unwrap()
+        solver.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
-    let flux = session.scalar_flux().as_slice();
+    let flux = solver.scalar_flux().as_slice();
     reference.assert_resumed(&outcome, flux, events, tag);
     // The completed resumed log must itself recover as a finished run.
     let final_log = std::fs::read(&path).unwrap();
@@ -283,7 +291,7 @@ fn assert_kill_resume_single(strategy: StrategyKind) {
 
         // A plain unobserved run must agree too: the checkpoint sink
         // cannot perturb the physics.
-        let mut plain = Session::new(&problem).unwrap();
+        let mut plain = TransportSolver::new(&problem).unwrap();
         let plain_outcome = plain.run().unwrap();
         assert_eq!(non_timing(&plain_outcome), non_timing(&reference.outcome));
 
@@ -362,8 +370,8 @@ fn a_torn_write_aborts_the_run_and_the_survivors_resume() {
                 .unwrap();
         let mut sink = observer.sink();
         let mut observer = observer;
-        let mut session = Session::new(&problem).unwrap();
-        let result = session.run_checkpointed(&mut observer, &mut sink);
+        let mut solver = TransportSolver::new(&problem).unwrap();
+        let result = solver.run_checkpointed(&mut observer, &mut sink);
         let err = result.expect_err("torn write must abort the solve");
         assert!(
             matches!(err, Error::Execution { .. }),
@@ -389,11 +397,12 @@ fn a_converging_run_writes_a_finished_frame_and_rejects_resume() {
         reference.outcome.outer_iterations
     );
 
-    // A completed log refuses both resume entry points.
+    // A completed log refuses the resume entry, and is left as it was.
     let path = temp_path("completed");
     std::fs::write(&path, &reference.log).unwrap();
-    assert!(Session::resume(&path).is_err());
-    assert!(CheckpointObserver::resume(&path, 1).is_err());
+    let err = reopen(&path, 1).err().expect("a completed run is refused");
+    assert!(err.to_string().contains("records a completed run"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), reference.log);
     let _ = std::fs::remove_file(&path);
 
     // But a kill *before* convergence resumes to the identical
@@ -423,9 +432,7 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> Reference 
     let mut solver = BlockJacobiSolver::new(problem, Decomposition2D::new(npx, npy)).unwrap();
     let outcome = {
         let mut tee = TeeObserver::new(&mut events, &mut observer);
-        solver
-            .run_observed_checkpointed(&mut tee, &mut sink)
-            .unwrap()
+        solver.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
     Reference {
         outcome,
@@ -439,16 +446,25 @@ fn run_jacobi_reference(problem: &Problem, npx: usize, npy: usize) -> Reference 
 fn resume_jacobi_and_compare(partial: &[u8], reference: &Reference, tag: &str) {
     let path = temp_path(tag);
     std::fs::write(&path, partial).unwrap();
-    let mut solver = resume_block_jacobi(&path).unwrap();
-    let observer = CheckpointObserver::resume(&path, 1).unwrap();
+    let Reopened {
+        manifest,
+        resume,
+        observer,
+    } = reopen(&path, 1).unwrap();
+    let RunMode::Jacobi { npx, npy } = manifest.mode else {
+        panic!("{tag}: a block-Jacobi log reopened as {:?}", manifest.mode);
+    };
+    let mut solver =
+        BlockJacobiSolver::new(&manifest.problem, Decomposition2D::new(npx, npy)).unwrap();
+    if let Some(point) = resume {
+        solver.resume_from(point).unwrap();
+    }
     let mut sink = observer.sink();
     let mut observer = observer;
     let mut events = EventLog::default();
     let outcome = {
         let mut tee = TeeObserver::new(&mut events, &mut observer);
-        solver
-            .run_observed_checkpointed(&mut tee, &mut sink)
-            .unwrap()
+        solver.run_checkpointed(&mut tee, &mut sink).unwrap()
     };
     let flux = solver.scalar_flux().as_slice();
     reference.assert_resumed(&outcome, flux, events, tag);
@@ -571,7 +587,7 @@ fn a_single_domain_resume_never_reads_the_checkpointed_psi() {
                 checkpoint::from_json(&unsnap::obs::reader::parse(text).unwrap(), 0).unwrap();
             assert!(decoded.halo.is_empty(), "{tag}");
             assert_eq!(decoded.phi.len(), reference.flux.len(), "{tag}");
-            let events = decoded.events.events.iter();
+            let events = decoded.prefix.events.iter();
             let event_bytes: usize = events.map(|(lane, e)| e.to_json(*lane).len() + 1).sum();
             assert!(
                 first.payload.len() < 32 * decoded.phi.len() + event_bytes,
@@ -580,14 +596,11 @@ fn a_single_domain_resume_never_reads_the_checkpointed_psi() {
                 decoded.phi.len()
             );
 
-            let mut resumed = Session::new(&problem).unwrap();
-            resumed.solver_mut().keep_angular_flux();
-            resumed
-                .solver_mut()
-                .resume_from(first_boundary(&reference.log))
-                .unwrap();
+            let mut resumed = TransportSolver::new(&problem).unwrap();
+            resumed.keep_angular_flux();
+            resumed.resume_from(first_boundary(&reference.log)).unwrap();
             let outcome = resumed.run().unwrap();
-            let psi = resumed.solver().angular_flux().expect("asked to be kept");
+            let psi = resumed.angular_flux().expect("asked to be kept");
             let flux = [resumed.scalar_flux().as_slice(), psi.as_slice()];
             assert_same_bits(&reference, &outcome, flux, &tag);
         }
@@ -671,8 +684,8 @@ fn a_resume_point_of_the_wrong_halo_shape_is_refused_by_name() {
         halo: jacobi.halo.clone(),
         ..single
     };
-    let mut session = Session::new(&problem).unwrap();
-    let err = session.solver_mut().resume_from(with_halo).unwrap_err();
+    let mut solver = TransportSolver::new(&problem).unwrap();
+    let err = solver.resume_from(with_halo).unwrap_err();
     assert!(err.to_string().contains("halo-flux"), "{err}");
 
     // Two ranks need all of theirs.
@@ -691,28 +704,35 @@ fn a_resume_point_of_the_wrong_halo_shape_is_refused_by_name() {
 
 #[test]
 fn resume_entry_points_reject_the_wrong_mode() {
+    // `reopen` names the mode a log records, and a resume point of the
+    // other mode is refused by name by the driver it is installed in.
     let problem = base_problem(StrategyKind::SourceIteration);
-    let single = run_single_reference(&problem, 1);
-    let path = temp_path("wrong-mode-single");
-    let boundaries = checkpoint_boundaries(&single.log);
-    std::fs::write(&path, &single.log[..boundaries[0]]).unwrap();
-    let err = match resume_block_jacobi(&path) {
-        Ok(_) => panic!("jacobi resume accepted a single-domain log"),
-        Err(e) => e,
-    };
-    assert!(err.to_string().contains("single-domain"), "{err}");
-    let _ = std::fs::remove_file(&path);
-
-    let jacobi = run_jacobi_reference(&problem, 2, 1);
-    let path = temp_path("wrong-mode-jacobi");
-    let boundaries = checkpoint_boundaries(&jacobi.log);
-    std::fs::write(&path, &jacobi.log[..boundaries[0]]).unwrap();
-    let err = match <Session as SessionResume>::resume(&path) {
-        Ok(_) => panic!("session resume accepted a block-Jacobi log"),
-        Err(e) => e,
-    };
-    assert!(err.to_string().contains("block-Jacobi"), "{err}");
-    let _ = std::fs::remove_file(&path);
+    let logs = [
+        (RunMode::Single, run_single_reference(&problem, 1).log),
+        (
+            RunMode::Jacobi { npx: 2, npy: 1 },
+            run_jacobi_reference(&problem, 2, 1).log,
+        ),
+    ];
+    for (mode, log) in logs {
+        let path = temp_path(&format!("wrong-mode-{}", mode.num_ranks()));
+        std::fs::write(&path, &log[..checkpoint_boundaries(&log)[0]]).unwrap();
+        let reopened = reopen(&path, 1).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(reopened.manifest.mode, mode);
+        let point = reopened.resume.expect("one checkpoint survives the cut");
+        let err = match mode {
+            RunMode::Single => BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1))
+                .unwrap()
+                .resume_from(point),
+            RunMode::Jacobi { .. } => TransportSolver::new(&problem).unwrap().resume_from(point),
+        }
+        .expect_err("a resume point of the other mode is refused");
+        assert!(
+            err.to_string().contains("halo-flux entries"),
+            "{mode:?}: {err}"
+        );
+    }
 
     // The write side refuses the other driver too: a single-domain log
     // handed a 2-rank checkpoint aborts the run with a typed error.
@@ -722,7 +742,7 @@ fn resume_entry_points_reject_the_wrong_mode() {
     let mut observer = observer;
     let mut solver = BlockJacobiSolver::new(&problem, Decomposition2D::new(2, 1)).unwrap();
     let err = solver
-        .run_observed_checkpointed(&mut observer, &mut sink)
+        .run_checkpointed(&mut observer, &mut sink)
         .unwrap_err();
     assert!(err.to_string().contains("2 rank(s)"), "{err}");
 }
@@ -732,20 +752,18 @@ fn a_version_2_log_is_refused_by_name_at_every_entry_point() {
     // A log of an earlier format: a version-2 event prefix would replay
     // per-bucket events no observer knows, a version-3 checkpoint holds
     // all of ψ under a key nothing reads, a version-4 halo holds whole
-    // cells where this build reads face traces.  Intact otherwise.
+    // cells where this build reads face traces, and a version-5
+    // manifest names no problem schema.  Intact otherwise.
     let problem = base_problem(StrategyKind::SourceIteration);
     let mut log = run_single_reference(&problem, 1).log;
-    assert_eq!(frame::FORMAT_VERSION, 5);
-    for version in [2u32, 3, 4] {
+    assert_eq!(frame::FORMAT_VERSION, 6);
+    for version in [2u32, 3, 4, 5] {
         log[frame::MAGIC.len()..frame::HEADER_LEN].copy_from_slice(&version.to_le_bytes());
         let path = temp_path(&format!("version-{version}"));
         std::fs::write(&path, &log).unwrap();
-        let refusals = [
-            recover_bytes(&log).err(),
-            <Session as SessionResume>::resume(&path).err(),
-            resume_block_jacobi(&path).err(),
-            CheckpointObserver::resume(&path, 1).err(),
-        ];
+        let refusals = [recover_bytes(&log).err(), reopen(&path, 1).err()];
+        // A refused log is left as it was.
+        assert_eq!(std::fs::read(&path).unwrap(), log);
         let _ = std::fs::remove_file(&path);
         for (entry, refusal) in refusals.into_iter().enumerate() {
             let text = refusal
@@ -753,10 +771,47 @@ fn a_version_2_log_is_refused_by_name_at_every_entry_point() {
                 .to_string();
             assert!(
                 text.contains(&format!("format version {version}"))
-                    && text.contains("only version 5"),
+                    && text.contains("only version 6"),
                 "entry point {entry}: {text}"
             );
         }
+    }
+}
+
+#[test]
+fn a_log_of_another_problem_schema_is_refused_by_name() {
+    // A current-format log whose manifest names a foreign schema
+    // fingerprint — what an older build's log looks like once a wire
+    // field moves — is refused as a schema change before its problem is
+    // parsed, not reported as undecodable.
+    let problem = base_problem(StrategyKind::SourceIteration);
+    let log = run_single_reference(&problem, 1).log;
+    let scan = frame::scan(&log);
+    let manifest = std::str::from_utf8(scan.frames[0].payload).unwrap();
+    let ours = format!("{:016x}", unsnap::core::wire::schema_fingerprint());
+    let foreign = "0123456789abcdef";
+    let edited = manifest.replace(
+        &format!("\"schema\":\"{ours}\""),
+        &format!("\"schema\":\"{foreign}\""),
+    );
+    assert_ne!(edited, manifest, "fixture must actually edit the schema");
+    let mut bytes = frame::header_bytes();
+    bytes.extend_from_slice(&frame::frame_bytes(frame::TAG_MANIFEST, edited.as_bytes()));
+    bytes.extend_from_slice(&log[scan.frames[0].end_offset..checkpoint_boundaries(&log)[0]]);
+
+    let path = temp_path("foreign-schema");
+    std::fs::write(&path, &bytes).unwrap();
+    let refusals = [recover_bytes(&bytes).err(), reopen(&path, 1).err()];
+    let _ = std::fs::remove_file(&path);
+    for (entry, refusal) in refusals.into_iter().enumerate() {
+        let text = refusal
+            .unwrap_or_else(|| panic!("entry point {entry} accepted a foreign schema"))
+            .to_string();
+        assert!(
+            text.contains(foreign) && text.contains(&ours) && text.contains("schema changed"),
+            "entry point {entry}: {text}"
+        );
+        assert!(!text.contains("undecodable"), "entry point {entry}: {text}");
     }
 }
 

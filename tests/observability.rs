@@ -23,13 +23,13 @@ fn scratch_path(name: &str) -> std::path::PathBuf {
 fn jsonl_run_log_round_trips_through_the_reader() {
     let path = scratch_path("run_log_roundtrip.jsonl");
     let problem = Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration);
-    let mut session = Session::new(&problem).unwrap();
+    let mut solver = TransportSolver::new(&problem).unwrap();
 
     let mut file = JsonlObserver::create(&path).unwrap();
     let mut log = EventLog::default();
     let outcome = {
         let mut tee = TeeObserver::new(&mut file, &mut log);
-        session.run_observed(&mut tee).unwrap()
+        solver.run_observed(&mut tee).unwrap()
     };
     let written = file.events_written();
     file.finish().unwrap();
@@ -72,8 +72,8 @@ fn jsonl_run_log_round_trips_through_the_reader() {
 #[test]
 fn outcome_metrics_json_parses_with_the_split_intact() {
     let problem = Problem::tiny().with_strategy(StrategyKind::SweepGmres);
-    let mut session = Session::new(&problem).unwrap();
-    let outcome = session.run().unwrap();
+    let mut solver = TransportSolver::new(&problem).unwrap();
+    let outcome = solver.run().unwrap();
 
     let doc = reader::parse(&outcome.metrics.to_json()).unwrap();
     let det = doc.get("deterministic").expect("deterministic half");
@@ -135,7 +135,7 @@ fn a_sweep_reports_its_buckets_once_not_one_event_each() {
         ..Problem::tiny()
     };
     let mut log = EventLog::default();
-    let outcome = Session::new(&problem)
+    let outcome = TransportSolver::new(&problem)
         .unwrap()
         .run_observed(&mut log)
         .unwrap();

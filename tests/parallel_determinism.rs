@@ -53,15 +53,15 @@ struct Run {
 
 fn run_at(problem: &Problem, threads: usize) -> Run {
     let p = problem.clone().with_threads(threads);
-    let mut session = Session::new(&p).unwrap();
-    session.solver_mut().keep_angular_flux();
+    let mut solver = TransportSolver::new(&p).unwrap();
+    solver.keep_angular_flux();
     let mut events = EventLog::default();
-    let outcome = session.run_observed(&mut events).unwrap();
+    let outcome = solver.run_observed(&mut events).unwrap();
     events.zero_wallclock();
-    let angular_flux = session.solver().angular_flux().expect("asked to be kept");
+    let angular_flux = solver.angular_flux().expect("asked to be kept");
     Run {
         outcome,
-        scalar_flux: session.scalar_flux().as_slice().to_vec(),
+        scalar_flux: solver.scalar_flux().as_slice().to_vec(),
         angular_flux: angular_flux.as_slice().to_vec(),
         events,
     }
@@ -302,9 +302,9 @@ fn metrics_observer_stream_matches_the_attached_snapshot() {
     // snapshot, so the two must agree exactly — including wall-clock
     // fields, because both views time the same single run.
     let problem = Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration);
-    let mut session = Session::new(&problem).unwrap();
+    let mut solver = TransportSolver::new(&problem).unwrap();
     let mut streamed = RunMetrics::default();
-    let outcome = session.run_observed(&mut streamed).unwrap();
+    let outcome = solver.run_observed(&mut streamed).unwrap();
     // Kernel-section timing arrives via the outcome, not the event
     // stream, so it is the one pair the observer cannot see.
     streamed.kernel_assemble_seconds = outcome.metrics.kernel_assemble_seconds;

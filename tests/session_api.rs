@@ -1,11 +1,11 @@
-//! Acceptance tests for the observable Session API redesign.
+//! Acceptance tests for the observable solve API.
 //!
-//! The redesign must be a pure re-plumbing: an observed [`Session`] run
-//! reproduces the monolithic `TransportSolver::run` outcome **bit for
-//! bit** (flux totals, sweep counts, residual histories) for both
-//! iteration strategies on both small presets, and the event stream an
-//! [`EventLog`] records reconstructs the outcome's history vectors
-//! exactly.
+//! Observing a solve must be pure re-plumbing: a
+//! `TransportSolver::run_observed` run reproduces the silent
+//! `TransportSolver::run` outcome **bit for bit** (flux totals, sweep
+//! counts, residual histories) for both iteration strategies on both
+//! small presets, and the event stream an [`EventLog`] records
+//! reconstructs the outcome's history vectors exactly.
 
 mod support;
 
@@ -29,21 +29,21 @@ fn non_timing_fields(o: &SolveOutcome) -> SolveOutcome {
     }
 }
 
-fn assert_session_reproduces_run(problem: &Problem) {
-    // The seed path: a bare solver, run as a black box.
+fn assert_observing_changes_nothing(problem: &Problem) {
+    // A silent solve, run as a black box.
     let mut solver = TransportSolver::new(problem).unwrap();
     let direct = solver.run().unwrap();
 
-    // The redesigned path: a session streaming into an event log.
-    let mut session = Session::new(problem).unwrap();
+    // The same solve streaming into an event log.
+    let mut observed_solver = TransportSolver::new(problem).unwrap();
     let mut log = EventLog::default();
-    let observed = session.run_observed(&mut log).unwrap();
+    let observed = observed_solver.run_observed(&mut log).unwrap();
 
     // Bit-for-bit equivalence of every non-timing field.
     assert_eq!(
         non_timing_fields(&direct),
         non_timing_fields(&observed),
-        "session run diverged from direct run for {:?}/{:?}",
+        "observed run diverged from silent run for {:?}/{:?}",
         problem.strategy,
         (problem.nx, problem.ny, problem.nz),
     );
@@ -66,37 +66,39 @@ fn assert_session_reproduces_run(problem: &Problem) {
 
     // And the flux state the two paths leave behind is identical.
     let a = solver.scalar_flux().as_slice();
-    let b = session.scalar_flux().as_slice();
+    let b = observed_solver.scalar_flux().as_slice();
     assert_eq!(a, b, "scalar flux state diverged");
 }
 
 #[test]
 fn session_reproduces_source_iteration_on_tiny() {
-    assert_session_reproduces_run(&Problem::tiny());
+    assert_observing_changes_nothing(&Problem::tiny());
 }
 
 #[test]
 fn session_reproduces_source_iteration_on_quickstart() {
-    assert_session_reproduces_run(&Problem::quickstart());
+    assert_observing_changes_nothing(&Problem::quickstart());
 }
 
 #[test]
 fn session_reproduces_sweep_gmres_on_tiny() {
-    assert_session_reproduces_run(&Problem::tiny().with_strategy(StrategyKind::SweepGmres));
+    assert_observing_changes_nothing(&Problem::tiny().with_strategy(StrategyKind::SweepGmres));
 }
 
 #[test]
 fn session_reproduces_sweep_gmres_on_quickstart() {
-    assert_session_reproduces_run(&Problem::quickstart().with_strategy(StrategyKind::SweepGmres));
+    assert_observing_changes_nothing(
+        &Problem::quickstart().with_strategy(StrategyKind::SweepGmres),
+    );
 }
 
 #[test]
 fn builder_presets_feed_sessions_without_behaviour_change() {
-    // Preset → session == the same preset → solver.
-    let mut via_session = Session::new(&Problem::quickstart()).unwrap();
-    let b = via_session.run().unwrap();
-    let mut via_preset = TransportSolver::new(&Problem::quickstart()).unwrap();
-    let p = via_preset.run().unwrap();
+    // A preset solved twice by fresh solvers gives the same answer.
+    let mut first = TransportSolver::new(&Problem::quickstart()).unwrap();
+    let b = first.run().unwrap();
+    let mut second = TransportSolver::new(&Problem::quickstart()).unwrap();
+    let p = second.run().unwrap();
     assert_eq!(b.scalar_flux_total, p.scalar_flux_total);
     assert_eq!(b.sweep_count, p.sweep_count);
 }
@@ -104,7 +106,7 @@ fn builder_presets_feed_sessions_without_behaviour_change() {
 #[test]
 fn observer_sees_krylov_residuals_only_under_gmres() {
     let mut log = EventLog::default();
-    Session::new(&Problem::tiny())
+    TransportSolver::new(&Problem::tiny())
         .unwrap()
         .run_observed(&mut log)
         .unwrap();
@@ -112,7 +114,7 @@ fn observer_sees_krylov_residuals_only_under_gmres() {
     assert!(!sweeps(&log, Lane::Driver).is_empty());
 
     log.clear();
-    Session::new(&Problem::tiny().with_strategy(StrategyKind::SweepGmres))
+    TransportSolver::new(&Problem::tiny().with_strategy(StrategyKind::SweepGmres))
         .unwrap()
         .run_observed(&mut log)
         .unwrap();
@@ -161,10 +163,9 @@ fn typed_errors_surface_from_every_layer() {
             },
         ),
     ] {
-        let from_session = Session::new(&problem).err();
         let from_solver = TransportSolver::new(&problem).err();
         let from_jacobi = BlockJacobiSolver::new(&problem, Decomposition2D::serial()).err();
-        for err in [from_session, from_solver, from_jacobi] {
+        for err in [from_solver, from_jacobi] {
             let err = err.unwrap_or_else(|| panic!("{field}: {problem:?} must be rejected"));
             assert_eq!(err.invalid_field(), Some(field), "{err}");
         }

@@ -24,8 +24,8 @@ fn stripped(trace: &TraceTree) -> TraceTree {
 
 fn trace_at(problem: &Problem, threads: usize) -> TraceTree {
     let p = problem.clone().with_threads(threads);
-    let mut session = Session::new(&p).unwrap();
-    session.run().unwrap().trace
+    let mut solver = TransportSolver::new(&p).unwrap();
+    solver.run().unwrap().trace
 }
 
 #[test]
@@ -153,8 +153,8 @@ fn complete_events(doc: &JsonValue) -> Vec<JsonValue> {
 #[test]
 fn chrome_export_reparses_as_a_strictly_nested_monotone_profile() {
     let problem = Problem::tiny().with_strategy(StrategyKind::DsaSourceIteration);
-    let mut session = Session::new(&problem).unwrap();
-    let trace = session.run().unwrap().trace;
+    let mut solver = TransportSolver::new(&problem).unwrap();
+    let trace = solver.run().unwrap().trace;
 
     let doc = reader::parse(&trace.to_chrome_json()).expect("Chrome export is valid JSON");
     assert_eq!(
