@@ -5,14 +5,14 @@
 //! (cell, group).  What the operator needs from the mesh is therefore
 //! purely geometric — cell volumes, face areas, and centroid distances —
 //! and all of it is integrated on the true (twisted) hex geometry with
-//! the `unsnap-fem` quadrature machinery via
-//! [`ElementIntegrals`], so the low-order
+//! the `unsnap-fem` quadrature machinery via an
+//! [`IntegralStore`], so the low-order
 //! operator is consistent with the mesh the transport sweep runs on, not
 //! with an idealised Cartesian grid.
 
 use unsnap_fem::element::ReferenceElement;
 use unsnap_fem::geometry::HexVertices;
-use unsnap_fem::integrals::ElementIntegrals;
+use unsnap_fem::integrals::IntegralStore;
 use unsnap_mesh::{NeighborRef, UnstructuredMesh, NUM_FACES};
 
 /// An interior face of the low-order mesh: two coupled cells plus the
@@ -62,6 +62,10 @@ pub struct DiffusionTopology {
     pub boundary: Vec<BoundaryFace>,
 }
 
+/// Cells whose linear-element integrals one store holds at a time while a
+/// topology is extracted: ≈ 290 KiB, whatever the size of the subset.
+const GEOMETRY_BATCH: usize = 64;
+
 fn distance(a: [f64; 3], b: [f64; 3]) -> f64 {
     let dx = a[0] - b[0];
     let dy = a[1] - b[1];
@@ -93,26 +97,32 @@ impl DiffusionTopology {
         }
 
         let mut volumes = Vec::with_capacity(cells.len());
+        let mut areas: Vec<[f64; NUM_FACES]> = Vec::with_capacity(cells.len());
+        for globals in cells.chunks(GEOMETRY_BATCH) {
+            let store = IntegralStore::build(&element, globals.len(), |k| HexVertices {
+                corners: *mesh.cell_corners(globals[k]),
+            });
+            for k in 0..globals.len() {
+                let ints = store.block(k);
+                volumes.push(ints.volume());
+                areas.push(std::array::from_fn(|face| ints.area(face)));
+            }
+        }
         let mut faces = Vec::new();
         let mut boundary = Vec::new();
 
         for (local, &global) in cells.iter().enumerate() {
-            let hex = HexVertices {
-                corners: *mesh.cell_corners(global),
-            };
-            let ints = ElementIntegrals::compute(&element, &hex);
-            volumes.push(ints.volume);
             let centroid = mesh.cell_centroid(global);
 
             for face in 0..NUM_FACES {
-                let area = ints.faces[face].area;
+                let area = areas[local][face];
                 match mesh.neighbor(global, face) {
                     NeighborRef::Boundary { .. } => {
                         // Centroid-to-face distance, estimated from the
                         // cell's own geometry: volume / (2 · area) is
                         // exact for an axis-aligned box and accurate to
                         // the twist angle otherwise.
-                        let d_b = ints.volume / (2.0 * area);
+                        let d_b = volumes[local] / (2.0 * area);
                         boundary.push(BoundaryFace {
                             cell: local,
                             area,

@@ -57,9 +57,8 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use unsnap_fem::element::ReferenceElement;
-use unsnap_fem::face::{face_node_indices, FACES};
 use unsnap_fem::geometry::HexVertices;
-use unsnap_fem::integrals::ElementIntegrals;
+use unsnap_fem::integrals::IntegralStore;
 use unsnap_linalg::krylov::GmresWorkspace;
 use unsnap_linalg::LinearSolver;
 use unsnap_mesh::{NeighborRef, UnstructuredMesh};
@@ -89,11 +88,9 @@ pub struct SharedAssets {
     pub mesh: UnstructuredMesh,
     /// The reference element of the problem's order.
     pub element: ReferenceElement,
-    /// Face-local node index lists for the six faces (identical for every
-    /// element of a given order).
-    pub face_nodes: [Vec<usize>; 6],
-    /// Precomputed per-element integrals, indexed by global cell id.
-    pub integrals: Vec<ElementIntegrals>,
+    /// Precomputed per-element integrals: one block per cell, indexed by
+    /// global cell id, in one allocation.
+    pub integrals: IntegralStore,
     /// Wall-clock seconds spent precomputing `integrals`.
     pub integrals_seconds: f64,
     /// The angular quadrature.
@@ -114,8 +111,6 @@ impl SharedAssets {
     pub fn build(problem: &Problem, width: usize) -> Self {
         let mesh = problem.build_mesh();
         let element = ReferenceElement::new(problem.element_order);
-        let face_nodes: [Vec<usize>; 6] =
-            std::array::from_fn(|f| face_node_indices(FACES[f], problem.element_order));
         let quadrature = AngularQuadrature::product(problem.angles_per_octant);
         let grid = problem.grid();
         let mut data = ProblemData::generate(
@@ -135,13 +130,15 @@ impl SharedAssets {
         }
 
         // The paper's precomputed basis-pair integrals: embarrassingly
-        // independent per element.
+        // independent per element, so each member of the team integrates a
+        // run of cells into its share of the one store.
         let t0 = Instant::now();
-        let integrals = team::map(width, (0..mesh.num_cells()).collect(), |cell| {
-            let hex = HexVertices {
-                corners: *mesh.cell_corners(cell),
-            };
-            ElementIntegrals::compute(&element, &hex)
+        let mut integrals = IntegralStore::zeroed(element.order(), mesh.num_cells());
+        let hex = |cell| HexVertices {
+            corners: *mesh.cell_corners(cell),
+        };
+        team::map(width, integrals.chunks(width), |chunk| {
+            chunk.integrate(&element, hex)
         });
         let integrals_seconds = t0.elapsed().as_secs_f64();
 
@@ -149,7 +146,6 @@ impl SharedAssets {
             problem: problem.clone(),
             mesh,
             element,
-            face_nodes,
             integrals,
             integrals_seconds,
             quadrature,
@@ -529,7 +525,7 @@ impl HaloFlux {
         reads.sort_unstable();
 
         let num_angles = assets.quadrature.num_angles();
-        let nf = assets.face_nodes[0].len();
+        let nf = assets.element.face_nodes()[0].len();
         let slot_len = assets.problem.num_groups * nf;
         for domain in domains.iter_mut() {
             domain.traces = TraceTable {
@@ -754,7 +750,7 @@ impl SweepView<'_> {
             self.resolve(&mut elements[slot], angle, segment.element);
         }
         let omega = a.quadrature.directions()[angle].omega;
-        let face_nodes: FaceNodes = std::array::from_fn(|f| a.face_nodes[f].as_slice());
+        let face_nodes: FaceNodes = std::array::from_fn(|f| a.element.face_nodes()[f].as_slice());
         let segments = (self.segments(bucket, tasks.clone()).zip(elements.iter()))
             .map(|(segment, slot)| self.lane_segment(psi, &segment, slot));
         KernelEngine.assemble_solve_lanes(
@@ -817,7 +813,7 @@ impl SweepView<'_> {
                 InflowSource::Boundary(flux) => UpwindSource::Boundary(boundary_scale * flux),
                 InflowSource::Own { local, face } => UpwindSource::Interior {
                     neighbor_psi: &psi[self.blocks(local, groups)],
-                    neighbor_face_nodes: &a.face_nodes[face],
+                    neighbor_face_nodes: &a.element.face_nodes()[face],
                 },
                 InflowSource::Foreign { slot, face } => match self.halo {
                     Some(halo) if !self.homogeneous => UpwindSource::Interior {
@@ -826,7 +822,7 @@ impl SweepView<'_> {
                     },
                     _ => UpwindSource::Interior {
                         neighbor_psi: &self.zeros[..run_len],
-                        neighbor_face_nodes: &a.face_nodes[face],
+                        neighbor_face_nodes: &a.element.face_nodes()[face],
                     },
                 },
             };
@@ -834,7 +830,7 @@ impl SweepView<'_> {
         });
         let sigma_t = a.data.xs.totals(a.data.material(element), groups.clone());
         let terms = &self.source.as_slice()[self.blocks(self.local_of_cell[element], groups)];
-        LaneSegment::new(element, &a.integrals[element], sigma_t, terms, upwind)
+        LaneSegment::new(element, a.integrals.block(element), sigma_t, terms, upwind)
     }
 
     /// The one task loop: solve the tasks `tasks` of `bucket`, a bucket of
@@ -1090,7 +1086,7 @@ impl DomainContext<'_> {
         let mut worker = pool.idle.pop().unwrap_or_else(|| TaskScratch::new(nodes));
         let b = &mut worker.kernel.rhs;
         for (local, &cell) in cells.iter().enumerate() {
-            let mass = &a.integrals[cell].mass;
+            let mass = a.integrals.block(cell).mass();
             for g in 0..layout.num_groups {
                 let q = source.nodes_mut(local, g, 0);
                 kernel::source_term(mass, q, b);
@@ -1134,7 +1130,7 @@ impl DomainContext<'_> {
             directions: self.assets.quadrature.directions(),
             slab: view.slab,
             phi: phi.as_mut_slice(),
-            face_nodes: &self.assets.face_nodes,
+            face_nodes: self.assets.element.face_nodes(),
             traces,
             exported,
             kept: kept.as_mut(),
@@ -1244,11 +1240,10 @@ impl InnerSolveContext for DomainContext<'_> {
             cells, phi, dsa, ..
         } = &mut *self.domain;
         let dsa = dsa.get_or_insert_with(|| {
-            DsaAccelerator::build(
+            DsaAccelerator::new(
                 &a.mesh,
                 cells,
-                &a.element,
-                Some(&a.integrals),
+                &a.integrals,
                 &a.data,
                 *phi.layout(),
                 unsnap_accel::DsaConfig {
@@ -1272,6 +1267,7 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
 
+    use unsnap_fem::integrals::ElementIntegrals;
     use unsnap_linalg::{DenseMatrix, GaussSolver};
     use unsnap_mesh::{Decomposition2D, NUM_FACES};
     use unsnap_sweep::ConcurrencyScheme;
@@ -1434,11 +1430,12 @@ mod tests {
                 for (angle, direction) in assets.quadrature.directions().iter().enumerate() {
                     let omega = direction.omega;
                     let schedule = domain.schedules.schedule(angle);
-                    for (cell, integrals) in assets.integrals.iter().enumerate() {
+                    for cell in 0..mesh.num_cells() {
+                        let integrals = assets.integrals.block(cell);
                         let mut inflow = schedule.inflow_faces(cell).peekable();
                         for face in 0..NUM_FACES {
                             let is_inflow = inflow.next_if_eq(&face).is_some();
-                            let kernel = integrals.faces[face].direction_dot_normal(omega);
+                            let kernel = integrals.direction_dot_normal(face, omega);
                             if is_inflow == (kernel < 0.0) {
                                 continue;
                             }
@@ -1494,7 +1491,10 @@ mod tests {
                 let mut reference = KernelScratch::new(n);
                 for cell in 0..cells {
                     let mat = data.material(cell);
-                    let integrals = &assets.integrals[cell];
+                    let hex = HexVertices {
+                        corners: *assets.mesh.cell_corners(cell),
+                    };
+                    let integrals = &ElementIntegrals::compute(&assets.element, &hex);
                     for g in 0..layout.num_groups {
                         // `q` as the update forms it.
                         let base = layout.base(cell, g, 0);
@@ -1603,7 +1603,7 @@ mod tests {
                 faces.filter(|&read| foreign(read)).count()
             })
             .sum();
-        let nf = assets.face_nodes[0].len();
+        let nf = assets.element.face_nodes()[0].len();
         let slot_len = problem.num_groups * nf;
         let slots = halo.as_slice().len() / slot_len;
         assert_eq!((slots, reads), (6144, 6144));

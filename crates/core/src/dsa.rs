@@ -31,7 +31,7 @@
 use unsnap_accel::{DiffusionOperator, DiffusionTopology, DsaConfig, DsaSolver};
 use unsnap_fem::element::ReferenceElement;
 use unsnap_fem::geometry::HexVertices;
-use unsnap_fem::integrals::ElementIntegrals;
+use unsnap_fem::integrals::{ElementIntegrals, IntegralStore};
 use unsnap_mesh::UnstructuredMesh;
 
 use crate::data::ProblemData;
@@ -42,7 +42,7 @@ use crate::solver::RunStats;
 
 /// Dimensionless coefficient of the `(σ_t h)²` thick-cell inflation of
 /// the diffusion coefficient (see the comment in
-/// [`DsaAccelerator::build`]).  Chosen empirically: large enough that
+/// `DsaAccelerator::new`).  Chosen empirically: large enough that
 /// DSA-SI never diverges on optically thick cells (the bare
 /// inconsistent scheme diverges for `σ_t h ≳ 3`), small enough that the
 /// `σ_t h ≈ 1` regime keeps its full acceleration.
@@ -68,20 +68,15 @@ pub struct DsaAccelerator {
 
 impl DsaAccelerator {
     /// Build the accelerator for the local cells `cells` (global mesh
-    /// ids, in local order) of `mesh`.
+    /// ids, in local order) of `mesh`, reading each cell's mass matrix from
+    /// its block of the solver's `integrals` (indexed by *global* cell id).
     ///
     /// `layout` describes the scalar-flux slices that will be corrected
-    /// (its `num_elements` must equal `cells.len()`); `integrals`, when
-    /// given, are the solver's precomputed per-element integrals indexed
-    /// by *global* cell id — otherwise the needed mass-row sums are
-    /// integrated here.  The solver always passes its integrals; the
-    /// parameter stays an `Option` because the repository benchmark's
-    /// layer probe (`benchmark/src/layers.rs`) calls it with `Some(..)`.
-    pub fn build(
+    /// (its `num_elements` must equal `cells.len()`).
+    pub(crate) fn new(
         mesh: &UnstructuredMesh,
         cells: &[usize],
-        element: &ReferenceElement,
-        integrals: Option<&[ElementIntegrals]>,
+        integrals: &IntegralStore,
         data: &ProblemData,
         layout: FluxLayout,
         config: DsaConfig,
@@ -122,20 +117,8 @@ impl DsaAccelerator {
             }
             // ∫ φ_i dV = Σ_j M_ij (partition of unity): the mass-matrix
             // row sums are the nodal quadrature weights of the cell.
-            let computed;
-            let ints: &ElementIntegrals = match integrals {
-                Some(list) => &list[global],
-                None => {
-                    let hex = HexVertices {
-                        corners: *mesh.cell_corners(global),
-                    };
-                    computed = ElementIntegrals::compute(element, &hex);
-                    &computed
-                }
-            };
-            for i in 0..nodes {
-                node_weights.push(ints.mass.row(i).iter().sum());
-            }
+            let mass = integrals.block(global).mass();
+            node_weights.extend(mass.chunks_exact(nodes).map(|row| row.iter().sum::<f64>()));
         }
 
         let operator = DiffusionOperator::assemble(&topology, ng, &diffusion, &removal);
@@ -146,6 +129,31 @@ impl DsaAccelerator {
             node_weights,
             rhs: vec![0.0; cells.len() * ng],
         }
+    }
+
+    /// The accelerator the solver builds from its store, for a caller that
+    /// holds per-element [`ElementIntegrals`] (`Some`, indexed by global
+    /// cell id) or none (`None`: every cell's are integrated here).  They
+    /// are packed into an [`IntegralStore`] first.  Only the frozen benchmark
+    /// package's layer probe (`benchmark/src/layers.rs`) calls it, with
+    /// `Some(..)` (ROADMAP items 1(c) and 17(a)); the solver passes its
+    /// store to `new`.
+    pub fn build(
+        mesh: &UnstructuredMesh,
+        cells: &[usize],
+        element: &ReferenceElement,
+        integrals: Option<&[ElementIntegrals]>,
+        data: &ProblemData,
+        layout: FluxLayout,
+        config: DsaConfig,
+    ) -> Self {
+        let store = match integrals {
+            Some(list) => IntegralStore::pack(list),
+            None => IntegralStore::build(element, mesh.num_cells(), |cell| HexVertices {
+                corners: *mesh.cell_corners(cell),
+            }),
+        };
+        Self::new(mesh, cells, &store, data, layout, config)
     }
 
     /// Apply one DSA correction to `phi` in place.
@@ -240,6 +248,44 @@ mod tests {
             layout,
             DsaConfig::default(),
         )
+    }
+
+    #[test]
+    fn every_constructor_reads_the_same_node_weights() {
+        // The solver's store, the benchmark's per-element integrals and
+        // none at all: one set of nodal weights, bit for bit.
+        let mesh = UnstructuredMesh::from_structured(&StructuredGrid::cube(3, 1.0), 0.001);
+        let cells: Vec<usize> = (0..mesh.num_cells()).collect();
+        let element = ReferenceElement::new(2);
+        let hex = |cell: usize| HexVertices {
+            corners: *mesh.cell_corners(cell),
+        };
+        let store = IntegralStore::build(&element, cells.len(), hex);
+        let elements: Vec<ElementIntegrals> = (cells.iter())
+            .map(|&cell| ElementIntegrals::compute(&element, &hex(cell)))
+            .collect();
+        let data = ProblemData::generate(
+            mesh.num_cells(),
+            |cell| mesh.cell_centroid(cell),
+            [1.0, 1.0, 1.0],
+            1,
+            MaterialOption::Option1,
+            SourceOption::Option1,
+        );
+        let layout = FluxLayout::scalar(27, cells.len(), 1, LoopOrder::ElementThenGroup);
+        let config = DsaConfig::default();
+        let bits = |a: &DsaAccelerator| {
+            a.node_weights
+                .iter()
+                .map(|w| w.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let from_store = DsaAccelerator::new(&mesh, &cells, &store, &data, layout, config);
+        for integrals in [Some(elements.as_slice()), None] {
+            let built =
+                DsaAccelerator::build(&mesh, &cells, &element, integrals, &data, layout, config);
+            assert_eq!(bits(&built), bits(&from_store), "{}", integrals.is_some());
+        }
     }
 
     #[test]

@@ -26,16 +26,26 @@
 //!
 //! There are two assemblers and they agree bit for bit.  [`assemble`] is
 //! the seed routine, kept as the oracle the tests compare against: it
-//! recomputes everything for every call.  [`assemble_blocked`] is the one
-//! every sweep runs: what depends only on the element and the direction
+//! recomputes everything for every call from an [`ElementIntegrals`].  The
+//! other is the tiled assembly every sweep runs
+//! ([`KernelEngine::assemble_solve_lanes`], whose runs go through
+//! `assemble_lanes`): what depends only on the element and the direction
 //! (`Ω·G`, `Ω·F` of all six faces, which faces are outflow) is built in one
-//! pass into a tile, so a call whose element and direction match the
-//! previous one does only the group's work — and `b = M q`, which no angle
-//! changes, is the sweep's [`source_term`], formed once per source update.
-//! The tile and the lane assembly are one body, compiled for the element
-//! sizes of orders 1–3 (n = 8, 27, 64: the sizes the dense solver has
-//! fixed-size eliminations for) and for a size read at run time otherwise,
-//! and they read face nodes from the order's table ([`FaceNodes`]).
+//! pass into a tile from the element's block of the solver's
+//! [`IntegralStore`] (one contiguous read per element, [`IntegralBlock`]),
+//! so a run whose element and direction match the previous one does only
+//! the groups' work; and `b = M q`, which no angle changes, is the sweep's
+//! [`source_term`], formed once per source update.  The tile and the lane
+//! assembly are one body, compiled for the element sizes of orders 1–3
+//! (n = 8, 27, 64: the sizes the dense solver has fixed-size eliminations
+//! for) and for a size read at run time otherwise, and they read face nodes
+//! from the order's table ([`FaceNodes`]).
+//!
+//! [`assemble_blocked`] and [`KernelEngine::assemble_solve`] — the q-taking
+//! wrappers of that body for one task, which copy the [`ElementIntegrals`]
+//! they are handed into a one-cell store first — exist only for the frozen
+//! benchmark package's layer probes (ROADMAP items 1(c) and 17(a)); no
+//! sweep calls them.
 //!
 //! A sweep enters the kernel in one place, for a run of tasks of any length
 //! ([`KernelEngine::assemble_solve_lanes`]).  Where the element has eight
@@ -51,7 +61,7 @@
 use std::time::Instant;
 
 use unsnap_fem::face::FACES;
-use unsnap_fem::integrals::ElementIntegrals;
+use unsnap_fem::integrals::{ElementIntegrals, IntegralBlock, IntegralStore};
 use unsnap_linalg::{DenseMatrix, LinalgError, LinearSolver};
 
 use crate::layout::Precision;
@@ -136,7 +146,7 @@ const NO_INFLOW: UpwindFace<'static> = UpwindFace {
 
 /// The element-local node indices of each face, in the canonical face
 /// order: the table of an element order, the same for every element of
-/// it (a sweep passes `SharedAssets::face_nodes`).
+/// it (a sweep passes its element's `ReferenceElement::face_nodes`).
 pub type FaceNodes<'a> = [&'a [usize]; FACES.len()];
 
 /// The face nodes `integrals` carries for its own faces (the q-taking
@@ -152,8 +162,8 @@ pub struct LaneSegment<'a> {
     /// Identifies the element deterministically across runs: with the
     /// bits of Ω it names the segment's tile.
     pub cache_key: usize,
-    /// The element's integrals.
-    pub integrals: &'a ElementIntegrals,
+    /// The element's integrals: its block of the solver's store.
+    pub integrals: IntegralBlock<'a>,
     /// One total cross section per group.
     pub sigma_t: &'a [f64],
     /// The groups' source terms `M q` ([`source_term`]), one `n`-node block
@@ -171,7 +181,7 @@ impl<'a> LaneSegment<'a> {
     #[inline]
     pub(crate) fn new(
         cache_key: usize,
-        integrals: &'a ElementIntegrals,
+        integrals: IntegralBlock<'a>,
         sigma_t: &'a [f64],
         source_terms: &'a [f64],
         upwind: impl IntoIterator<Item = UpwindFace<'a>>,
@@ -231,6 +241,9 @@ pub struct KernelScratch {
     lanes: Vec<f64>,
     /// Node-major copies of what an assembly reads group-major.
     gather: Vec<f64>,
+    /// The q-taking entries' copy of the integrals they were last handed,
+    /// in a store of one cell, and the cache key it was packed for.
+    packed: Option<(usize, IntegralStore)>,
 }
 
 impl KernelScratch {
@@ -242,6 +255,7 @@ impl KernelScratch {
             tiles: vec![GeometryTile::default()],
             lanes: Vec::new(),
             gather: Vec::new(),
+            packed: None,
         }
     }
 
@@ -261,7 +275,7 @@ impl KernelScratch {
     /// of its element.
     fn assemble_tiled(&mut self, omega: [f64; 3], face_nodes: &FaceNodes, segment: &LaneSegment) {
         let integrals = segment.integrals;
-        let (n, nf) = (integrals.nodes_per_element(), integrals.nodes_per_face());
+        let (n, nf) = (integrals.nodes_per_element(), face_nodes[0].len());
         let (matrix, _) = self.matrix.as_mut_slice().as_chunks_mut::<1>();
         let (rhs, _) = self.rhs.as_chunks_mut::<1>();
         let (tile, gather) = (&mut self.tiles[0], &mut self.gather);
@@ -425,7 +439,7 @@ impl GeometryTile {
         &mut self,
         size: S,
         cache_key: usize,
-        integrals: &ElementIntegrals,
+        integrals: IntegralBlock<'_>,
         omega: [f64; 3],
     ) {
         let key = (cache_key, omega.map(f64::to_bits));
@@ -436,14 +450,12 @@ impl GeometryTile {
         }
         self.values.resize(len, 0.0);
         let (streaming, faces) = self.values[..len].split_at_mut(n * n);
-        omega_dot(omega, &integrals.stream, streaming);
-        for (out, face) in faces.chunks_exact_mut(nf * nf).zip(&integrals.faces) {
-            omega_dot(omega, &face.matrices, out);
-        }
+        omega_dot(omega, integrals.stream(), streaming);
         self.outflow = 0;
-        for (index, face) in integrals.faces.iter().enumerate() {
+        for (index, out) in faces.chunks_exact_mut(nf * nf).enumerate() {
+            omega_dot(omega, integrals.face(index), out);
             // Every face `assemble` does not skip — a NaN Ω·n included.
-            let skipped = face.direction_dot_normal(omega) <= 0.0;
+            let skipped = integrals.direction_dot_normal(index, omega) <= 0.0;
             self.outflow |= u8::from(!skipped) << index;
         }
         self.key = Some(key);
@@ -456,18 +468,17 @@ impl GeometryTile {
     }
 }
 
-/// `out = Ω_x·x + Ω_y·y + Ω_z·z`, entry by entry: the parenthesised
-/// streaming term of [`assemble`], and its `f_ab`.  Out of line: inlined
-/// into a fixed-size [`GeometryTile::load`] it unrolled into slower code
-/// than this one loop, on the order-1 sweep.
+/// `out = Ω_x·x + Ω_y·y + Ω_z·z`, entry by entry, where `xyz` holds the
+/// three matrices one after another: the parenthesised streaming term of
+/// [`assemble`], and its `f_ab`.  Out of line: inlined into a fixed-size
+/// [`GeometryTile::load`] it unrolled into slower code than this one loop,
+/// on the order-1 sweep.
 #[inline(never)]
-fn omega_dot(omega: [f64; 3], [x, y, z]: &[DenseMatrix; 3], out: &mut [f64]) {
+fn omega_dot(omega: [f64; 3], xyz: &[f64], out: &mut [f64]) {
     let len = out.len();
-    let (x, y, z) = (
-        &x.as_slice()[..len],
-        &y.as_slice()[..len],
-        &z.as_slice()[..len],
-    );
+    let (x, yz) = xyz.split_at(len);
+    let (y, z) = yz.split_at(len);
+    let (y, z) = (&y[..len], &z[..len]);
     for (out, ((&x, &y), &z)) in out.iter_mut().zip(x.iter().zip(y).zip(z)) {
         *out = omega[0] * x + omega[1] * y + omega[2] * z;
     }
@@ -602,27 +613,32 @@ fn apply_inflow(
     }
 }
 
-/// Form one group's source term `b = M q` into `b`: row `i` summed in `j`
-/// order from `0.0`, exactly as [`assemble`] forms it.  The sweep's tasks
-/// read it in place of `q`, so no task of any angle forms it again.
-pub fn source_term(mass: &DenseMatrix, q: &[f64], b: &mut [f64]) {
+/// Form one group's source term `b = M q` into `b` (`mass` row-major): row
+/// `i` summed in `j` order from `0.0`, exactly as [`assemble`] forms it.
+/// The sweep's tasks read it in place of `q`, so no task of any angle forms
+/// it again.
+pub fn source_term(mass: &[f64], q: &[f64], b: &mut [f64]) {
     // Column after column: each row still adds its terms in `j` order, and
     // the rows' sums advance side by side instead of one after another.
     b.fill(0.0);
     for (j, &q_j) in q.iter().enumerate() {
-        for (b_i, row) in b.iter_mut().zip(mass.as_slice().chunks_exact(q.len())) {
+        for (b_i, row) in b.iter_mut().zip(mass.chunks_exact(q.len())) {
             *b_i += row[j] * q_j;
         }
     }
 }
 
 /// Assemble the local system from `b = M q` ([`source_term`]) and the
-/// element × direction tile of `scratch`: the assembly every sweep runs.
+/// element × direction tile of `scratch`, for one element handed over as
+/// [`ElementIntegrals`]: the benchmark package's q-taking entry
+/// (`benchmark/src/layers.rs`); no sweep calls it.  The integrals are
+/// copied into the store's block layout, and the tile and the lane assembly
+/// every sweep runs ([`KernelEngine::assemble_solve_lanes`]) read that.
 ///
-/// `cache_key` identifies the element whose integrals are passed (the
-/// sweep passes the global cell id); together with the bits of `omega` it
-/// names the tile.  A call that finds its tile does only the group's own
-/// work: `σ_t·M` minus the streaming tile, the outflow blocks, and one
+/// `cache_key` identifies the element whose integrals are passed; the copy
+/// is keyed on it, and together with the bits of `omega` it names the
+/// tile.  A call that finds both does only the group's own work: `M q`,
+/// `σ_t·M` minus the streaming tile, the outflow blocks, and one
 /// matrix-vector product per inflow face.  Every floating-point operation
 /// that touches the system matches [`assemble`] in value and in order.
 pub fn assemble_blocked(
@@ -634,10 +650,16 @@ pub fn assemble_blocked(
     cache_key: usize,
     scratch: &mut KernelScratch,
 ) {
-    source_term(&integrals.mass, source_nodes, &mut scratch.rhs);
+    let packed = match scratch.packed.take() {
+        Some((key, store)) if key == cache_key => store,
+        _ => IntegralStore::pack(std::slice::from_ref(integrals)),
+    };
+    let block = packed.block(0);
+    source_term(block.mass(), source_nodes, &mut scratch.rhs);
     let sigma_t = [sigma_t];
-    let segment = LaneSegment::new(cache_key, integrals, &sigma_t, &[], upwind.iter().copied());
+    let segment = LaneSegment::new(cache_key, block, &sigma_t, &[], upwind.iter().copied());
     scratch.assemble_tiled(omega, &own_face_nodes(integrals), &segment);
+    scratch.packed = Some((cache_key, packed));
 }
 
 /// What one call of [`assemble_lanes`] assembles: the groups of `segment`
@@ -695,9 +717,7 @@ fn assemble_lanes<S: ElementSize, const L: usize, const G: usize>(
     // σ_t·M minus the streaming tile, in the reference operation order (one
     // multiply, one subtract per entry), across the lanes with unit stride;
     // then the outflow faces' blocks, face by face, row by row.
-    let entries = integrals.mass.as_slice()[..n * n]
-        .iter()
-        .zip(&tile.values[..n * n]);
+    let entries = integrals.mass()[..n * n].iter().zip(&tile.values[..n * n]);
     for (out, (&m_ij, &s_ij)) in matrix.iter_mut().zip(entries) {
         let out = lanes_at::<L, G>(out);
         for l in 0..G {
@@ -1272,6 +1292,8 @@ mod tests {
             ElementIntegrals::compute(&element, &HexVertices::unit_cube()),
             swapping,
         ];
+        let store = IntegralStore::pack(&elements);
+        let blocks = [store.block(0), store.block(1)];
         let n = 8;
         let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
         let varying: Vec<f64> = (0..16 * n).map(|i| 0.3 + 0.07 * (i % 29) as f64).collect();
@@ -1291,7 +1313,7 @@ mod tests {
         let table = face_table(&face_nodes);
         for (sigma_t, diverged) in [(&alike, false), (&apart, true)] {
             let mut scratch = KernelScratch::new(n);
-            let segment = LaneSegment::new(1, &elements[1], &sigma_t[..4], &zeros[..32], []);
+            let segment = LaneSegment::new(1, blocks[1], &sigma_t[..4], &zeros[..32], []);
             let segments = std::iter::once(segment);
             let solved =
                 scratch.lockstep::<_, 4>(Fixed::<8, 4>, omegas[0], &table, segments, &solver, None);
@@ -1319,7 +1341,7 @@ mod tests {
             // The lanes read each group's `M q`, the per-group task its `q`.
             let mut terms = vec![0.0; source.len()];
             for (q, b) in source.chunks_exact(n).zip(terms.chunks_exact_mut(n)) {
-                source_term(&integrals.mass, q, b);
+                source_term(blocks[cell].mass(), q, b);
             }
             // 16 and 4 run in lockstep, 5 and 1 do not.
             for (first, lanes) in [(0, 16), (3, 4), (9, 5), (15, 1)] {
@@ -1344,7 +1366,7 @@ mod tests {
                     .collect();
                 let segment = LaneSegment::new(
                     cell,
-                    integrals,
+                    blocks[cell],
                     &sigma_t[first..first + lanes],
                     &terms[run.clone()],
                     upwind.iter().copied(),
@@ -1416,6 +1438,8 @@ mod tests {
             ElementIntegrals::compute(&element, &HexVertices::unit_cube()),
             swapping,
         ];
+        let store = IntegralStore::pack(&elements);
+        let packed = [store.block(0), store.block(1)];
         let n = 8;
         let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
         let table = face_table(&face_nodes);
@@ -1433,11 +1457,11 @@ mod tests {
         let omegas = [[0.48, 0.62, 0.6208], [-0.51, 0.62, -0.59]];
         // Each element's groups' `M q`, and the trace of each group's block
         // on each face, as a halo keeps it.
-        let terms: Vec<Vec<f64>> = (elements.iter())
+        let terms: Vec<Vec<f64>> = (packed.iter())
             .map(|integrals| {
                 let mut terms = vec![0.0; source.len()];
                 for (q, b) in source.chunks_exact(n).zip(terms.chunks_exact_mut(n)) {
-                    source_term(&integrals.mass, q, b);
+                    source_term(integrals.mass(), q, b);
                 }
                 terms
             })
@@ -1512,7 +1536,7 @@ mod tests {
                 let groups = first..first + w;
                 let upwind = upwind(cell, omega, kind, groups.clone());
                 let terms = &terms[cell][groups.start * n..groups.end * n];
-                LaneSegment::new(cell, &elements[cell], &sigma_t[groups], terms, upwind)
+                LaneSegment::new(cell, packed[cell], &sigma_t[groups], terms, upwind)
             });
             let mut scratch = KernelScratch::new(n);
             let size = Fixed::<8, 4>;
@@ -1532,7 +1556,7 @@ mod tests {
                     let upwind = upwind(cell, omega, kind, groups.clone());
                     LaneSegment::new(
                         cell,
-                        &elements[cell],
+                        packed[cell],
                         &sigma_t[groups.clone()],
                         &terms[cell][groups.start * n..groups.end * n],
                         upwind,
@@ -1551,7 +1575,7 @@ mod tests {
                             // in `grouped.rhs`.
                             let group = LaneSegment::new(
                                 cell,
-                                &elements[cell],
+                                packed[cell],
                                 &sigma_t[g..g + 1],
                                 &terms[cell][g * n..(g + 1) * n],
                                 upwind(cell, omega, kind, g..g + 1),
@@ -1590,6 +1614,8 @@ mod tests {
         // as the whole node blocks do through the face's node indices — on
         // the lockstep runs, the per-group fallback and one group alone.
         let integrals = unit_integrals(1);
+        let store = IntegralStore::pack(std::slice::from_ref(&integrals));
+        let block = store.block(0);
         let n = integrals.nodes_per_element();
         let omega = [-0.51, 0.62, -0.59];
         let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
@@ -1638,7 +1664,7 @@ mod tests {
                 let mut scratch = KernelScratch::new(n);
                 let segment = LaneSegment::new(
                     0,
-                    &integrals,
+                    block,
                     &sigma_t[first..first + lanes],
                     &source[first * n..(first + lanes) * n],
                     upwind,
@@ -1719,13 +1745,14 @@ mod tests {
         let (matrix, rhs) = KernelScratch::lane_systems(&mut scratch.lanes, n, L);
         let mut term = vec![0.0; n];
         for l in 0..L {
-            source_term(&integrals.mass, &source[l * n..][..n], &mut term);
+            source_term(integrals.mass.as_slice(), &source[l * n..][..n], &mut term);
             for (i, &b_i) in term.iter().enumerate() {
                 rhs[i * L + l] = b_i;
             }
         }
         let upwind = interior_upwind(integrals, omega, psi, &face_nodes);
-        let segment = LaneSegment::new(0, integrals, sigma_t, &[], upwind);
+        let store = IntegralStore::pack(std::slice::from_ref(integrals));
+        let segment = LaneSegment::new(0, store.block(0), sigma_t, &[], upwind);
         let part = Part {
             omega,
             face_nodes: &face_table(&face_nodes),
@@ -1849,6 +1876,8 @@ mod tests {
         // untimed run's bits and reports what its eliminations took; an
         // untimed run reads no clock and reports none.
         let integrals = unit_integrals(1);
+        let store = IntegralStore::pack(std::slice::from_ref(&integrals));
+        let block = store.block(0);
         let n = integrals.nodes_per_element();
         let omega = [0.48, 0.62, 0.6208];
         let face_nodes: Vec<Vec<usize>> = FACES.iter().map(|f| face_node_indices(*f, 1)).collect();
@@ -1863,7 +1892,7 @@ mod tests {
             let run = |time_solve| {
                 let upwind = interior_upwind(&integrals, omega, &psi[..lanes * n], &face_nodes);
                 let (sigma_t, terms) = (&sigma_t[..lanes], &terms[..lanes * n]);
-                let segment = LaneSegment::new(0, &integrals, sigma_t, terms, upwind);
+                let segment = LaneSegment::new(0, block, sigma_t, terms, upwind);
                 let mut scratch = KernelScratch::new(n);
                 let solve_ns = KernelEngine.assemble_solve_lanes(
                     omega,

@@ -1,5 +1,6 @@
-//! A warm sweep allocates nothing per task or per region of a bucket, and a
-//! solver's memory does not grow with the angles.
+//! A warm sweep allocates nothing per task or per region of a bucket, a
+//! solver's memory does not grow with the angles, and building a solver
+//! allocates nothing per cell.
 //!
 //! The whole file is one test, and it runs without libtest's harness
 //! (`harness = false`): the counters are process-wide (worker threads
@@ -91,8 +92,43 @@ fn footprint_of_two_sweeps(problem: &Problem) -> (usize, usize, usize) {
     (built, peak, schedules)
 }
 
+/// Allocations `TransportSolver::new(problem)` makes.
+fn setup_allocations(problem: &Problem) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let solver = TransportSolver::new(problem).expect("a valid problem");
+    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(solver);
+    made
+}
+
 fn main() {
     a_warm_sweep_allocates_nothing_per_task();
+    set_up_allocates_nothing_per_cell();
+}
+
+/// The integrals of every cell live in one store, integrated chunk by
+/// chunk with one scratch per chunk: twice the cells add fewer allocations
+/// than cells (one `ElementIntegrals` per cell made 29 each).
+fn set_up_allocates_nothing_per_cell() {
+    let widths = unsnap_core::team::forced_width().map_or(vec![1, 2], |forced| vec![forced]);
+    for width in widths {
+        let small = Problem::tiny()
+            .with_scheme(ConcurrencyScheme::best())
+            .with_threads(width)
+            .with_mesh(6);
+        let doubled = Problem {
+            nx: 2 * small.nx,
+            ..small.clone()
+        };
+        let added = (doubled.num_cells() - small.num_cells()) as u64;
+        let (before, after) = (setup_allocations(&small), setup_allocations(&doubled));
+        assert!(
+            after - before < added,
+            "set-up at width {width}: {before} allocations for {} cells, {after} for {}",
+            small.num_cells(),
+            doubled.num_cells()
+        );
+    }
 }
 
 fn a_warm_sweep_allocates_nothing_per_task() {

@@ -16,7 +16,8 @@
 //! paper, split into its reference-element part here and its per-element
 //! geometric part in `ElementIntegrals`).
 
-use crate::face::{Face, FACES};
+use crate::face::{face_node_indices, Face, FACES};
+use crate::geometry::{HexVertices, ShapeGradients};
 use crate::lagrange::LagrangeBasis1d;
 use crate::quadrature::{face_rule, hex_rule, FacePoint, VolumePoint};
 
@@ -51,6 +52,13 @@ pub struct ReferenceElement {
     face_points: Vec<Vec<FacePoint>>,
     /// `phi_face[f][q * n + i]`: basis `i` at point `q` of face `f`.
     phi_face: Vec<Vec<f64>>,
+    /// The gradients of the eight trilinear geometry shape functions at
+    /// each volume point, and at each point of each face: the same for
+    /// every cell.
+    geometry_volume: Vec<ShapeGradients>,
+    geometry_face: Vec<Vec<ShapeGradients>>,
+    /// The element-local nodes of each face, in canonical order.
+    face_nodes: [Vec<usize>; 6],
 }
 
 impl ReferenceElement {
@@ -105,6 +113,17 @@ impl ReferenceElement {
             phi_face.push(vals_all);
         }
 
+        let geometry_volume = (volume_points.iter())
+            .map(|p| HexVertices::shape_gradients(p.xi))
+            .collect();
+        let geometry_face = (face_points.iter())
+            .map(|points| {
+                (points.iter())
+                    .map(|p| HexVertices::shape_gradients(p.xi))
+                    .collect()
+            })
+            .collect();
+
         Self {
             order,
             nodes_1d: n1,
@@ -115,6 +134,9 @@ impl ReferenceElement {
             dphi_volume,
             face_points,
             phi_face,
+            geometry_volume,
+            geometry_face,
+            face_nodes: FACES.map(|f| face_node_indices(f, order)),
         }
     }
 
@@ -163,6 +185,23 @@ impl ReferenceElement {
     /// Quadrature points of `face`.
     pub(crate) fn face_points(&self, face: Face) -> &[FacePoint] {
         &self.face_points[face.index()]
+    }
+
+    /// The trilinear geometry shape gradients at every volume point.
+    pub(crate) fn geometry_at_volume_points(&self) -> &[ShapeGradients] {
+        &self.geometry_volume
+    }
+
+    /// The trilinear geometry shape gradients at every point of `face`.
+    pub(crate) fn geometry_at_face_points(&self, face: Face) -> &[ShapeGradients] {
+        &self.geometry_face[face.index()]
+    }
+
+    /// The element-local nodes of each face, indexed by [`Face::index`], in
+    /// canonical order ([`face_node_indices`]): the same for every element
+    /// of the order.
+    pub fn face_nodes(&self) -> &[Vec<usize>; 6] {
+        &self.face_nodes
     }
 
     /// Basis values at point `q` of `face` (length `n` slice).

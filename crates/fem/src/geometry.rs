@@ -66,6 +66,13 @@ impl HexVertices {
         ]
     }
 
+    /// The gradients of the eight trilinear shape functions at `xi`,
+    /// corner by corner: the same for every cell, so an integration
+    /// tabulates them once per quadrature point.
+    pub(crate) fn shape_gradients(xi: [f64; 3]) -> ShapeGradients {
+        std::array::from_fn(|c| Self::shape_gradient(c, xi))
+    }
+
     /// Map a reference point to physical coordinates.
     pub fn map(&self, xi: [f64; 3]) -> [f64; 3] {
         let mut x = [0.0; 3];
@@ -78,44 +85,54 @@ impl HexVertices {
         x
     }
 
-    /// Jacobian matrix `J[d][e] = ∂x_d / ∂ξ_e` at a reference point.
-    fn jacobian(&self, xi: [f64; 3]) -> [[f64; 3]; 3] {
+    /// Jacobian matrix `J[d][e] = ∂x_d / ∂ξ_e` at the reference point whose
+    /// shape gradients are `grads`.
+    fn jacobian(&self, grads: &ShapeGradients) -> [[f64; 3]; 3] {
         let mut j = [[0.0; 3]; 3];
-        for c in 0..8 {
-            let g = Self::shape_gradient(c, xi);
+        for (corner, g) in self.corners.iter().zip(grads) {
             for d in 0..3 {
                 for e in 0..3 {
-                    j[d][e] += self.corners[c][d] * g[e];
+                    j[d][e] += corner[d] * g[e];
                 }
             }
         }
         j
     }
 
-    /// Determinant and inverse of the Jacobian at a reference point, from
-    /// one evaluation of it.
+    /// Determinant and inverse of the Jacobian at the reference point whose
+    /// shape gradients are `grads`, from one evaluation of it.
     ///
     /// Returns `None` if the Jacobian is (numerically) singular, which
     /// indicates a degenerate or inverted cell.
-    pub(crate) fn jacobian_det_inverse(&self, xi: [f64; 3]) -> Option<(f64, [[f64; 3]; 3])> {
-        det_inverse3(&self.jacobian(xi))
+    pub(crate) fn jacobian_det_inverse(
+        &self,
+        grads: &ShapeGradients,
+    ) -> Option<(f64, [[f64; 3]; 3])> {
+        det_inverse3(&self.jacobian(grads))
     }
 
-    /// The (signed) area vector `n dS` of `face` at in-face quadrature
-    /// point `xi`: a vector whose direction is the outward normal and
-    /// whose magnitude is the surface Jacobian (so that summing
-    /// `weight · |area_vector|` over the face rule gives the face area).
-    pub(crate) fn face_area_vector(&self, face: Face, xi: [f64; 3]) -> [f64; 3] {
-        let j = self.jacobian(xi);
+    /// The (signed) area vector `n dS` of `face` at the in-face quadrature
+    /// point whose shape gradients are `grads`: a vector whose direction is
+    /// the outward normal and whose magnitude is the surface Jacobian (so
+    /// that summing `weight · |area_vector|` over the face rule gives the
+    /// face area).
+    pub(crate) fn face_area_vector(&self, face: Face, grads: &ShapeGradients) -> [f64; 3] {
         let axis = face.axis();
         let (a, b) = match axis {
             0 => (1, 2),
             1 => (0, 2),
             _ => (0, 1),
         };
-        // Tangent vectors along the two in-face reference axes.
-        let ta = [j[0][a], j[1][a], j[2][a]];
-        let tb = [j[0][b], j[1][b], j[2][b]];
+        // Tangent vectors along the two in-face reference axes: columns `a`
+        // and `b` of the Jacobian, each entry summed over the corners in
+        // the order `jacobian` sums it.
+        let (mut ta, mut tb) = ([0.0; 3], [0.0; 3]);
+        for (corner, g) in self.corners.iter().zip(grads) {
+            for d in 0..3 {
+                ta[d] += corner[d] * g[a];
+                tb[d] += corner[d] * g[b];
+            }
+        }
         let mut n = cross(ta, tb);
         // cross(e_a, e_b) points along +axis for axes (1,2)->0 and (0,1)->2
         // but along -axis for (0,2)->1; combine with the face sign so the
@@ -128,6 +145,10 @@ impl HexVertices {
         n
     }
 }
+
+/// The reference-space gradients of the eight trilinear shape functions at
+/// one point, corner-major.
+pub(crate) type ShapeGradients = [[f64; 3]; 8];
 
 /// 3×3 determinant.
 fn det3(m: &[[f64; 3]; 3]) -> f64 {
@@ -220,7 +241,7 @@ mod tests {
     #[test]
     fn jacobian_of_axis_aligned_box_is_diagonal() {
         let hex = HexVertices::axis_aligned([0.0; 3], [2.0, 4.0, 8.0]);
-        let j = hex.jacobian([0.1, -0.3, 0.8]);
+        let j = hex.jacobian(&HexVertices::shape_gradients([0.1, -0.3, 0.8]));
         for d in 0..3 {
             for e in 0..3 {
                 if d == e {
@@ -230,7 +251,7 @@ mod tests {
                 }
             }
         }
-        assert!((det3(&hex.jacobian([0.0; 3])) - 8.0).abs() < 1e-13);
+        assert!((det3(&hex.jacobian(&HexVertices::shape_gradients([0.0; 3]))) - 8.0).abs() < 1e-13);
     }
 
     #[test]
@@ -256,7 +277,13 @@ mod tests {
         let volume = |hex: &HexVertices, points_per_dir: usize| -> f64 {
             crate::quadrature::hex_rule(points_per_dir)
                 .iter()
-                .map(|p| p.weight * hex.jacobian_det_inverse(p.xi).unwrap().0)
+                .map(|p| {
+                    p.weight
+                        * hex
+                            .jacobian_det_inverse(&HexVertices::shape_gradients(p.xi))
+                            .unwrap()
+                            .0
+                })
                 .sum()
         };
         assert!((volume(&hex, 2) - 24.0).abs() < 1e-11);
@@ -269,8 +296,9 @@ mod tests {
     fn jacobian_inverse_round_trip() {
         let hex = twisted_cell(0.3);
         let xi = [0.25, -0.4, 0.6];
-        let j = hex.jacobian(xi);
-        let (det, ji) = hex.jacobian_det_inverse(xi).unwrap();
+        let grads = HexVertices::shape_gradients(xi);
+        let j = hex.jacobian(&grads);
+        let (det, ji) = hex.jacobian_det_inverse(&grads).unwrap();
         assert_eq!(det.to_bits(), det3(&j).to_bits());
         for d in 0..3 {
             for e in 0..3 {
@@ -288,7 +316,9 @@ mod tests {
         for corner in hex.corners.iter_mut() {
             corner[2] = 0.0;
         }
-        assert!(hex.jacobian_det_inverse([0.0; 3]).is_none());
+        assert!(hex
+            .jacobian_det_inverse(&HexVertices::shape_gradients([0.0; 3]))
+            .is_none());
     }
 
     #[test]
@@ -307,7 +337,7 @@ mod tests {
                 let mut face_vec = [0.0; 3];
                 let mut face_centre = [0.0; 3];
                 for p in &pts {
-                    let av = hex.face_area_vector(face, p.xi);
+                    let av = hex.face_area_vector(face, &HexVertices::shape_gradients(p.xi));
                     for d in 0..3 {
                         face_vec[d] += p.weight * av[d];
                         face_centre[d] += hex.map(p.xi)[d] / pts.len() as f64;
@@ -336,7 +366,10 @@ mod tests {
             let pts = crate::quadrature::face_rule(2, face.axis(), face.is_positive());
             let area: f64 = pts
                 .iter()
-                .map(|p| p.weight * norm3(hex.face_area_vector(face, p.xi)))
+                .map(|p| {
+                    let grads = HexVertices::shape_gradients(p.xi);
+                    p.weight * norm3(hex.face_area_vector(face, &grads))
+                })
                 .sum();
             assert!((area - 1.0).abs() < 1e-12, "face {face}: area = {area}");
         }

@@ -31,7 +31,8 @@
 //!   cube to a possibly twisted physical hexahedron, its Jacobians and face
 //!   area vectors;
 //! * [`integrals`] — assembly of the per-element integral families above,
-//!   precomputed and stored per element (the paper's approach);
+//!   precomputed for every cell into one store of fixed-stride blocks (the
+//!   paper's approach);
 //! * [`face`] — face-local node enumeration and the node correspondence
 //!   between the two sides of a conforming interior face.
 //!

@@ -1,7 +1,8 @@
 //! Property-based tests of the finite-element substrate.
 //!
 //! Invariants checked with randomised element orders, quadrature orders
-//! and (twisted / stretched) cell geometries:
+//! and (twisted / stretched) cell geometries, on the integrals as a
+//! solver's `IntegralStore` holds them:
 //!
 //! * partition of unity of the Lagrange basis at arbitrary points;
 //! * quadrature exactness on the monomials it must integrate;
@@ -12,9 +13,9 @@
 use proptest::prelude::*;
 
 use unsnap_fem::element::ReferenceElement;
-use unsnap_fem::face::FACES;
+use unsnap_fem::face::{face_node_indices, nodes_per_face, FACES};
 use unsnap_fem::geometry::HexVertices;
-use unsnap_fem::integrals::ElementIntegrals;
+use unsnap_fem::integrals::IntegralStore;
 use unsnap_fem::lagrange::LagrangeBasis1d;
 use unsnap_fem::quadrature::gauss_legendre;
 
@@ -58,30 +59,35 @@ proptest! {
     #[test]
     fn mass_matrix_total_equals_volume(order in 1usize..4, hex in random_cell()) {
         let element = ReferenceElement::new(order);
-        let ints = ElementIntegrals::compute(&element, &hex);
-        let total: f64 = ints.mass.as_slice().iter().sum();
-        prop_assert!((total - ints.volume).abs() < 1e-8 * ints.volume.max(1.0));
-        prop_assert!(ints.volume > 0.0);
+        let store = IntegralStore::build(&element, 1, |_| hex);
+        let ints = store.block(0);
+        let total: f64 = ints.mass().iter().sum();
+        prop_assert!((total - ints.volume()).abs() < 1e-8 * ints.volume().max(1.0));
+        prop_assert!(ints.volume() > 0.0);
     }
 
     #[test]
     fn integration_by_parts_identity(order in 1usize..3, hex in random_cell()) {
         let element = ReferenceElement::new(order);
-        let ints = ElementIntegrals::compute(&element, &hex);
-        let n = ints.nodes_per_element();
+        let store = IntegralStore::build(&element, 1, |_| hex);
+        let ints = store.block(0);
+        let (n, nf) = (ints.nodes_per_element(), nodes_per_face(order));
         for d in 0..3 {
             // Scatter the face matrices to element-local indices.
             let mut surface = vec![0.0f64; n * n];
-            for f in &ints.faces {
-                for (a, &ia) in f.node_indices.iter().enumerate() {
-                    for (b, &ib) in f.node_indices.iter().enumerate() {
-                        surface[ia * n + ib] += f.matrices[d][(a, b)];
+            for &face in &FACES {
+                let m = &ints.face(face.index())[d * nf * nf..][..nf * nf];
+                let nodes = face_node_indices(face, order);
+                for (a, &ia) in nodes.iter().enumerate() {
+                    for (b, &ib) in nodes.iter().enumerate() {
+                        surface[ia * n + ib] += m[a * nf + b];
                     }
                 }
             }
+            let g = &ints.stream()[d * n * n..][..n * n];
             for i in 0..n {
                 for j in 0..n {
-                    let lhs = ints.stream[d][(i, j)] + ints.stream[d][(j, i)];
+                    let lhs = g[i * n + j] + g[j * n + i];
                     prop_assert!((lhs - surface[i * n + j]).abs() < 1e-8);
                 }
             }
@@ -91,14 +97,16 @@ proptest! {
     #[test]
     fn closed_surface_has_zero_net_area_vector(hex in random_cell()) {
         let element = ReferenceElement::new(1);
-        let ints = ElementIntegrals::compute(&element, &hex);
+        let store = IntegralStore::build(&element, 1, |_| hex);
+        let ints = store.block(0);
+        let nf = nodes_per_face(1);
         // Net area vector = Σ_faces Σ_ab ∫ φ_a φ_b n dS.
         let mut net = [0.0f64; 3];
-        for f in &ints.faces {
-            for d in 0..3 {
-                net[d] += f.matrices[d].as_slice().iter().sum::<f64>();
+        for f in 0..FACES.len() {
+            for (d, m) in ints.face(f).chunks_exact(nf * nf).enumerate() {
+                net[d] += m.iter().sum::<f64>();
             }
-            prop_assert!(f.area > 0.0);
+            prop_assert!(ints.area(f) > 0.0);
         }
         for v in net {
             prop_assert!(v.abs() < 1e-9);
@@ -127,14 +135,15 @@ proptest! {
         // For any direction, a convex cell has at least one inflow and one
         // outflow face, and flipping the direction swaps the classification.
         let element = ReferenceElement::new(1);
-        let ints = ElementIntegrals::compute(&element, &hex);
+        let store = IntegralStore::build(&element, 1, |_| hex);
+        let ints = store.block(0);
         let omega = [ox, oy, oz];
         let neg = [-ox, -oy, -oz];
         let mut inflow = 0;
         let mut outflow = 0;
         for &f in &FACES {
-            let d1 = ints.face(f).direction_dot_normal(omega);
-            let d2 = ints.face(f).direction_dot_normal(neg);
+            let d1 = ints.direction_dot_normal(f.index(), omega);
+            let d2 = ints.direction_dot_normal(f.index(), neg);
             prop_assert!((d1 + d2).abs() < 1e-12);
             if d1 > 0.0 { outflow += 1 } else if d1 < 0.0 { inflow += 1 }
         }

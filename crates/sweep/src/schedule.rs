@@ -111,40 +111,62 @@ impl SweepSchedule {
         owned: &[bool],
     ) -> Result<Self, ScheduleError> {
         let n = mesh.num_cells();
-        let mut remaining = vec![0usize; n];
-        let mut downwind = vec![Vec::new(); n];
-        for cell in 0..n {
-            for face in faces_of(inflow_mask[cell]) {
-                if let NeighborRef::Interior { cell: upwind, .. } = mesh.neighbor(cell, face) {
-                    if owned[upwind] {
-                        remaining[cell] += 1;
-                        downwind[upwind].push(cell);
+        // Every (owned upwind cell, cell) dependency, in cell order.
+        let dependencies = || {
+            (0..n).flat_map(|cell| {
+                faces_of(inflow_mask[cell]).filter_map(move |face| {
+                    match mesh.neighbor(cell, face) {
+                        NeighborRef::Interior { cell: upwind, .. } if owned[upwind] => {
+                            Some((upwind, cell))
+                        }
+                        _ => None,
                     }
-                }
-            }
+                })
+            })
+        };
+        // The downwind cells of each cell, cell after cell in one list
+        // (`downwind[start[c]..start[c + 1]]` are those of `c`, in ascending
+        // order), and the upwind dependencies each cell waits for.
+        let mut remaining = vec![0usize; n];
+        let mut start = vec![0usize; n + 1];
+        for (upwind, cell) in dependencies() {
+            remaining[cell] += 1;
+            start[upwind + 1] += 1;
+        }
+        for c in 0..n {
+            start[c + 1] += start[c];
+        }
+        let mut filled = start.clone();
+        let mut downwind = vec![0usize; start[n]];
+        for (upwind, cell) in dependencies() {
+            downwind[filled[upwind]] = cell;
+            filled[upwind] += 1;
         }
 
         let mut tlevel = vec![usize::MAX; n];
         let mut buckets: Vec<Vec<usize>> = Vec::new();
-        let mut scheduled = 0usize;
+        // The cells in schedule order, bucket after bucket: a bucket's cells
+        // free the next bucket's, appended in the order they are freed.
         // Bucket 0: owned cells with no unsatisfied local dependency.
-        let mut current: Vec<usize> = (0..n).filter(|&c| owned[c] && remaining[c] == 0).collect();
-        while !current.is_empty() {
-            let level = buckets.len();
-            let mut next = Vec::new();
-            for &cell in &current {
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&c| owned[c] && remaining[c] == 0));
+        let mut first = 0;
+        while first < order.len() {
+            let (level, end) = (buckets.len(), order.len());
+            for k in first..end {
+                let cell = order[k];
                 tlevel[cell] = level;
-                scheduled += 1;
-                for &down in &downwind[cell] {
+                for &down in &downwind[start[cell]..start[cell + 1]] {
                     remaining[down] -= 1;
                     if remaining[down] == 0 {
-                        next.push(down);
+                        order.push(down);
                     }
                 }
             }
-            buckets.push(current);
-            current = next;
+            buckets.push(order[first..end].to_vec());
+            first = end;
         }
+        let scheduled = order.len();
 
         if scheduled != owned.iter().filter(|&&o| o).count() {
             let unscheduled = (0..n)
